@@ -1,27 +1,24 @@
-"""Ablation: per-patch vs level-batched vs whole-slab kernel execution.
+"""Ablation: per-patch vs level-batched (whole-slab) kernel execution.
 
 The paper attributes the GPU code's small-problem losses to fixed
 per-launch overheads multiplied by the many small patches AMR creates
 (the mechanism behind Fig. 9's crossover).  The batched execution layer
 answers this the way AMReX fuses per-box work into one MultiFab launch:
 each level's fields live in pooled arenas and every sweep issues one
-fused launch per (backend, kernel, level) instead of one per patch.
+fused launch per (backend, kernel, level) instead of one per patch,
+executed as one stacked NumPy op over the whole arena slab where the
+level is uniform.
 
-Two axes are measured here, on a patch-size sweep of a fixed Sod problem
-(smaller patches -> more patches -> more per-patch overhead to amortise):
+Measured on a patch-size sweep of a fixed Sod problem (smaller patches
+-> more patches -> more per-patch overhead to amortise):
 
 * **modelled time** — ``--batch`` vs per-patch launches: fusion removes
   the modelled fixed launch overhead, so grind time drops.  Bitwise
   identical fields are asserted.
-* **real wall-clock** — ``--kernels slab`` vs the per-patch replay of
-  the same fused launches: the slab path executes each eligible fused
-  group as one stacked NumPy op over the whole arena slab instead of a
-  Python loop over member bodies, so *host* time inside the hydro
-  sweeps drops while modelled time and every field bit stay identical.
-  ``BatchCounter.host_seconds`` (perf_counter at the backend seam)
-  isolates the fused-launch execution wall-clock from the surrounding
-  per-patch machinery (halo copies, regridding) that the slab path
-  deliberately leaves on the fallback path.
+* **real wall-clock** of the batched run, whole step loop and — via
+  ``BatchCounter.host_seconds`` (perf_counter at the backend seam) —
+  the fused hydro sweeps alone, isolated from the surrounding per-patch
+  machinery (halo copies, regridding) that stays on the fallback path.
 """
 
 import numpy as np
@@ -49,7 +46,7 @@ SWEEP_KERNELS = (
 )
 
 
-def run_point(max_patch: int, batch: bool, kernels: str | None = None):
+def run_point(max_patch: int, batch: bool):
     cfg = RunConfig(
         problem=SodProblem((RES, RES)),
         machine="IPA",
@@ -58,8 +55,7 @@ def run_point(max_patch: int, batch: bool, kernels: str | None = None):
         max_levels=2,
         max_patch_size=max_patch,
         max_steps=STEPS,
-        execution=ExecutionPolicy(batch=batch,
-                                  kernels=kernels if kernels else "auto"),
+        execution=ExecutionPolicy(batch=batch),
     )
     return run(cfg)
 
@@ -71,12 +67,12 @@ def _sweep_kernel_wall(res) -> float:
                for k in SWEEP_KERNELS if k in stats.batches)
 
 
-def _timed_point(max_patch: int, kernels: str):
-    """Best-of-REPEATS wall numbers for one batched configuration."""
+def _timed_point(max_patch: int):
+    """Best-of-REPEATS wall numbers for the batched configuration."""
     best_step = best_kernel = float("inf")
     res = None
     for _ in range(REPEATS):
-        res = run_point(max_patch, batch=True, kernels=kernels)
+        res = run_point(max_patch, batch=True)
         best_step = min(best_step, res.step_wall_seconds)
         best_kernel = min(best_kernel, _sweep_kernel_wall(res))
     return res, best_step, best_kernel
@@ -87,13 +83,11 @@ def sweep():
     rows = []
     for size in PATCH_SIZES:
         off = run_point(size, batch=False)
-        on, wall_patch, kernel_wall_patch = _timed_point(size, "patch")
-        slab, wall_slab, kernel_wall_slab = _timed_point(size, "slab")
+        on, wall_batch, kernel_wall_batch = _timed_point(size)
         stats = combined_stats(r.exec_stats for r in on.sim.comm.ranks)
         launches = sum(b.launches for b in stats.batches.values())
         members = sum(b.members for b in stats.batches.values())
         saved = sum(b.overhead_saved_seconds for b in stats.batches.values())
-        sstats = combined_stats(r.exec_stats for r in slab.sim.comm.ranks)
         rows.append({
             "size": size,
             "patches": sum(len(lv) for lv in on.sim.hierarchy),
@@ -107,17 +101,12 @@ def sweep():
             "patches_per_launch": members / launches if launches else 0.0,
             "overhead_saved": saved,
             "wall_off": off.step_wall_seconds,
-            "wall_patch": wall_patch,
-            "wall_slab": wall_slab,
-            "kernel_wall_patch": kernel_wall_patch,
-            "kernel_wall_slab": kernel_wall_slab,
-            "kernel_wall_speedup": (kernel_wall_patch / kernel_wall_slab
-                                    if kernel_wall_slab else 0.0),
-            "slab_fused": sum(c.fused for c in sstats.slab.values()),
-            "slab_fallback": sum(c.fallback for c in sstats.slab.values()),
+            "wall_batch": wall_batch,
+            "kernel_wall_batch": kernel_wall_batch,
+            "slab_fused": sum(c.fused for c in stats.slab.values()),
+            "slab_fallback": sum(c.fallback for c in stats.slab.values()),
             "off": off,
             "on": on,
-            "slab": slab,
         })
     return rows
 
@@ -129,12 +118,11 @@ def test_batch_table(sweep, benchmark):
             f"{STEPS} steps, 1 GPU)",
             ["max patch", "patches", "per-patch (s)", "batched (s)",
              "grind speedup", "fused launches", "patches/launch",
-             "sweep wall patch (s)", "sweep wall slab (s)", "slab speedup"],
+             "step wall (s)", "sweep wall (s)"],
             [[r["size"], r["patches"], f"{r['runtime_off']:.4f}",
               f"{r['runtime_on']:.4f}", f"{r['speedup']:.2f}x",
               r["launches"], f"{r['patches_per_launch']:.1f}",
-              f"{r['kernel_wall_patch']:.3f}", f"{r['kernel_wall_slab']:.3f}",
-              f"{r['kernel_wall_speedup']:.2f}x"]
+              f"{r['wall_batch']:.3f}", f"{r['kernel_wall_batch']:.3f}"]
              for r in sweep],
         )
     lines = benchmark(render)
@@ -147,19 +135,18 @@ def test_batch_table(sweep, benchmark):
         f"launch overhead saved   : {small['overhead_saved']:.4f}s over "
         f"{small['members']} member kernels in {small['launches']} launches")
     lines.append(
-        f"slab kernels (real wall): {small['kernel_wall_speedup']:.2f}x "
-        f"faster hydro sweeps ({small['kernel_wall_patch']:.3f}s -> "
-        f"{small['kernel_wall_slab']:.3f}s host) at {small['patches']} "
-        f"patches; {small['slab_fused']} fused whole-slab launches, "
-        f"{small['slab_fallback']} per-patch fallbacks; "
-        f"step wall {small['wall_patch']:.3f}s -> {small['wall_slab']:.3f}s")
+        f"slab kernels (real wall): {small['kernel_wall_batch']:.3f}s host "
+        f"in the fused hydro sweeps at {small['patches']} patches; "
+        f"{small['slab_fused']} fused whole-slab launches, "
+        f"{small['slab_fallback']} per-patch fallbacks; step wall "
+        f"{small['wall_off']:.3f}s per-patch -> {small['wall_batch']:.3f}s")
     emit("ablation_batch", lines,
          config={"problem": f"sod {RES}x{RES}", "levels": 2, "steps": STEPS,
                  "patch_sizes": PATCH_SIZES, "wall_repeats": REPEATS},
          metrics={"sweep": [{k: v for k, v in r.items()
-                             if k not in ("off", "on", "slab")}
+                             if k not in ("off", "on")}
                             for r in sweep]},
-         manifest=sweep[0]["slab"].metrics)
+         manifest=sweep[0]["on"].metrics)
 
 
 def test_batch_speedup_on_small_patches(sweep):
@@ -181,40 +168,25 @@ def test_batch_fuses_many_patches_per_launch(sweep):
     assert small["patches_per_launch"] > 2.0
 
 
-def test_slab_wall_clock_speedup_on_small_patches(sweep):
-    """The slab acceptance bar: executing the many-small-patch hydro
-    sweeps as whole-slab stacked ops is >= 2x faster in real host
-    wall-clock than replaying per-patch member bodies."""
-    small = sweep[0]
-    assert small["slab_fused"] > 0
-    assert small["kernel_wall_speedup"] >= 2.0, (
-        f"slab sweeps only {small['kernel_wall_speedup']:.2f}x faster "
-        f"({small['kernel_wall_patch']:.3f}s vs "
-        f"{small['kernel_wall_slab']:.3f}s) at {small['patches']} patches")
-
-
 def test_wall_clock_fields_recorded(sweep):
     """Every sweep row reports real wall-clock and slab launch counts
-    (asserted by CI's benchmarks-smoke job on the emitted JSON)."""
+    (asserted by CI's benchmarks-smoke job on the emitted JSON), and the
+    many-small-patch hydro sweeps really run whole-slab."""
     for r in sweep:
-        for key in ("wall_off", "wall_patch", "wall_slab",
-                    "kernel_wall_patch", "kernel_wall_slab"):
+        for key in ("wall_off", "wall_batch", "kernel_wall_batch"):
             assert r[key] > 0.0, f"{key} missing at size {r['size']}"
         assert r["slab_fused"] + r["slab_fallback"] > 0
+    assert sweep[0]["slab_fused"] > 0
 
 
 def test_batch_fields_bitwise_identical(sweep):
-    """Fused launches — per-patch replay and whole-slab alike — compute
-    the same bits, and slab execution leaves modelled time unchanged."""
+    """Fused whole-slab launches compute the same bits as per-patch ones."""
     for r in sweep:
-        assert r["slab"].runtime == r["on"].runtime
-        assert r["slab"].dt_history == r["on"].dt_history
-        off, on, slab = r["off"].sim, r["on"].sim, r["slab"].sim
+        assert r["on"].dt_history == r["off"].dt_history
+        off, on = r["off"].sim, r["on"].sim
         assert off.hierarchy.num_levels == on.hierarchy.num_levels
         for lnum in range(off.hierarchy.num_levels):
             for field in FIELDS:
                 a = gather_level_field(off.hierarchy.level(lnum), field)
                 b = gather_level_field(on.hierarchy.level(lnum), field)
-                c = gather_level_field(slab.hierarchy.level(lnum), field)
                 assert np.array_equal(a, b, equal_nan=True)
-                assert np.array_equal(b, c, equal_nan=True)

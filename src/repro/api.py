@@ -11,17 +11,16 @@ metrics — and :func:`run` executes it, returning a structured
 rank-merged metrics manifest, and the paths of any trace/checkpoint
 artefacts).
 
-Execution strategy is *policy-shaped*: the old flat flags
-(``use_scheduler``, ``overlap``, ``batch_launches``, ``kernels``,
-``regrid_incremental``, ``balance``, ``regrid_interval``) now live on
-``RunConfig.execution`` / ``RunConfig.regrid``, whose fields accept the
-literal ``"auto"``.  Under ``ExecutionPolicy(mode="auto")`` the
+Execution strategy is *policy-shaped*: ``RunConfig.execution`` has two
+axes, ``batch`` × ``overlap`` (whole-slab kernels follow ``batch``, the
+task-graph driver follows ``overlap``), and ``RunConfig.regrid`` says
+when and how the hierarchy is rebuilt; their fields accept the literal
+``"auto"``.  Under ``ExecutionPolicy(mode="auto")`` the
 :mod:`repro.tune` tuner probe-measures the run and decides the fields
 left at ``"auto"``; :func:`resolve_config` performs that resolution
 explicitly (``run`` calls it for you) and records the decisions on
 ``RunConfig.tuned``, in the metrics manifest, and in the full config
-fingerprint.  The flat names remain as deprecated property/kwarg shims
-that warn and forward.
+fingerprint.
 
 Everything outside the ``repro`` package — the CLI, the benchmarks, the
 examples — imports from here and nowhere else (enforced by the ``api``
@@ -32,9 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import time as _time
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as _dc_fields, replace
+from dataclasses import dataclass, field, replace
 
 from .comm.simcomm import make_communicator
 from .hydro.integrator import LagrangianEulerianIntegrator, SimulationConfig
@@ -120,27 +118,7 @@ class ObservabilityConfig:
                 f"got {self.metrics_interval!r}")
 
 
-#: deprecated flat RunConfig name -> (sub-config field, policy field)
-_FLAT_SHIMS = {
-    "use_scheduler": ("execution", "scheduler"),
-    "overlap": ("execution", "overlap"),
-    "batch_launches": ("execution", "batch"),
-    "kernels": ("execution", "kernels"),
-    "regrid_interval": ("regrid", "interval"),
-    "regrid_incremental": ("regrid", "incremental"),
-    "balance": ("regrid", "balance"),
-}
-
-
-def _warn_flat(name: str) -> None:
-    sub, attr = _FLAT_SHIMS[name]
-    warnings.warn(
-        f"RunConfig.{name} is deprecated; use RunConfig.{sub}.{attr} "
-        f"({'ExecutionPolicy' if sub == 'execution' else 'RegridPolicy'})",
-        DeprecationWarning, stacklevel=3)
-
-
-@dataclass(init=False)
+@dataclass
 class RunConfig:
     """One CleverLeaf run, as an input deck would describe it."""
 
@@ -157,8 +135,8 @@ class RunConfig:
     end_time: float | None = None
     sanitize: bool = False         # samrcheck sanitizer (repro.check):
                                    # observation-only, identical bits
-    #: how the run executes (scheduler / overlap / batching / kernels);
-    #: fields accept "auto" — see :class:`ExecutionPolicy`
+    #: how the run executes (batch × overlap); fields accept "auto" —
+    #: see :class:`ExecutionPolicy`
     execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
     #: when and how the hierarchy is rebuilt and redistributed
     regrid: RegridPolicy = field(default_factory=RegridPolicy)
@@ -168,49 +146,6 @@ class RunConfig:
     #: the tuner's recorded decisions, attached by :func:`resolve_config`
     #: when ``execution.mode == "auto"`` (never set by hand)
     tuned: "object | None" = field(default=None, compare=False, repr=False)
-
-    def __init__(self, problem=None, machine="IPA", nranks=1, use_gpu=True,
-                 resident=True, max_levels=3, refinement_ratio=2,
-                 max_patch_size=64, dt_max=None, max_steps=None,
-                 end_time=None, sanitize=False, execution=None, regrid=None,
-                 observability=None, checkpoint_path=None, tuned=None,
-                 **flat):
-        self.problem = problem if problem is not None else SodProblem((64, 64))
-        self.machine = machine
-        self.nranks = nranks
-        self.use_gpu = use_gpu
-        self.resident = resident
-        self.max_levels = max_levels
-        self.refinement_ratio = refinement_ratio
-        self.max_patch_size = max_patch_size
-        self.dt_max = dt_max
-        self.max_steps = max_steps
-        self.end_time = end_time
-        self.sanitize = sanitize
-        self.execution = execution if execution is not None else ExecutionPolicy()
-        self.regrid = regrid if regrid is not None else RegridPolicy()
-        self.observability = (observability if observability is not None
-                              else ObservabilityConfig())
-        self.checkpoint_path = checkpoint_path
-        self.tuned = tuned
-        for name, value in flat.items():
-            if name not in _FLAT_SHIMS:
-                raise TypeError(
-                    f"RunConfig() got an unexpected keyword argument {name!r}")
-            _warn_flat(name)
-            self._set_flat(name, value)
-
-    # -- deprecated flat-flag shims (warn and forward to the policies) ---------
-
-    def _set_flat(self, name: str, value) -> None:
-        sub, attr = _FLAT_SHIMS[name]
-        if name == "kernels" and value is None:
-            value = AUTO  # the old None meant "derive from batch_launches"
-        setattr(self, sub, replace(getattr(self, sub), **{attr: value}))
-
-    def _get_flat(self, name: str):
-        sub, attr = _FLAT_SHIMS[name]
-        return getattr(getattr(self, sub), attr)
 
     # -- policy resolution -----------------------------------------------------
 
@@ -237,36 +172,13 @@ class RunConfig:
                                 incremental=rp.incremental,
                                 balance=rp.balance),
             gamma=self.problem.gamma,
-            use_scheduler=ep.scheduler,
             overlap=ep.overlap,
             sanitize=self.sanitize,
             batch_launches=ep.batch,
-            kernels=ep.kernels,
         )
         if self.dt_max is not None:
             sim_cfg.dt_max = self.dt_max
         return sim_cfg
-
-
-def _install_flat_shims() -> None:
-    """Attach the deprecated flat-name properties to :class:`RunConfig`."""
-    def make(name):
-        def get(self):
-            _warn_flat(name)
-            return self._get_flat(name)
-
-        def set_(self, value):
-            _warn_flat(name)
-            self._set_flat(name, value)
-
-        return property(get, set_, doc=f"deprecated alias (see {name!r} "
-                                       "mapping in RunConfig._FLAT_SHIMS)")
-
-    for name in _FLAT_SHIMS:
-        setattr(RunConfig, name, make(name))
-
-
-_install_flat_shims()
 
 
 @dataclass
@@ -280,8 +192,7 @@ class RunResult:
     timers: dict[str, float]
     #: real host seconds for the whole run (init + step loop)
     wall_seconds: float = 0.0
-    #: real host seconds for the step loop only — the number
-    #: ``--kernels slab`` improves
+    #: real host seconds for the step loop only
     step_wall_seconds: float = 0.0
     #: conserved-quantity summary of the final hierarchy (mass, ie, ke, …)
     final_fields: dict[str, float] = field(default_factory=dict)
@@ -588,27 +499,12 @@ def fingerprint(cfg: RunConfig, *, full: bool = False) -> str:
             ("resident", cfg.resident),
             ("max_steps", cfg.max_steps),
             ("end_time", cfg.end_time),
-            ("use_scheduler", ep.scheduler),
             ("overlap", ep.overlap),
             ("batch_launches", ep.batch),
-            ("kernels", ep.kernels),
         ]
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
 def scaled(cfg: RunConfig, **overrides) -> RunConfig:
-    """A copy of a run config with fields replaced (sweep helper).
-
-    Accepts the deprecated flat names (``overlap=``, ``batch_launches=``
-    …) with a :class:`DeprecationWarning`, forwarding them into the
-    policy sub-configs so old sweep scripts keep working.
-    """
-    flat = {k: overrides.pop(k) for k in list(overrides) if k in _FLAT_SHIMS}
-    unknown = set(overrides) - {f.name for f in _dc_fields(RunConfig)}
-    if unknown:
-        raise TypeError(f"scaled() got unexpected field(s) {sorted(unknown)}")
-    out = replace(cfg, **overrides)
-    for name, value in flat.items():
-        _warn_flat(name)
-        out._set_flat(name, value)
-    return out
+    """A copy of a run config with fields replaced (sweep helper)."""
+    return replace(cfg, **overrides)

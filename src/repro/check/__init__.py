@@ -15,8 +15,7 @@ Nothing in the core framework verifies either claim; this package does:
   seam-scope marker host-side device-data touches are validated against.
 * :mod:`repro.check.lint` — the static AST seam lint enforcing the
   backend seam and the declaration discipline at every kernel call site
-  (``repro check --lint``; ``python -m repro.check.lint`` is a
-  deprecated alias).
+  (``repro check --lint``).
 * :mod:`repro.check.effects` / :mod:`repro.check.dispatch` /
   :mod:`repro.check.layers` / :mod:`repro.check.static` — the
   whole-program analyzer behind ``repro check --static``: per-kernel

@@ -273,7 +273,7 @@ class SanitizeChecker:
         return arr
 
     def on_slab_handout(self, pds, arr: np.ndarray) -> np.ndarray:
-        """Instrument a whole-slab stacked handout (``--kernels slab``).
+        """Instrument a whole-slab stacked handout (``--batch``).
 
         ``arr`` stacks the ``pds``' frames on axis 0; the group is the
         slab twin of per-patch handouts, so its declared role must be

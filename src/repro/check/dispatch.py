@@ -33,6 +33,9 @@ Field names bind symbolically: a declaration ``reads=(dname, ename)``
 against a body ``K.ideal_gas(a[dname], a[ename], ...)`` matches on the
 *variable* ``dname`` (whose constant alternatives the evaluator also
 records), so predictor/corrector name-swapping needs no special cases.
+The integrator funnel states its kernel over positional operand arrays
+— ``self._run(..., fn, names, ...)`` with ``def fn(d, e, ...)`` — so
+there ``fn``'s i-th parameter binds to the i-th entry of ``names``.
 """
 
 from __future__ import annotations
@@ -444,6 +447,14 @@ class _FileScanner:
         if body_def is None:
             return None
         env = _FuncEnv(enclosing)
+        operands = {}
+        if kind == "integrator_run" and len(node.args) > 5:
+            # fn(d, e, ...) takes the arrays of names[0], names[1], ...
+            try:
+                keys = [key for key, _ in _eval_decl(node.args[5], env)]
+            except (_Delegated, _Operands):
+                keys = []
+            operands = dict(zip((a.arg for a in body_def.args.args), keys))
         for call in ast.walk(body_def):
             if not isinstance(call, ast.Call):
                 continue
@@ -454,12 +465,12 @@ class _FileScanner:
             for i, arg in enumerate(call.args):
                 if i >= len(eff.params):
                     break
-                key = self._field_key(arg, env)
+                key = self._field_key(arg, env, operands)
                 if key is not None:
                     binding.append((eff.params[i], key))
             for kwarg in call.keywords:
                 if kwarg.arg in eff.params:
-                    key = self._field_key(kwarg.value, env)
+                    key = self._field_key(kwarg.value, env, operands)
                     if key is not None:
                         binding.append((kwarg.arg, key))
             return binding, eff
@@ -480,8 +491,10 @@ class _FileScanner:
         return None
 
     @staticmethod
-    def _field_key(arg, env: _FuncEnv):
+    def _field_key(arg, env: _FuncEnv, operands: dict):
         """('str', field) / ('sym', var) for a patch-field argument."""
+        if isinstance(arg, ast.Name):
+            return operands.get(arg.id)
         if isinstance(arg, ast.Subscript):
             s = _const_str(arg.slice)
             if s is not None:

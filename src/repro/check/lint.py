@@ -1,4 +1,4 @@
-"""Static seam lint: ``python -m repro.check.lint [paths]``.
+"""Static seam lint (``repro check --lint``).
 
 An AST pass over the source tree enforcing the two disciplines the
 dynamic checker can only observe at runtime:
@@ -19,16 +19,9 @@ dynamic checker can only observe at runtime:
   declarations.
 * **api** — all code must import the public facade :mod:`repro.api`:
   the old :mod:`repro.app` shim is removed, so any import of it is
-  flagged.  Call sites constructing ``RunConfig(...)`` (or the
-  ``scaled(...)`` sweep helper) with the deprecated flat execution
-  kwargs (``use_scheduler``, ``overlap``, ``batch_launches``,
-  ``kernels``, ``regrid_incremental``, ``balance``, ``regrid_interval``)
-  are flagged too — those knobs live on the typed
-  ``ExecutionPolicy``/``RegridPolicy`` sub-configs now; the runtime
-  shims only exist for external callers mid-migration (shim tests carry
-  a waiver).
+  flagged.
 * **slab** — kernel dispatch inside a per-patch ``for patch in level:``
-  loop defeats whole-slab execution (``--kernels slab`` runs one
+  loop defeats whole-slab execution (``--batch`` runs one
   vectorized op per fused level group); new dispatch sites should emit
   batch members and let ``run_batched`` fuse them.  Reference-path loops
   (kept for bitwise comparison) carry a waiver.
@@ -42,24 +35,19 @@ dynamic checker can only observe at runtime:
 A violating line can be waived with a ``# samrcheck: ok(rule): reason``
 comment (the legacy bare ``# samrcheck: ok`` waives any rule on the
 line); waivers are greppable and audited by :mod:`repro.check.static`,
-which reports unused waivers and waivers without a reason.  Exit status
-is the number of violations (0 = clean).
-
-Running this module directly is deprecated — ``repro check --lint`` (or
-``python -m repro.check.static --lint``) is the unified entry point.
+which reports unused waivers and waivers without a reason.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-import sys
 from pathlib import Path
 
 from .layers import SERVE_ALLOWED, ImportResolver, module_name_for, repo_root_of
 
 __all__ = [
-    "lint_file", "lint_file_full", "lint_paths", "main", "Violation",
+    "lint_file", "lint_file_full", "lint_paths", "Violation",
     "parse_waiver", "SERVE_ALLOWED",
 ]
 
@@ -250,31 +238,6 @@ class _Linter(ast.NodeVisitor):
         self._check_serve_imports(node)
         self.generic_visit(node)
 
-    #: RunConfig kwargs that moved onto ExecutionPolicy / RegridPolicy
-    _FLAT_CONFIG_KWARGS = frozenset({
-        "use_scheduler", "overlap", "batch_launches", "kernels",
-        "regrid_incremental", "balance", "regrid_interval",
-    })
-    #: call names whose keyword arguments are RunConfig fields
-    _CONFIG_CALL_NAMES = frozenset({"RunConfig", "scaled"})
-
-    def _check_config_call(self, node: ast.Call) -> None:
-        """Flag ``RunConfig(...)``/``scaled(...)`` using the flat kwargs."""
-        func = node.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
-        if name not in self._CONFIG_CALL_NAMES:
-            return
-        for kw in node.keywords:
-            if kw.arg in self._FLAT_CONFIG_KWARGS:
-                sub = ("regrid" if kw.arg in ("regrid_incremental", "balance",
-                                              "regrid_interval")
-                       else "execution")
-                self._flag(kw.value, "api",
-                           f"deprecated flat RunConfig kwarg '{kw.arg}' — "
-                           f"set it on the typed '{sub}' policy "
-                           "(ExecutionPolicy / RegridPolicy)")
-
     def _check_serve_imports(self, node) -> None:
         """Resolve a serve-layer import (aliases, relative forms, and
         ``__init__`` re-exports included) and flag disallowed targets."""
@@ -306,7 +269,6 @@ class _Linter(ast.NodeVisitor):
                 self._check_run_call(node)
             elif func.attr == "kernel_task":
                 self._check_kernel_task_call(node)
-        self._check_config_call(node)
         self.generic_visit(node)
 
     # -- declaration rules -----------------------------------------------------
@@ -359,25 +321,3 @@ def lint_paths(paths) -> list[Violation]:
         for f in files:
             violations.extend(lint_file(f))
     return violations
-
-
-def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    if not args:
-        # default: the installed repro package sources
-        args = [str(Path(__file__).resolve().parent.parent)]
-    violations = lint_paths(args)
-    for v in violations:
-        print(v)
-    if violations:
-        print(f"{len(violations)} seam-lint violation(s)")
-    else:
-        print("seam lint clean")
-    return min(len(violations), 255)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    print("note: 'python -m repro.check.lint' is deprecated; use "
-          "'repro check --lint' (python -m repro.check.static --lint)",
-          file=sys.stderr)
-    sys.exit(main())

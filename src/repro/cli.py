@@ -63,28 +63,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "longest-processing-time greedy")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--end-time", type=float, default=None)
-    p.add_argument("--scheduler", action="store_true",
-                   help="drive timesteps through the task-graph scheduler "
-                        "(bitwise identical to the serial path)")
     p.add_argument("--overlap", action="store_true",
-                   help="overlap halo transfers with compute on per-rank "
-                        "copy streams (implies --scheduler)")
+                   help="record each step into task graphs and overlap "
+                        "halo transfers with compute on per-rank copy "
+                        "streams (bitwise identical to the serial path)")
     p.add_argument("--batch", action="store_true",
                    help="level-batched execution: lay each level's fields "
                         "out in pooled arenas and fuse same-kernel per-patch "
-                        "launches into one launch per level (bitwise "
-                        "identical; changes modelled time only)")
-    p.add_argument("--kernels", choices=["patch", "slab"], default=None,
-                   help="how fused launches execute (default: slab when "
-                        "--batch is on): 'slab' runs eligible fused groups "
-                        "as one vectorized NumPy op over the whole arena "
-                        "slab — real wall-clock drops, bits and modelled "
-                        "time are unchanged; 'patch' replays per-patch "
-                        "bodies (the reference path)")
+                        "launches into one launch per level, run as one "
+                        "vectorized NumPy op over the arena slab where the "
+                        "level is uniform (bitwise identical; changes "
+                        "modelled time only)")
     p.add_argument("--auto", action="store_true",
                    help="auto-tune the execution policy: probe a few steps "
-                        "per candidate (serial / batch / batch+slab / "
-                        "overlap) and pick the best modelled grind; flags "
+                        "per candidate (serial / batch / overlap+batch) "
+                        "and pick the best modelled grind; flags "
                         "you pass explicitly stay pinned, the tuner only "
                         "decides the rest (bitwise identical to the chosen "
                         "flags run by hand)")
@@ -141,14 +134,12 @@ def main(argv=None) -> int:
     nranks = args.nodes * (gpus_per_node if use_gpu else 1)
 
     # Flags the user passed pin policy fields; everything else stays
-    # "auto" — resolved statically (off / patch) in fixed mode, decided
-    # by probe measurement under --auto.
+    # "auto" — resolved statically (off) in fixed mode, decided by probe
+    # measurement under --auto.
     execution = ExecutionPolicy(
         mode="auto" if args.auto else "fixed",
-        scheduler=True if args.scheduler else AUTO,
         overlap=True if args.overlap else AUTO,
         batch=True if args.batch else AUTO,
-        kernels=args.kernels if args.kernels is not None else AUTO,
     )
     regrid = RegridPolicy(
         interval=args.regrid_interval,
@@ -181,10 +172,9 @@ def main(argv=None) -> int:
         mode = ", auto-tuned execution policy"
     else:
         ep, _ = cfg.resolved_policies()
-        mode = ("" if not ep.scheduler else
-                ", task-graph scheduler" + (" + overlap" if ep.overlap else ""))
+        mode = ", task-graph scheduler + overlap" if ep.overlap else ""
         if ep.batch:
-            mode += f", batched launches ({ep.kernels} kernels)"
+            mode += ", batched launches"
     if cfg.sanitize:
         mode += ", sanitize"
     print(f"running {args.problem} on {args.nodes} {machine} node(s), "
@@ -205,9 +195,8 @@ def main(argv=None) -> int:
         ep = res.policies.get("execution", {})
         print(f"auto-tuned: picked '{tuned['winner']}' from "
               f"{len(tuned['probes'])} probes of {tuned['probe_steps']} "
-              f"step(s) — scheduler={ep.get('scheduler')} "
-              f"overlap={ep.get('overlap')} batch={ep.get('batch')} "
-              f"kernels={ep.get('kernels')}")
+              f"step(s) — overlap={ep.get('overlap')} "
+              f"batch={ep.get('batch')}")
     print(f"\nadvanced {res.steps} steps to t = {sim.time:.5f}; "
           f"{res.cells} cells on {sim.hierarchy.num_levels} levels")
     s = res.final_fields

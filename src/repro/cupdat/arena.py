@@ -55,7 +55,7 @@ class DeviceArena:
         if self._live == 0:
             self.slab.free()
 
-    # -- whole-slab access (--kernels slab) ------------------------------------
+    # -- whole-slab access (--batch) -------------------------------------------
 
     @property
     def member_count(self) -> int:

@@ -376,8 +376,8 @@ class Backend(abc.ABC):
         still sees every operand.  ``combine`` reduces the members' return
         values inside the launch (the CFL min); the result is returned.
 
-        When every member carries a matching :class:`SlabSpec`
-        (``--kernels slab``), the launch instead executes as one
+        When every member carries a matching :class:`SlabSpec`, the
+        launch instead executes as one
         vectorized NumPy op over the whole stacked arena slab — same
         kernel name, element total, declarations and modelled cost, so
         only host wall-clock changes; the fused CFL min reduces over the

@@ -28,10 +28,9 @@ from __future__ import annotations
 __all__ = ["BatchMember", "BatchSlot", "LaunchBatcher", "SlabSpec",
            "SLAB_FALLBACK", "union_pds"]
 
-#: sentinel ``BatchMember.slab`` value: the dispatch site runs under
-#: ``--kernels slab`` but this work is inherently per-patch (ragged halo
-#: bodies, per-region interpolation temps) — the fused launch replays
-#: member bodies and the launch is counted as ``slab_fallback``.
+#: sentinel ``BatchMember.slab`` value: this fused work is inherently
+#: per-patch (ragged halo bodies, per-region interpolation temps) — the
+#: launch replays member bodies and is counted as ``slab_fallback``.
 SLAB_FALLBACK = "fallback"
 
 
@@ -75,8 +74,8 @@ class BatchMember:
         self.writes = tuple(writes)
         self.ghost_reads = tuple(ghost_reads)
         self.marks = tuple(marks)
-        #: None (per-patch mode), a :class:`SlabSpec`, or
-        #: :data:`SLAB_FALLBACK`
+        #: a :class:`SlabSpec`, :data:`SLAB_FALLBACK`, or None (replayed
+        #: per member and not counted in the slab statistics)
         self.slab = slab
 
 
@@ -95,10 +94,10 @@ def union_pds(groups) -> tuple:
 class BatchSlot:
     """Holder for a fused reduction result, filled when its group flushes."""
 
-    __slots__ = ("value",)
+    __slots__ = ("result",)
 
     def __init__(self):
-        self.value = None
+        self.result = None
 
 
 class _Group:
@@ -149,4 +148,4 @@ class LaunchBatcher:
                 # One reduced scalar crosses the bus per fused group,
                 # not one per patch.
                 g.backend.charge_transfer("d2h", 8)
-                g.slot.value = result
+                g.slot.result = result

@@ -66,7 +66,7 @@ class BatchCounter:
     modelled fixed per-launch cost the fusion avoided —
     ``(members - launches) ×`` the resource's launch overhead.
     ``host_seconds`` is real host wall-clock (``perf_counter``) spent
-    executing the fused launches — the number ``--kernels slab``
+    executing the fused launches — the number whole-slab execution
     improves; modelled time lives in :class:`KernelCounter`.
     """
 
@@ -78,7 +78,7 @@ class BatchCounter:
 
 @dataclass
 class SlabCounter:
-    """Accounting for whole-slab execution of one kernel (``--kernels slab``).
+    """Accounting for whole-slab execution of one kernel (``--batch``).
 
     ``fused`` counts fused launches that executed as a single stacked
     NumPy op over the arena slab; ``fallback`` counts slab-requested
@@ -475,7 +475,7 @@ def attribution_report(stats: ExecStats,
             for name, c in sorted(stats.slab.items())
         ]
         lines.append("")
-        lines += _table("slab execution (--kernels slab)",
+        lines += _table("slab execution (--batch)",
                         ["kernel", "fused", "fallback"], srows)
         fused = sum(c.fused for c in stats.slab.values())
         fallback = sum(c.fallback for c in stats.slab.values())

@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..exec.batch import BatchSlot, LaunchBatcher
 from ..geom.operators import (
     CellConservativeLinearRefine,
     CellMassWeightedCoarsen,
@@ -64,41 +65,26 @@ class SimulationConfig:
     dt_growth: float = 1.5
     dt_max: float = 1.0e10
     dt_init: float = 1.0e10
-    #: drive timesteps through the task-graph scheduler (repro.sched)
-    #: instead of the serial call sequence; results are bitwise identical
-    use_scheduler: bool = False
-    #: overlap halo transfers with compute on per-rank copy streams
-    #: (implies use_scheduler); changes modelled time only, never bits
+    #: record each step into task graphs (repro.sched) instead of
+    #: executing it inline, with halo transfers overlapping compute on
+    #: per-rank copy streams; changes modelled time only, never bits
     overlap: bool = False
     #: run with the samrcheck sanitizer active (repro.check): declared
     #: accesses, happens-before replay, residency and stale-halo checks;
     #: observation-only, bitwise identical to a normal run
     sanitize: bool = False
     #: fuse same-kernel, same-level per-patch launches into one launch
-    #: per (backend, level) — the AMReX MultiFab-style launch batching;
-    #: changes modelled time only, results stay bitwise identical
+    #: per (backend, level) — the AMReX MultiFab-style launch batching —
+    #: run as one stacked NumPy op over the (level, rank, variable) arena
+    #: slab where the level is uniform; changes modelled time only,
+    #: results stay bitwise identical
     batch_launches: bool = False
-    #: how fused launches execute their member bodies: ``"patch"`` replays
-    #: per-patch bodies in order; ``"slab"`` (requires ``batch_launches``)
-    #: runs eligible groups as one vectorized NumPy op over the whole
-    #: (level, rank, variable) arena slab — a host wall-clock
-    #: optimization; modelled time and fields stay bitwise identical
-    kernels: str = "patch"
 
     def __post_init__(self):
         # Fine levels inherit the run's patch-size limit unless the regrid
         # config sets its own.
         if self.regrid.max_patch_size is None:
             self.regrid.max_patch_size = self.max_patch_size
-        if self.overlap:
-            self.use_scheduler = True
-        if self.kernels not in ("patch", "slab"):
-            raise ValueError(
-                f"kernels must be 'patch' or 'slab', got {self.kernels!r}")
-        if self.kernels == "slab" and not self.batch_launches:
-            raise ValueError(
-                "kernels='slab' requires batch_launches=True: whole-slab "
-                "execution runs on the fused-launch arena substrate")
 
 
 class LagrangianEulerianIntegrator:
@@ -122,7 +108,11 @@ class LagrangianEulerianIntegrator:
             patch_integrator if patch_integrator is not None
             else CleverleafPatchIntegrator(gamma=self.config.gamma)
         )
-        self.patch_integrator.slab_mode = self.config.kernels == "slab"
+        self._refine_ops = {
+            "cell": CellConservativeLinearRefine(),
+            "node": NodeLinearRefine(),
+            "side": SideConservativeLinearRefine(),
+        }
 
         domain = Box.from_shape(problem.base_resolution)
         self.geometry = CartesianGridGeometry(domain, problem.x_lo, problem.x_hi)
@@ -139,11 +129,6 @@ class LagrangianEulerianIntegrator:
             self._specs_for(PRIMARY_FIELDS), self.boundary, self.config.regrid,
             schedule_cache=self.schedule_cache,
         )
-        self._refine_ops = {
-            "cell": CellConservativeLinearRefine(),
-            "node": NodeLinearRefine(),
-            "side": SideConservativeLinearRefine(),
-        }
         self.time = 0.0
         self.step_count = 0
         self.dt = None
@@ -152,13 +137,9 @@ class LagrangianEulerianIntegrator:
     # -- spec helpers ---------------------------------------------------------
 
     def _specs_for(self, names) -> list[FillSpec]:
-        ops = {
-            "cell": CellConservativeLinearRefine(),
-            "node": NodeLinearRefine(),
-            "side": SideConservativeLinearRefine(),
-        }
         return [
-            FillSpec(self.variables[n], ops[self.variables[n].centring])
+            FillSpec(self.variables[n],
+                     self._refine_ops[self.variables[n].centring])
             for n in names
         ]
 
@@ -260,21 +241,22 @@ class LagrangianEulerianIntegrator:
                 self.factory, boundary=self.boundary,
                 geometry_cache=self.schedule_cache.geometry_cache,
                 batch=self.config.batch_launches,
-                slab=self.config.kernels == "slab",
             )
             self.schedule_cache.put("fill", key, (level, coarse), sched)
         return sched
 
-    def _fill_group_level(self, level, names) -> None:
-        self._fill_schedule_for(level, names).fill(time=self.time)
+    # -- executing the step program inline -----------------------------------------
+    #
+    # ``_phase`` (above), ``_fill``, ``_sweep``, ``_coarsen`` and ``_reduce``
+    # are the operations a timestep is written in (see ``_advance``).  Here
+    # each one runs as it is named; ``sched.driver.StepScheduler`` implements
+    # the same five by recording into a task graph.
 
-    def _fill_group(self, group: str) -> None:
-        """Fill a halo group on every level, coarsest first."""
-        names = FIELD_GROUPS[group]
-        for level in self.hierarchy:
-            self._fill_group_level(level, names)
+    def _fill(self, sched: RefineSchedule) -> None:
+        sched.fill(time=self.time)
 
-    # -- per-kernel sweeps over the hierarchy -------------------------------------
+    def _coarsen(self, sched: CoarsenSchedule) -> None:
+        sched.coarsen()
 
     def _foreach_patch(self, fn) -> None:
         for level in self.hierarchy:
@@ -291,8 +273,6 @@ class LagrangianEulerianIntegrator:
         if not self.config.batch_launches:
             self._foreach_patch(fn)
             return
-        from ..exec.batch import LaunchBatcher
-
         pi = self.patch_integrator
         batcher = LaunchBatcher()
         pi.batch_sink = batcher
@@ -302,19 +282,26 @@ class LagrangianEulerianIntegrator:
             pi.batch_sink = None
         batcher.flush()
 
+    def _reduce(self, fn, handles) -> BatchSlot:
+        """Run a reduction over launch handles; its value is ``.result``."""
+        slot = BatchSlot()
+        slot.result = fn(handles)
+        return slot
+
     # -- the timestep --------------------------------------------------------------
 
     def step(self) -> float:
         """Advance the whole hierarchy by one global timestep.
 
-        With ``config.use_scheduler`` the step runs as explicit task
-        graphs through :mod:`repro.sched` (bitwise identical to the
-        serial path); otherwise as the serial call sequence below.
+        With ``config.overlap`` the step is recorded into task graphs and
+        executed by :mod:`repro.sched`; otherwise it executes inline.
+        Either way it is the one program in :meth:`_advance`, so the two
+        are bitwise identical.
         """
-        if self.config.use_scheduler:
+        if self.config.overlap or self._step_scheduler is not None:
             dt = self._scheduler().advance()
         else:
-            dt = self._step_serial()
+            dt = self._advance(self)
 
         self.time += dt
         self.step_count += 1
@@ -332,44 +319,72 @@ class LagrangianEulerianIntegrator:
         if self._step_scheduler is None:
             from ..sched.driver import StepScheduler
 
-            self._step_scheduler = StepScheduler(
-                self, overlap=self.config.overlap)
+            self._step_scheduler = StepScheduler(self, overlap=True)
         return self._step_scheduler
 
-    def _step_serial(self) -> float:
-        """The legacy serial step: one blocking call after another."""
+    def _advance(self, ex) -> float:
+        """One global timestep, stated once; returns dt.
+
+        ``ex`` carries the program out: this integrator executes every
+        operation as it is named, a ``StepScheduler`` records each phase
+        into a task graph and executes it at the phase boundary.  The
+        caller owns the step bookkeeping (time/step_count/regrid).
+        """
         pi = self.patch_integrator
 
-        with self._phase("hydro"):
-            self._fill_group("step_start")
+        with ex._phase("hydro"):
+            self._fill_group(ex, FIELD_GROUPS["step_start"])
             # EOS extended into the ghosts gives viscosity/accelerate their
             # pressure halos without a separate exchange.
-            self._sweep(lambda p, r: pi.ideal_gas(p, r, ext=2))
-            self._sweep(lambda p, r: pi.viscosity(p, r))
-            self._fill_group("post_viscosity")
+            ex._sweep(lambda p, r: pi.ideal_gas(p, r, ext=2))
+            ex._sweep(lambda p, r: pi.viscosity(p, r))
+            self._fill_group(ex, FIELD_GROUPS["post_viscosity"])
 
-        with self._phase("timestep"):
-            dt = self._compute_dt()
+        # CFL: one dt handle per patch, reduced per owner and then by the
+        # run's one global reduction.  Fused, each (backend, level) group
+        # is one launch and one scalar readback instead of a per-patch
+        # PCIe-latency chain; min is exact selection, so dt is bitwise
+        # the same either way.
+        handles: list[tuple[int, object]] = []
+        with ex._phase("timestep"):
+            ex._sweep(lambda p, r: handles.append((p.owner, pi.calc_dt(p, r))))
+            reduced = ex._reduce(self._min_dt, handles)
+        dt = self._apply_dt_policy(reduced.result)
 
-        with self._phase("hydro"):
-            self._sweep(lambda p, r: pi.pdv(p, r, True, dt))
-            self._sweep(lambda p, r: pi.ideal_gas(p, r, predict=True))
-            self._fill_group("half_step")
-            self._sweep(lambda p, r: pi.accelerate(p, r, dt))
-            self._sweep(lambda p, r: pi.pdv(p, r, False, dt))
-            self._sweep(lambda p, r: pi.flux_calc(p, r, dt))
-            self._fill_group("pre_advec")
+        with ex._phase("hydro"):
+            ex._sweep(lambda p, r: pi.pdv(p, r, True, dt))
+            ex._sweep(lambda p, r: pi.ideal_gas(p, r, predict=True))
+            self._fill_group(ex, FIELD_GROUPS["half_step"])
+            ex._sweep(lambda p, r: pi.accelerate(p, r, dt))
+            ex._sweep(lambda p, r: pi.pdv(p, r, False, dt))
+            ex._sweep(lambda p, r: pi.flux_calc(p, r, dt))
+            self._fill_group(ex, FIELD_GROUPS["pre_advec"])
 
             first = 0 if self.step_count % 2 == 0 else 1
-            second = 1 - first
-            self._advect(first, 1)
-            self._advect(second, 2)
-            self._sweep(lambda p, r: pi.reset_field(p, r))
+            self._advect(ex, first, 1)
+            self._advect(ex, 1 - first, 2)
+            ex._sweep(lambda p, r: pi.reset_field(p, r))
 
-        with self._phase("sync"):
-            self._synchronise()
+        with ex._phase("sync"):
+            # Fine-to-coarse conservative averaging, finest level first.
+            for fine_num in range(self.hierarchy.num_levels - 1, 0, -1):
+                ex._coarsen(self._coarsen_schedule_for(fine_num))
 
         return dt
+
+    def _fill_group(self, ex, names) -> None:
+        """Fill one field group's halos on every level, coarsest first."""
+        for level in self.hierarchy:
+            ex._fill(self._fill_schedule_for(level, names))
+
+    def _advect(self, ex, direction: int, sweep_number: int) -> None:
+        pi = self.patch_integrator
+        ex._sweep(lambda p, r: pi.advec_cell(p, r, direction, sweep_number))
+        self._fill_group(
+            ex, FIELD_GROUPS["mid_advec_x" if direction == 0 else "mid_advec_y"])
+        for which_vel in (0, 1):
+            ex._sweep(lambda p, r, wv=which_vel: pi.advec_mom(
+                p, r, direction, sweep_number, wv))
 
     def _prepare_for_tagging(self) -> None:
         """Fresh primary ghosts + extended EOS so tag gradients are valid.
@@ -379,67 +394,24 @@ class LagrangianEulerianIntegrator:
         the error-estimation pass starts with a boundary fill (as SAMRAI's
         does) and an EOS sweep over interiors and ghosts.
         """
-        for level in self.hierarchy:
-            self._fill_group_level(level, PRIMARY_FIELDS)
+        self._fill_group(self, PRIMARY_FIELDS)
         self._sweep(
             lambda p, r: self.patch_integrator.ideal_gas(p, r, ext=2)
         )
 
-    def _advect(self, direction: int, sweep_number: int) -> None:
-        pi = self.patch_integrator
-        self._sweep(
-            lambda p, r: pi.advec_cell(p, r, direction, sweep_number)
-        )
-        self._fill_group("mid_advec_x" if direction == 0 else "mid_advec_y")
-        for which_vel in (0, 1):
-            self._sweep(
-                lambda p, r, wv=which_vel: pi.advec_mom(
-                    p, r, direction, sweep_number, wv)
-            )
+    def _min_dt(self, handles) -> float:
+        """Per-owner min over ``(owner, dt handle)`` pairs, then allreduce.
 
-    def _compute_dt(self) -> float:
-        if self.config.batch_launches:
-            return self._compute_dt_batched()
-        pi = self.patch_integrator
-        local = [math.inf] * self.comm.size
-        for level in self.hierarchy:
-            for patch in level:  # samrcheck: ok(slab): per-patch reference path kept for bitwise comparison
-                rank = self.comm.rank(patch.owner)
-                dt = pi.calc_dt(patch, rank)
-                if dt < local[patch.owner]:
-                    local[patch.owner] = dt
-        dt = self.comm.allreduce_min(local)
-        return self._apply_dt_policy(dt)
-
-    def _compute_dt_batched(self) -> float:
-        """One fused CFL reduce per (backend, level) group.
-
-        The per-patch path launches one ``calc_dt`` kernel and reads one
-        scalar back per patch — a serialized PCIe-latency chain.  Fused,
-        each group is one launch whose members' minima are combined on
-        the device and read back once.  The min is an exact selection,
-        so the dt is bitwise identical to the per-patch chain.
+        A direct ``calc_dt`` launch hands back its float; a collected one
+        hands back the slot or task whose ``result`` its group's readback
+        filled.
         """
-        from ..exec.batch import LaunchBatcher
-
-        pi = self.patch_integrator
-        batcher = LaunchBatcher()
-        slots: list[tuple[int, object]] = []
-        pi.batch_sink = batcher
-        try:
-            for level in self.hierarchy:
-                for patch in level:  # samrcheck: ok(slab): collects batch members, fused at flush
-                    rank = self.comm.rank(patch.owner)
-                    slots.append((patch.owner, pi.calc_dt(patch, rank)))
-        finally:
-            pi.batch_sink = None
-        batcher.flush()
         local = [math.inf] * self.comm.size
-        for owner, slot in slots:
-            if slot.value < local[owner]:
-                local[owner] = slot.value
-        dt = self.comm.allreduce_min(local)
-        return self._apply_dt_policy(dt)
+        for owner, handle in handles:
+            dt = handle if isinstance(handle, float) else handle.result
+            if dt < local[owner]:
+                local[owner] = dt
+        return self.comm.allreduce_min(local)
 
     def _apply_dt_policy(self, dt: float) -> float:
         """Validate a reduced dt and apply the growth/init/max clamps."""
@@ -472,15 +444,9 @@ class LagrangianEulerianIntegrator:
                 fine, coarse,
                 specs, self.comm, self.factory,
                 batch=self.config.batch_launches,
-                slab=self.config.kernels == "slab",
             )
             self.schedule_cache.put("coarsen", key, (fine, coarse), sched)
         return sched
-
-    def _synchronise(self) -> None:
-        """Fine-to-coarse conservative averaging after the step."""
-        for fine_num in range(self.hierarchy.num_levels - 1, 0, -1):
-            self._coarsen_schedule_for(fine_num).coarsen()
 
     def _reset_derived(self, level) -> None:
         """After regrid: recompute EOS on transferred data, zero work arrays."""

@@ -29,7 +29,7 @@ error instead of silently reading garbage.
 
 Windows index the *trailing two axes*, so every kernel here is
 slab-polymorphic: handed stacked arrays of shape ``(P, f0, f1)`` — one
-whole-arena view covering P same-shaped patches (``--kernels slab``) —
+whole-arena view covering P same-shaped patches (``--batch``) —
 the same code runs one vectorized NumPy op over all P patches at once.
 All per-element arithmetic is elementwise IEEE (the only reduction,
 ``calc_dt``'s min, is an exact selection), so the stacked results are

@@ -17,11 +17,12 @@ patch's data:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..exec.backend import Backend, array_of, backend_for
+from ..exec.batch import BatchMember, SlabSpec
 from . import kernels as K
 from .fields import GHOSTS
 
@@ -45,12 +46,6 @@ class CleverleafPatchIntegrator:
     #: ``_run`` then returns None (or a BatchSlot for reduction kernels)
     batch_sink = None
 
-    #: ``--kernels slab``: attach a :class:`repro.exec.batch.SlabSpec` to
-    #: every collected launch so eligible fused groups execute as one
-    #: stacked NumPy op over the whole arena slab instead of a per-patch
-    #: body loop
-    slab_mode = False
-
     def __init__(self, gamma: float = 1.4):
         self.gamma = gamma
 
@@ -60,26 +55,18 @@ class CleverleafPatchIntegrator:
         """The backend owning this patch's field data."""
         return backend_for(patch.data("density0"), rank)
 
-    def _arrs(self, patch: "Patch", names: Iterable[str]) -> dict[str, np.ndarray]:
-        return {n: array_of(patch.data(n)) for n in names}
-
-    def _slab(self, patch: "Patch", names: Iterable[str], key, fn):
-        """A :class:`SlabSpec` for this launch under ``--kernels slab``.
-
-        ``key`` is the kernel tag plus *every* scalar argument (including
-        the patch shape, so ragged levels key-mismatch into the fallback
-        path); ``fn`` takes the stacked arena arrays in ``names`` order.
-        Returns None in per-patch mode.
-        """
-        if not self.slab_mode:
-            return None
-        from ..exec.batch import SlabSpec
-        return SlabSpec(key, fn, tuple(patch.data(n) for n in names))
-
     def _run(self, patch: "Patch", rank: "Rank", kernel: str, elements: int,
-             body, reads=(), writes=(), ghost_reads=(), ghost_propagate=None,
-             combine=None, slab=None):
+             fn, names, scalars, reads=(), writes=(), ghost_reads=(),
+             ghost_propagate=None, combine=None):
         """Dispatch one kernel with its declared accesses.
+
+        ``fn`` is the kernel stated once, over its operand arrays in
+        ``names`` order: a per-patch launch calls it with this patch's
+        frame arrays, and a collected launch additionally carries it as a
+        :class:`SlabSpec` so a fused group over a uniform level calls it
+        once with the stacked ``(P, f0, f1)`` arena slabs instead.
+        ``scalars`` is *every* scalar ``fn`` closes over (including the
+        patch shape, so ragged levels key-mismatch into per-patch replay).
 
         ``ghost_reads`` names the operands whose ghost regions the stencil
         reaches (validated against halo-fill stamps under ``--sanitize``);
@@ -87,10 +74,10 @@ class CleverleafPatchIntegrator:
         its out-of-interior values are *derived from* (EOS over the frame),
         so the written field inherits their halo stamps.  ``combine``
         reduces per-patch kernel results when launches are fused
-        (``--batch``): the CFL min.  ``slab`` carries the launch's
-        :class:`SlabSpec` under ``--kernels slab``.
+        (``--batch``): the CFL min.
         """
         backend = self._backend(patch, rank)
+        operands = tuple(patch.data(n) for n in names)
         read_pds = [patch.data(n) for n in reads]
         write_pds = [patch.data(n) for n in writes]
         ghost_pds = [patch.data(n) for n in ghost_reads]
@@ -99,24 +86,25 @@ class CleverleafPatchIntegrator:
             for dst, srcs in ghost_propagate.items():
                 marks.append(("propagate", patch.data(dst),
                               [patch.data(s) for s in srcs]))
-        if slab is None and self.slab_mode:
-            from ..exec.batch import SLAB_FALLBACK
-            slab = SLAB_FALLBACK
+
+        def body():
+            return fn(*(array_of(pd) for pd in operands))
+
+        if self.batch_sink is None and self.task_sink is None:
+            return backend.run(kernel, elements, body,
+                               reads=read_pds, writes=write_pds,
+                               ghost_reads=ghost_pds, marks=marks)
+        slab = SlabSpec((kernel, names, *scalars), fn, operands)
+        level = patch.level.level_number
         if self.batch_sink is not None:
-            from ..exec.batch import BatchMember
             member = BatchMember(elements, body, read_pds, write_pds,
                                  ghost_pds, marks, slab=slab)
-            return self.batch_sink.collect(
-                backend, kernel, member,
-                level=patch.level.level_number, combine=combine)
-        if self.task_sink is not None:
-            return self.task_sink.kernel_task(
-                backend, rank, kernel, elements, body, read_pds, write_pds,
-                ghost_reads=ghost_pds, marks=marks,
-                level=patch.level.level_number, combine=combine, slab=slab)
-        return backend.run(kernel, elements, body,
-                           reads=read_pds, writes=write_pds,
-                           ghost_reads=ghost_pds, marks=marks)
+            return self.batch_sink.collect(backend, kernel, member,
+                                           level=level, combine=combine)
+        return self.task_sink.kernel_task(
+            backend, rank, kernel, elements, body, read_pds, write_pds,
+            ghost_reads=ghost_pds, marks=marks, level=level,
+            combine=combine, slab=slab)
 
     def _geom(self, patch: "Patch"):
         nx, ny = patch.box.shape()
@@ -167,77 +155,55 @@ class CleverleafPatchIntegrator:
         dname, ename = ("density1", "energy1") if predict else ("density0", "energy0")
         names = (dname, ename, "pressure", "soundspeed")
 
-        def body():
-            a = self._arrs(patch, names)
-            K.ideal_gas(a[dname], a[ename], a["pressure"], a["soundspeed"],
-                        nx, ny, g, self.gamma, ext)
-
-        def slab_fn(d, e, p, ss):
+        def fn(d, e, p, ss):
             K.ideal_gas(d, e, p, ss, nx, ny, g, self.gamma, ext)
 
         self._run(patch, rank, "hydro.ideal_gas",
-                  (nx + 2 * ext) * (ny + 2 * ext), body,
+                  (nx + 2 * ext) * (ny + 2 * ext), fn, names,
+                  (nx, ny, g, self.gamma, ext),
                   reads=(dname, ename), writes=("pressure", "soundspeed"),
                   ghost_reads=(dname, ename) if ext > 0 else (),
                   ghost_propagate={"pressure": (dname, ename),
                                    "soundspeed": (dname, ename)}
-                  if ext > 0 else None,
-                  slab=self._slab(patch, names,
-                                  ("ideal_gas", nx, ny, g, self.gamma, ext,
-                                   predict), slab_fn))
+                  if ext > 0 else None)
 
     def viscosity(self, patch, rank):
         nx, ny, g, dx, dy = self._geom(patch)
         names = ("density0", "pressure", "viscosity", "xvel0", "yvel0")
 
-        def body():
-            a = self._arrs(patch, names)
-            K.viscosity(a["density0"], a["pressure"], a["viscosity"],
-                        a["xvel0"], a["yvel0"], nx, ny, g, dx, dy)
-
-        def slab_fn(d, p, v, xv, yv):
+        def fn(d, p, v, xv, yv):
             K.viscosity(d, p, v, xv, yv, nx, ny, g, dx, dy)
 
-        self._run(patch, rank, "hydro.viscosity", nx * ny, body,
+        self._run(patch, rank, "hydro.viscosity", nx * ny, fn, names,
+                  (nx, ny, g, dx, dy),
                   reads=names[:2] + names[3:], writes=("viscosity",),
-                  ghost_reads=("pressure",),
-                  slab=self._slab(patch, names,
-                                  ("viscosity", nx, ny, g, dx, dy), slab_fn))
+                  ghost_reads=("pressure",))
 
-    def calc_dt(self, patch, rank) -> float:
+    def calc_dt(self, patch, rank):
+        """Launch the CFL kernel; returns this patch's dt *handle*.
+
+        A direct launch returns the float itself (after charging its
+        scalar readback).  A collected launch returns what its sink
+        reads the scalar back into — the fused group's
+        :class:`BatchSlot`, or the graph's readback task (None while the
+        builder is still fusing the group: it records one readback per
+        fused group instead).
+        """
         nx, ny, g, dx, dy = self._geom(patch)
         names = ("density0", "soundspeed", "viscosity", "xvel0", "yvel0")
 
-        def body():
-            a = self._arrs(patch, names)
-            return K.calc_dt(a["density0"], a["soundspeed"], a["viscosity"],
-                             a["xvel0"], a["yvel0"], nx, ny, g, dx, dy)
-
-        def slab_fn(d, ss, v, xv, yv):
-            # One stacked min over every member's interior: ``np.min`` is
-            # exact selection, so this equals the min of per-patch mins.
+        def fn(d, ss, v, xv, yv):
+            # Stacked, this is one min over every member's interior:
+            # ``np.min`` is exact selection, so it equals the min of
+            # per-patch mins.
             return K.calc_dt(d, ss, v, xv, yv, nx, ny, g, dx, dy)
 
-        dt = self._run(patch, rank, "hydro.calc_dt", nx * ny, body,
-                       reads=names, combine=min,
-                       slab=self._slab(patch, names,
-                                       ("calc_dt", nx, ny, g, dx, dy),
-                                       slab_fn))
-        if self.batch_sink is not None:
-            # ``dt`` is a BatchSlot; one fused reduce per (backend, level)
-            # group fills it at flush, with one D2H readback per group
-            # instead of one per patch.
-            return dt
-        if self.task_sink is not None:
-            if dt is None:
-                # Fused into a pending batch; the builder emits one
-                # readback task per fused group instead.
-                return None
-            # ``dt`` is the kernel Task; chain the readback as a D2H task.
-            return self.task_sink.dt_readback(
-                self._backend(patch, rank), rank, dt)
-        # The reduced scalar crosses the PCIe bus (no-op on host backends).
-        self._backend(patch, rank).charge_transfer("d2h", 8)
+        dt = self._run(patch, rank, "hydro.calc_dt", nx * ny, fn, names,
+                       (nx, ny, g, dx, dy), reads=names, combine=min)
+        if self.batch_sink is None and self.task_sink is None:
+            # The reduced scalar crosses the PCIe bus (no-op on host
+            # backends).
+            self._backend(patch, rank).charge_transfer("d2h", 8)
         return dt
 
     def pdv(self, patch, rank, predict: bool, dt: float):
@@ -245,91 +211,57 @@ class CleverleafPatchIntegrator:
         names = ("density0", "density1", "energy0", "energy1", "pressure",
                  "viscosity", "xvel0", "yvel0", "xvel1", "yvel1")
 
-        def body():
-            a = self._arrs(patch, names)
-            K.pdv(predict, dt, a["density0"], a["density1"], a["energy0"],
-                  a["energy1"], a["pressure"], a["viscosity"],
-                  a["xvel0"], a["yvel0"], a["xvel1"], a["yvel1"],
-                  nx, ny, g, dx, dy)
-
-        def slab_fn(d0, d1, e0, e1, p, v, xv0, yv0, xv1, yv1):
+        def fn(d0, d1, e0, e1, p, v, xv0, yv0, xv1, yv1):
             K.pdv(predict, dt, d0, d1, e0, e1, p, v, xv0, yv0, xv1, yv1,
                   nx, ny, g, dx, dy)
 
-        self._run(patch, rank, "hydro.pdv", nx * ny, body,
+        self._run(patch, rank, "hydro.pdv", nx * ny, fn, names,
+                  (predict, dt, nx, ny, g, dx, dy),
                   reads=("density0", "energy0") + names[4:],
-                  writes=("density1", "energy1"),
-                  slab=self._slab(patch, names,
-                                  ("pdv", predict, dt, nx, ny, g, dx, dy),
-                                  slab_fn))
+                  writes=("density1", "energy1"))
 
     def accelerate(self, patch, rank, dt: float):
         nx, ny, g, dx, dy = self._geom(patch)
         names = ("density0", "pressure", "viscosity",
                  "xvel0", "yvel0", "xvel1", "yvel1")
 
-        def body():
-            a = self._arrs(patch, names)
-            K.accelerate(dt, a["density0"], a["pressure"], a["viscosity"],
-                         a["xvel0"], a["yvel0"], a["xvel1"], a["yvel1"],
-                         nx, ny, g, dx, dy)
-
-        def slab_fn(d, p, v, xv0, yv0, xv1, yv1):
+        def fn(d, p, v, xv0, yv0, xv1, yv1):
             K.accelerate(dt, d, p, v, xv0, yv0, xv1, yv1, nx, ny, g, dx, dy)
 
-        self._run(patch, rank, "hydro.accelerate", (nx + 1) * (ny + 1), body,
+        self._run(patch, rank, "hydro.accelerate", (nx + 1) * (ny + 1), fn,
+                  names, (dt, nx, ny, g, dx, dy),
                   reads=names[:5], writes=("xvel1", "yvel1"),
-                  ghost_reads=("density0", "pressure", "viscosity"),
-                  slab=self._slab(patch, names,
-                                  ("accelerate", dt, nx, ny, g, dx, dy),
-                                  slab_fn))
+                  ghost_reads=("density0", "pressure", "viscosity"))
 
     def flux_calc(self, patch, rank, dt: float):
         nx, ny, g, dx, dy = self._geom(patch)
         names = ("xvel0", "yvel0", "xvel1", "yvel1", "vol_flux_x", "vol_flux_y")
 
-        def body():
-            a = self._arrs(patch, names)
-            K.flux_calc(dt, a["xvel0"], a["yvel0"], a["xvel1"], a["yvel1"],
-                        a["vol_flux_x"], a["vol_flux_y"], nx, ny, g, dx, dy)
-
-        def slab_fn(xv0, yv0, xv1, yv1, vfx, vfy):
+        def fn(xv0, yv0, xv1, yv1, vfx, vfy):
             K.flux_calc(dt, xv0, yv0, xv1, yv1, vfx, vfy, nx, ny, g, dx, dy)
 
-        self._run(patch, rank, "hydro.flux_calc", nx * ny, body,
-                  reads=names[:4], writes=names[4:],
-                  slab=self._slab(patch, names,
-                                  ("flux_calc", dt, nx, ny, g, dx, dy),
-                                  slab_fn))
+        self._run(patch, rank, "hydro.flux_calc", nx * ny, fn, names,
+                  (dt, nx, ny, g, dx, dy),
+                  reads=names[:4], writes=names[4:])
 
     def advec_cell(self, patch, rank, direction: int, sweep_number: int):
         nx, ny, g, dx, dy = self._geom(patch)
         names = ("density1", "energy1", "vol_flux_x", "vol_flux_y",
                  "mass_flux_x", "mass_flux_y", "pre_vol", "post_vol", "ener_flux")
 
-        def body():
-            a = self._arrs(patch, names)
-            K.advec_cell(direction, sweep_number, a["density1"], a["energy1"],
-                         a["vol_flux_x"], a["vol_flux_y"],
-                         a["mass_flux_x"], a["mass_flux_y"],
-                         a["pre_vol"], a["post_vol"], a["ener_flux"],
-                         nx, ny, g, dx, dy)
-
-        def slab_fn(d1, e1, vfx, vfy, mfx, mfy, pre, post, ef):
+        def fn(d1, e1, vfx, vfy, mfx, mfy, pre, post, ef):
             K.advec_cell(direction, sweep_number, d1, e1, vfx, vfy, mfx, mfy,
                          pre, post, ef, nx, ny, g, dx, dy)
 
-        # The body hands out both mass-flux arrays; only the swept
+        # The kernel is handed both mass-flux arrays; only the swept
         # direction's is written, the other is declared a (vacuous) read.
-        self._run(patch, rank, "hydro.advec_cell", nx * ny, body,  # samrcheck: ok(decl-over-read): sanitizer handout needs the unswept mass flux declared even though the kernel never loads it
+        self._run(patch, rank, "hydro.advec_cell", nx * ny, fn, names,  # samrcheck: ok(decl-over-read): sanitizer handout needs the unswept mass flux declared even though the kernel never loads it
+                  (direction, sweep_number, nx, ny, g, dx, dy),
                   reads=names[:4] + (("mass_flux_y",) if direction == 0
                                      else ("mass_flux_x",)),
                   writes=("density1", "energy1", "mass_flux_x" if direction == 0
                           else "mass_flux_y", "pre_vol", "post_vol", "ener_flux"),
-                  ghost_reads=names[:4],
-                  slab=self._slab(patch, names,
-                                  ("advec_cell", direction, sweep_number,
-                                   nx, ny, g, dx, dy), slab_fn))
+                  ghost_reads=names[:4])
 
     def advec_mom(self, patch, rank, direction: int, sweep_number: int,
                   which_vel: int):
@@ -339,49 +271,30 @@ class CleverleafPatchIntegrator:
                  "mass_flux_x", "mass_flux_y", "node_flux", "node_mass_post",
                  "node_mass_pre", "mom_flux", "pre_vol", "post_vol")
 
-        def body():
-            a = self._arrs(patch, names)
-            K.advec_mom(direction, sweep_number, a[vel_name], a["density1"],
-                        a["vol_flux_x"], a["vol_flux_y"],
-                        a["mass_flux_x"], a["mass_flux_y"],
-                        a["node_flux"], a["node_mass_post"],
-                        a["node_mass_pre"], a["mom_flux"],
-                        a["pre_vol"], a["post_vol"], nx, ny, g, dx, dy)
-
-        def slab_fn(vel, d1, vfx, vfy, mfx, mfy, nf, nmpost, nmpre, mf,
-                    pre, post):
+        def fn(vel, d1, vfx, vfy, mfx, mfy, nf, nmpost, nmpre, mf,
+               pre, post):
             K.advec_mom(direction, sweep_number, vel, d1, vfx, vfy, mfx, mfy,
                         nf, nmpost, nmpre, mf, pre, post, nx, ny, g, dx, dy)
 
         mass_flux = "mass_flux_x" if direction == 0 else "mass_flux_y"
-        self._run(patch, rank, "hydro.advec_mom", (nx + 1) * (ny + 1), body,
+        self._run(patch, rank, "hydro.advec_mom", (nx + 1) * (ny + 1), fn,
+                  names, (direction, sweep_number, nx, ny, g, dx, dy),
                   reads=names[1:6],
                   writes=(vel_name, "node_flux", "node_mass_post",
                           "node_mass_pre", "mom_flux", "pre_vol", "post_vol"),
                   ghost_reads=(vel_name, "density1", "vol_flux_x",
-                               "vol_flux_y", mass_flux),
-                  slab=self._slab(patch, names,
-                                  ("advec_mom", direction, sweep_number,
-                                   which_vel, nx, ny, g, dx, dy), slab_fn))
+                               "vol_flux_y", mass_flux))
 
     def reset_field(self, patch, rank):
         nx, ny, g, dx, dy = self._geom(patch)
         names = ("density0", "density1", "energy0", "energy1",
                  "xvel0", "xvel1", "yvel0", "yvel1")
 
-        def body():
-            a = self._arrs(patch, names)
-            K.reset_field(a["density0"], a["density1"], a["energy0"],
-                          a["energy1"], a["xvel0"], a["xvel1"],
-                          a["yvel0"], a["yvel1"], nx, ny, g)
-
-        def slab_fn(d0, d1, e0, e1, xv0, xv1, yv0, yv1):
+        def fn(d0, d1, e0, e1, xv0, xv1, yv0, yv1):
             K.reset_field(d0, d1, e0, e1, xv0, xv1, yv0, yv1, nx, ny, g)
 
-        self._run(patch, rank, "hydro.reset_field", nx * ny, body,
-                  reads=names[1::2], writes=names[0::2],
-                  slab=self._slab(patch, names, ("reset_field", nx, ny, g),
-                                  slab_fn))
+        self._run(patch, rank, "hydro.reset_field", nx * ny, fn, names,
+                  (nx, ny, g), reads=names[1::2], writes=names[0::2])
 
 
 class NonResidentGpuPatchIntegrator(CleverleafPatchIntegrator):

@@ -12,6 +12,7 @@ compare, so they can be used as dictionary keys in overlap computations.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence, Tuple
 
 __all__ = ["IntVector", "Box"]
@@ -137,13 +138,15 @@ class Box:
         return self._empty
 
     def shape(self) -> IntVector:
-        if self.is_empty():
+        if self._empty:
             return IntVector.uniform(0, self.dim)
-        return self.upper - self.lower + IntVector.uniform(1, self.dim)
+        return IntVector(*(u - l + 1 for l, u in zip(self.lower, self.upper)))
 
     def size(self) -> int:
         """Number of cells in the box (0 if empty)."""
-        return self.shape().product()
+        if self._empty:
+            return 0
+        return math.prod(u - l + 1 for l, u in zip(self.lower, self.upper))
 
     def contains(self, index: Sequence[int]) -> bool:
         return all(l <= i <= u for l, i, u in zip(self.lower, index, self.upper))
@@ -270,12 +273,12 @@ class Box:
         element (0, 0, ...) at ``frame.lower``.  Raises if the box is not
         contained in the frame — out-of-frame access is always a bug.
         """
-        if not frame.contains_box(self):
-            raise IndexError(f"{self} not contained in frame {frame}")
-        return tuple(
-            slice(l - fl, u - fl + 1)
-            for l, u, fl in zip(self.lower, self.upper, frame.lower)
-        )
+        slices = []
+        for l, u, fl, fu in zip(self.lower, self.upper, frame.lower, frame.upper):
+            if (l < fl or u > fu) and not self._empty:
+                raise IndexError(f"{self} not contained in frame {frame}")
+            slices.append(slice(l - fl, u - fl + 1))
+        return tuple(slices)
 
     # -- value semantics ----------------------------------------------------
 

@@ -58,7 +58,7 @@ class HostArena:
         self._uniform = None
         return view
 
-    # -- whole-slab access (--kernels slab) ------------------------------------
+    # -- whole-slab access (--batch) -------------------------------------------
 
     @property
     def member_count(self) -> int:

@@ -51,7 +51,7 @@ class GraphBuilder:
     launches through while a phase is being recorded (see
     ``CleverleafPatchIntegrator.task_sink``).
 
-    With ``fuse=True`` (``--batch`` under the scheduler), same-kernel,
+    With ``fuse=True`` (``--batch --overlap``), same-kernel,
     same-level kernel tasks with disjoint declared writes are coalesced
     into one batched task per (backend, level) whose declarations are the
     union of its members' — so dependency derivation, race replay and
@@ -141,23 +141,26 @@ class GraphBuilder:
         With fusion on, same-kernel launches on the same (backend, level)
         are collected instead of emitted and return None; the coalesced
         task appears when the group flushes.  ``combine`` marks a
-        reduction kernel (the CFL min) — its fused group additionally
-        emits one readback task, recorded in :attr:`fused_readbacks`.
-        ``slab`` (a SlabSpec or fallback sentinel under ``--kernels
-        slab``) rides on the member so the fused task's ``run_batched``
-        can take the whole-slab fast path.
+        reduction kernel (the CFL min): its scalar crosses the bus in a
+        readback task — returned here per launch, or emitted once per
+        fused group and recorded in :attr:`fused_readbacks`.  ``slab``
+        (a SlabSpec or the fallback sentinel) rides on the member so the
+        fused task's ``run_batched`` can take the whole-slab fast path.
         """
         if self.fuse and not ghost_only:
             return self._collect(backend, rank, kernel,
                                  BatchMember(elements, body, reads, writes,
                                              ghost_reads, marks, slab=slab),
                                  level=level, combine=combine)
-        return self.add(
+        task = self.add(
             TaskKind.KERNEL, rank.index, kernel,
             lambda _stream: backend.run(kernel, elements, body,
                                        reads=reads, writes=writes),
             reads=reads, writes=writes,
             ghost_reads=ghost_reads, ghost_only=ghost_only, marks=marks)
+        if combine is not None:
+            return self.dt_readback(backend, rank, task)
+        return task
 
     def _collect(self, backend, rank: "Rank", kernel: str,
                  member: BatchMember, level=None, combine=None) -> None:

@@ -1,29 +1,31 @@
-"""Per-timestep driver: build and execute one graph per step phase.
+"""Per-timestep driver: record each step phase into a graph and execute it.
 
-:class:`StepScheduler` mirrors ``LagrangianEulerianIntegrator.step()``
-exactly — same phases, same emission order — but *records* each phase's
-work into a :class:`~repro.sched.task.TaskGraph` (kernel sweeps through
-the patch integrator's task sink, halo fills and fine-to-coarse sync
-through the schedules' ``emit_tasks``) and hands the graph to a
-:class:`~repro.sched.executor.GraphExecutor`.  Graphs are per phase so
-the legacy ``hydro`` / ``timestep`` / ``sync`` timer decomposition keeps
-its meaning: every phase starts and ends with all timelines joined.
+The timestep itself is written once, in
+``LagrangianEulerianIntegrator._advance``, in terms of five operations:
+open a phase, fill a halo schedule, sweep a kernel over every patch,
+coarsen a sync schedule, reduce launch handles.  The integrator runs each
+operation as it is named; :class:`StepScheduler` implements the same five
+by *recording* — kernel sweeps through the patch integrator's task sink,
+halo fills and fine-to-coarse sync through the schedules' ``emit_tasks``
+— into one :class:`~repro.sched.task.TaskGraph` per phase, handed to a
+:class:`~repro.sched.executor.GraphExecutor` when the phase closes.
+Graphs are per phase so the ``hydro`` / ``timestep`` / ``sync`` timer
+decomposition keeps its meaning: every phase starts and ends with all
+timelines joined.
 
-Because the default topological order is emission order, the executor
-replays the serial call sequence exactly; overlap mode changes only
-which virtual timeline each transfer's cost lands on.
+Because the default topological order is emission order, an executor
+without overlap replays the inline call sequence exactly; overlap changes
+only which virtual timeline each transfer's cost lands on.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
-from ..hydro.fields import FIELD_GROUPS
 from .builder import GraphBuilder
 from .executor import GraphExecutor
-from .task import TaskKind
+from .task import Task, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hydro.integrator import LagrangianEulerianIntegrator
@@ -41,126 +43,57 @@ class StepScheduler:
             integrator.comm, overlap=overlap, order_key=order_key)
         #: coalesce same-kernel, same-level tasks into batched launches
         self.batch = integrator.config.batch_launches
-
-    def _builder(self) -> GraphBuilder:
-        return GraphBuilder(self.integrator.comm, fuse=self.batch)
+        #: the open phase's builder
+        self._gb: GraphBuilder | None = None
 
     @property
     def overlap(self) -> bool:
         return self.executor.overlap
 
-    # -- emission helpers ------------------------------------------------------
+    def advance(self) -> float:
+        """One global timestep; returns dt.  The caller owns the step
+        bookkeeping (time/step_count/regrid), as with the inline path."""
+        return self.integrator._advance(self)
+
+    # -- the step program's operations, recorded ---------------------------------
 
     @contextmanager
-    def _sink(self, gb: GraphBuilder):
-        """Route patch-integrator kernel launches into ``gb`` while open."""
-        pi = self.integrator.patch_integrator
-        pi.task_sink = gb
-        try:
+    def _phase(self, name: str):
+        """Record everything emitted while open; execute it on close."""
+        with self.integrator._phase(name):
+            self._gb = gb = GraphBuilder(self.integrator.comm, fuse=self.batch)
             yield
+            gb.flush_fusion()
+            self.executor.execute(gb.graph)
+
+    def _fill(self, sched) -> None:
+        sched.emit_tasks(self._gb, time=self.integrator.time)
+
+    def _coarsen(self, sched) -> None:
+        sched.emit_tasks(self._gb)
+
+    def _sweep(self, fn) -> None:
+        """Route the sweep's kernel launches into the open graph."""
+        pi = self.integrator.patch_integrator
+        pi.task_sink = self._gb
+        try:
+            self.integrator._foreach_patch(fn)
         finally:
             pi.task_sink = None
 
-    def _execute(self, gb: GraphBuilder) -> None:
-        gb.flush_fusion()
-        self.executor.execute(gb.graph)
+    def _reduce(self, fn, handles) -> Task:
+        """One collective task over the handles' readback tasks.
 
-    def _emit_patches(self, gb: GraphBuilder, fn) -> None:
-        with self._sink(gb):
-            self.integrator._foreach_patch(fn)
-
-    def _emit_fill_group(self, gb: GraphBuilder, group: str) -> None:
-        it = self.integrator
-        names = FIELD_GROUPS[group]
-        for level in it.hierarchy:
-            it._fill_schedule_for(level, names).emit_tasks(gb, time=it.time)
-
-    def _emit_advect(self, gb: GraphBuilder, direction: int,
-                     sweep_number: int) -> None:
-        pi = self.integrator.patch_integrator
-        self._emit_patches(
-            gb, lambda p, r: pi.advec_cell(p, r, direction, sweep_number))
-        self._emit_fill_group(
-            gb, "mid_advec_x" if direction == 0 else "mid_advec_y")
-        for which_vel in (0, 1):
-            self._emit_patches(
-                gb, lambda p, r, wv=which_vel: pi.advec_mom(
-                    p, r, direction, sweep_number, wv))
-
-    # -- the timestep ----------------------------------------------------------
-
-    def advance(self) -> float:
-        """One global timestep; returns dt.  The caller owns the step
-        bookkeeping (time/step_count/regrid), as with the serial path."""
-        it = self.integrator
-        pi = it.patch_integrator
-
-        with it._phase("hydro"):
-            gb = self._builder()
-            self._emit_fill_group(gb, "step_start")
-            self._emit_patches(gb, lambda p, r: pi.ideal_gas(p, r, ext=2))
-            self._emit_patches(gb, lambda p, r: pi.viscosity(p, r))
-            self._emit_fill_group(gb, "post_viscosity")
-            self._execute(gb)
-
-        with it._phase("timestep"):
-            dt = self._compute_dt()
-
-        with it._phase("hydro"):
-            gb = self._builder()
-            self._emit_patches(gb, lambda p, r: pi.pdv(p, r, True, dt))
-            self._emit_patches(gb, lambda p, r: pi.ideal_gas(p, r, predict=True))
-            self._emit_fill_group(gb, "half_step")
-            self._emit_patches(gb, lambda p, r: pi.accelerate(p, r, dt))
-            self._emit_patches(gb, lambda p, r: pi.pdv(p, r, False, dt))
-            self._emit_patches(gb, lambda p, r: pi.flux_calc(p, r, dt))
-            self._emit_fill_group(gb, "pre_advec")
-            first = 0 if it.step_count % 2 == 0 else 1
-            self._emit_advect(gb, first, 1)
-            self._emit_advect(gb, 1 - first, 2)
-            self._emit_patches(gb, lambda p, r: pi.reset_field(p, r))
-            self._execute(gb)
-
-        with it._phase("sync"):
-            gb = self._builder()
-            for fine_num in range(it.hierarchy.num_levels - 1, 0, -1):
-                it._coarsen_schedule_for(fine_num).emit_tasks(gb)
-            self._execute(gb)
-
-        return dt
-
-    def _compute_dt(self) -> float:
-        """CFL kernels + scalar readbacks + one global min reduction.
-
-        In overlap mode each per-patch dt readback (one PCIe latency) rides
-        the d2h copy stream, so the readbacks hide under the next patch's
-        calc_dt kernel instead of stalling the host per patch.
+        With fusion on, launches coalesce per (backend, level) and hand
+        back None; each fused group contributes one readback task instead
+        of one per patch.  In overlap mode every readback (one PCIe
+        latency) rides the d2h copy stream, hiding under the next kernel
+        instead of stalling the host.
         """
-        it = self.integrator
-        pi = it.patch_integrator
-        gb = self._builder()
-        dt_tasks: list[tuple[int, object]] = []
-        with self._sink(gb):
-            for level in it.hierarchy:
-                for patch in level:  # samrcheck: ok(slab): emits tasks only, the builder fuses them
-                    rank = it.comm.rank(patch.owner)
-                    t = pi.calc_dt(patch, rank)
-                    if t is not None:
-                        dt_tasks.append((patch.owner, t))
-        # With fusion on, calc_dt launches coalesce per (backend, level)
-        # and each fused group contributes one readback task instead of
-        # one per patch.
+        gb = self._gb
         gb.flush_fusion()
-        dt_tasks.extend(gb.fused_readbacks)
-
-        def reduce_fn(stream):
-            local = [math.inf] * it.comm.size
-            for owner, task in dt_tasks:
-                if task.result < local[owner]:
-                    local[owner] = task.result
-            return it.comm.allreduce_min(local)
-
-        red = gb.add(TaskKind.REDUCE, None, "dt.allreduce", reduce_fn,
-                     reads=[t for _, t in dt_tasks])
-        self._execute(gb)
-        return it._apply_dt_policy(red.result)
+        tasks = [(owner, t) for owner, t in handles if t is not None]
+        tasks += gb.fused_readbacks
+        return gb.add(TaskKind.REDUCE, None, "dt.allreduce",
+                      lambda _stream: fn(tasks),
+                      reads=[t for _, t in tasks])

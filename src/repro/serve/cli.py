@@ -27,7 +27,13 @@ from .job import PRIORITIES, JobSpec, JobState
 from .pool import DevicePool
 from .scheduler import Scheduler
 
-__all__ = ["submit_main", "serve_main", "spec_from_json", "spec_to_json"]
+__all__ = ["submit_main", "serve_main", "spec_from_json", "spec_to_json",
+           "QueueFormatError"]
+
+
+class QueueFormatError(ValueError):
+    """A queue-file line is not a job description this version accepts."""
+
 
 
 def spec_to_json(spec: JobSpec) -> str:
@@ -56,33 +62,48 @@ def spec_to_json(spec: JobSpec) -> str:
     })
 
 
-def spec_from_json(line: str) -> JobSpec:
+def _policy(cls, d: dict, key: str, lineno: int):
+    """Build one policy sub-config from its queue-file dict."""
+    fields = d.get(key, {})
+    unknown = sorted(set(fields) - set(cls().as_dict()))
+    if unknown:
+        raise QueueFormatError(
+            f"queue line {lineno}: unknown {key} key {unknown[0]!r}")
+    return cls(**fields)
+
+
+def spec_from_json(line: str, lineno: int = 1) -> JobSpec:
     """Rebuild a job spec from one queue-file line.
 
-    New lines carry ``execution``/``regrid`` policy dicts; legacy lines
-    (flat ``batch``/``regrid_interval`` keys) are still accepted so old
-    queue files keep draining.
+    The queue file is outside input: a line that is not a JSON object,
+    lacks a required key, or whose ``execution``/``regrid`` dict carries
+    a key this version does not know raises :class:`QueueFormatError`
+    naming the 1-based ``lineno`` and the offending key.
     """
-    d = json.loads(line)
-    problem = PROBLEMS[d["problem"]](tuple(d["resolution"]))
-    if "execution" in d:
-        execution = ExecutionPolicy(**d["execution"])
-    else:
-        execution = ExecutionPolicy(batch=bool(d.get("batch", False)))
-    if "regrid" in d:
-        regrid = RegridPolicy(**d["regrid"])
-    else:
-        regrid = RegridPolicy(interval=d.get("regrid_interval", 5))
+    try:
+        d = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise QueueFormatError(
+            f"queue line {lineno}: not JSON ({e.msg})") from e
+    if not isinstance(d, dict):
+        raise QueueFormatError(f"queue line {lineno}: not a JSON object")
+    for key in ("name", "problem", "resolution"):
+        if key not in d:
+            raise QueueFormatError(
+                f"queue line {lineno}: missing required key {key!r}")
+    if d["problem"] not in PROBLEMS:
+        raise QueueFormatError(
+            f"queue line {lineno}: unknown problem {d['problem']!r}")
     cfg = RunConfig(
-        problem=problem,
+        problem=PROBLEMS[d["problem"]](tuple(d["resolution"])),
         machine=d.get("machine", "IPA"),
         nranks=d.get("nranks", 1),
         use_gpu=d.get("use_gpu", True),
         resident=d.get("resident", True),
         max_levels=d.get("max_levels", 3),
         max_patch_size=d.get("max_patch_size", 64),
-        execution=execution,
-        regrid=regrid,
+        execution=_policy(ExecutionPolicy, d, "execution", lineno),
+        regrid=_policy(RegridPolicy, d, "regrid", lineno),
         max_steps=d.get("max_steps"),
         end_time=d.get("end_time"),
         sanitize=d.get("sanitize", False),
@@ -179,8 +200,13 @@ def _serve_parser() -> argparse.ArgumentParser:
 
 def serve_main(argv=None) -> int:
     args = _serve_parser().parse_args(argv)
-    with open(args.queue) as fh:
-        specs = [spec_from_json(line) for line in fh if line.strip()]
+    try:
+        with open(args.queue) as fh:
+            specs = [spec_from_json(line, lineno)
+                     for lineno, line in enumerate(fh, 1) if line.strip()]
+    except QueueFormatError as e:
+        print(f"{args.queue}: {e}", file=sys.stderr)
+        return 2
     if not specs:
         print("queue file is empty", file=sys.stderr)
         return 2

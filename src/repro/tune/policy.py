@@ -1,21 +1,20 @@
 """Typed execution/regrid policies and the one resolution function.
 
-:class:`~repro.api.RunConfig` used to carry the execution knobs as flat
-flags (``use_scheduler``, ``overlap``, ``batch_launches``, ``kernels``,
-``regrid_incremental``, ``balance``) whose interactions were resolved in
-three different places — ``RunConfig.simulation_config`` derived
-``kernels=None -> "slab" if batch else "patch"``, and the CLI and the
-batch benchmark each re-derived the same rule by hand.  This module is
-the single home for that logic:
+The execution policy has exactly the two axes that move the modelled
+clock: ``batch`` (one fused launch per kernel and level, run as one
+stacked op over the level's arena slab where the level is uniform) and
+``overlap`` (each step recorded into task graphs whose halo transfers
+ride copy streams).  Everything else is derived — whole-slab execution
+**iff** ``batch``, the task-graph driver **iff** ``overlap`` — so there
+are four execution configurations, not nine.
 
 * :class:`ExecutionPolicy` / :class:`RegridPolicy` are the typed
   sub-configs.  Every tunable field accepts the literal ``"auto"``; what
   ``"auto"`` means depends on ``ExecutionPolicy.mode``:
 
   - ``mode="fixed"`` (the default): ``"auto"`` resolves *statically* —
-    scheduler/overlap/batch fall to their off defaults and ``kernels``
-    follows ``batch`` (``"slab"`` when batched, else ``"patch"``), so
-    ``ExecutionPolicy()`` reproduces the old flag defaults exactly.
+    overlap/batch/incremental fall to their off defaults, so
+    ``ExecutionPolicy()`` is the serial per-patch reference path.
   - ``mode="auto"``: fields still ``"auto"`` after pinning are decided
     by measurement — the :mod:`repro.tune` tuner runs probe steps and
     supplies a ``decisions`` mapping.  Explicitly set fields stay
@@ -47,11 +46,10 @@ __all__ = [
 AUTO = "auto"
 
 _MODES = ("fixed", "auto")
-_KERNELS = ("patch", "slab", AUTO)
 _BALANCES = ("sfc", "hilbert", "lpt")
 #: ExecutionPolicy fields the tuner may decide (RegridPolicy adds
 #: "incremental"); also the order decisions are reported in
-TUNABLE_FIELDS = ("scheduler", "overlap", "batch", "kernels")
+TUNABLE_FIELDS = ("overlap", "batch")
 
 
 class PolicyError(ValueError):
@@ -66,52 +64,40 @@ def _check_flag(name: str, value) -> None:
 
 @dataclass
 class ExecutionPolicy:
-    """How a run executes: scheduling, halo overlap, launch batching.
+    """How a run executes: halo overlap × launch batching.
 
-    All four tunable fields default to ``"auto"``; under the default
-    ``mode="fixed"`` that resolves to the classic defaults (serial call
-    sequence, per-patch launches), so ``ExecutionPolicy()`` is the old
-    ``RunConfig()`` behaviour.  ``mode="auto"`` hands the still-``auto``
+    Both tunable fields default to ``"auto"``; under the default
+    ``mode="fixed"`` that resolves to off (serial call sequence,
+    per-patch launches).  ``mode="auto"`` hands the still-``auto``
     fields to the measurement-driven tuner (:mod:`repro.tune`).
     """
 
     #: "fixed": static resolution of ``auto`` fields; "auto": the tuner
     #: probe-measures and decides the fields left at ``auto``
     mode: str = "fixed"
-    #: drive timesteps through the task-graph scheduler (repro.sched)
-    scheduler: bool | str = AUTO
-    #: stream-overlapped halo exchange (implies scheduler); time, not bits
+    #: record each step into task graphs (repro.sched) whose halo
+    #: transfers ride per-rank copy streams; time, not bits
     overlap: bool | str = AUTO
-    #: arena-pooled storage + one fused launch per (kernel, level)
+    #: arena-pooled storage + one fused launch per (kernel, level), run
+    #: as one stacked op over the arena slab where the level is uniform
     batch: bool | str = AUTO
-    #: how fused launches execute: "patch" replays member bodies,
-    #: "slab" runs one vectorized op over the arena slab (needs batch)
-    kernels: str | None = AUTO
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(
                 f"ExecutionPolicy.mode must be one of {_MODES}, "
                 f"got {self.mode!r}")
-        if self.kernels is None:
-            self.kernels = AUTO
-        if self.kernels not in _KERNELS:
-            raise ValueError(
-                f"ExecutionPolicy.kernels must be one of {_KERNELS}, "
-                f"got {self.kernels!r}")
-        for name in ("scheduler", "overlap", "batch"):
+        for name in TUNABLE_FIELDS:
             _check_flag(f"ExecutionPolicy.{name}", getattr(self, name))
 
     @property
     def concrete(self) -> bool:
         """True when no field is left at ``"auto"``."""
-        return (self.scheduler != AUTO and self.overlap != AUTO
-                and self.batch != AUTO and self.kernels != AUTO)
+        return self.overlap != AUTO and self.batch != AUTO
 
     def as_dict(self) -> dict:
-        return {"mode": self.mode, "scheduler": self.scheduler,
-                "overlap": self.overlap, "batch": self.batch,
-                "kernels": self.kernels}
+        return {"mode": self.mode, "overlap": self.overlap,
+                "batch": self.batch}
 
 
 @dataclass
@@ -165,8 +151,8 @@ def resolve_policies(
 ) -> tuple[ExecutionPolicy, RegridPolicy]:
     """Resolve every ``"auto"`` to a concrete value — the only resolver.
 
-    ``decisions`` maps field names (``scheduler`` / ``overlap`` /
-    ``batch`` / ``kernels`` / ``incremental``) to the tuner's measured
+    ``decisions`` maps field names (``overlap`` / ``batch`` /
+    ``incremental``) to the tuner's measured
     choices; it is consulted only for fields still ``auto`` under
     ``mode="auto"``.  Raises :class:`PolicyError` when a measurement-
     driven field is unresolved and no decision covers it — callers that
@@ -177,12 +163,7 @@ def resolve_policies(
 
     * pinned fields pass through untouched;
     * ``mode="auto"`` fields take their tuner decision;
-    * remaining ``auto`` flags fall to ``False`` (fixed mode only);
-    * ``overlap=True`` forces ``scheduler=True`` (the overlap pipeline
-      runs on the task graph);
-    * ``kernels="auto"`` follows ``batch`` — ``"slab"`` when batched,
-      else ``"patch"`` — and ``kernels="slab"`` without ``batch`` is
-      rejected (slab execution runs on the fused-launch arenas).
+    * remaining ``auto`` flags fall to ``False`` (fixed mode only).
     """
     regrid = regrid if regrid is not None else RegridPolicy()
     decisions = decisions or {}
@@ -198,29 +179,11 @@ def resolve_policies(
                 f"policy field {name!r} is 'auto' in mode='auto' and no "
                 "tuner decision was supplied — resolve the config through "
                 "repro.api.resolve_config (or repro.api.run) first")
-        return None  # static default, filled below
-
-    scheduler = pick("scheduler", execution.scheduler)
-    overlap = pick("overlap", execution.overlap)
-    batch = pick("batch", execution.batch)
-    kernels = pick("kernels", execution.kernels)
-    incremental = pick("incremental", regrid.incremental)
-
-    overlap = bool(overlap) if overlap is not None else False
-    batch = bool(batch) if batch is not None else False
-    scheduler = bool(scheduler) if scheduler is not None else False
-    incremental = bool(incremental) if incremental is not None else False
-    if overlap:
-        scheduler = True
-    if kernels is None or kernels == AUTO:
-        kernels = "slab" if batch else "patch"
-    if kernels == "slab" and not batch:
-        raise ValueError(
-            "kernels='slab' requires batch=True: whole-slab execution "
-            "runs on the fused-launch arena substrate")
+        return False  # static default
 
     resolved_exec = ExecutionPolicy(
-        mode="fixed", scheduler=scheduler, overlap=overlap,
-        batch=batch, kernels=kernels)
-    resolved_regrid = replace(regrid, incremental=incremental)
+        mode="fixed", overlap=bool(pick("overlap", execution.overlap)),
+        batch=bool(pick("batch", execution.batch)))
+    resolved_regrid = replace(
+        regrid, incremental=bool(pick("incremental", regrid.incremental)))
     return resolved_exec, resolved_regrid

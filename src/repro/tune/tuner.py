@@ -1,10 +1,9 @@
 """The measurement-driven policy tuner behind ``ExecutionPolicy(mode="auto")``.
 
-The paper's wins (fused launches, slab execution, overlapped halos,
-incremental regrid) are config-sensitive: whether batching pays depends
-on how many small launches there are to fuse, whether slab execution
-engages depends on patch-shape uniformity, and whether overlap helps
-depends on how much transfer time is exposed.  Rather than asking the
+The paper's wins (fused launches, overlapped halos, incremental regrid)
+are config-sensitive: whether batching pays depends on how many small
+launches there are to fuse, and whether overlap helps depends on how
+much transfer time is exposed.  Rather than asking the
 user to re-run the ablation benchmarks per problem, the tuner does it in
 miniature: for each candidate policy it builds a **throwaway twin** of
 the run, advances a few probe steps, and reads
@@ -16,12 +15,9 @@ the run, advances a few probe steps, and reads
   patches per fused launch, slab fallback rate, exposed wait fraction,
   schedule-cache hit rate.
 
-The candidate with the best probed grind wins; near-ties (within
-:data:`GRIND_TIE_FRACTION`) break toward slab execution when the probe
-shows it actually engages (low fallback rate), because slab improves
-*host* wall-clock, which the modelled grind cannot see.  Fields the user
-pinned are never overridden — candidates that contradict a pinned field
-are skipped.
+The candidate with the best probed grind wins.  Fields the user pinned
+are never overridden — candidates that contradict a pinned field
+collapse into the pinned resolution.
 
 Probes run before the real simulation exists and never touch it: no
 tracer or sanitizer is installed while they execute (a passed-in
@@ -39,6 +35,7 @@ from dataclasses import dataclass, field, replace
 from ..exec.stats import combined_stats, tuning_signals
 from .policy import (
     AUTO,
+    TUNABLE_FIELDS,
     ExecutionPolicy,
     RegridPolicy,
     resolve_policies,
@@ -49,33 +46,19 @@ __all__ = [
     "TuneDecisions",
     "tune_policies",
     "DEFAULT_PROBE_STEPS",
-    "GRIND_TIE_FRACTION",
 ]
 
 #: probe length when the caller does not say; chosen to cross at least
 #: one regrid boundary at the default RegridPolicy.interval of 5
 DEFAULT_PROBE_STEPS = 6
 
-#: probed grinds within this fraction of the best are treated as a tie
-#: and broken by the slab-engagement preference
-GRIND_TIE_FRACTION = 0.02
-
-#: slab is only preferred on a tie when at most this fraction of its
-#: slab-requested launches fell back to per-patch replay
-SLAB_FALLBACK_CEILING = 0.5
-
 #: the candidate policies the tuner probes, least to most aggressive —
 #: the same ladder the ablation benchmarks sweep.  Pinned fields filter
 #: this list; only the surviving distinct resolutions are measured.
 _CANDIDATES = (
-    ("serial", {"scheduler": False, "overlap": False, "batch": False,
-                "kernels": "patch", "incremental": False}),
-    ("batch", {"scheduler": False, "overlap": False, "batch": True,
-               "kernels": "patch", "incremental": True}),
-    ("batch+slab", {"scheduler": False, "overlap": False, "batch": True,
-                    "kernels": "slab", "incremental": True}),
-    ("overlap+batch+slab", {"scheduler": True, "overlap": True, "batch": True,
-                            "kernels": "slab", "incremental": True}),
+    ("serial", {"overlap": False, "batch": False, "incremental": False}),
+    ("batch", {"overlap": False, "batch": True, "incremental": True}),
+    ("overlap+batch", {"overlap": True, "batch": True, "incremental": True}),
 )
 
 
@@ -159,22 +142,14 @@ def _probe(cfg, execution: ExecutionPolicy, regrid: RegridPolicy,
     return grind, cells, signals, _time.perf_counter() - wall0
 
 
-def _slab_ok(probe: ProbeResult) -> bool:
-    """Did slab execution actually engage during this probe?"""
-    return (probe.execution.kernels == "slab"
-            and probe.signals.get("slab_fused", 0.0) > 0.0
-            and probe.signals.get("slab_fallback_rate", 1.0)
-            <= SLAB_FALLBACK_CEILING)
-
-
 def tune_policies(cfg, *, probe_steps: int | None = None, tracer=None):
     """Decide the ``"auto"`` fields of ``cfg`` by probe measurement.
 
     Returns ``(execution, regrid, decisions)`` where the policies are
     fully concrete (``mode="fixed"``) and ``decisions`` is the
-    :class:`TuneDecisions` record to attach as ``cfg.tuned``.  Candidate
-    policies that contradict pinned fields are skipped; if every
-    candidate is skipped the pinned values resolve statically.  One
+    :class:`TuneDecisions` record to attach as ``cfg.tuned``.  Pinned
+    fields override a candidate's value, and candidates that resolve to
+    an already-probed policy are not measured twice.  One
     ``tune``-category span per probe is emitted through ``tracer`` when
     given.
     """
@@ -185,7 +160,7 @@ def tune_policies(cfg, *, probe_steps: int | None = None, tracer=None):
         probe_steps = max(1, min(probe_steps, cfg.max_steps))
 
     #: fields the tuner is allowed to decide (still "auto" after pinning)
-    free = [name for name in ("scheduler", "overlap", "batch", "kernels")
+    free = [name for name in TUNABLE_FIELDS
             if getattr(execution, name) == AUTO]
     if regrid.incremental == AUTO:
         free.append("incremental")
@@ -199,11 +174,8 @@ def tune_policies(cfg, *, probe_steps: int | None = None, tracer=None):
     seen: set[tuple] = set()
     t_offset = 0.0
     for label, decisions in _CANDIDATES:
-        try:
-            ep, rp = resolve_policies(execution, regrid, decisions=decisions)
-        except ValueError:
-            continue  # contradicts a pinned field (e.g. slab w/o batch)
-        key = (ep.scheduler, ep.overlap, ep.batch, ep.kernels, rp.incremental)
+        ep, rp = resolve_policies(execution, regrid, decisions=decisions)
+        key = (ep.overlap, ep.batch, rp.incremental)
         if key in seen:
             continue  # pinning collapsed this candidate into an earlier one
         seen.add(key)
@@ -225,20 +197,7 @@ def tune_policies(cfg, *, probe_steps: int | None = None, tracer=None):
             )
             t_offset += virtual
 
-    if not probes:
-        # every candidate contradicted the pinned fields; nothing to
-        # measure — the static rules must already cover the holes
-        ep, rp = resolve_policies(execution, regrid, decisions={})
-        decisions = TuneDecisions(chosen={}, winner="pinned",
-                                  probes=[], probe_steps=probe_steps)
-        return ep, rp, decisions
-
-    best = min(probes, key=lambda p: p.grind)
-    ties = [p for p in probes
-            if p.grind <= best.grind * (1.0 + GRIND_TIE_FRACTION)]
-    # modelled grind cannot see host wall-clock; among modelled ties,
-    # prefer a candidate whose probe shows slab actually engaging
-    winner = next((p for p in ties if _slab_ok(p)), best)
+    winner = min(probes, key=lambda p: p.grind)
 
     chosen = {}
     for name in free:

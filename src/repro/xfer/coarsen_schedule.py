@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..exec.backend import backend_for
+from ..exec.batch import SLAB_FALLBACK
+from ..geom.operators import CellMassWeightedCoarsen
 from ..mesh.box import Box
 from ..mesh.variables import Variable
-from ..geom.operators import CellMassWeightedCoarsen
-from .refine_schedule import temp_box_for
+from .refine_schedule import alloc_temp, free_temps
 from .overlap import index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,19 +61,17 @@ class CoarsenSchedule:
         comm: "SimCommunicator",
         factory,
         batch: bool = False,
-        slab: bool = False,
     ):
         self.fine_level = fine_level
         self.coarse_level = coarse_level
         self.specs = specs
         self.comm = comm
         self.factory = factory
-        #: fuse the per-variable coarsen kernels into batched launches
+        #: fuse the per-variable coarsen kernels into batched launches.
+        #: Coarsening runs through per-region temps, inherently per-patch
+        #: work, so its fused members are marked as deliberate slab
+        #: fallbacks
         self.batch = batch
-        #: ``--kernels slab``: coarsening runs through per-region temps,
-        #: inherently per-patch work — its fused launches are marked as
-        #: deliberate slab fallbacks
-        self.slab = slab
         self.transactions: list[_CoarsenTransaction] = []
         self._build()
 
@@ -85,10 +85,14 @@ class CoarsenSchedule:
                 fine_pd, fine_patch.data(spec.weight_name), temp, region, ratio)
         else:
             member = op.batch_member(fine_pd, temp, region, ratio)
-        if self.slab:
-            from ..exec.batch import SLAB_FALLBACK
-            member.slab = SLAB_FALLBACK
+        member.slab = SLAB_FALLBACK
         return member
+
+    def _alloc_temp(self, var: Variable, t: "_CoarsenTransaction", fine_rank):
+        """A block on the fine owner for one variable's coarsened values,
+        and the centring-space region it covers."""
+        region = index_box_for(var, t.region)
+        return alloc_temp(self.factory, var, region, fine_rank), region
 
     def _build(self) -> None:
         ratio = self.fine_level.ratio_to_coarser
@@ -119,13 +123,8 @@ class CoarsenSchedule:
             fine_rank = self.comm.rank(t.fine_patch.owner)
             temps = []
             for spec in self.specs:
-                var = spec.var
-                region = self._region_for(var, t.region)
-                temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-                temp = self.factory.allocate(
-                    temp_var, temp_box_for(var, region), fine_rank
-                )
-                fine_pd = t.fine_patch.data(var.name)
+                temp, region = self._alloc_temp(spec.var, t, fine_rank)
+                fine_pd = t.fine_patch.data(spec.var.name)
                 op = spec.coarsen_op
                 if isinstance(op, CellMassWeightedCoarsen):
                     weight_pd = t.fine_patch.data(spec.weight_name)
@@ -141,20 +140,13 @@ class CoarsenSchedule:
         """Batched execution: one ``geom.coarsen`` launch per fine backend
         covering every (transaction, variable) pair, then the per-pair
         ship phase exactly as in the reference path."""
-        from ..exec.backend import backend_for
-
         staged: list[tuple[_CoarsenTransaction, list]] = []
         groups: dict[int, tuple[object, list]] = {}
         for t in self.transactions:
             fine_rank = self.comm.rank(t.fine_patch.owner)
             temps = []
             for spec in self.specs:
-                var = spec.var
-                region = self._region_for(var, t.region)
-                temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-                temp = self.factory.allocate(
-                    temp_var, temp_box_for(var, region), fine_rank
-                )
+                temp, region = self._alloc_temp(spec.var, t, fine_rank)
                 member = self._member_for(spec, t.fine_patch, temp, region,
                                           ratio)
                 backend = backend_for(temp, fine_rank)
@@ -196,10 +188,7 @@ class CoarsenSchedule:
         if chk is not None:
             for s, _, _ in temps:
                 chk.note_interior_write(t.coarse_patch.data(s.var.name))
-        for _, temp, _ in temps:
-            free = getattr(temp, "free", None)
-            if free is not None:
-                free()
+        free_temps(temp for _, temp, _ in temps)
 
     def emit_tasks(self, gb) -> None:
         """Record this synchronisation into a graph builder.
@@ -219,20 +208,13 @@ class CoarsenSchedule:
             coarse_rank = self.comm.rank(t.coarse_patch.owner)
             temps = []
             for spec in self.specs:
-                var = spec.var
-                region = self._region_for(var, t.region)
-                temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-                temp = self.factory.allocate(
-                    temp_var, temp_box_for(var, region), fine_rank
-                )
-                fine_pd = t.fine_patch.data(var.name)
+                temp, region = self._alloc_temp(spec.var, t, fine_rank)
+                fine_pd = t.fine_patch.data(spec.var.name)
                 op = spec.coarsen_op
                 if self.batch:
                     # Route through the builder's fusion pass: members
                     # coalesce into one geom.coarsen task per transaction
                     # (the following copy/stream flushes the group).
-                    from ..exec.backend import backend_for
-
                     member = self._member_for(spec, t.fine_patch, temp,
                                               region, ratio)
                     gb.kernel_task(backend_for(temp, fine_rank), fine_rank,
@@ -258,7 +240,7 @@ class CoarsenSchedule:
                         op.apply(f, tmp, r, ratio, rank=rk)
 
                 gb.add(TaskKind.KERNEL, fine_rank.index,
-                       f"sync.coarsen.{var.name}", fn,
+                       f"sync.coarsen.{spec.var.name}", fn,
                        reads=reads, writes=[temp])
                 temps.append((spec, temp, region))
             if fine_rank.index == coarse_rank.index:
@@ -276,18 +258,10 @@ class CoarsenSchedule:
                     f"sync.L{self.fine_level.level_number}",
                 )
 
-            def free_temps(stream, temps=temps):
-                for _, temp, _ in temps:
-                    free = getattr(temp, "free", None)
-                    if free is not None:
-                        free()
-
-            gb.add(TaskKind.HOST, fine_rank.index, "sync.free", free_temps,
-                   writes=[temp for _, temp, _ in temps])
-
-    def _region_for(self, var: Variable, cell_region: Box) -> Box:
-        """Coarse centring-space region corresponding to a cell region."""
-        return index_box_for(var, cell_region)
+            blocks = [temp for _, temp, _ in temps]
+            gb.add(TaskKind.HOST, fine_rank.index, "sync.free",
+                   lambda _stream, blocks=blocks: free_temps(blocks),
+                   writes=blocks)
 
     def num_transactions(self) -> int:
         return len(self.transactions)

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..check.context import active as _check_active
+from ..exec.backend import array_of, backend_for, run_on
+from ..exec.batch import SLAB_FALLBACK, BatchMember
 from ..mesh.box import Box, IntVector
 from ..mesh.box_container import BoxContainer
 from ..mesh.variables import Variable
@@ -39,7 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "FillSpec", "RefineSchedule", "build_fill_geometry", "FillGeometry",
-    "needed_coarse_frame", "temp_box_for", "signature_of",
+    "needed_coarse_frame", "temp_box_for", "alloc_temp", "free_temps",
+    "signature_of",
 ]
 
 
@@ -82,6 +85,21 @@ def temp_box_for(var: Variable, frame: Box) -> Box:
     shift = [0] * frame.dim
     shift[var.axis] = 1
     return Box(frame.lower, frame.upper - IntVector(shift))
+
+
+def alloc_temp(factory, var: Variable, frame: Box, rank):
+    """A zero-ghost temporary block for ``var`` whose storage is ``frame``."""
+    return factory.allocate(
+        Variable(f"_tmp_{var.name}", var.centring, 0, var.axis),
+        temp_box_for(var, frame), rank)
+
+
+def free_temps(temps) -> None:
+    """Release temporary blocks (device-backed ones own pool memory)."""
+    for temp in temps:
+        free = getattr(temp, "free", None)
+        if free is not None:
+            free()
 
 
 @dataclass
@@ -212,7 +230,6 @@ class RefineSchedule:
         interior: bool = False,
         geometry_cache: dict | None = None,
         batch: bool = False,
-        slab: bool = False,
     ):
         self.dst_level = dst_level
         self.coarse_level = coarse_level
@@ -221,12 +238,11 @@ class RefineSchedule:
         self.factory = factory
         self.boundary = boundary
         self.interior = interior
-        #: fuse clamp/refine/boundary kernels into batched launches
+        #: fuse clamp/refine/boundary kernels into batched launches.  Fill
+        #: work is inherently per-region (ragged halo bodies, per-region
+        #: interpolation temps), so its fused members are marked as
+        #: deliberate slab fallbacks
         self.batch = batch
-        #: ``--kernels slab``: fill work is inherently per-region (ragged
-        #: halo bodies, per-region interpolation temps), so its fused
-        #: launches are marked as deliberate slab fallbacks
-        self.slab = slab
         if src_level is None and not interior:
             src_level = dst_level
         cache = geometry_cache if geometry_cache is not None else {}
@@ -278,6 +294,43 @@ class RefineSchedule:
                 else:
                     chk.reset_stamps(pd)
 
+    def _group_copies(self) -> tuple[dict, dict]:
+        """Same-level copies grouped for fusion, over every variable.
+
+        Returns ``(local, remote)``: same-rank copies keyed by destination
+        patch — ``id(dst) -> (dst, [(dst_pd, src_pd, region)])`` — and
+        cross-rank copies keyed by patch pair — ``(id(src), id(dst)) ->
+        (src, dst, [(name, region)])`` — one message stream each.
+        """
+        local: dict = {}
+        remote: dict = {}
+        for spec, geom in self.items:
+            name = spec.var.name
+            for src, dst, region in geom.copies:
+                if src.owner == dst.owner:
+                    entry = local.setdefault(id(dst), (dst, []))
+                    entry[1].append((dst.data(name), src.data(name), region))
+                else:
+                    entry = remote.setdefault((id(src), id(dst)), (src, dst, []))
+                    entry[2].append((name, region))
+        return local, remote
+
+    def _alloc_temps(self, specs: list[FillSpec], ig: _InterpGeom, rank) -> list:
+        """One coarse block per variable, covering ``ig``'s coarse frame."""
+        return [alloc_temp(self.factory, s.var, ig.coarse_frame, rank)
+                for s in specs]
+
+    def _clamp_member(self, temp, var: Variable, slab=None):
+        """The kernel zero-gradient-extending ``temp``'s cells outside the
+        coarse domain, or None when the block lies inside it."""
+        frame = temp.get_ghost_box()
+        valid = index_box_for(var, self.coarse_level.domain)
+        if valid.contains_box(frame):
+            return None
+        return BatchMember(
+            frame.size(), lambda: clamp_extend(array_of(temp), frame, valid),
+            reads=(temp,), writes=(temp,), slab=slab)
+
     def fill(self, time: float | None = None) -> None:
         """Execute the schedule: copies, interpolation, physical BCs.
 
@@ -294,17 +347,7 @@ class RefineSchedule:
             self._note_fill_start(chk)
         messages = []
         ranks = self.comm.ranks
-        local: dict = {}   # id(dst) -> (dst, [(dst_pd, src_pd, region)])
-        remote: dict = {}  # (id(src), id(dst)) -> (src, dst, [(name, region)])
-        for spec, geom in self.items:
-            name = spec.var.name
-            for src, dst, region in geom.copies:
-                if src.owner == dst.owner:
-                    entry = local.setdefault(id(dst), (dst, []))
-                    entry[1].append((dst.data(name), src.data(name), region))
-                else:
-                    entry = remote.setdefault((id(src), id(dst)), (src, dst, []))
-                    entry[2].append((name, region))
+        local, remote = self._group_copies()
         if self.batch:
             # One fused copy launch per owning rank for the whole level:
             # arena-backed regions then collapse to stacked slab ops in
@@ -366,17 +409,7 @@ class RefineSchedule:
             self._note_fill_start(chk)
         ghost = not self.interior
         ranks = self.comm.ranks
-        local: dict = {}   # id(dst) -> (dst, [(dst_pd, src_pd, region)])
-        remote: dict = {}  # (id(src), id(dst)) -> (src, dst, [(name, region)])
-        for spec, geom in self.items:
-            name = spec.var.name
-            for src, dst, region in geom.copies:
-                if src.owner == dst.owner:
-                    entry = local.setdefault(id(dst), (dst, []))
-                    entry[1].append((dst.data(name), src.data(name), region))
-                else:
-                    entry = remote.setdefault((id(src), id(dst)), (src, dst, []))
-                    entry[2].append((name, region))
+        local, remote = self._group_copies()
         for dst, items in local.values():
             gb.copy(ranks[dst.owner], items, "fill.copy", ghost=ghost)
         for src, dst, named in remote.values():
@@ -410,17 +443,10 @@ class RefineSchedule:
     def _emit_interp_group(self, gb, specs: list[FillSpec],
                            ig: _InterpGeom) -> None:
         """Task-graph counterpart of :meth:`_execute_interp_group`."""
-        from ..exec.backend import array_of, backend_for
         from ..sched.task import TaskKind
 
         dst_rank = self.comm.rank(ig.dst_patch.owner)
-        temps = []
-        for spec in specs:
-            var = spec.var
-            temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-            temps.append(self.factory.allocate(
-                temp_var, temp_box_for(var, ig.coarse_frame), dst_rank
-            ))
+        temps = self._alloc_temps(specs, ig, dst_rank)
 
         local_items = []
         for src_patch, sub in ig.sources:
@@ -439,16 +465,11 @@ class RefineSchedule:
             gb.copy(dst_rank, local_items, "fill.gather")
 
         for spec, temp in zip(specs, temps):
-            frame = temp.get_ghost_box()
-            valid = index_box_for(spec.var, self.coarse_level.domain)
-            if valid.contains_box(frame):
-                continue
-            gb.kernel_task(
-                backend_for(temp, dst_rank), dst_rank, "pdat.copy",
-                frame.size(),
-                lambda temp=temp, frame=frame, valid=valid: clamp_extend(
-                    array_of(temp), frame, valid),
-                [temp], [temp])
+            clamp = self._clamp_member(temp, spec.var)
+            if clamp is not None:
+                gb.kernel_task(
+                    backend_for(temp, dst_rank), dst_rank, "pdat.copy",
+                    clamp.elements, clamp.body, [temp], [temp])
 
         dst_pds = [ig.dst_patch.data(s.var.name) for s in specs]
         ghost = not self.interior
@@ -458,15 +479,8 @@ class RefineSchedule:
         gb.add(TaskKind.KERNEL, dst_rank.index, "fill.refine",
                lambda _stream: self._fused_refine(specs, temps, ig, dst_rank),
                reads=temps, writes=dst_pds, ghost_only=ghost, marks=marks)
-
-        def free_temps(stream):
-            for temp in temps:
-                free = getattr(temp, "free", None)
-                if free is not None:
-                    free()
-
-        gb.add(TaskKind.HOST, dst_rank.index, "fill.free", free_temps,
-               writes=temps)
+        gb.add(TaskKind.HOST, dst_rank.index, "fill.free",
+               lambda _stream: free_temps(temps), writes=temps)
 
     def _execute_interp_group(self, specs: list[FillSpec], ig: _InterpGeom,
                               messages) -> None:
@@ -482,13 +496,7 @@ class RefineSchedule:
         from ..comm.simcomm import Message
 
         dst_rank = self.comm.rank(ig.dst_patch.owner)
-        temps = []
-        for spec in specs:
-            var = spec.var
-            temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-            temps.append(self.factory.allocate(
-                temp_var, temp_box_for(var, ig.coarse_frame), dst_rank
-            ))
+        temps = self._alloc_temps(specs, ig, dst_rank)
 
         local_items = []
         for src_patch, sub in ig.sources:
@@ -507,17 +515,16 @@ class RefineSchedule:
             copy_batch_local(local_items, dst_rank)
 
         for spec, temp in zip(specs, temps):
-            self._clamp_temp(temp, spec.var, dst_rank)
+            clamp = self._clamp_member(temp, spec.var)
+            if clamp is not None:
+                run_on(temp, dst_rank, "pdat.copy", clamp.elements, clamp.body)
         self._fused_refine(specs, temps, ig, dst_rank)
         chk = _check_active()
         if chk is not None and not self.interior:
             for spec in specs:
                 chk.stamp(ig.dst_patch.data(spec.var.name),
                           [sp.data(spec.var.name) for sp, _ in ig.sources])
-        for temp in temps:
-            free = getattr(temp, "free", None)
-            if free is not None:
-                free()
+        free_temps(temps)
 
     def _fill_interps_batched(self, messages) -> None:
         """Batched interpolation: gather every temp block first, then one
@@ -530,26 +537,15 @@ class RefineSchedule:
         per-region ``chk.stamp`` calls of the reference path.
         """
         from ..comm.simcomm import Message
-        from ..exec.backend import array_of, backend_for
-        from ..exec.batch import SLAB_FALLBACK, BatchMember
         from .message import copy_batch_local, pack_batch, unpack_batch
         from .transfer import MESSAGE_HEADER_BYTES
-
-        slab = SLAB_FALLBACK if self.slab else None
 
         entries = []  # (specs, temps, ig, dst_rank)
         gathers: dict[int, tuple[object, list]] = {}
         for geom, specs in self.sig_groups:
             for ig in geom.interps:
                 dst_rank = self.comm.rank(ig.dst_patch.owner)
-                temps = []
-                for spec in specs:
-                    var = spec.var
-                    temp_var = Variable(f"_tmp_{var.name}", var.centring, 0,
-                                        var.axis)
-                    temps.append(self.factory.allocate(
-                        temp_var, temp_box_for(var, ig.coarse_frame), dst_rank
-                    ))
+                temps = self._alloc_temps(specs, ig, dst_rank)
                 for src_patch, sub in ig.sources:
                     src_rank = self.comm.rank(src_patch.owner)
                     if src_rank.index == dst_rank.index:
@@ -576,20 +572,15 @@ class RefineSchedule:
         refines: dict[int, tuple[object, list]] = {}
         for specs, temps, ig, dst_rank in entries:
             for spec, temp in zip(specs, temps):
-                frame = temp.get_ghost_box()
-                valid = index_box_for(spec.var, self.coarse_level.domain)
-                if not valid.contains_box(frame):
+                clamp = self._clamp_member(temp, spec.var, slab=SLAB_FALLBACK)
+                if clamp is not None:
                     backend = backend_for(temp, dst_rank)
                     entry = clamps.setdefault(id(backend), (backend, []))
-                    entry[1].append(BatchMember(
-                        frame.size(),
-                        lambda temp=temp, frame=frame, valid=valid:
-                            clamp_extend(array_of(temp), frame, valid),
-                        reads=(temp,), writes=(temp,), slab=slab))
+                    entry[1].append(clamp)
                 dst_pd = ig.dst_patch.data(spec.var.name)
                 member = spec.refine_op.batch_member(
                     temp, dst_pd, ig.region, ratio)
-                member.slab = slab
+                member.slab = SLAB_FALLBACK
                 if ghost:
                     member.marks = (
                         ("stamp", dst_pd,
@@ -602,24 +593,16 @@ class RefineSchedule:
         for backend, members in refines.values():
             backend.run_batched("geom.refine", members, ghost_only=ghost)
         for _, temps, _, _ in entries:
-            for temp in temps:
-                free = getattr(temp, "free", None)
-                if free is not None:
-                    free()
+            free_temps(temps)
 
     def _apply_boundary_batched(self, variables, ranks) -> None:
         """One ``update_halo`` launch per rank over its boundary patches."""
-        from ..exec.backend import backend_for
-
-        from ..exec.batch import SLAB_FALLBACK
-
         groups: dict[int, tuple[object, list]] = {}
         for dst in self.dst_level:
             member = self.boundary.batch_member(dst, variables)
             if member is None:
                 continue
-            if self.slab:
-                member.slab = SLAB_FALLBACK
+            member.slab = SLAB_FALLBACK
             backend = backend_for(member.writes[0], ranks[dst.owner])
             entry = groups.setdefault(id(backend), (backend, []))
             entry[1].append(member)
@@ -633,17 +616,13 @@ class RefineSchedule:
             # Scheduler path: the surrounding fill.refine task declares the
             # union of operands; one batched launch replaces the
             # per-variable (or homogeneous-op fused) launches.
-            from ..exec.backend import backend_for
-            from ..exec.batch import SLAB_FALLBACK
-
             members = [
                 spec.refine_op.batch_member(
                     temp, ig.dst_patch.data(spec.var.name), ig.region, ratio)
                 for spec, temp in zip(specs, temps)
             ]
-            if self.slab:
-                for member in members:
-                    member.slab = SLAB_FALLBACK
+            for member in members:
+                member.slab = SLAB_FALLBACK
             backend_for(temps[0], dst_rank).run_batched("geom.refine", members)
             return
         op0 = specs[0].refine_op
@@ -661,19 +640,6 @@ class RefineSchedule:
             for spec, temp in zip(specs, temps)
         ]
         fused_refine_apply(specs[0].refine_op, pairs, ig.region, ratio, dst_rank)
-
-    def _clamp_temp(self, temp, var: Variable, rank) -> None:
-        """Zero-gradient-extend temp cells outside the coarse domain."""
-        frame = temp.get_ghost_box()
-        valid = index_box_for(var, self.coarse_level.domain)
-        if valid.contains_box(frame):
-            return
-        from ..exec.backend import array_of, run_on
-
-        run_on(
-            temp, rank, "pdat.copy", frame.size(),
-            lambda: clamp_extend(array_of(temp), frame, valid),
-        )
 
     # -- statistics ---------------------------------------------------------------
 

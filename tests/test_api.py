@@ -1,10 +1,10 @@
-"""The ``repro.api`` facade: configuration validation, the backend
-factory, the run result contract, and the deprecation shim.
+"""The ``repro.api`` facade: configuration validation, build selection,
+the backend factory and the run result contract.
 
 ``repro.api.run`` is the one public entry point (everything outside the
 package imports it and nothing else — the ``api`` lint rule), so its
-contract is pinned here: validated configs, a structured
-:class:`RunResult`, and flat-kwarg shims that still work but warn.
+contract is pinned here: validated configs, the right simulation objects
+per build kind, and a structured :class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    AUTO,
-    ExecutionPolicy,
     ObservabilityConfig,
-    RegridPolicy,
     RunConfig,
     RunResult,
     build_simulation,
@@ -28,6 +25,7 @@ from repro.api import (
     scaled,
 )
 from repro.exec import UNCHARGED_HOST, make_backend
+from repro.hydro.patch_integrator import NonResidentGpuPatchIntegrator
 from repro.hydro.problems import SodProblem
 
 
@@ -65,6 +63,47 @@ def test_scaled_replaces_fields():
     assert (bigger.nranks, bigger.max_steps) == (4, 10)
     assert cfg.nranks == 1  # original untouched
     assert bigger.problem is cfg.problem
+
+
+@pytest.mark.parametrize("flat", [
+    "use_scheduler", "overlap", "batch_launches", "kernels",
+    "regrid_interval", "regrid_incremental", "balance"])
+def test_flat_execution_kwargs_are_gone(flat):
+    """The PR-10 shims are deleted: RunConfig is a plain dataclass, so the
+    old flat names fail like any unknown keyword."""
+    with pytest.raises(TypeError, match=flat):
+        _config(**{flat: True})
+    with pytest.raises(TypeError, match=flat):
+        scaled(_config(), **{flat: True})
+    assert not hasattr(_config(), flat)
+
+
+# -- build selection ----------------------------------------------------------
+
+
+def test_gpu_resident_build():
+    sim = build_simulation(_config(use_gpu=True, resident=True))
+    assert sim.comm.rank(0).device is not None
+    assert sim.factory.location == "device"
+
+
+def test_cpu_build():
+    sim = build_simulation(_config(use_gpu=False))
+    assert sim.comm.rank(0).device is None
+    assert sim.factory.location == "host"
+
+
+def test_nonresident_build():
+    sim = build_simulation(_config(use_gpu=True, resident=False))
+    assert isinstance(sim.patch_integrator, NonResidentGpuPatchIntegrator)
+    assert sim.factory.location == "host"  # data stays on the host
+    assert sim.comm.rank(0).device is not None
+
+
+def test_machine_selection():
+    sim = build_simulation(_config(machine="Titan", nranks=2))
+    assert sim.comm.size == 2
+    assert sim.comm.network.name == "Cray Gemini"
 
 
 # -- the backend factory ------------------------------------------------------
@@ -115,6 +154,24 @@ def test_result_is_structured(result):
     assert res.runtime > 0.0
     assert res.cells > 0
     assert res.grind_time == res.runtime / (res.cells * res.steps)
+    assert res.timers["hydro"] > 0
+
+
+def test_end_time_budget():
+    res = run(_config(max_steps=None, end_time=0.02))
+    assert res.sim.time >= 0.02
+
+
+def test_nonresident_is_slower_and_moves_far_more_pcie_bytes():
+    """The headline ablation: copy-per-kernel loses to resident."""
+    res_r = run(_config(use_gpu=True, resident=True, max_steps=5))
+    res_n = run(_config(use_gpu=True, resident=False, max_steps=5))
+    assert res_n.runtime > res_r.runtime
+
+    def pcie(res):
+        d = res.sim.comm.rank(0).device.stats
+        return d.bytes_d2h + d.bytes_h2d
+    assert pcie(res_n) > 10 * pcie(res_r)
 
 
 def test_result_dt_history_covers_every_step(result):
@@ -154,56 +211,14 @@ def test_result_without_tracing_has_no_trace(result):
     assert res.sanitize_counters is None
 
 
-# -- the flat-kwarg deprecation shims -----------------------------------------
-
-
 def test_app_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         import repro.app  # noqa: F401  # samrcheck: ok(api): asserting removal
 
 
-def test_flat_kwargs_warn_and_forward():
-    with pytest.warns(DeprecationWarning, match="execution"):
-        cfg = _config(batch_launches=True)  # samrcheck: ok(api): shim test
-    assert cfg.execution.batch is True
-    with pytest.warns(DeprecationWarning, match="regrid"):
-        cfg = _config(regrid_interval=7)  # samrcheck: ok(api): shim test
-    assert cfg.regrid.interval == 7
-
-
-def test_flat_kwarg_kernels_none_stays_auto():
-    with pytest.warns(DeprecationWarning):
-        cfg = _config(kernels=None)  # samrcheck: ok(api): shim test
-    assert cfg.execution.kernels == AUTO
-
-
-def test_unknown_kwarg_still_raises():
+def test_unknown_kwarg_raises():
     with pytest.raises(TypeError, match="no_such_flag"):
         _config(no_such_flag=True)
-
-
-def test_flat_property_reads_warn_and_mirror():
-    cfg = _config(execution=ExecutionPolicy(batch=True, kernels="slab"),
-                  regrid=RegridPolicy(interval=9))
-    with pytest.warns(DeprecationWarning, match="execution"):
-        assert cfg.batch_launches is True
-    with pytest.warns(DeprecationWarning, match="execution"):
-        assert cfg.kernels == "slab"
-    with pytest.warns(DeprecationWarning, match="regrid"):
-        assert cfg.regrid_interval == 9
-
-
-def test_flat_property_writes_warn_and_forward():
-    cfg = _config()
-    with pytest.warns(DeprecationWarning, match="execution"):
-        cfg.overlap = True
-    assert cfg.execution.overlap is True
-
-
-def test_scaled_flat_override_warns():
-    with pytest.warns(DeprecationWarning, match="execution"):
-        bigger = scaled(_config(), batch_launches=True)  # samrcheck: ok(api): shim test
-    assert bigger.execution.batch is True
 
 
 # -- the api lint rule --------------------------------------------------------
@@ -235,39 +250,6 @@ def test_lint_flags_app_import_everywhere(tmp_path):
         from repro.app import run_simulation
     """)
     assert [v.rule for v in violations] == ["api"]
-
-
-def test_lint_flags_flat_config_kwargs(tmp_path):
-    violations = _lint_source(tmp_path, "benchmarks/bench_flat.py", """
-        from repro.api import RunConfig
-        cfg = RunConfig(problem=None, batch_launches=True, kernels="slab")
-    """)
-    assert [v.rule for v in violations] == ["api", "api"]
-    assert "batch_launches" in violations[0].message
-    assert "ExecutionPolicy" in violations[0].message
-
-
-def test_lint_flags_flat_scaled_overrides(tmp_path):
-    violations = _lint_source(tmp_path, "examples/scale.py", """
-        from repro.api import scaled
-        big = scaled(cfg, nranks=4, regrid_interval=2)
-    """)
-    assert [v.rule for v in violations] == ["api"]
-    assert "regrid_interval" in violations[0].message
-
-
-def test_lint_allows_policy_shape_and_waivers(tmp_path):
-    assert _lint_source(tmp_path, "benchmarks/bench_ok.py", """
-        from repro.api import ExecutionPolicy, RegridPolicy, RunConfig
-        cfg = RunConfig(problem=None,
-                        execution=ExecutionPolicy(batch=True),
-                        regrid=RegridPolicy(interval=3))
-    """) == []
-    # an explicit waiver silences the rule (shim tests carry these)
-    assert _lint_source(tmp_path, "tests/test_shims.py", """
-        from repro.api import RunConfig
-        cfg = RunConfig(batch_launches=True)  # samrcheck: ok(api): shim test
-    """) == []
 
 
 def test_lint_allows_api_imports_everywhere(tmp_path):

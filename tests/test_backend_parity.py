@@ -1,11 +1,14 @@
-"""CPU vs resident-GPU numerical parity at the backend seam.
+"""One differential oracle for every (backend x execution policy) cell.
 
 The paper's residency claim only works because the device build runs the
-*same numerics* in a different memory space (§III): swapping the patch-data
-factory must not change a single bit of the solution.  With all dispatch
-behind ``repro.exec`` this is directly testable: advance the same Sod
-problem on the host backend and the resident device backend and compare
-every field bitwise.
+*same numerics* in a different memory space (§III), and the execution
+policy (``batch`` x ``overlap``) only chooses how launches are fused and
+which timeline a transfer lands on.  So every cell of
+(host / resident / non-resident) x (batch, overlap) must reproduce the
+single serial, per-patch, host reference **bitwise**: final field
+summary, dt sequence and every gathered field.  Small patches make the
+fusion groups (and the whole-slab stacks) hold many members; two ranks
+make the overlap cells cross the network.
 """
 
 from __future__ import annotations
@@ -14,245 +17,106 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, run
-from repro.hydro.diagnostics import gather_level_field, host_interior
+from repro.exec.stats import combined_stats
+from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
 
 FIELDS = ("density0", "energy0", "pressure", "soundspeed",
           "viscosity", "xvel0", "yvel0")
 
+#: backend label -> (use_gpu, resident)
+BACKENDS = {"host": (False, True), "resident": (True, True),
+            "nonresident": (True, False)}
+CELLS = [(backend, batch, overlap) for backend in BACKENDS
+         for batch in (False, True) for overlap in (False, True)]
 
-def _run(use_gpu: bool, use_scheduler: bool = False, overlap: bool = False,
-         resident: bool = True, batch: bool = False, max_patch: int = 32,
-         kernels: str | None = None):
-    cfg = RunConfig(
-        problem=SodProblem((32, 32)),
-        nranks=1,
-        use_gpu=use_gpu,
-        resident=resident,
-        max_levels=2,
-        max_patch_size=max_patch,
-        regrid=RegridPolicy(interval=3),
-        max_steps=6,
-        execution=ExecutionPolicy(scheduler=use_scheduler, overlap=overlap,
-                                  batch=batch,
-                                  kernels=kernels if kernels else "auto"),
-    )
-    return run(cfg)
+HYDRO_KERNELS = ("hydro.ideal_gas", "hydro.viscosity", "hydro.calc_dt",
+                 "hydro.pdv", "hydro.accelerate", "hydro.flux_calc",
+                 "hydro.advec_cell", "hydro.advec_mom", "hydro.reset_field")
+
+_RUNS: dict = {}
 
 
-@pytest.fixture(scope="module")
-def runs():
-    return _run(use_gpu=False), _run(use_gpu=True)
+def _cell(backend: str, batch: bool, overlap: bool):
+    """The (memoised) run of one oracle cell."""
+    key = (backend, batch, overlap)
+    if key not in _RUNS:
+        use_gpu, resident = BACKENDS[backend]
+        _RUNS[key] = run(RunConfig(
+            problem=SodProblem((32, 32)),
+            nranks=2,
+            use_gpu=use_gpu,
+            resident=resident,
+            max_levels=2,
+            max_patch_size=8,
+            regrid=RegridPolicy(interval=3),
+            max_steps=6,
+            execution=ExecutionPolicy(batch=batch, overlap=overlap),
+        ))
+    return _RUNS[key]
 
 
-@pytest.fixture(scope="module")
-def sched_runs():
-    """The same GPU run driven through the task-graph scheduler."""
-    return _run(use_gpu=True, use_scheduler=True), \
-        _run(use_gpu=True, overlap=True)
-
-
-def test_same_hierarchy_shape(runs):
-    cpu, gpu = runs
-    assert cpu.steps == gpu.steps
-    assert cpu.sim.hierarchy.num_levels == gpu.sim.hierarchy.num_levels
-    for lnum in range(cpu.sim.hierarchy.num_levels):
-        cl = cpu.sim.hierarchy.level(lnum)
-        gl = gpu.sim.hierarchy.level(lnum)
-        assert [tuple(p.box.shape()) for p in cl] == \
-            [tuple(p.box.shape()) for p in gl]
+@pytest.mark.parametrize("backend,batch,overlap", CELLS)
+def test_cell_matches_the_serial_per_patch_reference(backend, batch, overlap):
+    """Same steps, dt sequence, conserved summary and hierarchy layout."""
+    ref = _cell("host", False, False)
+    got = _cell(backend, batch, overlap)
+    assert got.steps == ref.steps
+    assert got.dt_history == ref.dt_history
+    assert got.final_fields == ref.final_fields
+    assert got.sim.hierarchy.num_levels == ref.sim.hierarchy.num_levels
+    for lnum in range(ref.sim.hierarchy.num_levels):
+        assert [(tuple(p.box.lower), tuple(p.box.upper), p.owner)
+                for p in got.sim.hierarchy.level(lnum)] == \
+            [(tuple(p.box.lower), tuple(p.box.upper), p.owner)
+             for p in ref.sim.hierarchy.level(lnum)]
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_fields_bitwise_identical(runs, field):
-    cpu, gpu = runs
-    for lnum in range(cpu.sim.hierarchy.num_levels):
-        a = gather_level_field(cpu.sim.hierarchy.level(lnum), field)
-        b = gather_level_field(gpu.sim.hierarchy.level(lnum), field)
+@pytest.mark.parametrize("backend,batch,overlap", CELLS)
+def test_cell_field_is_bitwise_the_reference(backend, batch, overlap, field):
+    ref = _cell("host", False, False)
+    got = _cell(backend, batch, overlap)
+    for lnum in range(ref.sim.hierarchy.num_levels):
+        a = gather_level_field(ref.sim.hierarchy.level(lnum), field)
+        b = gather_level_field(got.sim.hierarchy.level(lnum), field)
         assert np.array_equal(a, b, equal_nan=True), (
             f"{field} diverged on level {lnum}: max |diff| = "
-            f"{np.nanmax(np.abs(a - b))}"
-        )
+            f"{np.nanmax(np.abs(a - b))}")
 
 
-def test_patch_interiors_bitwise_identical(runs):
-    cpu, gpu = runs
-    level_c = cpu.sim.hierarchy.level(0)
-    level_g = gpu.sim.hierarchy.level(0)
-    for pc, pg in zip(level_c, level_g):
-        for field in ("density0", "xvel0"):
-            assert np.array_equal(
-                host_interior(pc, field), host_interior(pg, field)
-            )
+def test_gpu_cells_actually_used_the_device():
+    for backend in ("resident", "nonresident"):
+        dev = _cell(backend, False, False).sim.comm.rank(0).device
+        assert dev is not None and dev.stats.kernel_launches > 0
 
 
-def test_gpu_run_actually_used_the_device(runs):
-    _, gpu = runs
-    dev = gpu.sim.comm.rank(0).device
-    assert dev is not None and dev.stats.kernel_launches > 0
-
-
-@pytest.mark.parametrize("field", FIELDS)
-def test_scheduler_fields_bitwise_identical(runs, sched_runs, field):
-    """The task-graph scheduler (off and overlapped) changes no bits."""
-    _, gpu = runs
-    for run in sched_runs:
-        assert run.steps == gpu.steps
-        for lnum in range(gpu.sim.hierarchy.num_levels):
-            a = gather_level_field(gpu.sim.hierarchy.level(lnum), field)
-            b = gather_level_field(run.sim.hierarchy.level(lnum), field)
-            assert np.array_equal(a, b, equal_nan=True), (
-                f"{field} diverged on level {lnum} under the scheduler"
-            )
-
-
-def test_scheduler_serial_timing_identical(runs, sched_runs):
-    """At one rank with overlap off, the scheduler reproduces the serial
-    virtual-time charging exactly, not just the bits."""
-    _, gpu = runs
-    sched, _ = sched_runs
-    assert sched.runtime == pytest.approx(gpu.runtime, rel=0, abs=1e-12)
-
-
-# -- level-batched execution (--batch) ----------------------------------------
-
-BATCH_CASES = [
-    # (label, use_gpu, resident, use_scheduler)
-    ("host-serial", False, True, False),
-    ("resident-serial", True, True, False),
-    ("nonresident-serial", True, False, False),
-    ("host-sched", False, True, True),
-    ("resident-sched", True, True, True),
-    ("nonresident-sched", True, False, True),
-]
-
-
-@pytest.fixture(scope="module")
-def batch_runs():
-    """Per-patch reference and batched run for every backend x driver,
-    with small patches so fusion groups hold many members."""
-    out = {}
-    for label, use_gpu, resident, sched in BATCH_CASES:
-        out[label] = (
-            _run(use_gpu, use_scheduler=sched, resident=resident,
-                 max_patch=8),
-            _run(use_gpu, use_scheduler=sched, resident=resident,
-                 max_patch=8, batch=True),
-        )
-    return out
-
-
-@pytest.mark.parametrize("label", [c[0] for c in BATCH_CASES])
-def test_batched_fields_bitwise_identical(batch_runs, label):
-    """Fused launches replay member bodies over the same bits on every
-    backend, under both the serial driver and the task-graph scheduler."""
-    ref, batched = batch_runs[label]
-    assert batched.steps == ref.steps
-    assert batched.sim.hierarchy.num_levels == ref.sim.hierarchy.num_levels
-    for lnum in range(ref.sim.hierarchy.num_levels):
-        for field in FIELDS:
-            a = gather_level_field(ref.sim.hierarchy.level(lnum), field)
-            b = gather_level_field(batched.sim.hierarchy.level(lnum), field)
-            assert np.array_equal(a, b, equal_nan=True), (
-                f"{field} diverged on level {lnum} under --batch ({label})"
-            )
-
-
-@pytest.mark.parametrize("label", [c[0] for c in BATCH_CASES])
-def test_batched_dt_identical(batch_runs, label):
-    """One fused CFL reduce per (backend, level) selects the exact same
-    dt as the per-patch readback chain."""
-    ref, batched = batch_runs[label]
-    assert batched.sim.dt == ref.sim.dt
-    # time is the bit-exact sum of every step's dt
-    assert batched.sim.time == ref.sim.time
-
-
-@pytest.mark.parametrize("label", [c[0] for c in BATCH_CASES])
-def test_batched_run_is_not_slower(batch_runs, label):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batched_run_is_not_slower(backend):
     """Fusing launches can only remove modelled overhead."""
-    ref, batched = batch_runs[label]
-    assert batched.runtime <= ref.runtime
+    assert _cell(backend, True, False).runtime <= \
+        _cell(backend, False, False).runtime
 
 
-def test_batched_run_records_fusion_stats(batch_runs):
-    from repro.exec.stats import combined_stats
-
-    _, batched = batch_runs["resident-serial"]
-    stats = combined_stats(r.exec_stats for r in batched.sim.comm.ranks)
-    assert stats.batches, "no fused launches recorded"
-    total_launches = sum(b.launches for b in stats.batches.values())
-    total_members = sum(b.members for b in stats.batches.values())
-    assert total_members > total_launches  # genuinely fused
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("overlap", (False, True))
+def test_batch_fuses_and_runs_whole_slab(backend, overlap):
+    """Batching is whole-slab execution: every uniform-level hydro sweep
+    runs as one stacked op (halo/geometry work falls back, counted), and
+    an unbatched run records neither fusion nor slab counters."""
+    stats = combined_stats(
+        r.exec_stats for r in _cell(backend, True, overlap).sim.comm.ranks)
+    launches = sum(b.launches for b in stats.batches.values())
+    members = sum(b.members for b in stats.batches.values())
+    assert members > launches > 0  # genuinely fused
     assert sum(b.overhead_saved_seconds
                for b in stats.batches.values()) > 0.0
-
-
-# -- whole-slab kernels (--kernels slab) vs per-patch replay -------------------
-
-SLAB_CASES = [
-    # (label, use_gpu, resident)
-    ("host", False, True),
-    ("resident", True, True),
-    ("nonresident", True, False),
-]
-
-
-@pytest.fixture(scope="module")
-def slab_runs():
-    """Per-patch-replay batched run vs whole-slab batched run on every
-    backend; small patches so slabs stack many members."""
-    out = {}
-    for label, use_gpu, resident in SLAB_CASES:
-        out[label] = (
-            _run(use_gpu, resident=resident, max_patch=8, batch=True,
-                 kernels="patch"),
-            _run(use_gpu, resident=resident, max_patch=8, batch=True,
-                 kernels="slab"),
-        )
-    return out
-
-
-@pytest.mark.parametrize("label", [c[0] for c in SLAB_CASES])
-def test_slab_kernels_bitwise_identical(slab_runs, label):
-    """One vectorized NumPy op over the whole arena slab computes the
-    exact bits of the per-patch replay on every backend."""
-    ref, slab = slab_runs[label]
-    assert slab.steps == ref.steps
-    assert slab.sim.dt == ref.sim.dt
-    assert slab.dt_history == ref.dt_history
-    for lnum in range(ref.sim.hierarchy.num_levels):
-        for field in FIELDS:
-            a = gather_level_field(ref.sim.hierarchy.level(lnum), field)
-            b = gather_level_field(slab.sim.hierarchy.level(lnum), field)
-            assert np.array_equal(a, b, equal_nan=True), (
-                f"{field} diverged on level {lnum} under --kernels slab "
-                f"({label})")
-
-
-@pytest.mark.parametrize("label", [c[0] for c in SLAB_CASES])
-def test_slab_kernels_leave_modelled_time_unchanged(slab_runs, label):
-    """Slab execution is a host-side rewrite: the fused launch charges
-    the identical modelled cost, so virtual runtime is bit-equal."""
-    ref, slab = slab_runs[label]
-    assert slab.runtime == ref.runtime
-
-
-@pytest.mark.parametrize("label", [c[0] for c in SLAB_CASES])
-def test_slab_run_records_fused_counters(slab_runs, label):
-    from repro.exec.stats import combined_stats
-
-    ref, slab = slab_runs[label]
-    stats = combined_stats(r.exec_stats for r in slab.sim.comm.ranks)
-    fused = {k: c.fused for k, c in stats.slab.items() if c.fused}
-    # every uniform-level hydro sweep fuses; halo/geometry fall back
-    for kernel in ("hydro.ideal_gas", "hydro.viscosity", "hydro.calc_dt",
-                   "hydro.pdv", "hydro.accelerate", "hydro.flux_calc",
-                   "hydro.advec_cell", "hydro.advec_mom",
-                   "hydro.reset_field"):
-        assert fused.get(kernel, 0) > 0, f"{kernel} never slab-fused ({label})"
-    ref_stats = combined_stats(r.exec_stats for r in ref.sim.comm.ranks)
-    assert not ref_stats.slab, "patch-kernel run recorded slab counters"
+    for kernel in HYDRO_KERNELS:
+        assert stats.slab[kernel].fused > 0, (
+            f"{kernel} never slab-fused ({backend})")
+    plain = combined_stats(
+        r.exec_stats for r in _cell(backend, False, overlap).sim.comm.ranks)
+    assert not plain.batches and not plain.slab
 
 
 # -- property: any fusion grouping preserves bits -----------------------------

@@ -276,9 +276,9 @@ def test_batcher_reduction_fills_slot_and_charges_one_readback():
         for v in (0.5, 0.25, 0.75)
     ]
     assert all(s is slots[0] for s in slots)  # one slot per group
-    assert isinstance(slots[0], BatchSlot) and slots[0].value is None
+    assert isinstance(slots[0], BatchSlot) and slots[0].result is None
     batcher.flush()
-    assert slots[0].value == 0.25
+    assert slots[0].result == 0.25
     # one 8-byte scalar crosses the bus per fused group, not one per patch
     assert backend.transfers == [("d2h", 8)]
 

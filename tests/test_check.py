@@ -25,7 +25,7 @@ from repro.check import (
     deactivate,
     seam_scope,
 )
-from repro.check.lint import main as lint_main
+from repro.check.lint import lint_paths
 from repro.cupdat.cuda_array_data import CudaArrayData
 from repro.gpu.device import K20X, Device
 from repro.gpu.pool import MemoryPool
@@ -239,12 +239,13 @@ def test_host_touch_of_device_data_outside_seam_raises():
 # -- seam lint ---------------------------------------------------------------
 
 
-def test_lint_clean_on_repo(capsys):
-    assert lint_main([]) == 0
-    assert "seam lint clean" in capsys.readouterr().out
+def test_lint_clean_on_repo():
+    import repro
+
+    assert lint_paths([repro.__path__[0]]) == []
 
 
-def test_lint_flags_seeded_violations(tmp_path, capsys):
+def test_lint_flags_seeded_violations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
         "def f(pd, backend):\n"
@@ -252,12 +253,10 @@ def test_lint_flags_seeded_violations(tmp_path, capsys):
         "    backend.run('hydro.ideal_gas', 10, lambda: None)\n"
         "    return raw\n"
     )
-    assert lint_main([str(bad)]) == 2
-    out = capsys.readouterr().out
-    assert "[seam]" in out and "[decl]" in out
+    assert sorted(v.rule for v in lint_paths([bad])) == ["decl", "seam"]
     # the waiver comment suppresses a finding without silencing the rule
     bad.write_text("def f(pd):\n    return pd.data.array  # samrcheck: ok\n")
-    assert lint_main([str(bad)]) == 0
+    assert lint_paths([bad]) == []
 
 
 # -- sanitize mode is bitwise-inert ------------------------------------------
@@ -277,7 +276,7 @@ def test_sanitize_never_changes_field_bits(plain_run, seed):
     every field bit matches the uninstrumented run under any valid
     topological order."""
     steps, want = plain_run
-    cfg = _config(execution=ExecutionPolicy(scheduler=True), sanitize=True)
+    cfg = _config(sanitize=True)
     sim = build_simulation(cfg)
     activate(SanitizeChecker())
     try:
@@ -327,17 +326,23 @@ def test_underdeclared_batch_member_is_caught():
 
 def test_sanitize_batched_run_is_clean_and_identical():
     """``--batch --sanitize`` stays clean under both drivers: fused
-    launches declare the union of their members' operands, so the checker
+    launches declare the union of their members' operands and stacked
+    slab handouts are instrumented like per-patch ones, so the checker
     sees every access — and observing changes no bits."""
+    from repro.exec.stats import combined_stats
+
     plain = run(_config())
     want = _fields(plain.sim)
-    for extra in ({}, {"scheduler": True}):
+    for extra in ({}, {"overlap": True}):
         sane = run(_config(execution=ExecutionPolicy(batch=True, **extra),
                            sanitize=True))
         assert sane.steps == plain.steps
         assert sane.sanitize_counters is not None
         assert sane.sanitize_counters["kernels"] > 0 or \
             sane.sanitize_counters["tasks"] > 0
+        stats = combined_stats(r.exec_stats for r in sane.sim.comm.ranks)
+        assert sum(c.fused for c in stats.slab.values()) > 0, \
+            "sanitized run never slab-fused"
         got = _fields(sane.sim)
         for key in want:
             assert np.array_equal(want[key], got[key], equal_nan=True), (
@@ -366,28 +371,6 @@ def test_slab_handout_enforces_uniform_declared_role():
             chk.on_slab_handout((Datum("undeclared"),), arr)
     finally:
         chk.abort_kernel(scope)
-
-
-def test_sanitize_slab_run_is_clean_and_identical():
-    """``--kernels slab --sanitize``: the checker sees every stacked
-    handout, stays clean, and observing changes no bits relative to the
-    per-patch-replay batched run."""
-    from repro.exec.stats import combined_stats
-
-    plain = run(_config(execution=ExecutionPolicy(batch=True, kernels="patch")))
-    want = _fields(plain.sim)
-    sane = run(_config(execution=ExecutionPolicy(batch=True, kernels="slab"),
-                       sanitize=True))
-    assert sane.steps == plain.steps
-    assert sane.sanitize_counters is not None
-    assert sane.sanitize_counters["kernels"] > 0
-    stats = combined_stats(r.exec_stats for r in sane.sim.comm.ranks)
-    assert sum(c.fused for c in stats.slab.values()) > 0, \
-        "sanitized run never slab-fused"
-    got = _fields(sane.sim)
-    for key in want:
-        assert np.array_equal(want[key], got[key], equal_nan=True), (
-            f"{key} diverged under --kernels slab --sanitize")
 
 
 def test_sanitize_end_to_end_run_is_clean_and_identical():

@@ -27,15 +27,15 @@ BACKENDS = [
     ("nonresident", True, False),
 ]
 
-#: (label, batch_launches, kernels)
+#: (label, batch)
 DRIVERS = [
-    ("patch", False, "patch"),
-    ("slab", True, "slab"),
+    ("patch", False),
+    ("batch", True),
 ]
 
 
 def _cfg(problem, *, incremental, use_gpu=False, resident=True,
-         batch=False, kernels="patch", regrid_interval=2, **overrides):
+         batch=False, regrid_interval=2, **overrides):
     kwargs = dict(
         problem=problem,
         nranks=2,
@@ -46,7 +46,7 @@ def _cfg(problem, *, incremental, use_gpu=False, resident=True,
         regrid=RegridPolicy(interval=regrid_interval,
                             incremental=incremental),
         max_steps=6,
-        execution=ExecutionPolicy(batch=batch, kernels=kernels),
+        execution=ExecutionPolicy(batch=batch),
     )
     kwargs.update(overrides)
     return RunConfig(**kwargs)
@@ -57,7 +57,7 @@ _CACHE: dict = {}
 
 def _cached_run(cfg):
     key = (type(cfg.problem).__name__, cfg.use_gpu, cfg.resident,
-           cfg.execution.batch, cfg.execution.kernels,
+           cfg.execution.batch,
            cfg.regrid.incremental)
     if key not in _CACHE:
         _CACHE[key] = run(cfg)
@@ -84,28 +84,25 @@ def assert_runs_identical(a, b):
 
 @pytest.mark.parametrize("backend,use_gpu,resident",
                          BACKENDS, ids=[b[0] for b in BACKENDS])
-@pytest.mark.parametrize("driver,batch,kernels",
+@pytest.mark.parametrize("driver,batch",
                          DRIVERS, ids=[d[0] for d in DRIVERS])
 class TestBitwiseParity:
-    def test_sod(self, backend, use_gpu, resident, driver, batch, kernels):
+    def test_sod(self, backend, use_gpu, resident, driver, batch):
         base = _cached_run(_cfg(SodProblem((32, 32)), incremental=False,
                                 use_gpu=use_gpu, resident=resident,
-                                batch=batch, kernels=kernels))
+                                batch=batch))
         inc = _cached_run(_cfg(SodProblem((32, 32)), incremental=True,
                                use_gpu=use_gpu, resident=resident,
-                               batch=batch, kernels=kernels))
+                               batch=batch))
         assert_runs_identical(base, inc)
 
-    def test_triple_point(self, backend, use_gpu, resident,
-                          driver, batch, kernels):
+    def test_triple_point(self, backend, use_gpu, resident, driver, batch):
         base = _cached_run(_cfg(TriplePointProblem((28, 12)),
                                 incremental=False, use_gpu=use_gpu,
-                                resident=resident, batch=batch,
-                                kernels=kernels))
+                                resident=resident, batch=batch))
         inc = _cached_run(_cfg(TriplePointProblem((28, 12)),
                                incremental=True, use_gpu=use_gpu,
-                               resident=resident, batch=batch,
-                               kernels=kernels))
+                               resident=resident, batch=batch))
         assert_runs_identical(base, inc)
 
 

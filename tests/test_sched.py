@@ -66,7 +66,7 @@ def test_any_topological_order_is_bitwise_identical(serial_run, seed):
     """Random tie-break priorities explore different valid topological
     orders; every one of them must reproduce the serial fields exactly."""
     steps, want = serial_run
-    cfg = _config(execution=ExecutionPolicy(scheduler=True))
+    cfg = _config()
     sim = build_simulation(cfg)
     sim.initialise()
     sim._step_scheduler = StepScheduler(
@@ -88,6 +88,55 @@ def test_overlap_mode_is_bitwise_identical(serial_run):
     got = _fields(res.sim)
     for key in want:
         assert np.array_equal(want[key], got[key], equal_nan=True), key
+
+
+# -- one step program ---------------------------------------------------------
+
+_KERNEL_METHODS = ("ideal_gas", "viscosity", "calc_dt", "pdv", "accelerate",
+                   "flux_calc", "advec_cell", "advec_mom", "reset_field")
+
+
+def _launch_sequence(monkeypatch, batch: bool, overlap: bool):
+    """Every ``(operation, level)`` a run issues, in program order: one
+    entry per patch-integrator kernel call and per halo-fill / sync
+    schedule invocation, whichever driver (inline or recording) made it."""
+    from repro.hydro.patch_integrator import CleverleafPatchIntegrator
+    from repro.xfer.coarsen_schedule import CoarsenSchedule
+    from repro.xfer.refine_schedule import RefineSchedule
+
+    seq = []
+
+    def record(cls, method, label, level_of):
+        orig = getattr(cls, method)
+
+        def wrapper(self, *args, **kwargs):
+            seq.append((label, level_of(self, *args)))
+            return orig(self, *args, **kwargs)
+        patches.setattr(cls, method, wrapper)
+
+    with monkeypatch.context() as patches:
+        for name in _KERNEL_METHODS:
+            record(CleverleafPatchIntegrator, name, name,
+                   lambda self, patch, *a: patch.level.level_number)
+        for method in ("fill", "emit_tasks"):
+            record(RefineSchedule, method, "fill",
+                   lambda self, *a: self.dst_level.level_number)
+        for method in ("coarsen", "emit_tasks"):
+            record(CoarsenSchedule, method, "coarsen",
+                   lambda self, *a: self.fine_level.level_number)
+        run(_config(execution=ExecutionPolicy(batch=batch, overlap=overlap)))
+    return seq
+
+
+@pytest.mark.parametrize("batch", (False, True))
+@pytest.mark.parametrize("overlap", (False, True))
+def test_drivers_launch_the_identical_sequence(monkeypatch, batch, overlap):
+    """The timestep is one program: the inline driver and the graph
+    recorder issue the same (kernel, level) launches and the same
+    per-level fills and syncs in the same order, batched or not."""
+    want = _launch_sequence(monkeypatch, False, False)
+    assert {op for op, _ in want} == {*_KERNEL_METHODS, "fill", "coarsen"}
+    assert _launch_sequence(monkeypatch, batch, overlap) == want
 
 
 # -- overlap accounting ------------------------------------------------------

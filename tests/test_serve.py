@@ -330,6 +330,62 @@ class TestPreemptResumeDeterminism:
                 assert np.float64(v) == np.float64(twin.final_fields[k])
 
 
+def _queue_line(**edits):
+    """One valid queue-file line with keys replaced (None deletes)."""
+    import json
+
+    from repro.serve.cli import spec_to_json
+
+    d = json.loads(spec_to_json(
+        JobSpec("j", _cfg(execution=ExecutionPolicy(batch=True)))))
+    d.update(edits)
+    return json.dumps({k: v for k, v in d.items() if v is not None})
+
+
+class TestQueueFile:
+    """The queue file is outside input: bad lines fail typed, naming the
+    line and the key, instead of escaping as TypeError/KeyError."""
+
+    def test_round_trip(self):
+        from repro.serve.cli import spec_from_json
+
+        spec = spec_from_json(_queue_line())
+        assert spec.name == "j"
+        assert spec.cfg.execution == ExecutionPolicy(batch=True)
+        assert fingerprint(spec.cfg, full=True) == fingerprint(
+            _cfg(execution=ExecutionPolicy(batch=True)), full=True)
+
+    @pytest.mark.parametrize("line,needle", [
+        ("{not json", "not JSON"),
+        (_queue_line(problem=None), "'problem'"),
+        (_queue_line(problem="kelvin_helmholtz"), "'kelvin_helmholtz'"),
+        # an old queue file: the removed knobs are unknown keys now
+        (_queue_line(execution={"batch": True, "scheduler": True}),
+         "execution key 'scheduler'"),
+        (_queue_line(execution={"kernels": "slab"}),
+         "execution key 'kernels'"),
+        (_queue_line(regrid={"interval": 3, "every": 2}),
+         "regrid key 'every'"),
+    ])
+    def test_bad_line_raises_queue_format_error(self, line, needle):
+        from repro.serve.cli import QueueFormatError, spec_from_json
+
+        with pytest.raises(QueueFormatError, match="queue line 7") as exc:
+            spec_from_json(line, 7)
+        assert needle in str(exc.value)
+
+    def test_serve_reports_the_line_and_exits_2(self, tmp_path, capsys):
+        from repro.serve.cli import serve_main
+
+        queue = tmp_path / "q.jsonl"
+        queue.write_text(_queue_line() + "\n\n"
+                         + _queue_line(batch=True, execution=None,
+                                      regrid={"regrid_interval": 2}) + "\n")
+        assert serve_main(["--queue", str(queue)]) == 2
+        err = capsys.readouterr().err
+        assert "queue line 3" in err and "'regrid_interval'" in err
+
+
 class TestServeLintRule:
     """serve code may only enter simulations through repro.api."""
 

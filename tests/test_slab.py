@@ -1,4 +1,4 @@
-"""Whole-slab vectorized kernel execution (``--kernels slab``).
+"""Whole-slab vectorized kernel execution (what ``--batch`` runs).
 
 Three layers of evidence that the slab fast path is a pure host-side
 rewrite of the fused launch:
@@ -12,7 +12,7 @@ rewrite of the fused launch:
   ragged or mismatched replays per-patch bodies (never half-executes);
 * run level — a ragged hierarchy (mixed patch shapes on one level)
   falls back loudly (``slab_fallback`` counters) while the fields stay
-  bitwise identical to ``--kernels patch``.
+  bitwise identical to the per-patch path.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def test_slab_plan_mixed_roles_fall_back():
 # -- end-to-end: ragged fallback stays bitwise ---------------------------------
 
 
-def _cfg(batch=True, kernels="auto", **overrides):
+def _cfg(batch=True, **overrides):
     base = dict(
         problem=SodProblem((24, 24)),
         nranks=1,
@@ -250,7 +250,7 @@ def _cfg(batch=True, kernels="auto", **overrides):
         max_patch_size=10,   # 24/10 -> ragged refined level (9x9 + 9x10)
         regrid=RegridPolicy(interval=3),
         max_steps=4,
-        execution=ExecutionPolicy(batch=batch, kernels=kernels),
+        execution=ExecutionPolicy(batch=batch),
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -258,7 +258,8 @@ def _cfg(batch=True, kernels="auto", **overrides):
 
 @pytest.fixture(scope="module")
 def ragged_runs():
-    return run(_cfg(kernels="patch")), run(_cfg(kernels="slab"))
+    """The per-patch reference and the batched (whole-slab) run."""
+    return run(_cfg(batch=False)), run(_cfg())
 
 
 def _slab_counters(res):
@@ -278,7 +279,7 @@ def test_ragged_level_counts_fallbacks_and_fusions(ragged_runs):
     assert counters["hydro.pdv"][0] > 0
 
 
-def test_patch_run_records_no_slab_counters(ragged_runs):
+def test_per_patch_run_records_no_slab_counters(ragged_runs):
     patch, _ = ragged_runs
     assert _slab_counters(patch) == {}
 
@@ -287,13 +288,12 @@ def test_ragged_slab_run_is_bitwise_identical(ragged_runs):
     patch, slab = ragged_runs
     assert slab.steps == patch.steps
     assert slab.dt_history == patch.dt_history
-    assert slab.runtime == patch.runtime  # virtual cost model unchanged
     for lnum in range(patch.sim.hierarchy.num_levels):
         for field in FIELDS:
             a = gather_level_field(patch.sim.hierarchy.level(lnum), field)
             b = gather_level_field(slab.sim.hierarchy.level(lnum), field)
             assert np.array_equal(a, b, equal_nan=True), (
-                f"{field} diverged on level {lnum} under --kernels slab")
+                f"{field} diverged on level {lnum} under --batch")
 
 
 def test_slab_counters_surface_in_metrics_manifest(ragged_runs):
@@ -301,13 +301,3 @@ def test_slab_counters_surface_in_metrics_manifest(ragged_runs):
     counters = slab.metrics["counters"]
     assert any(k.startswith("slab_fused{") for k in counters)
     assert any(k.startswith("slab_fallback{") for k in counters)
-
-
-def test_slab_requires_batch_launches():
-    with pytest.raises(ValueError, match="requires batch=True"):
-        run(_cfg(batch=False, kernels="slab"))
-
-
-def test_kernels_defaults_to_slab_under_batch():
-    assert _cfg().simulation_config().kernels == "slab"
-    assert _cfg(batch=False).simulation_config().kernels == "patch"

@@ -17,7 +17,6 @@ import pytest
 
 from repro.check import dispatch, layers
 from repro.check.effects import CONDITIONAL, DEFINITE, analyze_source
-from repro.check.lint import main as lint_main
 from repro.check.lint import parse_waiver
 from repro.check.static import check_main
 from repro.sched import GraphBuilder, TaskKind
@@ -201,7 +200,8 @@ def synthetic_pkg(tmp_path):
     return pkg
 
 
-def _integ_source(reads, writes):
+def _run_source(reads, writes):
+    """A ``backend.run`` site whose body subscripts a name -> array dict."""
     return textwrap.dedent(f"""
         from . import kernels as K
 
@@ -215,9 +215,29 @@ def _integ_source(reads, writes):
     """)
 
 
-def test_injected_underdeclared_read_is_caught(synthetic_pkg):
+def _funnel_source(reads, writes):
+    """An integrator-funnel site: the kernel over positional operands."""
+    return textwrap.dedent(f"""
+        from . import kernels as K
+
+        class Thing:
+            def go(self, patch, rank, n, g):
+                names = ("alpha", "beta")
+
+                def fn(a, b):
+                    K.axpy(a, b, n, g)
+                self._run(patch, rank, "hydro.axpy", n, fn, names, (n, g),
+                          reads={reads!r}, writes={writes!r})
+    """)
+
+
+SOURCES = pytest.mark.parametrize("source", [_run_source, _funnel_source])
+
+
+@SOURCES
+def test_injected_underdeclared_read_is_caught(synthetic_pkg, source):
     (synthetic_pkg / "integ.py").write_text(
-        _integ_source(reads=("beta",), writes=("beta",)))
+        source(reads=("beta",), writes=("beta",)))
     sites, findings = dispatch.scan_paths([synthetic_pkg])
     assert [s.level for s in sites] == [dispatch.FULL]
     rules = {f.rule for f in findings}
@@ -225,18 +245,20 @@ def test_injected_underdeclared_read_is_caught(synthetic_pkg):
     assert any("alpha" in f.message for f in findings)
 
 
-def test_injected_overdeclared_read_names_phantom_edge(synthetic_pkg):
+@SOURCES
+def test_injected_overdeclared_read_names_phantom_edge(synthetic_pkg, source):
     (synthetic_pkg / "integ.py").write_text(
-        _integ_source(reads=("alpha", "beta", "gamma"), writes=("beta",)))
+        source(reads=("alpha", "beta", "gamma"), writes=("beta",)))
     sites, findings = dispatch.scan_paths([synthetic_pkg])
     over = [f for f in findings if f.rule == "decl-over-read"]
     assert len(over) == 1 and "gamma" in over[0].message
     assert "phantom" in over[0].message
 
 
-def test_correct_declaration_is_clean(synthetic_pkg):
+@SOURCES
+def test_correct_declaration_is_clean(synthetic_pkg, source):
     (synthetic_pkg / "integ.py").write_text(
-        _integ_source(reads=("alpha", "beta"), writes=("beta",)))
+        source(reads=("alpha", "beta"), writes=("beta",)))
     _sites, findings = dispatch.scan_paths([synthetic_pkg])
     assert findings == []
 
@@ -420,11 +442,6 @@ def test_repro_check_subcommand():
     from repro.cli import main as cli_main
 
     assert cli_main(["check", "--all", "src/repro"]) == 0
-
-
-def test_legacy_lint_module_still_clean(capsys):
-    assert lint_main([]) == 0
-    assert "seam lint clean" in capsys.readouterr().out
 
 
 # -- the fixed over-declaration is inert in the DAG ---------------------------

@@ -1,9 +1,8 @@
 """The auto-tuner (``repro.tune``) and the single policy resolver.
 
 The contract under test: ``resolve_policies`` is the *only* place the
-``"auto"`` literals become concrete values (the old triplicated
-``kernels=None -> "slab" if batch else "patch"`` rule lives here now),
-and ``ExecutionPolicy(mode="auto")`` drives probe measurement that (a)
+``"auto"`` literals become concrete values, over the policy's two axes
+(``batch`` x ``overlap``), and ``ExecutionPolicy(mode="auto")`` drives probe measurement that (a)
 picks the paper's fast path on the many-small-patch configuration the
 ablation benchmarks use, (b) never changes the physics, and (c) records
 every decision in the manifest and the full config fingerprint.
@@ -33,28 +32,16 @@ from repro.tune.tuner import tune_policies
 
 def test_fixed_mode_resolves_autos_conservatively():
     ep, rp = resolve_policies(ExecutionPolicy(), RegridPolicy())
-    assert (ep.scheduler, ep.overlap, ep.batch) == (False, False, False)
-    assert ep.kernels == "patch"
+    assert ep.as_dict() == {"mode": "fixed", "overlap": False, "batch": False}
     assert rp.incremental is False
-    assert ep.mode == "fixed"
 
 
-def test_kernels_auto_derives_from_batch():
-    ep, _ = resolve_policies(ExecutionPolicy(batch=True), RegridPolicy())
-    assert ep.kernels == "slab"
-    ep, _ = resolve_policies(ExecutionPolicy(batch=False), RegridPolicy())
-    assert ep.kernels == "patch"
-
-
-def test_slab_without_batch_is_rejected():
-    with pytest.raises(ValueError, match="requires batch=True"):
-        resolve_policies(ExecutionPolicy(batch=False, kernels="slab"),
-                         RegridPolicy())
-
-
-def test_overlap_forces_scheduler():
-    ep, _ = resolve_policies(ExecutionPolicy(overlap=True), RegridPolicy())
-    assert ep.scheduler is True
+@pytest.mark.parametrize("gone", ["scheduler", "kernels"])
+def test_policy_has_exactly_two_axes(gone):
+    """What ``scheduler``/``kernels`` selected is derived (task graphs iff
+    overlap, whole-slab iff batch); the fields themselves are gone."""
+    with pytest.raises(TypeError, match=gone):
+        ExecutionPolicy(**{gone: AUTO})
 
 
 def test_auto_mode_without_decisions_raises():
@@ -65,9 +52,8 @@ def test_auto_mode_without_decisions_raises():
 def test_auto_mode_takes_decisions():
     ep, rp = resolve_policies(
         ExecutionPolicy(mode="auto"), RegridPolicy(),
-        decisions={"scheduler": False, "overlap": False, "batch": True,
-                   "kernels": "slab", "incremental": True})
-    assert (ep.batch, ep.kernels, rp.incremental) == (True, "slab", True)
+        decisions={"overlap": False, "batch": True, "incremental": True})
+    assert (ep.overlap, ep.batch, rp.incremental) == (False, True, True)
 
 
 def test_needs_tuning():
@@ -79,7 +65,7 @@ def test_needs_tuning():
 
 #: the many-small-patch Sod setup bench_ablation_batch sweeps: 8^2
 #: patches of a 48^2 domain -> launch overhead dominates, so the tuner
-#: must find the batched/slab fast path
+#: must find the batched fast path
 def _ablation_cfg(**kwargs):
     base = dict(
         problem=SodProblem((48, 48)),
@@ -105,20 +91,17 @@ def hand_run(auto_run):
     """The hand-flagged twin of whatever the tuner chose."""
     chosen = auto_run.policies["tuned"]["chosen"]
     return run(_ablation_cfg(
-        execution=ExecutionPolicy(
-            scheduler=chosen["scheduler"], overlap=chosen["overlap"],
-            batch=chosen["batch"], kernels=chosen["kernels"]),
+        execution=ExecutionPolicy(overlap=chosen["overlap"],
+                                  batch=chosen["batch"]),
         regrid=RegridPolicy(incremental=chosen["incremental"]),
     ))
 
 
-def test_tuner_picks_batched_slab_on_small_patches(auto_run):
+def test_tuner_picks_batched_on_small_patches(auto_run):
     tuned = auto_run.policies["tuned"]
-    assert tuned["winner"] in ("batch+slab", "overlap+batch+slab")
+    assert tuned["winner"] in ("batch", "overlap+batch")
     assert tuned["chosen"]["batch"] is True
-    assert tuned["chosen"]["kernels"] == "slab"
     assert auto_run.policies["execution"]["batch"] is True
-    assert auto_run.policies["execution"]["kernels"] == "slab"
 
 
 def test_tuned_grind_within_ten_percent_of_hand_flagged(auto_run, hand_run):
@@ -134,7 +117,7 @@ def test_probe_evidence_recorded_in_manifest(auto_run):
     tuned = auto_run.policies["tuned"]
     assert tuned["probe_steps"] >= 1
     labels = [p["label"] for p in tuned["probes"]]
-    assert "serial" in labels and "batch+slab" in labels
+    assert labels == ["serial", "batch", "overlap+batch"]  # the whole ladder
     for probe in tuned["probes"]:
         assert probe["grind"] > 0.0
         assert "slab_fallback_rate" in probe["signals"]
@@ -178,18 +161,16 @@ def test_pinned_fields_are_never_overridden():
     ep, rp, decisions = tune_policies(_ablation_cfg(
         execution=ExecutionPolicy(mode="auto", batch=False)))
     assert ep.batch is False
-    assert ep.kernels == "patch"  # slab candidates contradict the pin
     assert all(p.execution.batch is False for p in decisions.probes)
 
 
 def test_fully_pinned_auto_skips_probing():
     ep, rp, decisions = tune_policies(_ablation_cfg(
-        execution=ExecutionPolicy(mode="auto", scheduler=False,
-                                  overlap=False, batch=True, kernels="slab"),
+        execution=ExecutionPolicy(mode="auto", overlap=False, batch=True),
         regrid=RegridPolicy(incremental=True)))
     assert decisions.winner == "pinned"
     assert decisions.probes == []
-    assert (ep.batch, ep.kernels, rp.incremental) == (True, "slab", True)
+    assert (ep.overlap, ep.batch, rp.incremental) == (False, True, True)
 
 
 def test_probe_steps_clamped_to_budget():
