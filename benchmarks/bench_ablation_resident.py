@@ -7,12 +7,16 @@ for halos, tags and reductions — is what makes GPU AMR pay off.
 
 This bench runs the same simulation with the resident integrator and with
 the copy-per-kernel integrator and compares modelled runtime and PCIe
-traffic.
+traffic.  Traffic is attributed by cause — the one-off initial-condition
+upload during ``initialise``, the step loop (what the paper's claim is
+about: dt readbacks and regrid tag bitmaps), and the diagnostics
+readback in ``result()`` — by snapshotting the device counters around
+each; the residency assertions are on the step loop alone.
 """
 
 import pytest
 
-from repro.api import RunConfig, run
+from repro.api import RunConfig, RunSession
 from repro.hydro.problems import SodProblem
 
 from _report import QUICK_STEPS, emit, table
@@ -20,7 +24,10 @@ from _report import QUICK_STEPS, emit, table
 RES = 192
 
 
-def run_point(resident: bool):
+CAUSES = ("init", "steps", "result")
+
+
+def run_point(resident: bool) -> dict:
     cfg = RunConfig(
         problem=SodProblem((RES, RES)),
         machine="IPA",
@@ -31,23 +38,34 @@ def run_point(resident: bool):
         max_patch_size=RES,
         max_steps=QUICK_STEPS,
     )
-    return run(cfg)
+    session = RunSession(cfg)  # runs initialise
+    try:
+        stats = session.sim.comm.rank(0).device.stats
+
+        def snapshot():
+            return (stats.bytes_d2h + stats.bytes_h2d,
+                    stats.transfers_d2h + stats.transfers_h2d)
+
+        marks = [(0, 0), snapshot()]
+        session.advance()
+        marks.append(snapshot())
+        res = session.result()  # field_summary reads the fields back
+        marks.append(snapshot())
+    finally:
+        session.close()
+    out = {"runtime": res.runtime, "cells": res.cells, "manifest": res.metrics,
+           "pcie_bytes": marks[-1][0], "transfers": marks[-1][1]}
+    for cause, (b0, n0), (b1, n1) in zip(CAUSES, marks, marks[1:]):
+        out[f"{cause}_bytes"] = b1 - b0
+        out[f"{cause}_transfers"] = n1 - n0
+    return out
 
 
 @pytest.fixture(scope="module")
 def results():
-    out = {}
-    for resident in (True, False):
-        res = run_point(resident)
-        stats = res.sim.comm.rank(0).device.stats
-        out[resident] = {
-            "runtime": res.runtime,
-            "pcie_bytes": stats.bytes_d2h + stats.bytes_h2d,
-            "transfers": stats.transfers_d2h + stats.transfers_h2d,
-            "cells": res.cells,
-        }
-        if resident:
-            out["manifest"] = res.metrics
+    out = {resident: run_point(resident) for resident in (True, False)}
+    out["manifest"] = out[True].pop("manifest")
+    del out[False]["manifest"]
     return out
 
 
@@ -59,26 +77,37 @@ def test_ablation_table(results, benchmark):
             rows.append([
                 "resident" if resident else "copy-per-kernel",
                 f"{r['runtime']:.4f}",
-                f"{r['pcie_bytes'] / 1e6:.1f}",
-                r["transfers"],
+                *(f"{r[f'{cause}_bytes'] / 1e6:.4f}" for cause in CAUSES),
+                r["steps_transfers"],
             ])
         return table(
             f"Residency ablation (Sod {RES}x{RES}, 2 levels, "
             f"{QUICK_STEPS} steps, 1 GPU, modelled)",
-            ["integrator", "runtime (s)", "PCIe MB", "PCIe transfers"],
+            ["integrator", "runtime (s)", "init MB", "step-loop MB",
+             "result() MB", "step-loop transfers"],
             rows,
         )
     lines = benchmark(render)
     speed = results[False]["runtime"] / results[True]["runtime"]
-    traffic = results[False]["pcie_bytes"] / max(results[True]["pcie_bytes"], 1)
-    lines.append(f"resident speedup over copy-per-kernel : {speed:.2f}x")
-    lines.append(f"PCIe traffic ratio (copying/resident) : {traffic:.0f}x")
+    traffic = (results[False]["steps_bytes"]
+               / max(results[True]["steps_bytes"], 1))
+    share = _step_share(results[True])
+    lines.append(f"resident speedup over copy-per-kernel        : {speed:.2f}x")
+    lines.append(f"step-loop PCIe traffic ratio (copying/resident): {traffic:.0f}x")
+    lines.append(f"resident step-loop traffic per step / field data: {share:.4%}")
     emit("ablation_resident", lines,
          config={"problem": f"sod {RES}x{RES}", "levels": 2,
                  "steps": QUICK_STEPS},
          metrics={"resident": results[True], "copy_per_kernel": results[False],
-                  "speedup": speed, "traffic_ratio": traffic},
+                  "speedup": speed, "traffic_ratio": traffic,
+                  "resident_step_share": share},
          manifest=results["manifest"])
+
+
+def _step_share(r: dict) -> float:
+    """Step-loop PCIe bytes per step over the field footprint."""
+    field_bytes = r["cells"] * 8 * 18  # 18 fields
+    return r["steps_bytes"] / QUICK_STEPS / field_bytes
 
 
 def test_resident_is_faster(results):
@@ -86,11 +115,12 @@ def test_resident_is_faster(results):
 
 
 def test_resident_moves_orders_less_data(results):
-    assert results[False]["pcie_bytes"] > 20 * results[True]["pcie_bytes"]
+    assert results[False]["steps_bytes"] > 20 * results[True]["steps_bytes"]
 
 
 def test_resident_traffic_is_small_vs_field_data(results):
-    """Resident PCIe traffic per step is a sliver of the field footprint."""
-    field_bytes = results[True]["cells"] * 8 * 18  # 18 fields
-    per_step = results[True]["pcie_bytes"] / QUICK_STEPS
-    assert per_step < 0.05 * field_bytes
+    """While stepping, resident PCIe traffic is a sliver of the field
+    footprint: dt readbacks and regrid tag bitmaps, nothing else (the
+    upload in ``initialise`` and the diagnostics readback in ``result()``
+    are outside the loop and reported separately)."""
+    assert _step_share(results[True]) < 0.001

@@ -1,11 +1,11 @@
 """Dispatch-site resolution: bind declared accesses to inferred effects.
 
-Every kernel launch in the tree goes through one of four call families —
-``Backend.run``, ``Backend.run_batched``, ``GraphBuilder.kernel_task``,
-``BatchMember(...)`` — plus the integrator funnel ``self._run(...)``
-that feeds all three.  This module enumerates every such site under a
-source root and resolves each one to a :class:`Site` at one of three
-levels:
+Every kernel launch in the tree goes through one of three call families —
+``Backend.run``, ``Backend.run_batched``, ``BatchMember(...)`` (what the
+sinks' ``kernel_task`` verb launches) — plus the integrator funnel
+``self._run(...)`` that feeds all three.  This module enumerates every
+such site under a source root and resolves each one to a :class:`Site`
+at one of three levels:
 
 * **full** — the declared ``reads=``/``writes=``/``ghost_reads=`` names
   evaluate to field-name sets (constants, ``names[:2] + names[3:]``
@@ -342,8 +342,7 @@ def _decl_exprs(node: ast.Call, kind: str) -> dict:
     kw = {k.arg: k.value for k in node.keywords if k.arg is not None}
     out = {"reads": kw.get("reads"), "writes": kw.get("writes"),
            "ghost_reads": kw.get("ghost_reads")}
-    pos = {"kernel_task": {"reads": 5, "writes": 6},
-           "batch_member": {"reads": 2, "writes": 3, "ghost_reads": 4}}
+    pos = {"batch_member": {"reads": 2, "writes": 3, "ghost_reads": 4}}
     for name, i in pos.get(kind, {}).items():
         if out[name] is None and len(node.args) > i:
             out[name] = node.args[i]
@@ -383,8 +382,6 @@ class _FileScanner:
                 elif fn.attr == "run_batched":
                     self._site(node, "run_batched", _kernel_name(node, 0),
                                forced_level=DELEGATED)
-                elif fn.attr == "kernel_task":
-                    self._site(node, "kernel_task", _kernel_name(node, 2))
                 elif fn.attr == "_run" and _kernel_name(node, 2):
                     self._site(node, "integrator_run",
                                _kernel_name(node, 2))
@@ -425,8 +422,7 @@ class _FileScanner:
     # -- body binding ----------------------------------------------------------
 
     def _body_arg(self, node: ast.Call, kind: str):
-        index = {"run": 2, "integrator_run": 4, "kernel_task": 4,
-                 "batch_member": 1}.get(kind)
+        index = {"run": 2, "integrator_run": 4, "batch_member": 1}.get(kind)
         if index is not None and len(node.args) > index:
             return node.args[index]
         kw = {k.arg: k.value for k in node.keywords if k.arg}

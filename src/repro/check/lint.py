@@ -13,7 +13,7 @@ dynamic checker can only observe at runtime:
 * **device** — raw device memory (``DeviceArray``, ``.kernel_view()``)
   may only be handled by the gpu runtime, the seam, and the device data
   package.
-* **decl** — every ``Backend.run``/``GraphBuilder.kernel_task`` call site
+* **decl** — every ``Backend.run`` call site
   naming a kernel must declare its data accesses (``reads=``/``writes=``),
   because the scheduler derives dependency edges from exactly those
   declarations.
@@ -267,8 +267,6 @@ class _Linter(ast.NodeVisitor):
                            "the gpu runtime and the backend seam")
             if func.attr == "run":
                 self._check_run_call(node)
-            elif func.attr == "kernel_task":
-                self._check_kernel_task_call(node)
         self.generic_visit(node)
 
     # -- declaration rules -----------------------------------------------------
@@ -287,14 +285,6 @@ class _Linter(ast.NodeVisitor):
                        f"kernel call site {first.value!r} passes no reads=/"
                        "writes= declaration — the scheduler derives "
                        "dependency edges from these")
-
-    def _check_kernel_task_call(self, node: ast.Call):
-        kwnames = {kw.arg for kw in node.keywords}
-        # kernel_task(backend, rank, kernel, elements, body, reads, writes)
-        if len(node.args) < 7 and not kwnames & {"reads", "writes"}:
-            self._flag(node, "decl",
-                       "kernel_task call site passes no reads=/writes= "
-                       "declaration")
 
 
 def lint_file_full(path: Path) -> tuple[list[Violation], set[int]]:

@@ -7,7 +7,7 @@ This is the driver that ties the static half of samrcheck together:
 * **effect inference + dispatch-site checking**
   (:mod:`repro.check.effects` + :mod:`repro.check.dispatch`): every
   kernel's loads/stores/ghost reads inferred from its AST, every
-  ``Backend.run``/``run_batched``/``kernel_task``/``BatchMember``
+  ``Backend.run``/``run_batched``/``BatchMember``
   site resolved, declarations compared against inferred effects,
 * the **module layering DAG** + import-cycle detection
   (:mod:`repro.check.layers`),

@@ -381,9 +381,10 @@ class Backend(abc.ABC):
         vectorized NumPy op over the whole stacked arena slab — same
         kernel name, element total, declarations and modelled cost, so
         only host wall-clock changes; the fused CFL min reduces over the
-        stacked axis, which selects the exact same scalar.  Slab-marked
-        groups that fail eligibility replay their bodies and are counted
-        as ``slab_fallback``.
+        stacked axis, which selects the exact same scalar.  Every other
+        multi-member group — members without a spec (ragged halo bodies,
+        per-region temps) or failing eligibility — replays its bodies
+        and is counted as ``slab_fallback``.
         """
         members = list(members)
         if not members:
@@ -421,9 +422,8 @@ class Backend(abc.ABC):
             self.rank.exec_stats.record_batch(
                 kernel, len(members), self._batch_overhead_saved(len(members)),
                 host_seconds=host_seconds)
-            if any(m.slab is not None for m in members):
-                self.rank.exec_stats.record_slab(
-                    kernel, fused=slab_body is not None)
+            self.rank.exec_stats.record_slab(
+                kernel, fused=slab_body is not None)
             if tracer is not None and clock is not None:
                 lane = device.default_stream.label if device is not None else HOST
                 tracer.emit(kernel, "fused", self.rank.index, lane,

@@ -15,23 +15,18 @@ Bodies execute in member order over disjoint patch data, so a fused
 launch produces bitwise-identical fields to the per-patch reference
 path.
 
-:class:`LaunchBatcher` is the serial integrator's collection point: it
-groups members by (backend, kernel, level) during one sweep and flushes
-each group as one fused launch.  Reduction sweeps (the CFL ``calc_dt``)
-additionally get a :class:`BatchSlot` per group — the fused launch
-combines its members' results on the device and a single modelled D2H
-readback fills the slot, replacing the per-patch readback chain.
+:class:`LaunchBatcher` is the one collection point: a kernel sweep (or a
+transfer schedule) hands it per-patch members, it groups them — by
+(backend, kernel, level) when fusing, one group per member otherwise —
+and ``flush`` hands each group to a sink's launch verb.  A reduction
+launch (the CFL ``calc_dt``) hands back a handle whose ``.result`` is the
+group's combined value after a single modelled D2H readback.
 """
 
 from __future__ import annotations
 
 __all__ = ["BatchMember", "BatchSlot", "LaunchBatcher", "SlabSpec",
-           "SLAB_FALLBACK", "union_pds"]
-
-#: sentinel ``BatchMember.slab`` value: this fused work is inherently
-#: per-patch (ragged halo bodies, per-region interpolation temps) — the
-#: launch replays member bodies and is counted as ``slab_fallback``.
-SLAB_FALLBACK = "fallback"
+           "union_pds"]
 
 
 class SlabSpec:
@@ -74,8 +69,9 @@ class BatchMember:
         self.writes = tuple(writes)
         self.ghost_reads = tuple(ghost_reads)
         self.marks = tuple(marks)
-        #: a :class:`SlabSpec`, :data:`SLAB_FALLBACK`, or None (replayed
-        #: per member and not counted in the slab statistics)
+        #: a :class:`SlabSpec`, or None for inherently per-patch work
+        #: (ragged halo bodies, per-region interpolation temps) that
+        #: replays member bodies and counts as ``slab_fallback``
         self.slab = slab
 
 
@@ -92,60 +88,58 @@ def union_pds(groups) -> tuple:
 
 
 class BatchSlot:
-    """Holder for a fused reduction result, filled when its group flushes."""
+    """Holder for a launch result read back to the host."""
 
     __slots__ = ("result",)
 
-    def __init__(self):
-        self.result = None
+    def __init__(self, result=None):
+        self.result = result
 
 
 class _Group:
-    __slots__ = ("backend", "kernel", "combine", "members", "slot")
+    __slots__ = ("backend", "rank", "kernel", "combine", "ghost_only",
+                 "members")
 
-    def __init__(self, backend, kernel, combine):
+    def __init__(self, backend, rank, kernel, combine, ghost_only):
         self.backend = backend
+        self.rank = rank
         self.kernel = kernel
         self.combine = combine
+        self.ghost_only = ghost_only
         self.members: list[BatchMember] = []
-        self.slot = BatchSlot() if combine is not None else None
 
 
 class LaunchBatcher:
-    """Collects per-patch launches and replays them as fused launches.
+    """Collects per-patch launches and hands them to a sink in groups.
 
-    The serial integrator installs one of these as the patch integrator's
-    ``batch_sink`` for the duration of a sweep; every kernel the sweep
-    would have launched lands here instead, grouped by
-    ``(backend, kernel, level)``.  ``flush`` replays each group — in
-    first-seen order — as one ``Backend.run_batched`` call, and charges
-    one scalar D2H readback per reduction group.
+    With ``fuse`` every member sharing ``(backend, kernel, level)`` joins
+    one group — one fused launch; without it each member is its own
+    group, so the same code path issues the per-patch launches.
     """
 
-    def __init__(self):
+    def __init__(self, fuse: bool):
+        self.fuse = fuse
         self._groups: dict = {}
-        self._order: list = []
 
-    def collect(self, backend, kernel: str, member: BatchMember,
-                level=None, combine=None) -> BatchSlot | None:
-        key = (id(backend), kernel, level)
+    def collect(self, backend, rank, kernel: str, member: BatchMember,
+                level=None, combine=None, ghost_only: bool = False) -> None:
+        key = ((id(backend), kernel, level) if self.fuse
+               else len(self._groups))
         group = self._groups.get(key)
         if group is None:
-            group = _Group(backend, kernel, combine)
-            self._groups[key] = group
-            self._order.append(key)
+            group = self._groups[key] = _Group(backend, rank, kernel,
+                                               combine, ghost_only)
         group.members.append(member)
-        return group.slot
 
-    def flush(self) -> None:
+    def flush(self, launch) -> list:
+        """Launch every group, in first-seen order, through ``launch`` (a
+        sink's ``kernel_task``); returns ``(rank index, handle)`` per
+        reduction group."""
         groups, self._groups = self._groups, {}
-        order, self._order = self._order, []
-        for key in order:
-            g = groups[key]
-            result = g.backend.run_batched(g.kernel, g.members,
-                                           combine=g.combine)
+        handles = []
+        for g in groups.values():
+            handle = launch(g.backend, g.rank, g.kernel, g.members,
+                            combine=g.combine, ghost_only=g.ghost_only)
             if g.combine is not None:
-                # One reduced scalar crosses the bus per fused group,
-                # not one per patch.
-                g.backend.charge_transfer("d2h", 8)
-                g.slot.result = result
+                handles.append((g.rank.index, handle))
+        return handles

@@ -36,6 +36,7 @@ from ..obs.context import active_tracer
 from ..regrid.load_balance import assign_owners, chop_boxes
 from ..regrid.regridder import RegridConfig, Regridder
 from ..xfer.coarsen_schedule import CoarsenSchedule, CoarsenSpec
+from ..xfer.message import ImmediateSink
 from ..xfer.refine_schedule import FillSpec, RefineSchedule
 from ..xfer.schedule_cache import ScheduleCache, level_token
 from .boundary import ReflectiveBoundary
@@ -133,6 +134,8 @@ class LagrangianEulerianIntegrator:
         self.step_count = 0
         self.dt = None
         self._step_scheduler = None
+        #: where the inline driver's kernel sweeps launch
+        self._sink = ImmediateSink(comm)
 
     # -- spec helpers ---------------------------------------------------------
 
@@ -249,8 +252,9 @@ class LagrangianEulerianIntegrator:
     #
     # ``_phase`` (above), ``_fill``, ``_sweep``, ``_coarsen`` and ``_reduce``
     # are the operations a timestep is written in (see ``_advance``).  Here
-    # each one runs as it is named; ``sched.driver.StepScheduler`` implements
-    # the same five by recording into a task graph.
+    # each one runs as it is named, against the immediate sink;
+    # ``sched.driver.StepScheduler`` implements the same five by running
+    # the same sweeps and transfer programs against a graph builder.
 
     def _fill(self, sched: RefineSchedule) -> None:
         sched.fill(time=self.time)
@@ -263,30 +267,29 @@ class LagrangianEulerianIntegrator:
             for patch in level:
                 fn(patch, self.comm.rank(patch.owner))
 
-    def _sweep(self, fn) -> None:
-        """One kernel sweep over every patch, fused per level if batching.
+    def _sweep(self, fn) -> list:
+        return self._sweep_into(self._sink, fn)
 
-        With ``config.batch_launches`` the sweep's per-patch launches are
-        collected and replayed as one fused launch per (backend, level)
-        group; otherwise this is exactly ``_foreach_patch``.
+    def _sweep_into(self, sink, fn) -> list:
+        """One kernel sweep over every patch, launched through ``sink``.
+
+        The sweep's per-patch launches are collected — fused per
+        (backend, level) with ``config.batch_launches``, one group each
+        otherwise — and flushed into the sink's launch verb: executed now
+        (this driver) or recorded as tasks (``StepScheduler``).  Returns
+        the ``(rank index, handle)`` pairs of a reduction sweep.
         """
-        if not self.config.batch_launches:
-            self._foreach_patch(fn)
-            return
         pi = self.patch_integrator
-        batcher = LaunchBatcher()
-        pi.batch_sink = batcher
+        pi.sink = batcher = LaunchBatcher(self.config.batch_launches)
         try:
             self._foreach_patch(fn)
         finally:
-            pi.batch_sink = None
-        batcher.flush()
+            pi.sink = None
+        return sink.flush_fusion(batcher)
 
     def _reduce(self, fn, handles) -> BatchSlot:
         """Run a reduction over launch handles; its value is ``.result``."""
-        slot = BatchSlot()
-        slot.result = fn(handles)
-        return slot
+        return BatchSlot(fn(handles))
 
     # -- the timestep --------------------------------------------------------------
 
@@ -340,14 +343,13 @@ class LagrangianEulerianIntegrator:
             ex._sweep(lambda p, r: pi.viscosity(p, r))
             self._fill_group(ex, FIELD_GROUPS["post_viscosity"])
 
-        # CFL: one dt handle per patch, reduced per owner and then by the
+        # CFL: one dt handle per launch, reduced per owner and then by the
         # run's one global reduction.  Fused, each (backend, level) group
         # is one launch and one scalar readback instead of a per-patch
         # PCIe-latency chain; min is exact selection, so dt is bitwise
         # the same either way.
-        handles: list[tuple[int, object]] = []
         with ex._phase("timestep"):
-            ex._sweep(lambda p, r: handles.append((p.owner, pi.calc_dt(p, r))))
+            handles = ex._sweep(pi.calc_dt)
             reduced = ex._reduce(self._min_dt, handles)
         dt = self._apply_dt_policy(reduced.result)
 
@@ -402,15 +404,13 @@ class LagrangianEulerianIntegrator:
     def _min_dt(self, handles) -> float:
         """Per-owner min over ``(owner, dt handle)`` pairs, then allreduce.
 
-        A direct ``calc_dt`` launch hands back its float; a collected one
-        hands back the slot or task whose ``result`` its group's readback
-        filled.
+        A handle is whatever the sink's reduction launch handed back: its
+        ``result`` is the scalar that launch's readback delivered.
         """
         local = [math.inf] * self.comm.size
         for owner, handle in handles:
-            dt = handle if isinstance(handle, float) else handle.result
-            if dt < local[owner]:
-                local[owner] = dt
+            if handle.result < local[owner]:
+                local[owner] = handle.result
         return self.comm.allreduce_min(local)
 
     def _apply_dt_policy(self, dt: float) -> float:

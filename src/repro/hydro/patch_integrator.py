@@ -36,15 +36,11 @@ __all__ = ["CleverleafPatchIntegrator", "NonResidentGpuPatchIntegrator"]
 class CleverleafPatchIntegrator:
     """CloverLeaf-scheme integrator over one patch, CPU or GPU resident."""
 
-    #: when set (a :class:`repro.sched.builder.GraphBuilder`), kernel
-    #: launches are *recorded* as graph tasks instead of executed —
-    #: ``_run`` then returns the Task, not the kernel result
-    task_sink = None
-
-    #: when set (a :class:`repro.exec.batch.LaunchBatcher`), kernel
-    #: launches are *collected* for per-level fusion instead of executed —
-    #: ``_run`` then returns None (or a BatchSlot for reduction kernels)
-    batch_sink = None
+    #: when set (a :class:`repro.exec.batch.LaunchBatcher`, for the
+    #: duration of one driver sweep), kernel launches are *collected*
+    #: instead of executed; the driver flushes the collector into its
+    #: sink — executed now, or recorded as graph tasks
+    sink = None
 
     def __init__(self, gamma: float = 1.4):
         self.gamma = gamma
@@ -90,21 +86,16 @@ class CleverleafPatchIntegrator:
         def body():
             return fn(*(array_of(pd) for pd in operands))
 
-        if self.batch_sink is None and self.task_sink is None:
+        if self.sink is None:
             return backend.run(kernel, elements, body,
                                reads=read_pds, writes=write_pds,
                                ghost_reads=ghost_pds, marks=marks)
         slab = SlabSpec((kernel, names, *scalars), fn, operands)
-        level = patch.level.level_number
-        if self.batch_sink is not None:
-            member = BatchMember(elements, body, read_pds, write_pds,
-                                 ghost_pds, marks, slab=slab)
-            return self.batch_sink.collect(backend, kernel, member,
-                                           level=level, combine=combine)
-        return self.task_sink.kernel_task(
-            backend, rank, kernel, elements, body, read_pds, write_pds,
-            ghost_reads=ghost_pds, marks=marks, level=level,
-            combine=combine, slab=slab)
+        member = BatchMember(elements, body, read_pds, write_pds,
+                             ghost_pds, marks, slab=slab)
+        return self.sink.collect(backend, rank, kernel, member,
+                                 level=patch.level.level_number,
+                                 combine=combine)
 
     def _geom(self, patch: "Patch"):
         nx, ny = patch.box.shape()
@@ -180,14 +171,11 @@ class CleverleafPatchIntegrator:
                   ghost_reads=("pressure",))
 
     def calc_dt(self, patch, rank):
-        """Launch the CFL kernel; returns this patch's dt *handle*.
+        """Launch the CFL kernel.
 
-        A direct launch returns the float itself (after charging its
-        scalar readback).  A collected launch returns what its sink
-        reads the scalar back into — the fused group's
-        :class:`BatchSlot`, or the graph's readback task (None while the
-        builder is still fusing the group: it records one readback per
-        fused group instead).
+        A direct launch returns this patch's dt (after charging its
+        scalar readback); a collected launch returns None — the driver's
+        flush hands back one readback handle per launch group.
         """
         nx, ny, g, dx, dy = self._geom(patch)
         names = ("density0", "soundspeed", "viscosity", "xvel0", "yvel0")
@@ -200,7 +188,7 @@ class CleverleafPatchIntegrator:
 
         dt = self._run(patch, rank, "hydro.calc_dt", nx * ny, fn, names,
                        (nx, ny, g, dx, dy), reads=names, combine=min)
-        if self.batch_sink is None and self.task_sink is None:
+        if self.sink is None:
             # The reduced scalar crosses the PCIe bus (no-op on host
             # backends).
             self._backend(patch, rank).charge_transfer("d2h", 8)

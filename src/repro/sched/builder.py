@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..check.context import active as _check_active
-from ..exec.batch import BatchMember, union_pds
+from ..exec.batch import union_pds
 from .task import Task, TaskGraph, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,54 +28,28 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["GraphBuilder"]
 
 
-class _FusionGroup:
-    """Pending same-kernel, same-level launches awaiting coalescing."""
-
-    __slots__ = ("backend", "rank", "kernel", "combine", "members",
-                 "read_ids", "write_ids")
-
-    def __init__(self, backend, rank, kernel, combine):
-        self.backend = backend
-        self.rank = rank
-        self.kernel = kernel
-        self.combine = combine
-        self.members: list[BatchMember] = []
-        self.read_ids: set[int] = set()
-        self.write_ids: set[int] = set()
-
-
 class GraphBuilder:
     """Builds one phase's :class:`~repro.sched.task.TaskGraph`.
 
-    Also serves as the *task sink* the patch integrator routes kernel
-    launches through while a phase is being recorded (see
-    ``CleverleafPatchIntegrator.task_sink``).
-
-    With ``fuse=True`` (``--batch --overlap``), same-kernel,
-    same-level kernel tasks with disjoint declared writes are coalesced
-    into one batched task per (backend, level) whose declarations are the
-    union of its members' — so dependency derivation, race replay and
-    ``--sanitize`` treat the batch exactly as the sum of its parts.
-    Groups flush when the sweep kernel changes, when any non-kernel task
-    is added (data edges must see fused tasks in emission order), or at
-    :meth:`flush_fusion` before execution.
+    The recording sink of the transfer/sweep programs: ``copy``,
+    ``stream_batch``, ``kernel_task`` and ``add`` are the same verbs
+    :class:`repro.xfer.message.ImmediateSink` executes on the spot, so a
+    schedule or a kernel sweep written once runs under either driver.
+    Grouping is the caller's (a ``LaunchBatcher``, a schedule's
+    ``batch``); a launch of several members is one task whose
+    declarations are the union of its members' — so dependency
+    derivation, race replay and ``--sanitize`` treat the batch exactly as
+    the sum of its parts.
     """
 
-    def __init__(self, comm: "SimCommunicator", fuse: bool = False):
+    def __init__(self, comm: "SimCommunicator"):
         self.comm = comm
-        self.fuse = fuse
         self.graph = TaskGraph()
         self._writer: dict[int, Task] = {}
         self._readers: dict[int, list[Task]] = {}
         # Keep every keyed object alive for the graph's lifetime so id()
         # keys can never be recycled onto new objects mid-build.
         self._retained: list[object] = []
-        self._pending: dict = {}
-        self._pending_order: list = []
-        self._pending_kernel: str | None = None
-        #: (rank_index, readback_task) per fused reduction group, consumed
-        #: by the scheduler's dt reduction
-        self.fused_readbacks: list[tuple[int, Task]] = []
 
     # -- generic emission ------------------------------------------------------
 
@@ -92,14 +66,6 @@ class GraphBuilder:
         the sanitizer's stale-halo machinery (emission order *is* the
         intended data-flow order) and are ignored when it is inactive.
         """
-        self.flush_fusion()
-        return self._add(kind, rank, label, fn, reads=reads, writes=writes,
-                         after=after, ghost_reads=ghost_reads,
-                         ghost_only=ghost_only, marks=marks)
-
-    def _add(self, kind: TaskKind, rank: int | None, label: str, fn,
-             reads=(), writes=(), after=(),
-             ghost_reads=(), ghost_only=False, marks=()) -> Task:
         reads = list(reads)
         writes = list(writes)
         deps = list(after)
@@ -130,90 +96,32 @@ class GraphBuilder:
         self._readers[id(task)] = []
         return task
 
-    # -- kernel sink (patch integrator) ---------------------------------------
+    # -- kernel launches -------------------------------------------------------
 
-    def kernel_task(self, backend, rank: "Rank", kernel: str, elements: int,
-                    body, reads, writes,
-                    ghost_reads=(), ghost_only=False, marks=(),
-                    level=None, combine=None, slab=None) -> Task | None:
-        """One compute-kernel launch, dispatched through ``backend``.
+    def kernel_task(self, backend, rank: "Rank", kernel: str, members,
+                    combine=None, ghost_only: bool = False) -> Task:
+        """One kernel launch over >=1 batch members, as one task.
 
-        With fusion on, same-kernel launches on the same (backend, level)
-        are collected instead of emitted and return None; the coalesced
-        task appears when the group flushes.  ``combine`` marks a
-        reduction kernel (the CFL min): its scalar crosses the bus in a
-        readback task — returned here per launch, or emitted once per
-        fused group and recorded in :attr:`fused_readbacks`.  ``slab``
-        (a SlabSpec or the fallback sentinel) rides on the member so the
-        fused task's ``run_batched`` can take the whole-slab fast path.
+        ``combine`` marks a reduction (the CFL min): its scalar crosses
+        the bus in a readback task, which is what is returned — the
+        handle whose ``.result`` the reduction reads.
         """
-        if self.fuse and not ghost_only:
-            return self._collect(backend, rank, kernel,
-                                 BatchMember(elements, body, reads, writes,
-                                             ghost_reads, marks, slab=slab),
-                                 level=level, combine=combine)
         task = self.add(
             TaskKind.KERNEL, rank.index, kernel,
-            lambda _stream: backend.run(kernel, elements, body,
-                                       reads=reads, writes=writes),
-            reads=reads, writes=writes,
-            ghost_reads=ghost_reads, ghost_only=ghost_only, marks=marks)
+            lambda _stream: backend.run_batched(
+                kernel, members, combine=combine, ghost_only=ghost_only),
+            reads=union_pds(m.reads for m in members),
+            writes=union_pds(m.writes for m in members),
+            ghost_reads=union_pds(m.ghost_reads for m in members),
+            ghost_only=ghost_only,
+            marks=[mk for m in members for mk in m.marks])
         if combine is not None:
             return self.dt_readback(backend, rank, task)
         return task
 
-    def _collect(self, backend, rank: "Rank", kernel: str,
-                 member: BatchMember, level=None, combine=None) -> None:
-        if self._pending_kernel is not None and kernel != self._pending_kernel:
-            # A new sweep started; coalesce the finished one so data
-            # edges between sweeps derive from the fused tasks.
-            self.flush_fusion()
-        key = (id(backend), kernel, level)
-        group = self._pending.get(key)
-        if group is not None:
-            member_writes = set(map(id, member.writes))
-            member_reads = set(map(id, member.reads))
-            if (member_writes & (group.read_ids | group.write_ids)
-                    or member_reads & group.write_ids):
-                # Overlapping operands: not a disjoint-writes sweep, so
-                # serialise against everything pending.
-                self.flush_fusion()
-                group = None
-        if group is None:
-            group = _FusionGroup(backend, rank, kernel, combine)
-            self._pending[key] = group
-            self._pending_order.append(key)
-        group.members.append(member)
-        group.read_ids.update(map(id, member.reads))
-        group.write_ids.update(map(id, member.writes))
-        self._pending_kernel = kernel
-        return None
-
-    def flush_fusion(self) -> None:
-        """Emit every pending fusion group as one batched task each."""
-        if not self._pending:
-            self._pending_kernel = None
-            return
-        pending, self._pending = self._pending, {}
-        order, self._pending_order = self._pending_order, []
-        self._pending_kernel = None
-        for key in order:
-            g = pending[key]
-            members = g.members
-            reads = union_pds(m.reads for m in members)
-            writes = union_pds(m.writes for m in members)
-            ghost_reads = union_pds(m.ghost_reads for m in members)
-            marks = [mk for m in members for mk in m.marks]
-
-            def fn(_stream, b=g.backend, k=g.kernel, ms=members, c=g.combine):
-                return b.run_batched(k, ms, combine=c)
-
-            task = self._add(TaskKind.KERNEL, g.rank.index, g.kernel, fn,
-                             reads=reads, writes=writes,
-                             ghost_reads=ghost_reads, marks=marks)
-            if g.combine is not None:
-                rb = self.dt_readback(g.backend, g.rank, task)
-                self.fused_readbacks.append((g.rank.index, rb))
+    def flush_fusion(self, batcher) -> list:
+        """Record every group ``batcher`` collected, one task each."""
+        return batcher.flush(self.kernel_task)
 
     def dt_readback(self, backend, rank: "Rank", kernel_task: Task) -> Task:
         """The reduced CFL scalar crossing the PCIe bus after ``calc_dt``.
@@ -238,26 +146,16 @@ class GraphBuilder:
         regions now mirror the sources' interiors (stamped for the
         stale-halo check) and no destination *interior* changes.
         """
-        from ..xfer.message import copy_batch_local
+        from ..xfer.message import copy_batch_local, halo_marks
 
-        marks = ([("stamp", dst, (src,)) for dst, src, _ in items]
-                 if ghost else ())
+        marks = (halo_marks((d, s) for d, s, _ in items)
+                 if ghost and _check_active() is not None else ())
         return self.add(
             TaskKind.COPY, rank.index, label,
             lambda _stream: copy_batch_local(items, rank),
             reads=[src for _, src, _ in items],
             writes=[dst for dst, _, _ in items],
             ghost_only=ghost, marks=marks)
-
-    def boundary(self, patch, variables, rank: "Rank", boundary,
-                 label: str = "fill.bc") -> Task:
-        """Physical boundary fill on one patch (fused halo kernel)."""
-        pds = [patch.data(v.name) for v in variables]
-        return self.add(
-            TaskKind.KERNEL, rank.index, label,
-            lambda _stream: boundary.apply_all(patch, variables, rank),
-            reads=pds, writes=pds,
-            ghost_only=True, marks=[("stamp", pd, (pd,)) for pd in pds])
 
     def stream_batch(self, src_rank: "Rank", dst_rank: "Rank",
                      pack_items, unpack_items, label: str,
@@ -272,7 +170,7 @@ class GraphBuilder:
         """
         from ..comm.simcomm import Message
         from ..exec.backend import backend_for
-        from ..xfer.message import batch_size_bytes
+        from ..xfer.message import batch_size_bytes, halo_marks
         from ..xfer.transfer import MESSAGE_HEADER_BYTES
 
         src_backend = backend_for(pack_items[0][0], src_rank)
@@ -309,8 +207,9 @@ class GraphBuilder:
                           do_recv, after=(t_send,))
         t_h2d = self.add(TaskKind.H2D, dst_rank.index, f"{label}.h2d",
                          do_h2d, after=(t_recv,))
-        marks = ([("stamp", dst, (src,)) for (src, _), (dst, _)
-                  in zip(pack_items, unpack_items)] if ghost else ())
+        marks = (halo_marks((dst, src) for (src, _), (dst, _)
+                            in zip(pack_items, unpack_items))
+                 if ghost and _check_active() is not None else ())
         return self.add(TaskKind.UNPACK, dst_rank.index, f"{label}.unpack",
                         do_unpack, after=(t_h2d,),
                         writes=[pd for pd, _ in unpack_items],

@@ -5,9 +5,10 @@ The timestep itself is written once, in
 open a phase, fill a halo schedule, sweep a kernel over every patch,
 coarsen a sync schedule, reduce launch handles.  The integrator runs each
 operation as it is named; :class:`StepScheduler` implements the same five
-by *recording* — kernel sweeps through the patch integrator's task sink,
-halo fills and fine-to-coarse sync through the schedules' ``emit_tasks``
-— into one :class:`~repro.sched.task.TaskGraph` per phase, handed to a
+by *recording*: the kernel sweeps and the schedules' transfer programs
+run against the open phase's :class:`~repro.sched.builder.GraphBuilder`
+instead of the immediate sink — one
+:class:`~repro.sched.task.TaskGraph` per phase, handed to a
 :class:`~repro.sched.executor.GraphExecutor` when the phase closes.
 Graphs are per phase so the ``hydro`` / ``timestep`` / ``sync`` timer
 decomposition keeps its meaning: every phase starts and ends with all
@@ -41,8 +42,6 @@ class StepScheduler:
         self.integrator = integrator
         self.executor = GraphExecutor(
             integrator.comm, overlap=overlap, order_key=order_key)
-        #: coalesce same-kernel, same-level tasks into batched launches
-        self.batch = integrator.config.batch_launches
         #: the open phase's builder
         self._gb: GraphBuilder | None = None
 
@@ -61,9 +60,8 @@ class StepScheduler:
     def _phase(self, name: str):
         """Record everything emitted while open; execute it on close."""
         with self.integrator._phase(name):
-            self._gb = gb = GraphBuilder(self.integrator.comm, fuse=self.batch)
+            self._gb = gb = GraphBuilder(self.integrator.comm)
             yield
-            gb.flush_fusion()
             self.executor.execute(gb.graph)
 
     def _fill(self, sched) -> None:
@@ -72,28 +70,16 @@ class StepScheduler:
     def _coarsen(self, sched) -> None:
         sched.emit_tasks(self._gb)
 
-    def _sweep(self, fn) -> None:
-        """Route the sweep's kernel launches into the open graph."""
-        pi = self.integrator.patch_integrator
-        pi.task_sink = self._gb
-        try:
-            self.integrator._foreach_patch(fn)
-        finally:
-            pi.task_sink = None
+    def _sweep(self, fn) -> list:
+        return self.integrator._sweep_into(self._gb, fn)
 
     def _reduce(self, fn, handles) -> Task:
-        """One collective task over the handles' readback tasks.
+        """One collective task over the sweep's readback tasks.
 
-        With fusion on, launches coalesce per (backend, level) and hand
-        back None; each fused group contributes one readback task instead
-        of one per patch.  In overlap mode every readback (one PCIe
-        latency) rides the d2h copy stream, hiding under the next kernel
-        instead of stalling the host.
+        In overlap mode every readback (one PCIe latency) rides the d2h
+        copy stream, hiding under the next kernel instead of stalling the
+        host.
         """
-        gb = self._gb
-        gb.flush_fusion()
-        tasks = [(owner, t) for owner, t in handles if t is not None]
-        tasks += gb.fused_readbacks
-        return gb.add(TaskKind.REDUCE, None, "dt.allreduce",
-                      lambda _stream: fn(tasks),
-                      reads=[t for _, t in tasks])
+        return self._gb.add(TaskKind.REDUCE, None, "dt.allreduce",
+                            lambda _stream: fn(handles),
+                            reads=[t for _, t in handles])

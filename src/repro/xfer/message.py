@@ -25,16 +25,22 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..check.context import active as _check_active
+from ..comm.simcomm import Message
 from ..exec.backend import backend_for
+from ..exec.batch import BatchSlot
+from .transfer import MESSAGE_HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..comm.simcomm import Rank
+    from ..comm.simcomm import Rank, SimCommunicator
 
 __all__ = [
     "batch_size_bytes",
     "pack_batch",
     "unpack_batch",
     "copy_batch_local",
+    "halo_marks",
+    "ImmediateSink",
 ]
 
 
@@ -69,3 +75,84 @@ def copy_batch_local(items, rank: "Rank") -> None:
     which is how tuned implementations amortise launch overheads.
     """
     backend_for(items[0][0], rank).copy_batch(items)
+
+
+def halo_marks(pairs) -> list:
+    """Sanitizer marks of a halo copy: each ``(dst, src)`` destination's
+    ghosts now mirror the source's interior."""
+    return [("stamp", dst, (src,)) for dst, src in pairs]
+
+
+class ImmediateSink:
+    """Runs each verb of a transfer program as it is named.
+
+    A schedule states its work once, over four verbs — ``copy`` (fused
+    same-rank copies), ``stream_batch`` (one cross-rank message stream),
+    ``kernel_task`` (one launch of >=1 batch members) and ``add`` (host
+    bookkeeping, or a kernel that launches itself).  This sink executes
+    them on the spot with the blocking primitives above; the other sink,
+    :class:`repro.sched.builder.GraphBuilder`, records the same calls as
+    tasks.  Network time is charged once, by :meth:`close`.  Under
+    ``--sanitize`` every verb reports itself to the checker exactly as a
+    recorded task does at emission.
+    """
+
+    def __init__(self, comm: "SimCommunicator"):
+        self.comm = comm
+        self._messages: list[Message] = []
+
+    def copy(self, rank: "Rank", items, label: str, ghost: bool = False) -> None:
+        chk = _check_active()
+        if chk is not None:
+            chk.note_emission(
+                label, [src for _, src, _ in items],
+                [dst for dst, _, _ in items], ghost_only=ghost,
+                marks=halo_marks((d, s) for d, s, _ in items) if ghost else ())
+        copy_batch_local(items, rank)
+
+    def stream_batch(self, src_rank: "Rank", dst_rank: "Rank", pack_items,
+                     unpack_items, label: str, ghost: bool = False) -> None:
+        chk = _check_active()
+        if chk is not None:
+            srcs = [pd for pd, _ in pack_items]
+            dsts = [pd for pd, _ in unpack_items]
+            chk.note_emission(
+                label, srcs, dsts, ghost_only=ghost,
+                marks=halo_marks(zip(dsts, srcs)) if ghost else ())
+        buf = pack_batch(pack_items, src_rank)
+        self._messages.append(Message(src_rank.index, dst_rank.index,
+                                      buf.nbytes + MESSAGE_HEADER_BYTES))
+        unpack_batch(buf, unpack_items, dst_rank)
+
+    def kernel_task(self, backend, rank: "Rank", kernel: str, members,  # noqa: ARG002 — verb signature shared with GraphBuilder
+                    combine=None, ghost_only: bool = False) -> BatchSlot:
+        slot = BatchSlot(backend.run_batched(kernel, members, combine=combine,
+                                             ghost_only=ghost_only))
+        if combine is not None:
+            # One reduced scalar crosses the bus per launch, not per patch.
+            backend.charge_transfer("d2h", 8)
+        return slot
+
+    def flush_fusion(self, batcher) -> list:
+        """Launch every group ``batcher`` collected."""
+        return batcher.flush(self.kernel_task)
+
+    def add(self, kind, rank, label: str, fn, reads=(), writes=(),  # noqa: ARG002 — verb signature shared with GraphBuilder
+            ghost_only: bool = False, marks=()) -> None:
+        chk = _check_active()
+        if chk is None:
+            fn(None)
+            return
+        scope = chk.begin_kernel(label, reads, writes,
+                                 ghost_only=ghost_only, marks=marks)
+        try:
+            fn(None)
+        except BaseException:
+            chk.abort_kernel(scope)
+            raise
+        chk.end_kernel(scope)
+
+    def close(self) -> None:
+        """Charge the network for every stream posted since the last close."""
+        messages, self._messages = self._messages, []
+        self.comm.exchange(messages)

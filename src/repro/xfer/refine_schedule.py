@@ -26,11 +26,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..check.context import active as _check_active
-from ..exec.backend import array_of, backend_for, run_on
-from ..exec.batch import SLAB_FALLBACK, BatchMember
+from ..exec.backend import array_of, backend_for
+from ..exec.batch import BatchMember, LaunchBatcher
 from ..mesh.box import Box, IntVector
 from ..mesh.box_container import BoxContainer
 from ..mesh.variables import Variable
+from ..sched.task import TaskKind
+from .message import ImmediateSink, halo_marks
 from .overlap import clamp_extend, frame_box_for, ghost_fill_pieces, index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FillSpec", "RefineSchedule", "build_fill_geometry", "FillGeometry",
     "needed_coarse_frame", "temp_box_for", "alloc_temp", "free_temps",
-    "signature_of",
+    "signature_of", "chunks",
 ]
 
 
@@ -100,6 +102,20 @@ def free_temps(temps) -> None:
         free = getattr(temp, "free", None)
         if free is not None:
             free()
+
+
+def _set_times(pds, time: float) -> None:
+    for pd in pds:
+        pd.set_time(time)
+
+
+def chunks(work: list, batch: bool) -> list[list]:
+    """The units a schedule issues its work in: everything at once under
+    ``batch`` (one launch per backend, one copy per rank), else one
+    region / transaction at a time."""
+    if batch:
+        return [work] if work else []
+    return [[w] for w in work]
 
 
 @dataclass
@@ -238,10 +254,10 @@ class RefineSchedule:
         self.factory = factory
         self.boundary = boundary
         self.interior = interior
-        #: fuse clamp/refine/boundary kernels into batched launches.  Fill
-        #: work is inherently per-region (ragged halo bodies, per-region
-        #: interpolation temps), so its fused members are marked as
-        #: deliberate slab fallbacks
+        #: issue the fill level-wide: one copy per owner, one clamp /
+        #: refine / boundary launch per backend.  Fill work is inherently
+        #: per-region (ragged halo bodies, per-region interpolation temps),
+        #: so those launches replay member bodies (``slab_fallback``)
         self.batch = batch
         if src_level is None and not interior:
             src_level = dst_level
@@ -275,7 +291,99 @@ class RefineSchedule:
                 self.sig_groups.append((geom, group))
             group.append(spec)
 
-    # -- execution --------------------------------------------------------------
+    # -- the transfer program ----------------------------------------------------
+    #
+    # The fill is stated once, over a sink's verbs (``copy``,
+    # ``stream_batch``, ``kernel_task``, ``add``): :meth:`fill` runs it
+    # against an :class:`~repro.xfer.message.ImmediateSink`,
+    # :meth:`emit_tasks` against a graph builder.  ``batch`` alone decides
+    # the grouping — one copy per owner, one launch per backend, one free
+    # per rank; or per destination / region / patch, the paper's Fig. 9-11
+    # launch shape.
+
+    def fill(self, time: float | None = None) -> None:
+        """Execute the schedule now: copies, interpolation, physical BCs."""
+        sink = ImmediateSink(self.comm)
+        self._transfer(sink)
+        sink.close()
+        self._finish(sink, time)
+
+    def emit_tasks(self, gb, time: float | None = None) -> None:
+        """Record the schedule into a graph builder (the scheduler path).
+
+        The same program as :meth:`fill`, in the same order, landing as
+        typed tasks: fused local copies, six-stage message streams for
+        cross-rank batches, interpolation gathers + refines, physical
+        BCs, and host-side frees and timestamp updates.  Dependencies
+        come from the builder's read/write tracking, so any topological
+        order reproduces :meth:`fill` bit for bit.
+        """
+        self._transfer(gb)
+        self._finish(gb, time)
+
+    def _transfer(self, sink) -> None:
+        """Same-level copies, then coarse-level interpolation.
+
+        Same-rank copies are fused into one kernel; cross-rank copies are
+        packed per (src, dst) pair into one message stream covering every
+        variable (the paper's MessageStream path).
+        """
+        chk = _check_active()
+        if chk is not None:
+            self._note_fill_start(chk)
+        ghost = not self.interior
+        ranks = self.comm.ranks
+        local, remote = self._group_copies()
+        for owner, items in local:
+            sink.copy(ranks[owner], items, "fill.copy", ghost=ghost)
+        for src, dst, named in remote:
+            sink.stream_batch(
+                ranks[src.owner], ranks[dst.owner],
+                [(src.data(n), r) for n, r in named],
+                [(dst.data(n), r) for n, r in named],
+                f"fill.L{self.dst_level.level_number}", ghost=ghost)
+        interps = [(specs, ig) for geom, specs in self.sig_groups
+                   for ig in geom.interps]
+        for chunk in chunks(interps, self.batch):
+            self._interpolate(sink, chunk, ghost, chk is not None)
+
+    def _finish(self, sink, time: float | None) -> None:
+        """Physical boundary conditions, then the new timestamps."""
+        ranks = self.comm.ranks
+        variables = [spec.var for spec, _ in self.items]
+        if self.boundary is not None:
+            halos = LaunchBatcher(self.batch)
+            for dst in self.dst_level:
+                rank = ranks[dst.owner]
+                if self.batch:
+                    member = self.boundary.batch_member(dst, variables)
+                    if member is not None:
+                        halos.collect(backend_for(member.writes[0], rank),
+                                      rank, "hydro.update_halo", member,
+                                      ghost_only=True)
+                elif dst.touches_boundary():
+                    self._apply_boundary(sink, dst, variables, rank)
+            sink.flush_fusion(halos)
+        if time is not None:
+            stamped: dict = {}
+            for dst in self.dst_level:
+                key = dst.owner if self.batch else id(dst)
+                stamped.setdefault(key, (dst.owner, []))[1].extend(
+                    dst.data(v.name) for v in variables)
+            for owner, pds in stamped.values():
+                sink.add(TaskKind.HOST, owner, "fill.set_time",
+                         lambda _stream, pds=pds: _set_times(pds, time),
+                         reads=pds)
+
+    def _apply_boundary(self, sink, dst, variables, rank) -> None:
+        """One patch's physical BCs through the boundary object's own
+        fused halo kernel."""
+        pds = [dst.data(v.name) for v in variables]
+        sink.add(TaskKind.KERNEL, rank.index, "fill.bc",
+                 lambda _stream: self.boundary.apply_all(dst, variables, rank),
+                 reads=pds, writes=pds, ghost_only=True,
+                 marks=(halo_marks((pd, pd) for pd in pds)
+                        if _check_active() is not None else ()))
 
     def _note_fill_start(self, chk) -> None:
         """Tell the sanitizer this fill begins (emission order).
@@ -294,13 +402,16 @@ class RefineSchedule:
                 else:
                     chk.reset_stamps(pd)
 
-    def _group_copies(self) -> tuple[dict, dict]:
+    def _group_copies(self) -> tuple[list, list]:
         """Same-level copies grouped for fusion, over every variable.
 
-        Returns ``(local, remote)``: same-rank copies keyed by destination
-        patch — ``id(dst) -> (dst, [(dst_pd, src_pd, region)])`` — and
-        cross-rank copies keyed by patch pair — ``(id(src), id(dst)) ->
-        (src, dst, [(name, region)])`` — one message stream each.
+        Returns ``(local, remote)``: same-rank copies as ``(owner,
+        [(dst_pd, src_pd, region)])`` — one entry per destination patch,
+        or under ``batch`` one per owning rank for the whole level
+        (arena-backed regions then collapse to stacked slab ops in the
+        backend; bitwise identical, destinations are disjoint) — and
+        cross-rank copies as ``(src, dst, [(name, region)])`` per patch
+        pair, one message stream each.
         """
         local: dict = {}
         remote: dict = {}
@@ -308,19 +419,19 @@ class RefineSchedule:
             name = spec.var.name
             for src, dst, region in geom.copies:
                 if src.owner == dst.owner:
-                    entry = local.setdefault(id(dst), (dst, []))
+                    entry = local.setdefault(id(dst), (dst.owner, []))
                     entry[1].append((dst.data(name), src.data(name), region))
                 else:
                     entry = remote.setdefault((id(src), id(dst)), (src, dst, []))
                     entry[2].append((name, region))
-        return local, remote
+        if self.batch:
+            by_owner: dict[int, list] = {}
+            for owner, items in local.values():
+                by_owner.setdefault(owner, []).extend(items)
+            return list(by_owner.items()), list(remote.values())
+        return list(local.values()), list(remote.values())
 
-    def _alloc_temps(self, specs: list[FillSpec], ig: _InterpGeom, rank) -> list:
-        """One coarse block per variable, covering ``ig``'s coarse frame."""
-        return [alloc_temp(self.factory, s.var, ig.coarse_frame, rank)
-                for s in specs]
-
-    def _clamp_member(self, temp, var: Variable, slab=None):
+    def _clamp_member(self, temp, var: Variable):
         """The kernel zero-gradient-extending ``temp``'s cells outside the
         coarse domain, or None when the block lies inside it."""
         frame = temp.get_ghost_box()
@@ -329,302 +440,97 @@ class RefineSchedule:
             return None
         return BatchMember(
             frame.size(), lambda: clamp_extend(array_of(temp), frame, valid),
-            reads=(temp,), writes=(temp,), slab=slab)
+            reads=(temp,), writes=(temp,))
 
-    def fill(self, time: float | None = None) -> None:
-        """Execute the schedule: copies, interpolation, physical BCs.
+    def _interpolate(self, sink, chunk, ghost: bool, checking: bool) -> None:
+        """Interpolate a chunk of ``(specs, interp geometry)`` regions.
 
-        Same-rank copies are fused into one kernel per destination patch;
-        cross-rank copies are packed per (src, dst) pair into one message
-        stream covering every variable (the paper's MessageStream path).
+        Temporary coarse blocks (one per variable per region) are gathered
+        first — same-rank sources fuse into one copy per rank, cross-rank
+        sources send one message stream covering all variables — then
+        clamped at the coarse domain edge, refined, and freed.  Regions
+        are mutually disjoint (per-destination remainders after copy
+        subtraction, coalesced) and each temp is private to its region, so
+        fusing across regions and variables is bitwise-safe.  Whatever
+        raises on the way, no temp outlives the call.
         """
-        from ..comm.simcomm import Message
-        from .message import copy_batch_local, pack_batch, unpack_batch
-        from .transfer import MESSAGE_HEADER_BYTES
-
-        chk = _check_active()
-        if chk is not None:
-            self._note_fill_start(chk)
-        messages = []
-        ranks = self.comm.ranks
-        local, remote = self._group_copies()
-        if self.batch:
-            # One fused copy launch per owning rank for the whole level:
-            # arena-backed regions then collapse to stacked slab ops in
-            # the backend (bitwise identical — destinations are disjoint;
-            # modelled launch count drops, as for every --batch fusion).
-            by_owner: dict[int, list] = {}
-            for dst, items in local.values():
-                by_owner.setdefault(dst.owner, []).extend(items)
-            for owner, items in by_owner.items():
-                copy_batch_local(items, ranks[owner])
-        else:
-            for dst, items in local.values():
-                copy_batch_local(items, ranks[dst.owner])
-        if chk is not None and not self.interior:
-            for _dst, items in local.values():
-                for dst_pd, src_pd, _ in items:
-                    chk.stamp(dst_pd, (src_pd,))
-        for src, dst, named in remote.values():
-            buf = pack_batch([(src.data(n), r) for n, r in named],
-                             ranks[src.owner])
-            messages.append(Message(src.owner, dst.owner,
-                                    buf.nbytes + MESSAGE_HEADER_BYTES))
-            unpack_batch(buf, [(dst.data(n), r) for n, r in named],
-                         ranks[dst.owner])
-            if chk is not None and not self.interior:
-                for n, _ in named:
-                    chk.stamp(dst.data(n), (src.data(n),))
-        if self.batch:
-            self._fill_interps_batched(messages)
-        else:
-            for geom, group in self.sig_groups:
-                for ig in geom.interps:
-                    self._execute_interp_group(group, ig, messages)
-        self.comm.exchange(messages)
-        if self.boundary is not None:
-            variables = [spec.var for spec, _ in self.items]
-            if self.batch:
-                self._apply_boundary_batched(variables, ranks)
-            else:
-                for dst in self.dst_level:
-                    self.boundary.apply_all(dst, variables, ranks[dst.owner])
-        if time is not None:
-            for dst in self.dst_level:
-                for spec, _ in self.items:
-                    dst.data(spec.var.name).set_time(time)
-
-    def emit_tasks(self, gb, time: float | None = None) -> None:
-        """Record this fill into a graph builder (the scheduler path).
-
-        Emits the same work as :meth:`fill`, in the same order, but
-        decomposed into typed tasks: fused local copies, six-stage message
-        streams for cross-rank batches, interpolation gathers + refines,
-        physical BCs, and a final host-side timestamp update.  Dependencies
-        come from the builder's read/write tracking, so any topological
-        order reproduces :meth:`fill` bit for bit.
-        """
-        chk = _check_active()
-        if chk is not None:
-            self._note_fill_start(chk)
-        ghost = not self.interior
-        ranks = self.comm.ranks
-        local, remote = self._group_copies()
-        for dst, items in local.values():
-            gb.copy(ranks[dst.owner], items, "fill.copy", ghost=ghost)
-        for src, dst, named in remote.values():
-            gb.stream_batch(
-                ranks[src.owner], ranks[dst.owner],
-                [(src.data(n), r) for n, r in named],
-                [(dst.data(n), r) for n, r in named],
-                f"fill.L{self.dst_level.level_number}",
-                ghost=ghost,
-            )
-        for geom, group in self.sig_groups:
-            for ig in geom.interps:
-                self._emit_interp_group(gb, group, ig)
-        if self.boundary is not None:
-            variables = [spec.var for spec, _ in self.items]
-            for dst in self.dst_level:
-                gb.boundary(dst, variables, ranks[dst.owner], self.boundary)
-        if time is not None:
-            from ..sched.task import TaskKind
-
-            for dst in self.dst_level:
-                pds = [dst.data(spec.var.name) for spec, _ in self.items]
-
-                def set_times(stream, pds=pds):
-                    for pd in pds:
-                        pd.set_time(time)
-
-                gb.add(TaskKind.HOST, dst.owner, "fill.set_time", set_times,
-                       reads=pds)
-
-    def _emit_interp_group(self, gb, specs: list[FillSpec],
-                           ig: _InterpGeom) -> None:
-        """Task-graph counterpart of :meth:`_execute_interp_group`."""
-        from ..sched.task import TaskKind
-
-        dst_rank = self.comm.rank(ig.dst_patch.owner)
-        temps = self._alloc_temps(specs, ig, dst_rank)
-
-        local_items = []
-        for src_patch, sub in ig.sources:
-            src_rank = self.comm.rank(src_patch.owner)
-            if src_rank.index == dst_rank.index:
-                for spec, temp in zip(specs, temps):
-                    local_items.append((temp, src_patch.data(spec.var.name), sub))
-            else:
-                gb.stream_batch(
-                    src_rank, dst_rank,
-                    [(src_patch.data(s.var.name), sub) for s in specs],
-                    [(t, sub) for t in temps],
-                    f"fill.interp.L{self.dst_level.level_number}",
-                )
-        if local_items:
-            gb.copy(dst_rank, local_items, "fill.gather")
-
-        for spec, temp in zip(specs, temps):
-            clamp = self._clamp_member(temp, spec.var)
-            if clamp is not None:
-                gb.kernel_task(
-                    backend_for(temp, dst_rank), dst_rank, "pdat.copy",
-                    clamp.elements, clamp.body, [temp], [temp])
-
-        dst_pds = [ig.dst_patch.data(s.var.name) for s in specs]
-        ghost = not self.interior
-        marks = ([("stamp", pd, [sp.data(spec.var.name)
-                                 for sp, _ in ig.sources])
-                  for spec, pd in zip(specs, dst_pds)] if ghost else ())
-        gb.add(TaskKind.KERNEL, dst_rank.index, "fill.refine",
-               lambda _stream: self._fused_refine(specs, temps, ig, dst_rank),
-               reads=temps, writes=dst_pds, ghost_only=ghost, marks=marks)
-        gb.add(TaskKind.HOST, dst_rank.index, "fill.free",
-               lambda _stream: free_temps(temps), writes=temps)
-
-    def _execute_interp_group(self, specs: list[FillSpec], ig: _InterpGeom,
-                              messages) -> None:
-        """Interpolate one region for every variable of one signature.
-
-        Temporary coarse blocks (one per variable) are gathered together:
-        same-rank source copies fuse into one kernel, cross-rank sources
-        send one message stream covering all variables, and the refine
-        operator runs once per region with all variables fused.
-        """
-        from .message import copy_batch_local, pack_batch, unpack_batch
-        from .transfer import MESSAGE_HEADER_BYTES
-        from ..comm.simcomm import Message
-
-        dst_rank = self.comm.rank(ig.dst_patch.owner)
-        temps = self._alloc_temps(specs, ig, dst_rank)
-
-        local_items = []
-        for src_patch, sub in ig.sources:
-            src_rank = self.comm.rank(src_patch.owner)
-            if src_rank.index == dst_rank.index:
-                for spec, temp in zip(specs, temps):
-                    local_items.append((temp, src_patch.data(spec.var.name), sub))
-            else:
-                buf = pack_batch(
-                    [(src_patch.data(s.var.name), sub) for s in specs], src_rank
-                )
-                messages.append(Message(src_rank.index, dst_rank.index,
-                                        buf.nbytes + MESSAGE_HEADER_BYTES))
-                unpack_batch(buf, [(t, sub) for t in temps], dst_rank)
-        if local_items:
-            copy_batch_local(local_items, dst_rank)
-
-        for spec, temp in zip(specs, temps):
-            clamp = self._clamp_member(temp, spec.var)
-            if clamp is not None:
-                run_on(temp, dst_rank, "pdat.copy", clamp.elements, clamp.body)
-        self._fused_refine(specs, temps, ig, dst_rank)
-        chk = _check_active()
-        if chk is not None and not self.interior:
-            for spec in specs:
-                chk.stamp(ig.dst_patch.data(spec.var.name),
-                          [sp.data(spec.var.name) for sp, _ in ig.sources])
-        free_temps(temps)
-
-    def _fill_interps_batched(self, messages) -> None:
-        """Batched interpolation: gather every temp block first, then one
-        clamp launch and one refine launch per destination backend.
-
-        Interp regions are mutually disjoint (per-destination remainders
-        after copy subtraction, coalesced) and each temp is private to its
-        region, so fusing across regions and variables is bitwise-safe.
-        Halo stamps ride the fused launch as marks, replacing the
-        per-region ``chk.stamp`` calls of the reference path.
-        """
-        from ..comm.simcomm import Message
-        from .message import copy_batch_local, pack_batch, unpack_batch
-        from .transfer import MESSAGE_HEADER_BYTES
-
-        entries = []  # (specs, temps, ig, dst_rank)
-        gathers: dict[int, tuple[object, list]] = {}
-        for geom, specs in self.sig_groups:
-            for ig in geom.interps:
+        level = self.dst_level.level_number
+        held: dict[int, list] = {}  # rank index -> temps to free
+        try:
+            staged = []
+            gathers: dict[int, list] = {}
+            for specs, ig in chunk:
                 dst_rank = self.comm.rank(ig.dst_patch.owner)
-                temps = self._alloc_temps(specs, ig, dst_rank)
+                temps = []
+                for spec in specs:
+                    temps.append(alloc_temp(self.factory, spec.var,
+                                            ig.coarse_frame, dst_rank))
+                    held.setdefault(dst_rank.index, []).append(temps[-1])
                 for src_patch, sub in ig.sources:
                     src_rank = self.comm.rank(src_patch.owner)
                     if src_rank.index == dst_rank.index:
-                        entry = gathers.setdefault(
-                            dst_rank.index, (dst_rank, []))
-                        entry[1].extend(
+                        gathers.setdefault(dst_rank.index, []).extend(
                             (temp, src_patch.data(spec.var.name), sub)
                             for spec, temp in zip(specs, temps))
                     else:
-                        buf = pack_batch(
+                        sink.stream_batch(
+                            src_rank, dst_rank,
                             [(src_patch.data(s.var.name), sub) for s in specs],
-                            src_rank)
-                        messages.append(Message(
-                            src_rank.index, dst_rank.index,
-                            buf.nbytes + MESSAGE_HEADER_BYTES))
-                        unpack_batch(buf, [(t, sub) for t in temps], dst_rank)
-                entries.append((specs, temps, ig, dst_rank))
-        for rank, items in gathers.values():
-            copy_batch_local(items, rank)
+                            [(t, sub) for t in temps],
+                            f"fill.interp.L{level}")
+                staged.append((specs, temps, ig, dst_rank))
+            for index, items in gathers.items():
+                sink.copy(self.comm.rank(index), items, "fill.gather")
 
-        ghost = not self.interior
+            clamps = LaunchBatcher(self.batch)
+            for specs, temps, _, dst_rank in staged:
+                for spec, temp in zip(specs, temps):
+                    clamp = self._clamp_member(temp, spec.var)
+                    if clamp is not None:
+                        clamps.collect(backend_for(temp, dst_rank), dst_rank,
+                                       "pdat.copy", clamp)
+            sink.flush_fusion(clamps)
+
+            refines = LaunchBatcher(self.batch)
+            for entry in staged:
+                self._refine(sink, refines, *entry, ghost, checking)
+            sink.flush_fusion(refines)
+
+            for index, temps in held.items():
+                sink.add(TaskKind.HOST, index, "fill.free",
+                         lambda _stream, temps=temps: free_temps(temps),
+                         writes=temps)
+        except BaseException:
+            free_temps(t for temps in held.values() for t in temps)
+            raise
+
+    def _refine(self, sink, refines, specs, temps, ig: _InterpGeom, dst_rank,
+                ghost: bool, checking: bool) -> None:
+        """Refine one region for every variable of one signature: members
+        of the level-wide launch under ``batch``, else the operators' own
+        launches (one per variable, or one fused for a homogeneous
+        operator)."""
+        dst_pds = [ig.dst_patch.data(s.var.name) for s in specs]
+        marks = [("stamp", pd, [sp.data(s.var.name) for sp, _ in ig.sources])
+                 for s, pd in zip(specs, dst_pds)] if ghost and checking else ()
+        if not self.batch:
+            sink.add(TaskKind.KERNEL, dst_rank.index, "fill.refine",
+                     lambda _stream: self._fused_refine(specs, temps, ig,
+                                                        dst_rank),
+                     reads=temps, writes=dst_pds, ghost_only=ghost,
+                     marks=marks)
+            return
         ratio = self.dst_level.ratio_to_coarser
-        clamps: dict[int, tuple[object, list]] = {}
-        refines: dict[int, tuple[object, list]] = {}
-        for specs, temps, ig, dst_rank in entries:
-            for spec, temp in zip(specs, temps):
-                clamp = self._clamp_member(temp, spec.var, slab=SLAB_FALLBACK)
-                if clamp is not None:
-                    backend = backend_for(temp, dst_rank)
-                    entry = clamps.setdefault(id(backend), (backend, []))
-                    entry[1].append(clamp)
-                dst_pd = ig.dst_patch.data(spec.var.name)
-                member = spec.refine_op.batch_member(
-                    temp, dst_pd, ig.region, ratio)
-                member.slab = SLAB_FALLBACK
-                if ghost:
-                    member.marks = (
-                        ("stamp", dst_pd,
-                         [sp.data(spec.var.name) for sp, _ in ig.sources]),)
-                backend = backend_for(dst_pd, dst_rank)
-                entry = refines.setdefault(id(backend), (backend, []))
-                entry[1].append(member)
-        for backend, members in clamps.values():
-            backend.run_batched("pdat.copy", members)
-        for backend, members in refines.values():
-            backend.run_batched("geom.refine", members, ghost_only=ghost)
-        for _, temps, _, _ in entries:
-            free_temps(temps)
-
-    def _apply_boundary_batched(self, variables, ranks) -> None:
-        """One ``update_halo`` launch per rank over its boundary patches."""
-        groups: dict[int, tuple[object, list]] = {}
-        for dst in self.dst_level:
-            member = self.boundary.batch_member(dst, variables)
-            if member is None:
-                continue
-            member.slab = SLAB_FALLBACK
-            backend = backend_for(member.writes[0], ranks[dst.owner])
-            entry = groups.setdefault(id(backend), (backend, []))
-            entry[1].append(member)
-        for backend, members in groups.values():
-            backend.run_batched("hydro.update_halo", members, ghost_only=True)
+        for i, (spec, temp, pd) in enumerate(zip(specs, temps, dst_pds)):
+            member = spec.refine_op.batch_member(temp, pd, ig.region, ratio)
+            if marks:
+                member.marks = (marks[i],)
+            refines.collect(backend_for(pd, dst_rank), dst_rank,
+                            "geom.refine", member, ghost_only=ghost)
 
     def _fused_refine(self, specs, temps, ig: _InterpGeom, dst_rank) -> None:
         """One refine launch covering every variable of the signature."""
         ratio = self.dst_level.ratio_to_coarser
-        if self.batch:
-            # Scheduler path: the surrounding fill.refine task declares the
-            # union of operands; one batched launch replaces the
-            # per-variable (or homogeneous-op fused) launches.
-            members = [
-                spec.refine_op.batch_member(
-                    temp, ig.dst_patch.data(spec.var.name), ig.region, ratio)
-                for spec, temp in zip(specs, temps)
-            ]
-            for member in members:
-                member.slab = SLAB_FALLBACK
-            backend_for(temps[0], dst_rank).run_batched("geom.refine", members)
-            return
         op0 = specs[0].refine_op
         if len(specs) == 1 or any(type(s.refine_op) is not type(op0) for s in specs):
             for spec, temp in zip(specs, temps):
@@ -647,12 +553,3 @@ class RefineSchedule:
         copies = sum(len(g.copies) for _, g in self.items)
         interps = sum(len(g.interps) for _, g in self.items)
         return copies, interps
-
-    # Backwards-compatible views used by a few tests.
-    @property
-    def copies(self):
-        return [t for _, g in self.items for t in g.copies]
-
-    @property
-    def interps(self):
-        return [t for _, g in self.items for t in g.interps]

@@ -233,7 +233,7 @@ class _RecordingBackend:
         self.calls = []
         self.transfers = []
 
-    def run_batched(self, kernel, members, combine=None):
+    def run_batched(self, kernel, members, combine=None, ghost_only=False):
         self.calls.append((kernel, list(members)))
         results = [m.body() for m in members]
         return combine(results) if combine is not None else None
@@ -242,49 +242,66 @@ class _RecordingBackend:
         self.transfers.append((direction, nbytes))
 
 
+class _Rank:
+    def __init__(self, index):
+        self.index = index
+
+
+def _sink():
+    """The immediate sink, as the inline driver's sweeps use it."""
+    from repro.xfer.message import ImmediateSink
+
+    return ImmediateSink(comm=None)
+
+
 def test_batcher_groups_by_backend_kernel_level():
     b1, b2 = _RecordingBackend(), _RecordingBackend()
-    batcher = LaunchBatcher()
+    batcher = LaunchBatcher(fuse=True)
     ms = [BatchMember(1, lambda: None) for _ in range(5)]
-    batcher.collect(b1, "hydro.pdv", ms[0], level=0)
-    batcher.collect(b1, "hydro.pdv", ms[1], level=0)
-    batcher.collect(b1, "hydro.pdv", ms[2], level=1)   # other level
-    batcher.collect(b1, "hydro.accel", ms[3], level=0)  # other kernel
-    batcher.collect(b2, "hydro.pdv", ms[4], level=0)   # other backend
-    batcher.flush()
+    batcher.collect(b1, _Rank(0), "hydro.pdv", ms[0], level=0)
+    batcher.collect(b1, _Rank(0), "hydro.pdv", ms[1], level=0)
+    batcher.collect(b1, _Rank(0), "hydro.pdv", ms[2], level=1)   # other level
+    batcher.collect(b1, _Rank(0), "hydro.accel", ms[3], level=0)  # other kernel
+    batcher.collect(b2, _Rank(1), "hydro.pdv", ms[4], level=0)   # other backend
+    _sink().flush_fusion(batcher)
     assert [(k, len(m)) for k, m in b1.calls] == \
         [("hydro.pdv", 2), ("hydro.pdv", 1), ("hydro.accel", 1)]
     assert [(k, len(m)) for k, m in b2.calls] == [("hydro.pdv", 1)]
     assert b1.calls[0][1] == ms[:2]  # first-seen order, members in order
+    # without fusion the same collector issues the per-patch launch shape
+    unfused = LaunchBatcher(fuse=False)
+    for m in ms[:2]:
+        unfused.collect(b2, _Rank(1), "hydro.pdv", m, level=0)
+    _sink().flush_fusion(unfused)
+    assert b2.calls[1:] == [("hydro.pdv", [ms[0]]), ("hydro.pdv", [ms[1]])]
 
 
 def test_batcher_flush_clears_state():
     backend = _RecordingBackend()
-    batcher = LaunchBatcher()
-    batcher.collect(backend, "k", BatchMember(1, lambda: None), level=0)
-    batcher.flush()
-    batcher.flush()
+    batcher = LaunchBatcher(fuse=True)
+    batcher.collect(backend, _Rank(0), "k", BatchMember(1, lambda: None),
+                    level=0)
+    sink = _sink()
+    sink.flush_fusion(batcher)
+    sink.flush_fusion(batcher)
     assert len(backend.calls) == 1
 
 
-def test_batcher_reduction_fills_slot_and_charges_one_readback():
+def test_batcher_reduction_hands_back_one_readback_per_group():
     backend = _RecordingBackend()
-    batcher = LaunchBatcher()
-    slots = [
-        batcher.collect(backend, "hydro.calc_dt",
+    batcher = LaunchBatcher(fuse=True)
+    for v in (0.5, 0.25, 0.75):
+        batcher.collect(backend, _Rank(3), "hydro.calc_dt",
                         BatchMember(1, lambda v=v: v), level=0, combine=min)
-        for v in (0.5, 0.25, 0.75)
-    ]
-    assert all(s is slots[0] for s in slots)  # one slot per group
-    assert isinstance(slots[0], BatchSlot) and slots[0].result is None
-    batcher.flush()
-    assert slots[0].result == 0.25
+    [(owner, handle)] = _sink().flush_fusion(batcher)  # one per group
+    assert owner == 3
+    assert isinstance(handle, BatchSlot) and handle.result == 0.25
     # one 8-byte scalar crosses the bus per fused group, not one per patch
     assert backend.transfers == [("d2h", 8)]
 
 
-def test_batcher_non_reduction_has_no_slot():
-    batcher = LaunchBatcher()
-    slot = batcher.collect(_RecordingBackend(), "k",
-                           BatchMember(1, lambda: None), level=0)
-    assert slot is None
+def test_batcher_non_reduction_hands_back_nothing():
+    batcher = LaunchBatcher(fuse=True)
+    batcher.collect(_RecordingBackend(), _Rank(0), "k",
+                    BatchMember(1, lambda: None), level=0)
+    assert _sink().flush_fusion(batcher) == []

@@ -300,12 +300,14 @@ def test_underdeclared_batch_member_is_caught():
     under-declares is still caught, because the replay compares observed
     handouts against the *fused* declarations."""
     from repro.exec.backend import UNCHARGED_HOST
+    from repro.exec.batch import BatchMember, LaunchBatcher
 
     class Rank0:
         index = 0
 
     chk = SanitizeChecker()
-    gb = GraphBuilder(comm=None, fuse=True)
+    gb = GraphBuilder(comm=None)
+    batcher = LaunchBatcher(fuse=True)
     x, y = Datum("density0"), Datum("energy0")
 
     def write(d):
@@ -313,12 +315,12 @@ def test_underdeclared_batch_member_is_caught():
             chk.on_handout(d, d.arr)[...] += 1.0
         return body
 
-    gb.kernel_task(UNCHARGED_HOST, Rank0(), "hydro.pdv", 8, write(x),
-                   [], [x], level=0)
+    batcher.collect(UNCHARGED_HOST, Rank0(), "hydro.pdv",
+                    BatchMember(8, write(x), [], [x]), level=0)
     # second member "forgets" writes=[y]; fusion cannot re-derive it
-    gb.kernel_task(UNCHARGED_HOST, Rank0(), "hydro.pdv", 8, write(y),
-                   [], [], level=0)
-    gb.flush_fusion()
+    batcher.collect(UNCHARGED_HOST, Rank0(), "hydro.pdv",
+                    BatchMember(8, write(y), [], []), level=0)
+    gb.flush_fusion(batcher)
     assert len(list(gb.graph.topological_order())) == 1  # genuinely fused
     with pytest.raises((DeclaredAccessError, RaceError), match="energy0"):
         _run_graph(chk, gb.graph)

@@ -60,13 +60,16 @@ def serial_run():
 # -- order independence (the DAG invariant) ---------------------------------
 
 
+@pytest.mark.parametrize("batch", (False, True))
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_any_topological_order_is_bitwise_identical(serial_run, seed):
+def test_any_topological_order_is_bitwise_identical(serial_run, batch, seed):
     """Random tie-break priorities explore different valid topological
-    orders; every one of them must reproduce the serial fields exactly."""
+    orders; every one of them must reproduce the serial fields exactly —
+    batched too, where a level-wide fused fill is one node whose operands
+    are the union of the whole level's."""
     steps, want = serial_run
-    cfg = _config()
+    cfg = _config(execution=ExecutionPolicy(batch=batch))
     sim = build_simulation(cfg)
     sim.initialise()
     sim._step_scheduler = StepScheduler(
@@ -137,6 +140,27 @@ def test_drivers_launch_the_identical_sequence(monkeypatch, batch, overlap):
     want = _launch_sequence(monkeypatch, False, False)
     assert {op for op, _ in want} == {*_KERNEL_METHODS, "fill", "coarsen"}
     assert _launch_sequence(monkeypatch, batch, overlap) == want
+
+
+def test_one_transfer_program_batched_or_recorded():
+    """A schedule's work is written once, so executing it and recording
+    it issue the same launches: on one rank ``batch`` and
+    ``batch, overlap`` report equal launch / fusion / stacked-copy
+    counters, and recording is not modelled slower than executing."""
+    def counters(res):
+        mc = res.metrics["counters"]
+        return {name: sum(v for k, v in mc.items()
+                          if k == name or k.startswith(name + "{"))
+                for name in ("kernel.launches", "batch.launches",
+                             "batch.members", "slab_fused", "slab_fallback",
+                             "stack.regions", "stack.fallback_regions")}
+
+    batched = run(_config(nranks=1, execution=ExecutionPolicy(batch=True)))
+    recorded = run(_config(nranks=1, execution=ExecutionPolicy(
+        batch=True, overlap=True)))
+    assert counters(batched)["batch.launches"] > 0
+    assert counters(recorded) == counters(batched)
+    assert recorded.runtime <= 1.05 * batched.runtime
 
 
 # -- overlap accounting ------------------------------------------------------

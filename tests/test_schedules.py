@@ -175,6 +175,34 @@ class TestCoarseFineFill:
                        src_level=None, interior=True).fill()
         assert np.all(pd1.interior() == 3.5)
 
+    def test_temps_released_when_refine_raises(self):
+        """An exception anywhere in a fill returns the device pool's
+        in-use bytes to their pre-call value: no interpolation temp
+        outlives the call."""
+        class Failing(CellConservativeLinearRefine):
+            calls = 0
+
+            def _interp(self, *args):
+                Failing.calls += 1
+                if Failing.calls == 2:
+                    raise FloatingPointError("non-physical state")
+                super()._interp(*args)
+
+        comm, hier, reg, factory = self._world_with_fine(gpus=True)
+        for level in hier:
+            level.patches[0].data("rho").fill(1.0)
+        sched = RefineSchedule(hier.level(1), hier.level(0),
+                               [FillSpec(reg["rho"], Failing())], comm, factory)
+        assert sched.num_transactions()[1] >= 2
+        device = comm.rank(0).device
+        before = device.bytes_allocated
+        with pytest.raises(FloatingPointError) as caught:
+            sched.fill()
+        # while the traceback still pins the failed call's frames (so no
+        # garbage collector is doing the schedule's job for it)
+        assert caught.traceback and Failing.calls == 2
+        assert device.bytes_allocated == before
+
     def test_missing_op_raises(self):
         comm, hier, reg, factory = self._world_with_fine()
         specs = [FillSpec(reg["rho"], None)]

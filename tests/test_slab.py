@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, run
 from repro.exec.backend import UNCHARGED_HOST
-from repro.exec.batch import SLAB_FALLBACK, BatchMember, SlabSpec
+from repro.exec.batch import BatchMember, SlabSpec
 from repro.exec.stats import combined_stats
 from repro.hydro import kernels as K
 from repro.hydro.diagnostics import gather_level_field
@@ -209,10 +209,10 @@ def test_slab_plan_key_mismatch_falls_back_whole_group():
     assert np.array_equal(arena.stacked_view(), np.ones((3, 4, 4)))
 
 
-def test_slab_plan_fallback_sentinel_replays_bodies():
+def test_slab_plan_members_without_spec_replay_bodies():
     arena, pds, members, hits = _slab_group()
     for m in members:
-        m.slab = SLAB_FALLBACK
+        m.slab = None
     UNCHARGED_HOST.run_batched("k", members)
     assert hits == ["per-patch"] * 3
 
