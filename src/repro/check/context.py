@@ -1,7 +1,7 @@
 """Process-wide checker activation and the seam-scope marker.
 
 This module imports nothing from the rest of ``repro`` so any layer —
-``gpu``, ``cupdat``, ``exec``, ``sched`` — can consult it without import
+``gpu``, ``pdat``, ``exec``, ``sched`` — can consult it without import
 cycles.  Two pieces of state live here:
 
 * the *active checker* (one per process; ``--sanitize`` installs it for
@@ -9,10 +9,11 @@ cycles.  Two pieces of state live here:
 * a *seam-scope* depth counter: host-side transfers of device-resident
   bytes are legal only while a seam scope is open, which only the
   :mod:`repro.exec` seam (and the restart path built on it) ever opens.
-  :meth:`repro.cupdat.cuda_array_data.CudaArrayData.to_host_array` and
-  ``from_host_array`` raise
-  :class:`~repro.check.errors.ResidencyViolation` when called with a
-  checker active and no seam scope open.
+  :meth:`repro.pdat.patch_data.ArrayData.to_host_array` and
+  ``from_host_array`` ask their memory space
+  (:meth:`repro.gpu.device.Device.guard_mirror`), which raises
+  :class:`~repro.check.errors.ResidencyViolation` when called on a device
+  with a checker active and no seam scope open.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ graph once:
 height group       packages
 ====== =========== =========================================
 0      foundation  util, obs, gpu, perf, check
-1      data        mesh, pdat, cupdat, exec
+1      data        mesh, pdat, exec
 2      comm        comm
 3      physics     geom, hydro, xfer, regrid, sched
 4      facade      api, tune
@@ -51,7 +51,7 @@ __all__ = [
 #: (height, group name, packages) — the whole layering DAG in one table
 LAYER_GROUPS = (
     (0, "foundation", frozenset({"util", "obs", "gpu", "perf", "check"})),
-    (1, "data", frozenset({"mesh", "pdat", "cupdat", "exec"})),
+    (1, "data", frozenset({"mesh", "pdat", "exec"})),
     (2, "comm", frozenset({"comm"})),
     (3, "physics", frozenset({"geom", "hydro", "xfer", "regrid", "sched"})),
     (4, "facade", frozenset({"api", "tune"})),

@@ -4,15 +4,15 @@ An AST pass over the source tree enforcing the two disciplines the
 dynamic checker can only observe at runtime:
 
 * **seam** — patch-data storage internals (``.data.array``, ``.data.view``,
-  ``.data.frame``, ``.data.darr``, ``full_view``, ``to_host``/``from_host``
-  and friends) may only be touched inside the backend seam packages
-  (``exec``, ``pdat``, ``cupdat``, ``gpu``) and this checker.  Everything
+  ``.data.frame``, ``.data.buf``, ``to_host``/``from_host`` and friends)
+  may only be touched inside the backend seam packages (``exec``,
+  ``pdat``, ``gpu``) and this checker.  Everything
   else must go through :func:`repro.exec.backend.array_of` /
   :func:`~repro.exec.backend.frame_of` or a Backend method, so residency
   stays decided in one place.
 * **device** — raw device memory (``DeviceArray``, ``.kernel_view()``)
-  may only be handled by the gpu runtime, the seam, and the device data
-  package.
+  may only be handled by the gpu runtime, the seam, and the patch-data
+  package (whose store runs in either memory space).
 * **decl** — every ``Backend.run`` call site
   naming a kernel must declare its data accesses (``reads=``/``writes=``),
   because the scheduler derives dependency edges from exactly those
@@ -53,18 +53,18 @@ __all__ = [
 
 #: directories (relative to the ``repro`` package root) allowed to touch
 #: patch-data storage internals
-SEAM_DIRS = frozenset({"exec", "pdat", "cupdat", "gpu", "check"})
+SEAM_DIRS = frozenset({"exec", "pdat", "gpu", "check"})
 #: directories allowed to handle raw device memory
-DEVICE_DIRS = frozenset({"gpu", "exec", "cupdat", "check"})
+DEVICE_DIRS = frozenset({"gpu", "exec", "pdat", "check"})
 # SERVE_ALLOWED (packages the serve layer may import) now lives in
 # repro.check.layers with the rest of the layering table; re-exported
 # here for compatibility.
 
 _STORAGE_ATTRS = frozenset({
-    "array", "view", "full_view", "frame", "darr", "device",
+    "array", "view", "frame", "buf", "space",
 })
 _SEAM_CALLS = frozenset({
-    "to_host", "from_host", "to_host_array", "from_host_array", "full_view",
+    "to_host", "from_host", "to_host_array", "from_host_array",
 })
 _DEVICE_NAMES = frozenset({"DeviceArray"})
 _DEVICE_CALLS = frozenset({"kernel_view"})

@@ -9,21 +9,11 @@ from .backend import (
     HostBackend,
     NonResidentDeviceBackend,
     ResidentDeviceBackend,
-    allocate_device,
-    allocate_host,
     array_of,
     backend_for,
     is_resident,
     read_patch_fields,
     run_on,
-)
-from .centrings import (
-    BackendPatchData,
-    CellCentring,
-    DeviceBackedData,
-    HostBackedData,
-    NodeCentring,
-    SideCentring,
 )
 from .stats import (
     ExecStats,
@@ -67,15 +57,7 @@ __all__ = [
     "backend_for",
     "array_of",
     "run_on",
-    "allocate_host",
-    "allocate_device",
     "read_patch_fields",
-    "BackendPatchData",
-    "HostBackedData",
-    "DeviceBackedData",
-    "CellCentring",
-    "NodeCentring",
-    "SideCentring",
     "ExecStats",
     "KernelCounter",
     "TransferCounter",

@@ -6,7 +6,8 @@ device-resident?" ad hoc — hydro kernels, boundary fills, geometry
 operators, transfer schedules, tag flagging, diagnostics — now asks a
 :class:`Backend` instead.  A backend owns
 
-* array allocation (what the patch-data factories delegate to),
+* the memory space its data lives in (``space``: what the patch-data
+  factories allocate from, see :mod:`repro.pdat.space`),
 * array views (``array``: the frame array, host- or kernel-space),
 * kernel launch with cost charged to the owning rank's clocks,
 * memcpy charging and batched pack/unpack across the PCIe bus, and
@@ -32,9 +33,9 @@ import numpy as np
 from ..check.context import active as _check_active
 from ..check.context import seam_scope
 from ..check.errors import DeclaredAccessError
-from ..gpu.memory import DeviceArray
 from ..obs.context import active_tracer
-from ..obs.lanes import HOST
+from ..obs.lanes import HOST as HOST_LANE
+from ..pdat.space import HOST
 from .batch import SlabSpec, union_pds
 from .stats import ExecStats, attribution_report
 
@@ -42,8 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank
     from ..mesh.box import Box
     from ..mesh.patch import Patch
-    from ..mesh.variables import Variable
-    from ..pdat.patch_data import PatchData
 
 __all__ = [
     "Backend",
@@ -55,15 +54,13 @@ __all__ = [
     "array_of",
     "frame_of",
     "run_on",
-    "allocate_host",
-    "allocate_device",
     "read_patch_fields",
 ]
 
 
 def is_resident(pd) -> bool:
     """True if a patch-data object's storage lives in device memory."""
-    return getattr(pd, "RESIDENT", False)
+    return pd.space.resident
 
 
 def array_of(pd) -> np.ndarray:
@@ -75,7 +72,7 @@ def array_of(pd) -> np.ndarray:
     kernel/task scope are instrumented (read-only views for declared
     reads, shadow checksums for undeclared accesses).
     """
-    arr = pd.data.full_view() if is_resident(pd) else pd.data.array
+    arr = pd.data.array
     chk = _check_active()
     if chk is not None:
         return chk.on_handout(pd, arr)
@@ -85,40 +82,6 @@ def array_of(pd) -> np.ndarray:
 def frame_of(pd) -> "Box":
     """The index frame (ghost box) of a patch-data object's storage."""
     return pd.data.frame
-
-
-def allocate_host(var: "Variable", box: "Box", buffer=None) -> "PatchData":
-    from ..pdat.cell_data import CellData
-    from ..pdat.node_data import NodeData
-    from ..pdat.side_data import SideData
-
-    if var.centring == "cell":
-        pd = CellData(box, var.ghosts, buffer=buffer)
-    elif var.centring == "node":
-        pd = NodeData(box, var.ghosts, buffer=buffer)
-    else:
-        pd = SideData(box, var.ghosts, var.axis, buffer=buffer)
-    pd.var_name = var.name  # debug name used in sanitizer reports
-    return pd
-
-
-def allocate_device(var: "Variable", box: "Box", device, darr=None) -> "PatchData":
-    from ..cupdat.cuda_cell_data import CudaCellData
-    from ..cupdat.cuda_node_data import CudaNodeData
-    from ..cupdat.cuda_side_data import CudaSideData
-
-    if var.centring == "cell":
-        pd = CudaCellData(box, var.ghosts, device, darr=darr)
-    elif var.centring == "node":
-        pd = CudaNodeData(box, var.ghosts, device, darr=darr)
-    else:
-        pd = CudaSideData(box, var.ghosts, var.axis, device, darr=darr)
-    pd.var_name = var.name  # debug name used in sanitizer reports
-    return pd
-
-
-def _interior_box(patch: "Patch", pd) -> "Box":
-    return type(pd).index_box(patch.box, getattr(pd, "axis", None))
 
 
 # -- stacked batched region copies --------------------------------------------
@@ -136,11 +99,10 @@ def _interior_box(patch: "Patch", pd) -> "Box":
 
 def _stack_member(pd):
     """(arena, stacked index) when ``pd`` tiles a uniform arena, else None."""
-    arena = getattr(pd, "_arena", None)
-    if arena is None or not getattr(arena, "uniform", False):
+    arena = pd._arena
+    if arena is None or not arena.uniform:
         return None
-    index = getattr(pd, "_arena_index", None)
-    return None if index is None else (arena, index)
+    return arena, pd._arena_index
 
 
 def _rel_slices(pd, region):
@@ -267,33 +229,44 @@ def _run_stacked_unpack(groups, buffer) -> None:
             buffer[offs[:, None] + np.arange(n)].reshape((len(idx),) + shape)
 
 
-def _fused_pack_to_host(device, items, stats=None) -> np.ndarray:
-    """One pack kernel into one device buffer, one D2H, for many regions.
+def _pack_to_staging(space, launch, items, note=None):
+    """One pack kernel into one staging buffer in ``space``, for many regions.
 
     ``items`` is an iterable of ``(patch_data, region_box)``; regions are
-    packed back-to-back in order (the paper's MessageStream scheme).
-    Uniform-arena regions are gathered by stacked slab ops rather than a
-    per-region loop; ``stats`` (an ExecStats) records the split.
+    packed back-to-back in order (the paper's MessageStream scheme) by
+    ``launch(kernel, elements, body)``.  Uniform-arena regions are
+    gathered by stacked slab ops rather than a per-region loop; ``note``
+    (a ``Backend._note_stack``) records the split.  The staging buffer is
+    freed if the kernel raises.
     """
     items = list(items)
     total = sum(region.size() for _, region in items)
-    dbuf = DeviceArray(device, (total,))
-    groups, rest, eligible = plan_stacked_stream(items)
+    staging = space.empty((total,))
+    try:
+        groups, rest, eligible = plan_stacked_stream(items)
 
-    def body():
-        out = dbuf.kernel_view()
-        _run_stacked_pack(groups, out)
-        for pd, region, off in rest:
-            n = region.size()
-            out[off:off + n] = pd.data.view(region).reshape(-1)
+        def body():
+            out = staging.kernel_view()
+            _run_stacked_pack(groups, out)
+            for pd, region, off in rest:
+                n = region.size()
+                out[off:off + n] = pd.data.view(region).reshape(-1)
 
-    device.launch("pdat.pack", total, body)
-    if stats is not None and eligible:
-        stats.record_stack("pdat.pack", len(items) - len(rest),
-                           len(groups), len(rest))
-    host = device.to_host(dbuf)
-    dbuf.free()
-    return host
+        launch("pdat.pack", total, body)
+    except BaseException:
+        staging.free()
+        raise
+    if note is not None:
+        note("pdat.pack", len(items), groups, rest, eligible)
+    return staging
+
+
+def _to_host(space, staging, stream=None) -> np.ndarray:
+    """Bring a staging buffer to the host and release it."""
+    try:
+        return space.to_host(staging, stream=stream)
+    finally:
+        staging.free()
 
 
 class Backend(abc.ABC):
@@ -306,12 +279,8 @@ class Backend(abc.ABC):
 
     def __init__(self, rank: "Rank | None"):
         self.rank = rank
-
-    # -- allocation -----------------------------------------------------------
-
-    @abc.abstractmethod
-    def allocate(self, var: "Variable", box: "Box") -> "PatchData":
-        """Allocate patch data for one variable on this backend's memory."""
+        #: the memory space this backend's data and staging buffers live in
+        self.space = HOST
 
     # -- views ---------------------------------------------------------------
 
@@ -425,7 +394,7 @@ class Backend(abc.ABC):
             self.rank.exec_stats.record_slab(
                 kernel, fused=slab_body is not None)
             if tracer is not None and clock is not None:
-                lane = device.default_stream.label if device is not None else HOST
+                lane = device.default_stream.label if device is not None else HOST_LANE
                 tracer.emit(kernel, "fused", self.rank.index, lane,
                             t0, clock.time, members=len(members),
                             elements=total, slab=slab_body is not None)
@@ -461,14 +430,13 @@ class Backend(abc.ABC):
         arenas = []
         writable = []
         for j in range(nops):
-            arena = getattr(spec0.operands[j], "_arena", None)
+            arena = spec0.operands[j]._arena
             if arena is None or not arena.uniform or arena.member_count != n:
                 return None
             role = None
             for i, s in enumerate(specs):
                 pd = s.operands[j]
-                if (getattr(pd, "_arena", None) is not arena
-                        or getattr(pd, "_arena_index", None) != i):
+                if pd._arena is not arena or pd._arena_index != i:
                     return None
                 if id(pd) in write_ids[i]:
                     r = "write"
@@ -534,21 +502,12 @@ class Backend(abc.ABC):
 
     def write_frame(self, pd, host: np.ndarray) -> None:
         """Overwrite the full frame of ``pd`` from a host array."""
-        pd.data.array[...] = host
+        with seam_scope():
+            pd.from_host(host)
 
     def read_fields(self, patch: "Patch", names) -> dict[str, np.ndarray]:
         """Host arrays of field interiors (one fused D2H per patch)."""
         return read_patch_fields(patch, names)
-
-    def pack_region(self, pd, region: "Box") -> np.ndarray:
-        """Pack one region into a contiguous host buffer."""
-        return self._cpu("pdat.pack", region.size(),
-                         lambda: pd.pack_stream(region))
-
-    def unpack_region(self, pd, buf: np.ndarray, region: "Box") -> None:
-        """Unpack a contiguous host buffer into one region."""
-        self._cpu("pdat.unpack", region.size(),
-                  lambda: pd.unpack_stream(buf, region))
 
     def _note_stack(self, kernel: str, nitems: int, groups, rest,
                     eligible: int) -> None:
@@ -557,39 +516,50 @@ class Backend(abc.ABC):
             self.rank.exec_stats.record_stack(
                 kernel, nitems - len(rest), len(groups), len(rest))
 
-    def pack_batch(self, items) -> np.ndarray:
-        """Pack many ``(patch_data, region)`` items into one host buffer."""
+    def _move(self, kernel: str, elements: int, body):
+        """Launch one data-motion kernel on the resource holding the data."""
+        return self._cpu(kernel, elements, body)
+
+    # -- batch transfers --------------------------------------------------------
+    #
+    # One body each.  ``pack_batch``/``unpack_batch`` are single blocking
+    # calls; the scheduler issues the same work as pipeline stages so the
+    # PCIe legs can run on copy streams: pack → staging, staging → host
+    # (D2H), host → staging (H2D), staging → unpack.  The staging buffer
+    # lives in this backend's memory space; in the host space the copy
+    # legs charge nothing.
+
+    def _pack(self, items):
+        return _pack_to_staging(self.space, self._move, items,
+                                self._note_stack)
+
+    def _unpack(self, staging, items) -> None:
         items = list(items)
         total = sum(region.size() for _, region in items)
-        groups, rest, eligible = plan_stacked_stream(items)
+        try:
+            groups, rest, eligible = plan_stacked_stream(items)
 
-        def body():
-            out = np.empty(total, dtype=np.float64)
-            _run_stacked_pack(groups, out)
-            for pd, region, off in rest:
-                n = region.size()
-                out[off:off + n] = pd.data.view(region).reshape(-1)
-            return out
+            def body():
+                src = staging.kernel_view()
+                _run_stacked_unpack(groups, src)
+                for pd, region, off in rest:
+                    n = region.size()
+                    pd.data.view(region)[...] = src[off:off + n].reshape(
+                        tuple(region.shape()))
 
-        result = self._cpu("pdat.pack", total, body)
-        self._note_stack("pdat.pack", len(items), groups, rest, eligible)
-        return result
+            self._move("pdat.unpack", total, body)
+        finally:
+            staging.free()
+        self._note_stack("pdat.unpack", len(items), groups, rest, eligible)
+
+    def pack_batch(self, items) -> np.ndarray:
+        """Pack many ``(patch_data, region)`` items into one host buffer:
+        one pack kernel into one staging buffer, one D2H."""
+        return self.copy_out(self._pack(items))
 
     def unpack_batch(self, buffer: np.ndarray, items) -> None:
         """Unpack one host buffer into many items, in pack order."""
-        items = list(items)
-        total = sum(region.size() for _, region in items)
-        groups, rest, eligible = plan_stacked_stream(items)
-
-        def body():
-            _run_stacked_unpack(groups, buffer)
-            for pd, region, off in rest:
-                n = region.size()
-                pd.data.view(region)[...] = buffer[off:off + n].reshape(
-                    tuple(region.shape()))
-
-        self._cpu("pdat.unpack", total, body)
-        self._note_stack("pdat.unpack", len(items), groups, rest, eligible)
+        self._unpack(self.copy_in(buffer), items)
 
     def copy_batch(self, items) -> None:
         """Fuse many same-resource ``(dst_pd, src_pd, region)`` copies.
@@ -608,32 +578,27 @@ class Backend(abc.ABC):
             for dst_pd, src_pd, region in rest:
                 dst_pd.data.view(region)[...] = src_pd.data.view(region)
 
-        self._cpu("pdat.copy", total, body)
+        self._move("pdat.copy", total, body)
         self._note_stack("pdat.copy", len(items), groups, rest, eligible)
 
-    # -- staged batch transfers (the task-graph decomposition) ----------------
-    #
-    # ``pack_batch``/``unpack_batch`` are single blocking calls; the
-    # scheduler needs the same work split into pipeline stages so the PCIe
-    # legs can run on copy streams: pack → staging, staging → host (D2H),
-    # host → staging (H2D), staging → unpack.  On host backends the
-    # staging buffer *is* the host buffer and the copy legs are free.
-
     def pack_batch_staged(self, items):
-        """Pack a batch into a staging buffer on the data's resource."""
-        return self.pack_batch(items)
+        """Pack a batch into a staging buffer in the data's memory space;
+        the D2H leg (:meth:`copy_out`) is separate."""
+        return self._pack(items)
 
-    def copy_out(self, staging, stream=None) -> np.ndarray:  # noqa: ARG002
-        """Move a staging buffer to host memory (D2H leg; host: no-op)."""
-        return staging
+    def copy_out(self, staging, stream=None) -> np.ndarray:
+        """Move a staging buffer to host memory and release it (D2H leg)."""
+        return _to_host(self.space, staging, stream=stream)
 
-    def copy_in(self, host_buf: np.ndarray, stream=None):  # noqa: ARG002
-        """Move a host buffer to a staging buffer (H2D leg; host: no-op)."""
-        return host_buf
+    def copy_in(self, host_buf: np.ndarray, stream=None):
+        """Move a host buffer to a staging buffer (H2D leg)."""
+        return self.space.from_host(np.ascontiguousarray(host_buf),
+                                    stream=stream)
 
     def unpack_batch_staged(self, staging, items) -> None:
-        """Unpack a staging buffer into the batch items, in pack order."""
-        self.unpack_batch(staging, items)
+        """Unpack a staging buffer into the batch items, in pack order,
+        and release it."""
+        self._unpack(staging, items)
 
     def _cpu(self, kernel: str, elements: int, fn, *args):
         """Run a charged host pass (uncharged when no rank is attached)."""
@@ -658,9 +623,6 @@ class HostBackend(Backend):
     name = "host"
     resident = False
 
-    def allocate(self, var, box):
-        return allocate_host(var, box)
-
     def _launch(self, kernel, elements, fn, *args, reads=(), writes=()):  # noqa: ARG002
         return self._cpu(kernel, elements, fn, *args)
 
@@ -673,14 +635,19 @@ class ResidentDeviceBackend(Backend):
 
     def __init__(self, rank: "Rank"):
         super().__init__(rank)
-        self.device = rank.device
+        self.space = self.device = rank.device
         self._lane_streams: dict[str, object] = {}
-
-    def allocate(self, var, box):
-        return allocate_device(var, box, self.device)
 
     def _launch(self, kernel, elements, fn, *args, reads=(), writes=()):  # noqa: ARG002
         return self.device.launch(kernel, elements, fn, *args)
+
+    def _move(self, kernel, elements, body):
+        return self.device.launch(kernel, elements, body)
+
+    #: the shared body, launched through this class's ``_move``; the entry
+    #: itself is a wrap point the end-to-end benchmark resolves on every
+    #: backend class that runs copies
+    copy_batch = Backend.copy_batch
 
     def lane_stream(self, lane: str):
         """Copy-engine streams, one per direction (dual-copy-engine GPUs)."""
@@ -693,106 +660,14 @@ class ResidentDeviceBackend(Backend):
     def charge_transfer(self, direction, nbytes, stream=None):
         self.device._charge_transfer(nbytes, stream, direction=direction)
 
-    def write_frame(self, pd, host):
-        with seam_scope():
-            pd.from_host(host)
-
-    def pack_region(self, pd, region):
-        return pd.pack_stream(region)  # device kernel + D2H, self-charging
-
-    def unpack_region(self, pd, buf, region):
-        pd.unpack_stream(buf, region)  # H2D + device kernel, self-charging
-
-    def pack_batch(self, items):
-        return _fused_pack_to_host(
-            self.device, items,
-            stats=self.rank.exec_stats if self.rank is not None else None)
-
-    def unpack_batch(self, buffer, items):
-        items = list(items)
-        total = sum(region.size() for _, region in items)
-        dbuf = self.device.from_host(np.ascontiguousarray(buffer))
-        groups, rest, eligible = plan_stacked_stream(items)
-
-        def body():
-            src = dbuf.kernel_view()
-            _run_stacked_unpack(groups, src)
-            for pd, region, off in rest:
-                n = region.size()
-                pd.data.view(region)[...] = src[off:off + n].reshape(
-                    tuple(region.shape()))
-
-        self.device.launch("pdat.unpack", total, body)
-        self._note_stack("pdat.unpack", len(items), groups, rest, eligible)
-        dbuf.free()
-
-    def copy_batch(self, items):
-        items = list(items)
-        total = sum(region.size() for _, _, region in items)
-        groups, rest, eligible = plan_stacked_copies(items)
-
-        def body():
-            _run_stacked_copies(groups)
-            for dst_pd, src_pd, region in rest:
-                dst_pd.data.view(region)[...] = src_pd.data.view(region)
-
-        self.device.launch("pdat.copy", total, body)
-        self._note_stack("pdat.copy", len(items), groups, rest, eligible)
-
-    # -- staged batch transfers ------------------------------------------------
-
-    def pack_batch_staged(self, items):
-        """One pack kernel into one device buffer; the D2H leg is separate."""
-        items = list(items)
-        total = sum(region.size() for _, region in items)
-        dbuf = DeviceArray(self.device, (total,))
-        groups, rest, eligible = plan_stacked_stream(items)
-
-        def body():
-            out = dbuf.kernel_view()
-            _run_stacked_pack(groups, out)
-            for pd, region, off in rest:
-                n = region.size()
-                out[off:off + n] = pd.data.view(region).reshape(-1)
-
-        self.device.launch("pdat.pack", total, body)
-        self._note_stack("pdat.pack", len(items), groups, rest, eligible)
-        return dbuf
-
-    def copy_out(self, staging, stream=None):
-        host = self.device.to_host(staging, stream=stream)
-        staging.free()
-        return host
-
-    def copy_in(self, host_buf, stream=None):
-        return self.device.from_host(np.ascontiguousarray(host_buf),
-                                     stream=stream)
-
-    def unpack_batch_staged(self, staging, items):
-        items = list(items)
-        total = sum(region.size() for _, region in items)
-        groups, rest, eligible = plan_stacked_stream(items)
-
-        def body():
-            src = staging.kernel_view()
-            _run_stacked_unpack(groups, src)
-            for pd, region, off in rest:
-                n = region.size()
-                pd.data.view(region)[...] = src[off:off + n].reshape(
-                    tuple(region.shape()))
-
-        self.device.launch("pdat.unpack", total, body)
-        self._note_stack("pdat.unpack", len(items), groups, rest, eligible)
-        staging.free()
-
 
 class NonResidentDeviceBackend(HostBackend):
     """Copy-per-kernel ablation: host data, GPU kernels, PCIe both ways.
 
     Models the pre-resident porting style (paper §I, §III, Wang et al.):
     every launch is bracketed by H2D copies of its operands and D2H
-    copies of its outputs.  Data handling (allocation, views, pack paths)
-    is inherited from :class:`HostBackend` because the data *is*
+    copies of its outputs.  Data handling (memory space, views, pack
+    paths) is inherited from :class:`HostBackend` because the data *is*
     host-resident — only kernel execution differs.
     """
 
@@ -808,11 +683,11 @@ class NonResidentDeviceBackend(HostBackend):
     def _launch(self, kernel, elements, fn, *args, reads=(), writes=()):
         writes = list(writes)
         for pd in dict.fromkeys([*reads, *writes]):
-            self.device._charge_transfer(pd.data.array.nbytes, None,
+            self.device._charge_transfer(pd.data.buf.nbytes, None,
                                          direction="h2d")
         result = self.device.launch(kernel, elements, fn, *args)
         for pd in writes:
-            self.device._charge_transfer(pd.data.array.nbytes, None,
+            self.device._charge_transfer(pd.data.buf.nbytes, None,
                                          direction="d2h")
         return result
 
@@ -839,15 +714,14 @@ def backend_for(pd, rank: "Rank | None") -> Backend:
 def run_on(pd, rank: "Rank | None", kernel: str, elements: int, fn, *args):
     """Dispatch one kernel to the resource owning ``pd``.
 
-    Unlike :func:`backend_for`, this tolerates ``rank=None`` for
-    device-resident data by launching on the data's own device (operators
-    applied outside a simulation still execute on the right resource).
+    Unlike :func:`backend_for`, this tolerates ``rank=None`` by launching
+    in the data's own memory space (operators applied outside a
+    simulation still execute on the right resource; uncharged on the
+    host).
     """
-    if is_resident(pd):
-        return pd.device.launch(kernel, elements, fn, *args)
-    if rank is not None:
-        return rank.cpu_run(kernel, elements, fn, *args)
-    return fn(*args)
+    if rank is None or is_resident(pd):
+        return pd.space.launch(kernel, elements, fn, *args)
+    return rank.cpu_run(kernel, elements, fn, *args)
 
 
 def read_patch_fields(patch: "Patch", names) -> dict[str, np.ndarray]:
@@ -862,15 +736,15 @@ def read_patch_fields(patch: "Patch", names) -> dict[str, np.ndarray]:
     device_items = []
     for name in names:
         pd = patch.data(name)
-        interior = _interior_box(patch, pd)
+        interior = pd.var.index_box(patch.box)
         if is_resident(pd):
             device_items.append((name, pd, interior))
         else:
             out[name] = pd.data.view(interior)
     if device_items:
-        device = device_items[0][1].device
-        host = _fused_pack_to_host(
-            device, [(pd, box) for _, pd, box in device_items])
+        device = device_items[0][1].space
+        host = _to_host(device, _pack_to_staging(
+            device, device.launch, [(pd, box) for _, pd, box in device_items]))
         off = 0
         for name, _pd, box in device_items:
             n = box.size()

@@ -152,7 +152,7 @@ class SideConservativeLinearRefine(RefineOperator):
 
     def apply(self, coarse_pd, fine_pd, region, ratio, rank=None):
         ratio = _as_ratio(ratio)
-        axis = fine_pd.axis
+        axis = fine_pd.var.axis
 
         def body():
             carr, cframe = _arrays(coarse_pd)
@@ -166,7 +166,7 @@ class SideConservativeLinearRefine(RefineOperator):
     def _interp_pd(self, coarse_pd, fine_pd, carr, cframe, farr, fframe,  # noqa: ARG002
                    region, ratio):
         m.refine_side_conservative_linear(
-            carr, cframe, farr, fframe, region, ratio, fine_pd.axis
+            carr, cframe, farr, fframe, region, ratio, fine_pd.var.axis
         )
 
 
@@ -287,4 +287,4 @@ class SideSumCoarsen(CoarsenOperator):
     def _reduce_pd(self, fine_pd, coarse_pd, farr, fframe, carr, cframe,  # noqa: ARG002
                    region, ratio):
         m.coarsen_side_sum(farr, fframe, carr, cframe, region, ratio,
-                           coarse_pd.axis)
+                           coarse_pd.var.axis)

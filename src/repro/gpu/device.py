@@ -18,11 +18,15 @@ from time import perf_counter
 
 import numpy as np
 
+from ..check.context import active as _check_active
+from ..check.context import in_seam
+from ..check.errors import ResidencyViolation
 from ..obs.context import active_tracer
 from ..obs.lanes import HOST
 from ..util.clock import VirtualClock
 from .errors import DeviceOutOfMemory, MemorySpaceError
 from .kernel import KernelSpec, LaunchConfig, kernel_spec
+from .memory import DeviceArray
 from .stream import Stream
 
 __all__ = ["DeviceSpec", "Device", "DeviceStats", "K20X"]
@@ -74,7 +78,16 @@ class DeviceStats:
 
 
 class Device:
-    """A simulated GPU with its own memory space and timelines."""
+    """A simulated GPU with its own memory space and timelines.
+
+    A device is also the *device memory space* of :mod:`repro.pdat`
+    (see :mod:`repro.pdat.space` for the seam it implements alongside the
+    host space): ``empty``/``launch``/``to_host``/``from_host``/
+    ``memcpy_htod`` plus :meth:`guard_mirror`.
+    """
+
+    #: data allocated here lives in device memory (host space: False)
+    resident = True
 
     def __init__(
         self,
@@ -136,8 +149,6 @@ class Device:
         self.bytes_allocated = max(0, self.bytes_allocated - nbytes)
 
     def empty(self, shape, dtype=np.float64) -> "DeviceArray":
-        from .memory import DeviceArray
-
         return DeviceArray(self, shape, dtype=dtype)
 
     def zeros(self, shape, dtype=np.float64) -> "DeviceArray":
@@ -299,6 +310,15 @@ class Device:
                 tracer.emit(f"memcpy_{direction}", "transfer",
                             self.trace_rank, stream.label, t1 - cost, t1,
                             nbytes=int(nbytes))
+
+    def guard_mirror(self, op: str) -> None:
+        """Under ``--sanitize``, host mirroring of device-resident bytes is
+        legal only inside the :mod:`repro.exec` backend seam."""
+        if _check_active() is not None and not in_seam():
+            raise ResidencyViolation(
+                f"host-side {op}() on device-resident storage outside the "
+                "repro.exec backend seam — route the transfer through a "
+                "Backend method (write_frame/read_fields) instead")
 
     def require_access(self) -> None:
         """Raise unless device memory may legally be touched right now."""

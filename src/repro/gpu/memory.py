@@ -5,15 +5,56 @@ The backing store is a NumPy array, but host code may only obtain it via
 or a memcpy on the owning device.  Everything else must go through explicit
 ``memcpy_*`` calls — exactly the discipline real CUDA imposes and the
 discipline the paper's resident design is built on.
+
+:class:`HostArray` is the same buffer protocol (``kernel_view``, ``free``,
+shape/size/dtype/nbytes) over plain host memory: always addressable, no
+ledger.  It is what a host-mode :class:`~repro.gpu.pool.MemoryPool` leases
+and what the host memory space of :mod:`repro.pdat` allocates.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .device import Device
+if TYPE_CHECKING:  # pragma: no cover
+    from .device import Device
 
-__all__ = ["DeviceArray"]
+__all__ = ["DeviceArray", "HostArray"]
+
+
+class HostArray:
+    """A typed, shaped allocation in host memory (DeviceArray's protocol)."""
+
+    __slots__ = ("shape", "dtype", "nbytes", "_data", "_freed")
+
+    def __init__(self, shape, dtype=np.float64):
+        self.shape = (tuple(int(s) for s in np.atleast_1d(shape))
+                      if np.isscalar(shape)
+                      else tuple(int(s) for s in shape))
+        self.dtype = np.dtype(dtype)
+        self._data = np.empty(self.shape, dtype=self.dtype)
+        self.nbytes = self._data.nbytes
+        self._freed = False
+
+    @property
+    def size(self) -> int:
+        return self._data.size
+
+    def kernel_view(self) -> np.ndarray:
+        if self._freed:
+            raise RuntimeError("use after free of HostArray")
+        return self._data
+
+    def free(self) -> None:
+        if not self._freed:
+            self._freed = True
+            self._data = np.empty(0, dtype=self.dtype)
+
+    def _poison(self) -> None:
+        if not self._freed and np.issubdtype(self.dtype, np.floating):
+            self._data.fill(np.nan)
 
 
 class DeviceArray:

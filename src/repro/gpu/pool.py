@@ -24,41 +24,12 @@ from collections import defaultdict
 import numpy as np
 
 from .device import Device
-from .memory import DeviceArray
+from .memory import DeviceArray, HostArray
 
 __all__ = ["MemoryPool", "PooledArray"]
 
 #: modelled cost of a cudaMalloc/cudaFree pair that the pool avoids
 ALLOC_OVERHEAD = 5.0e-6
-
-
-class _HostBlock:
-    """Host-side stand-in for :class:`DeviceArray` in a host-mode pool."""
-
-    __slots__ = ("shape", "dtype", "nbytes", "_data", "_freed")
-
-    def __init__(self, shape, dtype=np.float64):
-        self.shape = (tuple(int(s) for s in np.atleast_1d(shape))
-                      if np.isscalar(shape)
-                      else tuple(int(s) for s in shape))
-        self.dtype = np.dtype(dtype)
-        self._data = np.empty(self.shape, dtype=self.dtype)
-        self.nbytes = self._data.nbytes
-        self._freed = False
-
-    def kernel_view(self) -> np.ndarray:
-        if self._freed:
-            raise RuntimeError("use after free of pooled host block")
-        return self._data
-
-    def free(self) -> None:
-        if not self._freed:
-            self._freed = True
-            self._data = np.empty(0, dtype=self.dtype)
-
-    def _poison(self) -> None:
-        if not self._freed and np.issubdtype(self.dtype, np.floating):
-            self._data.fill(np.nan)
 
 
 class PooledArray:
@@ -138,7 +109,7 @@ class MemoryPool:
             darr = DeviceArray(self.device, shape, dtype=dtype)
             self.misses += 1
         else:
-            darr = _HostBlock(shape, dtype=dtype)
+            darr = HostArray(shape, dtype=dtype)
             self.misses += 1
         darr._poison()
         self.leased_bytes += darr.nbytes

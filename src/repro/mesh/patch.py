@@ -49,9 +49,7 @@ class Patch:
     def free_all(self) -> None:
         """Release every PatchData (frees device allocations promptly)."""
         for pd in self._data.values():
-            free = getattr(pd, "free", None)
-            if free is not None:
-                free()
+            pd.free()
         self._data.clear()
 
     # -- geometry helpers ------------------------------------------------------

@@ -1,27 +1,36 @@
 """Variable declarations and patch-data factories.
 
 A :class:`Variable` describes one simulation quantity (name, centring,
-ghost width).  A factory turns a variable plus a patch box into a concrete
-``PatchData`` object — host-resident or GPU-resident — which is the single
-point where the CPU and GPU builds of the application diverge, mirroring
-how the paper swaps ``PatchData`` implementations under an unchanged
-SAMRAI framework.
+ghost width) and owns the *index space* its centring implies: the per-axis
+0/1 upper offset over the cell box, from which the interior index box, the
+storage frame and the frame's inverse all follow.  A factory turns a
+variable plus a patch box into a :class:`~repro.pdat.patch_data.PatchData`
+in one memory space — host or the owning rank's device — which is the
+single point where the CPU and GPU builds of the application diverge,
+mirroring how the paper swaps ``PatchData`` implementations under an
+unchanged SAMRAI framework.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+import math
+from dataclasses import dataclass, field
 
-from ..exec.backend import allocate_device, allocate_host
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..pdat.patch_data import PatchData
-    from .box import Box
+from ..pdat.arena import Arena
+from ..pdat.patch_data import PatchData
+from ..pdat.space import HOST
+from .box import Box, IntVector
 
 __all__ = ["Variable", "VariableRegistry", "HostDataFactory", "CudaDataFactory"]
 
-CENTRINGS = ("cell", "node", "side")
+#: centring → upper offset of its index space over the cell box, indexed
+#: by ``axis`` (only side data, face-centred along its normal, uses it).
+#: The one definition: every index box, frame and temp box derives from it.
+UPPER_OFFSETS = {
+    "cell": (IntVector(0, 0),) * 2,
+    "node": (IntVector(1, 1),) * 2,
+    "side": (IntVector(1, 0), IntVector(0, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -32,10 +41,29 @@ class Variable:
     centring: str
     ghosts: int = 2
     axis: int = 0  # only meaningful for side centring
+    #: per-axis 0/1 upper offset of this centring's index space
+    offset: IntVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.centring not in CENTRINGS:
+        if self.centring not in UPPER_OFFSETS:
             raise ValueError(f"unknown centring {self.centring!r}")
+        by_axis = UPPER_OFFSETS[self.centring]
+        if not 0 <= self.axis < len(by_axis):
+            raise ValueError(f"bad axis {self.axis} for dim {len(by_axis)}")
+        object.__setattr__(self, "offset", by_axis[self.axis])
+
+    def index_box(self, box: Box) -> Box:
+        """Interior index box of cell box ``box`` in this centring's space."""
+        return Box(box.lower, box.upper + self.offset) if any(self.offset) else box
+
+    def frame(self, box: Box) -> Box:
+        """Storage frame (interior + ghosts) over ``box``, centring space."""
+        return self.index_box(box.grow(self.ghosts))
+
+    def cell_box(self, index_box: Box) -> Box:
+        """Inverse of :meth:`index_box`: the cell box under an index box."""
+        return (Box(index_box.lower, index_box.upper - self.offset)
+                if any(self.offset) else index_box)
 
 
 class VariableRegistry:
@@ -64,13 +92,34 @@ class VariableRegistry:
         return list(self._vars)
 
 
+def _allocate_level(level, variables, space_of) -> None:
+    """Arena-pooled allocation of every variable on every patch: one
+    :class:`~repro.pdat.arena.Arena` slab per (owner, variable) in the
+    memory space ``space_of(owner)``."""
+    for owner in sorted({p.owner for p in level.patches}):
+        space = space_of(owner)
+        patches = level.local_patches(owner)
+        for var in variables:
+            shapes = [tuple(var.frame(p.box).shape()) for p in patches]
+            arena = Arena(space, sum(math.prod(s) for s in shapes))
+            for patch, shape in zip(patches, shapes):
+                patch.set_data(var.name, PatchData(
+                    var, patch.box, space, member=arena.place(shape)))
+
+
+def _device_of(rank):
+    if rank.device is None:
+        raise ValueError(f"rank {rank.index} has no device for CUDA data")
+    return rank.device
+
+
 class HostDataFactory:
     """Allocates CPU-resident patch data.
 
     With ``arena=True``, level-wide allocation pools each variable's
-    storage for all of a rank's patches into one
-    :class:`~repro.pdat.arena.HostArena` slab (per-patch ``allocate``
-    calls — schedule temporaries — stay individual allocations).
+    storage for all of a rank's patches into one arena slab (per-patch
+    ``allocate`` calls — schedule temporaries — stay individual
+    allocations).
     """
 
     location = "host"
@@ -78,37 +127,19 @@ class HostDataFactory:
     def __init__(self, arena: bool = False):
         self.arena = arena
 
-    def allocate(self, var: Variable, box: "Box", rank) -> "PatchData":  # noqa: ARG002
-        return allocate_host(var, box)
+    def allocate(self, var: Variable, box: Box, rank) -> PatchData:  # noqa: ARG002
+        return PatchData(var, box, HOST)
 
-    def allocate_level(self, level, variables, comm) -> None:
-        """Arena-pooled allocation of every variable on every patch."""
-        import math
-
-        from ..pdat.arena import HostArena, frame_box_of
-
-        for owner in sorted({p.owner for p in level.patches}):
-            patches = level.local_patches(owner)
-            for var in variables:
-                shapes = [tuple(frame_box_of(var, p.box).shape())
-                          for p in patches]
-                arena = HostArena(sum(math.prod(s) for s in shapes))
-                for index, (patch, shape) in enumerate(zip(patches, shapes)):
-                    pd = allocate_host(var, patch.box,
-                                       buffer=arena.place(shape))
-                    # Backlink for the whole-slab fast path: this patch
-                    # data is member ``index`` of the arena's stacked view.
-                    pd._arena = arena
-                    pd._arena_index = index
-                    patch.set_data(var.name, pd)
+    def allocate_level(self, level, variables, comm) -> None:  # noqa: ARG002
+        _allocate_level(level, variables, lambda owner: HOST)
 
 
 class CudaDataFactory:
     """Allocates GPU-resident patch data on the owning rank's device.
 
     With ``arena=True``, level-wide allocation pools each variable's
-    storage for all of a rank's patches into one
-    :class:`~repro.cupdat.arena.DeviceArena` slab on the owning device.
+    storage for all of a rank's patches into one arena slab on the
+    owning device.
     """
 
     location = "device"
@@ -116,32 +147,9 @@ class CudaDataFactory:
     def __init__(self, arena: bool = False):
         self.arena = arena
 
-    def allocate(self, var: Variable, box: "Box", rank) -> "PatchData":
-        if rank.device is None:
-            raise ValueError(f"rank {rank.index} has no device for CUDA data")
-        return allocate_device(var, box, rank.device)
+    def allocate(self, var: Variable, box: Box, rank) -> PatchData:
+        return PatchData(var, box, _device_of(rank))
 
     def allocate_level(self, level, variables, comm) -> None:
-        """Arena-pooled allocation of every variable on every patch."""
-        import math
-
-        from ..cupdat.arena import DeviceArena
-        from ..pdat.arena import frame_box_of
-
-        for owner in sorted({p.owner for p in level.patches}):
-            rank = comm.rank(owner)
-            if rank.device is None:
-                raise ValueError(
-                    f"rank {rank.index} has no device for CUDA data")
-            patches = level.local_patches(owner)
-            for var in variables:
-                shapes = [tuple(frame_box_of(var, p.box).shape())
-                          for p in patches]
-                arena = DeviceArena(rank.device,
-                                    sum(math.prod(s) for s in shapes))
-                for index, (patch, shape) in enumerate(zip(patches, shapes)):
-                    pd = allocate_device(var, patch.box, rank.device,
-                                         darr=arena.place(shape))
-                    pd._arena = arena
-                    pd._arena_index = index
-                    patch.set_data(var.name, pd)
+        _allocate_level(level, variables,
+                        lambda owner: _device_of(comm.rank(owner)))

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..exec.backend import array_of, backend_for, is_resident
+from ..exec.backend import array_of, backend_for
 from ..hydro.fields import GHOSTS
 from ..hydro.kernels import G_SMALL, win
 
@@ -111,7 +111,7 @@ def flag_patch_deferred(patch: "Patch", rank: "Rank",
     pds = [patch.data(n) for n in names]
     tags = backend.run("regrid.tag", nx * ny, tag_body,
                        reads=pds, ghost_reads=pds)
-    if not is_resident(pd):
+    if not backend.resident:
         return tags, 0, False, backend
 
     packed = backend.run("regrid.tag_compress", nx * ny, pack_tags, tags,

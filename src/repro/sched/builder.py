@@ -170,8 +170,11 @@ class GraphBuilder:
         """
         from ..comm.simcomm import Message
         from ..exec.backend import backend_for
-        from ..xfer.message import batch_size_bytes, halo_marks
-        from ..xfer.transfer import MESSAGE_HEADER_BYTES
+        from ..xfer.message import (
+            MESSAGE_HEADER_BYTES,
+            batch_size_bytes,
+            halo_marks,
+        )
 
         src_backend = backend_for(pack_items[0][0], src_rank)
         dst_backend = backend_for(unpack_items[0][0], dst_rank)

@@ -6,9 +6,9 @@ records its box structure.  Checkpoints are plain nested dicts, so they
 can be kept in memory for tests or written with ``numpy.savez`` for real
 runs.  GPU-resident data is staged through the host, charged like any
 other transfer: one D2H per field at checkpoint and one H2D at restore in
-the per-patch build, but under ``--batch`` each (level, variable) device
-arena moves as a *single* slab transfer and the per-field hooks read and
-write staged host segments instead (same database either way).
+the per-patch build, but under ``--batch`` each (level, variable) arena
+moves as a *single* slab transfer and the per-field hooks read and write
+staged host segments instead (same database either way).
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ..check.context import seam_scope
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hydro.integrator import LagrangianEulerianIntegrator
@@ -34,26 +36,24 @@ def _stage_member(pd, arena, host: np.ndarray) -> None:
     pd._restart_stage = host[off:off + math.prod(shape)].reshape(shape)
 
 
-def _stage_device_arenas(level, fetch: bool):
-    """Install host staging views for every device-arena-backed field.
+def _stage_arenas(level, fetch: bool):
+    """Install host staging views for every arena-backed field.
 
-    With ``fetch`` each distinct arena is copied down in one charged D2H
-    slab transfer (checkpoint); without it an empty host slab is staged
-    per arena for ``get_from_restart`` to fill (restore).  Returns
-    ``(staged_pds, arenas)`` where ``arenas`` maps ``id(arena)`` to
-    ``(arena, host_slab)``; fields whose storage is not an arena member
-    (host builds, per-patch device builds) are left alone and keep the
+    With ``fetch`` each distinct arena is copied to the host in one slab
+    transfer (checkpoint; a charged D2H on a device); without it an empty
+    host slab is staged per arena for ``get_from_restart`` to fill
+    (restore).  Returns ``(staged_pds, arenas)`` where ``arenas`` maps
+    ``id(arena)`` to ``(arena, host_slab)``; fields whose storage is not
+    an arena member (per-patch builds) are left alone and keep the
     per-field transfer path.
     """
-    from ..check.context import seam_scope
-
     staged: list = []
     arenas: dict[int, tuple] = {}
     for patch in level:
         for name in patch.data_names():
             pd = patch.data(name)
-            arena = getattr(pd, "_arena", None)
-            if arena is None or not hasattr(arena, "to_host_slab"):
+            arena = pd._arena
+            if arena is None:
                 continue
             entry = arenas.get(id(arena))
             if entry is None:
@@ -89,7 +89,7 @@ def checkpoint(sim: "LagrangianEulerianIntegrator") -> dict:
             "owners": [p.owner for p in level],
             "patches": [],
         }
-        staged, _ = _stage_device_arenas(level, fetch=True)
+        staged, _ = _stage_arenas(level, fetch=True)
         try:
             for patch in level:
                 patch_db: dict = {}
@@ -122,13 +122,11 @@ def restore(sim: "LagrangianEulerianIntegrator", db: dict) -> None:
             level_db["level_number"], boxes, level_db["owners"]
         )
         level.allocate_all(sim.variables, sim.factory, sim.comm)
-        staged, arenas = _stage_device_arenas(level, fetch=False)
+        staged, arenas = _stage_arenas(level, fetch=False)
         try:
             for patch, patch_db in zip(level, level_db["patches"]):
                 for name, field_db in patch_db.items():
                     patch.data(name).get_from_restart(field_db)
-            from ..check.context import seam_scope
-
             for arena, host in arenas.values():
                 with seam_scope():
                     arena.from_host_slab(host)

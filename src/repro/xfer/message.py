@@ -29,12 +29,12 @@ from ..check.context import active as _check_active
 from ..comm.simcomm import Message
 from ..exec.backend import backend_for
 from ..exec.batch import BatchSlot
-from .transfer import MESSAGE_HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank, SimCommunicator
 
 __all__ = [
+    "MESSAGE_HEADER_BYTES",
     "batch_size_bytes",
     "pack_batch",
     "unpack_batch",
@@ -42,6 +42,9 @@ __all__ = [
     "halo_marks",
     "ImmediateSink",
 ]
+
+#: envelope overhead per point-to-point message (tag, box, datatype info)
+MESSAGE_HEADER_BYTES = 64
 
 
 def batch_size_bytes(items) -> int:

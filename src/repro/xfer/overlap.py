@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..mesh.box import Box, IntVector
+from ..mesh.box import Box
 from ..mesh.box_container import BoxContainer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,18 +22,12 @@ __all__ = ["index_box_for", "frame_box_for", "ghost_fill_pieces", "clamp_extend"
 
 def index_box_for(var: "Variable", box: Box) -> Box:
     """Interior index box of ``box`` in the centring space of ``var``."""
-    if var.centring == "cell":
-        return box
-    if var.centring == "node":
-        return Box(box.lower, box.upper + IntVector.uniform(1, box.dim))
-    shift = [0] * box.dim
-    shift[var.axis] = 1
-    return Box(box.lower, box.upper + IntVector(shift))
+    return var.index_box(box)
 
 
 def frame_box_for(var: "Variable", box: Box) -> Box:
     """Full storage frame (interior + ghosts) in centring index space."""
-    return index_box_for(var, box.grow(var.ghosts))
+    return var.frame(box)
 
 
 def ghost_fill_pieces(var: "Variable", patch: "Patch") -> BoxContainer:

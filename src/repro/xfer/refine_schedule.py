@@ -80,13 +80,7 @@ def needed_coarse_frame(var: Variable, region: Box, ratio: IntVector) -> Box:
 
 def temp_box_for(var: Variable, frame: Box) -> Box:
     """Cell box whose zero-ghost storage frame equals ``frame``."""
-    if var.centring == "cell":
-        return frame
-    if var.centring == "node":
-        return Box(frame.lower, frame.upper - IntVector.uniform(1, frame.dim))
-    shift = [0] * frame.dim
-    shift[var.axis] = 1
-    return Box(frame.lower, frame.upper - IntVector(shift))
+    return var.cell_box(frame)
 
 
 def alloc_temp(factory, var: Variable, frame: Box, rank):
@@ -99,9 +93,7 @@ def alloc_temp(factory, var: Variable, frame: Box, rank):
 def free_temps(temps) -> None:
     """Release temporary blocks (device-backed ones own pool memory)."""
     for temp in temps:
-        free = getattr(temp, "free", None)
-        if free is not None:
-            free()
+        temp.free()
 
 
 def _set_times(pds, time: float) -> None:

@@ -1,10 +1,11 @@
 """Guard tests for the execution-backend seam.
 
 The whole point of ``repro.exec`` is that residency is decided in exactly
-one place.  These tests grep the source tree so the seam cannot silently
-re-fragment: any new ``getattr(pd, "RESIDENT", ...)`` or ``RESIDENT =``
-dispatch outside the exec package and the two patch-data packages is a
-regression, caught in CI.
+one place, and the point of the one ``repro.pdat`` stack is that *nothing*
+in it decides on residency at all (the memory-space object answers) and
+that index-space geometry never switches on the centring string (the
+variable's offset answers).  These tests grep the source tree so neither
+can silently re-fragment.
 """
 
 from __future__ import annotations
@@ -16,15 +17,27 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: the only places allowed to know about the RESIDENT class attribute
-ALLOWED = ("exec", "pdat", "cupdat")
+#: the only places allowed to ask where a patch-data object's bytes live
+ALLOWED = ("exec", "pdat")
 
 DISPATCH_PATTERNS = [
+    re.compile(r"\bspace\.resident\b"),
+    re.compile(r"\bis_resident\("),
+    # the class flag of the two former hierarchies must not come back
     re.compile(r'getattr\(\s*\w+\s*,\s*["\']RESIDENT["\']'),
     re.compile(r"\bRESIDENT\b\s*="),
-    # any other direct use of the residency flag counts as dispatch too
     re.compile(r"\bRESIDENT\b"),
 ]
+
+#: a ``centring ==`` / ``centring in`` comparison is legitimate only where
+#: the *physics* differs by centring: declaration validation, face-likeness
+#: under reflection, and the interpolation stencil's reach
+CENTRING_SWITCH = re.compile(r"\bcentring\s*(==|!=|(not\s+)?in\b)")
+CENTRING_SWITCH_ALLOWED = {
+    "mesh/variables.py": None,
+    "hydro/boundary.py": None,
+    "xfer/refine_schedule.py": "needed_coarse_frame",
+}
 
 
 def _source_files_outside_seam():
@@ -48,10 +61,49 @@ def test_no_residency_dispatch_outside_seam(pattern):
             if pattern.search(line):
                 offenders.append(f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
     assert not offenders, (
-        "residency dispatch leaked outside repro/exec, repro/pdat, "
-        "repro/cupdat — route it through a Backend instead:\n"
+        "residency dispatch leaked outside repro/exec and repro/pdat "
+        "— route it through a Backend instead:\n"
         + "\n".join(offenders)
     )
+
+
+def test_patch_data_never_branches_on_its_memory_space():
+    """Inside ``repro/pdat`` every host/device difference is an answer of
+    the space object; no method body tests residency."""
+    pattern = re.compile(
+        r"is_resident|RESIDENT|\.resident\b|device is (not )?None|isinstance\(")
+    offenders = [
+        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+        for path in sorted((SRC / "pdat").glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_index_space_geometry_never_switches_on_the_centring_string():
+    import ast
+
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        hits = [n for n, line in enumerate(text.splitlines(), start=1)
+                if CENTRING_SWITCH.search(line.split("#")[0])]
+        if not hits:
+            continue
+        if rel not in CENTRING_SWITCH_ALLOWED:
+            offenders += [f"{rel}:{n}" for n in hits]
+            continue
+        only_in = CENTRING_SWITCH_ALLOWED[rel]
+        if only_in is not None:
+            fn = next(n for n in ast.walk(ast.parse(text))
+                      if isinstance(n, ast.FunctionDef) and n.name == only_in)
+            offenders += [f"{rel}:{n}" for n in hits
+                          if not fn.lineno <= n <= fn.end_lineno]
+    assert not offenders, (
+        "index-space geometry derives from Variable.offset; a centring "
+        "comparison belongs only where the physics differs:\n"
+        + "\n".join(offenders))
 
 
 def test_backends_are_the_only_launch_dispatchers():

@@ -1,5 +1,5 @@
 """Units for the level-batched execution layer (:mod:`repro.pdat.arena`,
-:mod:`repro.cupdat.arena`, :mod:`repro.exec.batch`).
+:mod:`repro.exec.batch`).
 
 End-to-end bitwise parity of ``--batch`` lives in
 ``test_backend_parity.py``; these tests pin the building blocks: arena
@@ -9,10 +9,11 @@ fusion bookkeeping, and ``run_batched`` edge cases.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from repro.cupdat.arena import DeviceArena
 from repro.exec.backend import UNCHARGED_HOST
 from repro.exec.batch import BatchMember, BatchSlot, LaunchBatcher, union_pds
 from repro.gpu.device import K20X, Device
@@ -22,35 +23,14 @@ from repro.mesh.variables import (
     HostDataFactory,
     Variable,
 )
-from repro.pdat.arena import HostArena, frame_box_of
+from repro.pdat import HOST, Arena
 from repro.util.clock import VirtualClock
 
 
-# -- host arena ---------------------------------------------------------------
-
-
-def test_host_arena_places_views_into_one_slab():
-    arena = HostArena(6 + 12)
-    a = arena.place((2, 3))
-    b = arena.place((3, 4))
-    assert a.shape == (2, 3) and b.shape == (3, 4)
-    assert arena.offsets == [0, 6]
-    # both are views of the same slab, laid out back-to-back
-    assert a.base is not None and a.base is b.base
-    a[...] = 1.0
-    b[...] = 2.0
-    assert np.array_equal(arena.slab[:6], np.ones(6))
-    assert np.array_equal(arena.slab[6:], np.full(12, 2.0))
-
-
-def test_host_arena_overflow_raises():
-    arena = HostArena(10)
-    arena.place((2, 4))
-    with pytest.raises(ValueError, match="arena overflow"):
-        arena.place((3,))
-
-
-# -- device arena -------------------------------------------------------------
+# -- one arena, two memory spaces --------------------------------------------
+#
+# The same assertions run against the host space and a simulated device;
+# only the device has an allocation ledger to check them against.
 
 
 @pytest.fixture
@@ -58,9 +38,79 @@ def device():
     return Device(K20X, VirtualClock())
 
 
+def _scope(space):
+    """Where a space's buffers may be touched (anywhere on the host)."""
+    return getattr(space, "_memcpy_scope", nullcontext)()
+
+
+def _check_members_are_disjoint_segments_of_one_slab(space):
+    arena = Arena(space, 6 + 12)
+    a = arena.place((2, 3))
+    b = arena.place((3, 4))
+    assert a.shape == (2, 3) and b.shape == (3, 4)
+    assert arena.offsets == [0, 6] and (a.offset, b.offset) == (0, 6)
+    assert (a.index, b.index) == (0, 1) and a.arena is arena
+    with _scope(space):
+        # both are views of the same slab, laid out back-to-back
+        flat = arena.slab.kernel_view()
+        assert np.shares_memory(a.kernel_view(), flat)
+        assert np.shares_memory(b.kernel_view(), flat)
+        a.kernel_view()[...] = 1.0
+        b.kernel_view()[...] = 2.0
+        assert np.array_equal(flat[:6], np.ones(6))
+        assert np.array_equal(flat[6:], np.full(12, 2.0))
+
+
+def test_host_arena_places_views_into_one_slab():
+    _check_members_are_disjoint_segments_of_one_slab(HOST)
+
+
+def test_device_arena_slices_are_disjoint_segments(device):
+    _check_members_are_disjoint_segments_of_one_slab(device)
+
+
+def _check_overflow_raises(space):
+    arena = Arena(space, 10)
+    arena.place((2, 4))
+    with pytest.raises(ValueError, match="arena overflow"):
+        arena.place((3,))
+
+
+def test_host_arena_overflow_raises():
+    _check_overflow_raises(HOST)
+
+
+def test_device_arena_overflow_raises(device):
+    _check_overflow_raises(device)
+
+
+def _check_member_lifetime(space):
+    """Idempotent free, use-after-free raises, the last member frees the
+    slab (and not before)."""
+    arena = Arena(space, 20)
+    a, b = arena.place((10,)), arena.place((10,))
+    a.free()
+    a.free()  # must not double-release the slab
+    with pytest.raises(RuntimeError, match="use after free"), _scope(space):
+        a.kernel_view()
+    with _scope(space):
+        b.kernel_view()[...] = 1.0  # slab still live
+    b.free()
+    with pytest.raises(RuntimeError, match="use after free"), _scope(space):
+        arena.slab.kernel_view()
+
+
+def test_host_arena_member_lifetime():
+    _check_member_lifetime(HOST)
+
+
+def test_device_arena_use_after_free_raises(device):
+    _check_member_lifetime(device)
+
+
 def test_device_arena_is_one_allocation(device):
     before = device.bytes_allocated
-    arena = DeviceArena(device, 100)
+    arena = Arena(device, 100)
     assert device.bytes_allocated == before + 100 * 8
     s1 = arena.place((5, 10))
     s2 = arena.place((50,))
@@ -71,7 +121,7 @@ def test_device_arena_is_one_allocation(device):
 
 
 def test_device_arena_slab_freed_with_last_slice(device):
-    arena = DeviceArena(device, 60)
+    arena = Arena(device, 60)
     slices = [arena.place((20,)) for _ in range(3)]
     for s in slices[:-1]:
         s.free()
@@ -81,39 +131,13 @@ def test_device_arena_slab_freed_with_last_slice(device):
 
 
 def test_device_arena_slice_free_is_idempotent(device):
-    arena = DeviceArena(device, 20)
+    arena = Arena(device, 20)
     a, b = arena.place((10,)), arena.place((10,))
     a.free()
     a.free()  # must not double-release the slab
     assert device.bytes_allocated == 20 * 8
     b.free()
     assert device.bytes_allocated == 0
-
-
-def test_device_arena_use_after_free_raises(device):
-    arena = DeviceArena(device, 10)
-    s = arena.place((10,))
-    s.free()
-    with pytest.raises(RuntimeError, match="use after free"):
-        s.kernel_view()
-
-
-def test_device_arena_slices_are_disjoint_segments(device):
-    arena = DeviceArena(device, 12)
-    a, b = arena.place((2, 3)), arena.place((6,))
-    with device._memcpy_scope():
-        a.kernel_view()[...] = 1.0
-        b.kernel_view()[...] = 2.0
-        flat = arena.slab.kernel_view()
-        assert np.array_equal(flat[:6], np.ones(6))
-        assert np.array_equal(flat[6:], np.full(6, 2.0))
-
-
-def test_device_arena_overflow_raises(device):
-    arena = DeviceArena(device, 8)
-    arena.place((8,))
-    with pytest.raises(ValueError, match="arena overflow"):
-        arena.place((1,))
 
 
 # -- arena-pooled factory allocation ------------------------------------------
@@ -158,27 +182,35 @@ def _level():
     ])
 
 
-def test_host_factory_pools_level_into_one_slab_per_variable():
-    level = _level()
+def _check_factory_pools_level_into_one_slab(level, factory, comm, space):
     var = Variable("density", "cell", ghosts=2)
-    HostDataFactory(arena=True).allocate_level(level, [var], _StubComm({}))
-    arrays = [p.pds["density"].array for p in level.patches]
-    assert all(a.base is not None for a in arrays)
-    assert all(a.base is arrays[0].base for a in arrays)
-    frame = tuple(frame_box_of(var, level.patches[0].box).shape())
-    assert arrays[0].shape == frame
+    factory.allocate_level(level, [var], comm)
+    pds = [p.pds["density"] for p in level.patches]
+    arena = pds[0]._arena
+    assert all(pd._arena is arena and pd.space is space for pd in pds)
+    assert [pd._arena_index for pd in pds] == [0, 1, 2]
+    assert [pd.data.buf.index for pd in pds] == [0, 1, 2]
+    frame = var.frame(level.patches[0].box)
+    assert tuple(pds[0].data.buf.shape) == tuple(frame.shape())
+    # one slab covering all three frames, members aliasing it
+    assert arena.slab.size == 3 * frame.size() and arena.uniform
+    with _scope(space):
+        assert all(np.shares_memory(pd.array, arena.slab.kernel_view())
+                   for pd in pds)
+    return frame
+
+
+def test_host_factory_pools_level_into_one_slab_per_variable():
+    _check_factory_pools_level_into_one_slab(
+        _level(), HostDataFactory(arena=True), _StubComm({}), HOST)
 
 
 def test_cuda_factory_pools_level_into_one_device_slab(device):
-    level = _level()
-    var = Variable("density", "cell", ghosts=2)
-    comm = _StubComm({0: _StubRank(device)})
-    CudaDataFactory(arena=True).allocate_level(level, [var], comm)
-    darrs = [p.pds["density"].data.darr for p in level.patches]
-    assert all(d.arena is darrs[0].arena for d in darrs)
-    # one slab allocation covering all three frames
-    frame_elems = frame_box_of(var, level.patches[0].box).size()
-    assert device.bytes_allocated == 3 * frame_elems * 8
+    level = _level()  # holds the allocation while the ledger is read
+    frame = _check_factory_pools_level_into_one_slab(
+        level, CudaDataFactory(arena=True),
+        _StubComm({0: _StubRank(device)}), device)
+    assert device.bytes_allocated == 3 * frame.size() * 8
 
 
 # -- union_pds / BatchMember --------------------------------------------------

@@ -99,7 +99,7 @@ class TestApplyOnPatch:
         comm, patch, reg = self._patch()
         pd = patch.data("xvel0")
         pd.fill(0.0)
-        interior = type(pd).index_box(patch.box)
+        interior = pd.var.index_box(patch.box)
         pd.data.view(interior)[...] = 2.0
         ReflectiveBoundary().apply(patch, reg["xvel0"], comm.rank(0))
         arr = pd.data.array

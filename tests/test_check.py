@@ -26,12 +26,12 @@ from repro.check import (
     seam_scope,
 )
 from repro.check.lint import lint_paths
-from repro.cupdat.cuda_array_data import CudaArrayData
 from repro.gpu.device import K20X, Device
 from repro.gpu.pool import MemoryPool
 from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
 from repro.mesh.box import Box
+from repro.pdat import ArrayData
 from repro.sched import GraphBuilder, TaskKind
 from repro.sched.driver import StepScheduler
 from repro.util.clock import VirtualClock
@@ -222,7 +222,7 @@ def test_stale_halo_flagged_after_foreign_write_tolerated_within_sweep():
 
 def test_host_touch_of_device_data_outside_seam_raises():
     device = Device(K20X, VirtualClock())
-    ad = CudaArrayData(Box([0, 0], [3, 3]), device, fill=1.0)
+    ad = ArrayData(Box([0, 0], [3, 3]), device, fill=1.0)
     assert np.all(ad.to_host_array() == 1.0)  # checker inactive: permitted
     activate(SanitizeChecker())
     try:

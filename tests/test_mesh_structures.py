@@ -81,8 +81,8 @@ class TestPatchLevel:
         level = hier.make_level(0, [Box([0, 0], [7, 15]), Box([8, 0], [15, 15])],
                                 [0, 1])
         level.allocate_all(reg, CudaDataFactory(), comm)
-        assert level.patches[0].data("rho").device is comm.rank(0).device
-        assert level.patches[1].data("rho").device is comm.rank(1).device
+        assert level.patches[0].data("rho").space is comm.rank(0).device
+        assert level.patches[1].data("rho").space is comm.rank(1).device
 
     def test_free_all_releases_device_memory(self):
         comm, geom, hier, reg = world(gpus=True)

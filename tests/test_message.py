@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from fig3 import CellData, CudaCellData, CudaNodeData, NodeData
+
 from repro.comm.simcomm import SimCommunicator
-from repro.cupdat.cuda_cell_data import CudaCellData
-from repro.cupdat.cuda_node_data import CudaNodeData
 from repro.gpu.device import K20X
 from repro.mesh.box import Box
-from repro.pdat.cell_data import CellData
-from repro.pdat.node_data import NodeData
+from repro.pdat import HOST, Arena
 from repro.perf.machines import FDR_INFINIBAND, IPA_CPU_NODE
 from repro.xfer.message import (
     batch_size_bytes,
@@ -122,54 +121,97 @@ class TestLocalCopyBatch:
         assert full[2, 2] == 3.0 and full[9, 5] == 3.0 and full[5, 5] == 0.0
 
 
-def _host_arena_row(nboxes, fill=None, seed=None):
-    """Arena-backed CellData members in a row of same-shape boxes."""
-    from repro.pdat.arena import HostArena
-
+def _arena_row(space, nboxes, fill=None, seed=None, ragged=False):
+    """Arena-backed CellData members in ``space``: a row of same-shape
+    boxes, or with ``ragged`` a last box one cell taller (non-uniform)."""
     boxes = [Box([i * 8, 0], [i * 8 + 7, 7]) for i in range(nboxes)]
-    arena = HostArena(nboxes * 12 * 12)
+    if ragged:
+        boxes[-1] = Box([(nboxes - 1) * 8, 0], [nboxes * 8 - 1, 8])
+    shapes = [tuple(b.grow(2).shape()) for b in boxes]
+    arena = Arena(space, sum(a * b for a, b in shapes))
     pds = []
     rng = np.random.default_rng(seed) if seed is not None else None
-    for i, b in enumerate(boxes):
-        pd = CellData(b, 2, buffer=arena.place((12, 12)))
-        pd._arena = arena
-        pd._arena_index = i
+    for b, shape in zip(boxes, shapes):
+        pd = CellData(b, 2, space, member=arena.place(shape))
         if rng is not None:
-            pd.data.array[...] = rng.random(pd.data.array.shape)
+            pd.from_host(rng.random(shape))
         elif fill is not None:
-            pd.data.array.fill(fill)
+            pd.fill(fill)
         pds.append(pd)
     return arena, pds
+
+
+def _interior(pd):
+    return pd.to_host()[pd.box.slices_in(pd.get_ghost_box())]
+
+
+@pytest.fixture(params=["host", "device"])
+def space(request, comm):
+    return HOST if request.param == "host" else comm.rank(0).device
 
 
 class TestStackedCopies:
     """Uniform-arena batches collapse to one stacked op per group."""
 
-    def test_host_stacked_copy_matches_per_region(self, comm):
-        _, srcs = _host_arena_row(3, seed=7)
-        _, dsts = _host_arena_row(3, fill=0.0)
-        rank = comm.rank(0)
-        items = [(d, s, d.box) for d, s in zip(dsts, srcs)]
-        copy_batch_local(items, rank)
+    def _check_stacked_copy(self, space, rank):
+        _, srcs = _arena_row(space, 3, seed=7)
+        _, dsts = _arena_row(space, 3, fill=0.0)
+        copy_batch_local([(d, s, d.box) for d, s in zip(dsts, srcs)], rank)
         for d, s in zip(dsts, srcs):
-            assert np.array_equal(d.view(d.box), s.view(s.box))
+            assert np.array_equal(_interior(d), _interior(s))
         sc = rank.exec_stats.stacked["pdat.copy"]
         assert sc.stacked == 3 and sc.groups == 1 and sc.fallback == 0
 
+    def test_host_stacked_copy_matches_per_region(self, comm):
+        self._check_stacked_copy(HOST, comm.rank(0))
+
+    def test_device_stacked_copy_matches_per_region(self, comm):
+        self._check_stacked_copy(comm.rank(0).device, comm.rank(0))
+
     def test_ragged_regions_fall_back_per_region(self, comm):
-        _, srcs = _host_arena_row(3, seed=11)
-        _, dsts = _host_arena_row(3, fill=0.0)
-        rank = comm.rank(0)
+        self._check_ragged_regions_fall_back(HOST, comm.rank(0))
+
+    def test_device_ragged_regions_fall_back_per_region(self, comm):
+        self._check_ragged_regions_fall_back(comm.rank(0).device, comm.rank(0))
+
+    def _check_ragged_regions_fall_back(self, space, rank):
+        _, srcs = _arena_row(space, 3, seed=11)
+        _, dsts = _arena_row(space, 3, fill=0.0)
         # Different relative regions per member: no group forms.
         items = [(dsts[0], srcs[0], Box([0, 0], [3, 3])),
                  (dsts[1], srcs[1], Box([9, 2], [13, 5])),
                  (dsts[2], srcs[2], Box([16, 4], [23, 7]))]
         copy_batch_local(items, rank)
-        for d, s, region in [(dsts[i], srcs[i], items[i][2])
-                             for i in range(3)]:
-            assert np.array_equal(d.view(region), s.view(region))
+        for d, s, region in items:
+            sl = region.slices_in(d.get_ghost_box())
+            assert np.array_equal(d.to_host()[sl], s.to_host()[sl])
         sc = rank.exec_stats.stacked["pdat.copy"]
         assert sc.stacked == 0 and sc.fallback == 3
+
+    def test_ragged_arena_keeps_the_per_region_path(self, comm, space):
+        """Non-uniform arena: no stacked view, members still alias the
+        slab, transfers replay per region, the slab still round-trips."""
+        arena, srcs = _arena_row(space, 3, seed=13, ragged=True)
+        _, dsts = _arena_row(space, 3, fill=0.0, ragged=True)
+        rank = comm.rank(0)
+        assert not arena.uniform
+        with pytest.raises(ValueError, match="uniform"):
+            arena.stacked_view()
+        copy_batch_local([(d, s, d.box) for d, s in zip(dsts, srcs)], rank)
+        buffer = pack_batch([(s, s.box) for s in srcs], rank)
+        for d, s in zip(dsts, srcs):
+            assert np.array_equal(_interior(d), _interior(s))
+        assert np.array_equal(
+            buffer, np.concatenate([_interior(s).ravel() for s in srcs]))
+        assert "pdat.copy" not in rank.exec_stats.stacked
+        slab = arena.to_host_slab()
+        for i, s in enumerate(srcs):
+            n = arena.shapes[i][0] * arena.shapes[i][1]
+            assert np.array_equal(
+                slab[arena.offsets[i]:arena.offsets[i] + n].reshape(
+                    arena.shapes[i]), s.to_host())
+        arena.from_host_slab(np.zeros_like(slab))
+        assert all(not s.to_host().any() for s in srcs)
 
     def test_standalone_data_records_nothing(self, comm):
         a = CellData(BOX, 2, fill=1.0)
@@ -178,44 +220,63 @@ class TestStackedCopies:
         copy_batch_local([(dst, a, Box([0, 0], [3, 7]))], rank)
         assert "pdat.copy" not in rank.exec_stats.stacked
 
-    def test_host_stacked_pack_unpack_roundtrip(self, comm):
-        _, srcs = _host_arena_row(4, seed=3)
-        _, dsts = _host_arena_row(4, fill=0.0)
-        rank = comm.rank(0)
-        items_src = [(s, s.box) for s in srcs]
-        buffer = pack_batch(items_src, rank)
-        expected = np.concatenate(
-            [s.view(s.box).ravel() for s in srcs])
+    def _check_stacked_pack_unpack(self, space, rank):
+        _, srcs = _arena_row(space, 4, seed=3)
+        _, dsts = _arena_row(space, 4, fill=0.0)
+        buffer = pack_batch([(s, s.box) for s in srcs], rank)
+        expected = np.concatenate([_interior(s).ravel() for s in srcs])
         assert np.array_equal(buffer, expected)
         unpack_batch(buffer, [(d, d.box) for d in dsts], rank)
         for d, s in zip(dsts, srcs):
-            assert np.array_equal(d.view(d.box), s.view(s.box))
+            assert np.array_equal(_interior(d), _interior(s))
         sc = rank.exec_stats.stacked["pdat.pack"]
         assert sc.stacked == 4 and sc.fallback == 0
         su = rank.exec_stats.stacked["pdat.unpack"]
         assert su.stacked == 4 and su.fallback == 0
 
-    def test_device_stacked_pack_single_launch_and_transfer(self, comm):
-        from repro.cupdat.arena import DeviceArena
+    def test_host_stacked_pack_unpack_roundtrip(self, comm):
+        self._check_stacked_pack_unpack(HOST, comm.rank(0))
 
+    def test_device_stacked_pack_unpack_roundtrip(self, comm):
+        self._check_stacked_pack_unpack(comm.rank(0).device, comm.rank(0))
+
+    def test_device_stacked_pack_single_launch_and_transfer(self, comm):
         rank = comm.rank(0)
         device = rank.device
-        arena = DeviceArena(device, 3 * 12 * 12)
-        pds = []
-        rng = np.random.default_rng(5)
-        for i in range(3):
-            b = Box([i * 8, 0], [i * 8 + 7, 7])
-            pd = CudaCellData(b, 2, device, darr=arena.place((12, 12)))
-            pd._arena = arena
-            pd._arena_index = i
-            host = rng.random((12, 12))
-            pd.data.from_host_array(host)
-            pds.append((pd, host))
+        _, pds = _arena_row(device, 3, seed=5)
         k0 = device.stats.launches_by_name.get("pdat.pack", 0)
-        buffer = pack_batch([(pd, pd.box) for pd, _ in pds], rank)
+        d0 = device.stats.transfers_d2h
+        pack_batch([(pd, pd.box) for pd in pds], rank)
         assert device.stats.launches_by_name["pdat.pack"] == k0 + 1
-        expected = np.concatenate(
-            [host[2:-2, 2:-2].ravel() for _, host in pds])
-        assert np.array_equal(buffer, expected)
+        assert device.stats.transfers_d2h == d0 + 1
         sc = rank.exec_stats.stacked["pdat.pack"]
         assert sc.stacked == 3 and sc.fallback == 0
+
+
+# -- a batch transfer that raises leaves no staging buffer behind -----------------
+
+OUTSIDE = Box([40, 40], [43, 43])  # not in BOX's frame: the kernel body raises
+
+
+@pytest.mark.parametrize("verb", ["pack_batch", "unpack_batch",
+                                  "pack_batch_staged", "unpack_batch_staged"])
+def test_staging_buffer_freed_when_a_batch_transfer_raises(comm, verb):
+    rank = comm.rank(0)
+    backend, device = rank.resident_backend, rank.device
+    pd = CudaCellData(BOX, 2, device, fill=0.0)
+    items = [(pd, OUTSIDE)]
+    host = np.zeros(OUTSIDE.size())
+    live = device.bytes_allocated
+    with pytest.raises(IndexError) as excinfo:
+        if verb == "pack_batch":
+            backend.pack_batch(items)
+        elif verb == "pack_batch_staged":
+            backend.pack_batch_staged(items)
+        elif verb == "unpack_batch":
+            backend.unpack_batch(host, items)
+        else:
+            backend.unpack_batch_staged(backend.copy_in(host), items)
+    # excinfo keeps the traceback, and with it every frame local, alive:
+    # only an explicit free (not a buffer's __del__) can have run
+    assert excinfo.traceback
+    assert device.bytes_allocated == live

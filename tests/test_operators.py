@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from fig3 import CellData, CudaCellData, CudaNodeData, NodeData, SideData
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +17,7 @@ from repro.geom.operators import (
     SideSumCoarsen,
 )
 from repro.gpu.device import K20X, Device
-from repro.cupdat.cuda_cell_data import CudaCellData
-from repro.cupdat.cuda_node_data import CudaNodeData
 from repro.mesh.box import Box, IntVector
-from repro.pdat.cell_data import CellData
-from repro.pdat.node_data import NodeData
-from repro.pdat.side_data import SideData
 from repro.util.clock import VirtualClock
 
 R2 = IntVector(2, 2)
@@ -249,7 +245,7 @@ class TestOperatorDispatch:
         f_cpu = NodeData(self.BOXF, 2)
         f_cpu.data.array[...] = data
         c_cpu = NodeData(self.BOXC, 2, fill=0.0)
-        region = NodeData.index_box(self.BOXC)
+        region = c_cpu.var.index_box(self.BOXC)
         NodeInjectionCoarsen().apply(f_cpu, c_cpu, region, 2)
 
         f_gpu = CudaNodeData(self.BOXF, 2, dev)
@@ -265,11 +261,11 @@ class TestOperatorDispatch:
     def test_side_ops_round_trip_constant(self):
         sx_c = SideData(self.BOXC, 2, axis=0, fill=4.0)
         sx_f = SideData(self.BOXF, 2, axis=0, fill=0.0)
-        region_f = SideData.index_box(self.BOXF, 0)
+        region_f = sx_f.var.index_box(self.BOXF)
         SideConservativeLinearRefine().apply(sx_c, sx_f, region_f, 2)
         assert np.all(sx_f.view(region_f) == 4.0)
         back = SideData(self.BOXC, 2, axis=0, fill=0.0)
-        region_c = SideData.index_box(self.BOXC, 0)
+        region_c = back.var.index_box(self.BOXC)
         SideSumCoarsen().apply(sx_f, back, region_c, 2)
         # each coarse face sums 2 fine faces of value 4
         assert np.all(back.view(region_c) == 8.0)

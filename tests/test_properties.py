@@ -78,18 +78,17 @@ class TestGhostFillExactness:
         reg = VariableRegistry()
         reg.declare("v", "node", 2)
         comm, hier, level = build_level(domain, max_patch, nranks, reg)
-        from repro.pdat.node_data import NodeData
         for patch in level:
             pd = patch.data("v")
             frame = pd.get_ghost_box()
             pd.data.array[...] = np.nan
-            interior = NodeData.index_box(patch.box)
+            interior = reg["v"].index_box(patch.box)
             i = np.arange(interior.lower[0], interior.upper[0] + 1)[:, None]
             j = np.arange(interior.lower[1], interior.upper[1] + 1)[None, :]
             pd.data.view(interior)[...] = 2.0 * i - 5.0 * j
         specs = [FillSpec(reg["v"], NodeLinearRefine())]
         RefineSchedule(level, None, specs, comm, HostDataFactory()).fill()
-        node_domain = NodeData.index_box(level.domain)
+        node_domain = reg["v"].index_box(level.domain)
         for patch in level:
             pd = patch.data("v")
             frame = pd.get_ghost_box()

@@ -236,6 +236,53 @@ def test_builder_derives_raw_war_waw_edges():
     assert w2 in r2.deps and w1 not in r2.deps  # reads see the latest writer
 
 
+@pytest.mark.parametrize("gpus", [False, True])
+def test_recorded_stream_is_payload_plus_header_and_charges_both_ranks(
+        gpus, monkeypatch):
+    """The recorded twin of ``ImmediateSink.stream_batch``: six typed
+    stages, one message of payload + ``MESSAGE_HEADER_BYTES``, time charged
+    on the sending and the receiving rank, no staging buffer left over."""
+    from fig3 import CellData
+
+    from repro.comm.simcomm import SimCommunicator
+    from repro.mesh.box import Box
+    from repro.pdat import HOST
+    from repro.perf.machines import FDR_INFINIBAND, IPA_CPU_NODE
+    from repro.sched.executor import GraphExecutor
+    from repro.xfer.message import MESSAGE_HEADER_BYTES
+
+    comm = SimCommunicator(2, IPA_CPU_NODE, FDR_INFINIBAND,
+                           K20X if gpus else None)
+    r0, r1 = comm.rank(0), comm.rank(1)
+    box, region = Box([0, 0], [7, 7]), Box([2, 2], [5, 5])
+    src = CellData(box, 2, r0.device if gpus else HOST, fill=7.0)
+    dst = CellData(box, 2, r1.device if gpus else HOST, fill=0.0)
+    live = [r.device.bytes_allocated for r in (r0, r1)] if gpus else None
+    sent = []
+    isend = comm.isend
+    monkeypatch.setattr(
+        comm, "isend", lambda m: (sent.append(m), isend(m))[1])
+
+    gb = GraphBuilder(comm)
+    unpack = gb.stream_batch(r0, r1, [(src, region)], [(dst, region)], "halo")
+    assert [t.kind for t in gb.graph.tasks] == [
+        TaskKind.PACK, TaskKind.D2H, TaskKind.SEND, TaskKind.RECV,
+        TaskKind.H2D, TaskKind.UNPACK]
+    assert unpack is gb.graph.tasks[-1]
+    t0 = (r0.clock.time, r1.clock.time)
+    GraphExecutor(comm).execute(gb.graph)
+
+    assert [(m.src, m.dst, m.nbytes) for m in sent] == [
+        (0, 1, region.size() * 8 + MESSAGE_HEADER_BYTES)]
+    assert r0.clock.time > t0[0] and r1.clock.time > t0[1]
+    assert dst.to_host()[region.slices_in(dst.get_ghost_box())].sum() == 7.0 * 16
+    assert dst.to_host().sum() == 7.0 * 16
+    if gpus:
+        assert [r.device.bytes_allocated for r in (r0, r1)] == live
+        assert r0.device.stats.launches_by_name["pdat.pack"] == 1
+        assert r1.device.stats.launches_by_name["pdat.unpack"] == 1
+
+
 def test_topological_order_respects_deps_under_any_key():
     g = TaskGraph()
     a = g.add(TaskKind.HOST, 0, "a", lambda s: None)

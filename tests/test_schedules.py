@@ -53,18 +53,14 @@ def set_linear_field(level, reg, name):
     """Interior = i + 100*j in the global index space; ghosts = -1."""
     for patch in level:
         pd = patch.data(name)
-        arr = pd.data.array if not getattr(pd, "RESIDENT", False) else None
         frame = pd.get_ghost_box()
         i = np.arange(frame.lower[0], frame.upper[0] + 1)[:, None]
         j = np.arange(frame.lower[1], frame.upper[1] + 1)[None, :]
         full = (i + 100.0 * j) * np.ones(tuple(frame.shape()))
-        interior = type(pd).index_box(patch.box, getattr(pd, "axis", None))
+        interior = pd.var.index_box(patch.box)
         host = np.full(tuple(frame.shape()), -1.0)
         host[interior.slices_in(frame)] = full[interior.slices_in(frame)]
-        if getattr(pd, "RESIDENT", False):
-            pd.from_host(host)
-        else:
-            arr[...] = host
+        pd.from_host(host)
 
 
 @pytest.mark.parametrize("gpus,nranks", [(False, 1), (False, 2), (True, 2)])
@@ -154,7 +150,7 @@ class TestCoarseFineFill:
         pd0.data.array[...] = i * np.ones(tuple(frame0.shape()))
         pd1 = hier.level(1).patches[0].data("vel")
         pd1.fill(np.nan)
-        interior1 = type(pd1).index_box(hier.level(1).patches[0].box)
+        interior1 = pd1.var.index_box(hier.level(1).patches[0].box)
         # fine interior already valid: fine node n sits at coarse n/2
         i1 = np.arange(interior1.lower[0], interior1.upper[0] + 1)[:, None]
         pd1.data.view(interior1)[...] = i1 / 2.0

@@ -17,6 +17,8 @@ rewrite of the fused launch:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,8 @@ from repro.exec.stats import combined_stats
 from repro.hydro import kernels as K
 from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
-from repro.pdat.arena import HostArena
+from repro.gpu.device import K20X, Device
+from repro.pdat import HOST, Arena
 
 FIELDS = ("density0", "energy0", "pressure", "soundspeed",
           "viscosity", "xvel0", "yvel0")
@@ -38,34 +41,63 @@ FIELDS = ("density0", "energy0", "pressure", "soundspeed",
 # -- arena stacked views -------------------------------------------------------
 
 
-def test_uniform_arena_stacked_view_aliases_members():
-    arena = HostArena(3 * 4 * 5)
-    views = [arena.place((4, 5)) for _ in range(3)]
-    stacked = arena.stacked_view()
-    assert stacked.shape == (3, 4, 5)
+def _spaces():
+    """(space, access scope) for the host space and a simulated device."""
+    device = Device(K20X)
+    return [(HOST, nullcontext), (device, device._memcpy_scope)]
+
+
+def _check_stacked_view_aliases_members(space, scope):
+    arena = Arena(space, 3 * 4 * 5)
+    members = [arena.place((4, 5)) for _ in range(3)]
     assert arena.uniform and arena.member_count == 3
-    stacked[1, 2, 3] = 42.0
-    assert views[1][2, 3] == 42.0  # same memory, no copy
-    assert stacked.base is arena.slab or stacked.base is arena.slab.base
+    with scope():
+        stacked = arena.stacked_view()
+        assert stacked.shape == (3, 4, 5)
+        stacked[1, 2, 3] = 42.0
+        assert members[1].kernel_view()[2, 3] == 42.0  # same memory, no copy
+        assert np.shares_memory(stacked, arena.slab.kernel_view())
+
+
+def test_uniform_arena_stacked_view_aliases_members():
+    _check_stacked_view_aliases_members(HOST, nullcontext)
+
+
+def test_uniform_device_arena_stacked_view_aliases_members():
+    _check_stacked_view_aliases_members(*_spaces()[1])
 
 
 def test_ragged_arena_refuses_stacked_view():
-    arena = HostArena(4 * 5 + 3 * 5)
-    arena.place((4, 5))
-    arena.place((3, 5))
-    assert not arena.uniform
-    with pytest.raises(ValueError, match="uniform"):
-        arena.stacked_view()
+    """Non-uniform ⇒ no stacked view or mask; members still alias the
+    slab and the whole slab still round-trips through the host."""
+    for space, scope in _spaces():
+        arena = Arena(space, 4 * 5 + 3 * 5)
+        a, b = arena.place((4, 5)), arena.place((3, 5))
+        assert not arena.uniform
+        with pytest.raises(ValueError, match="uniform"), scope():
+            arena.stacked_view()
+        with pytest.raises(ValueError, match="uniform"):
+            arena.interior_mask(1)
+        with scope():
+            a.kernel_view()[...] = 1.0
+            b.kernel_view()[...] = 2.0
+        slab = arena.to_host_slab()
+        assert np.array_equal(slab, [1.0] * 20 + [2.0] * 15)
+        arena.from_host_slab(slab[::-1].copy())
+        with scope():
+            assert np.all(a.kernel_view() == [[2.0] * 5] * 3 + [[1.0] * 5])
+            assert np.all(b.kernel_view() == 1.0)
 
 
 def test_interior_mask_masks_ghost_frame():
-    arena = HostArena(2 * 6 * 6)
-    arena.place((6, 6))
-    arena.place((6, 6))
-    mask = arena.interior_mask(2)
-    assert mask.shape == (2, 6, 6)
-    assert mask.sum() == 2 * 2 * 2  # 2 members x (6-4) x (6-4)
-    assert mask[:, 2:4, 2:4].all() and not mask[:, :2, :].any()
+    for space, _ in _spaces():
+        arena = Arena(space, 2 * 6 * 6)
+        arena.place((6, 6))
+        arena.place((6, 6))
+        mask = arena.interior_mask(2)
+        assert mask.shape == (2, 6, 6)
+        assert mask.sum() == 2 * 2 * 2  # 2 members x (6-4) x (6-4)
+        assert mask[:, 2:4, 2:4].all() and not mask[:, :2, :].any()
 
 
 # -- property: stacked kernels are bitwise the per-patch kernels ---------------
@@ -79,8 +111,8 @@ def _stacked_state(rng, n, nx, ny, g):
     for name, shape in (("density", cell), ("energy", cell),
                         ("pressure", cell), ("soundspeed", cell),
                         ("visc", cell), ("xvel", node), ("yvel", node)):
-        arena = HostArena(n * shape[0] * shape[1])
-        members = [arena.place(shape) for _ in range(n)]
+        arena = Arena(HOST, n * shape[0] * shape[1])
+        members = [arena.place(shape).kernel_view() for _ in range(n)]
         for m in members:
             m[...] = rng.uniform(0.1, 2.0, size=shape)
         state[name] = (arena, members)
@@ -170,9 +202,9 @@ class _Pd:
 
 def _slab_group(n=3, shape=(4, 4), key=("k", 4, 4)):
     """n members whose single operand tiles one uniform arena."""
-    arena = HostArena(n * shape[0] * shape[1])
-    pds = [_Pd(arena, i, arena.place(shape)) for i in range(n)]
-    arena.slab[:] = 0.0
+    arena = Arena(HOST, n * shape[0] * shape[1])
+    pds = [_Pd(arena, i, arena.place(shape).kernel_view()) for i in range(n)]
+    arena.slab.kernel_view()[:] = 0.0
     hits = []
 
     def fn(stacked):
