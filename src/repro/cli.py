@@ -71,9 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level-batched execution: lay each level's fields "
                         "out in pooled arenas and fuse same-kernel per-patch "
                         "launches into one launch per level, run as one "
-                        "vectorized NumPy op over the arena slab where the "
-                        "level is uniform (bitwise identical; changes "
-                        "modelled time only)")
+                        "vectorized NumPy op per patch shape over the arena "
+                        "slab, with ghost fills compiled into replayable "
+                        "index plans (bitwise identical; changes modelled "
+                        "time only)")
     p.add_argument("--auto", action="store_true",
                    help="auto-tune the execution policy: probe a few steps "
                         "per candidate (serial / batch / overlap+batch) "

@@ -37,6 +37,7 @@ from ..obs.context import active_tracer
 from ..obs.lanes import HOST as HOST_LANE
 from ..pdat.space import HOST
 from .batch import SlabSpec, union_pds
+from .plan import compile_copies, compile_stream
 from .stats import ExecStats, attribution_report
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,6 +53,7 @@ __all__ = [
     "is_resident",
     "backend_for",
     "array_of",
+    "slab_of",
     "frame_of",
     "run_on",
     "read_patch_fields",
@@ -84,180 +86,49 @@ def frame_of(pd) -> "Box":
     return pd.data.frame
 
 
-# -- stacked batched region copies --------------------------------------------
-#
-# The batched pack/unpack/copy primitives receive lists of regions; when
-# the operands are members of *uniform* arenas (``--batch``) and many
-# regions sit at identical offsets inside their members' frames — the
-# common halo geometry on a uniformly tiled level — the per-region Python
-# loop collapses to one fancy-indexed NumPy op over the stacked slab per
-# group.  Regions that do not group (non-arena storage, ragged arenas,
-# singleton groups, duplicate destinations) replay the per-region
-# fallback, so results are bitwise identical either way.  The
-# stacked/fallback split is recorded as ``StackCounter`` in ExecStats.
+def slab_of(store, pds) -> np.ndarray:
+    """The flat slab of ``store`` (an arena, a scratch segment) as a kernel
+    operand standing for its members ``pds``.
 
-
-def _stack_member(pd):
-    """(arena, stacked index) when ``pd`` tiles a uniform arena, else None."""
-    arena = pd._arena
-    if arena is None or not arena.uniform:
-        return None
-    return arena, pd._arena_index
-
-
-def _rel_slices(pd, region):
-    """Region slices relative to ``pd``'s frame, plus a hashable key."""
-    sl = region.slices_in(pd.data.frame)
-    return sl, tuple((s.start, s.stop) for s in sl)
-
-
-def plan_stacked_copies(items):
-    """Split ``(dst_pd, src_pd, region)`` items into stacked groups + rest.
-
-    Returns ``(groups, rest, eligible)``: each group is
-    ``(dst_arena, src_arena, dst_slices, src_slices, dst_idx, src_idx)``
-    ready to run as one stacked assignment; ``rest`` keeps the original
-    items for the per-region loop; ``eligible`` counts items whose
-    operands were arena members at all (0 means a plain non-batch run).
+    The compiled-transfer twin of :func:`array_of`, legal only inside a
+    launch; under ``--sanitize`` the handout is instrumented like a
+    stacked one (one declared role for all of ``pds``).
     """
-    if len(items) < 2:
-        return [], list(items), 0
-    buckets: dict = {}
-    rest = []
-    eligible = 0
-    for item in items:
-        dst_pd, src_pd, region = item
-        d = _stack_member(dst_pd)
-        s = _stack_member(src_pd)
-        if d is None or s is None:
-            rest.append(item)
-            continue
-        try:
-            dsl, dkey = _rel_slices(dst_pd, region)
-            ssl, skey = _rel_slices(src_pd, region)
-        except IndexError:
-            rest.append(item)
-            continue
-        eligible += 1
-        key = (id(d[0]), id(s[0]), dkey, skey)
-        entry = buckets.get(key)
-        if entry is None:
-            entry = buckets[key] = (d[0], s[0], dsl, ssl, [], [], [])
-        entry[4].append(d[1])
-        entry[5].append(s[1])
-        entry[6].append(item)
-    groups = []
-    for darena, sarena, dsl, ssl, di, si, members in buckets.values():
-        if len(members) < 2 or len(set(di)) != len(di):
-            rest.extend(members)
-            continue
-        groups.append((darena, sarena, dsl, ssl,
-                       np.asarray(di), np.asarray(si)))
-    return groups, rest, eligible
-
-
-def _run_stacked_copies(groups) -> None:
-    for darena, sarena, dsl, ssl, di, si in groups:
-        darena.stacked_view()[(di,) + dsl] = \
-            sarena.stacked_view()[(si,) + ssl]
-
-
-def plan_stacked_stream(items):
-    """Split ``(pd, region)`` pack/unpack items into stacked groups + rest.
-
-    Groups carry the stream offsets of their members so gather/scatter
-    against the contiguous buffer stays in pack order.  Returns
-    ``(groups, rest, eligible)`` with each group
-    ``(arena, slices, shape, size, idx, offsets)`` and ``rest`` holding
-    ``(pd, region, offset)`` triples.
-    """
-    if len(items) < 2:
-        off = 0
-        rest = []
-        for pd, region in items:
-            rest.append((pd, region, off))
-            off += region.size()
-        return [], rest, 0
-    buckets: dict = {}
-    rest = []
-    eligible = 0
-    off = 0
-    for pd, region in items:
-        n = region.size()
-        m = _stack_member(pd)
-        if m is None:
-            rest.append((pd, region, off))
-            off += n
-            continue
-        try:
-            sl, skey = _rel_slices(pd, region)
-        except IndexError:
-            rest.append((pd, region, off))
-            off += n
-            continue
-        eligible += 1
-        entry = buckets.get((id(m[0]), skey))
-        if entry is None:
-            entry = buckets[(id(m[0]), skey)] = (m[0], sl, [], [], [])
-        entry[2].append(m[1])
-        entry[3].append(off)
-        entry[4].append((pd, region, off))
-        off += n
-    groups = []
-    for arena, sl, idx, offs, members in buckets.values():
-        if len(members) < 2 or len(set(idx)) != len(idx):
-            rest.extend(members)
-            continue
-        shape = tuple(s.stop - s.start for s in sl)
-        size = 1
-        for s in shape:
-            size *= s
-        groups.append((arena, sl, shape, size,
-                       np.asarray(idx), np.asarray(offs)))
-    return groups, rest, eligible
-
-
-def _run_stacked_pack(groups, out) -> None:
-    for arena, sl, _shape, n, idx, offs in groups:
-        out[offs[:, None] + np.arange(n)] = \
-            arena.stacked_view()[(idx,) + sl].reshape(len(idx), n)
-
-
-def _run_stacked_unpack(groups, buffer) -> None:
-    for arena, sl, shape, n, idx, offs in groups:
-        arena.stacked_view()[(idx,) + sl] = \
-            buffer[offs[:, None] + np.arange(n)].reshape((len(idx),) + shape)
+    flat = store.flat()
+    chk = _check_active()
+    if chk is not None:
+        return chk.on_slab_handout(pds, flat)
+    return flat
 
 
 def _pack_to_staging(space, launch, items, note=None):
     """One pack kernel into one staging buffer in ``space``, for many regions.
 
-    ``items`` is an iterable of ``(patch_data, region_box)``; regions are
-    packed back-to-back in order (the paper's MessageStream scheme) by
-    ``launch(kernel, elements, body)``.  Uniform-arena regions are
-    gathered by stacked slab ops rather than a per-region loop; ``note``
-    (a ``Backend._note_stack``) records the split.  The staging buffer is
+    ``items`` is an iterable of ``(patch_data, region_box)`` (or their
+    :class:`~repro.exec.plan.StreamPlan`); regions are packed back-to-back
+    in order (the paper's MessageStream scheme) by
+    ``launch(kernel, elements, body)``.  Arena-backed regions are gathered
+    by flat index rather than a per-region loop; ``note`` (a
+    ``Backend._note_stack``) records the split.  The staging buffer is
     freed if the kernel raises.
     """
-    items = list(items)
-    total = sum(region.size() for _, region in items)
-    staging = space.empty((total,))
+    plan = compile_stream(items)
+    staging = space.empty((plan.total,))
     try:
-        groups, rest, eligible = plan_stacked_stream(items)
-
         def body():
             out = staging.kernel_view()
-            _run_stacked_pack(groups, out)
-            for pd, region, off in rest:
+            for store, index, where in plan.groups:
+                out[where] = store.flat()[index]
+            for pd, region, off in plan.rest:
                 n = region.size()
                 out[off:off + n] = pd.data.view(region).reshape(-1)
 
-        launch("pdat.pack", total, body)
+        launch("pdat.pack", plan.total, body)
     except BaseException:
         staging.free()
         raise
     if note is not None:
-        note("pdat.pack", len(items), groups, rest, eligible)
+        note("pdat.pack", plan)
     return staging
 
 
@@ -345,31 +216,39 @@ class Backend(abc.ABC):
         still sees every operand.  ``combine`` reduces the members' return
         values inside the launch (the CFL min); the result is returned.
 
-        When every member carries a matching :class:`SlabSpec`, the
-        launch instead executes as one
-        vectorized NumPy op over the whole stacked arena slab — same
-        kernel name, element total, declarations and modelled cost, so
-        only host wall-clock changes; the fused CFL min reduces over the
-        stacked axis, which selects the exact same scalar.  Every other
-        multi-member group — members without a spec (ragged halo bodies,
-        per-region temps) or failing eligibility — replays its bodies
-        and is counted as ``slab_fallback``.
+        When every member carries a :class:`SlabSpec`, the launch instead
+        executes one vectorized NumPy op per *shape bucket* — members
+        partitioned by spec key, each partition over its arena bucket's
+        stacked view — with the same kernel name, element total,
+        declarations and modelled cost, so only host wall-clock changes;
+        the fused CFL min reduces over the stacked axes, which selects
+        the exact same scalar.  A member already standing for many
+        invocations (``count`` > 1, a compiled transfer plan) is vectorized
+        by construction.  Every other multi-member group — members
+        without a spec (halo bodies, per-region temps) or failing
+        eligibility — replays its bodies and is counted as
+        ``slab_fallback``.
         """
         members = list(members)
         if not members:
             return None
-        if len(members) == 1 and combine is None:
+        if len(members) == 1:
             m = members[0]
-            return self.run(kernel, m.elements, m.body,
-                            reads=m.reads, writes=m.writes,
-                            ghost_reads=m.ghost_reads, ghost_only=ghost_only,
-                            marks=m.marks)
-        reads = union_pds(m.reads for m in members)
-        writes = union_pds(m.writes for m in members)
-        ghost_reads = union_pds(m.ghost_reads for m in members)
-        marks = [mk for m in members for mk in m.marks]
-        total = sum(m.elements for m in members)
-        slab_body = self._slab_plan(members)
+            reads, writes, ghost_reads = m.reads, m.writes, m.ghost_reads
+            marks, total = m.marks, m.elements
+        else:
+            reads = union_pds(m.reads for m in members)
+            writes = union_pds(m.writes for m in members)
+            ghost_reads = union_pds(m.ghost_reads for m in members)
+            marks = [mk for m in members for mk in m.marks]
+            total = sum(m.elements for m in members)
+        count = sum(m.count for m in members)
+        if count == 1 and combine is None:
+            return self.run(kernel, total, members[0].body,
+                            reads=reads, writes=writes,
+                            ghost_reads=ghost_reads, ghost_only=ghost_only,
+                            marks=marks)
+        slab_body = self._slab_plan(members, combine)
 
         def fused_body():
             if slab_body is not None:
@@ -387,56 +266,81 @@ class Backend(abc.ABC):
                           writes=writes, ghost_reads=ghost_reads,
                           ghost_only=ghost_only, marks=marks)
         host_seconds = _perf_counter() - w0
-        if len(members) > 1 and self.rank is not None:
+        if count > 1 and self.rank is not None:
+            vectorized = slab_body is not None or count > len(members)
             self.rank.exec_stats.record_batch(
-                kernel, len(members), self._batch_overhead_saved(len(members)),
+                kernel, count, self._batch_overhead_saved(count),
                 host_seconds=host_seconds)
-            self.rank.exec_stats.record_slab(
-                kernel, fused=slab_body is not None)
+            self.rank.exec_stats.record_slab(kernel, fused=vectorized)
             if tracer is not None and clock is not None:
                 lane = device.default_stream.label if device is not None else HOST_LANE
                 tracer.emit(kernel, "fused", self.rank.index, lane,
-                            t0, clock.time, members=len(members),
-                            elements=total, slab=slab_body is not None)
+                            t0, clock.time, members=count,
+                            elements=total, slab=vectorized)
         return result
 
-    def _slab_plan(self, members):
-        """A zero-arg callable running a fused group as one whole-slab
-        stacked NumPy op, or None when the group must replay per-patch
+    def _slab_plan(self, members, combine=None):
+        """A zero-arg callable running a fused group as one stacked NumPy
+        op per shape bucket, or None when the group must replay per-patch
         bodies.
 
-        Eligibility (all checked before launch, so the fallback never
-        half-executes): every member carries a :class:`SlabSpec` with the
-        same key and operand count; each operand position's patch data
-        tiles exactly one uniform arena in stacked order 0..P-1 covering
-        the whole arena; and each position is declared with one role
-        (all reads or all writes) so the sanitizer can instrument the
-        stacked handout like the per-patch ones.
+        Members are partitioned by :class:`SlabSpec` key (which holds the
+        patch shape, so a partition is one shape).  A singleton partition
+        just runs its member's body; a larger one must be eligible (all
+        checked before launch, so the fallback never half-executes): each
+        operand position's patch data tiles exactly one arena bucket, in
+        stacked order and covering it; and each position is declared with
+        one role (all reads or all writes) so the sanitizer can instrument
+        the stacked handout like the per-patch ones.  Partition results
+        are reduced by ``combine`` (min of mins: the same scalar).
         """
-        spec0 = members[0].slab
-        if not isinstance(spec0, SlabSpec):
-            return None
-        n = len(members)
-        nops = len(spec0.operands)
-        specs = []
+        parts: dict = {}
         for m in members:
-            s = m.slab
-            if (not isinstance(s, SlabSpec) or s.key != spec0.key
-                    or len(s.operands) != nops):
+            if not isinstance(m.slab, SlabSpec):
                 return None
-            specs.append(s)
-        write_ids = [set(map(id, m.writes)) for m in members]
-        read_ids = [set(map(id, m.reads)) for m in members]
-        arenas = []
-        writable = []
+            parts.setdefault(m.slab.key, []).append(m)
+        calls = []
+        for part in parts.values():
+            if len(part) == 1:
+                calls.append(part[0].body)
+                continue
+            call = self._stacked_call(part)
+            if call is None:
+                return None
+            calls.append(call)
+        if len(calls) == len(members):
+            return None  # nothing stacks: the plain replay, in member order
+
+        def slab_body():
+            results = [call() for call in calls]
+            return combine(results) if combine is not None else None
+
+        return slab_body
+
+    @staticmethod
+    def _stacked_call(part):
+        """One key partition as ``fn(*bucket views)``, or None."""
+        spec0 = part[0].slab
+        n = len(part)
+        nops = len(spec0.operands)
+        if any(len(m.slab.operands) != nops for m in part):
+            return None
+        write_ids = [set(map(id, m.writes)) for m in part]
+        read_ids = [set(map(id, m.reads)) for m in part]
+        views = []
         for j in range(nops):
-            arena = spec0.operands[j]._arena
-            if arena is None or not arena.uniform or arena.member_count != n:
+            pd0 = spec0.operands[j]
+            arena = pd0._arena
+            if arena is None:
+                return None
+            bucket = arena.bucket_of[pd0._arena_index]
+            first, size, _ = arena.buckets[bucket]
+            if size != n:
                 return None
             role = None
-            for i, s in enumerate(specs):
-                pd = s.operands[j]
-                if pd._arena is not arena or pd._arena_index != i:
+            for i, m in enumerate(part):
+                pd = m.slab.operands[j]
+                if pd._arena is not arena or pd._arena_index != first + i:
                     return None
                 if id(pd) in write_ids[i]:
                     r = "write"
@@ -448,22 +352,21 @@ class Backend(abc.ABC):
                     role = r
                 elif role != r:
                     return None
-            arenas.append(arena)
-            writable.append(role == "write")
-        pds_by_op = [tuple(s.operands[j] for s in specs) for j in range(nops)]
+            views.append((arena, bucket,
+                          tuple(m.slab.operands[j] for m in part)))
         fn = spec0.fn
 
-        def slab_body():
+        def call():
             chk = _check_active()
             args = []
-            for j, arena in enumerate(arenas):
-                stacked = arena.stacked_view()
+            for arena, bucket, pds in views:
+                stacked = arena.stacked_view(bucket)
                 if chk is not None:
-                    stacked = chk.on_slab_handout(pds_by_op[j], stacked)
+                    stacked = chk.on_slab_handout(pds, stacked)
                 args.append(stacked)
             return fn(*args)
 
-        return slab_body
+        return call
 
     def _batch_overhead_saved(self, n: int) -> float:
         """Modelled fixed per-launch cost avoided by fusing ``n`` launches."""
@@ -509,12 +412,12 @@ class Backend(abc.ABC):
         """Host arrays of field interiors (one fused D2H per patch)."""
         return read_patch_fields(patch, names)
 
-    def _note_stack(self, kernel: str, nitems: int, groups, rest,
-                    eligible: int) -> None:
-        """Record a stacked/fallback split when arenas were in play."""
-        if eligible and self.rank is not None:
+    def _note_stack(self, kernel: str, plan) -> None:
+        """Record a flat-index/per-region split when arenas were in play."""
+        if plan.groups and self.rank is not None:
             self.rank.exec_stats.record_stack(
-                kernel, nitems - len(rest), len(groups), len(rest))
+                kernel, plan.count - len(plan.rest), len(plan.groups),
+                len(plan.rest))
 
     def _move(self, kernel: str, elements: int, body):
         """Launch one data-motion kernel on the resource holding the data."""
@@ -534,23 +437,22 @@ class Backend(abc.ABC):
                                 self._note_stack)
 
     def _unpack(self, staging, items) -> None:
-        items = list(items)
-        total = sum(region.size() for _, region in items)
         try:
-            groups, rest, eligible = plan_stacked_stream(items)
+            plan = compile_stream(items)
 
             def body():
                 src = staging.kernel_view()
-                _run_stacked_unpack(groups, src)
-                for pd, region, off in rest:
+                for store, index, where in plan.groups:
+                    store.flat()[index] = src[where]
+                for pd, region, off in plan.rest:
                     n = region.size()
                     pd.data.view(region)[...] = src[off:off + n].reshape(
                         tuple(region.shape()))
 
-            self._move("pdat.unpack", total, body)
+            self._move("pdat.unpack", plan.total, body)
         finally:
             staging.free()
-        self._note_stack("pdat.unpack", len(items), groups, rest, eligible)
+        self._note_stack("pdat.unpack", plan)
 
     def pack_batch(self, items) -> np.ndarray:
         """Pack many ``(patch_data, region)`` items into one host buffer:
@@ -559,27 +461,29 @@ class Backend(abc.ABC):
 
     def unpack_batch(self, buffer: np.ndarray, items) -> None:
         """Unpack one host buffer into many items, in pack order."""
-        self._unpack(self.copy_in(buffer), items)
+        plan = compile_stream(items)
+        if buffer.size != plan.total:
+            raise ValueError(
+                f"stream size {buffer.size} != batch size {plan.total}")
+        self._unpack(self.copy_in(buffer), plan)
 
     def copy_batch(self, items) -> None:
         """Fuse many same-resource ``(dst_pd, src_pd, region)`` copies.
 
-        Uniform-arena regions at identical frame offsets run as stacked
-        slab assignments (one NumPy op per group); everything else keeps
-        the per-region loop.  The split is bitwise inert: copies in one
-        batch have disjoint destinations.
+        Arena-backed regions run as one flat-index assignment per arena
+        pair; everything else keeps the per-region loop.  The split is
+        bitwise inert: copies in one batch have disjoint destinations.
         """
-        items = list(items)
-        total = sum(region.size() for _, _, region in items)
-        groups, rest, eligible = plan_stacked_copies(items)
+        plan = compile_copies(items)
 
         def body():
-            _run_stacked_copies(groups)
-            for dst_pd, src_pd, region in rest:
+            for dst, src, dst_index, src_index in plan.groups:
+                dst.flat()[dst_index] = src.flat()[src_index]
+            for dst_pd, src_pd, region in plan.rest:
                 dst_pd.data.view(region)[...] = src_pd.data.view(region)
 
-        self._move("pdat.copy", total, body)
-        self._note_stack("pdat.copy", len(items), groups, rest, eligible)
+        self._move("pdat.copy", plan.total, body)
+        self._note_stack("pdat.copy", plan)
 
     def pack_batch_staged(self, items):
         """Pack a batch into a staging buffer in the data's memory space;
@@ -683,12 +587,10 @@ class NonResidentDeviceBackend(HostBackend):
     def _launch(self, kernel, elements, fn, *args, reads=(), writes=()):
         writes = list(writes)
         for pd in dict.fromkeys([*reads, *writes]):
-            self.device._charge_transfer(pd.data.buf.nbytes, None,
-                                         direction="h2d")
+            self.device._charge_transfer(pd.nbytes, None, direction="h2d")
         result = self.device.launch(kernel, elements, fn, *args)
         for pd in writes:
-            self.device._charge_transfer(pd.data.buf.nbytes, None,
-                                         direction="d2h")
+            self.device._charge_transfer(pd.nbytes, None, direction="d2h")
         return result
 
 

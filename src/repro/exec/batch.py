@@ -32,14 +32,15 @@ __all__ = ["BatchMember", "BatchSlot", "LaunchBatcher", "SlabSpec",
 class SlabSpec:
     """How one member's kernel runs as part of a whole-slab stacked op.
 
-    A fused group is *slab-eligible* when every member carries a spec
-    with the same ``key`` (kernel identity plus every scalar argument)
-    and, for each operand position, the members' patch-data objects tile
-    exactly one uniform arena in stacked order 0..P-1.  The group then
-    executes as ``fn(*stacked)`` — one vectorized NumPy op over the
-    whole (P, f0, f1) arena slab per operand — instead of P per-patch
-    bodies.  Groups failing any condition replay bodies as before and
-    are counted as ``slab_fallback``.
+    A fused group is partitioned by ``key`` (kernel identity plus every
+    scalar argument, the patch shape among them); a partition is
+    *slab-eligible* when, for each operand position, its members'
+    patch-data objects tile exactly one arena bucket in stacked order.
+    It then executes as ``fn(*stacked)`` — one vectorized NumPy op over
+    the bucket's (n, f0, f1) view per operand — instead of n per-patch
+    bodies, so a level of k patch sizes costs k stacked ops.  A group
+    with an ineligible partition replays every body as before and is
+    counted as ``slab_fallback``.
     """
 
     __slots__ = ("key", "fn", "operands")
@@ -59,10 +60,10 @@ class BatchMember:
     """One per-patch kernel invocation, deferred for fusion."""
 
     __slots__ = ("elements", "body", "reads", "writes", "ghost_reads",
-                 "marks", "slab")
+                 "marks", "slab", "count")
 
     def __init__(self, elements: int, body, reads=(), writes=(),
-                 ghost_reads=(), marks=(), slab=None):
+                 ghost_reads=(), marks=(), slab=None, count: int = 1):
         self.elements = int(elements)
         self.body = body
         self.reads = tuple(reads)
@@ -70,9 +71,13 @@ class BatchMember:
         self.ghost_reads = tuple(ghost_reads)
         self.marks = tuple(marks)
         #: a :class:`SlabSpec`, or None for inherently per-patch work
-        #: (ragged halo bodies, per-region interpolation temps) that
-        #: replays member bodies and counts as ``slab_fallback``
+        #: (halo bodies, per-region interpolation temps) that replays
+        #: member bodies and counts as ``slab_fallback``
         self.slab = slab
+        #: per-patch / per-region invocations this member stands for: a
+        #: compiled transfer plan hands in one member whose body already
+        #: runs ``count`` of them as flat-index ops
+        self.count = int(count)
 
 
 def union_pds(groups) -> tuple:

@@ -1,0 +1,218 @@
+"""Compiled transfers: lists of regions as flat indices into arena slabs.
+
+An arena member is ``offset + C-order ravel`` of its arena's flat slab
+(:mod:`repro.pdat.arena`), so a region of a member — any region, of a
+member of any shape — is an integer index array into that slab.  A batch
+of region copies between two arenas is then one assignment
+``dst_flat[dst_index] = src_flat[src_index]``, and a batch packed into or
+unpacked from a message stream one gather or scatter, however ragged the
+level.  Operands that are not arena members (per-patch allocations, the
+non-``batch`` build) keep the per-region slice loop.
+
+:func:`compile_copies` / :func:`compile_stream` turn item lists into
+:class:`CopyPlan` / :class:`StreamPlan`; the transfer bodies in
+:mod:`repro.exec.backend` run plans only.  An ad-hoc caller's list is
+compiled on the way in and dropped; a transfer schedule compiles once,
+keeps the plan, and hands the same object in on every replay
+(:mod:`repro.xfer.fill_plan`).  Plans reach storage only through
+``arena.flat()`` / ``Scratch`` slabs inside a launch, so the memory-space
+and use-after-free checks of a slab apply to every replay.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..mesh.box import box_points
+
+__all__ = ["CopyPlan", "StreamPlan", "Scratch", "ScratchBlock",
+           "compile_copies", "compile_stream", "flat_index", "ravel_index",
+           "level_arenas"]
+
+
+def ravel_index(offsets, lowers, shapes, which, coords) -> np.ndarray:
+    """Flat index of points inside C-order blocks of one flat array.
+
+    Block ``b`` starts at ``offsets[b]`` and covers the index box with
+    lower corner ``lowers[b]`` and extents ``shapes[b]``; point ``p`` lies
+    in block ``which[p]`` at ``coords[axis][p]``.  Raises ``IndexError``
+    when a point leaves its block — out-of-frame access is always a bug.
+    """
+    lowers = np.asarray(lowers, dtype=np.intp).reshape(len(offsets), -1)
+    shapes = np.asarray(shapes, dtype=np.intp).reshape(len(offsets), -1)
+    index = np.asarray(offsets, dtype=np.intp)[which]
+    stride = 1
+    for axis in range(lowers.shape[1] - 1, -1, -1):
+        extent = shapes[which, axis]
+        rel = coords[axis] - lowers[which, axis]
+        if ((rel < 0) | (rel >= extent)).any():
+            raise IndexError("region not contained in its storage frame")
+        index += rel * stride
+        stride = stride * extent
+    return index
+
+
+def flat_index(pds, which, coords) -> np.ndarray:
+    """Flat arena-slab index of points of arena-backed patch data:
+    point ``p`` is index ``coords[:, p]`` of ``pds[which[p]]``."""
+    return ravel_index([pd.data.buf.offset for pd in pds],
+                       [pd.data.frame.lower for pd in pds],
+                       [pd.data.buf.shape for pd in pds], which, coords)
+
+
+def level_arenas(level, name: str):
+    """``{owner: arena}`` of one variable on a level, or None unless every
+    patch's data is a member of its owner's one arena (``--batch``)."""
+    arenas: dict = {}
+    for patch in level:
+        arena = patch.data(name)._arena
+        if arena is None or arenas.setdefault(patch.owner, arena) is not arena:
+            return None
+    return arenas
+
+
+class _Plan:
+    """An item list in compiled form.  Iterates and indexes as the items
+    it was compiled from, so the sink verbs that declare reads, writes
+    and halo marks from an item list take a plan unchanged."""
+
+    __slots__ = ("items", "count", "total", "groups", "rest")
+
+    def __init__(self, items, count: int, total: int, groups, rest=()):
+        #: the items, re-iterable (a schedule passes a lazy view: nothing
+        #: but the sanitizer and the graph recorder ever walks them)
+        self.items = items
+        #: number of items / of elements they cover
+        self.count = count
+        self.total = total
+        #: flat-index work, one entry per arena (pair)
+        self.groups = groups
+        #: items with a non-arena operand: the per-region slice loop
+        self.rest = rest
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __getitem__(self, i):
+        return self.items[i]
+
+
+class CopyPlan(_Plan):
+    """``(dst_pd, src_pd, region)`` copies: ``groups`` holds
+    ``(dst store, src store, dst_index, src_index)``, a store being
+    anything with ``flat()`` (an arena, a scratch segment)."""
+
+    __slots__ = ()
+
+
+class StreamPlan(_Plan):
+    """``(pd, region)`` items packed back to back: ``groups`` holds
+    ``(store, index, where)`` with ``where`` the slice (or index array)
+    of the contiguous stream the store's elements occupy; ``rest`` holds
+    ``(pd, region, stream offset)``."""
+
+    __slots__ = ()
+
+
+def compile_copies(items) -> CopyPlan:
+    """The plan of a ``(dst_pd, src_pd, region)`` list (or the plan
+    itself, if handed one)."""
+    if isinstance(items, CopyPlan):
+        return items
+    items = list(items)
+    pairs: dict = {}
+    rest = []
+    for item in items:
+        dst, src = item[0]._arena, item[1]._arena
+        if dst is None or src is None:
+            rest.append(item)
+        else:
+            pairs.setdefault((id(dst), id(src)), (dst, src, []))[2].append(item)
+    groups = []
+    for dst, src, members in pairs.values():
+        which, coords = box_points([region for _, _, region in members])
+        groups.append((dst, src,
+                       flat_index([d for d, _, _ in members], which, coords),
+                       flat_index([s for _, s, _ in members], which, coords)))
+    return CopyPlan(items, len(items),
+                    sum(region.size() for _, _, region in items), groups, rest)
+
+
+def compile_stream(items) -> StreamPlan:
+    """The plan of a ``(pd, region)`` pack/unpack list (or the plan
+    itself, if handed one); stream offsets follow item order."""
+    if isinstance(items, StreamPlan):
+        return items
+    items = list(items)
+    arenas: dict = {}
+    rest = []
+    offset = 0
+    for pd, region in items:
+        arena = pd._arena
+        if arena is None:
+            rest.append((pd, region, offset))
+        else:
+            _, pds, regions, offsets = arenas.setdefault(
+                id(arena), (arena, [], [], []))
+            pds.append(pd)
+            regions.append(region)
+            offsets.append(offset)
+        offset += region.size()
+    groups = []
+    for arena, pds, regions, offsets in arenas.values():
+        which, coords = box_points(regions)
+        index = flat_index(pds, which, coords)
+        sizes = np.bincount(which, minlength=len(regions))
+        starts = np.asarray(offsets, dtype=np.intp)
+        if np.array_equal(starts[1:], starts[:-1] + sizes[:-1]):
+            where = slice(offsets[0], offsets[0] + len(index))
+        else:
+            where = (np.arange(len(index), dtype=np.intp)
+                     + (starts - (np.cumsum(sizes) - sizes))[which])
+        groups.append((arena, index, where))
+    return StreamPlan(items, len(items), offset, groups, rest)
+
+
+class ScratchBlock:
+    """One (region, variable) coarse block of a :class:`Scratch` slab, as
+    the dependency and declaration token a temporary patch data was: what
+    tasks read and write, what the sanitizer names, what selects the
+    backend, what the non-resident ablation charges per launch."""
+
+    __slots__ = ("var_name", "nbytes", "space")
+
+    def __init__(self, var_name: str, nbytes: int, space):
+        self.var_name = var_name
+        self.nbytes = nbytes
+        self.space = space
+
+
+class Scratch:
+    """One rank's interpolation scratch for one fill: every coarse block
+    of every variable back to back in a single allocation, sized as the
+    sum of the per-region temporaries it replaces."""
+
+    __slots__ = ("slab",)
+
+    def __init__(self, space, size: int):
+        self.slab = space.empty((int(size),))
+
+    def segment(self, lo: int, hi: int) -> "_Segment":
+        return _Segment(self.slab, lo, hi)
+
+    def free(self) -> None:
+        self.slab.free()
+
+
+class _Segment:
+    """A contiguous element range of a scratch slab, as a store."""
+
+    __slots__ = ("slab", "lo", "hi")
+
+    def __init__(self, slab, lo: int, hi: int):
+        self.slab = slab
+        self.lo = lo
+        self.hi = hi
+
+    def flat(self) -> np.ndarray:
+        return self.slab.kernel_view()[self.lo:self.hi]

@@ -80,11 +80,12 @@ class BatchCounter:
 class SlabCounter:
     """Accounting for whole-slab execution of one kernel (``--batch``).
 
-    ``fused`` counts fused launches that executed as a single stacked
-    NumPy op over the arena slab; ``fallback`` counts slab-requested
-    launches that had to replay per-patch bodies (ragged patch sizes,
-    mismatched scalar arguments, non-arena operands, or inherently
-    per-patch work such as halo exchange and interpolation).
+    ``fused`` counts fused launches that executed vectorized — one
+    stacked NumPy op per shape bucket of the arena slab, or a compiled
+    transfer plan's flat-index ops; ``fallback`` counts multi-member
+    launches that replayed per-patch bodies (members not tiling their
+    bucket, mismatched scalar arguments, non-arena operands, or work that
+    still runs per region: physical-boundary members, sync temporaries).
     """
 
     fused: int = 0
@@ -93,15 +94,14 @@ class SlabCounter:
 
 @dataclass
 class StackCounter:
-    """Accounting for stacked batched region copies (halo pack/copy path).
+    """Accounting for flat-index batched region copies (halo pack/copy path).
 
-    ``copy_batch``/``pack_batch``/``unpack_batch`` group regions whose
-    operands tile uniform arenas at identical frame offsets and execute
-    each group as one fancy-indexed NumPy op over the stacked slab
-    instead of a per-region Python loop.  ``stacked`` counts regions
-    covered by such groups, ``groups`` the stacked ops issued, and
-    ``fallback`` the regions that replayed the per-region loop (non-arena
-    operands, ragged arenas, or singleton groups).
+    ``copy_batch``/``pack_batch``/``unpack_batch`` run the regions whose
+    operands are arena members as one flat-index NumPy op per arena
+    (pair) instead of a per-region Python loop
+    (:mod:`repro.exec.plan`).  ``stacked`` counts regions covered that
+    way, ``groups`` the flat-index ops issued, and ``fallback`` the
+    regions that replayed the per-region loop (a non-arena operand).
     """
 
     calls: int = 0

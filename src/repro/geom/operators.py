@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..exec.backend import array_of, frame_of, run_on
+from ..exec.backend import array_of, frame_of, run_on, slab_of
+from ..exec.batch import BatchMember
 from ..mesh.box import Box, IntVector
 from . import interp_math as m
 
@@ -24,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "RefineOperator",
     "CoarsenOperator",
+    "flat_refine_member",
     "NodeLinearRefine",
     "CellConservativeLinearRefine",
     "SideConservativeLinearRefine",
@@ -60,6 +62,14 @@ class RefineOperator:
     #: coarse ghost cells the interpolation stencil reaches beyond the
     #: coarsened destination region
     stencil_width = 1
+    #: the interpolation itself, as data (:class:`interp_math.RefineStencil`):
+    #: evaluated per region here, or over every region of a level at once
+    #: by a compiled fill (:func:`flat_refine_member`)
+    stencil: "m.RefineStencil | None" = None
+
+    def stencil_for(self, var) -> "m.RefineStencil":  # noqa: ARG002 — side flavour picks by the variable's axis
+        """The stencil interpolating ``var``."""
+        return self.stencil
 
     def apply(self, coarse_pd: "PatchData", fine_pd: "PatchData", region: Box,
               ratio, rank: "Rank | None" = None) -> None:
@@ -68,12 +78,16 @@ class RefineOperator:
         def body():
             carr, cframe = _arrays(coarse_pd)
             farr, fframe = _arrays(fine_pd)
-            self._interp(carr, cframe, farr, fframe, region, ratio)
+            self._interp_pd(coarse_pd, fine_pd, carr, cframe, farr, fframe,
+                            region, ratio)
 
         _run(fine_pd, "geom.refine", region.size(), body, rank)
 
     def _interp(self, carr, cframe, farr, fframe, region, ratio):
-        raise NotImplementedError
+        if self.stencil is None:
+            raise NotImplementedError
+        m.refine_region(self.stencil, carr, cframe, farr, fframe, region,
+                        ratio)
 
     def _interp_pd(self, coarse_pd, fine_pd, carr, cframe, farr, fframe,  # noqa: ARG002 — hook signature; side flavour needs the patch data
                    region, ratio):
@@ -87,8 +101,6 @@ class RefineOperator:
         interpolations — across variables, operator types and interp
         regions — as a single ``geom.refine`` launch.
         """
-        from ..exec.batch import BatchMember
-
         ratio = _as_ratio(ratio)
 
         def body():
@@ -121,15 +133,34 @@ def fused_refine_apply(op: "RefineOperator", pairs, region: Box, ratio,
     _run(pairs[0][1], "geom.refine", region.size() * len(pairs), body, rank)
 
 
+def flat_refine_member(ops, elements: int, count: int, reads, writes,
+                       marks=()) -> BatchMember:
+    """Many refine interpolations as one already-vectorized member.
+
+    The compiled-fill form of ``count`` :meth:`RefineOperator.batch_member`
+    bodies: each entry of ``ops`` interpolates every region of one
+    variable on one level at once —
+    ``(stencil, coarse store, coarse blocks, fine arena, fine patch data,
+    gather, weights, fine_index)``, the last three from
+    :func:`interp_math.flat_refine_terms` — inside the one ``geom.refine``
+    launch the member joins.
+    """
+    def body():
+        for stencil, coarse, blocks, fine, fine_pds, gather, weights, index in ops:
+            m.refine_flat(stencil, slab_of(coarse, blocks), gather, weights,
+                          slab_of(fine, fine_pds), index)
+
+    return BatchMember(elements, body, reads=reads, writes=writes,
+                       marks=marks, count=count)
+
+
 class NodeLinearRefine(RefineOperator):
     """Bilinear interpolation for node-centred data (paper Fig. 5)."""
 
     name = "node_linear_refine"
     centring = "node"
     stencil_width = 1
-
-    def _interp(self, carr, cframe, farr, fframe, region, ratio):
-        m.refine_node_linear(carr, cframe, farr, fframe, region, ratio)
+    stencil = m.NODE_LINEAR
 
 
 class CellConservativeLinearRefine(RefineOperator):
@@ -138,9 +169,7 @@ class CellConservativeLinearRefine(RefineOperator):
     name = "cell_conservative_linear_refine"
     centring = "cell"
     stencil_width = 2
-
-    def _interp(self, carr, cframe, farr, fframe, region, ratio):
-        m.refine_cell_conservative_linear(carr, cframe, farr, fframe, region, ratio)
+    stencil = m.CELL_CONSERVATIVE_LINEAR
 
 
 class SideConservativeLinearRefine(RefineOperator):
@@ -150,24 +179,13 @@ class SideConservativeLinearRefine(RefineOperator):
     centring = "side"
     stencil_width = 2
 
-    def apply(self, coarse_pd, fine_pd, region, ratio, rank=None):
-        ratio = _as_ratio(ratio)
-        axis = fine_pd.var.axis
-
-        def body():
-            carr, cframe = _arrays(coarse_pd)
-            farr, fframe = _arrays(fine_pd)
-            m.refine_side_conservative_linear(
-                carr, cframe, farr, fframe, region, ratio, axis
-            )
-
-        _run(fine_pd, "geom.refine", region.size(), body, rank)
+    def stencil_for(self, var):
+        return m.SIDE_CONSERVATIVE_LINEAR[var.axis]
 
     def _interp_pd(self, coarse_pd, fine_pd, carr, cframe, farr, fframe,  # noqa: ARG002
                    region, ratio):
-        m.refine_side_conservative_linear(
-            carr, cframe, farr, fframe, region, ratio, fine_pd.var.axis
-        )
+        m.refine_region(self.stencil_for(fine_pd.var), carr, cframe, farr,
+                        fframe, region, ratio)
 
 
 class CoarsenOperator:
@@ -194,8 +212,6 @@ class CoarsenOperator:
 
     def batch_member(self, fine_pd, coarse_pd, region: Box, ratio):
         """The array-level work of :meth:`apply` as one fusable member."""
-        from ..exec.batch import BatchMember
-
         ratio = _as_ratio(ratio)
         return BatchMember(region.refine(ratio).size(),
                            self._body(fine_pd, coarse_pd, region, ratio),
@@ -252,8 +268,6 @@ class CellMassWeightedCoarsen(CoarsenOperator):
     def batch_member_weighted(self, fine_pd, fine_weight_pd, coarse_pd,
                               region, ratio):
         """The array-level work of :meth:`apply_weighted` as one member."""
-        from ..exec.batch import BatchMember
-
         ratio = _as_ratio(ratio)
         return BatchMember(region.refine(ratio).size(),
                            self._weighted_body(fine_pd, fine_weight_pd,

@@ -112,24 +112,28 @@ class ReflectiveBoundary:
             return None
         from ..exec.batch import BatchMember
 
-        level = patch.level
+        # Everything but the arrays is fixed per (patch, variable): work
+        # it out here, once, so a schedule that keeps the member replays
+        # the body without any box algebra.
+        domain = patch.level.domain
+        fills = []
+        for var in variables:
+            pd = patch.data(var.name)
+            par = self.parity_for(var.name)
+            fills.append((pd, pd.get_ghost_box(), index_box_for(var, domain), [
+                (axis, side, var.ghosts,
+                 var.centring == "node" or (
+                     var.centring == "side" and var.axis == axis),
+                 par[axis])
+                for axis, side in touches]))
 
         def body():
             n = 0
-            for var in variables:
-                pd = patch.data(var.name)
+            for pd, frame, domain_idx, faces in fills:
                 arr = array_of(pd)
-                frame = pd.get_ghost_box()
-                domain_idx = index_box_for(var, level.domain)
-                par = self.parity_for(var.name)
-                for axis, side in touches:
-                    facelike = var.centring == "node" or (
-                        var.centring == "side" and var.axis == axis
-                    )
-                    n += reflect_fill(
-                        arr, frame, domain_idx, axis, side, var.ghosts,
-                        facelike, par[axis],
-                    )
+                for axis, side, ghosts, facelike, parity in faces:
+                    n += reflect_fill(arr, frame, domain_idx, axis, side,
+                                      ghosts, facelike, parity)
             return n
 
         # Element count: total ghost-strip area over all fields/faces

@@ -76,9 +76,10 @@ class SimulationConfig:
     sanitize: bool = False
     #: fuse same-kernel, same-level per-patch launches into one launch
     #: per (backend, level) — the AMReX MultiFab-style launch batching —
-    #: run as one stacked NumPy op over the (level, rank, variable) arena
-    #: slab where the level is uniform; changes modelled time only,
-    #: results stay bitwise identical
+    #: run as one stacked NumPy op per patch shape over the (level, rank,
+    #: variable) arena slab, with ghost fills compiled into replayable
+    #: flat-index plans; changes modelled time only, results stay
+    #: bitwise identical
     batch_launches: bool = False
 
     def __post_init__(self):

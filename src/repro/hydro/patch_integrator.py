@@ -59,10 +59,10 @@ class CleverleafPatchIntegrator:
         ``fn`` is the kernel stated once, over its operand arrays in
         ``names`` order: a per-patch launch calls it with this patch's
         frame arrays, and a collected launch additionally carries it as a
-        :class:`SlabSpec` so a fused group over a uniform level calls it
-        once with the stacked ``(P, f0, f1)`` arena slabs instead.
+        :class:`SlabSpec` so a fused group calls it once per patch shape
+        with that shape's stacked ``(n, f0, f1)`` arena bucket instead.
         ``scalars`` is *every* scalar ``fn`` closes over (including the
-        patch shape, so ragged levels key-mismatch into per-patch replay).
+        patch shape, which is what partitions a ragged level by shape).
 
         ``ghost_reads`` names the operands whose ghost regions the stencil
         reaches (validated against halo-fill stamps under ``--sanitize``);

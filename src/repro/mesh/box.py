@@ -15,7 +15,9 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence, Tuple
 
-__all__ = ["IntVector", "Box"]
+import numpy as np
+
+__all__ = ["IntVector", "Box", "box_points"]
 
 
 class IntVector(tuple):
@@ -179,7 +181,12 @@ class Box:
     __mul__ = intersection
 
     def intersects(self, other: "Box") -> bool:
-        return not self.intersection(other).is_empty()
+        # Compared directly (no intersection box built): the all-pairs
+        # scans of schedule construction ask this far more often than
+        # the answer is yes.
+        return not (self._empty or other._empty) and all(
+            sl <= ou and ol <= su for sl, su, ol, ou
+            in zip(self.lower, self.upper, other.lower, other.upper))
 
     def grow(self, width: int | Sequence[int]) -> "Box":
         """Grow (or shrink, for negative widths) the box in all directions."""
@@ -296,3 +303,32 @@ class Box:
 
     def __repr__(self) -> str:
         return f"Box({tuple(self.lower)}, {tuple(self.upper)})"
+
+
+def box_points(boxes: Sequence[Box]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every index of every box as arrays: ``(which, coords)``.
+
+    Boxes in order, row-major within a box (the order ``Box.indices`` and
+    a C-order ravel of ``slices_in`` visit); ``which[p]`` is the position
+    in ``boxes`` of the box point ``p`` belongs to and ``coords[axis][p]``
+    its index along ``axis``.  Empty boxes contribute nothing.  This is
+    the one place a list of regions turns into array form, for code that
+    then works on all regions at once.
+    """
+    if not boxes:
+        none = np.zeros(0, dtype=np.intp)
+        return none, [none, none]
+    corners = np.array([(*b.lower, *b.upper) for b in boxes], dtype=np.intp)
+    dim = corners.shape[1] // 2
+    lower = corners[:, :dim]
+    shape = np.maximum(corners[:, dim:] - lower + 1, 0)
+    sizes = shape.prod(axis=1)
+    which = np.repeat(np.arange(len(boxes), dtype=np.intp), sizes)
+    ends = np.cumsum(sizes)
+    rest = np.arange(ends[-1], dtype=np.intp) - (ends - sizes)[which]
+    coords = [None] * dim
+    for axis in range(dim - 1, -1, -1):
+        extent = shape[which, axis]
+        coords[axis] = lower[which, axis] + rest % extent
+        rest = rest // extent
+    return which, coords

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .box import Box, IntVector
@@ -54,6 +55,15 @@ class PatchLevel:
 
     def boxes(self) -> BoxContainer:
         return BoxContainer(p.box for p in self.patches)
+
+    @cached_property
+    def layout_token(self) -> tuple:
+        """Structural identity: level number plus (box, owner) per patch.
+        Patches and owners are fixed at construction, so it is built once
+        and shared by every schedule-cache key naming this level."""
+        return (self.level_number,
+                tuple((tuple(p.box.lower), tuple(p.box.upper), p.owner)
+                      for p in self.patches))
 
     def local_patches(self, rank_index: int) -> list[Patch]:
         return [p for p in self.patches if p.owner == rank_index]

@@ -95,10 +95,15 @@ class VariableRegistry:
 def _allocate_level(level, variables, space_of) -> None:
     """Arena-pooled allocation of every variable on every patch: one
     :class:`~repro.pdat.arena.Arena` slab per (owner, variable) in the
-    memory space ``space_of(owner)``."""
+    memory space ``space_of(owner)``.  Members are placed shape by shape
+    (level order within a shape), so each patch size of a ragged level
+    is one contiguous arena bucket — one stacked view per size."""
     for owner in sorted({p.owner for p in level.patches}):
         space = space_of(owner)
-        patches = level.local_patches(owner)
+        by_shape: dict = {}
+        for p in level.local_patches(owner):
+            by_shape.setdefault(tuple(p.box.shape()), []).append(p)
+        patches = [p for same in by_shape.values() for p in same]
         for var in variables:
             shapes = [tuple(var.frame(p.box).shape()) for p in patches]
             arena = Arena(space, sum(math.prod(s) for s in shapes))

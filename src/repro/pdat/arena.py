@@ -10,7 +10,12 @@ the fused-launch path in :mod:`repro.exec.batch` runs over.
 
 Each member is an :class:`ArenaSlice` exposing the buffer protocol over
 its segment, so ``ArrayData`` and every kernel body work unchanged on
-arena-backed storage.  Lifetime: patches free their data individually
+arena-backed storage.  Consecutive members of one frame shape form a
+*bucket* with its own stacked ``(n, f0, f1)`` view, so a level of mixed
+patch sizes placed shape by shape runs one stacked op per shape; and
+because a member is just ``offset + C-order ravel`` of the flat slab, any
+region of any member is a flat index array (:mod:`repro.exec.plan`),
+whatever the shapes.  Lifetime: patches free their data individually
 (regrid calls ``Patch.free_all`` per patch), so the slab is released only
 when the last live slice is freed; freed slices raise on access.
 """
@@ -32,9 +37,14 @@ class Arena:
         self.slab = space.empty((int(total_elements),), dtype=dtype)
         self.offsets: list[int] = []
         self.shapes: list[tuple[int, ...]] = []
+        #: equal-shape runs of members, in placement order:
+        #: ``(first member, member count, frame shape)``
+        self.buckets: list[tuple[int, int, tuple[int, ...]]] = []
+        #: member index -> position of its bucket in :attr:`buckets`
+        self.bucket_of: list[int] = []
         self._used = 0
         self._live = 0
-        self._uniform: bool | None = None
+        self._layout: tuple | None = None
 
     def place(self, shape) -> "ArenaSlice":
         """Carve the next member off the slab as an :class:`ArenaSlice`."""
@@ -43,11 +53,17 @@ class Arena:
             raise ValueError(
                 f"arena overflow: {self._used} + {n} > {self.slab.size}")
         s = ArenaSlice(self, self._used, shape, index=len(self.offsets))
+        if self.buckets and self.buckets[-1][2] == s.shape:
+            first, count, _ = self.buckets[-1]
+            self.buckets[-1] = (first, count + 1, s.shape)
+        else:
+            self.buckets.append((s.index, 1, s.shape))
+        self.bucket_of.append(len(self.buckets) - 1)
         self.offsets.append(self._used)
         self.shapes.append(s.shape)
         self._used += n
         self._live += 1
-        self._uniform = None
+        self._layout = None
         return s
 
     def _release(self) -> None:
@@ -63,27 +79,39 @@ class Arena:
 
     @property
     def uniform(self) -> bool:
-        """True when every placed member has the same frame shape, so the
-        slab admits a stacked (P, f0, f1) view.  Ragged levels (mixed
-        patch sizes) are non-uniform and fall back to the per-patch path.
-        Cached: membership only changes through :meth:`place`, and the
-        stacked transfer planner asks per region."""
-        if self._uniform is None:
-            self._uniform = bool(self.shapes) and all(
-                s == self.shapes[0] for s in self.shapes[1:])
-        return self._uniform
+        """True when every placed member has the same frame shape: one
+        bucket, so the whole slab is one stacked (P, f0, f1) view."""
+        return len(self.buckets) == 1
 
-    def stacked_view(self) -> np.ndarray:
-        """The whole slab as one (P, f0, f1) array, members on axis 0:
-        member ``i`` aliases slice ``i``'s ``kernel_view()`` (a free
-        reshape of the contiguous slab prefix) under the same access
-        discipline (on a device: only inside a launch or memcpy)."""
-        if not self.uniform:
-            raise ValueError("stacked view needs a uniform arena")
-        shape = self.shapes[0]
-        n = self.member_count
-        flat = self.slab.kernel_view()
-        return flat[:n * math.prod(shape)].reshape((n,) + shape)
+    @property
+    def layout(self) -> tuple:
+        """Hashable member offsets and shapes: arenas with equal layouts
+        share every flat index (one variable's compiled transfer indices
+        serve all variables of its centring)."""
+        if self._layout is None:
+            self._layout = (tuple(self.offsets), tuple(self.shapes))
+        return self._layout
+
+    def flat(self) -> np.ndarray:
+        """The slab as the flat array compiled transfers index, under the
+        slab's access discipline (on a device: only inside a launch or
+        memcpy; a released slab raises)."""
+        return self.slab.kernel_view()
+
+    def stacked_view(self, bucket: int | None = None) -> np.ndarray:
+        """One bucket as an (n, f0, f1) array, members on axis 0: member
+        ``i`` of the bucket aliases its slice's ``kernel_view()`` (a free
+        reshape of a contiguous slab segment) under the same access
+        discipline (on a device: only inside a launch or memcpy).
+        Without ``bucket``: the whole slab, which needs a uniform arena."""
+        if bucket is None:
+            if not self.uniform:
+                raise ValueError("stacked view needs a uniform arena")
+            bucket = 0
+        first, n, shape = self.buckets[bucket]
+        lo = self.offsets[first]
+        return self.flat()[lo:lo + n * math.prod(shape)].reshape(
+            (n,) + shape)
 
     def interior_mask(self, ghosts: int) -> np.ndarray:
         """Boolean (P, f0, f1) host mask, True on each member's interior.

@@ -162,6 +162,11 @@ class PatchData:
         """The full index frame covered by the storage (centring space)."""
         return self.data.frame
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of storage (what moving this data across a bus costs)."""
+        return self.data.buf.nbytes
+
     def set_time(self, timestamp: float) -> None:
         self._time = float(timestamp)
 

@@ -47,6 +47,7 @@ _OVERLAP_PRIORITY = {
     TaskKind.COPY: 0,
     TaskKind.PACK: 0,
     TaskKind.HOST: 0,
+    TaskKind.FREE: 0,
     TaskKind.D2H: 1,
     TaskKind.H2D: 1,
     TaskKind.UNPACK: 2,
@@ -79,9 +80,22 @@ class GraphExecutor:
     # -- public API ------------------------------------------------------------
 
     def execute(self, graph: TaskGraph) -> None:
+        """Dispatch every task in order.  If one raises, the graph's
+        not-yet-run ``FREE`` tasks still run before the error propagates:
+        scratch allocated when the graph was recorded is released by
+        tasks, and an aborted graph must not leak it."""
         self.counters["graphs"] += 1
-        for task in graph.topological_order(self.order_key):
-            self._dispatch(task)
+        order = graph.topological_order(self.order_key)
+        done = 0
+        try:
+            for task in order:
+                self._dispatch(task)
+                done += 1
+        except BaseException:
+            for task in order[done + 1:]:
+                if task.kind is TaskKind.FREE:
+                    task.fn(None)
+            raise
         self._drain()
         chk = _check_active()
         if chk is not None:
@@ -178,11 +192,11 @@ class GraphExecutor:
                                 on=dep.lane)
 
     def _wait_on_host(self, task: Task, rank: "Rank") -> None:
-        # HOST tasks are uncharged framework bookkeeping (timestamp
-        # updates, frees): they touch metadata, not device bytes, so the
-        # host never synchronises for them — their dependency edges order
-        # dispatch only.
-        if task.kind is TaskKind.HOST:
+        # HOST and FREE tasks are uncharged framework bookkeeping
+        # (timestamp updates, frees): they touch metadata, not device
+        # bytes, so the host never synchronises for them — their
+        # dependency edges order dispatch only.
+        if task.kind in (TaskKind.HOST, TaskKind.FREE):
             return
         tracer = active_tracer()
         for dep in task.deps:

@@ -36,7 +36,10 @@ class TaskKind(str, Enum):
     SEND = "send"        # non-blocking network send (NIC timeline)
     RECV = "recv"        # receiver-side wait for message arrival
     REDUCE = "reduce"    # global collective (all ranks)
-    HOST = "host"        # host-side framework work (frees, bookkeeping)
+    HOST = "host"        # host-side framework work (bookkeeping)
+    FREE = "free"        # release of a transfer's scratch: host-side and
+                         # uncharged like HOST, and what an aborting
+                         # executor still runs so nothing recorded leaks
 
 
 COMPUTE_LANE = lanes.COMPUTE
@@ -55,6 +58,7 @@ _LANES = {
     TaskKind.RECV: lanes.HOST,
     TaskKind.REDUCE: lanes.HOST,
     TaskKind.HOST: lanes.HOST,
+    TaskKind.FREE: lanes.HOST,
 }
 
 

@@ -2,7 +2,7 @@
 
 The execution policy has exactly the two axes that move the modelled
 clock: ``batch`` (one fused launch per kernel and level, run as one
-stacked op over the level's arena slab where the level is uniform) and
+stacked op per patch shape over the level's arena slab) and
 ``overlap`` (each step recorded into task graphs whose halo transfers
 ride copy streams).  Everything else is derived — whole-slab execution
 **iff** ``batch``, the task-graph driver **iff** ``overlap`` — so there
@@ -79,7 +79,7 @@ class ExecutionPolicy:
     #: transfers ride per-rank copy streams; time, not bits
     overlap: bool | str = AUTO
     #: arena-pooled storage + one fused launch per (kernel, level), run
-    #: as one stacked op over the arena slab where the level is uniform
+    #: as one stacked op per patch shape over the arena slab
     batch: bool | str = AUTO
 
     def __post_init__(self):

@@ -79,11 +79,12 @@ class CoarsenSchedule:
 
     def _build(self) -> None:
         ratio = self.fine_level.ratio_to_coarser
+        shadows = [(fine, fine.box.coarsen(ratio)) for fine in self.fine_level]
         for coarse in self.coarse_level:
-            for fine in self.fine_level:
-                overlap = coarse.box.intersection(fine.box.coarsen(ratio))
-                if not overlap.is_empty():
-                    self.transactions.append(_CoarsenTransaction(fine, coarse, overlap))
+            for fine, shadow in shadows:
+                if coarse.box.intersects(shadow):
+                    self.transactions.append(_CoarsenTransaction(
+                        fine, coarse, coarse.box.intersection(shadow)))
 
     # -- the transfer program ----------------------------------------------------
     #
@@ -181,7 +182,7 @@ class CoarsenSchedule:
                  for s, _, region in temps],
                 f"sync.L{level}")
         blocks = [temp for _, temp, _ in temps]
-        sink.add(TaskKind.HOST, fine_rank.index, "sync.free",
+        sink.add(TaskKind.FREE, fine_rank.index, "sync.free",
                  lambda _stream: free_temps(blocks), writes=blocks)
 
     def num_transactions(self) -> int:

@@ -1,0 +1,573 @@
+"""Compiled ghost fills: a batched schedule's transfers as replayable plans.
+
+Between regrids a fill schedule's levels, boxes and arenas cannot change
+(``ScheduleCache`` hands back the same schedule object until a level is
+rebuilt), so everything :meth:`RefineSchedule._transfer` derives from
+them is derived once.  :func:`compile_fill` turns the schedule's
+transactions into flat indices into the arenas' slabs
+(:mod:`repro.exec.plan`): same-level copies become one index pair per
+arena pair, message streams one gather/scatter per arena, and the
+coarse-fine interpolation of a whole level becomes, per variable, one
+gather into a scratch slab, one clamp and one evaluation of the refine
+stencil over every region's points (:func:`repro.geom.interp_math.refine_flat`).
+Indices do not care about shapes, so a ragged level compiles like a
+uniform one.
+
+What is compiled is split by what it depends on.  The index arrays
+depend on the transaction geometry and on the arena *layout* only, so
+they live on the shared :class:`~repro.xfer.refine_schedule.FillGeometry`
+(one copy per level and centring, whatever the number of variables and
+fill groups).  The :class:`FillPlan` of one schedule binds them to its
+variables' arenas; it lives on the schedule and dies with it.
+
+Replaying issues exactly the launches the per-region program issues —
+the same verbs in the same order with the same kernel names, element
+counts and declared operands — so the modelled clock, the task graph and
+the sanitizer see no difference; interpolation temporaries become one
+:class:`~repro.exec.plan.Scratch` slab per rank, allocated when the
+program is issued and freed where the temporaries were, with one
+:class:`~repro.exec.plan.ScratchBlock` token per temporary standing in
+for it in declarations.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from ..exec.backend import backend_for, slab_of
+from ..exec.batch import BatchMember, LaunchBatcher
+from ..exec.plan import (
+    CopyPlan,
+    Scratch,
+    ScratchBlock,
+    StreamPlan,
+    compile_copies,
+    compile_stream,
+    flat_index,
+    level_arenas,
+    ravel_index,
+)
+from ..geom.interp_math import flat_refine_terms
+from ..geom.operators import flat_refine_member
+from ..mesh.box import box_points
+from ..sched.task import TaskKind
+from .overlap import index_box_for
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .refine_schedule import FillGeometry, RefineSchedule
+
+__all__ = ["FillPlan", "Lazy", "compile_fill"]
+
+
+class Lazy:
+    """A re-iterable over ``make(*args)``: the item list of a compiled
+    verb, generated only when something (the sanitizer, the graph
+    recorder) walks it to declare operands.  The first item — what
+    selects the backend on every replay — is kept."""
+
+    __slots__ = ("make", "args", "first")
+
+    def __init__(self, make, *args):
+        self.make = make
+        self.args = args
+        self.first = next(iter(self), None)
+
+    def __iter__(self):
+        return self.make(*self.args)
+
+    def __getitem__(self, i):
+        return self.first if i == 0 else next(islice(iter(self), i, None))
+
+
+# -- per geometry: the index arrays ----------------------------------------------
+
+
+class _FlatInterp:
+    """One destination rank's share of a geometry's interpolations."""
+
+    __slots__ = ("regions", "offsets", "size", "gather", "clamp",
+                 "fine_index", "terms")
+
+    def __init__(self):
+        #: this rank's ``_InterpGeom`` regions, in geometry order; region
+        #: ``b``'s coarse block sits at ``offsets[b]`` of a variable's
+        #: ``size``-element scratch segment
+        self.regions: list = []
+        self.offsets: list[int] = []
+        self.size = 0
+        #: ``(segment index, coarse arena index, items, elements)`` of the
+        #: same-rank coarse sources
+        self.gather = None
+        #: ``(dst index, src index, blocks, elements)`` within a segment
+        self.clamp = None
+        #: fine arena index of every point of every region
+        self.fine_index = None
+        self.terms: dict = {}   # stencil -> (gather, weights)
+
+    def block(self, b: int):
+        """``(offset, lower, shape)`` of block ``b`` for :func:`ravel_index`."""
+        frame = self.regions[b].coarse_frame
+        return self.offsets[b], frame.lower, frame.shape()
+
+    def refine_terms(self, stencil, ratio):
+        """``flat_refine_terms`` of every region's points against this
+        rank's segment layout, once per stencil."""
+        terms = self.terms.get(stencil)
+        if terms is None:
+            which, (f0, f1) = box_points([ig.region for ig in self.regions])
+            blocks = [self.block(b) for b in range(len(self.regions))]
+            width = np.array([shape[1] for _, _, shape in blocks], dtype=np.intp)
+            origin = np.array([off - lo[0] * shape[1] - lo[1]
+                               for off, lo, shape in blocks], dtype=np.intp)
+            terms = self.terms[stencil] = flat_refine_terms(
+                stencil, f0, f1, ratio, origin[which], width[which])
+        return terms
+
+
+class _FlatGeometry:
+    """A ``FillGeometry`` as index arrays, for one arena layout."""
+
+    __slots__ = ("layouts", "copies", "streams", "interps", "remote",
+                 "gather_first", "clamp_first")
+
+    def __init__(self, geom: "FillGeometry", name: str, var, coarse_level,
+                 layouts):
+        """Compile ``geom`` against the arenas of variable ``name`` (any
+        variable ``var`` of the geometry's centring: the indices serve
+        every variable whose arenas share ``layouts``)."""
+        self.layouts = layouts
+        self._compile_copies(geom, name)
+        self._compile_interps(geom, name, var, coarse_level)
+
+    def _compile_copies(self, geom, name) -> None:
+        local: dict = {}
+        remote: dict = {}
+        for src, dst, region in geom.copies:
+            if src.owner == dst.owner:
+                local.setdefault(dst.owner, []).append(
+                    (dst.data(name), src.data(name), region))
+            else:
+                remote.setdefault((id(src), id(dst)), (src, dst, []))[2].append(
+                    region)
+        #: owner -> (dst index, src index, items, elements)
+        self.copies = {}
+        for owner, items in local.items():
+            plan = compile_copies(items)
+            (_, _, dst_index, src_index), = plan.groups
+            self.copies[owner] = (dst_index, src_index, plan.count, plan.total)
+        #: (src patch, dst patch, regions, pack index, unpack index, elements)
+        self.streams = []
+        for src, dst, regions in remote.values():
+            pack = compile_stream([(src.data(name), r) for r in regions])
+            unpack = compile_stream([(dst.data(name), r) for r in regions])
+            self.streams.append((src, dst, regions, pack.groups[0][1],
+                                 unpack.groups[0][1], pack.total))
+
+    def _compile_interps(self, geom, name, var, coarse_level) -> None:
+        #: dst owner -> _FlatInterp
+        self.interps: dict = {}
+        #: cross-rank sources in geometry order:
+        #: (dst owner, block, src patch, sub-box, pack index, unpack index)
+        self.remote = []
+        #: owners in the order the geometry first meets a region of theirs
+        #: poking out of the coarse domain / with a same-rank source (the
+        #: order the per-region program first issues that work for them)
+        self.clamp_first: dict = {}
+        local: dict = {}   # owner -> (block, source pd, sub-box) on its rank
+        remote = []
+        valid = index_box_for(var, coarse_level.domain) if geom.interps else None
+        for ig in geom.interps:
+            owner = ig.dst_patch.owner
+            fi = self.interps.setdefault(owner, _FlatInterp())
+            b = len(fi.regions)
+            fi.regions.append(ig)
+            fi.offsets.append(fi.size)
+            fi.size += ig.coarse_frame.size()
+            for src_patch, sub in ig.sources:
+                if src_patch.owner == owner:
+                    local.setdefault(owner, []).append(
+                        (b, src_patch.data(name), sub))
+                else:
+                    remote.append((owner, b, src_patch, sub))
+            if not valid.contains_box(ig.coarse_frame):
+                self.clamp_first.setdefault(owner)
+        self.gather_first = dict.fromkeys(local)
+        for owner, fi in self.interps.items():
+            mine = local.get(owner)
+            if mine:
+                which, coords = box_points([sub for _, _, sub in mine])
+                fi.gather = (
+                    ravel_index(*zip(*(fi.block(b) for b, _, _ in mine)),
+                                which, coords),
+                    flat_index([pd for _, pd, _ in mine], which, coords),
+                    len(mine), len(which))
+            fi.clamp = _compile_clamp(fi, valid)
+            which, coords = box_points([ig.region for ig in fi.regions])
+            fi.fine_index = flat_index(
+                [ig.dst_patch.data(name) for ig in fi.regions], which, coords)
+        if remote:
+            which, coords = box_points([sub for _, _, _, sub in remote])
+            into = ravel_index(
+                *zip(*(self.interps[o].block(b) for o, b, _, _ in remote)),
+                which, coords)
+            frm = flat_index([p.data(name) for _, _, p, _ in remote],
+                             which, coords)
+            ends = np.cumsum(np.bincount(which, minlength=len(remote)))
+            for (owner, b, src_patch, sub), lo, hi in zip(
+                    remote, ends - np.diff(ends, prepend=0), ends):
+                self.remote.append((owner, b, src_patch, sub,
+                                    frm[lo:hi], into[lo:hi]))
+
+
+def _compile_clamp(fi: _FlatInterp, valid):
+    """Zero-gradient extension of every block poking out of the coarse
+    domain (``clamp_extend``), as one in-segment index pair: each element
+    outside ``valid`` takes the nearest valid element's value."""
+    blocks = [b for b, ig in enumerate(fi.regions)
+              if not valid.contains_box(ig.coarse_frame)]
+    if not blocks:
+        return None
+    frames = [fi.regions[b].coarse_frame for b in blocks]
+    inside = [frame.intersection(valid) for frame in frames]
+    if any(v.is_empty() for v in inside):
+        raise ValueError("no valid region to extend from")
+    which, coords = box_points(frames)
+    lower = np.array([v.lower for v in inside], dtype=np.intp)[which]
+    upper = np.array([v.upper for v in inside], dtype=np.intp)[which]
+    clipped = [np.clip(c, lower[:, axis], upper[:, axis])
+               for axis, c in enumerate(coords)]
+    outside = np.zeros(len(which), dtype=bool)
+    for c, k in zip(coords, clipped):
+        outside |= c != k
+    meta = list(zip(*(fi.block(b) for b in blocks)))
+    which = which[outside]
+    return (ravel_index(*meta, which, [c[outside] for c in coords]),
+            ravel_index(*meta, which, [k[outside] for k in clipped]),
+            blocks, sum(frame.size() for frame in frames))
+
+
+def _flat_geometry(sched: "RefineSchedule", geom: "FillGeometry", spec):
+    """``(flat geometry, dst arenas, src arenas, coarse arenas)`` for one
+    variable, compiling the geometry's flat form if its cached one was
+    made for another arena layout; None unless every level involved is
+    arena-backed."""
+    name = spec.var.name
+    dst = level_arenas(sched.dst_level, name)
+    src = (dst if sched.src_level is sched.dst_level
+           else level_arenas(sched.src_level, name) if sched.src_level else {})
+    coarse = level_arenas(sched.coarse_level, name) if geom.interps else {}
+    if dst is None or src is None or coarse is None:
+        return None
+    layouts = tuple(tuple((o, a.layout) for o, a in arenas.items())
+                    for arenas in (dst, src, coarse))
+    flat = geom.flat
+    if flat is None or flat.layouts != layouts:
+        flat = geom.flat = _FlatGeometry(geom, name, spec.var,
+                                         sched.coarse_level, layouts)
+    return flat, dst, src, coarse
+
+
+# -- per schedule: indices bound to variables -------------------------------------
+
+
+class _Segment:
+    """One variable's coarse blocks on one rank: a contiguous range of
+    the rank's scratch slab, laid out by the geometry's ``_FlatInterp``."""
+
+    __slots__ = ("spec", "lo", "hi", "blocks", "coarse_arena", "fine_arena",
+                 "fine_pds")
+
+    def __init__(self, spec, lo, fi: _FlatInterp, space, coarse_arena,
+                 fine_arena):
+        self.spec = spec
+        self.lo = lo
+        self.hi = lo + fi.size
+        name = spec.var.name
+        label = f"_tmp_{name}"
+        self.blocks = [ScratchBlock(label, 8 * ig.coarse_frame.size(), space)
+                       for ig in fi.regions]
+        self.coarse_arena = coarse_arena
+        self.fine_arena = fine_arena
+        self.fine_pds = tuple(dict.fromkeys(
+            ig.dst_patch.data(name) for ig in fi.regions))
+
+    def store(self, scratch: Scratch):
+        return scratch.segment(self.lo, self.hi)
+
+
+class _RankInterp:
+    """Everything one rank interpolates in one fill."""
+
+    def __init__(self, rank, backend):
+        self.rank = rank
+        self.backend = backend
+        self.size = 0
+        #: (flat interp, segments) per centring group, in schedule order
+        self.groups: list[tuple[_FlatInterp, list[_Segment]]] = []
+        #: every block's token / the clamped ones' / the refined patch
+        #: data, each in the order the per-region program declares them
+        self.blocks: list = []
+        self.clamped: list = []
+        self.fine_pds: dict = {}
+
+    def add_group(self, fi: _FlatInterp, segments: "list[_Segment]") -> None:
+        self.groups.append((fi, segments))
+        clamped = set(fi.clamp[2]) if fi.clamp else ()
+        for b, ig in enumerate(fi.regions):
+            for seg in segments:
+                self.blocks.append(seg.blocks[b])
+                if b in clamped:
+                    self.clamped.append(seg.blocks[b])
+                self.fine_pds.setdefault(ig.dst_patch.data(seg.spec.var.name))
+
+    def each(self):
+        """``(block number, region, segments)`` in the order the
+        per-region program visits regions."""
+        for fi, segments in self.groups:
+            for b, ig in enumerate(fi.regions):
+                yield b, ig, segments
+
+    def gather_items(self):
+        owner = self.rank.index
+        for b, ig, segments in self.each():
+            for src_patch, sub in ig.sources:
+                if src_patch.owner == owner:
+                    for seg in segments:
+                        yield (seg.blocks[b],
+                               src_patch.data(seg.spec.var.name), sub)
+
+    def gather(self, scratch: Scratch) -> CopyPlan:
+        """The ``fill.gather`` copy: same-rank coarse data into scratch."""
+        groups, count, total = [], 0, 0
+        for fi, segments in self.groups:
+            if fi.gather is not None:
+                into, frm, items, elements = fi.gather
+                groups.extend((seg.store(scratch), seg.coarse_arena, into, frm)
+                              for seg in segments)
+                count += items * len(segments)
+                total += elements * len(segments)
+        return CopyPlan(Lazy(self.gather_items), count, total, groups)
+
+    def clamp_member(self, scratch: Scratch) -> BatchMember:
+        """The clamp ``pdat.copy`` launch's member: ``clamp_extend`` of
+        every block poking out of the coarse domain, in scratch."""
+        ops, elements, count = [], 0, 0
+        for fi, segments in self.groups:
+            if fi.clamp is not None:
+                into, frm, blocks, size = fi.clamp
+                ops.extend((seg.store(scratch), [seg.blocks[b] for b in blocks],
+                            into, frm) for seg in segments)
+                elements += size * len(segments)
+                count += len(blocks) * len(segments)
+
+        def body():
+            for store, blocks, into, frm in ops:
+                flat = slab_of(store, blocks)
+                flat[into] = flat[frm]
+
+        return BatchMember(elements, body, reads=self.clamped,
+                           writes=self.clamped, count=count)
+
+    def refine_member(self, scratch: Scratch, ratio,
+                      marked: bool) -> BatchMember:
+        """The ``geom.refine`` launch's member: every variable's stencil
+        over every region's points (halo stamps when ``marked``)."""
+        ops, elements, count = [], 0, 0
+        for fi, segments in self.groups:
+            for seg in segments:
+                stencil = seg.spec.refine_op.stencil_for(seg.spec.var)
+                ops.append((stencil, seg.store(scratch), seg.blocks,
+                            seg.fine_arena, seg.fine_pds,
+                            *fi.refine_terms(stencil, ratio), fi.fine_index))
+            elements += len(fi.fine_index) * len(segments)
+            count += len(fi.regions) * len(segments)
+        marks = [("stamp", ig.dst_patch.data(seg.spec.var.name),
+                  [sp.data(seg.spec.var.name) for sp, _ in ig.sources])
+                 for _, ig, segments in self.each()
+                 for seg in segments] if marked else ()
+        return flat_refine_member(ops, elements, count, reads=self.blocks,
+                                  writes=self.fine_pds, marks=marks)
+
+
+class FillPlan:
+    """One batched :class:`RefineSchedule`'s transfers, compiled."""
+
+    def __init__(self, level: int, ratio):
+        self.level = level
+        self.ratio = ratio
+        #: (rank, CopyPlan) per owner: the ``fill.copy`` launches
+        self.copies: list = []
+        #: (src rank, dst rank, pack StreamPlan, unpack StreamPlan)
+        self.streams: list = []
+        #: rank index -> _RankInterp, in first-region order; the ranks
+        #: that gather from their own coarse data / that clamp, in the
+        #: order the per-region program first does so
+        self.ranks: dict[int, _RankInterp] = {}
+        self.gather_first: dict = {}
+        self.clamp_first: dict = {}
+        #: cross-rank coarse sources: (src rank, dst interp, pack
+        #: StreamPlan, block, sub-box, [(segment, unpack index, where)])
+        self.gathers: list = []
+
+    def replay_interp(self, sink, ghost: bool, checking: bool) -> None:
+        """Coarse-fine interpolation of the whole level: gather coarse
+        blocks into per-rank scratch, clamp, refine, free.  Whatever
+        raises while the program is issued, no scratch outlives the call."""
+        scratch = {}
+        try:
+            for index, ri in self.ranks.items():
+                scratch[index] = Scratch(ri.backend.space, ri.size)
+            for src_rank, ri, pack, b, sub, into in self.gathers:
+                mine = scratch[ri.rank.index]
+                unpack = StreamPlan(
+                    [(seg.blocks[b], sub) for seg, _, _ in into],
+                    pack.count, pack.total,
+                    [(seg.store(mine), index, where)
+                     for seg, index, where in into])
+                sink.stream_batch(src_rank, ri.rank, pack, unpack,
+                                  f"fill.interp.L{self.level}")
+            for index in self.gather_first:
+                ri = self.ranks[index]
+                sink.copy(ri.rank, ri.gather(scratch[index]), "fill.gather")
+            clamps = LaunchBatcher(True)
+            for index in self.clamp_first:
+                ri = self.ranks[index]
+                clamps.collect(ri.backend, ri.rank, "pdat.copy",
+                               ri.clamp_member(scratch[index]))
+            sink.flush_fusion(clamps)
+            refines = LaunchBatcher(True)
+            for index, ri in self.ranks.items():
+                refines.collect(
+                    ri.backend, ri.rank, "geom.refine",
+                    ri.refine_member(scratch[index], self.ratio,
+                                     ghost and checking),
+                    ghost_only=ghost)
+            sink.flush_fusion(refines)
+            for index, ri in self.ranks.items():
+                sink.add(TaskKind.FREE, index, "fill.free",
+                         lambda _stream, mine=scratch[index]: mine.free(),
+                         writes=ri.blocks)
+        except BaseException:
+            for mine in scratch.values():
+                mine.free()
+            raise
+
+
+class _StreamPair:
+    """One (src patch, dst patch) message stream being assembled: every
+    variable's regions back to back, in the order they are added.  (A
+    coarse-source gather's destination is scratch: ``dst`` None, segments
+    in place of destination arenas.)"""
+
+    def __init__(self, src, dst):
+        self.src = src
+        self.dst = dst
+        self.pack: list = []     # (src arena, index, where) per variable
+        self.unpack: list = []   # (dst arena, index, where) per variable
+        self.named: list = []    # (variable name, regions)
+        self.count = 0
+        self.total = 0
+
+    def add(self, name, regions, src_arena, frm, dst_arena, into) -> None:
+        where = slice(self.total, self.total + len(frm))
+        self.pack.append((src_arena, frm, where))
+        self.unpack.append((dst_arena, into, where))
+        self.named.append((name, regions))
+        self.count += len(regions)
+        self.total += len(frm)
+
+    def pack_plan(self) -> StreamPlan:
+        return StreamPlan(Lazy(_stream_items, self.src, self.named),
+                          self.count, self.total, self.pack)
+
+    def unpack_plan(self) -> StreamPlan:
+        return StreamPlan(Lazy(_stream_items, self.dst, self.named),
+                          self.count, self.total, self.unpack)
+
+
+def _copy_items(items, owner: int):
+    for spec, geom in items:
+        name = spec.var.name
+        for src, dst, region in geom.copies:
+            if src.owner == owner == dst.owner:
+                yield dst.data(name), src.data(name), region
+
+
+def _stream_items(patch, named):
+    for name, regions in named:
+        pd = patch.data(name)
+        for region in regions:
+            yield pd, region
+
+
+def compile_fill(sched: "RefineSchedule") -> FillPlan | None:
+    """The schedule's transfers as a :class:`FillPlan`, or None when some
+    level's data is not arena-backed (hand-built levels: the per-region
+    program serves those)."""
+    ranks = sched.comm.ranks
+    plan = FillPlan(sched.dst_level.level_number,
+                    sched.dst_level.ratio_to_coarser)
+    bound = {}
+    for spec, geom in sched.items:
+        bound[spec] = _flat_geometry(sched, geom, spec)
+        if bound[spec] is None:
+            return None
+
+    # same-level copies: one plan per owner, one stream pair per patch pair
+    local: dict = {}    # owner -> [groups, items, elements]
+    remote: dict = {}   # (src patch, dst patch) -> _StreamPair
+    for spec, _ in sched.items:
+        flat, dst, src, _ = bound[spec]
+        for owner, (into, frm, items, elements) in flat.copies.items():
+            entry = local.setdefault(owner, [[], 0, 0])
+            entry[0].append((dst[owner], src[owner], into, frm))
+            entry[1] += items
+            entry[2] += elements
+        for s, d, regions, frm, into, _ in flat.streams:
+            pair = remote.get((id(s), id(d)))
+            if pair is None:
+                pair = remote[id(s), id(d)] = _StreamPair(s, d)
+            pair.add(spec.var.name, regions, src[s.owner], frm,
+                     dst[d.owner], into)
+    for owner, (groups, count, total) in local.items():
+        plan.copies.append((ranks[owner], CopyPlan(
+            Lazy(_copy_items, sched.items, owner), count, total, groups)))
+    for pair in remote.values():
+        plan.streams.append((ranks[pair.src.owner], ranks[pair.dst.owner],
+                             pair.pack_plan(), pair.unpack_plan()))
+
+    # coarse-fine interpolation: per rank, per centring group, per variable
+    for geom, specs in sched.sig_groups:
+        if not geom.interps:
+            continue
+        flat = bound[specs[0]][0]
+        if any(bound[spec][0] is not flat for spec in specs):
+            return None  # one group, several layouts: not worth a plan
+        plan.gather_first.update(flat.gather_first)
+        plan.clamp_first.update(flat.clamp_first)
+        segments_of: dict = {}
+        for owner, fi in flat.interps.items():
+            ri = plan.ranks.get(owner)
+            if ri is None:
+                rank = ranks[owner]
+                ri = plan.ranks[owner] = _RankInterp(rank, backend_for(
+                    fi.regions[0].dst_patch.data(specs[0].var.name), rank))
+            segments = []
+            for spec in specs:
+                _, dst, _, coarse = bound[spec]
+                segments.append(_Segment(spec, ri.size, fi, ri.backend.space,
+                                         coarse.get(owner), dst[owner]))
+                ri.size += fi.size
+            ri.add_group(fi, segments)
+            segments_of[owner] = segments
+        for owner, b, src_patch, sub, frm, into in flat.remote:
+            pair = _StreamPair(src_patch, None)
+            for seg in segments_of[owner]:
+                pair.add(seg.spec.var.name, (sub,),
+                         bound[seg.spec][3][src_patch.owner], frm, seg, into)
+            plan.gathers.append((ranks[src_patch.owner], plan.ranks[owner],
+                                 pair.pack_plan(), b, sub, pair.unpack))
+    return plan

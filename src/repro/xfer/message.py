@@ -9,14 +9,16 @@ dispatch (one fused device kernel + one PCIe copy vs one charged CPU
 pass) lives in the owning :mod:`repro.exec` backend.
 
 An *item* is ``(patch_data, region_box)``; a batch is a list of items
-whose regions are packed back-to-back in order.
+whose regions are packed back-to-back in order — or that list in
+compiled form (:mod:`repro.exec.plan`), which a batched schedule builds
+once and hands in on every replay.
 
-Under ``--batch`` the backends additionally collapse the per-region
-Python loop inside these primitives: regions whose operands tile uniform
-arenas at identical frame offsets execute as one stacked (fancy-indexed)
-NumPy op per group, with a per-region fallback for everything else —
-bitwise identical either way, counted as ``StackCounter`` in
-:class:`~repro.exec.stats.ExecStats` (``--profile`` shows the split).
+Under ``--batch`` the backends collapse the per-region Python loop
+inside these primitives: regions of arena members execute as one
+flat-index NumPy op per arena, whatever the patch shapes, with the
+per-region loop kept for everything else — bitwise identical either way,
+counted as ``StackCounter`` in :class:`~repro.exec.stats.ExecStats`
+(``--profile`` shows the split).
 """
 
 from __future__ import annotations
@@ -48,7 +50,10 @@ MESSAGE_HEADER_BYTES = 64
 
 
 def batch_size_bytes(items) -> int:
-    return sum(region.size() for _, region in items) * 8
+    total = getattr(items, "total", None)  # a compiled batch knows its size
+    if total is None:
+        total = sum(region.size() for _, region in items)
+    return total * 8
 
 
 def pack_batch(items, rank: "Rank") -> np.ndarray:
@@ -63,9 +68,6 @@ def pack_batch(items, rank: "Rank") -> np.ndarray:
 
 def unpack_batch(buffer: np.ndarray, items, rank: "Rank") -> None:
     """Unpack one contiguous host buffer into all items, in pack order."""
-    total = sum(region.size() for _, region in items)
-    if buffer.size != total:
-        raise ValueError(f"stream size {buffer.size} != batch size {total}")
     backend_for(items[0][0], rank).unpack_batch(buffer, items)
 
 

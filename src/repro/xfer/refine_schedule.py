@@ -18,6 +18,14 @@ data centring — not on which variable is being moved — so it is computed
 once per (level, centring signature) in :func:`build_fill_geometry` and
 shared by every variable and every fill group until a regrid invalidates
 it.  This mirrors SAMRAI, which caches schedules per variable context.
+
+Under ``batch`` the schedule goes one step further and, the first time it
+runs, compiles its transactions into flat-index plans it then replays
+(:mod:`repro.xfer.fill_plan`): no box algebra, no per-region temporaries
+and no regrouping in steady state, on uniform and ragged levels alike.
+The per-region program below is what a non-``batch`` schedule runs — the
+paper's per-patch launch shape, and the reference the plans are pinned
+against.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from ..mesh.box import Box, IntVector
 from ..mesh.box_container import BoxContainer
 from ..mesh.variables import Variable
 from ..sched.task import TaskKind
+from .fill_plan import Lazy, compile_fill
 from .message import ImmediateSink, halo_marks
 from .overlap import clamp_extend, frame_box_for, ghost_fill_pieces, index_box_for
 
@@ -96,8 +105,14 @@ def free_temps(temps) -> None:
         temp.free()
 
 
-def _set_times(pds, time: float) -> None:
-    for pd in pds:
+def _patch_data(patches, names):
+    for patch in patches:
+        for name in names:
+            yield patch.data(name)
+
+
+def _set_times(patches, names, time: float) -> None:
+    for pd in _patch_data(patches, names):
         pd.set_time(time)
 
 
@@ -124,6 +139,9 @@ class FillGeometry:
 
     copies: list[tuple["Patch", "Patch", Box]] = field(default_factory=list)
     interps: list[_InterpGeom] = field(default_factory=list)
+    #: the transactions as flat indices into the levels' arenas, compiled
+    #: by the first batched schedule that runs them (``fill_plan``)
+    flat: object = None
 
 
 def build_fill_geometry(
@@ -247,12 +265,17 @@ class RefineSchedule:
         self.boundary = boundary
         self.interior = interior
         #: issue the fill level-wide: one copy per owner, one clamp /
-        #: refine / boundary launch per backend.  Fill work is inherently
-        #: per-region (ragged halo bodies, per-region interpolation temps),
-        #: so those launches replay member bodies (``slab_fallback``)
+        #: refine / boundary launch per backend — compiled on first use
+        #: into a plan that is replayed from then on
         self.batch = batch
         if src_level is None and not interior:
             src_level = dst_level
+        self.src_level = src_level
+        #: what a schedule keeps between fills (all built lazily, so a
+        #: schedule used once pays for them once): under ``batch`` the
+        #: compiled transfers and the boundary members; the patches whose
+        #: data each timestamp task stamps
+        self._plan = self._halos = self._stamped = None
         cache = geometry_cache if geometry_cache is not None else {}
         self.items: list[tuple[FillSpec, FillGeometry]] = []
         self.sig_groups: list[tuple[FillGeometry, list[FillSpec]]] = []
@@ -324,16 +347,22 @@ class RefineSchedule:
         if chk is not None:
             self._note_fill_start(chk)
         ghost = not self.interior
-        ranks = self.comm.ranks
-        local, remote = self._group_copies()
-        for owner, items in local:
-            sink.copy(ranks[owner], items, "fill.copy", ghost=ghost)
-        for src, dst, named in remote:
-            sink.stream_batch(
-                ranks[src.owner], ranks[dst.owner],
-                [(src.data(n), r) for n, r in named],
-                [(dst.data(n), r) for n, r in named],
-                f"fill.L{self.dst_level.level_number}", ghost=ghost)
+        if self.batch and self._plan is None:
+            # compiled once; False = tried, levels are not arena-backed
+            self._plan = compile_fill(self) or False
+        plan = self._plan
+        copies, streams = ((plan.copies, plan.streams) if plan
+                           else self._group_copies())
+        for rank, items in copies:
+            sink.copy(rank, items, "fill.copy", ghost=ghost)
+        for src_rank, dst_rank, pack, unpack in streams:
+            sink.stream_batch(src_rank, dst_rank, pack, unpack,
+                              f"fill.L{self.dst_level.level_number}",
+                              ghost=ghost)
+        if plan:
+            if plan.ranks:
+                plan.replay_interp(sink, ghost, chk is not None)
+            return
         interps = [(specs, ig) for geom, specs in self.sig_groups
                    for ig in geom.interps]
         for chunk in chunks(interps, self.batch):
@@ -345,27 +374,36 @@ class RefineSchedule:
         variables = [spec.var for spec, _ in self.items]
         if self.boundary is not None:
             halos = LaunchBatcher(self.batch)
-            for dst in self.dst_level:
-                rank = ranks[dst.owner]
-                if self.batch:
-                    member = self.boundary.batch_member(dst, variables)
-                    if member is not None:
-                        halos.collect(backend_for(member.writes[0], rank),
-                                      rank, "hydro.update_halo", member,
-                                      ghost_only=True)
-                elif dst.touches_boundary():
-                    self._apply_boundary(sink, dst, variables, rank)
+            if self.batch:
+                if self._halos is None:
+                    members = [(ranks[dst.owner],
+                                self.boundary.batch_member(dst, variables))
+                               for dst in self.dst_level]
+                    self._halos = [
+                        (backend_for(member.writes[0], rank), rank, member)
+                        for rank, member in members if member is not None]
+                for backend, rank, member in self._halos:
+                    halos.collect(backend, rank, "hydro.update_halo", member,
+                                  ghost_only=True)
+            else:
+                for dst in self.dst_level:
+                    if dst.touches_boundary():
+                        self._apply_boundary(sink, dst, variables,
+                                             ranks[dst.owner])
             sink.flush_fusion(halos)
         if time is not None:
-            stamped: dict = {}
-            for dst in self.dst_level:
-                key = dst.owner if self.batch else id(dst)
-                stamped.setdefault(key, (dst.owner, []))[1].extend(
-                    dst.data(v.name) for v in variables)
-            for owner, pds in stamped.values():
+            if self._stamped is None:
+                groups: dict = {}
+                for dst in self.dst_level:
+                    key = dst.owner if self.batch else id(dst)
+                    groups.setdefault(key, (dst.owner, []))[1].append(dst)
+                self._stamped = list(groups.values())
+            names = [v.name for v in variables]
+            for owner, patches in self._stamped:
                 sink.add(TaskKind.HOST, owner, "fill.set_time",
-                         lambda _stream, pds=pds: _set_times(pds, time),
-                         reads=pds)
+                         lambda _stream, patches=patches: _set_times(
+                             patches, names, time),
+                         reads=Lazy(_patch_data, patches, names))
 
     def _apply_boundary(self, sink, dst, variables, rank) -> None:
         """One patch's physical BCs through the boundary object's own
@@ -397,30 +435,29 @@ class RefineSchedule:
     def _group_copies(self) -> tuple[list, list]:
         """Same-level copies grouped for fusion, over every variable.
 
-        Returns ``(local, remote)``: same-rank copies as ``(owner,
+        Returns ``(copies, streams)``: same-rank copies as ``(rank,
         [(dst_pd, src_pd, region)])`` — one entry per destination patch,
         or under ``batch`` one per owning rank for the whole level
-        (arena-backed regions then collapse to stacked slab ops in the
-        backend; bitwise identical, destinations are disjoint) — and
-        cross-rank copies as ``(src, dst, [(name, region)])`` per patch
-        pair, one message stream each.
+        (bitwise identical, destinations are disjoint) — and cross-rank
+        copies as ``(src rank, dst rank, pack items, unpack items)`` per
+        patch pair, one message stream each.
         """
+        ranks = self.comm.ranks
         local: dict = {}
         remote: dict = {}
         for spec, geom in self.items:
             name = spec.var.name
             for src, dst, region in geom.copies:
                 if src.owner == dst.owner:
-                    entry = local.setdefault(id(dst), (dst.owner, []))
+                    key = dst.owner if self.batch else id(dst)
+                    entry = local.setdefault(key, (ranks[dst.owner], []))
                     entry[1].append((dst.data(name), src.data(name), region))
                 else:
-                    entry = remote.setdefault((id(src), id(dst)), (src, dst, []))
-                    entry[2].append((name, region))
-        if self.batch:
-            by_owner: dict[int, list] = {}
-            for owner, items in local.values():
-                by_owner.setdefault(owner, []).extend(items)
-            return list(by_owner.items()), list(remote.values())
+                    entry = remote.setdefault(
+                        (id(src), id(dst)),
+                        (ranks[src.owner], ranks[dst.owner], [], []))
+                    entry[2].append((src.data(name), region))
+                    entry[3].append((dst.data(name), region))
         return list(local.values()), list(remote.values())
 
     def _clamp_member(self, temp, var: Variable):
@@ -489,7 +526,7 @@ class RefineSchedule:
             sink.flush_fusion(refines)
 
             for index, temps in held.items():
-                sink.add(TaskKind.HOST, index, "fill.free",
+                sink.add(TaskKind.FREE, index, "fill.free",
                          lambda _stream, temps=temps: free_temps(temps),
                          writes=temps)
         except BaseException:

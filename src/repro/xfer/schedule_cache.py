@@ -38,15 +38,7 @@ __all__ = ["ScheduleCache", "level_token"]
 
 def level_token(level: "PatchLevel | None"):
     """Structural identity of a level: number plus (box, owner) layout."""
-    if level is None:
-        return None
-    return (
-        level.level_number,
-        tuple(
-            (tuple(p.box.lower), tuple(p.box.upper), p.owner)
-            for p in level
-        ),
-    )
+    return None if level is None else level.layout_token
 
 
 class ScheduleCache:

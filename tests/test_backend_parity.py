@@ -8,7 +8,10 @@ which timeline a transfer lands on.  So every cell of
 single serial, per-patch, host reference **bitwise**: final field
 summary, dt sequence and every gathered field.  Small patches make the
 fusion groups (and the whole-slab stacks) hold many members; two ranks
-make the overlap cells cross the network.
+make the overlap cells cross the network.  The oracle has two rows: a
+uniformly tiled mesh, and a *ragged* one (a 23-cell side does not divide
+into 8-cell patches, so every level mixes patch shapes) — compiled
+transfers and per-shape-bucket slab sweeps must not care.
 """
 
 from __future__ import annotations
@@ -36,22 +39,25 @@ HYDRO_KERNELS = ("hydro.ideal_gas", "hydro.viscosity", "hydro.calc_dt",
 
 _RUNS: dict = {}
 
+#: mesh rows of the oracle: problem + hierarchy depth
+MESHES = {"uniform": dict(problem=SodProblem((32, 32)), max_levels=2),
+          "ragged": dict(problem=SodProblem((24, 23)), max_levels=3)}
 
-def _cell(backend: str, batch: bool, overlap: bool):
+
+def _cell(backend: str, batch: bool, overlap: bool, mesh: str = "uniform"):
     """The (memoised) run of one oracle cell."""
-    key = (backend, batch, overlap)
+    key = (backend, batch, overlap, mesh)
     if key not in _RUNS:
         use_gpu, resident = BACKENDS[backend]
         _RUNS[key] = run(RunConfig(
-            problem=SodProblem((32, 32)),
             nranks=2,
             use_gpu=use_gpu,
             resident=resident,
-            max_levels=2,
             max_patch_size=8,
             regrid=RegridPolicy(interval=3),
             max_steps=6,
             execution=ExecutionPolicy(batch=batch, overlap=overlap),
+            **MESHES[mesh],
         ))
     return _RUNS[key]
 
@@ -83,6 +89,30 @@ def test_cell_field_is_bitwise_the_reference(backend, batch, overlap, field):
         assert np.array_equal(a, b, equal_nan=True), (
             f"{field} diverged on level {lnum}: max |diff| = "
             f"{np.nanmax(np.abs(a - b))}")
+
+
+@pytest.mark.parametrize("backend,batch,overlap", CELLS)
+def test_ragged_cell_is_bitwise_the_reference(backend, batch, overlap):
+    """The ragged row: every level mixes patch shapes, and every cell of
+    every field still equals the serial per-patch host reference."""
+    ref = _cell("host", False, False, "ragged")
+    got = _cell(backend, batch, overlap, "ragged")
+    assert ref.sim.hierarchy.num_levels == 3
+    for level in ref.sim.hierarchy:
+        assert len({tuple(p.box.shape()) for p in level}) > 1, "ragged"
+    assert got.steps == ref.steps
+    assert got.dt_history == ref.dt_history
+    assert got.final_fields == ref.final_fields
+    for lnum in range(3):
+        for field in FIELDS:
+            a = gather_level_field(ref.sim.hierarchy.level(lnum), field)
+            b = gather_level_field(got.sim.hierarchy.level(lnum), field)
+            assert np.array_equal(a, b, equal_nan=True), (
+                f"{field} diverged on ragged level {lnum}")
+    if batch:
+        stats = combined_stats(r.exec_stats for r in got.sim.comm.ranks)
+        for kernel in HYDRO_KERNELS:  # one stacked op per shape bucket
+            assert stats.slab[kernel].fallback == 0, kernel
 
 
 def test_gpu_cells_actually_used_the_device():

@@ -151,7 +151,8 @@ def space(request, comm):
 
 
 class TestStackedCopies:
-    """Uniform-arena batches collapse to one stacked op per group."""
+    """Arena-backed batches collapse to one flat-index op per arena pair,
+    whatever the member shapes and wherever the regions sit."""
 
     def _check_stacked_copy(self, space, rank):
         _, srcs = _arena_row(space, 3, seed=7)
@@ -177,7 +178,8 @@ class TestStackedCopies:
     def _check_ragged_regions_fall_back(self, space, rank):
         _, srcs = _arena_row(space, 3, seed=11)
         _, dsts = _arena_row(space, 3, fill=0.0)
-        # Different relative regions per member: no group forms.
+        # Different relative regions (and sizes) per member: flat indices
+        # do not care, the three still run as one op.
         items = [(dsts[0], srcs[0], Box([0, 0], [3, 3])),
                  (dsts[1], srcs[1], Box([9, 2], [13, 5])),
                  (dsts[2], srcs[2], Box([16, 4], [23, 7]))]
@@ -185,16 +187,21 @@ class TestStackedCopies:
         for d, s, region in items:
             sl = region.slices_in(d.get_ghost_box())
             assert np.array_equal(d.to_host()[sl], s.to_host()[sl])
+            outside = np.ones(d.to_host().shape, dtype=bool)
+            outside[sl] = False
+            assert not d.to_host()[outside].any()  # nothing else written
         sc = rank.exec_stats.stacked["pdat.copy"]
-        assert sc.stacked == 0 and sc.fallback == 3
+        assert sc.stacked == 3 and sc.groups == 1 and sc.fallback == 0
 
     def test_ragged_arena_keeps_the_per_region_path(self, comm, space):
-        """Non-uniform arena: no stacked view, members still alias the
-        slab, transfers replay per region, the slab still round-trips."""
+        """Non-uniform arena: two shape buckets, no whole-arena stacked
+        view; members still alias the slab, transfers run by flat index
+        all the same, the slab still round-trips."""
         arena, srcs = _arena_row(space, 3, seed=13, ragged=True)
         _, dsts = _arena_row(space, 3, fill=0.0, ragged=True)
         rank = comm.rank(0)
         assert not arena.uniform
+        assert [(first, n) for first, n, _ in arena.buckets] == [(0, 2), (2, 1)]
         with pytest.raises(ValueError, match="uniform"):
             arena.stacked_view()
         copy_batch_local([(d, s, d.box) for d, s in zip(dsts, srcs)], rank)
@@ -203,7 +210,9 @@ class TestStackedCopies:
             assert np.array_equal(_interior(d), _interior(s))
         assert np.array_equal(
             buffer, np.concatenate([_interior(s).ravel() for s in srcs]))
-        assert "pdat.copy" not in rank.exec_stats.stacked
+        for kernel in ("pdat.copy", "pdat.pack"):
+            sc = rank.exec_stats.stacked[kernel]
+            assert sc.stacked == 3 and sc.fallback == 0
         slab = arena.to_host_slab()
         for i, s in enumerate(srcs):
             n = arena.shapes[i][0] * arena.shapes[i][1]

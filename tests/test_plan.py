@@ -1,0 +1,304 @@
+"""Compiled transfers: flat-index plans against the per-region reference.
+
+A compiled plan must be a pure host-side rewrite of the per-region
+program it replaces, so every layer is pinned against that program:
+
+* ``exec.plan`` — a compiled copy / pack / unpack over random ragged
+  arenas equals ``PatchData.copy`` / ``pack_stream`` / ``unpack_stream``
+  region by region, in both memory spaces and all four centrings;
+* ``geom.interp_math`` — the flat evaluation of a refine stencil over many
+  regions' points equals the per-region function, bit for bit;
+* ``xfer.fill_plan`` — replaying a cached schedule does no box algebra and
+  allocates one scratch slab per rank, and a plan whose level was rebuilt
+  by a regrid can only raise, never read stale memory.
+"""
+
+from __future__ import annotations
+
+from contextlib import nullcontext
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, build_simulation
+from repro.exec.backend import UNCHARGED_HOST, ResidentDeviceBackend
+from repro.exec.plan import compile_copies, compile_stream
+from repro.geom import interp_math as m
+from repro.gpu.device import K20X, Device
+from repro.hydro.fields import FIELD_GROUPS
+from repro.hydro.problems import SodProblem
+from repro.mesh.box import Box, IntVector, box_points
+from repro.mesh.variables import Variable
+from repro.pdat import HOST, Arena, PatchData
+
+CENTRINGS = [("cell", 0), ("node", 0), ("side", 0), ("side", 1)]
+
+
+# -- box_points: the one region -> array conversion ----------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
+                          st.integers(-1, 5), st.integers(-1, 5)),
+                max_size=6))
+def test_box_points_visits_every_index_row_major(corners):
+    boxes = [Box((i, j), (i + h, j + w)) for i, j, h, w in corners]
+    which, (c0, c1) = box_points(boxes)
+    want = [(k, *index) for k, box in enumerate(boxes)
+            for index in box.indices()]
+    assert list(zip(which.tolist(), c0.tolist(), c1.tolist())) == want
+
+
+# -- (i) compiled copy / pack / unpack == the per-region PatchData calls --------
+
+
+class _DeviceRank:
+    """The little of a rank a resident backend needs."""
+
+    def __init__(self):
+        from repro.exec.stats import ExecStats
+
+        self.device = Device(K20X)
+        self.exec_stats = ExecStats()
+        self.index = 0
+
+
+def _world(kind):
+    """(space, backend, access scope) for one memory space."""
+    if kind == "host":
+        return HOST, UNCHARGED_HOST, nullcontext
+    rank = _DeviceRank()
+    return rank.device, ResidentDeviceBackend(rank), rank.device._memcpy_scope
+
+
+def _ragged_row(space, var, widths, rng):
+    """Arena-backed members side by side along x, one per width (so the
+    arena is as ragged as ``widths``), random contents."""
+    boxes, lo = [], 0
+    for w in widths:
+        boxes.append(Box((lo, 0), (lo + w - 1, 3 + w % 2)))
+        lo += w
+    shapes = [tuple(var.frame(b).shape()) for b in boxes]
+    arena = Arena(space, sum(a * b for a, b in shapes))
+    pds = []
+    for box, shape in zip(boxes, shapes):
+        pd = PatchData(var, box, space, member=arena.place(shape))
+        pd.from_host(rng.random(shape))
+        pds.append(pd)
+    return pds
+
+
+def _region_in(frame: Box, rng) -> Box:
+    lo = [int(rng.integers(frame.lower[a], frame.upper[a] + 1)) for a in (0, 1)]
+    hi = [int(rng.integers(lo[a], frame.upper[a] + 1)) for a in (0, 1)]
+    return Box(lo, hi)
+
+
+def _clone(space, var, pds):
+    """Standalone (non-arena) copies of ``pds``: the reference operands."""
+    out = []
+    for pd in pds:
+        twin = PatchData(var, pd.box, space)
+        twin.from_host(pd.to_host())
+        out.append(twin)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["host", "device"])
+@pytest.mark.parametrize("centring,axis", CENTRINGS)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       widths=st.lists(st.integers(2, 5), min_size=2, max_size=5),
+       nregions=st.integers(1, 8))
+def test_compiled_transfers_equal_the_per_region_calls(kind, centring, axis,
+                                                       seed, widths, nregions):
+    space, backend, _ = _world(kind)
+    rng = np.random.default_rng(seed)
+    var = Variable("q", centring, 2, axis)
+    srcs = _ragged_row(space, var, widths, rng)
+    dsts = _ragged_row(space, var, widths, rng)
+    picks = [int(rng.integers(len(widths))) for _ in range(nregions)]
+    # regions inside both operands' frames (same boxes): in-frame for all
+    regions = [_region_in(srcs[k].get_ghost_box(), rng) for k in picks]
+
+    # reference: one PatchData call per region, on standalone twins
+    ref_src, ref_dst = _clone(space, var, srcs), _clone(space, var, dsts)
+    for k, region in zip(picks, regions):
+        ref_dst[k].copy(ref_src[k], region)
+    stream = np.concatenate(
+        [ref_src[k].pack_stream(region) for k, region in zip(picks, regions)])
+
+    plan = compile_copies([(dsts[k], srcs[k], r) for k, r in zip(picks, regions)])
+    assert not plan.rest and plan.count == nregions
+    backend.copy_batch(plan)
+    for got, want in zip(dsts, ref_dst):
+        assert np.array_equal(got.to_host(), want.to_host())
+
+    pack = compile_stream([(srcs[k], r) for k, r in zip(picks, regions)])
+    assert not pack.rest and pack.total == stream.size
+    assert np.array_equal(backend.pack_batch(pack), stream)
+
+    # unpack the reversed stream: a different value lands in every element
+    ref_off = 0
+    for k, region in zip(picks, regions):
+        n = region.size()
+        ref_dst[k].unpack_stream(stream[::-1][ref_off:ref_off + n], region)
+        ref_off += n
+    backend.unpack_batch(
+        stream[::-1], compile_stream([(dsts[k], r) for k, r in zip(picks, regions)]))
+    for got, want in zip(dsts, ref_dst):
+        assert np.array_equal(got.to_host(), want.to_host())
+
+
+def test_compiling_a_region_outside_its_frame_raises():
+    var = Variable("q", "cell", 2)
+    a, b = _ragged_row(HOST, var, [3, 4], np.random.default_rng(0))
+    outside = Box((40, 40), (41, 41))
+    with pytest.raises(IndexError):
+        compile_copies([(a, b, outside)])
+    with pytest.raises(IndexError):
+        compile_stream([(a, outside)])
+
+
+def test_plans_reach_storage_only_inside_a_launch_and_never_after_free():
+    """The slab's own discipline guards every replay: a device plan body
+    outside a launch is a memory-space error, a released slab a
+    use-after-free."""
+    from repro.gpu.errors import MemorySpaceError
+
+    space, backend, _ = _world("device")
+    var = Variable("q", "cell", 2)
+    rng = np.random.default_rng(1)
+    srcs, dsts = (_ragged_row(space, var, [3, 4], rng) for _ in range(2))
+    plan = compile_copies([(d, s, s.box) for d, s in zip(dsts, srcs)])
+    (dst, src, dst_index, src_index), = plan.groups
+    with pytest.raises(MemorySpaceError):
+        dst.flat()[dst_index] = src.flat()[src_index]
+    backend.copy_batch(plan)  # inside the launch: fine
+    for pd in dsts:
+        pd.free()
+    with pytest.raises(RuntimeError, match="use after free"):
+        backend.copy_batch(plan)
+
+
+# -- (ii) flat refine == per-region refine -------------------------------------
+
+STENCILS = [("node", m.NODE_LINEAR, m.refine_node_linear, ()),
+            ("cell", m.CELL_CONSERVATIVE_LINEAR,
+             m.refine_cell_conservative_linear, ()),
+            ("side-x", m.SIDE_CONSERVATIVE_LINEAR[0],
+             m.refine_side_conservative_linear, (0,)),
+            ("side-y", m.SIDE_CONSERVATIVE_LINEAR[1],
+             m.refine_side_conservative_linear, (1,))]
+
+
+@pytest.mark.parametrize("name,stencil,per_region,extra", STENCILS,
+                         ids=[s[0] for s in STENCILS])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), nregions=st.integers(1, 6),
+       r0=st.integers(1, 4), r1=st.integers(1, 4))
+def test_flat_refine_is_bitwise_the_per_region_refine(name, stencil, per_region,
+                                                      extra, seed, nregions,
+                                                      r0, r1):
+    """Many regions, each with its own coarse block of its own shape,
+    evaluated at once against one flat coarse array and scattered into one
+    flat fine array: every element equals the per-region function's."""
+    rng = np.random.default_rng(seed)
+    ratio = IntVector(r0, r1)
+    regions, cframes, coarse, fframes = [], [], [], []
+    for _ in range(nregions):
+        lo = rng.integers(-12, 12, 2)
+        region = Box(lo.tolist(), (lo + rng.integers(0, 6, 2)).tolist())
+        c = region.coarsen(ratio)
+        pad_lo, pad_hi = rng.integers(1, 3, 2), rng.integers(2, 4, 2)
+        cframe = Box(c.lower - IntVector(pad_lo), c.upper + IntVector(pad_hi))
+        regions.append(region)
+        cframes.append(cframe)
+        coarse.append(rng.standard_normal(tuple(cframe.shape())))
+        fframes.append(region.grow(int(rng.integers(0, 3))))
+
+    want = []
+    for region, cframe, carr, fframe in zip(regions, cframes, coarse, fframes):
+        fine = np.full(tuple(fframe.shape()), np.nan)
+        per_region(carr, cframe, fine, fframe, region, ratio, *extra)
+        want.append(fine)
+
+    coarse_flat = np.concatenate([c.ravel() for c in coarse])
+    coffs = np.cumsum([0] + [c.size for c in coarse[:-1]])
+    foffs = np.cumsum([0] + [f.size() for f in fframes[:-1]])
+    fine_flat = np.full(sum(f.size() for f in fframes), np.nan)
+    which, (f0, f1) = box_points(regions)
+    width = np.array([f.shape()[1] for f in cframes])
+    origin = np.array([off - f.lower[0] * f.shape()[1] - f.lower[1]
+                       for off, f in zip(coffs, cframes)])
+    fwidth = np.array([f.shape()[1] for f in fframes])
+    flo = np.array([f.lower for f in fframes])
+    fine_index = (foffs[which] + (f0 - flo[which, 0]) * fwidth[which]
+                  + (f1 - flo[which, 1]))
+    gather, weights = m.flat_refine_terms(stencil, f0, f1, ratio,
+                                          origin[which], width[which])
+    m.refine_flat(stencil, coarse_flat, gather, weights, fine_flat, fine_index)
+
+    for off, fframe, fine in zip(foffs, fframes, want):
+        got = fine_flat[off:off + fframe.size()].reshape(fine.shape)
+        assert np.array_equal(got, fine, equal_nan=True)
+
+
+# -- (iv), (v) replay and invalidation on a real hierarchy ---------------------
+
+
+def _ragged_sim(steps=0):
+    """Sod 24x23, three levels, 8-cell patches: every level is ragged."""
+    sim = build_simulation(RunConfig(
+        problem=SodProblem((24, 23)), nranks=1, max_levels=3,
+        max_patch_size=8, regrid=RegridPolicy(interval=3), max_steps=8,
+        execution=ExecutionPolicy(batch=True)))
+    sim.initialise()
+    sim.run(max_steps=steps)
+    return sim
+
+
+def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
+        monkeypatch):
+    sim = _ragged_sim()
+    level = sim.hierarchy.level(sim.hierarchy.num_levels - 1)
+    assert len({tuple(p.box.shape()) for p in level}) > 1, "level is ragged"
+    sched = sim._fill_schedule_for(level, FIELD_GROUPS["step_start"])
+    sched.fill(time=0.0)  # first use compiles the plan
+    assert sched._plan and sched._plan.ranks, "fine level interpolates"
+    assert sim._fill_schedule_for(level, FIELD_GROUPS["step_start"]) is sched
+
+    counts = {"Box.__init__": 0, "Box.slices_in": 0, "Device.empty": 0}
+
+    def counting(cls, attr, key):
+        original = getattr(cls, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counting(Box, "__init__", "Box.__init__")
+    counting(Box, "slices_in", "Box.slices_in")
+    counting(Device, "empty", "Device.empty")
+    sched.fill(time=0.0)
+    assert counts["Box.__init__"] == 0 and counts["Box.slices_in"] == 0
+    assert counts["Device.empty"] == 1  # the one scratch slab of the one rank
+
+
+def test_a_purged_schedules_plan_raises_instead_of_reading_a_released_slab():
+    sim = _ragged_sim()
+    top = sim.hierarchy.num_levels - 1
+    old_level = sim.hierarchy.level(top)
+    sched = sim._fill_schedule_for(old_level, FIELD_GROUPS["step_start"])
+    sched.fill(time=0.0)
+    sim.run(max_steps=3)  # the step-3 regrid rebuilds the fine levels
+    assert sim.hierarchy.level(top) is not old_level, "level was rebuilt"
+    # no surviving cache entry names the released level ...
+    for levels, cached in sim.schedule_cache._entries.values():
+        assert old_level not in levels and cached is not sched
+    # ... and the purged schedule's plan cannot be replayed onto it
+    with pytest.raises(RuntimeError, match="use after free"):
+        sched.fill(time=0.0)

@@ -163,6 +163,36 @@ def test_one_transfer_program_batched_or_recorded():
     assert recorded.runtime <= 1.05 * batched.runtime
 
 
+def test_kernel_raising_mid_graph_leaks_no_transfer_scratch(monkeypatch):
+    """Fault matrix: transfer scratch is allocated when a fill is
+    *recorded* and released by tasks of the graph, so a kernel raising
+    mid-graph used to strand every not-yet-run release.  The executor now
+    runs a graph's remaining FREE tasks before the error propagates."""
+    from repro.geom import interp_math
+
+    sim = build_simulation(_config(
+        nranks=1, execution=ExecutionPolicy(batch=True, overlap=True)))
+    sim.initialise()
+    device = sim.comm.rank(0).device
+    before = device.bytes_allocated
+    calls = []
+    limited = interp_math._mc_slopes
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FloatingPointError("non-physical state")
+        return limited(*args)
+
+    monkeypatch.setattr(interp_math, "_mc_slopes", failing)
+    with pytest.raises(FloatingPointError) as caught:
+        sim.step()
+    # while the traceback still pins the graph, its tasks and their
+    # closures (so no garbage collector is doing the executor's job)
+    assert caught.traceback and len(calls) == 2
+    assert device.bytes_allocated == before
+
+
 # -- overlap accounting ------------------------------------------------------
 
 

@@ -7,12 +7,14 @@ rewrite of the fused launch:
   stacked ``(P, f0, f1)`` view it produces bit-for-bit the same values
   as P per-patch applications, and the stacked CFL ``min`` selects the
   exact same scalar (property-tested over random states);
-* planner level — ``Backend._slab_plan`` only fuses groups whose
-  members tile one uniform arena with matching slab keys; anything
-  ragged or mismatched replays per-patch bodies (never half-executes);
-* run level — a ragged hierarchy (mixed patch shapes on one level)
-  falls back loudly (``slab_fallback`` counters) while the fields stay
-  bitwise identical to the per-patch path.
+* planner level — ``Backend._slab_plan`` partitions a group by slab key
+  (one partition per patch shape) and fuses each partition over the
+  arena *bucket* its members tile; a partition that does not tile its
+  bucket sends the whole group down the per-patch path (never
+  half-executes);
+* run level — a ragged hierarchy (mixed patch shapes on one level) runs
+  one stacked op per shape, records no hydro-sweep fallback, and the
+  fields stay bitwise identical to the per-patch path.
 """
 
 from __future__ import annotations
@@ -68,16 +70,21 @@ def test_uniform_device_arena_stacked_view_aliases_members():
 
 
 def test_ragged_arena_refuses_stacked_view():
-    """Non-uniform ⇒ no stacked view or mask; members still alias the
-    slab and the whole slab still round-trips through the host."""
+    """Non-uniform ⇒ no whole-arena stacked view or mask, but one stacked
+    view per shape bucket; members still alias the slab and the whole
+    slab still round-trips through the host."""
     for space, scope in _spaces():
         arena = Arena(space, 4 * 5 + 3 * 5)
         a, b = arena.place((4, 5)), arena.place((3, 5))
         assert not arena.uniform
+        assert arena.buckets == [(0, 1, (4, 5)), (1, 1, (3, 5))]
         with pytest.raises(ValueError, match="uniform"), scope():
             arena.stacked_view()
         with pytest.raises(ValueError, match="uniform"):
             arena.interior_mask(1)
+        with scope():
+            assert arena.stacked_view(1).shape == (1, 3, 5)
+            assert np.shares_memory(arena.stacked_view(1), b.kernel_view())
         with scope():
             a.kernel_view()[...] = 1.0
             b.kernel_view()[...] = 2.0
@@ -260,6 +267,32 @@ def test_slab_plan_partial_arena_coverage_falls_back():
     assert hits == ["per-patch"] * 3  # out of stacked order
 
 
+def test_slab_plan_fuses_each_shape_bucket_of_a_ragged_group():
+    """Two patch shapes placed shape by shape: one stacked op per bucket,
+    whatever order the members arrive in, and the reduction combines the
+    buckets' results."""
+    arena = Arena(HOST, 2 * 16 + 3 * 12)
+    shapes = [(4, 4)] * 2 + [(3, 4)] * 3
+    pds = [_Pd(arena, i, arena.place(shape).kernel_view())
+           for i, shape in enumerate(shapes)]
+    arena.slab.kernel_view()[:] = 0.0
+    hits = []
+
+    def fn(stacked):
+        hits.append(stacked.shape)
+        stacked += 1.0
+        return float(stacked.shape[0])
+
+    members = [BatchMember(pd.view.size, lambda: hits.append("per-patch"),
+                           writes=(pd,),
+                           slab=SlabSpec(("k", *pd.view.shape), fn, (pd,)))
+               for pd in pds]
+    interleaved = [members[i] for i in (2, 0, 3, 1, 4)]  # level order
+    assert UNCHARGED_HOST.run_batched("k", interleaved, combine=min) == 2.0
+    assert sorted(hits) == [(2, 4, 4), (3, 3, 4)]
+    assert np.array_equal(arena.slab.kernel_view(), np.ones(68))
+
+
 def test_slab_plan_mixed_roles_fall_back():
     """One operand position declared write by some members and read by
     others is not a slab: the sanitizer could not instrument it."""
@@ -301,14 +334,19 @@ def _slab_counters(res):
 
 def test_ragged_level_counts_fallbacks_and_fusions(ragged_runs):
     _, slab = ragged_runs
+    level1 = slab.sim.hierarchy.level(1)
+    assert len({tuple(p.box.shape()) for p in level1}) > 1, "level 1 is ragged"
     counters = _slab_counters(slab)
-    fused = sum(f for f, _ in counters.values())
-    fallback = sum(b for _, b in counters.values())
-    assert fused > 0, "uniform level 0 should fuse"
-    assert fallback > 0, "ragged level 1 should fall back, loudly"
-    # the ragged level's hydro sweeps specifically fell back
-    assert counters["hydro.pdv"][1] > 0
-    assert counters["hydro.pdv"][0] > 0
+    # every hydro sweep ran one stacked op per shape bucket, on the
+    # uniform level 0 and the ragged level 1 alike: no fallback at all
+    for kernel in ("hydro.pdv", "hydro.ideal_gas", "hydro.advec_cell",
+                   "hydro.calc_dt"):
+        fused, fallback = counters[kernel]
+        assert fused > 0 and fallback == 0, (kernel, fused, fallback)
+    # compiled ghost fills count as fused too; what still replays
+    # per-region bodies is counted as such (halo bodies, sync temps)
+    assert counters["geom.refine"][0] > 0
+    assert counters["hydro.update_halo"][1] > 0
 
 
 def test_per_patch_run_records_no_slab_counters(ragged_runs):
