@@ -278,10 +278,11 @@ class SanitizeChecker:
         ``arr`` stacks the ``pds``' frames on axis 0; the group is the
         slab twin of per-patch handouts, so its declared role must be
         uniform — all of the scope's reads get one read-only view, all
-        writes get the live array.  A mixed or undeclared group cannot
-        happen through the slab planner (it checks roles before launch),
-        so it raises here as an invariant backstop rather than falling
-        back to checksums.
+        writes get the live array.  A bucket sweep declares each operand
+        with one role for all of its patches, so a mixed or undeclared
+        group is a mis-declared member: it raises here, before the
+        kernel runs on the handout, rather than falling back to
+        checksums.
         """
         scope = self._scope
         if scope is None:

@@ -22,8 +22,8 @@ dynamic checker can only observe at runtime:
   flagged.
 * **slab** — kernel dispatch inside a per-patch ``for patch in level:``
   loop defeats whole-slab execution (``--batch`` runs one
-  vectorized op per fused level group); new dispatch sites should emit
-  batch members and let ``run_batched`` fuse them.  Reference-path loops
+  vectorized op per shape bucket of a level); new dispatch sites should
+  emit batch members and let ``run_batched`` fuse them.  Reference-path loops
   (kept for bitwise comparison) carry a waiver.
 * **serve** — the service layer (:mod:`repro.serve`) may only enter
   simulations through the :mod:`repro.api` facade (plus the

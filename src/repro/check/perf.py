@@ -41,6 +41,8 @@ __all__ = [
     "extract_perf",
     "compare_perf",
     "make_baseline",
+    "update_baselines",
+    "gate_baselines",
     "perf_main",
 ]
 
@@ -218,6 +220,82 @@ def _git_sha() -> str | None:
         return None
 
 
+def update_baselines(names, results_dir: str, reason: str,
+                     tolerance: float | None = None) -> tuple[int, list[str]]:
+    """(Re-)capture baselines from the current BENCH manifests (all of
+    them without ``names``).  Returns ``(exit code, report lines)``."""
+    if not names:
+        names = sorted(
+            f[len("BENCH_"):-len(".json")]
+            for f in os.listdir(results_dir)
+            if f.startswith("BENCH_") and f.endswith(".json")
+            and _bench_manifest(results_dir, f[len("BENCH_"):-len(".json")]))
+    sha = _git_sha()
+    lines = []
+    for name in names:
+        manifest = _bench_manifest(results_dir, name)
+        if manifest is None:
+            return 2, [*lines, f"perf[{name}]: no BENCH_{name}.json manifest "
+                               "to capture — run the benchmark first"]
+        path = os.path.join(results_dir, f"BASELINE_{name}.json")
+        previous = _load_json(path) if os.path.exists(path) else None
+        baseline = make_baseline(name, manifest, reason=reason,
+                                 git_sha=sha, previous=previous,
+                                 tolerance=tolerance)
+        with open(path, "w") as f:
+            json.dump(baseline, f, indent=2)
+            f.write("\n")
+        lines.append(f"perf[{name}]: baseline written ({path})")
+    return 0, [*lines,
+               f"perf: {len(lines)} baseline(s) updated — reason: {reason}"]
+
+
+def gate_baselines(names, results_dir: str,
+                   tolerance: float | None = None) -> tuple[int, list[str]]:
+    """Diff the current BENCH manifests against the committed baselines
+    (every ``BASELINE_*.json`` without ``names``).  Returns ``(exit code,
+    report lines)``: one line per finding, then the tally."""
+    if not names:
+        names = sorted(
+            f[len("BASELINE_"):-len(".json")]
+            for f in os.listdir(results_dir)
+            if f.startswith("BASELINE_") and f.endswith(".json"))
+        if not names:
+            return 2, [f"perf: no BASELINE_*.json in {results_dir} — capture "
+                       "some with `repro check perf --update-baselines "
+                       "--reason '...'`"]
+
+    findings: list[PerfFinding] = []
+    gated = 0
+    for name in names:
+        bpath = os.path.join(results_dir, f"BASELINE_{name}.json")
+        if not os.path.exists(bpath):
+            findings.append(PerfFinding(
+                "structural", name, "baseline",
+                f"missing baseline file {bpath} — capture it with "
+                "--update-baselines --reason '...'"))
+            continue
+        manifest = _bench_manifest(results_dir, name)
+        if manifest is None:
+            findings.append(PerfFinding(
+                "structural", name, "manifest",
+                f"no BENCH_{name}.json manifest to gate — run the "
+                "benchmark first"))
+            continue
+        findings.extend(compare_perf(name, _load_json(bpath), manifest,
+                                     tolerance=tolerance))
+        gated += 1
+
+    regressions = [f for f in findings if f.level == "regression"]
+    structural = [f for f in findings if f.level == "structural"]
+    improved = [f for f in findings if f.level == "improved"]
+    lines = [*map(str, findings),
+             f"perf: gated {gated} baseline(s): "
+             f"{len(regressions)} regression(s), {len(structural)} structural, "
+             f"{len(improved)} improvement(s)"]
+    return (2 if structural else 1 if regressions else 0), lines
+
+
 def perf_main(argv=None) -> int:
     """Entry point for ``repro check perf``."""
     p = argparse.ArgumentParser(
@@ -242,82 +320,13 @@ def perf_main(argv=None) -> int:
                         "JSON history (required with --update-baselines)")
     args = p.parse_args(argv)
     results_dir = args.results or _default_results_dir()
-
     if args.update_baselines:
         if not args.reason:
             p.error("--update-baselines requires --reason "
                     "(recorded in the baseline history)")
-        names = args.names
-        if not names:
-            names = sorted(
-                f[len("BENCH_"):-len(".json")]
-                for f in os.listdir(results_dir)
-                if f.startswith("BENCH_") and f.endswith(".json")
-                and _bench_manifest(results_dir, f[len("BENCH_"):-len(".json")]))
-        sha = _git_sha()
-        wrote = 0
-        for name in names:
-            manifest = _bench_manifest(results_dir, name)
-            if manifest is None:
-                print(f"perf[{name}]: no BENCH_{name}.json manifest to "
-                      "capture — run the benchmark first")
-                return 2
-            path = os.path.join(results_dir, f"BASELINE_{name}.json")
-            previous = _load_json(path) if os.path.exists(path) else None
-            baseline = make_baseline(name, manifest, reason=args.reason,
-                                     git_sha=sha, previous=previous,
-                                     tolerance=args.tolerance)
-            with open(path, "w") as f:
-                json.dump(baseline, f, indent=2)
-                f.write("\n")
-            print(f"perf[{name}]: baseline written ({path})")
-            wrote += 1
-        print(f"perf: {wrote} baseline(s) updated — reason: {args.reason}")
-        return 0
-
-    names = args.names
-    if not names:
-        names = sorted(
-            f[len("BASELINE_"):-len(".json")]
-            for f in os.listdir(results_dir)
-            if f.startswith("BASELINE_") and f.endswith(".json"))
-        if not names:
-            print(f"perf: no BASELINE_*.json in {results_dir} — capture "
-                  "some with `repro check perf --update-baselines "
-                  "--reason '...'`")
-            return 2
-
-    findings: list[PerfFinding] = []
-    gated = 0
-    for name in names:
-        bpath = os.path.join(results_dir, f"BASELINE_{name}.json")
-        if not os.path.exists(bpath):
-            findings.append(PerfFinding(
-                "structural", name, "baseline",
-                f"missing baseline file {bpath} — capture it with "
-                "--update-baselines --reason '...'"))
-            continue
-        manifest = _bench_manifest(results_dir, name)
-        if manifest is None:
-            findings.append(PerfFinding(
-                "structural", name, "manifest",
-                f"no BENCH_{name}.json manifest to gate — run the "
-                "benchmark first"))
-            continue
-        findings.extend(compare_perf(name, _load_json(bpath), manifest,
-                                     tolerance=args.tolerance))
-        gated += 1
-
-    regressions = [f for f in findings if f.level == "regression"]
-    structural = [f for f in findings if f.level == "structural"]
-    improved = [f for f in findings if f.level == "improved"]
-    for f in findings:
-        print(f)
-    print(f"perf: gated {gated} baseline(s): "
-          f"{len(regressions)} regression(s), {len(structural)} structural, "
-          f"{len(improved)} improvement(s)")
-    if structural:
-        return 2
-    if regressions:
-        return 1
-    return 0
+        code, lines = update_baselines(args.names, results_dir, args.reason,
+                                       args.tolerance)
+    else:
+        code, lines = gate_baselines(args.names, results_dir, args.tolerance)
+    print("\n".join(lines))
+    return code

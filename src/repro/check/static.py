@@ -40,7 +40,8 @@ from pathlib import Path
 from . import dispatch, layers
 from .lint import WAIVER, Violation, lint_file_full, parse_waiver
 
-__all__ = ["Finding", "run_static", "check_main", "main"]
+__all__ = ["Finding", "run_static", "run_checks", "text_report",
+           "structured_report", "check_main", "main"]
 
 #: rules that cannot be waived — a waiver cannot vouch for itself
 _UNWAIVABLE = frozenset({"waiver-unused", "waiver-reason", "parse"})
@@ -214,6 +215,61 @@ def _site_summary(sites) -> str:
     return f"{len(sites)} dispatch sites ({', '.join(parts)})"
 
 
+def run_checks(paths, do_lint: bool = True,
+               do_static: bool = True) -> tuple[list[Finding], list]:
+    """The selected checkers over ``paths``: ``(findings, dispatch sites)``,
+    findings sorted by location."""
+    used: dict[Path, set[int]] = {}
+    findings: list[Finding] = []
+    sites = []
+
+    # the lint always runs so waiver-usage accounting is complete; its
+    # findings are only *reported* when the lint is selected
+    lint_findings: list[Violation] = []
+    for f in _iter_files(paths):
+        violations, waived_lines = lint_file_full(f)
+        lint_findings.extend(violations)
+        if waived_lines:
+            used.setdefault(f, set()).update(waived_lines)
+    if do_lint:
+        findings.extend(Finding(v.path, v.line, v.rule, v.message)
+                        for v in lint_findings)
+
+    if do_static:
+        static_findings, sites, static_used = run_static(paths)
+        findings.extend(static_findings)
+        for path, lines in static_used.items():
+            used.setdefault(path, set()).update(lines)
+        findings.extend(_waiver_hygiene(paths, used))
+
+    findings.sort(key=lambda f: (str(f.path), f.line, f.rule))
+    return findings, sites
+
+
+def text_report(findings, sites=None) -> list[str]:
+    """One line per finding and the summary line (with the dispatch-site
+    tally when ``sites`` is given)."""
+    summary = [f"{len(findings)} finding(s)" if findings
+               else "samrcheck static analysis clean"]
+    if sites is not None:
+        summary.append(_site_summary(sites))
+    return [*map(str, findings), " — ".join(summary)]
+
+
+def structured_report(findings, sites, fmt: str) -> str:
+    """The ``json`` or ``sarif`` report document, serialised."""
+    if fmt == "json":
+        report = {
+            "findings": [f.as_dict() for f in findings],
+            "sites": [s.as_dict() for s in sites],
+            "summary": {"findings": len(findings),
+                        "sites": len(sites)},
+        }
+    else:
+        report = _to_sarif(findings)
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def check_main(argv=None) -> int:
@@ -244,57 +300,15 @@ def check_main(argv=None) -> int:
     do_lint = args.lint or args.all or not (args.lint or args.static)
     do_static = args.static or args.all or not (args.lint or args.static)
     paths = args.paths or [str(Path(__file__).resolve().parent.parent)]
-
-    cache: dict[Path, list[str]] = {}
-    used: dict[Path, set[int]] = {}
-    findings: list[Finding] = []
-    sites = []
-
-    # the lint always runs so waiver-usage accounting is complete; its
-    # findings are only *reported* when --lint/--all is selected
-    lint_findings: list[Violation] = []
-    for f in _iter_files(paths):
-        violations, waived_lines = lint_file_full(f)
-        lint_findings.extend(violations)
-        if waived_lines:
-            used.setdefault(f, set()).update(waived_lines)
-    if do_lint:
-        findings.extend(Finding(v.path, v.line, v.rule, v.message)
-                        for v in lint_findings)
-
-    if do_static:
-        static_findings, sites, static_used = run_static(paths)
-        findings.extend(static_findings)
-        for path, lines in static_used.items():
-            used.setdefault(path, set()).update(lines)
-        findings.extend(_waiver_hygiene(paths, used))
-
-    findings.sort(key=lambda f: (str(f.path), f.line, f.rule))
-
+    findings, sites = run_checks(paths, do_lint, do_static)
     if args.format == "text" or args.output:
-        for f in findings:
-            print(f)
-        summary = [f"{len(findings)} finding(s)" if findings
-                   else "samrcheck static analysis clean"]
-        if do_static:
-            summary.append(_site_summary(sites))
-        print(" — ".join(summary))
+        print("\n".join(text_report(findings, sites if do_static else None)))
     if args.format in ("json", "sarif"):
-        if args.format == "json":
-            report = {
-                "findings": [f.as_dict() for f in findings],
-                "sites": [s.as_dict() for s in sites],
-                "summary": {"findings": len(findings),
-                            "sites": len(sites)},
-            }
-        else:
-            report = _to_sarif(findings)
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = structured_report(findings, sites, args.format)
         if args.output:
             Path(args.output).write_text(text + "\n")
         else:
             print(text)
-
     return min(len(findings), 255)
 
 

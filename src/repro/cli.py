@@ -68,13 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "halo transfers with compute on per-rank copy "
                         "streams (bitwise identical to the serial path)")
     p.add_argument("--batch", action="store_true",
-                   help="level-batched execution: lay each level's fields "
-                        "out in pooled arenas and fuse same-kernel per-patch "
-                        "launches into one launch per level, run as one "
-                        "vectorized NumPy op per patch shape over the arena "
-                        "slab, with ghost fills compiled into replayable "
-                        "index plans (bitwise identical; changes modelled "
-                        "time only)")
+                   help="level-batched execution: pool each level's fields "
+                        "into arenas, sweep each kernel once per patch "
+                        "shape over the arena's stacked view, fused into "
+                        "one launch per level, and compile ghost fills "
+                        "into replayable index plans (bitwise identical; "
+                        "changes modelled time only)")
     p.add_argument("--auto", action="store_true",
                    help="auto-tune the execution policy: probe a few steps "
                         "per candidate (serial / batch / overlap+batch) "

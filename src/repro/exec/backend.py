@@ -36,7 +36,7 @@ from ..check.errors import DeclaredAccessError
 from ..obs.context import active_tracer
 from ..obs.lanes import HOST as HOST_LANE
 from ..pdat.space import HOST
-from .batch import SlabSpec, union_pds
+from .batch import union_pds
 from .plan import compile_copies, compile_stream
 from .stats import ExecStats, attribution_report
 
@@ -54,6 +54,7 @@ __all__ = [
     "backend_for",
     "array_of",
     "slab_of",
+    "stacked_of",
     "frame_of",
     "run_on",
     "read_patch_fields",
@@ -99,6 +100,36 @@ def slab_of(store, pds) -> np.ndarray:
     if chk is not None:
         return chk.on_slab_handout(pds, flat)
     return flat
+
+
+def stacked_of(pds) -> np.ndarray:
+    """The frames of a sweep unit's patch data ``pds`` as one kernel
+    operand: the frame array of a unit of one (a patch), else the stacked
+    ``(n, f0, f1)`` view of the arena bucket the ``pds`` tile.
+
+    The bucket twin of :func:`array_of`: legal only inside a launch,
+    instrumented under ``--sanitize`` (one declared role for all of
+    ``pds``).  ``pds`` must be exactly one arena bucket's members in
+    placement order — what a :class:`~repro.mesh.patch.PatchBucket` hands
+    out; the guard is O(1) (ends and length), not a scan.
+    """
+    first, last = pds[0], pds[-1]
+    if first is last:
+        return array_of(first)
+    arena = first._arena
+    if arena is None or last._arena is not arena:
+        raise ValueError("stacked operand is not the members of one arena")
+    bucket = arena.bucket_of[first._arena_index]
+    start, n, _ = arena.buckets[bucket]
+    ends = (first._arena_index, last._arena_index, len(pds))
+    if ends != (start, start + n - 1, n):
+        raise ValueError(f"stacked operand (first, last, count) = {ends} does "
+                         f"not tile its arena bucket {start}..{start + n - 1}")
+    stacked = arena.stacked_view(bucket)
+    chk = _check_active()
+    if chk is not None:
+        return chk.on_slab_handout(pds, stacked)
+    return stacked
 
 
 def _pack_to_staging(space, launch, items, note=None):
@@ -147,6 +178,8 @@ class Backend(abc.ABC):
     name: str = "backend"
     #: True if data allocated by this backend lives in device memory
     resident: bool = False
+    #: the GPU this backend launches kernels on (None: the rank's CPU)
+    device = None
 
     def __init__(self, rank: "Rank | None"):
         self.rank = rank
@@ -205,7 +238,7 @@ class Backend(abc.ABC):
 
     def run_batched(self, kernel: str, members, combine=None,
                     ghost_only: bool = False):
-        """Execute many per-patch kernel bodies as one fused launch.
+        """Execute many kernel bodies as one fused launch.
 
         ``members`` is a sequence of :class:`~repro.exec.batch.BatchMember`;
         their bodies run in order over disjoint patch data inside a single
@@ -216,18 +249,12 @@ class Backend(abc.ABC):
         still sees every operand.  ``combine`` reduces the members' return
         values inside the launch (the CFL min); the result is returned.
 
-        When every member carries a :class:`SlabSpec`, the launch instead
-        executes one vectorized NumPy op per *shape bucket* — members
-        partitioned by spec key, each partition over its arena bucket's
-        stacked view — with the same kernel name, element total,
-        declarations and modelled cost, so only host wall-clock changes;
-        the fused CFL min reduces over the stacked axes, which selects
-        the exact same scalar.  A member already standing for many
-        invocations (``count`` > 1, a compiled transfer plan) is vectorized
-        by construction.  Every other multi-member group — members
-        without a spec (halo bodies, per-region temps) or failing
-        eligibility — replays its bodies and is counted as
-        ``slab_fallback``.
+        A member standing for many invocations (``count`` > 1: a shape
+        bucket's stacked sweep, a compiled transfer plan) is vectorized by
+        construction — same declarations and modelled cost as its
+        per-patch bodies, only host wall-clock differs — and its launch
+        counts as ``slab_fused``; a multi-member launch of per-patch
+        bodies only (halo bodies, sync temps) as ``slab_fallback``.
         """
         members = list(members)
         if not members:
@@ -248,16 +275,13 @@ class Backend(abc.ABC):
                             reads=reads, writes=writes,
                             ghost_reads=ghost_reads, ghost_only=ghost_only,
                             marks=marks)
-        slab_body = self._slab_plan(members, combine)
 
         def fused_body():
-            if slab_body is not None:
-                return slab_body()
             results = [m.body() for m in members]
             return combine(results) if combine is not None else None
 
         tracer = active_tracer()
-        device = getattr(self, "device", None)
+        device = self.device
         clock = (device.default_stream.clock if device is not None
                  else self.rank.clock if self.rank is not None else None)
         t0 = clock.time if (tracer is not None and clock is not None) else 0.0
@@ -267,7 +291,7 @@ class Backend(abc.ABC):
                           ghost_only=ghost_only, marks=marks)
         host_seconds = _perf_counter() - w0
         if count > 1 and self.rank is not None:
-            vectorized = slab_body is not None or count > len(members)
+            vectorized = count > len(members)
             self.rank.exec_stats.record_batch(
                 kernel, count, self._batch_overhead_saved(count),
                 host_seconds=host_seconds)
@@ -279,98 +303,9 @@ class Backend(abc.ABC):
                             elements=total, slab=vectorized)
         return result
 
-    def _slab_plan(self, members, combine=None):
-        """A zero-arg callable running a fused group as one stacked NumPy
-        op per shape bucket, or None when the group must replay per-patch
-        bodies.
-
-        Members are partitioned by :class:`SlabSpec` key (which holds the
-        patch shape, so a partition is one shape).  A singleton partition
-        just runs its member's body; a larger one must be eligible (all
-        checked before launch, so the fallback never half-executes): each
-        operand position's patch data tiles exactly one arena bucket, in
-        stacked order and covering it; and each position is declared with
-        one role (all reads or all writes) so the sanitizer can instrument
-        the stacked handout like the per-patch ones.  Partition results
-        are reduced by ``combine`` (min of mins: the same scalar).
-        """
-        parts: dict = {}
-        for m in members:
-            if not isinstance(m.slab, SlabSpec):
-                return None
-            parts.setdefault(m.slab.key, []).append(m)
-        calls = []
-        for part in parts.values():
-            if len(part) == 1:
-                calls.append(part[0].body)
-                continue
-            call = self._stacked_call(part)
-            if call is None:
-                return None
-            calls.append(call)
-        if len(calls) == len(members):
-            return None  # nothing stacks: the plain replay, in member order
-
-        def slab_body():
-            results = [call() for call in calls]
-            return combine(results) if combine is not None else None
-
-        return slab_body
-
-    @staticmethod
-    def _stacked_call(part):
-        """One key partition as ``fn(*bucket views)``, or None."""
-        spec0 = part[0].slab
-        n = len(part)
-        nops = len(spec0.operands)
-        if any(len(m.slab.operands) != nops for m in part):
-            return None
-        write_ids = [set(map(id, m.writes)) for m in part]
-        read_ids = [set(map(id, m.reads)) for m in part]
-        views = []
-        for j in range(nops):
-            pd0 = spec0.operands[j]
-            arena = pd0._arena
-            if arena is None:
-                return None
-            bucket = arena.bucket_of[pd0._arena_index]
-            first, size, _ = arena.buckets[bucket]
-            if size != n:
-                return None
-            role = None
-            for i, m in enumerate(part):
-                pd = m.slab.operands[j]
-                if pd._arena is not arena or pd._arena_index != first + i:
-                    return None
-                if id(pd) in write_ids[i]:
-                    r = "write"
-                elif id(pd) in read_ids[i]:
-                    r = "read"
-                else:
-                    return None
-                if role is None:
-                    role = r
-                elif role != r:
-                    return None
-            views.append((arena, bucket,
-                          tuple(m.slab.operands[j] for m in part)))
-        fn = spec0.fn
-
-        def call():
-            chk = _check_active()
-            args = []
-            for arena, bucket, pds in views:
-                stacked = arena.stacked_view(bucket)
-                if chk is not None:
-                    stacked = chk.on_slab_handout(pds, stacked)
-                args.append(stacked)
-            return fn(*args)
-
-        return call
-
     def _batch_overhead_saved(self, n: int) -> float:
         """Modelled fixed per-launch cost avoided by fusing ``n`` launches."""
-        device = getattr(self, "device", None)
+        device = self.device
         if device is not None:
             spec = device.spec
             return (n - 1) * (spec.host_launch_overhead + spec.kernel_overhead)

@@ -4,19 +4,20 @@ The paper attributes a large share of resident-GPU AMR cost to per-patch
 launch overhead — thousands of small boxes mean thousands of tiny
 launches per step.  AMReX answers this by fusing per-box work into one
 launch over a MultiFab; this module is our equivalent.  A
-:class:`BatchMember` captures one per-patch kernel invocation (element
-count, body closure, declared operands); ``Backend.run_batched`` replays
-a list of members as a single launch whose element count is the sum and
-whose declarations are the union, so the cost model charges one launch
-overhead instead of N and the sanitizer / scheduler still see every
-operand.
+:class:`BatchMember` captures one unit's kernel invocation (element
+count, body closure, declared operands) — a patch, or ``count`` of them
+at once: a shape bucket's stacked sweep, a compiled transfer plan;
+``Backend.run_batched`` runs a list of members as a single launch whose
+element count is the sum and whose declarations are the union, so the
+cost model charges one launch overhead instead of N and the sanitizer /
+scheduler still see every operand.
 
 Bodies execute in member order over disjoint patch data, so a fused
 launch produces bitwise-identical fields to the per-patch reference
 path.
 
 :class:`LaunchBatcher` is the one collection point: a kernel sweep (or a
-transfer schedule) hands it per-patch members, it groups them — by
+transfer schedule) hands it members, it groups them — by
 (backend, kernel, level) when fusing, one group per member otherwise —
 and ``flush`` hands each group to a sink's launch verb.  A reduction
 launch (the CFL ``calc_dt``) hands back a handle whose ``.result`` is the
@@ -25,58 +26,28 @@ group's combined value after a single modelled D2H readback.
 
 from __future__ import annotations
 
-__all__ = ["BatchMember", "BatchSlot", "LaunchBatcher", "SlabSpec",
-           "union_pds"]
-
-
-class SlabSpec:
-    """How one member's kernel runs as part of a whole-slab stacked op.
-
-    A fused group is partitioned by ``key`` (kernel identity plus every
-    scalar argument, the patch shape among them); a partition is
-    *slab-eligible* when, for each operand position, its members'
-    patch-data objects tile exactly one arena bucket in stacked order.
-    It then executes as ``fn(*stacked)`` — one vectorized NumPy op over
-    the bucket's (n, f0, f1) view per operand — instead of n per-patch
-    bodies, so a level of k patch sizes costs k stacked ops.  A group
-    with an ineligible partition replays every body as before and is
-    counted as ``slab_fallback``.
-    """
-
-    __slots__ = ("key", "fn", "operands")
-
-    def __init__(self, key, fn, operands):
-        #: hashable identity: equal keys mean ``fn`` closures are
-        #: interchangeable across members
-        self.key = key
-        #: ``fn(*stacked_arrays)`` in operand order; returns the group's
-        #: reduced scalar for reduction kernels, else None
-        self.fn = fn
-        #: patch-data operands in ``fn`` argument order
-        self.operands = tuple(operands)
+__all__ = ["BatchMember", "BatchSlot", "LaunchBatcher", "union_pds"]
 
 
 class BatchMember:
-    """One per-patch kernel invocation, deferred for fusion."""
+    """One unit's kernel invocation, deferred for fusion."""
 
     __slots__ = ("elements", "body", "reads", "writes", "ghost_reads",
-                 "marks", "slab", "count")
+                 "marks", "count")
 
     def __init__(self, elements: int, body, reads=(), writes=(),
-                 ghost_reads=(), marks=(), slab=None, count: int = 1):
+                 ghost_reads=(), marks=(), count: int = 1):
         self.elements = int(elements)
         self.body = body
         self.reads = tuple(reads)
         self.writes = tuple(writes)
         self.ghost_reads = tuple(ghost_reads)
         self.marks = tuple(marks)
-        #: a :class:`SlabSpec`, or None for inherently per-patch work
-        #: (halo bodies, per-region interpolation temps) that replays
-        #: member bodies and counts as ``slab_fallback``
-        self.slab = slab
-        #: per-patch / per-region invocations this member stands for: a
-        #: compiled transfer plan hands in one member whose body already
-        #: runs ``count`` of them as flat-index ops
+        #: per-patch / per-region invocations this member stands for: 1 for
+        #: inherently per-patch work (halo bodies, per-region sync temps);
+        #: a bucket sweep or a compiled transfer plan hands in one member
+        #: whose body already runs ``count`` of them as one stacked /
+        #: flat-index op
         self.count = int(count)
 
 

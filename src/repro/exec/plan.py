@@ -27,7 +27,7 @@ from ..mesh.box import box_points
 
 __all__ = ["CopyPlan", "StreamPlan", "Scratch", "ScratchBlock",
            "compile_copies", "compile_stream", "flat_index", "ravel_index",
-           "level_arenas"]
+           "level_arenas", "UnpooledLevelError"]
 
 
 def ravel_index(offsets, lowers, shapes, which, coords) -> np.ndarray:
@@ -60,14 +60,22 @@ def flat_index(pds, which, coords) -> np.ndarray:
                        [pd.data.buf.shape for pd in pds], which, coords)
 
 
-def level_arenas(level, name: str):
-    """``{owner: arena}`` of one variable on a level, or None unless every
-    patch's data is a member of its owner's one arena (``--batch``)."""
+class UnpooledLevelError(ValueError):
+    """A compiled transfer was asked of a level allocated per patch."""
+
+
+def level_arenas(level, name: str) -> dict:
+    """``{owner: arena}`` of one variable on a level.  Raises
+    :class:`UnpooledLevelError` unless every patch's data is a member of
+    its owner's one arena (what ``--batch`` allocation gives)."""
     arenas: dict = {}
     for patch in level:
         arena = patch.data(name)._arena
         if arena is None or arenas.setdefault(patch.owner, arena) is not arena:
-            return None
+            raise UnpooledLevelError(
+                f"level {level.level_number} holds {name!r} on patch "
+                f"{patch.global_id} outside its owner's arena: a batched "
+                f"schedule needs levels allocated by an arena factory")
     return arenas
 
 

@@ -80,12 +80,12 @@ class BatchCounter:
 class SlabCounter:
     """Accounting for whole-slab execution of one kernel (``--batch``).
 
-    ``fused`` counts fused launches that executed vectorized — one
-    stacked NumPy op per shape bucket of the arena slab, or a compiled
-    transfer plan's flat-index ops; ``fallback`` counts multi-member
-    launches that replayed per-patch bodies (members not tiling their
-    bucket, mismatched scalar arguments, non-arena operands, or work that
-    still runs per region: physical-boundary members, sync temporaries).
+    ``fused`` counts fused launches with a vectorized member — a shape
+    bucket's stacked NumPy op, or a compiled transfer plan's flat-index
+    ops (``BatchMember.count`` > 1); ``fallback`` counts multi-member
+    launches of per-patch bodies only (work that still runs per region:
+    physical-boundary members, sync temporaries; a level whose patches
+    all differ in shape).
     """
 
     fused: int = 0

@@ -25,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "RefineOperator",
     "CoarsenOperator",
-    "flat_refine_member",
     "NodeLinearRefine",
     "CellConservativeLinearRefine",
     "SideConservativeLinearRefine",
@@ -64,7 +63,7 @@ class RefineOperator:
     stencil_width = 1
     #: the interpolation itself, as data (:class:`interp_math.RefineStencil`):
     #: evaluated per region here, or over every region of a level at once
-    #: by a compiled fill (:func:`flat_refine_member`)
+    #: by a compiled fill (:meth:`batch_member`)
     stencil: "m.RefineStencil | None" = None
 
     def stencil_for(self, var) -> "m.RefineStencil":  # noqa: ARG002 — side flavour picks by the variable's axis
@@ -94,23 +93,26 @@ class RefineOperator:
         """Array-level interpolation with patch-data context (axis, etc.)."""
         self._interp(carr, cframe, farr, fframe, region, ratio)
 
-    def batch_member(self, coarse_pd, fine_pd, region: Box, ratio):
-        """The array-level work of :meth:`apply` as one fusable member.
+    @staticmethod
+    def batch_member(ops, elements: int, count: int, reads, writes,
+                     marks=()) -> BatchMember:
+        """Many refine interpolations as one already-vectorized member.
 
-        Used by the batched transfer schedules to run many refine
-        interpolations — across variables, operator types and interp
-        regions — as a single ``geom.refine`` launch.
+        What a compiled fill (:mod:`repro.xfer.fill_plan`) hands the one
+        ``geom.refine`` launch of a level: the work of ``count``
+        :meth:`apply` bodies, each entry of ``ops`` interpolating every
+        region of one variable at once — ``(stencil, coarse store, coarse
+        blocks, fine arena, fine patch data, gather, weights,
+        fine_index)``, the last three from
+        :func:`interp_math.flat_refine_terms`.
         """
-        ratio = _as_ratio(ratio)
-
         def body():
-            carr, cframe = _arrays(coarse_pd)
-            farr, fframe = _arrays(fine_pd)
-            self._interp_pd(coarse_pd, fine_pd, carr, cframe, farr, fframe,
-                            region, ratio)
+            for stencil, coarse, blocks, fine, fine_pds, gather, weights, index in ops:
+                m.refine_flat(stencil, slab_of(coarse, blocks), gather,
+                              weights, slab_of(fine, fine_pds), index)
 
-        return BatchMember(region.size(), body,
-                           reads=(coarse_pd,), writes=(fine_pd,))
+        return BatchMember(elements, body, reads=reads, writes=writes,
+                           marks=marks, count=count)
 
 
 def fused_refine_apply(op: "RefineOperator", pairs, region: Box, ratio,
@@ -131,27 +133,6 @@ def fused_refine_apply(op: "RefineOperator", pairs, region: Box, ratio,
                           region, ratio)
 
     _run(pairs[0][1], "geom.refine", region.size() * len(pairs), body, rank)
-
-
-def flat_refine_member(ops, elements: int, count: int, reads, writes,
-                       marks=()) -> BatchMember:
-    """Many refine interpolations as one already-vectorized member.
-
-    The compiled-fill form of ``count`` :meth:`RefineOperator.batch_member`
-    bodies: each entry of ``ops`` interpolates every region of one
-    variable on one level at once —
-    ``(stencil, coarse store, coarse blocks, fine arena, fine patch data,
-    gather, weights, fine_index)``, the last three from
-    :func:`interp_math.flat_refine_terms` — inside the one ``geom.refine``
-    launch the member joins.
-    """
-    def body():
-        for stencil, coarse, blocks, fine, fine_pds, gather, weights, index in ops:
-            m.refine_flat(stencil, slab_of(coarse, blocks), gather, weights,
-                          slab_of(fine, fine_pds), index)
-
-    return BatchMember(elements, body, reads=reads, writes=writes,
-                       marks=marks, count=count)
 
 
 class NodeLinearRefine(RefineOperator):

@@ -264,9 +264,13 @@ class LagrangianEulerianIntegrator:
         sched.coarsen()
 
     def _foreach_patch(self, fn) -> None:
+        """Visit every sweep unit: each patch, or under ``batch_launches``
+        each shape bucket of an arena-allocated level (one kernel call
+        over the bucket's stacked patches)."""
+        batch = self.config.batch_launches
         for level in self.hierarchy:
-            for patch in level:
-                fn(patch, self.comm.rank(patch.owner))
+            for unit in (batch and level.buckets) or level.patches:
+                fn(unit, self.comm.rank(unit.owner))
 
     def _sweep(self, fn) -> list:
         return self._sweep_into(self._sink, fn)
@@ -274,9 +278,9 @@ class LagrangianEulerianIntegrator:
     def _sweep_into(self, sink, fn) -> list:
         """One kernel sweep over every patch, launched through ``sink``.
 
-        The sweep's per-patch launches are collected — fused per
-        (backend, level) with ``config.batch_launches``, one group each
-        otherwise — and flushed into the sink's launch verb: executed now
+        The sweep's launches (one per unit :meth:`_foreach_patch` visits)
+        are collected — fused per (backend, level) with
+        ``config.batch_launches``, one group each otherwise — and flushed into the sink's launch verb: executed now
         (this driver) or recorded as tasks (``StepScheduler``).  Returns
         the ``(rank index, handle)`` pairs of a reduction sweep.
         """

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..exec.backend import Backend, array_of, backend_for
-from ..exec.batch import BatchMember, SlabSpec
+from ..exec.backend import Backend, backend_for, stacked_of
+from ..exec.batch import BatchMember
 from . import kernels as K
 from .fields import GHOSTS
 
@@ -47,57 +47,61 @@ class CleverleafPatchIntegrator:
 
     # -- dispatch helpers ---------------------------------------------------
 
-    def _backend(self, patch: "Patch", rank: "Rank") -> Backend:
-        """The backend owning this patch's field data."""
-        return backend_for(patch.data("density0"), rank)
+    def _backend(self, unit, rank: "Rank") -> Backend:
+        """The backend owning this unit's field data."""
+        return backend_for(unit.fields("density0")[0], rank)
 
-    def _run(self, patch: "Patch", rank: "Rank", kernel: str, elements: int,
-             fn, names, scalars, reads=(), writes=(), ghost_reads=(),
+    def _run(self, unit, rank: "Rank", kernel: str, elements: int,
+             fn, names, reads=(), writes=(), ghost_reads=(),
              ghost_propagate=None, combine=None):
-        """Dispatch one kernel with its declared accesses.
+        """Dispatch one kernel over one sweep unit with its declared accesses.
 
-        ``fn`` is the kernel stated once, over its operand arrays in
-        ``names`` order: a per-patch launch calls it with this patch's
-        frame arrays, and a collected launch additionally carries it as a
-        :class:`SlabSpec` so a fused group calls it once per patch shape
-        with that shape's stacked ``(n, f0, f1)`` arena bucket instead.
-        ``scalars`` is *every* scalar ``fn`` closes over (including the
-        patch shape, which is what partitions a ragged level by shape).
+        ``unit`` is a :class:`~repro.mesh.patch.Patch` or — what a batched
+        sweep visits — a :class:`~repro.mesh.patch.PatchBucket` of
+        same-shape patches.  ``fn`` is the kernel stated once, over its
+        operand arrays in ``names`` order; it is called with the unit's
+        frames (:func:`~repro.exec.backend.stacked_of`): one patch's frame
+        arrays, or a bucket's stacked ``(n, f0, f1)`` arena views, which
+        the slab-polymorphic kernels sweep in one NumPy op.  ``elements``
+        is per patch.
 
         ``ghost_reads`` names the operands whose ghost regions the stencil
         reaches (validated against halo-fill stamps under ``--sanitize``);
         ``ghost_propagate`` maps a written field to the ghost-read fields
         its out-of-interior values are *derived from* (EOS over the frame),
         so the written field inherits their halo stamps.  ``combine``
-        reduces per-patch kernel results when launches are fused
+        reduces the units' kernel results when launches are fused
         (``--batch``): the CFL min.
         """
-        backend = self._backend(patch, rank)
-        operands = tuple(patch.data(n) for n in names)
-        read_pds = [patch.data(n) for n in reads]
-        write_pds = [patch.data(n) for n in writes]
-        ghost_pds = [patch.data(n) for n in ghost_reads]
+        backend = self._backend(unit, rank)
+        count = len(unit.patches)
+        operands = [unit.fields(n) for n in names]
+        read_pds = [pd for n in reads for pd in unit.fields(n)]
+        write_pds = [pd for n in writes for pd in unit.fields(n)]
+        ghost_pds = [pd for n in ghost_reads for pd in unit.fields(n)]
         marks = []
         if ghost_propagate:
             for dst, srcs in ghost_propagate.items():
-                marks.append(("propagate", patch.data(dst),
-                              [patch.data(s) for s in srcs]))
+                marks.extend(
+                    ("propagate", pd, list(src_pds)) for pd, *src_pds in zip(
+                        unit.fields(dst), *(unit.fields(s) for s in srcs)))
 
         def body():
-            return fn(*(array_of(pd) for pd in operands))
+            return fn(*(stacked_of(pds) for pds in operands))
 
         if self.sink is None:
-            return backend.run(kernel, elements, body,
+            return backend.run(kernel, count * elements, body,
                                reads=read_pds, writes=write_pds,
                                ghost_reads=ghost_pds, marks=marks)
-        slab = SlabSpec((kernel, names, *scalars), fn, operands)
-        member = BatchMember(elements, body, read_pds, write_pds,
-                             ghost_pds, marks, slab=slab)
+        member = BatchMember(count * elements, body, read_pds, write_pds,
+                             ghost_pds, marks, count=count)
         return self.sink.collect(backend, rank, kernel, member,
-                                 level=patch.level.level_number,
+                                 level=unit.patches[0].level.level_number,
                                  combine=combine)
 
-    def _geom(self, patch: "Patch"):
+    def _geom(self, unit):
+        """Patch shape and mesh spacing, shared by every patch of a unit."""
+        patch = unit.patches[0]
         nx, ny = patch.box.shape()
         dx, dy = patch.dx
         return int(nx), int(ny), GHOSTS, float(dx), float(dy)
@@ -151,7 +155,6 @@ class CleverleafPatchIntegrator:
 
         self._run(patch, rank, "hydro.ideal_gas",
                   (nx + 2 * ext) * (ny + 2 * ext), fn, names,
-                  (nx, ny, g, self.gamma, ext),
                   reads=(dname, ename), writes=("pressure", "soundspeed"),
                   ghost_reads=(dname, ename) if ext > 0 else (),
                   ghost_propagate={"pressure": (dname, ename),
@@ -166,7 +169,6 @@ class CleverleafPatchIntegrator:
             K.viscosity(d, p, v, xv, yv, nx, ny, g, dx, dy)
 
         self._run(patch, rank, "hydro.viscosity", nx * ny, fn, names,
-                  (nx, ny, g, dx, dy),
                   reads=names[:2] + names[3:], writes=("viscosity",),
                   ghost_reads=("pressure",))
 
@@ -187,7 +189,7 @@ class CleverleafPatchIntegrator:
             return K.calc_dt(d, ss, v, xv, yv, nx, ny, g, dx, dy)
 
         dt = self._run(patch, rank, "hydro.calc_dt", nx * ny, fn, names,
-                       (nx, ny, g, dx, dy), reads=names, combine=min)
+                       reads=names, combine=min)
         if self.sink is None:
             # The reduced scalar crosses the PCIe bus (no-op on host
             # backends).
@@ -204,7 +206,6 @@ class CleverleafPatchIntegrator:
                   nx, ny, g, dx, dy)
 
         self._run(patch, rank, "hydro.pdv", nx * ny, fn, names,
-                  (predict, dt, nx, ny, g, dx, dy),
                   reads=("density0", "energy0") + names[4:],
                   writes=("density1", "energy1"))
 
@@ -217,8 +218,7 @@ class CleverleafPatchIntegrator:
             K.accelerate(dt, d, p, v, xv0, yv0, xv1, yv1, nx, ny, g, dx, dy)
 
         self._run(patch, rank, "hydro.accelerate", (nx + 1) * (ny + 1), fn,
-                  names, (dt, nx, ny, g, dx, dy),
-                  reads=names[:5], writes=("xvel1", "yvel1"),
+                  names, reads=names[:5], writes=("xvel1", "yvel1"),
                   ghost_reads=("density0", "pressure", "viscosity"))
 
     def flux_calc(self, patch, rank, dt: float):
@@ -229,7 +229,6 @@ class CleverleafPatchIntegrator:
             K.flux_calc(dt, xv0, yv0, xv1, yv1, vfx, vfy, nx, ny, g, dx, dy)
 
         self._run(patch, rank, "hydro.flux_calc", nx * ny, fn, names,
-                  (dt, nx, ny, g, dx, dy),
                   reads=names[:4], writes=names[4:])
 
     def advec_cell(self, patch, rank, direction: int, sweep_number: int):
@@ -244,7 +243,6 @@ class CleverleafPatchIntegrator:
         # The kernel is handed both mass-flux arrays; only the swept
         # direction's is written, the other is declared a (vacuous) read.
         self._run(patch, rank, "hydro.advec_cell", nx * ny, fn, names,  # samrcheck: ok(decl-over-read): sanitizer handout needs the unswept mass flux declared even though the kernel never loads it
-                  (direction, sweep_number, nx, ny, g, dx, dy),
                   reads=names[:4] + (("mass_flux_y",) if direction == 0
                                      else ("mass_flux_x",)),
                   writes=("density1", "energy1", "mass_flux_x" if direction == 0
@@ -266,8 +264,7 @@ class CleverleafPatchIntegrator:
 
         mass_flux = "mass_flux_x" if direction == 0 else "mass_flux_y"
         self._run(patch, rank, "hydro.advec_mom", (nx + 1) * (ny + 1), fn,
-                  names, (direction, sweep_number, nx, ny, g, dx, dy),
-                  reads=names[1:6],
+                  names, reads=names[1:6],
                   writes=(vel_name, "node_flux", "node_mass_post",
                           "node_mass_pre", "mom_flux", "pre_vol", "post_vol"),
                   ghost_reads=(vel_name, "density1", "vol_flux_x",
@@ -282,7 +279,7 @@ class CleverleafPatchIntegrator:
             K.reset_field(d0, d1, e0, e1, xv0, xv1, yv0, yv1, nx, ny, g)
 
         self._run(patch, rank, "hydro.reset_field", nx * ny, fn, names,
-                  (nx, ny, g), reads=names[1::2], writes=names[0::2])
+                  reads=names[1::2], writes=names[0::2])
 
 
 class NonResidentGpuPatchIntegrator(CleverleafPatchIntegrator):

@@ -1,4 +1,5 @@
-"""A patch: one rectangular mesh region and the data living on it."""
+"""A patch: one rectangular mesh region and the data living on it; and a
+patch bucket: the same-shape patches of one rank on a level, as a unit."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .patch_level import PatchLevel
     from .variables import Variable
 
-__all__ = ["Patch"]
+__all__ = ["Patch", "PatchBucket"]
 
 
 class Patch:
@@ -36,6 +37,15 @@ class Patch:
 
     def data(self, name: str) -> "PatchData":
         return self._data[name]
+
+    # A patch is the sweep unit of one (see :class:`PatchBucket`).
+
+    @property
+    def patches(self) -> tuple["Patch", ...]:
+        return (self,)
+
+    def fields(self, name: str) -> tuple["PatchData", ...]:
+        return (self._data[name],)
 
     def has_data(self, name: str) -> bool:
         return name in self._data
@@ -66,3 +76,29 @@ class Patch:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Patch(id={self.global_id}, L{self.level.level_number}, {self.box}, owner={self.owner})"
+
+
+class PatchBucket:
+    """The patches of one shape owned by one rank on one level, in the
+    order level allocation placed them back to back in every variable's
+    arena (:func:`repro.mesh.variables._allocate_level`).
+
+    The unit a batched kernel sweep visits: ``fields(name)`` tiles one
+    arena bucket, so the sweep's kernel runs once over the stacked
+    ``(n, f0, f1)`` view (:func:`repro.exec.backend.stacked_of`) instead
+    of once per patch.  Buckets belong to their level and are dropped
+    with it (``PatchLevel.free_all``).
+    """
+
+    def __init__(self, owner: int, patches):
+        self.owner = owner
+        self.patches: tuple[Patch, ...] = tuple(patches)
+        self._fields: dict[str, tuple["PatchData", ...]] = {}
+
+    def fields(self, name: str) -> tuple["PatchData", ...]:
+        """Variable ``name``'s patch data, one per patch, in arena order."""
+        pds = self._fields.get(name)
+        if pds is None:
+            pds = self._fields[name] = tuple(
+                p.data(name) for p in self.patches)
+        return pds

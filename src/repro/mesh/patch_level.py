@@ -40,6 +40,9 @@ class PatchLevel:
         self.domain = geometry.level_domain(ratio_to_base)
         self.dx = geometry.level_dx(ratio_to_base)
         self.patches: list[Patch] = []
+        #: the :class:`~repro.mesh.patch.PatchBucket` units arena-pooled
+        #: allocation formed (none on per-patch-allocated levels)
+        self.buckets: list = []
         for gid, (box, owner) in enumerate(zip(boxes, owners)):
             if not self.domain.contains_box(box):
                 raise ValueError(f"patch box {box} outside level domain {self.domain}")
@@ -83,11 +86,12 @@ class PatchLevel:
         """Allocate every declared variable on every patch.
 
         Arena-mode factories pool each variable's storage for a rank's
-        patches into one slab with per-patch offsets; the per-patch loop
-        is the reference layout.
+        patches into one slab with per-patch offsets and hand back the
+        shape buckets they placed; the per-patch loop is the reference
+        layout.
         """
-        if getattr(factory, "arena", False):
-            factory.allocate_level(self, variables, comm)
+        if factory.arena:
+            self.buckets = factory.allocate_level(self, variables, comm)
             return
         for patch in self.patches:
             rank = comm.rank(patch.owner)
@@ -97,6 +101,8 @@ class PatchLevel:
     def free_all(self) -> None:
         for patch in self.patches:
             patch.free_all()
+        # buckets cache field tuples: keeping them would keep the data alive
+        self.buckets = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -20,6 +20,7 @@ from ..pdat.arena import Arena
 from ..pdat.patch_data import PatchData
 from ..pdat.space import HOST
 from .box import Box, IntVector
+from .patch import PatchBucket
 
 __all__ = ["Variable", "VariableRegistry", "HostDataFactory", "CudaDataFactory"]
 
@@ -92,24 +93,28 @@ class VariableRegistry:
         return list(self._vars)
 
 
-def _allocate_level(level, variables, space_of) -> None:
+def _allocate_level(level, variables, space_of) -> list[PatchBucket]:
     """Arena-pooled allocation of every variable on every patch: one
     :class:`~repro.pdat.arena.Arena` slab per (owner, variable) in the
-    memory space ``space_of(owner)``.  Members are placed shape by shape
-    (level order within a shape), so each patch size of a ragged level
-    is one contiguous arena bucket — one stacked view per size."""
-    for owner in sorted({p.owner for p in level.patches}):
+    memory space ``space_of(owner)``.  Members are placed bucket by
+    bucket — an owner's patches of one shape, in level order — so each
+    patch size of a ragged level is one contiguous arena bucket with one
+    stacked view.  Returns the buckets, in the order the level first
+    meets them."""
+    groups: dict = {}
+    for p in level.patches:
+        groups.setdefault((p.owner, tuple(p.box.shape())), []).append(p)
+    buckets = [PatchBucket(owner, same) for (owner, _), same in groups.items()]
+    for owner in sorted({b.owner for b in buckets}):
         space = space_of(owner)
-        by_shape: dict = {}
-        for p in level.local_patches(owner):
-            by_shape.setdefault(tuple(p.box.shape()), []).append(p)
-        patches = [p for same in by_shape.values() for p in same]
+        patches = [p for b in buckets if b.owner == owner for p in b.patches]
         for var in variables:
             shapes = [tuple(var.frame(p.box).shape()) for p in patches]
             arena = Arena(space, sum(math.prod(s) for s in shapes))
             for patch, shape in zip(patches, shapes):
                 patch.set_data(var.name, PatchData(
                     var, patch.box, space, member=arena.place(shape)))
+    return buckets
 
 
 def _device_of(rank):
@@ -135,8 +140,8 @@ class HostDataFactory:
     def allocate(self, var: Variable, box: Box, rank) -> PatchData:  # noqa: ARG002
         return PatchData(var, box, HOST)
 
-    def allocate_level(self, level, variables, comm) -> None:  # noqa: ARG002
-        _allocate_level(level, variables, lambda owner: HOST)
+    def allocate_level(self, level, variables, comm) -> list[PatchBucket]:  # noqa: ARG002
+        return _allocate_level(level, variables, lambda owner: HOST)
 
 
 class CudaDataFactory:
@@ -155,6 +160,6 @@ class CudaDataFactory:
     def allocate(self, var: Variable, box: Box, rank) -> PatchData:
         return PatchData(var, box, _device_of(rank))
 
-    def allocate_level(self, level, variables, comm) -> None:
-        _allocate_level(level, variables,
-                        lambda owner: _device_of(comm.rank(owner)))
+    def allocate_level(self, level, variables, comm) -> list[PatchBucket]:
+        return _allocate_level(level, variables,
+                               lambda owner: _device_of(comm.rank(owner)))

@@ -91,6 +91,13 @@ def validate_file(path: str, require_tracks: int = 0,
                                  require_categories=require_categories)
 
 
+def report_lines(path: str, errors: list[str]) -> list[str]:
+    """What the command reports for ``errors`` found in ``path``."""
+    verdict = (f"{len(errors)} trace schema error(s)" if errors
+               else f"{path}: trace schema valid")
+    return [*errors, verdict]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(
         prog="repro.obs.validate",
@@ -103,12 +110,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     errors = validate_file(args.trace, require_tracks=args.require_tracks,
                            require_categories=args.require_categories)
-    for e in errors:
-        print(e)
-    if errors:
-        print(f"{len(errors)} trace schema error(s)")
-    else:
-        print(f"{args.trace}: trace schema valid")
+    print("\n".join(report_lines(args.trace, errors)))
     return min(len(errors), 255)
 
 

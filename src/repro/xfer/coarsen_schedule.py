@@ -21,7 +21,7 @@ from ..mesh.variables import Variable
 from ..sched.task import TaskKind
 from .message import ImmediateSink
 from .overlap import index_box_for
-from .refine_schedule import alloc_temp, chunks, free_temps
+from .refine_schedule import alloc_temp, free_temps
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import SimCommunicator
@@ -43,6 +43,15 @@ class CoarsenSpec:
     var: Variable
     coarsen_op: "CoarsenOperator"
     weight_name: str | None = None
+
+
+def chunks(work: list, batch: bool) -> list[list]:
+    """The units the schedule issues its work in: everything at once under
+    ``batch`` (one launch per backend, one copy per rank), else one
+    transaction at a time."""
+    if batch:
+        return [work] if work else []
+    return [[w] for w in work]
 
 
 @dataclass

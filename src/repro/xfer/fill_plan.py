@@ -51,7 +51,7 @@ from ..exec.plan import (
     ravel_index,
 )
 from ..geom.interp_math import flat_refine_terms
-from ..geom.operators import flat_refine_member
+from ..geom.operators import RefineOperator
 from ..mesh.box import box_points
 from ..sched.task import TaskKind
 from .overlap import index_box_for
@@ -252,15 +252,12 @@ def _compile_clamp(fi: _FlatInterp, valid):
 def _flat_geometry(sched: "RefineSchedule", geom: "FillGeometry", spec):
     """``(flat geometry, dst arenas, src arenas, coarse arenas)`` for one
     variable, compiling the geometry's flat form if its cached one was
-    made for another arena layout; None unless every level involved is
-    arena-backed."""
+    made for another arena layout."""
     name = spec.var.name
     dst = level_arenas(sched.dst_level, name)
     src = (dst if sched.src_level is sched.dst_level
            else level_arenas(sched.src_level, name) if sched.src_level else {})
     coarse = level_arenas(sched.coarse_level, name) if geom.interps else {}
-    if dst is None or src is None or coarse is None:
-        return None
     layouts = tuple(tuple((o, a.layout) for o, a in arenas.items())
                     for arenas in (dst, src, coarse))
     flat = geom.flat
@@ -388,8 +385,9 @@ class _RankInterp:
                   [sp.data(seg.spec.var.name) for sp, _ in ig.sources])
                  for _, ig, segments in self.each()
                  for seg in segments] if marked else ()
-        return flat_refine_member(ops, elements, count, reads=self.blocks,
-                                  writes=self.fine_pds, marks=marks)
+        return RefineOperator.batch_member(ops, elements, count,
+                                           reads=self.blocks,
+                                           writes=self.fine_pds, marks=marks)
 
 
 class FillPlan:
@@ -503,18 +501,16 @@ def _stream_items(patch, named):
             yield pd, region
 
 
-def compile_fill(sched: "RefineSchedule") -> FillPlan | None:
-    """The schedule's transfers as a :class:`FillPlan`, or None when some
-    level's data is not arena-backed (hand-built levels: the per-region
-    program serves those)."""
+def compile_fill(sched: "RefineSchedule") -> FillPlan:
+    """The schedule's transfers as a :class:`FillPlan`.  Every level
+    involved must be arena-pooled (``batch`` allocation); a hand-built,
+    per-patch-allocated one raises
+    :class:`~repro.exec.plan.UnpooledLevelError` naming it."""
     ranks = sched.comm.ranks
     plan = FillPlan(sched.dst_level.level_number,
                     sched.dst_level.ratio_to_coarser)
-    bound = {}
-    for spec, geom in sched.items:
-        bound[spec] = _flat_geometry(sched, geom, spec)
-        if bound[spec] is None:
-            return None
+    bound = {spec: _flat_geometry(sched, geom, spec)
+             for spec, geom in sched.items}
 
     # same-level copies: one plan per owner, one stream pair per patch pair
     local: dict = {}    # owner -> [groups, items, elements]
@@ -544,8 +540,6 @@ def compile_fill(sched: "RefineSchedule") -> FillPlan | None:
         if not geom.interps:
             continue
         flat = bound[specs[0]][0]
-        if any(bound[spec][0] is not flat for spec in specs):
-            return None  # one group, several layouts: not worth a plan
         plan.gather_first.update(flat.gather_first)
         plan.clamp_first.update(flat.clamp_first)
         segments_of: dict = {}

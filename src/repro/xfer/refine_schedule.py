@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FillSpec", "RefineSchedule", "build_fill_geometry", "FillGeometry",
     "needed_coarse_frame", "temp_box_for", "alloc_temp", "free_temps",
-    "signature_of", "chunks",
+    "signature_of",
 ]
 
 
@@ -114,15 +114,6 @@ def _patch_data(patches, names):
 def _set_times(patches, names, time: float) -> None:
     for pd in _patch_data(patches, names):
         pd.set_time(time)
-
-
-def chunks(work: list, batch: bool) -> list[list]:
-    """The units a schedule issues its work in: everything at once under
-    ``batch`` (one launch per backend, one copy per rank), else one
-    region / transaction at a time."""
-    if batch:
-        return [work] if work else []
-    return [[w] for w in work]
 
 
 @dataclass
@@ -312,9 +303,9 @@ class RefineSchedule:
     # ``stream_batch``, ``kernel_task``, ``add``): :meth:`fill` runs it
     # against an :class:`~repro.xfer.message.ImmediateSink`,
     # :meth:`emit_tasks` against a graph builder.  ``batch`` alone decides
-    # the grouping — one copy per owner, one launch per backend, one free
-    # per rank; or per destination / region / patch, the paper's Fig. 9-11
-    # launch shape.
+    # the grouping — the compiled plan's one copy per owner, one launch
+    # per backend, one free per rank; or the per-region program's, per
+    # destination / region / patch: the paper's Fig. 9-11 launch shape.
 
     def fill(self, time: float | None = None) -> None:
         """Execute the schedule now: copies, interpolation, physical BCs."""
@@ -348,8 +339,7 @@ class RefineSchedule:
             self._note_fill_start(chk)
         ghost = not self.interior
         if self.batch and self._plan is None:
-            # compiled once; False = tried, levels are not arena-backed
-            self._plan = compile_fill(self) or False
+            self._plan = compile_fill(self)  # once; raises on unpooled levels
         plan = self._plan
         copies, streams = ((plan.copies, plan.streams) if plan
                            else self._group_copies())
@@ -363,10 +353,9 @@ class RefineSchedule:
             if plan.ranks:
                 plan.replay_interp(sink, ghost, chk is not None)
             return
-        interps = [(specs, ig) for geom, specs in self.sig_groups
-                   for ig in geom.interps]
-        for chunk in chunks(interps, self.batch):
-            self._interpolate(sink, chunk, ghost, chk is not None)
+        for geom, specs in self.sig_groups:
+            for ig in geom.interps:
+                self._interpolate(sink, specs, ig, ghost, chk is not None)
 
     def _finish(self, sink, time: float | None) -> None:
         """Physical boundary conditions, then the new timestamps."""
@@ -433,14 +422,12 @@ class RefineSchedule:
                     chk.reset_stamps(pd)
 
     def _group_copies(self) -> tuple[list, list]:
-        """Same-level copies grouped for fusion, over every variable.
+        """Same-level copies of the per-region program, over every variable.
 
         Returns ``(copies, streams)``: same-rank copies as ``(rank,
-        [(dst_pd, src_pd, region)])`` — one entry per destination patch,
-        or under ``batch`` one per owning rank for the whole level
-        (bitwise identical, destinations are disjoint) — and cross-rank
-        copies as ``(src rank, dst rank, pack items, unpack items)`` per
-        patch pair, one message stream each.
+        [(dst_pd, src_pd, region)])``, one entry per destination patch,
+        and cross-rank copies as ``(src rank, dst rank, pack items,
+        unpack items)`` per patch pair, one message stream each.
         """
         ranks = self.comm.ranks
         local: dict = {}
@@ -449,8 +436,7 @@ class RefineSchedule:
             name = spec.var.name
             for src, dst, region in geom.copies:
                 if src.owner == dst.owner:
-                    key = dst.owner if self.batch else id(dst)
-                    entry = local.setdefault(key, (ranks[dst.owner], []))
+                    entry = local.setdefault(id(dst), (ranks[dst.owner], []))
                     entry[1].append((dst.data(name), src.data(name), region))
                 else:
                     entry = remote.setdefault(
@@ -471,91 +457,62 @@ class RefineSchedule:
             frame.size(), lambda: clamp_extend(array_of(temp), frame, valid),
             reads=(temp,), writes=(temp,))
 
-    def _interpolate(self, sink, chunk, ghost: bool, checking: bool) -> None:
-        """Interpolate a chunk of ``(specs, interp geometry)`` regions.
+    def _interpolate(self, sink, specs, ig: _InterpGeom, ghost: bool,
+                     checking: bool) -> None:
+        """Interpolate one region for every variable of one signature.
 
-        Temporary coarse blocks (one per variable per region) are gathered
-        first — same-rank sources fuse into one copy per rank, cross-rank
-        sources send one message stream covering all variables — then
-        clamped at the coarse domain edge, refined, and freed.  Regions
-        are mutually disjoint (per-destination remainders after copy
-        subtraction, coalesced) and each temp is private to its region, so
-        fusing across regions and variables is bitwise-safe.  Whatever
-        raises on the way, no temp outlives the call.
+        Temporary coarse blocks (one per variable) are gathered first —
+        same-rank sources fuse into one copy, each cross-rank source
+        sends one message stream covering all variables — then clamped
+        at the coarse domain edge, refined by the operators' own launch
+        (one per variable, or one fused for a homogeneous operator), and
+        freed.  Whatever raises on the way, no temp outlives the call.
         """
         level = self.dst_level.level_number
-        held: dict[int, list] = {}  # rank index -> temps to free
+        dst_rank = self.comm.rank(ig.dst_patch.owner)
+        temps: list = []
         try:
-            staged = []
-            gathers: dict[int, list] = {}
-            for specs, ig in chunk:
-                dst_rank = self.comm.rank(ig.dst_patch.owner)
-                temps = []
-                for spec in specs:
-                    temps.append(alloc_temp(self.factory, spec.var,
-                                            ig.coarse_frame, dst_rank))
-                    held.setdefault(dst_rank.index, []).append(temps[-1])
-                for src_patch, sub in ig.sources:
-                    src_rank = self.comm.rank(src_patch.owner)
-                    if src_rank.index == dst_rank.index:
-                        gathers.setdefault(dst_rank.index, []).extend(
-                            (temp, src_patch.data(spec.var.name), sub)
-                            for spec, temp in zip(specs, temps))
-                    else:
-                        sink.stream_batch(
-                            src_rank, dst_rank,
-                            [(src_patch.data(s.var.name), sub) for s in specs],
-                            [(t, sub) for t in temps],
-                            f"fill.interp.L{level}")
-                staged.append((specs, temps, ig, dst_rank))
-            for index, items in gathers.items():
-                sink.copy(self.comm.rank(index), items, "fill.gather")
+            for spec in specs:
+                temps.append(alloc_temp(self.factory, spec.var,
+                                        ig.coarse_frame, dst_rank))
+            gathers = []
+            for src_patch, sub in ig.sources:
+                src_rank = self.comm.rank(src_patch.owner)
+                if src_rank.index == dst_rank.index:
+                    gathers.extend(
+                        (temp, src_patch.data(spec.var.name), sub)
+                        for spec, temp in zip(specs, temps))
+                else:
+                    sink.stream_batch(
+                        src_rank, dst_rank,
+                        [(src_patch.data(s.var.name), sub) for s in specs],
+                        [(t, sub) for t in temps],
+                        f"fill.interp.L{level}")
+            if gathers:
+                sink.copy(dst_rank, gathers, "fill.gather")
 
-            clamps = LaunchBatcher(self.batch)
-            for specs, temps, _, dst_rank in staged:
-                for spec, temp in zip(specs, temps):
-                    clamp = self._clamp_member(temp, spec.var)
-                    if clamp is not None:
-                        clamps.collect(backend_for(temp, dst_rank), dst_rank,
-                                       "pdat.copy", clamp)
+            clamps = LaunchBatcher(False)
+            for spec, temp in zip(specs, temps):
+                clamp = self._clamp_member(temp, spec.var)
+                if clamp is not None:
+                    clamps.collect(backend_for(temp, dst_rank), dst_rank,
+                                   "pdat.copy", clamp)
             sink.flush_fusion(clamps)
 
-            refines = LaunchBatcher(self.batch)
-            for entry in staged:
-                self._refine(sink, refines, *entry, ghost, checking)
-            sink.flush_fusion(refines)
-
-            for index, temps in held.items():
-                sink.add(TaskKind.FREE, index, "fill.free",
-                         lambda _stream, temps=temps: free_temps(temps),
-                         writes=temps)
-        except BaseException:
-            free_temps(t for temps in held.values() for t in temps)
-            raise
-
-    def _refine(self, sink, refines, specs, temps, ig: _InterpGeom, dst_rank,
-                ghost: bool, checking: bool) -> None:
-        """Refine one region for every variable of one signature: members
-        of the level-wide launch under ``batch``, else the operators' own
-        launches (one per variable, or one fused for a homogeneous
-        operator)."""
-        dst_pds = [ig.dst_patch.data(s.var.name) for s in specs]
-        marks = [("stamp", pd, [sp.data(s.var.name) for sp, _ in ig.sources])
-                 for s, pd in zip(specs, dst_pds)] if ghost and checking else ()
-        if not self.batch:
+            dst_pds = [ig.dst_patch.data(s.var.name) for s in specs]
             sink.add(TaskKind.KERNEL, dst_rank.index, "fill.refine",
                      lambda _stream: self._fused_refine(specs, temps, ig,
                                                         dst_rank),
                      reads=temps, writes=dst_pds, ghost_only=ghost,
-                     marks=marks)
-            return
-        ratio = self.dst_level.ratio_to_coarser
-        for i, (spec, temp, pd) in enumerate(zip(specs, temps, dst_pds)):
-            member = spec.refine_op.batch_member(temp, pd, ig.region, ratio)
-            if marks:
-                member.marks = (marks[i],)
-            refines.collect(backend_for(pd, dst_rank), dst_rank,
-                            "geom.refine", member, ghost_only=ghost)
+                     marks=[("stamp", pd, [sp.data(s.var.name)
+                                           for sp, _ in ig.sources])
+                            for s, pd in zip(specs, dst_pds)]
+                     if ghost and checking else ())
+            sink.add(TaskKind.FREE, dst_rank.index, "fill.free",
+                     lambda _stream: free_temps(temps), writes=temps)
+        except BaseException:
+            free_temps(temps)
+            raise
 
     def _fused_refine(self, specs, temps, ig: _InterpGeom, dst_rank) -> None:
         """One refine launch covering every variable of the signature."""

@@ -122,3 +122,24 @@ def test_backends_are_the_only_launch_dispatchers():
         "direct device.launch dispatch outside the exec seam:\n"
         + "\n".join(offenders)
     )
+
+
+def test_batched_sweeps_are_stated_over_buckets_not_replanned_per_launch():
+    """A batched sweep's units are the level's shape buckets; the
+    per-launch planner that used to recover them from per-patch members
+    (and the hand-listed ``scalars`` keys it partitioned by) stays gone."""
+    import ast
+
+    pattern = re.compile(r"SlabSpec|_slab_plan|_stacked_call")
+    offenders = [
+        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)]
+    assert not offenders, "\n".join(offenders)
+
+    tree = ast.parse((SRC / "hydro" / "patch_integrator.py").read_text())
+    scalars = [f"{fn.name}:{fn.lineno}" for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               and "scalars" in {a.arg for a in fn.args.args + fn.args.kwonlyargs}]
+    assert not scalars, f"a `scalars` parameter is back: {scalars}"

@@ -92,6 +92,29 @@ class TestPatchLevel:
         level.free_all()
         assert comm.rank(0).device.bytes_allocated == 0
 
+    def test_buckets_belong_to_the_level_and_die_with_it(self):
+        """Arena allocation hands the level its shape buckets;
+        ``free_all`` drops them, so a bucket's cached field tuples cannot
+        keep a regridded-away level's patch data alive."""
+        import gc
+        import weakref
+
+        comm, geom, hier, reg = world()
+        boxes = [Box([0, 0], [7, 15]), Box([8, 0], [15, 15])]
+        per_patch = hier.make_level(0, boxes, [0, 0])
+        per_patch.allocate_all(reg, HostDataFactory(), comm)
+        assert per_patch.buckets == []
+        level = hier.make_level(0, boxes, [0, 0])
+        level.allocate_all(reg, HostDataFactory(arena=True), comm)
+        (bucket,) = level.buckets
+        assert bucket.patches == tuple(level.patches) and bucket.owner == 0
+        assert bucket.fields("rho") == tuple(p.data("rho") for p in level)
+        alive = weakref.ref(bucket.fields("rho")[0])
+        del bucket
+        level.free_all()
+        gc.collect()
+        assert level.buckets == [] and alive() is None
+
     def test_dx_from_geometry(self):
         comm, geom, hier, reg = world()
         level = hier.make_level(1, [Box([0, 0], [31, 31])], [0])

@@ -302,3 +302,29 @@ def test_a_purged_schedules_plan_raises_instead_of_reading_a_released_slab():
     # ... and the purged schedule's plan cannot be replayed onto it
     with pytest.raises(RuntimeError, match="use after free"):
         sched.fill(time=0.0)
+
+
+def test_a_batched_schedule_on_a_per_patch_allocated_level_raises_naming_it():
+    """``batch`` compiles its fills against arenas: a hand-built level
+    allocated per patch is a typed error naming the level, not a silent
+    per-region fallback."""
+    from repro.comm.simcomm import make_communicator
+    from repro.exec.plan import UnpooledLevelError
+    from repro.mesh.geometry import CartesianGridGeometry
+    from repro.mesh.hierarchy import PatchHierarchy
+    from repro.mesh.variables import HostDataFactory, VariableRegistry
+    from repro.xfer.refine_schedule import FillSpec, RefineSchedule
+
+    comm = make_communicator("IPA", 1, gpus=False)
+    geom = CartesianGridGeometry(Box([0, 0], [15, 15]), (0, 0), (1, 1))
+    hier = PatchHierarchy(geom, max_levels=1, refinement_ratio=2)
+    reg = VariableRegistry()
+    reg.declare("rho", "cell", 2)
+    level = hier.make_level(0, [Box([0, 0], [7, 15]), Box([8, 0], [15, 15])],
+                            [0, 0])
+    factory = HostDataFactory()
+    level.allocate_all(reg, factory, comm)
+    sched = RefineSchedule(level, None, [FillSpec(reg["rho"])], comm, factory,
+                           batch=True)
+    with pytest.raises(UnpooledLevelError, match="level 0 holds 'rho'"):
+        sched.fill()

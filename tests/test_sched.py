@@ -100,9 +100,11 @@ _KERNEL_METHODS = ("ideal_gas", "viscosity", "calc_dt", "pdv", "accelerate",
 
 
 def _launch_sequence(monkeypatch, batch: bool, overlap: bool):
-    """Every ``(operation, level)`` a run issues, in program order: one
-    entry per patch-integrator kernel call and per halo-fill / sync
-    schedule invocation, whichever driver (inline or recording) made it."""
+    """The ``(operation, level)`` sequence a run issues, in program order:
+    patch-integrator kernel calls and halo-fill / sync schedule
+    invocations, whichever driver (inline or recording) made them, with
+    consecutive repeats collapsed — how many units a level's sweep visits
+    (patches, or shape buckets under ``batch``) is not the contract."""
     from repro.hydro.patch_integrator import CleverleafPatchIntegrator
     from repro.xfer.coarsen_schedule import CoarsenSchedule
     from repro.xfer.refine_schedule import RefineSchedule
@@ -113,14 +115,16 @@ def _launch_sequence(monkeypatch, batch: bool, overlap: bool):
         orig = getattr(cls, method)
 
         def wrapper(self, *args, **kwargs):
-            seq.append((label, level_of(self, *args)))
+            entry = (label, level_of(self, *args))
+            if seq[-1:] != [entry]:
+                seq.append(entry)
             return orig(self, *args, **kwargs)
         patches.setattr(cls, method, wrapper)
 
     with monkeypatch.context() as patches:
         for name in _KERNEL_METHODS:
             record(CleverleafPatchIntegrator, name, name,
-                   lambda self, patch, *a: patch.level.level_number)
+                   lambda self, unit, *a: unit.patches[0].level.level_number)
         for method in ("fill", "emit_tasks"):
             record(RefineSchedule, method, "fill",
                    lambda self, *a: self.dst_level.level_number)

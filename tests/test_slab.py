@@ -1,17 +1,19 @@
 """Whole-slab vectorized kernel execution (what ``--batch`` runs).
 
-Three layers of evidence that the slab fast path is a pure host-side
-rewrite of the fused launch:
+Three layers of evidence that a bucket sweep is a pure host-side
+restatement of the per-patch sweeps:
 
 * kernel level — every hydro kernel is slab-polymorphic: applied to a
   stacked ``(P, f0, f1)`` view it produces bit-for-bit the same values
   as P per-patch applications, and the stacked CFL ``min`` selects the
-  exact same scalar (property-tested over random states);
-* planner level — ``Backend._slab_plan`` partitions a group by slab key
-  (one partition per patch shape) and fuses each partition over the
-  arena *bucket* its members tile; a partition that does not tile its
-  bucket sends the whole group down the per-patch path (never
-  half-executes);
+  exact same scalar (property-tested over random states, and for all
+  nine patch-integrator kernels through a ``PatchBucket`` of a ragged
+  level);
+* unit level — level allocation hands out one ``PatchBucket`` per
+  (owner, patch shape) tiling one arena bucket of every variable; a
+  bucket is one batch member running one stacked op; ``stacked_of``
+  refuses anything but exactly a bucket's members, in order, before a
+  kernel can write;
 * run level — a ragged hierarchy (mixed patch shapes on one level) runs
   one stacked op per shape, records no hydro-sweep fallback, and the
   fields stay bitwise identical to the per-patch path.
@@ -26,15 +28,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, run
-from repro.exec.backend import UNCHARGED_HOST
-from repro.exec.batch import BatchMember, SlabSpec
+from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, RunSession, run
+from repro.check import (
+    DeclaredAccessError,
+    SanitizeChecker,
+    activate,
+    deactivate,
+)
+from repro.comm.simcomm import make_communicator
+from repro.exec.backend import stacked_of
+from repro.exec.batch import BatchMember, LaunchBatcher
 from repro.exec.stats import combined_stats
+from repro.gpu.device import K20X, Device
 from repro.hydro import kernels as K
 from repro.hydro.diagnostics import gather_level_field
+from repro.hydro.fields import declare_fields
+from repro.hydro.patch_integrator import CleverleafPatchIntegrator
 from repro.hydro.problems import SodProblem
-from repro.gpu.device import K20X, Device
+from repro.mesh.box import Box
+from repro.mesh.geometry import CartesianGridGeometry
+from repro.mesh.patch_level import PatchLevel
+from repro.mesh.variables import CudaDataFactory, HostDataFactory
 from repro.pdat import HOST, Arena
+from repro.xfer.message import ImmediateSink
 
 FIELDS = ("density0", "energy0", "pressure", "soundspeed",
           "viscosity", "xvel0", "yvel0")
@@ -195,112 +211,235 @@ def test_stacked_viscosity_matches_per_patch(seed, n, nx, ny):
         assert np.array_equal(s["visc"][1][i][sl], want[i][sl])
 
 
-# -- planner eligibility -------------------------------------------------------
+# -- property: a bucket sweep is bitwise the per-patch sweeps --------------------
 
 
-class _Pd:
-    """Patch data stand-in with the arena backlinks the planner reads."""
+def _ragged_level(widths, ny, gpus=False, nranks=1):
+    """One level of ``len(widths)`` patches side by side in x (patch ``i``
+    is ``widths[i]`` x ``ny`` cells, owners round-robin), every hydro field
+    allocated from arena-pooled storage.  Returns (level, comm)."""
+    comm = make_communicator("IPA", nranks, gpus=gpus)
+    edges = np.concatenate([[0], np.cumsum(widths)])
+    boxes = [Box([int(lo), 0], [int(hi) - 1, ny - 1])
+             for lo, hi in zip(edges, edges[1:])]
+    geometry = CartesianGridGeometry(
+        Box([0, 0], [int(edges[-1]) - 1, ny - 1]), (0.0, 0.0), (1.0, 1.0))
+    level = PatchLevel(0, boxes, [i % nranks for i in range(len(boxes))],
+                       geometry, 1, None)
+    factory = (CudaDataFactory if gpus else HostDataFactory)(arena=True)
+    level.allocate_all(declare_fields(), factory, comm)
+    return level, comm
 
-    def __init__(self, arena, index, view):
-        self._arena = arena
-        self._arena_index = index
-        self.view = view
+
+def _randomise(level, seed):
+    """The same pseudo-random positive state on every call with ``seed``."""
+    rng = np.random.default_rng(seed)
+    for patch in level:
+        for name in patch.data_names():
+            pd = patch.data(name)
+            scale = 0.01 if name == "viscosity" else 1.0
+            pd.from_host(scale * rng.uniform(
+                0.5, 2.0, size=tuple(pd.get_ghost_box().shape())))
 
 
-def _slab_group(n=3, shape=(4, 4), key=("k", 4, 4)):
-    """n members whose single operand tiles one uniform arena."""
-    arena = Arena(HOST, n * shape[0] * shape[1])
-    pds = [_Pd(arena, i, arena.place(shape).kernel_view()) for i in range(n)]
-    arena.slab.kernel_view()[:] = 0.0
-    hits = []
+#: one hydro step's sweeps in program order, each kernel at least once
+_STEP = (
+    ("ideal_gas", dict(ext=2)), ("viscosity", {}), ("calc_dt", {}),
+    ("pdv", dict(predict=True, dt=1e-3)), ("ideal_gas", dict(predict=True)),
+    ("accelerate", dict(dt=1e-3)), ("pdv", dict(predict=False, dt=1e-3)),
+    ("flux_calc", dict(dt=1e-3)),
+    ("advec_cell", dict(direction=0, sweep_number=1)),
+    ("advec_mom", dict(direction=0, sweep_number=1, which_vel=0)),
+    ("advec_mom", dict(direction=0, sweep_number=1, which_vel=1)),
+    ("advec_cell", dict(direction=1, sweep_number=2)),
+    ("advec_mom", dict(direction=1, sweep_number=2, which_vel=1)),
+    ("reset_field", {}),
+)
+_KERNELS = tuple(dict.fromkeys(name for name, _ in _STEP))
 
-    def fn(stacked):
-        hits.append(stacked.shape)
-        stacked += 1.0
 
-    members = []
-    for i, pd in enumerate(pds):
-        def body(pd=pd):
-            hits.append("per-patch")
-            pd.view += 1.0
-        members.append(BatchMember(
-            shape[0] * shape[1], body, writes=(pd,),
-            slab=SlabSpec(key, fn, (pd,))))
-    return arena, pds, members, hits
+@pytest.mark.parametrize("kernel", _KERNELS)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       nx=st.integers(min_value=3, max_value=7),
+       mx=st.integers(min_value=3, max_value=7),
+       ny=st.integers(min_value=3, max_value=7))
+def test_bucket_sweep_matches_per_patch_sweep(kernel, seed, nx, mx, ny):
+    """Every patch-integrator kernel, swept once per :class:`PatchBucket`
+    of a ragged level (shapes interleaved in level order), leaves every
+    frame of every field bitwise as sweeping it once per patch does — and
+    the buckets' CFL results reduce to the per-patch minimum."""
+    if nx == mx:
+        mx += 1
+    widths = (nx, mx, nx, nx, mx)
+    per_patch, comm_a = _ragged_level(widths, ny)
+    bucketed, comm_b = _ragged_level(widths, ny)
+    assert sorted(len(b.patches) for b in bucketed.buckets) == [2, 3]
+    _randomise(per_patch, seed)
+    _randomise(bucketed, seed)
+    pi = CleverleafPatchIntegrator()
+    last = max(i for i, (name, _) in enumerate(_STEP) if name == kernel)
+    for name, kwargs in _STEP[:last + 1]:
+        a = [getattr(pi, name)(p, comm_a.rank(0), **kwargs) for p in per_patch]
+        b = [getattr(pi, name)(u, comm_b.rank(0), **kwargs)
+             for u in bucketed.buckets]
+        if name == "calc_dt":
+            assert min(a) == min(b)
+    for pa, pb in zip(per_patch, bucketed):
+        for field in pa.data_names():
+            assert np.array_equal(pa.data(field).data.array,
+                                  pb.data(field).data.array,
+                                  equal_nan=True), (kernel, field)
+
+
+# -- the bucket as the sweep unit ---------------------------------------------------
+#
+# What used to be decided per launch by a planner is now a property of the
+# units level allocation hands out (``PatchBucket``), the operand handout
+# (``stacked_of``) and ``run_batched``'s member counts.
+
+
+def _add_one(hits):
+    """A test kernel over one operand: records the shape it is handed."""
+    def fn(d):
+        hits.append(d.shape)
+        d += 1.0
+        return float(d.shape[0])
+    return fn
+
+
+def _zero(level):
+    for patch in level:
+        patch.data("density0").fill(0.0)
 
 
 def test_slab_plan_fuses_uniform_group_without_replaying_bodies():
-    arena, pds, members, hits = _slab_group()
-    UNCHARGED_HOST.run_batched("k", members)
-    assert hits == [(3, 4, 4)]  # one stacked op, zero per-patch bodies
-    assert np.array_equal(arena.stacked_view(),
-                          np.ones((3, 4, 4)))
+    """A bucket is one member: one stacked op, zero per-patch bodies."""
+    level, comm = _ragged_level((4, 4, 4), 4)
+    _zero(level)
+    (bucket,) = level.buckets
+    rank = comm.rank(0)
+    pi = CleverleafPatchIntegrator()
+    pi.sink = LaunchBatcher(fuse=True)
+    hits = []
+    pi._run(bucket, rank, "hydro.reset_field", 64, _add_one(hits),
+            ("density0",), writes=("density0",))
+    ImmediateSink(comm).flush_fusion(pi.sink)
+    assert hits == [(3, 8, 8)]
+    for patch in level:
+        assert np.array_equal(patch.data("density0").data.array,
+                              np.ones((8, 8)))
+    counter = rank.exec_stats.slab["hydro.reset_field"]
+    assert (counter.fused, counter.fallback) == (1, 0)
+    assert rank.exec_stats.batches["hydro.reset_field"].members == 3
 
 
 def test_slab_plan_key_mismatch_falls_back_whole_group():
-    """A single mismatched key (e.g. a ragged member's nx/ny) sends the
-    *entire* group down the per-patch path — never half-executes."""
-    arena, pds, members, hits = _slab_group()
-    members[1].slab = SlabSpec(("k", 9, 9), members[1].slab.fn,
-                               members[1].slab.operands)
-    UNCHARGED_HOST.run_batched("k", members)
-    assert hits == ["per-patch"] * 3
-    assert np.array_equal(arena.stacked_view(), np.ones((3, 4, 4)))
+    """Two patch shapes never share a unit: allocation forms one bucket
+    per (owner, shape), each tiling one arena bucket of every variable,
+    and together they are the level."""
+    level, _ = _ragged_level((4, 5, 4, 5, 4, 4), 4, nranks=2)
+    keys = [(b.owner, {tuple(p.box.shape()) for p in b.patches})
+            for b in level.buckets]
+    assert all(len(shapes) == 1 for _, shapes in keys)
+    assert len(keys) == len({(o, *s) for o, s in keys}) == 3
+    assert sorted(p.global_id for b in level.buckets for p in b.patches) \
+        == list(range(6))
+    for bucket in level.buckets:
+        assert all(p.owner == bucket.owner for p in bucket.patches)
+        for name in ("density0", "xvel0", "vol_flux_x"):
+            pds = bucket.fields(name)
+            frame = tuple(pds[0].get_ghost_box().shape())
+            # (n, f0, f1); a bucket of one is its patch's own frame array
+            assert stacked_of(pds).shape == ((len(pds),) * (len(pds) > 1)
+                                             + frame)
+    # first-seen order: a bucket sweep meets ranks and shapes in the order
+    # the per-patch sweep first does
+    assert [b.patches[0].global_id for b in level.buckets] == [0, 1, 5]
 
 
 def test_slab_plan_members_without_spec_replay_bodies():
-    arena, pds, members, hits = _slab_group()
-    for m in members:
-        m.slab = None
-    UNCHARGED_HOST.run_batched("k", members)
-    assert hits == ["per-patch"] * 3
+    """``count == 1`` members (halo bodies, per-region temps) replay
+    their bodies in member order, counted as a slab fallback."""
+    comm = make_communicator("IPA", 1, gpus=False)
+    rank = comm.rank(0)
+    hits = []
+    members = [BatchMember(4, lambda i=i: hits.append(i)) for i in (2, 0, 1)]
+    rank.host_backend.run_batched("hydro.update_halo", members)
+    assert hits == [2, 0, 1]
+    counter = rank.exec_stats.slab["hydro.update_halo"]
+    assert (counter.fused, counter.fallback) == (0, 1)
 
 
 def test_slab_plan_partial_arena_coverage_falls_back():
-    """Members must tile the whole arena in stacked order; a group over
-    a strict subset (or out of order) cannot use the stacked view."""
-    arena, pds, members, hits = _slab_group()
-    UNCHARGED_HOST.run_batched("k", members[:2])  # covers 2 of 3 members
-    assert hits == ["per-patch"] * 2
-    hits.clear()
-    UNCHARGED_HOST.run_batched("k", [members[1], members[0], members[2]])
-    assert hits == ["per-patch"] * 3  # out of stacked order
+    """A stacked operand must be exactly one arena bucket's members in
+    placement order; a strict subset or a permutation raises at the
+    handout, before the kernel writes anything."""
+    level, comm = _ragged_level((4, 4, 4), 4)
+    _zero(level)
+    pds = level.buckets[0].fields("density0")
+
+    def member(operand):
+        def body():
+            stacked_of(operand)[...] = 1.0
+        return BatchMember(48, body, writes=operand, count=len(operand))
+
+    for operand in (pds[:2], pds[1:], (pds[1], pds[0], pds[2]),
+                    (pds[0], pds[2], pds[1])):
+        with pytest.raises(ValueError, match="tile its arena bucket"):
+            comm.rank(0).host_backend.run_batched(
+                "hydro.reset_field", [member(operand)])
+    assert not pds[0]._arena.flat().any()
+    loose = [HostDataFactory().allocate(pds[0].var, p.box, None)
+             for p in level.patches]
+    with pytest.raises(ValueError, match="one arena"):
+        stacked_of(loose)
 
 
 def test_slab_plan_fuses_each_shape_bucket_of_a_ragged_group():
-    """Two patch shapes placed shape by shape: one stacked op per bucket,
-    whatever order the members arrive in, and the reduction combines the
-    buckets' results."""
-    arena = Arena(HOST, 2 * 16 + 3 * 12)
-    shapes = [(4, 4)] * 2 + [(3, 4)] * 3
-    pds = [_Pd(arena, i, arena.place(shape).kernel_view())
-           for i, shape in enumerate(shapes)]
-    arena.slab.kernel_view()[:] = 0.0
+    """Two patch shapes interleaved in level order: one member and one
+    stacked op per bucket in a single fused launch, and the reduction
+    combines the buckets' results."""
+    level, comm = _ragged_level((5, 4, 5, 4, 5), 4)
+    _zero(level)
+    rank = comm.rank(0)
+    pi = CleverleafPatchIntegrator()
+    pi.sink = LaunchBatcher(fuse=True)
     hits = []
-
-    def fn(stacked):
-        hits.append(stacked.shape)
-        stacked += 1.0
-        return float(stacked.shape[0])
-
-    members = [BatchMember(pd.view.size, lambda: hits.append("per-patch"),
-                           writes=(pd,),
-                           slab=SlabSpec(("k", *pd.view.shape), fn, (pd,)))
-               for pd in pds]
-    interleaved = [members[i] for i in (2, 0, 3, 1, 4)]  # level order
-    assert UNCHARGED_HOST.run_batched("k", interleaved, combine=min) == 2.0
-    assert sorted(hits) == [(2, 4, 4), (3, 3, 4)]
-    assert np.array_equal(arena.slab.kernel_view(), np.ones(68))
+    for bucket in level.buckets:
+        pi._run(bucket, rank, "hydro.reset_field", 1, _add_one(hits),
+                ("density0",), writes=("density0",), combine=min)
+    [(owner, handle)] = ImmediateSink(comm).flush_fusion(pi.sink)
+    assert (owner, handle.result) == (0, 2.0)
+    assert hits == [(3, 9, 8), (2, 8, 8)]
+    assert np.array_equal(level.patches[0].data("density0")._arena.flat(),
+                          np.ones(3 * 72 + 2 * 64))
+    counter = rank.exec_stats.slab["hydro.reset_field"]
+    assert (counter.fused, counter.fallback) == (1, 0)
+    launched = rank.exec_stats.kernels["cpu", "hydro.reset_field"]
+    assert (launched.launches, launched.elements) == (1, 5)
 
 
 def test_slab_plan_mixed_roles_fall_back():
-    """One operand position declared write by some members and read by
-    others is not a slab: the sanitizer could not instrument it."""
-    arena, pds, members, hits = _slab_group()
-    members[2].writes = ()
-    members[2].reads = (pds[2],)
-    UNCHARGED_HOST.run_batched("k", members)
-    assert hits == ["per-patch"] * 3
+    """One stacked operand declared write for some of its patches and
+    read for others is refused under an active checker: the sanitizer
+    could not instrument the handout with one role."""
+    level, comm = _ragged_level((4, 4, 4), 4)
+    _zero(level)
+    pds = level.buckets[0].fields("density0")
+
+    def body():
+        stacked_of(pds)[...] = 1.0
+
+    member = BatchMember(48, body, reads=pds[2:], writes=pds[:2], count=3)
+    activate(SanitizeChecker())
+    try:
+        with pytest.raises(DeclaredAccessError, match="mixed or undeclared"):
+            comm.rank(0).host_backend.run_batched(
+                "hydro.reset_field", [member])
+    finally:
+        deactivate()
+    assert not pds[0]._arena.flat().any()
 
 
 # -- end-to-end: ragged fallback stays bitwise ---------------------------------
@@ -371,3 +510,33 @@ def test_slab_counters_surface_in_metrics_manifest(ragged_runs):
     counters = slab.metrics["counters"]
     assert any(k.startswith("slab_fused{") for k in counters)
     assert any(k.startswith("slab_fallback{") for k in counters)
+
+
+def test_run_calls_per_step_are_sweeps_times_buckets(monkeypatch):
+    """The funnel is entered once per sweep per *bucket* under ``batch``
+    (once per patch without): 15 sweeps in a steady step."""
+    calls = []
+    orig = CleverleafPatchIntegrator._run
+
+    def counted(self, unit, *args, **kwargs):
+        calls.append(unit)
+        return orig(self, unit, *args, **kwargs)
+
+    monkeypatch.setattr(CleverleafPatchIntegrator, "_run", counted)
+    for batch in (True, False):
+        session = RunSession(_cfg(batch=batch, max_steps=2,
+                                  regrid=RegridPolicy(interval=100)))
+        try:
+            session.advance(1)
+            calls.clear()
+            session.advance(1)   # a steady step: no regrid
+            levels = list(session.sim.hierarchy)
+        finally:
+            session.close()
+        patches = sum(len(level.patches) for level in levels)
+        buckets = sum(len(level.buckets) for level in levels)
+        if batch:
+            assert 0 < buckets < patches
+            assert len(calls) == 15 * buckets
+        else:
+            assert buckets == 0 and len(calls) == 15 * patches
