@@ -4,7 +4,8 @@
 
 One row per (workload, seed): the six end-to-end metrics of its untraced
 record, the layer metrics of its traced record (``null`` where a record
-was not given) and ``wc -l`` over ``src/repro``.  Rows are appended to
+was not given, and in rows older than a column) and ``wc -l`` over
+``src/repro``.  Rows are appended to
 ``benchmarks/results/TRAJECTORY.jsonl`` (``--to`` writes elsewhere).
 """
 
@@ -15,8 +16,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("setup_s", "cell_updates_per_s", "step_wall_ms_p50",
               "peak_rss_mb", "modelled_grind_ns", "device_peak_mb")
-LAYER = ("xfer.fill_s", "exec.copy_batch_s", "exec.slab_fused_ratio",
-         "exec.stacked_ratio", "harness.calib_ms")
+LAYER = ("xfer.fill_s", "xfer.schedule_build_s", "pdat.alloc_s",
+         "exec.copy_batch_s", "exec.slab_fused_ratio", "exec.stacked_ratio",
+         "mesh.box_news_per_step", "mesh.intvector_news_per_step",
+         "harness.calib_ms")
 
 
 def rows(paths, pr: int, source: str) -> list[dict]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mesh.box import box_points
+from ..mesh.box_array import box_points
 
 __all__ = ["CopyPlan", "StreamPlan", "Scratch", "ScratchBlock",
            "compile_copies", "compile_stream", "flat_index", "ravel_index",

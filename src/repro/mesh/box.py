@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Iterator, Sequence, Tuple
 
-import numpy as np
-
-__all__ = ["IntVector", "Box", "box_points"]
+__all__ = ["IntVector", "Box", "meet", "cut", "cells"]
 
 
 class IntVector(tuple):
@@ -25,6 +24,8 @@ class IntVector(tuple):
 
     Behaves like a tuple but supports elementwise arithmetic, which keeps
     index manipulation in the schedules short and obviously correct.
+    Components are validated once, here: arithmetic on vectors yields
+    ints and constructs its result without coercing them again.
     """
 
     __slots__ = ()
@@ -33,12 +34,12 @@ class IntVector(tuple):
         if len(components) == 1 and not isinstance(components[0], int):
             components = tuple(components[0])
         for c in components:
-            if type(c) is not int:  # slow path: coerce numpy ints, etc.
-                components = tuple(int(c) for c in components)
+            if type(c) is not int:  # slow path: NumPy integers, bools
+                components = _as_ints(components)
                 break
         if not components:
             raise ValueError("IntVector needs at least one component")
-        return super().__new__(cls, components)
+        return tuple.__new__(cls, components)
 
     @classmethod
     def uniform(cls, value: int, dim: int = 2) -> "IntVector":
@@ -49,36 +50,39 @@ class IntVector(tuple):
     def dim(self) -> int:
         return len(self)
 
-    def _binary(self, other, op) -> "IntVector":
+    def _operand(self, other) -> tuple:
+        """``other`` as one component per axis (a scalar broadcasts)."""
         if isinstance(other, int):
-            other = (other,) * len(self)
-        if len(other) != len(self):
+            return (other,) * len(self)
+        try:
+            n = len(other)
+        except TypeError:
+            return _as_ints((other,)) * len(self)
+        if n != len(self):
             raise ValueError(f"dimension mismatch: {self} vs {other}")
-        return IntVector(*(op(a, int(b)) for a, b in zip(self, other)))
+        return other
 
     def __add__(self, other) -> "IntVector":
-        return self._binary(other, lambda a, b: a + b)
+        return IntVector(*map(operator.add, self, self._operand(other)))
 
-    def __radd__(self, other) -> "IntVector":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other) -> "IntVector":
-        return self._binary(other, lambda a, b: a - b)
+        return IntVector(*map(operator.sub, self, self._operand(other)))
 
     def __rsub__(self, other) -> "IntVector":
-        return self._binary(other, lambda a, b: b - a)
+        return IntVector(*map(operator.sub, self._operand(other), self))
 
     def __mul__(self, other) -> "IntVector":
-        return self._binary(other, lambda a, b: a * b)
+        return IntVector(*map(operator.mul, self, self._operand(other)))
 
-    def __rmul__(self, other) -> "IntVector":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __floordiv__(self, other) -> "IntVector":
-        return self._binary(other, lambda a, b: a // b)
+        return IntVector(*map(operator.floordiv, self, self._operand(other)))
 
     def __neg__(self) -> "IntVector":
-        return IntVector(*(-a for a in self))
+        return IntVector(*map(operator.neg, self))
 
     def min(self) -> int:
         return min(self)
@@ -87,18 +91,71 @@ class IntVector(tuple):
         return max(self)
 
     def product(self) -> int:
-        out = 1
-        for a in self:
-            out *= a
-        return out
+        return math.prod(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"IntVector{tuple(self)}"
 
 
-def _coarsen_index(i: int, ratio: int) -> int:
-    """Coarsen a single cell index (floor division valid for negatives)."""
-    return i // ratio
+def _as_ints(components) -> tuple:
+    """Components coerced to Python ints; anything that is not an integer
+    (a float, even an integral one) is a :class:`TypeError` naming it."""
+    out = []
+    for i, c in enumerate(components):
+        try:
+            out.append(operator.index(c))
+        except TypeError:
+            raise TypeError(
+                f"IntVector component {i} is not an integer: {c!r}") from None
+    return tuple(out)
+
+
+# -- corner-row kernels ----------------------------------------------------------
+#
+# A *row* is a box as its two corners, ``(lower, upper)`` tuples of ints:
+# what the set algebra of ``Box`` and of the many-box code in
+# :mod:`repro.mesh.box_array` runs on, building no object per result.
+
+
+def meet(alo, ahi, blo, bhi):
+    """Corners of the overlap of two boxes, or None when they are disjoint
+    (or either is empty).  The one place the set algebra checks that its
+    operands have the same dimension."""
+    if len(alo) != len(blo):
+        raise ValueError(f"dimension mismatch: {alo} vs {blo}")
+    lo = tuple(map(max, alo, blo))
+    hi = tuple(map(min, ahi, bhi))
+    return None if any(map(operator.gt, lo, hi)) else (lo, hi)
+
+
+def cut(lo, hi, ilo, ihi) -> list:
+    """Disjoint rows covering a box minus a nonempty box inside it.
+
+    Standard sweep decomposition: peel off slabs axis by axis, the slab
+    below the inner box before the one above it.
+    """
+    pieces = []
+    lo, hi = list(lo), list(hi)
+    for axis, (il, iu) in enumerate(zip(ilo, ihi)):
+        if lo[axis] < il:
+            below = hi.copy()
+            below[axis] = il - 1
+            pieces.append((tuple(lo), tuple(below)))
+            lo[axis] = il
+        if hi[axis] > iu:
+            above = lo.copy()
+            above[axis] = iu + 1
+            pieces.append((tuple(above), tuple(hi)))
+            hi[axis] = iu
+    return pieces
+
+
+def cells(lo, hi) -> int:
+    """Cell count of a nonempty box, from its corners."""
+    n = 1
+    for l, u in zip(lo, hi):
+        n *= u - l + 1
+    return n
 
 
 class Box:
@@ -106,17 +163,22 @@ class Box:
 
     An *empty* box is represented by any box with ``upper < lower`` in some
     direction; :meth:`empty` constructs a canonical one.  Empty boxes
-    propagate sanely through intersections.
+    propagate sanely through intersections.  Operations on two boxes (or
+    a box and an index) of different dimension raise ``ValueError``.
     """
 
     __slots__ = ("lower", "upper", "_empty")
 
     def __init__(self, lower: Sequence[int], upper: Sequence[int]):
-        self.lower = lower if type(lower) is IntVector else IntVector(lower)
-        self.upper = upper if type(upper) is IntVector else IntVector(upper)
-        if len(self.lower) != len(self.upper):
+        if type(lower) is not IntVector:
+            lower = IntVector(lower)
+        if type(upper) is not IntVector:
+            upper = IntVector(upper)
+        if len(lower) != len(upper):
             raise ValueError("lower/upper dimension mismatch")
-        self._empty = any(u < l for l, u in zip(self.lower, self.upper))
+        self.lower = lower
+        self.upper = upper
+        self._empty = any(map(operator.gt, lower, upper))
 
     # -- constructors ------------------------------------------------------
 
@@ -128,13 +190,13 @@ class Box:
     def from_shape(cls, shape: Sequence[int], origin: Sequence[int] | None = None) -> "Box":
         """A box of ``shape`` cells with its lower corner at ``origin``."""
         origin = IntVector(origin) if origin is not None else IntVector.uniform(0, len(shape))
-        return cls(origin, origin + IntVector(shape) - IntVector.uniform(1, len(shape)))
+        return cls(origin, origin + IntVector(shape) - 1)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.lower.dim
+        return len(self.lower)
 
     def is_empty(self) -> bool:
         return self._empty
@@ -142,24 +204,21 @@ class Box:
     def shape(self) -> IntVector:
         if self._empty:
             return IntVector.uniform(0, self.dim)
-        return IntVector(*(u - l + 1 for l, u in zip(self.lower, self.upper)))
+        return IntVector(*[u - l + 1 for l, u in zip(self.lower, self.upper)])
 
     def size(self) -> int:
         """Number of cells in the box (0 if empty)."""
-        if self._empty:
-            return 0
-        return math.prod(u - l + 1 for l, u in zip(self.lower, self.upper))
+        return 0 if self._empty else cells(self.lower, self.upper)
 
     def contains(self, index: Sequence[int]) -> bool:
+        if len(index) != self.dim:
+            raise ValueError(f"dimension mismatch: {self} vs {index}")
         return all(l <= i <= u for l, i, u in zip(self.lower, index, self.upper))
 
     def contains_box(self, other: "Box") -> bool:
-        if other.is_empty():
-            return True
-        return all(
-            sl <= ol and ou <= su
-            for sl, su, ol, ou in zip(self.lower, self.upper, other.lower, other.upper)
-        )
+        return other._empty or meet(
+            self.lower, self.upper, other.lower, other.upper
+        ) == (other.lower, other.upper)
 
     def indices(self) -> Iterator[Tuple[int, ...]]:
         """Iterate all cell indices in the box (row-major, for tests)."""
@@ -171,27 +230,22 @@ class Box:
     # -- algebra -----------------------------------------------------------
 
     def intersection(self, other: "Box") -> "Box":
-        if self._empty or other._empty:
-            return Box.empty(self.dim)
-        lo = IntVector(*map(max, self.lower, other.lower))
-        hi = IntVector(*map(min, self.upper, other.upper))
-        box = Box(lo, hi)
-        return box if not box._empty else Box.empty(self.dim)
+        overlap = meet(self.lower, self.upper, other.lower, other.upper)
+        return Box.empty(self.dim) if overlap is None else Box(*overlap)
 
     __mul__ = intersection
 
     def intersects(self, other: "Box") -> bool:
-        # Compared directly (no intersection box built): the all-pairs
-        # scans of schedule construction ask this far more often than
-        # the answer is yes.
-        return not (self._empty or other._empty) and all(
-            sl <= ou and ol <= su for sl, su, ol, ou
-            in zip(self.lower, self.upper, other.lower, other.upper))
+        return meet(self.lower, self.upper, other.lower, other.upper) is not None
 
     def grow(self, width: int | Sequence[int]) -> "Box":
         """Grow (or shrink, for negative widths) the box in all directions."""
-        w = IntVector(width) if not isinstance(width, int) else IntVector.uniform(width, self.dim)
-        return Box(self.lower - w, self.upper + w)
+        return Box(self.lower - width, self.upper + width)
+
+    def grow_upper(self, width: int | Sequence[int]) -> "Box":
+        """Move only the upper corner out by ``width`` (per axis): how a
+        centring's index space extends over the cell box."""
+        return Box(self.lower, self.upper + width)
 
     def grow_dir(self, axis: int, lower: int, upper: int) -> "Box":
         """Grow only along one axis, independently at each face."""
@@ -202,74 +256,43 @@ class Box:
         return Box(lo, hi)
 
     def shift(self, offset: Sequence[int]) -> "Box":
-        off = IntVector(offset)
-        return Box(self.lower + off, self.upper + off)
+        return Box(self.lower + offset, self.upper + offset)
 
     def coarsen(self, ratio: int | Sequence[int]) -> "Box":
         """Coarsen the box by a refinement ratio (SAMRAI semantics).
 
-        The coarse box covers every coarse cell touched by this box.
+        The coarse box covers every coarse cell touched by this box
+        (floor division, valid for negative indices).
         """
-        r = IntVector(ratio) if not isinstance(ratio, int) else IntVector.uniform(ratio, self.dim)
-        if self.is_empty():
+        if self._empty:
             return Box.empty(self.dim)
-        lo = IntVector(*(_coarsen_index(i, k) for i, k in zip(self.lower, r)))
-        hi = IntVector(*(_coarsen_index(i, k) for i, k in zip(self.upper, r)))
-        return Box(lo, hi)
+        return Box(self.lower // ratio, self.upper // ratio)
 
     def refine(self, ratio: int | Sequence[int]) -> "Box":
         """Refine the box: the fine box covering exactly the same region."""
-        r = IntVector(ratio) if not isinstance(ratio, int) else IntVector.uniform(ratio, self.dim)
-        if self.is_empty():
+        if self._empty:
             return Box.empty(self.dim)
-        lo = IntVector(*(i * k for i, k in zip(self.lower, r)))
-        hi = IntVector(*((i + 1) * k - 1 for i, k in zip(self.upper, r)))
-        return Box(lo, hi)
+        return Box(self.lower * ratio, (self.upper + 1) * ratio - 1)
 
     def bounding(self, other: "Box") -> "Box":
         """Smallest box containing both boxes."""
-        if self.is_empty():
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self} vs {other}")
+        if self._empty:
             return other
-        if other.is_empty():
+        if other._empty:
             return self
-        lo = IntVector(*(min(a, b) for a, b in zip(self.lower, other.lower)))
-        hi = IntVector(*(max(a, b) for a, b in zip(self.upper, other.upper)))
-        return Box(lo, hi)
+        return Box(tuple(map(min, self.lower, other.lower)),
+                   tuple(map(max, self.upper, other.upper)))
 
     def remove_intersection(self, other: "Box") -> list["Box"]:
-        """Return disjoint boxes covering ``self`` minus ``other``.
-
-        Standard sweep decomposition: peel off slabs axis by axis.  The
-        result boxes are disjoint and their union is exactly the set
-        difference.
-        """
-        inter = self.intersection(other)
-        if inter.is_empty():
-            return [] if self.is_empty() else [self]
-        if inter == self:
-            return []
-        pieces: list[Box] = []
-        remaining = self
-        for axis in range(self.dim):
-            lo = list(remaining.lower)
-            hi = list(remaining.upper)
-            if remaining.lower[axis] < inter.lower[axis]:
-                cut_hi = hi.copy()
-                cut_hi[axis] = inter.lower[axis] - 1
-                pieces.append(Box(lo, cut_hi))
-                lo = lo.copy()
-                lo[axis] = inter.lower[axis]
-                remaining = Box(lo, hi)
-            lo = list(remaining.lower)
-            hi = list(remaining.upper)
-            if remaining.upper[axis] > inter.upper[axis]:
-                cut_lo = lo.copy()
-                cut_lo[axis] = inter.upper[axis] + 1
-                pieces.append(Box(cut_lo, hi))
-                hi = hi.copy()
-                hi[axis] = inter.upper[axis]
-                remaining = Box(lo, hi)
-        return pieces
+        """Return disjoint boxes covering ``self`` minus ``other``
+        (:func:`cut`'s sweep decomposition): disjoint, and their union is
+        exactly the set difference."""
+        overlap = meet(self.lower, self.upper, other.lower, other.upper)
+        if overlap is None:
+            return [] if self._empty else [self]
+        return [Box(lo, hi) for lo, hi in cut(self.lower, self.upper, *overlap)]
 
     # -- slicing helpers ---------------------------------------------------
 
@@ -280,6 +303,8 @@ class Box:
         element (0, 0, ...) at ``frame.lower``.  Raises if the box is not
         contained in the frame — out-of-frame access is always a bug.
         """
+        if frame.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self} vs {frame}")
         slices = []
         for l, u, fl, fu in zip(self.lower, self.upper, frame.lower, frame.upper):
             if (l < fl or u > fu) and not self._empty:
@@ -289,46 +314,18 @@ class Box:
 
     # -- value semantics ----------------------------------------------------
 
+    def _key(self) -> tuple:
+        """What equality and the hash both go by: the corners, or for an
+        empty box (whatever its corners) just the dimension."""
+        return (self.dim,) if self._empty else (self.lower, self.upper)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Box):
             return NotImplemented
-        if self.is_empty() and other.is_empty():
-            return True
-        return self.lower == other.lower and self.upper == other.upper
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        if self.is_empty():
-            return hash(("Box", "empty", self.dim))
-        return hash(("Box", self.lower, self.upper))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Box({tuple(self.lower)}, {tuple(self.upper)})"
-
-
-def box_points(boxes: Sequence[Box]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Every index of every box as arrays: ``(which, coords)``.
-
-    Boxes in order, row-major within a box (the order ``Box.indices`` and
-    a C-order ravel of ``slices_in`` visit); ``which[p]`` is the position
-    in ``boxes`` of the box point ``p`` belongs to and ``coords[axis][p]``
-    its index along ``axis``.  Empty boxes contribute nothing.  This is
-    the one place a list of regions turns into array form, for code that
-    then works on all regions at once.
-    """
-    if not boxes:
-        none = np.zeros(0, dtype=np.intp)
-        return none, [none, none]
-    corners = np.array([(*b.lower, *b.upper) for b in boxes], dtype=np.intp)
-    dim = corners.shape[1] // 2
-    lower = corners[:, :dim]
-    shape = np.maximum(corners[:, dim:] - lower + 1, 0)
-    sizes = shape.prod(axis=1)
-    which = np.repeat(np.arange(len(boxes), dtype=np.intp), sizes)
-    ends = np.cumsum(sizes)
-    rest = np.arange(ends[-1], dtype=np.intp) - (ends - sizes)[which]
-    coords = [None] * dim
-    for axis in range(dim - 1, -1, -1):
-        extent = shape[which, axis]
-        coords[axis] = lower[which, axis] + rest % extent
-        rest = rest // extent
-    return which, coords

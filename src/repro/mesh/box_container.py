@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List
 
 from .box import Box, IntVector
+from .box_array import claim, coalesce
 
 __all__ = ["BoxContainer"]
 
@@ -19,6 +20,15 @@ class BoxContainer:
 
     def __init__(self, boxes: Iterable[Box] = ()):
         self._boxes: List[Box] = [b for b in boxes if not b.is_empty()]
+
+    # The set algebra runs on corner rows (:mod:`repro.mesh.box_array`).
+
+    def _rows(self) -> list:
+        return [(b.lower, b.upper) for b in self._boxes]
+
+    @classmethod
+    def _of_rows(cls, rows) -> "BoxContainer":
+        return cls(Box(lo, hi) for lo, hi in rows)
 
     # -- container protocol --------------------------------------------------
 
@@ -38,9 +48,6 @@ class BoxContainer:
     def extend(self, boxes: Iterable[Box]) -> None:
         for b in boxes:
             self.append(b)
-
-    def copy(self) -> "BoxContainer":
-        return BoxContainer(self._boxes)
 
     def is_empty(self) -> bool:
         return not self._boxes
@@ -65,14 +72,9 @@ class BoxContainer:
         The result is a container of disjoint pieces if ``self`` was
         disjoint; otherwise pieces may overlap exactly where ``self`` did.
         """
-        takeaway = [other] if isinstance(other, Box) else list(other)
-        current = list(self._boxes)
-        for t in takeaway:
-            nxt: List[Box] = []
-            for b in current:
-                nxt.extend(b.remove_intersection(t))
-            current = nxt
-        return BoxContainer(current)
+        takeaway = [other] if isinstance(other, Box) else other
+        return BoxContainer._of_rows(claim(
+            self._rows(), ((None, t.lower, t.upper) for t in takeaway)))
 
     def intersect(self, other: "BoxContainer | Box") -> "BoxContainer":
         """All nonempty pairwise intersections with ``other``."""
@@ -85,41 +87,16 @@ class BoxContainer:
 
     def contains_box(self, box: Box) -> bool:
         """Does the union of this container cover ``box`` entirely?"""
-        remaining = [box]
-        for b in self._boxes:
-            nxt: List[Box] = []
-            for r in remaining:
-                nxt.extend(r.remove_intersection(b))
-            remaining = nxt
-            if not remaining:
-                return True
-        return not remaining
+        return box.is_empty() or not claim(
+            [(box.lower, box.upper)],
+            ((None, b.lower, b.upper) for b in self._boxes))
 
     def coalesce(self) -> "BoxContainer":
-        """Greedily merge boxes that tile a larger box exactly.
-
-        Repeatedly merges any pair of boxes whose bounding box has the same
-        cell count as the pair (i.e. they are adjacent and aligned).  Keeps
-        box counts small after ``remove_intersections``.
+        """Greedily merge boxes that tile a larger box exactly
+        (:func:`repro.mesh.box_array.coalesce`).  Keeps box counts small after
+        ``remove_intersections``.
         """
-        boxes = list(self._boxes)
-        merged = True
-        while merged:
-            merged = False
-            for i in range(len(boxes)):
-                for j in range(i + 1, len(boxes)):
-                    bb = boxes[i].bounding(boxes[j])
-                    if bb.size() == boxes[i].size() + boxes[j].size():
-                        boxes[i] = bb
-                        boxes.pop(j)
-                        merged = True
-                        break
-                if merged:
-                    break
-        return BoxContainer(boxes)
-
-    def grow(self, width: int) -> "BoxContainer":
-        return BoxContainer(b.grow(width) for b in self._boxes)
+        return BoxContainer._of_rows(coalesce(self._rows()))
 
     def coarsen(self, ratio: int | IntVector) -> "BoxContainer":
         return BoxContainer(b.coarsen(ratio) for b in self._boxes)

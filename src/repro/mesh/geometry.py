@@ -35,6 +35,7 @@ class CartesianGridGeometry:
         self.base_dx = tuple(
             (hi - lo) / n for lo, hi, n in zip(self.x_lo, self.x_hi, shape)
         )
+        self._level_domains: dict = {}  # ratio to base -> domain box
 
     @property
     def dim(self) -> int:
@@ -42,7 +43,11 @@ class CartesianGridGeometry:
 
     def level_domain(self, ratio_to_base: IntVector | int) -> Box:
         """The domain box in the index space of a level with this ratio."""
-        return self.domain_box.refine(ratio_to_base)
+        domain = self._level_domains.get(ratio_to_base)
+        if domain is None:
+            domain = self._level_domains[ratio_to_base] = (
+                self.domain_box.refine(ratio_to_base))
+        return domain
 
     def level_dx(self, ratio_to_base: IntVector | int) -> tuple[float, ...]:
         """Mesh spacing on a level refined by ``ratio_to_base`` from level 0."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from .box import Box, IntVector
-from .box_container import BoxContainer
 from .patch_level import PatchLevel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,16 +100,14 @@ class PatchHierarchy:
         for n in range(1, self.num_levels):
             fine = self.levels[n]
             coarse = self.levels[n - 1]
-            # The nesting region is the coarse level *footprint* shrunk by
-            # the buffer — but only where it abuts uncovered cells, not at
-            # internal patch seams or the physical boundary.  Equivalently:
-            # footprint minus (complement grown by the buffer).
-            footprint = coarse.boxes()
-            complement = BoxContainer([coarse.domain]).remove_intersections(footprint)
-            allowed = footprint.remove_intersections(complement.grow(nesting_buffer))
-            for p in fine:
-                coarsened = p.box.coarsen(fine.ratio_to_coarser)
-                if not allowed.contains_box(coarsened):
+            # A coarsened fine box lies in the coarse footprint shrunk by
+            # the buffer wherever that abuts uncovered cells (not at
+            # patch seams or the physical boundary) exactly when the box
+            # grown by the buffer, clipped to the domain, is covered.
+            need = (fine.box_array.coarsen(fine.ratio_to_coarser)
+                    .grow(nesting_buffer).intersect(coarse.domain))
+            for p, (_, left) in zip(fine, coarse.box_array.claims(need)):
+                if left:
                     problems.append(
                         f"level {n} patch {p.global_id} {p.box} not nested "
                         f"within level {n - 1} minus buffer"

@@ -6,13 +6,14 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .box import Box, IntVector
+from .box_array import BoxArray
 from .box_container import BoxContainer
 from .patch import Patch
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import SimCommunicator
     from .geometry import CartesianGridGeometry
-    from .variables import VariableRegistry
+    from .variables import Variable, VariableRegistry
 
 __all__ = ["PatchLevel"]
 
@@ -39,14 +40,23 @@ class PatchLevel:
         self.geometry = geometry
         self.domain = geometry.level_domain(ratio_to_base)
         self.dx = geometry.level_dx(ratio_to_base)
-        self.patches: list[Patch] = []
+        boxes, owners = list(boxes), list(owners)
+        if len(boxes) != len(owners):
+            raise ValueError(f"{len(boxes)} boxes but {len(owners)} owners")
+        #: every patch box, in patch order, as one array with its spatial
+        #: index; levels are immutable, so what derives from it is cached
+        self.box_array = BoxArray.from_boxes(boxes, geometry.dim)
+        self._derived: dict = {}
+        inside = BoxArray.from_boxes([self.domain]).contains(self.box_array)
+        if not inside.all():
+            raise ValueError(f"patch box {boxes[int(inside.argmin())]} "
+                             f"outside level domain {self.domain}")
+        self.patches: list[Patch] = [
+            Patch(box, gid, owner, self)
+            for gid, (box, owner) in enumerate(zip(boxes, owners))]
         #: the :class:`~repro.mesh.patch.PatchBucket` units arena-pooled
         #: allocation formed (none on per-patch-allocated levels)
         self.buckets: list = []
-        for gid, (box, owner) in enumerate(zip(boxes, owners)):
-            if not self.domain.contains_box(box):
-                raise ValueError(f"patch box {box} outside level domain {self.domain}")
-            self.patches.append(Patch(box, gid, owner, self))
 
     # -- queries ---------------------------------------------------------------
 
@@ -58,6 +68,20 @@ class PatchLevel:
 
     def boxes(self) -> BoxContainer:
         return BoxContainer(p.box for p in self.patches)
+
+    def index_boxes(self, var: "Variable") -> BoxArray:
+        """Every patch's interior index box in ``var``'s centring space
+        (one array per centring, shared by all its variables)."""
+        return self._derive(var.offset, var.index_box)
+
+    def frames(self, var: "Variable") -> BoxArray:
+        """Every patch's storage frame (interior + ghosts) for ``var``."""
+        return self._derive((var.offset, var.ghosts), var.frame)
+
+    def _derive(self, key, of) -> BoxArray:
+        if key not in self._derived:
+            self._derived[key] = of(self.box_array)
+        return self._derived[key]
 
     @cached_property
     def layout_token(self) -> tuple:

@@ -13,13 +13,13 @@ unchanged SAMRAI framework.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..pdat.arena import Arena
 from ..pdat.patch_data import PatchData
 from ..pdat.space import HOST
 from .box import Box, IntVector
+from .box_array import BoxArray
 from .patch import PatchBucket
 
 __all__ = ["Variable", "VariableRegistry", "HostDataFactory", "CudaDataFactory"]
@@ -53,18 +53,21 @@ class Variable:
             raise ValueError(f"bad axis {self.axis} for dim {len(by_axis)}")
         object.__setattr__(self, "offset", by_axis[self.axis])
 
-    def index_box(self, box: Box) -> Box:
-        """Interior index box of cell box ``box`` in this centring's space."""
-        return Box(box.lower, box.upper + self.offset) if any(self.offset) else box
+    # The index space, defined once: each method takes one cell box or a
+    # whole level's (:class:`~repro.mesh.box_array.BoxArray`) alike.
 
-    def frame(self, box: Box) -> Box:
+    def index_box(self, box: "Box | BoxArray") -> "Box | BoxArray":
+        """Interior index box of cell box ``box`` in this centring's space."""
+        return box.grow_upper(self.offset) if any(self.offset) else box
+
+    def frame(self, box: "Box | BoxArray") -> "Box | BoxArray":
         """Storage frame (interior + ghosts) over ``box``, centring space."""
         return self.index_box(box.grow(self.ghosts))
 
-    def cell_box(self, index_box: Box) -> Box:
+    def cell_box(self, index_box: "Box | BoxArray") -> "Box | BoxArray":
         """Inverse of :meth:`index_box`: the cell box under an index box."""
-        return (Box(index_box.lower, index_box.upper - self.offset)
-                if any(self.offset) else index_box)
+        return (index_box.grow_upper(-self.offset) if any(self.offset)
+                else index_box)
 
 
 class VariableRegistry:
@@ -101,19 +104,25 @@ def _allocate_level(level, variables, space_of) -> list[PatchBucket]:
     patch size of a ragged level is one contiguous arena bucket with one
     stacked view.  Returns the buckets, in the order the level first
     meets them."""
-    groups: dict = {}
-    for p in level.patches:
-        groups.setdefault((p.owner, tuple(p.box.shape())), []).append(p)
-    buckets = [PatchBucket(owner, same) for (owner, _), same in groups.items()]
-    for owner in sorted({b.owner for b in buckets}):
+    patches = level.patches
+    placed: dict = {}  # (owner, patch shape) -> positions in the level
+    for i, shape in enumerate(level.box_array.shape().tolist()):
+        placed.setdefault((patches[i].owner, tuple(shape)), []).append(i)
+    buckets = [PatchBucket(owner, [patches[i] for i in same])
+               for (owner, _), same in placed.items()]
+    for owner in sorted({owner for owner, _ in placed}):
         space = space_of(owner)
-        patches = [p for b in buckets if b.owner == owner for p in b.patches]
+        mine = [i for (o, _), same in placed.items() if o == owner
+                for i in same]
         for var in variables:
-            shapes = [tuple(var.frame(p.box).shape()) for p in patches]
-            arena = Arena(space, sum(math.prod(s) for s in shapes))
-            for patch, shape in zip(patches, shapes):
-                patch.set_data(var.name, PatchData(
-                    var, patch.box, space, member=arena.place(shape)))
+            frames = level.frames(var)  # shared by the centring signature
+            boxes = frames.boxes()
+            shapes = frames.shape()[mine]
+            arena = Arena(space, int(shapes.prod(axis=1).sum()))
+            for i, shape in zip(mine, shapes.tolist()):
+                patches[i].set_data(var.name, PatchData(
+                    var, patches[i].box, space, member=arena.place(shape),
+                    frame=boxes[i]))
     return buckets
 
 
@@ -137,8 +146,9 @@ class HostDataFactory:
     def __init__(self, arena: bool = False):
         self.arena = arena
 
-    def allocate(self, var: Variable, box: Box, rank) -> PatchData:  # noqa: ARG002
-        return PatchData(var, box, HOST)
+    def allocate(self, var: Variable, box: Box, rank,  # noqa: ARG002
+                 frame: Box | None = None) -> PatchData:
+        return PatchData(var, box, HOST, frame=frame)
 
     def allocate_level(self, level, variables, comm) -> list[PatchBucket]:  # noqa: ARG002
         return _allocate_level(level, variables, lambda owner: HOST)
@@ -157,8 +167,9 @@ class CudaDataFactory:
     def __init__(self, arena: bool = False):
         self.arena = arena
 
-    def allocate(self, var: Variable, box: Box, rank) -> PatchData:
-        return PatchData(var, box, _device_of(rank))
+    def allocate(self, var: Variable, box: Box, rank,
+                 frame: Box | None = None) -> PatchData:
+        return PatchData(var, box, _device_of(rank), frame=frame)
 
     def allocate_level(self, level, variables, comm) -> list[PatchBucket]:
         return _allocate_level(level, variables,

@@ -142,15 +142,18 @@ class PatchData:
     _restart_stage: np.ndarray | None = None
 
     def __init__(self, var: "Variable", box: Box, space,
-                 fill: float | None = None, member=None):
-        """``member``: the arena slice (placed in ``space``) backing this."""
+                 fill: float | None = None, member=None,
+                 frame: Box | None = None):
+        """``member``: the arena slice (placed in ``space``) backing this;
+        ``frame``: ``var.frame(box)``, for a caller that already has it."""
         self.var = var
         self.box = box
         self.space = space
         if member is not None:
             self._arena = member.arena
             self._arena_index = member.index
-        self.data = ArrayData(var.frame(box), space, fill=fill, buf=member)
+        self.data = ArrayData(var.frame(box) if frame is None else frame,
+                              space, fill=fill, buf=member)
 
     # -- interface from the paper's Fig. 2 ---------------------------------
 

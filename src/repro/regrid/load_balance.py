@@ -9,7 +9,10 @@ space-filling curve (:mod:`repro.regrid.sfc`) — the patch is the paper's
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..mesh.box import Box
+from ..mesh.box_array import BoxArray, box_points
 from .sfc import assign_owners_lpt, imbalance, morton_key, partition
 
 __all__ = ["chop_box", "chop_boxes", "assign_owners", "assign_owners_lpt",
@@ -22,35 +25,25 @@ def chop_box(box: Box, max_size: int) -> list[Box]:
     Tiles are as equal as possible, so a box of 2N x N with max N yields
     two N x N tiles rather than an N and an N-1/1 sliver.
     """
-    pieces = [box]
-    for axis in range(box.dim):
-        nxt: list[Box] = []
-        for b in pieces:
-            extent = b.shape()[axis]
-            parts = -(-extent // max_size)  # ceil division
-            if parts <= 1:
-                nxt.append(b)
-                continue
-            base = extent // parts
-            rem = extent % parts
-            start = b.lower[axis]
-            for p in range(parts):
-                width = base + (1 if p < rem else 0)
-                lo = list(b.lower)
-                hi = list(b.upper)
-                lo[axis] = start
-                hi[axis] = start + width - 1
-                nxt.append(Box(lo, hi))
-                start += width
-        pieces = nxt
-    return pieces
+    return chop_boxes([box], max_size)
 
 
 def chop_boxes(boxes: list[Box], max_size: int) -> list[Box]:
-    out: list[Box] = []
-    for b in boxes:
-        out.extend(chop_box(b, max_size))
-    return out
+    """:func:`chop_box` of every box, in order -- all boxes at once: a
+    box's tiles are the row-major points of its grid of tile counts."""
+    if not boxes:
+        return []
+    whole = BoxArray.from_boxes(boxes)
+    extent = whole.shape()
+    parts = np.maximum(-(-extent // max_size), 1)  # ceil division
+    which, tile = box_points(np.stack([np.zeros_like(parts), parts - 1], 1))
+    tile = np.stack(tile, axis=1)
+    base, rem = np.divmod(extent, parts)
+    base, rem = base[which], rem[which]
+    # the first ``rem`` tiles along an axis are one cell wider
+    lower = whole.lower[which] + tile * base + np.minimum(tile, rem)
+    upper = lower + base + (tile < rem) - 1
+    return BoxArray(np.stack([lower, upper], axis=1)).boxes()
 
 
 def _morton_key(box: Box) -> int:

@@ -87,13 +87,16 @@ class CoarsenSchedule:
         self._build()
 
     def _build(self) -> None:
-        ratio = self.fine_level.ratio_to_coarser
-        shadows = [(fine, fine.box.coarsen(ratio)) for fine in self.fine_level]
-        for coarse in self.coarse_level:
-            for fine, shadow in shadows:
-                if coarse.box.intersects(shadow):
-                    self.transactions.append(_CoarsenTransaction(
-                        fine, coarse, coarse.box.intersection(shadow)))
+        """One transaction per (coarse patch, fine patch) whose coarsened
+        shadow it meets -- coarse patches in level order, then fine ones
+        -- found through the shadows' spatial index, not a scan."""
+        fine, coarse = self.fine_level, self.coarse_level
+        shadows = fine.box_array.coarsen(fine.ratio_to_coarser)
+        c, f = shadows.pairs(coarse.box_array)
+        regions = coarse.box_array.take(c).intersect(shadows.take(f))
+        self.transactions = [
+            _CoarsenTransaction(fine.patches[j], coarse.patches[i], region)
+            for i, j, region in zip(c.tolist(), f.tolist(), regions.boxes())]
 
     # -- the transfer program ----------------------------------------------------
     #

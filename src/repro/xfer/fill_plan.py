@@ -52,7 +52,7 @@ from ..exec.plan import (
 )
 from ..geom.interp_math import flat_refine_terms
 from ..geom.operators import RefineOperator
-from ..mesh.box import box_points
+from ..mesh.box_array import box_points
 from ..sched.task import TaskKind
 from .overlap import index_box_for
 

@@ -1,9 +1,10 @@
-"""Overlap geometry helpers for the communication schedules.
+"""Index-space helpers for the communication schedules.
 
-Computes, in the index space of each data centring, which regions of a
-destination patch's ghost frame must be filled and where each piece can
-come from: a same-level neighbour, the next coarser level, or the physical
-boundary.
+The interior index box and the storage frame of a cell box in a data
+centring's index space, and the zero-gradient extension interpolation
+temporaries need at the domain edge.  Which regions of a level must be
+filled, and from where, is computed for a whole level at once in
+:func:`repro.xfer.refine_schedule.build_fill_geometry`.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..mesh.box import Box
-from ..mesh.box_container import BoxContainer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..mesh.patch import Patch
     from ..mesh.variables import Variable
 
-__all__ = ["index_box_for", "frame_box_for", "ghost_fill_pieces", "clamp_extend"]
+__all__ = ["index_box_for", "frame_box_for", "clamp_extend"]
 
 
 def index_box_for(var: "Variable", box: Box) -> Box:
@@ -28,13 +27,6 @@ def index_box_for(var: "Variable", box: Box) -> Box:
 def frame_box_for(var: "Variable", box: Box) -> Box:
     """Full storage frame (interior + ghosts) in centring index space."""
     return var.frame(box)
-
-
-def ghost_fill_pieces(var: "Variable", patch: "Patch") -> BoxContainer:
-    """Disjoint regions of the ghost frame outside the patch interior."""
-    frame = frame_box_for(var, patch.box)
-    interior = index_box_for(var, patch.box)
-    return BoxContainer(frame.remove_intersection(interior))
 
 
 def clamp_extend(arr, frame: Box, valid: Box) -> None:

@@ -33,16 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..check.context import active as _check_active
 from ..exec.backend import array_of, backend_for
 from ..exec.batch import BatchMember, LaunchBatcher
-from ..mesh.box import Box, IntVector
-from ..mesh.box_container import BoxContainer
+from ..mesh.box import Box, IntVector, meet
+from ..mesh.box_array import BoxArray, coalesce
 from ..mesh.variables import Variable
 from ..sched.task import TaskKind
 from .fill_plan import Lazy, compile_fill
 from .message import ImmediateSink, halo_marks
-from .overlap import clamp_extend, frame_box_for, ghost_fill_pieces, index_box_for
+from .overlap import clamp_extend, index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import SimCommunicator
@@ -74,17 +76,16 @@ def signature_of(var: Variable) -> Variable:
     return Variable("_sig", var.centring, var.ghosts, var.axis)
 
 
-def needed_coarse_frame(var: Variable, region: Box, ratio: IntVector) -> Box:
-    """Coarse centring-space frame an interpolation of ``region`` reads."""
+def needed_coarse_frame(var: Variable, region: "Box | BoxArray",
+                        ratio: IntVector) -> "Box | BoxArray":
+    """Coarse centring-space frame an interpolation of ``region`` reads
+    (``region``: one box, or every region of a level as a ``BoxArray``)."""
     c = region.coarsen(ratio)
-    if var.centring == "cell":
-        return c.grow(1)  # MC slopes read +-1
-    if var.centring == "node":
-        return Box(c.lower, c.upper + IntVector.uniform(1, c.dim))  # bilinear corners
-    out = c.grow(1)  # transverse slopes
-    upper = list(out.upper)
-    upper[var.axis] += 1  # bracketing coarse face in the normal direction
-    return Box(out.lower, upper)
+    if var.centring != "node":
+        c = c.grow(1)  # MC slopes (cell) / transverse slopes (side) read +-1
+    # bilinear corners (node) / the bracketing coarse face along the
+    # normal (side): the centring's own upper offset
+    return c.grow_upper(var.offset)
 
 
 def temp_box_for(var: Variable, frame: Box) -> Box:
@@ -96,7 +97,7 @@ def alloc_temp(factory, var: Variable, frame: Box, rank):
     """A zero-ghost temporary block for ``var`` whose storage is ``frame``."""
     return factory.allocate(
         Variable(f"_tmp_{var.name}", var.centring, 0, var.axis),
-        temp_box_for(var, frame), rank)
+        temp_box_for(var, frame), rank, frame=frame)
 
 
 def free_temps(temps) -> None:
@@ -147,89 +148,74 @@ def build_fill_geometry(
     ``interior=True`` fills patch interiors (regrid solution transfer)
     from ``src_level`` (the old level, possibly None) instead of ghost
     regions from the level itself.
+
+    The regions to fill and, for each, the source patches that can reach
+    it come from the levels' box arrays for all destinations at once;
+    only the order-dependent part -- earlier sources take their overlap
+    first, later ones get what is left -- runs per region, over its few
+    candidates, on corner rows (``BoxArray.claims``).  Sources
+    are visited in level order, so the transactions are the ones a scan
+    of every source patch per destination produces, in the same order.
     """
     geom = FillGeometry()
-    domain_idx = index_box_for(sig, dst_level.domain)
-    src_patches = list(src_level) if src_level is not None else []
-    src_interiors = [index_box_for(sig, s.box) for s in src_patches]
-
-    for dst in dst_level:
-        if interior:
-            pieces = BoxContainer([index_box_for(sig, dst.box)])
-        else:
-            pieces = ghost_fill_pieces(sig, dst)
-        dst_frame = frame_box_for(sig, dst.box)
-        # Prefilter: only neighbours whose interior meets this frame.
-        candidates = [
-            (s, sbox) for s, sbox in zip(src_patches, src_interiors)
-            if (s is not dst or interior) and sbox.intersects(dst_frame)
-        ]
-        remaining = BoxContainer()
-        for piece in pieces:
-            left = [piece]
-            for src, src_interior in candidates:
-                nxt = []
-                for r in left:
-                    overlap = r.intersection(src_interior)
-                    if overlap.is_empty():
-                        nxt.append(r)
-                    else:
-                        geom.copies.append((src, dst, overlap))
-                        nxt.extend(r.remove_intersection(overlap))
-                left = nxt
-                if not left:
-                    break
-            remaining.extend(left)
-        interp_regions = remaining.intersect(domain_idx).coalesce()
-        if interp_regions.is_empty():
-            continue
+    interiors = dst_level.index_boxes(sig)
+    if interior:
+        owners, pieces = range(len(interiors)), interiors
+    else:
+        owners, pieces = dst_level.frames(sig).subtract(interiors)
+        owners = owners.tolist()
+    sources = (src_level.index_boxes(sig) if src_level is not None
+               else BoxArray.from_boxes([], interiors.dim))
+    left_of: dict = {}  # destination -> rows no same-level source covers
+    for d, (taken, left) in zip(owners, sources.claims(pieces)):
+        dst = dst_level.patches[d]
+        geom.copies.extend((src_level.patches[s], dst, Box(lo, hi))
+                           for s, lo, hi in taken)
+        if left:
+            left_of.setdefault(d, []).extend(left)
+    domain = index_box_for(sig, dst_level.domain)
+    regions = []
+    for d, left in left_of.items():
+        inside = filter(None, (meet(lo, hi, domain.lower, domain.upper)
+                               for lo, hi in left))
+        regions.extend((dst_level.patches[d], Box(lo, hi))
+                       for lo, hi in coalesce(inside))
+    if regions:
         if coarse_level is None:
             raise ValueError(
                 f"level {dst_level.level_number} needs coarse-level fill "
                 "but no coarser level exists"
             )
-        for region in interp_regions:
-            geom.interps.append(
-                _build_interp_geom(sig, dst, region, dst_level, coarse_level)
-            )
+        geom.interps = _build_interp_geoms(sig, regions, dst_level,
+                                           coarse_level)
     return geom
 
 
-def _build_interp_geom(sig, dst, region, dst_level, coarse_level) -> _InterpGeom:
-    ratio = dst_level.ratio_to_coarser
-    frame = needed_coarse_frame(sig, region, ratio)
-    coarse_domain_idx = index_box_for(sig, coarse_level.domain)
-    needed = BoxContainer([frame.intersection(coarse_domain_idx)])
-    sources: list[tuple["Patch", Box]] = []
+def _build_interp_geoms(sig, regions, dst_level, coarse_level) -> list:
+    """The :class:`_InterpGeom` of every ``(dst patch, region)``: the
+    coarse frame each interpolation reads and which coarse patch supplies
+    which part of it."""
+    frames = needed_coarse_frame(
+        sig, BoxArray.from_boxes([region for _, region in regions]),
+        dst_level.ratio_to_coarser)
+    needed = frames.intersect(index_box_for(sig, coarse_level.domain))
     # Prefer coarse interiors, then coarse ghost frames (valid after the
-    # coarse level's own fill, which runs first).
-    for use_frame in (False, True):
-        if needed.is_empty():
-            break
-        for src in coarse_level:
-            src_box = (
-                frame_box_for(sig, src.box) if use_frame
-                else index_box_for(sig, src.box)
+    # coarse level's own fill, which runs first): one array, interiors
+    # first, claimed in index order.
+    coarse = coarse_level.patches
+    sources = BoxArray(np.concatenate([coarse_level.index_boxes(sig).corners,
+                                       coarse_level.frames(sig).corners]))
+    out = []
+    for (dst, region), frame, (taken, left) in zip(
+            regions, frames.boxes(), sources.claims(needed)):
+        if left:
+            raise ValueError(
+                f"coarse level does not cover interpolation stencil near "
+                f"{region} (nesting violation?)"
             )
-            if not src_box.intersects(frame):
-                continue
-            nxt = BoxContainer()
-            for r in needed:
-                overlap = r.intersection(src_box)
-                if overlap.is_empty():
-                    nxt.append(r)
-                else:
-                    sources.append((src, overlap))
-                    nxt.extend(r.remove_intersection(overlap))
-            needed = nxt
-            if needed.is_empty():
-                break
-    if not needed.is_empty():
-        raise ValueError(
-            f"coarse level does not cover interpolation stencil near "
-            f"{region} (nesting violation?)"
-        )
-    return _InterpGeom(dst, region, frame, sources)
+        out.append(_InterpGeom(dst, region, frame, [
+            (coarse[s % len(coarse)], Box(lo, hi)) for s, lo, hi in taken]))
+    return out
 
 
 class RefineSchedule:

@@ -18,6 +18,7 @@ from repro.exec.backend import UNCHARGED_HOST
 from repro.exec.batch import BatchMember, BatchSlot, LaunchBatcher, union_pds
 from repro.gpu.device import K20X, Device
 from repro.mesh.box import Box
+from repro.mesh.box_array import BoxArray
 from repro.mesh.variables import (
     CudaDataFactory,
     HostDataFactory,
@@ -156,6 +157,10 @@ class _StubPatch:
 class _StubLevel:
     def __init__(self, patches):
         self.patches = patches
+        self.box_array = BoxArray.from_boxes([p.box for p in patches])
+
+    def frames(self, var):
+        return var.frame(self.box_array)
 
     def local_patches(self, owner):
         return [p for p in self.patches if p.owner == owner]

@@ -56,6 +56,23 @@ class TestIntVector:
     def test_hashable(self):
         assert len({IntVector(1, 2), IntVector(1, 2), IntVector(2, 1)}) == 2
 
+    def test_numpy_integers_coerce_to_python_ints(self):
+        v = IntVector(np.int64(3), np.int32(4)) * np.int64(2)
+        assert v == (6, 8) and all(type(c) is int for c in v)
+        assert IntVector(np.array([1, 2])) + (np.int64(1), 0) == (2, 2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: IntVector(1.7, 2),            # used to truncate to (1, 2)
+        lambda: IntVector(2.0, 2),            # integral, still not an integer
+        lambda: IntVector([1, "2"]),
+        lambda: IntVector(1, 2) * 1.5,        # used to die in len(float)
+        lambda: IntVector(1, 2) + (0.5, 1),
+        lambda: Box((0, 0), (1.5, 1)),
+    ])
+    def test_non_integer_components_are_a_typed_error(self, make):
+        with pytest.raises(TypeError, match="not an integer"):
+            make()
+
 
 class TestBoxBasics:
     def test_shape_and_size(self):
@@ -93,6 +110,22 @@ class TestBoxBasics:
         assert Box([0, 0], [1, 1]) == Box([0, 0], [1, 1])
         assert Box.empty() == Box([5, 5], [0, 0])
         assert hash(Box([0, 0], [1, 1])) == hash(Box([0, 0], [1, 1]))
+
+    def test_empty_boxes_of_different_dimension_are_different_values(self):
+        # used to compare equal while hashing differently
+        assert Box.empty(2) != Box.empty(3)
+        assert len({Box.empty(2), Box.empty(3), Box([3, 3], [0, 9])}) == 2
+        assert hash(Box.empty(2)) == hash(Box([3, 3], [0, 9]))
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a.intersection(b), lambda a, b: a.intersects(b),
+        lambda a, b: a.contains_box(b), lambda a, b: b.contains_box(a),
+        lambda a, b: a.bounding(b), lambda a, b: a.remove_intersection(b),
+        lambda a, b: b.slices_in(a), lambda a, b: a.contains((1,)),
+    ])
+    def test_dimension_mismatch_raises_instead_of_truncating(self, op):
+        with pytest.raises(ValueError, match="dimension"):
+            op(Box((0, 0), (3, 3)), Box((0, 0, 0), (1, 1, 1)))
 
     def test_grow_dir(self):
         b = Box([0, 0], [3, 3]).grow_dir(0, 1, 2)

@@ -19,7 +19,6 @@ from repro.perf.machines import FDR_INFINIBAND, IPA_CPU_NODE
 from repro.xfer.overlap import (
     clamp_extend,
     frame_box_for,
-    ghost_fill_pieces,
     index_box_for,
 )
 
@@ -194,10 +193,12 @@ class TestOverlapHelpers:
         comm, geom, hier, reg = world()
         level = hier.make_level(0, [Box([4, 4], [11, 11])], [0])
         patch = level.patches[0]
-        pieces = ghost_fill_pieces(reg["rho"], patch)
+        which, pieces = level.frames(reg["rho"]).subtract(
+            level.index_boxes(reg["rho"]))
         frame = frame_box_for(reg["rho"], patch.box)
-        assert pieces.total_size() == frame.size() - patch.box.size()
-        for piece in pieces:
+        assert which.tolist() == [0] * len(pieces)
+        assert pieces.size().sum() == frame.size() - patch.box.size()
+        for piece in pieces.boxes():
             assert not piece.intersects(patch.box)
 
     def test_clamp_extend(self):

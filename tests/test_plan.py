@@ -29,7 +29,8 @@ from repro.geom import interp_math as m
 from repro.gpu.device import K20X, Device
 from repro.hydro.fields import FIELD_GROUPS
 from repro.hydro.problems import SodProblem
-from repro.mesh.box import Box, IntVector, box_points
+from repro.mesh.box import Box, IntVector
+from repro.mesh.box_array import box_points
 from repro.mesh.variables import Variable
 from repro.pdat import HOST, Arena, PatchData
 
