@@ -19,6 +19,7 @@ END_TO_END = ("setup_s", "cell_updates_per_s", "step_wall_ms_p50",
 LAYER = ("xfer.fill_s", "xfer.schedule_build_s", "pdat.alloc_s",
          "exec.copy_batch_s", "exec.slab_fused_ratio", "exec.stacked_ratio",
          "mesh.box_news_per_step", "mesh.intvector_news_per_step",
+         "sched.tasks", "comm.messages", "gpu.kernel_launches",
          "harness.calib_ms")
 
 

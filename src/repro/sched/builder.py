@@ -8,10 +8,12 @@ automatically from each task's declared patch-data reads and writes
 never hand-thread ordering.
 
 The invariant that makes patch-data granularity sufficient: distinct
-writers of the *same* patch-data object within one graph always touch
-disjoint regions (same-level copies, coarse interpolation and physical
-boundary fills partition the ghost frame), so serialising writers by
-emission order preserves bitwise results under any topological order.
+writers of the *same* patch-data object within one graph touch disjoint
+regions (same-level copies, coarse interpolation and physical boundary
+fills partition the ghost frame) or, like fine-to-coarse sync writes
+that share coarse points, must land in emission order anyway, so
+serialising writers by emission order preserves bitwise results under
+any topological order.
 """
 
 from __future__ import annotations

@@ -13,10 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..exec.backend import backend_for
 from ..exec.batch import LaunchBatcher
+from ..exec.plan import StreamPlan, flat_index, level_arenas
 from ..geom.operators import CellMassWeightedCoarsen
 from ..mesh.box import Box
+from ..mesh.box_array import box_points
 from ..mesh.variables import Variable
 from ..sched.task import TaskKind
 from .message import ImmediateSink
@@ -84,6 +88,9 @@ class CoarsenSchedule:
         #: (``slab_fallback``)
         self.batch = batch
         self.transactions: list[_CoarsenTransaction] = []
+        #: under ``batch``, the unpack groups of each cross-rank
+        #: (fine owner, coarse owner) message, compiled on first use
+        self._unpacks: dict | None = None
         self._build()
 
     def _build(self) -> None:
@@ -124,10 +131,13 @@ class CoarsenSchedule:
         Per fine/coarse patch pair each variable is coarsened into a
         small temporary block on the fine owner's resource — one launch
         per variable, or under ``batch`` one per fine backend covering
-        every (transaction, variable) pair — then all of a pair's blocks
-        travel together, one fused copy (same rank) or one message stream
-        (cross rank), so only already-coarsened bytes cross the network.
-        Whatever raises on the way, no temp outlives the call.
+        every (transaction, variable) pair — then the blocks travel to
+        the coarse owner, so only already-coarsened bytes cross the
+        network: one fused copy per transaction on the same rank, one
+        message stream per (fine rank, coarse rank) across ranks — per
+        transaction, or under ``batch`` for all of the pair's
+        transactions at once.  Whatever raises on the way, no temp
+        outlives the call.
         """
         ratio = self.fine_level.ratio_to_coarser
         held: list = []
@@ -148,8 +158,16 @@ class CoarsenSchedule:
                                           temp, region, ratio, fine_rank)
                     staged.append((t, fine_rank, temps))
                 sink.flush_fusion(launches)
+                remote: dict = {}  # (fine, coarse) rank -> transactions
                 for t, fine_rank, temps in staged:
-                    self._ship(sink, t, fine_rank, temps)
+                    coarse_rank = self.comm.rank(t.coarse_patch.owner)
+                    if fine_rank is coarse_rank:
+                        self._ship(sink, fine_rank, coarse_rank, [(t, temps)])
+                    else:
+                        remote.setdefault(
+                            (fine_rank, coarse_rank), []).append((t, temps))
+                for (fine_rank, coarse_rank), shipped in remote.items():
+                    self._ship(sink, fine_rank, coarse_rank, shipped)
         except BaseException:
             free_temps(held)
             raise
@@ -177,25 +195,78 @@ class CoarsenSchedule:
                      lambda _stream: apply(*args, rank=fine_rank),
                      reads=reads, writes=[temp])
 
-    def _ship(self, sink, t: "_CoarsenTransaction", fine_rank, temps) -> None:
-        """Move one transaction's coarsened temps to the coarse owner."""
-        coarse_rank = self.comm.rank(t.coarse_patch.owner)
-        level = self.fine_level.level_number
-        if fine_rank.index == coarse_rank.index:
-            sink.copy(coarse_rank,
-                      [(t.coarse_patch.data(s.var.name), temp, region)
-                       for s, temp, region in temps],
-                      "sync.copy")
+    def _ship(self, sink, fine_rank, coarse_rank, shipped) -> None:
+        """Move the coarsened temps of ``shipped``, ``(transaction,
+        temps)`` pairs from ``fine_rank`` to ``coarse_rank``, as one fused
+        copy or one message stream, in transaction order; then free them."""
+        items = [(t.coarse_patch.data(s.var.name), temp, region)
+                 for t, temps in shipped for s, temp, region in temps]
+        if fine_rank is coarse_rank:
+            sink.copy(coarse_rank, items, "sync.copy")
         else:
+            unpack = [(dst, region) for dst, _, region in items]
+            if self.batch:
+                if self._unpacks is None:
+                    self._unpacks = self._compile_unpacks()
+                unpack = StreamPlan(
+                    unpack, len(unpack), sum(r.size() for _, r in unpack),
+                    self._unpacks[fine_rank.index, coarse_rank.index])
             sink.stream_batch(
                 fine_rank, coarse_rank,
-                [(temp, region) for _, temp, region in temps],
-                [(t.coarse_patch.data(s.var.name), region)
-                 for s, _, region in temps],
-                f"sync.L{level}")
-        blocks = [temp for _, temp, _ in temps]
+                [(temp, region) for _, temp, region in items], unpack,
+                f"sync.L{self.fine_level.level_number}")
+        blocks = [temp for _, temp, _ in items]
         sink.add(TaskKind.FREE, fine_rank.index, "sync.free",
                  lambda _stream: free_temps(blocks), writes=blocks)
+
+    def _compile_unpacks(self) -> dict:
+        """``(fine owner, coarse owner) -> [(coarse arena, index, where)]``:
+        the unpack of each batched cross-rank message, as one flat-index
+        scatter per variable of every point *no later transaction onto
+        the same coarse patch rewrites*.
+
+        Sync writes are not disjoint: node data shares the nodes on a
+        shadow's edge, and an odd-sized fine patch shares coarse cells
+        with its neighbour, so the last transaction to write a point is
+        the one whose value stays.  Shipped one at a time, transactions
+        land in order; gathered into one message per rank pair they land
+        after the coarse rank's same-rank copies and each other.  A point
+        a later transaction rewrites is dead, so skipping it leaves every
+        surviving value the one the per-transaction order leaves — in any
+        order — while the message and its payload stay the full items'.
+        """
+        arenas = [level_arenas(self.coarse_level, s.var.name) for s in self.specs]
+        after: dict = {}   # coarse patch -> regions of later transactions
+        shipped: dict = {}
+        for t in reversed(self.transactions):
+            later = after.setdefault(id(t.coarse_patch), [])
+            if t.fine_patch.owner != t.coarse_patch.owner:
+                shipped.setdefault((t.fine_patch.owner, t.coarse_patch.owner),
+                                   []).append((t, list(later)))
+            later.append(t.region)
+        unpacks = {}
+        for (fine, coarse), txs in shipped.items():
+            pds, regions, rewritten = [], [], []
+            for t, later in reversed(txs):
+                for spec in self.specs:
+                    pds.append(t.coarse_patch.data(spec.var.name))
+                    regions.append(index_box_for(spec.var, t.region))
+                    rewritten.append([index_box_for(spec.var, r) for r in later])
+            which, coords = box_points(regions)
+            points = np.stack(coords, axis=1)
+            live = np.ones(len(which), dtype=bool)
+            for k, boxes in enumerate(rewritten):
+                mine = np.flatnonzero(which == k)
+                for box in boxes:
+                    live[mine] &= ~((points[mine] >= box.lower)
+                                    & (points[mine] <= box.upper)).all(axis=1)
+            keep = np.flatnonzero(live)
+            index = flat_index(pds, which[keep], [c[keep] for c in coords])
+            var = which[keep] % len(self.specs)
+            unpacks[fine, coarse] = [
+                (arena[coarse], index[var == v], keep[var == v])
+                for v, arena in enumerate(arenas)]
+        return unpacks
 
     def num_transactions(self) -> int:
         return len(self.transactions)

@@ -6,8 +6,10 @@ rebuilt), so everything :meth:`RefineSchedule._transfer` derives from
 them is derived once.  :func:`compile_fill` turns the schedule's
 transactions into flat indices into the arenas' slabs
 (:mod:`repro.exec.plan`): same-level copies become one index pair per
-arena pair, message streams one gather/scatter per arena, and the
-coarse-fine interpolation of a whole level becomes, per variable, one
+arena pair, cross-rank copies and cross-rank coarse sources one message
+stream per (src rank, dst rank) — one gather/scatter per variable, as
+SAMRAI's and AMReX's schedules send one buffer per neighbour rank — and
+the coarse-fine interpolation of a whole level becomes, per variable, one
 gather into a scratch slab, one clamp and one evaluation of the refine
 stencil over every region's points (:func:`repro.geom.interp_math.refine_flat`).
 Indices do not care about shapes, so a ragged level compiles like a
@@ -20,10 +22,12 @@ they live on the shared :class:`~repro.xfer.refine_schedule.FillGeometry`
 fill groups).  The :class:`FillPlan` of one schedule binds them to its
 variables' arenas; it lives on the schedule and dies with it.
 
-Replaying issues exactly the launches the per-region program issues —
-the same verbs in the same order with the same kernel names, element
-counts and declared operands — so the modelled clock, the task graph and
-the sanitizer see no difference; interpolation temporaries become one
+Replaying issues the per-region program's work with its launches
+grouped level-wide — the same kernel names, element counts and declared
+operands, one ``fill.copy`` per owner and one message per rank pair
+where the per-region program issues one per destination and one per
+patch pair — so fields are bitwise the same and only launch, message
+and task counts differ; interpolation temporaries become one
 :class:`~repro.exec.plan.Scratch` slab per rank, allocated when the
 program is issued and freed where the temporaries were, with one
 :class:`~repro.exec.plan.ScratchBlock` token per temporary standing in
@@ -45,7 +49,6 @@ from ..exec.plan import (
     ScratchBlock,
     StreamPlan,
     compile_copies,
-    compile_stream,
     flat_index,
     level_arenas,
     ravel_index,
@@ -150,34 +153,32 @@ class _FlatGeometry:
                 local.setdefault(dst.owner, []).append(
                     (dst.data(name), src.data(name), region))
             else:
-                remote.setdefault((id(src), id(dst)), (src, dst, []))[2].append(
-                    region)
+                remote.setdefault((src.owner, dst.owner), []).append(
+                    (src, dst, region))
         #: owner -> (dst index, src index, items, elements)
         self.copies = {}
         for owner, items in local.items():
             plan = compile_copies(items)
             (_, _, dst_index, src_index), = plan.groups
             self.copies[owner] = (dst_index, src_index, plan.count, plan.total)
-        #: (src patch, dst patch, regions, pack index, unpack index, elements)
-        self.streams = []
-        for src, dst, regions in remote.values():
-            pack = compile_stream([(src.data(name), r) for r in regions])
-            unpack = compile_stream([(dst.data(name), r) for r in regions])
-            self.streams.append((src, dst, regions, pack.groups[0][1],
-                                 unpack.groups[0][1], pack.total))
+        #: (src owner, dst owner) -> (transactions, pack index, unpack
+        #: index): every copy between two ranks, in geometry order
+        self.streams = {}
+        for pair, txs in remote.items():
+            which, coords = box_points([region for _, _, region in txs])
+            self.streams[pair] = (
+                txs, flat_index([s.data(name) for s, _, _ in txs], which, coords),
+                flat_index([d.data(name) for _, d, _ in txs], which, coords))
 
     def _compile_interps(self, geom, name, var, coarse_level) -> None:
         #: dst owner -> _FlatInterp
         self.interps: dict = {}
-        #: cross-rank sources in geometry order:
-        #: (dst owner, block, src patch, sub-box, pack index, unpack index)
-        self.remote = []
         #: owners in the order the geometry first meets a region of theirs
         #: poking out of the coarse domain / with a same-rank source (the
         #: order the per-region program first issues that work for them)
         self.clamp_first: dict = {}
         local: dict = {}   # owner -> (block, source pd, sub-box) on its rank
-        remote = []
+        remote: dict = {}  # (src owner, dst owner) -> (block, src patch, sub-box)
         valid = index_box_for(var, coarse_level.domain) if geom.interps else None
         for ig in geom.interps:
             owner = ig.dst_patch.owner
@@ -191,7 +192,8 @@ class _FlatGeometry:
                     local.setdefault(owner, []).append(
                         (b, src_patch.data(name), sub))
                 else:
-                    remote.append((owner, b, src_patch, sub))
+                    remote.setdefault((src_patch.owner, owner), []).append(
+                        (src_patch, b, sub))
             if not valid.contains_box(ig.coarse_frame):
                 self.clamp_first.setdefault(owner)
         self.gather_first = dict.fromkeys(local)
@@ -208,18 +210,18 @@ class _FlatGeometry:
             which, coords = box_points([ig.region for ig in fi.regions])
             fi.fine_index = flat_index(
                 [ig.dst_patch.data(name) for ig in fi.regions], which, coords)
-        if remote:
-            which, coords = box_points([sub for _, _, _, sub in remote])
-            into = ravel_index(
-                *zip(*(self.interps[o].block(b) for o, b, _, _ in remote)),
-                which, coords)
-            frm = flat_index([p.data(name) for _, _, p, _ in remote],
-                             which, coords)
-            ends = np.cumsum(np.bincount(which, minlength=len(remote)))
-            for (owner, b, src_patch, sub), lo, hi in zip(
-                    remote, ends - np.diff(ends, prepend=0), ends):
-                self.remote.append((owner, b, src_patch, sub,
-                                    frm[lo:hi], into[lo:hi]))
+        #: (src owner, dst owner) -> (sources, pack index, unpack index):
+        #: every cross-rank coarse source between two ranks, in geometry
+        #: order, as ``(src patch, block, sub-box)``; the unpack index is
+        #: into the dst owner's segment layout
+        self.remote = {}
+        for (src, owner), sources in remote.items():
+            which, coords = box_points([sub for _, _, sub in sources])
+            self.remote[src, owner] = (
+                sources,
+                flat_index([p.data(name) for p, _, _ in sources], which, coords),
+                ravel_index(*zip(*(self.interps[owner].block(b)
+                                   for _, b, _ in sources)), which, coords))
 
 
 def _compile_clamp(fi: _FlatInterp, valid):
@@ -391,14 +393,18 @@ class _RankInterp:
 
 
 class FillPlan:
-    """One batched :class:`RefineSchedule`'s transfers, compiled."""
+    """One batched :class:`RefineSchedule`'s transfers, compiled: one
+    ``fill.copy`` per owner, one message stream per (src rank, dst rank)
+    for the same-level copies and one per rank pair for the cross-rank
+    coarse sources, however many patch pairs and variables they carry."""
 
     def __init__(self, level: int, ratio):
         self.level = level
         self.ratio = ratio
         #: (rank, CopyPlan) per owner: the ``fill.copy`` launches
         self.copies: list = []
-        #: (src rank, dst rank, pack StreamPlan, unpack StreamPlan)
+        #: (src rank, dst rank, pack StreamPlan, unpack StreamPlan) per
+        #: rank pair
         self.streams: list = []
         #: rank index -> _RankInterp, in first-region order; the ranks
         #: that gather from their own coarse data / that clamp, in the
@@ -406,8 +412,9 @@ class FillPlan:
         self.ranks: dict[int, _RankInterp] = {}
         self.gather_first: dict = {}
         self.clamp_first: dict = {}
-        #: cross-rank coarse sources: (src rank, dst interp, pack
-        #: StreamPlan, block, sub-box, [(segment, unpack index, where)])
+        #: cross-rank coarse sources, per rank pair: (src rank, dst interp,
+        #: pack StreamPlan, unpack StreamPlan over unbound ``_Segment``
+        #: stores)
         self.gathers: list = []
 
     def replay_interp(self, sink, ghost: bool, checking: bool) -> None:
@@ -418,14 +425,12 @@ class FillPlan:
         try:
             for index, ri in self.ranks.items():
                 scratch[index] = Scratch(ri.backend.space, ri.size)
-            for src_rank, ri, pack, b, sub, into in self.gathers:
+            for src_rank, ri, pack, unpack in self.gathers:
                 mine = scratch[ri.rank.index]
-                unpack = StreamPlan(
-                    [(seg.blocks[b], sub) for seg, _, _ in into],
-                    pack.count, pack.total,
-                    [(seg.store(mine), index, where)
-                     for seg, index, where in into])
-                sink.stream_batch(src_rank, ri.rank, pack, unpack,
+                bound = StreamPlan(unpack.items, unpack.count, unpack.total,
+                                   [(seg.store(mine), index, where)
+                                    for seg, index, where in unpack.groups])
+                sink.stream_batch(src_rank, ri.rank, pack, bound,
                                   f"fill.interp.L{self.level}")
             for index in self.gather_first:
                 ri = self.ranks[index]
@@ -455,34 +460,41 @@ class FillPlan:
 
 
 class _StreamPair:
-    """One (src patch, dst patch) message stream being assembled: every
-    variable's regions back to back, in the order they are added.  (A
-    coarse-source gather's destination is scratch: ``dst`` None, segments
-    in place of destination arenas.)"""
+    """One (src rank, dst rank) message stream being assembled: per
+    variable, every transaction between the two ranks back to back, in
+    the order they are added — so one message, one pack and one unpack
+    launch carry all of them, and each patch pair's items keep the order
+    the per-region program streams them in.
 
-    def __init__(self, src, dst):
+    Entries are ``(variable name, segment, transactions)`` with
+    transactions ``(src patch, dst, region)``: ``dst`` a patch, or — for
+    a coarse-source gather, whose destination is scratch — a block
+    number of ``segment``."""
+
+    def __init__(self, src: int, dst: int):
         self.src = src
         self.dst = dst
-        self.pack: list = []     # (src arena, index, where) per variable
-        self.unpack: list = []   # (dst arena, index, where) per variable
-        self.named: list = []    # (variable name, regions)
+        self.pack: list = []     # (src store, index, where) per entry
+        self.unpack: list = []   # (dst store, index, where) per entry
+        self.named: list = []    # (variable name, segment, transactions)
         self.count = 0
         self.total = 0
 
-    def add(self, name, regions, src_arena, frm, dst_arena, into) -> None:
+    def add(self, name, segment, txs, src_store, frm, dst_store,
+            into) -> None:
         where = slice(self.total, self.total + len(frm))
-        self.pack.append((src_arena, frm, where))
-        self.unpack.append((dst_arena, into, where))
-        self.named.append((name, regions))
-        self.count += len(regions)
+        self.pack.append((src_store, frm, where))
+        self.unpack.append((dst_store, into, where))
+        self.named.append((name, segment, txs))
+        self.count += len(txs)
         self.total += len(frm)
 
     def pack_plan(self) -> StreamPlan:
-        return StreamPlan(Lazy(_stream_items, self.src, self.named),
+        return StreamPlan(Lazy(_pack_items, self.named),
                           self.count, self.total, self.pack)
 
     def unpack_plan(self) -> StreamPlan:
-        return StreamPlan(Lazy(_stream_items, self.dst, self.named),
+        return StreamPlan(Lazy(_unpack_items, self.named),
                           self.count, self.total, self.unpack)
 
 
@@ -494,11 +506,17 @@ def _copy_items(items, owner: int):
                 yield dst.data(name), src.data(name), region
 
 
-def _stream_items(patch, named):
-    for name, regions in named:
-        pd = patch.data(name)
-        for region in regions:
-            yield pd, region
+def _pack_items(named):
+    for name, _, txs in named:
+        for src, _, region in txs:
+            yield src.data(name), region
+
+
+def _unpack_items(named):
+    for name, segment, txs in named:
+        for _, dst, region in txs:
+            yield (dst.data(name) if segment is None
+                   else segment.blocks[dst]), region
 
 
 def compile_fill(sched: "RefineSchedule") -> FillPlan:
@@ -512,9 +530,9 @@ def compile_fill(sched: "RefineSchedule") -> FillPlan:
     bound = {spec: _flat_geometry(sched, geom, spec)
              for spec, geom in sched.items}
 
-    # same-level copies: one plan per owner, one stream pair per patch pair
+    # same-level copies: one plan per owner, one stream per rank pair
     local: dict = {}    # owner -> [groups, items, elements]
-    remote: dict = {}   # (src patch, dst patch) -> _StreamPair
+    remote: dict = {}   # (src owner, dst owner) -> _StreamPair
     for spec, _ in sched.items:
         flat, dst, src, _ = bound[spec]
         for owner, (into, frm, items, elements) in flat.copies.items():
@@ -522,20 +540,21 @@ def compile_fill(sched: "RefineSchedule") -> FillPlan:
             entry[0].append((dst[owner], src[owner], into, frm))
             entry[1] += items
             entry[2] += elements
-        for s, d, regions, frm, into, _ in flat.streams:
-            pair = remote.get((id(s), id(d)))
+        for (s, d), (txs, frm, into) in flat.streams.items():
+            pair = remote.get((s, d))
             if pair is None:
-                pair = remote[id(s), id(d)] = _StreamPair(s, d)
-            pair.add(spec.var.name, regions, src[s.owner], frm,
-                     dst[d.owner], into)
+                pair = remote[s, d] = _StreamPair(s, d)
+            pair.add(spec.var.name, None, txs, src[s], frm, dst[d], into)
     for owner, (groups, count, total) in local.items():
         plan.copies.append((ranks[owner], CopyPlan(
             Lazy(_copy_items, sched.items, owner), count, total, groups)))
     for pair in remote.values():
-        plan.streams.append((ranks[pair.src.owner], ranks[pair.dst.owner],
+        plan.streams.append((ranks[pair.src], ranks[pair.dst],
                              pair.pack_plan(), pair.unpack_plan()))
 
-    # coarse-fine interpolation: per rank, per centring group, per variable
+    # coarse-fine interpolation: per rank, per centring group, per
+    # variable; cross-rank coarse sources one stream per rank pair
+    gathers: dict = {}  # (src owner, dst owner) -> _StreamPair
     for geom, specs in sched.sig_groups:
         if not geom.interps:
             continue
@@ -557,11 +576,14 @@ def compile_fill(sched: "RefineSchedule") -> FillPlan:
                 ri.size += fi.size
             ri.add_group(fi, segments)
             segments_of[owner] = segments
-        for owner, b, src_patch, sub, frm, into in flat.remote:
-            pair = _StreamPair(src_patch, None)
-            for seg in segments_of[owner]:
-                pair.add(seg.spec.var.name, (sub,),
-                         bound[seg.spec][3][src_patch.owner], frm, seg, into)
-            plan.gathers.append((ranks[src_patch.owner], plan.ranks[owner],
-                                 pair.pack_plan(), b, sub, pair.unpack))
+        for (s, d), (sources, frm, into) in flat.remote.items():
+            pair = gathers.get((s, d))
+            if pair is None:
+                pair = gathers[s, d] = _StreamPair(s, d)
+            for seg in segments_of[d]:
+                pair.add(seg.spec.var.name, seg, sources,
+                         bound[seg.spec][3][s], frm, seg, into)
+    for pair in gathers.values():
+        plan.gathers.append((ranks[pair.src], plan.ranks[pair.dst],
+                             pair.pack_plan(), pair.unpack_plan()))
     return plan

@@ -1,12 +1,16 @@
 """Batched region packing: the paper's ``MessageStream`` path.
 
-SAMRAI aggregates every region of every variable destined for one remote
-patch into a single contiguous message stream; on the GPU this means one
-pack kernel, one PCIe copy, and one MPI message per (source, destination)
-patch pair per fill phase — not one per region.  This module provides the
-batched pack/unpack/copy primitives the schedules use; the resource
-dispatch (one fused device kernel + one PCIe copy vs one charged CPU
-pass) lives in the owning :mod:`repro.exec` backend.
+SAMRAI's schedules (and AMReX's FillBoundary) aggregate every region of
+every variable one rank sends another in one transfer into a single
+contiguous message stream; on the GPU this means one pack kernel, one
+PCIe copy each way and one MPI message per (source rank, destination
+rank) per transfer phase — not one per region or per patch pair.  That
+is the granularity of a ``batch`` schedule; the per-region program (no
+``batch``) keeps the paper's per-patch shape, one stream per (source,
+destination) patch pair.  This module provides the batched
+pack/unpack/copy primitives the schedules use; the resource dispatch
+(one fused device kernel + one PCIe copy vs one charged CPU pass) lives
+in the owning :mod:`repro.exec` backend.
 
 An *item* is ``(patch_data, region_box)``; a batch is a list of items
 whose regions are packed back-to-back in order — or that list in

@@ -289,9 +289,10 @@ class RefineSchedule:
     # ``stream_batch``, ``kernel_task``, ``add``): :meth:`fill` runs it
     # against an :class:`~repro.xfer.message.ImmediateSink`,
     # :meth:`emit_tasks` against a graph builder.  ``batch`` alone decides
-    # the grouping — the compiled plan's one copy per owner, one launch
-    # per backend, one free per rank; or the per-region program's, per
-    # destination / region / patch: the paper's Fig. 9-11 launch shape.
+    # the grouping — the compiled plan's one copy per owner, one message
+    # per rank pair, one launch per backend, one free per rank; or the
+    # per-region program's, per destination / patch pair / region / patch:
+    # the paper's Fig. 9-11 launch shape.
 
     def fill(self, time: float | None = None) -> None:
         """Execute the schedule now: copies, interpolation, physical BCs."""
@@ -317,8 +318,9 @@ class RefineSchedule:
         """Same-level copies, then coarse-level interpolation.
 
         Same-rank copies are fused into one kernel; cross-rank copies are
-        packed per (src, dst) pair into one message stream covering every
-        variable (the paper's MessageStream path).
+        packed into one message stream covering every variable (the
+        paper's MessageStream path) — per (src rank, dst rank) under
+        ``batch``, per (src patch, dst patch) in the per-region program.
         """
         chk = _check_active()
         if chk is not None:

@@ -8,10 +8,13 @@ which timeline a transfer lands on.  So every cell of
 single serial, per-patch, host reference **bitwise**: final field
 summary, dt sequence and every gathered field.  Small patches make the
 fusion groups (and the whole-slab stacks) hold many members; two ranks
-make the overlap cells cross the network.  The oracle has two rows: a
-uniformly tiled mesh, and a *ragged* one (a 23-cell side does not divide
+make the overlap cells cross the network.  The oracle has three rows: a
+uniformly tiled mesh, a *ragged* one (a 23-cell side does not divide
 into 8-cell patches, so every level mixes patch shapes) — compiled
-transfers and per-shape-bucket slab sweeps must not care.
+transfers and per-shape-bucket slab sweeps must not care — and the
+ragged mesh on four ranks, where up to twelve rank pairs communicate and
+every level syncs across ranks, so a batched message carries many patch
+pairs' transactions.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ HYDRO_KERNELS = ("hydro.ideal_gas", "hydro.viscosity", "hydro.calc_dt",
 
 _RUNS: dict = {}
 
-#: mesh rows of the oracle: problem + hierarchy depth
-MESHES = {"uniform": dict(problem=SodProblem((32, 32)), max_levels=2),
-          "ragged": dict(problem=SodProblem((24, 23)), max_levels=3)}
+#: mesh rows of the oracle: problem + hierarchy depth + ranks
+MESHES = {"uniform": dict(problem=SodProblem((32, 32)), max_levels=2, nranks=2),
+          "ragged": dict(problem=SodProblem((24, 23)), max_levels=3, nranks=2),
+          "ragged4": dict(problem=SodProblem((24, 23)), max_levels=3, nranks=4)}
 
 
 def _cell(backend: str, batch: bool, overlap: bool, mesh: str = "uniform"):
@@ -50,7 +54,6 @@ def _cell(backend: str, batch: bool, overlap: bool, mesh: str = "uniform"):
     if key not in _RUNS:
         use_gpu, resident = BACKENDS[backend]
         _RUNS[key] = run(RunConfig(
-            nranks=2,
             use_gpu=use_gpu,
             resident=resident,
             max_patch_size=8,
@@ -91,12 +94,12 @@ def test_cell_field_is_bitwise_the_reference(backend, batch, overlap, field):
             f"{np.nanmax(np.abs(a - b))}")
 
 
-@pytest.mark.parametrize("backend,batch,overlap", CELLS)
-def test_ragged_cell_is_bitwise_the_reference(backend, batch, overlap):
-    """The ragged row: every level mixes patch shapes, and every cell of
-    every field still equals the serial per-patch host reference."""
-    ref = _cell("host", False, False, "ragged")
-    got = _cell(backend, batch, overlap, "ragged")
+def _assert_ragged_bitwise(mesh: str, backend: str, batch: bool,
+                           overlap: bool) -> None:
+    """Every level mixes patch shapes, and every cell of every field
+    equals the serial per-patch host reference of the same mesh row."""
+    ref = _cell("host", False, False, mesh)
+    got = _cell(backend, batch, overlap, mesh)
     assert ref.sim.hierarchy.num_levels == 3
     for level in ref.sim.hierarchy:
         assert len({tuple(p.box.shape()) for p in level}) > 1, "ragged"
@@ -108,11 +111,30 @@ def test_ragged_cell_is_bitwise_the_reference(backend, batch, overlap):
             a = gather_level_field(ref.sim.hierarchy.level(lnum), field)
             b = gather_level_field(got.sim.hierarchy.level(lnum), field)
             assert np.array_equal(a, b, equal_nan=True), (
-                f"{field} diverged on ragged level {lnum}")
+                f"{field} diverged on {mesh} level {lnum}")
     if batch:
         stats = combined_stats(r.exec_stats for r in got.sim.comm.ranks)
         for kernel in HYDRO_KERNELS:  # one stacked op per shape bucket
             assert stats.slab[kernel].fallback == 0, kernel
+
+
+@pytest.mark.parametrize("backend,batch,overlap", CELLS)
+def test_ragged_cell_is_bitwise_the_reference(backend, batch, overlap):
+    """The ragged row, on two ranks."""
+    _assert_ragged_bitwise("ragged", backend, batch, overlap)
+
+
+@pytest.mark.parametrize("backend,batch,overlap", CELLS)
+def test_four_rank_ragged_cell_is_bitwise_the_reference(backend, batch,
+                                                        overlap):
+    """The ragged row on four ranks: a batched message carries every
+    transaction of its rank pair, and fine-to-coarse syncs cross ranks
+    on every level."""
+    _assert_ragged_bitwise("ragged4", backend, batch, overlap)
+    sim = _cell(backend, batch, overlap, "ragged4").sim
+    for fine in range(1, sim.hierarchy.num_levels):
+        assert any(t.fine_patch.owner != t.coarse_patch.owner
+                   for t in sim._coarsen_schedule_for(fine).transactions)
 
 
 def test_gpu_cells_actually_used_the_device():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecutionPolicy, RunConfig, run
 from repro.comm.simcomm import SimCommunicator
 from repro.geom.operators import (
     CellConservativeLinearRefine,
@@ -12,12 +13,18 @@ from repro.geom.operators import (
 )
 from repro.gpu.device import K20X
 from repro.hydro.boundary import ReflectiveBoundary
+from repro.hydro.fields import FIELD_GROUPS
+from repro.hydro.problems import SodProblem
 from repro.mesh.box import Box
 from repro.mesh.geometry import CartesianGridGeometry
 from repro.mesh.hierarchy import PatchHierarchy
 from repro.mesh.variables import CudaDataFactory, HostDataFactory, VariableRegistry
 from repro.perf.machines import FDR_INFINIBAND, IPA_CPU_NODE
+from repro.sched.builder import GraphBuilder
+from repro.sched.executor import GraphExecutor
+from repro.sched.task import TaskKind
 from repro.xfer.coarsen_schedule import CoarsenSchedule, CoarsenSpec
+from repro.xfer.message import MESSAGE_HEADER_BYTES
 from repro.xfer.refine_schedule import (
     FillSpec,
     RefineSchedule,
@@ -270,3 +277,102 @@ class TestCoarsenSchedule:
             pd = hier.level(0).patches[0].data("rho")
             out[gpus] = pd.to_host() if gpus else pd.data.array.copy()
         assert np.array_equal(out[False], out[True])
+
+
+# -- message granularity ---------------------------------------------------------
+
+
+def _posted(comm, transfer) -> list:
+    """The messages ``transfer()`` hands the network, in posting order."""
+    posted = []
+    exchange = comm.exchange
+
+    def recording(messages):
+        posted.extend(messages)
+        exchange(messages)
+
+    comm.exchange = recording
+    try:
+        transfer()
+    finally:
+        del comm.exchange
+    return posted
+
+
+def _recorded_packs(comm, sched) -> int:
+    """PACK tasks of the schedule recorded into a graph (then executed,
+    so the recorded program frees what it allocated)."""
+    gb = GraphBuilder(comm)
+    sched.emit_tasks(gb)
+    GraphExecutor(comm).execute(gb.graph)
+    return sum(t.kind is TaskKind.PACK for t in gb.graph)
+
+
+def _fill_streams(sched) -> tuple[int, int]:
+    """Streams a fill posts ``(per rank pair, per patch pair)``: distinct
+    cross-rank (src owner, dst owner) pairs among its same-level copies
+    plus those among its coarse sources; and the per-region program's
+    one per cross-rank copy patch pair plus one per cross-rank (region,
+    coarse source)."""
+    copies = [(s, d) for _, geom in sched.items
+              for s, d, _ in geom.copies if s.owner != d.owner]
+    sources = [(s, ig.dst_patch) for geom, _ in sched.sig_groups
+               for ig in geom.interps for s, _ in ig.sources
+               if s.owner != ig.dst_patch.owner]
+    rank_pairs = sum(len({(s.owner, d.owner) for s, d in pairs})
+                     for pairs in (copies, sources))
+    return rank_pairs, len({(id(s), id(d)) for s, d in copies}) + len(sources)
+
+
+def _coarsen_streams(sched) -> tuple[int, int]:
+    """Streams a sync posts ``(per rank pair, per patch pair)``."""
+    cross = [(t.fine_patch.owner, t.coarse_patch.owner)
+             for t in sched.transactions
+             if t.fine_patch.owner != t.coarse_patch.owner]
+    return len(set(cross)), len(cross)
+
+
+def test_one_message_per_rank_pair_per_transfer():
+    """A batched transfer sends one message per (src rank, dst rank) —
+    per phase of a fill (same-level copies, then coarse sources) and per
+    sync — under both sinks; the per-region program keeps one per patch
+    pair; and the payload bytes are the same either way."""
+    result = run(RunConfig(
+        problem=SodProblem((24, 23)), max_levels=3, max_patch_size=8,
+        nranks=4, max_steps=1, execution=ExecutionPolicy(batch=True)))
+    sim = result.sim
+    comm, hier = sim.comm, sim.hierarchy
+    assert hier.num_levels == 3
+    for level in hier:
+        assert len({tuple(p.box.shape()) for p in level}) > 1, "ragged"
+
+    cases = []  # (batched, per-region twin, execute, streams of each)
+    for level in hier:
+        coarse = hier.level(level.level_number - 1) if level.level_number else None
+        for names in FIELD_GROUPS.values():
+            batched = sim._fill_schedule_for(level, names)
+            plain = RefineSchedule(level, coarse, sim._specs_for(names), comm,
+                                   sim.factory, boundary=sim.boundary)
+            cases.append((batched, plain, RefineSchedule.fill,
+                          _fill_streams(batched)))
+    syncs = []
+    for fine_num in range(1, hier.num_levels):
+        batched = sim._coarsen_schedule_for(fine_num)
+        plain = CoarsenSchedule(batched.fine_level, batched.coarse_level,
+                                batched.specs, comm, sim.factory)
+        syncs.append(_coarsen_streams(batched))
+        cases.append((batched, plain, CoarsenSchedule.coarsen, syncs[-1]))
+
+    for batched, plain, execute, (rank_pairs, patch_pairs) in cases:
+        assert batched.batch and not plain.batch
+        grouped = _posted(comm, lambda: execute(batched))
+        assert len(grouped) == rank_pairs
+        assert _recorded_packs(comm, batched) == rank_pairs
+        per_pair = _posted(comm, lambda: execute(plain))
+        assert len(per_pair) == patch_pairs
+        assert _recorded_packs(comm, plain) == patch_pairs
+        assert (sum(m.nbytes - MESSAGE_HEADER_BYTES for m in grouped)
+                == sum(m.nbytes - MESSAGE_HEADER_BYTES for m in per_pair))
+    # every sync crosses ranks, and the two granularities differ
+    assert all(rank_pairs for rank_pairs, _ in syncs)
+    assert sum(p - r for *_, (r, p) in cases) > 0
