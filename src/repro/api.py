@@ -255,16 +255,14 @@ def build_simulation(cfg: RunConfig) -> LagrangianEulerianIntegrator:
     tuning configs through :func:`resolve_config` first.
     """
     comm = make_communicator(cfg.machine, cfg.nranks, gpus=cfg.use_gpu)
-    ep, _ = cfg.resolved_policies()
-    arena = ep.batch
     if cfg.use_gpu and cfg.resident:
-        factory = CudaDataFactory(arena=arena)
+        factory = CudaDataFactory()
         pi = CleverleafPatchIntegrator(gamma=cfg.problem.gamma)
     elif cfg.use_gpu:
-        factory = HostDataFactory(arena=arena)
+        factory = HostDataFactory()
         pi = NonResidentGpuPatchIntegrator(gamma=cfg.problem.gamma)
     else:
-        factory = HostDataFactory(arena=arena)
+        factory = HostDataFactory()
         pi = CleverleafPatchIntegrator(gamma=cfg.problem.gamma)
     return LagrangianEulerianIntegrator(
         cfg.problem, comm, factory, cfg.simulation_config(), patch_integrator=pi

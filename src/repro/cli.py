@@ -68,12 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "halo transfers with compute on per-rank copy "
                         "streams (bitwise identical to the serial path)")
     p.add_argument("--batch", action="store_true",
-                   help="level-batched execution: pool each level's fields "
-                        "into arenas, sweep each kernel once per patch "
-                        "shape over the arena's stacked view, fused into "
-                        "one launch per level, and compile ghost fills "
-                        "into replayable index plans (bitwise identical; "
-                        "changes modelled time only)")
+                   help="level-wide launches and rank-pair messages: "
+                        "sweep each kernel once per patch shape over the "
+                        "level's arena, fused into one launch per level, "
+                        "and send one message per rank pair per transfer "
+                        "instead of per-patch launches and patch-pair "
+                        "messages (bitwise identical; changes modelled "
+                        "time only)")
     p.add_argument("--auto", action="store_true",
                    help="auto-tune the execution policy: probe a few steps "
                         "per candidate (serial / batch / overlap+batch) "

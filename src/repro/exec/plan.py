@@ -6,8 +6,8 @@ member of any shape — is an integer index array into that slab.  A batch
 of region copies between two arenas is then one assignment
 ``dst_flat[dst_index] = src_flat[src_index]``, and a batch packed into or
 unpacked from a message stream one gather or scatter, however ragged the
-level.  Operands that are not arena members (per-patch allocations, the
-non-``batch`` build) keep the per-region slice loop.
+level.  Operands that are not arena members (the sync's temporaries, a
+hand-built level's patches) keep the per-region slice loop.
 
 :func:`compile_copies` / :func:`compile_stream` turn item lists into
 :class:`CopyPlan` / :class:`StreamPlan`; the transfer bodies in
@@ -67,15 +67,15 @@ class UnpooledLevelError(ValueError):
 def level_arenas(level, name: str) -> dict:
     """``{owner: arena}`` of one variable on a level.  Raises
     :class:`UnpooledLevelError` unless every patch's data is a member of
-    its owner's one arena (what ``--batch`` allocation gives)."""
+    its owner's one arena (what level allocation gives)."""
     arenas: dict = {}
     for patch in level:
         arena = patch.data(name)._arena
         if arena is None or arenas.setdefault(patch.owner, arena) is not arena:
             raise UnpooledLevelError(
                 f"level {level.level_number} holds {name!r} on patch "
-                f"{patch.global_id} outside its owner's arena: a batched "
-                f"schedule needs levels allocated by an arena factory")
+                f"{patch.global_id} outside its owner's arena: a compiled "
+                f"transfer needs levels allocated by PatchLevel.allocate_all")
     return arenas
 
 

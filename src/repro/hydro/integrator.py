@@ -77,9 +77,9 @@ class SimulationConfig:
     #: fuse same-kernel, same-level per-patch launches into one launch
     #: per (backend, level) — the AMReX MultiFab-style launch batching —
     #: run as one stacked NumPy op per patch shape over the (level, rank,
-    #: variable) arena slab, with ghost fills compiled into replayable
-    #: flat-index plans; changes modelled time only, results stay
-    #: bitwise identical
+    #: variable) arena slab, and group transfers into one message per
+    #: rank pair; changes modelled time only, results stay bitwise
+    #: identical
     batch_launches: bool = False
 
     def __post_init__(self):

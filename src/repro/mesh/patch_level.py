@@ -54,8 +54,8 @@ class PatchLevel:
         self.patches: list[Patch] = [
             Patch(box, gid, owner, self)
             for gid, (box, owner) in enumerate(zip(boxes, owners))]
-        #: the :class:`~repro.mesh.patch.PatchBucket` units arena-pooled
-        #: allocation formed (none on per-patch-allocated levels)
+        #: the :class:`~repro.mesh.patch.PatchBucket` units level
+        #: allocation formed (none on a level allocated patch by patch)
         self.buckets: list = []
 
     # -- queries ---------------------------------------------------------------
@@ -107,20 +107,11 @@ class PatchLevel:
     # -- allocation ----------------------------------------------------------
 
     def allocate_all(self, variables: "VariableRegistry", factory, comm: "SimCommunicator") -> None:
-        """Allocate every declared variable on every patch.
-
-        Arena-mode factories pool each variable's storage for a rank's
-        patches into one slab with per-patch offsets and hand back the
-        shape buckets they placed; the per-patch loop is the reference
-        layout.
-        """
-        if factory.arena:
-            self.buckets = factory.allocate_level(self, variables, comm)
-            return
-        for patch in self.patches:
-            rank = comm.rank(patch.owner)
-            for var in variables:
-                patch.allocate(var, factory, rank)
+        """Allocate every declared variable on every patch: the factory
+        pools each variable's storage for a rank's patches into one arena
+        slab with per-patch offsets and hands back the shape buckets it
+        placed."""
+        self.buckets = factory.allocate_level(self, variables, comm)
 
     def free_all(self) -> None:
         for patch in self.patches:

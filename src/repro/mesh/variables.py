@@ -135,16 +135,12 @@ def _device_of(rank):
 class HostDataFactory:
     """Allocates CPU-resident patch data.
 
-    With ``arena=True``, level-wide allocation pools each variable's
-    storage for all of a rank's patches into one arena slab (per-patch
-    ``allocate`` calls — schedule temporaries — stay individual
-    allocations).
+    Level-wide allocation pools each variable's storage for all of a
+    rank's patches into one arena slab; per-patch ``allocate`` calls
+    (schedule temporaries) stay individual allocations.
     """
 
     location = "host"
-
-    def __init__(self, arena: bool = False):
-        self.arena = arena
 
     def allocate(self, var: Variable, box: Box, rank,  # noqa: ARG002
                  frame: Box | None = None) -> PatchData:
@@ -157,15 +153,11 @@ class HostDataFactory:
 class CudaDataFactory:
     """Allocates GPU-resident patch data on the owning rank's device.
 
-    With ``arena=True``, level-wide allocation pools each variable's
-    storage for all of a rank's patches into one arena slab on the
-    owning device.
+    Level-wide allocation pools each variable's storage for all of a
+    rank's patches into one arena slab on the owning device.
     """
 
     location = "device"
-
-    def __init__(self, arena: bool = False):
-        self.arena = arena
 
     def allocate(self, var: Variable, box: Box, rank,
                  frame: Box | None = None) -> PatchData:

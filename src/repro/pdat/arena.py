@@ -1,12 +1,12 @@
 """Patch arenas: one pooled allocation per (level, rank, variable).
 
-The per-patch allocation style gives every field of every patch its own
-buffer; a level with hundreds of small boxes means hundreds of small
-allocations, and fused launches over them still hop between scattered
-buffers.  An :class:`Arena` instead lays out one variable's storage for
-*every local patch of a level* contiguously in a single slab of its memory
-space, with per-patch offsets — AMReX's MultiFab layout, and the substrate
-the fused-launch path in :mod:`repro.exec.batch` runs over.
+Every level is allocated this way: rather than one buffer per field per
+patch (hundreds of small allocations on a level of small boxes), an
+:class:`Arena` lays out one variable's storage for *every local patch of
+a level* contiguously in a single slab of its memory space, with
+per-patch offsets — AMReX's MultiFab layout, and the substrate the fused
+launches of :mod:`repro.exec.batch` and the compiled transfers of
+:mod:`repro.exec.plan` run over.
 
 Each member is an :class:`ArenaSlice` exposing the buffer protocol over
 its segment, so ``ArrayData`` and every kernel body work unchanged on
@@ -71,7 +71,7 @@ class Arena:
         if self._live == 0:
             self.slab.free()
 
-    # -- whole-slab access (--batch) -------------------------------------------
+    # -- whole-slab access ------------------------------------------------------
 
     @property
     def member_count(self) -> int:

@@ -1,8 +1,9 @@
 """Typed execution/regrid policies and the one resolution function.
 
 The execution policy has exactly the two axes that move the modelled
-clock: ``batch`` (one fused launch per kernel and level, run as one
-stacked op per patch shape over the level's arena slab) and
+clock: ``batch`` (level-wide launches and rank-pair messages: one fused
+launch per kernel and level, run as one stacked op per patch shape over
+the level's arena slab, and one message per rank pair) and
 ``overlap`` (each step recorded into task graphs whose halo transfers
 ride copy streams).  Everything else is derived — whole-slab execution
 **iff** ``batch``, the task-graph driver **iff** ``overlap`` — so there
@@ -78,8 +79,11 @@ class ExecutionPolicy:
     #: record each step into task graphs (repro.sched) whose halo
     #: transfers ride per-rank copy streams; time, not bits
     overlap: bool | str = AUTO
-    #: arena-pooled storage + one fused launch per (kernel, level), run
-    #: as one stacked op per patch shape over the arena slab
+    #: level-wide launches and rank-pair messages: one fused launch per
+    #: (kernel, level), run as one stacked op per patch shape over the
+    #: arena slab, and one message per (src rank, dst rank) per transfer;
+    #: off, per-patch launches and patch-pair messages (storage is the
+    #: same arenas either way)
     batch: bool | str = AUTO
 
     def __post_init__(self):

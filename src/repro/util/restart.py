@@ -5,15 +5,17 @@ SAMRAI's restart database is the model: every ``PatchData`` implements
 records its box structure.  Checkpoints are plain nested dicts, so they
 can be kept in memory for tests or written with ``numpy.savez`` for real
 runs.  GPU-resident data is staged through the host, charged like any
-other transfer: one D2H per field at checkpoint and one H2D at restore in
-the per-patch build, but under ``--batch`` each (level, variable) arena
-moves as a *single* slab transfer and the per-field hooks read and write
-staged host segments instead (same database either way).
+other transfer: each (level, variable) arena moves as a *single* slab
+transfer and the per-field hooks read and write staged host segments.
+A file that cannot be read back raises :class:`CheckpointFormatError`.
 """
 
 from __future__ import annotations
 
 import math
+import tokenize
+import zipfile
+import zlib
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,9 +25,21 @@ from ..check.context import seam_scope
 if TYPE_CHECKING:  # pragma: no cover
     from ..hydro.integrator import LagrangianEulerianIntegrator
 
-__all__ = ["checkpoint", "restore", "save_npz", "load_npz"]
+__all__ = ["checkpoint", "restore", "save_npz", "load_npz",
+           "CheckpointFormatError"]
 
 FORMAT_VERSION = 1
+
+
+class CheckpointFormatError(ValueError):
+    """A restart file that cannot be read back — truncated, corrupted or
+    missing an entry — naming the file and the entry or the cause."""
+
+
+#: what decoding a damaged entry raises: a bad CRC or zip header, a
+#: broken deflate stream, a short read, a garbled ``.npy`` header
+_CORRUPT = (zipfile.BadZipFile, zlib.error, EOFError, ValueError,
+            NotImplementedError, tokenize.TokenError)
 
 
 def _stage_member(pd, arena, host: np.ndarray) -> None:
@@ -44,7 +58,7 @@ def _stage_arenas(level, fetch: bool):
     host slab is staged per arena for ``get_from_restart`` to fill
     (restore).  Returns ``(staged_pds, arenas)`` where ``arenas`` maps
     ``id(arena)`` to ``(arena, host_slab)``; fields whose storage is not
-    an arena member (per-patch builds) are left alone and keep the
+    an arena member (a hand-built level) are left alone and keep the
     per-field transfer path.
     """
     staged: list = []
@@ -162,10 +176,30 @@ def save_npz(db: dict, path: str) -> None:
     np.savez_compressed(path, **flat)
 
 
+def _entry(path: str, data, key: str) -> np.ndarray:
+    try:
+        return data[key]
+    except KeyError:
+        raise CheckpointFormatError(
+            f"checkpoint {path}: entry {key!r} is missing") from None
+    except _CORRUPT as e:
+        raise CheckpointFormatError(
+            f"checkpoint {path}: entry {key!r} is corrupt ({e})") from e
+
+
 def load_npz(path: str) -> dict:
-    """Read a restart database written by :func:`save_npz`."""
-    with np.load(path) as data:
-        header = data["_header"]
+    """Read a restart database written by :func:`save_npz`.
+
+    Raises :class:`CheckpointFormatError` when ``path`` is not a readable
+    archive (truncated) or an entry is missing or does not decode
+    (corrupted)."""
+    try:
+        archive = np.load(path)
+    except (zipfile.BadZipFile, EOFError, ValueError) as e:
+        raise CheckpointFormatError(
+            f"checkpoint {path}: not a readable archive ({e})") from e
+    with archive as data:
+        header = _entry(path, data, "_header")
         db: dict = {
             "version": int(header[0]),
             "time": float(header[1]),
@@ -174,10 +208,10 @@ def load_npz(path: str) -> dict:
             "levels": [],
         }
         for ln in range(int(header[4])):
-            raw_boxes = data[f"L{ln}_boxes"]
+            raw_boxes = _entry(path, data, f"L{ln}_boxes")
             boxes = [((int(r[0]), int(r[1])), (int(r[2]), int(r[3])))
                      for r in raw_boxes]
-            owners = [int(o) for o in data[f"L{ln}_owners"]]
+            owners = [int(o) for o in _entry(path, data, f"L{ln}_owners")]
             patches = []
             prefix_names = {
                 k.split("_", 2)[2] for k in data.files
@@ -186,9 +220,10 @@ def load_npz(path: str) -> dict:
             for pn in range(len(boxes)):
                 patch_db = {}
                 for name in prefix_names:
+                    key = f"L{ln}_P{pn}_{name}"
                     patch_db[name] = {
-                        "array": data[f"L{ln}_P{pn}_{name}"],
-                        "time": float(data[f"L{ln}_P{pn}_{name}_time"]),
+                        "array": _entry(path, data, key),
+                        "time": float(_entry(path, data, f"{key}_time")),
                         "ghosts": 2,
                         "box": boxes[pn],
                     }

@@ -5,22 +5,22 @@ every variable one rank sends another in one transfer into a single
 contiguous message stream; on the GPU this means one pack kernel, one
 PCIe copy each way and one MPI message per (source rank, destination
 rank) per transfer phase — not one per region or per patch pair.  That
-is the granularity of a ``batch`` schedule; the per-region program (no
-``batch``) keeps the paper's per-patch shape, one stream per (source,
-destination) patch pair.  This module provides the batched
+is the granularity of a ``batch`` schedule; without ``batch`` a schedule
+keeps the paper's per-patch shape, one stream per (source, destination)
+patch pair.  This module provides the batched
 pack/unpack/copy primitives the schedules use; the resource dispatch
 (one fused device kernel + one PCIe copy vs one charged CPU pass) lives
 in the owning :mod:`repro.exec` backend.
 
 An *item* is ``(patch_data, region_box)``; a batch is a list of items
 whose regions are packed back-to-back in order — or that list in
-compiled form (:mod:`repro.exec.plan`), which a batched schedule builds
+compiled form (:mod:`repro.exec.plan`), which a fill schedule builds
 once and hands in on every replay.
 
-Under ``--batch`` the backends collapse the per-region Python loop
-inside these primitives: regions of arena members execute as one
-flat-index NumPy op per arena, whatever the patch shapes, with the
-per-region loop kept for everything else — bitwise identical either way,
+The backends collapse the per-region Python loop inside these
+primitives: regions of arena members execute as one flat-index NumPy op
+per arena, whatever the patch shapes, with the per-region loop kept for
+everything else (the sync's temporaries) — bitwise identical either way,
 counted as ``StackCounter`` in :class:`~repro.exec.stats.ExecStats`
 (``--profile`` shows the split).
 """

@@ -19,13 +19,12 @@ once per (level, centring signature) in :func:`build_fill_geometry` and
 shared by every variable and every fill group until a regrid invalidates
 it.  This mirrors SAMRAI, which caches schedules per variable context.
 
-Under ``batch`` the schedule goes one step further and, the first time it
-runs, compiles its transactions into flat-index plans it then replays
-(:mod:`repro.xfer.fill_plan`): no box algebra, no per-region temporaries
-and no regrouping in steady state, on uniform and ragged levels alike.
-The per-region program below is what a non-``batch`` schedule runs — the
-paper's per-patch launch shape, and the reference the plans are pinned
-against.
+The first time a schedule runs it compiles its transactions into a
+flat-index :class:`~repro.xfer.fill_plan.FillPlan` and from then on
+replays it: no box algebra, no per-region temporaries and no regrouping
+in steady state, on uniform and ragged levels alike.  ``batch`` picks
+only the plan's launch grouping — level-wide launches and rank-pair
+messages, or the paper's per-patch launches and patch-pair messages.
 """
 
 from __future__ import annotations
@@ -36,15 +35,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..check.context import active as _check_active
-from ..exec.backend import array_of, backend_for
-from ..exec.batch import BatchMember, LaunchBatcher
 from ..mesh.box import Box, IntVector, meet
 from ..mesh.box_array import BoxArray, coalesce
 from ..mesh.variables import Variable
-from ..sched.task import TaskKind
-from .fill_plan import Lazy, compile_fill
-from .message import ImmediateSink, halo_marks
-from .overlap import clamp_extend, index_box_for
+from .fill_plan import compile_fill
+from .message import ImmediateSink
+from .overlap import index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import SimCommunicator
@@ -106,17 +102,6 @@ def free_temps(temps) -> None:
         temp.free()
 
 
-def _patch_data(patches, names):
-    for patch in patches:
-        for name in names:
-            yield patch.data(name)
-
-
-def _set_times(patches, names, time: float) -> None:
-    for pd in _patch_data(patches, names):
-        pd.set_time(time)
-
-
 @dataclass
 class _InterpGeom:
     dst_patch: "Patch"
@@ -132,7 +117,8 @@ class FillGeometry:
     copies: list[tuple["Patch", "Patch", Box]] = field(default_factory=list)
     interps: list[_InterpGeom] = field(default_factory=list)
     #: the transactions as flat indices into the levels' arenas, compiled
-    #: by the first batched schedule that runs them (``fill_plan``)
+    #: by the first schedule that runs them, whatever its grouping
+    #: (``fill_plan``)
     flat: object = None
 
 
@@ -241,22 +227,19 @@ class RefineSchedule:
         self.factory = factory
         self.boundary = boundary
         self.interior = interior
-        #: issue the fill level-wide: one copy per owner, one clamp /
-        #: refine / boundary launch per backend — compiled on first use
-        #: into a plan that is replayed from then on
+        #: group the fill level-wide: one copy per owner, one message per
+        #: rank pair, one clamp / refine / boundary launch per backend;
+        #: else per patch, per patch pair, per region and per patch
         self.batch = batch
         if src_level is None and not interior:
             src_level = dst_level
         self.src_level = src_level
-        #: what a schedule keeps between fills (all built lazily, so a
-        #: schedule used once pays for them once): under ``batch`` the
-        #: compiled transfers and the boundary members; the patches whose
-        #: data each timestamp task stamps
-        self._plan = self._halos = self._stamped = None
+        #: the compiled fill, built on first use (so a schedule used once
+        #: pays for it once) and replayed from then on
+        self._plan = None
         cache = geometry_cache if geometry_cache is not None else {}
         self.items: list[tuple[FillSpec, FillGeometry]] = []
-        self.sig_groups: list[tuple[FillGeometry, list[FillSpec]]] = []
-        by_geom: dict[int, list[FillSpec]] = {}
+        by_geom: dict[int, tuple[FillGeometry, list[FillSpec]]] = {}
         for spec in specs:
             sig = signature_of(spec.var)
             # Keyed on the level *objects* (identity hash), not their ids:
@@ -276,30 +259,22 @@ class RefineSchedule:
                     "has no refine operator"
                 )
             self.items.append((spec, geom))
-            group = by_geom.get(id(geom))
-            if group is None:
-                group = []
-                by_geom[id(geom)] = group
-                self.sig_groups.append((geom, group))
-            group.append(spec)
+            by_geom.setdefault(id(geom), (geom, []))[1].append(spec)
+        #: the variables of each geometry, in first-use order
+        self.sig_groups = list(by_geom.values())
 
     # -- the transfer program ----------------------------------------------------
     #
-    # The fill is stated once, over a sink's verbs (``copy``,
-    # ``stream_batch``, ``kernel_task``, ``add``): :meth:`fill` runs it
-    # against an :class:`~repro.xfer.message.ImmediateSink`,
-    # :meth:`emit_tasks` against a graph builder.  ``batch`` alone decides
-    # the grouping — the compiled plan's one copy per owner, one message
-    # per rank pair, one launch per backend, one free per rank; or the
-    # per-region program's, per destination / patch pair / region / patch:
-    # the paper's Fig. 9-11 launch shape.
+    # The compiled plan states the fill over a sink's verbs: :meth:`fill`
+    # runs it against an :class:`~repro.xfer.message.ImmediateSink`,
+    # :meth:`emit_tasks` against a graph builder.
 
     def fill(self, time: float | None = None) -> None:
         """Execute the schedule now: copies, interpolation, physical BCs."""
         sink = ImmediateSink(self.comm)
         self._transfer(sink)
         sink.close()
-        self._finish(sink, time)
+        self._plan.finish(sink, time)
 
     def emit_tasks(self, gb, time: float | None = None) -> None:
         """Record the schedule into a graph builder (the scheduler path).
@@ -312,85 +287,16 @@ class RefineSchedule:
         order reproduces :meth:`fill` bit for bit.
         """
         self._transfer(gb)
-        self._finish(gb, time)
+        self._plan.finish(gb, time)
 
     def _transfer(self, sink) -> None:
-        """Same-level copies, then coarse-level interpolation.
-
-        Same-rank copies are fused into one kernel; cross-rank copies are
-        packed into one message stream covering every variable (the
-        paper's MessageStream path) — per (src rank, dst rank) under
-        ``batch``, per (src patch, dst patch) in the per-region program.
-        """
+        """Same-level copies, then coarse-level interpolation."""
         chk = _check_active()
         if chk is not None:
             self._note_fill_start(chk)
-        ghost = not self.interior
-        if self.batch and self._plan is None:
+        if self._plan is None:
             self._plan = compile_fill(self)  # once; raises on unpooled levels
-        plan = self._plan
-        copies, streams = ((plan.copies, plan.streams) if plan
-                           else self._group_copies())
-        for rank, items in copies:
-            sink.copy(rank, items, "fill.copy", ghost=ghost)
-        for src_rank, dst_rank, pack, unpack in streams:
-            sink.stream_batch(src_rank, dst_rank, pack, unpack,
-                              f"fill.L{self.dst_level.level_number}",
-                              ghost=ghost)
-        if plan:
-            if plan.ranks:
-                plan.replay_interp(sink, ghost, chk is not None)
-            return
-        for geom, specs in self.sig_groups:
-            for ig in geom.interps:
-                self._interpolate(sink, specs, ig, ghost, chk is not None)
-
-    def _finish(self, sink, time: float | None) -> None:
-        """Physical boundary conditions, then the new timestamps."""
-        ranks = self.comm.ranks
-        variables = [spec.var for spec, _ in self.items]
-        if self.boundary is not None:
-            halos = LaunchBatcher(self.batch)
-            if self.batch:
-                if self._halos is None:
-                    members = [(ranks[dst.owner],
-                                self.boundary.batch_member(dst, variables))
-                               for dst in self.dst_level]
-                    self._halos = [
-                        (backend_for(member.writes[0], rank), rank, member)
-                        for rank, member in members if member is not None]
-                for backend, rank, member in self._halos:
-                    halos.collect(backend, rank, "hydro.update_halo", member,
-                                  ghost_only=True)
-            else:
-                for dst in self.dst_level:
-                    if dst.touches_boundary():
-                        self._apply_boundary(sink, dst, variables,
-                                             ranks[dst.owner])
-            sink.flush_fusion(halos)
-        if time is not None:
-            if self._stamped is None:
-                groups: dict = {}
-                for dst in self.dst_level:
-                    key = dst.owner if self.batch else id(dst)
-                    groups.setdefault(key, (dst.owner, []))[1].append(dst)
-                self._stamped = list(groups.values())
-            names = [v.name for v in variables]
-            for owner, patches in self._stamped:
-                sink.add(TaskKind.HOST, owner, "fill.set_time",
-                         lambda _stream, patches=patches: _set_times(
-                             patches, names, time),
-                         reads=Lazy(_patch_data, patches, names))
-
-    def _apply_boundary(self, sink, dst, variables, rank) -> None:
-        """One patch's physical BCs through the boundary object's own
-        fused halo kernel."""
-        pds = [dst.data(v.name) for v in variables]
-        sink.add(TaskKind.KERNEL, rank.index, "fill.bc",
-                 lambda _stream: self.boundary.apply_all(dst, variables, rank),
-                 reads=pds, writes=pds, ghost_only=True,
-                 marks=(halo_marks((pd, pd) for pd in pds)
-                        if _check_active() is not None else ()))
+        self._plan.transfer(sink, not self.interior, chk is not None)
 
     def _note_fill_start(self, chk) -> None:
         """Tell the sanitizer this fill begins (emission order).
@@ -408,118 +314,6 @@ class RefineSchedule:
                     chk.note_interior_write(pd)
                 else:
                     chk.reset_stamps(pd)
-
-    def _group_copies(self) -> tuple[list, list]:
-        """Same-level copies of the per-region program, over every variable.
-
-        Returns ``(copies, streams)``: same-rank copies as ``(rank,
-        [(dst_pd, src_pd, region)])``, one entry per destination patch,
-        and cross-rank copies as ``(src rank, dst rank, pack items,
-        unpack items)`` per patch pair, one message stream each.
-        """
-        ranks = self.comm.ranks
-        local: dict = {}
-        remote: dict = {}
-        for spec, geom in self.items:
-            name = spec.var.name
-            for src, dst, region in geom.copies:
-                if src.owner == dst.owner:
-                    entry = local.setdefault(id(dst), (ranks[dst.owner], []))
-                    entry[1].append((dst.data(name), src.data(name), region))
-                else:
-                    entry = remote.setdefault(
-                        (id(src), id(dst)),
-                        (ranks[src.owner], ranks[dst.owner], [], []))
-                    entry[2].append((src.data(name), region))
-                    entry[3].append((dst.data(name), region))
-        return list(local.values()), list(remote.values())
-
-    def _clamp_member(self, temp, var: Variable):
-        """The kernel zero-gradient-extending ``temp``'s cells outside the
-        coarse domain, or None when the block lies inside it."""
-        frame = temp.get_ghost_box()
-        valid = index_box_for(var, self.coarse_level.domain)
-        if valid.contains_box(frame):
-            return None
-        return BatchMember(
-            frame.size(), lambda: clamp_extend(array_of(temp), frame, valid),
-            reads=(temp,), writes=(temp,))
-
-    def _interpolate(self, sink, specs, ig: _InterpGeom, ghost: bool,
-                     checking: bool) -> None:
-        """Interpolate one region for every variable of one signature.
-
-        Temporary coarse blocks (one per variable) are gathered first —
-        same-rank sources fuse into one copy, each cross-rank source
-        sends one message stream covering all variables — then clamped
-        at the coarse domain edge, refined by the operators' own launch
-        (one per variable, or one fused for a homogeneous operator), and
-        freed.  Whatever raises on the way, no temp outlives the call.
-        """
-        level = self.dst_level.level_number
-        dst_rank = self.comm.rank(ig.dst_patch.owner)
-        temps: list = []
-        try:
-            for spec in specs:
-                temps.append(alloc_temp(self.factory, spec.var,
-                                        ig.coarse_frame, dst_rank))
-            gathers = []
-            for src_patch, sub in ig.sources:
-                src_rank = self.comm.rank(src_patch.owner)
-                if src_rank.index == dst_rank.index:
-                    gathers.extend(
-                        (temp, src_patch.data(spec.var.name), sub)
-                        for spec, temp in zip(specs, temps))
-                else:
-                    sink.stream_batch(
-                        src_rank, dst_rank,
-                        [(src_patch.data(s.var.name), sub) for s in specs],
-                        [(t, sub) for t in temps],
-                        f"fill.interp.L{level}")
-            if gathers:
-                sink.copy(dst_rank, gathers, "fill.gather")
-
-            clamps = LaunchBatcher(False)
-            for spec, temp in zip(specs, temps):
-                clamp = self._clamp_member(temp, spec.var)
-                if clamp is not None:
-                    clamps.collect(backend_for(temp, dst_rank), dst_rank,
-                                   "pdat.copy", clamp)
-            sink.flush_fusion(clamps)
-
-            dst_pds = [ig.dst_patch.data(s.var.name) for s in specs]
-            sink.add(TaskKind.KERNEL, dst_rank.index, "fill.refine",
-                     lambda _stream: self._fused_refine(specs, temps, ig,
-                                                        dst_rank),
-                     reads=temps, writes=dst_pds, ghost_only=ghost,
-                     marks=[("stamp", pd, [sp.data(s.var.name)
-                                           for sp, _ in ig.sources])
-                            for s, pd in zip(specs, dst_pds)]
-                     if ghost and checking else ())
-            sink.add(TaskKind.FREE, dst_rank.index, "fill.free",
-                     lambda _stream: free_temps(temps), writes=temps)
-        except BaseException:
-            free_temps(temps)
-            raise
-
-    def _fused_refine(self, specs, temps, ig: _InterpGeom, dst_rank) -> None:
-        """One refine launch covering every variable of the signature."""
-        ratio = self.dst_level.ratio_to_coarser
-        op0 = specs[0].refine_op
-        if len(specs) == 1 or any(type(s.refine_op) is not type(op0) for s in specs):
-            for spec, temp in zip(specs, temps):
-                spec.refine_op.apply(
-                    temp, ig.dst_patch.data(spec.var.name),
-                    ig.region, ratio, rank=dst_rank,
-                )
-            return
-        from ..geom.operators import fused_refine_apply
-
-        pairs = [
-            (temp, ig.dst_patch.data(spec.var.name))
-            for spec, temp in zip(specs, temps)
-        ]
-        fused_refine_apply(specs[0].refine_op, pairs, ig.region, ratio, dst_rank)
 
     # -- statistics ---------------------------------------------------------------
 

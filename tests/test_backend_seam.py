@@ -127,10 +127,14 @@ def test_backends_are_the_only_launch_dispatchers():
 def test_batched_sweeps_are_stated_over_buckets_not_replanned_per_launch():
     """A batched sweep's units are the level's shape buckets; the
     per-launch planner that used to recover them from per-patch members
-    (and the hand-listed ``scalars`` keys it partitioned by) stays gone."""
+    (and the hand-listed ``scalars`` keys it partitioned by) stays gone.
+    So do the hand-written per-region fill program beside the compiled
+    one and the factories' ``arena=`` switch that selected it."""
     import ast
 
-    pattern = re.compile(r"SlabSpec|_slab_plan|_stacked_call")
+    pattern = re.compile(
+        r"SlabSpec|_slab_plan|_stacked_call|_interpolate|_group_copies"
+        r"|_fused_refine|_clamp_member|_apply_boundary|arena=")
     offenders = [
         f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
         for path in sorted(SRC.rglob("*.py"))

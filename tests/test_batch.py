@@ -207,13 +207,13 @@ def _check_factory_pools_level_into_one_slab(level, factory, comm, space):
 
 def test_host_factory_pools_level_into_one_slab_per_variable():
     _check_factory_pools_level_into_one_slab(
-        _level(), HostDataFactory(arena=True), _StubComm({}), HOST)
+        _level(), HostDataFactory(), _StubComm({}), HOST)
 
 
 def test_cuda_factory_pools_level_into_one_device_slab(device):
     level = _level()  # holds the allocation while the ledger is read
     frame = _check_factory_pools_level_into_one_slab(
-        level, CudaDataFactory(arena=True),
+        level, CudaDataFactory(),
         _StubComm({0: _StubRank(device)}), device)
     assert device.bytes_allocated == 3 * frame.size() * 8
 

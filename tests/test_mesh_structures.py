@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from fill_oracle import clamp_extend
 
 from repro.comm.simcomm import SimCommunicator
 from repro.gpu.device import K20X
@@ -16,11 +17,7 @@ from repro.mesh.variables import (
     VariableRegistry,
 )
 from repro.perf.machines import FDR_INFINIBAND, IPA_CPU_NODE
-from repro.xfer.overlap import (
-    clamp_extend,
-    frame_box_for,
-    index_box_for,
-)
+from repro.xfer.overlap import frame_box_for, index_box_for
 
 
 def world(gpus=False):
@@ -101,10 +98,11 @@ class TestPatchLevel:
         comm, geom, hier, reg = world()
         boxes = [Box([0, 0], [7, 15]), Box([8, 0], [15, 15])]
         per_patch = hier.make_level(0, boxes, [0, 0])
-        per_patch.allocate_all(reg, HostDataFactory(), comm)
+        for patch in per_patch:
+            patch.allocate(reg["rho"], HostDataFactory(), comm.rank(0))
         assert per_patch.buckets == []
         level = hier.make_level(0, boxes, [0, 0])
-        level.allocate_all(reg, HostDataFactory(arena=True), comm)
+        level.allocate_all(reg, HostDataFactory(), comm)
         (bucket,) = level.buckets
         assert bucket.patches == tuple(level.patches) and bucket.owner == 0
         assert bucket.fields("rho") == tuple(p.data("rho") for p in level)

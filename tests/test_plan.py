@@ -9,30 +9,43 @@ program it replaces, so every layer is pinned against that program:
 * ``geom.interp_math`` — the flat evaluation of a refine stencil over many
   regions' points equals the per-region function, bit for bit;
 * ``xfer.fill_plan`` — replaying a cached schedule does no box algebra and
-  allocates one scratch slab per rank, and a plan whose level was rebuilt
-  by a regrid can only raise, never read stale memory.
+  allocates one scratch slab per rank (level-wide) or per interpolated
+  region (per patch), and a plan whose level was rebuilt by a regrid can
+  only raise, never read stale memory;
+* ``xfer.fill_plan`` against the per-region program itself
+  (``tests/fill_oracle.py``) — compiled fills of both groupings leave its
+  bits on random ragged hierarchies, the per-patch grouping with its
+  launch sequence, messages and device high-water; a geometry shared by
+  both groupings keeps each its own; a per-patch fill refuses a centring
+  group that mixes refine operators.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from fill_oracle import PerRegionSchedule
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, build_simulation
+from repro.comm.simcomm import SimCommunicator
 from repro.exec.backend import UNCHARGED_HOST, ResidentDeviceBackend
 from repro.exec.plan import compile_copies, compile_stream
 from repro.geom import interp_math as m
+from repro.geom.operators import CellConservativeLinearRefine
 from repro.gpu.device import K20X, Device
-from repro.hydro.fields import FIELD_GROUPS
+from repro.hydro.fields import FIELD_GROUPS, PRIMARY_FIELDS
 from repro.hydro.problems import SodProblem
 from repro.mesh.box import Box, IntVector
 from repro.mesh.box_array import box_points
 from repro.mesh.variables import Variable
 from repro.pdat import HOST, Arena, PatchData
+from repro.regrid.load_balance import chop_boxes
+from repro.xfer.fill_plan import MixedRefineError
+from repro.xfer.refine_schedule import FillSpec, RefineSchedule
 
 CENTRINGS = [("cell", 0), ("node", 0), ("side", 0), ("side", 1)]
 
@@ -250,12 +263,12 @@ def test_flat_refine_is_bitwise_the_per_region_refine(name, stencil, per_region,
 # -- (iv), (v) replay and invalidation on a real hierarchy ---------------------
 
 
-def _ragged_sim(steps=0):
+def _ragged_sim(steps=0, batch=True):
     """Sod 24x23, three levels, 8-cell patches: every level is ragged."""
     sim = build_simulation(RunConfig(
         problem=SodProblem((24, 23)), nranks=1, max_levels=3,
         max_patch_size=8, regrid=RegridPolicy(interval=3), max_steps=8,
-        execution=ExecutionPolicy(batch=True)))
+        execution=ExecutionPolicy(batch=batch)))
     sim.initialise()
     sim.run(max_steps=steps)
     return sim
@@ -263,14 +276,8 @@ def _ragged_sim(steps=0):
 
 def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
         monkeypatch):
-    sim = _ragged_sim()
-    level = sim.hierarchy.level(sim.hierarchy.num_levels - 1)
-    assert len({tuple(p.box.shape()) for p in level}) > 1, "level is ragged"
-    sched = sim._fill_schedule_for(level, FIELD_GROUPS["step_start"])
-    sched.fill(time=0.0)  # first use compiles the plan
-    assert sched._plan and sched._plan.ranks, "fine level interpolates"
-    assert sim._fill_schedule_for(level, FIELD_GROUPS["step_start"]) is sched
-
+    """Level-wide, one scratch slab for the one rank; per patch, one per
+    interpolated region, where the region's temporaries were."""
     counts = {"Box.__init__": 0, "Box.slices_in": 0, "Device.empty": 0}
 
     def counting(cls, attr, key):
@@ -284,9 +291,21 @@ def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
     counting(Box, "__init__", "Box.__init__")
     counting(Box, "slices_in", "Box.slices_in")
     counting(Device, "empty", "Device.empty")
-    sched.fill(time=0.0)
-    assert counts["Box.__init__"] == 0 and counts["Box.slices_in"] == 0
-    assert counts["Device.empty"] == 1  # the one scratch slab of the one rank
+    for batch in (True, False):
+        sim = _ragged_sim(batch=batch)
+        level = sim.hierarchy.level(sim.hierarchy.num_levels - 1)
+        assert len({tuple(p.box.shape()) for p in level}) > 1, "level is ragged"
+        sched = sim._fill_schedule_for(level, FIELD_GROUPS["step_start"])
+        sched.fill(time=0.0)  # first use compiles the plan
+        assert sched._plan and sched._plan.interps, "fine level interpolates"
+        assert sim._fill_schedule_for(level, FIELD_GROUPS["step_start"]) is sched
+        regions = sum(len(geom.interps) for geom, _ in sched.sig_groups)
+        assert regions > 1
+
+        counts.update(dict.fromkeys(counts, 0))
+        sched.fill(time=0.0)
+        assert counts["Box.__init__"] == 0 and counts["Box.slices_in"] == 0
+        assert counts["Device.empty"] == (1 if batch else regions), batch
 
 
 def test_a_purged_schedules_plan_raises_instead_of_reading_a_released_slab():
@@ -306,9 +325,9 @@ def test_a_purged_schedules_plan_raises_instead_of_reading_a_released_slab():
 
 
 def test_a_batched_schedule_on_a_per_patch_allocated_level_raises_naming_it():
-    """``batch`` compiles its fills against arenas: a hand-built level
-    allocated per patch is a typed error naming the level, not a silent
-    per-region fallback."""
+    """Every fill compiles against arenas, batched or not: a hand-built
+    level allocated patch by patch is a typed error naming the level, not
+    a silent per-region fallback."""
     from repro.comm.simcomm import make_communicator
     from repro.exec.plan import UnpooledLevelError
     from repro.mesh.geometry import CartesianGridGeometry
@@ -324,8 +343,188 @@ def test_a_batched_schedule_on_a_per_patch_allocated_level_raises_naming_it():
     level = hier.make_level(0, [Box([0, 0], [7, 15]), Box([8, 0], [15, 15])],
                             [0, 0])
     factory = HostDataFactory()
-    level.allocate_all(reg, factory, comm)
-    sched = RefineSchedule(level, None, [FillSpec(reg["rho"])], comm, factory,
-                           batch=True)
-    with pytest.raises(UnpooledLevelError, match="level 0 holds 'rho'"):
-        sched.fill()
+    for patch in level:
+        patch.allocate(reg["rho"], factory, comm.rank(patch.owner))
+    for batch in (True, False):
+        sched = RefineSchedule(level, None, [FillSpec(reg["rho"])], comm,
+                               factory, batch=batch)
+        with pytest.raises(UnpooledLevelError, match="level 0 holds 'rho'"):
+            sched.fill()
+
+
+# -- (vi) compiled fills == the per-region program -------------------------------
+
+#: two cell and two node variables (one refine launch covers both), and
+#: one side variable per axis: all four centrings
+ORACLE_FIELDS = ("density0", "energy0", "xvel0", "yvel0", "vol_flux_x",
+                 "vol_flux_y")
+
+
+@contextmanager
+def _recording():
+    """``(launches, messages)`` posted while the block runs: ``(kernel,
+    rank, elements)`` per device launch, ``(src, dst, bytes)`` per
+    message."""
+    launches, messages = [], []
+    launch, exchange = Device.launch, SimCommunicator.exchange
+
+    def recorded_launch(self, name, elements, fn, *args, **kwargs):
+        launches.append((getattr(name, "name", name), self.trace_rank,
+                         int(elements)))
+        return launch(self, name, elements, fn, *args, **kwargs)
+
+    def recorded_exchange(self, posted):
+        messages.extend((msg.src, msg.dst, msg.nbytes) for msg in posted)
+        return exchange(self, posted)
+
+    Device.launch, SimCommunicator.exchange = recorded_launch, recorded_exchange
+    try:
+        yield launches, messages
+    finally:
+        Device.launch, SimCommunicator.exchange = launch, exchange
+
+
+def _state(levels, names, seed):
+    """Random values in every frame (ghosts too): ``{pd: host array}``."""
+    rng = np.random.default_rng(seed)
+    return {patch.data(n): rng.uniform(0.5, 2.0, tuple(
+                patch.data(n).get_ghost_box().shape()))
+            for level in levels for patch in level for n in names}
+
+
+def _outcome(sched, state, comm):
+    """Run ``sched`` once from ``state``: ``(every destination frame,
+    launches, messages, device high-water per rank)``."""
+    for pd, host in state.items():
+        pd.from_host(host)
+    devices = [rank.device for rank in comm.ranks]
+    for device in devices:
+        device.stats.peak_bytes_allocated = device.bytes_allocated
+    with _recording() as (launches, messages):
+        sched.fill(time=1.0)
+    frames = [patch.data(spec.var.name).to_host()
+              for patch in sched.dst_level for spec in sched.specs]
+    return (frames, launches, messages,
+            [d.stats.peak_bytes_allocated for d in devices])
+
+
+def _check_against_oracle(make, state, comm):
+    """``make(schedule class, **kwargs)`` -> a fill; both groupings leave
+    the oracle's bits, the per-patch one also its launches, messages and
+    device high-water."""
+    want = _outcome(make(PerRegionSchedule), state, comm)
+    per_patch = _outcome(make(RefineSchedule, batch=False), state, comm)
+    level_wide = _outcome(make(RefineSchedule, batch=True), state, comm)
+    for got in (per_patch, level_wide):
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(got[0], want[0]))
+    assert per_patch[1:] == want[1:]
+
+
+@pytest.mark.parametrize("nranks", [1, 4])
+@settings(max_examples=5, deadline=None)
+@given(nx=st.integers(16, 26), ny=st.integers(12, 22),
+       max_patch=st.integers(5, 9), seed=st.integers(0, 2**31 - 1))
+def test_compiled_fills_are_the_per_region_program(nranks, nx, ny, max_patch,
+                                                   seed):
+    """Ghost fills of every level, and regrid interior fills of a
+    re-tiled fine level with and without an old level to copy from, on
+    a random ragged three-level hierarchy: per-patch and level-wide
+    compiled fills leave exactly the per-region program's bits."""
+    sim = build_simulation(RunConfig(
+        problem=SodProblem((nx, ny)), nranks=nranks, max_levels=3,
+        max_patch_size=max_patch, execution=ExecutionPolicy(batch=False)))
+    sim.initialise()
+    hier, comm = sim.hierarchy, sim.comm
+    assume(hier.num_levels == 3)
+    assume(any(len({tuple(p.box.shape()) for p in level}) > 1
+               for level in hier))
+    specs = sim._specs_for(ORACLE_FIELDS)
+    rng = np.random.default_rng(seed)
+
+    for level in hier:
+        coarse = hier.level(level.level_number - 1) if level.level_number else None
+        _check_against_oracle(
+            lambda cls, level=level, coarse=coarse, **kw: cls(
+                level, coarse, specs, comm, sim.factory,
+                boundary=sim.boundary, **kw),
+            _state(hier, ORACLE_FIELDS, seed), comm)
+
+    for lnum in (1, 2):
+        boxes = [p.box for p in hier.level(lnum)]
+        coarse = hier.level(lnum - 1)
+        chopped, halved = chop_boxes(boxes, max_patch - 2), boxes[::2]
+        new = hier.make_level(lnum, chopped,
+                              rng.integers(0, nranks, len(chopped)).tolist())
+        old = hier.make_level(lnum, halved,
+                              rng.integers(0, nranks, len(halved)).tolist())
+        for made in (new, old):
+            made.allocate_all(sim.variables, sim.factory, comm)
+        for src in (old, None):
+            _check_against_oracle(
+                lambda cls, new=new, coarse=coarse, src=src, **kw: cls(
+                    new, coarse, specs, comm, sim.factory,
+                    src_level=src, interior=True, **kw),
+                _state([*hier, new, old], ORACLE_FIELDS, seed), comm)
+        new.free_all()
+        old.free_all()
+
+
+def test_a_geometry_shared_by_both_groupings_keeps_each_its_own():
+    """The regrid's per-patch ghost schedule and the integrator's
+    level-wide one share their (level, centring) geometries, compiled
+    indices included, through the schedule cache.  The grouping lives in
+    each schedule's plan, so neither leaks into the other: filled
+    alternately, the per-patch one keeps the per-region program's launch
+    sequence and the level-wide one its one copy per owner, both with the
+    per-region program's bits, and the shared indices compile once."""
+    sim = _ragged_sim()
+    level = sim.hierarchy.level(2)
+    coarse = sim.hierarchy.level(1)
+    level_wide = sim._fill_schedule_for(level, PRIMARY_FIELDS)
+    per_patch = sim.regridder._ghost_schedule(level, coarse)
+    assert level_wide.batch and not per_patch.batch
+    assert all(a is b for (_, a), (_, b) in zip(level_wide.items,
+                                               per_patch.items))
+    state = _state(sim.hierarchy, PRIMARY_FIELDS, 7)
+    oracle = PerRegionSchedule(level, coarse, per_patch.specs, sim.comm,
+                               sim.factory, boundary=sim.boundary)
+    want = _outcome(oracle, state, sim.comm)
+    owners = len({d.owner for _, g in per_patch.items for _, d, _ in g.copies})
+    flats = None
+    for _ in range(2):
+        got = _outcome(per_patch, state, sim.comm)
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+        assert got[1:] == want[1:]
+        got = _outcome(level_wide, state, sim.comm)
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+        assert len(level_wide._plan.copies) == owners
+        assert len(per_patch._plan.copies) > owners
+        now = [geom.flat for _, geom in per_patch.items]
+        assert flats is None or all(a is b for a, b in zip(flats, now))
+        flats = now
+
+
+def test_a_per_patch_fill_rejects_a_centring_group_of_mixed_refine_operators():
+    """The per-region program fell back to one launch per variable when a
+    centring group mixed operator types; the per-patch grouping refines a
+    region's variables in one launch, so it refuses such a group with a
+    typed error, while a level-wide fill runs it as the oracle does."""
+    class OtherCellRefine(CellConservativeLinearRefine):
+        pass
+
+    sim = _ragged_sim(batch=False)
+    level, coarse = sim.hierarchy.level(2), sim.hierarchy.level(1)
+    specs = [FillSpec(sim.variables["density0"], CellConservativeLinearRefine()),
+             FillSpec(sim.variables["energy0"], OtherCellRefine())]
+
+    def make(cls, **kw):
+        return cls(level, coarse, specs, sim.comm, sim.factory,
+                   boundary=sim.boundary, **kw)
+
+    with pytest.raises(MixedRefineError, match="density0"):
+        make(RefineSchedule, batch=False).fill()
+    state = _state(sim.hierarchy, ("density0", "energy0"), 3)
+    want = _outcome(make(PerRegionSchedule), state, sim.comm)
+    got = _outcome(make(RefineSchedule, batch=True), state, sim.comm)
+    assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))

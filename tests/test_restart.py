@@ -1,5 +1,8 @@
 """Tests for checkpoint/restart."""
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,13 @@ from repro import (
     gather_level_field,
     make_communicator,
 )
-from repro.util.restart import checkpoint, load_npz, restore, save_npz
+from repro.util.restart import (
+    CheckpointFormatError,
+    checkpoint,
+    load_npz,
+    restore,
+    save_npz,
+)
 
 
 def make_sim(gpus=False):
@@ -113,18 +122,67 @@ class TestNpzRoundtrip:
         assert load_npz(path)["dt"] is None
 
 
-def make_arena_sim(gpus=True):
+class TestCorruptCheckpoint:
+    """A restart file that cannot be read back raises one typed error
+    naming the file and the entry or the cause."""
+
+    def _saved(self, tmp_path) -> str:
+        path = str(tmp_path / "ckpt.npz")
+        save_npz(checkpoint(make_sim()), path)
+        return path
+
+    def test_truncated_file(self, tmp_path):
+        path = self._saved(tmp_path)
+        raw = open(path, "rb").read()
+        open(path, "wb").write(raw[:len(raw) // 2])
+        with pytest.raises(CheckpointFormatError,
+                           match="not a readable archive") as caught:
+            load_npz(path)
+        assert path in str(caught.value)
+
+    def test_bit_flipped_entry(self, tmp_path):
+        path = self._saved(tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("L0_owners.npy")
+        raw = bytearray(open(path, "rb").read())
+        # the local header is 30 bytes plus the name and extra fields
+        name_len, extra_len = struct.unpack_from(
+            "<HH", raw, info.header_offset + 26)
+        data = info.header_offset + 30 + name_len + extra_len
+        raw[data + info.compress_size // 2] ^= 0xFF
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(CheckpointFormatError,
+                           match="'L0_owners' is corrupt") as caught:
+            load_npz(path)
+        assert path in str(caught.value)
+
+    def test_missing_entry(self, tmp_path):
+        path = self._saved(tmp_path)
+        with np.load(path) as data:
+            kept = {k: data[k] for k in data.files
+                    if k != "L0_P0_density0_time"}
+        np.savez_compressed(path, **kept)
+        with pytest.raises(CheckpointFormatError,
+                           match="'L0_P0_density0_time' is missing") as caught:
+            load_npz(path)
+        assert path in str(caught.value)
+        assert isinstance(caught.value, ValueError)
+
+
+def make_arena_sim(gpus=True, batch=True):
     comm = make_communicator("IPA", 1, gpus=gpus)
     sim = LagrangianEulerianIntegrator(
         SodProblem((24, 24)), comm,
-        CudaDataFactory(arena=True) if gpus else HostDataFactory(arena=True),
-        SimulationConfig(max_levels=2, max_patch_size=8, batch_launches=True))
+        CudaDataFactory() if gpus else HostDataFactory(),
+        SimulationConfig(max_levels=2, max_patch_size=8,
+                         batch_launches=batch))
     sim.initialise()
     return sim
 
 
 class TestArenaSlabPath:
-    """Device-arena builds checkpoint/restore one slab per arena."""
+    """Device builds checkpoint/restore one slab per arena, with or
+    without ``batch``: every level is allocated in arenas."""
 
     def _arena_count(self, sim):
         arenas = set()
@@ -137,13 +195,14 @@ class TestArenaSlabPath:
         return len(arenas)
 
     def test_checkpoint_is_one_transfer_per_arena(self):
-        sim = make_arena_sim(gpus=True)
-        sim.run(max_steps=2)
-        rank = sim.comm.ranks[0]
-        before = rank.exec_stats.transfers["d2h"].count
-        checkpoint(sim)
-        taken = rank.exec_stats.transfers["d2h"].count - before
-        assert taken == self._arena_count(sim)
+        for batch in (True, False):
+            sim = make_arena_sim(gpus=True, batch=batch)
+            sim.run(max_steps=2)
+            rank = sim.comm.ranks[0]
+            before = rank.exec_stats.transfers["d2h"].count
+            checkpoint(sim)
+            taken = rank.exec_stats.transfers["d2h"].count - before
+            assert taken == self._arena_count(sim), batch
 
     def test_staging_views_are_cleared(self):
         sim = make_arena_sim(gpus=True)
@@ -175,15 +234,16 @@ class TestArenaSlabPath:
                                           pp[name]["array"]), name
 
     def test_restore_is_one_transfer_per_arena(self):
-        src = make_arena_sim(gpus=True)
-        src.run(max_steps=2)
-        db = checkpoint(src)
-        dst = make_arena_sim(gpus=True)
-        rank = dst.comm.ranks[0]
-        before = rank.exec_stats.transfers["h2d"].count
-        restore(dst, db)
-        taken = rank.exec_stats.transfers["h2d"].count - before
-        assert taken == self._arena_count(dst)
+        for batch in (True, False):
+            src = make_arena_sim(gpus=True, batch=batch)
+            src.run(max_steps=2)
+            db = checkpoint(src)
+            dst = make_arena_sim(gpus=True, batch=batch)
+            rank = dst.comm.ranks[0]
+            before = rank.exec_stats.transfers["h2d"].count
+            restore(dst, db)
+            taken = rank.exec_stats.transfers["h2d"].count - before
+            assert taken == self._arena_count(dst), batch
 
     def test_arena_continued_run_matches_straight(self):
         straight = make_arena_sim(gpus=True)

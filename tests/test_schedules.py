@@ -11,6 +11,7 @@ from repro.geom.operators import (
     CellVolumeWeightedCoarsen,
     NodeLinearRefine,
 )
+from repro.geom.interp_math import CELL_CONSERVATIVE_LINEAR, RefineStencil
 from repro.gpu.device import K20X
 from repro.hydro.boundary import ReflectiveBoundary
 from repro.hydro.fields import FIELD_GROUPS
@@ -180,16 +181,20 @@ class TestCoarseFineFill:
 
     def test_temps_released_when_refine_raises(self):
         """An exception anywhere in a fill returns the device pool's
-        in-use bytes to their pre-call value: no interpolation temp
-        outlives the call."""
+        in-use bytes to their pre-call value: no interpolation scratch
+        outlives the call.  The refine kernel raises on the second region
+        of a per-patch fill, after the first region's unit was freed."""
+        base = CELL_CONSERVATIVE_LINEAR
+
+        def combine(*args):
+            Failing.calls += 1
+            if Failing.calls == 2:
+                raise FloatingPointError("non-physical state")
+            return base.combine(*args)
+
         class Failing(CellConservativeLinearRefine):
             calls = 0
-
-            def _interp(self, *args):
-                Failing.calls += 1
-                if Failing.calls == 2:
-                    raise FloatingPointError("non-physical state")
-                super()._interp(*args)
+            stencil = RefineStencil(base.offsets, base.weights, combine)
 
         comm, hier, reg, factory = self._world_with_fine(gpus=True)
         for level in hier:

@@ -226,7 +226,7 @@ def _ragged_level(widths, ny, gpus=False, nranks=1):
         Box([0, 0], [int(edges[-1]) - 1, ny - 1]), (0.0, 0.0), (1.0, 1.0))
     level = PatchLevel(0, boxes, [i % nranks for i in range(len(boxes))],
                        geometry, 1, None)
-    factory = (CudaDataFactory if gpus else HostDataFactory)(arena=True)
+    factory = (CudaDataFactory if gpus else HostDataFactory)()
     level.allocate_all(declare_fields(), factory, comm)
     return level, comm
 
@@ -514,7 +514,8 @@ def test_slab_counters_surface_in_metrics_manifest(ragged_runs):
 
 def test_run_calls_per_step_are_sweeps_times_buckets(monkeypatch):
     """The funnel is entered once per sweep per *bucket* under ``batch``
-    (once per patch without): 15 sweeps in a steady step."""
+    (once per patch without, on the same arena-allocated levels): 15
+    sweeps in a steady step."""
     calls = []
     orig = CleverleafPatchIntegrator._run
 
@@ -535,8 +536,5 @@ def test_run_calls_per_step_are_sweeps_times_buckets(monkeypatch):
             session.close()
         patches = sum(len(level.patches) for level in levels)
         buckets = sum(len(level.buckets) for level in levels)
-        if batch:
-            assert 0 < buckets < patches
-            assert len(calls) == 15 * buckets
-        else:
-            assert buckets == 0 and len(calls) == 15 * patches
+        assert 0 < buckets < patches
+        assert len(calls) == 15 * (buckets if batch else patches)
