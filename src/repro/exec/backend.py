@@ -138,10 +138,9 @@ def _pack_to_staging(space, launch, items, note=None):
     ``items`` is an iterable of ``(patch_data, region_box)`` (or their
     :class:`~repro.exec.plan.StreamPlan`); regions are packed back-to-back
     in order (the paper's MessageStream scheme) by
-    ``launch(kernel, elements, body)``.  Arena-backed regions are gathered
-    by flat index rather than a per-region loop; ``note`` (a
-    ``Backend._note_stack``) records the split.  The staging buffer is
-    freed if the kernel raises.
+    ``launch(kernel, elements, body)``, gathered by flat index, one op
+    per store; ``note`` (a ``Backend._note_stack``) records them.  The
+    staging buffer is freed if the kernel raises.
     """
     plan = compile_stream(items)
     staging = space.empty((plan.total,))
@@ -150,9 +149,6 @@ def _pack_to_staging(space, launch, items, note=None):
             out = staging.kernel_view()
             for store, index, where in plan.groups:
                 out[where] = store.flat()[index]
-            for pd, region, off in plan.rest:
-                n = region.size()
-                out[off:off + n] = pd.data.view(region).reshape(-1)
 
         launch("pdat.pack", plan.total, body)
     except BaseException:
@@ -254,7 +250,7 @@ class Backend(abc.ABC):
         construction — same declarations and modelled cost as its
         per-patch bodies, only host wall-clock differs — and its launch
         counts as ``slab_fused``; a multi-member launch of per-patch
-        bodies only (halo bodies, sync temps) as ``slab_fallback``.
+        bodies only (halo bodies, sync coarsens) as ``slab_fallback``.
         """
         members = list(members)
         if not members:
@@ -348,11 +344,10 @@ class Backend(abc.ABC):
         return read_patch_fields(patch, names)
 
     def _note_stack(self, kernel: str, plan) -> None:
-        """Record a flat-index/per-region split when arenas were in play."""
+        """Record the regions a plan covered and its flat-index ops."""
         if plan.groups and self.rank is not None:
-            self.rank.exec_stats.record_stack(
-                kernel, plan.count - len(plan.rest), len(plan.groups),
-                len(plan.rest))
+            self.rank.exec_stats.record_stack(kernel, plan.count,
+                                              len(plan.groups))
 
     def _move(self, kernel: str, elements: int, body):
         """Launch one data-motion kernel on the resource holding the data."""
@@ -379,10 +374,6 @@ class Backend(abc.ABC):
                 src = staging.kernel_view()
                 for store, index, where in plan.groups:
                     store.flat()[index] = src[where]
-                for pd, region, off in plan.rest:
-                    n = region.size()
-                    pd.data.view(region)[...] = src[off:off + n].reshape(
-                        tuple(region.shape()))
 
             self._move("pdat.unpack", plan.total, body)
         finally:
@@ -403,19 +394,15 @@ class Backend(abc.ABC):
         self._unpack(self.copy_in(buffer), plan)
 
     def copy_batch(self, items) -> None:
-        """Fuse many same-resource ``(dst_pd, src_pd, region)`` copies.
-
-        Arena-backed regions run as one flat-index assignment per arena
-        pair; everything else keeps the per-region loop.  The split is
-        bitwise inert: copies in one batch have disjoint destinations.
+        """Fuse many same-resource ``(dst_pd, src_pd, region)`` copies
+        into one flat-index assignment per store pair (bitwise inert:
+        copies in one batch have disjoint destinations).
         """
         plan = compile_copies(items)
 
         def body():
             for dst, src, dst_index, src_index in plan.groups:
                 dst.flat()[dst_index] = src.flat()[src_index]
-            for dst_pd, src_pd, region in plan.rest:
-                dst_pd.data.view(region)[...] = src_pd.data.view(region)
 
         self._move("pdat.copy", plan.total, body)
         self._note_stack("pdat.copy", plan)

@@ -44,7 +44,7 @@ class BatchMember:
         self.ghost_reads = tuple(ghost_reads)
         self.marks = tuple(marks)
         #: per-patch / per-region invocations this member stands for: 1 for
-        #: inherently per-patch work (halo bodies, per-region sync temps);
+        #: inherently per-patch work (halo bodies, a sync block's coarsen);
         #: a bucket sweep or a compiled transfer plan hands in one member
         #: whose body already runs ``count`` of them as one stacked /
         #: flat-index op

@@ -6,17 +6,18 @@ member of any shape — is an integer index array into that slab.  A batch
 of region copies between two arenas is then one assignment
 ``dst_flat[dst_index] = src_flat[src_index]``, and a batch packed into or
 unpacked from a message stream one gather or scatter, however ragged the
-level.  Operands that are not arena members (the sync's temporaries, a
-hand-built level's patches) keep the per-region slice loop.
+level.  Patch data allocated on its own (a hand-built item list) is a
+one-member store of its own buffer, so every transfer runs by flat index.
 
 :func:`compile_copies` / :func:`compile_stream` turn item lists into
 :class:`CopyPlan` / :class:`StreamPlan`; the transfer bodies in
 :mod:`repro.exec.backend` run plans only.  An ad-hoc caller's list is
 compiled on the way in and dropped; a transfer schedule compiles once,
 keeps the plan, and hands the same object in on every replay
-(:mod:`repro.xfer.fill_plan`).  Plans reach storage only through
-``arena.flat()`` / ``Scratch`` slabs inside a launch, so the memory-space
-and use-after-free checks of a slab apply to every replay.
+(:mod:`repro.xfer.fill_plan`, :mod:`repro.xfer.coarsen_schedule`).
+Plans reach storage only through a store's ``flat()`` (an arena, a
+``Scratch`` slab, a buffer) inside a launch, so the memory-space and
+use-after-free checks of a slab apply to every replay.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..mesh.box_array import box_points
 
 __all__ = ["CopyPlan", "StreamPlan", "Scratch", "ScratchBlock",
            "compile_copies", "compile_stream", "flat_index", "ravel_index",
-           "level_arenas", "UnpooledLevelError"]
+           "store_of", "level_arenas", "UnpooledLevelError"]
 
 
 def ravel_index(offsets, lowers, shapes, which, coords) -> np.ndarray:
@@ -53,11 +54,18 @@ def ravel_index(offsets, lowers, shapes, which, coords) -> np.ndarray:
 
 
 def flat_index(pds, which, coords) -> np.ndarray:
-    """Flat arena-slab index of points of arena-backed patch data:
-    point ``p`` is index ``coords[:, p]`` of ``pds[which[p]]``."""
-    return ravel_index([pd.data.buf.offset for pd in pds],
+    """Flat index into :func:`store_of` of points of patch data: point
+    ``p`` is index ``coords[:, p]`` of ``pds[which[p]]``."""
+    return ravel_index([0 if pd._arena is None else pd.data.buf.offset
+                        for pd in pds],
                        [pd.data.frame.lower for pd in pds],
                        [pd.data.buf.shape for pd in pds], which, coords)
+
+
+def store_of(pd):
+    """The store ``pd`` is a member of: its arena, or, for patch data
+    allocated on its own, its own buffer (the one member, at offset 0)."""
+    return pd._arena if pd._arena is not None else pd.data.buf
 
 
 class UnpooledLevelError(ValueError):
@@ -84,19 +92,17 @@ class _Plan:
     it was compiled from, so the sink verbs that declare reads, writes
     and halo marks from an item list take a plan unchanged."""
 
-    __slots__ = ("items", "count", "total", "groups", "rest")
+    __slots__ = ("items", "count", "total", "groups")
 
-    def __init__(self, items, count: int, total: int, groups, rest=()):
+    def __init__(self, items, count: int, total: int, groups):
         #: the items, re-iterable (a schedule passes a lazy view: nothing
         #: but the sanitizer and the graph recorder ever walks them)
         self.items = items
         #: number of items / of elements they cover
         self.count = count
         self.total = total
-        #: flat-index work, one entry per arena (pair)
+        #: flat-index work, one entry per store (pair)
         self.groups = groups
-        #: items with a non-arena operand: the per-region slice loop
-        self.rest = rest
 
     def __iter__(self):
         return iter(self.items)
@@ -116,8 +122,7 @@ class CopyPlan(_Plan):
 class StreamPlan(_Plan):
     """``(pd, region)`` items packed back to back: ``groups`` holds
     ``(store, index, where)`` with ``where`` the slice (or index array)
-    of the contiguous stream the store's elements occupy; ``rest`` holds
-    ``(pd, region, stream offset)``."""
+    of the contiguous stream the store's elements occupy."""
 
     __slots__ = ()
 
@@ -129,21 +134,17 @@ def compile_copies(items) -> CopyPlan:
         return items
     items = list(items)
     pairs: dict = {}
-    rest = []
     for item in items:
-        dst, src = item[0]._arena, item[1]._arena
-        if dst is None or src is None:
-            rest.append(item)
-        else:
-            pairs.setdefault((id(dst), id(src)), (dst, src, []))[2].append(item)
+        pairs.setdefault((store_of(item[0]), store_of(item[1])),
+                         []).append(item)
     groups = []
-    for dst, src, members in pairs.values():
+    for (dst, src), members in pairs.items():
         which, coords = box_points([region for _, _, region in members])
         groups.append((dst, src,
                        flat_index([d for d, _, _ in members], which, coords),
                        flat_index([s for _, s, _ in members], which, coords)))
     return CopyPlan(items, len(items),
-                    sum(region.size() for _, _, region in items), groups, rest)
+                    sum(region.size() for _, _, region in items), groups)
 
 
 def compile_stream(items) -> StreamPlan:
@@ -152,22 +153,16 @@ def compile_stream(items) -> StreamPlan:
     if isinstance(items, StreamPlan):
         return items
     items = list(items)
-    arenas: dict = {}
-    rest = []
+    stores: dict = {}
     offset = 0
     for pd, region in items:
-        arena = pd._arena
-        if arena is None:
-            rest.append((pd, region, offset))
-        else:
-            _, pds, regions, offsets = arenas.setdefault(
-                id(arena), (arena, [], [], []))
-            pds.append(pd)
-            regions.append(region)
-            offsets.append(offset)
+        pds, regions, offsets = stores.setdefault(store_of(pd), ([], [], []))
+        pds.append(pd)
+        regions.append(region)
+        offsets.append(offset)
         offset += region.size()
     groups = []
-    for arena, pds, regions, offsets in arenas.values():
+    for store, (pds, regions, offsets) in stores.items():
         which, coords = box_points(regions)
         index = flat_index(pds, which, coords)
         sizes = np.bincount(which, minlength=len(regions))
@@ -177,15 +172,15 @@ def compile_stream(items) -> StreamPlan:
         else:
             where = (np.arange(len(index), dtype=np.intp)
                      + (starts - (np.cumsum(sizes) - sizes))[which])
-        groups.append((arena, index, where))
-    return StreamPlan(items, len(items), offset, groups, rest)
+        groups.append((store, index, where))
+    return StreamPlan(items, len(items), offset, groups)
 
 
 class ScratchBlock:
     """One (region, variable) coarse block of a :class:`Scratch` slab, as
-    the dependency and declaration token a temporary patch data was: what
-    tasks read and write, what the sanitizer names, what selects the
-    backend, what the non-resident ablation charges per launch."""
+    a dependency and declaration token: what tasks read and write, what
+    the sanitizer names, what selects the backend, what the non-resident
+    ablation charges per launch."""
 
     __slots__ = ("var_name", "nbytes", "space")
 
@@ -196,9 +191,9 @@ class ScratchBlock:
 
 
 class Scratch:
-    """One rank's interpolation scratch for one fill: every coarse block
-    of every variable back to back in a single allocation, sized as the
-    sum of the per-region temporaries it replaces."""
+    """Coarse blocks back to back in one allocation, ``slab`` (a store):
+    one rank's interpolation scratch for one fill unit, or the coarsened
+    blocks one sync ship carries."""
 
     __slots__ = ("slab",)
 

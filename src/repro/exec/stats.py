@@ -84,8 +84,8 @@ class SlabCounter:
     bucket's stacked NumPy op, or a compiled transfer plan's flat-index
     ops (``BatchMember.count`` > 1); ``fallback`` counts multi-member
     launches of per-patch bodies only (work that still runs per region:
-    physical-boundary members, sync temporaries; a level whose patches
-    all differ in shape).
+    physical-boundary members, the sync's coarsen bodies; a level whose
+    patches all differ in shape).
     """
 
     fused: int = 0
@@ -96,18 +96,14 @@ class SlabCounter:
 class StackCounter:
     """Accounting for flat-index batched region copies (halo pack/copy path).
 
-    ``copy_batch``/``pack_batch``/``unpack_batch`` run the regions whose
-    operands are arena members as one flat-index NumPy op per arena
-    (pair) instead of a per-region Python loop
-    (:mod:`repro.exec.plan`).  ``stacked`` counts regions covered that
-    way, ``groups`` the flat-index ops issued, and ``fallback`` the
-    regions that replayed the per-region loop (a non-arena operand).
+    ``copy_batch``/``pack_batch``/``unpack_batch`` run their regions as
+    one flat-index NumPy op per store (pair) (:mod:`repro.exec.plan`).
+    ``stacked`` counts the regions covered, ``groups`` the ops issued.
     """
 
     calls: int = 0
     stacked: int = 0
     groups: int = 0
-    fallback: int = 0
 
 
 @dataclass
@@ -201,13 +197,11 @@ class ExecStats:
         else:
             c.fallback += 1
 
-    def record_stack(self, name: str, stacked: int, groups: int,
-                     fallback: int) -> None:
+    def record_stack(self, name: str, stacked: int, groups: int) -> None:
         c = self.stacked.setdefault(name, StackCounter())
         c.calls += 1
         c.stacked += int(stacked)
         c.groups += int(groups)
-        c.fallback += int(fallback)
 
     def record_schedule(self, kind: str, hit: bool) -> None:
         c = self.schedules.setdefault(kind, ScheduleCounter())
@@ -282,7 +276,6 @@ class ExecStats:
             mine.calls += c.calls
             mine.stacked += c.stacked
             mine.groups += c.groups
-            mine.fallback += c.fallback
         for key, c in other.schedules.items():
             mine = self.schedules.setdefault(key, ScheduleCounter())
             mine.hits += c.hits
@@ -460,14 +453,13 @@ def attribution_report(stats: ExecStats,
 
     if stats.stacked:
         krows = [
-            [name, str(c.calls), str(c.stacked), str(c.groups),
-             str(c.fallback)]
+            [name, str(c.calls), str(c.stacked), str(c.groups)]
             for name, c in sorted(stats.stacked.items())
         ]
         lines.append("")
         lines += _table("stacked region copies (batched halo path)",
-                        ["kernel", "calls", "stacked_regions", "stacked_ops",
-                         "fallback_regions"], krows)
+                        ["kernel", "calls", "stacked_regions", "stacked_ops"],
+                        krows)
 
     if stats.slab:
         srows = [

@@ -180,31 +180,42 @@ class CoarsenOperator:
         """``region`` is in the *coarse* centring index space."""
         ratio = _as_ratio(ratio)
         _run(coarse_pd, "geom.coarsen", region.refine(ratio).size(),
-             self._body(fine_pd, coarse_pd, region, ratio), rank)
+             self._body(fine_pd, lambda: _arrays(coarse_pd), region, ratio),
+             rank)
 
-    def _body(self, fine_pd, coarse_pd, region, ratio):
+    def _body(self, fine_pd, coarse, region, ratio):
+        """The reduction as a kernel body; ``coarse()`` hands it the
+        destination ``(array, frame)`` inside the launch."""
         def body():
             farr, fframe = _arrays(fine_pd)
-            carr, cframe = _arrays(coarse_pd)
-            self._reduce_pd(fine_pd, coarse_pd, farr, fframe, carr, cframe,
-                            region, ratio)
+            self._reduce_pd(fine_pd, farr, fframe, *coarse(), region, ratio)
 
         return body
 
-    def batch_member(self, fine_pd, coarse_pd, region: Box, ratio):
-        """The array-level work of :meth:`apply` as one fusable member."""
-        ratio = _as_ratio(ratio)
-        return BatchMember(region.refine(ratio).size(),
-                           self._body(fine_pd, coarse_pd, region, ratio),
-                           reads=(fine_pd,), writes=(coarse_pd,))
+    def batch_member(self, fine_pd, coarse, block, region: Box, ratio,
+                     elements: int) -> BatchMember:
+        """One (transaction, variable) coarsen of a compiled sync
+        (:mod:`repro.xfer.coarsen_schedule`) as a fusable member: the work
+        of :meth:`apply` into store ``coarse``, the scratch segment of
+        ``block`` whose frame is ``region``; ``elements`` (the fine points
+        read) comes compiled."""
+        return BatchMember(elements, self._body(
+            fine_pd, _block(coarse, block, region), region, _as_ratio(ratio)),
+            reads=(fine_pd,), writes=(block,))
 
     def _reduce(self, farr, fframe, carr, cframe, region, ratio):
         raise NotImplementedError
 
-    def _reduce_pd(self, fine_pd, coarse_pd, farr, fframe, carr, cframe,  # noqa: ARG002 — hook signature; side flavour needs the patch data
-                   region, ratio):
+    def _reduce_pd(self, fine_pd, farr, fframe, carr, cframe, region, ratio):  # noqa: ARG002 — hook signature; side flavour needs the patch data
         """Array-level reduction with patch-data context (axis, etc.)."""
         self._reduce(farr, fframe, carr, cframe, region, ratio)
+
+
+def _block(coarse, block, region: Box):
+    """``(array, frame)`` of scratch block ``block`` of store ``coarse``,
+    its frame ``region``, as a getter legal only inside a launch."""
+    return lambda: (slab_of(coarse, (block,)).reshape(tuple(region.shape())),
+                    region)
 
 
 class CellVolumeWeightedCoarsen(CoarsenOperator):
@@ -230,36 +241,35 @@ class CellMassWeightedCoarsen(CoarsenOperator):
                        rank: "Rank | None" = None) -> None:
         ratio = _as_ratio(ratio)
         _run(coarse_pd, "geom.coarsen", region.refine(ratio).size(),
-             self._weighted_body(fine_pd, fine_weight_pd, coarse_pd, region,
-                                 ratio), rank)
+             self._weighted_body(fine_pd, fine_weight_pd,
+                                 lambda: _arrays(coarse_pd), region, ratio),
+             rank)
 
-    def _weighted_body(self, fine_pd, fine_weight_pd, coarse_pd, region, ratio):
+    def _weighted_body(self, fine_pd, fine_weight_pd, coarse, region, ratio):
         def body():
             farr, fframe = _arrays(fine_pd)
             warr, wframe = _arrays(fine_weight_pd)
             if wframe != fframe:
                 raise ValueError("weight frame must match data frame")
-            carr, cframe = _arrays(coarse_pd)
             m.coarsen_cell_mass_weighted(
-                farr, warr, fframe, carr, cframe, region, ratio
+                farr, warr, fframe, *coarse(), region, ratio
             )
 
         return body
 
-    def batch_member_weighted(self, fine_pd, fine_weight_pd, coarse_pd,
-                              region, ratio):
-        """The array-level work of :meth:`apply_weighted` as one member."""
-        ratio = _as_ratio(ratio)
-        return BatchMember(region.refine(ratio).size(),
-                           self._weighted_body(fine_pd, fine_weight_pd,
-                                               coarse_pd, region, ratio),
-                           reads=(fine_pd, fine_weight_pd),
-                           writes=(coarse_pd,))
+    def batch_member_weighted(self, fine_pd, fine_weight_pd, coarse, block,
+                              region, ratio, elements: int) -> BatchMember:
+        """The work of :meth:`apply_weighted` as one member, like
+        :meth:`CoarsenOperator.batch_member`."""
+        return BatchMember(elements, self._weighted_body(
+            fine_pd, fine_weight_pd, _block(coarse, block, region), region,
+            _as_ratio(ratio)),
+            reads=(fine_pd, fine_weight_pd), writes=(block,))
 
     def apply(self, fine_pd, coarse_pd, region, ratio, rank=None):  # noqa: ARG002
         raise TypeError("mass-weighted coarsen needs a weight; use apply_weighted")
 
-    def batch_member(self, fine_pd, coarse_pd, region, ratio):  # noqa: ARG002
+    def batch_member(self, fine_pd, coarse, block, region, ratio, elements):  # noqa: ARG002
         raise TypeError("mass-weighted coarsen needs a weight; use batch_member_weighted")
 
 
@@ -279,7 +289,6 @@ class SideSumCoarsen(CoarsenOperator):
     name = "side_sum_coarsen"
     centring = "side"
 
-    def _reduce_pd(self, fine_pd, coarse_pd, farr, fframe, carr, cframe,  # noqa: ARG002
-                   region, ratio):
+    def _reduce_pd(self, fine_pd, farr, fframe, carr, cframe, region, ratio):
         m.coarsen_side_sum(farr, fframe, carr, cframe, region, ratio,
-                           coarse_pd.var.axis)
+                           fine_pd.var.axis)

@@ -6,9 +6,9 @@ or a memcpy on the owning device.  Everything else must go through explicit
 ``memcpy_*`` calls — exactly the discipline real CUDA imposes and the
 discipline the paper's resident design is built on.
 
-:class:`HostArray` is the same buffer protocol (``kernel_view``, ``free``,
-shape/size/dtype/nbytes) over plain host memory: always addressable, no
-ledger.  It is what a host-mode :class:`~repro.gpu.pool.MemoryPool` leases
+:class:`HostArray` is the same buffer protocol (``kernel_view``, ``flat``,
+``free``, shape/size/dtype/nbytes) over plain host memory: always
+addressable, no ledger.  It is what a host-mode :class:`~repro.gpu.pool.MemoryPool` leases
 and what the host memory space of :mod:`repro.pdat` allocates.
 """
 
@@ -46,6 +46,10 @@ class HostArray:
         if self._freed:
             raise RuntimeError("use after free of HostArray")
         return self._data
+
+    def flat(self) -> np.ndarray:
+        """The buffer as a flat store (:mod:`repro.exec.plan`)."""
+        return self.kernel_view().reshape(-1)
 
     def free(self) -> None:
         if not self._freed:
@@ -85,6 +89,10 @@ class DeviceArray:
             raise RuntimeError("use after free of DeviceArray")
         self.device.require_access()
         return self._data
+
+    def flat(self) -> np.ndarray:
+        """The buffer as a flat store (:mod:`repro.exec.plan`)."""
+        return self.kernel_view().reshape(-1)
 
     def free(self) -> None:
         """Release the allocation (idempotent)."""

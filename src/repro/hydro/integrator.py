@@ -445,11 +445,8 @@ class LagrangianEulerianIntegrator:
                 CoarsenSpec(self.variables["xvel0"], NodeInjectionCoarsen()),
                 CoarsenSpec(self.variables["yvel0"], NodeInjectionCoarsen()),
             ]
-            sched = CoarsenSchedule(
-                fine, coarse,
-                specs, self.comm, self.factory,
-                batch=self.config.batch_launches,
-            )
+            sched = CoarsenSchedule(fine, coarse, specs, self.comm,
+                                    batch=self.config.batch_launches)
             self.schedule_cache.put("coarsen", key, (fine, coarse), sched)
         return sched
 

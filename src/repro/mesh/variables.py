@@ -137,7 +137,7 @@ class HostDataFactory:
 
     Level-wide allocation pools each variable's storage for all of a
     rank's patches into one arena slab; per-patch ``allocate`` calls
-    (schedule temporaries) stay individual allocations.
+    (a hand-built patch) stay individual allocations.
     """
 
     location = "host"

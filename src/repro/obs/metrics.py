@@ -249,7 +249,6 @@ def registry_for_rank(rank) -> MetricsRegistry:
     for kernel, c in stats.stacked.items():
         reg.counter("stack.regions", kernel=kernel).inc(c.stacked)
         reg.counter("stack.ops", kernel=kernel).inc(c.groups)
-        reg.counter("stack.fallback_regions", kernel=kernel).inc(c.fallback)
     for kind, c in stats.schedules.items():
         reg.counter("schedule_cache.hits", kind=kind).inc(c.hits)
         reg.counter("schedule_cache.misses", kind=kind).inc(c.misses)

@@ -3,13 +3,24 @@
 After advancing the hierarchy, coarse cells covered by fine patches are
 overwritten with the conservative average of their fine children (§II).
 The averaging kernel runs on the *fine* patch's owner (on its GPU for
-resident data) into a small temporary block, which is then streamed to the
-coarse patch's owner — so only the already-coarsened bytes cross the
-network, as on the real machine.
+resident data) into scratch, which is then shipped to the coarse patch's
+owner — so only the already-coarsened bytes cross the network, as on the
+real machine.
+
+A schedule compiles its transactions on first use, on the primitives
+fills use (:mod:`repro.exec.plan`), and replays them from then on.  A
+*ship* is one :class:`~repro.exec.plan.Scratch` slab with its
+(transaction, variable) blocks back to back, each a
+:class:`~repro.exec.plan.ScratchBlock` token in declarations; one
+compiled copy or message into the coarse arenas; one free.  ``batch``
+picks only the grouping: per transaction (a coarsen launch per variable,
+one ship), or level-wide (a coarsen launch per fine backend, a ship per
+same-rank transaction and per (fine rank, coarse rank) pair).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -17,7 +28,14 @@ import numpy as np
 
 from ..exec.backend import backend_for
 from ..exec.batch import LaunchBatcher
-from ..exec.plan import StreamPlan, flat_index, level_arenas
+from ..exec.plan import (
+    CopyPlan,
+    Scratch,
+    ScratchBlock,
+    StreamPlan,
+    flat_index,
+    level_arenas,
+)
 from ..geom.operators import CellMassWeightedCoarsen
 from ..mesh.box import Box
 from ..mesh.box_array import box_points
@@ -25,7 +43,6 @@ from ..mesh.variables import Variable
 from ..sched.task import TaskKind
 from .message import ImmediateSink
 from .overlap import index_box_for
-from .refine_schedule import alloc_temp, free_temps
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import SimCommunicator
@@ -49,20 +66,96 @@ class CoarsenSpec:
     weight_name: str | None = None
 
 
-def chunks(work: list, batch: bool) -> list[list]:
-    """The units the schedule issues its work in: everything at once under
-    ``batch`` (one launch per backend, one copy per rank), else one
-    transaction at a time."""
-    if batch:
-        return [work] if work else []
-    return [[w] for w in work]
-
-
 @dataclass
 class _CoarsenTransaction:
     fine_patch: "Patch"
     coarse_patch: "Patch"
-    region: Box  # coarse centring index space
+    region: Box  # coarse cell index space
+
+
+class _Block:
+    """One (transaction, variable) block: elements ``lo .. hi - 1`` of its
+    ship's scratch over ``region`` (coarse centring space); ``later``, the
+    regions later transactions onto the same coarse patch write."""
+
+    __slots__ = ("op", "fine", "weight", "coarse", "region", "token", "lo",
+                 "hi", "elements", "later")
+
+    def __init__(self, spec: CoarsenSpec, t: _CoarsenTransaction, ratio,
+                 space, lo: int, later):
+        name, self.op = spec.var.name, spec.coarsen_op
+        self.fine = t.fine_patch.data(name)
+        self.weight = (t.fine_patch.data(spec.weight_name)
+                       if isinstance(self.op, CellMassWeightedCoarsen) else None)
+        self.coarse = t.coarse_patch.data(name)
+        self.region = index_box_for(spec.var, t.region)
+        size = self.region.size()
+        self.token = ScratchBlock(f"_tmp_{name}", 8 * size, space)
+        self.lo, self.hi = lo, lo + size
+        self.elements = size * math.prod(ratio)  # the fine points read
+        self.later = [index_box_for(spec.var, r) for r in later]
+
+    def member(self, scratch: Scratch, ratio):
+        """The block's coarsen body, into its segment of ``scratch``."""
+        into = (scratch.segment(self.lo, self.hi), self.token, self.region,
+                ratio, self.elements)
+        if self.weight is None:
+            return self.op.batch_member(self.fine, *into)
+        return self.op.batch_member_weighted(self.fine, self.weight, *into)
+
+
+class _Ship:
+    """Blocks coarsened on rank ``fine`` for rank ``coarse``, back to back
+    in one scratch slab, and ``groups``: their scatter into the coarse
+    arenas, ``(arena, arena index, scratch index)`` per block."""
+
+    def __init__(self, fine, coarse, backend):
+        self.fine, self.coarse, self.backend = fine, coarse, backend
+        self.blocks: list[_Block] = []
+        self.size = 0
+        self.groups: list = []
+
+    def add(self, spec, t, ratio, later) -> _Block:
+        block = _Block(spec, t, ratio, self.backend.space, self.size, later)
+        self.blocks.append(block)
+        self.size = block.hi
+        return block
+
+    def compile(self, arenas: list, index, points) -> None:
+        """The scatter of every point that must land, cut from ``index`` /
+        ``points``: the coarse arena index and coordinates of this ship's
+        points in scratch order.  A message lands after the coarse rank's
+        copies and the other messages, so it skips each point a later
+        transaction onto the same coarse patch rewrites: every point that
+        stays holds the value the per-transaction order leaves, while the
+        payload stays whole."""
+        for k, b in enumerate(self.blocks):
+            into, where = index[b.lo:b.hi], slice(b.lo, b.hi)
+            if b.later:
+                mine, live = points[b.lo:b.hi], np.ones(b.hi - b.lo, bool)
+                for box in b.later:
+                    live &= ~((mine >= box.lower)
+                              & (mine <= box.upper)).all(axis=1)
+                keep = np.flatnonzero(live)
+                into, where = into[keep], keep + b.lo
+            self.groups.append(
+                (arenas[k % len(arenas)][self.coarse.index], into, where))
+
+    def send(self, sink, scratch: Scratch, label: str) -> None:
+        """The whole scratch as one fused copy, or one message stream."""
+        n, blocks = len(self.blocks), self.blocks
+        if self.fine is self.coarse:
+            sink.copy(self.coarse, CopyPlan(
+                [(b.coarse, b.token, b.region) for b in blocks], n, self.size,
+                [(arena, scratch.slab, index, where)
+                 for arena, index, where in self.groups]), "sync.copy")
+            return
+        sink.stream_batch(
+            self.fine, self.coarse,
+            StreamPlan([(b.token, b.region) for b in blocks], n, self.size,
+                       [(scratch.slab, slice(None), slice(None))]),
+            StreamPlan([(b.coarse, b.region) for b in blocks], n, self.size,
+                       self.groups), label)
 
 
 class CoarsenSchedule:
@@ -74,23 +167,19 @@ class CoarsenSchedule:
         coarse_level: "PatchLevel",
         specs: list[CoarsenSpec],
         comm: "SimCommunicator",
-        factory,
+        *,
         batch: bool = False,
     ):
         self.fine_level = fine_level
         self.coarse_level = coarse_level
         self.specs = specs
         self.comm = comm
-        self.factory = factory
-        #: fuse the per-variable coarsen kernels into one launch per fine
-        #: backend.  Coarsening runs through per-region temps, inherently
-        #: per-patch work, so that launch replays member bodies
-        #: (``slab_fallback``)
+        #: group the sync level-wide: one coarsen launch per fine backend,
+        #: one message per (fine rank, coarse rank); else per transaction
         self.batch = batch
         self.transactions: list[_CoarsenTransaction] = []
-        #: under ``batch``, the unpack groups of each cross-rank
-        #: (fine owner, coarse owner) message, compiled on first use
-        self._unpacks: dict | None = None
+        #: the compiled sync, built on first use and replayed from then on
+        self._units: list | None = None
         self._build()
 
     def _build(self) -> None:
@@ -104,6 +193,46 @@ class CoarsenSchedule:
         self.transactions = [
             _CoarsenTransaction(fine.patches[j], coarse.patches[i], region)
             for i, j, region in zip(c.tolist(), f.tolist(), regions.boxes())]
+
+    def _compile(self) -> list:
+        """The units issued at once — every transaction under ``batch``,
+        else each one — as ``(blocks, ships)``: the coarsen members in
+        transaction order with their ships, and the ships in issue order
+        (same-rank transactions, then cross-rank groups, first-seen)."""
+        ranks, ratio = self.comm.ranks, self.fine_level.ratio_to_coarser
+        later, after = [], {}  # coarse patch -> later transactions' regions
+        for t in reversed(self.transactions):
+            mine = after.setdefault(id(t.coarse_patch), [])
+            later.append(list(mine))
+            mine.append(t.region)
+        units: dict = {}
+        for i, t in enumerate(self.transactions):
+            f, c = t.fine_patch.owner, t.coarse_patch.owner
+            blocks, local, remote = units.setdefault(
+                None if self.batch else i, ([], {}, {}))
+            ships, key = (local, i) if f == c else (remote, (f, c))
+            ship = ships.get(key)
+            if ship is None:
+                ship = ships[key] = _Ship(ranks[f], ranks[c], backend_for(
+                    t.fine_patch.data(self.specs[0].var.name), ranks[f]))
+            blocks.extend((ship, ship.add(spec, t, ratio,
+                                          later[-1 - i] if f != c else ()))
+                          for spec in self.specs)
+        out = [(blocks, [*local.values(), *remote.values()])
+               for blocks, local, remote in units.values()]
+        # every ship's points at once, ship after ship in scratch order
+        ships = [ship for _, unit in out for ship in unit]
+        blocks = [b for ship in ships for b in ship.blocks]
+        which, coords = box_points([b.region for b in blocks])
+        index = flat_index([b.coarse for b in blocks], which, coords)
+        points, at = np.stack(coords, axis=1), 0
+        arenas = [level_arenas(self.coarse_level, s.var.name)
+                  for s in self.specs]
+        for ship in ships:
+            ship.compile(arenas, index[at:at + ship.size],
+                         points[at:at + ship.size])
+            at += ship.size
+        return out
 
     # -- the transfer program ----------------------------------------------------
     #
@@ -126,147 +255,34 @@ class CoarsenSchedule:
         self._transfer(gb)
 
     def _transfer(self, sink) -> None:
-        """Coarsen on the fine owner, ship to the coarse owner, free.
-
-        Per fine/coarse patch pair each variable is coarsened into a
-        small temporary block on the fine owner's resource — one launch
-        per variable, or under ``batch`` one per fine backend covering
-        every (transaction, variable) pair — then the blocks travel to
-        the coarse owner, so only already-coarsened bytes cross the
-        network: one fused copy per transaction on the same rank, one
-        message stream per (fine rank, coarse rank) across ranks — per
-        transaction, or under ``batch`` for all of the pair's
-        transactions at once.  Whatever raises on the way, no temp
-        outlives the call.
-        """
+        """Per unit: coarsen every block on its fine owner into its ship's
+        scratch, then ship each scratch to the coarse owner and free it.
+        Whatever raises while a unit is issued, no scratch outlives the
+        call."""
+        if self._units is None:
+            self._units = (self._compile()
+                           if self.specs and self.transactions else [])
         ratio = self.fine_level.ratio_to_coarser
-        held: list = []
-        try:
-            for chunk in chunks(self.transactions, self.batch):
+        label = f"sync.L{self.fine_level.level_number}"
+        for blocks, ships in self._units:
+            scratch: dict = {}
+            try:
+                for ship in ships:
+                    scratch[ship] = Scratch(ship.backend.space, ship.size)
                 launches = LaunchBatcher(self.batch)
-                staged = []
-                for t in chunk:
-                    fine_rank = self.comm.rank(t.fine_patch.owner)
-                    temps = []
-                    for spec in self.specs:
-                        region = index_box_for(spec.var, t.region)
-                        temp = alloc_temp(self.factory, spec.var, region,
-                                          fine_rank)
-                        held.append(temp)
-                        temps.append((spec, temp, region))
-                        self._coarsen_one(sink, launches, spec, t.fine_patch,
-                                          temp, region, ratio, fine_rank)
-                    staged.append((t, fine_rank, temps))
+                for ship, block in blocks:
+                    launches.collect(ship.backend, ship.fine, "geom.coarsen",
+                                     block.member(scratch[ship], ratio))
                 sink.flush_fusion(launches)
-                remote: dict = {}  # (fine, coarse) rank -> transactions
-                for t, fine_rank, temps in staged:
-                    coarse_rank = self.comm.rank(t.coarse_patch.owner)
-                    if fine_rank is coarse_rank:
-                        self._ship(sink, fine_rank, coarse_rank, [(t, temps)])
-                    else:
-                        remote.setdefault(
-                            (fine_rank, coarse_rank), []).append((t, temps))
-                for (fine_rank, coarse_rank), shipped in remote.items():
-                    self._ship(sink, fine_rank, coarse_rank, shipped)
-        except BaseException:
-            free_temps(held)
-            raise
-
-    def _coarsen_one(self, sink, launches, spec: CoarsenSpec,
-                     fine_patch: "Patch", temp, region: Box, ratio,
-                     fine_rank) -> None:
-        """One variable's coarsen kernel: a member of the level-wide
-        launch under ``batch``, else the operator's own launch."""
-        fine_pd = fine_patch.data(spec.var.name)
-        op = spec.coarsen_op
-        if isinstance(op, CellMassWeightedCoarsen):
-            reads = [fine_pd, fine_patch.data(spec.weight_name)]
-            member_of, apply = op.batch_member_weighted, op.apply_weighted
-        else:
-            reads = [fine_pd]
-            member_of, apply = op.batch_member, op.apply
-        args = (*reads, temp, region, ratio)
-        if self.batch:
-            launches.collect(backend_for(temp, fine_rank), fine_rank,
-                             "geom.coarsen", member_of(*args))
-        else:
-            sink.add(TaskKind.KERNEL, fine_rank.index,
-                     f"sync.coarsen.{spec.var.name}",
-                     lambda _stream: apply(*args, rank=fine_rank),
-                     reads=reads, writes=[temp])
-
-    def _ship(self, sink, fine_rank, coarse_rank, shipped) -> None:
-        """Move the coarsened temps of ``shipped``, ``(transaction,
-        temps)`` pairs from ``fine_rank`` to ``coarse_rank``, as one fused
-        copy or one message stream, in transaction order; then free them."""
-        items = [(t.coarse_patch.data(s.var.name), temp, region)
-                 for t, temps in shipped for s, temp, region in temps]
-        if fine_rank is coarse_rank:
-            sink.copy(coarse_rank, items, "sync.copy")
-        else:
-            unpack = [(dst, region) for dst, _, region in items]
-            if self.batch:
-                if self._unpacks is None:
-                    self._unpacks = self._compile_unpacks()
-                unpack = StreamPlan(
-                    unpack, len(unpack), sum(r.size() for _, r in unpack),
-                    self._unpacks[fine_rank.index, coarse_rank.index])
-            sink.stream_batch(
-                fine_rank, coarse_rank,
-                [(temp, region) for _, temp, region in items], unpack,
-                f"sync.L{self.fine_level.level_number}")
-        blocks = [temp for _, temp, _ in items]
-        sink.add(TaskKind.FREE, fine_rank.index, "sync.free",
-                 lambda _stream: free_temps(blocks), writes=blocks)
-
-    def _compile_unpacks(self) -> dict:
-        """``(fine owner, coarse owner) -> [(coarse arena, index, where)]``:
-        the unpack of each batched cross-rank message, as one flat-index
-        scatter per variable of every point *no later transaction onto
-        the same coarse patch rewrites*.
-
-        Sync writes are not disjoint: node data shares the nodes on a
-        shadow's edge, and an odd-sized fine patch shares coarse cells
-        with its neighbour, so the last transaction to write a point is
-        the one whose value stays.  Shipped one at a time, transactions
-        land in order; gathered into one message per rank pair they land
-        after the coarse rank's same-rank copies and each other.  A point
-        a later transaction rewrites is dead, so skipping it leaves every
-        surviving value the one the per-transaction order leaves — in any
-        order — while the message and its payload stay the full items'.
-        """
-        arenas = [level_arenas(self.coarse_level, s.var.name) for s in self.specs]
-        after: dict = {}   # coarse patch -> regions of later transactions
-        shipped: dict = {}
-        for t in reversed(self.transactions):
-            later = after.setdefault(id(t.coarse_patch), [])
-            if t.fine_patch.owner != t.coarse_patch.owner:
-                shipped.setdefault((t.fine_patch.owner, t.coarse_patch.owner),
-                                   []).append((t, list(later)))
-            later.append(t.region)
-        unpacks = {}
-        for (fine, coarse), txs in shipped.items():
-            pds, regions, rewritten = [], [], []
-            for t, later in reversed(txs):
-                for spec in self.specs:
-                    pds.append(t.coarse_patch.data(spec.var.name))
-                    regions.append(index_box_for(spec.var, t.region))
-                    rewritten.append([index_box_for(spec.var, r) for r in later])
-            which, coords = box_points(regions)
-            points = np.stack(coords, axis=1)
-            live = np.ones(len(which), dtype=bool)
-            for k, boxes in enumerate(rewritten):
-                mine = np.flatnonzero(which == k)
-                for box in boxes:
-                    live[mine] &= ~((points[mine] >= box.lower)
-                                    & (points[mine] <= box.upper)).all(axis=1)
-            keep = np.flatnonzero(live)
-            index = flat_index(pds, which[keep], [c[keep] for c in coords])
-            var = which[keep] % len(self.specs)
-            unpacks[fine, coarse] = [
-                (arena[coarse], index[var == v], keep[var == v])
-                for v, arena in enumerate(arenas)]
-        return unpacks
+                for ship, mine in scratch.items():
+                    ship.send(sink, mine, label)
+                    sink.add(TaskKind.FREE, ship.fine.index, "sync.free",
+                             lambda _stream, mine=mine: mine.free(),
+                             writes=[b.token for b in ship.blocks])
+            except BaseException:
+                for mine in scratch.values():
+                    mine.free()
+                raise
 
     def num_transactions(self) -> int:
         return len(self.transactions)

@@ -14,15 +14,14 @@ in the owning :mod:`repro.exec` backend.
 
 An *item* is ``(patch_data, region_box)``; a batch is a list of items
 whose regions are packed back-to-back in order — or that list in
-compiled form (:mod:`repro.exec.plan`), which a fill schedule builds
-once and hands in on every replay.
+compiled form (:mod:`repro.exec.plan`), which a fill or sync schedule
+builds once and hands in on every replay.
 
-The backends collapse the per-region Python loop inside these
-primitives: regions of arena members execute as one flat-index NumPy op
-per arena, whatever the patch shapes, with the per-region loop kept for
-everything else (the sync's temporaries) — bitwise identical either way,
-counted as ``StackCounter`` in :class:`~repro.exec.stats.ExecStats`
-(``--profile`` shows the split).
+The backends run these primitives without a per-region Python loop:
+the regions of one store (an arena, a scratch slab, the buffer of patch
+data allocated on its own) execute as one flat-index NumPy op, whatever
+the patch shapes, counted as ``StackCounter`` in
+:class:`~repro.exec.stats.ExecStats` (``--profile`` shows them).
 """
 
 from __future__ import annotations

@@ -50,8 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "FillSpec", "RefineSchedule", "build_fill_geometry", "FillGeometry",
-    "needed_coarse_frame", "temp_box_for", "alloc_temp", "free_temps",
-    "signature_of",
+    "needed_coarse_frame", "signature_of",
 ]
 
 
@@ -82,24 +81,6 @@ def needed_coarse_frame(var: Variable, region: "Box | BoxArray",
     # bilinear corners (node) / the bracketing coarse face along the
     # normal (side): the centring's own upper offset
     return c.grow_upper(var.offset)
-
-
-def temp_box_for(var: Variable, frame: Box) -> Box:
-    """Cell box whose zero-ghost storage frame equals ``frame``."""
-    return var.cell_box(frame)
-
-
-def alloc_temp(factory, var: Variable, frame: Box, rank):
-    """A zero-ghost temporary block for ``var`` whose storage is ``frame``."""
-    return factory.allocate(
-        Variable(f"_tmp_{var.name}", var.centring, 0, var.axis),
-        temp_box_for(var, frame), rank, frame=frame)
-
-
-def free_temps(temps) -> None:
-    """Release temporary blocks (device-backed ones own pool memory)."""
-    for temp in temps:
-        temp.free()
 
 
 @dataclass

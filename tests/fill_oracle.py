@@ -1,4 +1,5 @@
-"""The per-region fill program, kept as the reference.
+"""The per-region fill and per-transaction sync programs, kept as the
+reference.
 
 Until every :class:`~repro.xfer.refine_schedule.RefineSchedule` ran a
 compiled :class:`~repro.xfer.fill_plan.FillPlan`, this is how a
@@ -7,10 +8,19 @@ fused copy, per patch pair one message stream, per interpolated region
 freshly allocated temporaries, a gather, one clamp launch per variable,
 the operators' own refine launch (fused for a homogeneous operator) and
 a free; then one ``boundary.apply_all`` task per boundary patch.
+
+Until every :class:`~repro.xfer.coarsen_schedule.CoarsenSchedule` ran a
+compiled sync, this is how it synchronised a level, in both groupings:
+per (transaction, variable) a temporary patch data from the factory and
+a coarsen launch (fused per fine backend under ``batch``), then per
+transaction one fused copy or message (under ``batch`` one message per
+rank pair), each followed by a free.
+
 ``tests/test_plan.py`` asserts compiled fills of both groupings leave
 the same bits, and the per-patch grouping the same launch sequence and
-device high-water.  Written against the public schedule, sink and
-operator APIs only.
+device high-water; and compiled syncs of both groupings the same bits,
+launch sequence, messages and device high-water as their program here.
+Written against the public schedule, sink, plan and operator APIs only.
 """
 
 import numpy as np
@@ -18,12 +28,29 @@ import numpy as np
 from repro.check.context import active as _check_active
 from repro.exec.backend import array_of, backend_for
 from repro.exec.batch import BatchMember, LaunchBatcher
-from repro.geom.operators import fused_refine_apply
+from repro.exec.plan import StreamPlan, flat_index, level_arenas, store_of
+from repro.geom.operators import CellMassWeightedCoarsen, fused_refine_apply
 from repro.mesh.box import Box
+from repro.mesh.box_array import box_points
+from repro.mesh.variables import Variable
 from repro.sched.task import TaskKind
+from repro.xfer.coarsen_schedule import CoarsenSchedule
 from repro.xfer.message import ImmediateSink, halo_marks
 from repro.xfer.overlap import index_box_for
-from repro.xfer.refine_schedule import RefineSchedule, alloc_temp, free_temps
+from repro.xfer.refine_schedule import RefineSchedule
+
+
+def alloc_temp(factory, var: Variable, frame: Box, rank):
+    """A zero-ghost temporary block for ``var`` whose storage is ``frame``."""
+    return factory.allocate(
+        Variable(f"_tmp_{var.name}", var.centring, 0, var.axis),
+        var.cell_box(frame), rank, frame=frame)
+
+
+def free_temps(temps) -> None:
+    """Release temporary blocks (device-backed ones own pool memory)."""
+    for temp in temps:
+        temp.free()
 
 
 def clamp_extend(arr, frame: Box, valid: Box) -> None:
@@ -192,3 +219,139 @@ class PerRegionSchedule(RefineSchedule):
             for spec, temp in zip(specs, temps)
         ]
         fused_refine_apply(specs[0].refine_op, pairs, ig.region, ratio, dst_rank)
+
+
+# -- the per-transaction sync -------------------------------------------------
+
+
+def chunks(work: list, batch: bool) -> list[list]:
+    """The units the program issues its work in: everything at once under
+    ``batch`` (one launch per backend, one copy per rank), else one
+    transaction at a time."""
+    if batch:
+        return [work] if work else []
+    return [[w] for w in work]
+
+
+class PerTransactionSync(CoarsenSchedule):
+    """A :class:`CoarsenSchedule` that runs the per-transaction program,
+    its temporaries allocated by ``factory``."""
+
+    def __init__(self, *args, factory, batch: bool = False):
+        self.factory = factory
+        self._unpacks = None
+        super().__init__(*args, batch=batch)
+
+    def _transfer(self, sink) -> None:
+        ratio = self.fine_level.ratio_to_coarser
+        held: list = []
+        try:
+            for chunk in chunks(self.transactions, self.batch):
+                launches = LaunchBatcher(self.batch)
+                staged = []
+                for t in chunk:
+                    fine_rank = self.comm.rank(t.fine_patch.owner)
+                    temps = []
+                    for spec in self.specs:
+                        region = index_box_for(spec.var, t.region)
+                        temp = alloc_temp(self.factory, spec.var, region,
+                                          fine_rank)
+                        held.append(temp)
+                        temps.append((spec, temp, region))
+                        self._coarsen_one(sink, launches, spec, t.fine_patch,
+                                          temp, region, ratio, fine_rank)
+                    staged.append((t, fine_rank, temps))
+                sink.flush_fusion(launches)
+                remote: dict = {}
+                for t, fine_rank, temps in staged:
+                    coarse_rank = self.comm.rank(t.coarse_patch.owner)
+                    if fine_rank is coarse_rank:
+                        self._ship(sink, fine_rank, coarse_rank, [(t, temps)])
+                    else:
+                        remote.setdefault(
+                            (fine_rank, coarse_rank), []).append((t, temps))
+                for (fine_rank, coarse_rank), shipped in remote.items():
+                    self._ship(sink, fine_rank, coarse_rank, shipped)
+        except BaseException:
+            free_temps(held)
+            raise
+
+    def _coarsen_one(self, sink, launches, spec, fine_patch, temp, region,
+                     ratio, fine_rank) -> None:
+        fine_pd = fine_patch.data(spec.var.name)
+        op = spec.coarsen_op
+        if isinstance(op, CellMassWeightedCoarsen):
+            reads = [fine_pd, fine_patch.data(spec.weight_name)]
+            member_of, apply = op.batch_member_weighted, op.apply_weighted
+        else:
+            reads = [fine_pd]
+            member_of, apply = op.batch_member, op.apply
+        if self.batch:
+            launches.collect(backend_for(temp, fine_rank), fine_rank,
+                             "geom.coarsen", member_of(
+                                 *reads, store_of(temp), temp, region, ratio,
+                                 region.refine(ratio).size()))
+        else:
+            sink.add(TaskKind.KERNEL, fine_rank.index,
+                     f"sync.coarsen.{spec.var.name}",
+                     lambda _stream: apply(*reads, temp, region, ratio,
+                                           rank=fine_rank),
+                     reads=reads, writes=[temp])
+
+    def _ship(self, sink, fine_rank, coarse_rank, shipped) -> None:
+        items = [(t.coarse_patch.data(s.var.name), temp, region)
+                 for t, temps in shipped for s, temp, region in temps]
+        if fine_rank is coarse_rank:
+            sink.copy(coarse_rank, items, "sync.copy")
+        else:
+            unpack = [(dst, region) for dst, _, region in items]
+            if self.batch:
+                if self._unpacks is None:
+                    self._unpacks = self._compile_unpacks()
+                unpack = StreamPlan(
+                    unpack, len(unpack), sum(r.size() for _, r in unpack),
+                    self._unpacks[fine_rank.index, coarse_rank.index])
+            sink.stream_batch(
+                fine_rank, coarse_rank,
+                [(temp, region) for _, temp, region in items], unpack,
+                f"sync.L{self.fine_level.level_number}")
+        blocks = [temp for _, temp, _ in items]
+        sink.add(TaskKind.FREE, fine_rank.index, "sync.free",
+                 lambda _stream: free_temps(blocks), writes=blocks)
+
+    def _compile_unpacks(self) -> dict:
+        """Per (fine owner, coarse owner) the batched message's unpack:
+        every point no later transaction onto the same coarse patch
+        rewrites, one flat-index scatter per variable."""
+        arenas = [level_arenas(self.coarse_level, s.var.name) for s in self.specs]
+        after: dict = {}
+        shipped: dict = {}
+        for t in reversed(self.transactions):
+            later = after.setdefault(id(t.coarse_patch), [])
+            if t.fine_patch.owner != t.coarse_patch.owner:
+                shipped.setdefault((t.fine_patch.owner, t.coarse_patch.owner),
+                                   []).append((t, list(later)))
+            later.append(t.region)
+        unpacks = {}
+        for (fine, coarse), txs in shipped.items():
+            pds, regions, rewritten = [], [], []
+            for t, later in reversed(txs):
+                for spec in self.specs:
+                    pds.append(t.coarse_patch.data(spec.var.name))
+                    regions.append(index_box_for(spec.var, t.region))
+                    rewritten.append([index_box_for(spec.var, r) for r in later])
+            which, coords = box_points(regions)
+            points = np.stack(coords, axis=1)
+            live = np.ones(len(which), dtype=bool)
+            for k, boxes in enumerate(rewritten):
+                mine = np.flatnonzero(which == k)
+                for box in boxes:
+                    live[mine] &= ~((points[mine] >= box.lower)
+                                    & (points[mine] <= box.upper)).all(axis=1)
+            keep = np.flatnonzero(live)
+            index = flat_index(pds, which[keep], [c[keep] for c in coords])
+            var = which[keep] % len(self.specs)
+            unpacks[fine, coarse] = [
+                (arena[coarse], index[var == v], keep[var == v])
+                for v, arena in enumerate(arenas)]
+        return unpacks

@@ -129,12 +129,16 @@ def test_batched_sweeps_are_stated_over_buckets_not_replanned_per_launch():
     per-launch planner that used to recover them from per-patch members
     (and the hand-listed ``scalars`` keys it partitioned by) stays gone.
     So do the hand-written per-region fill program beside the compiled
-    one and the factories' ``arena=`` switch that selected it."""
+    one and the factories' ``arena=`` switch that selected it, and the
+    per-transaction sync program with its temporaries and the per-region
+    slice arm of the transfer bodies."""
     import ast
 
     pattern = re.compile(
         r"SlabSpec|_slab_plan|_stacked_call|_interpolate|_group_copies"
-        r"|_fused_refine|_clamp_member|_apply_boundary|arena=")
+        r"|_fused_refine|_clamp_member|_apply_boundary|arena="
+        r"|alloc_temp|free_temps|temp_box_for|def chunks|_coarsen_one"
+        r"|\.rest\b|fallback_regions")
     offenders = [
         f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
         for path in sorted(SRC.rglob("*.py"))

@@ -291,7 +291,7 @@ def test_coarsen_transactions_and_nesting_equal_the_per_box_versions(drawn):
     hier, old = drawn
     comm = SimCommunicator(4, IPA_CPU_NODE, FDR_INFINIBAND)
     for n in range(1, hier.num_levels):
-        sched = CoarsenSchedule(hier.level(n), hier.level(n - 1), [], comm, None)
+        sched = CoarsenSchedule(hier.level(n), hier.level(n - 1), [], comm)
         assert [(t.fine_patch, t.coarse_patch, t.region)
                 for t in sched.transactions] == coarsen_transactions(
                     hier.level(n), hier.level(n - 1))

@@ -161,7 +161,7 @@ class TestStackedCopies:
         for d, s in zip(dsts, srcs):
             assert np.array_equal(_interior(d), _interior(s))
         sc = rank.exec_stats.stacked["pdat.copy"]
-        assert sc.stacked == 3 and sc.groups == 1 and sc.fallback == 0
+        assert sc.stacked == 3 and sc.groups == 1
 
     def test_host_stacked_copy_matches_per_region(self, comm):
         self._check_stacked_copy(HOST, comm.rank(0))
@@ -191,7 +191,7 @@ class TestStackedCopies:
             outside[sl] = False
             assert not d.to_host()[outside].any()  # nothing else written
         sc = rank.exec_stats.stacked["pdat.copy"]
-        assert sc.stacked == 3 and sc.groups == 1 and sc.fallback == 0
+        assert sc.stacked == 3 and sc.groups == 1
 
     def test_ragged_arena_keeps_the_per_region_path(self, comm, space):
         """Non-uniform arena: two shape buckets, no whole-arena stacked
@@ -212,7 +212,7 @@ class TestStackedCopies:
             buffer, np.concatenate([_interior(s).ravel() for s in srcs]))
         for kernel in ("pdat.copy", "pdat.pack"):
             sc = rank.exec_stats.stacked[kernel]
-            assert sc.stacked == 3 and sc.fallback == 0
+            assert sc.stacked == 3 and sc.groups == 1
         slab = arena.to_host_slab()
         for i, s in enumerate(srcs):
             n = arena.shapes[i][0] * arena.shapes[i][1]
@@ -222,12 +222,24 @@ class TestStackedCopies:
         arena.from_host_slab(np.zeros_like(slab))
         assert all(not s.to_host().any() for s in srcs)
 
-    def test_standalone_data_records_nothing(self, comm):
-        a = CellData(BOX, 2, fill=1.0)
-        dst = CellData(BOX, 2, fill=0.0)
+    def test_standalone_data_is_its_own_one_member_store(self, comm, space):
+        """Patch data allocated on its own runs by flat index too: its
+        buffer is a store whose one member sits at offset 0, and the
+        regions on one buffer share one op."""
+        a = CellData(BOX, 2, space, fill=1.0)
+        b = CellData(BOX, 2, space, fill=2.0)
+        dst = CellData(BOX, 2, space, fill=0.0)
         rank = comm.rank(0)
-        copy_batch_local([(dst, a, Box([0, 0], [3, 7]))], rank)
-        assert "pdat.copy" not in rank.exec_stats.stacked
+        copy_batch_local([(dst, a, Box([0, 0], [3, 7])),
+                          (dst, b, Box([4, 0], [7, 3])),
+                          (dst, b, Box([4, 4], [7, 7]))], rank)
+        assert np.all(_interior(dst)[:4] == 1.0)
+        assert np.all(_interior(dst)[4:] == 2.0)
+        sc = rank.exec_stats.stacked["pdat.copy"]
+        assert sc.stacked == 3 and sc.groups == 2
+        buffer = pack_batch([(dst, Box([2, 2], [5, 5])), (a, BOX)], rank)
+        assert np.array_equal(buffer, np.concatenate(
+            [_interior(dst)[2:6, 2:6].ravel(), _interior(a).ravel()]))
 
     def _check_stacked_pack_unpack(self, space, rank):
         _, srcs = _arena_row(space, 4, seed=3)
@@ -239,9 +251,9 @@ class TestStackedCopies:
         for d, s in zip(dsts, srcs):
             assert np.array_equal(_interior(d), _interior(s))
         sc = rank.exec_stats.stacked["pdat.pack"]
-        assert sc.stacked == 4 and sc.fallback == 0
+        assert sc.stacked == 4 and sc.groups == 1
         su = rank.exec_stats.stacked["pdat.unpack"]
-        assert su.stacked == 4 and su.fallback == 0
+        assert su.stacked == 4 and su.groups == 1
 
     def test_host_stacked_pack_unpack_roundtrip(self, comm):
         self._check_stacked_pack_unpack(HOST, comm.rank(0))
@@ -259,7 +271,7 @@ class TestStackedCopies:
         assert device.stats.launches_by_name["pdat.pack"] == k0 + 1
         assert device.stats.transfers_d2h == d0 + 1
         sc = rank.exec_stats.stacked["pdat.pack"]
-        assert sc.stacked == 3 and sc.fallback == 0
+        assert sc.stacked == 3 and sc.groups == 1
 
 
 # -- a batch transfer that raises leaves no staging buffer behind -----------------

@@ -19,7 +19,6 @@ from repro.mesh.box import Box
 from repro.mesh.variables import Variable
 from repro.pdat import HOST, ArrayData
 from repro.xfer.overlap import frame_box_for, index_box_for
-from repro.xfer.refine_schedule import temp_box_for
 
 BOX = Box([0, 0], [7, 7])
 
@@ -54,9 +53,9 @@ class TestFrames:
             [0, 0], [7 + offset[0], 7 + offset[1]])
         assert frame == Box([-ghosts] * 2, [7 + ghosts + offset[0],
                                             7 + ghosts + offset[1]])
-        # temp_box_for inverts it: a zero-ghost block over that cell box
-        # has exactly this frame
-        cells = temp_box_for(var, frame)
+        # cell_box inverts it: a zero-ghost block over that cell box has
+        # exactly this frame
+        cells = var.cell_box(frame)
         assert cells == BOX.grow(ghosts)
         assert Variable("t", centring, 0, axis).frame(cells) == frame
 

@@ -11,13 +11,17 @@ program it replaces, so every layer is pinned against that program:
 * ``xfer.fill_plan`` — replaying a cached schedule does no box algebra and
   allocates one scratch slab per rank (level-wide) or per interpolated
   region (per patch), and a plan whose level was rebuilt by a regrid can
-  only raise, never read stale memory;
+  only raise, never read stale memory; replaying a cached sync allocates
+  one scratch slab per ship and compiles nothing;
 * ``xfer.fill_plan`` against the per-region program itself
   (``tests/fill_oracle.py``) — compiled fills of both groupings leave its
   bits on random ragged hierarchies, the per-patch grouping with its
   launch sequence, messages and device high-water; a geometry shared by
   both groupings keeps each its own; a per-patch fill refuses a centring
-  group that mixes refine operators.
+  group that mixes refine operators;
+* ``xfer.coarsen_schedule`` against the per-transaction program — compiled
+  syncs of both groupings, under both sinks, leave its bits, launch
+  sequence, messages and device high-water.
 """
 
 from __future__ import annotations
@@ -26,25 +30,36 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
-from fill_oracle import PerRegionSchedule
+from fill_oracle import PerRegionSchedule, PerTransactionSync
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, build_simulation
 from repro.comm.simcomm import SimCommunicator
+from repro.exec import backend as backend_module
 from repro.exec.backend import UNCHARGED_HOST, ResidentDeviceBackend
-from repro.exec.plan import compile_copies, compile_stream
+from repro.exec.plan import CopyPlan, StreamPlan, compile_copies, compile_stream
 from repro.geom import interp_math as m
-from repro.geom.operators import CellConservativeLinearRefine
+from repro.geom.operators import (
+    CellConservativeLinearRefine,
+    CellMassWeightedCoarsen,
+    CellVolumeWeightedCoarsen,
+    NodeInjectionCoarsen,
+    SideSumCoarsen,
+)
 from repro.gpu.device import K20X, Device
 from repro.hydro.fields import FIELD_GROUPS, PRIMARY_FIELDS
 from repro.hydro.problems import SodProblem
 from repro.mesh.box import Box, IntVector
 from repro.mesh.box_array import box_points
-from repro.mesh.variables import Variable
+from repro.mesh.variables import CudaDataFactory, Variable
 from repro.pdat import HOST, Arena, PatchData
 from repro.regrid.load_balance import chop_boxes
+from repro.sched.builder import GraphBuilder
+from repro.sched.executor import GraphExecutor
+from repro.xfer.coarsen_schedule import CoarsenSchedule, CoarsenSpec
 from repro.xfer.fill_plan import MixedRefineError
+from repro.xfer.message import ImmediateSink
 from repro.xfer.refine_schedule import FillSpec, RefineSchedule
 
 CENTRINGS = [("cell", 0), ("node", 0), ("side", 0), ("side", 1)]
@@ -145,13 +160,13 @@ def test_compiled_transfers_equal_the_per_region_calls(kind, centring, axis,
         [ref_src[k].pack_stream(region) for k, region in zip(picks, regions)])
 
     plan = compile_copies([(dsts[k], srcs[k], r) for k, r in zip(picks, regions)])
-    assert not plan.rest and plan.count == nregions
+    assert len(plan.groups) == 1 and plan.count == nregions
     backend.copy_batch(plan)
     for got, want in zip(dsts, ref_dst):
         assert np.array_equal(got.to_host(), want.to_host())
 
     pack = compile_stream([(srcs[k], r) for k, r in zip(picks, regions)])
-    assert not pack.rest and pack.total == stream.size
+    assert len(pack.groups) == 1 and pack.total == stream.size
     assert np.array_equal(backend.pack_batch(pack), stream)
 
     # unpack the reversed stream: a different value lands in every element
@@ -277,20 +292,31 @@ def _ragged_sim(steps=0, batch=True):
 def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
         monkeypatch):
     """Level-wide, one scratch slab for the one rank; per patch, one per
-    interpolated region, where the region's temporaries were."""
-    counts = {"Box.__init__": 0, "Box.slices_in": 0, "Device.empty": 0}
+    interpolated region, where the region's temporaries were.  A cached
+    sync, in either grouping, allocates one scratch slab per ship (what
+    each ``sync.free`` releases), no patch data, and compiles no item
+    list."""
+    counts = {"Box.__init__": 0, "Box.slices_in": 0, "Device.empty": 0,
+              "allocate": 0, "compile": 0, "sync.free": 0}
 
-    def counting(cls, attr, key):
+    def counting(cls, attr, key, when=lambda *args, **kwargs: True):
         original = getattr(cls, attr)
 
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            counts[key] += bool(when(*args, **kwargs))
             return original(*args, **kwargs)
         monkeypatch.setattr(cls, attr, wrapper)
 
     counting(Box, "__init__", "Box.__init__")
     counting(Box, "slices_in", "Box.slices_in")
     counting(Device, "empty", "Device.empty")
+    counting(CudaDataFactory, "allocate", "allocate")
+    counting(backend_module, "compile_copies", "compile",
+             lambda items: not isinstance(items, CopyPlan))
+    counting(backend_module, "compile_stream", "compile",
+             lambda items: not isinstance(items, StreamPlan))
+    counting(ImmediateSink, "add", "sync.free",
+             lambda self, kind, rank, label, *args, **kw: label == "sync.free")
     for batch in (True, False):
         sim = _ragged_sim(batch=batch)
         level = sim.hierarchy.level(sim.hierarchy.num_levels - 1)
@@ -306,6 +332,15 @@ def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
         sched.fill(time=0.0)
         assert counts["Box.__init__"] == 0 and counts["Box.slices_in"] == 0
         assert counts["Device.empty"] == (1 if batch else regions), batch
+
+        sync = sim._coarsen_schedule_for(level.level_number)
+        sync.coarsen()  # first use compiles the sync
+        assert sim._coarsen_schedule_for(level.level_number) is sync
+        counts.update(dict.fromkeys(counts, 0))
+        sync.coarsen()
+        assert counts["sync.free"] >= sync.num_transactions() > 1
+        assert counts["Device.empty"] == counts["sync.free"], batch
+        assert counts["allocate"] == 0 and counts["compile"] == 0, batch
 
 
 def test_a_purged_schedules_plan_raises_instead_of_reading_a_released_slab():
@@ -364,9 +399,10 @@ ORACLE_FIELDS = ("density0", "energy0", "xvel0", "yvel0", "vol_flux_x",
 def _recording():
     """``(launches, messages)`` posted while the block runs: ``(kernel,
     rank, elements)`` per device launch, ``(src, dst, bytes)`` per
-    message."""
+    message, whichever sink posted it."""
     launches, messages = [], []
     launch, exchange = Device.launch, SimCommunicator.exchange
+    isend = SimCommunicator.isend
 
     def recorded_launch(self, name, elements, fn, *args, **kwargs):
         launches.append((getattr(name, "name", name), self.trace_rank,
@@ -377,11 +413,17 @@ def _recording():
         messages.extend((msg.src, msg.dst, msg.nbytes) for msg in posted)
         return exchange(self, posted)
 
+    def recorded_isend(self, msg):
+        messages.append((msg.src, msg.dst, msg.nbytes))
+        return isend(self, msg)
+
     Device.launch, SimCommunicator.exchange = recorded_launch, recorded_exchange
+    SimCommunicator.isend = recorded_isend
     try:
         yield launches, messages
     finally:
         Device.launch, SimCommunicator.exchange = launch, exchange
+        SimCommunicator.isend = isend
 
 
 def _state(levels, names, seed):
@@ -528,3 +570,78 @@ def test_a_per_patch_fill_rejects_a_centring_group_of_mixed_refine_operators():
     want = _outcome(make(PerRegionSchedule), state, sim.comm)
     got = _outcome(make(RefineSchedule, batch=True), state, sim.comm)
     assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+
+
+# -- (vii) compiled syncs == the per-transaction program ---------------------------
+
+
+def _sync_outcome(sched, state, comm, recorded: bool):
+    """Run ``sched`` once from ``state``, executed now or recorded into a
+    graph and executed: ``(every coarse frame, launches, messages, device
+    high-water per rank)``."""
+    for pd, host in state.items():
+        pd.from_host(host)
+    devices = [rank.device for rank in comm.ranks]
+    for device in devices:
+        device.stats.peak_bytes_allocated = device.bytes_allocated
+    with _recording() as (launches, messages):
+        if recorded:
+            gb = GraphBuilder(comm)
+            sched.emit_tasks(gb)
+            GraphExecutor(comm).execute(gb.graph)
+        else:
+            sched.coarsen()
+    frames = [patch.data(spec.var.name).to_host()
+              for patch in sched.coarse_level for spec in sched.specs]
+    return (frames, launches, messages,
+            [d.stats.peak_bytes_allocated for d in devices])
+
+
+@pytest.mark.parametrize("nranks", [1, 4])
+@settings(max_examples=5, deadline=None)
+@given(nx=st.integers(16, 26), ny=st.integers(12, 22),
+       max_patch=st.integers(5, 9), seed=st.integers(0, 2**31 - 1))
+def test_compiled_syncs_are_the_per_transaction_program(nranks, nx, ny,
+                                                        max_patch, seed):
+    """Every fine-to-coarse sync of a random ragged three-level hierarchy,
+    and of its fine levels dealt to random owners (many cross-rank
+    transactions onto one coarse patch), with all four coarsen operators,
+    per transaction and level-wide, executed now and recorded into a
+    graph: the compiled sync leaves exactly the per-transaction program's
+    bits, launch sequence, messages and device high-water."""
+    sim = build_simulation(RunConfig(
+        problem=SodProblem((nx, ny)), nranks=nranks, max_levels=3,
+        max_patch_size=max_patch, execution=ExecutionPolicy(batch=False)))
+    sim.initialise()
+    hier, comm, var = sim.hierarchy, sim.comm, sim.variables
+    assume(hier.num_levels == 3)
+    assume(any(len({tuple(p.box.shape()) for p in level}) > 1
+               for level in hier))
+    specs = [CoarsenSpec(var["energy0"], CellMassWeightedCoarsen(),
+                         weight_name="density0"),
+             CoarsenSpec(var["density0"], CellVolumeWeightedCoarsen()),
+             CoarsenSpec(var["xvel0"], NodeInjectionCoarsen()),
+             CoarsenSpec(var["yvel0"], NodeInjectionCoarsen()),
+             CoarsenSpec(var["vol_flux_x"], SideSumCoarsen()),
+             CoarsenSpec(var["vol_flux_y"], SideSumCoarsen())]
+    rng = np.random.default_rng(seed)
+    dealt = [hier.make_level(n, [p.box for p in hier.level(n)], rng.integers(
+        0, nranks, len(hier.level(n).patches)).tolist()) for n in (1, 2)]
+    for made in dealt:
+        made.allocate_all(sim.variables, sim.factory, comm)
+    state = _state([*hier, *dealt], [s.var.name for s in specs], seed)
+    for fine in (hier.level(1), hier.level(2), *dealt):
+        levels = (fine, hier.level(fine.level_number - 1), specs, comm)
+        for batch in (False, True):
+            oracle = PerTransactionSync(*levels, factory=sim.factory,
+                                        batch=batch)
+            compiled = CoarsenSchedule(*levels, batch=batch)
+            for recorded in (False, True):
+                want = _sync_outcome(oracle, state, comm, recorded)
+                got = _sync_outcome(compiled, state, comm, recorded)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(got[0], want[0]))
+                assert got[1:] == want[1:], (fine.level_number, batch,
+                                             recorded)
+    for made in dealt:
+        made.free_all()

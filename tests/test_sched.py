@@ -157,7 +157,7 @@ def test_one_transfer_program_batched_or_recorded():
                           if k == name or k.startswith(name + "{"))
                 for name in ("kernel.launches", "batch.launches",
                              "batch.members", "slab_fused", "slab_fallback",
-                             "stack.regions", "stack.fallback_regions")}
+                             "stack.regions", "stack.ops")}
 
     batched = run(_config(nranks=1, execution=ExecutionPolicy(batch=True)))
     recorded = run(_config(nranks=1, execution=ExecutionPolicy(

@@ -30,7 +30,6 @@ from repro.xfer.refine_schedule import (
     FillSpec,
     RefineSchedule,
     needed_coarse_frame,
-    temp_box_for,
 )
 
 
@@ -123,7 +122,7 @@ class TestNeededFrames:
             from repro.xfer.overlap import frame_box_for, index_box_for
             box = Box([2, 2], [9, 9])
             frame = index_box_for(var, box)
-            assert temp_box_for(var, frame) == box
+            assert var.cell_box(frame) == box
 
 
 class TestCoarseFineFill:
@@ -219,12 +218,12 @@ class TestCoarseFineFill:
 
 
 class TestCoarsenSchedule:
-    def _world(self, gpus=False):
+    def _world(self, gpus=False, fine=(Box([8, 8], [23, 23]),)):
         comm, geom, hier, reg, factory = make_world(1, gpus)
         level0 = hier.make_level(0, [Box([0, 0], [15, 15])], [0])
         level0.allocate_all(reg, factory, comm)
         hier.set_level(level0)
-        level1 = hier.make_level(1, [Box([8, 8], [23, 23])], [0])
+        level1 = hier.make_level(1, list(fine), [0] * len(fine))
         level1.allocate_all(reg, factory, comm)
         hier.set_level(level1)
         return comm, hier, reg, factory
@@ -234,7 +233,7 @@ class TestCoarsenSchedule:
         hier.level(0).patches[0].data("rho").fill(1.0)
         hier.level(1).patches[0].data("rho").fill(5.0)
         specs = [CoarsenSpec(reg["rho"], CellVolumeWeightedCoarsen())]
-        CoarsenSchedule(hier.level(1), hier.level(0), specs, comm, factory).coarsen()
+        CoarsenSchedule(hier.level(1), hier.level(0), specs, comm).coarsen()
         arr = hier.level(0).patches[0].data("rho").interior()
         # covered coarse cells [4..11]^2 now 5, the rest 1
         assert np.all(arr[4:12, 4:12] == 5.0)
@@ -251,7 +250,7 @@ class TestCoarsenSchedule:
         coarse_rho.fill(0.0)
         specs = [CoarsenSpec(reg2["rho"], CellMassWeightedCoarsen(),
                              weight_name="rho")]
-        CoarsenSchedule(hier.level(1), hier.level(0), specs, comm, factory).coarsen()
+        CoarsenSchedule(hier.level(1), hier.level(0), specs, comm).coarsen()
         # mass-weighting a field by itself gives sum(f^2)/sum(f) per block
         interior = rho_f.interior()
         block = interior[0:2, 0:2]
@@ -261,7 +260,7 @@ class TestCoarsenSchedule:
     def test_transaction_count(self):
         comm, hier, reg, factory = self._world()
         specs = [CoarsenSpec(reg["rho"], CellVolumeWeightedCoarsen())]
-        sched = CoarsenSchedule(hier.level(1), hier.level(0), specs, comm, factory)
+        sched = CoarsenSchedule(hier.level(1), hier.level(0), specs, comm)
         assert sched.num_transactions() == 1
 
     def test_gpu_sync_matches_cpu(self):
@@ -277,11 +276,49 @@ class TestCoarsenSchedule:
                 rho1.data.array[...] = data
             hier.level(0).patches[0].data("rho").fill(0.0)
             specs = [CoarsenSpec(reg["rho"], CellVolumeWeightedCoarsen())]
-            CoarsenSchedule(hier.level(1), hier.level(0), specs, comm,
-                            factory).coarsen()
+            CoarsenSchedule(hier.level(1), hier.level(0), specs,
+                            comm).coarsen()
             pd = hier.level(0).patches[0].data("rho")
             out[gpus] = pd.to_host() if gpus else pd.data.array.copy()
         assert np.array_equal(out[False], out[True])
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_scratch_released_when_coarsen_raises(self, batch):
+        """An exception anywhere in a sync returns the device pool's
+        in-use bytes to their pre-call value: no coarsen scratch outlives
+        the call, and the schedule stays usable.  The coarsen body raises
+        on the second transaction: per transaction, after the first
+        one's scratch was shipped and freed; level-wide, inside the one
+        launch."""
+        class Failing(CellVolumeWeightedCoarsen):
+            calls = 0
+
+            def _reduce(self, *args):
+                Failing.calls += 1
+                if Failing.calls == 2:
+                    raise FloatingPointError("non-physical state")
+                super()._reduce(*args)
+
+        comm, hier, reg, factory = self._world(
+            gpus=True, fine=(Box([8, 8], [15, 23]), Box([16, 8], [23, 23])))
+        hier.level(1).patches[0].data("rho").fill(5.0)
+        hier.level(1).patches[1].data("rho").fill(3.0)
+        sched = CoarsenSchedule(hier.level(1), hier.level(0),
+                                [CoarsenSpec(reg["rho"], Failing())], comm,
+                                batch=batch)
+        assert sched.num_transactions() == 2
+        device = comm.rank(0).device
+        before = device.bytes_allocated
+        with pytest.raises(FloatingPointError) as caught:
+            sched.coarsen()
+        # while the traceback still pins the failed call's frames (so no
+        # garbage collector is doing the schedule's job for it)
+        assert caught.traceback and Failing.calls == 2
+        assert device.bytes_allocated == before
+        sched.coarsen()
+        assert device.bytes_allocated == before
+        rho = hier.level(0).patches[0].data("rho").to_host()[2:-2, 2:-2]
+        assert np.all(rho[4:8, 4:12] == 5.0) and np.all(rho[8:12, 4:12] == 3.0)
 
 
 # -- message granularity ---------------------------------------------------------
@@ -364,7 +401,7 @@ def test_one_message_per_rank_pair_per_transfer():
     for fine_num in range(1, hier.num_levels):
         batched = sim._coarsen_schedule_for(fine_num)
         plain = CoarsenSchedule(batched.fine_level, batched.coarse_level,
-                                batched.specs, comm, sim.factory)
+                                batched.specs, comm)
         syncs.append(_coarsen_streams(batched))
         cases.append((batched, plain, CoarsenSchedule.coarsen, syncs[-1]))
 

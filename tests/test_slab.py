@@ -483,7 +483,7 @@ def test_ragged_level_counts_fallbacks_and_fusions(ragged_runs):
         fused, fallback = counters[kernel]
         assert fused > 0 and fallback == 0, (kernel, fused, fallback)
     # compiled ghost fills count as fused too; what still replays
-    # per-region bodies is counted as such (halo bodies, sync temps)
+    # per-region bodies is counted as such (halo bodies, sync blocks)
     assert counters["geom.refine"][0] > 0
     assert counters["hydro.update_halo"][1] > 0
 
