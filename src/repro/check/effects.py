@@ -38,7 +38,8 @@ Approximations (all documented in DESIGN.md §13): stores are covering
 granularity of the declaration contract), early ``return`` does not cut
 the fall-through path (code after ``if p: return`` is treated as
 reachable on every path), and unknown calls (``np.*``) *read* their
-array arguments but never write them.
+array arguments and write only an ``out=`` operand (a ufunc destination,
+a covering store like a slice assignment).
 """
 
 from __future__ import annotations
@@ -368,14 +369,26 @@ class _Machine:
                 and self.depth < _MAX_DEPTH \
                 and target[1] not in self.callstack:
             return self._inline(target[1], target[2], node, scope, chain)
-        # unknown callee: reads its array arguments, writes nothing
+        # unknown callee: reads its array arguments and writes only an
+        # ``out=`` operand (a NumPy ufunc's destination), after reading
         for arg in node.args:
             self.eval(arg, scope, chain, True)
+        out = None
         for kw in node.keywords:
-            self.eval(kw.value, scope, chain, True)
+            if kw.arg == "out":
+                out = kw.value
+            else:
+                self.eval(kw.value, scope, chain, True)
         if isinstance(node.func, ast.Attribute):
             self.eval(node.func.value, scope, chain, True)
-        return None
+        if out is None:
+            return None
+        if isinstance(out, ast.Subscript):  # out=arr[...]: a slice store
+            self.eval(out.slice, scope, chain, True)
+            out = out.value
+        base = self.eval(out, scope, chain, False)
+        self.maybe_store(base, chain)
+        return base
 
     def _win_call(self, node: ast.Call, scope: _Scope, chain):
         """``win(arr, i0, j0, n0, n1)`` -> window value with ghost flag."""

@@ -262,22 +262,46 @@ def flux_calc(dt, xvel0, yvel0, xvel1, yvel1, vol_flux_x, vol_flux_y,
 # ---------------------------------------------------------------------------
 # advective remap
 # ---------------------------------------------------------------------------
+#
+# A face's donor, upwind and downwind cells (a dual face's nodes, for
+# momentum) sit at one of two fixed offsets, picked by the sign of the
+# face's flux, so each is a select between two windows (``np.where``) --
+# the data-parallel form of CloverLeaf's donor/upwind index arithmetic.
+# Terms are evaluated one ufunc at a time into scratch arrays (``out=``),
+# in the order the expression form evaluates them
+# (``tests/kernel_oracle.py``): every value is the same IEEE operation on
+# the same operands, so the bits do not depend on which form ran.
 
-def _gather(field, base0, base1, n0, n1, off_arr, axis):
-    """Gather field values at per-element offsets along ``axis``.
+def _scratch(n, shape):
+    """``n`` work arrays of ``shape``, carved from one allocation."""
+    return np.empty((n,) + shape)
 
-    ``off_arr`` holds small integer offsets; the result at element (i, j)
-    is field[base + off_arr[i, j]] along the chosen axis.  Implemented as a
-    select over the handful of distinct offsets — the data-parallel
-    equivalent of the Fortran donor/upwind index arithmetic.
+
+def _cell_limiter(don, upw, dwn, courant, sigma3, sigma4, lim, uw, dw):
+    """CloverLeaf's limited cell-remap slope, into ``lim``.
+
+    ``(1 - courant) * wind * min(|uw|, |dw|, (sigma3 |uw| + sigma4 |dw|) / 6)``
+    where the upwind difference ``uw = don - upw`` and the downwind
+    difference ``dw = dwn - don`` agree in sign, else 0; ``wind`` is -1
+    where ``dw <= 0``, else 1.  ``uw`` and ``dw`` are scratch.
     """
-    out = np.empty(off_arr.shape, dtype=np.float64)
-    for off in np.unique(off_arr):
-        o = int(off)
-        v = win(field, base0 + (o if axis == 0 else 0),
-                base1 + (o if axis == 1 else 0), n0, n1)
-        np.copyto(out, v, where=(off_arr == o))
-    return out
+    np.subtract(don, upw, out=uw)
+    np.subtract(dwn, don, out=dw)
+    wind = np.where(dw <= 0.0, -1.0, 1.0)
+    np.multiply(uw, dw, out=lim)
+    flat = ~(lim > 0.0)
+    np.abs(uw, out=uw)
+    np.abs(dw, out=dw)
+    np.multiply(sigma3, uw, out=lim)
+    np.minimum(uw, dw, out=uw)
+    np.multiply(sigma4, dw, out=dw)
+    np.add(lim, dw, out=lim)
+    np.multiply(1.0 / 6.0, lim, out=lim)
+    np.minimum(uw, lim, out=uw)
+    np.subtract(1.0, courant, out=lim)
+    np.multiply(lim, wind, out=lim)
+    np.multiply(lim, uw, out=lim)
+    np.copyto(lim, 0.0, where=flat)
 
 
 def advec_cell(direction, sweep_number, density1, energy1,
@@ -299,30 +323,33 @@ def advec_cell(direction, sweep_number, density1, energy1,
     fyb = win(vol_flux_y, o, o, m0, m1)
     fyt = win(vol_flux_y, o, o + 1, m0, m1)
 
+    # Sweep 1: pre = volume + x then y flux difference, post = pre - swept
+    # difference.  Sweep 2: pre = volume + swept difference, post = volume.
     pv = win(pre_vol, o, o, m0, m1)
     sv = win(post_vol, o, o, m0, m1)
+    xdiff, ydiff = _scratch(2, pv.shape)
+    if sweep_number == 1 or direction == 0:
+        np.subtract(fxr, fxl, out=xdiff)
+    if sweep_number == 1 or direction == 1:
+        np.subtract(fyt, fyb, out=ydiff)
+    swept = xdiff if direction == 0 else ydiff
     if sweep_number == 1:
-        pv[...] = volume + (fxr - fxl) + (fyt - fyb)
-        if direction == 0:
-            sv[...] = pv - (fxr - fxl)
-        else:
-            sv[...] = pv - (fyt - fyb)
+        np.add(volume, xdiff, out=pv)
+        np.add(pv, ydiff, out=pv)
+        np.subtract(pv, swept, out=sv)
     else:
-        if direction == 0:
-            pv[...] = volume + (fxr - fxl)
-        else:
-            pv[...] = volume + (fyt - fyb)
+        np.add(volume, swept, out=pv)
         sv[...] = volume
 
     if direction == 0:
         _advec_cell_flux(density1, energy1, vol_flux_x, mass_flux_x,
                          pre_vol, ener_flux, nx, ny, g, axis=0)
-        mf = mass_flux_x
+        mf, vf = mass_flux_x, vol_flux_x
         vfl_d, vfr_d = (g, g), (g + 1, g)
     else:
         _advec_cell_flux(density1, energy1, vol_flux_y, mass_flux_y,
                          pre_vol, ener_flux, nx, ny, g, axis=1)
-        mf = mass_flux_y
+        mf, vf = mass_flux_y, vol_flux_y
         vfl_d, vfr_d = (g, g), (g, g + 1)
 
     # Conservative update of density and energy on interior cells.
@@ -330,20 +357,19 @@ def advec_cell(direction, sweep_number, density1, energy1,
     d1 = win(density1, g, g, n0, n1)
     e1 = win(energy1, g, g, n0, n1)
     pvc = win(pre_vol, g, g, n0, n1)
-    mfl = win(mf, vfl_d[0], vfl_d[1], n0, n1)
-    mfr = win(mf, vfr_d[0], vfr_d[1], n0, n1)
-    efl = win(ener_flux, vfl_d[0], vfl_d[1], n0, n1)
-    efr = win(ener_flux, vfr_d[0], vfr_d[1], n0, n1)
-    vf = vol_flux_x if direction == 0 else vol_flux_y
-    vfl = win(vf, vfl_d[0], vfl_d[1], n0, n1)
-    vfr = win(vf, vfr_d[0], vfr_d[1], n0, n1)
-
-    pre_mass = d1 * pvc
-    post_mass = pre_mass + mfl - mfr
-    post_ener = (e1 * pre_mass + efl - efr) / np.maximum(post_mass, G_SMALL)
-    advec_vol = pvc + vfl - vfr
-    d1[...] = post_mass / np.maximum(advec_vol, G_SMALL)
-    e1[...] = post_ener
+    mass, ener, vol = _scratch(3, d1.shape)
+    np.multiply(d1, pvc, out=mass)                              # pre-sweep
+    np.multiply(e1, mass, out=ener)
+    np.add(mass, win(mf, vfl_d[0], vfl_d[1], n0, n1), out=mass)  # post-sweep
+    np.subtract(mass, win(mf, vfr_d[0], vfr_d[1], n0, n1), out=mass)
+    np.add(ener, win(ener_flux, vfl_d[0], vfl_d[1], n0, n1), out=ener)
+    np.subtract(ener, win(ener_flux, vfr_d[0], vfr_d[1], n0, n1), out=ener)
+    np.maximum(mass, G_SMALL, out=vol)
+    np.divide(ener, vol, out=e1)
+    np.add(pvc, win(vf, vfl_d[0], vfl_d[1], n0, n1), out=vol)    # advected
+    np.subtract(vol, win(vf, vfr_d[0], vfr_d[1], n0, n1), out=vol)
+    np.maximum(vol, G_SMALL, out=vol)
+    np.divide(mass, vol, out=d1)
 
 
 def _advec_cell_flux(density1, energy1, vol_flux, mass_flux,
@@ -359,51 +385,43 @@ def _advec_cell_flux(density1, energy1, vol_flux, mass_flux,
     else:
         n0, n1 = nx, ny + 1
 
+    def cell(field, off):
+        """The cell ``off`` places along ``axis`` from each face."""
+        return win(field, g + (off if axis == 0 else 0),
+                   g + (off if axis == 1 else 0), n0, n1)
+
     vf = win(vol_flux, g, g, n0, n1)
-    upw = np.where(vf > 0.0, -2, 1)   # upwind cell offset relative to face
-    don = np.where(vf > 0.0, -1, 0)   # donor cell offset
-    dwn = np.where(vf > 0.0, 0, -1)   # downwind cell offset
+    mf = win(mass_flux, g, g, n0, n1)
+    # Inflow from below (vf > 0): donor f-1, upwind f-2, downwind f.
+    # Otherwise: donor f, upwind f+1, downwind f-1.
+    pos = vf > 0.0
+    d_don = np.where(pos, cell(density1, -1), cell(density1, 0))
+    d_upw = np.where(pos, cell(density1, -2), cell(density1, 1))
+    d_dwn = np.where(pos, cell(density1, 0), cell(density1, -1))
+    m_don = np.where(pos, cell(pre_vol, -1), cell(pre_vol, 0))
 
-    d_don = _gather(density1, g, g, n0, n1, don, axis)
-    d_upw = _gather(density1, g, g, n0, n1, upw, axis)
-    d_dwn = _gather(density1, g, g, n0, n1, dwn, axis)
-    pv_don = _gather(pre_vol, g, g, n0, n1, don, axis)
+    sigma, sigma3, sigma4, lim, uw, dw = _scratch(6, vf.shape)
+    np.abs(vf, out=sigma)
+    np.maximum(m_don, G_SMALL, out=sigma3)
+    np.divide(sigma, sigma3, out=sigma)
+    np.add(1.0, sigma, out=sigma3)   # uniform grid: vertexdx ratio == 1
+    np.subtract(2.0, sigma, out=sigma4)
+    _cell_limiter(d_don, d_upw, d_dwn, sigma, sigma3, sigma4, lim, uw, dw)
+    np.add(d_don, lim, out=lim)
+    np.multiply(vf, lim, out=mf)
 
-    sigmat = np.abs(vf) / np.maximum(pv_don, G_SMALL)
-    sigma3 = 1.0 + sigmat   # uniform grid: vertexdx ratio == 1
-    sigma4 = 2.0 - sigmat
-    one_by_six = 1.0 / 6.0
-
-    diffuw = d_don - d_upw
-    diffdw = d_dwn - d_don
-    wind = np.where(diffdw <= 0.0, -1.0, 1.0)
-    limiter = np.where(
-        diffuw * diffdw > 0.0,
-        (1.0 - sigmat) * wind * np.minimum(
-            np.minimum(np.abs(diffuw), np.abs(diffdw)),
-            one_by_six * (sigma3 * np.abs(diffuw) + sigma4 * np.abs(diffdw)),
-        ),
-        0.0,
-    )
-    mf = vf * (d_don + limiter)
-    win(mass_flux, g, g, n0, n1)[...] = mf
-
-    e_don = _gather(energy1, g, g, n0, n1, don, axis)
-    e_upw = _gather(energy1, g, g, n0, n1, upw, axis)
-    e_dwn = _gather(energy1, g, g, n0, n1, dwn, axis)
-    sigmam = np.abs(mf) / np.maximum(d_don * pv_don, G_SMALL)
-    diffuw = e_don - e_upw
-    diffdw = e_dwn - e_don
-    wind = np.where(diffdw <= 0.0, -1.0, 1.0)
-    limiter = np.where(
-        diffuw * diffdw > 0.0,
-        (1.0 - sigmam) * wind * np.minimum(
-            np.minimum(np.abs(diffuw), np.abs(diffdw)),
-            one_by_six * (sigma3 * np.abs(diffuw) + sigma4 * np.abs(diffdw)),
-        ),
-        0.0,
-    )
-    win(ener_flux, g, g, n0, n1)[...] = mf * (e_don + limiter)
+    # Energy rides the mass flux: its Courant number is the donor's mass
+    # fraction, its sigma3/sigma4 stay the volume ones.
+    np.multiply(d_don, m_don, out=m_don)
+    np.maximum(m_don, G_SMALL, out=m_don)
+    np.abs(mf, out=sigma)
+    np.divide(sigma, m_don, out=sigma)
+    e_don = np.where(pos, cell(energy1, -1), cell(energy1, 0))
+    e_upw = np.where(pos, cell(energy1, -2), cell(energy1, 1))
+    e_dwn = np.where(pos, cell(energy1, 0), cell(energy1, -1))
+    _cell_limiter(e_don, e_upw, e_dwn, sigma, sigma3, sigma4, lim, uw, dw)
+    np.add(e_don, lim, out=lim)
+    np.multiply(mf, lim, out=win(ener_flux, g, g, n0, n1))
 
 
 def advec_mom(direction, sweep_number,
@@ -428,14 +446,19 @@ def advec_mom(direction, sweep_number,
     pv = win(pre_vol, o, o, m0, m1)
     sv = win(post_vol, o, o, m0, m1)
 
-    dflux = (fxr - fxl) if direction == 0 else (fyt - fyb)
-    oflux = (fyt - fyb) if direction == 0 else (fxr - fxl)
+    # post = volume (+ the other direction's flux difference in sweep 1);
+    # pre = post + the swept difference.
+    if direction == 0:
+        lo, hi, other_lo, other_hi = fxl, fxr, fyb, fyt
+    else:
+        lo, hi, other_lo, other_hi = fyb, fyt, fxl, fxr
     if sweep_number == 1:
-        sv[...] = volume + oflux
-        pv[...] = sv + dflux
+        np.subtract(other_hi, other_lo, out=sv)
+        np.add(volume, sv, out=sv)
     else:
         sv[...] = volume
-        pv[...] = sv + dflux
+    np.subtract(hi, lo, out=pv)
+    np.add(sv, pv, out=pv)
 
     if direction == 0:
         _advec_mom_dir(vel1, density1, mass_flux_x, node_flux, node_mass_post,
@@ -472,71 +495,91 @@ def _advec_mom_dir(vel1, density1, mass_flux, node_flux, node_mass_post,
     t0 = g
 
     # -- node_flux on dual faces -2 .. na+1 ------------------------------------
+    # The mean of mass_flux faces n and n+1 over cell rows t-1 and t.
     sa = na + 4
     a0 = g - 2
-    # mass_flux faces n and n+1, cell rows t-1 and t.
     nf = w(node_flux, a0, t0, sa, st)
-    nf[...] = 0.25 * (
-        w(mass_flux, a0, t0 - 1, sa, st) + w(mass_flux, a0, t0, sa, st)
-        + w(mass_flux, a0 + 1, t0 - 1, sa, st) + w(mass_flux, a0 + 1, t0, sa, st)
-    )
+    np.add(w(mass_flux, a0, t0 - 1, sa, st), w(mass_flux, a0, t0, sa, st), out=nf)
+    np.add(nf, w(mass_flux, a0 + 1, t0 - 1, sa, st), out=nf)
+    np.add(nf, w(mass_flux, a0 + 1, t0, sa, st), out=nf)
+    np.multiply(0.25, nf, out=nf)
 
     # -- node masses on nodes -1 .. na+1 -----------------------------------------
+    # The mean post-sweep mass of the four cells around each node.
     sa = na + 3
     a0 = g - 1
-    dpv = lambda da, dt: (w(density1, a0 + da, t0 + dt, sa, st)
-                          * w(post_vol, a0 + da, t0 + dt, sa, st))
+
+    def cell_mass(da, dt, out):
+        return np.multiply(w(density1, a0 + da, t0 + dt, sa, st),
+                           w(post_vol, a0 + da, t0 + dt, sa, st), out=out)
+
     nmp = w(node_mass_post, a0, t0, sa, st)
-    nmp[...] = 0.25 * (dpv(-1, -1) + dpv(0, -1) + dpv(-1, 0) + dpv(0, 0))
+    cell_mass(-1, -1, nmp)
+    tmp = np.empty(nmp.shape)
+    np.add(nmp, cell_mass(0, -1, tmp), out=nmp)
+    np.add(nmp, cell_mass(-1, 0, tmp), out=nmp)
+    np.add(nmp, cell_mass(0, 0, tmp), out=nmp)
+    np.multiply(0.25, nmp, out=nmp)
     nmpre = w(node_mass_pre, a0, t0, sa, st)
-    nmpre[...] = nmp - w(node_flux, a0 - 1, t0, sa, st) + w(node_flux, a0, t0, sa, st)
+    np.subtract(nmp, w(node_flux, a0 - 1, t0, sa, st), out=nmpre)
+    np.add(nmpre, w(node_flux, a0, t0, sa, st), out=nmpre)
 
     # -- limited advected velocity and momentum flux on dual faces -1 .. na ------
     sa = na + 2
     a0 = g - 1
+
+    def node(field, off):
+        """The node ``off`` places along ``axis`` from each dual face."""
+        return w(field, a0 + off, t0, sa, st)
+
     nfw = w(node_flux, a0, t0, sa, st)
-    upw = np.where(nfw < 0.0, 2, -1)
-    don = np.where(nfw < 0.0, 1, 0)
-    dwn = np.where(nfw < 0.0, 0, 1)
+    # Flow towards -axis (nfw < 0): donor n+1, upwind n+2, downwind n.
+    # Otherwise: donor n, upwind n-1, downwind n+1.
+    neg = nfw < 0.0
+    v_don = np.where(neg, node(vel1, 1), node(vel1, 0))
+    v_upw = np.where(neg, node(vel1, 2), node(vel1, -1))
+    v_dwn = np.where(neg, node(vel1, 0), node(vel1, 1))
+    m_don = np.where(neg, node(node_mass_pre, 1), node(node_mass_pre, 0))
 
-    def gather_nodes(field, off_arr):
-        out = np.empty_like(nfw)
-        for off in (-1, 0, 1, 2):
-            v = w(field, a0 + off, t0, sa, st)
-            np.copyto(out, v, where=(off_arr == off))
-        return out
-
-    v_don = gather_nodes(vel1, don)
-    v_upw = gather_nodes(vel1, upw)
-    v_dwn = gather_nodes(vel1, dwn)
-    m_don = gather_nodes(node_mass_pre, don)
-
-    sigma = np.abs(nfw) / np.maximum(m_don, G_SMALL)
-    vdiffuw = v_don - v_upw
-    vdiffdw = v_dwn - v_don
-    auw = np.abs(vdiffuw)
-    adw = np.abs(vdiffdw)
-    wind = np.where(vdiffdw <= 0.0, -1.0, 1.0)
-    limiter = np.where(
-        vdiffuw * vdiffdw > 0.0,
-        wind * np.minimum(
-            np.minimum(((2.0 - sigma) * adw + (1.0 + sigma) * auw) / 6.0, auw),
-            adw,
-        ),
-        0.0,
-    )
-    advec_vel = v_don + (1.0 - sigma) * limiter
-    w(mom_flux, a0, t0, sa, st)[...] = advec_vel * nfw
+    sigma, uw, dw, lim, tmp = _scratch(5, nfw.shape)
+    np.abs(nfw, out=sigma)
+    np.maximum(m_don, G_SMALL, out=tmp)
+    np.divide(sigma, tmp, out=sigma)
+    # limiter = wind * min(((2 - sigma)|dw| + (1 + sigma)|uw|) / 6, |uw|, |dw|)
+    # where the differences agree in sign, else 0
+    np.subtract(v_don, v_upw, out=uw)
+    np.subtract(v_dwn, v_don, out=dw)
+    wind = np.where(dw <= 0.0, -1.0, 1.0)
+    np.multiply(uw, dw, out=lim)
+    flat = ~(lim > 0.0)
+    np.abs(uw, out=uw)
+    np.abs(dw, out=dw)
+    np.subtract(2.0, sigma, out=lim)
+    np.multiply(lim, dw, out=lim)
+    np.add(1.0, sigma, out=tmp)
+    np.multiply(tmp, uw, out=tmp)
+    np.add(lim, tmp, out=lim)
+    np.divide(lim, 6.0, out=lim)
+    np.minimum(lim, uw, out=lim)
+    np.minimum(lim, dw, out=lim)
+    np.multiply(wind, lim, out=lim)
+    np.copyto(lim, 0.0, where=flat)
+    # mom_flux = (v_don + (1 - sigma) * limiter) * node_flux
+    np.subtract(1.0, sigma, out=tmp)
+    np.multiply(tmp, lim, out=tmp)
+    np.add(v_don, tmp, out=tmp)
+    np.multiply(tmp, nfw, out=w(mom_flux, a0, t0, sa, st))
 
     # -- momentum update on interior nodes 0 .. na -------------------------------
     sa = na + 1
     a0 = g
     v = w(vel1, a0, t0, sa, st)
-    mf_lo = w(mom_flux, a0 - 1, t0, sa, st)
-    mf_hi = w(mom_flux, a0, t0, sa, st)
-    pre = w(node_mass_pre, a0, t0, sa, st)
-    post = w(node_mass_post, a0, t0, sa, st)
-    v[...] = (v * pre + mf_lo - mf_hi) / np.maximum(post, G_SMALL)
+    mom, mass = _scratch(2, v.shape)
+    np.multiply(v, w(node_mass_pre, a0, t0, sa, st), out=mom)
+    np.add(mom, w(mom_flux, a0 - 1, t0, sa, st), out=mom)
+    np.subtract(mom, w(mom_flux, a0, t0, sa, st), out=mom)
+    np.maximum(w(node_mass_post, a0, t0, sa, st), G_SMALL, out=mass)
+    np.divide(mom, mass, out=v)
 
 
 def reset_field(density0, density1, energy0, energy1,

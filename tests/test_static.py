@@ -47,6 +47,24 @@ def test_load_store_pair():
     assert "dst" in eff.stores and "dst" not in eff.loads
 
 
+def test_ufunc_out_operand_is_a_store():
+    eff = _effects("""
+        def win(arr, i0, j0, n0, n1):
+            return arr[..., i0:i0 + n0, j0:j0 + n1]
+
+        def k(src, dst, acc, n, g):
+            w = win(dst, g, g, n, n)
+            np.multiply(win(src, g, g, n, n), 2.0, out=w)
+            np.add(w, 1.0, out=w)
+            np.add(acc[0:n], src[0:n], out=acc[0:n])
+    """)["k"]
+    assert "src" in eff.loads and "src" not in eff.stores
+    # the second ufunc reads back what the first stored: not incoming
+    assert eff.stores.get("dst") == DEFINITE and "dst" not in eff.loads
+    # an in-place accumulation reads the operand before it stores it
+    assert "acc" in eff.loads and eff.stores.get("acc") == DEFINITE
+
+
 def test_augmented_assign_is_load_and_store():
     eff = _effects("""
         def k(acc, inc, n):
