@@ -1,9 +1,15 @@
 """Pure interpolation/averaging math for the refine and coarsen operators.
 
-Every function here is a frame-explicit NumPy routine: arrays cover an
-index *frame* box, regions are boxes in the same index space, and all
-loops over fine indices are replaced by the dependency-free index algebra
-the paper derives for its data-parallel kernels (Fig. 5b, Fig. 8).
+Every operator is stated as data: a :class:`RefineStencil` (the coarse
+neighbours a fine point reads, its weights, their combination) or a
+:class:`CoarsenStencil` (the fine children a coarse point reads, their
+reduction).  Each is evaluated either over one region of frame-explicit
+arrays (arrays cover an index *frame* box, regions are boxes in the same
+index space) or over the concatenated points of many regions at once,
+gathered by flat index from arena slabs — the form compiled fills and
+syncs use for one launch per level.  All loops over fine indices are the
+dependency-free index algebra the paper derives for its data-parallel
+kernels (Fig. 5b, Fig. 8), and the two forms give the same bits.
 
 These functions are shared verbatim by the CPU operators and by the
 simulated-GPU operators (which execute them inside kernel launches), so a
@@ -30,11 +36,14 @@ __all__ = [
     "refine_node_linear",
     "refine_cell_conservative_linear",
     "refine_side_conservative_linear",
-    "coarsen_cell_volume_weighted",
-    "coarsen_cell_mass_weighted",
-    "coarsen_node_injection",
-    "coarsen_side_sum",
-    "block_reduce",
+    "CoarsenStencil",
+    "CELL_VOLUME_MEAN",
+    "CELL_MASS_MEAN",
+    "NODE_INJECTION",
+    "SIDE_SUM",
+    "coarsen_children",
+    "coarsen_values",
+    "coarsen_region",
 ]
 
 
@@ -224,98 +233,135 @@ def refine_side_conservative_linear(
                   fine_frame, region, ratio)
 
 
-def block_reduce(fine_region: np.ndarray, ratio: IntVector, op: str) -> np.ndarray:
-    """Reduce each ratio[0] x ratio[1] block of a fine region array."""
-    m0 = fine_region.shape[0] // ratio[0]
-    m1 = fine_region.shape[1] // ratio[1]
-    blocks = fine_region.reshape(m0, ratio[0], m1, ratio[1])
-    if op == "sum":
-        return blocks.sum(axis=(1, 3))
-    if op == "mean":
-        return blocks.mean(axis=(1, 3))
-    raise ValueError(f"unknown block op {op!r}")
+# -- the coarsen operators, as data --------------------------------------------
+#
+# A coarsen operator is two things: which fine children of a coarse point
+# it reads (``children``: offsets from the coarse index times the ratio)
+# and the reduction combining them (``reduce``).  The reduction takes a
+# ``(points, children)`` gather, so it gives the same bits for one
+# region's points (:func:`coarsen_region`) as for the concatenated points
+# of every block a compiled sync coarsens in one launch.
+#
+# The averages keep the bits of ``sum(axis=(1, 3))`` over a region's
+# ``(m0, r0, m1, r1)`` block view, whose order NumPy picks by shape.  For
+# a region wider than one coarse cell along axis 1 (``wide``): each fine
+# row of a block added left to right, then the row sums left to right
+# onto the identity +0.0.  For a region one coarse cell wide along axis 1:
+# ``np.add.reduce`` over the children flattened row-major.  Both orders
+# are written out here; a multi-axis ``sum`` or ``mean`` is never trusted
+# with them.
 
 
-def coarsen_cell_volume_weighted(
-    fine: np.ndarray,
-    fine_frame: Box,
-    coarse: np.ndarray,
-    coarse_frame: Box,
-    region: Box,
-    ratio: IntVector,
-) -> None:
-    """Volume-weighted coarsen (paper Fig. 7/8).
+@dataclass(frozen=True)
+class CoarsenStencil:
+    """One coarsen operator: the children it reads, their reduction."""
 
-    c_i = sum_j f_j * vol(j) / vol(i); with uniform spacing this is the
-    block mean over the ratio[0] x ratio[1] fine children.
-    """
-    fine_region = region.refine(ratio)
-    f = fine[fine_region.slices_in(fine_frame)]
-    coarse[region.slices_in(coarse_frame)] = block_reduce(f, ratio, "mean")
+    #: ``ratio`` -> the ``(d0, d1)`` offsets from ``(i * r0, j * r1)`` of
+    #: coarse point ``(i, j)``'s fine children, in gather order
+    children: Callable
+    #: ``(values, weights, ratio, wide)`` -> the coarse values: ``values``
+    #: (and ``weights``, or None) is ``(points, children)``, ``wide`` whether
+    #: the points' regions are wider than one coarse cell along axis 1
+    reduce: Callable
 
 
-def coarsen_cell_mass_weighted(
-    fine: np.ndarray,
-    fine_weight: np.ndarray,
-    fine_frame: Box,
-    coarse: np.ndarray,
-    coarse_frame: Box,
-    region: Box,
-    ratio: IntVector,
-) -> None:
-    """Mass-weighted coarsen: c_i = sum(f_j w_j vol) / sum(w_j vol).
-
-    Used for specific internal energy with density as the weight, so that
-    total internal energy (mass x specific energy) is conserved exactly.
-    """
-    fine_region = region.refine(ratio)
-    sl = fine_region.slices_in(fine_frame)
-    f = fine[sl]
-    w = fine_weight[sl]
-    num = block_reduce(f * w, ratio, "sum")
-    den = block_reduce(w, ratio, "sum")
-    coarse[region.slices_in(coarse_frame)] = num / den
+def _block_sum(values, ratio, wide: bool) -> np.ndarray:
+    """The bits of a region's ``blocks.sum(axis=(1, 3))``, per point."""
+    if not wide:
+        return np.add.reduce(values, axis=1)
+    blocks = values.reshape(len(values), ratio[0], ratio[1])
+    rows = blocks[:, :, 0].copy()
+    for b in range(1, ratio[1]):
+        rows += blocks[:, :, b]
+    out = np.zeros(len(values))
+    for a in range(ratio[0]):
+        out += rows[:, a]
+    return out
 
 
-def coarsen_node_injection(
-    fine: np.ndarray,
-    fine_frame: Box,
-    coarse: np.ndarray,
-    coarse_frame: Box,
-    region: Box,
-    ratio: IntVector,
-) -> None:
-    """Node injection: coarse node <- coincident fine node (exact)."""
-    i0 = np.arange(region.lower[0], region.upper[0] + 1) * ratio[0] - fine_frame.lower[0]
-    i1 = np.arange(region.lower[1], region.upper[1] + 1) * ratio[1] - fine_frame.lower[1]
-    coarse[region.slices_in(coarse_frame)] = fine[np.ix_(i0, i1)]
+def _all_children(ratio):
+    return [(a, b) for a in range(ratio[0]) for b in range(ratio[1])]
 
 
-def coarsen_side_sum(
-    fine: np.ndarray,
-    fine_frame: Box,
-    coarse: np.ndarray,
-    coarse_frame: Box,
-    region: Box,
-    ratio: IntVector,
-    axis: int,
-) -> None:
-    """Side-centred coarsen: each coarse face sums its aligned fine faces.
+def _volume_mean(values, weights, ratio, wide):  # noqa: ARG001 — reduce signature
+    return _block_sum(values, ratio, wide) / (ratio[0] * ratio[1])
 
-    Fluxes are extensive, so the coarse-face flux is the sum over the
-    ratio[transverse] fine faces tiling it; normal-direction children at
-    unaligned positions do not contribute.
-    """
-    trans = 1 - axis
-    in_ = np.arange(region.lower[axis], region.upper[axis] + 1) * ratio[axis] - fine_frame.lower[axis]
-    out = None
-    for k in range(ratio[trans]):
-        it = (
-            np.arange(region.lower[trans], region.upper[trans] + 1) * ratio[trans]
-            + k
-            - fine_frame.lower[trans]
-        )
-        idx = np.ix_(in_, it) if axis == 0 else np.ix_(it, in_)
-        contrib = fine[idx]
-        out = contrib.copy() if out is None else out + contrib
-    coarse[region.slices_in(coarse_frame)] = out
+
+def _mass_mean(values, weights, ratio, wide):
+    return (_block_sum(values * weights, ratio, wide)
+            / _block_sum(weights, ratio, wide))
+
+
+def _sum_in_order(values, weights, ratio, wide):  # noqa: ARG001 — reduce signature
+    out = values[:, 0].copy()
+    for k in range(1, values.shape[1]):
+        out += values[:, k]
+    return out
+
+
+def _coincident(ratio):  # noqa: ARG001 — children signature
+    return [(0, 0)]
+
+
+def _injected(values, weights, ratio, wide):  # noqa: ARG001 — reduce signature
+    return values[:, 0]
+
+
+#: volume-weighted coarsen (paper Fig. 7/8): c_i = sum_j f_j vol(j) / vol(i),
+#: with uniform spacing the mean of the ratio[0] x ratio[1] fine children
+CELL_VOLUME_MEAN = CoarsenStencil(_all_children, _volume_mean)
+
+#: mass-weighted coarsen: c_i = sum(f_j w_j) / sum(w_j).  Used for specific
+#: internal energy with density as the weight, so that total internal
+#: energy (mass x specific energy) is conserved exactly
+CELL_MASS_MEAN = CoarsenStencil(_all_children, _mass_mean)
+
+#: node injection: a coarse node takes its coincident fine node (exact)
+NODE_INJECTION = CoarsenStencil(_coincident, _injected)
+
+#: side-centred coarsen by face normal axis: fluxes are extensive, so a
+#: coarse face sums the ratio[transverse] aligned fine faces tiling it, in
+#: order; normal-direction children at unaligned positions do not count
+SIDE_SUM = (
+    CoarsenStencil(lambda ratio: [(0, k) for k in range(ratio[1])],
+                   _sum_in_order),
+    CoarsenStencil(lambda ratio: [(k, 0) for k in range(ratio[0])],
+                   _sum_in_order),
+)
+
+
+def coarsen_children(stencil: CoarsenStencil, c0: np.ndarray, c1: np.ndarray,
+                     ratio: IntVector) -> tuple[np.ndarray, np.ndarray]:
+    """Fine indices ``(f0, f1)``, each ``(points, children)``, of the
+    children of the coarse points ``(c0, c1)`` (of any number of
+    regions, concatenated)."""
+    d = np.array(stencil.children(ratio), dtype=np.intp).reshape(-1, 2)
+    return (c0[:, None] * ratio[0] + d[:, 0],
+            c1[:, None] * ratio[1] + d[:, 1])
+
+
+def coarsen_values(stencil: CoarsenStencil, fine: np.ndarray, index,
+                   ratio: IntVector, wide: bool,
+                   weight: np.ndarray | None = None) -> np.ndarray:
+    """The coarse values of the points whose children ``fine[index]``
+    gathers, ``(points, children)``; ``weight`` is gathered alike."""
+    return stencil.reduce(fine[index],
+                          None if weight is None else weight[index],
+                          ratio, wide)
+
+
+def coarsen_region(stencil: CoarsenStencil, fine: np.ndarray, fine_frame: Box,
+                   coarse: np.ndarray, coarse_frame: Box, region: Box,
+                   ratio: IntVector, weight: np.ndarray | None = None) -> None:
+    """Fill ``region`` of ``coarse`` from ``fine`` (and ``weight``, over the
+    fine frame too): the stencil over one region's points."""
+    n0, n1 = region.shape()
+    c0 = np.repeat(np.arange(region.lower[0], region.upper[0] + 1), n1)
+    c1 = np.tile(np.arange(region.lower[1], region.upper[1] + 1), n0)
+    f0, f1 = coarsen_children(stencil, c0, c1, ratio)
+    i0, i1 = f0 - fine_frame.lower[0], f1 - fine_frame.lower[1]
+    if (i0.min() < 0 or i1.min() < 0 or i0.max() >= fine.shape[0]
+            or i1.max() >= fine.shape[1]):
+        raise IndexError("coarsen children outside the fine frame")
+    coarse[region.slices_in(coarse_frame)] = coarsen_values(
+        stencil, fine, (i0, i1), ratio, n1 > 1, weight).reshape(n0, n1)

@@ -1,20 +1,24 @@
 """Refine and coarsen operators (the paper's ``geom`` package).
 
-Each operator applies one of the data-parallel interpolation routines from
-:mod:`repro.geom.interp_math` to a (coarse, fine) pair of patch-data
-objects.  Host-resident data runs the routine directly (optionally charged
-to a rank's CPU model); GPU-resident data runs it inside a simulated kernel
-launch on the owning device — one logical thread per destination element,
-as in the paper.  Both paths execute identical arithmetic, so CPU and GPU
-results agree bit-for-bit.
+Each operator names one stencil of :mod:`repro.geom.interp_math` and
+applies it to a (coarse, fine) pair of patch-data objects (``apply``), or
+hands a compiled transfer one vectorized member evaluating it over every
+region or block of a launch (``batch_member``).  Host-resident data runs
+the stencil directly (optionally charged to a rank's CPU model);
+GPU-resident data runs it inside a simulated kernel launch on the owning
+device — one logical thread per destination element, as in the paper.
+Both paths execute identical arithmetic, so CPU and GPU results agree
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..exec.backend import array_of, frame_of, run_on, slab_of
-from ..exec.batch import BatchMember
+from ..exec.batch import BatchMember, union_pds
 from ..mesh.box import Box, IntVector
 from . import interp_math as m
 
@@ -174,48 +178,78 @@ class CoarsenOperator:
 
     name = "coarsen"
     centring = "cell"
+    #: the reduction itself, as data (:class:`interp_math.CoarsenStencil`):
+    #: evaluated per region here, or over every block of a sync launch at
+    #: once by a compiled sync (:meth:`batch_member`)
+    stencil: "m.CoarsenStencil | None" = None
+
+    def stencil_for(self, var) -> "m.CoarsenStencil":  # noqa: ARG002 — side flavour picks by the variable's axis
+        """The stencil coarsening ``var``."""
+        return self.stencil
 
     def apply(self, fine_pd: "PatchData", coarse_pd: "PatchData", region: Box,
               ratio, rank: "Rank | None" = None) -> None:
         """``region`` is in the *coarse* centring index space."""
-        ratio = _as_ratio(ratio)
-        _run(coarse_pd, "geom.coarsen", region.refine(ratio).size(),
-             self._body(fine_pd, lambda: _arrays(coarse_pd), region, ratio),
-             rank)
+        self._apply(fine_pd, None, coarse_pd, region, ratio, rank)
 
-    def _body(self, fine_pd, coarse, region, ratio):
-        """The reduction as a kernel body; ``coarse()`` hands it the
-        destination ``(array, frame)`` inside the launch."""
+    def _apply(self, fine_pd, weight_pd, coarse_pd, region, ratio, rank):
+        ratio = _as_ratio(ratio)
+        stencil = self.stencil_for(fine_pd.var)
+
         def body():
             farr, fframe = _arrays(fine_pd)
-            self._reduce_pd(fine_pd, farr, fframe, *coarse(), region, ratio)
+            warr = None
+            if weight_pd is not None:
+                warr, wframe = _arrays(weight_pd)
+                if wframe != fframe:
+                    raise ValueError("weight frame must match data frame")
+            m.coarsen_region(stencil, farr, fframe, *_arrays(coarse_pd),
+                             region, ratio, warr)
 
-        return body
+        _run(coarse_pd, "geom.coarsen", region.refine(ratio).size(), body,
+             rank)
 
-    def batch_member(self, fine_pd, coarse, block, region: Box, ratio,
-                     elements: int) -> BatchMember:
-        """One (transaction, variable) coarsen of a compiled sync
-        (:mod:`repro.xfer.coarsen_schedule`) as a fusable member: the work
-        of :meth:`apply` into store ``coarse``, the scratch segment of
-        ``block`` whose frame is ``region``; ``elements`` (the fine points
-        read) comes compiled."""
-        return BatchMember(elements, self._body(
-            fine_pd, _block(coarse, block, region), region, _as_ratio(ratio)),
-            reads=(fine_pd,), writes=(block,))
-
-    def _reduce(self, farr, fframe, carr, cframe, region, ratio):
-        raise NotImplementedError
-
-    def _reduce_pd(self, fine_pd, farr, fframe, carr, cframe, region, ratio):  # noqa: ARG002 — hook signature; side flavour needs the patch data
-        """Array-level reduction with patch-data context (axis, etc.)."""
-        self._reduce(farr, fframe, carr, cframe, region, ratio)
+    def batch_member(self, fine, terms, ratio, outs, elements: int,
+                     count: int) -> BatchMember:
+        """Every block of one variable a compiled sync
+        (:mod:`repro.xfer.coarsen_schedule`) coarsens in one launch, as one
+        member standing for ``count`` :meth:`apply` bodies.  ``fine`` is
+        ``(store, pds)``, the fine arena and the patch data read;
+        ``terms`` the points by reduction order, ``(gather, wide,
+        where)`` with ``gather`` flat indices into the arena and
+        ``where`` the points' places in the values (None: all of them);
+        ``outs`` the scratch segments written, ``(store, blocks, n)``,
+        taking the values in turn."""
+        return _member(self.stencil_for(fine[1][0].var), fine, None, terms,
+                       ratio, outs, elements, count)
 
 
-def _block(coarse, block, region: Box):
-    """``(array, frame)`` of scratch block ``block`` of store ``coarse``,
-    its frame ``region``, as a getter legal only inside a launch."""
-    return lambda: (slab_of(coarse, (block,)).reshape(tuple(region.shape())),
-                    region)
+def _member(stencil, fine, weight, terms, ratio, outs, elements: int,
+            count: int) -> BatchMember:
+    """A compiled sync's coarsen member (:meth:`CoarsenOperator.batch_member`),
+    ``weight`` the ``(store, pds)`` of the weight field or None."""
+    ratio = _as_ratio(ratio)
+
+    def body():
+        farr = slab_of(*fine)
+        warr = None if weight is None else slab_of(*weight)
+        if len(terms) == 1:
+            gather, wide, _ = terms[0]
+            values = m.coarsen_values(stencil, farr, gather, ratio, wide, warr)
+        else:
+            values = np.empty(sum(len(t[0]) for t in terms))
+            for gather, wide, where in terms:
+                values[where] = m.coarsen_values(stencil, farr, gather, ratio,
+                                                 wide, warr)
+        at = 0
+        for store, blocks, n in outs:
+            slab_of(store, blocks)[:] = values[at:at + n]
+            at += n
+
+    reads = fine[1] if weight is None else union_pds((fine[1], weight[1]))
+    return BatchMember(elements, body, reads=reads,
+                       writes=tuple(b for _, blocks, _ in outs for b in blocks),
+                       count=count)
 
 
 class CellVolumeWeightedCoarsen(CoarsenOperator):
@@ -223,9 +257,7 @@ class CellVolumeWeightedCoarsen(CoarsenOperator):
 
     name = "cell_volume_weighted_coarsen"
     centring = "cell"
-
-    def _reduce(self, farr, fframe, carr, cframe, region, ratio):
-        m.coarsen_cell_volume_weighted(farr, fframe, carr, cframe, region, ratio)
+    stencil = m.CELL_VOLUME_MEAN
 
 
 class CellMassWeightedCoarsen(CoarsenOperator):
@@ -236,40 +268,24 @@ class CellMassWeightedCoarsen(CoarsenOperator):
 
     name = "cell_mass_weighted_coarsen"
     centring = "cell"
+    stencil = m.CELL_MASS_MEAN
 
     def apply_weighted(self, fine_pd, fine_weight_pd, coarse_pd, region, ratio,
                        rank: "Rank | None" = None) -> None:
-        ratio = _as_ratio(ratio)
-        _run(coarse_pd, "geom.coarsen", region.refine(ratio).size(),
-             self._weighted_body(fine_pd, fine_weight_pd,
-                                 lambda: _arrays(coarse_pd), region, ratio),
-             rank)
+        self._apply(fine_pd, fine_weight_pd, coarse_pd, region, ratio, rank)
 
-    def _weighted_body(self, fine_pd, fine_weight_pd, coarse, region, ratio):
-        def body():
-            farr, fframe = _arrays(fine_pd)
-            warr, wframe = _arrays(fine_weight_pd)
-            if wframe != fframe:
-                raise ValueError("weight frame must match data frame")
-            m.coarsen_cell_mass_weighted(
-                farr, warr, fframe, *coarse(), region, ratio
-            )
-
-        return body
-
-    def batch_member_weighted(self, fine_pd, fine_weight_pd, coarse, block,
-                              region, ratio, elements: int) -> BatchMember:
-        """The work of :meth:`apply_weighted` as one member, like
-        :meth:`CoarsenOperator.batch_member`."""
-        return BatchMember(elements, self._weighted_body(
-            fine_pd, fine_weight_pd, _block(coarse, block, region), region,
-            _as_ratio(ratio)),
-            reads=(fine_pd, fine_weight_pd), writes=(block,))
+    def batch_member_weighted(self, fine, weight, terms, ratio, outs,
+                              elements: int, count: int) -> BatchMember:
+        """The work of ``count`` :meth:`apply_weighted` bodies as one
+        member, like :meth:`CoarsenOperator.batch_member`; ``weight`` is
+        the weight field's ``(store, pds)``, its frames the data's."""
+        return _member(self.stencil, fine, weight, terms, ratio, outs,
+                       elements, count)
 
     def apply(self, fine_pd, coarse_pd, region, ratio, rank=None):  # noqa: ARG002
         raise TypeError("mass-weighted coarsen needs a weight; use apply_weighted")
 
-    def batch_member(self, fine_pd, coarse, block, region, ratio, elements):  # noqa: ARG002
+    def batch_member(self, fine, terms, ratio, outs, elements, count):  # noqa: ARG002
         raise TypeError("mass-weighted coarsen needs a weight; use batch_member_weighted")
 
 
@@ -278,9 +294,7 @@ class NodeInjectionCoarsen(CoarsenOperator):
 
     name = "node_injection_coarsen"
     centring = "node"
-
-    def _reduce(self, farr, fframe, carr, cframe, region, ratio):
-        m.coarsen_node_injection(farr, fframe, carr, cframe, region, ratio)
+    stencil = m.NODE_INJECTION
 
 
 class SideSumCoarsen(CoarsenOperator):
@@ -289,6 +303,5 @@ class SideSumCoarsen(CoarsenOperator):
     name = "side_sum_coarsen"
     centring = "side"
 
-    def _reduce_pd(self, fine_pd, farr, fframe, carr, cframe, region, ratio):
-        m.coarsen_side_sum(farr, fframe, carr, cframe, region, ratio,
-                           fine_pd.var.axis)
+    def stencil_for(self, var):
+        return m.SIDE_SUM[var.axis]

@@ -242,7 +242,7 @@ class LagrangianEulerianIntegrator:
         if sched is None:
             sched = RefineSchedule(
                 level, coarse, self._specs_for(names), self.comm,
-                self.factory, boundary=self.boundary,
+                boundary=self.boundary,
                 geometry_cache=self.schedule_cache.geometry_cache,
                 batch=self.config.batch_launches,
             )

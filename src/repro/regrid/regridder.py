@@ -425,7 +425,7 @@ class Regridder:
         cache = self.schedule_cache
         if cache is None:
             return RefineSchedule(
-                level, coarse, self.primary_specs, self.comm, self.factory,
+                level, coarse, self.primary_specs, self.comm,
                 boundary=self.boundary,
             )
         names = tuple(spec.var.name for spec in self.primary_specs)
@@ -434,7 +434,7 @@ class Regridder:
         sched = cache.get("regrid_ghost", key, (level, coarse))
         if sched is None:
             sched = RefineSchedule(
-                level, coarse, self.primary_specs, self.comm, self.factory,
+                level, coarse, self.primary_specs, self.comm,
                 boundary=self.boundary,
                 geometry_cache=cache.geometry_cache,
             )
@@ -484,7 +484,7 @@ class Regridder:
             # Interior solution transfer: old level where it existed, the
             # new coarser level elsewhere.
             RefineSchedule(
-                level, coarse, self.primary_specs, self.comm, self.factory,
+                level, coarse, self.primary_specs, self.comm,
                 boundary=None, src_level=old_level, interior=True,
             ).fill()
             if old_level is not None:

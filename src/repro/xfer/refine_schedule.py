@@ -194,7 +194,7 @@ class RefineSchedule:
         coarse_level: "PatchLevel | None",
         specs: list[FillSpec],
         comm: "SimCommunicator",
-        factory,
+        *,
         boundary=None,
         src_level: "PatchLevel | None" = None,
         interior: bool = False,
@@ -205,7 +205,6 @@ class RefineSchedule:
         self.coarse_level = coarse_level
         self.specs = specs
         self.comm = comm
-        self.factory = factory
         self.boundary = boundary
         self.interior = interior
         #: group the fill level-wide: one copy per owner, one message per

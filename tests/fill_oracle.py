@@ -13,8 +13,12 @@ Until every :class:`~repro.xfer.coarsen_schedule.CoarsenSchedule` ran a
 compiled sync, this is how it synchronised a level, in both groupings:
 per (transaction, variable) a temporary patch data from the factory and
 a coarsen launch (fused per fine backend under ``batch``), then per
-transaction one fused copy or message (under ``batch`` one message per
-rank pair), each followed by a free.
+transaction one fused copy or message (under ``batch`` one per rank
+pair, same-rank pairs first), each followed by a free.  Its coarsen
+bodies are the per-block routines every operator ran until coarsen
+operators became stencils evaluated over a whole launch
+(``interp_math.CoarsenStencil``); ``tests/test_operators.py`` pins the
+stencils to them bit for bit.
 
 ``tests/test_plan.py`` asserts compiled fills of both groupings leave
 the same bits, and the per-patch grouping the same launch sequence and
@@ -26,11 +30,17 @@ Written against the public schedule, sink, plan and operator APIs only.
 import numpy as np
 
 from repro.check.context import active as _check_active
-from repro.exec.backend import array_of, backend_for
+from repro.exec.backend import array_of, backend_for, frame_of, run_on, slab_of
 from repro.exec.batch import BatchMember, LaunchBatcher
 from repro.exec.plan import StreamPlan, flat_index, level_arenas, store_of
-from repro.geom.operators import CellMassWeightedCoarsen, fused_refine_apply
-from repro.mesh.box import Box
+from repro.geom.operators import (
+    CellMassWeightedCoarsen,
+    CellVolumeWeightedCoarsen,
+    NodeInjectionCoarsen,
+    SideSumCoarsen,
+    fused_refine_apply,
+)
+from repro.mesh.box import Box, IntVector
 from repro.mesh.box_array import box_points
 from repro.mesh.variables import Variable
 from repro.sched.task import TaskKind
@@ -77,7 +87,12 @@ def _set_times(patches, names, time: float) -> None:
 
 
 class PerRegionSchedule(RefineSchedule):
-    """A :class:`RefineSchedule` that runs the per-region program."""
+    """A :class:`RefineSchedule` that runs the per-region program, its
+    temporaries allocated by ``factory``."""
+
+    def __init__(self, *args, factory, **kwargs):
+        self.factory = factory
+        super().__init__(*args, **kwargs)
 
     def fill(self, time=None) -> None:
         sink = ImmediateSink(self.comm)
@@ -222,6 +237,102 @@ class PerRegionSchedule(RefineSchedule):
 
 
 # -- the per-transaction sync -------------------------------------------------
+#
+# The per-block coarsen routines every sync ran until coarsen operators
+# became stencils evaluated over all blocks of a launch at once
+# (``interp_math.CoarsenStencil``), and the operator bodies that ran them.
+
+
+def block_reduce(fine_region: np.ndarray, ratio: IntVector, op: str) -> np.ndarray:
+    """Reduce each ratio[0] x ratio[1] block of a fine region array."""
+    m0 = fine_region.shape[0] // ratio[0]
+    m1 = fine_region.shape[1] // ratio[1]
+    blocks = fine_region.reshape(m0, ratio[0], m1, ratio[1])
+    if op == "sum":
+        return blocks.sum(axis=(1, 3))
+    if op == "mean":
+        return blocks.mean(axis=(1, 3))
+    raise ValueError(f"unknown block op {op!r}")
+
+
+def coarsen_cell_volume_weighted(fine, fine_frame: Box, coarse, coarse_frame: Box,
+                                 region: Box, ratio: IntVector) -> None:
+    """Volume-weighted coarsen: the block mean over the fine children."""
+    fine_region = region.refine(ratio)
+    f = fine[fine_region.slices_in(fine_frame)]
+    coarse[region.slices_in(coarse_frame)] = block_reduce(f, ratio, "mean")
+
+
+def coarsen_cell_mass_weighted(fine, fine_weight, fine_frame: Box, coarse,
+                               coarse_frame: Box, region: Box,
+                               ratio: IntVector) -> None:
+    """Mass-weighted coarsen: c_i = sum(f_j w_j vol) / sum(w_j vol)."""
+    fine_region = region.refine(ratio)
+    sl = fine_region.slices_in(fine_frame)
+    f = fine[sl]
+    w = fine_weight[sl]
+    num = block_reduce(f * w, ratio, "sum")
+    den = block_reduce(w, ratio, "sum")
+    coarse[region.slices_in(coarse_frame)] = num / den
+
+
+def coarsen_node_injection(fine, fine_frame: Box, coarse, coarse_frame: Box,
+                           region: Box, ratio: IntVector) -> None:
+    """Node injection: coarse node <- coincident fine node (exact)."""
+    i0 = np.arange(region.lower[0], region.upper[0] + 1) * ratio[0] - fine_frame.lower[0]
+    i1 = np.arange(region.lower[1], region.upper[1] + 1) * ratio[1] - fine_frame.lower[1]
+    coarse[region.slices_in(coarse_frame)] = fine[np.ix_(i0, i1)]
+
+
+def coarsen_side_sum(fine, fine_frame: Box, coarse, coarse_frame: Box,
+                     region: Box, ratio: IntVector, axis: int) -> None:
+    """Side-centred coarsen: each coarse face sums its aligned fine faces."""
+    trans = 1 - axis
+    in_ = np.arange(region.lower[axis], region.upper[axis] + 1) * ratio[axis] - fine_frame.lower[axis]
+    out = None
+    for k in range(ratio[trans]):
+        it = (
+            np.arange(region.lower[trans], region.upper[trans] + 1) * ratio[trans]
+            + k
+            - fine_frame.lower[trans]
+        )
+        idx = np.ix_(in_, it) if axis == 0 else np.ix_(it, in_)
+        contrib = fine[idx]
+        out = contrib.copy() if out is None else out + contrib
+    coarse[region.slices_in(coarse_frame)] = out
+
+
+def reduce_block(op, fine_pd, farr, fframe, carr, cframe, region, ratio,
+                 weight=None) -> None:
+    """The frozen per-block reduction of coarsen operator ``op``."""
+    if isinstance(op, CellMassWeightedCoarsen):
+        coarsen_cell_mass_weighted(farr, weight, fframe, carr, cframe, region,
+                                   ratio)
+    elif isinstance(op, CellVolumeWeightedCoarsen):
+        coarsen_cell_volume_weighted(farr, fframe, carr, cframe, region, ratio)
+    elif isinstance(op, NodeInjectionCoarsen):
+        coarsen_node_injection(farr, fframe, carr, cframe, region, ratio)
+    elif isinstance(op, SideSumCoarsen):
+        coarsen_side_sum(farr, fframe, carr, cframe, region, ratio,
+                         fine_pd.var.axis)
+    else:
+        raise TypeError(f"no frozen body for {type(op).__name__}")
+
+
+def _body(op, fine_pd, weight_pd, coarse, region, ratio):
+    """The reduction as a kernel body; ``coarse()`` hands it the
+    destination ``(array, frame)`` inside the launch."""
+    def body():
+        farr, fframe = array_of(fine_pd), frame_of(fine_pd)
+        weight = None
+        if weight_pd is not None:
+            weight = array_of(weight_pd)
+            if frame_of(weight_pd) != fframe:
+                raise ValueError("weight frame must match data frame")
+        reduce_block(op, fine_pd, farr, fframe, *coarse(), region, ratio,
+                     weight)
+
+    return body
 
 
 def chunks(work: list, batch: bool) -> list[list]:
@@ -262,15 +373,21 @@ class PerTransactionSync(CoarsenSchedule):
                                           temp, region, ratio, fine_rank)
                     staged.append((t, fine_rank, temps))
                 sink.flush_fusion(launches)
+                # under batch one ship per rank pair, same-rank pairs first
+                local: dict = {}
                 remote: dict = {}
                 for t, fine_rank, temps in staged:
                     coarse_rank = self.comm.rank(t.coarse_patch.owner)
                     if fine_rank is coarse_rank:
-                        self._ship(sink, fine_rank, coarse_rank, [(t, temps)])
+                        local.setdefault(fine_rank if self.batch else id(t),
+                                         (fine_rank, coarse_rank, []))[2].append(
+                                             (t, temps))
                     else:
-                        remote.setdefault(
-                            (fine_rank, coarse_rank), []).append((t, temps))
-                for (fine_rank, coarse_rank), shipped in remote.items():
+                        remote.setdefault((fine_rank, coarse_rank),
+                                          (fine_rank, coarse_rank, []))[2].append(
+                                              (t, temps))
+                for fine_rank, coarse_rank, shipped in [*local.values(),
+                                                        *remote.values()]:
                     self._ship(sink, fine_rank, coarse_rank, shipped)
         except BaseException:
             free_temps(held)
@@ -280,22 +397,25 @@ class PerTransactionSync(CoarsenSchedule):
                      ratio, fine_rank) -> None:
         fine_pd = fine_patch.data(spec.var.name)
         op = spec.coarsen_op
-        if isinstance(op, CellMassWeightedCoarsen):
-            reads = [fine_pd, fine_patch.data(spec.weight_name)]
-            member_of, apply = op.batch_member_weighted, op.apply_weighted
-        else:
-            reads = [fine_pd]
-            member_of, apply = op.batch_member, op.apply
+        weight = (fine_patch.data(spec.weight_name)
+                  if isinstance(op, CellMassWeightedCoarsen) else None)
+        reads = [fine_pd] if weight is None else [fine_pd, weight]
+        elements = region.refine(ratio).size()
         if self.batch:
+            body = _body(op, fine_pd, weight, lambda: (
+                slab_of(store_of(temp), (temp,)).reshape(
+                    tuple(region.shape())), region), region, ratio)
             launches.collect(backend_for(temp, fine_rank), fine_rank,
-                             "geom.coarsen", member_of(
-                                 *reads, store_of(temp), temp, region, ratio,
-                                 region.refine(ratio).size()))
+                             "geom.coarsen", BatchMember(
+                                 elements, body, reads=reads, writes=(temp,)))
         else:
+            body = _body(op, fine_pd, weight,
+                         lambda: (array_of(temp), frame_of(temp)), region,
+                         ratio)
             sink.add(TaskKind.KERNEL, fine_rank.index,
                      f"sync.coarsen.{spec.var.name}",
-                     lambda _stream: apply(*reads, temp, region, ratio,
-                                           rank=fine_rank),
+                     lambda _stream: run_on(temp, fine_rank, "geom.coarsen",
+                                            elements, body),
                      reads=reads, writes=[temp])
 
     def _ship(self, sink, fine_rank, coarse_rank, shipped) -> None:

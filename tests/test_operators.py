@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import fill_oracle as frozen
 from fig3 import CellData, CudaCellData, CudaNodeData, NodeData, SideData
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,7 +109,7 @@ class TestCellConservativeLinearRefine:
         fine = np.zeros(tuple(fframe.shape()))
         m.refine_cell_conservative_linear(
             coarse, cframe, fine, fframe, Box([0, 0], [7, 7]), R2)
-        assert m.block_reduce(fine, R2, "mean") == pytest.approx(
+        assert frozen.block_reduce(fine, R2, "mean") == pytest.approx(
             coarse[2:6, 2:6], rel=1e-12)
 
 
@@ -144,8 +145,8 @@ class TestCoarsenOps:
         cframe = Box([-1, -1], [4, 4])
         coarse = np.zeros(tuple(cframe.shape()))
         region = Box([0, 0], [3, 3])
-        m.coarsen_cell_volume_weighted(fine, fframe, coarse, cframe, region, R2)
-        expect = m.block_reduce(fine[2:10, 2:10], R2, "mean")
+        frozen.coarsen_cell_volume_weighted(fine, fframe, coarse, cframe, region, R2)
+        expect = frozen.block_reduce(fine[2:10, 2:10], R2, "mean")
         assert np.allclose(coarse[1:5, 1:5], expect)
 
     def test_volume_weighted_conserves_total(self):
@@ -154,7 +155,7 @@ class TestCoarsenOps:
         fine = rng(4).random((8, 8))
         cframe = Box([0, 0], [3, 3])
         coarse = np.zeros((4, 4))
-        m.coarsen_cell_volume_weighted(fine, fframe, coarse, cframe,
+        frozen.coarsen_cell_volume_weighted(fine, fframe, coarse, cframe,
                                        Box([0, 0], [3, 3]), R2)
         assert coarse.sum() * 4 == pytest.approx(fine.sum() * 1, rel=1e-12)
 
@@ -167,8 +168,8 @@ class TestCoarsenOps:
         e_c = np.zeros((4, 4))
         rho_c = np.zeros((4, 4))
         region = Box([0, 0], [3, 3])
-        m.coarsen_cell_mass_weighted(e_f, rho_f, fframe, e_c, cframe, region, R2)
-        m.coarsen_cell_volume_weighted(rho_f, fframe, rho_c, cframe, region, R2)
+        frozen.coarsen_cell_mass_weighted(e_f, rho_f, fframe, e_c, cframe, region, R2)
+        frozen.coarsen_cell_volume_weighted(rho_f, fframe, rho_c, cframe, region, R2)
         # fine internal energy = sum rho_f e_f Vf; coarse = rho_c e_c Vc
         assert (rho_c * e_c).sum() * 4.0 == pytest.approx((rho_f * e_f).sum(), rel=1e-12)
 
@@ -179,7 +180,7 @@ class TestCoarsenOps:
         rho_f = rng(7).random((8, 8)) + 0.1
         cframe = Box([0, 0], [3, 3])
         e_c = np.zeros((4, 4))
-        m.coarsen_cell_mass_weighted(e_f, rho_f, fframe, e_c, cframe,
+        frozen.coarsen_cell_mass_weighted(e_f, rho_f, fframe, e_c, cframe,
                                      Box([0, 0], [3, 3]), R2)
         assert np.allclose(e_c, 2.5)
 
@@ -189,7 +190,7 @@ class TestCoarsenOps:
         cframe = Box([-1, -1], [5, 5])
         coarse = np.zeros(tuple(cframe.shape()))
         region = Box([0, 0], [4, 4])
-        m.coarsen_node_injection(fine, fframe, coarse, cframe, region, R2)
+        frozen.coarsen_node_injection(fine, fframe, coarse, cframe, region, R2)
         for i in range(5):
             for j in range(5):
                 assert coarse[i + 1, j + 1] == fine[2 * i + 2, 2 * j + 2]
@@ -201,9 +202,108 @@ class TestCoarsenOps:
         cframe = Box([0, 0], [4, 3])
         coarse = np.zeros(tuple(cframe.shape()))
         region = Box([0, 0], [4, 3])
-        m.coarsen_side_sum(fine, fframe, coarse, cframe, region, R2, axis=0)
+        frozen.coarsen_side_sum(fine, fframe, coarse, cframe, region, R2, axis=0)
         assert coarse[1, 0] == pytest.approx(fine[2, 0] + fine[2, 1])
         assert coarse.sum() == pytest.approx(fine[::2].sum())
+
+
+def _mixed(gen, shape, zeros: float) -> np.ndarray:
+    """Mixed magnitudes (1e-8 .. 1e8, both signs) with a share of signed
+    zeros of either sign."""
+    x = gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 9, shape)
+    z = gen.random(shape) < zeros
+    x[z] = np.where(gen.random(int(z.sum())) < 0.5, -0.0, 0.0)
+    return x
+
+
+def _frozen(op, axis, fine, weight, fframe, coarse, cframe, region, ratio):
+    """The frozen per-block routine of one of the four operators."""
+    if op is m.CELL_VOLUME_MEAN:
+        frozen.coarsen_cell_volume_weighted(fine, fframe, coarse, cframe,
+                                            region, ratio)
+    elif op is m.CELL_MASS_MEAN:
+        frozen.coarsen_cell_mass_weighted(fine, weight, fframe, coarse, cframe,
+                                          region, ratio)
+    elif op is m.NODE_INJECTION:
+        frozen.coarsen_node_injection(fine, fframe, coarse, cframe, region,
+                                      ratio)
+    else:
+        frozen.coarsen_side_sum(fine, fframe, coarse, cframe, region, ratio,
+                                axis)
+
+
+STENCILS = [(m.CELL_VOLUME_MEAN, None), (m.CELL_MASS_MEAN, None),
+            (m.NODE_INJECTION, None), (m.SIDE_SUM[0], 0), (m.SIDE_SUM[1], 1)]
+
+
+class TestCoarsenStencil:
+    """``CoarsenStencil`` is bitwise the frozen per-block routines, per
+    region and evaluated over many regions' blocks at once as a compiled
+    sync does — whatever NumPy's shape-dependent order in the frozen
+    multi-axis reductions, and however the zeros are signed."""
+
+    #: coarse region extents: one cell wide along axis 0, along axis 1,
+    #: along both, and wider
+    SHAPES = [(1, 3), (3, 1), (1, 1), (2, 2), (4, 3)]
+
+    def _blocks(self, gen, r):
+        """Random regions of every shape class, each with a fine frame
+        (ghosts of random width) covering its children, laid back to back
+        in one flat "arena"."""
+        blocks, offset = [], 0
+        for shape in self.SHAPES * 3:
+            lower = gen.integers(-3, 4, 2)
+            region = Box(lower.tolist(), (lower + shape - 1).tolist())
+            lo = lower * r - gen.integers(0, 3, 2)
+            hi = (lower + shape) * r - 1 + gen.integers(0, 3, 2)
+            frame = Box(lo.tolist(), hi.tolist())
+            blocks.append((region, frame, offset))
+            offset += frame.size()
+        return blocks, offset
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("stencil,axis", STENCILS)
+    def test_bitwise_the_frozen_routines_in_every_shape_class(self, r,
+                                                              stencil, axis):
+        ratio = IntVector.uniform(r, 2)
+        weighted = stencil is m.CELL_MASS_MEAN
+        for seed, zeros in enumerate((0.0, 0.3, 0.9, 1.0)):
+            gen = rng(100 * r + seed)
+            blocks, size = self._blocks(gen, r)
+            arena = _mixed(gen, size, zeros)
+            weights = np.abs(_mixed(gen, size, 0.0)) + 1e-300
+            c0, c1, where, gather, wide = [], [], [], [], []
+            for b, (region, frame, offset) in enumerate(blocks):
+                n0, n1 = region.shape()
+                p0 = np.repeat(np.arange(region.lower[0], region.upper[0] + 1), n1)
+                p1 = np.tile(np.arange(region.lower[1], region.upper[1] + 1), n0)
+                f0, f1 = m.coarsen_children(stencil, p0, p1, ratio)
+                gather.append(offset + (f0 - frame.lower[0]) * frame.shape()[1]
+                              + f1 - frame.lower[1])
+                wide.append(np.full(len(p0), n1 > 1))
+                where.append(np.full(len(p0), b))
+            gather, wide = np.concatenate(gather), np.concatenate(wide)
+            w = weights if weighted else None
+            flat = np.empty(len(gather))
+            for flag in (True, False):
+                sel = wide == flag
+                if sel.any():
+                    flat[sel] = m.coarsen_values(stencil, arena, gather[sel],
+                                                 ratio, flag, w)
+            which = np.concatenate(where)
+            for b, (region, frame, offset) in enumerate(blocks):
+                fine = arena[offset:offset + frame.size()].reshape(frame.shape())
+                weight = weights[offset:offset + frame.size()].reshape(
+                    frame.shape())
+                want = np.full(tuple(region.shape()), np.pi)
+                _frozen(stencil, axis, fine, weight, frame, want, region,
+                        region, ratio)
+                got = np.full(tuple(region.shape()), np.e)
+                m.coarsen_region(stencil, fine, frame, got, region, region,
+                                 ratio, weight if weighted else None)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert np.array_equal(flat[which == b].view(np.int64),
+                                      want.ravel().view(np.int64))
 
 
 class TestOperatorDispatch:

@@ -294,8 +294,9 @@ def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
     """Level-wide, one scratch slab for the one rank; per patch, one per
     interpolated region, where the region's temporaries were.  A cached
     sync, in either grouping, allocates one scratch slab per ship (what
-    each ``sync.free`` releases), no patch data, and compiles no item
-    list."""
+    each ``sync.free`` releases: one per rank pair level-wide, one per
+    transaction else), no patch data, does no box algebra and compiles
+    no item list."""
     counts = {"Box.__init__": 0, "Box.slices_in": 0, "Device.empty": 0,
               "allocate": 0, "compile": 0, "sync.free": 0}
 
@@ -338,7 +339,12 @@ def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
         assert sim._coarsen_schedule_for(level.level_number) is sync
         counts.update(dict.fromkeys(counts, 0))
         sync.coarsen()
-        assert counts["sync.free"] >= sync.num_transactions() > 1
+        pairs = {(t.fine_patch.owner, t.coarse_patch.owner)
+                 for t in sync.transactions}
+        assert sync.num_transactions() > len(pairs)
+        assert counts["sync.free"] == (len(pairs) if batch
+                                       else sync.num_transactions())
+        assert counts["Box.__init__"] == 0, batch
         assert counts["Device.empty"] == counts["sync.free"], batch
         assert counts["allocate"] == 0 and counts["compile"] == 0, batch
 
@@ -382,7 +388,7 @@ def test_a_batched_schedule_on_a_per_patch_allocated_level_raises_naming_it():
         patch.allocate(reg["rho"], factory, comm.rank(patch.owner))
     for batch in (True, False):
         sched = RefineSchedule(level, None, [FillSpec(reg["rho"])], comm,
-                               factory, batch=batch)
+                               batch=batch)
         with pytest.raises(UnpooledLevelError, match="level 0 holds 'rho'"):
             sched.fill()
 
@@ -450,11 +456,11 @@ def _outcome(sched, state, comm):
             [d.stats.peak_bytes_allocated for d in devices])
 
 
-def _check_against_oracle(make, state, comm):
+def _check_against_oracle(make, state, comm, factory):
     """``make(schedule class, **kwargs)`` -> a fill; both groupings leave
-    the oracle's bits, the per-patch one also its launches, messages and
-    device high-water."""
-    want = _outcome(make(PerRegionSchedule), state, comm)
+    the bits of the oracle (its temporaries from ``factory``), the
+    per-patch one also its launches, messages and device high-water."""
+    want = _outcome(make(PerRegionSchedule, factory=factory), state, comm)
     per_patch = _outcome(make(RefineSchedule, batch=False), state, comm)
     level_wide = _outcome(make(RefineSchedule, batch=True), state, comm)
     for got in (per_patch, level_wide):
@@ -488,9 +494,8 @@ def test_compiled_fills_are_the_per_region_program(nranks, nx, ny, max_patch,
         coarse = hier.level(level.level_number - 1) if level.level_number else None
         _check_against_oracle(
             lambda cls, level=level, coarse=coarse, **kw: cls(
-                level, coarse, specs, comm, sim.factory,
-                boundary=sim.boundary, **kw),
-            _state(hier, ORACLE_FIELDS, seed), comm)
+                level, coarse, specs, comm, boundary=sim.boundary, **kw),
+            _state(hier, ORACLE_FIELDS, seed), comm, sim.factory)
 
     for lnum in (1, 2):
         boxes = [p.box for p in hier.level(lnum)]
@@ -505,9 +510,10 @@ def test_compiled_fills_are_the_per_region_program(nranks, nx, ny, max_patch,
         for src in (old, None):
             _check_against_oracle(
                 lambda cls, new=new, coarse=coarse, src=src, **kw: cls(
-                    new, coarse, specs, comm, sim.factory,
-                    src_level=src, interior=True, **kw),
-                _state([*hier, new, old], ORACLE_FIELDS, seed), comm)
+                    new, coarse, specs, comm, src_level=src, interior=True,
+                    **kw),
+                _state([*hier, new, old], ORACLE_FIELDS, seed), comm,
+                sim.factory)
         new.free_all()
         old.free_all()
 
@@ -530,7 +536,7 @@ def test_a_geometry_shared_by_both_groupings_keeps_each_its_own():
                                                per_patch.items))
     state = _state(sim.hierarchy, PRIMARY_FIELDS, 7)
     oracle = PerRegionSchedule(level, coarse, per_patch.specs, sim.comm,
-                               sim.factory, boundary=sim.boundary)
+                               factory=sim.factory, boundary=sim.boundary)
     want = _outcome(oracle, state, sim.comm)
     owners = len({d.owner for _, g in per_patch.items for _, d, _ in g.copies})
     flats = None
@@ -561,13 +567,14 @@ def test_a_per_patch_fill_rejects_a_centring_group_of_mixed_refine_operators():
              FillSpec(sim.variables["energy0"], OtherCellRefine())]
 
     def make(cls, **kw):
-        return cls(level, coarse, specs, sim.comm, sim.factory,
+        return cls(level, coarse, specs, sim.comm,
                    boundary=sim.boundary, **kw)
 
     with pytest.raises(MixedRefineError, match="density0"):
         make(RefineSchedule, batch=False).fill()
     state = _state(sim.hierarchy, ("density0", "energy0"), 3)
-    want = _outcome(make(PerRegionSchedule), state, sim.comm)
+    want = _outcome(make(PerRegionSchedule, factory=sim.factory), state,
+                    sim.comm)
     got = _outcome(make(RefineSchedule, batch=True), state, sim.comm)
     assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
 

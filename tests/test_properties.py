@@ -60,7 +60,7 @@ class TestGhostFillExactness:
             full = 3.0 * i + 7.0 * j * np.ones_like(i)
             pd.data.array[sl] = np.broadcast_to(full, pd.data.array.shape)[sl]
         specs = [FillSpec(reg["f"], CellConservativeLinearRefine())]
-        RefineSchedule(level, None, specs, comm, HostDataFactory()).fill()
+        RefineSchedule(level, None, specs, comm).fill()
         for patch in level:
             pd = patch.data("f")
             frame = pd.get_ghost_box()
@@ -87,7 +87,7 @@ class TestGhostFillExactness:
             j = np.arange(interior.lower[1], interior.upper[1] + 1)[None, :]
             pd.data.view(interior)[...] = 2.0 * i - 5.0 * j
         specs = [FillSpec(reg["v"], NodeLinearRefine())]
-        RefineSchedule(level, None, specs, comm, HostDataFactory()).fill()
+        RefineSchedule(level, None, specs, comm).fill()
         node_domain = reg["v"].index_box(level.domain)
         for patch in level:
             pd = patch.data("v")
@@ -139,8 +139,8 @@ class TestRefineCoarsenAdjoint:
         r = IntVector(2, 2)
         m.refine_cell_conservative_linear(coarse, cframe, fine, fframe, region, r)
         back = np.zeros((4, 4))
-        m.coarsen_cell_volume_weighted(
-            fine, fframe, back, Box([0, 0], [3, 3]), Box([0, 0], [3, 3]), r)
+        m.coarsen_region(m.CELL_VOLUME_MEAN, fine, fframe, back,
+                         Box([0, 0], [3, 3]), Box([0, 0], [3, 3]), r)
         assert np.allclose(back, coarse[2:6, 2:6], rtol=1e-13)
 
     @given(st.integers(0, 30))
@@ -157,8 +157,8 @@ class TestRefineCoarsenAdjoint:
         r = IntVector(2, 2)
         m.refine_node_linear(coarse, cframe, fine, fframe, Box([0, 0], [8, 8]), r)
         back = np.zeros((5, 5))
-        m.coarsen_node_injection(
-            fine, fframe, back, Box([0, 0], [4, 4]), Box([0, 0], [4, 4]), r)
+        m.coarsen_region(m.NODE_INJECTION, fine, fframe, back,
+                         Box([0, 0], [4, 4]), Box([0, 0], [4, 4]), r)
         assert np.array_equal(back, coarse[1:6, 1:6])
 
 

@@ -56,7 +56,7 @@ class TestCacheSharing:
         specs = [FillSpec(reg["a"], CellConservativeLinearRefine()),
                  FillSpec(reg["b"], CellConservativeLinearRefine())]
         sched = RefineSchedule(hier.level(0), None, specs, comm,
-                               HostDataFactory(), geometry_cache=cache)
+                               geometry_cache=cache)
         assert len(cache) == 1  # one geometry for both cell variables
         geoms = [g for _, g in sched.items]
         assert geoms[0] is geoms[1]
@@ -67,9 +67,9 @@ class TestCacheSharing:
         specs_a = [FillSpec(reg["a"], CellConservativeLinearRefine())]
         specs_b = [FillSpec(reg["b"], CellConservativeLinearRefine())]
         s1 = RefineSchedule(hier.level(0), None, specs_a, comm,
-                            HostDataFactory(), geometry_cache=cache)
+                            geometry_cache=cache)
         s2 = RefineSchedule(hier.level(0), None, specs_b, comm,
-                            HostDataFactory(), geometry_cache=cache)
+                            geometry_cache=cache)
         assert s1.items[0][1] is s2.items[0][1]
 
     def test_distinct_signatures_get_distinct_geometry(self):
@@ -78,7 +78,7 @@ class TestCacheSharing:
         specs = [FillSpec(reg["a"], CellConservativeLinearRefine()),
                  FillSpec(reg["v"], NodeLinearRefine())]
         RefineSchedule(hier.level(0), None, specs, comm,
-                       HostDataFactory(), geometry_cache=cache)
+                       geometry_cache=cache)
         assert len(cache) == 2
 
     def test_shared_geometry_fills_both_variables(self):
@@ -91,7 +91,7 @@ class TestCacheSharing:
         specs = [FillSpec(reg["a"], CellConservativeLinearRefine()),
                  FillSpec(reg["b"], CellConservativeLinearRefine())]
         RefineSchedule(hier.level(0), None, specs, comm,
-                       HostDataFactory(), geometry_cache={}).fill()
+                       geometry_cache={}).fill()
         left = hier.level(0).patches[0]
         frame = left.data("a").get_ghost_box()
         # ghost column i=8 (array row 10) copied from the right patch

@@ -11,7 +11,12 @@ from repro.geom.operators import (
     CellVolumeWeightedCoarsen,
     NodeLinearRefine,
 )
-from repro.geom.interp_math import CELL_CONSERVATIVE_LINEAR, RefineStencil
+from repro.geom.interp_math import (
+    CELL_CONSERVATIVE_LINEAR,
+    CELL_VOLUME_MEAN,
+    CoarsenStencil,
+    RefineStencil,
+)
 from repro.gpu.device import K20X
 from repro.hydro.boundary import ReflectiveBoundary
 from repro.hydro.fields import FIELD_GROUPS
@@ -77,7 +82,7 @@ class TestSameLevelFill:
         level = two_patch_level(hier, reg, factory, comm)
         set_linear_field(level, reg, "rho")
         specs = [FillSpec(reg["rho"], CellConservativeLinearRefine())]
-        sched = RefineSchedule(level, None, specs, comm, factory)
+        sched = RefineSchedule(level, None, specs, comm)
         sched.fill()
         left = level.patches[0].data("rho")
         full = (left.to_host() if gpus else left.data.array)
@@ -94,7 +99,7 @@ class TestSameLevelFill:
         set_linear_field(level, reg, "rho")
         specs = [FillSpec(reg["rho"], CellConservativeLinearRefine())]
         t0 = [r.clock.time for r in comm.ranks]
-        RefineSchedule(level, None, specs, comm, factory).fill()
+        RefineSchedule(level, None, specs, comm).fill()
         moved = [r.clock.time - s for r, s in zip(comm.ranks, t0)]
         assert all(m > 0 for m in moved)
 
@@ -144,7 +149,7 @@ class TestCoarseFineFill:
         hier.level(1).patches[0].data("rho").data.view(
             hier.level(1).patches[0].box)[...] = 7.0
         specs = [FillSpec(reg["rho"], CellConservativeLinearRefine())]
-        RefineSchedule(hier.level(1), hier.level(0), specs, comm, factory).fill()
+        RefineSchedule(hier.level(1), hier.level(0), specs, comm).fill()
         arr = hier.level(1).patches[0].data("rho").data.array
         assert np.all(arr == 7.0)  # ghosts got the interpolated constant
 
@@ -162,7 +167,7 @@ class TestCoarseFineFill:
         i1 = np.arange(interior1.lower[0], interior1.upper[0] + 1)[:, None]
         pd1.data.view(interior1)[...] = i1 / 2.0
         specs = [FillSpec(reg["vel"], NodeLinearRefine())]
-        RefineSchedule(hier.level(1), hier.level(0), specs, comm, factory).fill()
+        RefineSchedule(hier.level(1), hier.level(0), specs, comm).fill()
         frame1 = pd1.get_ghost_box()
         expect = np.arange(frame1.lower[0], frame1.upper[0] + 1)[:, None] / 2.0
         assert np.allclose(pd1.data.array, expect * np.ones(tuple(frame1.shape())))
@@ -174,7 +179,7 @@ class TestCoarseFineFill:
         pd1 = hier.level(1).patches[0].data("rho")
         pd1.fill(0.0)
         specs = [FillSpec(reg["rho"], CellConservativeLinearRefine())]
-        RefineSchedule(hier.level(1), hier.level(0), specs, comm, factory,
+        RefineSchedule(hier.level(1), hier.level(0), specs, comm,
                        src_level=None, interior=True).fill()
         assert np.all(pd1.interior() == 3.5)
 
@@ -199,7 +204,7 @@ class TestCoarseFineFill:
         for level in hier:
             level.patches[0].data("rho").fill(1.0)
         sched = RefineSchedule(hier.level(1), hier.level(0),
-                               [FillSpec(reg["rho"], Failing())], comm, factory)
+                               [FillSpec(reg["rho"], Failing())], comm)
         assert sched.num_transactions()[1] >= 2
         device = comm.rank(0).device
         before = device.bytes_allocated
@@ -214,7 +219,7 @@ class TestCoarseFineFill:
         comm, hier, reg, factory = self._world_with_fine()
         specs = [FillSpec(reg["rho"], None)]
         with pytest.raises(ValueError):
-            RefineSchedule(hier.level(1), hier.level(0), specs, comm, factory)
+            RefineSchedule(hier.level(1), hier.level(0), specs, comm)
 
 
 class TestCoarsenSchedule:
@@ -257,6 +262,24 @@ class TestCoarsenSchedule:
         expect = (block * block).sum() / block.sum()
         assert coarse_rho.interior()[4, 4] == pytest.approx(expect)
 
+    def test_mass_weighted_spec_without_a_weight_raises_naming_the_variable(self):
+        """A typed error at the spec, not a ``KeyError: None`` deep in the
+        first sync's compile."""
+        comm, hier, reg, factory = self._world()
+        with pytest.raises(ValueError, match="'rho'.*weight_name"):
+            CoarsenSpec(reg["rho"], CellMassWeightedCoarsen())
+        CoarsenSpec(reg["rho"], CellMassWeightedCoarsen(), weight_name="rho")
+
+    def test_mass_weighted_sync_with_a_weight_laid_out_otherwise_raises(self):
+        """The weight is gathered at the data's flat indices, so it must
+        share the data's frames: a node weight for cell data is refused
+        when the sync compiles, naming both."""
+        comm, hier, reg, factory = self._world()
+        sched = CoarsenSchedule(hier.level(1), hier.level(0), [CoarsenSpec(
+            reg["rho"], CellMassWeightedCoarsen(), weight_name="vel")], comm)
+        with pytest.raises(ValueError, match="'vel' of 'rho'"):
+            sched.coarsen()
+
     def test_transaction_count(self):
         comm, hier, reg, factory = self._world()
         specs = [CoarsenSpec(reg["rho"], CellVolumeWeightedCoarsen())]
@@ -286,18 +309,21 @@ class TestCoarsenSchedule:
     def test_scratch_released_when_coarsen_raises(self, batch):
         """An exception anywhere in a sync returns the device pool's
         in-use bytes to their pre-call value: no coarsen scratch outlives
-        the call, and the schedule stays usable.  The coarsen body raises
-        on the second transaction: per transaction, after the first
-        one's scratch was shipped and freed; level-wide, inside the one
-        launch."""
+        the call, and the schedule stays usable.  The coarsen stencil
+        raises on the second transaction's block per transaction, after
+        the first one's scratch was shipped and freed; level-wide, inside
+        the one launch coarsening both."""
+        fail_at = 1 if batch else 2
+
+        def failing(values, weights, ratio, wide):
+            Failing.calls += 1
+            if Failing.calls == fail_at:
+                raise FloatingPointError("non-physical state")
+            return CELL_VOLUME_MEAN.reduce(values, weights, ratio, wide)
+
         class Failing(CellVolumeWeightedCoarsen):
             calls = 0
-
-            def _reduce(self, *args):
-                Failing.calls += 1
-                if Failing.calls == 2:
-                    raise FloatingPointError("non-physical state")
-                super()._reduce(*args)
+            stencil = CoarsenStencil(CELL_VOLUME_MEAN.children, failing)
 
         comm, hier, reg, factory = self._world(
             gpus=True, fine=(Box([8, 8], [15, 23]), Box([16, 8], [23, 23])))
@@ -313,7 +339,7 @@ class TestCoarsenSchedule:
             sched.coarsen()
         # while the traceback still pins the failed call's frames (so no
         # garbage collector is doing the schedule's job for it)
-        assert caught.traceback and Failing.calls == 2
+        assert caught.traceback and Failing.calls == fail_at
         assert device.bytes_allocated == before
         sched.coarsen()
         assert device.bytes_allocated == before
@@ -394,7 +420,7 @@ def test_one_message_per_rank_pair_per_transfer():
         for names in FIELD_GROUPS.values():
             batched = sim._fill_schedule_for(level, names)
             plain = RefineSchedule(level, coarse, sim._specs_for(names), comm,
-                                   sim.factory, boundary=sim.boundary)
+                                   boundary=sim.boundary)
             cases.append((batched, plain, RefineSchedule.fill,
                           _fill_streams(batched)))
     syncs = []
