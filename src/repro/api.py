@@ -438,10 +438,14 @@ class RunSession:
         )
 
     def close(self) -> None:
-        """Flush trace sinks; idempotent, safe after partial construction."""
+        """Flush trace sinks and give back the kernels' workspace;
+        idempotent, safe after partial construction."""
         if self._closed:
             return
         self._closed = True
+        sim = getattr(self, "sim", None)
+        if sim is not None:
+            sim.patch_integrator.workspace.release()
         if self._tracer is not None:
             self._tracer.close()
 

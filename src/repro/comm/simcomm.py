@@ -20,6 +20,7 @@ from ..obs.context import active_tracer
 from ..obs.lanes import HOST, NET
 from ..gpu.kernel import KernelSpec, kernel_spec
 from ..perf.machines import IPA, TITAN, CpuSpec, Machine, NetworkSpec
+from ..util import nan_min
 from ..util.clock import VirtualClock
 from ..util.timer import TimerRegistry
 
@@ -162,11 +163,15 @@ class SimCommunicator:
                 tracer.emit(name, "comm", r.index, NET, before, t)
 
     def allreduce_min(self, values: list[float], nbytes: int = 8) -> float:
-        """MPI_Allreduce(MIN): the paper's one global reduction (dt)."""
+        """MPI_Allreduce(MIN): the paper's one global reduction (dt).
+
+        A NaN from any rank is the result, as it would be from a min that
+        propagates NaN, whatever the rank order.
+        """
         if len(values) != self.size:
             raise ValueError("one value per rank required")
         self._charge_allreduce(nbytes)
-        return min(values)
+        return nan_min(values)
 
     def allreduce_sum(self, values: list[float], nbytes: int = 8) -> float:
         self._charge_allreduce(nbytes)

@@ -35,6 +35,7 @@ from ..mesh.hierarchy import PatchHierarchy
 from ..obs.context import active_tracer
 from ..regrid.load_balance import assign_owners, chop_boxes
 from ..regrid.regridder import RegridConfig, Regridder
+from ..util import nan_min
 from ..xfer.coarsen_schedule import CoarsenSchedule, CoarsenSpec
 from ..xfer.message import ImmediateSink
 from ..xfer.refine_schedule import FillSpec, RefineSchedule
@@ -201,8 +202,7 @@ class LagrangianEulerianIntegrator:
         with self._phase("regrid"):
             for _ in range(self.config.max_levels - 1):
                 before = self.hierarchy.num_levels
-                self.regridder.regrid(init_level_callback=self._init_level_data)
-                self._invalidate_schedules()
+                self._regrid(self._init_level_data)
                 for lvl in self.hierarchy:
                     if lvl.level_number > 0:
                         self._init_level_data(lvl)
@@ -217,6 +217,17 @@ class LagrangianEulerianIntegrator:
             self.patch_integrator.initialise(patch, rank, self.problem)
 
     # -- halo fills -----------------------------------------------------------------
+
+    def _regrid(self, init_level_callback) -> None:
+        """Regrid the hierarchy, then drop the schedules it invalidated.
+
+        The kernels' workspace is given back first: it is sized for the
+        old levels' patch shapes, and would otherwise sit on top of the
+        regrid's own allocation peak.
+        """
+        self.patch_integrator.workspace.release()
+        self.regridder.regrid(init_level_callback=init_level_callback)
+        self._invalidate_schedules()
 
     def _invalidate_schedules(self) -> None:
         """Selective invalidation: drop only schedules touching changed levels.
@@ -319,8 +330,7 @@ class LagrangianEulerianIntegrator:
                 and self.step_count % self.config.regrid.regrid_interval == 0):
             with self._phase("regrid"):
                 self._prepare_for_tagging()
-                self.regridder.regrid(init_level_callback=self._reset_derived)
-                self._invalidate_schedules()
+                self._regrid(self._reset_derived)
         return dt
 
     def _scheduler(self):
@@ -410,13 +420,13 @@ class LagrangianEulerianIntegrator:
         """Per-owner min over ``(owner, dt handle)`` pairs, then allreduce.
 
         A handle is whatever the sink's reduction launch handed back: its
-        ``result`` is the scalar that launch's readback delivered.
+        ``result`` is the scalar that launch's readback delivered.  A NaN
+        result reaches the policy check, which raises on it.
         """
-        local = [math.inf] * self.comm.size
+        local = [[math.inf] for _ in range(self.comm.size)]
         for owner, handle in handles:
-            if handle.result < local[owner]:
-                local[owner] = handle.result
-        return self.comm.allreduce_min(local)
+            local[owner].append(handle.result)
+        return self.comm.allreduce_min([nan_min(dts) for dts in local])
 
     def _apply_dt_policy(self, dt: float) -> float:
         """Validate a reduced dt and apply the growth/init/max clamps."""

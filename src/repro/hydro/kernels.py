@@ -34,15 +34,41 @@ the same code runs one vectorized NumPy op over all P patches at once.
 All per-element arithmetic is elementwise IEEE (the only reduction,
 ``calc_dt``'s min, is an exact selection), so the stacked results are
 bitwise identical to P per-patch invocations.
+
+**Temporaries come from a workspace.**  No kernel call allocates an
+array the size of its operands.  Every term is one ufunc writing
+``out=`` into a buffer carved from a :class:`Workspace`; a select
+between two windows is a copy and a masked copy, and its mask is a
+carved boolean buffer too.  The patch integrator owns one workspace per
+session and hands it to every kernel (``ws=``); it is released before
+each regrid (the patch shapes it was sized for change) and when the
+session closes.  Nothing lives at module level, and a call without
+``ws`` carves from a private workspace of its own.  A carve's views
+are valid until the next carve on the same workspace, so a kernel
+carves once per phase and never holds a view across kernels.
+
+Intermediates live in the *contiguous* workspace buffers; a frame
+window (strided) is read where the stencil needs it and written only
+by its output's final operation, never updated in place.  Each value
+is the same IEEE operation on the same operands, in the same order, as
+the expression form these kernels replaced (``tests/kernel_oracle.py``),
+so the bits do not depend on which form ran.  Where the expression form
+multiplies by a sign select of -1.0 or 1.0, the kernels multiply the
+-1.0 lanes only (``where=``): a product with 1.0 is its other operand,
+bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+
 import numpy as np
 
 __all__ = [
-    "win", "ideal_gas", "viscosity", "calc_dt", "pdv", "accelerate",
-    "flux_calc", "advec_cell", "advec_mom", "reset_field", "G_SMALL", "G_BIG",
+    "win", "Workspace", "ideal_gas", "viscosity", "calc_dt", "pdv",
+    "accelerate", "flux_calc", "advec_cell", "advec_mom", "reset_field",
+    "G_SMALL", "G_BIG",
 ]
 
 G_SMALL = 1.0e-16
@@ -63,11 +89,88 @@ def win(arr: np.ndarray, i0: int, j0: int, n0: int, n1: int) -> np.ndarray:
     return arr[..., i0:i0 + n0, j0:j0 + n1]
 
 
+#: workspaces at least this large are mapped from the OS, not the heap
+_MAP_BYTES = 1 << 20
+
+
+def _allocate(nbytes: int) -> np.ndarray:
+    """``nbytes`` of uninitialised memory for a workspace, as a byte array.
+
+    A small workspace comes from the heap, where the free blocks a regrid
+    leaves behind can serve it.  A large one is mapped from the OS: the
+    allocator's adaptive mmap threshold would otherwise place it in the
+    heap, where a released or outgrown workspace leaves a hole that the
+    next one grows around.  Dropping the last view unmaps it.
+    """
+    if nbytes < _MAP_BYTES:
+        return np.empty(nbytes, dtype=np.uint8)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
+
+
+class Workspace:
+    """One byte buffer that kernel temporaries are carved from.
+
+    :meth:`carve` lays its float64 buffers and then its boolean masks end
+    to end from the start of the buffer, so every carve reuses the same
+    memory.  The buffer grows to exactly the largest carve made so far —
+    the largest single kernel phase's need, never rounded up — and
+    :meth:`release` gives it back.  Views are cached per request, so a
+    steady sweep neither allocates nor builds views.
+    """
+
+    def __init__(self):
+        self._buf = _allocate(0)
+        self._views: dict = {}
+
+    @property
+    def nbytes(self) -> int:
+        """Current size of the buffer in bytes."""
+        return self._buf.nbytes
+
+    def carve(self, shape, floats: int, masks: int = 0) -> tuple:
+        """``floats`` float64 arrays, then ``masks`` bool arrays, of
+        ``shape``: contiguous, uninitialised, valid until the next carve."""
+        key = (tuple(shape), floats, masks)
+        views = self._views.get(key)
+        if views is None:
+            count = math.prod(key[0])
+            width = 8 * count
+            need = width * floats + count * masks
+            if need > self._buf.nbytes:
+                # drop the old buffer and its cached views first: it is
+                # freed as soon as no caller holds a view of it
+                self._views.clear()
+                self._buf = None
+                self._buf = _allocate(need)
+            buf = self._buf
+            views = tuple(
+                buf[i * width:(i + 1) * width].view(np.float64).reshape(key[0])
+                for i in range(floats)
+            ) + tuple(
+                buf[floats * width + i * count:floats * width + (i + 1) * count]
+                .view(np.bool_).reshape(key[0])
+                for i in range(masks)
+            )
+            self._views[key] = views
+        return views
+
+    def release(self) -> None:
+        """Give the buffer back; a later carve allocates afresh."""
+        self._views.clear()
+        self._buf = _allocate(0)
+
+
+def _carve(ws, shape, floats, masks=0):
+    """Carve from ``ws``, or from a private workspace when there is none."""
+    return (ws if ws is not None else Workspace()).carve(shape, floats, masks)
+
+
 # ---------------------------------------------------------------------------
 # equation of state
 # ---------------------------------------------------------------------------
 
-def ideal_gas(density, energy, pressure, soundspeed, nx, ny, g, gamma=1.4, ext=0):
+def ideal_gas(density, energy, pressure, soundspeed, nx, ny, g, gamma=1.4,
+              ext=0, ws=None):
     """gamma-law EOS: p = (gamma-1) rho e; cs = sqrt(gamma p / rho).
 
     ``ext`` extends the computed region into the ghost layers (CloverLeaf
@@ -77,18 +180,24 @@ def ideal_gas(density, energy, pressure, soundspeed, nx, ny, g, gamma=1.4, ext=0
     o = g - ext
     d = win(density, o, o, n0, n1)
     e = win(energy, o, o, n0, n1)
-    p = (gamma - 1.0) * d * e
-    win(pressure, o, o, n0, n1)[...] = p
-    v = 1.0 / np.maximum(d, G_SMALL)
-    cs2 = gamma * np.maximum(p, G_SMALL) * v
-    win(soundspeed, o, o, n0, n1)[...] = np.sqrt(cs2)
+    p = win(pressure, o, o, n0, n1)
+    t, v = _carve(ws, d.shape, 2)
+    np.multiply(gamma - 1.0, d, out=t)
+    np.multiply(t, e, out=p)
+    np.maximum(d, G_SMALL, out=v)
+    np.divide(1.0, v, out=v)
+    np.maximum(p, G_SMALL, out=t)
+    np.multiply(gamma, t, out=t)
+    np.multiply(t, v, out=t)
+    np.sqrt(t, out=win(soundspeed, o, o, n0, n1))
 
 
 # ---------------------------------------------------------------------------
 # artificial viscosity
 # ---------------------------------------------------------------------------
 
-def viscosity(density0, pressure, visc, xvel0, yvel0, nx, ny, g, dx, dy):
+def viscosity(density0, pressure, visc, xvel0, yvel0, nx, ny, g, dx, dy,
+              ws=None):
     """CloverLeaf's edge-detected quadratic artificial viscosity.
 
     Stencil: pressure +-1 cell, velocities at the cell's four nodes.
@@ -103,35 +212,95 @@ def viscosity(density0, pressure, visc, xvel0, yvel0, nx, ny, g, dx, dy):
     v01 = win(yvel0, g, g + 1, n0, n1)
     v10 = win(yvel0, g + 1, g, n0, n1)
     v11 = win(yvel0, g + 1, g + 1, n0, n1)
+    ug, vg, strain, px, py, a, b, quiet, neg = _carve(ws, u00.shape, 7, 2)
 
-    ugrad = 0.5 * ((u10 + u11) - (u00 + u01))          # du across the cell
-    vgrad = 0.5 * ((v01 + v11) - (v00 + v10))          # dv across the cell
-    div = dy * ugrad + dx * vgrad                      # area-weighted divergence
-    strain2 = 0.5 * ((u01 + u11) - (u00 + u10)) / dy \
-        + 0.5 * ((v10 + v11) - (v00 + v01)) / dx
+    # du, dv across the cell; ``quiet`` where the area-weighted
+    # divergence dy du + dx dv is >= 0 (no compression, no viscosity)
+    np.add(u10, u11, out=ug)
+    np.add(u00, u01, out=a)
+    np.subtract(ug, a, out=ug)
+    np.multiply(0.5, ug, out=ug)
+    np.add(v01, v11, out=vg)
+    np.add(v00, v10, out=a)
+    np.subtract(vg, a, out=vg)
+    np.multiply(0.5, vg, out=vg)
+    np.multiply(dy, ug, out=a)
+    np.multiply(dx, vg, out=b)
+    np.add(a, b, out=a)
+    np.greater_equal(a, 0.0, out=quiet)
 
-    pgradx = (win(pressure, g + 1, g, n0, n1) - win(pressure, g - 1, g, n0, n1)) / (2.0 * dx)
-    pgrady = (win(pressure, g, g + 1, n0, n1) - win(pressure, g, g - 1, n0, n1)) / (2.0 * dy)
-    pgradx2 = pgradx * pgradx
-    pgrady2 = pgrady * pgrady
+    # strain2 = 0.5 ((u01 + u11) - (u00 + u10)) / dy
+    #         + 0.5 ((v10 + v11) - (v00 + v01)) / dx
+    np.add(u01, u11, out=strain)
+    np.add(u00, u10, out=a)
+    np.subtract(strain, a, out=strain)
+    np.multiply(0.5, strain, out=strain)
+    np.divide(strain, dy, out=strain)
+    np.add(v10, v11, out=a)
+    np.add(v00, v01, out=b)
+    np.subtract(a, b, out=a)
+    np.multiply(0.5, a, out=a)
+    np.divide(a, dx, out=a)
+    np.add(strain, a, out=strain)
 
-    limiter = ((0.5 * ugrad / dx) * pgradx2
-               + (0.5 * vgrad / dy) * pgrady2
-               + strain2 * pgradx * pgrady) / np.maximum(pgradx2 + pgrady2, G_SMALL)
+    np.subtract(win(pressure, g + 1, g, n0, n1),
+                win(pressure, g - 1, g, n0, n1), out=px)
+    np.divide(px, 2.0 * dx, out=px)
+    np.subtract(win(pressure, g, g + 1, n0, n1),
+                win(pressure, g, g - 1, n0, n1), out=py)
+    np.divide(py, 2.0 * dy, out=py)
 
-    sx = np.where(pgradx < 0, -1.0, 1.0)
-    sy = np.where(pgrady < 0, -1.0, 1.0)
-    pgx = sx * np.maximum(G_SMALL, np.abs(pgradx))
-    pgy = sy * np.maximum(G_SMALL, np.abs(pgrady))
-    pgrad = np.sqrt(pgx * pgx + pgy * pgy)
-    xgrad = np.abs(dx * pgrad / pgx)
-    ygrad = np.abs(dy * pgrad / pgy)
-    grad = np.minimum(xgrad, ygrad)
-    grad2 = grad * grad
+    # limiter = ((0.5 du / dx) px^2 + (0.5 dv / dy) py^2 + strain2 px py)
+    #           / max(px^2 + py^2, G_SMALL), into ``ug``
+    np.multiply(0.5, ug, out=ug)
+    np.divide(ug, dx, out=ug)
+    np.multiply(px, px, out=a)
+    np.multiply(ug, a, out=ug)
+    np.multiply(0.5, vg, out=vg)
+    np.divide(vg, dy, out=vg)
+    np.multiply(py, py, out=b)
+    np.multiply(vg, b, out=vg)
+    np.add(ug, vg, out=ug)
+    np.multiply(strain, px, out=strain)
+    np.multiply(strain, py, out=strain)
+    np.add(ug, strain, out=ug)
+    np.add(a, b, out=a)
+    np.maximum(a, G_SMALL, out=a)
+    np.divide(ug, a, out=ug)
+    limiter = ug
 
-    q = 2.0 * win(density0, g, g, n0, n1) * grad2 * limiter * limiter
-    q = np.where((limiter > 0.0) | (div >= 0.0), 0.0, q)
-    win(visc, g, g, n0, n1)[...] = q
+    # pgx = sx max(G_SMALL, |px|), sx = -1 where px < 0 (not at -0.0)
+    np.less(px, 0.0, out=neg)
+    np.abs(px, out=px)
+    np.maximum(G_SMALL, px, out=px)
+    np.multiply(-1.0, px, out=px, where=neg)
+    np.less(py, 0.0, out=neg)
+    np.abs(py, out=py)
+    np.maximum(G_SMALL, py, out=py)
+    np.multiply(-1.0, py, out=py, where=neg)
+    # grad2 = min(|dx pgrad / pgx|, |dy pgrad / pgy|)^2
+    np.multiply(px, px, out=a)
+    np.multiply(py, py, out=b)
+    np.add(a, b, out=a)
+    np.sqrt(a, out=a)
+    np.multiply(dx, a, out=b)
+    np.divide(b, px, out=b)
+    np.abs(b, out=b)
+    np.multiply(dy, a, out=a)
+    np.divide(a, py, out=a)
+    np.abs(a, out=a)
+    np.minimum(b, a, out=b)
+    np.multiply(b, b, out=b)
+
+    # q = 2 rho grad2 limiter^2, zero where limiter > 0 or div >= 0
+    np.multiply(2.0, win(density0, g, g, n0, n1), out=a)
+    np.multiply(a, b, out=a)
+    np.multiply(a, limiter, out=a)
+    np.multiply(a, limiter, out=a)
+    np.greater(limiter, 0.0, out=neg)
+    np.logical_or(neg, quiet, out=neg)
+    np.copyto(a, 0.0, where=neg)
+    win(visc, g, g, n0, n1)[...] = a
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +308,16 @@ def viscosity(density0, pressure, visc, xvel0, yvel0, nx, ny, g, dx, dy):
 # ---------------------------------------------------------------------------
 
 def calc_dt(density0, soundspeed, visc, xvel0, yvel0, nx, ny, g, dx, dy,
-            dtc_safe=0.7, dtu_safe=0.5, dtv_safe=0.5, dtdiv_safe=0.7):
-    """CFL timestep: minimum over the patch of the four CloverLeaf limits."""
+            dtc_safe=0.7, dtu_safe=0.5, dtv_safe=0.5, dtdiv_safe=0.7,
+            ws=None):
+    """CFL timestep: minimum over the patch of the four CloverLeaf limits.
+
+    A NaN anywhere in the limits is the result (``np.min`` propagates it).
+    """
     n0, n1 = nx, ny
     d = win(density0, g, g, n0, n1)
     cs = win(soundspeed, g, g, n0, n1)
     q = win(visc, g, g, n0, n1)
-    cc = cs * cs + 2.0 * q / np.maximum(d, G_SMALL)
-    cc = np.maximum(np.sqrt(cc), G_SMALL)
-
     u00 = win(xvel0, g, g, n0, n1)
     u01 = win(xvel0, g, g + 1, n0, n1)
     u10 = win(xvel0, g + 1, g, n0, n1)
@@ -156,17 +326,55 @@ def calc_dt(density0, soundspeed, visc, xvel0, yvel0, nx, ny, g, dx, dy,
     v01 = win(yvel0, g, g + 1, n0, n1)
     v10 = win(yvel0, g + 1, g, n0, n1)
     v11 = win(yvel0, g + 1, g + 1, n0, n1)
+    dt, lim, a, b = _carve(ws, d.shape, 4)
 
-    dtct = dtc_safe * np.minimum(dx, dy) / cc
-    du = 0.5 * np.maximum(np.abs(u00 + u01), np.abs(u10 + u11))
-    dv = 0.5 * np.maximum(np.abs(v00 + v10), np.abs(v01 + v11))
-    dtut = dtu_safe * dx / np.maximum(du, G_SMALL)
-    dtvt = dtv_safe * dy / np.maximum(dv, G_SMALL)
-    divergence = (0.5 * ((u10 + u11) - (u00 + u01)) / dx
-                  + 0.5 * ((v01 + v11) - (v00 + v10)) / dy)
-    dtdivt = dtdiv_safe / np.maximum(np.abs(divergence), G_SMALL)
+    # sound: dtc_safe min(dx, dy) / max(sqrt(cs^2 + 2 q / rho), G_SMALL)
+    np.multiply(cs, cs, out=dt)
+    np.multiply(2.0, q, out=a)
+    np.maximum(d, G_SMALL, out=b)
+    np.divide(a, b, out=a)
+    np.add(dt, a, out=dt)
+    np.sqrt(dt, out=dt)
+    np.maximum(dt, G_SMALL, out=dt)
+    np.divide(dtc_safe * np.minimum(dx, dy), dt, out=dt)
+    # x advection: dtu_safe dx / max(0.5 max(|u00 + u01|, |u10 + u11|), G_SMALL)
+    np.add(u00, u01, out=lim)
+    np.abs(lim, out=lim)
+    np.add(u10, u11, out=a)
+    np.abs(a, out=a)
+    np.maximum(lim, a, out=lim)
+    np.multiply(0.5, lim, out=lim)
+    np.maximum(lim, G_SMALL, out=lim)
+    np.divide(dtu_safe * dx, lim, out=lim)
+    np.minimum(dt, lim, out=dt)
+    # divergence: dtdiv_safe / max(|0.5 du / dx + 0.5 dv / dy|, G_SMALL)
+    np.add(u10, u11, out=lim)
+    np.add(u00, u01, out=a)
+    np.subtract(lim, a, out=lim)
+    np.multiply(0.5, lim, out=lim)
+    np.divide(lim, dx, out=lim)
+    np.add(v01, v11, out=a)
+    np.add(v00, v10, out=b)
+    np.subtract(a, b, out=a)
+    np.multiply(0.5, a, out=a)
+    np.divide(a, dy, out=a)
+    np.add(lim, a, out=lim)
+    np.abs(lim, out=lim)
+    np.maximum(lim, G_SMALL, out=lim)
+    np.divide(dtdiv_safe, lim, out=lim)
+    # y advection: dtv_safe dy / max(0.5 max(|v00 + v10|, |v01 + v11|), G_SMALL)
+    np.add(v00, v10, out=a)
+    np.abs(a, out=a)
+    np.add(v01, v11, out=b)
+    np.abs(b, out=b)
+    np.maximum(a, b, out=a)
+    np.multiply(0.5, a, out=a)
+    np.maximum(a, G_SMALL, out=a)
+    np.divide(dtv_safe * dy, a, out=a)
+    np.minimum(a, lim, out=a)
+    np.minimum(dt, a, out=dt)
 
-    return float(np.min(np.minimum(np.minimum(dtct, dtut), np.minimum(dtvt, dtdivt))))
+    return float(np.min(dt))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +382,7 @@ def calc_dt(density0, soundspeed, visc, xvel0, yvel0, nx, ny, g, dx, dy,
 # ---------------------------------------------------------------------------
 
 def pdv(predict, dt, density0, density1, energy0, energy1, pressure, visc,
-        xvel0, yvel0, xvel1, yvel1, nx, ny, g, dx, dy):
+        xvel0, yvel0, xvel1, yvel1, nx, ny, g, dx, dy, ws=None):
     """PdV work: volume change and energy update (predictor or corrector).
 
     The predictor advances a half step using the old velocities only; the
@@ -184,34 +392,51 @@ def pdv(predict, dt, density0, density1, energy0, energy1, pressure, visc,
     volume = dx * dy
     xarea = dy
     yarea = dx
-
-    def face_sum(vel0, vel1, di, dj, tdi, tdj):
-        a = win(vel0, g + di, g + dj, n0, n1) + win(vel0, g + di + tdi, g + dj + tdj, n0, n1)
-        if predict:
-            return 2.0 * a
-        b = win(vel1, g + di, g + dj, n0, n1) + win(vel1, g + di + tdi, g + dj + tdj, n0, n1)
-        return a + b
-
-    scale = 0.25 * dt * (0.5 if predict else 1.0)
-    left_flux = xarea * face_sum(xvel0, xvel1, 0, 0, 0, 1) * scale
-    right_flux = xarea * face_sum(xvel0, xvel1, 1, 0, 0, 1) * scale
-    bottom_flux = yarea * face_sum(yvel0, yvel1, 0, 0, 1, 0) * scale
-    top_flux = yarea * face_sum(yvel0, yvel1, 0, 1, 1, 0) * scale
-    total_flux = right_flux - left_flux + top_flux - bottom_flux
-
-    volume_change = volume / (volume + total_flux)
     d0 = win(density0, g, g, n0, n1)
-    e0 = win(energy0, g, g, n0, n1)
-    p = win(pressure, g, g, n0, n1)
-    q = win(visc, g, g, n0, n1)
-    recip_volume = 1.0 / volume
-    energy_change = (p + q) / np.maximum(d0, G_SMALL) * total_flux * recip_volume
-    win(energy1, g, g, n0, n1)[...] = e0 - energy_change
-    win(density1, g, g, n0, n1)[...] = d0 * volume_change
+    flux, side, t = _carve(ws, d0.shape, 3)
+    scale = 0.25 * dt * (0.5 if predict else 1.0)
+
+    def face_flux(vel0, vel1, area, di, dj, tdi, tdj, out):
+        """area * (the face's two node velocities, summed) * scale.
+
+        The predictor doubles the old velocities' sum; the corrector adds
+        the new velocities' sum to it.
+        """
+        np.add(win(vel0, g + di, g + dj, n0, n1),
+               win(vel0, g + di + tdi, g + dj + tdj, n0, n1), out=out)
+        if predict:
+            np.multiply(2.0, out, out=out)
+        else:
+            np.add(win(vel1, g + di, g + dj, n0, n1),
+                   win(vel1, g + di + tdi, g + dj + tdj, n0, n1), out=t)
+            np.add(out, t, out=out)
+        np.multiply(area, out, out=out)
+        np.multiply(out, scale, out=out)
+
+    # total flux = right - left + top - bottom
+    face_flux(xvel0, xvel1, xarea, 1, 0, 0, 1, flux)
+    face_flux(xvel0, xvel1, xarea, 0, 0, 0, 1, side)
+    np.subtract(flux, side, out=flux)
+    face_flux(yvel0, yvel1, yarea, 0, 1, 1, 0, side)
+    np.add(flux, side, out=flux)
+    face_flux(yvel0, yvel1, yarea, 0, 0, 1, 0, side)
+    np.subtract(flux, side, out=flux)
+
+    # density1 = density0 * volume / (volume + total flux)
+    np.add(volume, flux, out=side)
+    np.divide(volume, side, out=side)
+    np.multiply(d0, side, out=win(density1, g, g, n0, n1))
+    # energy1 = energy0 - (p + q) / max(density0, G_SMALL) * flux / volume
+    np.add(win(pressure, g, g, n0, n1), win(visc, g, g, n0, n1), out=t)
+    np.maximum(d0, G_SMALL, out=side)
+    np.divide(t, side, out=t)
+    np.multiply(t, flux, out=t)
+    np.multiply(t, 1.0 / volume, out=t)
+    np.subtract(win(energy0, g, g, n0, n1), t, out=win(energy1, g, g, n0, n1))
 
 
 def accelerate(dt, density0, pressure, visc, xvel0, yvel0, xvel1, yvel1,
-               nx, ny, g, dx, dy):
+               nx, ny, g, dx, dy, ws=None):
     """Nodal acceleration from pressure and viscosity gradients."""
     n0, n1 = nx + 1, ny + 1  # all interior nodes
     volume = dx * dy
@@ -219,44 +444,59 @@ def accelerate(dt, density0, pressure, visc, xvel0, yvel0, xvel1, yvel1,
     yarea = dx
     halfdt = 0.5 * dt
 
-    # Average mass of the 4 cells around node (i, j): cells (i-1..i, j-1..j).
     d = lambda di, dj: win(density0, g + di, g + dj, n0, n1)
-    nodal_mass = 0.25 * volume * (d(-1, -1) + d(0, -1) + d(0, 0) + d(-1, 0))
-    step = halfdt / np.maximum(nodal_mass, G_SMALL)
-
     p = lambda di, dj: win(pressure, g + di, g + dj, n0, n1)
     q = lambda di, dj: win(visc, g + di, g + dj, n0, n1)
-    u0 = win(xvel0, g, g, n0, n1)
-    v0 = win(yvel0, g, g, n0, n1)
+    step, vel, a, b = _carve(ws, d(0, 0).shape, 4)
 
-    u1 = u0 - step * (xarea * ((p(0, 0) - p(-1, 0)) + (p(0, -1) - p(-1, -1))))
-    v1 = v0 - step * (yarea * ((p(0, 0) - p(0, -1)) + (p(-1, 0) - p(-1, -1))))
-    u1 = u1 - step * (xarea * ((q(0, 0) - q(-1, 0)) + (q(0, -1) - q(-1, -1))))
-    v1 = v1 - step * (yarea * ((q(0, 0) - q(0, -1)) + (q(-1, 0) - q(-1, -1))))
+    # Average mass of the 4 cells around node (i, j): cells (i-1..i, j-1..j);
+    # step = dt / 2 / max(mass, G_SMALL).
+    np.add(d(-1, -1), d(0, -1), out=step)
+    np.add(step, d(0, 0), out=step)
+    np.add(step, d(-1, 0), out=step)
+    np.multiply(0.25 * volume, step, out=step)
+    np.maximum(step, G_SMALL, out=step)
+    np.divide(halfdt, step, out=step)
 
-    win(xvel1, g, g, n0, n1)[...] = u1
-    win(yvel1, g, g, n0, n1)[...] = v1
+    def kick(f, area, ai, aj, bi, bj):
+        """step * (area * ((f(0, 0) - f(a)) + (f(b) - f(-1, -1)))), into a."""
+        np.subtract(f(0, 0), f(ai, aj), out=a)
+        np.subtract(f(bi, bj), f(-1, -1), out=b)
+        np.add(a, b, out=a)
+        np.multiply(area, a, out=a)
+        np.multiply(step, a, out=a)
+
+    kick(p, xarea, -1, 0, 0, -1)
+    np.subtract(win(xvel0, g, g, n0, n1), a, out=vel)
+    kick(q, xarea, -1, 0, 0, -1)
+    np.subtract(vel, a, out=win(xvel1, g, g, n0, n1))
+    kick(p, yarea, 0, -1, -1, 0)
+    np.subtract(win(yvel0, g, g, n0, n1), a, out=vel)
+    kick(q, yarea, 0, -1, -1, 0)
+    np.subtract(vel, a, out=win(yvel1, g, g, n0, n1))
 
 
 def flux_calc(dt, xvel0, yvel0, xvel1, yvel1, vol_flux_x, vol_flux_y,
-              nx, ny, g, dx, dy):
+              nx, ny, g, dx, dy, ws=None):
     """Volume fluxes through faces from time-averaged face velocities."""
     xarea = dy
     yarea = dx
     # x faces: (nx+1, ny)
     n0, n1 = nx + 1, ny
-    fx = 0.25 * dt * xarea * (
-        win(xvel0, g, g, n0, n1) + win(xvel0, g, g + 1, n0, n1)
-        + win(xvel1, g, g, n0, n1) + win(xvel1, g, g + 1, n0, n1)
-    )
-    win(vol_flux_x, g, g, n0, n1)[...] = fx
+    lo = win(xvel0, g, g, n0, n1)
+    (t,) = _carve(ws, lo.shape, 1)
+    np.add(lo, win(xvel0, g, g + 1, n0, n1), out=t)
+    np.add(t, win(xvel1, g, g, n0, n1), out=t)
+    np.add(t, win(xvel1, g, g + 1, n0, n1), out=t)
+    np.multiply(0.25 * dt * xarea, t, out=win(vol_flux_x, g, g, n0, n1))
     # y faces: (nx, ny+1)
     n0, n1 = nx, ny + 1
-    fy = 0.25 * dt * yarea * (
-        win(yvel0, g, g, n0, n1) + win(yvel0, g + 1, g, n0, n1)
-        + win(yvel1, g, g, n0, n1) + win(yvel1, g + 1, g, n0, n1)
-    )
-    win(vol_flux_y, g, g, n0, n1)[...] = fy
+    lo = win(yvel0, g, g, n0, n1)
+    (t,) = _carve(ws, lo.shape, 1)
+    np.add(lo, win(yvel0, g + 1, g, n0, n1), out=t)
+    np.add(t, win(yvel1, g, g, n0, n1), out=t)
+    np.add(t, win(yvel1, g + 1, g, n0, n1), out=t)
+    np.multiply(0.25 * dt * yarea, t, out=win(vol_flux_y, g, g, n0, n1))
 
 
 # ---------------------------------------------------------------------------
@@ -265,31 +505,27 @@ def flux_calc(dt, xvel0, yvel0, xvel1, yvel1, vol_flux_x, vol_flux_y,
 #
 # A face's donor, upwind and downwind cells (a dual face's nodes, for
 # momentum) sit at one of two fixed offsets, picked by the sign of the
-# face's flux, so each is a select between two windows (``np.where``) --
-# the data-parallel form of CloverLeaf's donor/upwind index arithmetic.
-# Terms are evaluated one ufunc at a time into scratch arrays (``out=``),
-# in the order the expression form evaluates them
-# (``tests/kernel_oracle.py``): every value is the same IEEE operation on
-# the same operands, so the bits do not depend on which form ran.
+# face's flux, so each is a select between two windows -- a copy of one
+# and a masked copy of the other, the data-parallel form of CloverLeaf's
+# donor/upwind index arithmetic.  The upwind and downwind values are
+# selected straight into the buffers their differences overwrite.
 
-def _scratch(n, shape):
-    """``n`` work arrays of ``shape``, carved from one allocation."""
-    return np.empty((n,) + shape)
-
-
-def _cell_limiter(don, upw, dwn, courant, sigma3, sigma4, lim, uw, dw):
+def _cell_limiter(don, upw, dwn, courant, sigma3, sigma4, lim, uw, dw,
+                  flat, down):
     """CloverLeaf's limited cell-remap slope, into ``lim``.
 
     ``(1 - courant) * wind * min(|uw|, |dw|, (sigma3 |uw| + sigma4 |dw|) / 6)``
     where the upwind difference ``uw = don - upw`` and the downwind
     difference ``dw = dwn - don`` agree in sign, else 0; ``wind`` is -1
-    where ``dw <= 0``, else 1.  ``uw`` and ``dw`` are scratch.
+    where ``dw <= 0``, else 1.  ``uw`` and ``dw`` are scratch (``upw`` and
+    ``dwn`` may be them), ``flat`` and ``down`` scratch masks.
     """
     np.subtract(don, upw, out=uw)
     np.subtract(dwn, don, out=dw)
-    wind = np.where(dw <= 0.0, -1.0, 1.0)
+    np.less_equal(dw, 0.0, out=down)
     np.multiply(uw, dw, out=lim)
-    flat = ~(lim > 0.0)
+    np.greater(lim, 0.0, out=flat)
+    np.logical_not(flat, out=flat)
     np.abs(uw, out=uw)
     np.abs(dw, out=dw)
     np.multiply(sigma3, uw, out=lim)
@@ -299,14 +535,14 @@ def _cell_limiter(don, upw, dwn, courant, sigma3, sigma4, lim, uw, dw):
     np.multiply(1.0 / 6.0, lim, out=lim)
     np.minimum(uw, lim, out=uw)
     np.subtract(1.0, courant, out=lim)
-    np.multiply(lim, wind, out=lim)
+    np.multiply(lim, -1.0, out=lim, where=down)
     np.multiply(lim, uw, out=lim)
     np.copyto(lim, 0.0, where=flat)
 
 
 def advec_cell(direction, sweep_number, density1, energy1,
                vol_flux_x, vol_flux_y, mass_flux_x, mass_flux_y,
-               pre_vol, post_vol, ener_flux, nx, ny, g, dx, dy):
+               pre_vol, post_vol, ener_flux, nx, ny, g, dx, dy, ws=None):
     """Cell-centred advection sweep (density and energy) in one direction.
 
     ``direction`` is 0 for x, 1 for y; ``sweep_number`` is 1 or 2 within
@@ -327,15 +563,15 @@ def advec_cell(direction, sweep_number, density1, energy1,
     # difference.  Sweep 2: pre = volume + swept difference, post = volume.
     pv = win(pre_vol, o, o, m0, m1)
     sv = win(post_vol, o, o, m0, m1)
-    xdiff, ydiff = _scratch(2, pv.shape)
+    xdiff, ydiff, t = _carve(ws, fxl.shape, 3)
     if sweep_number == 1 or direction == 0:
         np.subtract(fxr, fxl, out=xdiff)
     if sweep_number == 1 or direction == 1:
         np.subtract(fyt, fyb, out=ydiff)
     swept = xdiff if direction == 0 else ydiff
     if sweep_number == 1:
-        np.add(volume, xdiff, out=pv)
-        np.add(pv, ydiff, out=pv)
+        np.add(volume, xdiff, out=t)
+        np.add(t, ydiff, out=pv)
         np.subtract(pv, swept, out=sv)
     else:
         np.add(volume, swept, out=pv)
@@ -343,12 +579,12 @@ def advec_cell(direction, sweep_number, density1, energy1,
 
     if direction == 0:
         _advec_cell_flux(density1, energy1, vol_flux_x, mass_flux_x,
-                         pre_vol, ener_flux, nx, ny, g, axis=0)
+                         pre_vol, ener_flux, nx, ny, g, 0, ws)
         mf, vf = mass_flux_x, vol_flux_x
         vfl_d, vfr_d = (g, g), (g + 1, g)
     else:
         _advec_cell_flux(density1, energy1, vol_flux_y, mass_flux_y,
-                         pre_vol, ener_flux, nx, ny, g, axis=1)
+                         pre_vol, ener_flux, nx, ny, g, 1, ws)
         mf, vf = mass_flux_y, vol_flux_y
         vfl_d, vfr_d = (g, g), (g, g + 1)
 
@@ -357,7 +593,7 @@ def advec_cell(direction, sweep_number, density1, energy1,
     d1 = win(density1, g, g, n0, n1)
     e1 = win(energy1, g, g, n0, n1)
     pvc = win(pre_vol, g, g, n0, n1)
-    mass, ener, vol = _scratch(3, d1.shape)
+    mass, ener, vol = _carve(ws, d1.shape, 3)
     np.multiply(d1, pvc, out=mass)                              # pre-sweep
     np.multiply(e1, mass, out=ener)
     np.add(mass, win(mf, vfl_d[0], vfl_d[1], n0, n1), out=mass)  # post-sweep
@@ -373,7 +609,7 @@ def advec_cell(direction, sweep_number, density1, energy1,
 
 
 def _advec_cell_flux(density1, energy1, vol_flux, mass_flux,
-                     pre_vol, ener_flux, nx, ny, g, axis):
+                     pre_vol, ener_flux, nx, ny, g, axis, ws):
     """Limited donor-cell mass and energy fluxes through interior faces.
 
     Computes faces f = 0 .. n (plus the full transverse interior); the
@@ -392,42 +628,49 @@ def _advec_cell_flux(density1, energy1, vol_flux, mass_flux,
 
     vf = win(vol_flux, g, g, n0, n1)
     mf = win(mass_flux, g, g, n0, n1)
+    (don, m_don, sigma, sigma3, sigma4, lim, uw, dw,
+     pos, flat, down) = _carve(ws, vf.shape, 8, 3)
     # Inflow from below (vf > 0): donor f-1, upwind f-2, downwind f.
     # Otherwise: donor f, upwind f+1, downwind f-1.
-    pos = vf > 0.0
-    d_don = np.where(pos, cell(density1, -1), cell(density1, 0))
-    d_upw = np.where(pos, cell(density1, -2), cell(density1, 1))
-    d_dwn = np.where(pos, cell(density1, 0), cell(density1, -1))
-    m_don = np.where(pos, cell(pre_vol, -1), cell(pre_vol, 0))
+    np.greater(vf, 0.0, out=pos)
 
-    sigma, sigma3, sigma4, lim, uw, dw = _scratch(6, vf.shape)
+    def select(field, inflow, outflow, out):
+        """``out`` = the cell ``inflow`` away where vf > 0, else ``outflow``."""
+        np.copyto(out, cell(field, outflow))
+        np.copyto(out, cell(field, inflow), where=pos)
+
+    select(density1, -1, 0, don)
+    select(density1, -2, 1, uw)
+    select(density1, 0, -1, dw)
+    select(pre_vol, -1, 0, m_don)
+
     np.abs(vf, out=sigma)
     np.maximum(m_don, G_SMALL, out=sigma3)
     np.divide(sigma, sigma3, out=sigma)
     np.add(1.0, sigma, out=sigma3)   # uniform grid: vertexdx ratio == 1
     np.subtract(2.0, sigma, out=sigma4)
-    _cell_limiter(d_don, d_upw, d_dwn, sigma, sigma3, sigma4, lim, uw, dw)
-    np.add(d_don, lim, out=lim)
+    _cell_limiter(don, uw, dw, sigma, sigma3, sigma4, lim, uw, dw, flat, down)
+    np.add(don, lim, out=lim)
     np.multiply(vf, lim, out=mf)
 
     # Energy rides the mass flux: its Courant number is the donor's mass
     # fraction, its sigma3/sigma4 stay the volume ones.
-    np.multiply(d_don, m_don, out=m_don)
+    np.multiply(don, m_don, out=m_don)
     np.maximum(m_don, G_SMALL, out=m_don)
     np.abs(mf, out=sigma)
     np.divide(sigma, m_don, out=sigma)
-    e_don = np.where(pos, cell(energy1, -1), cell(energy1, 0))
-    e_upw = np.where(pos, cell(energy1, -2), cell(energy1, 1))
-    e_dwn = np.where(pos, cell(energy1, 0), cell(energy1, -1))
-    _cell_limiter(e_don, e_upw, e_dwn, sigma, sigma3, sigma4, lim, uw, dw)
-    np.add(e_don, lim, out=lim)
+    select(energy1, -1, 0, don)
+    select(energy1, -2, 1, uw)
+    select(energy1, 0, -1, dw)
+    _cell_limiter(don, uw, dw, sigma, sigma3, sigma4, lim, uw, dw, flat, down)
+    np.add(don, lim, out=lim)
     np.multiply(mf, lim, out=win(ener_flux, g, g, n0, n1))
 
 
 def advec_mom(direction, sweep_number,
               vel1, density1, vol_flux_x, vol_flux_y, mass_flux_x, mass_flux_y,
               node_flux, node_mass_post, node_mass_pre, mom_flux,
-              pre_vol, post_vol, nx, ny, g, dx, dy):
+              pre_vol, post_vol, nx, ny, g, dx, dy, ws=None):
     """Momentum advection for one velocity component in one direction.
 
     ``vel1`` is the component being advected (x- or y-velocity); the
@@ -452,24 +695,25 @@ def advec_mom(direction, sweep_number,
         lo, hi, other_lo, other_hi = fxl, fxr, fyb, fyt
     else:
         lo, hi, other_lo, other_hi = fyb, fyt, fxl, fxr
+    (t,) = _carve(ws, fxl.shape, 1)
     if sweep_number == 1:
-        np.subtract(other_hi, other_lo, out=sv)
-        np.add(volume, sv, out=sv)
+        np.subtract(other_hi, other_lo, out=t)
+        np.add(volume, t, out=sv)
     else:
         sv[...] = volume
-    np.subtract(hi, lo, out=pv)
-    np.add(sv, pv, out=pv)
+    np.subtract(hi, lo, out=t)
+    np.add(sv, t, out=pv)
 
     if direction == 0:
         _advec_mom_dir(vel1, density1, mass_flux_x, node_flux, node_mass_post,
-                       node_mass_pre, mom_flux, post_vol, nx, ny, g, axis=0)
+                       node_mass_pre, mom_flux, post_vol, nx, ny, g, 0, ws)
     else:
         _advec_mom_dir(vel1, density1, mass_flux_y, node_flux, node_mass_post,
-                       node_mass_pre, mom_flux, post_vol, nx, ny, g, axis=1)
+                       node_mass_pre, mom_flux, post_vol, nx, ny, g, 1, ws)
 
 
 def _advec_mom_dir(vel1, density1, mass_flux, node_flux, node_mass_post,
-                   node_mass_pre, mom_flux, post_vol, nx, ny, g, axis):
+                   node_mass_pre, mom_flux, post_vol, nx, ny, g, axis, ws):
     """Momentum advection stencil along one axis.
 
     node_flux(n) is the mass flux through the staggered (dual-cell) face
@@ -498,11 +742,12 @@ def _advec_mom_dir(vel1, density1, mass_flux, node_flux, node_mass_post,
     # The mean of mass_flux faces n and n+1 over cell rows t-1 and t.
     sa = na + 4
     a0 = g - 2
-    nf = w(node_flux, a0, t0, sa, st)
-    np.add(w(mass_flux, a0, t0 - 1, sa, st), w(mass_flux, a0, t0, sa, st), out=nf)
-    np.add(nf, w(mass_flux, a0 + 1, t0 - 1, sa, st), out=nf)
-    np.add(nf, w(mass_flux, a0 + 1, t0, sa, st), out=nf)
-    np.multiply(0.25, nf, out=nf)
+    first = w(mass_flux, a0, t0 - 1, sa, st)
+    (t,) = _carve(ws, first.shape, 1)
+    np.add(first, w(mass_flux, a0, t0, sa, st), out=t)
+    np.add(t, w(mass_flux, a0 + 1, t0 - 1, sa, st), out=t)
+    np.add(t, w(mass_flux, a0 + 1, t0, sa, st), out=t)
+    np.multiply(0.25, t, out=w(node_flux, a0, t0, sa, st))
 
     # -- node masses on nodes -1 .. na+1 -----------------------------------------
     # The mean post-sweep mass of the four cells around each node.
@@ -510,19 +755,22 @@ def _advec_mom_dir(vel1, density1, mass_flux, node_flux, node_mass_post,
     a0 = g - 1
 
     def cell_mass(da, dt, out):
-        return np.multiply(w(density1, a0 + da, t0 + dt, sa, st),
-                           w(post_vol, a0 + da, t0 + dt, sa, st), out=out)
+        np.multiply(w(density1, a0 + da, t0 + dt, sa, st),
+                    w(post_vol, a0 + da, t0 + dt, sa, st), out=out)
 
     nmp = w(node_mass_post, a0, t0, sa, st)
-    cell_mass(-1, -1, nmp)
-    tmp = np.empty(nmp.shape)
-    np.add(nmp, cell_mass(0, -1, tmp), out=nmp)
-    np.add(nmp, cell_mass(-1, 0, tmp), out=nmp)
-    np.add(nmp, cell_mass(0, 0, tmp), out=nmp)
-    np.multiply(0.25, nmp, out=nmp)
-    nmpre = w(node_mass_pre, a0, t0, sa, st)
-    np.subtract(nmp, w(node_flux, a0 - 1, t0, sa, st), out=nmpre)
-    np.add(nmpre, w(node_flux, a0, t0, sa, st), out=nmpre)
+    mass, t = _carve(ws, nmp.shape, 2)
+    cell_mass(-1, -1, mass)
+    cell_mass(0, -1, t)
+    np.add(mass, t, out=mass)
+    cell_mass(-1, 0, t)
+    np.add(mass, t, out=mass)
+    cell_mass(0, 0, t)
+    np.add(mass, t, out=mass)
+    np.multiply(0.25, mass, out=nmp)
+    np.subtract(nmp, w(node_flux, a0 - 1, t0, sa, st), out=mass)
+    np.add(mass, w(node_flux, a0, t0, sa, st),
+           out=w(node_mass_pre, a0, t0, sa, st))
 
     # -- limited advected velocity and momentum flux on dual faces -1 .. na ------
     sa = na + 2
@@ -533,25 +781,32 @@ def _advec_mom_dir(vel1, density1, mass_flux, node_flux, node_mass_post,
         return w(field, a0 + off, t0, sa, st)
 
     nfw = w(node_flux, a0, t0, sa, st)
+    don, sigma, uw, dw, lim, tmp, neg, flat, down = _carve(ws, nfw.shape, 6, 3)
     # Flow towards -axis (nfw < 0): donor n+1, upwind n+2, downwind n.
     # Otherwise: donor n, upwind n-1, downwind n+1.
-    neg = nfw < 0.0
-    v_don = np.where(neg, node(vel1, 1), node(vel1, 0))
-    v_upw = np.where(neg, node(vel1, 2), node(vel1, -1))
-    v_dwn = np.where(neg, node(vel1, 0), node(vel1, 1))
-    m_don = np.where(neg, node(node_mass_pre, 1), node(node_mass_pre, 0))
+    np.less(nfw, 0.0, out=neg)
 
-    sigma, uw, dw, lim, tmp = _scratch(5, nfw.shape)
+    def select(field, backward, forward, out):
+        """``out`` = the node ``backward`` away where nfw < 0, else ``forward``."""
+        np.copyto(out, node(field, forward))
+        np.copyto(out, node(field, backward), where=neg)
+
+    select(vel1, 1, 0, don)
+    select(vel1, 2, -1, uw)
+    select(vel1, 0, 1, dw)
+    select(node_mass_pre, 1, 0, tmp)
+
     np.abs(nfw, out=sigma)
-    np.maximum(m_don, G_SMALL, out=tmp)
+    np.maximum(tmp, G_SMALL, out=tmp)
     np.divide(sigma, tmp, out=sigma)
     # limiter = wind * min(((2 - sigma)|dw| + (1 + sigma)|uw|) / 6, |uw|, |dw|)
     # where the differences agree in sign, else 0
-    np.subtract(v_don, v_upw, out=uw)
-    np.subtract(v_dwn, v_don, out=dw)
-    wind = np.where(dw <= 0.0, -1.0, 1.0)
+    np.subtract(don, uw, out=uw)
+    np.subtract(dw, don, out=dw)
+    np.less_equal(dw, 0.0, out=down)
     np.multiply(uw, dw, out=lim)
-    flat = ~(lim > 0.0)
+    np.greater(lim, 0.0, out=flat)
+    np.logical_not(flat, out=flat)
     np.abs(uw, out=uw)
     np.abs(dw, out=dw)
     np.subtract(2.0, sigma, out=lim)
@@ -562,19 +817,19 @@ def _advec_mom_dir(vel1, density1, mass_flux, node_flux, node_mass_post,
     np.divide(lim, 6.0, out=lim)
     np.minimum(lim, uw, out=lim)
     np.minimum(lim, dw, out=lim)
-    np.multiply(wind, lim, out=lim)
+    np.multiply(-1.0, lim, out=lim, where=down)
     np.copyto(lim, 0.0, where=flat)
     # mom_flux = (v_don + (1 - sigma) * limiter) * node_flux
     np.subtract(1.0, sigma, out=tmp)
     np.multiply(tmp, lim, out=tmp)
-    np.add(v_don, tmp, out=tmp)
+    np.add(don, tmp, out=tmp)
     np.multiply(tmp, nfw, out=w(mom_flux, a0, t0, sa, st))
 
     # -- momentum update on interior nodes 0 .. na -------------------------------
     sa = na + 1
     a0 = g
     v = w(vel1, a0, t0, sa, st)
-    mom, mass = _scratch(2, v.shape)
+    mom, mass = _carve(ws, v.shape, 2)
     np.multiply(v, w(node_mass_pre, a0, t0, sa, st), out=mom)
     np.add(mom, w(mom_flux, a0 - 1, t0, sa, st), out=mom)
     np.subtract(mom, w(mom_flux, a0, t0, sa, st), out=mom)

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..exec.backend import Backend, backend_for, stacked_of
 from ..exec.batch import BatchMember
+from ..util import nan_min
 from . import kernels as K
 from .fields import GHOSTS
 
@@ -44,6 +45,10 @@ class CleverleafPatchIntegrator:
 
     def __init__(self, gamma: float = 1.4):
         self.gamma = gamma
+        #: where every kernel launched through this integrator carves its
+        #: temporaries (one per session: kernel bodies run one at a time,
+        #: whichever sink executes them)
+        self.workspace = K.Workspace()
 
     # -- dispatch helpers ---------------------------------------------------
 
@@ -151,7 +156,8 @@ class CleverleafPatchIntegrator:
         names = (dname, ename, "pressure", "soundspeed")
 
         def fn(d, e, p, ss):
-            K.ideal_gas(d, e, p, ss, nx, ny, g, self.gamma, ext)
+            K.ideal_gas(d, e, p, ss, nx, ny, g, self.gamma, ext,
+                        ws=self.workspace)
 
         self._run(patch, rank, "hydro.ideal_gas",
                   (nx + 2 * ext) * (ny + 2 * ext), fn, names,
@@ -166,7 +172,8 @@ class CleverleafPatchIntegrator:
         names = ("density0", "pressure", "viscosity", "xvel0", "yvel0")
 
         def fn(d, p, v, xv, yv):
-            K.viscosity(d, p, v, xv, yv, nx, ny, g, dx, dy)
+            K.viscosity(d, p, v, xv, yv, nx, ny, g, dx, dy,
+                        ws=self.workspace)
 
         self._run(patch, rank, "hydro.viscosity", nx * ny, fn, names,
                   reads=names[:2] + names[3:], writes=("viscosity",),
@@ -186,10 +193,11 @@ class CleverleafPatchIntegrator:
             # Stacked, this is one min over every member's interior:
             # ``np.min`` is exact selection, so it equals the min of
             # per-patch mins.
-            return K.calc_dt(d, ss, v, xv, yv, nx, ny, g, dx, dy)
+            return K.calc_dt(d, ss, v, xv, yv, nx, ny, g, dx, dy,
+                             ws=self.workspace)
 
         dt = self._run(patch, rank, "hydro.calc_dt", nx * ny, fn, names,
-                       reads=names, combine=min)
+                       reads=names, combine=nan_min)
         if self.sink is None:
             # The reduced scalar crosses the PCIe bus (no-op on host
             # backends).
@@ -203,7 +211,7 @@ class CleverleafPatchIntegrator:
 
         def fn(d0, d1, e0, e1, p, v, xv0, yv0, xv1, yv1):
             K.pdv(predict, dt, d0, d1, e0, e1, p, v, xv0, yv0, xv1, yv1,
-                  nx, ny, g, dx, dy)
+                  nx, ny, g, dx, dy, ws=self.workspace)
 
         self._run(patch, rank, "hydro.pdv", nx * ny, fn, names,
                   reads=("density0", "energy0") + names[4:],
@@ -215,7 +223,8 @@ class CleverleafPatchIntegrator:
                  "xvel0", "yvel0", "xvel1", "yvel1")
 
         def fn(d, p, v, xv0, yv0, xv1, yv1):
-            K.accelerate(dt, d, p, v, xv0, yv0, xv1, yv1, nx, ny, g, dx, dy)
+            K.accelerate(dt, d, p, v, xv0, yv0, xv1, yv1, nx, ny, g, dx, dy,
+                         ws=self.workspace)
 
         self._run(patch, rank, "hydro.accelerate", (nx + 1) * (ny + 1), fn,
                   names, reads=names[:5], writes=("xvel1", "yvel1"),
@@ -226,7 +235,8 @@ class CleverleafPatchIntegrator:
         names = ("xvel0", "yvel0", "xvel1", "yvel1", "vol_flux_x", "vol_flux_y")
 
         def fn(xv0, yv0, xv1, yv1, vfx, vfy):
-            K.flux_calc(dt, xv0, yv0, xv1, yv1, vfx, vfy, nx, ny, g, dx, dy)
+            K.flux_calc(dt, xv0, yv0, xv1, yv1, vfx, vfy, nx, ny, g, dx, dy,
+                        ws=self.workspace)
 
         self._run(patch, rank, "hydro.flux_calc", nx * ny, fn, names,
                   reads=names[:4], writes=names[4:])
@@ -238,7 +248,8 @@ class CleverleafPatchIntegrator:
 
         def fn(d1, e1, vfx, vfy, mfx, mfy, pre, post, ef):
             K.advec_cell(direction, sweep_number, d1, e1, vfx, vfy, mfx, mfy,
-                         pre, post, ef, nx, ny, g, dx, dy)
+                         pre, post, ef, nx, ny, g, dx, dy,
+                         ws=self.workspace)
 
         # The kernel is handed both mass-flux arrays; only the swept
         # direction's is written, the other is declared a (vacuous) read.
@@ -260,7 +271,8 @@ class CleverleafPatchIntegrator:
         def fn(vel, d1, vfx, vfy, mfx, mfy, nf, nmpost, nmpre, mf,
                pre, post):
             K.advec_mom(direction, sweep_number, vel, d1, vfx, vfy, mfx, mfy,
-                        nf, nmpost, nmpre, mf, pre, post, nx, ny, g, dx, dy)
+                        nf, nmpost, nmpre, mf, pre, post, nx, ny, g, dx, dy,
+                        ws=self.workspace)
 
         mass_flux = "mass_flux_x" if direction == 0 else "mass_flux_y"
         self._run(patch, rank, "hydro.advec_mom", (nx + 1) * (ny + 1), fn,

@@ -1,12 +1,12 @@
-"""The advection kernels in their expression form, kept as the reference.
+"""The hydro kernels in their expression form, kept as the reference.
 
-Until the remap kernels were restated as window selections over scratch
-buffers (:mod:`repro.hydro.kernels`), this is how ``advec_cell`` and
-``advec_mom`` computed: each donor/upwind/downwind value was gathered by
-sorting its offset array with ``np.unique`` (or by one masked copy per
-candidate offset) and every term was a fresh temporary.
-``tests/test_kernel_oracle.py`` asserts the rewritten kernels leave every
-operand bitwise as these do.  Same signatures as the kernels they freeze.
+Until the kernels were restated as ufuncs into workspace buffers
+(:mod:`repro.hydro.kernels`), this is how they computed: every term a
+fresh temporary, each donor/upwind/downwind value of the remap kernels
+gathered by sorting its offset array with ``np.unique`` (or by one
+masked copy per candidate offset).  ``tests/test_kernel_oracle.py``
+asserts the rewritten kernels leave every operand bitwise as these do.
+Same signatures as the kernels they freeze, less the workspace.
 """
 
 from __future__ import annotations
@@ -14,6 +14,197 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hydro.kernels import G_SMALL, win
+
+
+def ideal_gas(density, energy, pressure, soundspeed, nx, ny, g, gamma=1.4, ext=0):
+    """gamma-law EOS: p = (gamma-1) rho e; cs = sqrt(gamma p / rho).
+
+    ``ext`` extends the computed region into the ghost layers (CloverLeaf
+    recomputes the EOS on halo cells rather than exchanging p separately).
+    """
+    n0, n1 = nx + 2 * ext, ny + 2 * ext
+    o = g - ext
+    d = win(density, o, o, n0, n1)
+    e = win(energy, o, o, n0, n1)
+    p = (gamma - 1.0) * d * e
+    win(pressure, o, o, n0, n1)[...] = p
+    v = 1.0 / np.maximum(d, G_SMALL)
+    cs2 = gamma * np.maximum(p, G_SMALL) * v
+    win(soundspeed, o, o, n0, n1)[...] = np.sqrt(cs2)
+
+
+def viscosity(density0, pressure, visc, xvel0, yvel0, nx, ny, g, dx, dy):
+    """CloverLeaf's edge-detected quadratic artificial viscosity.
+
+    Stencil: pressure +-1 cell, velocities at the cell's four nodes.
+    """
+    n0, n1 = nx, ny
+
+    u00 = win(xvel0, g, g, n0, n1)          # node (i, j)
+    u01 = win(xvel0, g, g + 1, n0, n1)      # node (i, j+1)
+    u10 = win(xvel0, g + 1, g, n0, n1)      # node (i+1, j)
+    u11 = win(xvel0, g + 1, g + 1, n0, n1)
+    v00 = win(yvel0, g, g, n0, n1)
+    v01 = win(yvel0, g, g + 1, n0, n1)
+    v10 = win(yvel0, g + 1, g, n0, n1)
+    v11 = win(yvel0, g + 1, g + 1, n0, n1)
+
+    ugrad = 0.5 * ((u10 + u11) - (u00 + u01))          # du across the cell
+    vgrad = 0.5 * ((v01 + v11) - (v00 + v10))          # dv across the cell
+    div = dy * ugrad + dx * vgrad                      # area-weighted divergence
+    strain2 = 0.5 * ((u01 + u11) - (u00 + u10)) / dy \
+        + 0.5 * ((v10 + v11) - (v00 + v01)) / dx
+
+    pgradx = (win(pressure, g + 1, g, n0, n1) - win(pressure, g - 1, g, n0, n1)) / (2.0 * dx)
+    pgrady = (win(pressure, g, g + 1, n0, n1) - win(pressure, g, g - 1, n0, n1)) / (2.0 * dy)
+    pgradx2 = pgradx * pgradx
+    pgrady2 = pgrady * pgrady
+
+    limiter = ((0.5 * ugrad / dx) * pgradx2
+               + (0.5 * vgrad / dy) * pgrady2
+               + strain2 * pgradx * pgrady) / np.maximum(pgradx2 + pgrady2, G_SMALL)
+
+    sx = np.where(pgradx < 0, -1.0, 1.0)
+    sy = np.where(pgrady < 0, -1.0, 1.0)
+    pgx = sx * np.maximum(G_SMALL, np.abs(pgradx))
+    pgy = sy * np.maximum(G_SMALL, np.abs(pgrady))
+    pgrad = np.sqrt(pgx * pgx + pgy * pgy)
+    xgrad = np.abs(dx * pgrad / pgx)
+    ygrad = np.abs(dy * pgrad / pgy)
+    grad = np.minimum(xgrad, ygrad)
+    grad2 = grad * grad
+
+    q = 2.0 * win(density0, g, g, n0, n1) * grad2 * limiter * limiter
+    q = np.where((limiter > 0.0) | (div >= 0.0), 0.0, q)
+    win(visc, g, g, n0, n1)[...] = q
+
+
+def calc_dt(density0, soundspeed, visc, xvel0, yvel0, nx, ny, g, dx, dy,
+            dtc_safe=0.7, dtu_safe=0.5, dtv_safe=0.5, dtdiv_safe=0.7):
+    """CFL timestep: minimum over the patch of the four CloverLeaf limits."""
+    n0, n1 = nx, ny
+    d = win(density0, g, g, n0, n1)
+    cs = win(soundspeed, g, g, n0, n1)
+    q = win(visc, g, g, n0, n1)
+    cc = cs * cs + 2.0 * q / np.maximum(d, G_SMALL)
+    cc = np.maximum(np.sqrt(cc), G_SMALL)
+
+    u00 = win(xvel0, g, g, n0, n1)
+    u01 = win(xvel0, g, g + 1, n0, n1)
+    u10 = win(xvel0, g + 1, g, n0, n1)
+    u11 = win(xvel0, g + 1, g + 1, n0, n1)
+    v00 = win(yvel0, g, g, n0, n1)
+    v01 = win(yvel0, g, g + 1, n0, n1)
+    v10 = win(yvel0, g + 1, g, n0, n1)
+    v11 = win(yvel0, g + 1, g + 1, n0, n1)
+
+    dtct = dtc_safe * np.minimum(dx, dy) / cc
+    du = 0.5 * np.maximum(np.abs(u00 + u01), np.abs(u10 + u11))
+    dv = 0.5 * np.maximum(np.abs(v00 + v10), np.abs(v01 + v11))
+    dtut = dtu_safe * dx / np.maximum(du, G_SMALL)
+    dtvt = dtv_safe * dy / np.maximum(dv, G_SMALL)
+    divergence = (0.5 * ((u10 + u11) - (u00 + u01)) / dx
+                  + 0.5 * ((v01 + v11) - (v00 + v10)) / dy)
+    dtdivt = dtdiv_safe / np.maximum(np.abs(divergence), G_SMALL)
+
+    return float(np.min(np.minimum(np.minimum(dtct, dtut), np.minimum(dtvt, dtdivt))))
+
+
+def pdv(predict, dt, density0, density1, energy0, energy1, pressure, visc,
+        xvel0, yvel0, xvel1, yvel1, nx, ny, g, dx, dy):
+    """PdV work: volume change and energy update (predictor or corrector).
+
+    The predictor advances a half step using the old velocities only; the
+    corrector advances the full step with the time-averaged velocities.
+    """
+    n0, n1 = nx, ny
+    volume = dx * dy
+    xarea = dy
+    yarea = dx
+
+    def face_sum(vel0, vel1, di, dj, tdi, tdj):
+        a = win(vel0, g + di, g + dj, n0, n1) + win(vel0, g + di + tdi, g + dj + tdj, n0, n1)
+        if predict:
+            return 2.0 * a
+        b = win(vel1, g + di, g + dj, n0, n1) + win(vel1, g + di + tdi, g + dj + tdj, n0, n1)
+        return a + b
+
+    scale = 0.25 * dt * (0.5 if predict else 1.0)
+    left_flux = xarea * face_sum(xvel0, xvel1, 0, 0, 0, 1) * scale
+    right_flux = xarea * face_sum(xvel0, xvel1, 1, 0, 0, 1) * scale
+    bottom_flux = yarea * face_sum(yvel0, yvel1, 0, 0, 1, 0) * scale
+    top_flux = yarea * face_sum(yvel0, yvel1, 0, 1, 1, 0) * scale
+    total_flux = right_flux - left_flux + top_flux - bottom_flux
+
+    volume_change = volume / (volume + total_flux)
+    d0 = win(density0, g, g, n0, n1)
+    e0 = win(energy0, g, g, n0, n1)
+    p = win(pressure, g, g, n0, n1)
+    q = win(visc, g, g, n0, n1)
+    recip_volume = 1.0 / volume
+    energy_change = (p + q) / np.maximum(d0, G_SMALL) * total_flux * recip_volume
+    win(energy1, g, g, n0, n1)[...] = e0 - energy_change
+    win(density1, g, g, n0, n1)[...] = d0 * volume_change
+
+
+def accelerate(dt, density0, pressure, visc, xvel0, yvel0, xvel1, yvel1,
+               nx, ny, g, dx, dy):
+    """Nodal acceleration from pressure and viscosity gradients."""
+    n0, n1 = nx + 1, ny + 1  # all interior nodes
+    volume = dx * dy
+    xarea = dy
+    yarea = dx
+    halfdt = 0.5 * dt
+
+    # Average mass of the 4 cells around node (i, j): cells (i-1..i, j-1..j).
+    d = lambda di, dj: win(density0, g + di, g + dj, n0, n1)
+    nodal_mass = 0.25 * volume * (d(-1, -1) + d(0, -1) + d(0, 0) + d(-1, 0))
+    step = halfdt / np.maximum(nodal_mass, G_SMALL)
+
+    p = lambda di, dj: win(pressure, g + di, g + dj, n0, n1)
+    q = lambda di, dj: win(visc, g + di, g + dj, n0, n1)
+    u0 = win(xvel0, g, g, n0, n1)
+    v0 = win(yvel0, g, g, n0, n1)
+
+    u1 = u0 - step * (xarea * ((p(0, 0) - p(-1, 0)) + (p(0, -1) - p(-1, -1))))
+    v1 = v0 - step * (yarea * ((p(0, 0) - p(0, -1)) + (p(-1, 0) - p(-1, -1))))
+    u1 = u1 - step * (xarea * ((q(0, 0) - q(-1, 0)) + (q(0, -1) - q(-1, -1))))
+    v1 = v1 - step * (yarea * ((q(0, 0) - q(0, -1)) + (q(-1, 0) - q(-1, -1))))
+
+    win(xvel1, g, g, n0, n1)[...] = u1
+    win(yvel1, g, g, n0, n1)[...] = v1
+
+
+def flux_calc(dt, xvel0, yvel0, xvel1, yvel1, vol_flux_x, vol_flux_y,
+              nx, ny, g, dx, dy):
+    """Volume fluxes through faces from time-averaged face velocities."""
+    xarea = dy
+    yarea = dx
+    # x faces: (nx+1, ny)
+    n0, n1 = nx + 1, ny
+    fx = 0.25 * dt * xarea * (
+        win(xvel0, g, g, n0, n1) + win(xvel0, g, g + 1, n0, n1)
+        + win(xvel1, g, g, n0, n1) + win(xvel1, g, g + 1, n0, n1)
+    )
+    win(vol_flux_x, g, g, n0, n1)[...] = fx
+    # y faces: (nx, ny+1)
+    n0, n1 = nx, ny + 1
+    fy = 0.25 * dt * yarea * (
+        win(yvel0, g, g, n0, n1) + win(yvel0, g + 1, g, n0, n1)
+        + win(yvel1, g, g, n0, n1) + win(yvel1, g + 1, g, n0, n1)
+    )
+    win(vol_flux_y, g, g, n0, n1)[...] = fy
+
+
+def reset_field(density0, density1, energy0, energy1,
+                xvel0, xvel1, yvel0, yvel1, nx, ny, g):
+    """End of step: copy the advanced fields back to the time-0 slots."""
+    n0, n1 = nx, ny
+    win(density0, g, g, n0, n1)[...] = win(density1, g, g, n0, n1)
+    win(energy0, g, g, n0, n1)[...] = win(energy1, g, g, n0, n1)
+    m0, m1 = nx + 1, ny + 1
+    win(xvel0, g, g, m0, m1)[...] = win(xvel1, g, g, m0, m1)
+    win(yvel0, g, g, m0, m1)[...] = win(yvel1, g, g, m0, m1)
 
 
 def _gather(field, base0, base1, n0, n1, off_arr, axis):
