@@ -240,9 +240,8 @@ class SanitizeChecker:
         scope, self._scope = self._scope, None
         if scope is None or scope.task is not task:
             return
-        undeclared = self._classify_undeclared(scope)
-        if undeclared:
-            task._chk_undeclared = undeclared
+        # overwritten on every run: a replayed task carries only its own
+        task._chk_undeclared = self._classify_undeclared(scope)
 
     def _classify_undeclared(self, scope) -> list:
         out = []
@@ -320,11 +319,13 @@ class SanitizeChecker:
         undeclared_msgs: list[str] = []
         accesses: dict[int, list[tuple]] = {}  # id(datum) -> [(task, writes?)]
         for t in tasks:
+            # a task writes its own result slot (read by ``reads=[task]``)
+            accesses.setdefault(id(t), []).append((t, True))
             for pd in t.writes:
                 accesses.setdefault(self._retain(pd), []).append((t, True))
             for pd in t.reads:
                 accesses.setdefault(self._retain(pd), []).append((t, False))
-            for pd, kind in getattr(t, "_chk_undeclared", ()):
+            for pd, kind in t._chk_undeclared:
                 accesses.setdefault(self._retain(pd), []).append(
                     (t, kind == "write"))
                 undeclared_msgs.append(
@@ -336,7 +337,7 @@ class SanitizeChecker:
         for key, accs in accesses.items():
             if not any(w for _, w in accs):
                 continue
-            name = self.name_of(self._known.get(key, key))
+            name = self.name_of(self._known.get(key, accs[0][0]))
             for i, (a, aw) in enumerate(accs):
                 for b, bw in accs[i + 1:]:
                     if not (aw or bw) or a.tid == b.tid:

@@ -26,7 +26,8 @@ group's combined value after a single modelled D2H readback.
 
 from __future__ import annotations
 
-__all__ = ["BatchMember", "BatchSlot", "LaunchBatcher", "union_pds"]
+__all__ = ["BatchMember", "BatchSlot", "LaunchBatcher", "StepParams",
+           "union_pds"]
 
 
 class BatchMember:
@@ -70,6 +71,20 @@ class BatchSlot:
 
     def __init__(self, result=None):
         self.result = result
+
+
+class StepParams:
+    """The per-step values a launch reads when its body *runs*, not when
+    it is collected or recorded: the step's ``time`` (what a halo fill
+    stamps) and ``dt`` (what the kernels that advance the state read).
+    A task graph recorded once and replayed every step binds this one
+    object, never the values."""
+
+    __slots__ = ("time", "dt")
+
+    def __init__(self, time: float = 0.0, dt: float = 0.0):
+        self.time = time
+        self.dt = dt
 
 
 class _Group:

@@ -191,31 +191,46 @@ class ScratchBlock:
 
 
 class Scratch:
-    """Coarse blocks back to back in one allocation, ``slab`` (a store):
-    one rank's interpolation scratch for one fill unit, or the coarsened
-    blocks one sync ship carries."""
+    """Coarse blocks back to back in one allocation, ``slab``: one rank's
+    interpolation scratch for one fill unit, or the coarsened blocks one
+    sync ship carries.
 
-    __slots__ = ("slab",)
+    A scratch is a store, and so are its segments; both reach the slab
+    only when a launch asks for ``flat()``.  So a recorded graph binds
+    the scratch, not an allocation: :meth:`renew` gives it a fresh slab
+    of the same size, and every task that uses it runs on that slab."""
+
+    __slots__ = ("space", "size", "slab")
 
     def __init__(self, space, size: int):
-        self.slab = space.empty((int(size),))
+        self.space = space
+        self.size = int(size)
+        self.slab = None
+        self.renew()
+
+    def renew(self) -> None:
+        """Allocate the slab (again: the last one must have been freed)."""
+        self.slab = self.space.empty((self.size,))
+
+    def flat(self) -> np.ndarray:
+        return self.slab.flat()
 
     def segment(self, lo: int, hi: int) -> "_Segment":
-        return _Segment(self.slab, lo, hi)
+        return _Segment(self, lo, hi)
 
     def free(self) -> None:
         self.slab.free()
 
 
 class _Segment:
-    """A contiguous element range of a scratch slab, as a store."""
+    """A contiguous element range of a scratch, as a store."""
 
-    __slots__ = ("slab", "lo", "hi")
+    __slots__ = ("scratch", "lo", "hi")
 
-    def __init__(self, slab, lo: int, hi: int):
-        self.slab = slab
+    def __init__(self, scratch: Scratch, lo: int, hi: int):
+        self.scratch = scratch
         self.lo = lo
         self.hi = hi
 
     def flat(self) -> np.ndarray:
-        return self.slab.kernel_view()[self.lo:self.hi]
+        return self.scratch.slab.kernel_view()[self.lo:self.hi]

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..exec.batch import BatchSlot, LaunchBatcher
+from ..exec.batch import BatchSlot, LaunchBatcher, StepParams
 from ..geom.operators import (
     CellConservativeLinearRefine,
     CellMassWeightedCoarsen,
@@ -135,6 +135,9 @@ class LagrangianEulerianIntegrator:
         self.time = 0.0
         self.step_count = 0
         self.dt = None
+        #: the step's time and dt as the kernels and fills read them when
+        #: they run (a replayed task graph binds this, not the values)
+        self.params = StepParams()
         self._step_scheduler = None
         #: where the inline driver's kernel sweeps launch
         self._sink = ImmediateSink(comm)
@@ -151,8 +154,10 @@ class LagrangianEulerianIntegrator:
     # -- timers -------------------------------------------------------------------
 
     @contextmanager
-    def _phase(self, name: str):
-        """Time a step phase on every rank's virtual clock."""
+    def _phase(self, name: str, variant: int = 0):  # noqa: ARG002 — the step program's verb; the recording driver keys its graphs on it
+        """Time a step phase on every rank's virtual clock.  ``variant``
+        tells phases of one position apart whose program differs from
+        step to step (the advection's sweep order)."""
         for r in self.comm.ranks:
             r.sync_device()
         starts = [r.clock.time for r in self.comm.ranks]
@@ -345,10 +350,15 @@ class LagrangianEulerianIntegrator:
 
         ``ex`` carries the program out: this integrator executes every
         operation as it is named, a ``StepScheduler`` records each phase
-        into a task graph and executes it at the phase boundary.  The
+        into a task graph (or replays the one it recorded earlier in this
+        hierarchy generation) and executes it at the phase boundary.
+        Everything that changes from step to step reaches the kernels
+        and fills through ``params`` or the phase ``variant``.  The
         caller owns the step bookkeeping (time/step_count/regrid).
         """
         pi = self.patch_integrator
+        params = self.params
+        params.time = self.time
 
         with ex._phase("hydro"):
             self._fill_group(ex, FIELD_GROUPS["step_start"])
@@ -366,18 +376,18 @@ class LagrangianEulerianIntegrator:
         with ex._phase("timestep"):
             handles = ex._sweep(pi.calc_dt)
             reduced = ex._reduce(self._min_dt, handles)
-        dt = self._apply_dt_policy(reduced.result)
+        dt = params.dt = self._apply_dt_policy(reduced.result)
 
-        with ex._phase("hydro"):
-            ex._sweep(lambda p, r: pi.pdv(p, r, True, dt))
+        first = 0 if self.step_count % 2 == 0 else 1
+        with ex._phase("hydro", first):
+            ex._sweep(lambda p, r: pi.pdv(p, r, True, params))
             ex._sweep(lambda p, r: pi.ideal_gas(p, r, predict=True))
             self._fill_group(ex, FIELD_GROUPS["half_step"])
-            ex._sweep(lambda p, r: pi.accelerate(p, r, dt))
-            ex._sweep(lambda p, r: pi.pdv(p, r, False, dt))
-            ex._sweep(lambda p, r: pi.flux_calc(p, r, dt))
+            ex._sweep(lambda p, r: pi.accelerate(p, r, params))
+            ex._sweep(lambda p, r: pi.pdv(p, r, False, params))
+            ex._sweep(lambda p, r: pi.flux_calc(p, r, params))
             self._fill_group(ex, FIELD_GROUPS["pre_advec"])
 
-            first = 0 if self.step_count % 2 == 0 else 1
             self._advect(ex, first, 1)
             self._advect(ex, 1 - first, 2)
             ex._sweep(lambda p, r: pi.reset_field(p, r))

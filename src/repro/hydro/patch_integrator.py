@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..exec.backend import Backend, backend_for, stacked_of
-from ..exec.batch import BatchMember
+from ..exec.batch import BatchMember, StepParams
 from ..util import nan_min
 from . import kernels as K
 from .fields import GHOSTS
@@ -32,6 +32,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..mesh.patch import Patch
 
 __all__ = ["CleverleafPatchIntegrator", "NonResidentGpuPatchIntegrator"]
+
+
+def _per_step(dt) -> StepParams:
+    """A kernel's ``dt``: a value, or the :class:`StepParams` whose ``dt``
+    the launch reads when its body runs (what a replayed step graph
+    binds)."""
+    return dt if isinstance(dt, StepParams) else StepParams(dt=dt)
 
 
 class CleverleafPatchIntegrator:
@@ -204,39 +211,42 @@ class CleverleafPatchIntegrator:
             self._backend(patch, rank).charge_transfer("d2h", 8)
         return dt
 
-    def pdv(self, patch, rank, predict: bool, dt: float):
+    def pdv(self, patch, rank, predict: bool, dt: "float | StepParams"):
         nx, ny, g, dx, dy = self._geom(patch)
+        step = _per_step(dt)
         names = ("density0", "density1", "energy0", "energy1", "pressure",
                  "viscosity", "xvel0", "yvel0", "xvel1", "yvel1")
 
         def fn(d0, d1, e0, e1, p, v, xv0, yv0, xv1, yv1):
-            K.pdv(predict, dt, d0, d1, e0, e1, p, v, xv0, yv0, xv1, yv1,
+            K.pdv(predict, step.dt, d0, d1, e0, e1, p, v, xv0, yv0, xv1, yv1,
                   nx, ny, g, dx, dy, ws=self.workspace)
 
         self._run(patch, rank, "hydro.pdv", nx * ny, fn, names,
                   reads=("density0", "energy0") + names[4:],
                   writes=("density1", "energy1"))
 
-    def accelerate(self, patch, rank, dt: float):
+    def accelerate(self, patch, rank, dt: "float | StepParams"):
         nx, ny, g, dx, dy = self._geom(patch)
+        step = _per_step(dt)
         names = ("density0", "pressure", "viscosity",
                  "xvel0", "yvel0", "xvel1", "yvel1")
 
         def fn(d, p, v, xv0, yv0, xv1, yv1):
-            K.accelerate(dt, d, p, v, xv0, yv0, xv1, yv1, nx, ny, g, dx, dy,
-                         ws=self.workspace)
+            K.accelerate(step.dt, d, p, v, xv0, yv0, xv1, yv1, nx, ny, g,
+                         dx, dy, ws=self.workspace)
 
         self._run(patch, rank, "hydro.accelerate", (nx + 1) * (ny + 1), fn,
                   names, reads=names[:5], writes=("xvel1", "yvel1"),
                   ghost_reads=("density0", "pressure", "viscosity"))
 
-    def flux_calc(self, patch, rank, dt: float):
+    def flux_calc(self, patch, rank, dt: "float | StepParams"):
         nx, ny, g, dx, dy = self._geom(patch)
+        step = _per_step(dt)
         names = ("xvel0", "yvel0", "xvel1", "yvel1", "vol_flux_x", "vol_flux_y")
 
         def fn(xv0, yv0, xv1, yv1, vfx, vfy):
-            K.flux_calc(dt, xv0, yv0, xv1, yv1, vfx, vfy, nx, ny, g, dx, dy,
-                        ws=self.workspace)
+            K.flux_calc(step.dt, xv0, yv0, xv1, yv1, vfx, vfy, nx, ny, g,
+                        dx, dy, ws=self.workspace)
 
         self._run(patch, rank, "hydro.flux_calc", nx * ny, fn, names,
                   reads=names[:4], writes=names[4:])

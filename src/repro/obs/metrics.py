@@ -270,7 +270,8 @@ def registry_from_run(sim) -> MetricsRegistry:
     reg = MetricsRegistry.merged(registry_for_rank(r) for r in sim.comm.ranks)
     sched = getattr(sim, "_step_scheduler", None)
     if sched is not None:
-        for name, value in sched.executor.counters.items():
+        for name, value in {**sched.executor.counters,
+                            **sched.counters}.items():
             reg.counter(f"sched.{name}").inc(value)
     regridder = getattr(sim, "regridder", None)
     if regridder is not None and regridder.totals.regrids:

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 from ..check.context import active as _check_active
 from ..exec.batch import union_pds
+from ..exec.plan import Scratch
 from .task import Task, TaskGraph, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,9 +35,11 @@ class GraphBuilder:
     """Builds one phase's :class:`~repro.sched.task.TaskGraph`.
 
     The recording sink of the transfer/sweep programs: ``copy``,
-    ``stream_batch``, ``kernel_task`` and ``add`` are the same verbs
-    :class:`repro.xfer.message.ImmediateSink` executes on the spot, so a
-    schedule or a kernel sweep written once runs under either driver.
+    ``stream_batch``, ``kernel_task``, ``add``, ``scratch`` and ``note``
+    are the same verbs :class:`repro.xfer.message.ImmediateSink` executes
+    on the spot, so a schedule or a kernel sweep written once runs under
+    either driver.  What issuing does besides adding tasks lands in
+    ``effects``, for a driver that replays the graph.
     Grouping is the caller's (a ``LaunchBatcher``, a schedule's
     ``batch``); a launch of several members is one task whose
     declarations are the union of its members' — so dependency
@@ -47,11 +50,30 @@ class GraphBuilder:
     def __init__(self, comm: "SimCommunicator"):
         self.comm = comm
         self.graph = TaskGraph()
+        #: what issuing the program did besides adding tasks, in emission
+        #: order, as ``(fn, args)``: scratch allocations and sanitizer
+        #: notes — what a replay of the graph does again before it runs
+        self.effects: list[tuple] = []
+        # Keyed by id(): every keyed object is a task of the graph or in
+        # one's ``reads``/``writes``, so it lives as long as the graph and
+        # its id cannot be recycled mid-build.
         self._writer: dict[int, Task] = {}
         self._readers: dict[int, list[Task]] = {}
-        # Keep every keyed object alive for the graph's lifetime so id()
-        # keys can never be recycled onto new objects mid-build.
-        self._retained: list[object] = []
+
+    # -- issue-time effects ----------------------------------------------------
+
+    def scratch(self, space, size: int) -> Scratch:
+        """A transfer's scratch, allocated now and renewed by a replay;
+        its tasks reach the slab only when they run."""
+        scratch = Scratch(space, size)
+        self.effects.append((scratch.renew, ()))
+        return scratch
+
+    def note(self, fn, *args) -> None:
+        """A side effect of issuing the program (a sanitizer note): run
+        now, and again by every replay, in emission order."""
+        fn(*args)
+        self.effects.append((fn, args))
 
     # -- generic emission ------------------------------------------------------
 
@@ -68,34 +90,33 @@ class GraphBuilder:
         the sanitizer's stale-halo machinery (emission order *is* the
         intended data-flow order) and are ignored when it is inactive.
         """
-        reads = list(reads)
-        writes = list(writes)
+        reads = tuple(reads)
+        writes = tuple(writes)
+        writer, readers = self._writer, self._readers
         deps = list(after)
         for pd in reads:
-            w = self._writer.get(id(pd))
+            w = writer.get(id(pd))
             if w is not None:
                 deps.append(w)
         for pd in writes:
-            w = self._writer.get(id(pd))
+            w = writer.get(id(pd))
             if w is not None:
                 deps.append(w)
-            deps.extend(self._readers.get(id(pd), ()))
+            deps.extend(readers.get(id(pd), ()))
         task = self.graph.add(kind, rank, label, fn, deps=deps,
                               reads=reads, writes=writes)
         chk = _check_active()
         if chk is not None:
-            chk.note_emission(label, reads, writes, ghost_reads=ghost_reads,
-                              ghost_only=ghost_only, marks=marks)
+            self.note(chk.note_emission, label, reads, writes,
+                      tuple(ghost_reads), ghost_only, tuple(marks))
         for pd in reads:
-            self._readers.setdefault(id(pd), []).append(task)
-            self._retained.append(pd)
+            readers.setdefault(id(pd), []).append(task)
         for pd in writes:
-            self._writer[id(pd)] = task
-            self._readers[id(pd)] = []
-            self._retained.append(pd)
-        task.writes = (*task.writes, task)  # the result slot
-        self._writer[id(task)] = task
-        self._readers[id(task)] = []
+            writer[id(pd)] = task
+            readers[id(pd)] = []
+        # the result slot: written by the task, though not listed in its
+        # ``writes`` (a task never references itself)
+        writer[id(task)] = task
         return task
 
     # -- kernel launches -------------------------------------------------------
@@ -181,6 +202,10 @@ class GraphBuilder:
         src_backend = backend_for(pack_items[0][0], src_rank)
         dst_backend = backend_for(unpack_items[0][0], dst_rank)
         nbytes = batch_size_bytes(pack_items) + MESSAGE_HEADER_BYTES
+        # The stages hand buffers on through ``box``, emptied by the last
+        # one; they bind the communicator, never this builder (which
+        # holds every task), so a graph is free of reference cycles.
+        comm = self.comm
         box: dict[str, object] = {}
 
         def do_pack(stream):
@@ -190,17 +215,19 @@ class GraphBuilder:
             box["host"] = src_backend.copy_out(box["staging"], stream=stream)
 
         def do_send(stream):
-            box["req"] = self.comm.isend(
+            box["req"] = comm.isend(
                 Message(src_rank.index, dst_rank.index, nbytes))
 
         def do_recv(stream):
-            self.comm.wait_recv(box["req"])
+            comm.wait_recv(box["req"])
 
         def do_h2d(stream):
             box["landing"] = dst_backend.copy_in(box["host"], stream=stream)
 
         def do_unpack(stream):
-            dst_backend.unpack_batch_staged(box["landing"], unpack_items)
+            landing = box["landing"]
+            box.clear()
+            dst_backend.unpack_batch_staged(landing, unpack_items)
 
         t_pack = self.add(TaskKind.PACK, src_rank.index, f"{label}.pack",
                           do_pack, reads=[pd for pd, _ in pack_items])

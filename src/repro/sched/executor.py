@@ -79,13 +79,19 @@ class GraphExecutor:
 
     # -- public API ------------------------------------------------------------
 
-    def execute(self, graph: TaskGraph) -> None:
-        """Dispatch every task in order.  If one raises, the graph's
-        not-yet-run ``FREE`` tasks still run before the error propagates:
-        scratch allocated when the graph was recorded is released by
-        tasks, and an aborted graph must not leak it."""
+    def execute(self, graph: TaskGraph, order=None) -> None:
+        """Dispatch every task in order — ``order``, the graph's
+        topological order for this executor's ``order_key`` when a
+        caller replaying the graph kept it, else computed here.  If a
+        task raises, the graph's not-yet-run ``FREE`` tasks still run
+        before the error propagates: scratch allocated when the graph was
+        recorded (or renewed for a replay) is released by tasks, and an
+        aborted graph must not leak it.  Every run overwrites a task's
+        ``result`` and ``finish``, and on a stream lane re-records its
+        ``event`` and ``busy``."""
         self.counters["graphs"] += 1
-        order = graph.topological_order(self.order_key)
+        if order is None:
+            order = graph.topological_order(self.order_key)
         done = 0
         try:
             for task in order:
@@ -116,9 +122,10 @@ class GraphExecutor:
             self._wait_on_stream(task, stream, rank)
             t0 = stream.clock.time
             task.result = self._run_body(task, stream)
-            ev = Event()
+            ev = task.event
+            if ev is None:
+                ev = task.event = Event()
             ev.record(stream)
-            task.event = ev
             task.finish = ev.timestamp
             task.busy = max(0.0, ev.timestamp - t0)
             if tracer is not None:

@@ -62,7 +62,7 @@ _LANES = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class Task:
     """One node of the step DAG.
 
@@ -80,17 +80,17 @@ class Task:
     deps: list["Task"] = field(default_factory=list)
     reads: tuple = ()         # declared patch-data reads (sanitizer replay)
     writes: tuple = ()        # declared patch-data writes
+    # Per-run state, overwritten by every execution of the task (a graph
+    # may be replayed many times):
     result: object = None
     event: object = None      # gpu.stream.Event, set in overlap mode
     finish: float = 0.0       # virtual completion time, set by the executor
     busy: float = 0.0         # this task's own stream-busy seconds (overlap)
+    _chk_undeclared: tuple = ()  # undeclared accesses (--sanitize)
 
     @property
     def lane(self) -> str:
         return _LANES[self.kind]
-
-    def __hash__(self) -> int:
-        return self.tid
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Task({self.tid}, {self.kind.value}, rank={self.rank}, "

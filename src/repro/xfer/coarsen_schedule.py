@@ -107,13 +107,13 @@ class _Ship:
         if self.fine is self.coarse:
             sink.copy(self.coarse, CopyPlan(
                 items, n, self.size,
-                [(arena, scratch.slab, index, where)
+                [(arena, scratch, index, where)
                  for arena, index, where in self.groups]), "sync.copy")
             return
         sink.stream_batch(
             self.fine, self.coarse,
             StreamPlan([(token, region) for _, token, region in items], n,
-                       self.size, [(scratch.slab, slice(None), slice(None))]),
+                       self.size, [(scratch, slice(None), slice(None))]),
             StreamPlan([(pd, region) for pd, _, region in items], n,
                        self.size, self.groups), label)
 
@@ -372,7 +372,8 @@ class CoarsenSchedule:
             scratch: dict = {}
             try:
                 for ship in ships:
-                    scratch[ship] = Scratch(ship.backend.space, ship.size)
+                    scratch[ship] = sink.scratch(ship.backend.space,
+                                                 ship.size)
                 batcher = LaunchBatcher(self.batch)
                 for launch in launches:
                     for member in launch.members(scratch, ratio):

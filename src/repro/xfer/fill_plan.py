@@ -51,6 +51,7 @@ from ..sched.task import TaskKind
 from .overlap import index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..exec.batch import StepParams
     from .refine_schedule import FillGeometry, RefineSchedule
 
 __all__ = ["FillPlan", "Lazy", "MixedRefineError", "compile_fill"]
@@ -487,7 +488,7 @@ class _Interp:
         scratch = {}
         try:
             for index, ri in self.ranks.items():
-                scratch[index] = Scratch(ri.backend.space, ri.size)
+                scratch[index] = sink.scratch(ri.backend.space, ri.size)
             for src_rank, ri, pack, unpack in self.gathers:
                 mine = scratch[ri.rank.index]
                 bound = StreamPlan(unpack.items, unpack.count, unpack.total,
@@ -553,20 +554,21 @@ class FillPlan:
         for unit in self.interps:
             unit.replay(sink, self.level, self.ratio, ghost, checking)
 
-    def finish(self, sink, time: float | None) -> None:
-        """Physical boundary conditions, then the new timestamps."""
+    def finish(self, sink, params: "StepParams | None") -> None:
+        """Physical boundary conditions, then the new timestamps: the
+        ``time`` of ``params`` when the stamps run (none when None)."""
         halos = LaunchBatcher(self.fused)
         for backend, rank, member in self.halos:
             halos.collect(backend, rank, "hydro.update_halo", member,
                           ghost_only=True)
         sink.flush_fusion(halos)
-        if time is None:
+        if params is None:
             return
         names = self.names
         for owner, patches in self.stamped:
             sink.add(TaskKind.HOST, owner, "fill.set_time",
                      lambda _stream, patches=patches: _set_times(
-                         patches, names, time),
+                         patches, names, params.time),
                      reads=Lazy(_patch_data, patches, names))
 
 

@@ -34,6 +34,7 @@ from ..check.context import active as _check_active
 from ..comm.simcomm import Message
 from ..exec.backend import backend_for
 from ..exec.batch import BatchSlot
+from ..exec.plan import Scratch
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank, SimCommunicator
@@ -97,7 +98,9 @@ class ImmediateSink:
     A schedule states its work once, over four verbs — ``copy`` (fused
     same-rank copies), ``stream_batch`` (one cross-rank message stream),
     ``kernel_task`` (one launch of >=1 batch members) and ``add`` (host
-    bookkeeping, or a kernel that launches itself).  This sink executes
+    bookkeeping, or a kernel that launches itself) — plus the two things
+    issuing it does on the spot: ``scratch`` (allocate a transfer's
+    scratch) and ``note`` (a sanitizer note).  This sink executes
     them on the spot with the blocking primitives above; the other sink,
     :class:`repro.sched.builder.GraphBuilder`, records the same calls as
     tasks.  Network time is charged once, by :meth:`close`.  Under
@@ -159,6 +162,15 @@ class ImmediateSink:
             chk.abort_kernel(scope)
             raise
         chk.end_kernel(scope)
+
+    def scratch(self, space, size: int) -> Scratch:
+        """A transfer's scratch, allocated now."""
+        return Scratch(space, size)
+
+    def note(self, fn, *args) -> None:
+        """A side effect of issuing the program (a sanitizer note): run
+        now."""
+        fn(*args)
 
     def close(self) -> None:
         """Charge the network for every stream posted since the last close."""

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..check.context import active as _check_active
+from ..exec.batch import StepParams
 from ..mesh.box import Box, IntVector, meet
 from ..mesh.box_array import BoxArray, coalesce
 from ..mesh.variables import Variable
@@ -64,6 +65,13 @@ class FillSpec:
 
     var: Variable
     refine_op: "RefineOperator | None" = None
+
+
+def _params(time) -> StepParams | None:
+    """A fill's ``time`` as the parameters its timestamp tasks read."""
+    if time is None or isinstance(time, StepParams):
+        return time
+    return StepParams(time=time)
 
 
 def signature_of(var: Variable) -> Variable:
@@ -254,9 +262,10 @@ class RefineSchedule:
         sink = ImmediateSink(self.comm)
         self._transfer(sink)
         sink.close()
-        self._plan.finish(sink, time)
+        self._plan.finish(sink, _params(time))
 
-    def emit_tasks(self, gb, time: float | None = None) -> None:
+    def emit_tasks(self, gb,
+                   time: "float | StepParams | None" = None) -> None:
         """Record the schedule into a graph builder (the scheduler path).
 
         The same program as :meth:`fill`, in the same order, landing as
@@ -264,22 +273,26 @@ class RefineSchedule:
         cross-rank batches, interpolation gathers + refines, physical
         BCs, and host-side frees and timestamp updates.  Dependencies
         come from the builder's read/write tracking, so any topological
-        order reproduces :meth:`fill` bit for bit.
+        order reproduces :meth:`fill` bit for bit.  ``time`` may be a
+        :class:`~repro.exec.batch.StepParams`, whose ``time`` the
+        timestamp tasks read when they run, so a replayed graph stamps
+        each step's time.
         """
         self._transfer(gb)
-        self._plan.finish(gb, time)
+        self._plan.finish(gb, _params(time))
 
     def _transfer(self, sink) -> None:
         """Same-level copies, then coarse-level interpolation."""
         chk = _check_active()
         if chk is not None:
-            self._note_fill_start(chk)
+            sink.note(self._note_fill_start, chk)
         if self._plan is None:
             self._plan = compile_fill(self)  # once; raises on unpooled levels
         self._plan.transfer(sink, not self.interior, chk is not None)
 
     def _note_fill_start(self, chk) -> None:
-        """Tell the sanitizer this fill begins (emission order).
+        """Tell the sanitizer this fill begins (emission order; a sink
+        note, so a replayed graph tells it again).
 
         A ghost fill repartitions *every* ghost region of every
         destination (copies + interpolation cover in-domain, physical BCs

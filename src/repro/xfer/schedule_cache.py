@@ -55,6 +55,9 @@ class ScheduleCache:
         self.misses = 0
         self.builds = 0
         self.purged = 0
+        #: bumped by every purge and clear: what a recorded step graph
+        #: (``sched.driver``) is valid for
+        self.purges = 0
         #: optional ExecStats to mirror hit/miss counters into (rank 0's,
         #: so rank-summed manifests carry the true global counts once)
         self.exec_stats = None
@@ -94,6 +97,7 @@ class ScheduleCache:
         objects are still installed), entries for rebuilt or removed
         levels die.  Returns the number of schedule entries dropped.
         """
+        self.purges += 1
         live = {id(lvl) for lvl in hierarchy}
         dead = [
             k for k, (levels, _) in self._entries.items()
@@ -111,6 +115,7 @@ class ScheduleCache:
         return len(dead)
 
     def clear(self) -> None:
+        self.purges += 1
         self._entries.clear()
         self.geometry_cache.clear()
 

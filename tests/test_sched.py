@@ -22,7 +22,7 @@ from repro.gpu.device import K20X, Device
 from repro.gpu.stream import Event
 from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
-from repro.sched import GraphBuilder, TaskGraph, TaskKind
+from repro.sched import GraphBuilder, Task, TaskGraph, TaskKind
 from repro.sched.driver import StepScheduler
 from repro.util.clock import VirtualClock
 
@@ -100,38 +100,69 @@ _KERNEL_METHODS = ("ideal_gas", "viscosity", "calc_dt", "pdv", "accelerate",
 
 
 def _launch_sequence(monkeypatch, batch: bool, overlap: bool):
-    """The ``(operation, level)`` sequence a run issues, in program order:
-    patch-integrator kernel calls and halo-fill / sync schedule
-    invocations, whichever driver (inline or recording) made them, with
-    consecutive repeats collapsed — how many units a level's sweep visits
-    (patches, or shape buckets under ``batch``) is not the contract."""
-    from repro.hydro.patch_integrator import CleverleafPatchIntegrator
-    from repro.xfer.coarsen_schedule import CoarsenSchedule
-    from repro.xfer.refine_schedule import RefineSchedule
+    """The ``(operation, level)`` sequence a run executes, in program
+    order: patch-integrator kernel launches, halo fills (their
+    timestamps) and syncs (their coarsen launches), whichever driver ran
+    them — recorded, replayed or inline — with consecutive repeats
+    collapsed: how many units a level's sweep visits (patches, or shape
+    buckets under ``batch``) is not the contract.
+
+    The probes sit where work executes, not where it is issued, so a
+    replayed step, which issues nothing, is in the sequence too.  Under
+    ``overlap`` the graphs dispatch in emission order: the compute-first
+    tie-break moves only the modelled clocks, which the order tests
+    above cover."""
+    from repro.exec.backend import Backend
+    from repro.pdat.patch_data import PatchData
+
+    sim = build_simulation(_config(
+        execution=ExecutionPolicy(batch=batch, overlap=overlap)))
+    sim.initialise()
+    if overlap:
+        sim._step_scheduler = StepScheduler(sim, overlap=True,
+                                            order_key=lambda t: t.tid)
+    owner: dict = {}   # id(patch data) -> level number, per hierarchy
+
+    def level_of(pds) -> int:
+        if owner.get("levels") != tuple(sim.hierarchy):
+            owner.clear()
+            owner["levels"] = tuple(sim.hierarchy)
+            for level in sim.hierarchy:
+                for patch in level:
+                    for name in patch.data_names():
+                        owner[id(patch.data(name))] = level.level_number
+        return next(owner[id(pd)] for pd in pds if id(pd) in owner)
 
     seq = []
 
-    def record(cls, method, label, level_of):
-        orig = getattr(cls, method)
+    def note(entry):
+        if seq[-1:] != [entry]:
+            seq.append(entry)
 
-        def wrapper(self, *args, **kwargs):
-            entry = (label, level_of(self, *args))
-            if seq[-1:] != [entry]:
-                seq.append(entry)
-            return orig(self, *args, **kwargs)
-        patches.setattr(cls, method, wrapper)
+    run_batched, set_time = Backend.run_batched, PatchData.set_time
+
+    def launched(self, kernel, members, *args, **kwargs):
+        members = list(members)
+        op = kernel.split(".", 1)[-1]
+        if kernel.startswith("hydro.") and op in _KERNEL_METHODS:
+            note((op, level_of([pd for m in members
+                                for pd in (*m.reads, *m.writes)])))
+        elif kernel == "geom.coarsen":
+            note(("coarsen", level_of([pd for m in members
+                                       for pd in m.reads])))
+        return run_batched(self, kernel, members, *args, **kwargs)
+
+    def stamped(self, time):
+        note(("fill", level_of([self])))
+        return set_time(self, time)
 
     with monkeypatch.context() as patches:
-        for name in _KERNEL_METHODS:
-            record(CleverleafPatchIntegrator, name, name,
-                   lambda self, unit, *a: unit.patches[0].level.level_number)
-        for method in ("fill", "emit_tasks"):
-            record(RefineSchedule, method, "fill",
-                   lambda self, *a: self.dst_level.level_number)
-        for method in ("coarsen", "emit_tasks"):
-            record(CoarsenSchedule, method, "coarsen",
-                   lambda self, *a: self.fine_level.level_number)
-        run(_config(execution=ExecutionPolicy(batch=batch, overlap=overlap)))
+        patches.setattr(Backend, "run_batched", launched)
+        patches.setattr(PatchData, "set_time", stamped)
+        sim.run(max_steps=3)
+    if overlap:  # steps 2 and 3 replayed what step 1 (and 2) recorded
+        assert sim._step_scheduler.counters == {"captures": 5,
+                                                "replays": 7}
     return seq
 
 
@@ -139,8 +170,9 @@ def _launch_sequence(monkeypatch, batch: bool, overlap: bool):
 @pytest.mark.parametrize("overlap", (False, True))
 def test_drivers_launch_the_identical_sequence(monkeypatch, batch, overlap):
     """The timestep is one program: the inline driver and the graph
-    recorder issue the same (kernel, level) launches and the same
-    per-level fills and syncs in the same order, batched or not."""
+    recorder — recording or replaying — execute the same (kernel, level)
+    launches and the same per-level fills and syncs in the same order,
+    batched or not."""
     want = _launch_sequence(monkeypatch, False, False)
     assert {op for op, _ in want} == {*_KERNEL_METHODS, "fill", "coarsen"}
     assert _launch_sequence(monkeypatch, batch, overlap) == want
@@ -195,6 +227,218 @@ def test_kernel_raising_mid_graph_leaks_no_transfer_scratch(monkeypatch):
     # closures (so no garbage collector is doing the executor's job)
     assert caught.traceback and len(calls) == 2
     assert device.bytes_allocated == before
+
+
+# -- captured step graphs ----------------------------------------------------
+
+
+def _replay_config() -> RunConfig:
+    """2 ranks, overlap, a regrid every 3 steps: 8 steps capture, replay,
+    drop the captures at two regrids and capture again."""
+    return _config(max_steps=8, execution=ExecutionPolicy(overlap=True))
+
+
+def _scheduled(cfg, order_key=None):
+    sim = build_simulation(cfg)
+    sim.initialise()
+    sim._step_scheduler = StepScheduler(sim, overlap=True,
+                                        order_key=order_key)
+    return sim
+
+
+#: real-clock bookkeeping, and the two counters that tell replay apart
+_NOT_MODELLED = ("batch.host_seconds", "sched.captures", "sched.replays")
+
+
+def _observables(sim, dts) -> dict:
+    from repro.obs.metrics import registry_from_run
+
+    snap = registry_from_run(sim).snapshot()
+    return {
+        "fields": _fields(sim),
+        "dts": dts,
+        "metrics": {kind: {k: v for k, v in snap[kind].items()
+                           if not k.startswith(_NOT_MODELLED)}
+                    for kind in ("counters", "gauges")},
+        "timers": [dict(r.timers.totals) for r in sim.comm.ranks],
+        "clocks": [r.clock.time for r in sim.comm.ranks],
+        "peaks": [r.device.stats.peak_bytes_allocated
+                  for r in sim.comm.ranks],
+        "overlap": [(r.exec_stats.overlap.exposed_seconds,
+                     r.exec_stats.overlap.hidden_seconds)
+                    for r in sim.comm.ranks],
+    }
+
+
+@pytest.mark.parametrize("order", ("default", "reversed", "scrambled"))
+def test_replay_is_bitwise_a_re_record(monkeypatch, order):
+    """A replayed phase is the phase recorded again: against a run whose
+    capture store is emptied before every phase (so every phase
+    re-records), fields, dt history, every modelled counter, gauge and
+    timer, every rank's clock, device high-water and overlap accounting
+    agree exactly — under the default dispatch order and two injected
+    ones, which the captured order must follow."""
+    keys = {"default": None,
+            "reversed": lambda t: -t.tid,
+            "scrambled": lambda t: (t.tid * 2654435761) % 1000003}
+    cfg = _replay_config()
+
+    def observed():
+        sim = _scheduled(cfg, keys[order])
+        dts = [sim.step() for _ in range(cfg.max_steps)]
+        return sim, _observables(sim, dts)
+
+    sim, replayed = observed()
+    assert sim._step_scheduler.counters == {"captures": 15, "replays": 17}
+    with monkeypatch.context() as patches:
+        check = StepScheduler._check_generation
+
+        def forget(self):
+            check(self)
+            self._captures.clear()
+
+        patches.setattr(StepScheduler, "_check_generation", forget)
+        sim, recorded = observed()
+    assert sim._step_scheduler.counters == {"captures": 32, "replays": 0}
+    assert set(recorded["fields"]) == set(replayed["fields"])
+    for key, want in recorded["fields"].items():
+        assert np.array_equal(want, replayed["fields"][key],
+                              equal_nan=True), key
+    del recorded["fields"], replayed["fields"]
+    assert replayed == recorded
+
+
+def test_replayed_phases_record_nothing(monkeypatch):
+    """Between regrids a phase is recorded once: a replayed one adds no
+    task, and every phase of every step still executes a graph."""
+    cfg = _replay_config()
+    adds = []
+    add = GraphBuilder.add
+
+    def counted(self, *args, **kwargs):
+        adds.append(None)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphBuilder, "add", counted)
+    sim = _scheduled(cfg)
+    per_step = []
+    for _ in range(cfg.max_steps):
+        before = len(adds)
+        sim.step()
+        per_step.append(len(adds) - before)
+    # steps 1, 4 and 7 (after each regrid) record all four phases;
+    # steps 2, 5 and 8 only the advection-order variant they are the
+    # first to run; steps 3 and 6 replay everything
+    full, variant = per_step[0], per_step[1]
+    assert 0 < variant < full
+    assert per_step[2] == per_step[5] == 0
+    assert all(0 < per_step[i] < per_step[i - 1] for i in (4, 7))
+    assert sim._step_scheduler.counters == {"captures": 15, "replays": 17}
+    assert sim._step_scheduler.executor.counters["graphs"] == 32
+
+
+def test_step_graphs_leave_nothing_for_the_cycle_collector():
+    """Recorded graphs hold no reference cycles — closures bind the
+    communicator, not the builder, and a task's result slot is not a
+    reference to itself — so captures dropped at a regrid are freed by
+    reference counting, and steady steps make no cyclic garbage at all.
+    (A dropped level's ``Patch``/``PatchLevel`` cycle is not the
+    scheduler's, and not covered here.)"""
+    import gc
+
+    from repro.sched.builder import GraphBuilder as Builder
+
+    cfg = _replay_config()
+    sim = _scheduled(cfg)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(cfg.max_steps):
+            sim.step()
+        gc.collect()
+        found = [o for o in gc.garbage
+                 if isinstance(o, (Task, TaskGraph, Builder, Event))
+                 or getattr(o, "__qualname__", "").startswith(
+                     ("GraphBuilder.", "StepScheduler."))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert sim._step_scheduler.counters == {"captures": 15, "replays": 17}
+    assert not found, found[:5]
+
+    # three steps that only replay (no regrid among them): nothing cyclic
+    sim = _scheduled(_config(max_steps=5, regrid=RegridPolicy(interval=6),
+                             execution=ExecutionPolicy(overlap=True)))
+    sim.step()
+    sim.step()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            sim.step()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sim._step_scheduler.counters["replays"] == 3 + 12
+
+
+def test_a_replay_that_diverges_from_its_capture_raises(monkeypatch):
+    """A replayed phase checks each operation against the capture: a
+    program that issues a different sequence (here one fill group
+    skipped) raises instead of running a stale graph, and the capture is
+    dropped."""
+    from repro.hydro.fields import FIELD_GROUPS
+    from repro.sched.driver import ReplayDivergence
+
+    sim = _scheduled(_config(nranks=1, execution=ExecutionPolicy(
+        overlap=True)))
+    sim.step()
+    sim.step()
+    fill_group = type(sim)._fill_group
+
+    def skipping(self, ex, names):
+        if names != FIELD_GROUPS["pre_advec"]:
+            fill_group(self, ex, names)
+
+    monkeypatch.setattr(type(sim), "_fill_group", skipping)
+    with pytest.raises(ReplayDivergence, match="is sweep where the "
+                                               "capture recorded fill"):
+        sim.step()
+    assert (2, 0) not in sim._step_scheduler._captures
+
+
+def test_kernel_raising_mid_replay_leaks_no_scratch_and_drops_the_capture(
+        monkeypatch):
+    """Fault matrix, replayed: a replayed phase renews its transfer
+    scratch before it runs; a kernel raising mid-graph still releases all
+    of it, and the phase's capture is discarded (the next step records
+    it afresh)."""
+    from repro.geom import interp_math
+
+    sim = _scheduled(_config(nranks=1, execution=ExecutionPolicy(
+        batch=True, overlap=True)))
+    sim.step()
+    sim.step()   # both advection orders captured
+    captures = sim._step_scheduler._captures
+    assert set(captures) == {(0, 0), (1, 0), (2, 0), (2, 1), (3, 0)}
+    device = sim.comm.rank(0).device
+    before = device.bytes_allocated
+    calls = []
+    limited = interp_math._mc_slopes
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FloatingPointError("non-physical state")
+        return limited(*args)
+
+    monkeypatch.setattr(interp_math, "_mc_slopes", failing)
+    with pytest.raises(FloatingPointError):
+        sim.step()
+    assert len(calls) == 2
+    assert device.bytes_allocated == before
+    assert sim._step_scheduler.counters == {"captures": 5, "replays": 4}
+    assert set(captures) == {(1, 0), (2, 0), (2, 1), (3, 0)}
 
 
 # -- overlap accounting ------------------------------------------------------
