@@ -670,62 +670,75 @@ def _advec_cell_flux(density1, energy1, vol_flux, mass_flux,
 def advec_mom(direction, sweep_number,
               vel1, density1, vol_flux_x, vol_flux_y, mass_flux_x, mass_flux_y,
               node_flux, node_mass_post, node_mass_pre, mom_flux,
-              pre_vol, post_vol, nx, ny, g, dx, dy, ws=None):
+              pre_vol, post_vol, nx, ny, g, dx, dy, ws=None, reuse=False):
     """Momentum advection for one velocity component in one direction.
 
     ``vel1`` is the component being advected (x- or y-velocity); the
     stencil depends solely on ``direction``.  Requires halo-exchanged
     ``mass_flux`` (depth 2) and ``density1`` (depth 2).
+
+    The volumes, ``node_flux`` and the node masses depend on the direction
+    and the sweep only, not on the component.  With ``reuse`` they are
+    read as the previous call wrote them -- the other component's, over
+    the same direction and sweep, with none of their inputs written in
+    between -- and only the component's own flux and update run.
     """
-    volume = dx * dy
-    e = 2
-    m0, m1 = nx + 2 * e, ny + 2 * e
-    o = g - e
+    if not reuse:
+        volume = dx * dy
+        e = 2
+        m0, m1 = nx + 2 * e, ny + 2 * e
+        o = g - e
 
-    fxl = win(vol_flux_x, o, o, m0, m1)
-    fxr = win(vol_flux_x, o + 1, o, m0, m1)
-    fyb = win(vol_flux_y, o, o, m0, m1)
-    fyt = win(vol_flux_y, o, o + 1, m0, m1)
-    pv = win(pre_vol, o, o, m0, m1)
-    sv = win(post_vol, o, o, m0, m1)
+        fxl = win(vol_flux_x, o, o, m0, m1)
+        fxr = win(vol_flux_x, o + 1, o, m0, m1)
+        fyb = win(vol_flux_y, o, o, m0, m1)
+        fyt = win(vol_flux_y, o, o + 1, m0, m1)
+        pv = win(pre_vol, o, o, m0, m1)
+        sv = win(post_vol, o, o, m0, m1)
 
-    # post = volume (+ the other direction's flux difference in sweep 1);
-    # pre = post + the swept difference.
+        # post = volume (+ the other direction's flux difference in sweep
+        # 1); pre = post + the swept difference.
+        if direction == 0:
+            lo, hi, other_lo, other_hi = fxl, fxr, fyb, fyt
+        else:
+            lo, hi, other_lo, other_hi = fyb, fyt, fxl, fxr
+        (t,) = _carve(ws, fxl.shape, 1)
+        if sweep_number == 1:
+            np.subtract(other_hi, other_lo, out=t)
+            np.add(volume, t, out=sv)
+        else:
+            sv[...] = volume
+        np.subtract(hi, lo, out=t)
+        np.add(sv, t, out=pv)
+
+        if direction == 0:
+            _node_terms(density1, mass_flux_x, node_flux, node_mass_post,
+                        node_mass_pre, post_vol, nx, ny, g, 0, ws)
+        else:
+            _node_terms(density1, mass_flux_y, node_flux, node_mass_post,
+                        node_mass_pre, post_vol, nx, ny, g, 1, ws)
+
     if direction == 0:
-        lo, hi, other_lo, other_hi = fxl, fxr, fyb, fyt
+        _advec_mom_dir(vel1, node_flux, node_mass_post, node_mass_pre,
+                       mom_flux, nx, ny, g, 0, ws)
     else:
-        lo, hi, other_lo, other_hi = fyb, fyt, fxl, fxr
-    (t,) = _carve(ws, fxl.shape, 1)
-    if sweep_number == 1:
-        np.subtract(other_hi, other_lo, out=t)
-        np.add(volume, t, out=sv)
-    else:
-        sv[...] = volume
-    np.subtract(hi, lo, out=t)
-    np.add(sv, t, out=pv)
-
-    if direction == 0:
-        _advec_mom_dir(vel1, density1, mass_flux_x, node_flux, node_mass_post,
-                       node_mass_pre, mom_flux, post_vol, nx, ny, g, 0, ws)
-    else:
-        _advec_mom_dir(vel1, density1, mass_flux_y, node_flux, node_mass_post,
-                       node_mass_pre, mom_flux, post_vol, nx, ny, g, 1, ws)
+        _advec_mom_dir(vel1, node_flux, node_mass_post, node_mass_pre,
+                       mom_flux, nx, ny, g, 1, ws)
 
 
-def _advec_mom_dir(vel1, density1, mass_flux, node_flux, node_mass_post,
-                   node_mass_pre, mom_flux, post_vol, nx, ny, g, axis, ws):
-    """Momentum advection stencil along one axis.
+# Momentum work arrays live on the node frame.  node_flux(n) is the mass
+# flux through the staggered (dual-cell) face between nodes n and n+1
+# along the advection axis (a); their sizes along it, and across it (t):
+#   node_flux:       dual faces  -2 .. n_a+1   (n_a + 4)
+#   node_mass_*:     nodes       -1 .. n_a+1   (n_a + 3)
+#   mom_flux:        dual faces  -1 .. n_a     (n_a + 2)
+#   update:          nodes        0 .. n_a     (n_a + 1)
+# transverse extent: interior nodes 0 .. n_t   (n_t + 1)
 
-    node_flux(n) is the mass flux through the staggered (dual-cell) face
-    between nodes n and n+1; the work arrays live on the node frame with
-    that interpretation along ``axis``.
-    """
-    # Sizes along the advection axis (a) and the transverse axis (t):
-    #   node_flux:       dual faces  -2 .. n_a+1   (n_a + 4)
-    #   node_mass_*:     nodes       -1 .. n_a+1   (n_a + 3)
-    #   mom_flux:        dual faces  -1 .. n_a     (n_a + 2)
-    #   update:          nodes        0 .. n_a     (n_a + 1)
-    # transverse extent: interior nodes 0 .. n_t   (n_t + 1)
+def _node_terms(density1, mass_flux, node_flux, node_mass_post,
+                node_mass_pre, post_vol, nx, ny, g, axis, ws):
+    """The node fluxes and masses of a momentum sweep along ``axis``:
+    shared by both velocity components."""
     na = nx if axis == 0 else ny
     nt = ny if axis == 0 else nx
 
@@ -771,6 +784,23 @@ def _advec_mom_dir(vel1, density1, mass_flux, node_flux, node_mass_post,
     np.subtract(nmp, w(node_flux, a0 - 1, t0, sa, st), out=mass)
     np.add(mass, w(node_flux, a0, t0, sa, st),
            out=w(node_mass_pre, a0, t0, sa, st))
+
+
+def _advec_mom_dir(vel1, node_flux, node_mass_post, node_mass_pre, mom_flux,
+                   nx, ny, g, axis, ws):
+    """One velocity component's limited momentum flux and update along
+    ``axis``, from the node fluxes and masses."""
+    na = nx if axis == 0 else ny
+    nt = ny if axis == 0 else nx
+
+    def w(arr, a0, t0, sa, st):
+        """Window with (advection-axis, transverse-axis) offsets/sizes."""
+        if axis == 0:
+            return win(arr, a0, t0, sa, st)
+        return win(arr, t0, a0, st, sa)
+
+    st = nt + 1
+    t0 = g
 
     # -- limited advected velocity and momentum flux on dual faces -1 .. na ------
     sa = na + 2

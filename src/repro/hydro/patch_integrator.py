@@ -31,7 +31,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank
     from ..mesh.patch import Patch
 
-__all__ = ["CleverleafPatchIntegrator", "NonResidentGpuPatchIntegrator"]
+__all__ = ["CleverleafPatchIntegrator", "NonResidentGpuPatchIntegrator",
+           "CHUNK_BYTES"]
+
+#: A bucket sweep runs its kernel over chunks of the stack: the most
+#: patches whose largest one-operand frame fits this many bytes (at least
+#: one patch), so a kernel phase's ten or so live operands stay near one
+#: core's L2 instead of streaming the whole stack through memory.
+#: Measured on an Intel Xeon (2 MiB L2 per core) over one-level stacks of
+#: 48^2, 96^2 and 192^2 patches, 256 KiB was the fastest budget for all
+#: three; 32 KiB and below split 8^2-patch buckets and slowed them
+#: (EXPERIMENTS.md, "Chunked bucket sweeps").
+CHUNK_BYTES = 256 << 10
+
+
+def _chunk_patches(operands, count: int) -> int:
+    """Patches per chunk of a sweep over ``count`` patches whose operand
+    patch data are ``operands``: the most whose largest frame fits
+    :data:`CHUNK_BYTES`, at least one and at most ``count``."""
+    if count == 1:
+        return 1
+    frame = max(pds[0].nbytes for pds in operands)
+    return max(1, min(count, CHUNK_BYTES // frame))
 
 
 def _per_step(dt) -> StepParams:
@@ -74,8 +95,10 @@ class CleverleafPatchIntegrator:
         operand arrays in ``names`` order; it is called with the unit's
         frames (:func:`~repro.exec.backend.stacked_of`): one patch's frame
         arrays, or a bucket's stacked ``(n, f0, f1)`` arena views, which
-        the slab-polymorphic kernels sweep in one NumPy op.  ``elements``
-        is per patch.
+        the slab-polymorphic kernels sweep one chunk of patches at a time
+        (:data:`CHUNK_BYTES`; patches in a stack are independent, so the
+        chunks need no halo and change no bit).  ``elements`` is per
+        patch.
 
         ``ghost_reads`` names the operands whose ghost regions the stencil
         reaches (validated against halo-fill stamps under ``--sanitize``);
@@ -83,7 +106,8 @@ class CleverleafPatchIntegrator:
         its out-of-interior values are *derived from* (EOS over the frame),
         so the written field inherits their halo stamps.  ``combine``
         reduces the units' kernel results when launches are fused
-        (``--batch``): the CFL min.
+        (``--batch``): the CFL min, which also combines a chunked
+        sweep's chunk results.
         """
         backend = self._backend(unit, rank)
         count = len(unit.patches)
@@ -98,8 +122,15 @@ class CleverleafPatchIntegrator:
                     ("propagate", pd, list(src_pds)) for pd, *src_pds in zip(
                         unit.fields(dst), *(unit.fields(s) for s in srcs)))
 
+        chunk = _chunk_patches(operands, count)
+
         def body():
-            return fn(*(stacked_of(pds) for pds in operands))
+            frames = [stacked_of(pds) for pds in operands]
+            if chunk == count:
+                return fn(*frames)
+            parts = [fn(*(f[lo:lo + chunk] for f in frames))
+                     for lo in range(0, count, chunk)]
+            return combine(parts) if combine is not None else None
 
         if self.sink is None:
             return backend.run(kernel, count * elements, body,
@@ -272,21 +303,32 @@ class CleverleafPatchIntegrator:
 
     def advec_mom(self, patch, rank, direction: int, sweep_number: int,
                   which_vel: int):
+        """Advect one velocity component.
+
+        The driver launches ``which_vel=1`` right after ``which_vel=0``
+        over the same direction and sweep, with nothing writing
+        ``density1`` or the fluxes in between, so the second launch reuses
+        the volumes, node fluxes and node masses the first one wrote (and
+        declares the ones it loads as reads).  Both stay charged in full.
+        """
         nx, ny, g, dx, dy = self._geom(patch)
         vel_name = "xvel1" if which_vel == 0 else "yvel1"
         names = (vel_name, "density1", "vol_flux_x", "vol_flux_y",
                  "mass_flux_x", "mass_flux_y", "node_flux", "node_mass_post",
                  "node_mass_pre", "mom_flux", "pre_vol", "post_vol")
+        reuse = which_vel == 1
 
         def fn(vel, d1, vfx, vfy, mfx, mfy, nf, nmpost, nmpre, mf,
                pre, post):
             K.advec_mom(direction, sweep_number, vel, d1, vfx, vfy, mfx, mfy,
                         nf, nmpost, nmpre, mf, pre, post, nx, ny, g, dx, dy,
-                        ws=self.workspace)
+                        ws=self.workspace, reuse=reuse)
 
         mass_flux = "mass_flux_x" if direction == 0 else "mass_flux_y"
         self._run(patch, rank, "hydro.advec_mom", (nx + 1) * (ny + 1), fn,
-                  names, reads=names[1:6],
+                  names, reads=names[1:6] + (
+                      ("node_flux", "node_mass_post", "node_mass_pre")
+                      if reuse else ()),
                   writes=(vel_name, "node_flux", "node_mass_post",
                           "node_mass_pre", "mom_flux", "pre_vol", "post_vol"),
                   ghost_reads=(vel_name, "density1", "vol_flux_x",

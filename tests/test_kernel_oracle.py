@@ -11,10 +11,15 @@ zeros of both signs, values below ``G_SMALL`` — and every operand frame
 rewritten kernels share one workspace across a sequence of calls, which
 starts out filled with NaN, so a buffer read before it is written would
 show.  A ragged level (buckets of two patch shapes) swept through the
-patch integrator checks the same through the path ``--batch`` runs.
+patch integrator checks the same through the path ``--batch`` runs, and
+a bucket split into chunks (``CHUNK_BYTES``) must match it unsplit.
+``advec_mom`` for the second velocity component, reusing the node terms
+the first one wrote, must match two recomputing calls.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from hypothesis import strategies as st
 import kernel_oracle as oracle
 from repro.comm.simcomm import make_communicator
 from repro.hydro import kernels as K
+from repro.hydro import patch_integrator as PI
 from repro.hydro.fields import declare_fields
 from repro.hydro.patch_integrator import CleverleafPatchIntegrator
 from repro.mesh.box import Box
@@ -292,7 +298,9 @@ _KERNELS = ("ideal_gas", "viscosity", "calc_dt", "pdv", "accelerate",
 
 
 def _without_ws(fn):
-    def call(*args, ws=None, **kwargs):
+    """``fn`` called as the kernels are, minus the execution-only keywords:
+    the oracle recomputes everything on every call."""
+    def call(*args, ws=None, reuse=False, **kwargs):
         return fn(*args, **kwargs)
     return call
 
@@ -306,31 +314,147 @@ def test_ragged_bucket_sweeps_match_the_oracle(seed, monkeypatch):
     levels = [_ragged_level(widths, 6) for _ in range(2)]
     for level, _comm in levels:
         assert sorted(len(b.patches) for b in level.buckets) == [2, 3]
-        rng = np.random.default_rng(seed)
-        for patch in level:
-            for name in patch.data_names():
-                pd = patch.data(name)
-                shape = tuple(pd.get_ghost_box().shape())
-                values = rng.uniform(0.5, 2.0, size=shape)
-                if "flux" in name or "vel" in name:
-                    values = rng.uniform(-0.02, 0.02, size=shape)
-                pd.from_host(values)
+        _randomise(level, seed)
     dts = []
     for (level, comm), module in zip(levels, (oracle, K)):
-        pi = CleverleafPatchIntegrator()
         if module is oracle:
-            for name in _KERNELS:
-                monkeypatch.setattr(K, name, _without_ws(getattr(oracle, name)))
-        for name, kwargs in _STEP:
-            for bucket in level.buckets:
-                out = getattr(pi, name)(bucket, comm.rank(0), **kwargs)
-                if name == "calc_dt":
-                    dts.append(out)
+            _use_oracle_kernels(monkeypatch)
+        dts.append(_sweep_step(level, comm))
         monkeypatch.undo()
-    half = len(dts) // 2
-    assert dts[:half] == dts[half:]
-    want, got = (levels[0][0], levels[1][0])
+    assert dts[0] == dts[1]
+    _assert_levels_bitwise(levels[0][0], levels[1][0])
+
+
+def _randomise(level, seed):
+    """The same pseudo-random frames on every call with ``seed``."""
+    rng = np.random.default_rng(seed)
+    for patch in level:
+        for name in patch.data_names():
+            pd = patch.data(name)
+            shape = tuple(pd.get_ghost_box().shape())
+            values = rng.uniform(0.5, 2.0, size=shape)
+            if "flux" in name or "vel" in name:
+                values = rng.uniform(-0.02, 0.02, size=shape)
+            pd.from_host(values)
+
+
+def _use_oracle_kernels(monkeypatch):
+    for name in _KERNELS:
+        monkeypatch.setattr(K, name, _without_ws(getattr(oracle, name)))
+
+
+def _sweep_step(level, comm):
+    """Sweep ``_STEP`` bucket by bucket through one integrator; the CFL
+    results, in order."""
+    pi = CleverleafPatchIntegrator()
+    dts = []
+    for name, kwargs in _STEP:
+        for bucket in level.buckets:
+            out = getattr(pi, name)(bucket, comm.rank(0), **kwargs)
+            if name == "calc_dt":
+                dts.append(out)
+    return dts
+
+
+def _assert_levels_bitwise(want, got):
     for pa, pb in zip(want, got):
         for field in pa.data_names():
             assert np.array_equal(pa.data(field).data.array.view(np.int64),
                                   pb.data(field).data.array.view(np.int64)), field
+
+
+# -- chunked bucket sweeps ----------------------------------------------------------
+
+def _split_in_pairs(monkeypatch, level):
+    """Set the chunk budget to two of ``level``'s largest patch frames,
+    which every kernel's operands split into chunks of two patches."""
+    patch = level.patches[0]
+    frames = [patch.data(name).nbytes for name in patch.data_names()]
+    assert 3 * min(frames) > 2 * max(frames)
+    monkeypatch.setattr(PI, "CHUNK_BYTES", 2 * max(frames))
+
+
+def _recording(fn, sizes):
+    """``fn``, noting how many patches each call's operands stack."""
+    def call(*args, **kwargs):
+        sizes.append(next(a.shape[0] for a in args
+                          if isinstance(a, np.ndarray)))
+        return fn(*args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chunked_sweeps_match_one_chunk_and_the_oracle(seed, monkeypatch):
+    """A bucket of five patches swept in chunks of 2 + 2 + 1 leaves every
+    field, and every dt, bitwise as the one-chunk sweep and the oracle
+    kernels do."""
+    levels = [_ragged_level((5,) * 5, 6) for _ in range(3)]
+    for level, _comm in levels:
+        assert [len(b.patches) for b in level.buckets] == [5]
+        _randomise(level, seed)
+    (oracle_level, oracle_comm), (whole, whole_comm), (split, split_comm) \
+        = levels
+    _use_oracle_kernels(monkeypatch)
+    want = _sweep_step(oracle_level, oracle_comm)
+    monkeypatch.undo()
+    assert _sweep_step(whole, whole_comm) == want
+    _split_in_pairs(monkeypatch, split)
+    sizes = []
+    for name in _KERNELS:
+        monkeypatch.setattr(K, name, _recording(getattr(K, name), sizes))
+    assert _sweep_step(split, split_comm) == want
+    assert sizes == [2, 2, 1] * len(_STEP)
+    _assert_levels_bitwise(oracle_level, whole)
+    _assert_levels_bitwise(oracle_level, split)
+
+
+def test_chunked_calc_dt_is_the_exact_min_and_keeps_a_nan(monkeypatch):
+    """``calc_dt`` over chunks is exactly the one-chunk minimum, and a NaN
+    in the last chunk alone -- where Python's ``min`` would drop it --
+    is the result."""
+    level, comm = _ragged_level((5,) * 5, 6)
+    _randomise(level, 3)
+    (bucket,) = level.buckets
+    pi = CleverleafPatchIntegrator()
+    whole = pi.calc_dt(bucket, comm.rank(0))
+    _split_in_pairs(monkeypatch, level)
+    assert pi.calc_dt(bucket, comm.rank(0)) == whole
+    per_patch = [pi.calc_dt(p, comm.rank(0)) for p in level]
+    assert whole == min(per_patch)
+    pd = level.patches[-1].data("density0")
+    frame = pd.to_host()
+    frame[G + 1, G + 1] = np.nan
+    pd.from_host(frame)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(pi.calc_dt(bucket, comm.rank(0)))
+
+
+# -- advec_mom's shared terms --------------------------------------------------------
+
+@pytest.mark.parametrize("signs", ("mixed", "zero"))
+@pytest.mark.parametrize("stack", [0, 3])
+@pytest.mark.parametrize("sweep", [1, 2])
+@pytest.mark.parametrize("direction", [0, 1])
+def test_second_velocity_reuses_the_first_ones_terms(direction, sweep, stack,
+                                                     signs):
+    """Advecting x then y velocity, the second call reusing the volumes,
+    node fluxes and node masses the first one wrote, leaves every frame
+    bitwise as two fully recomputing calls (and the oracle) do -- on one
+    patch and on a stacked bucket."""
+    state = _state(direction + 2 * sweep, stack, 7, 5, signs)
+    state["yvel1"] = np.random.default_rng(stack).standard_normal(
+        state["vel1"].shape)
+    runs = {mode: {k: v.copy() for k, v in state.items()}
+            for mode in ("oracle", "full", "reuse")}
+    for mode, a in runs.items():
+        ws = _poisoned_workspace()
+        for which, vel in enumerate(("vel1", "yvel1")):
+            operands = [a[vel]] + [a[n] for n in MOM_OPERANDS[1:]]
+            if mode == "oracle":
+                oracle.advec_mom(direction, sweep, *operands,
+                                 7, 5, G, DX, DY)
+            else:
+                K.advec_mom(direction, sweep, *operands, 7, 5, G, DX, DY,
+                            ws=ws, reuse=mode == "reuse" and which == 1)
+    _assert_bitwise(runs["oracle"], runs["full"], "full")
+    _assert_bitwise(runs["oracle"], runs["reuse"], "reuse")

@@ -43,8 +43,9 @@ from repro.gpu.device import K20X, Device
 from repro.hydro import kernels as K
 from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.fields import declare_fields
+from repro.hydro import patch_integrator as PI
 from repro.hydro.patch_integrator import CleverleafPatchIntegrator
-from repro.hydro.problems import SodProblem
+from repro.hydro.problems import SodProblem, TriplePointProblem
 from repro.mesh.box import Box
 from repro.mesh.geometry import CartesianGridGeometry
 from repro.mesh.patch_level import PatchLevel
@@ -252,6 +253,7 @@ _STEP = (
     ("advec_mom", dict(direction=0, sweep_number=1, which_vel=0)),
     ("advec_mom", dict(direction=0, sweep_number=1, which_vel=1)),
     ("advec_cell", dict(direction=1, sweep_number=2)),
+    ("advec_mom", dict(direction=1, sweep_number=2, which_vel=0)),
     ("advec_mom", dict(direction=1, sweep_number=2, which_vel=1)),
     ("reset_field", {}),
 )
@@ -538,3 +540,44 @@ def test_run_calls_per_step_are_sweeps_times_buckets(monkeypatch):
         buckets = sum(len(level.buckets) for level in levels)
         assert 0 < buckets < patches
         assert len(calls) == 15 * (buckets if batch else patches)
+
+
+# -- chunked bucket sweeps --------------------------------------------------------
+
+#: the small-patch benchmark configurations (and their other-seed
+#: resolutions): many small patches, kernels a small share of the step
+_SMALL_PATCH_RUNS = {
+    "sod_small_patches": lambda ny: RunConfig(
+        problem=SodProblem((64, ny)), max_levels=3, max_patch_size=8,
+        execution=ExecutionPolicy(batch=True), max_steps=6),
+    "tp_regrid_every_step": lambda nx: RunConfig(
+        problem=TriplePointProblem((nx, 24)), max_levels=3,
+        max_patch_size=16, execution=ExecutionPolicy(batch=True),
+        regrid=RegridPolicy(interval=1), max_steps=6),
+}
+
+
+@pytest.mark.parametrize("name, size", [
+    ("sod_small_patches", 64), ("sod_small_patches", 63),
+    ("tp_regrid_every_step", 56), ("tp_regrid_every_step", 55),
+    ("tp_regrid_every_step", 57)])
+def test_small_patch_buckets_are_swept_in_one_chunk(name, size, monkeypatch):
+    """Chunking a bucket costs a NumPy call per operand per chunk, which
+    small patches cannot repay: every sweep launch of these runs, across
+    their regrids, is exactly one chunk."""
+    chunks = []
+    chunk_patches = PI._chunk_patches
+
+    def counting(operands, count):
+        chunk = chunk_patches(operands, count)
+        chunks.append((count, -(-count // chunk)))
+        return chunk
+
+    monkeypatch.setattr(PI, "_chunk_patches", counting)
+    session = RunSession(_SMALL_PATCH_RUNS[name](size))
+    try:
+        session.advance(6)
+    finally:
+        session.close()
+    assert {n for _, n in chunks} == {1}
+    assert max(count for count, _ in chunks) > 8   # buckets were stacked

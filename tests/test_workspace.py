@@ -25,9 +25,11 @@ from repro.api import ExecutionPolicy, RunConfig, RunSession, SodProblem
 from repro.comm.simcomm import make_communicator
 from repro.hydro import kernels as K
 from repro.hydro.integrator import SimulationError
+from repro.hydro.patch_integrator import CHUNK_BYTES
 from repro.util import nan_min
 
-#: one level of four 192 x 192 patches, swept as one stacked bucket
+#: one level of four 192 x 192 patches, one stacked bucket swept a patch
+#: at a time
 N, PATCH = 384, 192
 
 
@@ -106,8 +108,10 @@ def test_steady_step_allocates_less_than_one_frame(monkeypatch):
         ws = session.sim.patch_integrator.workspace
         assert ws.nbytes == max(carves)
         # the largest carve is advec_cell's flux phase: 8 float and 3
-        # mask buffers over the faces of the stacked bucket
-        faces = 4 * (PATCH + 1) * PATCH
+        # mask buffers over the faces of one chunk of the bucket, which
+        # is one patch (a frame of 192^2 is past the chunk budget)
+        assert (PATCH + 4) ** 2 * 8 > CHUNK_BYTES
+        faces = (PATCH + 1) * PATCH
         assert ws.nbytes == faces * (8 * 8 + 3)
     finally:
         session.close()
