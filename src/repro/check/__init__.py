@@ -13,17 +13,19 @@ Nothing in the core framework verifies either claim; this package does:
   task DAG that reports undeclared accesses and DAG-concurrent conflicts.
 * :mod:`repro.check.context` — the process-wide activation switch and the
   seam-scope marker host-side device-data touches are validated against.
-* :mod:`repro.check.lint` — the static AST seam lint enforcing the
-  backend seam and the declaration discipline at every kernel call site
-  (``repro check --lint``).
-* :mod:`repro.check.effects` / :mod:`repro.check.dispatch` /
-  :mod:`repro.check.layers` / :mod:`repro.check.static` — the
-  whole-program analyzer behind ``repro check --static``: per-kernel
-  load/store/ghost-read inference from the AST, resolution of every
-  dispatch site with declared-vs-inferred comparison (under-declarations
-  are latent races, over-declarations phantom DAG edges), the declared
-  module-layering DAG with import-cycle detection, and waiver hygiene
-  with text/JSON/SARIF output (DESIGN.md §13).
+* :mod:`repro.check.static` — ``repro check``: reads, parses and walks
+  each file once and runs every static rule on that one walk, with one
+  finding type, one waiver pass and text/JSON/SARIF output
+  (DESIGN.md §13).  The rules live in :mod:`repro.check.lint` (the seam
+  lint enforcing the backend seam and the declaration discipline at
+  every kernel call site, reported by ``--lint``),
+  :mod:`repro.check.effects` / :mod:`repro.check.dispatch` (per-kernel
+  load/store/ghost-read inference over a closed kernel language, and
+  resolution of every dispatch site with declared-vs-inferred
+  comparison: under-declarations are latent races, over-declarations
+  phantom DAG edges, a kernel outside the language an unresolved site)
+  and :mod:`repro.check.layers` (the declared module-layering DAG with
+  import-cycle detection, and the one import resolver).
 
 Everything here is observation-only: with a checker active the simulation
 produces bitwise-identical fields (enforced by tests), and with no checker

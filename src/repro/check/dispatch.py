@@ -25,27 +25,34 @@ at one of three levels:
   analyzable kernel module; the declaration's presence and shape are
   checked (the lint ``decl`` rule), effects are not compared.
 
-A site that fits none of these is **unresolved** and is itself a
-finding — the coverage contract is that ``repro check --static`` leaves
-zero unresolved sites in ``src/repro`` (asserted by tests).
+A site bound to a kernel that leaves the effect analyzer's closed
+language (:mod:`repro.check.effects`) is **unresolved**, and so is one
+whose kernel call passes a field operand by keyword: both are findings
+(``dispatch-unresolved``) — the coverage contract is that ``repro check
+--static`` leaves zero unresolved sites in ``src/repro`` (asserted by
+tests).
 
-Field names bind symbolically: a declaration ``reads=(dname, ename)``
-against a body ``K.ideal_gas(a[dname], a[ename], ...)`` matches on the
-*variable* ``dname`` (whose constant alternatives the evaluator also
-records), so predictor/corrector name-swapping needs no special cases.
-The integrator funnel states its kernel over positional operand arrays
-— ``self._run(..., fn, names, ...)`` with ``def fn(d, e, ...)`` — so
-there ``fn``'s i-th parameter binds to the i-th entry of ``names``.
+Field names bind by value: a body ``K.axpy(a["alpha"], a["beta"], ...)``
+binds each parameter to the constant field name it subscripts.  The
+integrator funnel states its kernel over positional operand arrays —
+``self._run(..., fn, names, ...)`` with ``def fn(d, e, ...)`` — so there
+``fn``'s i-th parameter binds to the i-th entry of ``names``, which may
+be a predictor/corrector *symbol* (``dname``, whose constant
+alternatives the evaluator records) matched against the same symbol in
+the declaration, so name-swapping needs no special cases.
+
+The checker's one walk (:mod:`repro.check.static`) feeds a
+:class:`Scanner` every import and call of a file.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-from .effects import CONDITIONAL, DEFINITE, analyze_path
+from .effects import CONDITIONAL, DEFINITE
 
-__all__ = ["Site", "DeclFinding", "scan_paths", "KERNEL_PREFIXES"]
+__all__ = ["Site", "Scanner", "KERNEL_PREFIXES", "FULL", "DELEGATED",
+           "PARTIAL", "UNRESOLVED"]
 
 KERNEL_PREFIXES = ("hydro.", "pdat.", "geom.", "regrid.")
 #: declaration keywords whose presence marks a ``.run()`` dispatch site
@@ -58,21 +65,6 @@ FULL = "full"
 DELEGATED = "delegated"
 PARTIAL = "partial"
 UNRESOLVED = "unresolved"
-
-
-class DeclFinding:
-    """One declaration mismatch at a dispatch site."""
-
-    __slots__ = ("path", "line", "rule", "message")
-
-    def __init__(self, path, line, rule, message):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-    def __str__(self):
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
 class Site:
@@ -92,10 +84,6 @@ class Site:
                 "kind": self.kind, "kernel": self.kernel,
                 "level": self.level}
 
-    def __repr__(self):
-        return (f"Site({self.path}:{self.line} {self.kind} "
-                f"{self.kernel or '<forwarded>'} [{self.level}])")
-
 
 # -- declaration evaluation ---------------------------------------------------
 # decl entries are (key, flag) where key is ("str", fieldname) for a
@@ -107,7 +95,12 @@ class _Delegated(Exception):
 
 
 class _Operands(Exception):
-    """Declaration holds live operand objects, not names."""
+    """Declaration holds live operand objects, not names (or the body
+    binds no analyzable kernel call)."""
+
+
+class _Unresolved(Exception):
+    """The body's kernel call cannot be analyzed."""
 
 
 def _const_str(node):
@@ -115,13 +108,20 @@ def _const_str(node):
         and isinstance(node.value, str) else None
 
 
+def _over_param(node, params) -> bool:
+    """Is ``node`` a comprehension over one of ``params``?"""
+    return isinstance(node, (ast.ListComp, ast.GeneratorExp)) \
+        and isinstance(node.generators[0].iter, ast.Name) \
+        and node.generators[0].iter.id in params
+
+
 class _FuncEnv:
-    """Constant/symbol bindings of one enclosing function."""
+    """Tuple/symbol bindings of one enclosing function."""
 
     def __init__(self, fnode: ast.FunctionDef | None):
-        self.consts: dict[str, object] = {}   # name -> tuple entries | str
-        self.syms: dict[str, tuple] = {}      # name -> constant alternatives
-        self.passthrough: set[str] = set()    # locals derived from params
+        self.consts: dict[str, ast.expr] = {}  # name -> tuple display
+        self.syms: dict[str, tuple] = {}       # name -> constant alternatives
+        self.passthrough: set[str] = set()     # locals derived from params
         self.params: set[str] = set()
         if fnode is None:
             return
@@ -149,182 +149,68 @@ class _FuncEnv:
                                 self.syms[t.id] = alts
 
     def _bind(self, name: str, value):
-        s = _const_str(value)
-        if s is not None:
-            self.consts[name] = s
-            return
         if isinstance(value, (ast.Tuple, ast.List)):
             self.consts[name] = value
-            return
-        if isinstance(value, ast.IfExp):
+        elif isinstance(value, ast.IfExp):
             alts = (_const_str(value.body), _const_str(value.orelse))
             if all(a is not None for a in alts):
                 self.syms[name] = alts
-                return
-        if isinstance(value, (ast.ListComp, ast.GeneratorExp)):
-            it = value.generators[0].iter
-            if isinstance(it, ast.Name) and it.id in self.params:
-                self.passthrough.add(name)
-            return
-        if isinstance(value, ast.Call):
-            # union_pds(m.reads for m in members) and friends: an
-            # aggregation over a declaration-carrying parameter is a
-            # passthrough, not a fresh declaration
-            for a in value.args:
-                if isinstance(a, (ast.ListComp, ast.GeneratorExp)):
-                    it = a.generators[0].iter
-                    if isinstance(it, ast.Name) and it.id in self.params:
-                        self.passthrough.add(name)
-                        return
+        # union_pds(m.reads for m in members) and friends: an aggregation
+        # over a declaration-carrying parameter is a passthrough, not a
+        # fresh declaration
+        elif _over_param(value, self.params) or isinstance(value, ast.Call) \
+                and any(_over_param(a, self.params) for a in value.args):
+            self.passthrough.add(name)
 
 
 def _eval_decl(node, env: _FuncEnv, flag=DEFINITE) -> list[tuple]:
-    """Evaluate a declaration expression to [(key, flag), ...]."""
+    """Evaluate a declaration expression to [(key, flag), ...]; tuples
+    (and names bound to tuples) splice."""
     if node is None:
         return []
-    if isinstance(node, ast.Constant):
-        if node.value is None:
-            return []
-        if isinstance(node.value, str):
-            return [(("str", node.value), flag)]
-        raise _Operands
+    s = _const_str(node)
+    if s is not None:
+        return [(("str", s), flag)]
     if isinstance(node, (ast.Tuple, ast.List)):
-        out = []
-        for e in node.elts:
-            out.extend(_eval_decl_element(e, env, flag))
-        return out
+        return [entry for e in node.elts for entry in _eval_decl(e, env, flag)]
     if isinstance(node, ast.Name):
-        if node.id in env.passthrough or node.id in env.params:
-            raise _Delegated
-        bound = env.consts.get(node.id)
-        if isinstance(bound, (ast.Tuple, ast.List)):
-            return _eval_decl(bound, env, flag)
         if node.id in env.syms:
             return [(("sym", node.id), flag)]
+        if node.id in env.passthrough or node.id in env.params:
+            raise _Delegated
+        if node.id in env.consts:
+            return _eval_decl(env.consts[node.id], env, flag)
         raise _Operands
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
         return (_eval_decl(node.left, env, flag)
                 + _eval_decl(node.right, env, flag))
-    if isinstance(node, ast.Subscript):
-        base = _eval_decl(node.value, env, flag)
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+        def part(p):
+            if p is None:
+                return None
+            if isinstance(p, ast.Constant) and isinstance(p.value, int):
+                return p.value
+            raise _Operands
         sl = node.slice
-        if isinstance(sl, ast.Constant) and isinstance(sl.value, int):
-            return [base[sl.value]]
-        if isinstance(sl, ast.Slice):
-            def part(p):
-                if p is None:
-                    return None
-                if isinstance(p, ast.Constant) and isinstance(p.value, int):
-                    return p.value
-                raise _Operands
-            return base[slice(part(sl.lower), part(sl.upper),
-                              part(sl.step))]
-        raise _Operands
+        return _eval_decl(node.value, env, flag)[
+            slice(part(sl.lower), part(sl.upper), part(sl.step))]
     if isinstance(node, ast.IfExp):
         return (_eval_decl(node.body, env, CONDITIONAL)
                 + _eval_decl(node.orelse, env, CONDITIONAL))
     if isinstance(node, ast.Attribute):
         raise _Delegated
-    if isinstance(node, ast.Call):
-        fn = node.func
-        name = fn.id if isinstance(fn, ast.Name) else None
-        if name in ("list", "tuple", "sorted") and node.args:
-            return _eval_decl(node.args[0], env, flag)
-        raise _Operands
-    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-        if len(node.generators) == 1 \
-                and isinstance(node.generators[0].iter, ast.Name) \
-                and node.generators[0].iter.id in env.params:
-            raise _Delegated
-        raise _Operands
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in ("list", "tuple", "sorted") and node.args:
+        return _eval_decl(node.args[0], env, flag)
     raise _Operands
 
 
-def _eval_decl_element(node, env: _FuncEnv, flag) -> list[tuple]:
-    """One element inside a tuple display (a single name, not a splice
-    — unless it resolves to a tuple, which is spliced)."""
-    s = _const_str(node)
-    if s is not None:
-        return [(("str", s), flag)]
-    if isinstance(node, ast.Name):
-        if node.id in env.syms:
-            return [(("sym", node.id), flag)]
-        bound = env.consts.get(node.id)
-        if isinstance(bound, str):
-            return [(("str", bound), flag)]
-        if isinstance(bound, (ast.Tuple, ast.List)):
-            return _eval_decl(bound, env, flag)
-        if node.id in env.passthrough or node.id in env.params:
-            raise _Delegated
-        raise _Operands
-    if isinstance(node, ast.IfExp):
-        return (_eval_decl_element(node.body, env, CONDITIONAL)
-                + _eval_decl_element(node.orelse, env, CONDITIONAL))
-    if isinstance(node, ast.Starred):
-        return _eval_decl(node.value, env, flag)
-    return _eval_decl(node, env, flag)
-
-
-# -- import resolution for kernel-module binding ------------------------------
-
-def _resolve_module_path(file_path: Path, level: int,
-                         dotted: list[str]) -> Path | None:
-    """Filesystem path of an imported module, if it exists."""
-    if level > 0:
-        base = file_path.parent
-        for _ in range(level - 1):
-            base = base.parent
-    else:
-        if not dotted or dotted[0] != "repro":
-            return None
-        parts = list(file_path.parts)
-        if "repro" not in parts:
-            return None
-        i = len(parts) - 1 - parts[::-1].index("repro")
-        base = Path(*parts[:i + 1])
-        dotted = dotted[1:]
-    for part in dotted:
-        base = base / part
-    if base.with_suffix(".py").is_file():
-        return base.with_suffix(".py")
-    if (base / "__init__.py").is_file():
-        return base / "__init__.py"
-    return None
-
-
-def _kernel_imports(tree: ast.Module, file_path: Path):
-    """(module aliases, function aliases) importing analyzable modules."""
-    mods: dict[str, Path] = {}
-    funcs: dict[str, tuple[Path, str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            dotted = node.module.split(".") if node.module else []
-            if node.module is None:
-                # from . import kernels as K
-                for alias in node.names:
-                    p = _resolve_module_path(file_path, node.level,
-                                             [alias.name])
-                    if p is not None:
-                        mods[alias.asname or alias.name] = p
-            else:
-                p = _resolve_module_path(file_path, node.level, dotted)
-                if p is not None and p.name != "__init__.py":
-                    for alias in node.names:
-                        funcs[alias.asname or alias.name] = (p, alias.name)
-                elif node.level > 0 or dotted[:1] == ["repro"]:
-                    # from .hydro import kernels (module-as-name)
-                    for alias in node.names:
-                        sub = _resolve_module_path(
-                            file_path, node.level, dotted + [alias.name])
-                        if sub is not None:
-                            mods[alias.asname or alias.name] = sub
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                dotted = alias.name.split(".")
-                p = _resolve_module_path(file_path, 0, dotted)
-                if p is not None:
-                    mods[alias.asname or dotted[-1]] = p
-    return mods, funcs
+def _field_key(arg, operands: dict):
+    """('str', field) / ('sym', var) for a patch-field argument."""
+    if isinstance(arg, ast.Name):
+        return operands.get(arg.id)
+    s = _const_str(arg.slice) if isinstance(arg, ast.Subscript) else None
+    return None if s is None else ("str", s)
 
 
 # -- site scanning ------------------------------------------------------------
@@ -342,173 +228,133 @@ def _decl_exprs(node: ast.Call, kind: str) -> dict:
     kw = {k.arg: k.value for k in node.keywords if k.arg is not None}
     out = {"reads": kw.get("reads"), "writes": kw.get("writes"),
            "ghost_reads": kw.get("ghost_reads")}
-    pos = {"batch_member": {"reads": 2, "writes": 3, "ghost_reads": 4}}
-    for name, i in pos.get(kind, {}).items():
-        if out[name] is None and len(node.args) > i:
-            out[name] = node.args[i]
+    if kind == "batch_member":
+        for i, name in enumerate(("reads", "writes", "ghost_reads"), 2):
+            if out[name] is None and len(node.args) > i:
+                out[name] = node.args[i]
     return out
 
 
-class _FileScanner:
-    def __init__(self, path: Path, tree: ast.Module):
+#: positional index of the launch body at each site kind
+_BODY_ARG = {"run": 2, "integrator_run": 4, "batch_member": 1}
+
+
+class Scanner:
+    """The dispatch sites of one file.
+
+    The checker's one walk passes every import's bindings to
+    :meth:`bind` and every call, with its enclosing function, to
+    :meth:`call`; :meth:`finish` resolves the candidate sites against
+    the whole file's imports.  ``module_effects(path)`` is the effect
+    summary table of a kernel module; ``flag(line, rule, message)``
+    reports.
+    """
+
+    def __init__(self, path, module_effects, flag):
         self.path = path
-        self.tree = tree
-        self.mods, self.funcs = _kernel_imports(tree, path)
-        self.sites: list[Site] = []
-        self.findings: list[DeclFinding] = []
-        self._parents: dict = {}
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                self._parents[child] = parent
+        self.module_effects = module_effects
+        self.flag = flag
+        self.mods = {}          # name -> source file of a bound module
+        self.calls: list = []   # (call, kind, kernel, enclosing function)
 
-    def _enclosing_function(self, node):
-        n = self._parents.get(node)
-        while n is not None and not isinstance(n, ast.FunctionDef):
-            n = self._parents.get(n)
-        return n
+    def bind(self, bindings) -> None:
+        for b in bindings:
+            if b.symbol is None and b.file is not None:
+                self.mods[b.name] = b.file
 
-    def scan(self):
-        for node in ast.walk(self.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            if isinstance(fn, ast.Attribute):
-                if fn.attr == "run":
-                    kernel = _kernel_name(node, 0)
-                    has_decl = any(k.arg in _DECL_KWARGS
-                                   for k in node.keywords)
-                    if kernel is not None or has_decl:
-                        self._site(node, "run", kernel)
-                elif fn.attr == "run_batched":
-                    self._site(node, "run_batched", _kernel_name(node, 0),
-                               forced_level=DELEGATED)
-                elif fn.attr == "_run" and _kernel_name(node, 2):
-                    self._site(node, "integrator_run",
-                               _kernel_name(node, 2))
-            elif isinstance(fn, ast.Name) and fn.id == "BatchMember":
-                self._site(node, "batch_member", None)
-        return self.sites, self.findings
+    def call(self, node: ast.Call, function) -> None:
+        fn = node.func
+        if isinstance(fn, ast.Attribute):
+            if fn.attr == "run":
+                kernel = _kernel_name(node, 0)
+                if kernel is not None or any(k.arg in _DECL_KWARGS
+                                             for k in node.keywords):
+                    self.calls.append((node, "run", kernel, function))
+            elif fn.attr == "run_batched":
+                self.calls.append((node, "run_batched",
+                                   _kernel_name(node, 0), function))
+            elif fn.attr == "_run" and _kernel_name(node, 2):
+                self.calls.append((node, "integrator_run",
+                                   _kernel_name(node, 2), function))
+        elif isinstance(fn, ast.Name) and fn.id == "BatchMember":
+            self.calls.append((node, "batch_member", None, function))
 
-    def _site(self, node: ast.Call, kind: str, kernel,
-              forced_level=None):
-        line = node.lineno
-        if forced_level is not None:
-            self.sites.append(Site(self.path, line, kind, kernel,
-                                   forced_level))
-            return
-        enclosing = self._enclosing_function(node)
-        env = _FuncEnv(enclosing)
-        exprs = _decl_exprs(node, kind)
+    def finish(self) -> list[Site]:
+        return [Site(self.path, node.lineno, kind, kernel,
+                     self._level(node, kind, kernel, function))
+                for node, kind, kernel, function in self.calls]
+
+    def _level(self, node: ast.Call, kind: str, kernel, function) -> str:
+        if kind == "run_batched":   # fused members: checked where built
+            return DELEGATED
+        env = _FuncEnv(function)
         decls, level = {}, FULL
-        for name, expr in exprs.items():
+        for name, expr in _decl_exprs(node, kind).items():
             try:
                 decls[name] = _eval_decl(expr, env)
             except _Delegated:
                 level = DELEGATED if level != PARTIAL else level
-                decls[name] = None
             except _Operands:
                 level = PARTIAL
-                decls[name] = None
-        if level == FULL:
-            bound = self._bind_body(node, kind, enclosing)
-            if bound is None:
-                # names resolved but the body has no analyzable kernel
-                # call — declarations checked for shape only
-                level = PARTIAL
-            else:
-                self._compare(node, kernel, decls, bound)
-        self.sites.append(Site(self.path, line, kind, kernel, level))
+        if level != FULL:
+            return level
+        try:
+            binding, eff = self._bind_body(node, kind, function, env)
+        except (_Delegated, _Operands):
+            # names resolved but the body has no analyzable kernel
+            # call — declarations checked for shape only
+            return PARTIAL
+        except _Unresolved:
+            self.flag(node.lineno, "dispatch-unresolved",
+                      f"could not resolve {kind} dispatch site "
+                      f"({kernel or 'forwarded kernel'}) — declarations "
+                      "unanalyzable")
+            return UNRESOLVED
+        self._compare(node.lineno, kernel, decls, binding, eff)
+        return FULL
 
     # -- body binding ----------------------------------------------------------
 
-    def _body_arg(self, node: ast.Call, kind: str):
-        index = {"run": 2, "integrator_run": 4, "batch_member": 1}.get(kind)
-        if index is not None and len(node.args) > index:
-            return node.args[index]
-        kw = {k.arg: k.value for k in node.keywords if k.arg}
-        return kw.get("body") or kw.get("fn")
-
-    def _bind_body(self, node: ast.Call, kind: str, enclosing):
-        """[(param, key, effects)] binding of the body's kernel call."""
-        body_expr = self._body_arg(node, kind)
-        body_def = None
-        if isinstance(body_expr, ast.Name) and enclosing is not None:
-            for sub in ast.walk(enclosing):
-                if isinstance(sub, ast.FunctionDef) \
-                        and sub.name == body_expr.id:
-                    body_def = sub
-                    break
-        elif isinstance(body_expr, ast.Lambda):
-            body_def = body_expr
+    def _bind_body(self, node: ast.Call, kind: str, function, env):
+        """``([(param, key)], effects)`` of the body's kernel call."""
+        i = _BODY_ARG[kind]
+        body = node.args[i] if len(node.args) > i else None
+        if not isinstance(body, ast.Name) or function is None:
+            raise _Operands
+        body_def = next((sub for sub in ast.walk(function)
+                         if isinstance(sub, ast.FunctionDef)
+                         and sub.name == body.id), None)
         if body_def is None:
-            return None
-        env = _FuncEnv(enclosing)
+            raise _Operands
         operands = {}
         if kind == "integrator_run" and len(node.args) > 5:
             # fn(d, e, ...) takes the arrays of names[0], names[1], ...
-            try:
-                keys = [key for key, _ in _eval_decl(node.args[5], env)]
-            except (_Delegated, _Operands):
-                keys = []
+            keys = [key for key, _ in _eval_decl(node.args[5], env)]
             operands = dict(zip((a.arg for a in body_def.args.args), keys))
         for call in ast.walk(body_def):
-            if not isinstance(call, ast.Call):
-                continue
             eff = self._kernel_effects(call)
             if eff is None:
                 continue
-            binding = []
-            for i, arg in enumerate(call.args):
-                if i >= len(eff.params):
-                    break
-                key = self._field_key(arg, env, operands)
-                if key is not None:
-                    binding.append((eff.params[i], key))
-            for kwarg in call.keywords:
-                if kwarg.arg in eff.params:
-                    key = self._field_key(kwarg.value, env, operands)
-                    if key is not None:
-                        binding.append((kwarg.arg, key))
+            if not eff.analyzable or any(
+                    _field_key(kw.value, operands) is not None
+                    for kw in call.keywords):
+                raise _Unresolved
+            binding = [(param, key)
+                       for param, arg in zip(eff.params, call.args)
+                       if (key := _field_key(arg, operands)) is not None]
             return binding, eff
-        return None
+        raise _Operands
 
-    def _kernel_effects(self, call: ast.Call):
-        fn = call.func
-        try:
-            if isinstance(fn, ast.Attribute) \
-                    and isinstance(fn.value, ast.Name) \
-                    and fn.value.id in self.mods:
-                return analyze_path(self.mods[fn.value.id]).get(fn.attr)
-            if isinstance(fn, ast.Name) and fn.id in self.funcs:
-                path, fname = self.funcs[fn.id]
-                return analyze_path(path).get(fname)
-        except (OSError, SyntaxError):
-            return None
-        return None
-
-    @staticmethod
-    def _field_key(arg, env: _FuncEnv, operands: dict):
-        """('str', field) / ('sym', var) for a patch-field argument."""
-        if isinstance(arg, ast.Name):
-            return operands.get(arg.id)
-        if isinstance(arg, ast.Subscript):
-            s = _const_str(arg.slice)
-            if s is not None:
-                return ("str", s)
-            if isinstance(arg.slice, ast.Name):
-                name = arg.slice.id
-                if name in env.syms:
-                    return ("sym", name)
-                bound = env.consts.get(name)
-                if isinstance(bound, str):
-                    return ("str", bound)
+    def _kernel_effects(self, call):
+        fn = call.func if isinstance(call, ast.Call) else None
+        if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) \
+                and fn.value.id in self.mods:
+            return self.module_effects(self.mods[fn.value.id]).get(fn.attr)
         return None
 
     # -- declaration vs effects ------------------------------------------------
 
-    def _compare(self, node: ast.Call, kernel, decls, bound):
-        binding, eff = bound
-        line = node.lineno
+    def _compare(self, line: int, kernel, decls, binding, eff):
         reads = dict(decls.get("reads") or [])
         writes = dict(decls.get("writes") or [])
         ghosts = dict(decls.get("ghost_reads") or [])
@@ -519,86 +365,60 @@ class _FileScanner:
             label = key[1] if key[0] == "str" else f"<{key[1]}>"
             if param in eff.loads and key not in reads \
                     and key not in ghosts:
-                self._flag(line, "decl-under-read",
-                           f"kernel '{kname}' reads '{label}' "
-                           f"({eff.loads[param]} in parameter "
-                           f"'{param}') but the site declares no read — "
-                           "a missing RAW edge (latent race)")
+                self.flag(line, "decl-under-read",
+                          f"kernel '{kname}' reads '{label}' "
+                          f"({eff.loads[param]} in parameter "
+                          f"'{param}') but the site declares no read — "
+                          "a missing RAW edge (latent race)")
             if param in eff.stores and key not in writes:
-                self._flag(line, "decl-under-write",
-                           f"kernel '{kname}' writes '{label}' "
-                           f"({eff.stores[param]} in parameter "
-                           f"'{param}') but the site declares no write — "
-                           "missing WAW/WAR edges (latent race)")
+                self.flag(line, "decl-under-write",
+                          f"kernel '{kname}' writes '{label}' "
+                          f"({eff.stores[param]} in parameter "
+                          f"'{param}') but the site declares no write — "
+                          "missing WAW/WAR edges (latent race)")
             if eff.ghost_loads.get(param) == DEFINITE \
                     and key not in ghosts:
-                self._flag(line, "decl-under-ghost",
-                           f"kernel '{kname}' reads the ghost region of "
-                           f"'{label}' (parameter '{param}') but the "
-                           "site declares no ghost_read — halo staleness "
-                           "would go unchecked")
+                self.flag(line, "decl-under-ghost",
+                          f"kernel '{kname}' reads the ghost region of "
+                          f"'{label}' (parameter '{param}') but the "
+                          "site declares no ghost_read — halo staleness "
+                          "would go unchecked")
         for key in reads:
             label = key[1] if key[0] == "str" else f"<{key[1]}>"
             param = by_key.get(key)
             if param is None:
-                self._flag(line, "decl-over-read",
-                           f"declared read of '{label}' is not an "
-                           f"operand of kernel '{kname}' — induces a "
-                           "phantom RAW edge from its last writer")
+                self.flag(line, "decl-over-read",
+                          f"declared read of '{label}' is not an "
+                          f"operand of kernel '{kname}' — induces a "
+                          "phantom RAW edge from its last writer")
             elif param not in eff.loads:
                 extra = (" (edge subsumed by this site's declared write)"
                          if key in writes else "")
-                self._flag(line, "decl-over-read",
-                           f"declared read of '{label}' is never loaded "
-                           f"by kernel '{kname}' — induces a phantom RAW "
-                           f"edge from the last writer of '{label}'"
-                           f"{extra}")
+                self.flag(line, "decl-over-read",
+                          f"declared read of '{label}' is never loaded "
+                          f"by kernel '{kname}' — induces a phantom RAW "
+                          f"edge from the last writer of '{label}'"
+                          f"{extra}")
         for key in writes:
             label = key[1] if key[0] == "str" else f"<{key[1]}>"
             param = by_key.get(key)
             if param is None:
-                self._flag(line, "decl-over-write",
-                           f"declared write of '{label}' is not an "
-                           f"operand of kernel '{kname}' — induces "
-                           "phantom WAW/WAR edges")
+                self.flag(line, "decl-over-write",
+                          f"declared write of '{label}' is not an "
+                          f"operand of kernel '{kname}' — induces "
+                          "phantom WAW/WAR edges")
             elif param not in eff.stores:
-                self._flag(line, "decl-over-write",
-                           f"declared write of '{label}' is never "
-                           f"stored by kernel '{kname}' — induces "
-                           "phantom WAW/WAR edges serializing against "
-                           f"every other access of '{label}'")
+                self.flag(line, "decl-over-write",
+                          f"declared write of '{label}' is never "
+                          f"stored by kernel '{kname}' — induces "
+                          "phantom WAW/WAR edges serializing against "
+                          f"every other access of '{label}'")
         for key in ghosts:
             label = key[1] if key[0] == "str" else f"<{key[1]}>"
             param = by_key.get(key)
             if param is not None and param in eff.loads \
                     and param not in eff.ghost_loads:
-                self._flag(line, "decl-over-ghost",
-                           f"declared ghost read of '{label}' never "
-                           "leaves the interior — forces a vacuous "
-                           "halo-fill ordering")
-
-    def _flag(self, line, rule, message):
-        self.findings.append(DeclFinding(self.path, line, rule, message))
-
-
-def scan_file(path: Path):
-    source = path.read_text()
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as e:
-        return [], [DeclFinding(path, e.lineno or 0, "parse", str(e))]
-    return _FileScanner(path, tree).scan()
-
-
-def scan_paths(paths):
-    """All dispatch sites and declaration findings under ``paths``."""
-    sites: list[Site] = []
-    findings: list[DeclFinding] = []
-    for root in paths:
-        root = Path(root)
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for f in files:
-            s, v = scan_file(f)
-            sites.extend(s)
-            findings.extend(v)
-    return sites, findings
+                self.flag(line, "decl-over-ghost",
+                          f"declared ghost read of '{label}' never "
+                          "leaves the interior — forces a vacuous "
+                          "halo-fill ordering")

@@ -3,7 +3,8 @@
 Given a module of NumPy kernels written in the :mod:`repro.hydro.kernels`
 style — plain functions over array parameters plus geometry scalars, with
 stencils expressed through the bounds-checked ``win(arr, i0, j0, n0, n1)``
-window helper — this module infers, per function and per parameter:
+window helper the module defines — this module infers, per function and
+per parameter:
 
 * **loads** — *upward-exposed* reads: the parameter's incoming value is
   consumed on some path before the function overwrites it.  A value read
@@ -18,7 +19,7 @@ window helper — this module infers, per function and per parameter:
   gathers, symbolic extents like ``g - ext``) are *conditional*.
 
 Each access carries a flag: ``"definite"`` (happens on every path) or
-``"conditional"`` (inside a branch or loop, through a branch-dependent
+``"conditional"`` (inside a branch, through a branch-dependent
 alias, or in a callee reached conditionally).  The dispatch checker
 (:mod:`repro.check.dispatch`) reports an under-declaration for any
 inferred access missing from a call site's ``reads=``/``writes=`` and an
@@ -33,6 +34,18 @@ tracked with path tags: after ``mf = mass_flux_x`` under ``direction ==
 0``, a later load through ``mf`` is killed by a store that happened on
 the *same* arm, but a store on one arm never kills a load on the other.
 
+The kernel language is closed.  Statements: expressions, assignments
+(to names, tuples and subscripts), augmented subscript assignments,
+``if``, ``for`` over a literal tuple (unrolled), ``return`` and local
+``def``.  Expressions: constants, names, tuples, lists, arithmetic,
+unary and boolean operators, comparisons (``==`` folds), conditional
+expressions, lambdas, calls, subscripts, slices and attributes.  A
+function that uses anything else — ``while``, ``match``, ``with``,
+comprehensions, a non-literal ``for`` — is *unanalyzable*
+(:attr:`FunctionEffects.analyzable` is false) rather than summarised
+with whatever loads and stores the analyzer happened to see, so a
+dispatch site that launches it reports itself unresolved.
+
 Approximations (all documented in DESIGN.md §13): stores are covering
 (a store kills subsequent loads of the whole parameter, matching the
 granularity of the declaration contract), early ``return`` does not cut
@@ -45,20 +58,23 @@ a covering store like a slice assignment).
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
 __all__ = [
     "DEFINITE", "CONDITIONAL", "FunctionEffects",
-    "analyze_source", "analyze_path",
+    "analyze_module", "analyze_source",
 ]
 
 DEFINITE = "definite"
 CONDITIONAL = "conditional"
 
 #: inlining limits — deep enough for kernels -> helpers -> local defs ->
-#: lambdas, shallow enough that pathological inputs terminate quickly
+#: lambdas; a kernel past them is unanalyzable
 _MAX_DEPTH = 12
 _MAX_UNROLL = 8
+
+
+class _Unanalyzable(Exception):
+    """The kernel steps outside the language this analyzer models."""
 
 
 def _promote(table: dict, name: str, flag: str) -> None:
@@ -69,7 +85,8 @@ def _promote(table: dict, name: str, flag: str) -> None:
 class FunctionEffects:
     """Inferred per-parameter access sets of one kernel function."""
 
-    __slots__ = ("name", "params", "loads", "stores", "ghost_loads")
+    __slots__ = ("name", "params", "loads", "stores", "ghost_loads",
+                 "analyzable")
 
     def __init__(self, name: str, params: list[str]):
         self.name = name
@@ -77,19 +94,9 @@ class FunctionEffects:
         self.loads: dict[str, str] = {}
         self.stores: dict[str, str] = {}
         self.ghost_loads: dict[str, str] = {}
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": list(self.params),
-            "loads": dict(self.loads),
-            "stores": dict(self.stores),
-            "ghost_loads": dict(self.ghost_loads),
-        }
-
-    def __repr__(self):
-        return (f"FunctionEffects({self.name}: loads={self.loads} "
-                f"stores={self.stores} ghosts={self.ghost_loads})")
+        #: false when the function leaves the kernel language; the
+        #: access sets are then meaningless
+        self.analyzable = True
 
 
 # -- abstract values ---------------------------------------------------------
@@ -139,22 +146,19 @@ def _linear(value):
 
 
 def _ghost_of_offset(lin) -> str | None:
-    """Ghost classification of one window start offset."""
-    if lin is None:
+    """Ghost classification of one window start offset: ``g + c`` is a
+    ghost read iff ``c < 0``; any other offset can't be placed vs g."""
+    if lin is None or lin[0] != 1:
         return CONDITIONAL
-    cg, cc = lin
-    if cg == 1:
-        return DEFINITE if cc < 0 else None
-    return CONDITIONAL  # absolute or scaled offset: can't place vs g
+    return DEFINITE if lin[1] < 0 else None
 
 
 class _Machine:
     """Abstract interpreter for one entry function."""
 
-    def __init__(self, module_scope: _Scope, entry_name: str):
+    def __init__(self, module_scope: _Scope):
         self.module_scope = module_scope
         self.effects: FunctionEffects | None = None
-        self.entry_name = entry_name
         # kills[param] = set of frozensets of path tags under which a
         # covering store happened; frozenset() = stored on every path
         self.kills: dict[str, set[frozenset]] = {}
@@ -249,30 +253,22 @@ class _Machine:
             right = self.eval(node.right, scope, chain, True)
             return self._binop(node.op, left, right)
         if isinstance(node, ast.UnaryOp):
-            v = self.eval(node.operand, scope, chain, True)
-            if isinstance(node.op, ast.USub):
-                lin = _linear(v)
-                if lin is not None:
-                    return ("lin", (-lin[0], -lin[1]))
-                if v is not None and v[0] == "const" and \
-                        isinstance(v[1], (int, float)):
-                    return ("const", -v[1])
-            if isinstance(node.op, ast.Not) and v is not None \
-                    and v[0] == "const":
-                return ("const", not v[1])
+            lin = _linear(self.eval(node.operand, scope, chain, True))
+            if isinstance(node.op, ast.USub) and lin is not None:
+                return ("lin", (-lin[0], -lin[1]))
             return None
         if isinstance(node, ast.Compare):
-            vals = [self.eval(node.left, scope, chain, True)]
-            vals += [self.eval(c, scope, chain, True)
-                     for c in node.comparators]
-            return self._fold_compare(node, vals)
+            vals = [self.eval(v, scope, chain, True)
+                    for v in (node.left, *node.comparators)]
+            # only ``a == b`` over two constants folds
+            if len(vals) == 2 and isinstance(node.ops[0], ast.Eq) \
+                    and all(v is not None and v[0] == "const"
+                            for v in vals):
+                return ("const", vals[0][1] == vals[1][1])
+            return None
         if isinstance(node, ast.BoolOp):
-            vals = [self.eval(v, scope, chain, True) for v in node.values]
-            if all(v is not None and v[0] == "const" for v in vals):
-                consts = [v[1] for v in vals]
-                res = (all(consts) if isinstance(node.op, ast.And)
-                       else any(consts))
-                return ("const", res)
+            for v in node.values:
+                self.eval(v, scope, chain, True)
             return None
         if isinstance(node, ast.IfExp):
             test = self.eval(node.test, scope, chain, True)
@@ -292,24 +288,11 @@ class _Machine:
         if isinstance(node, ast.Attribute):
             self.eval(node.value, scope, chain, use)
             return None
-        if isinstance(node, ast.Starred):
-            return self.eval(node.value, scope, chain, use)
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
-                             ast.DictComp)):
-            for gen in node.generators:
-                self.eval(gen.iter, scope, chain, True)
-            return None
         if isinstance(node, ast.Slice):
             for part in (node.lower, node.upper, node.step):
                 self.eval(part, scope, chain, True)
             return None
-        if isinstance(node, ast.JoinedStr):
-            return None
-        # anything else: evaluate children as uses, result unknown
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                self.eval(child, scope, chain, True)
-        return None
+        raise _Unanalyzable(node)
 
     @staticmethod
     def _binop(op, left, right):
@@ -318,43 +301,11 @@ class _Machine:
             if ll is not None and rl is not None:
                 sign = 1 if isinstance(op, ast.Add) else -1
                 return ("lin", (ll[0] + sign * rl[0], ll[1] + sign * rl[1]))
-            if isinstance(op, ast.Add) and left is not None \
-                    and right is not None and left[0] == right[0] == "tuple":
-                return ("tuple", left[1] + right[1])
-        if left is not None and right is not None \
-                and left[0] == right[0] == "const" \
+        if isinstance(op, ast.Mult) and left is not None \
+                and right is not None and left[0] == right[0] == "const" \
                 and isinstance(left[1], (int, float)) \
                 and isinstance(right[1], (int, float)):
-            try:
-                if isinstance(op, ast.Mult):
-                    return ("const", left[1] * right[1])
-                if isinstance(op, ast.FloorDiv):
-                    return ("const", left[1] // right[1])
-            except ZeroDivisionError:
-                return None
-        return None
-
-    @staticmethod
-    def _fold_compare(node, vals):
-        if len(vals) != 2 or any(v is None or v[0] != "const" for v in vals):
-            return None
-        a, b = vals[0][1], vals[1][1]
-        op = node.ops[0]
-        try:
-            if isinstance(op, ast.Eq):
-                return ("const", a == b)
-            if isinstance(op, ast.NotEq):
-                return ("const", a != b)
-            if isinstance(op, ast.Lt):
-                return ("const", a < b)
-            if isinstance(op, ast.Gt):
-                return ("const", a > b)
-            if isinstance(op, ast.LtE):
-                return ("const", a <= b)
-            if isinstance(op, ast.GtE):
-                return ("const", a >= b)
-        except TypeError:
-            return None
+            return ("const", left[1] * right[1])
         return None
 
     # -- calls ----------------------------------------------------------------
@@ -365,9 +316,9 @@ class _Machine:
             target = scope.lookup(node.func.id)
         if target is not None and target[0] == "winfn":
             return self._win_call(node, scope, chain)
-        if target is not None and target[0] == "func" \
-                and self.depth < _MAX_DEPTH \
-                and target[1] not in self.callstack:
+        if target is not None and target[0] == "func":
+            if self.depth >= _MAX_DEPTH or target[1] in self.callstack:
+                raise _Unanalyzable(node)
             return self._inline(target[1], target[2], node, scope, chain)
         # unknown callee: reads its array arguments and writes only an
         # ``out=`` operand (a NumPy ufunc's destination), after reading
@@ -392,8 +343,8 @@ class _Machine:
 
     def _win_call(self, node: ast.Call, scope: _Scope, chain):
         """``win(arr, i0, j0, n0, n1)`` -> window value with ghost flag."""
-        if not node.args:
-            return None
+        if len(node.args) < 3:
+            raise _Unanalyzable(node)
         base = self.eval(node.args[0], scope, chain, False)
         offs = [self.eval(a, scope, chain, False) for a in node.args[1:3]]
         ghost = None
@@ -406,11 +357,9 @@ class _Machine:
                 ghost = CONDITIONAL
 
         def wrap(value):
-            if value is None:
-                return None
-            if value[0] in ("param", "window"):
+            if value is not None and value[0] in ("param", "window"):
                 return ("window", value[1], ghost)
-            if value[0] == "either":
+            if value is not None and value[0] == "either":
                 _, if_id, alts = value
                 return ("either", if_id,
                         [(arm, wrap(v)) for arm, v in alts])
@@ -420,10 +369,11 @@ class _Machine:
 
     def _inline(self, fnode, defscope: _Scope, call: ast.Call,
                 scope: _Scope, chain):
-        """Run a local def / lambda / module helper with actuals bound."""
+        """Run a local def / lambda / module helper with positional
+        actuals bound (keyword arguments are outside the language)."""
+        if call.keywords:
+            raise _Unanalyzable(call)
         args = [self.eval(a, scope, chain, False) for a in call.args]
-        kwargs = {kw.arg: self.eval(kw.value, scope, chain, False)
-                  for kw in call.keywords if kw.arg is not None}
         fscope = _Scope(parent=defscope)
         fargs = fnode.args
         names = [a.arg for a in fargs.posonlyargs + fargs.args]
@@ -433,11 +383,6 @@ class _Machine:
         for name, dflt in zip(names[len(names) - len(defaults):], defaults):
             if name not in fscope.vars:
                 fscope.vars[name] = self.eval(dflt, defscope, chain, False)
-        for a in fargs.kwonlyargs:
-            names.append(a.arg)
-        for name, v in kwargs.items():
-            if name in names:
-                fscope.vars[name] = v
         self.depth += 1
         self.callstack.append(fnode)
         saved_returned = self.returned
@@ -463,12 +408,11 @@ class _Machine:
     def _subscript_load(self, node: ast.Subscript, scope: _Scope, chain):
         base = self.eval(node.value, scope, chain, False)
         idx = self.eval(node.slice, scope, chain, True)
-        if base is not None and base[0] == "tuple" and idx is not None:
-            if idx[0] == "const" and isinstance(idx[1], int):
-                try:
-                    return base[1][idx[1]]
-                except IndexError:
-                    return None
+        if base is not None and base[0] == "tuple" and idx is not None \
+                and idx[0] == "const" and isinstance(idx[1], int):
+            if not -len(base[1]) <= idx[1] < len(base[1]):
+                raise _Unanalyzable(node)
+            return base[1][idx[1]]
         # data access on parameter-backed storage
         self.maybe_load(base, chain)
         return None
@@ -488,78 +432,41 @@ class _Machine:
             value = self.eval(node.value, scope, chain, False)
             for target in node.targets:
                 self._assign(target, value, node.value, scope, chain)
-        elif isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                value = self.eval(node.value, scope, chain, False)
-                self._assign(node.target, value, node.value, scope, chain)
-        elif isinstance(node, ast.AugAssign):
+        elif isinstance(node, ast.AugAssign) \
+                and isinstance(node.target, ast.Subscript):
             self.eval(node.value, scope, chain, True)
-            if isinstance(node.target, ast.Subscript):
-                base = self.eval(node.target.value, scope, chain, False)
-                self.eval(node.target.slice, scope, chain, True)
-                self.maybe_store(base, chain, also_load=True)
-            elif isinstance(node.target, ast.Name):
-                v = scope.lookup(node.target.id)
-                self.maybe_load(v, chain)
-                scope.vars[node.target.id] = None
+            base = self.eval(node.target.value, scope, chain, False)
+            self.eval(node.target.slice, scope, chain, True)
+            self.maybe_store(base, chain, also_load=True)
         elif isinstance(node, ast.If):
             self._exec_if(node, scope, chain)
         elif isinstance(node, ast.For):
             self._exec_for(node, scope, chain)
-        elif isinstance(node, ast.While):
-            self.eval(node.test, scope, chain, True)
-            loop_tag = ("loop", self.fresh_id())
-            self.exec_block(node.body, scope, chain + (loop_tag,))
         elif isinstance(node, ast.Return):
             v = self.eval(node.value, scope, chain, False)
             if self.retstack:
                 self.retstack[-1].append(v)
             self.returned = True
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        elif isinstance(node, ast.FunctionDef):
             scope.vars[node.name] = ("func", node, scope)
-        elif isinstance(node, ast.Assert):
-            self.eval(node.test, scope, chain, True)
-        elif isinstance(node, ast.With):
-            for item in node.items:
-                self.eval(item.context_expr, scope, chain, True)
-            self.exec_block(node.body, scope, chain)
-        elif isinstance(node, ast.Try):
-            self.exec_block(node.body, scope, chain)
-            for handler in node.handlers:
-                tag = ("loop", self.fresh_id())
-                self.exec_block(handler.body, scope, chain + (tag,))
-            self.exec_block(node.finalbody, scope, chain)
-        elif isinstance(node, (ast.Pass, ast.Break, ast.Continue,
-                               ast.Raise, ast.Import, ast.ImportFrom,
-                               ast.Global, ast.Nonlocal, ast.Delete,
-                               ast.ClassDef)):
-            pass
-        else:  # unhandled statement kind: visit expressions as uses
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self.eval(child, scope, chain, True)
+        else:
+            raise _Unanalyzable(node)
 
     def _assign(self, target, value, value_node, scope: _Scope, chain):
         if isinstance(target, ast.Name):
             scope.vars[target.id] = value
         elif isinstance(target, (ast.Tuple, ast.List)):
-            elts = None
-            if value is not None and value[0] == "tuple":
+            # unpack a tuple display or an unknown value; unpacking an
+            # alias (a conditional tuple) is outside the language
+            n = len(target.elts)
+            if value is None:
+                elts = [None] * n
+            elif value[0] == "tuple" and len(value[1]) == n:
                 elts = value[1]
-            elif value is not None and value[0] == "either":
-                _, if_id, alts = value
-                if all(v is not None and v[0] == "tuple"
-                       and len(v[1]) == len(target.elts)
-                       for _, v in alts):
-                    elts = [("either", if_id,
-                             [(arm, v[1][i]) for arm, v in alts])
-                            for i in range(len(target.elts))]
-            if elts is not None and len(elts) == len(target.elts):
-                for t, v in zip(target.elts, elts):
-                    self._assign(t, v, None, scope, chain)
             else:
-                for t in target.elts:
-                    self._assign(t, None, None, scope, chain)
+                raise _Unanalyzable(target)
+            for t, v in zip(target.elts, elts):
+                self._assign(t, v, None, scope, chain)
         elif isinstance(target, ast.Subscript):
             base = self.eval(target.value, scope, chain, False)
             self.eval(target.slice, scope, chain, True)
@@ -568,7 +475,8 @@ class _Machine:
                 # the RHS was evaluated in alias (non-use) context; a
                 # subscript store consumes it, so record its loads now
                 self.maybe_load(value, chain)
-        # attribute targets: not parameter data, ignore
+        else:
+            raise _Unanalyzable(target)
 
     def _exec_if(self, node: ast.If, scope: _Scope, chain):
         test = self.eval(node.test, scope, chain, True)
@@ -606,33 +514,18 @@ class _Machine:
                              DEFINITE if not base else CONDITIONAL)
 
     def _exec_for(self, node: ast.For, scope: _Scope, chain):
-        unroll = None
-        if isinstance(node.iter, (ast.Tuple, ast.List)):
-            try:
-                vals = ast.literal_eval(node.iter)
-                if len(vals) <= _MAX_UNROLL:
-                    unroll = [("const", v) for v in vals]
-            except (ValueError, TypeError, SyntaxError):
-                unroll = None
-        elif isinstance(node.iter, ast.Call) \
-                and isinstance(node.iter.func, ast.Name) \
-                and node.iter.func.id == "range":
-            try:
-                vals = range(*[ast.literal_eval(a) for a in node.iter.args])
-                if len(vals) <= _MAX_UNROLL:
-                    unroll = [("const", v) for v in vals]
-            except (TypeError, ValueError, SyntaxError):
-                unroll = None
-        if unroll is not None and isinstance(node.target, ast.Name):
-            for v in unroll:
-                scope.vars[node.target.id] = v
-                self.exec_block(node.body, scope, chain)
-            return
-        self.eval(node.iter, scope, chain, True)
-        if isinstance(node.target, ast.Name):
-            scope.vars[node.target.id] = None
-        loop_tag = ("loop", self.fresh_id())
-        self.exec_block(node.body, scope, chain + (loop_tag,))
+        """A ``for`` over a short literal tuple, unrolled."""
+        try:
+            values = ast.literal_eval(node.iter)
+        except ValueError:
+            raise _Unanalyzable(node) from None
+        if not isinstance(node.iter, (ast.Tuple, ast.List)) \
+                or len(values) > _MAX_UNROLL or node.orelse \
+                or not isinstance(node.target, ast.Name):
+            raise _Unanalyzable(node)
+        for v in values:
+            scope.vars[node.target.id] = ("const", v)
+            self.exec_block(node.body, scope, chain)
 
     # -- entry -----------------------------------------------------------------
 
@@ -647,8 +540,8 @@ class _Machine:
         self.callstack.append(fnode)
         try:
             self.exec_block(fnode.body, scope, ())
-        finally:
-            self.callstack.pop()
+        except _Unanalyzable:
+            self.effects.analyzable = False
         return self.effects
 
 
@@ -665,30 +558,17 @@ def _module_scope(tree: ast.Module) -> _Scope:
                 and isinstance(node.targets[0], ast.Name) \
                 and isinstance(node.value, ast.Constant):
             scope.vars[node.targets[0].id] = ("const", node.value.value)
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if (alias.asname or alias.name) == "win":
-                    scope.vars["win"] = ("winfn",)
     return scope
+
+
+def analyze_module(tree: ast.Module) -> dict[str, FunctionEffects]:
+    """Effect summaries for every top-level function of a parsed module."""
+    scope = _module_scope(tree)
+    return {node.name: _Machine(scope).analyze(node) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name != "win"}
 
 
 def analyze_source(source: str,
                    filename: str = "<string>") -> dict[str, FunctionEffects]:
     """Effect summaries for every top-level function in ``source``."""
-    tree = ast.parse(source, filename=filename)
-    scope = _module_scope(tree)
-    out: dict[str, FunctionEffects] = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name != "win":
-            out[node.name] = _Machine(scope, node.name).analyze(node)
-    return out
-
-
-_path_cache: dict[Path, dict[str, FunctionEffects]] = {}
-
-
-def analyze_path(path) -> dict[str, FunctionEffects]:
-    path = Path(path).resolve()
-    if path not in _path_cache:
-        _path_cache[path] = analyze_source(path.read_text(), str(path))
-    return _path_cache[path]
+    return analyze_module(ast.parse(source, filename=filename))

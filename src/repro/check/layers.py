@@ -31,21 +31,25 @@ function creates no import-time coupling and is the sanctioned escape
 hatch (``cli`` pulls ``serve`` in lazily, for example).  Imports under
 ``if TYPE_CHECKING:`` are ignored entirely.
 
-On top of the layer rule, :func:`check_layers` detects **import
-cycles** at module granularity over the same top-level import graph,
-resolving ``from . import x as y`` aliasing and ``__init__``
-re-exports (``from repro.pdat import PatchData`` charges the module
-that defines ``PatchData``, not the package ``__init__``).
+On top of the layer rule, :func:`find_cycles` detects **import
+cycles** at module granularity over the same top-level import graph.
+Both see imports through :class:`ImportResolver`, which follows
+``from . import x as y`` aliasing and ``__init__`` re-exports (``from
+repro.pdat import PatchData`` charges the module that defines
+``PatchData``, not the package ``__init__``).  The checker's one walk
+(:mod:`repro.check.static`) calls :func:`check_import` on every import
+statement of a file.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
-    "LAYER_GROUPS", "SERVE_ALLOWED", "LayerFinding", "check_layers",
-    "module_name_for", "resolve_imports", "ImportResolver", "repo_root_of",
+    "LAYER_GROUPS", "SERVE_ALLOWED", "Binding", "ImportResolver",
+    "check_import", "find_cycles", "module_name_for", "repro_parts",
 ]
 
 #: (height, group name, packages) — the whole layering DAG in one table
@@ -73,26 +77,21 @@ _PACKAGE_HEIGHT: dict[str, tuple[int, str]] = {
 }
 
 
-class LayerFinding:
-    __slots__ = ("path", "line", "rule", "message")
-
-    def __init__(self, path, line, rule, message):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-    def __str__(self):
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+def repro_parts(path: Path) -> tuple[Path | None, tuple[str, ...]]:
+    """``(directory containing the repro package, path parts from the
+    last 'repro' on)`` of a resolved path; ``(None, ())`` outside one."""
+    parts = path.parts
+    if "repro" not in parts:
+        return None, ()
+    i = len(parts) - 1 - parts[::-1].index("repro")
+    return Path(*parts[:i]), parts[i:]
 
 
 def module_name_for(path: Path) -> str | None:
-    """Dotted module name of a source file, rooted at ``repro``."""
-    parts = list(path.parts)
-    if "repro" not in parts:
+    """Dotted module name of a resolved source path, rooted at ``repro``."""
+    rel = list(repro_parts(path)[1])
+    if not rel:
         return None
-    i = len(parts) - 1 - parts[::-1].index("repro")
-    rel = parts[i:]
     if rel[-1].endswith(".py"):
         rel[-1] = rel[-1][:-3]
     if rel[-1] == "__init__" and len(rel) > 1:
@@ -109,205 +108,139 @@ def _top_package(dotted: str) -> str:
 
 # -- import resolution --------------------------------------------------------
 
-def _is_type_checking(test) -> bool:
-    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+class Binding(NamedTuple):
+    """One name an import binds: the module ``module`` itself (``symbol``
+    None) or its attribute ``symbol``; ``file`` is ``module``'s source
+    when it exists."""
 
-
-def _iter_import_nodes(body, top_level=True, type_checking=False):
-    """Yield (node, top_level, type_checking) for every import statement."""
-    for stmt in body:
-        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            yield stmt, top_level, type_checking
-        elif isinstance(stmt, ast.If):
-            tc = type_checking or _is_type_checking(stmt.test)
-            yield from _iter_import_nodes(stmt.body, top_level, tc)
-            yield from _iter_import_nodes(stmt.orelse, top_level,
-                                          type_checking)
-        elif isinstance(stmt, ast.Try):
-            for blk in (stmt.body, stmt.orelse, stmt.finalbody):
-                yield from _iter_import_nodes(blk, top_level, type_checking)
-            for handler in stmt.handlers:
-                yield from _iter_import_nodes(handler.body, top_level,
-                                              type_checking)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            yield from _iter_import_nodes(stmt.body, False, type_checking)
-        elif isinstance(stmt, ast.With):
-            yield from _iter_import_nodes(stmt.body, top_level,
-                                          type_checking)
-
+    name: str
+    module: str
+    symbol: str | None
+    file: Path | None
 
 class ImportResolver:
-    """Resolves import statements to repro module names, following
-    ``from . import x as y`` aliasing and ``__init__`` re-exports."""
+    """Resolves import statements to the modules they bind, following
+    ``from . import x as y`` aliasing and ``__init__`` re-exports.
 
-    def __init__(self, repo_root: Path):
-        self.repo_root = repo_root  # directory CONTAINING the repro package
-        self._reexport_cache: dict[str, dict[str, str]] = {}
+    ``load(path)`` returns the checker's one parse of a file; package
+    ``__init__`` re-export tables are built from it once per run.
+    """
 
-    def _module_file(self, dotted: str) -> Path | None:
-        base = self.repo_root.joinpath(*dotted.split("."))
+    def __init__(self, load):
+        self.load = load
+        self._reexports: dict[Path, dict[str, tuple[str, str]]] = {}
+
+    @staticmethod
+    def module_file(root: Path, dotted: str) -> Path | None:
+        base = root.joinpath(*dotted.split("."))
         if base.with_suffix(".py").is_file():
             return base.with_suffix(".py")
         if (base / "__init__.py").is_file():
             return base / "__init__.py"
         return None
 
-    def _is_package(self, dotted: str) -> bool:
-        p = self._module_file(dotted)
-        return p is not None and p.name == "__init__.py"
+    def _reexport(self, init: Path, pkg: str, name: str):
+        """(defining submodule, its name for ``name``) of a package
+        ``__init__`` re-export, or None."""
+        if init not in self._reexports:
+            tree = self.load(init).tree
+            self._reexports[init] = {
+                alias.asname or alias.name: (f"{pkg}.{node.module}",
+                                             alias.name)
+                for node in (tree.body if tree else ())
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module is not None
+                for alias in node.names}
+        return self._reexports[init].get(name)
 
-    def _reexports(self, pkg: str) -> dict[str, str]:
-        """name -> defining submodule, from a package ``__init__``."""
-        if pkg in self._reexport_cache:
-            return self._reexport_cache[pkg]
-        table: dict[str, str] = {}
-        init = self._module_file(pkg)
-        if init is not None and init.name == "__init__.py":
-            try:
-                tree = ast.parse(init.read_text(), filename=str(init))
-            except SyntaxError:
-                tree = ast.Module(body=[], type_ignores=[])
-            for node in tree.body:
-                if isinstance(node, ast.ImportFrom) and node.level == 1 \
-                        and node.module is not None:
-                    target = f"{pkg}.{node.module}"
-                    for alias in node.names:
-                        table[alias.asname or alias.name] = target
-        self._reexport_cache[pkg] = table
-        return table
+    def bindings(self, node, path: Path) -> list[Binding]:
+        """The names one import statement in the file at resolved
+        ``path`` binds.
 
-    def resolve(self, node, modname: str):
-        """Target repro modules of one import statement.
-
-        Returns a list of dotted module names under ``repro``; each
-        imported name is charged to the module that defines it (a
-        package ``__init__`` re-export redirects to the submodule).
+        Absolute imports resolve only under ``repro``, from a file inside
+        a repro package; relative ones resolve from any file (outside a
+        repro package, the file's directory is its package).
         """
-        targets: list[str] = []
+        root, rel = repro_parts(path)
+        in_repro = root is not None
+        if not in_repro:
+            root, rel = path.parent.parent, path.parts[-2:]
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "repro" or alias.name.startswith("repro."):
-                    targets.append(alias.name)
-            return targets
-        # ImportFrom
+            return [Binding(alias.asname or alias.name.split(".")[0],
+                            alias.name, None,
+                            self.module_file(root, alias.name))
+                    for alias in node.names
+                    if in_repro and alias.name.split(".")[0] == "repro"]
+        package = rel[:-1]
         if node.level > 0:
-            base_parts = modname.split(".")
-            # drop the module leaf, then one package per extra level
-            is_pkg = self._is_package(modname)
-            drop = node.level - 1 if is_pkg else node.level
-            if drop >= len(base_parts):
-                return targets
-            base = ".".join(base_parts[:len(base_parts) - drop]
-                            if drop else base_parts)
+            if node.level > len(package):
+                return []
+            base = ".".join(package[:len(package) - node.level + 1])
             dotted = f"{base}.{node.module}" if node.module else base
         else:
             dotted = node.module or ""
-        if not (dotted == "repro" or dotted.startswith("repro.")):
-            return targets
+            if not in_repro or dotted.split(".")[0] != "repro":
+                return []
+        source = self.module_file(root, dotted)
+        out = []
         for alias in node.names:
+            name = alias.asname or alias.name
             sub = f"{dotted}.{alias.name}"
-            if self._module_file(sub) is not None:
-                targets.append(sub)          # from pkg import submodule
-            elif self._is_package(dotted):
-                targets.append(              # __init__ re-export redirect
-                    self._reexports(dotted).get(alias.name, dotted))
-            else:
-                targets.append(dotted)       # plain symbol from a module
-        return targets
-
-
-def resolve_imports(path: Path, tree: ast.Module, repo_root: Path):
-    """Every repro-internal import in a module.
-
-    Yields ``(node, target, top_level)`` where ``target`` is the dotted
-    repro module charged with the dependency.
-    """
-    modname = module_name_for(path)
-    if modname is None:
-        return
-    resolver = ImportResolver(repo_root)
-    for node, top_level, type_checking in _iter_import_nodes(tree.body):
-        if type_checking:
-            continue
-        for target in resolver.resolve(node, modname):
-            yield node, target, top_level
+            sub_file = self.module_file(root, sub)
+            if sub_file is not None:               # from pkg import module
+                out.append(Binding(name, sub, None, sub_file))
+            elif source is not None and source.name == "__init__.py" \
+                    and self._reexport(source, dotted, alias.name):
+                module, symbol = self._reexport(source, dotted, alias.name)
+                out.append(Binding(name, module, symbol,
+                                   self.module_file(root, module)))
+            else:                                  # a name from a module
+                out.append(Binding(name, dotted, alias.name, source))
+        return out
 
 
 # -- the checks ---------------------------------------------------------------
 
-def repo_root_of(root: Path) -> Path:
-    """Directory containing the ``repro`` package, given a scan root."""
-    parts = list(root.resolve().parts)
-    if "repro" in parts:
-        i = len(parts) - 1 - parts[::-1].index("repro")
-        return Path(*parts[:i])
-    return root.resolve()
-
-
-def check_layers(root: Path):
-    """Layer violations and import cycles under ``root``.
-
-    Returns ``(findings, graph)`` where ``graph`` maps each scanned
-    module to the repro modules its top-level imports reach (useful for
-    tests and tooling).
-    """
-    root = Path(root).resolve()
-    repo_root = repo_root_of(root)
-    findings: list[LayerFinding] = []
-    graph: dict[str, dict[str, tuple[Path, int]]] = {}
-    files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-    for path in files:
-        modname = module_name_for(path)
-        if modname is None:
+def check_import(node, path, modname: str, targets, top_level: bool,
+                 edges: dict, flag) -> None:
+    """The layer rule on one import (not under ``TYPE_CHECKING``) of
+    module ``modname`` that reaches the repro modules ``targets``: a
+    top-level import adds ``target -> (path, line)`` to the module's
+    import-graph ``edges``; ``flag(line, rule, message)`` reports."""
+    src_pkg = _top_package(modname)
+    for target in targets:
+        dst_pkg = _top_package(target)
+        if top_level and target != modname:
+            edges.setdefault(target, (path, node.lineno))
+        if not top_level or dst_pkg == src_pkg:
             continue
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except SyntaxError as e:
-            findings.append(LayerFinding(path, e.lineno or 0, "parse",
-                                         str(e)))
+        if src_pkg == "serve":
+            if dst_pkg not in SERVE_ALLOWED:
+                flag(node.lineno, "layer",
+                     f"serve-layer import of repro.{dst_pkg} — the "
+                     "service enters simulations only through the "
+                     "'repro.api' facade")
             continue
-        src_pkg = _top_package(modname)
-        edges = graph.setdefault(modname, {})
-        for node, target, top_level in resolve_imports(path, tree,
-                                                       repo_root):
-            dst_pkg = _top_package(target)
-            if top_level and target != modname:
-                edges.setdefault(target, (path, node.lineno))
-            if not top_level or dst_pkg == src_pkg:
-                continue
-            if src_pkg == "serve":
-                if dst_pkg not in SERVE_ALLOWED:
-                    findings.append(LayerFinding(
-                        path, node.lineno, "layer",
-                        f"serve-layer import of repro.{dst_pkg} — the "
-                        "service enters simulations only through the "
-                        "'repro.api' facade"))
-                continue
-            src = _PACKAGE_HEIGHT.get(src_pkg)
-            dst = _PACKAGE_HEIGHT.get(dst_pkg)
-            if src is None or dst is None:
-                missing = src_pkg if src is None else dst_pkg
-                findings.append(LayerFinding(
-                    path, node.lineno, "layer",
-                    f"package '{missing}' is not in the declared layer "
-                    "table (repro.check.layers.LAYER_GROUPS) — add it "
-                    "to a layer"))
-                continue
-            if dst[0] > src[0]:
-                findings.append(LayerFinding(
-                    path, node.lineno, "layer",
-                    f"{modname} (layer {src[1]}/{src[0]}) imports "
-                    f"repro.{dst_pkg} (layer {dst[1]}/{dst[0]}) — "
-                    "imports must not reach above their own layer"))
-    findings.extend(_find_cycles(graph))
-    return findings, graph
+        src = _PACKAGE_HEIGHT.get(src_pkg)
+        dst = _PACKAGE_HEIGHT.get(dst_pkg)
+        if src is None or dst is None:
+            missing = src_pkg if src is None else dst_pkg
+            flag(node.lineno, "layer",
+                 f"package '{missing}' is not in the declared layer "
+                 "table (repro.check.layers.LAYER_GROUPS) — add it "
+                 "to a layer")
+            continue
+        if dst[0] > src[0]:
+            flag(node.lineno, "layer",
+                 f"{modname} (layer {src[1]}/{src[0]}) imports "
+                 f"repro.{dst_pkg} (layer {dst[1]}/{dst[0]}) — "
+                 "imports must not reach above their own layer")
 
 
-def _find_cycles(graph) -> list[LayerFinding]:
-    """Tarjan SCCs over the top-level import graph; any SCC larger than
-    one module (or a self-loop) is a cycle finding."""
+def find_cycles(graph: dict, flag) -> None:
+    """Tarjan SCCs over the top-level import graph (module -> {target:
+    (path, line)}); ``flag(path, line, rule, message)`` reports any SCC
+    larger than one module (or a self-loop) as a cycle."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -358,7 +291,6 @@ def _find_cycles(graph) -> list[LayerFinding]:
         if v not in index:
             strongconnect(v)
 
-    findings = []
     for scc in sccs:
         is_cycle = len(scc) > 1 or (scc[0] in graph.get(scc[0], {}))
         if not is_cycle:
@@ -371,8 +303,6 @@ def _find_cycles(graph) -> list[LayerFinding]:
             if target in scc:
                 path, line = loc
                 break
-        findings.append(LayerFinding(
-            path, line, "layer-cycle",
-            "import cycle at module granularity: "
-            + " -> ".join(members + [members[0]])))
-    return findings
+        flag(path, line, "layer-cycle",
+             "import cycle at module granularity: "
+             + " -> ".join(members + [members[0]]))

@@ -225,7 +225,7 @@ def test_unknown_kwarg_raises():
 
 
 def _lint_source(tmp_path, relpath: str, source: str):
-    from repro.check.lint import lint_file
+    from repro.check.static import lint_file
 
     path = tmp_path / relpath
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -261,7 +261,7 @@ def test_lint_allows_api_imports_everywhere(tmp_path):
 
 def test_repo_callers_import_only_the_facade():
     """cli, benchmarks and examples are clean under the api rule."""
-    from repro.check.lint import lint_paths
+    from repro.check.static import lint_paths
 
     root = Path(__file__).resolve().parent.parent
     violations = [v for v in lint_paths(

@@ -25,7 +25,7 @@ from repro.check import (
     deactivate,
     seam_scope,
 )
-from repro.check.lint import lint_paths
+from repro.check.static import lint_paths
 from repro.gpu.device import K20X, Device
 from repro.gpu.pool import MemoryPool
 from repro.hydro.diagnostics import gather_level_field

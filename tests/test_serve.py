@@ -393,7 +393,7 @@ class TestServeLintRule:
     def _lint(tmp_path, source):
         import textwrap
 
-        from repro.check.lint import lint_file
+        from repro.check.static import lint_file
 
         path = tmp_path / "src" / "repro" / "serve" / "mod.py"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -428,7 +428,7 @@ class TestServeLintRule:
         from pathlib import Path
 
         import repro.serve
-        from repro.check.lint import lint_paths
+        from repro.check.static import lint_paths
 
         pkg = Path(repro.serve.__file__).parent
         assert lint_paths([pkg]) == []

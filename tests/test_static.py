@@ -10,15 +10,16 @@ fixed does not change the derived task-DAG edges.
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.check import dispatch, layers
+from repro.check import dispatch
 from repro.check.effects import CONDITIONAL, DEFINITE, analyze_source
-from repro.check.lint import parse_waiver
-from repro.check.static import check_main
+from repro.check.static import check_main, parse_waiver, run_checks
 from repro.sched import GraphBuilder, TaskKind
 
 KERNELS_PY = "src/repro/hydro/kernels.py"
@@ -159,6 +160,24 @@ def test_lambda_and_helper_inlining():
     assert "out" in eff.stores
 
 
+@pytest.mark.parametrize("body", [
+    "while n:\n    a[0:n] = 1.0",
+    "with ctx:\n    a[0:n] = 1.0",
+    "for i in range(n):\n    a[i] = 1.0",
+    "a[0:n] = [x for x in b]",
+    "a[0:n] = np.add(*b)",
+    "def h(x):\n    x[0:n] = 1.0\nh(x=a)",
+    "x, y = (a, b) if n else (b, a)\nx[0:n] = 1.0",
+])
+def test_kernel_outside_the_language_is_unanalyzable(body):
+    """Anything the analyzer does not model voids the whole summary
+    instead of dropping the accesses it could not see."""
+    eff = _effects("def k(a, b, n, ctx):\n"
+                   + textwrap.indent(body, "    ") + "\n")["k"]
+    assert not eff.analyzable
+    assert _effects("def k(a, n):\n    a[0:n] = 1.0\n")["k"].analyzable
+
+
 # -- real-kernel spot checks --------------------------------------------------
 
 def test_pdv_does_not_load_its_outputs():
@@ -187,7 +206,7 @@ def test_viscosity_reads_pressure_ghosts():
 # -- dispatch-site resolution over the real tree ------------------------------
 
 def test_every_dispatch_site_in_src_repro_is_resolved():
-    sites, findings = dispatch.scan_paths(["src/repro"])
+    findings, sites, _ = run_checks(["src/repro"], do_lint=False)
     levels = {}
     for s in sites:
         levels[s.level] = levels.get(s.level, 0) + 1
@@ -205,6 +224,27 @@ def test_repo_check_all_is_clean():
     assert check_main(["--all", "src/repro"]) == 0
 
 
+def test_each_file_is_read_and_parsed_once(monkeypatch):
+    """Every rule, the kernel effect analysis and the import resolver
+    share one read and one parse per file."""
+    files = sorted(Path("src/repro").rglob("*.py"))
+    parsed, read = [], []
+    parse, read_text = ast.parse, Path.read_text
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(Path(filename).resolve())
+        return parse(source, filename, *args, **kwargs)
+
+    def counting_read_text(self, *args, **kwargs):
+        read.append(self.resolve())
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    run_checks(["src/repro"])
+    assert sorted(parsed) == sorted(read) == sorted(f.resolve() for f in files)
+
+
 # -- injected mis-declarations caught statically ------------------------------
 
 @pytest.fixture
@@ -212,13 +252,32 @@ def synthetic_pkg(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "kernels.py").write_text(textwrap.dedent("""
+        def win(arr, i0, j0, n0, n1):
+            return arr[..., i0:i0 + n0, j0:j0 + n1]
+
         def axpy(alpha, beta, n, g):
             beta[0:n] += alpha[0:n]
+
+        def smooth(alpha, beta, n, g):
+            w = win(beta, g, g, n, n)
+            w[...] = win(alpha, g - 1, g, n, n)
+
+        def pick(alpha, beta, n, g):
+            match n:
+                case 0:
+                    beta[0:n] = alpha[0:n]
     """))
     return pkg
 
 
-def _run_source(reads, writes):
+def _decls(reads, writes, ghost_reads):
+    text = f"reads={reads!r}, writes={writes!r}"
+    if ghost_reads is not None:
+        text += f", ghost_reads={ghost_reads!r}"
+    return text
+
+
+def _run_source(reads, writes, kernel="axpy", ghost_reads=None):
     """A ``backend.run`` site whose body subscripts a name -> array dict."""
     return textwrap.dedent(f"""
         from . import kernels as K
@@ -227,13 +286,13 @@ def _run_source(reads, writes):
             def go(self, backend, arrs, n, g):
                 def body():
                     a = arrs
-                    K.axpy(a["alpha"], a["beta"], n, g)
-                backend.run("hydro.axpy", n, body,
-                            reads={reads!r}, writes={writes!r})
+                    K.{kernel}(a["alpha"], a["beta"], n, g)
+                backend.run("hydro.{kernel}", n, body,
+                            {_decls(reads, writes, ghost_reads)})
     """)
 
 
-def _funnel_source(reads, writes):
+def _funnel_source(reads, writes, kernel="axpy", ghost_reads=None):
     """An integrator-funnel site: the kernel over positional operands."""
     return textwrap.dedent(f"""
         from . import kernels as K
@@ -243,9 +302,9 @@ def _funnel_source(reads, writes):
                 names = ("alpha", "beta")
 
                 def fn(a, b):
-                    K.axpy(a, b, n, g)
-                self._run(patch, rank, "hydro.axpy", n, fn, names, (n, g),
-                          reads={reads!r}, writes={writes!r})
+                    K.{kernel}(a, b, n, g)
+                self._run(patch, rank, "hydro.{kernel}", n, fn, names, (n, g),
+                          {_decls(reads, writes, ghost_reads)})
     """)
 
 
@@ -256,7 +315,7 @@ SOURCES = pytest.mark.parametrize("source", [_run_source, _funnel_source])
 def test_injected_underdeclared_read_is_caught(synthetic_pkg, source):
     (synthetic_pkg / "integ.py").write_text(
         source(reads=("beta",), writes=("beta",)))
-    sites, findings = dispatch.scan_paths([synthetic_pkg])
+    findings, sites, _ = run_checks([synthetic_pkg], do_lint=False)
     assert [s.level for s in sites] == [dispatch.FULL]
     rules = {f.rule for f in findings}
     assert "decl-under-read" in rules
@@ -267,7 +326,7 @@ def test_injected_underdeclared_read_is_caught(synthetic_pkg, source):
 def test_injected_overdeclared_read_names_phantom_edge(synthetic_pkg, source):
     (synthetic_pkg / "integ.py").write_text(
         source(reads=("alpha", "beta", "gamma"), writes=("beta",)))
-    sites, findings = dispatch.scan_paths([synthetic_pkg])
+    findings, sites, _ = run_checks([synthetic_pkg], do_lint=False)
     over = [f for f in findings if f.rule == "decl-over-read"]
     assert len(over) == 1 and "gamma" in over[0].message
     assert "phantom" in over[0].message
@@ -277,8 +336,64 @@ def test_injected_overdeclared_read_names_phantom_edge(synthetic_pkg, source):
 def test_correct_declaration_is_clean(synthetic_pkg, source):
     (synthetic_pkg / "integ.py").write_text(
         source(reads=("alpha", "beta"), writes=("beta",)))
-    _sites, findings = dispatch.scan_paths([synthetic_pkg])
+    findings, _sites, _ = run_checks([synthetic_pkg], do_lint=False)
     assert findings == []
+
+
+#: one mis-declaration per mismatch rule the tests above do not reach:
+#: (kernel, declarations, the one finding it must produce)
+MISDECLARED = pytest.mark.parametrize("kernel, decls, rule, message", [
+    ("axpy", {"reads": ("alpha", "beta"), "writes": ()},
+     "decl-under-write",
+     "kernel 'hydro.axpy' writes 'beta' (definite in parameter 'beta') "
+     "but the site declares no write — missing WAW/WAR edges (latent "
+     "race)"),
+    ("smooth", {"reads": ("alpha",), "writes": ("beta",)},
+     "decl-under-ghost",
+     "kernel 'hydro.smooth' reads the ghost region of 'alpha' (parameter "
+     "'alpha') but the site declares no ghost_read — halo staleness "
+     "would go unchecked"),
+    ("axpy", {"reads": ("alpha", "beta"), "writes": ("beta", "gamma")},
+     "decl-over-write",
+     "declared write of 'gamma' is not an operand of kernel 'hydro.axpy' "
+     "— induces phantom WAW/WAR edges"),
+    ("axpy", {"reads": ("alpha", "beta"), "writes": ("alpha", "beta")},
+     "decl-over-write",
+     "declared write of 'alpha' is never stored by kernel 'hydro.axpy' — "
+     "induces phantom WAW/WAR edges serializing against every other "
+     "access of 'alpha'"),
+    ("axpy", {"reads": ("alpha", "beta"), "writes": ("beta",),
+              "ghost_reads": ("alpha",)},
+     "decl-over-ghost",
+     "declared ghost read of 'alpha' never leaves the interior — forces "
+     "a vacuous halo-fill ordering"),
+])
+
+
+@SOURCES
+@MISDECLARED
+def test_injected_misdeclaration_is_caught(synthetic_pkg, source, kernel,
+                                           decls, rule, message):
+    (synthetic_pkg / "integ.py").write_text(source(kernel=kernel, **decls))
+    findings, sites, _ = run_checks([synthetic_pkg], do_lint=False)
+    assert [s.level for s in sites] == [dispatch.FULL]
+    assert [(f.rule, f.message) for f in findings] == [(rule, message)]
+
+
+@SOURCES
+@pytest.mark.parametrize("writes", [("beta",), ()])
+def test_kernel_outside_the_language_is_unresolved(synthetic_pkg, source,
+                                                   writes):
+    """``pick`` loads ``alpha`` and stores ``beta`` only inside a
+    ``match``, which the effect analyzer does not model: the site must
+    not bind to a kernel that seems to touch nothing (a correct
+    declaration would read as over-declared, and ``writes=()`` as
+    clean) but report itself unresolved."""
+    (synthetic_pkg / "integ.py").write_text(
+        source(reads=("alpha",), writes=writes, kernel="pick"))
+    findings, sites, _ = run_checks([synthetic_pkg], do_lint=False)
+    assert [s.level for s in sites] == [dispatch.UNRESOLVED]
+    assert [f.rule for f in findings] == ["dispatch-unresolved"]
 
 
 # -- layering -----------------------------------------------------------------
@@ -304,7 +419,7 @@ def test_layer_violation_flagged_and_lazy_import_exempt(tmp_path):
         "repro/hydro/__init__.py": "",
         "repro/hydro/thing.py": "",
     }, tmp_path)
-    findings, _ = layers.check_layers(root / "repro")
+    findings, _, _ = run_checks([root / "repro"], do_lint=False)
     assert len(findings) == 1
     assert findings[0].rule == "layer"
     assert "bad.py" in str(findings[0].path)
@@ -322,7 +437,7 @@ def test_serve_layer_resolves_aliased_and_reexported_imports(tmp_path):
         "repro/serve/good.py": "from .. import api\n",
         "repro/hydro/__init__.py": "",
     }, tmp_path)
-    findings, _ = layers.check_layers(root / "repro")
+    findings, _, _ = run_checks([root / "repro"], do_lint=False)
     assert len(findings) == 1
     assert "hydro" in findings[0].message
     assert "bad.py" in str(findings[0].path)
@@ -336,7 +451,7 @@ def test_init_reexport_charges_defining_module(tmp_path):
         "repro/mesh/__init__.py": "",
         "repro/mesh/user.py": "from ..pdat import Thing\n",
     }, tmp_path)
-    _, graph = layers.check_layers(root / "repro")
+    _, _, graph = run_checks([root / "repro"], do_lint=False)
     assert "repro.pdat.core" in graph["repro.mesh.user"]
 
 
@@ -347,7 +462,7 @@ def test_import_cycle_detected(tmp_path):
         "repro/mesh/a.py": "from . import b\n",
         "repro/mesh/b.py": "from . import a\n",
     }, tmp_path)
-    findings, _ = layers.check_layers(root / "repro")
+    findings, _, _ = run_checks([root / "repro"], do_lint=False)
     cycles = [f for f in findings if f.rule == "layer-cycle"]
     assert len(cycles) == 1
     assert "repro.mesh.a" in cycles[0].message
@@ -355,7 +470,7 @@ def test_import_cycle_detected(tmp_path):
 
 
 def test_repo_layering_is_clean():
-    findings, graph = layers.check_layers("src/repro")
+    findings, _, graph = run_checks(["src/repro"], do_lint=False)
     assert findings == []
     assert len(graph) > 50  # the whole tree was actually scanned
 
@@ -414,6 +529,15 @@ def test_waiver_round_trip(tmp_path, capsys):
     f.write_text('"""example: # samrcheck: ok"""\n')
     assert check_main(["--static", str(tmp_path / "repro")]) == 0
     capsys.readouterr()
+
+
+def test_parse_error_is_one_finding_in_every_mode(tmp_path, capsys):
+    bad = tmp_path / "repro" / "util" / "bad.py"
+    bad.parent.mkdir(parents=True)
+    bad.write_text("def f(:\n    x = (1,\n")
+    for mode in ("--all", "--lint", "--static"):
+        assert check_main([mode, str(bad)]) == 1
+        assert capsys.readouterr().out.count("[parse]") == 1
 
 
 # -- output formats -----------------------------------------------------------
