@@ -32,14 +32,18 @@ whose kernel call passes a field operand by keyword: both are findings
 --static`` leaves zero unresolved sites in ``src/repro`` (asserted by
 tests).
 
-Field names bind by value: a body ``K.axpy(a["alpha"], a["beta"], ...)``
-binds each parameter to the constant field name it subscripts.  The
+Field names bind symbolically: a declaration ``reads=(dname, ename)``
+against a body ``K.ideal_gas(a[dname], a[ename], ...)`` matches on the
+*variable* ``dname`` (whose constant alternatives the evaluator also
+records), so predictor/corrector name-swapping needs no special cases;
+a subscript by a constant or by a local bound to one binds that field
+name, and one by any other name leaves the site unresolved.  The
 integrator funnel states its kernel over positional operand arrays —
-``self._run(..., fn, names, ...)`` with ``def fn(d, e, ...)`` — so there
-``fn``'s i-th parameter binds to the i-th entry of ``names``, which may
-be a predictor/corrector *symbol* (``dname``, whose constant
-alternatives the evaluator records) matched against the same symbol in
-the declaration, so name-swapping needs no special cases.
+``self._run(..., fn, names, ...)`` with ``def fn(d, e, ...)`` — so
+there ``fn``'s i-th parameter binds to the i-th entry of ``names``.
+The body is a local ``def`` or a lambda, and the kernel is called as
+``K.name(...)`` through a module alias or ``name(...)`` through a
+function alias.
 
 The checker's one walk (:mod:`repro.check.static`) feeds a
 :class:`Scanner` every import and call of a file.
@@ -116,10 +120,10 @@ def _over_param(node, params) -> bool:
 
 
 class _FuncEnv:
-    """Tuple/symbol bindings of one enclosing function."""
+    """String/tuple/symbol bindings of one enclosing function."""
 
     def __init__(self, fnode: ast.FunctionDef | None):
-        self.consts: dict[str, ast.expr] = {}  # name -> tuple display
+        self.consts: dict[str, ast.expr] = {}  # name -> str or tuple display
         self.syms: dict[str, tuple] = {}       # name -> constant alternatives
         self.passthrough: set[str] = set()     # locals derived from params
         self.params: set[str] = set()
@@ -149,7 +153,8 @@ class _FuncEnv:
                                 self.syms[t.id] = alts
 
     def _bind(self, name: str, value):
-        if isinstance(value, (ast.Tuple, ast.List)):
+        if _const_str(value) is not None \
+                or isinstance(value, (ast.Tuple, ast.List)):
             self.consts[name] = value
         elif isinstance(value, ast.IfExp):
             alts = (_const_str(value.body), _const_str(value.orelse))
@@ -165,14 +170,16 @@ class _FuncEnv:
 
 def _eval_decl(node, env: _FuncEnv, flag=DEFINITE) -> list[tuple]:
     """Evaluate a declaration expression to [(key, flag), ...]; tuples
-    (and names bound to tuples) splice."""
-    if node is None:
+    (and names bound to tuples, and starred entries) splice."""
+    if node is None or isinstance(node, ast.Constant) and node.value is None:
         return []
     s = _const_str(node)
     if s is not None:
         return [(("str", s), flag)]
     if isinstance(node, (ast.Tuple, ast.List)):
         return [entry for e in node.elts for entry in _eval_decl(e, env, flag)]
+    if isinstance(node, ast.Starred):
+        return _eval_decl(node.value, env, flag)
     if isinstance(node, ast.Name):
         if node.id in env.syms:
             return [(("sym", node.id), flag)]
@@ -184,7 +191,9 @@ def _eval_decl(node, env: _FuncEnv, flag=DEFINITE) -> list[tuple]:
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
         return (_eval_decl(node.left, env, flag)
                 + _eval_decl(node.right, env, flag))
-    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+    if isinstance(node, ast.Subscript):
+        base = _eval_decl(node.value, env, flag)
+
         def part(p):
             if p is None:
                 return None
@@ -192,8 +201,12 @@ def _eval_decl(node, env: _FuncEnv, flag=DEFINITE) -> list[tuple]:
                 return p.value
             raise _Operands
         sl = node.slice
-        return _eval_decl(node.value, env, flag)[
-            slice(part(sl.lower), part(sl.upper), part(sl.step))]
+        if isinstance(sl, ast.Slice):
+            return base[slice(part(sl.lower), part(sl.upper), part(sl.step))]
+        i = part(sl)
+        if i is None or not -len(base) <= i < len(base):
+            raise _Operands
+        return [base[i]]
     if isinstance(node, ast.IfExp):
         return (_eval_decl(node.body, env, CONDITIONAL)
                 + _eval_decl(node.orelse, env, CONDITIONAL))
@@ -205,11 +218,21 @@ def _eval_decl(node, env: _FuncEnv, flag=DEFINITE) -> list[tuple]:
     raise _Operands
 
 
-def _field_key(arg, operands: dict):
-    """('str', field) / ('sym', var) for a patch-field argument."""
+def _field_key(arg, operands: dict, env: _FuncEnv):
+    """('str', field) / ('sym', var) for a patch-field argument: a body
+    parameter bound to a funnel operand, or a subscript by a field name,
+    a string local or a symbol.  A subscript by any other name could be
+    any field: the site is unresolved."""
     if isinstance(arg, ast.Name):
         return operands.get(arg.id)
-    s = _const_str(arg.slice) if isinstance(arg, ast.Subscript) else None
+    key = arg.slice if isinstance(arg, ast.Subscript) else None
+    if isinstance(key, ast.Name):
+        if key.id in env.syms:
+            return ("sym", key.id)
+        if _const_str(env.consts.get(key.id)) is None:
+            raise _Unresolved
+        key = env.consts[key.id]
+    s = _const_str(key)
     return None if s is None else ("str", s)
 
 
@@ -254,13 +277,13 @@ class Scanner:
         self.path = path
         self.module_effects = module_effects
         self.flag = flag
-        self.mods = {}          # name -> source file of a bound module
+        self.imports = {}       # name -> the layers.Binding importing it
         self.calls: list = []   # (call, kind, kernel, enclosing function)
 
     def bind(self, bindings) -> None:
         for b in bindings:
-            if b.symbol is None and b.file is not None:
-                self.mods[b.name] = b.file
+            if b.file is not None:
+                self.imports[b.name] = b
 
     def call(self, node: ast.Call, function) -> None:
         fn = node.func
@@ -318,12 +341,14 @@ class Scanner:
     def _bind_body(self, node: ast.Call, kind: str, function, env):
         """``([(param, key)], effects)`` of the body's kernel call."""
         i = _BODY_ARG[kind]
-        body = node.args[i] if len(node.args) > i else None
-        if not isinstance(body, ast.Name) or function is None:
-            raise _Operands
-        body_def = next((sub for sub in ast.walk(function)
-                         if isinstance(sub, ast.FunctionDef)
-                         and sub.name == body.id), None)
+        kw = {k.arg: k.value for k in node.keywords}
+        body = node.args[i] if len(node.args) > i \
+            else kw.get("body") or kw.get("fn")
+        body_def = body if isinstance(body, ast.Lambda) else None
+        if isinstance(body, ast.Name) and function is not None:
+            body_def = next((sub for sub in ast.walk(function)
+                             if isinstance(sub, ast.FunctionDef)
+                             and sub.name == body.id), None)
         if body_def is None:
             raise _Operands
         operands = {}
@@ -336,20 +361,27 @@ class Scanner:
             if eff is None:
                 continue
             if not eff.analyzable or any(
-                    _field_key(kw.value, operands) is not None
+                    _field_key(kw.value, operands, env) is not None
                     for kw in call.keywords):
                 raise _Unresolved
             binding = [(param, key)
                        for param, arg in zip(eff.params, call.args)
-                       if (key := _field_key(arg, operands)) is not None]
+                       if (key := _field_key(arg, operands, env)) is not None]
             return binding, eff
         raise _Operands
 
     def _kernel_effects(self, call):
+        """Effects of a call ``K.name(...)`` through a module alias or
+        ``name(...)`` through a function alias; None for any other."""
         fn = call.func if isinstance(call, ast.Call) else None
-        if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) \
-                and fn.value.id in self.mods:
-            return self.module_effects(self.mods[fn.value.id]).get(fn.attr)
+        if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name):
+            b = self.imports.get(fn.value.id)
+            if b is not None and b.symbol is None:
+                return self.module_effects(b.file).get(fn.attr)
+        elif isinstance(fn, ast.Name):
+            b = self.imports.get(fn.id)
+            if b is not None and b.symbol is not None:
+                return self.module_effects(b.file).get(b.symbol)
         return None
 
     # -- declaration vs effects ------------------------------------------------

@@ -3,8 +3,8 @@
 Given a module of NumPy kernels written in the :mod:`repro.hydro.kernels`
 style — plain functions over array parameters plus geometry scalars, with
 stencils expressed through the bounds-checked ``win(arr, i0, j0, n0, n1)``
-window helper the module defines — this module infers, per function and
-per parameter:
+window helper the module defines or imports — this module infers, per
+function and per parameter:
 
 * **loads** — *upward-exposed* reads: the parameter's incoming value is
   consumed on some path before the function overwrites it.  A value read
@@ -61,7 +61,7 @@ import ast
 
 __all__ = [
     "DEFINITE", "CONDITIONAL", "FunctionEffects",
-    "analyze_module", "analyze_source",
+    "analyze_module",
 ]
 
 DEFINITE = "definite"
@@ -515,12 +515,13 @@ class _Machine:
 
     def _exec_for(self, node: ast.For, scope: _Scope, chain):
         """A ``for`` over a short literal tuple, unrolled."""
+        if not isinstance(node.iter, (ast.Tuple, ast.List)):
+            raise _Unanalyzable(node)
         try:
             values = ast.literal_eval(node.iter)
-        except ValueError:
+        except (ValueError, TypeError):
             raise _Unanalyzable(node) from None
-        if not isinstance(node.iter, (ast.Tuple, ast.List)) \
-                or len(values) > _MAX_UNROLL or node.orelse \
+        if len(values) > _MAX_UNROLL or node.orelse \
                 or not isinstance(node.target, ast.Name):
             raise _Unanalyzable(node)
         for v in values:
@@ -546,7 +547,8 @@ class _Machine:
 
 
 def _module_scope(tree: ast.Module) -> _Scope:
-    """Top-level bindings: constants, function table, the win() helper."""
+    """Top-level bindings: constants, function table, the win() helper
+    (defined here or imported)."""
     scope = _Scope()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -558,6 +560,9 @@ def _module_scope(tree: ast.Module) -> _Scope:
                 and isinstance(node.targets[0], ast.Name) \
                 and isinstance(node.value, ast.Constant):
             scope.vars[node.targets[0].id] = ("const", node.value.value)
+        elif isinstance(node, ast.ImportFrom) \
+                and any((a.asname or a.name) == "win" for a in node.names):
+            scope.vars["win"] = ("winfn",)
     return scope
 
 
@@ -566,9 +571,3 @@ def analyze_module(tree: ast.Module) -> dict[str, FunctionEffects]:
     scope = _module_scope(tree)
     return {node.name: _Machine(scope).analyze(node) for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name != "win"}
-
-
-def analyze_source(source: str,
-                   filename: str = "<string>") -> dict[str, FunctionEffects]:
-    """Effect summaries for every top-level function in ``source``."""
-    return analyze_module(ast.parse(source, filename=filename))

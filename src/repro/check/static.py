@@ -54,9 +54,8 @@ from pathlib import Path
 from . import dispatch, layers, lint
 from .effects import analyze_module
 
-__all__ = ["Finding", "Source", "parse_waiver", "run_checks", "lint_paths",
-           "lint_file", "text_report", "structured_report", "check_main",
-           "main"]
+__all__ = ["Finding", "Source", "parse_waiver", "run_checks", "text_report",
+           "structured_report", "check_main", "main"]
 
 _SARIF_SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
@@ -272,15 +271,6 @@ def run_checks(paths, do_lint: bool = True, do_static: bool = True):
     findings.sort(key=lambda f: (str(f.path), f.line, f.rule))
     sites.sort(key=lambda s: (str(s.path), s.line))
     return findings, (sites if do_static else []), graph
-
-
-def lint_paths(paths) -> list[Finding]:
-    """The lint's unwaived findings (``repro check --lint``)."""
-    return run_checks(paths, do_static=False)[0]
-
-
-def lint_file(path) -> list[Finding]:
-    return lint_paths([path])
 
 
 # -- output -------------------------------------------------------------------

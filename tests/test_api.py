@@ -225,12 +225,12 @@ def test_unknown_kwarg_raises():
 
 
 def _lint_source(tmp_path, relpath: str, source: str):
-    from repro.check.static import lint_file
+    from repro.check.static import run_checks
 
     path = tmp_path / relpath
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    return lint_file(path)
+    return run_checks([path], do_static=False)[0]
 
 
 def test_lint_flags_app_import_everywhere(tmp_path):
@@ -261,10 +261,11 @@ def test_lint_allows_api_imports_everywhere(tmp_path):
 
 def test_repo_callers_import_only_the_facade():
     """cli, benchmarks and examples are clean under the api rule."""
-    from repro.check.static import lint_paths
+    from repro.check.static import run_checks
 
     root = Path(__file__).resolve().parent.parent
-    violations = [v for v in lint_paths(
-        [root / "benchmarks", root / "examples", root / "src" / "repro" / "cli.py"])
+    violations = [v for v in run_checks(
+        [root / "benchmarks", root / "examples", root / "src" / "repro" / "cli.py"],
+        do_static=False)[0]
         if v.rule == "api"]
     assert violations == []

@@ -25,7 +25,7 @@ from repro.check import (
     deactivate,
     seam_scope,
 )
-from repro.check.static import lint_paths
+from repro.check.static import run_checks
 from repro.gpu.device import K20X, Device
 from repro.gpu.pool import MemoryPool
 from repro.hydro.diagnostics import gather_level_field
@@ -237,6 +237,11 @@ def test_host_touch_of_device_data_outside_seam_raises():
 
 
 # -- seam lint ---------------------------------------------------------------
+
+
+def lint_paths(paths):
+    """The lint's unwaived findings (``repro check --lint``)."""
+    return run_checks(paths, do_static=False)[0]
 
 
 def test_lint_clean_on_repo():

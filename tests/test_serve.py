@@ -393,12 +393,12 @@ class TestServeLintRule:
     def _lint(tmp_path, source):
         import textwrap
 
-        from repro.check.static import lint_file
+        from repro.check.static import run_checks
 
         path = tmp_path / "src" / "repro" / "serve" / "mod.py"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-        return lint_file(path)
+        return run_checks([path], do_static=False)[0]
 
     def test_flags_simulation_internals(self, tmp_path):
         violations = self._lint(tmp_path, """
@@ -428,7 +428,10 @@ class TestServeLintRule:
         from pathlib import Path
 
         import repro.serve
-        from repro.check.static import lint_paths
+        from repro.check.static import run_checks
+
+        def lint_paths(paths):
+            return run_checks(paths, do_static=False)[0]
 
         pkg = Path(repro.serve.__file__).parent
         assert lint_paths([pkg]) == []

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import dispatch
-from repro.check.effects import CONDITIONAL, DEFINITE, analyze_source
+from repro.check import dispatch, static
+from repro.check.effects import CONDITIONAL, DEFINITE, analyze_module
 from repro.check.static import check_main, parse_waiver, run_checks
 from repro.sched import GraphBuilder, TaskKind
 
@@ -26,7 +26,15 @@ KERNELS_PY = "src/repro/hydro/kernels.py"
 
 
 def _effects(source: str):
-    return analyze_source(textwrap.dedent(source), "<test>")
+    return analyze_module(ast.parse(textwrap.dedent(source)))
+
+
+def _unwaived(monkeypatch, paths, rules):
+    """The findings of ``rules`` (rule-name prefixes), sites and import
+    graph over ``paths``, with every waiver ignored."""
+    monkeypatch.setattr(static, "parse_waiver", lambda line: None)
+    findings, sites, graph = run_checks(paths, do_lint=False)
+    return [f for f in findings if f.rule.startswith(rules)], sites, graph
 
 
 # -- effect inference on synthetic kernels ------------------------------------
@@ -125,6 +133,18 @@ def test_win_ghost_classification():
     assert "out" in eff.stores and all(p in eff.loads for p in "abc")
 
 
+def test_imported_win_is_the_window_helper():
+    eff = _effects("""
+        from .kernels import win
+
+        def k(a, out, n0, n1, g):
+            w = win(out, g, g, n0, n1)
+            w[...] = win(a, g - 1, g, n0, n1)
+    """)["k"]
+    assert eff.ghost_loads.get("a") == DEFINITE
+    assert "out" in eff.stores and "out" not in eff.loads
+
+
 def test_constant_loop_unroll_resolves_offsets():
     eff = _effects("""
         def win(arr, i0, j0, n0, n1):
@@ -164,6 +184,8 @@ def test_lambda_and_helper_inlining():
     "while n:\n    a[0:n] = 1.0",
     "with ctx:\n    a[0:n] = 1.0",
     "for i in range(n):\n    a[i] = 1.0",
+    "for i in {1, 2}:\n    a[0:n] = 1.0",
+    "for i in ({[1]},):\n    a[0:n] = 1.0",
     "a[0:n] = [x for x in b]",
     "a[0:n] = np.add(*b)",
     "def h(x):\n    x[0:n] = 1.0\nh(x=a)",
@@ -181,7 +203,7 @@ def test_kernel_outside_the_language_is_unanalyzable(body):
 # -- real-kernel spot checks --------------------------------------------------
 
 def test_pdv_does_not_load_its_outputs():
-    eff = analyze_source(open(KERNELS_PY).read(), KERNELS_PY)["pdv"]
+    eff = _effects(open(KERNELS_PY).read())["pdv"]
     assert "density1" not in eff.loads and "energy1" not in eff.loads
     assert eff.stores.get("density1") and eff.stores.get("energy1")
     assert eff.loads.get("density0") == DEFINITE
@@ -189,7 +211,7 @@ def test_pdv_does_not_load_its_outputs():
 
 
 def test_advec_cell_never_loads_mass_fluxes():
-    eff = analyze_source(open(KERNELS_PY).read(), KERNELS_PY)["advec_cell"]
+    eff = _effects(open(KERNELS_PY).read())["advec_cell"]
     assert "mass_flux_x" not in eff.loads
     assert "mass_flux_y" not in eff.loads
     # they are (conditionally) written — the swept direction's only
@@ -198,15 +220,16 @@ def test_advec_cell_never_loads_mass_fluxes():
 
 
 def test_viscosity_reads_pressure_ghosts():
-    eff = analyze_source(open(KERNELS_PY).read(), KERNELS_PY)["viscosity"]
+    eff = _effects(open(KERNELS_PY).read())["viscosity"]
     assert eff.ghost_loads.get("pressure") == DEFINITE
     assert "visc" in eff.stores
 
 
 # -- dispatch-site resolution over the real tree ------------------------------
 
-def test_every_dispatch_site_in_src_repro_is_resolved():
-    findings, sites, _ = run_checks(["src/repro"], do_lint=False)
+def test_every_dispatch_site_in_src_repro_is_resolved(monkeypatch):
+    findings, sites, _ = _unwaived(monkeypatch, ["src/repro"],
+                                   ("decl-", "dispatch-", "parse"))
     levels = {}
     for s in sites:
         levels[s.level] = levels.get(s.level, 0) + 1
@@ -217,6 +240,7 @@ def test_every_dispatch_site_in_src_repro_is_resolved():
     # the repo itself carries no unwaived declaration mismatch: the only
     # remaining finding is advec_cell's intentionally-declared vacuous
     # read, which its waiver absorbs in repro.check.static
+    assert findings
     assert all("advec_cell" in f.message for f in findings)
 
 
@@ -396,6 +420,101 @@ def test_kernel_outside_the_language_is_unresolved(synthetic_pkg, source,
     assert [f.rule for f in findings] == ["dispatch-unresolved"]
 
 
+def test_subscript_by_an_unknown_name_is_unresolved(synthetic_pkg):
+    """``a[k]`` could be any field: binding it to none would read a
+    correct declaration as over-declared."""
+    (synthetic_pkg / "integ.py").write_text(textwrap.dedent("""
+        from . import kernels as K
+
+        def go(backend, a, k, n, g):
+            def body():
+                K.axpy(a[k], a["beta"], n, g)
+            backend.run("hydro.axpy", n, body,
+                        reads=("alpha", "beta"), writes=("beta",))
+    """))
+    findings, sites, _ = run_checks([synthetic_pkg], do_lint=False)
+    assert [s.level for s in sites] == [dispatch.UNRESOLVED]
+    assert [f.rule for f in findings] == ["dispatch-unresolved"]
+
+
+#: launch and declaration forms besides the ones ``_run_source`` and
+#: ``_funnel_source`` build: (site source, its declared read of
+#: ``alpha``, which ``{read}`` stands for)
+LAUNCH_FORMS = pytest.mark.parametrize("text, read", [
+    pytest.param("""
+        from . import kernels as K
+
+        def go(backend, a, n, g):
+            backend.run("hydro.axpy", n,
+                        lambda: K.axpy(a["alpha"], a["beta"], n, g),
+                        reads=({read} "beta"), writes=("beta",))
+    """, '"alpha",', id="lambda body"),
+    pytest.param("""
+        from . import kernels as K
+
+        def go(backend, a, n, g):
+            def body():
+                K.axpy(a["alpha"], a["beta"], n, g)
+            backend.run("hydro.axpy", n, body=body,
+                        reads=({read} "beta"), writes=("beta",))
+    """, '"alpha",', id="keyword body"),
+    pytest.param("""
+        from .kernels import axpy
+
+        def go(backend, a, n, g):
+            def body():
+                axpy(a["alpha"], a["beta"], n, g)
+            backend.run("hydro.axpy", n, body,
+                        reads=({read} "beta"), writes=("beta",))
+    """, '"alpha",', id="function alias"),
+    pytest.param("""
+        from . import kernels as K
+
+        def go(backend, a, n, g):
+            name = "alpha"
+
+            def body():
+                K.axpy(a[name], a["beta"], n, g)
+            backend.run("hydro.axpy", n, body,
+                        reads=({read} "beta"), writes=("beta",))
+    """, "name,", id="string local"),
+    pytest.param("""
+        from . import kernels as K
+
+        def go(backend, a, n, g):
+            dname = "alpha" if n else "gamma"
+
+            def body():
+                K.axpy(a[dname], a["beta"], n, g)
+            backend.run("hydro.axpy", n, body,
+                        reads=({read} "beta"), writes=("beta",))
+    """, "dname,", id="symbol"),
+    pytest.param("""
+        from . import kernels as K
+
+        def go(backend, a, n, g):
+            names = ("alpha", "beta")
+
+            def body():
+                K.axpy(a["alpha"], a["beta"], n, g)
+            backend.run("hydro.axpy", n, body, reads=({read} *names[1:],),
+                        writes=names[1:], ghost_reads=None)
+    """, "names[0],", id="index, starred entry, no ghosts"),
+])
+
+
+@LAUNCH_FORMS
+def test_launch_forms_bind_the_kernel(synthetic_pkg, text, read):
+    """Each form resolves in full: the correct declaration is clean, and
+    one without the read of ``alpha`` is caught."""
+    for decl, rules in ((read, []), ("", ["decl-under-read"])):
+        (synthetic_pkg / "integ.py").write_text(
+            textwrap.dedent(text).format(read=decl))
+        findings, sites, _ = run_checks([synthetic_pkg], do_lint=False)
+        assert [s.level for s in sites] == [dispatch.FULL]
+        assert [f.rule for f in findings] == rules
+
+
 # -- layering -----------------------------------------------------------------
 
 def _mk(tree: dict, root):
@@ -469,8 +588,9 @@ def test_import_cycle_detected(tmp_path):
     assert "repro.mesh.b" in cycles[0].message
 
 
-def test_repo_layering_is_clean():
-    findings, _, graph = run_checks(["src/repro"], do_lint=False)
+def test_repo_layering_is_clean(monkeypatch):
+    findings, _, graph = _unwaived(monkeypatch, ["src/repro"],
+                                   ("layer", "parse"))
     assert findings == []
     assert len(graph) > 50  # the whole tree was actually scanned
 
