@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionPolicy, RunConfig, run
-from repro.exec.stats import combined_stats
+from repro.obs.metrics import MetricsRegistry
 from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
 
@@ -62,9 +62,9 @@ def run_point(max_patch: int, batch: bool):
 
 def _sweep_kernel_wall(res) -> float:
     """Real host seconds spent executing the slab-eligible fused launches."""
-    stats = combined_stats(r.exec_stats for r in res.sim.comm.ranks)
-    return sum(stats.batches[k].host_seconds
-               for k in SWEEP_KERNELS if k in stats.batches)
+    merged = MetricsRegistry.merged(r.metrics for r in res.sim.comm.ranks)
+    return sum(merged.value("batch.host_seconds", kernel=k)
+               for k in SWEEP_KERNELS)
 
 
 def _timed_point(max_patch: int):
@@ -84,10 +84,10 @@ def sweep():
     for size in PATCH_SIZES:
         off = run_point(size, batch=False)
         on, wall_batch, kernel_wall_batch = _timed_point(size)
-        stats = combined_stats(r.exec_stats for r in on.sim.comm.ranks)
-        launches = sum(b.launches for b in stats.batches.values())
-        members = sum(b.members for b in stats.batches.values())
-        saved = sum(b.overhead_saved_seconds for b in stats.batches.values())
+        merged = MetricsRegistry.merged(r.metrics for r in on.sim.comm.ranks)
+        launches = int(merged.total("batch.launches"))
+        members = int(merged.total("batch.members"))
+        saved = merged.total("batch.overhead_saved_seconds")
         rows.append({
             "size": size,
             "patches": sum(len(lv) for lv in on.sim.hierarchy),
@@ -103,8 +103,8 @@ def sweep():
             "wall_off": off.step_wall_seconds,
             "wall_batch": wall_batch,
             "kernel_wall_batch": kernel_wall_batch,
-            "slab_fused": sum(c.fused for c in stats.slab.values()),
-            "slab_fallback": sum(c.fallback for c in stats.slab.values()),
+            "slab_fused": int(merged.total("slab_fused")),
+            "slab_fallback": int(merged.total("slab_fallback")),
             "off": off,
             "on": on,
         })

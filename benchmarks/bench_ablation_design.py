@@ -45,11 +45,11 @@ def patch_sweep():
         res = run_point(max_patch=size)
         MANIFEST.clear()
         MANIFEST.update(res.metrics)
-        stats = res.sim.comm.rank(0).device.stats
+        metrics = res.sim.comm.rank(0).metrics
         out.append({
             "size": size,
             "runtime": res.runtime,
-            "launches": stats.kernel_launches,
+            "launches": int(metrics.total("kernel.launches", on="gpu")),
             "patches": sum(len(l) for l in res.sim.hierarchy),
         })
     return out

@@ -42,9 +42,9 @@ def run_case(incremental: bool, quiescent: bool):
     )
     res = run(cfg)
     t = res.sim.regridder.totals
-    sched = res.sim.comm.ranks[0].exec_stats.schedules
-    rebuilds = sum(c.misses for c in sched.values())
-    hits = sum(c.hits for c in sched.values())
+    rank0 = res.sim.comm.ranks[0].metrics
+    rebuilds = int(rank0.total("schedule_cache.misses"))
+    hits = int(rank0.total("schedule_cache.hits"))
     return {
         "regrids": t.regrids,
         "reclustered": t.levels_reclustered,

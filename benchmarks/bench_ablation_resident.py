@@ -40,11 +40,13 @@ def run_point(resident: bool) -> dict:
     )
     session = RunSession(cfg)  # runs initialise
     try:
-        stats = session.sim.comm.rank(0).device.stats
+        metrics = session.sim.comm.rank(0).metrics
 
         def snapshot():
-            return (stats.bytes_d2h + stats.bytes_h2d,
-                    stats.transfers_d2h + stats.transfers_h2d)
+            return tuple(
+                int(sum(metrics.value(name, direction=d)
+                        for d in ("d2h", "h2d")))
+                for name in ("transfer.bytes", "transfer.count"))
 
         marks = [(0, 0), snapshot()]
         session.advance()

@@ -86,11 +86,11 @@ def test_device_counters_reflect_compressed_path(mid_run_sim):
     """The D2H bytes actually charged match the compressed sizes."""
     sim = mid_run_sim
     dev = sim.comm.rank(0).device
-    before = dev.stats.bytes_d2h
+    before = dev.metrics.value("transfer.bytes", direction="d2h")
     level = sim.hierarchy.level(0)
     patch = level.patches[0]
     tags = flag_patch(patch, sim.comm.rank(0), sim.config.regrid.thresholds)
-    moved = dev.stats.bytes_d2h - before
+    moved = dev.metrics.value("transfer.bytes", direction="d2h") - before
     n = tags.size
     if tags.any():
         assert moved == 4 + (-(-n // 8))

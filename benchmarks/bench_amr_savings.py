@@ -59,8 +59,8 @@ def test_savings_table(cases, benchmark):
     uni, amr = cases["uniform"], cases["amr"]
     err_uni = l1_error_fine(uni.sim, FINE)
     err_amr = l1_error_fine(amr.sim, FINE)
-    mem_uni = uni.sim.comm.rank(0).device.stats.peak_bytes_allocated
-    mem_amr = amr.sim.comm.rank(0).device.stats.peak_bytes_allocated
+    mem_uni = uni.sim.comm.rank(0).device.peak_bytes
+    mem_amr = amr.sim.comm.rank(0).device.peak_bytes
 
     def render():
         return table(
@@ -95,8 +95,8 @@ def test_amr_uses_fewer_cells(cases):
 
 
 def test_amr_uses_less_memory(cases):
-    mem_uni = cases["uniform"].sim.comm.rank(0).device.stats.peak_bytes_allocated
-    mem_amr = cases["amr"].sim.comm.rank(0).device.stats.peak_bytes_allocated
+    mem_uni = cases["uniform"].sim.comm.rank(0).device.peak_bytes
+    mem_amr = cases["amr"].sim.comm.rank(0).device.peak_bytes
     assert mem_amr < 0.7 * mem_uni
 
 

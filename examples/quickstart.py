@@ -50,10 +50,13 @@ def main() -> None:
 
     dev = comm.rank(0).device
     resident_bytes = dev.bytes_allocated
-    moved = dev.stats.bytes_d2h + dev.stats.bytes_h2d
+    m = dev.metrics
+    moved = (m.value("transfer.bytes", direction="d2h")
+             + m.value("transfer.bytes", direction="h2d"))
+    launches = m.total("kernel.launches", on="gpu")
     print(f"\nResidency: {resident_bytes / 1e6:.1f} MB lives on GPU 0; "
           f"only {moved / 1e6:.1f} MB ever crossed the PCIe bus "
-          f"({dev.stats.kernel_launches} kernel launches).")
+          f"({launches:.0f} kernel launches).")
 
 
 if __name__ == "__main__":

@@ -57,8 +57,10 @@ def main() -> None:
         if dev is None:
             pcie, ntx = 0.0, 0
         else:
-            pcie = (dev.stats.bytes_d2h + dev.stats.bytes_h2d) / 1e6
-            ntx = dev.stats.transfers_d2h + dev.stats.transfers_h2d
+            pcie = sum(dev.metrics.value("transfer.bytes", direction=d)
+                       for d in ("d2h", "h2d")) / 1e6
+            ntx = int(sum(dev.metrics.value("transfer.count", direction=d)
+                          for d in ("d2h", "h2d")))
         print(f"{name:24s} {res.runtime:9.4f}s {pcie:9.1f} {ntx:10d}")
 
     resident = results["GPU, resident"].runtime

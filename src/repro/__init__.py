@@ -23,13 +23,11 @@ Quick start::
 from .comm.simcomm import Message, Rank, SimCommunicator, make_communicator
 from .exec import (
     Backend,
-    ExecStats,
     HostBackend,
     NonResidentDeviceBackend,
     ResidentDeviceBackend,
     attribution_report,
     backend_for,
-    combined_stats,
 )
 from .gpu.device import Device, DeviceSpec, K20X
 from .gpu.errors import DeviceOutOfMemory, GpuError, MemorySpaceError
@@ -71,5 +69,5 @@ __all__ = [
     "make_communicator",
     "Backend", "HostBackend", "ResidentDeviceBackend",
     "NonResidentDeviceBackend", "backend_for",
-    "ExecStats", "combined_stats", "attribution_report",
+    "attribution_report",
 ]

@@ -216,10 +216,11 @@ def main(argv=None) -> int:
         print(f"  {name:9s} {t:9.4f}s ({t / total:6.1%})")
 
     if args.profile:
-        from .exec.stats import attribution_report, combined_stats
-        stats = combined_stats(r.exec_stats for r in sim.comm.ranks)
+        from .exec.stats import attribution_report
+        from .obs.metrics import MetricsRegistry
+        merged = MetricsRegistry.merged(r.metrics for r in sim.comm.ranks)
         print(f"\n== execution profile ({sim.comm.size} rank(s), summed) ==")
-        for line in attribution_report(stats, timers=res.timers):
+        for line in attribution_report(merged, timers=res.timers):
             print(line)
 
     if res.trace_path:

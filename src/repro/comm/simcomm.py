@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from time import perf_counter
 
-from ..exec.stats import ExecStats
 from ..gpu.device import Device, DeviceSpec
 from ..obs.context import active_tracer
 from ..obs.lanes import HOST, NET
+from ..obs.metrics import MetricsRegistry
 from ..gpu.kernel import KernelSpec, kernel_spec
 from ..perf.machines import IPA, TITAN, CpuSpec, Machine, NetworkSpec
 from ..util import nan_min
@@ -51,15 +51,16 @@ class SendHandle:
 
 
 class Rank:
-    """One simulated MPI rank: clock, optional GPU, CPU model, timers."""
+    """One simulated MPI rank: clock, optional GPU, CPU model, timers and
+    the metrics registry its modelled events are counted in."""
 
     def __init__(self, index: int, cpu: CpuSpec, gpu: DeviceSpec | None = None):
         self.index = index
         self.cpu = cpu
         self.clock = VirtualClock()
-        self.exec_stats = ExecStats()
+        self.metrics = MetricsRegistry()
         self.device = (
-            Device(gpu, host_clock=self.clock, exec_stats=self.exec_stats)
+            Device(gpu, host_clock=self.clock, metrics=self.metrics)
             if gpu is not None
             else None
         )
@@ -96,7 +97,11 @@ class Rank:
             nbytes / self.cpu.dram_bandwidth, nflops / self.cpu.peak_flops
         )
         self.clock.advance(cost)
-        self.exec_stats.record_kernel(spec.name, elements, cost, "cpu")
+        launches, elems, secs = self.metrics.counters(
+            "kernel", (spec.name, "cpu"))
+        launches.value += 1
+        elems.value += max(int(elements), 0)
+        secs.value += cost
         tracer = active_tracer()
         if tracer is None:
             return fn(*args)

@@ -15,14 +15,7 @@ from .backend import (
     read_patch_fields,
     run_on,
 )
-from .stats import (
-    ExecStats,
-    KernelCounter,
-    TransferCounter,
-    attribution_report,
-    combined_stats,
-    kernel_category,
-)
+from .stats import attribution_report, kernel_category
 
 def make_backend(cfg, rank=None) -> Backend:
     """The backend matching a run config's build kind.
@@ -58,10 +51,6 @@ __all__ = [
     "array_of",
     "run_on",
     "read_patch_fields",
-    "ExecStats",
-    "KernelCounter",
-    "TransferCounter",
-    "combined_stats",
     "kernel_category",
     "attribution_report",
 ]

@@ -11,7 +11,9 @@ operators, transfer schedules, tag flagging, diagnostics — now asks a
 * array views (``array``: the frame array, host- or kernel-space),
 * kernel launch with cost charged to the owning rank's clocks,
 * memcpy charging and batched pack/unpack across the PCIe bus, and
-* the per-kernel / per-transfer counters in :mod:`repro.exec.stats`.
+* the fused-launch and stacked-copy counts it adds to the rank's metrics
+  registry (kernels and transfers are counted where they are charged,
+  by the device and the rank's CPU model).
 
 Three implementations cover the paper's builds: :class:`HostBackend`
 (CPU code), :class:`ResidentDeviceBackend` (the paper's resident design,
@@ -38,7 +40,6 @@ from ..obs.lanes import HOST as HOST_LANE
 from ..pdat.space import HOST
 from .batch import union_pds
 from .plan import compile_copies, compile_stream
-from .stats import ExecStats, attribution_report
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank
@@ -197,8 +198,8 @@ class Backend(abc.ABC):
         """Execute ``fn(*args)`` as a kernel over ``elements`` elements.
 
         The modelled cost is charged to the owning rank's clock (and
-        device stream, for device backends) and recorded in the rank's
-        :class:`~repro.exec.stats.ExecStats`.  ``reads``/``writes``
+        device stream, for device backends) and counted in the rank's
+        metrics registry.  ``reads``/``writes``
         declare the patch-data operands — the non-resident ablation moves
         them per launch, the scheduler derives dependency edges from
         them, and ``--sanitize`` verifies them against actual accesses.
@@ -288,10 +289,13 @@ class Backend(abc.ABC):
         host_seconds = _perf_counter() - w0
         if count > 1 and self.rank is not None:
             vectorized = count > len(members)
-            self.rank.exec_stats.record_batch(
-                kernel, count, self._batch_overhead_saved(count),
-                host_seconds=host_seconds)
-            self.rank.exec_stats.record_slab(kernel, fused=vectorized)
+            launches, covered, saved, host, fused, fallback = \
+                self.rank.metrics.counters("batch", (kernel,))
+            launches.value += 1
+            covered.value += count
+            saved.value += self._batch_overhead_saved(count)
+            host.value += host_seconds
+            (fused if vectorized else fallback).value += 1
             if tracer is not None and clock is not None:
                 lane = device.default_stream.label if device is not None else HOST_LANE
                 tracer.emit(kernel, "fused", self.rank.index, lane,
@@ -346,8 +350,9 @@ class Backend(abc.ABC):
     def _note_stack(self, kernel: str, plan) -> None:
         """Record the regions a plan covered and its flat-index ops."""
         if plan.groups and self.rank is not None:
-            self.rank.exec_stats.record_stack(kernel, plan.count,
-                                              len(plan.groups))
+            regions, ops = self.rank.metrics.counters("stack", (kernel,))
+            regions.value += plan.count
+            ops.value += len(plan.groups)
 
     def _move(self, kernel: str, elements: int, body):
         """Launch one data-motion kernel on the resource holding the data."""
@@ -432,16 +437,6 @@ class Backend(abc.ABC):
             return self.rank.cpu_run(kernel, elements, fn, *args)
         return fn(*args)
 
-    # -- stats ----------------------------------------------------------------
-
-    @property
-    def exec_stats(self) -> ExecStats:
-        return self.rank.exec_stats if self.rank is not None else ExecStats()
-
-    def stats_report(self, timers: dict[str, float] | None = None) -> str:
-        """The per-kernel / per-transfer attribution table for this rank."""
-        return "\n".join(attribution_report(self.exec_stats, timers=timers))
-
 
 class HostBackend(Backend):
     """CPU-resident data, kernels charged to the rank's CPU model."""
@@ -484,7 +479,7 @@ class ResidentDeviceBackend(Backend):
         return s
 
     def charge_transfer(self, direction, nbytes, stream=None):
-        self.device._charge_transfer(nbytes, stream, direction=direction)
+        self.device._charge_transfer(nbytes, stream, direction)
 
 
 class NonResidentDeviceBackend(HostBackend):
@@ -509,10 +504,10 @@ class NonResidentDeviceBackend(HostBackend):
     def _launch(self, kernel, elements, fn, *args, reads=(), writes=()):
         writes = list(writes)
         for pd in dict.fromkeys([*reads, *writes]):
-            self.device._charge_transfer(pd.nbytes, None, direction="h2d")
+            self.device._charge_transfer(pd.nbytes, None, "h2d")
         result = self.device.launch(kernel, elements, fn, *args)
         for pd in writes:
-            self.device._charge_transfer(pd.nbytes, None, direction="d2h")
+            self.device._charge_transfer(pd.nbytes, None, "d2h")
         return result
 
 

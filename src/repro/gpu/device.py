@@ -13,7 +13,7 @@ and a latency/bandwidth model per PCIe transfer.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -23,13 +23,14 @@ from ..check.context import in_seam
 from ..check.errors import ResidencyViolation
 from ..obs.context import active_tracer
 from ..obs.lanes import HOST
+from ..obs.metrics import MetricsRegistry
 from ..util.clock import VirtualClock
 from .errors import DeviceOutOfMemory, MemorySpaceError
 from .kernel import KernelSpec, LaunchConfig, kernel_spec
 from .memory import DeviceArray
 from .stream import Stream
 
-__all__ = ["DeviceSpec", "Device", "DeviceStats", "K20X"]
+__all__ = ["DeviceSpec", "Device", "K20X"]
 
 
 @dataclass(frozen=True)
@@ -59,24 +60,6 @@ K20X = DeviceSpec(
 )
 
 
-@dataclass
-class DeviceStats:
-    """Counters used by tests and the ablation benchmarks."""
-
-    kernel_launches: int = 0
-    kernel_seconds: float = 0.0
-    bytes_h2d: int = 0
-    bytes_d2h: int = 0
-    transfers_h2d: int = 0
-    transfers_d2h: int = 0
-    transfer_seconds: float = 0.0
-    peak_bytes_allocated: int = 0
-    launches_by_name: dict = field(default_factory=dict)
-
-    def reset(self) -> None:
-        self.__init__()
-
-
 class Device:
     """A simulated GPU with its own memory space and timelines.
 
@@ -93,17 +76,18 @@ class Device:
         self,
         spec: DeviceSpec = K20X,
         host_clock: VirtualClock | None = None,
-        exec_stats=None,
+        metrics: MetricsRegistry | None = None,
     ):
         self.spec = spec
         self.host_clock = host_clock if host_clock is not None else VirtualClock()
         self._stream_ids = 0
         self.default_stream = Stream(self, label="compute")
         self.bytes_allocated = 0
-        self.stats = DeviceStats()
-        #: optional repro.exec.stats.ExecStats sink shared with the owning
-        #: rank; None for bare devices constructed outside a simulation
-        self.exec_stats = exec_stats
+        #: high-water mark of ``bytes_allocated``
+        self.peak_bytes = 0
+        #: where launches, transfers and stream busy time are counted: the
+        #: owning rank's registry, or a fresh one for a bare device
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: rank index stamped on emitted trace spans; the owning
         #: repro.comm rank sets this, bare devices trace as rank 0
         self.trace_rank = 0
@@ -142,8 +126,8 @@ class Device:
                 f"{self.spec.memory_bytes} (currently {self.bytes_allocated})"
             )
         self.bytes_allocated += nbytes
-        if self.bytes_allocated > self.stats.peak_bytes_allocated:
-            self.stats.peak_bytes_allocated = self.bytes_allocated
+        if self.bytes_allocated > self.peak_bytes:
+            self.peak_bytes = self.bytes_allocated
 
     def _free(self, nbytes: int) -> None:
         self.bytes_allocated = max(0, self.bytes_allocated - nbytes)
@@ -204,14 +188,12 @@ class Device:
         stream.clock.advance_to(self.host_clock.time)
         stream.clock.advance(cost)
 
-        self.stats.kernel_launches += 1
-        self.stats.kernel_seconds += cost
-        self.stats.launches_by_name[spec.name] = (
-            self.stats.launches_by_name.get(spec.name, 0) + 1
-        )
-        if self.exec_stats is not None:
-            self.exec_stats.record_kernel(spec.name, elements, cost, "gpu")
-            self.exec_stats.record_stream(stream.label, cost)
+        launches, elems, secs = self.metrics.counters(
+            "kernel", (spec.name, "gpu"))
+        launches.value += 1
+        elems.value += max(int(elements), 0)
+        secs.value += cost
+        self._count_stream(stream, cost)
 
         tracer = active_tracer()
         if tracer is None:
@@ -228,6 +210,18 @@ class Device:
 
     # -- transfers -----------------------------------------------------------
 
+    def _count_stream(self, stream: Stream, seconds: float) -> None:
+        ops, busy = self.metrics.counters("stream", (stream.label,))
+        ops.value += 1
+        busy.value += seconds
+
+    def _count_transfer(self, direction: str, nbytes: int,
+                        seconds: float) -> None:
+        count, moved, secs = self.metrics.counters("transfer", (direction,))
+        count.value += 1
+        moved.value += int(nbytes)
+        secs.value += seconds
+
     def _transfer_cost(self, nbytes: int) -> float:
         return self.spec.pcie_latency + nbytes / self.spec.pcie_bandwidth
 
@@ -235,7 +229,7 @@ class Device:
         """Copy host → device.  Synchronous unless a stream is given."""
         if dst.nbytes != src.nbytes:
             raise ValueError(f"memcpy size mismatch: {dst.nbytes} vs {src.nbytes}")
-        self._charge_transfer(src.nbytes, stream, direction="h2d")
+        self._charge_transfer(src.nbytes, stream, "h2d")
         with self._memcpy_scope():
             dst.kernel_view()[...] = src.reshape(dst.shape)
 
@@ -243,7 +237,7 @@ class Device:
         """Copy device → host.  Synchronous unless a stream is given."""
         if dst.nbytes != src.nbytes:
             raise ValueError(f"memcpy size mismatch: {dst.nbytes} vs {src.nbytes}")
-        self._charge_transfer(src.nbytes, stream, direction="d2h")
+        self._charge_transfer(src.nbytes, stream, "d2h")
         with self._memcpy_scope():
             dst.reshape(src.shape)[...] = src.kernel_view()
 
@@ -260,9 +254,8 @@ class Device:
         cost = self.spec.kernel_overhead + 2 * src.nbytes / self.spec.dram_bandwidth
         s.clock.advance_to(self.host_clock.time)
         s.clock.advance(cost)
-        if self.exec_stats is not None:
-            self.exec_stats.record_transfer("d2d", src.nbytes, cost)
-            self.exec_stats.record_stream(s.label, cost)
+        self._count_transfer("d2d", src.nbytes, cost)
+        self._count_stream(s, cost)
         tracer = active_tracer()
         if tracer is not None:
             t1 = s.clock.time
@@ -271,24 +264,15 @@ class Device:
         with self._memcpy_scope():
             dst.kernel_view()[...] = src.kernel_view()
 
-    def _charge_transfer(
-        self, nbytes: int, stream: Stream | None, direction: str | None = None
-    ) -> None:
+    def _charge_transfer(self, nbytes: int, stream: Stream | None,
+                         direction: str) -> None:
         cost = self._transfer_cost(nbytes)
-        self.stats.transfer_seconds += cost
-        if direction == "h2d":
-            self.stats.bytes_h2d += nbytes
-            self.stats.transfers_h2d += 1
-        elif direction == "d2h":
-            self.stats.bytes_d2h += nbytes
-            self.stats.transfers_d2h += 1
-        if direction is not None and self.exec_stats is not None:
-            self.exec_stats.record_transfer(direction, nbytes, cost)
-        if stream is not None and self.exec_stats is not None:
+        self._count_transfer(direction, nbytes, cost)
+        if stream is not None:
             # Async copy on a named stream: candidate for hiding under
             # compute, tracked for the overlap-won accounting.
-            self.exec_stats.record_stream(stream.label, cost)
-            self.exec_stats.overlap.async_seconds += cost
+            self._count_stream(stream, cost)
+            self.metrics.record_overlap(cost, 0.0)
         tracer = active_tracer()
         if stream is None:
             # Synchronous copy: host blocks until all prior work and the
@@ -296,7 +280,7 @@ class Device:
             t0 = max(self.host_clock.time, self.default_stream.clock.time)
             self.host_clock.advance_to(t0 + cost)
             self.default_stream.clock.advance_to(self.host_clock.time)
-            if tracer is not None and direction is not None:
+            if tracer is not None:
                 tracer.emit(f"memcpy_{direction}", "transfer",
                             self.trace_rank, HOST, t0, t0 + cost,
                             nbytes=int(nbytes), sync=True)
@@ -305,7 +289,7 @@ class Device:
             self.host_clock.advance(self.spec.host_launch_overhead)
             stream.clock.advance_to(self.host_clock.time)
             stream.clock.advance(cost)
-            if tracer is not None and direction is not None:
+            if tracer is not None:
                 t1 = stream.clock.time
                 tracer.emit(f"memcpy_{direction}", "transfer",
                             self.trace_rank, stream.label, t1 - cost, t1,

@@ -123,10 +123,9 @@ class LagrangianEulerianIntegrator:
             self.geometry, self.config.max_levels, self.config.refinement_ratio
         )
         #: (src, dst)-keyed schedule cache: survives regrids, entries for
-        #: untouched levels stay valid (hit/miss counters on rank 0's
-        #: ExecStats feed --profile and the metrics manifest)
-        self.schedule_cache = ScheduleCache()
-        self.schedule_cache.exec_stats = comm.ranks[0].exec_stats
+        #: untouched levels stay valid (lookups are counted in rank 0's
+        #: metrics registry, which --profile and the manifest read)
+        self.schedule_cache = ScheduleCache(comm.ranks[0].metrics)
         self.regridder = Regridder(
             self.hierarchy, comm, factory, self.variables,
             self._specs_for(PRIMARY_FIELDS), self.boundary, self.config.regrid,

@@ -8,10 +8,11 @@ copy engines, each rank's host clock, the NIC — can emit
 :mod:`repro.obs.context`), and the default
 :class:`~repro.obs.trace.ChromeTraceSink` renders them as a
 Chrome-trace/Perfetto timeline with one track per (rank, stream).
-:class:`~repro.obs.metrics.MetricsRegistry` unifies the per-kernel /
-per-transfer counters, phase timers and scheduler counters behind one
-counter / gauge / histogram API with rank-merge and a schema-versioned
-end-of-run manifest.
+:class:`~repro.obs.metrics.MetricsRegistry` is each rank's one store of
+modelled events (kernels, transfers, stream busy time, fused launches,
+schedule-cache lookups), counted once where they happen; merged across
+ranks with the phase timers and scheduler counters it is the
+schema-versioned end-of-run manifest.
 
 Everything here is observation-only: emission reads virtual clocks,
 never advances them, so traced runs are bitwise identical to untraced
@@ -27,7 +28,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     ScopedRegistry,
-    registry_for_rank,
     registry_from_run,
     run_manifest,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ScopedRegistry",
-    "registry_for_rank",
     "registry_from_run",
     "run_manifest",
     "MANIFEST_SCHEMA",

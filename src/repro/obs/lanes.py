@@ -3,9 +3,10 @@
 Every accounting surface — stream labels, scheduler lanes, transfer
 directions, span tracks — historically spelled its own strings at each
 call site ("h2d" here, "H2D" there).  These constants are the single
-spelling; :func:`canonical_lane` folds every legacy alias onto it, and
-:class:`~repro.exec.stats.ExecStats` and the tracer normalise through it
-at record time so no consumer ever has to case-fold again.
+spelling; :func:`canonical_lane` folds every legacy alias onto it, and the
+metrics registry (:meth:`~repro.obs.metrics.MetricsRegistry.record`) and
+the tracer normalise through it at record time so no consumer ever has
+to case-fold again.
 """
 
 from __future__ import annotations

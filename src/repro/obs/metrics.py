@@ -1,18 +1,25 @@
-"""The unified metrics registry: one API over every accounting surface.
+"""The metrics registry: the one store of every modelled event.
 
-The run used to expose three disjoint accounting surfaces — per-kernel /
-per-transfer counters (:class:`~repro.exec.stats.ExecStats`), phase
-timers (:class:`~repro.util.timer.TimerRegistry`) and the scheduler's
-execution counters — each with its own naming and merge rules.  A
-:class:`MetricsRegistry` puts them behind one counter / gauge /
-histogram API with defined rank-merge semantics (counters sum, gauges
-max, histograms pool), JSON-able snapshots, and a schema-versioned
-end-of-run manifest that :func:`benchmarks _report.emit <run_manifest>`
-embeds into ``BENCH_*.json`` so regressions diff field by field.
+Each rank owns a :class:`MetricsRegistry` (``rank.metrics``), and every
+modelled event is counted once, in that store, where it happens:
+``Device.launch`` / ``Rank.cpu_run`` record a kernel, the device's
+memcpy paths a transfer and its stream's busy time, the backend a fused
+launch or a stacked region copy, the schedule cache a lookup (on rank
+0's store) — each under the name the manifest carries
+(``kernel.seconds{kernel=…,on=gpu}``, ``transfer.bytes{direction=h2d}``,
+``schedule_cache.misses{kind=fill}``, …).  Counters merge across ranks
+by summing, gauges by max, histograms pool; ``--profile``'s attribution
+tables, the tuner's signals and the schema-versioned end-of-run manifest
+that :func:`benchmarks _report.emit <run_manifest>` embeds into
+``BENCH_*.json`` all read the merged store.  Nothing is translated.
 
-:func:`registry_for_rank` adapts one rank's existing counters into a
-registry under canonical metric names; :func:`registry_from_run` merges
-all ranks of a finished simulation.
+Hot paths record through :meth:`MetricsRegistry.counters`, which names
+a counter *family* (:data:`FAMILIES`) and caches its counter handles per
+label values; readers use :meth:`~MetricsRegistry.value`,
+:meth:`~MetricsRegistry.total` and :meth:`~MetricsRegistry.variants`,
+which never create an instrument.  :func:`registry_from_run` merges the
+ranks of a simulation and adds the surfaces that keep their own state
+(phase timers, device peaks, scheduler and regridder counters).
 """
 
 from __future__ import annotations
@@ -20,13 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .lanes import canonical_lane
+
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ScopedRegistry",
-    "registry_for_rank",
+    "FAMILIES",
     "registry_from_run",
     "run_manifest",
     "MANIFEST_SCHEMA",
@@ -38,7 +47,7 @@ __all__ = [
 MANIFEST_SCHEMA = "repro.metrics/2"
 
 
-@dataclass
+@dataclass(slots=True)
 class Counter:
     """Monotonically accumulated quantity; ranks merge by summing."""
 
@@ -84,6 +93,30 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
 
+#: counter families a hot path records as one event:
+#: family -> (label names, counter names).  A family's counters are
+#: created together, so a member that stays zero (the misses of a kind
+#: that only ever hit) still reads and snapshots as 0.
+FAMILIES = {
+    "kernel": (("kernel", "on"),
+               ("kernel.launches", "kernel.elements", "kernel.seconds")),
+    "transfer": (("direction",),
+                 ("transfer.count", "transfer.bytes", "transfer.seconds")),
+    "stream": (("stream",), ("stream.ops", "stream.busy_seconds")),
+    "batch": (("kernel",),
+              ("batch.launches", "batch.members",
+               "batch.overhead_saved_seconds", "batch.host_seconds",
+               "slab_fused", "slab_fallback")),
+    "stack": (("kernel",), ("stack.regions", "stack.ops")),
+    "schedule_cache": (("kind",),
+                       ("schedule_cache.hits", "schedule_cache.misses")),
+    "overlap": ((), ("overlap.async_seconds", "overlap.exposed_seconds")),
+}
+
+#: labels naming a timeline, folded onto one spelling by canonical_lane
+_LANE_LABELS = frozenset({"stream", "direction"})
+
+
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted(labels.items()))
 
@@ -108,6 +141,9 @@ class MetricsRegistry:
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
+        #: (family, label values) -> that member's counters, in
+        #: FAMILIES order: the record path's handle cache
+        self._families: dict[tuple, tuple[Counter, ...]] = {}
 
     # -- instruments -----------------------------------------------------------
 
@@ -131,6 +167,57 @@ class MetricsRegistry:
         if h is None:
             h = self._histograms[key] = Histogram()
         return h
+
+    # -- the record path -------------------------------------------------------
+
+    def counters(self, family: str, values: tuple) -> tuple[Counter, ...]:
+        """The counters of one member of ``family`` (:data:`FAMILIES`),
+        in the family's counter order; a recording site adds one event
+        to each ``.value``.
+
+        ``values`` are the member's label values in the family's label
+        order.  The handles are cached on ``(family, values)``, so a
+        record builds no label key.
+        """
+        counters = self._families.get((family, values))
+        if counters is None:
+            labels, names = FAMILIES[family]
+            labels = {k: canonical_lane(v) if k in _LANE_LABELS else v
+                      for k, v in zip(labels, values)}
+            counters = self._families[family, values] = tuple(
+                self.counter(n, **labels) for n in names)
+        return counters
+
+    def record_overlap(self, async_seconds: float,
+                       exposed_seconds: float) -> None:
+        """Count async / exposed copy-stream seconds and refresh the
+        ``overlap.hidden_seconds`` gauge: their difference, the transfer
+        time hidden under compute (ranks merge it by max)."""
+        async_c, exposed_c = self.counters("overlap", ())
+        async_c.value += async_seconds
+        exposed_c.value += exposed_seconds
+        self.gauge("overlap.hidden_seconds").set(
+            max(0.0, async_c.value - exposed_c.value))
+
+    # -- reading (never creates an instrument) ----------------------------------
+
+    def value(self, name: str, **labels) -> float:
+        """The value of one labelled counter; 0 if it was never recorded."""
+        c = self._counters.get((name, _label_key(labels)))
+        return c.value if c is not None else 0.0
+
+    def total(self, name: str, **labels) -> float:
+        """Counter ``name`` summed over every label variant carrying
+        ``labels`` (all variants when none are given)."""
+        want = labels.items()
+        return sum(c.value for (n, key), c in self._counters.items()
+                   if n == name and want <= set(key))
+
+    def variants(self, name: str) -> dict[tuple, float]:
+        """``{label values: value}`` of every variant of counter ``name``,
+        in recording order; label values in sorted label-name order."""
+        return {tuple(v for _, v in key): c.value
+                for (n, key), c in self._counters.items() if n == name}
 
     # -- namespacing -----------------------------------------------------------
 
@@ -219,55 +306,25 @@ class ScopedRegistry:
         return self._registry.histogram(name, **{**self._labels, **labels})
 
 
-# -- adapters over the existing accounting surfaces ---------------------------
-
-
-def registry_for_rank(rank) -> MetricsRegistry:
-    """One rank's ExecStats + timers under canonical metric names."""
-    reg = MetricsRegistry()
-    stats = rank.exec_stats
-    for (resource, kernel), c in stats.kernels.items():
-        reg.counter("kernel.launches", kernel=kernel, on=resource).inc(c.launches)
-        reg.counter("kernel.elements", kernel=kernel, on=resource).inc(c.elements)
-        reg.counter("kernel.seconds", kernel=kernel, on=resource).inc(c.seconds)
-    for direction, c in stats.transfers.items():
-        reg.counter("transfer.count", direction=direction).inc(c.count)
-        reg.counter("transfer.bytes", direction=direction).inc(c.bytes)
-        reg.counter("transfer.seconds", direction=direction).inc(c.seconds)
-    for label, c in stats.streams.items():
-        reg.counter("stream.ops", stream=label).inc(c.ops)
-        reg.counter("stream.busy_seconds", stream=label).inc(c.seconds)
-    for kernel, c in stats.batches.items():
-        reg.counter("batch.launches", kernel=kernel).inc(c.launches)
-        reg.counter("batch.members", kernel=kernel).inc(c.members)
-        reg.counter("batch.overhead_saved_seconds",
-                    kernel=kernel).inc(c.overhead_saved_seconds)
-        reg.counter("batch.host_seconds", kernel=kernel).inc(c.host_seconds)
-    for kernel, c in stats.slab.items():
-        reg.counter("slab_fused", kernel=kernel).inc(c.fused)
-        reg.counter("slab_fallback", kernel=kernel).inc(c.fallback)
-    for kernel, c in stats.stacked.items():
-        reg.counter("stack.regions", kernel=kernel).inc(c.stacked)
-        reg.counter("stack.ops", kernel=kernel).inc(c.groups)
-    for kind, c in stats.schedules.items():
-        reg.counter("schedule_cache.hits", kind=kind).inc(c.hits)
-        reg.counter("schedule_cache.misses", kind=kind).inc(c.misses)
-    if stats.overlap.async_seconds:
-        reg.counter("overlap.async_seconds").inc(stats.overlap.async_seconds)
-        reg.counter("overlap.exposed_seconds").inc(stats.overlap.exposed_seconds)
-        reg.gauge("overlap.hidden_seconds").set(stats.overlap.hidden_seconds)
-    for phase, seconds in rank.timers.totals.items():
-        reg.gauge("phase.seconds", phase=phase).set(seconds)
-    if rank.device is not None:
-        dstats = rank.device.stats
-        reg.gauge("device.peak_bytes").set(dstats.peak_bytes_allocated)
-        reg.counter("device.kernel_launches").inc(dstats.kernel_launches)
-    return reg
+# -- the run-level view ---------------------------------------------------------
 
 
 def registry_from_run(sim) -> MetricsRegistry:
-    """Rank-merged registry of a (possibly still running) simulation."""
-    reg = MetricsRegistry.merged(registry_for_rank(r) for r in sim.comm.ranks)
+    """Rank-merged registry of a (possibly still running) simulation.
+
+    The ranks' own registries (every modelled event, recorded once where
+    it happened) summed, plus the surfaces that keep their own state:
+    phase timers and device peaks (gauges, max over ranks), the
+    scheduler's and the regridder's counters.
+    """
+    reg = MetricsRegistry.merged(r.metrics for r in sim.comm.ranks)
+    for r in sim.comm.ranks:
+        for phase, seconds in r.timers.totals.items():
+            reg.gauge("phase.seconds", phase=phase).set_max(seconds)
+        if r.device is not None:
+            reg.gauge("device.peak_bytes").set_max(r.device.peak_bytes)
+            reg.counter("device.kernel_launches").inc(
+                r.metrics.total("kernel.launches", on="gpu"))
     sched = getattr(sim, "_step_scheduler", None)
     if sched is not None:
         for name, value in {**sched.executor.counters,

@@ -15,8 +15,8 @@ serial call sequence.  This package is that layer:
   each task's declared patch-data reads and writes;
 * :mod:`repro.sched.executor` — dispatches a graph over per-rank streams
   and events (``overlap=True``) or the blocking legacy timelines
-  (``overlap=False``), charging overlap accounting to
-  :class:`repro.exec.stats.ExecStats`;
+  (``overlap=False``), charging exposed copy-lane waits to each rank's
+  metrics registry (``overlap.exposed_seconds``);
 * :mod:`repro.sched.driver` — the per-timestep driver replacing
   ``LagrangianEulerianIntegrator``'s serial phase bodies.
 

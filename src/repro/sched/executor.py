@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from ..check.context import active as _check_active
 from ..gpu.stream import Event
 from ..obs.context import active_tracer
-from ..obs.lanes import HOST
+from ..obs.lanes import HOST, canonical_lane
 from .task import COPY_LANES, Task, TaskGraph, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,6 +76,10 @@ class GraphExecutor:
             self.order_key = overlap_order
         #: execution counters surfaced through the metrics registry
         self.counters = {"graphs": 0, "tasks": 0, "collectives": 0}
+        #: (rank index, copy lane) -> virtual time already charged as
+        #: exposed, so overlapping waits (an event wait and the later
+        #: end-of-graph drain covering the same stream interval) count once
+        self._exposed_hwm: dict[tuple[int, str], float] = {}
 
     # -- public API ------------------------------------------------------------
 
@@ -163,8 +167,8 @@ class GraphExecutor:
                 before = r.clock.time
                 r.clock.advance_to(ev.timestamp)
                 if dep.lane in COPY_LANES:
-                    r.exec_stats.record_exposed_wait(
-                        dep.lane, before, r.clock.time, cap=dep.busy)
+                    self._charge_exposed(r, dep.lane, before, r.clock.time,
+                                         cap=dep.busy)
                 if tracer is not None and r.clock.time > before:
                     tracer.emit(f"wait {dep.label}", "wait", r.index, HOST,
                                 before, r.clock.time, on=dep.lane)
@@ -191,8 +195,8 @@ class GraphExecutor:
                 before = stream.clock.time
                 stream.wait_event(ev)
                 if dep.lane in COPY_LANES:
-                    rank.exec_stats.record_exposed_wait(
-                        dep.lane, before, stream.clock.time, cap=dep.busy)
+                    self._charge_exposed(rank, dep.lane, before,
+                                         stream.clock.time, cap=dep.busy)
                 if tracer is not None and stream.clock.time > before:
                     tracer.emit(f"wait {dep.label}", "wait", rank.index,
                                 stream.label, before, stream.clock.time,
@@ -212,11 +216,37 @@ class GraphExecutor:
                 before = rank.clock.time
                 rank.clock.advance_to(ev.timestamp)
                 if dep.lane in COPY_LANES:
-                    rank.exec_stats.record_exposed_wait(
-                        dep.lane, before, rank.clock.time, cap=dep.busy)
+                    self._charge_exposed(rank, dep.lane, before,
+                                         rank.clock.time, cap=dep.busy)
                 if tracer is not None and rank.clock.time > before:
                     tracer.emit(f"wait {dep.label}", "wait", rank.index,
                                 HOST, before, rank.clock.time, on=dep.lane)
+
+    def _charge_exposed(self, rank: "Rank", lane: str, before: float,
+                        after: float, cap: float | None = None) -> None:
+        """Charge a wait on a copy-lane timeline as exposed transfer time.
+
+        ``before``/``after`` bracket the waiting clock's advance in virtual
+        time.  The portion already charged for this rank's lane (the
+        high-water mark) is skipped, ``cap`` bounds the charge by the
+        awaited task's own busy seconds (waits also absorb upstream
+        latency baked into event timestamps), and the total is clamped so
+        exposed can never exceed the async seconds the rank actually put
+        on copy streams.
+        """
+        key = (rank.index, canonical_lane(lane))
+        start = max(before, self._exposed_hwm.get(key, 0.0))
+        if after <= start:
+            return
+        self._exposed_hwm[key] = after
+        seconds = after - start
+        if cap is not None:
+            seconds = min(seconds, cap)
+        m = rank.metrics
+        room = (m.value("overlap.async_seconds")
+                - m.value("overlap.exposed_seconds"))
+        if seconds > 0.0 and room > 0.0:
+            m.record_overlap(0.0, min(seconds, room))
 
     # -- end-of-graph drain ----------------------------------------------------
 
@@ -234,7 +264,7 @@ class GraphExecutor:
             for lane, s in rb._lane_streams.items():
                 before = r.clock.time
                 r.clock.advance_to(s.clock.time)
-                r.exec_stats.record_exposed_wait(lane, before, r.clock.time)
+                self._charge_exposed(r, lane, before, r.clock.time)
                 if tracer is not None and r.clock.time > before:
                     tracer.emit(f"drain {lane}", "wait", r.index, HOST,
                                 before, r.clock.time, on=lane)

@@ -295,7 +295,7 @@ class Scheduler:
         for rank in session.sim.comm.ranks:
             device = getattr(rank, "device", None)
             if device is not None:
-                total += int(device.stats.peak_bytes_allocated)
+                total += int(device.peak_bytes)
         return total
 
     def _release(self, record: JobRecord) -> None:

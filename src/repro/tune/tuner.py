@@ -10,10 +10,9 @@ the run, advances a few probe steps, and reads
 
 * the modelled grind (virtual seconds per cell-step — deterministic, so
   tuning decisions are reproducible run to run), and
-* the :func:`~repro.exec.stats.tuning_signals` distilled from
-  ``ExecStats``/``BatchCounter``/``SlabCounter``/``ScheduleCounter`` —
-  patches per fused launch, slab fallback rate, exposed wait fraction,
-  schedule-cache hit rate.
+* the :func:`~repro.exec.stats.tuning_signals` distilled from the
+  ranks' merged metrics registries — patches per fused launch, slab
+  fallback rate, exposed wait fraction, schedule-cache hit rate.
 
 The candidate with the best probed grind wins.  Fields the user pinned
 are never overridden — candidates that contradict a pinned field
@@ -32,7 +31,8 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from ..exec.stats import combined_stats, tuning_signals
+from ..exec.stats import tuning_signals
+from ..obs.metrics import MetricsRegistry
 from .policy import (
     AUTO,
     TUNABLE_FIELDS,
@@ -73,7 +73,7 @@ class ProbeResult:
     cells: int
     #: modelled virtual seconds per cell-step over the probe window
     grind: float
-    #: the distilled ExecStats signals (see ``exec.stats.tuning_signals``)
+    #: the distilled counter signals (see ``exec.stats.tuning_signals``)
     signals: dict[str, float]
     #: real host seconds the probe took (observation only, never decisive)
     wall_seconds: float = 0.0
@@ -137,7 +137,7 @@ def _probe(cfg, execution: ExecutionPolicy, regrid: RegridPolicy,
     elapsed = sim.elapsed() - t0
     cells = sim.total_cells()
     signals = tuning_signals(
-        combined_stats(r.exec_stats for r in sim.comm.ranks))
+        MetricsRegistry.merged(r.metrics for r in sim.comm.ranks))
     grind = elapsed / (cells * steps) if cells and steps else 0.0
     return grind, cells, signals, _time.perf_counter() - wall0
 

@@ -40,11 +40,6 @@ class TimerRegistry:
         self.totals.clear()
         self.counts.clear()
 
-    def merged_with(self, other: "TimerRegistry") -> dict[str, float]:
-        """Per-category maxima of two rank timers (critical-path style)."""
-        names = set(self.totals) | set(other.totals)
-        return {n: max(self.total(n), other.total(n)) for n in names}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(f"{k}={v:.4g}s" for k, v in sorted(self.totals.items()))
         return f"TimerRegistry({inner})"

@@ -20,8 +20,8 @@ builds once and hands in on every replay.
 The backends run these primitives without a per-region Python loop:
 the regions of one store (an arena, a scratch slab, the buffer of patch
 data allocated on its own) execute as one flat-index NumPy op, whatever
-the patch shapes, counted as ``StackCounter`` in
-:class:`~repro.exec.stats.ExecStats` (``--profile`` shows them).
+the patch shapes, counted as ``stack.regions`` / ``stack.ops`` in the
+rank's metrics registry (``--profile`` shows them).
 """
 
 from __future__ import annotations

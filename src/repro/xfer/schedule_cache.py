@@ -20,14 +20,19 @@ transactions, see ``build_fill_geometry``) lives here too, so regrid
 ghost fills and integrator halo fills share geometry for the same level
 pair.
 
-Hit/miss/build counters are mirrored into
-:class:`~repro.exec.stats.ExecStats` when a sink is attached, so the
-``--profile`` attribution table and the metrics manifest report them.
+Lookups are counted once, as ``schedule_cache.hits{kind=…}`` /
+``schedule_cache.misses{kind=…}`` in the cache's metrics registry — rank
+0's inside a simulation (schedule construction is replicated host work,
+so the rank-summed manifest carries the global counts once), a fresh
+one for a bare cache — which the ``--profile`` attribution table, the
+tuner and the metrics manifest read.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+from ..obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mesh.hierarchy import PatchHierarchy
@@ -44,23 +49,20 @@ def level_token(level: "PatchLevel | None"):
 class ScheduleCache:
     """Caches transfer schedules keyed on (kind, src/dst layout, variables)."""
 
-    def __init__(self):
+    def __init__(self, metrics: MetricsRegistry | None = None):
+        #: where lookups are counted (hits and misses per kind)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: (kind, structural key) -> (level objects, schedule)
         self._entries: dict = {}
         #: shared variable-independent fill-transaction cache, keyed on
         #: (dst_level, coarse_level, src_level, interior, sig) — the level
         #: *objects*, so entries pin their levels and die with them
         self.geometry_cache: dict = {}
-        self.hits = 0
-        self.misses = 0
         self.builds = 0
         self.purged = 0
         #: bumped by every purge and clear: what a recorded step graph
         #: (``sched.driver``) is valid for
         self.purges = 0
-        #: optional ExecStats to mirror hit/miss counters into (rank 0's,
-        #: so rank-summed manifests carry the true global counts once)
-        self.exec_stats = None
 
     # -- lookup ----------------------------------------------------------------
 
@@ -76,12 +78,11 @@ class ScheduleCache:
         hit = entry is not None and all(
             a is b for a, b in zip(entry[0], levels)
         )
-        if self.exec_stats is not None:
-            self.exec_stats.record_schedule(kind, hit)
+        hits, misses = self.metrics.counters("schedule_cache", (kind,))
         if hit:
-            self.hits += 1
+            hits.value += 1
             return entry[1]
-        self.misses += 1
+        misses.value += 1
         return None
 
     def put(self, kind: str, key, levels: tuple, schedule) -> None:

@@ -27,6 +27,7 @@ from repro.api import (
 from repro.exec import UNCHARGED_HOST, make_backend
 from repro.hydro.patch_integrator import NonResidentGpuPatchIntegrator
 from repro.hydro.problems import SodProblem
+from counts import pcie_bytes
 
 
 def _config(**kwargs) -> RunConfig:
@@ -169,8 +170,7 @@ def test_nonresident_is_slower_and_moves_far_more_pcie_bytes():
     assert res_n.runtime > res_r.runtime
 
     def pcie(res):
-        d = res.sim.comm.rank(0).device.stats
-        return d.bytes_d2h + d.bytes_h2d
+        return pcie_bytes(res.sim.comm.rank(0).device)
     assert pcie(res_n) > 10 * pcie(res_r)
 
 

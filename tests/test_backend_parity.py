@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, run
-from repro.exec.stats import combined_stats
+from repro.obs.metrics import MetricsRegistry
 from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
 
@@ -113,9 +113,10 @@ def _assert_ragged_bitwise(mesh: str, backend: str, batch: bool,
             assert np.array_equal(a, b, equal_nan=True), (
                 f"{field} diverged on {mesh} level {lnum}")
     if batch:
-        stats = combined_stats(r.exec_stats for r in got.sim.comm.ranks)
+        stats = MetricsRegistry.merged(r.metrics for r in got.sim.comm.ranks)
         for kernel in HYDRO_KERNELS:  # one stacked op per shape bucket
-            assert stats.slab[kernel].fallback == 0, kernel
+            assert (kernel,) in stats.variants("slab_fallback"), kernel
+            assert stats.value("slab_fallback", kernel=kernel) == 0, kernel
 
 
 @pytest.mark.parametrize("backend,batch,overlap", CELLS)
@@ -140,7 +141,8 @@ def test_four_rank_ragged_cell_is_bitwise_the_reference(backend, batch,
 def test_gpu_cells_actually_used_the_device():
     for backend in ("resident", "nonresident"):
         dev = _cell(backend, False, False).sim.comm.rank(0).device
-        assert dev is not None and dev.stats.kernel_launches > 0
+        assert dev is not None and dev.metrics.total(
+            "kernel.launches", on="gpu") > 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -156,19 +158,19 @@ def test_batch_fuses_and_runs_whole_slab(backend, overlap):
     """Batching is whole-slab execution: every uniform-level hydro sweep
     runs as one stacked op (halo/geometry work falls back, counted), and
     an unbatched run records neither fusion nor slab counters."""
-    stats = combined_stats(
-        r.exec_stats for r in _cell(backend, True, overlap).sim.comm.ranks)
-    launches = sum(b.launches for b in stats.batches.values())
-    members = sum(b.members for b in stats.batches.values())
+    stats = MetricsRegistry.merged(
+        r.metrics for r in _cell(backend, True, overlap).sim.comm.ranks)
+    launches = stats.total("batch.launches")
+    members = stats.total("batch.members")
     assert members > launches > 0  # genuinely fused
-    assert sum(b.overhead_saved_seconds
-               for b in stats.batches.values()) > 0.0
+    assert stats.total("batch.overhead_saved_seconds") > 0.0
     for kernel in HYDRO_KERNELS:
-        assert stats.slab[kernel].fused > 0, (
+        assert stats.value("slab_fused", kernel=kernel) > 0, (
             f"{kernel} never slab-fused ({backend})")
-    plain = combined_stats(
-        r.exec_stats for r in _cell(backend, False, overlap).sim.comm.ranks)
-    assert not plain.batches and not plain.slab
+    plain = MetricsRegistry.merged(
+        r.metrics for r in _cell(backend, False, overlap).sim.comm.ranks)
+    assert not plain.variants("batch.launches")
+    assert not plain.variants("slab_fused")
 
 
 # -- property: any fusion grouping preserves bits -----------------------------

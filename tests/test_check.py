@@ -336,7 +336,7 @@ def test_sanitize_batched_run_is_clean_and_identical():
     launches declare the union of their members' operands and stacked
     slab handouts are instrumented like per-patch ones, so the checker
     sees every access — and observing changes no bits."""
-    from repro.exec.stats import combined_stats
+    from repro.obs.metrics import MetricsRegistry
 
     plain = run(_config())
     want = _fields(plain.sim)
@@ -347,8 +347,8 @@ def test_sanitize_batched_run_is_clean_and_identical():
         assert sane.sanitize_counters is not None
         assert sane.sanitize_counters["kernels"] > 0 or \
             sane.sanitize_counters["tasks"] > 0
-        stats = combined_stats(r.exec_stats for r in sane.sim.comm.ranks)
-        assert sum(c.fused for c in stats.slab.values()) > 0, \
+        stats = MetricsRegistry.merged(r.metrics for r in sane.sim.comm.ranks)
+        assert stats.total("slab_fused") > 0, \
             "sanitized run never slab-fused"
         got = _fields(sane.sim)
         for key in want:

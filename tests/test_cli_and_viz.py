@@ -1,5 +1,7 @@
 """Tests for the CLI driver and the VTK visualisation writer."""
 
+import contextlib
+import io
 import os
 
 import numpy as np
@@ -45,6 +47,60 @@ class TestParser:
     def test_bad_problem_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--problem", "nope"])
+
+
+#: the ``--profile`` run of the verify recipe, on three builds
+PROFILE_RUN = ["--problem", "sod", "--resolution", "32", "32",
+               "--levels", "2", "--steps", "2", "--profile"]
+
+
+@pytest.fixture(scope="module")
+def profiles():
+    out = {}
+    for build, flags in (("cpu", ["--cpu"]), ("gpu", []),
+                         ("nonresident", ["--non-resident"])):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([*PROFILE_RUN, *flags]) == 0
+        out[build] = buf.getvalue()
+    return out
+
+
+def _profile_rows(out: str, title: str) -> list[list[str]]:
+    """The rows of one ``--profile`` table, split into columns."""
+    lines = out.splitlines()
+    start = lines.index(f"-- {title} --") + 3  # title, header, rule
+    rows = []
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        rows.append(line.split())
+    return rows
+
+
+TRANSFERS = "transfer attribution (PCIe / on-device)"
+
+
+class TestProfile:
+    def test_cpu_kernels_only_and_no_transfers(self, profiles):
+        kernels = _profile_rows(profiles["cpu"], "kernel attribution")
+        assert kernels and all(row[1] == "cpu" for row in kernels)
+        assert _profile_rows(profiles["cpu"], TRANSFERS) == []
+
+    def test_gpu_run_crosses_pcie_both_ways(self, profiles):
+        kernels = _profile_rows(profiles["gpu"], "kernel attribution")
+        assert any(row[1] == "gpu" for row in kernels)
+        directions = {row[0] for row in _profile_rows(profiles["gpu"],
+                                                      TRANSFERS)}
+        assert {"d2h", "h2d"} <= directions
+
+    def test_nonresident_moves_ten_times_the_transfers(self, profiles):
+        def transfers(build):
+            return sum(int(row[1])
+                       for row in _profile_rows(profiles[build], TRANSFERS))
+
+        assert transfers("gpu") > 0
+        assert transfers("nonresident") >= 10 * transfers("gpu")
 
 
 class TestMain:

@@ -18,6 +18,7 @@ from repro.gpu.errors import MemorySpaceError
 from repro.mesh.box import Box
 from repro.pdat import HOST, ArrayData
 from repro.util.clock import VirtualClock
+from counts import gpu_launches, pcie_bytes, pcie_transfers
 
 
 @pytest.fixture
@@ -39,20 +40,20 @@ class TestCudaArrayData(StoreCases):
 
     def test_fill_is_kernel(self, device):
         ad = ArrayData(Box([0, 0], [3, 3]), device)
-        n0 = device.stats.kernel_launches
+        n0 = gpu_launches(device)
         ad.fill(2.0)
-        assert device.stats.kernel_launches == n0 + 1
-        assert device.stats.launches_by_name["pdat.fill"] == 1
+        assert gpu_launches(device) == n0 + 1
+        assert gpu_launches(device, "pdat.fill") == 1
         assert np.all(ad.to_host_array() == 2.0)
 
     def test_copy_from_same_device(self, device):
         a = ArrayData(Box([0, 0], [3, 3]), device, fill=5.0)
         b = ArrayData(Box([0, 0], [3, 3]), device, fill=0.0)
-        k0 = device.stats.launches_by_name.get("pdat.copy", 0)
-        pcie = device.stats.bytes_d2h + device.stats.bytes_h2d
+        k0 = gpu_launches(device, "pdat.copy")
+        pcie = pcie_bytes(device)
         b.copy_from(a, Box([0, 0], [1, 3]))
-        assert device.stats.launches_by_name["pdat.copy"] == k0 + 1
-        assert device.stats.bytes_d2h + device.stats.bytes_h2d == pcie
+        assert gpu_launches(device, "pdat.copy") == k0 + 1
+        assert pcie_bytes(device) == pcie
         host = b.to_host_array()
         assert host[:2].sum() == 40.0 and host[2:].sum() == 0.0
 
@@ -67,14 +68,14 @@ class TestCudaArrayData(StoreCases):
         """Fig. 4: pack kernel -> contiguous device buffer -> D2H."""
         ad = ArrayData(Box([0, 0], [7, 7]), device, fill=3.0)
         region = Box([2, 2], [5, 5])
-        d2h0 = device.stats.bytes_d2h
-        n0 = device.stats.transfers_d2h
-        k0 = device.stats.launches_by_name.get("pdat.pack", 0)
+        d2h0 = pcie_bytes(device, "d2h")
+        n0 = pcie_transfers(device, "d2h")
+        k0 = gpu_launches(device, "pdat.pack")
         live = device.bytes_allocated
         buf = ad.pack(region)
-        assert device.stats.launches_by_name["pdat.pack"] == k0 + 1
-        assert device.stats.bytes_d2h - d2h0 == region.size() * 8
-        assert device.stats.transfers_d2h == n0 + 1
+        assert gpu_launches(device, "pdat.pack") == k0 + 1
+        assert pcie_bytes(device, "d2h") - d2h0 == region.size() * 8
+        assert pcie_transfers(device, "d2h") == n0 + 1
         assert device.bytes_allocated == live  # staging buffer released
         assert buf.shape == (16,)
         assert np.all(buf == 3.0)
@@ -82,12 +83,12 @@ class TestCudaArrayData(StoreCases):
     def test_unpack_path(self, device):
         ad = ArrayData(Box([0, 0], [7, 7]), device, fill=0.0)
         region = Box([1, 1], [2, 2])
-        h2d0 = device.stats.bytes_h2d
-        k0 = device.stats.launches_by_name.get("pdat.unpack", 0)
+        h2d0 = pcie_bytes(device, "h2d")
+        k0 = gpu_launches(device, "pdat.unpack")
         live = device.bytes_allocated
         ad.unpack(np.arange(4.0), region)
-        assert device.stats.bytes_h2d - h2d0 == 32
-        assert device.stats.launches_by_name["pdat.unpack"] == k0 + 1
+        assert pcie_bytes(device, "h2d") - h2d0 == 32
+        assert gpu_launches(device, "pdat.unpack") == k0 + 1
         assert device.bytes_allocated == live
         host = ad.to_host_array()
         assert np.array_equal(host[1:3, 1:3].reshape(-1), np.arange(4.0))
@@ -141,10 +142,10 @@ class TestCudaCentrings(CentringCases):
         a = self.make(device, cls, kwargs)
         b = self.make(device, cls, kwargs)
         a.fill(9.0)
-        pcie = device.stats.bytes_d2h + device.stats.bytes_h2d
+        pcie = pcie_bytes(device)
         b.copy(a, Box([0, 0], [2, 2]))
         # on-device copy must not touch the PCIe bus
-        assert device.stats.bytes_d2h + device.stats.bytes_h2d == pcie
+        assert pcie_bytes(device) == pcie
 
     def test_stream_size(self, device, cls, kwargs):
         self.check_stream_size(device, cls, kwargs)

@@ -14,6 +14,7 @@ from repro import (
     make_communicator,
 )
 from repro.hydro.diagnostics import host_interior, uncovered_mask
+from counts import pcie_bytes
 
 
 def make_sim(gpus=False, max_levels=2):
@@ -67,9 +68,9 @@ class TestFieldSummary:
     def test_summary_charges_d2h_for_resident_data(self):
         sim = make_sim(gpus=True)
         dev = sim.comm.rank(0).device
-        before = dev.stats.bytes_d2h
+        before = pcie_bytes(dev, "d2h")
         field_summary(sim.hierarchy)
-        assert dev.stats.bytes_d2h > before
+        assert pcie_bytes(dev, "d2h") > before
 
 
 class TestGatherLevelField:

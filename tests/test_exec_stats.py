@@ -1,4 +1,5 @@
-"""Tests for the backend observability layer (repro.exec.stats)."""
+"""Tests for the backend observability layer: modelled events counted in
+the rank's metrics registry, read by repro.exec.stats."""
 
 from __future__ import annotations
 
@@ -6,42 +7,45 @@ import numpy as np
 import pytest
 
 from repro import make_communicator
-from repro.exec.stats import (
-    ExecStats,
-    attribution_report,
-    combined_stats,
-    kernel_category,
-)
+from repro.exec.stats import attribution_report, kernel_category
 from repro.mesh.box import Box, IntVector
+from repro.obs.metrics import MetricsRegistry
+from counts import count_event
 
 
 def box2(nx, ny):
     return Box(IntVector((0, 0)), IntVector((nx - 1, ny - 1)))
 
 
+def _kernel(reg, name, elements, seconds, on):
+    count_event(reg, "kernel", (name, on), 1, elements, seconds)
+
+
 class TestExecStats:
     def test_record_and_totals(self):
-        s = ExecStats()
-        s.record_kernel("hydro.pdv", 100, 0.5, "gpu")
-        s.record_kernel("hydro.pdv", 50, 0.25, "gpu")
-        s.record_kernel("hydro.pdv", 10, 0.1, "cpu")
-        s.record_transfer("d2h", 800, 0.01)
-        c = s.kernels[("gpu", "hydro.pdv")]
-        assert (c.launches, c.elements, c.seconds) == (2, 150, 0.75)
-        assert s.kernels[("cpu", "hydro.pdv")].launches == 1
-        assert s.kernel_seconds == pytest.approx(0.85)
-        assert s.transfer_seconds == pytest.approx(0.01)
+        s = MetricsRegistry()
+        _kernel(s, "hydro.pdv", 100, 0.5, "gpu")
+        _kernel(s, "hydro.pdv", 50, 0.25, "gpu")
+        _kernel(s, "hydro.pdv", 10, 0.1, "cpu")
+        count_event(s, "transfer", ("d2h",), 1, 800, 0.01)
+        got = tuple(s.value(f"kernel.{f}", kernel="hydro.pdv", on="gpu")
+                    for f in ("launches", "elements", "seconds"))
+        assert got == (2, 150, 0.75)
+        assert s.value("kernel.launches", kernel="hydro.pdv", on="cpu") == 1
+        assert s.total("kernel.seconds") == pytest.approx(0.85)
+        assert s.total("transfer.seconds") == pytest.approx(0.01)
 
     def test_merge_and_reset(self):
-        a, b = ExecStats(), ExecStats()
-        a.record_kernel("k", 1, 1.0, "cpu")
-        b.record_kernel("k", 2, 2.0, "cpu")
-        b.record_transfer("h2d", 8, 0.1)
-        merged = combined_stats([a, b])
-        assert merged.kernels[("cpu", "k")].launches == 2
-        assert merged.transfers["h2d"].bytes == 8
-        merged.reset()
-        assert not merged.kernels and not merged.transfers
+        a, b = MetricsRegistry(), MetricsRegistry()
+        _kernel(a, "k", 1, 1.0, "cpu")
+        _kernel(b, "k", 2, 2.0, "cpu")
+        count_event(b, "transfer", ("h2d",), 1, 8, 0.1)
+        merged = MetricsRegistry.merged([a, b])
+        assert merged.value("kernel.launches", kernel="k", on="cpu") == 2
+        assert merged.value("transfer.bytes", direction="h2d") == 8
+        # merging copies: the ranks' own stores are left as they were
+        assert a.value("kernel.launches", kernel="k", on="cpu") == 1
+        assert not MetricsRegistry.merged([]).snapshot()["counters"]
 
     def test_kernel_categories(self):
         assert kernel_category("hydro.pdv") == "hydro"
@@ -52,9 +56,9 @@ class TestExecStats:
         assert kernel_category("mystery") == "other"
 
     def test_report_renders(self):
-        s = ExecStats()
-        s.record_kernel("hydro.pdv", 100, 0.5, "gpu")
-        s.record_transfer("d2h", 1000, 0.02)
+        s = MetricsRegistry()
+        _kernel(s, "hydro.pdv", 100, 0.5, "gpu")
+        count_event(s, "transfer", ("d2h",), 1, 1000, 0.02)
         text = "\n".join(attribution_report(s, timers={"hydro": 0.5}))
         assert "hydro.pdv" in text
         assert "d2h" in text
@@ -66,15 +70,18 @@ class TestRankRecording:
         comm = make_communicator("IPA", 1, gpus=False)
         rank = comm.rank(0)
         rank.cpu_run("pdat.copy", 64, lambda: None)
-        c = rank.exec_stats.kernels[("cpu", "pdat.copy")]
-        assert c.launches == 1 and c.elements == 64 and c.seconds > 0
+        m = rank.metrics
+        assert m.value("kernel.launches", kernel="pdat.copy", on="cpu") == 1
+        assert m.value("kernel.elements", kernel="pdat.copy", on="cpu") == 64
+        assert m.value("kernel.seconds", kernel="pdat.copy", on="cpu") > 0
 
     def test_device_shares_rank_sink(self):
         comm = make_communicator("IPA", 1, gpus=True)
         rank = comm.rank(0)
-        assert rank.device.exec_stats is rank.exec_stats
+        assert rank.device.metrics is rank.metrics
         rank.device.launch("pdat.fill", 128, lambda: None)
-        assert rank.exec_stats.kernels[("gpu", "pdat.fill")].launches == 1
+        assert rank.metrics.value("kernel.launches", kernel="pdat.fill",
+                                  on="gpu") == 1
 
     def test_memcpy_directions_recorded(self):
         comm = make_communicator("IPA", 1, gpus=True)
@@ -82,25 +89,10 @@ class TestRankRecording:
         host = np.zeros(16)
         darr = rank.device.from_host(host)
         rank.device.to_host(darr)
-        assert rank.exec_stats.transfers["h2d"].bytes == host.nbytes
-        assert rank.exec_stats.transfers["d2h"].bytes == host.nbytes
-        assert rank.exec_stats.transfers["h2d"].count == 1
-
-    def test_exec_stats_agree_with_device_stats(self):
-        comm = make_communicator("IPA", 1, gpus=True)
-        rank = comm.rank(0)
-        darr = rank.device.from_host(np.zeros(32))
-        rank.device.launch("pdat.fill", 32, lambda: None)
-        rank.device.to_host(darr)
-        gpu_seconds = sum(
-            c.seconds for (res, _), c in rank.exec_stats.kernels.items()
-            if res == "gpu"
-        )
-        assert gpu_seconds == pytest.approx(rank.device.stats.kernel_seconds)
-        assert rank.exec_stats.transfer_seconds == pytest.approx(
-            rank.device.stats.transfer_seconds
-        )
-        assert rank.exec_stats.transfers["h2d"].bytes == rank.device.stats.bytes_h2d
+        m = rank.metrics
+        assert m.value("transfer.bytes", direction="h2d") == host.nbytes
+        assert m.value("transfer.bytes", direction="d2h") == host.nbytes
+        assert m.value("transfer.count", direction="h2d") == 1
 
 
 class TestBackendDispatch:
@@ -125,5 +117,5 @@ class TestBackendDispatch:
         comm = make_communicator("IPA", 1, gpus=False)
         rank = comm.rank(0)
         rank.cpu_run("hydro.pdv", 10, lambda: None)
-        report = rank.host_backend.stats_report()
+        report = "\n".join(attribution_report(rank.metrics))
         assert "hydro.pdv" in report and "kernel attribution" in report

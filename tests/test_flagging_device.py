@@ -12,6 +12,7 @@ from repro.mesh.hierarchy import PatchHierarchy
 from repro.mesh.variables import CudaDataFactory, HostDataFactory
 from repro.perf.machines import FDR_INFINIBAND, IPA_CPU_NODE
 from repro.regrid.flagging import TagThresholds, flag_patch
+from counts import gpu_launches, pcie_bytes
 
 
 def make_patch(gpus: bool, with_jump: bool):
@@ -48,31 +49,31 @@ class TestDevicePath:
     def test_tagged_patch_transfers_bits_only(self):
         comm, patch = make_patch(True, True)
         dev = comm.rank(0).device
-        before = dev.stats.bytes_d2h
+        before = pcie_bytes(dev, "d2h")
         tags = flag_patch(patch, comm.rank(0), TagThresholds())
         assert tags.any()
-        moved = dev.stats.bytes_d2h - before
+        moved = pcie_bytes(dev, "d2h") - before
         # 4-byte flag + 256 cells -> 32 bytes of bits
         assert moved == 4 + 32
 
     def test_untagged_patch_skips_transfer(self):
         comm, patch = make_patch(True, False)
         dev = comm.rank(0).device
-        before = dev.stats.bytes_d2h
+        before = pcie_bytes(dev, "d2h")
         tags = flag_patch(patch, comm.rank(0), TagThresholds())
         assert not tags.any()
-        assert dev.stats.bytes_d2h - before == 4  # only the flag word
+        assert pcie_bytes(dev, "d2h") - before == 4  # only the flag word
 
     def test_compression_kernel_launched(self):
         comm, patch = make_patch(True, True)
         dev = comm.rank(0).device
-        k0 = dev.stats.launches_by_name.get("regrid.tag_compress", 0)
+        k0 = gpu_launches(dev, "regrid.tag_compress")
         flag_patch(patch, comm.rank(0), TagThresholds())
-        assert dev.stats.launches_by_name["regrid.tag_compress"] == k0 + 1
+        assert gpu_launches(dev, "regrid.tag_compress") == k0 + 1
 
     def test_tag_kernel_charged_per_cell(self):
         comm, patch = make_patch(True, True)
         dev = comm.rank(0).device
-        k0 = dev.stats.launches_by_name.get("regrid.tag", 0)
+        k0 = gpu_launches(dev, "regrid.tag")
         flag_patch(patch, comm.rank(0), TagThresholds())
-        assert dev.stats.launches_by_name["regrid.tag"] == k0 + 1
+        assert gpu_launches(dev, "regrid.tag") == k0 + 1

@@ -9,6 +9,7 @@ from repro.gpu.kernel import LaunchConfig, kernel_spec, register_kernel
 from repro.gpu.memory import DeviceArray
 from repro.gpu.stream import Event
 from repro.util.clock import VirtualClock
+from counts import gpu_launches, pcie_bytes, pcie_transfers
 
 
 @pytest.fixture
@@ -76,7 +77,7 @@ class TestAllocation:
         b = device.zeros((100,))
         a.free()
         b.free()
-        assert device.stats.peak_bytes_allocated == 1600
+        assert device.peak_bytes == 1600
 
 
 class TestClocks:
@@ -120,9 +121,9 @@ class TestClocks:
         arr = device.zeros((8, 8))  # zeros() itself fills via memcpy scope
         device.launch("pdat.copy", 64, lambda: None)
         device.to_host(arr)
-        assert device.stats.kernel_launches == 1
-        assert device.stats.transfers_d2h == 1
-        assert device.stats.bytes_d2h == 512
+        assert gpu_launches(device) == 1
+        assert pcie_transfers(device, "d2h") == 1
+        assert pcie_bytes(device, "d2h") == 512
 
 
 class TestStreamsEvents:
@@ -159,9 +160,9 @@ class TestStreamsEvents:
     def test_dtod_no_pcie(self, device):
         a = device.zeros((1024,))
         b = device.zeros((1024,))
-        before = device.stats.bytes_d2h + device.stats.bytes_h2d
+        before = pcie_bytes(device)
         device.memcpy_dtod(b, a)
-        assert device.stats.bytes_d2h + device.stats.bytes_h2d == before
+        assert pcie_bytes(device) == before
         assert np.array_equal(device.to_host(b), np.zeros(1024))
 
 

@@ -16,6 +16,7 @@ from repro import (
     make_communicator,
 )
 from repro.hydro.problems import BlastProblem
+from counts import pcie_bytes
 
 
 def make_sim(problem=None, nranks=1, gpus=False, max_levels=2,
@@ -159,9 +160,9 @@ class TestRegriddingDuringRun:
         # the regrid purged schedules touching rebuilt levels; stepping
         # on rebuilds them without error
         sim.run(max_steps=sim.config.regrid.regrid_interval + 2)
-        stats = sim.comm.ranks[0].exec_stats.schedules
-        assert stats["fill"].misses > 0  # rebuilt after the regrid
-        assert stats["fill"].hits > 0    # and re-served from cache since
+        m = sim.comm.ranks[0].metrics
+        assert m.value("schedule_cache.misses", kind="fill") > 0  # rebuilt
+        assert m.value("schedule_cache.hits", kind="fill") > 0    # re-served
 
 
 class TestTimers:
@@ -194,9 +195,9 @@ class TestGpuResidency:
         sim = make_sim(gpus=True, max_levels=2, max_patch=32)
         dev = sim.comm.rank(0).device
         field_bytes = dev.bytes_allocated
-        dev.stats.reset()
+        moved0 = pcie_bytes(dev)
         sim.run(max_steps=3)  # no regrid inside
-        moved = dev.stats.bytes_d2h + dev.stats.bytes_h2d
+        moved = pcie_bytes(dev) - moved0
         assert moved < 0.2 * field_bytes * 3
 
     def test_device_memory_stable_across_steps(self):

@@ -16,6 +16,7 @@ from repro.xfer.message import (
     pack_batch,
     unpack_batch,
 )
+from counts import gpu_launches, pcie_transfers
 
 BOX = Box([0, 0], [7, 7])
 
@@ -75,11 +76,11 @@ class TestDeviceBatches:
     def test_one_kernel_one_transfer(self, comm):
         device = comm.rank(0).device
         items = self.make_device_batch(device)
-        k0 = device.stats.launches_by_name.get("pdat.pack", 0)
-        d0 = device.stats.transfers_d2h
+        k0 = gpu_launches(device, "pdat.pack")
+        d0 = pcie_transfers(device, "d2h")
         pack_batch(items, comm.rank(0))
-        assert device.stats.launches_by_name["pdat.pack"] == k0 + 1
-        assert device.stats.transfers_d2h == d0 + 1
+        assert gpu_launches(device, "pdat.pack") == k0 + 1
+        assert pcie_transfers(device, "d2h") == d0 + 1
 
     def test_roundtrip_across_devices(self, comm):
         d0, d1 = comm.rank(0).device, comm.rank(1).device
@@ -114,9 +115,9 @@ class TestLocalCopyBatch:
         a = CudaCellData(BOX, 2, device, fill=3.0)
         dst = CudaCellData(BOX, 2, device, fill=0.0)
         items = [(dst, a, Box([0, 0], [1, 7])), (dst, a, Box([6, 0], [7, 7]))]
-        k0 = device.stats.launches_by_name.get("pdat.copy", 0)
+        k0 = gpu_launches(device, "pdat.copy")
         copy_batch_local(items, comm.rank(0))
-        assert device.stats.launches_by_name["pdat.copy"] == k0 + 1
+        assert gpu_launches(device, "pdat.copy") == k0 + 1
         full = dst.to_host()
         assert full[2, 2] == 3.0 and full[9, 5] == 3.0 and full[5, 5] == 0.0
 
@@ -141,6 +142,12 @@ def _arena_row(space, nboxes, fill=None, seed=None, ragged=False):
     return arena, pds
 
 
+def _stacked(rank, kernel):
+    """(regions, flat-index ops) the rank counted for ``kernel``."""
+    return (rank.metrics.value("stack.regions", kernel=kernel),
+            rank.metrics.value("stack.ops", kernel=kernel))
+
+
 def _interior(pd):
     return pd.to_host()[pd.box.slices_in(pd.get_ghost_box())]
 
@@ -160,8 +167,7 @@ class TestStackedCopies:
         copy_batch_local([(d, s, d.box) for d, s in zip(dsts, srcs)], rank)
         for d, s in zip(dsts, srcs):
             assert np.array_equal(_interior(d), _interior(s))
-        sc = rank.exec_stats.stacked["pdat.copy"]
-        assert sc.stacked == 3 and sc.groups == 1
+        assert _stacked(rank, "pdat.copy") == (3, 1)
 
     def test_host_stacked_copy_matches_per_region(self, comm):
         self._check_stacked_copy(HOST, comm.rank(0))
@@ -190,8 +196,7 @@ class TestStackedCopies:
             outside = np.ones(d.to_host().shape, dtype=bool)
             outside[sl] = False
             assert not d.to_host()[outside].any()  # nothing else written
-        sc = rank.exec_stats.stacked["pdat.copy"]
-        assert sc.stacked == 3 and sc.groups == 1
+        assert _stacked(rank, "pdat.copy") == (3, 1)
 
     def test_ragged_arena_keeps_the_per_region_path(self, comm, space):
         """Non-uniform arena: two shape buckets, no whole-arena stacked
@@ -211,8 +216,7 @@ class TestStackedCopies:
         assert np.array_equal(
             buffer, np.concatenate([_interior(s).ravel() for s in srcs]))
         for kernel in ("pdat.copy", "pdat.pack"):
-            sc = rank.exec_stats.stacked[kernel]
-            assert sc.stacked == 3 and sc.groups == 1
+            assert _stacked(rank, kernel) == (3, 1)
         slab = arena.to_host_slab()
         for i, s in enumerate(srcs):
             n = arena.shapes[i][0] * arena.shapes[i][1]
@@ -235,8 +239,7 @@ class TestStackedCopies:
                           (dst, b, Box([4, 4], [7, 7]))], rank)
         assert np.all(_interior(dst)[:4] == 1.0)
         assert np.all(_interior(dst)[4:] == 2.0)
-        sc = rank.exec_stats.stacked["pdat.copy"]
-        assert sc.stacked == 3 and sc.groups == 2
+        assert _stacked(rank, "pdat.copy") == (3, 2)
         buffer = pack_batch([(dst, Box([2, 2], [5, 5])), (a, BOX)], rank)
         assert np.array_equal(buffer, np.concatenate(
             [_interior(dst)[2:6, 2:6].ravel(), _interior(a).ravel()]))
@@ -250,10 +253,8 @@ class TestStackedCopies:
         unpack_batch(buffer, [(d, d.box) for d in dsts], rank)
         for d, s in zip(dsts, srcs):
             assert np.array_equal(_interior(d), _interior(s))
-        sc = rank.exec_stats.stacked["pdat.pack"]
-        assert sc.stacked == 4 and sc.groups == 1
-        su = rank.exec_stats.stacked["pdat.unpack"]
-        assert su.stacked == 4 and su.groups == 1
+        assert _stacked(rank, "pdat.pack") == (4, 1)
+        assert _stacked(rank, "pdat.unpack") == (4, 1)
 
     def test_host_stacked_pack_unpack_roundtrip(self, comm):
         self._check_stacked_pack_unpack(HOST, comm.rank(0))
@@ -265,13 +266,12 @@ class TestStackedCopies:
         rank = comm.rank(0)
         device = rank.device
         _, pds = _arena_row(device, 3, seed=5)
-        k0 = device.stats.launches_by_name.get("pdat.pack", 0)
-        d0 = device.stats.transfers_d2h
+        k0 = gpu_launches(device, "pdat.pack")
+        d0 = pcie_transfers(device, "d2h")
         pack_batch([(pd, pd.box) for pd in pds], rank)
-        assert device.stats.launches_by_name["pdat.pack"] == k0 + 1
-        assert device.stats.transfers_d2h == d0 + 1
-        sc = rank.exec_stats.stacked["pdat.pack"]
-        assert sc.stacked == 3 and sc.groups == 1
+        assert gpu_launches(device, "pdat.pack") == k0 + 1
+        assert pcie_transfers(device, "d2h") == d0 + 1
+        assert _stacked(rank, "pdat.pack") == (3, 1)
 
 
 # -- a batch transfer that raises leaves no staging buffer behind -----------------

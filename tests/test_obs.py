@@ -36,6 +36,7 @@ from repro.obs import (
     validate_chrome_trace,
     validate_file,
 )
+from counts import count_event
 
 FIELDS = ("density0", "energy0", "pressure", "xvel0", "yvel0")
 
@@ -316,6 +317,64 @@ def test_instrument_primitives():
     assert h.mean == 0.0 and h.min == math.inf
     h.observe(2.0)
     assert (h.count, h.total, h.min, h.max) == (1, 2.0, 2.0, 2.0)
+
+
+# -- the registry is the one store of modelled events -------------------------
+
+
+def test_read_helpers_create_no_instrument():
+    r = MetricsRegistry()
+    count_event(r, "kernel", ("hydro.pdv", "gpu"), 1, 10, 0.5)
+    before = r.snapshot()
+    assert r.value("kernel.launches", kernel="hydro.pdv", on="cpu") == 0
+    assert r.value("transfer.bytes", direction="h2d") == 0
+    assert r.total("schedule_cache.hits") == 0
+    assert r.total("kernel.launches", on="cpu") == 0
+    assert r.variants("slab_fused") == {}
+    assert r.snapshot() == before
+    assert r.value("kernel.elements", kernel="hydro.pdv", on="gpu") == 10
+    assert r.total("kernel.seconds", on="gpu") == 0.5
+    assert r.variants("kernel.launches") == {("hydro.pdv", "gpu"): 1}
+
+
+def test_record_creates_a_family_together_under_canonical_lanes():
+    r = MetricsRegistry()
+    count_event(r, "schedule_cache", ("fill",), 1, 0)
+    count_event(r, "stream", ("D2H",), 1, 0.5)
+    count_event(r, "stream", ("d2h",), 1, 0.25)  # same counters as "D2H"
+    assert r.snapshot()["counters"] == {
+        "schedule_cache.hits{kind=fill}": 1.0,
+        "schedule_cache.misses{kind=fill}": 0.0,
+        "stream.busy_seconds{stream=d2h}": 0.75,
+        "stream.ops{stream=d2h}": 2.0,
+    }
+
+
+def test_manifest_counters_are_the_ranks_stores_summed(parity_runs):
+    """A 2-rank overlapped run: the manifest adds nothing to and
+    translates nothing from the ranks' own registries.  (Read now, not
+    from ``res.metrics``: the result's field summary reads fields back
+    after the manifest was taken.)"""
+    from repro.obs import run_manifest
+
+    res, _ = parity_runs["resident-overlap"]
+    manifest = run_manifest(res.sim)
+    ranks = [r.metrics.snapshot()["counters"] for r in res.sim.comm.ranks]
+    recorded = set().union(*ranks)
+    counters = manifest["counters"]
+    assert any(k.startswith("overlap.") for k in recorded)
+    for key in recorded:
+        assert counters[key] == sum(snap.get(key, 0.0) for snap in ranks), key
+    # the rest come from the surfaces that keep their own state
+    rest = set(counters) - recorded
+    assert rest and all(
+        k.startswith(("sched.", "regrid.", "device.kernel_launches"))
+        for k in rest), rest
+    assert counters["device.kernel_launches"] == sum(
+        r.metrics.total("kernel.launches", on="gpu")
+        for r in res.sim.comm.ranks)
+    assert manifest["gauges"]["device.peak_bytes"] == max(
+        r.device.peak_bytes for r in res.sim.comm.ranks)
 
 
 # -- the end-of-run manifest --------------------------------------------------

@@ -20,6 +20,7 @@ from repro.geom.operators import (
 from repro.gpu.device import K20X, Device
 from repro.mesh.box import Box, IntVector
 from repro.util.clock import VirtualClock
+from counts import gpu_launches
 
 R2 = IntVector(2, 2)
 
@@ -335,9 +336,9 @@ class TestOperatorDispatch:
         dev = self._device()
         c = CudaCellData(self.BOXC, 2, dev, fill=1.0)
         f = CudaCellData(self.BOXF, 2, dev, fill=0.0)
-        n0 = dev.stats.launches_by_name.get("geom.refine", 0)
+        n0 = gpu_launches(dev, "geom.refine")
         CellConservativeLinearRefine().apply(c, f, self.BOXF, 2)
-        assert dev.stats.launches_by_name["geom.refine"] == n0 + 1
+        assert gpu_launches(dev, "geom.refine") == n0 + 1
 
     def test_node_coarsen_cpu_gpu_identical(self):
         dev = self._device()

@@ -15,6 +15,7 @@ from repro.hydro.patch_integrator import (
     CleverleafPatchIntegrator,
     NonResidentGpuPatchIntegrator,
 )
+from counts import gpu_launches, pcie_bytes, pcie_transfers
 
 
 def make_patch(gpus: bool, nonresident=False):
@@ -37,24 +38,24 @@ def make_patch(gpus: bool, nonresident=False):
 class TestDispatch:
     def test_resident_kernels_launch_on_device(self):
         sim, patch, rank, pi = make_patch(gpus=True)
-        n0 = rank.device.stats.launches_by_name.get("hydro.viscosity", 0)
+        n0 = gpu_launches(rank.device, "hydro.viscosity")
         pi.viscosity(patch, rank)
-        assert rank.device.stats.launches_by_name["hydro.viscosity"] == n0 + 1
+        assert gpu_launches(rank.device, "hydro.viscosity") == n0 + 1
 
     def test_host_kernels_charge_cpu_clock(self):
         sim, patch, rank, pi = make_patch(gpus=False)
-        launches0 = rank.device.stats.kernel_launches
+        launches0 = gpu_launches(rank.device)
         t0 = rank.clock.time
         pi.viscosity(patch, rank)
         assert rank.clock.time > t0
-        assert rank.device.stats.kernel_launches == launches0  # GPU untouched
+        assert gpu_launches(rank.device) == launches0  # GPU untouched
 
     def test_calc_dt_returns_scalar_and_charges_d2h(self):
         sim, patch, rank, pi = make_patch(gpus=True)
-        d2h0 = rank.device.stats.bytes_d2h
+        d2h0 = pcie_bytes(rank.device, "d2h")
         dt = pi.calc_dt(patch, rank)
         assert 0 < dt < 1
-        assert rank.device.stats.bytes_d2h == d2h0 + 8  # the reduced scalar
+        assert pcie_bytes(rank.device, "d2h") == d2h0 + 8  # the reduced scalar
 
     def test_ideal_gas_predict_uses_level1_fields(self):
         sim, patch, rank, pi = make_patch(gpus=False)
@@ -68,12 +69,12 @@ class TestDispatch:
 class TestNonResidentAccounting:
     def test_every_kernel_brackets_with_copies(self):
         sim, patch, rank, pi = make_patch(gpus=True, nonresident=True)
-        stats = rank.device.stats
-        h0, d0 = stats.transfers_h2d, stats.transfers_d2h
+        dev = rank.device
+        h0, d0 = pcie_transfers(dev, "h2d"), pcie_transfers(dev, "d2h")
         pi.viscosity(patch, rank)
         # 5 fields read/written up + 1 written back
-        assert stats.transfers_h2d - h0 == 5
-        assert stats.transfers_d2h - d0 == 1
+        assert pcie_transfers(dev, "h2d") - h0 == 5
+        assert pcie_transfers(dev, "d2h") - d0 == 1
 
     def test_data_stays_on_host(self):
         sim, patch, rank, pi = make_patch(gpus=True, nonresident=True)

@@ -87,10 +87,8 @@ class _DeviceRank:
     """The little of a rank a resident backend needs."""
 
     def __init__(self):
-        from repro.exec.stats import ExecStats
-
         self.device = Device(K20X)
-        self.exec_stats = ExecStats()
+        self.metrics = self.device.metrics
         self.index = 0
 
 
@@ -447,13 +445,13 @@ def _outcome(sched, state, comm):
         pd.from_host(host)
     devices = [rank.device for rank in comm.ranks]
     for device in devices:
-        device.stats.peak_bytes_allocated = device.bytes_allocated
+        device.peak_bytes = device.bytes_allocated
     with _recording() as (launches, messages):
         sched.fill(time=1.0)
     frames = [patch.data(spec.var.name).to_host()
               for patch in sched.dst_level for spec in sched.specs]
     return (frames, launches, messages,
-            [d.stats.peak_bytes_allocated for d in devices])
+            [d.peak_bytes for d in devices])
 
 
 def _check_against_oracle(make, state, comm, factory):
@@ -590,7 +588,7 @@ def _sync_outcome(sched, state, comm, recorded: bool):
         pd.from_host(host)
     devices = [rank.device for rank in comm.ranks]
     for device in devices:
-        device.stats.peak_bytes_allocated = device.bytes_allocated
+        device.peak_bytes = device.bytes_allocated
     with _recording() as (launches, messages):
         if recorded:
             gb = GraphBuilder(comm)
@@ -601,7 +599,7 @@ def _sync_outcome(sched, state, comm, recorded: bool):
     frames = [patch.data(spec.var.name).to_host()
               for patch in sched.coarse_level for spec in sched.specs]
     return (frames, launches, messages,
-            [d.stats.peak_bytes_allocated for d in devices])
+            [d.peak_bytes for d in devices])
 
 
 @pytest.mark.parametrize("nranks", [1, 4])

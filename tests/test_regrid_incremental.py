@@ -125,9 +125,9 @@ class TestFastPathsEngage:
 
     def test_schedule_cache_hits(self):
         res = self.quiescent(True)
-        stats = res.sim.comm.ranks[0].exec_stats.schedules
-        assert stats["fill"].hits > 0
-        assert stats["regrid_ghost"].hits > 0
+        m = res.sim.comm.ranks[0].metrics
+        assert m.value("schedule_cache.hits", kind="fill") > 0
+        assert m.value("schedule_cache.hits", kind="regrid_ghost") > 0
 
     def test_quiescent_parity(self):
         assert_runs_identical(self.quiescent(False), self.quiescent(True))

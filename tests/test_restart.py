@@ -199,9 +199,10 @@ class TestArenaSlabPath:
             sim = make_arena_sim(gpus=True, batch=batch)
             sim.run(max_steps=2)
             rank = sim.comm.ranks[0]
-            before = rank.exec_stats.transfers["d2h"].count
+            before = rank.metrics.value("transfer.count", direction="d2h")
             checkpoint(sim)
-            taken = rank.exec_stats.transfers["d2h"].count - before
+            taken = (rank.metrics.value("transfer.count", direction="d2h")
+                     - before)
             assert taken == self._arena_count(sim), batch
 
     def test_staging_views_are_cleared(self):
@@ -240,9 +241,10 @@ class TestArenaSlabPath:
             db = checkpoint(src)
             dst = make_arena_sim(gpus=True, batch=batch)
             rank = dst.comm.ranks[0]
-            before = rank.exec_stats.transfers["h2d"].count
+            before = rank.metrics.value("transfer.count", direction="h2d")
             restore(dst, db)
-            taken = rank.exec_stats.transfers["h2d"].count - before
+            taken = (rank.metrics.value("transfer.count", direction="h2d")
+                     - before)
             assert taken == self._arena_count(dst), batch
 
     def test_arena_continued_run_matches_straight(self):

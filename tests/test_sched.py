@@ -10,6 +10,8 @@ tie-break key through random priorities to exercise many valid orders.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,14 +19,16 @@ from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, \
     build_simulation, run
-from repro.exec.stats import ExecStats, combined_stats
 from repro.gpu.device import K20X, Device
 from repro.gpu.stream import Event
 from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
+from repro.obs.metrics import MetricsRegistry
 from repro.sched import GraphBuilder, Task, TaskGraph, TaskKind
 from repro.sched.driver import StepScheduler
+from repro.sched.executor import GraphExecutor
 from repro.util.clock import VirtualClock
+from counts import gpu_launches
 
 FIELDS = ("density0", "energy0", "pressure", "xvel0", "yvel0")
 
@@ -250,6 +254,11 @@ def _scheduled(cfg, order_key=None):
 _NOT_MODELLED = ("batch.host_seconds", "sched.captures", "sched.replays")
 
 
+def _hidden(metrics) -> float:
+    """A rank's ``overlap.hidden_seconds`` gauge (0 if never set)."""
+    return metrics.snapshot()["gauges"].get("overlap.hidden_seconds", 0.0)
+
+
 def _observables(sim, dts) -> dict:
     from repro.obs.metrics import registry_from_run
 
@@ -262,10 +271,10 @@ def _observables(sim, dts) -> dict:
                     for kind in ("counters", "gauges")},
         "timers": [dict(r.timers.totals) for r in sim.comm.ranks],
         "clocks": [r.clock.time for r in sim.comm.ranks],
-        "peaks": [r.device.stats.peak_bytes_allocated
+        "peaks": [r.device.peak_bytes
                   for r in sim.comm.ranks],
-        "overlap": [(r.exec_stats.overlap.exposed_seconds,
-                     r.exec_stats.overlap.hidden_seconds)
+        "overlap": [(r.metrics.value("overlap.exposed_seconds"),
+                     _hidden(r.metrics))
                     for r in sim.comm.ranks],
     }
 
@@ -447,27 +456,32 @@ def test_kernel_raising_mid_replay_leaks_no_scratch_and_drops_the_capture(
 def test_overlap_accounting_is_sane(serial_run):
     steps, _ = serial_run
     res = run(_config(execution=ExecutionPolicy(overlap=True)))
-    stats = combined_stats(r.exec_stats for r in res.sim.comm.ranks)
-    o = stats.overlap
-    assert o.async_seconds > 0.0
-    assert 0.0 <= o.exposed_seconds <= o.async_seconds + 1e-15
-    assert o.hidden_seconds == pytest.approx(
-        o.async_seconds - o.exposed_seconds)
+    stats = MetricsRegistry.merged(r.metrics for r in res.sim.comm.ranks)
+    async_s = stats.value("overlap.async_seconds")
+    exposed = stats.value("overlap.exposed_seconds")
+    assert async_s > 0.0
+    assert 0.0 <= exposed <= async_s + 1e-15
+    for r in res.sim.comm.ranks:
+        assert _hidden(r.metrics) == pytest.approx(
+            r.metrics.value("overlap.async_seconds")
+            - r.metrics.value("overlap.exposed_seconds"))
 
 
 def test_exposed_wait_high_water_mark():
     """Overlapping waits on the same lane interval are charged once."""
-    s = ExecStats()
-    s.overlap.async_seconds = 1.0
-    s.record_exposed_wait("d2h", 0.0, 0.4)
-    assert s.overlap.exposed_seconds == pytest.approx(0.4)
-    s.record_exposed_wait("d2h", 0.2, 0.4)  # fully inside the charged span
-    assert s.overlap.exposed_seconds == pytest.approx(0.4)
-    s.record_exposed_wait("d2h", 0.3, 0.6)  # only the new part counts
-    assert s.overlap.exposed_seconds == pytest.approx(0.6)
-    s.record_exposed_wait("h2d", 0.0, 10.0)  # other lane, clamped to async
-    assert s.overlap.exposed_seconds == pytest.approx(1.0)
-    assert s.overlap.hidden_seconds == 0.0
+    rank = SimpleNamespace(index=0, metrics=MetricsRegistry())
+    s = rank.metrics
+    s.record_overlap(1.0, 0.0)
+    ex = GraphExecutor(None)
+    ex._charge_exposed(rank, "d2h", 0.0, 0.4)
+    assert s.value("overlap.exposed_seconds") == pytest.approx(0.4)
+    ex._charge_exposed(rank, "d2h", 0.2, 0.4)  # inside the charged span
+    assert s.value("overlap.exposed_seconds") == pytest.approx(0.4)
+    ex._charge_exposed(rank, "d2h", 0.3, 0.6)  # only the new part counts
+    assert s.value("overlap.exposed_seconds") == pytest.approx(0.6)
+    ex._charge_exposed(rank, "h2d", 0.0, 10.0)  # other lane, clamped
+    assert s.value("overlap.exposed_seconds") == pytest.approx(1.0)
+    assert _hidden(s) == 0.0
 
 
 # -- event-based cross-stream ordering (paper Fig. 5a) -----------------------
@@ -557,8 +571,8 @@ def test_recorded_stream_is_payload_plus_header_and_charges_both_ranks(
     assert dst.to_host().sum() == 7.0 * 16
     if gpus:
         assert [r.device.bytes_allocated for r in (r0, r1)] == live
-        assert r0.device.stats.launches_by_name["pdat.pack"] == 1
-        assert r1.device.stats.launches_by_name["pdat.unpack"] == 1
+        assert gpu_launches(r0.device, "pdat.pack") == 1
+        assert gpu_launches(r1.device, "pdat.unpack") == 1
 
 
 def test_topological_order_respects_deps_under_any_key():

@@ -133,7 +133,10 @@ class TestScheduleCache:
         assert cache.get("fill", key, (lvl, None)) is None
         cache.put("fill", key, (lvl, None), "schedule")
         assert cache.get("fill", key, (lvl, None)) == "schedule"
-        assert (cache.hits, cache.misses, cache.builds) == (1, 1, 1)
+        counts = (cache.metrics.value("schedule_cache.hits", kind="fill"),
+                  cache.metrics.value("schedule_cache.misses", kind="fill"),
+                  cache.builds)
+        assert counts == (1, 1, 1)
 
     def test_structural_match_different_object_is_miss(self):
         """A rebuilt level with identical layout must not replay the old
@@ -175,15 +178,16 @@ class TestScheduleCache:
 
     def test_counters_mirrored_into_exec_stats(self):
         ScheduleCache, level_token, comm, hier, reg = self.make()
-        from repro.exec.stats import ExecStats
-        cache = ScheduleCache()
-        cache.exec_stats = ExecStats()
+        from repro.obs.metrics import MetricsRegistry
+        metrics = MetricsRegistry()
+        cache = ScheduleCache(metrics)
         lvl = hier.level(0)
         cache.get("fill", ("k",), (lvl,))
         cache.put("fill", ("k",), (lvl,), "s")
         cache.get("fill", ("k",), (lvl,))
-        c = cache.exec_stats.schedules["fill"]
-        assert (c.hits, c.misses) == (1, 1)
+        assert cache.metrics is metrics
+        assert (metrics.value("schedule_cache.hits", kind="fill"),
+                metrics.value("schedule_cache.misses", kind="fill")) == (1, 1)
 
     def test_level_token_distinguishes_owner_changes(self):
         ScheduleCache, level_token, comm, hier, reg = self.make()

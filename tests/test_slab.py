@@ -38,7 +38,7 @@ from repro.check import (
 from repro.comm.simcomm import make_communicator
 from repro.exec.backend import stacked_of
 from repro.exec.batch import BatchMember, LaunchBatcher
-from repro.exec.stats import combined_stats
+from repro.obs.metrics import MetricsRegistry
 from repro.gpu.device import K20X, Device
 from repro.hydro import kernels as K
 from repro.hydro.diagnostics import gather_level_field
@@ -55,6 +55,12 @@ from repro.xfer.message import ImmediateSink
 
 FIELDS = ("density0", "energy0", "pressure", "soundspeed",
           "viscosity", "xvel0", "yvel0")
+
+
+def _slab(metrics, kernel):
+    """(fused, fallback) launches ``metrics`` counted for ``kernel``."""
+    return (metrics.value("slab_fused", kernel=kernel),
+            metrics.value("slab_fallback", kernel=kernel))
 
 
 # -- arena stacked views -------------------------------------------------------
@@ -331,9 +337,9 @@ def test_slab_plan_fuses_uniform_group_without_replaying_bodies():
     for patch in level:
         assert np.array_equal(patch.data("density0").data.array,
                               np.ones((8, 8)))
-    counter = rank.exec_stats.slab["hydro.reset_field"]
-    assert (counter.fused, counter.fallback) == (1, 0)
-    assert rank.exec_stats.batches["hydro.reset_field"].members == 3
+    assert _slab(rank.metrics, "hydro.reset_field") == (1, 0)
+    assert rank.metrics.value("batch.members",
+                              kernel="hydro.reset_field") == 3
 
 
 def test_slab_plan_key_mismatch_falls_back_whole_group():
@@ -369,8 +375,7 @@ def test_slab_plan_members_without_spec_replay_bodies():
     members = [BatchMember(4, lambda i=i: hits.append(i)) for i in (2, 0, 1)]
     rank.host_backend.run_batched("hydro.update_halo", members)
     assert hits == [2, 0, 1]
-    counter = rank.exec_stats.slab["hydro.update_halo"]
-    assert (counter.fused, counter.fallback) == (0, 1)
+    assert _slab(rank.metrics, "hydro.update_halo") == (0, 1)
 
 
 def test_slab_plan_partial_arena_coverage_falls_back():
@@ -416,10 +421,11 @@ def test_slab_plan_fuses_each_shape_bucket_of_a_ragged_group():
     assert hits == [(3, 9, 8), (2, 8, 8)]
     assert np.array_equal(level.patches[0].data("density0")._arena.flat(),
                           np.ones(3 * 72 + 2 * 64))
-    counter = rank.exec_stats.slab["hydro.reset_field"]
-    assert (counter.fused, counter.fallback) == (1, 0)
-    launched = rank.exec_stats.kernels["cpu", "hydro.reset_field"]
-    assert (launched.launches, launched.elements) == (1, 5)
+    assert _slab(rank.metrics, "hydro.reset_field") == (1, 0)
+    launched = tuple(rank.metrics.value(name, kernel="hydro.reset_field",
+                                        on="cpu")
+                     for name in ("kernel.launches", "kernel.elements"))
+    assert launched == (1, 5)
 
 
 def test_slab_plan_mixed_roles_fall_back():
@@ -469,8 +475,8 @@ def ragged_runs():
 
 
 def _slab_counters(res):
-    stats = combined_stats(r.exec_stats for r in res.sim.comm.ranks)
-    return {k: (c.fused, c.fallback) for k, c in stats.slab.items()}
+    stats = MetricsRegistry.merged(r.metrics for r in res.sim.comm.ranks)
+    return {k: _slab(stats, k) for (k,) in stats.variants("slab_fused")}
 
 
 def test_ragged_level_counts_fallbacks_and_fusions(ragged_runs):

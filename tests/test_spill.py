@@ -7,6 +7,7 @@ from repro.gpu.device import Device, DeviceSpec
 from repro.gpu.errors import DeviceOutOfMemory
 from repro.gpu.spill import SpillManager
 from repro.util.clock import VirtualClock
+from counts import pcie_bytes
 
 # A toy GPU with room for ~4 1000-element float64 arrays (at 10% headroom).
 TINY = DeviceSpec("tiny-gpu", 100e9, 1e12, 36_000, 5e-6, 2e-6, 6e9, 5e-6)
@@ -89,9 +90,9 @@ class TestAccounting:
     def test_spill_crosses_pcie(self, manager, device):
         a = manager.array((1000,))
         fill(device, a, 1.0)
-        d2h0 = device.stats.bytes_d2h
+        d2h0 = pcie_bytes(device, "d2h")
         [manager.array((1000,)) for _ in range(5)]
-        assert device.stats.bytes_d2h >= d2h0 + 8000  # eviction of `a`
+        assert pcie_bytes(device, "d2h") >= d2h0 + 8000  # eviction of `a`
 
     def test_restore_charges_time(self, manager, device):
         a = manager.array((1000,))

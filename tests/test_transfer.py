@@ -15,6 +15,7 @@ from repro.gpu.device import K20X
 from repro.mesh.box import Box
 from repro.perf.machines import FDR_INFINIBAND, IPA_CPU_NODE
 from repro.xfer.message import MESSAGE_HEADER_BYTES, ImmediateSink
+from counts import gpu_launches, pcie_bytes
 
 BOX = Box([0, 0], [7, 7])
 REGION = Box([2, 2], [5, 5])
@@ -57,9 +58,9 @@ class TestSameRank:
     def test_device_to_device(self, comm):
         dev = comm.rank(0).device
         src, dst = device_pd(dev, 4.0), device_pd(dev, 0.0)
-        pcie0 = dev.stats.bytes_d2h + dev.stats.bytes_h2d
+        pcie0 = pcie_bytes(dev)
         ImmediateSink(comm).copy(comm.rank(0), [(dst, src, REGION)], "copy")
-        assert dev.stats.bytes_d2h + dev.stats.bytes_h2d == pcie0  # no PCIe
+        assert pcie_bytes(dev) == pcie0  # no PCIe
         assert dst.to_host().sum() == 4.0 * 16
 
     def test_empty_region_noop(self, comm):
@@ -93,10 +94,10 @@ class TestCrossRank:
         sink.stream_batch(comm.rank(0), comm.rank(1), [(src, REGION)],
                           [(dst, REGION)], "halo")
         sink.close()
-        assert d0.stats.bytes_d2h == REGION.size() * 8
-        assert d1.stats.bytes_h2d == REGION.size() * 8
-        assert d0.stats.launches_by_name.get("pdat.pack", 0) == 1
-        assert d1.stats.launches_by_name.get("pdat.unpack", 0) == 1
+        assert pcie_bytes(d0, "d2h") == REGION.size() * 8
+        assert pcie_bytes(d1, "h2d") == REGION.size() * 8
+        assert gpu_launches(d0, "pdat.pack") == 1
+        assert gpu_launches(d1, "pdat.unpack") == 1
         assert [m.nbytes for m in posted] == [
             REGION.size() * 8 + MESSAGE_HEADER_BYTES]
         assert (d0.bytes_allocated, d1.bytes_allocated) == live

@@ -64,18 +64,6 @@ class TestTimerRegistry:
         t.reset()
         assert t.total("a") == 0.0
 
-    def test_merged_with_takes_max(self):
-        c1, c2 = VirtualClock(), VirtualClock()
-        t1, t2 = TimerRegistry(c1), TimerRegistry(c2)
-        with t1.time("x"):
-            c1.advance(1.0)
-        with t2.time("x"):
-            c2.advance(4.0)
-        with t2.time("y"):
-            c2.advance(1.0)
-        merged = t1.merged_with(t2)
-        assert merged == {"x": 4.0, "y": 1.0}
-
     def test_exception_still_recorded(self):
         clock = VirtualClock()
         t = TimerRegistry(clock)
