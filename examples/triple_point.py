@@ -29,11 +29,12 @@ STEPS = 24
 def hierarchy_report(sim) -> str:
     parts = []
     for level in sim.hierarchy:
-        bb = level.boxes().bounding_box() if len(level) else None
+        boxes = level.box_array
         parts.append(
             f"L{level.level_number}: {len(level):3d} patches "
             f"{level.total_cells():7d} cells"
-            + (f" bbox x=[{bb.lower[0]},{bb.upper[0]}]" if bb else "")
+            + (f" bbox x=[{boxes.lower[:, 0].min()},{boxes.upper[:, 0].max()}]"
+               if len(level) else "")
         )
     return " | ".join(parts)
 

@@ -44,7 +44,6 @@ from .hydro.patch_integrator import (
 )
 from .hydro.problems import BlastProblem, Problem, SodProblem, TriplePointProblem
 from .mesh.box import Box, IntVector
-from .mesh.box_container import BoxContainer
 from .mesh.geometry import CartesianGridGeometry
 from .mesh.hierarchy import PatchHierarchy
 from .mesh.patch import Patch
@@ -55,7 +54,7 @@ from .perf.machines import IPA, TITAN, Machine
 __version__ = "1.0.0"
 
 __all__ = [
-    "Box", "IntVector", "BoxContainer", "CartesianGridGeometry",
+    "Box", "IntVector", "CartesianGridGeometry",
     "PatchHierarchy", "PatchLevel", "Patch",
     "Variable", "VariableRegistry", "HostDataFactory", "CudaDataFactory",
     "Device", "DeviceSpec", "DeviceArray", "K20X",

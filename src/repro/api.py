@@ -80,7 +80,6 @@ __all__ = [
     "resolve_config",
     "resolve_policies",
     "run",
-    "scaled",
     "Problem",
     "SodProblem",
     "TriplePointProblem",
@@ -505,8 +504,3 @@ def fingerprint(cfg: RunConfig, *, full: bool = False) -> str:
             ("batch_launches", ep.batch),
         ]
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
-
-
-def scaled(cfg: RunConfig, **overrides) -> RunConfig:
-    """A copy of a run config with fields replaced (sweep helper)."""
-    return replace(cfg, **overrides)

@@ -36,12 +36,11 @@ the *same* arm, but a store on one arm never kills a load on the other.
 
 The kernel language is closed.  Statements: expressions, assignments
 (to names, tuples and subscripts), augmented subscript assignments,
-``if``, ``for`` over a literal tuple (unrolled), ``return`` and local
-``def``.  Expressions: constants, names, tuples, lists, arithmetic,
-unary and boolean operators, comparisons (``==`` folds), conditional
-expressions, lambdas, calls, subscripts, slices and attributes.  A
-function that uses anything else — ``while``, ``match``, ``with``,
-comprehensions, a non-literal ``for`` — is *unanalyzable*
+``if``, ``return`` and local ``def``.  Expressions: constants, names,
+tuples, lists, arithmetic, unary and boolean operators, comparisons
+(``==`` folds), conditional expressions, lambdas, calls, subscripts,
+slices and attributes.  A function that uses anything else — ``for``,
+``while``, ``match``, ``with``, comprehensions — is *unanalyzable*
 (:attr:`FunctionEffects.analyzable` is false) rather than summarised
 with whatever loads and stores the analyzer happened to see, so a
 dispatch site that launches it reports itself unresolved.
@@ -70,7 +69,6 @@ CONDITIONAL = "conditional"
 #: inlining limits — deep enough for kernels -> helpers -> local defs ->
 #: lambdas; a kernel past them is unanalyzable
 _MAX_DEPTH = 12
-_MAX_UNROLL = 8
 
 
 class _Unanalyzable(Exception):
@@ -440,8 +438,6 @@ class _Machine:
             self.maybe_store(base, chain, also_load=True)
         elif isinstance(node, ast.If):
             self._exec_if(node, scope, chain)
-        elif isinstance(node, ast.For):
-            self._exec_for(node, scope, chain)
         elif isinstance(node, ast.Return):
             v = self.eval(node.value, scope, chain, False)
             if self.retstack:
@@ -512,21 +508,6 @@ class _Machine:
                     chains.add(base)
                     _promote(self.effects.stores, param,
                              DEFINITE if not base else CONDITIONAL)
-
-    def _exec_for(self, node: ast.For, scope: _Scope, chain):
-        """A ``for`` over a short literal tuple, unrolled."""
-        if not isinstance(node.iter, (ast.Tuple, ast.List)):
-            raise _Unanalyzable(node)
-        try:
-            values = ast.literal_eval(node.iter)
-        except (ValueError, TypeError):
-            raise _Unanalyzable(node) from None
-        if len(values) > _MAX_UNROLL or node.orelse \
-                or not isinstance(node.target, ast.Name):
-            raise _Unanalyzable(node)
-        for v in values:
-            scope.vars[node.target.id] = ("const", v)
-            self.exec_block(node.body, scope, chain)
 
     # -- entry -----------------------------------------------------------------
 

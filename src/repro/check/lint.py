@@ -82,10 +82,7 @@ def _is_level_iter(node) -> bool:
     if isinstance(node, ast.Attribute):
         return "level" in node.attr.lower() or _is_level_iter(node.value)
     if isinstance(node, ast.Call):
-        f = node.func
-        if isinstance(f, ast.Attribute) and f.attr == "local_patches":
-            return True
-        return _is_level_iter(f)
+        return _is_level_iter(node.func)
     return False
 
 

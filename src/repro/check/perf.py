@@ -54,6 +54,12 @@ PERF_BASELINE_SCHEMA = "repro.perf_baseline/1"
 #: small cost-model shifts, not machine jitter
 DEFAULT_TOLERANCE = 0.10
 
+#: where the benchmarks write their manifests: src/repro/check/perf.py ->
+#: the repository root is four directories up
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))), "benchmarks", "results")
+
 _KERNEL_SECONDS = re.compile(r"^kernel\.seconds\{kernel=(.+),on=(.+)\}$")
 
 
@@ -187,13 +193,6 @@ def compare_perf(name: str, baseline: dict, manifest: dict,
 # -- the driver ---------------------------------------------------------------
 
 
-def _default_results_dir() -> str:
-    # src/repro/check/perf.py -> repo root is three up from src/
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    return os.path.join(root, "benchmarks", "results")
-
-
 def _load_json(path: str):
     with open(path) as f:
         return json.load(f)
@@ -319,7 +318,7 @@ def perf_main(argv=None) -> int:
                    help="why the baselines moved — recorded in the baseline "
                         "JSON history (required with --update-baselines)")
     args = p.parse_args(argv)
-    results_dir = args.results or _default_results_dir()
+    results_dir = args.results or RESULTS_DIR
     if args.update_baselines:
         if not args.reason:
             p.error("--update-baselines requires --reason "

@@ -47,7 +47,6 @@ import ast
 import io
 import json
 import re
-import sys
 import tokenize
 from pathlib import Path
 
@@ -383,14 +382,3 @@ def check_main(argv=None) -> int:
             print(text)
     return min(len(findings), 255)
 
-
-def main(argv=None) -> int:
-    """``python -m repro.check.static`` entry point."""
-    args = list(sys.argv[1:] if argv is None else argv)
-    if not any(a in ("--lint", "--static", "--all") for a in args):
-        args.insert(0, "--static")
-    return check_main(args)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

@@ -154,10 +154,6 @@ class SimCommunicator:
 
     # -- collectives -----------------------------------------------------------
 
-    def barrier(self) -> None:
-        t = self.max_time()
-        self._advance_all(t, "barrier")
-
     def _advance_all(self, t: float, name: str) -> None:
         """Advance every rank to ``t``, tracing who actually waited."""
         tracer = active_tracer()
@@ -177,10 +173,6 @@ class SimCommunicator:
             raise ValueError("one value per rank required")
         self._charge_allreduce(nbytes)
         return nan_min(values)
-
-    def allreduce_sum(self, values: list[float], nbytes: int = 8) -> float:
-        self._charge_allreduce(nbytes)
-        return math.fsum(values)
 
     def allgather(self, bytes_per_rank: list[int]) -> None:
         """Charge an allgather phase (used for regrid tag collection).

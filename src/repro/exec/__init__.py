@@ -17,27 +17,6 @@ from .backend import (
 )
 from .stats import attribution_report, kernel_category
 
-def make_backend(cfg, rank=None) -> Backend:
-    """The backend matching a run config's build kind.
-
-    ``cfg`` is anything with ``use_gpu``/``resident`` flags (a
-    :class:`repro.api.RunConfig`).  CPU builds with no rank return the
-    shared uncharged host backend (unit-test convenience); device builds
-    need a rank that owns a device.
-    """
-    use_gpu = getattr(cfg, "use_gpu", True)
-    resident = getattr(cfg, "resident", True)
-    if not use_gpu:
-        return rank.host_backend if rank is not None else UNCHARGED_HOST
-    if rank is None:
-        raise ValueError("device backends need a rank that owns a device")
-    if resident:
-        if rank.resident_backend is None:
-            raise ValueError(
-                "resident build requested but the rank has no device")
-        return rank.resident_backend
-    return rank.nonresident_backend
-
 
 __all__ = [
     "Backend",
@@ -45,7 +24,6 @@ __all__ = [
     "ResidentDeviceBackend",
     "NonResidentDeviceBackend",
     "UNCHARGED_HOST",
-    "make_backend",
     "is_resident",
     "backend_for",
     "array_of",

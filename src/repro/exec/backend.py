@@ -183,12 +183,6 @@ class Backend(abc.ABC):
         #: the memory space this backend's data and staging buffers live in
         self.space = HOST
 
-    # -- views ---------------------------------------------------------------
-
-    def array(self, pd) -> np.ndarray:
-        """Frame array of ``pd`` (kernel view for device-resident data)."""
-        return array_of(pd)
-
     # -- kernel launch --------------------------------------------------------
 
     def run(self, kernel: str, elements: int, fn, *args,
@@ -330,22 +324,10 @@ class Backend(abc.ABC):
         data never crosses the bus.
         """
 
-    def lane_stream(self, lane: str):  # noqa: ARG002 — lane selects a stream on device backends
-        """The device stream backing a scheduler lane (``d2h``/``h2d``).
-
-        None on host backends — host data motion has no second timeline
-        to overlap onto, so every lane collapses onto the host clock.
-        """
-        return None
-
     def write_frame(self, pd, host: np.ndarray) -> None:
         """Overwrite the full frame of ``pd`` from a host array."""
         with seam_scope():
             pd.from_host(host)
-
-    def read_fields(self, patch: "Patch", names) -> dict[str, np.ndarray]:
-        """Host arrays of field interiors (one fused D2H per patch)."""
-        return read_patch_fields(patch, names)
 
     def _note_stack(self, kernel: str, plan) -> None:
         """Record the regions a plan covered and its flat-index ops."""

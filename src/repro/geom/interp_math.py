@@ -33,9 +33,6 @@ __all__ = [
     "refine_region",
     "flat_refine_terms",
     "refine_flat",
-    "refine_node_linear",
-    "refine_cell_conservative_linear",
-    "refine_side_conservative_linear",
     "CoarsenStencil",
     "CELL_VOLUME_MEAN",
     "CELL_MASS_MEAN",
@@ -189,48 +186,6 @@ def refine_flat(stencil: RefineStencil, coarse_flat: np.ndarray,
     """Interpolate all points of :func:`flat_refine_terms` at once:
     ``fine_flat[fine_index[p]]`` from ``coarse_flat[gather[:, p]]``."""
     fine_flat[fine_index] = stencil.combine(*coarse_flat[gather], *weights)
-
-
-def refine_node_linear(
-    coarse: np.ndarray,
-    coarse_frame: Box,
-    fine: np.ndarray,
-    fine_frame: Box,
-    region: Box,
-    ratio: IntVector,
-) -> None:
-    """Bilinear node-centred refine (:data:`NODE_LINEAR`) of one region."""
-    refine_region(NODE_LINEAR, coarse, coarse_frame, fine, fine_frame,
-                  region, ratio)
-
-
-def refine_cell_conservative_linear(
-    coarse: np.ndarray,
-    coarse_frame: Box,
-    fine: np.ndarray,
-    fine_frame: Box,
-    region: Box,
-    ratio: IntVector,
-) -> None:
-    """Conservative linear cell-centred refine
-    (:data:`CELL_CONSERVATIVE_LINEAR`) of one region."""
-    refine_region(CELL_CONSERVATIVE_LINEAR, coarse, coarse_frame, fine,
-                  fine_frame, region, ratio)
-
-
-def refine_side_conservative_linear(
-    coarse: np.ndarray,
-    coarse_frame: Box,
-    fine: np.ndarray,
-    fine_frame: Box,
-    region: Box,
-    ratio: IntVector,
-    axis: int,
-) -> None:
-    """Side-centred refine (:data:`SIDE_CONSERVATIVE_LINEAR`) of one
-    region, for faces normal to ``axis``."""
-    refine_region(SIDE_CONSERVATIVE_LINEAR[axis], coarse, coarse_frame, fine,
-                  fine_frame, region, ratio)
 
 
 # -- the coarsen operators, as data --------------------------------------------

@@ -302,7 +302,7 @@ class Device:
             raise ResidencyViolation(
                 f"host-side {op}() on device-resident storage outside the "
                 "repro.exec backend seam — route the transfer through a "
-                "Backend method (write_frame/read_fields) instead")
+                "Backend method (write_frame, read_patch_fields) instead")
 
     def require_access(self) -> None:
         """Raise unless device memory may legally be touched right now."""

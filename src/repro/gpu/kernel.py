@@ -53,13 +53,6 @@ class LaunchConfig:
         blocks = (elements + block_size - 1) // block_size
         return cls(blocks=blocks, block_size=block_size)
 
-    @property
-    def threads(self) -> int:
-        return self.blocks * self.block_size
-
-    def covers(self, elements: int) -> bool:
-        return self.threads >= elements
-
 
 KERNEL_REGISTRY: dict[str, KernelSpec] = {}
 

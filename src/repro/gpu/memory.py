@@ -8,8 +8,8 @@ discipline the paper's resident design is built on.
 
 :class:`HostArray` is the same buffer protocol (``kernel_view``, ``flat``,
 ``free``, shape/size/dtype/nbytes) over plain host memory: always
-addressable, no ledger.  It is what a host-mode :class:`~repro.gpu.pool.MemoryPool` leases
-and what the host memory space of :mod:`repro.pdat` allocates.
+addressable, no ledger.  It is what the host memory space of
+:mod:`repro.pdat` allocates.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class HostArray:
             self._freed = True
             self._data = np.empty(0, dtype=self.dtype)
 
-    def _poison(self) -> None:
-        if not self._freed and np.issubdtype(self.dtype, np.floating):
-            self._data.fill(np.nan)
-
 
 class DeviceArray:
     """A typed, shaped allocation in a simulated device's memory space."""
@@ -79,10 +75,6 @@ class DeviceArray:
     def size(self) -> int:
         return self._data.size
 
-    @property
-    def ndim(self) -> int:
-        return self._data.ndim
-
     def kernel_view(self) -> np.ndarray:
         """The raw buffer — only accessible from device-side code."""
         if self._freed:
@@ -100,17 +92,6 @@ class DeviceArray:
             self.device._free(self.nbytes)
             self._freed = True
             self._data = np.empty(0, dtype=self.dtype)
-
-    def _poison(self) -> None:
-        """Fill the buffer with the NaN canary (sanitizer aid).
-
-        Writes the backing store directly — shadow bookkeeping, not a
-        modelled kernel, so it charges nothing and needs no launch scope.
-        A kernel that consumes a fresh or recycled block without writing
-        it first propagates NaNs it cannot miss.
-        """
-        if not self._freed and np.issubdtype(self.dtype, np.floating):
-            self._data.fill(np.nan)
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:

@@ -57,14 +57,3 @@ class Event:
         self.timestamp = stream.clock.time
         self.recorded = True
         self.stream = stream
-
-    def synchronize(self, device: "Device") -> None:
-        if not self.recorded:
-            raise RuntimeError("synchronizing an unrecorded event")
-        device.host_clock.advance_to(self.timestamp)
-
-    def elapsed_since(self, earlier: "Event") -> float:
-        """Seconds between two recorded events (``cudaEventElapsedTime``)."""
-        if not (self.recorded and earlier.recorded):
-            raise RuntimeError("elapsed time requires two recorded events")
-        return self.timestamp - earlier.timestamp

@@ -23,7 +23,6 @@ from ..xfer.overlap import index_box_for
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank
     from ..mesh.patch import Patch
-    from ..mesh.variables import Variable
 
 __all__ = ["reflect_fill", "ReflectiveBoundary", "DEFAULT_PARITY"]
 
@@ -81,9 +80,6 @@ class ReflectiveBoundary:
 
     def parity_for(self, name: str) -> tuple[int, int]:
         return self.parity.get(name, (1, 1))
-
-    def apply(self, patch: "Patch", var: "Variable", rank: "Rank") -> None:
-        self.apply_all(patch, [var], rank)
 
     def apply_all(self, patch: "Patch", variables, rank: "Rank") -> None:
         """Reflect every listed variable in one fused halo kernel.

@@ -122,11 +122,6 @@ class Workspace:
         self._buf = _allocate(0)
         self._views: dict = {}
 
-    @property
-    def nbytes(self) -> int:
-        """Current size of the buffer in bytes."""
-        return self._buf.nbytes
-
     def carve(self, shape, floats: int, masks: int = 0) -> tuple:
         """``floats`` float64 arrays, then ``masks`` bool arrays, of
         ``shape``: contiguous, uninitialised, valid until the next carve."""

@@ -36,9 +36,6 @@ class Problem:
     def energy_from_pressure(self, p: float, rho: float) -> float:
         return p / ((self.gamma - 1.0) * rho)
 
-    def initial_state(self, xc, yc):  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 class SodProblem(Problem):
     """Sod shock tube along x: (rho, p) = (1, 1) | (0.125, 0.1)."""

@@ -11,10 +11,8 @@ compare, so they can be used as dictionary keys in overlap computations.
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Sequence
 
 __all__ = ["IntVector", "Box", "meet", "cut", "cells"]
 
@@ -46,10 +44,6 @@ class IntVector(tuple):
         """An IntVector with every component equal to ``value``."""
         return cls(*([value] * dim))
 
-    @property
-    def dim(self) -> int:
-        return len(self)
-
     def _operand(self, other) -> tuple:
         """``other`` as one component per axis (a scalar broadcasts)."""
         if isinstance(other, int):
@@ -70,9 +64,6 @@ class IntVector(tuple):
     def __sub__(self, other) -> "IntVector":
         return IntVector(*map(operator.sub, self, self._operand(other)))
 
-    def __rsub__(self, other) -> "IntVector":
-        return IntVector(*map(operator.sub, self._operand(other), self))
-
     def __mul__(self, other) -> "IntVector":
         return IntVector(*map(operator.mul, self, self._operand(other)))
 
@@ -83,15 +74,6 @@ class IntVector(tuple):
 
     def __neg__(self) -> "IntVector":
         return IntVector(*map(operator.neg, self))
-
-    def min(self) -> int:
-        return min(self)
-
-    def max(self) -> int:
-        return max(self)
-
-    def product(self) -> int:
-        return math.prod(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"IntVector{tuple(self)}"
@@ -210,22 +192,10 @@ class Box:
         """Number of cells in the box (0 if empty)."""
         return 0 if self._empty else cells(self.lower, self.upper)
 
-    def contains(self, index: Sequence[int]) -> bool:
-        if len(index) != self.dim:
-            raise ValueError(f"dimension mismatch: {self} vs {index}")
-        return all(l <= i <= u for l, i, u in zip(self.lower, index, self.upper))
-
     def contains_box(self, other: "Box") -> bool:
         return other._empty or meet(
             self.lower, self.upper, other.lower, other.upper
         ) == (other.lower, other.upper)
-
-    def indices(self) -> Iterator[Tuple[int, ...]]:
-        """Iterate all cell indices in the box (row-major, for tests)."""
-        if self.is_empty():
-            return iter(())
-        ranges = [range(l, u + 1) for l, u in zip(self.lower, self.upper)]
-        return itertools.product(*ranges)
 
     # -- algebra -----------------------------------------------------------
 
@@ -235,9 +205,6 @@ class Box:
 
     __mul__ = intersection
 
-    def intersects(self, other: "Box") -> bool:
-        return meet(self.lower, self.upper, other.lower, other.upper) is not None
-
     def grow(self, width: int | Sequence[int]) -> "Box":
         """Grow (or shrink, for negative widths) the box in all directions."""
         return Box(self.lower - width, self.upper + width)
@@ -246,14 +213,6 @@ class Box:
         """Move only the upper corner out by ``width`` (per axis): how a
         centring's index space extends over the cell box."""
         return Box(self.lower, self.upper + width)
-
-    def grow_dir(self, axis: int, lower: int, upper: int) -> "Box":
-        """Grow only along one axis, independently at each face."""
-        lo = list(self.lower)
-        hi = list(self.upper)
-        lo[axis] -= lower
-        hi[axis] += upper
-        return Box(lo, hi)
 
     def shift(self, offset: Sequence[int]) -> "Box":
         return Box(self.lower + offset, self.upper + offset)
@@ -285,15 +244,6 @@ class Box:
         return Box(tuple(map(min, self.lower, other.lower)),
                    tuple(map(max, self.upper, other.upper)))
 
-    def remove_intersection(self, other: "Box") -> list["Box"]:
-        """Return disjoint boxes covering ``self`` minus ``other``
-        (:func:`cut`'s sweep decomposition): disjoint, and their union is
-        exactly the set difference."""
-        overlap = meet(self.lower, self.upper, other.lower, other.upper)
-        if overlap is None:
-            return [] if self._empty else [self]
-        return [Box(lo, hi) for lo, hi in cut(self.lower, self.upper, *overlap)]
-
     # -- slicing helpers ---------------------------------------------------
 
     def slices_in(self, frame: "Box") -> tuple[slice, ...]:
@@ -323,9 +273,6 @@ class Box:
         if not isinstance(other, Box):
             return NotImplemented
         return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Box({tuple(self.lower)}, {tuple(self.upper)})"

@@ -38,7 +38,7 @@ __all__ = ["BoxArray", "box_points", "claim", "coalesce"]
 # The order-dependent part of the calculus -- subtract a sequence of
 # boxes from a region, keeping what each one took -- runs on rows
 # (:mod:`repro.mesh.box`), so it builds no ``Box`` until a result is
-# handed out.  ``BoxContainer`` routes its set algebra through these too.
+# handed out.
 
 
 def claim(rows: list, takers, claimed: list | None = None) -> list:
@@ -176,10 +176,6 @@ class BoxArray:
         extent[self.is_empty()] = 0
         return extent
 
-    def size(self) -> np.ndarray:
-        """``(N,)`` cell counts."""
-        return self.shape().prod(axis=1)
-
     def grow(self, width) -> "BoxArray":
         width = np.broadcast_to(np.asarray(width, dtype=np.int64), self.dim)
         return BoxArray._of(self.corners + np.stack([-width, width]))
@@ -189,18 +185,9 @@ class BoxArray:
         corners[:, 1] += np.asarray(width, dtype=np.int64)
         return BoxArray._of(corners)
 
-    def shift(self, offset) -> "BoxArray":
-        return BoxArray._of(self.corners + np.asarray(offset, dtype=np.int64))
-
     def coarsen(self, ratio) -> "BoxArray":
         return self._canonical(
             self.corners // np.asarray(ratio, dtype=np.int64), self.is_empty())
-
-    def refine(self, ratio) -> "BoxArray":
-        ratio = np.asarray(ratio, dtype=np.int64)
-        corners = np.stack([self.lower * ratio, (self.upper + 1) * ratio - 1],
-                           axis=1)
-        return self._canonical(corners, self.is_empty())
 
     def _other(self, other) -> np.ndarray:
         """Corners of a ``Box`` (one row, broadcasting) or a ``BoxArray``."""
@@ -234,9 +221,9 @@ class BoxArray:
                    & (theirs[:, 1] <= self.upper).all(axis=1)))
 
     def subtract(self, other: "Box | BoxArray") -> tuple[np.ndarray, "BoxArray"]:
-        """Row-wise set difference, ``Box.remove_intersection`` for every
-        row at once: ``(which, pieces)`` with the pieces of row
-        ``which[k]`` in sweep order and rows in order."""
+        """Row-wise set difference (:func:`~repro.mesh.box.cut`'s sweep
+        decomposition) for every row at once: ``(which, pieces)`` with
+        the pieces of row ``which[k]`` in sweep order and rows in order."""
         inter = self.intersect(other)
         hit = ~inter.is_empty()
         n, dim = len(self), self.dim
@@ -335,10 +322,6 @@ class BoxArray:
             out.append((taken, left))
         return out
 
-    def intersections(self, box: Box) -> np.ndarray:
-        """Indices of the rows that intersect ``box``, ascending."""
-        return self.pairs(BoxArray.from_boxes([box]))[1]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BoxArray({self.corners.tolist()})"
 
@@ -348,9 +331,9 @@ def box_points(boxes) -> tuple[np.ndarray, list[np.ndarray]]:
 
     ``boxes`` is a sequence of :class:`Box` or an ``(N, 2, dim)`` corner
     array (a ``BoxArray``'s).  Boxes in order, row-major within a box
-    (the order ``Box.indices`` and a C-order ravel of ``slices_in``
-    visit); ``which[p]`` is the position in ``boxes`` of the box point
-    ``p`` belongs to and ``coords[axis][p]`` its index along ``axis``.
+    (the order a C-order ravel of ``slices_in`` visits); ``which[p]`` is
+    the position in ``boxes`` of the box point ``p`` belongs to and
+    ``coords[axis][p]`` its index along ``axis``.
     Empty boxes contribute nothing.  This is the one place a list of
     regions turns into its points, for code that then works on all
     regions at once.

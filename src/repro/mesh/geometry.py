@@ -68,19 +68,6 @@ class CartesianGridGeometry:
             coords.append(c.reshape(shape))
         return tuple(coords)
 
-    def node_coords(self, box: Box, ratio_to_base: IntVector | int):
-        """Coordinate arrays of node positions for the node box of ``box``."""
-        dx = self.level_dx(ratio_to_base)
-        domain = self.level_domain(ratio_to_base)
-        coords = []
-        for axis in range(self.dim):
-            idx = np.arange(box.lower[axis], box.upper[axis] + 2, dtype=np.float64)
-            c = self.x_lo[axis] + (idx - domain.lower[axis]) * dx[axis]
-            shape = [1] * self.dim
-            shape[axis] = -1
-            coords.append(c.reshape(shape))
-        return tuple(coords)
-
     def touches_boundary(self, box: Box, ratio_to_base: IntVector | int) -> list[tuple[int, int]]:
         """Which physical boundaries ``box`` touches.
 

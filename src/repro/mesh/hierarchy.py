@@ -87,33 +87,6 @@ class PatchHierarchy:
             lvl.free_all()
         del self.levels[level_number + 1:]
 
-    # -- invariants -----------------------------------------------------------
-
-    def check_proper_nesting(self, nesting_buffer: int = 1) -> list[str]:
-        """Return violations of the nesting rules (empty list when valid).
-
-        A level-l box, coarsened to level l-1, must lie inside the union of
-        level-(l-1) boxes shrunk by the nesting buffer (except at physical
-        boundaries, where the domain edge is allowed).
-        """
-        problems: list[str] = []
-        for n in range(1, self.num_levels):
-            fine = self.levels[n]
-            coarse = self.levels[n - 1]
-            # A coarsened fine box lies in the coarse footprint shrunk by
-            # the buffer wherever that abuts uncovered cells (not at
-            # patch seams or the physical boundary) exactly when the box
-            # grown by the buffer, clipped to the domain, is covered.
-            need = (fine.box_array.coarsen(fine.ratio_to_coarser)
-                    .grow(nesting_buffer).intersect(coarse.domain))
-            for p, (_, left) in zip(fine, coarse.box_array.claims(need)):
-                if left:
-                    problems.append(
-                        f"level {n} patch {p.global_id} {p.box} not nested "
-                        f"within level {n - 1} minus buffer"
-                    )
-        return problems
-
     def total_cells(self) -> int:
         return sum(lvl.total_cells() for lvl in self.levels)
 

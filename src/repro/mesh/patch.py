@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING
 from .box import Box
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..comm.simcomm import Rank
     from ..pdat.patch_data import PatchData
     from .patch_level import PatchLevel
     from .variables import Variable
@@ -29,11 +28,6 @@ class Patch:
         self._data: dict[str, "PatchData"] = {}
 
     # -- data management ---------------------------------------------------
-
-    def allocate(self, var: "Variable", factory, rank: "Rank") -> "PatchData":
-        pd = factory.allocate(var, self.box, rank)
-        self._data[var.name] = pd
-        return pd
 
     def data(self, name: str) -> "PatchData":
         return self._data[name]

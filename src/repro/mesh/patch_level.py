@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .box import Box, IntVector
 from .box_array import BoxArray
-from .box_container import BoxContainer
 from .patch import Patch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,9 +65,6 @@ class PatchLevel:
     def __len__(self) -> int:
         return len(self.patches)
 
-    def boxes(self) -> BoxContainer:
-        return BoxContainer(p.box for p in self.patches)
-
     def index_boxes(self, var: "Variable") -> BoxArray:
         """Every patch's interior index box in ``var``'s centring space
         (one array per centring, shared by all its variables)."""
@@ -91,9 +87,6 @@ class PatchLevel:
         return (self.level_number,
                 tuple((tuple(p.box.lower), tuple(p.box.upper), p.owner)
                       for p in self.patches))
-
-    def local_patches(self, rank_index: int) -> list[Patch]:
-        return [p for p in self.patches if p.owner == rank_index]
 
     def total_cells(self) -> int:
         return sum(p.box.size() for p in self.patches)

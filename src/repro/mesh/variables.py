@@ -89,12 +89,6 @@ class VariableRegistry:
     def __getitem__(self, name: str) -> Variable:
         return self._vars[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._vars
-
-    def names(self) -> list[str]:
-        return list(self._vars)
-
 
 def _allocate_level(level, variables, space_of) -> list[PatchBucket]:
     """Arena-pooled allocation of every variable on every patch: one

@@ -19,7 +19,7 @@ never advances them, so traced runs are bitwise identical to untraced
 runs (the samrcheck guarantee, enforced by ``tests/test_obs.py``).
 """
 
-from .context import activate_tracer, active_tracer, deactivate_tracer, tracing
+from .context import activate_tracer, active_tracer, deactivate_tracer
 from .lanes import COMPUTE, D2D, D2H, H2D, HOST, NET, canonical_lane
 from .metrics import (
     MANIFEST_SCHEMA,
@@ -51,7 +51,6 @@ __all__ = [
     "active_tracer",
     "activate_tracer",
     "deactivate_tracer",
-    "tracing",
     "canonical_lane",
     "COMPUTE",
     "D2H",

@@ -9,13 +9,12 @@ whole observability layer costs one attribute load per site.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trace import Tracer
 
-__all__ = ["active_tracer", "activate_tracer", "deactivate_tracer", "tracing"]
+__all__ = ["active_tracer", "activate_tracer", "deactivate_tracer"]
 
 _ACTIVE: "Tracer | None" = None
 
@@ -35,13 +34,3 @@ def activate_tracer(tracer: "Tracer") -> None:
 def deactivate_tracer() -> None:
     global _ACTIVE
     _ACTIVE = None
-
-
-@contextmanager
-def tracing(tracer: "Tracer"):
-    """Install ``tracer`` for the duration of a block."""
-    activate_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        deactivate_tracer()

@@ -293,14 +293,8 @@ class ScopedRegistry:
         self._registry = registry
         self._labels = dict(labels)
 
-    def scoped(self, **labels) -> "ScopedRegistry":
-        return ScopedRegistry(self._registry, {**self._labels, **labels})
-
     def counter(self, name: str, **labels) -> Counter:
         return self._registry.counter(name, **{**self._labels, **labels})
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._registry.gauge(name, **{**self._labels, **labels})
 
     def histogram(self, name: str, **labels) -> Histogram:
         return self._registry.histogram(name, **{**self._labels, **labels})

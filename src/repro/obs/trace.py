@@ -88,13 +88,6 @@ class Tracer:
         self.spans.append(Span(name, category, rank, canonical_lane(lane),
                                t0, t1, wall0, wall1, payload))
 
-    def for_rank(self, rank: int) -> list[Span]:
-        return [s for s in self.spans if s.rank == rank]
-
-    def tracks(self) -> set[tuple[int, str]]:
-        """The (rank, lane) timelines that received at least one span."""
-        return {(s.rank, s.lane) for s in self.spans}
-
     def close(self) -> None:
         """Flush every sink once.  Idempotent."""
         if self.closed:

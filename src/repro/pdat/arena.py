@@ -74,16 +74,6 @@ class Arena:
     # -- whole-slab access ------------------------------------------------------
 
     @property
-    def member_count(self) -> int:
-        return len(self.offsets)
-
-    @property
-    def uniform(self) -> bool:
-        """True when every placed member has the same frame shape: one
-        bucket, so the whole slab is one stacked (P, f0, f1) view."""
-        return len(self.buckets) == 1
-
-    @property
     def layout(self) -> tuple:
         """Hashable member offsets and shapes: arenas with equal layouts
         share every flat index (one variable's compiled transfer indices
@@ -103,29 +93,16 @@ class Arena:
         ``i`` of the bucket aliases its slice's ``kernel_view()`` (a free
         reshape of a contiguous slab segment) under the same access
         discipline (on a device: only inside a launch or memcpy).
-        Without ``bucket``: the whole slab, which needs a uniform arena."""
+        Without ``bucket``: the whole slab, which needs a uniform arena
+        (one bucket: every member has the same frame shape)."""
         if bucket is None:
-            if not self.uniform:
+            if len(self.buckets) != 1:
                 raise ValueError("stacked view needs a uniform arena")
             bucket = 0
         first, n, shape = self.buckets[bucket]
         lo = self.offsets[first]
         return self.flat()[lo:lo + n * math.prod(shape)].reshape(
             (n,) + shape)
-
-    def interior_mask(self, ghosts: int) -> np.ndarray:
-        """Boolean (P, f0, f1) host mask, True on each member's interior.
-
-        The interior is the frame minus ``ghosts`` layers on every edge
-        of the trailing two axes — the region masked reductions and
-        diagnostics over a stacked view should consider.
-        """
-        if not self.uniform:
-            raise ValueError("interior mask needs a uniform arena")
-        mask = np.zeros((self.member_count,) + self.shapes[0], dtype=bool)
-        g = int(ghosts)
-        mask[:, g:mask.shape[1] - g, g:mask.shape[2] - g] = True
-        return mask
 
     # -- whole-slab host staging (restart fast path) ---------------------------
 

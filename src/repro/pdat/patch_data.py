@@ -197,10 +197,6 @@ class PatchData:
 
     # -- access ------------------------------------------------------------
 
-    @property
-    def array(self) -> np.ndarray:
-        return self.data.array
-
     def view(self, box: Box) -> np.ndarray:
         return self.data.view(box)
 

@@ -13,23 +13,16 @@ import numpy as np
 
 from ..mesh.box import Box
 from ..mesh.box_array import BoxArray, box_points
-from .sfc import assign_owners_lpt, imbalance, morton_key, partition
+from .sfc import assign_owners_lpt, imbalance, partition
 
-__all__ = ["chop_box", "chop_boxes", "assign_owners", "assign_owners_lpt",
+__all__ = ["chop_boxes", "assign_owners", "assign_owners_lpt",
            "imbalance"]
 
 
-def chop_box(box: Box, max_size: int) -> list[Box]:
-    """Split a box into tiles of at most ``max_size`` per dimension.
-
-    Tiles are as equal as possible, so a box of 2N x N with max N yields
-    two N x N tiles rather than an N and an N-1/1 sliver.
-    """
-    return chop_boxes([box], max_size)
-
-
 def chop_boxes(boxes: list[Box], max_size: int) -> list[Box]:
-    """:func:`chop_box` of every box, in order -- all boxes at once: a
+    """Split every box, in order, into tiles of at most ``max_size`` per
+    dimension, as equal as possible (a 2N x N box with max N yields two
+    N x N tiles, not an N and an N-1/1 sliver).  All boxes at once: a
     box's tiles are the row-major points of its grid of tile counts."""
     if not boxes:
         return []
@@ -44,11 +37,6 @@ def chop_boxes(boxes: list[Box], max_size: int) -> list[Box]:
     lower = whole.lower[which] + tile * base + np.minimum(tile, rem)
     upper = lower + base + (tile < rem) - 1
     return BoxArray(np.stack([lower, upper], axis=1)).boxes()
-
-
-def _morton_key(box: Box) -> int:
-    """Morton (Z-order) code of the box centre, for locality ordering."""
-    return morton_key(box)
 
 
 def assign_owners(boxes: list[Box], nranks: int, method: str = "sfc",

@@ -92,10 +92,6 @@ class StepScheduler:
         self._replay: _Capture | None = None
         self._cursor = 0
 
-    @property
-    def overlap(self) -> bool:
-        return self.executor.overlap
-
     def advance(self) -> float:
         """One global timestep; returns dt.  The caller owns the step
         bookkeeping (time/step_count/regrid), as with the inline path."""

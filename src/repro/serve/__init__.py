@@ -8,8 +8,8 @@ time-share one fixed set of simulated devices (DESIGN.md §12):
   service ledger (:class:`JobRecord`) with its QUEUED → ADMITTED →
   RUNNING → PREEMPTED/COMPLETED/FAILED lifecycle;
 * :mod:`~repro.serve.pool` — :class:`DevicePool`, admission control by
-  memory reservation against per-device
-  :class:`~repro.gpu.pool.MemoryPool` ledgers;
+  memory reservation against one :class:`~repro.serve.pool.Ledger` per
+  device;
 * :mod:`~repro.serve.queue` — priority classes, FIFO within class;
 * :mod:`~repro.serve.scheduler` — the cooperative round scheduler:
   slice-wise execution through :class:`~repro.api.RunSession`,

@@ -28,9 +28,3 @@ class EventStream:
         self.history.append(event)
         for fn in self._subscribers:
             fn(event)
-
-    def of_kind(self, kind: str) -> list[dict]:
-        return [e for e in self.history if e["event"] == kind]
-
-    def for_job(self, name: str) -> list[dict]:
-        return [e for e in self.history if e.get("job") == name]

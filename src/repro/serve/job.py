@@ -104,10 +104,6 @@ class JobRecord:
         return self.spec.name
 
     @property
-    def terminal(self) -> bool:
-        return self.state in (JobState.COMPLETED, JobState.FAILED)
-
-    @property
     def latency(self) -> float | None:
         """Submit-to-finish virtual seconds (None until terminal)."""
         if self.finished_at is None:

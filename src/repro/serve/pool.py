@@ -1,21 +1,19 @@
 """The shared device pool: admission control for concurrent jobs.
 
 The service multiplexes every job over one fixed set of simulated
-devices.  Each device's capacity ledger is a
-:class:`~repro.gpu.pool.MemoryPool` sized to the machine model's GPU
-DRAM; admitting a job reserves its estimated footprint on one pool per
-rank (:meth:`~repro.gpu.pool.MemoryPool.try_reserve` — a ledger entry,
-no real memory moves).  A job whose footprint cannot fit on the emptiest
-devices *right now* queues; one whose per-device share exceeds a bare
-device's capacity can never run and is rejected at submit.
+devices.  Each device's capacity is a :class:`Ledger` sized to the
+machine model's GPU DRAM; admitting a job reserves its estimated
+footprint on one ledger per rank (:meth:`Ledger.try_reserve` — a ledger
+entry, no real memory moves).  A job whose footprint cannot fit on the
+emptiest devices *right now* queues; one whose per-device share exceeds
+a bare device's capacity can never run and is rejected at submit.
 """
 
 from __future__ import annotations
 
-from ..gpu.pool import MemoryPool
 from ..perf.machines import IPA, TITAN, Machine
 
-__all__ = ["DevicePool", "NeverFits", "estimate_run_bytes"]
+__all__ = ["DevicePool", "Ledger", "NeverFits", "estimate_run_bytes"]
 
 #: field slots per cell in the hydro stack (state + scratch + fluxes)
 FIELD_SLOTS = 20
@@ -38,6 +36,48 @@ def estimate_run_bytes(cfg) -> int:
     return int(cells * FIELD_SLOTS * GHOST_OVERHEAD * 8)
 
 
+class Ledger:
+    """One device's admission ledger: bytes promised to admitted jobs.
+
+    A reservation is pure bookkeeping against :attr:`max_bytes` — no
+    host or device memory is touched — taken with :meth:`try_reserve`
+    when a job is admitted and returned with :meth:`release_reservation`
+    when it leaves the device.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = int(max_bytes)
+        #: bytes currently reserved
+        self.reserved_bytes = 0
+        #: high-water mark of :attr:`reserved_bytes`
+        self.peak_bytes = 0
+
+    @property
+    def available_bytes(self) -> int:
+        """Capacity headroom against :attr:`max_bytes`."""
+        return max(0, self.max_bytes - self.reserved_bytes)
+
+    def try_reserve(self, nbytes: int) -> bool:
+        """Reserve ``nbytes``; False (and nothing reserved) if they do not fit."""
+        nbytes = int(nbytes)
+        if nbytes < 0:
+            raise ValueError(f"cannot reserve {nbytes} bytes")
+        if self.reserved_bytes + nbytes > self.max_bytes:
+            return False
+        self.reserved_bytes += nbytes
+        self.peak_bytes = max(self.peak_bytes, self.reserved_bytes)
+        return True
+
+    def release_reservation(self, nbytes: int) -> None:
+        """Return capacity taken by :meth:`try_reserve`."""
+        nbytes = int(nbytes)
+        if nbytes > self.reserved_bytes:
+            raise ValueError(
+                f"releasing {nbytes} reserved bytes but only "
+                f"{self.reserved_bytes} outstanding")
+        self.reserved_bytes -= nbytes
+
+
 class NeverFits(ValueError):
     """The job's per-device share exceeds an empty device's capacity."""
 
@@ -53,7 +93,7 @@ class DevicePool:
         if device_bytes is None:
             device_bytes = machine.gpu.memory_bytes
         self.device_bytes = int(device_bytes)
-        self.ledgers = [MemoryPool(max_bytes=self.device_bytes)
+        self.ledgers = [Ledger(self.device_bytes)
                         for _ in range(int(ndevices))]
 
     @property
@@ -82,7 +122,7 @@ class DevicePool:
         """
         per_device = self.check_admissible(nranks, job_bytes)
         order = sorted(range(self.ndevices),
-                       key=lambda i: (self.ledgers[i].committed_bytes, i))
+                       key=lambda i: (self.ledgers[i].reserved_bytes, i))
         chosen = order[:nranks]
         if any(self.ledgers[i].available_bytes < per_device for i in chosen):
             return None
@@ -95,11 +135,3 @@ class DevicePool:
         """Return a job's reservations (preemption, completion, failure)."""
         for i in devices:
             self.ledgers[i].release_reservation(per_device)
-
-    @property
-    def committed_bytes(self) -> int:
-        return sum(lg.committed_bytes for lg in self.ledgers)
-
-    @property
-    def peak_committed_bytes(self) -> int:
-        return sum(lg.peak_leased_bytes for lg in self.ledgers)

@@ -40,6 +40,3 @@ class JobQueue:
 
     def remove(self, record: JobRecord) -> None:
         self._classes[record.spec.priority].remove(record)
-
-    def depth(self, priority: str) -> int:
-        return len(self._classes[priority])

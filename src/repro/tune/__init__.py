@@ -35,15 +35,4 @@ __all__ = [
     "RegridPolicy",
     "needs_tuning",
     "resolve_policies",
-    "TuneDecisions",
-    "tune_policies",
 ]
-
-
-def __getattr__(name):
-    # the tuner pulls in the api facade; load it only on demand
-    if name in ("TuneDecisions", "tune_policies", "ProbeResult"):
-        from . import tuner
-
-        return getattr(tuner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

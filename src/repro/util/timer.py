@@ -8,8 +8,6 @@ breakdown.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from .clock import VirtualClock
 
 __all__ = ["TimerRegistry"]
@@ -23,22 +21,8 @@ class TimerRegistry:
         self.totals: dict[str, float] = {}
         self.counts: dict[str, int] = {}
 
-    @contextmanager
-    def time(self, name: str):
-        start = self.clock.time
-        try:
-            yield
-        finally:
-            delta = self.clock.time - start
-            self.totals[name] = self.totals.get(name, 0.0) + delta
-            self.counts[name] = self.counts.get(name, 0) + 1
-
     def total(self, name: str) -> float:
         return self.totals.get(name, 0.0)
-
-    def reset(self) -> None:
-        self.totals.clear()
-        self.counts.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(f"{k}={v:.4g}s" for k, v in sorted(self.totals.items()))

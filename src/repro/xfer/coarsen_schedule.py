@@ -390,6 +390,3 @@ class CoarsenSchedule:
                 for mine in scratch.values():
                     mine.free()
                 raise
-
-    def num_transactions(self) -> int:
-        return len(self.transactions)

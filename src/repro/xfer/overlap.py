@@ -15,15 +15,10 @@ from ..mesh.box import Box
 if TYPE_CHECKING:  # pragma: no cover
     from ..mesh.variables import Variable
 
-__all__ = ["index_box_for", "frame_box_for"]
+__all__ = ["index_box_for"]
 
 
 def index_box_for(var: "Variable", box: Box) -> Box:
     """Interior index box of ``box`` in the centring space of ``var``."""
     return var.index_box(box)
-
-
-def frame_box_for(var: "Variable", box: Box) -> Box:
-    """Full storage frame (interior + ghosts) in centring index space."""
-    return var.frame(box)
 

@@ -309,8 +309,3 @@ class RefineSchedule:
                     chk.reset_stamps(pd)
 
     # -- statistics ---------------------------------------------------------------
-
-    def num_transactions(self) -> tuple[int, int]:
-        copies = sum(len(g.copies) for _, g in self.items)
-        interps = sum(len(g.interps) for _, g in self.items)
-        return copies, interps

@@ -114,11 +114,3 @@ class ScheduleCache:
         for k in dead_geom:
             del self.geometry_cache[k]
         return len(dead)
-
-    def clear(self) -> None:
-        self.purges += 1
-        self._entries.clear()
-        self.geometry_cache.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)

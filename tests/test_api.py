@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,7 @@ from repro.api import (
     RunResult,
     build_simulation,
     run,
-    scaled,
 )
-from repro.exec import UNCHARGED_HOST, make_backend
 from repro.hydro.patch_integrator import NonResidentGpuPatchIntegrator
 from repro.hydro.problems import SodProblem
 from counts import pcie_bytes
@@ -58,14 +57,6 @@ def test_run_needs_a_budget():
         run(_config(max_steps=None, end_time=None))
 
 
-def test_scaled_replaces_fields():
-    cfg = _config()
-    bigger = scaled(cfg, nranks=4, max_steps=10)
-    assert (bigger.nranks, bigger.max_steps) == (4, 10)
-    assert cfg.nranks == 1  # original untouched
-    assert bigger.problem is cfg.problem
-
-
 @pytest.mark.parametrize("flat", [
     "use_scheduler", "overlap", "batch_launches", "kernels",
     "regrid_interval", "regrid_incremental", "balance"])
@@ -75,7 +66,7 @@ def test_flat_execution_kwargs_are_gone(flat):
     with pytest.raises(TypeError, match=flat):
         _config(**{flat: True})
     with pytest.raises(TypeError, match=flat):
-        scaled(_config(), **{flat: True})
+        replace(_config(), **{flat: True})
     assert not hasattr(_config(), flat)
 
 
@@ -105,35 +96,6 @@ def test_machine_selection():
     sim = build_simulation(_config(machine="Titan", nranks=2))
     assert sim.comm.size == 2
     assert sim.comm.network.name == "Cray Gemini"
-
-
-# -- the backend factory ------------------------------------------------------
-
-
-def test_make_backend_cpu_without_rank_is_uncharged_host():
-    assert make_backend(_config(use_gpu=False)) is UNCHARGED_HOST
-
-
-def test_make_backend_gpu_without_rank_raises():
-    with pytest.raises(ValueError, match="rank"):
-        make_backend(_config(use_gpu=True))
-
-
-def test_make_backend_selects_per_build_kind():
-    sim = build_simulation(_config(use_gpu=True))
-    rank = sim.comm.rank(0)
-    assert make_backend(_config(use_gpu=True, resident=True), rank) \
-        is rank.resident_backend
-    assert make_backend(_config(use_gpu=True, resident=False), rank) \
-        is rank.nonresident_backend
-    assert make_backend(_config(use_gpu=False), rank) is rank.host_backend
-
-
-def test_make_backend_resident_needs_a_device():
-    sim = build_simulation(_config(use_gpu=False))
-    rank = sim.comm.rank(0)
-    with pytest.raises(ValueError, match="no device"):
-        make_backend(_config(use_gpu=True, resident=True), rank)
 
 
 # -- the run result contract --------------------------------------------------

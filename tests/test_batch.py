@@ -198,9 +198,9 @@ def _check_factory_pools_level_into_one_slab(level, factory, comm, space):
     frame = var.frame(level.patches[0].box)
     assert tuple(pds[0].data.buf.shape) == tuple(frame.shape())
     # one slab covering all three frames, members aliasing it
-    assert arena.slab.size == 3 * frame.size() and arena.uniform
+    assert arena.slab.size == 3 * frame.size() and len(arena.buckets) == 1
     with _scope(space):
-        assert all(np.shares_memory(pd.array, arena.slab.kernel_view())
+        assert all(np.shares_memory(pd.data.array, arena.slab.kernel_view())
                    for pd in pds)
     return frame
 

@@ -89,7 +89,7 @@ class TestApplyOnPatch:
         pd = patch.data("density0")
         pd.fill(-9.0)
         pd.data.view(patch.box)[...] = np.arange(64.0).reshape(8, 8)
-        ReflectiveBoundary().apply(patch, reg["density0"], comm.rank(0))
+        ReflectiveBoundary().apply_all(patch, [reg["density0"]], comm.rank(0))
         arr = pd.data.array
         # lower-x ghosts mirror interior rows 0 and 1 (shifted +2 in array)
         assert np.array_equal(arr[1, 2:10], arr[2, 2:10])
@@ -101,7 +101,7 @@ class TestApplyOnPatch:
         pd.fill(0.0)
         interior = pd.var.index_box(patch.box)
         pd.data.view(interior)[...] = 2.0
-        ReflectiveBoundary().apply(patch, reg["xvel0"], comm.rank(0))
+        ReflectiveBoundary().apply_all(patch, [reg["xvel0"]], comm.rank(0))
         arr = pd.data.array
         # ghost node at -1 (array idx 1) holds -value of node 1 (idx 3)
         assert arr[1, 4] == -arr[3, 4]
@@ -118,5 +118,5 @@ class TestApplyOnPatch:
         patch = level.patches[0]
         pd = patch.data("density0")
         pd.fill(-9.0)
-        ReflectiveBoundary().apply(patch, reg["density0"], comm.rank(0))
+        ReflectiveBoundary().apply_all(patch, [reg["density0"]], comm.rank(0))
         assert np.all(pd.data.array == -9.0)

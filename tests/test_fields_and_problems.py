@@ -21,7 +21,7 @@ class TestFieldDeclarations:
 
     def test_all_primary_fields_exist(self):
         for name in PRIMARY_FIELDS:
-            assert name in self.reg
+            assert self.reg[name].name == name
 
     def test_flux_axes(self):
         assert self.reg["vol_flux_x"].axis == 0
@@ -34,7 +34,7 @@ class TestFieldDeclarations:
     def test_fill_groups_reference_real_fields(self):
         for group, names in FIELD_GROUPS.items():
             for n in names:
-                assert n in self.reg, f"{group} references unknown {n}"
+                assert self.reg[n].name == n, f"{group} references unknown {n}"
 
     def test_double_declare_rejected(self):
         with pytest.raises(ValueError):

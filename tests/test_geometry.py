@@ -44,12 +44,6 @@ class TestCoordinates:
         xc, yc = geom.cell_centers(Box([0, 0], [3, 5]), 1)
         assert (xc + yc).shape == (4, 6)
 
-    def test_node_coords_span_domain(self, geom):
-        xn, yn = geom.node_coords(geom.domain_box, 1)
-        assert np.isclose(xn.ravel()[0], 0.0)
-        assert np.isclose(xn.ravel()[-1], 2.0)
-        assert np.isclose(yn.ravel()[-1], 1.0)
-
     def test_fine_coarse_centres_nest(self, geom):
         """Mean of the 2 fine cell centres equals the coarse centre."""
         xc_c, _ = geom.cell_centers(Box([3, 0], [3, 0]), 1)

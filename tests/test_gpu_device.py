@@ -146,17 +146,6 @@ class TestStreamsEvents:
         coarse.wait_event(ev)
         assert coarse.clock.time >= ev.timestamp
 
-    def test_unrecorded_event_raises(self, device):
-        with pytest.raises(RuntimeError):
-            Event().synchronize(device)
-
-    def test_event_elapsed(self, device):
-        e1, e2 = Event(), Event()
-        e1.record(device.default_stream)
-        device.launch("pdat.fill", 10**6, lambda: None)
-        e2.record(device.default_stream)
-        assert e2.elapsed_since(e1) > 0
-
     def test_dtod_no_pcie(self, device):
         a = device.zeros((1024,))
         b = device.zeros((1024,))
@@ -169,12 +158,12 @@ class TestStreamsEvents:
 class TestLaunchConfig:
     def test_exact_multiple(self):
         cfg = LaunchConfig.for_elements(512, 256)
-        assert cfg.blocks == 2 and cfg.threads == 512
+        assert cfg.blocks == 2 and cfg.blocks * cfg.block_size == 512
 
     def test_rounds_up(self):
         cfg = LaunchConfig.for_elements(513, 256)
         assert cfg.blocks == 3
-        assert cfg.covers(513)
+        assert cfg.blocks * cfg.block_size >= 513
 
     def test_zero_elements(self):
         assert LaunchConfig.for_elements(0).blocks == 0

@@ -17,6 +17,7 @@ from repro import (
 )
 from repro.hydro.problems import BlastProblem
 from counts import pcie_bytes
+from geometry_oracle import check_proper_nesting, contains, level_boxes
 
 
 def make_sim(problem=None, nranks=1, gpus=False, max_levels=2,
@@ -46,12 +47,12 @@ class TestInitialisation:
                        max_levels=2)
         l1 = sim.hierarchy.level(1)
         # refined boxes straddle the fine-space interface at x = 16
-        union = l1.boxes().bounding_box()
+        union = level_boxes(l1).bounding_box()
         assert union.lower[0] <= 16 <= union.upper[0]
 
     def test_proper_nesting_after_init(self):
         sim = make_sim(max_levels=3)
-        assert sim.hierarchy.check_proper_nesting() == []
+        assert check_proper_nesting(sim.hierarchy) == []
 
     def test_initial_summary(self):
         sim = make_sim()
@@ -143,16 +144,16 @@ class TestRegriddingDuringRun:
     def test_patches_track_moving_shock(self):
         sim = make_sim(problem=SodProblem((48, 16)), max_levels=2, max_patch=48)
         sim.run(max_steps=4)
-        before = sim.hierarchy.level(1).boxes().bounding_box()
+        before = level_boxes(sim.hierarchy.level(1)).bounding_box()
         sim.run(max_steps=30)  # several regrids; shock moves right
-        after = sim.hierarchy.level(1).boxes().bounding_box()
+        after = level_boxes(sim.hierarchy.level(1)).bounding_box()
         assert after.upper[0] > before.upper[0]
 
     def test_nesting_invariant_maintained(self):
         sim = make_sim(max_levels=3, max_patch=16)
         for _ in range(12):
             sim.step()
-            assert sim.hierarchy.check_proper_nesting() == []
+            assert check_proper_nesting(sim.hierarchy) == []
 
     def test_schedules_rebuilt_after_regrid(self):
         sim = make_sim(max_levels=2)
@@ -224,9 +225,9 @@ class TestProblems:
     def test_blast_refines_centre(self):
         sim = make_sim(problem=BlastProblem((32, 32)), max_levels=2,
                        max_patch=64)
-        bb = sim.hierarchy.level(1).boxes().bounding_box()
+        bb = level_boxes(sim.hierarchy.level(1)).bounding_box()
         # refinement ring surrounds the centre (32, 32) in fine space
-        assert bb.contains((32, 32))
+        assert contains(bb, (32, 32))
 
     def test_end_time_run(self):
         sim = make_sim(problem=SodProblem((16, 16)), max_levels=1)

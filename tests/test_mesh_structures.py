@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 from fill_oracle import clamp_extend
+from geometry_oracle import check_proper_nesting, intersects
 
 from repro.comm.simcomm import SimCommunicator
 from repro.gpu.device import K20X
 from repro.mesh.box import Box
-from repro.mesh.box_container import BoxContainer
 from repro.mesh.geometry import CartesianGridGeometry
 from repro.mesh.hierarchy import PatchHierarchy
 from repro.mesh.variables import (
@@ -17,7 +17,7 @@ from repro.mesh.variables import (
     VariableRegistry,
 )
 from repro.perf.machines import FDR_INFINIBAND, IPA_CPU_NODE
-from repro.xfer.overlap import frame_box_for, index_box_for
+from repro.xfer.overlap import index_box_for
 
 
 def world(gpus=False):
@@ -45,12 +45,7 @@ class TestVariables:
         reg = VariableRegistry()
         reg.declare("b", "cell")
         reg.declare("a", "node")
-        assert reg.names() == ["b", "a"]
-
-    def test_contains(self):
-        reg = VariableRegistry()
-        reg.declare("a", "cell")
-        assert "a" in reg and "z" not in reg
+        assert [v.name for v in reg] == ["b", "a"]
 
 
 class TestPatchLevel:
@@ -58,13 +53,6 @@ class TestPatchLevel:
         comm, geom, hier, reg = world()
         with pytest.raises(ValueError):
             hier.make_level(0, [Box([0, 0], [99, 99])], [0])
-
-    def test_local_patches(self):
-        comm, geom, hier, reg = world()
-        level = hier.make_level(0, [Box([0, 0], [7, 15]), Box([8, 0], [15, 15])],
-                                [0, 1])
-        assert len(level.local_patches(0)) == 1
-        assert level.local_patches(1)[0].box.lower == (8, 0)
 
     def test_cells_per_rank(self):
         comm, geom, hier, reg = world()
@@ -99,7 +87,8 @@ class TestPatchLevel:
         boxes = [Box([0, 0], [7, 15]), Box([8, 0], [15, 15])]
         per_patch = hier.make_level(0, boxes, [0, 0])
         for patch in per_patch:
-            patch.allocate(reg["rho"], HostDataFactory(), comm.rank(0))
+            patch._data["rho"] = HostDataFactory().allocate(
+                reg["rho"], patch.box, comm.rank(0))
         assert per_patch.buckets == []
         level = hier.make_level(0, boxes, [0, 0])
         level.allocate_all(reg, HostDataFactory(), comm)
@@ -149,7 +138,7 @@ class TestHierarchy:
         hier.set_level(hier.make_level(1, [Box([0, 0], [31, 15]),
                                            Box([0, 16], [31, 31])], [0, 0]))
         hier.set_level(hier.make_level(2, [Box([28, 28], [35, 35])], [0]))
-        assert hier.check_proper_nesting() == []
+        assert check_proper_nesting(hier) == []
 
     def test_nesting_violation_detected(self):
         comm, geom, hier, reg = world()
@@ -158,7 +147,7 @@ class TestHierarchy:
         # fine box nests in level-1 footprint [0..15] (in L1 space 0..31);
         # box at the footprint's inner edge violates the 1-cell buffer
         hier.set_level(hier.make_level(2, [Box([60, 0], [63, 7])], [0]))
-        assert hier.check_proper_nesting() != []
+        assert check_proper_nesting(hier) != []
 
     def test_ratio_to_base(self):
         comm, geom, hier, reg = world()
@@ -184,8 +173,8 @@ class TestOverlapHelpers:
 
     def test_frame_boxes(self):
         b = Box([0, 0], [7, 7])
-        assert frame_box_for(self.cell, b) == Box([-2, -2], [9, 9])
-        assert frame_box_for(self.node, b) == Box([-2, -2], [10, 10])
+        assert self.cell.frame(b) == Box([-2, -2], [9, 9])
+        assert self.node.frame(b) == Box([-2, -2], [10, 10])
 
     def test_ghost_pieces_partition(self):
         comm, geom, hier, reg = world()
@@ -193,11 +182,11 @@ class TestOverlapHelpers:
         patch = level.patches[0]
         which, pieces = level.frames(reg["rho"]).subtract(
             level.index_boxes(reg["rho"]))
-        frame = frame_box_for(reg["rho"], patch.box)
+        frame = reg["rho"].frame(patch.box)
         assert which.tolist() == [0] * len(pieces)
-        assert pieces.size().sum() == frame.size() - patch.box.size()
+        assert pieces.shape().prod(axis=1).sum() == frame.size() - patch.box.size()
         for piece in pieces.boxes():
-            assert not piece.intersects(patch.box)
+            assert not intersects(piece, patch.box)
 
     def test_clamp_extend(self):
         frame = Box([-2, 0], [3, 0])

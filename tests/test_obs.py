@@ -32,7 +32,6 @@ from repro.obs import (
     Tracer,
     canonical_lane,
     chrome_trace_events,
-    tracing,
     validate_chrome_trace,
     validate_file,
 )
@@ -204,9 +203,7 @@ def test_tracer_canonicalises_lanes_and_tracks():
     t = Tracer()
     t.emit("a", "kernel", 0, "HtoD", 0.0, 1.0)
     t.emit("b", "kernel", 1, "CPU", 0.0, 1.0)
-    assert t.spans[0].lane == "h2d"
-    assert t.tracks() == {(0, "h2d"), (1, "host")}
-    assert t.for_rank(1) == [t.spans[1]]
+    assert [(s.rank, s.lane) for s in t.spans] == [(0, "h2d"), (1, "host")]
 
 
 def test_tracer_close_flushes_sinks_once():
@@ -218,15 +215,18 @@ def test_tracer_close_flushes_sinks_once():
     assert len(sink.spans) == 1
 
 
-def test_tracing_context_manager_installs_and_removes():
-    from repro.obs import active_tracer
+def test_activate_tracer_installs_one_tracer_at_a_time():
+    from repro.obs import activate_tracer, active_tracer, deactivate_tracer
 
     assert active_tracer() is None
-    with tracing(Tracer()) as t:
+    t = Tracer()
+    activate_tracer(t)
+    try:
         assert active_tracer() is t
         with pytest.raises(RuntimeError):
-            with tracing(Tracer()):
-                pass  # pragma: no cover
+            activate_tracer(Tracer())
+    finally:
+        deactivate_tracer()
     assert active_tracer() is None
 
 

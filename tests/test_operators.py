@@ -37,7 +37,7 @@ class TestNodeLinearRefine:
         fframe = Box([0, 0], [8, 8])
         fine = np.zeros(tuple(fframe.shape()))
         region = Box([0, 0], [8, 8])
-        m.refine_node_linear(coarse, cframe, fine, fframe, region, R2)
+        m.refine_region(m.NODE_LINEAR, coarse, cframe, fine, fframe, region, R2)
         for i in range(0, 5):
             for j in range(0, 5):
                 assert fine[2 * i, 2 * j] == coarse[i + 1, j + 1]
@@ -50,7 +50,7 @@ class TestNodeLinearRefine:
         coarse = 2.0 * ci + 3.0 * cj + 1.0
         fframe = Box([0, 0], [8, 8])
         fine = np.zeros(tuple(fframe.shape()))
-        m.refine_node_linear(coarse, cframe, fine, fframe, Box([0, 0], [8, 8]), R2)
+        m.refine_region(m.NODE_LINEAR, coarse, cframe, fine, fframe, Box([0, 0], [8, 8]), R2)
         fi = np.arange(0, 9)[:, None]
         fj = np.arange(0, 9)[None, :]
         expected = 2.0 * (fi / 2.0) + 3.0 * (fj / 2.0) + 1.0
@@ -61,7 +61,7 @@ class TestNodeLinearRefine:
         coarse = np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0], [5.0, 5.0, 5.0]])
         fframe = Box([0, 0], [3, 3])
         fine = np.zeros((4, 4))
-        m.refine_node_linear(coarse, cframe, fine, fframe, Box([0, 0], [3, 3]), R2)
+        m.refine_region(m.NODE_LINEAR, coarse, cframe, fine, fframe, Box([0, 0], [3, 3]), R2)
         assert fine[1, 0] == 2.0  # halfway between 1 and 3
         assert fine[3, 0] == 4.0  # halfway between 3 and 5
 
@@ -74,7 +74,7 @@ class TestCellConservativeLinearRefine:
         fframe = Box([0, 0], [7, 7])
         fine = np.zeros(tuple(fframe.shape()))
         region = Box([0, 0], [7, 7])
-        m.refine_cell_conservative_linear(coarse, cframe, fine, fframe, region, R2)
+        m.refine_region(m.CELL_CONSERVATIVE_LINEAR, coarse, cframe, fine, fframe, region, R2)
         for i in range(4):
             for j in range(4):
                 children = fine[2 * i:2 * i + 2, 2 * j:2 * j + 2]
@@ -85,8 +85,8 @@ class TestCellConservativeLinearRefine:
         coarse = np.full(tuple(cframe.shape()), 7.5)
         fframe = Box([0, 0], [7, 7])
         fine = np.zeros(tuple(fframe.shape()))
-        m.refine_cell_conservative_linear(
-            coarse, cframe, fine, fframe, Box([0, 0], [7, 7]), R2)
+        m.refine_region(
+            m.CELL_CONSERVATIVE_LINEAR, coarse, cframe, fine, fframe, Box([0, 0], [7, 7]), R2)
         assert np.all(fine == 7.5)
 
     def test_monotone_no_overshoot(self):
@@ -96,8 +96,8 @@ class TestCellConservativeLinearRefine:
         coarse = np.where(ci < 4, 1.0, 0.125)[:, None] * np.ones((1, 6))
         fframe = Box([0, 0], [15, 3])
         fine = np.zeros(tuple(fframe.shape()))
-        m.refine_cell_conservative_linear(
-            coarse, cframe, fine, fframe, Box([0, 0], [15, 3]), R2)
+        m.refine_region(
+            m.CELL_CONSERVATIVE_LINEAR, coarse, cframe, fine, fframe, Box([0, 0], [15, 3]), R2)
         assert fine.max() <= 1.0 + 1e-12
         assert fine.min() >= 0.125 - 1e-12
 
@@ -108,8 +108,8 @@ class TestCellConservativeLinearRefine:
         coarse = rng(seed).random(tuple(cframe.shape())) * 10
         fframe = Box([0, 0], [7, 7])
         fine = np.zeros(tuple(fframe.shape()))
-        m.refine_cell_conservative_linear(
-            coarse, cframe, fine, fframe, Box([0, 0], [7, 7]), R2)
+        m.refine_region(
+            m.CELL_CONSERVATIVE_LINEAR, coarse, cframe, fine, fframe, Box([0, 0], [7, 7]), R2)
         assert frozen.block_reduce(fine, R2, "mean") == pytest.approx(
             coarse[2:6, 2:6], rel=1e-12)
 
@@ -120,8 +120,8 @@ class TestSideConservativeLinearRefine:
         coarse = np.full(tuple(cframe.shape()), 3.0)
         fframe = Box([0, 0], [8, 7])
         fine = np.zeros(tuple(fframe.shape()))
-        m.refine_side_conservative_linear(
-            coarse, cframe, fine, fframe, Box([0, 0], [8, 7]), R2, axis=0)
+        m.refine_region(
+            m.SIDE_CONSERVATIVE_LINEAR[0], coarse, cframe, fine, fframe, Box([0, 0], [8, 7]), R2)
         assert np.all(fine == 3.0)
 
     def test_aligned_faces_from_coarse_face(self):
@@ -131,8 +131,8 @@ class TestSideConservativeLinearRefine:
         coarse = (ci * 1.0) * np.ones((1, 6))
         fframe = Box([0, 0], [8, 7])
         fine = np.zeros(tuple(fframe.shape()))
-        m.refine_side_conservative_linear(
-            coarse, cframe, fine, fframe, Box([0, 0], [8, 7]), R2, axis=0)
+        m.refine_region(
+            m.SIDE_CONSERVATIVE_LINEAR[0], coarse, cframe, fine, fframe, Box([0, 0], [8, 7]), R2)
         # fine face 4 lies on coarse face 2; transversely constant data
         assert np.allclose(fine[4, :], 2.0)
         # odd faces interpolate between neighbours

@@ -31,6 +31,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 import pytest
 from fill_oracle import PerRegionSchedule, PerTransactionSync
+from geometry_oracle import cell_indices
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +77,7 @@ def test_box_points_visits_every_index_row_major(corners):
     boxes = [Box((i, j), (i + h, j + w)) for i, j, h, w in corners]
     which, (c0, c1) = box_points(boxes)
     want = [(k, *index) for k, box in enumerate(boxes)
-            for index in box.indices()]
+            for index in cell_indices(box)]
     assert list(zip(which.tolist(), c0.tolist(), c1.tolist())) == want
 
 
@@ -212,23 +213,19 @@ def test_plans_reach_storage_only_inside_a_launch_and_never_after_free():
 
 # -- (ii) flat refine == per-region refine -------------------------------------
 
-STENCILS = [("node", m.NODE_LINEAR, m.refine_node_linear, ()),
-            ("cell", m.CELL_CONSERVATIVE_LINEAR,
-             m.refine_cell_conservative_linear, ()),
-            ("side-x", m.SIDE_CONSERVATIVE_LINEAR[0],
-             m.refine_side_conservative_linear, (0,)),
-            ("side-y", m.SIDE_CONSERVATIVE_LINEAR[1],
-             m.refine_side_conservative_linear, (1,))]
+STENCILS = [("node", m.NODE_LINEAR),
+            ("cell", m.CELL_CONSERVATIVE_LINEAR),
+            ("side-x", m.SIDE_CONSERVATIVE_LINEAR[0]),
+            ("side-y", m.SIDE_CONSERVATIVE_LINEAR[1])]
 
 
-@pytest.mark.parametrize("name,stencil,per_region,extra", STENCILS,
+@pytest.mark.parametrize("name,stencil", STENCILS,
                          ids=[s[0] for s in STENCILS])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), nregions=st.integers(1, 6),
        r0=st.integers(1, 4), r1=st.integers(1, 4))
-def test_flat_refine_is_bitwise_the_per_region_refine(name, stencil, per_region,
-                                                      extra, seed, nregions,
-                                                      r0, r1):
+def test_flat_refine_is_bitwise_the_per_region_refine(name, stencil, seed,
+                                                      nregions, r0, r1):
     """Many regions, each with its own coarse block of its own shape,
     evaluated at once against one flat coarse array and scattered into one
     flat fine array: every element equals the per-region function's."""
@@ -249,7 +246,7 @@ def test_flat_refine_is_bitwise_the_per_region_refine(name, stencil, per_region,
     want = []
     for region, cframe, carr, fframe in zip(regions, cframes, coarse, fframes):
         fine = np.full(tuple(fframe.shape()), np.nan)
-        per_region(carr, cframe, fine, fframe, region, ratio, *extra)
+        m.refine_region(stencil, carr, cframe, fine, fframe, region, ratio)
         want.append(fine)
 
     coarse_flat = np.concatenate([c.ravel() for c in coarse])
@@ -339,9 +336,9 @@ def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
         sync.coarsen()
         pairs = {(t.fine_patch.owner, t.coarse_patch.owner)
                  for t in sync.transactions}
-        assert sync.num_transactions() > len(pairs)
+        assert len(sync.transactions) > len(pairs)
         assert counts["sync.free"] == (len(pairs) if batch
-                                       else sync.num_transactions())
+                                       else len(sync.transactions))
         assert counts["Box.__init__"] == 0, batch
         assert counts["Device.empty"] == counts["sync.free"], batch
         assert counts["allocate"] == 0 and counts["compile"] == 0, batch
@@ -383,7 +380,8 @@ def test_a_batched_schedule_on_a_per_patch_allocated_level_raises_naming_it():
                             [0, 0])
     factory = HostDataFactory()
     for patch in level:
-        patch.allocate(reg["rho"], factory, comm.rank(patch.owner))
+        patch._data["rho"] = factory.allocate(reg["rho"], patch.box,
+                                              comm.rank(patch.owner))
     for batch in (True, False):
         sched = RefineSchedule(level, None, [FillSpec(reg["rho"])], comm,
                                batch=batch)

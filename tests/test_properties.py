@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from geometry_oracle import contains
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,7 +120,7 @@ class TestDecompositionInvariants:
         boxes = cluster_tags(pts, min_efficiency=0.6, min_size=2)
         boxes = chop_boxes(boxes, 8)
         for p in pts:
-            assert sum(1 for b in boxes if b.contains(p)) == 1
+            assert sum(1 for b in boxes if contains(b, p)) == 1
 
 
 class TestRefineCoarsenAdjoint:
@@ -137,7 +138,7 @@ class TestRefineCoarsenAdjoint:
         fine = np.zeros(tuple(fframe.shape()))
         region = Box([0, 0], [7, 7])
         r = IntVector(2, 2)
-        m.refine_cell_conservative_linear(coarse, cframe, fine, fframe, region, r)
+        m.refine_region(m.CELL_CONSERVATIVE_LINEAR, coarse, cframe, fine, fframe, region, r)
         back = np.zeros((4, 4))
         m.coarsen_region(m.CELL_VOLUME_MEAN, fine, fframe, back,
                          Box([0, 0], [3, 3]), Box([0, 0], [3, 3]), r)
@@ -155,7 +156,7 @@ class TestRefineCoarsenAdjoint:
         fframe = Box([0, 0], [8, 8])
         fine = np.zeros(tuple(fframe.shape()))
         r = IntVector(2, 2)
-        m.refine_node_linear(coarse, cframe, fine, fframe, Box([0, 0], [8, 8]), r)
+        m.refine_region(m.NODE_LINEAR, coarse, cframe, fine, fframe, Box([0, 0], [8, 8]), r)
         back = np.zeros((5, 5))
         m.coarsen_region(m.NODE_INJECTION, fine, fframe, back,
                          Box([0, 0], [4, 4]), Box([0, 0], [4, 4]), r)
@@ -180,14 +181,14 @@ class TestClusteringProperties:
         boxes = cluster_tags(pts, min_efficiency=eff, min_size=min_size)
         # cover: every tag in exactly one box
         for p in pts:
-            assert sum(1 for b in boxes if b.contains(p)) == 1
+            assert sum(1 for b in boxes if contains(b, p)) == 1
         # pairwise disjoint
         for i, a in enumerate(boxes):
             for b in boxes[i + 1:]:
                 assert boxes_disjoint(a, b)
         # each box meets the efficiency target or is too small to split
         for b in boxes:
-            tagged = sum(1 for p in pts if b.contains(p))
+            tagged = sum(1 for p in pts if contains(b, p))
             if tagged / b.size() < eff:
                 assert max(b.shape()) < 2 * min_size
 
@@ -205,13 +206,12 @@ class TestClusteringProperties:
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 16))
     @settings(max_examples=30, deadline=None)
     def test_chop_box_tiles_partition(self, w, h, max_size):
-        from repro.regrid.load_balance import chop_box
         box = Box([3, -2], [3 + w - 1, -2 + h - 1])
-        tiles = chop_box(box, max_size)
+        tiles = chop_boxes([box], max_size)
         assert sum(t.size() for t in tiles) == box.size()
         for i, a in enumerate(tiles):
             assert max(a.shape()) <= max_size
-            assert box.contains(a.lower) and box.contains(a.upper)
+            assert contains(box, a.lower) and contains(box, a.upper)
             for b in tiles[i + 1:]:
                 assert boxes_disjoint(a, b)
 

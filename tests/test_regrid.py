@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from geometry_oracle import cell_indices, contains, intersects
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from repro.regrid.flagging import (
     pack_tags,
     unpack_tags,
 )
-from repro.regrid.load_balance import assign_owners, chop_box, chop_boxes, imbalance
+from repro.regrid.load_balance import assign_owners, chop_boxes, imbalance
 
 NX = NY = 16
 G = 2
@@ -94,7 +95,7 @@ class TestBergerRigoutsos:
         boxes = cluster_tags(pts, min_efficiency=0.5, min_size=4)
         covered = set()
         for b in boxes:
-            for idx in b.indices():
+            for idx in cell_indices(b):
                 covered.add(idx)
         for p in map(tuple, pts):
             assert p in covered
@@ -105,7 +106,7 @@ class TestBergerRigoutsos:
         boxes = cluster_tags(pts, min_efficiency=0.8, min_size=2)
         for i, a in enumerate(boxes):
             for b in boxes[i + 1:]:
-                assert not a.intersects(b)
+                assert not intersects(a, b)
 
     def test_diagonal_line_efficiency(self):
         """A diagonal front clusters far better than one bounding box."""
@@ -124,7 +125,7 @@ class TestBergerRigoutsos:
         pts = np.unique(rng.integers(-20, 40, size=(n, 2)), axis=0)
         boxes = cluster_tags(pts, min_efficiency=0.7, min_size=3)
         for p in pts:
-            hits = sum(1 for b in boxes if b.contains(p))
+            hits = sum(1 for b in boxes if contains(b, p))
             assert hits == 1
 
     def test_efficiency_helper(self):
@@ -135,30 +136,30 @@ class TestBergerRigoutsos:
 class TestChopBox:
     def test_no_chop_needed(self):
         b = Box([0, 0], [31, 31])
-        assert chop_box(b, 64) == [b]
+        assert chop_boxes([b], 64) == [b]
 
     def test_even_split(self):
-        pieces = chop_box(Box([0, 0], [127, 31]), 64)
+        pieces = chop_boxes([Box([0, 0], [127, 31])], 64)
         assert len(pieces) == 2
         assert all(p.shape()[0] == 64 for p in pieces)
 
     def test_uneven_split_balanced(self):
-        pieces = chop_box(Box([0, 0], [99, 0]), 64)
+        pieces = chop_boxes([Box([0, 0], [99, 0])], 64)
         widths = sorted(p.shape()[0] for p in pieces)
         assert widths == [50, 50]
 
     def test_both_axes(self):
-        pieces = chop_box(Box([0, 0], [127, 127]), 64)
+        pieces = chop_boxes([Box([0, 0], [127, 127])], 64)
         assert len(pieces) == 4
 
     @given(st.integers(1, 200), st.integers(4, 64))
     @settings(max_examples=40, deadline=None)
     def test_partition_property(self, extent, maxsize):
         b = Box([3, 5], [3 + extent - 1, 5 + extent - 1])
-        pieces = chop_box(b, maxsize)
+        pieces = chop_boxes([b], maxsize)
         assert sum(p.size() for p in pieces) == b.size()
         for p in pieces:
-            assert p.shape().max() <= maxsize
+            assert max(p.shape()) <= maxsize
             assert b.contains_box(p)
 
 

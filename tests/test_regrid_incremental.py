@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from geometry_oracle import check_proper_nesting
 
 from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, \
     RunSession, run
@@ -190,4 +191,4 @@ class TestInteriorReusePolicy:
         sim.initialise()
         for _ in range(10):
             sim.step()
-            assert sim.hierarchy.check_proper_nesting() == []
+            assert check_proper_nesting(sim.hierarchy) == []

@@ -7,6 +7,7 @@ machinery never produces NaNs, negative densities, or broken nesting.
 
 import numpy as np
 import pytest
+from geometry_oracle import check_proper_nesting
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,7 +74,7 @@ class TestRandomStates:
     @settings(max_examples=6, deadline=None)
     def test_amr_stays_physical_and_nested(self, seed):
         sim = advance(seed, max_levels=2, steps=6)  # includes a regrid
-        assert sim.hierarchy.check_proper_nesting() == []
+        assert check_proper_nesting(sim.hierarchy) == []
         for level in sim.hierarchy:
             rho = gather_level_field(level, "density0", fill=1.0)
             assert np.all(np.isfinite(rho)) and np.all(rho > 0)

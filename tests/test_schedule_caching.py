@@ -162,7 +162,7 @@ class TestScheduleCache:
         dropped = cache.purge(hier)
         assert dropped == 1
         assert cache.purged == 1
-        assert len(cache) == 1
+        assert cache.get("fill", ("k2",), (dead, None)) is None
         assert cache.get("fill", ("k1",), (lvl, None)) == "live"
 
     def test_purge_drops_geometry_of_dead_levels(self):

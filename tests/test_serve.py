@@ -20,6 +20,7 @@ from repro.serve import (
     Scheduler,
     estimate_run_bytes,
 )
+from repro.serve.pool import Ledger
 
 
 def _cfg(steps=8, **overrides):
@@ -27,6 +28,10 @@ def _cfg(steps=8, **overrides):
                   max_patch_size=16)
     kwargs.update(overrides)
     return RunConfig(**kwargs)
+
+
+def _events_of(scheduler, job: str) -> list[dict]:
+    return [e for e in scheduler.events.history if e.get("job") == job]
 
 
 def _tight_pool(cfg, ndevices=2, headroom=1.5):
@@ -103,10 +108,48 @@ class TestDevicePool:
     def test_reservation_ledger_balances(self):
         pool = DevicePool(2, device_bytes=100)
         devices = pool.try_admit(2, 120)
-        assert pool.committed_bytes == 120
+        assert _committed(pool) == 120
         pool.release(devices, 60)
-        assert pool.committed_bytes == 0
-        assert pool.peak_committed_bytes == 120
+        assert _committed(pool) == 0
+        assert sum(lg.peak_bytes for lg in pool.ledgers) == 120
+
+
+def _committed(pool) -> int:
+    return sum(lg.reserved_bytes for lg in pool.ledgers)
+
+
+class TestLedger:
+    """One device's admission ledger (``repro.serve.pool.Ledger``)."""
+
+    def test_negative_reservation_raises(self):
+        with pytest.raises(ValueError, match="cannot reserve"):
+            Ledger(100).try_reserve(-1)
+
+    def test_over_release_raises(self):
+        ledger = Ledger(100)
+        assert ledger.try_reserve(40)
+        with pytest.raises(ValueError, match="only 40 outstanding"):
+            ledger.release_reservation(41)
+        assert ledger.reserved_bytes == 40
+
+    def test_reservation_past_capacity_is_refused_and_changes_nothing(self):
+        ledger = Ledger(100)
+        assert ledger.try_reserve(70)
+        assert not ledger.try_reserve(31)
+        assert ledger.reserved_bytes == 70
+        assert ledger.available_bytes == 30
+        assert ledger.try_reserve(30)
+        assert ledger.available_bytes == 0
+
+    def test_peak_tracks_the_high_water_mark(self):
+        ledger = Ledger(100)
+        ledger.try_reserve(30)
+        ledger.try_reserve(50)
+        ledger.release_reservation(60)
+        ledger.try_reserve(10)
+        assert (ledger.reserved_bytes, ledger.peak_bytes) == (30, 80)
+        ledger.try_reserve(60)
+        assert ledger.peak_bytes == 90
 
 
 class TestJobQueue:
@@ -149,7 +192,7 @@ class TestLifecycle:
         scheduler = Scheduler(DevicePool(1), slice_steps=2)
         scheduler.submit(JobSpec("solo", _cfg(steps=4)))
         scheduler.run()
-        kinds = [e["event"] for e in scheduler.events.for_job("solo")]
+        kinds = [e["event"] for e in _events_of(scheduler, "solo")]
         assert kinds[0] == "submitted"
         assert kinds[1] == "admitted"
         assert kinds.count("progress") == 2
@@ -245,7 +288,7 @@ class TestRetries:
         scheduler.run()
         assert record.state is JobState.COMPLETED
         assert record.attempts == 2
-        assert [e["event"] for e in scheduler.events.for_job("flaky")
+        assert [e["event"] for e in _events_of(scheduler, "flaky")
                 ].count("retry") == 1
         # deterministic replay: the retried run matches a clean one
         assert record.result.final_fields == run(cfg).final_fields
@@ -268,7 +311,7 @@ class TestRetries:
         assert record.attempts == 2
         assert "injected" in record.error
         # the failed job's reservations were returned
-        assert scheduler.pool.committed_bytes == 0
+        assert _committed(scheduler.pool) == 0
 
 
 class TestPlanCache:
@@ -279,7 +322,8 @@ class TestPlanCache:
         b = scheduler.submit(JobSpec("b", cfg_b))
         scheduler.run()
         assert scheduler.cache.hits >= 1
-        hits = scheduler.events.of_kind("cache-hit")
+        hits = [e for e in scheduler.events.history
+                if e["event"] == "cache-hit"]
         assert [e["job"] for e in hits] == ["b"]
         # restored-from-snapshot results are bitwise identical
         assert a.result.final_fields == b.result.final_fields
@@ -413,7 +457,7 @@ class TestServeLintRule:
         assert self._lint(tmp_path, """
             from ..api import RunConfig, RunSession
             from ..obs import MetricsRegistry
-            from ..gpu.pool import MemoryPool
+            from ..gpu.errors import DeviceOutOfMemory
             from ..perf.machines import MACHINES
             from .job import JobSpec
             import repro.api

@@ -75,7 +75,7 @@ def _spaces():
 def _check_stacked_view_aliases_members(space, scope):
     arena = Arena(space, 3 * 4 * 5)
     members = [arena.place((4, 5)) for _ in range(3)]
-    assert arena.uniform and arena.member_count == 3
+    assert len(arena.buckets) == 1 and len(arena.offsets) == 3
     with scope():
         stacked = arena.stacked_view()
         assert stacked.shape == (3, 4, 5)
@@ -93,18 +93,16 @@ def test_uniform_device_arena_stacked_view_aliases_members():
 
 
 def test_ragged_arena_refuses_stacked_view():
-    """Non-uniform ⇒ no whole-arena stacked view or mask, but one stacked
+    """Non-uniform ⇒ no whole-arena stacked view, but one stacked
     view per shape bucket; members still alias the slab and the whole
     slab still round-trips through the host."""
     for space, scope in _spaces():
         arena = Arena(space, 4 * 5 + 3 * 5)
         a, b = arena.place((4, 5)), arena.place((3, 5))
-        assert not arena.uniform
+        assert len(arena.buckets) == 2
         assert arena.buckets == [(0, 1, (4, 5)), (1, 1, (3, 5))]
         with pytest.raises(ValueError, match="uniform"), scope():
             arena.stacked_view()
-        with pytest.raises(ValueError, match="uniform"):
-            arena.interior_mask(1)
         with scope():
             assert arena.stacked_view(1).shape == (1, 3, 5)
             assert np.shares_memory(arena.stacked_view(1), b.kernel_view())
@@ -117,17 +115,6 @@ def test_ragged_arena_refuses_stacked_view():
         with scope():
             assert np.all(a.kernel_view() == [[2.0] * 5] * 3 + [[1.0] * 5])
             assert np.all(b.kernel_view() == 1.0)
-
-
-def test_interior_mask_masks_ghost_frame():
-    for space, _ in _spaces():
-        arena = Arena(space, 2 * 6 * 6)
-        arena.place((6, 6))
-        arena.place((6, 6))
-        mask = arena.interior_mask(2)
-        assert mask.shape == (2, 6, 6)
-        assert mask.sum() == 2 * 2 * 2  # 2 members x (6-4) x (6-4)
-        assert mask[:, 2:4, 2:4].all() and not mask[:, :2, :].any()
 
 
 # -- property: stacked kernels are bitwise the per-patch kernels ---------------

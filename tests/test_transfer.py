@@ -53,7 +53,7 @@ class TestSameRank:
         src, dst = host_pd(3.0), host_pd(0.0)
         ImmediateSink(comm).copy(comm.rank(0), [(dst, src, REGION)], "copy")
         assert np.all(dst.view(REGION) == 3.0)
-        assert dst.array.sum() == 3.0 * 16
+        assert dst.data.array.sum() == 3.0 * 16
 
     def test_device_to_device(self, comm):
         dev = comm.rank(0).device

@@ -46,25 +46,25 @@ class TestWorkspace:
         a, b, m = ws.carve((2, 3, 4), 2, 1)
         assert a.flags.c_contiguous and b.flags.c_contiguous
         assert a.dtype == np.float64 and m.dtype == np.bool_
-        assert ws.nbytes == 2 * 24 * 8 + 24
+        assert ws._buf.nbytes == 2 * 24 * 8 + 24
         (c,) = ws.carve((5,), 1)
         assert np.shares_memory(a, c)       # every carve starts at offset 0
-        assert ws.nbytes == 2 * 24 * 8 + 24  # a smaller carve does not grow it
+        assert ws._buf.nbytes == 2 * 24 * 8 + 24  # a smaller carve does not grow it
 
     def test_grows_to_exactly_the_largest_carve(self):
         ws = K.Workspace()
         ws.carve((10,), 1)
         ws.carve((7, 3), 3, 2)
         ws.carve((4,), 2)
-        assert ws.nbytes == 21 * (3 * 8 + 2)
+        assert ws._buf.nbytes == 21 * (3 * 8 + 2)
 
     def test_release_gives_the_memory_back(self):
         ws = K.Workspace()
         ws.carve((100,), 4)
         ws.release()
-        assert ws.nbytes == 0
+        assert ws._buf.nbytes == 0
         (a,) = ws.carve((3,), 1)            # and a later carve still works
-        assert a.shape == (3,) and ws.nbytes == 24
+        assert a.shape == (3,) and ws._buf.nbytes == 24
 
     def test_every_integrator_owns_its_own(self):
         first, second = _uniform_session(1), _uniform_session(1)
@@ -106,16 +106,16 @@ def test_steady_step_allocates_less_than_one_frame(monkeypatch):
         frame = (PATCH + 4) ** 2 * 8       # one cell field of one patch
         assert peak - base < frame
         ws = session.sim.patch_integrator.workspace
-        assert ws.nbytes == max(carves)
+        assert ws._buf.nbytes == max(carves)
         # the largest carve is advec_cell's flux phase: 8 float and 3
         # mask buffers over the faces of one chunk of the bucket, which
         # is one patch (a frame of 192^2 is past the chunk budget)
         assert (PATCH + 4) ** 2 * 8 > CHUNK_BYTES
         faces = (PATCH + 1) * PATCH
-        assert ws.nbytes == faces * (8 * 8 + 3)
+        assert ws._buf.nbytes == faces * (8 * 8 + 3)
     finally:
         session.close()
-    assert session.sim.patch_integrator.workspace.nbytes == 0
+    assert session.sim.patch_integrator.workspace._buf.nbytes == 0
 
 
 class TestNanTimestep:
