@@ -167,8 +167,7 @@ class LagrangianEulerianIntegrator:
             for r, t0 in zip(self.comm.ranks, starts):
                 r.sync_device()
                 delta = r.clock.time - t0
-                r.timers.totals[name] = r.timers.totals.get(name, 0.0) + delta
-                r.timers.counts[name] = r.timers.counts.get(name, 0) + 1
+                r.timers.add(name, delta)
                 if tracer is not None and delta > 0.0:
                     tracer.emit(name, "phase", r.index, "phase",
                                 t0, r.clock.time)

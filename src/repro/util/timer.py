@@ -21,6 +21,11 @@ class TimerRegistry:
         self.totals: dict[str, float] = {}
         self.counts: dict[str, int] = {}
 
+    def add(self, name: str, seconds: float) -> None:
+        """Charge one timed interval of ``seconds`` to bucket ``name``."""
+        self.totals[name] = self.totals.get(name, 0.0) + seconds
+        self.counts[name] = self.counts.get(name, 0) + 1
+
     def total(self, name: str) -> float:
         return self.totals.get(name, 0.0)
 

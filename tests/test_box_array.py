@@ -28,6 +28,14 @@ from repro.mesh.geometry import CartesianGridGeometry
 from repro.mesh.hierarchy import PatchHierarchy
 from repro.mesh.variables import Variable
 from repro.perf.machines import FDR_INFINIBAND, IPA_CPU_NODE
+
+
+def test_take_selects_rows_by_index_array_or_mask():
+    boxes = [Box([0, 0], [3, 3]), Box([4, 0], [7, 3]), Box([0, 4], [3, 7])]
+    arr = BoxArray.from_boxes(boxes)
+    assert arr.take(np.array([2, 0])).boxes() == [boxes[2], boxes[0]]
+    assert arr.take(np.array([False, True, True])).boxes() == boxes[1:]
+    assert len(arr.take(np.zeros(3, dtype=bool))) == 0
 from repro.regrid.load_balance import chop_boxes
 from repro.xfer.coarsen_schedule import CoarsenSchedule
 from repro.xfer.refine_schedule import build_fill_geometry

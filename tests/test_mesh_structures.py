@@ -115,6 +115,14 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             hier.set_level(hier.make_level(2, [Box([0, 0], [3, 3])], [0]))
 
+    def test_finest_level_number_follows_installed_levels(self):
+        comm, geom, hier, reg = world()
+        assert hier.finest_level_number == -1
+        hier.set_level(hier.make_level(0, [Box([0, 0], [15, 15])], [0]))
+        hier.set_level(hier.make_level(1, [Box([0, 0], [7, 7])], [0]))
+        assert hier.finest_level_number == 1
+        assert [lvl.level_number for lvl in hier] == [0, 1]
+
     def test_replace_level(self):
         comm, geom, hier, reg = world()
         hier.set_level(hier.make_level(0, [Box([0, 0], [15, 15])], [0]))

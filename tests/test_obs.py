@@ -23,6 +23,7 @@ from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
 from repro.obs import (
     CATEGORIES,
+    ChromeTraceSink,
     Counter,
     Gauge,
     Histogram,
@@ -196,6 +197,36 @@ def test_validator_rejects_bad_documents():
     assert any("no thread_name" in e for e in errors)
 
 
+def _three_track_spans():
+    return [Span("k", "kernel", 0, "compute", 0.0, 1.0),
+            Span("x", "transfer", 0, "d2h", 1.0, 2.0),
+            Span("s", "comm", 1, "net", 0.0, 0.5)]
+
+
+def test_validate_command_accepts_what_the_sink_writes(tmp_path, capsys):
+    from repro.obs.validate import main
+
+    path = str(tmp_path / "t.json")
+    ChromeTraceSink(path).write(_three_track_spans())
+    assert main([path, "--require-tracks", "3",
+                 "--require-categories", "kernel", "comm"]) == 0
+    assert capsys.readouterr().out == f"{path}: trace schema valid\n"
+
+
+def test_validate_command_exits_with_its_error_count(tmp_path, capsys):
+    from repro.obs.validate import main
+
+    path = str(tmp_path / "t.json")
+    ChromeTraceSink(path).write(_three_track_spans())
+    assert main([path, "--require-tracks", "4",
+                 "--require-categories", "fused"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["only 3 (rank, stream) track(s), required >= 4",
+                   "required span category 'fused' never appears",
+                   "2 trace schema error(s)"]
+    assert main([str(tmp_path / "missing.json")]) == 1
+
+
 # -- tracer mechanics ---------------------------------------------------------
 
 
@@ -320,6 +351,23 @@ def test_instrument_primitives():
 
 
 # -- the registry is the one store of modelled events -------------------------
+
+
+def test_scoped_view_stamps_its_labels_and_call_labels_win():
+    reg = MetricsRegistry()
+    alice = reg.scoped(tenant="alice", kind="batch")
+    alice.counter("jobs.completed").inc(2)
+    alice.counter("jobs.completed", kind="interactive").inc()
+    reg.scoped(tenant="bob").counter("jobs.completed").inc(5)
+    assert alice.counter("jobs.completed") is reg.counter(
+        "jobs.completed", tenant="alice", kind="batch")
+    assert reg.value("jobs.completed", tenant="alice", kind="batch") == 2
+    assert reg.value("jobs.completed", tenant="alice", kind="interactive") == 1
+    assert reg.total("jobs.completed", tenant="alice") == 3
+    assert reg.total("jobs.completed") == 8
+    alice.histogram("slice.seconds").observe(0.5)
+    assert reg.histogram("slice.seconds", tenant="alice",
+                         kind="batch").count == 1
 
 
 def test_read_helpers_create_no_instrument():

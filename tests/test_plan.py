@@ -39,7 +39,8 @@ from repro.api import ExecutionPolicy, RegridPolicy, RunConfig, build_simulation
 from repro.comm.simcomm import SimCommunicator
 from repro.exec import backend as backend_module
 from repro.exec.backend import UNCHARGED_HOST, ResidentDeviceBackend
-from repro.exec.plan import CopyPlan, StreamPlan, compile_copies, compile_stream
+from repro.exec.plan import (CopyPlan, StreamPlan, compile_copies,
+                              compile_stream, ravel_index)
 from repro.geom import interp_math as m
 from repro.geom.operators import (
     CellConservativeLinearRefine,
@@ -82,6 +83,26 @@ def test_box_points_visits_every_index_row_major(corners):
 
 
 # -- (i) compiled copy / pack / unpack == the per-region PatchData calls --------
+
+
+def test_ravel_index_is_c_order_inside_each_block():
+    # block 0: 2x3 at offset 0, lower (0, 0); block 1: 3x2 at offset 6,
+    # lower (-1, 4)
+    offsets, lowers, shapes = [0, 6], [(0, 0), (-1, 4)], [(2, 3), (3, 2)]
+    which = np.array([0, 0, 1, 1, 1])
+    coords = (np.array([0, 1, -1, 0, 1]), np.array([2, 0, 4, 5, 5]))
+    got = ravel_index(offsets, lowers, shapes, which, coords)
+    assert got.tolist() == [2, 3, 6, 9, 11]
+    store = np.arange(12)
+    assert store[got].tolist() == [2, 3, 6, 9, 11]
+
+
+@pytest.mark.parametrize("point", [(2, 0), (0, 3), (-1, 0)])
+def test_ravel_index_raises_for_a_point_outside_its_block(point):
+    with pytest.raises(IndexError, match="not contained"):
+        ravel_index([0, 6], [(0, 0), (0, 0)], [(2, 3), (2, 3)],
+                    np.array([0, 1]),
+                    (np.array([0, point[0]]), np.array([0, point[1]])))
 
 
 class _DeviceRank:

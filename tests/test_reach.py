@@ -6,6 +6,7 @@ in ``tmp_path``, with the profiler on only around the calls they make.
 """
 
 import importlib.util
+import os
 import sys
 import textwrap
 from pathlib import Path
@@ -136,3 +137,120 @@ def test_list_reasons_are_a_closed_set():
         reach.parse_list("a.py:f  3  used-by-tests\n")
     with pytest.raises(ValueError, match="twice"):
         reach.parse_list("a.py:f  3  debug\na.py:f  3  debug\n")
+
+
+def test_redefined_def_gets_an_occurrence_suffix(tmp_path):
+    (tmp_path / "p.py").write_text(textwrap.dedent("""
+        class Box:
+            @property
+            def size(self):
+                return self._size
+
+            @size.setter
+            def size(self, value):
+                self._size = value
+    """))
+    defs = reach.walk(tmp_path)
+    assert [(d.key, d.first, d.lines) for d in defs] == [
+        ("p.py:Box.size", 3, 3), ("p.py:Box.size[2]", 7, 3)]
+
+
+def test_parse_list_skips_comments_and_rejects_malformed_lines():
+    listed = reach.parse_list("# header\n\n  a.py:f  3  debug  \n"
+                              "a.py:C.g 12 error-path\n")
+    assert listed == {"a.py:f": (3, "debug"), "a.py:C.g": (12, "error-path")}
+    for bad in ("a.py:f  debug", "a.py:f  three  debug", "a.py:f 3 debug x"):
+        with pytest.raises(ValueError, match="line 2: expected"):
+            reach.parse_list(f"# ok\n{bad}\n")
+
+
+def test_resized_entry_is_reported_without_failing(package):
+    found = reach.unreached(reach.walk(package), _run_entry(package))
+    cmp = reach.compare(found, reach.parse_list(
+        "a.py:planted  9  error-path\na.py:Thing.unused  2  debug\n"
+        "a.py:gone  5  debug\n"))
+    assert cmp.ok and not cmp.missing
+    assert cmp.resized == ["a.py:planted  4  error-path"]
+    assert cmp.stale == ["a.py:gone"]
+    text = "\n".join(reach.report(cmp, found, total_defs=7))
+    assert text.startswith("reach: 2 of 7 defs unreached, 6 def-lines")
+    assert "now reached or gone" in text and "  a.py:gone" in text
+    assert "line count changed" in text and "a.py:planted  4  error-path" in text
+    assert "not in" not in text
+
+
+def test_committed_list_is_valid_and_names_live_defs():
+    """Every line of ``benchmarks/unreached.txt`` parses, names a def that
+    exists in ``src/repro`` and carries that def's current line count."""
+    listed = reach.parse_list(reach.LIST_PATH.read_text())
+    defs = {d.key: d for d in reach.walk(reach.PACKAGE)}
+    assert len(defs) == len(reach.walk(reach.PACKAGE))  # keys are unique
+    assert [k for k in listed if k not in defs] == []
+    assert [k for k, (lines, _) in listed.items()
+            if defs[k].lines != lines] == []
+
+
+def test_cli_entry_points_are_valid_options():
+    """The map's CLI runs take minutes; a misspelt option must fail here."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    for mode in reach.CLI_MODES:
+        parser.parse_args([*reach.CLI_BASE, *mode])
+    runs = [cmd[1:] for cmd in reach.CI_COMMANDS
+            if cmd[0] == "repro" and cmd[1] != "check"]
+    assert len(runs) == 16
+    for args in runs:
+        parser.parse_args(list(args))
+
+
+def test_failing_entry_points_are_collected_and_the_profiler_removed(
+        monkeypatch):
+    ran = []
+
+    def fail():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(reach, "entry_points", lambda state, results: [
+        ("clean", lambda: ran.append(os.getcwd())),
+        ("exit 0", lambda: sys.exit(0)),
+        ("exit 2", lambda: sys.exit(2)),
+        ("raises", fail),
+    ])
+    cwd = os.getcwd()
+    failures = reach.run_entry_points()
+    assert [f.split(":")[0] for f in failures] == ["exit 2", "raises"]
+    assert "RuntimeError: boom" in failures[1]
+    assert ran and ran[0] != cwd  # entry points run in a scratch directory
+    assert os.getcwd() == cwd
+    assert sys.getprofile() is None
+    reach._CALLED.clear()
+
+
+def test_main_fails_on_an_unlisted_def_or_a_failed_entry_point(
+        package, tmp_path, monkeypatch, capsys):
+    listing = tmp_path / "unreached.txt"
+    failures: list[str] = []
+    called = _run_entry(package)  # once: ``decorated`` caches its result
+
+    def run_entry_points():
+        reach._CALLED.update(called)
+        return failures
+
+    monkeypatch.setattr(reach, "run_entry_points", run_entry_points)
+    monkeypatch.setattr(reach, "PACKAGE", package)
+    monkeypatch.setattr(reach, "LIST_PATH", listing)
+    try:
+        assert reach.main() == 1  # no list: both unreached defs are unlisted
+        assert "  a.py:planted  4  ?" in capsys.readouterr().out
+        listing.write_text("a.py:planted  4  error-path\n"
+                           "a.py:Thing.unused  2  debug\n")
+        assert reach.main() == 0
+        failures.append("examples: exit 1")
+        assert reach.main() == 1
+        assert "entry point failed — examples" in capsys.readouterr().out
+        listing.write_text("a.py:planted  4  unused\n")
+        assert reach.main() == 1
+        assert "not one of" in capsys.readouterr().out
+    finally:
+        reach._CALLED.clear()

@@ -10,13 +10,16 @@ import pytest
 
 from repro.api import (ExecutionPolicy, RunConfig, RunSession, SodProblem,
                        fingerprint, run)
+from repro.perf.machines import IPA, TITAN
 from repro.serve import (
     DevicePool,
+    EventStream,
     JobQueue,
     JobRecord,
     JobSpec,
     JobState,
     NeverFits,
+    PlanCache,
     Scheduler,
     estimate_run_bytes,
 )
@@ -113,6 +116,34 @@ class TestDevicePool:
         assert _committed(pool) == 0
         assert sum(lg.peak_bytes for lg in pool.ledgers) == 120
 
+    @pytest.mark.parametrize("name,machine", [("ipa", IPA), ("Titan", TITAN)])
+    def test_machine_name_sets_device_capacity(self, name, machine):
+        pool = DevicePool(2, machine=name)
+        assert pool.machine is machine
+        assert pool.device_bytes == machine.gpu.memory_bytes
+        assert [lg.max_bytes for lg in pool.ledgers] == [pool.device_bytes] * 2
+
+    def test_uneven_share_rounds_up(self):
+        pool = DevicePool(3, device_bytes=100)
+        assert pool.check_admissible(3, 100) == 34
+        pool.try_admit(3, 100)
+        assert _committed(pool) == 102  # never under-reserve a share
+
+    def test_blocked_multi_rank_job_reserves_nothing(self):
+        pool = DevicePool(2, device_bytes=100)
+        assert pool.try_admit(1, 70) == [0]
+        # device 1 has room for a 50-byte share, device 0 does not
+        assert pool.try_admit(2, 100) is None
+        assert [lg.reserved_bytes for lg in pool.ledgers] == [70, 0]
+
+
+def test_estimate_run_bytes_costs_each_level_at_full_resolution():
+    one = estimate_run_bytes(_cfg(max_levels=1))
+    assert one == 32 * 32 * 20 * 1.5 * 8
+    # ratio 2: each refined level costs four times the one below it
+    assert estimate_run_bytes(_cfg(max_levels=3, refinement_ratio=2)) \
+        == one * (1 + 4 + 16)
+
 
 def _committed(pool) -> int:
     return sum(lg.reserved_bytes for lg in pool.ledgers)
@@ -170,6 +201,18 @@ class TestJobQueue:
         victim = JobRecord(JobSpec("victim", _cfg()))
         q.push_front(victim)
         assert list(q) == [victim, first, second]
+
+    def test_len_counts_every_class_and_remove_takes_one_job(self):
+        q = JobQueue()
+        jobs = [JobRecord(JobSpec(n, _cfg(), priority=p)) for n, p in
+                (("a", "batch"), ("b", "interactive"), ("c", "batch"))]
+        for job in jobs:
+            q.push(job)
+        assert len(q) == 3
+        q.remove(jobs[0])
+        assert len(q) == 2 and list(q) == [jobs[1], jobs[2]]
+        with pytest.raises(ValueError):
+            q.remove(jobs[0])
 
     def test_bad_priority_rejected(self):
         with pytest.raises(ValueError):
@@ -314,7 +357,70 @@ class TestRetries:
         assert _committed(scheduler.pool) == 0
 
 
+class TestJobRecord:
+    def test_sanitize_counters_sum_over_sessions(self):
+        record = JobRecord(JobSpec("j", _cfg()))
+        record.accumulate_sanitize(None)  # an unsanitized session adds nothing
+        assert record.sanitize_counters is None
+        record.accumulate_sanitize({"tasks": 3, "kernels": 1})
+        record.accumulate_sanitize({"tasks": 2, "graphs": 4})
+        assert record.sanitize_counters == {"tasks": 5, "kernels": 1,
+                                            "graphs": 4}
+
+    def test_latency_is_known_only_once_finished(self):
+        record = JobRecord(JobSpec("j", _cfg()), submitted_at=2.0)
+        assert record.latency is None
+        record.finished_at = 5.5
+        assert record.latency == 3.5
+
+
+class TestEventStream:
+    def test_subscribers_see_every_event_in_history_order(self):
+        stream = EventStream()
+        early, late = [], []
+        stream.subscribe(early.append)
+        stream.emit({"event": "queued", "job": "a"})
+        stream.subscribe(late.append)
+        stream.emit({"event": "admitted", "job": "a"})
+        assert [e["event"] for e in stream.history] == ["queued", "admitted"]
+        assert early == stream.history
+        assert late == stream.history[1:]  # no replay for late subscribers
+
+
 class TestPlanCache:
+    def test_snapshot_counts_hits_and_misses(self):
+        cache = PlanCache()
+        assert cache.snapshot("k") is None
+        db = {"level": 0}
+        cache.store_snapshot("k", db)
+        assert cache.snapshot("k") is db
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_oldest_snapshot_evicted_past_max_entries(self):
+        cache = PlanCache(max_entries=2)
+        for key in ("a", "b", "c"):
+            cache.store_snapshot(key, {"key": key})
+        assert cache.snapshot("a") is None
+        assert cache.snapshot("b") == {"key": "b"}
+        assert cache.snapshot("c") == {"key": "c"}
+
+    def test_restoring_a_cached_key_evicts_nothing(self):
+        cache = PlanCache(max_entries=2)
+        cache.store_snapshot("a", {"v": 1})
+        cache.store_snapshot("b", {"v": 1})
+        cache.store_snapshot("a", {"v": 2})
+        assert cache.snapshot("a") == {"v": 2}
+        assert cache.snapshot("b") == {"v": 1}
+
+    def test_observed_bytes_keep_the_largest_measurement(self):
+        cache = PlanCache()
+        assert cache.observed_bytes("k") is None
+        cache.store_observed_bytes("k", 300)
+        cache.store_observed_bytes("k", 200)
+        assert cache.observed_bytes("k") == 300
+        cache.store_observed_bytes("k", 400)
+        assert cache.observed_bytes("k") == 400
+
     def test_identical_jobs_share_the_init_snapshot(self):
         cfg_a, cfg_b = _cfg(steps=4), _cfg(steps=4)
         scheduler = Scheduler(DevicePool(2), slice_steps=4)

@@ -93,6 +93,45 @@ class TestExchange:
         assert comm.rank(1).clock.time == pytest.approx(1e-3, rel=1e-2)
 
 
+class TestNonBlocking:
+    def test_isend_leaves_the_sender_and_wait_recv_blocks_the_receiver(self):
+        comm = make(2)
+        handle = comm.isend(Message(0, 1, 10**6))
+        cost = FDR_INFINIBAND.message_cost(10**6)
+        assert handle.done == pytest.approx(cost)
+        assert comm.rank(0).clock.time == 0.0  # the host did not block
+        comm.wait_recv(handle)
+        assert comm.rank(1).clock.time == pytest.approx(cost)
+
+    def test_a_ranks_nic_serialises_its_sends(self):
+        comm = make(3)
+        comm.rank(0).cpu_charge(1.0)
+        first = comm.isend(Message(0, 1, 10**6))
+        second = comm.isend(Message(0, 2, 10**6))
+        cost = FDR_INFINIBAND.message_cost(10**6)
+        assert first.done == pytest.approx(1.0 + cost)  # from the host time
+        assert second.done == pytest.approx(first.done + cost)
+
+    def test_self_message_completes_at_once(self):
+        comm = make(2)
+        comm.rank(1).cpu_charge(0.5)
+        assert comm.isend(Message(1, 1, 10**6)).done == 0.5
+        comm.wait_all_sends()
+        assert comm.rank(0).clock.time == 0.0
+
+    def test_wait_all_sends_waits_for_each_ranks_own_nic(self):
+        comm = make(3)
+        comm.isend(Message(0, 2, 10**6))
+        comm.isend(Message(0, 1, 10**6))
+        comm.isend(Message(1, 2, 8))
+        comm.wait_all_sends()
+        assert comm.rank(0).clock.time == pytest.approx(
+            2 * FDR_INFINIBAND.message_cost(10**6))
+        assert comm.rank(1).clock.time == pytest.approx(
+            FDR_INFINIBAND.message_cost(8))
+        assert comm.rank(2).clock.time == 0.0  # receivers wait in wait_recv
+
+
 class TestCpuModel:
     def test_bandwidth_bound_kernel(self):
         comm = make(1)

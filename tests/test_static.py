@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.check import dispatch, static
+from repro.check.layers import find_cycles, module_name_for
 from repro.check.effects import CONDITIONAL, DEFINITE, analyze_module
 from repro.check.static import check_main, parse_waiver, run_checks
 from repro.sched import GraphBuilder, TaskKind
@@ -722,3 +723,37 @@ def test_removing_vacuous_read_of_own_output_adds_no_edges():
     over_declared = _edges(reads=[d0, e0, d1, e1], writes=[d1, e1])
     fixed = _edges(reads=[d0, e0], writes=[d1, e1])
     assert over_declared == fixed
+
+
+def test_find_cycles_reports_each_cycle_once_at_its_first_member():
+    graph = {
+        "repro.a": {"repro.b": ("a.py", 3), "numpy": ("a.py", 1)},
+        "repro.b": {"repro.c": ("b.py", 4)},
+        "repro.c": {"repro.a": ("c.py", 5), "repro.d": ("c.py", 6)},
+        "repro.d": {"repro.d": ("d.py", 7)},
+        "repro.e": {"repro.a": ("e.py", 8)},
+    }
+    flags = []
+    find_cycles(graph, lambda *f: flags.append(f))
+    assert sorted(flags) == [
+        ("a.py", 3, "layer-cycle", "import cycle at module granularity: "
+         "repro.a -> repro.b -> repro.c -> repro.a"),
+        ("d.py", 7, "layer-cycle", "import cycle at module granularity: "
+         "repro.d -> repro.d"),
+    ]
+
+
+def test_find_cycles_is_silent_on_a_dag():
+    graph = {"repro.a": {"repro.b": ("a.py", 1), "repro.c": ("a.py", 2)},
+             "repro.b": {"repro.c": ("b.py", 1)}, "repro.c": {}}
+    flags = []
+    find_cycles(graph, lambda *f: flags.append(f))
+    assert flags == []
+
+
+def test_module_name_for_roots_at_the_last_repro_directory():
+    assert module_name_for(Path("/w/src/repro/mesh/box.py")) == "repro.mesh.box"
+    assert module_name_for(Path("/w/src/repro/mesh/__init__.py")) == "repro.mesh"
+    assert module_name_for(Path("/w/src/repro/__init__.py")) == "repro"
+    assert module_name_for(Path("/repro/w/src/repro/cli.py")) == "repro.cli"
+    assert module_name_for(Path("/w/tests/test_box.py")) is None

@@ -32,6 +32,21 @@ class TestVirtualClock:
 
 
 class TestTimerRegistry:
+    def test_accumulates_deltas(self):
+        t = TimerRegistry(VirtualClock())
+        t.add("work", 2.0)
+        t.add("work", 3.0)
+        assert t.total("work") == 5.0
+        assert t.counts["work"] == 2
+
     def test_unknown_is_zero(self):
         t = TimerRegistry(VirtualClock())
         assert t.total("nothing") == 0.0
+
+    def test_categories_are_independent(self):
+        t = TimerRegistry(VirtualClock())
+        t.add("outer", 3.0)
+        t.add("inner", 2.0)
+        t.add("inner", 0.0)  # an empty interval still counts as one
+        assert (t.total("outer"), t.total("inner")) == (3.0, 2.0)
+        assert t.counts == {"outer": 1, "inner": 2}
