@@ -93,13 +93,13 @@ def run_regrid_point(nodes: int, incremental: bool):
     t = out.timers
     total = sum(t.get(k, 0.0) for k in ("hydro", "timestep", "sync", "regrid"))
     advanced = (out.cells / nodes) * out.steps
-    totals = out.sim.regridder.totals
+    counters = out.metrics["counters"]
     return {
         "nodes": nodes,
         "regrid_grind": t.get("regrid", 0.0) / advanced,
         "regrid_frac": t.get("regrid", 0.0) / total,
-        "reclustered": totals.levels_reclustered,
-        "reused": totals.levels_reused,
+        "reclustered": int(counters["regrid.levels_reclustered"]),
+        "reused": int(counters["regrid.levels_reused"]),
     }
 
 

@@ -220,7 +220,7 @@ def main(argv=None) -> int:
         from .obs.metrics import MetricsRegistry
         merged = MetricsRegistry.merged(r.metrics for r in sim.comm.ranks)
         print(f"\n== execution profile ({sim.comm.size} rank(s), summed) ==")
-        for line in attribution_report(merged, timers=res.timers):
+        for line in attribution_report(merged):
             print(line)
 
     if res.trace_path:

@@ -2,7 +2,8 @@
 
 The whole simulation executes in one process, but every patch has an owner
 rank, and each rank owns a virtual host clock, an optional simulated GPU,
-and a timer registry.  Communication calls move the clocks through the
+and the metrics registry its modelled events and phase seconds are
+recorded in.  Communication calls move the clocks through the
 network cost model while the payload bytes move through ordinary NumPy
 copies, so the scaling benchmarks measure the same time composition the
 paper measures on real MPI.
@@ -22,7 +23,6 @@ from ..gpu.kernel import KernelSpec, kernel_spec
 from ..perf.machines import IPA, TITAN, CpuSpec, Machine, NetworkSpec
 from ..util import nan_min
 from ..util.clock import VirtualClock
-from ..util.timer import TimerRegistry
 
 __all__ = ["Rank", "SimCommunicator", "Message", "SendHandle",
            "make_communicator"]
@@ -51,8 +51,9 @@ class SendHandle:
 
 
 class Rank:
-    """One simulated MPI rank: clock, optional GPU, CPU model, timers and
-    the metrics registry its modelled events are counted in."""
+    """One simulated MPI rank: clock, optional GPU, CPU model and the
+    metrics registry its modelled events and phase seconds are recorded
+    in."""
 
     def __init__(self, index: int, cpu: CpuSpec, gpu: DeviceSpec | None = None):
         self.index = index
@@ -66,7 +67,6 @@ class Rank:
         )
         if self.device is not None:
             self.device.trace_rank = index
-        self.timers = TimerRegistry(self.clock)
         # Execution backends for this rank's resources.  Imported lazily:
         # repro.exec.backend needs repro.gpu fully loaded first.
         from ..exec.backend import HostBackend, ResidentDeviceBackend

@@ -1,9 +1,10 @@
 """Readers of the modelled-event counts: attribution tables and tuner signals.
 
 Every kernel launch, PCIe / on-device transfer, stream op, fused launch,
-stacked region copy and schedule-cache lookup is counted once, where it
-happens, in the owning rank's :class:`~repro.obs.metrics.MetricsRegistry`
-(``rank.metrics``).  This module reads a (usually rank-merged) registry:
+stacked region copy, schedule-cache lookup and step phase's virtual
+seconds is recorded once, where it happens, in the owning rank's
+:class:`~repro.obs.metrics.MetricsRegistry` (``rank.metrics``).  This
+module reads a (usually rank-merged) registry:
 :func:`attribution_report` renders the per-kernel / per-transfer tables
 ``--profile`` prints — the Parthenon-VIBE-style "where did the virtual
 time go" view — and :func:`tuning_signals` distils the scalars the
@@ -12,7 +13,7 @@ auto-tuner decides on.  Neither creates an instrument.
 
 from __future__ import annotations
 
-from ..obs.metrics import FAMILIES, MetricsRegistry
+from ..obs.metrics import FAMILIES, MetricsRegistry, phase_seconds
 
 __all__ = [
     "kernel_category",
@@ -119,15 +120,14 @@ def _n(count: float) -> str:
     return f"{count:.0f}"
 
 
-def attribution_report(reg: MetricsRegistry,
-                       timers: dict[str, float] | None = None) -> list[str]:
+def attribution_report(reg: MetricsRegistry) -> list[str]:
     """Render the per-kernel / per-transfer attribution tables as text lines.
 
-    ``reg`` is a rank's registry or several merged (``--profile`` sums
-    every rank's).  ``timers`` (the run's phase totals, e.g. from
-    ``LagrangianEulerianIntegrator.timer_summary``) adds a closing line
-    comparing attributed modelled seconds against the virtual-time
-    components, so benchmarks can check the two decompositions agree.
+    ``reg`` is a rank's registry or several merged (``--profile`` merges
+    every rank's).  Its ``phase.seconds`` gauges, when there are any, add
+    a closing line comparing attributed modelled seconds against the
+    virtual-time components, so benchmarks can check the two
+    decompositions agree.
     """
     kernels = _family(reg, "kernel")
     lines = _table(
@@ -214,6 +214,7 @@ def attribution_report(reg: MetricsRegistry,
         f"attributed      : kernels {kernel_s:.6f}s"
         f" + transfers {transfer_s:.6f}s"
         f" = {kernel_s + transfer_s:.6f}s")
+    timers = phase_seconds(reg)
     if timers:
         parts = "  ".join(f"{k} {timers.get(k, 0.0):.6f}s"
                           for k in ("hydro", "timestep", "sync", "regrid"))

@@ -83,16 +83,22 @@ class Device:
         self._stream_ids = 0
         self.default_stream = Stream(self, label="compute")
         self.bytes_allocated = 0
-        #: high-water mark of ``bytes_allocated``
-        self.peak_bytes = 0
-        #: where launches, transfers and stream busy time are counted: the
-        #: owning rank's registry, or a fresh one for a bare device
+        #: where launches, transfers, stream busy time and the memory
+        #: high-water mark are recorded: the owning rank's registry, or a
+        #: fresh one for a bare device
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._peak = self.metrics.gauge("device.peak_bytes")
         #: rank index stamped on emitted trace spans; the owning
         #: repro.comm rank sets this, bare devices trace as rank 0
         self.trace_rank = 0
         self._kernel_depth = 0
         self._in_memcpy = 0
+
+    @property
+    def peak_bytes(self) -> float:
+        """High-water mark of ``bytes_allocated`` (the
+        ``device.peak_bytes`` gauge)."""
+        return self._peak.value
 
     # -- memory space guard --------------------------------------------------
 
@@ -126,8 +132,8 @@ class Device:
                 f"{self.spec.memory_bytes} (currently {self.bytes_allocated})"
             )
         self.bytes_allocated += nbytes
-        if self.bytes_allocated > self.peak_bytes:
-            self.peak_bytes = self.bytes_allocated
+        if self.bytes_allocated > self._peak.value:
+            self._peak.value = self.bytes_allocated
 
     def _free(self, nbytes: int) -> None:
         self.bytes_allocated = max(0, self.bytes_allocated - nbytes)

@@ -33,6 +33,7 @@ from ..mesh.box import Box
 from ..mesh.geometry import CartesianGridGeometry
 from ..mesh.hierarchy import PatchHierarchy
 from ..obs.context import active_tracer
+from ..obs.metrics import phase_seconds, registry_from_run
 from ..regrid.load_balance import assign_owners, chop_boxes
 from ..regrid.regridder import RegridConfig, Regridder
 from ..util import nan_min
@@ -150,11 +151,12 @@ class LagrangianEulerianIntegrator:
             for n in names
         ]
 
-    # -- timers -------------------------------------------------------------------
+    # -- phase timing ---------------------------------------------------------------
 
     @contextmanager
     def _phase(self, name: str, variant: int = 0):  # noqa: ARG002 — the step program's verb; the recording driver keys its graphs on it
-        """Time a step phase on every rank's virtual clock.  ``variant``
+        """Time a step phase on every rank's virtual clock, adding each
+        rank's delta to its ``phase.seconds{phase=name}`` gauge.  ``variant``
         tells phases of one position apart whose program differs from
         step to step (the advection's sweep order)."""
         for r in self.comm.ranks:
@@ -167,19 +169,14 @@ class LagrangianEulerianIntegrator:
             for r, t0 in zip(self.comm.ranks, starts):
                 r.sync_device()
                 delta = r.clock.time - t0
-                r.timers.add(name, delta)
+                r.metrics.gauge("phase.seconds", phase=name).value += delta
                 if tracer is not None and delta > 0.0:
                     tracer.emit(name, "phase", r.index, "phase",
                                 t0, r.clock.time)
 
     def timer_summary(self) -> dict[str, float]:
-        """Per-category maxima over ranks (critical-path time)."""
-        names: set[str] = set()
-        for r in self.comm.ranks:
-            names.update(r.timers.totals)
-        return {
-            n: max(r.timers.total(n) for r in self.comm.ranks) for n in names
-        }
+        """Per-phase maxima over ranks (critical-path time)."""
+        return phase_seconds(registry_from_run(self))
 
     # -- initialisation ----------------------------------------------------------
 

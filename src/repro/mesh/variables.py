@@ -77,7 +77,7 @@ class VariableRegistry:
         self._vars: dict[str, Variable] = {}
 
     def declare(self, name: str, centring: str, ghosts: int = 2, axis: int = 0) -> Variable:
-        if name in self._vars:
+        if name in self:
             raise ValueError(f"variable {name!r} already declared")
         var = Variable(name, centring, ghosts, axis)
         self._vars[name] = var
@@ -85,6 +85,10 @@ class VariableRegistry:
 
     def __iter__(self):
         return iter(self._vars.values())
+
+    def __contains__(self, name: str) -> bool:
+        """By name (iteration yields the :class:`Variable` objects)."""
+        return name in self._vars
 
     def __getitem__(self, name: str) -> Variable:
         return self._vars[name]

@@ -10,8 +10,9 @@ copy engines, each rank's host clock, the NIC — can emit
 Chrome-trace/Perfetto timeline with one track per (rank, stream).
 :class:`~repro.obs.metrics.MetricsRegistry` is each rank's one store of
 modelled events (kernels, transfers, stream busy time, fused launches,
-schedule-cache lookups), counted once where they happen; merged across
-ranks with the phase timers and scheduler counters it is the
+schedule-cache lookups, step-graph and regrid counts) and of its phase
+seconds and device high-water mark, each recorded once where it
+happens; merged across ranks, and nothing added, it is the
 schema-versioned end-of-run manifest.
 
 Everything here is observation-only: emission reads virtual clocks,

@@ -4,22 +4,27 @@ Each rank owns a :class:`MetricsRegistry` (``rank.metrics``), and every
 modelled event is counted once, in that store, where it happens:
 ``Device.launch`` / ``Rank.cpu_run`` record a kernel, the device's
 memcpy paths a transfer and its stream's busy time, the backend a fused
-launch or a stacked region copy, the schedule cache a lookup (on rank
-0's store) — each under the name the manifest carries
-(``kernel.seconds{kernel=…,on=gpu}``, ``transfer.bytes{direction=h2d}``,
-``schedule_cache.misses{kind=fill}``, …).  Counters merge across ranks
-by summing, gauges by max, histograms pool; ``--profile``'s attribution
+launch or a stacked region copy, each step phase its virtual seconds
+(``phase.seconds{phase=…}``, a gauge), the device its high-water mark
+(``device.peak_bytes``), and — on rank 0's store — the schedule cache a
+lookup, the step-graph executor a graph, task or collective, the step
+scheduler a capture or replay (``sched.*``) and the regridder each
+regrid's level counts (``regrid.*``).  Every name is the one the
+manifest carries (``kernel.seconds{kernel=…,on=gpu}``,
+``transfer.bytes{direction=h2d}``, ``schedule_cache.misses{kind=fill}``,
+…).  Counters merge across ranks by summing, gauges by max (a phase's
+critical-path seconds), histograms pool; ``--profile``'s attribution
 tables, the tuner's signals and the schema-versioned end-of-run manifest
 that :func:`benchmarks _report.emit <run_manifest>` embeds into
-``BENCH_*.json`` all read the merged store.  Nothing is translated.
+``BENCH_*.json`` all read the merged store.  Nothing is translated, and
+:func:`registry_from_run` only merges.
 
 Hot paths record through :meth:`MetricsRegistry.counters`, which names
 a counter *family* (:data:`FAMILIES`) and caches its counter handles per
-label values; readers use :meth:`~MetricsRegistry.value`,
-:meth:`~MetricsRegistry.total` and :meth:`~MetricsRegistry.variants`,
-which never create an instrument.  :func:`registry_from_run` merges the
-ranks of a simulation and adds the surfaces that keep their own state
-(phase timers, device peaks, scheduler and regridder counters).
+label values, or through a gauge handle they keep; readers use
+:meth:`~MetricsRegistry.value`, :meth:`~MetricsRegistry.total`,
+:meth:`~MetricsRegistry.variants` and :meth:`~MetricsRegistry.levels`,
+which never create an instrument.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "ScopedRegistry",
     "FAMILIES",
     "registry_from_run",
+    "phase_seconds",
     "run_manifest",
     "MANIFEST_SCHEMA",
 ]
@@ -59,7 +65,8 @@ class Counter:
 
 @dataclass
 class Gauge:
-    """Point-in-time level (peaks, phase maxima); ranks merge by max."""
+    """A per-rank level (device peak, a phase's seconds so far); ranks
+    merge by max."""
 
     value: float = 0.0
 
@@ -111,6 +118,14 @@ FAMILIES = {
     "schedule_cache": (("kind",),
                        ("schedule_cache.hits", "schedule_cache.misses")),
     "overlap": ((), ("overlap.async_seconds", "overlap.exposed_seconds")),
+    # step graphs executed (GraphExecutor) and phases recorded / replayed
+    # (StepScheduler): captures + replays == graphs
+    "sched": ((), ("sched.graphs", "sched.tasks", "sched.collectives",
+                   "sched.captures", "sched.replays")),
+    # summed over every regrid of the run (per-call: RegridStats)
+    "regrid": ((), ("regrid.regrids", "regrid.levels_reclustered",
+                    "regrid.levels_reused", "regrid.levels_rebuilt",
+                    "regrid.levels_kept", "regrid.tag_readbacks")),
 }
 
 #: labels naming a timeline, folded onto one spelling by canonical_lane
@@ -219,6 +234,11 @@ class MetricsRegistry:
         return {tuple(v for _, v in key): c.value
                 for (n, key), c in self._counters.items() if n == name}
 
+    def levels(self, name: str) -> dict[tuple, float]:
+        """:meth:`variants` of gauge ``name``."""
+        return {tuple(v for _, v in key): g.value
+                for (n, key), g in self._gauges.items() if n == name}
+
     # -- namespacing -----------------------------------------------------------
 
     def scoped(self, **labels) -> "ScopedRegistry":
@@ -304,38 +324,14 @@ class ScopedRegistry:
 
 
 def registry_from_run(sim) -> MetricsRegistry:
-    """Rank-merged registry of a (possibly still running) simulation.
+    """Rank-merged registry of a (possibly still running) simulation."""
+    return MetricsRegistry.merged(r.metrics for r in sim.comm.ranks)
 
-    The ranks' own registries (every modelled event, recorded once where
-    it happened) summed, plus the surfaces that keep their own state:
-    phase timers and device peaks (gauges, max over ranks), the
-    scheduler's and the regridder's counters.
-    """
-    reg = MetricsRegistry.merged(r.metrics for r in sim.comm.ranks)
-    for r in sim.comm.ranks:
-        for phase, seconds in r.timers.totals.items():
-            reg.gauge("phase.seconds", phase=phase).set_max(seconds)
-        if r.device is not None:
-            reg.gauge("device.peak_bytes").set_max(r.device.peak_bytes)
-            reg.counter("device.kernel_launches").inc(
-                r.metrics.total("kernel.launches", on="gpu"))
-    sched = getattr(sim, "_step_scheduler", None)
-    if sched is not None:
-        for name, value in {**sched.executor.counters,
-                            **sched.counters}.items():
-            reg.counter(f"sched.{name}").inc(value)
-    regridder = getattr(sim, "regridder", None)
-    if regridder is not None and regridder.totals.regrids:
-        t = regridder.totals
-        reg.counter("regrid.regrids").inc(t.regrids)
-        reg.counter("regrid.levels_reclustered").inc(t.levels_reclustered)
-        reg.counter("regrid.levels_reused").inc(t.levels_reused)
-        reg.counter("regrid.levels_rebuilt").inc(t.levels_rebuilt)
-        reg.counter("regrid.levels_kept").inc(t.levels_kept)
-        reg.counter("regrid.tag_readbacks").inc(t.tag_readbacks)
-        for phase, secs in t.phase_seconds.items():
-            reg.counter("regrid.phase_seconds", phase=phase).inc(secs)
-    return reg
+
+def phase_seconds(reg: MetricsRegistry) -> dict[str, float]:
+    """``{phase: seconds}`` of the ``phase.seconds`` gauges: in a
+    rank-merged registry, each phase's critical-path virtual time."""
+    return {phase: s for (phase,), s in reg.levels("phase.seconds").items()}
 
 
 def run_manifest(sim, *, steps=None, dt_history=None, policies=None,
@@ -360,7 +356,7 @@ def run_manifest(sim, *, steps=None, dt_history=None, policies=None,
         "cells": sim.total_cells(),
         "levels": sim.hierarchy.num_levels,
         "virtual_runtime": sim.elapsed(),
-        "timers": sim.timer_summary(),
+        "timers": phase_seconds(reg),
     }
     if policies is not None:
         manifest["policies"] = policies

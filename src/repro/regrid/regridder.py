@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..mesh.variables import VariableRegistry
     from ..xfer.schedule_cache import ScheduleCache
 
-__all__ = ["RegridConfig", "RegridStats", "RegridTotals", "Regridder"]
+__all__ = ["RegridConfig", "RegridStats", "Regridder"]
 
 # Host-side cost constants (seconds): replicated clustering work per tag
 # and per produced box, and per-patch level-construction overhead.
@@ -78,13 +78,6 @@ class RegridConfig:
     #: buffered tag bitmap is unchanged and keep their PatchLevel objects
     #: alive (bitwise identical to a from-scratch regrid)
     incremental: bool = False
-    #: when may a level's previous boxes be reused?  ``"exact"`` requires
-    #: the buffered bitmap to be unchanged (provably bitwise-identical);
-    #: ``"interior"`` additionally reuses when flags changed but every
-    #: tag still lies inside the existing boxes' footprint (valid —
-    #: coverage and nesting hold — but the box set may differ from what
-    #: a from-scratch clustering would produce)
-    reuse_policy: str = "exact"
     #: distribution map: "sfc" (Morton curve), "hilbert", or "lpt"
     balance: str = "sfc"
     #: SFC→LPT fallback gate (max/mean load ratio); None disables
@@ -93,7 +86,8 @@ class RegridConfig:
 
 @dataclass
 class RegridStats:
-    """What the last regrid did (used by benchmarks and tests)."""
+    """What one regrid did; the run's sums are the ``regrid`` counter
+    family on rank 0's metrics registry."""
 
     tags_per_level: dict = field(default_factory=dict)
     boxes_per_level: dict = field(default_factory=dict)
@@ -113,29 +107,6 @@ class RegridStats:
     #: per-phase virtual seconds (max over ranks): collect/cluster/
     #: rebuild/transfer
     phase_seconds: dict = field(default_factory=dict)
-
-
-@dataclass
-class RegridTotals:
-    """Cumulative counters across every regrid of a run."""
-
-    regrids: int = 0
-    levels_reclustered: int = 0
-    levels_reused: int = 0
-    levels_rebuilt: int = 0
-    levels_kept: int = 0
-    tag_readbacks: int = 0
-    phase_seconds: dict = field(default_factory=dict)
-
-    def absorb(self, stats: RegridStats) -> None:
-        self.regrids += 1
-        self.levels_reclustered += stats.levels_reclustered
-        self.levels_reused += stats.levels_reused
-        self.levels_rebuilt += stats.levels_rebuilt
-        self.levels_kept += stats.levels_kept
-        self.tag_readbacks += stats.tag_readbacks
-        for name, secs in stats.phase_seconds.items():
-            self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + secs
 
 
 class Regridder:
@@ -161,7 +132,6 @@ class Regridder:
         self.config = config if config is not None else RegridConfig()
         self.schedule_cache = schedule_cache
         self.last_stats = RegridStats()
-        self.totals = RegridTotals()
         #: previous *buffered* tag bitmap per tag level, packed over the
         #: level domain (pack_tags) — the tag-diff baseline
         self._prev_bits: dict[int, np.ndarray] = {}
@@ -172,9 +142,9 @@ class Regridder:
 
     @contextmanager
     def _timed(self, phase: str):
-        """Charge a regrid sub-phase to every rank's ``regrid.<phase>``
-        timer and emit a trace span; accumulate the max-over-ranks delta
-        into the current stats."""
+        """Charge a regrid sub-phase to every rank's
+        ``phase.seconds{phase=regrid.<phase>}`` gauge and emit a trace
+        span; accumulate the max-over-ranks delta into the current stats."""
         for r in self.comm.ranks:
             r.sync_device()
         starts = [r.clock.time for r in self.comm.ranks]
@@ -188,7 +158,7 @@ class Regridder:
                 r.sync_device()
                 delta = r.clock.time - t0
                 worst = max(worst, delta)
-                r.timers.add(name, delta)
+                r.metrics.gauge("phase.seconds", phase=name).value += delta
                 if tracer is not None and delta > 0.0:
                     tracer.emit(name, "phase", r.index, "phase",
                                 t0, r.clock.time)
@@ -279,29 +249,13 @@ class Regridder:
                  points[:, 1] - domain.lower[1]] = True
         return pack_tags(mask)
 
-    def _reusable(self, tag_level: int, packed: np.ndarray,
-                  points: np.ndarray, domain: Box) -> bool:
-        """May the previous boxes for this tag level be reused?"""
+    def _reusable(self, tag_level: int, packed: np.ndarray) -> bool:
+        """May the previous boxes for this tag level be reused?  Only if
+        its buffered bitmap is unchanged (bitwise-identical boxes)."""
         prev = self._prev_bits.get(tag_level)
         if prev is None or (tag_level + 1) not in self._prev_fine_boxes:
             return False
-        if prev.shape == packed.shape and np.array_equal(prev, packed):
-            return True
-        if self.config.reuse_policy != "interior":
-            return False
-        # Relaxed policy: flags moved, but every tag still lies inside
-        # the existing boxes' (coarsened) footprint — coverage and
-        # nesting hold, so the old box set remains valid.
-        ratio = self.hierarchy.refinement_ratio
-        cover = np.zeros(tuple(domain.shape()), dtype=bool)
-        for b in self._prev_fine_boxes[tag_level + 1]:
-            cb = b.coarsen(ratio).intersection(domain)
-            if not cb.is_empty():
-                cover[cb.slices_in(domain)] = True
-        if len(points) == 0:
-            return False
-        return bool(np.all(cover[points[:, 0] - domain.lower[0],
-                                 points[:, 1] - domain.lower[1]]))
+        return prev.shape == packed.shape and np.array_equal(prev, packed)
 
     # -- box generation -------------------------------------------------------
 
@@ -340,7 +294,7 @@ class Regridder:
                     packed = self._pack_points(points, level.domain)
                     for r in self.comm.ranks:
                         r.cpu_charge(TAG_DIFF_COST_PER_BYTE * packed.nbytes)
-                    if self._reusable(l, packed, points, level.domain):
+                    if self._reusable(l, packed):
                         fine = list(self._prev_fine_boxes[l + 1])
                         new_boxes[l + 1] = fine
                         stats.levels_reused += 1
@@ -400,8 +354,24 @@ class Regridder:
                 self._remake_level(lnum, boxes, owners, init_level_callback)
                 stats.levels_rebuilt += 1
                 stats.changed_levels.add(lnum)
-        self.totals.absorb(stats)
+        self._count(stats)
         return stats
+
+    def _count(self, stats: RegridStats) -> None:
+        """Add one regrid's counts to the ``regrid`` family on rank 0's
+        metrics registry (created here, so a run that never regrids has
+        no ``regrid.*`` key)."""
+        metrics = self.comm.rank(0).metrics
+        regrids, reclustered, reused, rebuilt, kept, readbacks = (
+            metrics.counters("regrid", ()))
+        regrids.value += 1
+        reclustered.value += stats.levels_reclustered
+        reused.value += stats.levels_reused
+        rebuilt.value += stats.levels_rebuilt
+        kept.value += stats.levels_kept
+        readbacks.value += stats.tag_readbacks
+        for phase, secs in stats.phase_seconds.items():
+            metrics.counter("regrid.phase_seconds", phase=phase).value += secs
 
     def _can_keep(self, lnum: int, boxes: list[Box],
                   owners: list[int]) -> bool:

@@ -78,9 +78,10 @@ class StepScheduler:
         self.integrator = integrator
         self.executor = GraphExecutor(
             integrator.comm, overlap=overlap, order_key=order_key)
-        #: phases recorded / replayed (the metrics' ``sched.captures`` and
-        #: ``sched.replays``)
-        self.counters = {"captures": 0, "replays": 0}
+        #: phases recorded / replayed: ``sched.captures`` and
+        #: ``sched.replays`` on rank 0's metrics registry
+        _, _, _, self._n_captures, self._n_replays = (
+            integrator.comm.rank(0).metrics.counters("sched", ()))
         #: (phase ordinal, variant) -> _Capture, for one generation
         self._captures: dict = {}
         self._generation = None
@@ -123,7 +124,7 @@ class StepScheduler:
             self._gb = None
             self._ops = []
         order = gb.graph.topological_order(self.executor.order_key)
-        self.counters["captures"] += 1
+        self._n_captures.value += 1
         self.executor.execute(gb.graph, order)
         self._captures[key] = _Capture(gb.graph, order, ops, gb.effects)
 
@@ -140,7 +141,7 @@ class StepScheduler:
             raise
         finally:
             self._replay = None
-        self.counters["replays"] += 1
+        self._n_replays.value += 1
         try:
             for fn, args in capture.effects:
                 fn(*args)

@@ -74,8 +74,10 @@ class GraphExecutor:
         self.order_key = order_key
         if order_key is None and overlap:
             self.order_key = overlap_order
-        #: execution counters surfaced through the metrics registry
-        self.counters = {"graphs": 0, "tasks": 0, "collectives": 0}
+        #: graphs, tasks and collectives executed: the ``sched`` family
+        #: on rank 0's metrics registry
+        self._graphs, self._tasks, self._collectives, _, _ = (
+            comm.rank(0).metrics.counters("sched", ()))
         #: (rank index, copy lane) -> virtual time already charged as
         #: exposed, so overlapping waits (an event wait and the later
         #: end-of-graph drain covering the same stream interval) count once
@@ -93,7 +95,7 @@ class GraphExecutor:
         aborted graph must not leak it.  Every run overwrites a task's
         ``result`` and ``finish``, and on a stream lane re-records its
         ``event`` and ``busy``."""
-        self.counters["graphs"] += 1
+        self._graphs.value += 1
         if order is None:
             order = graph.topological_order(self.order_key)
         done = 0
@@ -114,9 +116,9 @@ class GraphExecutor:
     # -- dispatch --------------------------------------------------------------
 
     def _dispatch(self, task: Task) -> None:
-        self.counters["tasks"] += 1
+        self._tasks.value += 1
         if task.rank is None:
-            self.counters["collectives"] += 1
+            self._collectives.value += 1
             self._run_collective(task)
             return
         rank = self.comm.rank(task.rank)

@@ -1,4 +1,4 @@
-"""Utilities: virtual clocks, timers, checkpoint/restart, VTK output."""
+"""Utilities: virtual clocks, checkpoint/restart, VTK output."""
 
 from __future__ import annotations
 

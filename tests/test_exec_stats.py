@@ -87,7 +87,8 @@ class TestExecStats:
         s = MetricsRegistry()
         _kernel(s, "hydro.pdv", 100, 0.5, "gpu")
         count_event(s, "transfer", ("d2h",), 1, 1000, 0.02)
-        text = "\n".join(attribution_report(s, timers={"hydro": 0.5}))
+        s.gauge("phase.seconds", phase="hydro").set(0.5)
+        text = "\n".join(attribution_report(s))
         assert "hydro.pdv" in text
         assert "d2h" in text
         assert "virtual time" in text
@@ -147,3 +148,4 @@ class TestBackendDispatch:
         rank.cpu_run("hydro.pdv", 10, lambda: None)
         report = "\n".join(attribution_report(rank.metrics))
         assert "hydro.pdv" in report and "kernel attribution" in report
+        assert "virtual time" not in report  # no phase was timed

@@ -79,6 +79,16 @@ class TestAllocation:
         b.free()
         assert device.peak_bytes == 1600
 
+    def test_peak_is_the_registry_gauge(self, device):
+        """The high-water mark is recorded in the device's registry (the
+        owning rank's) as ``device.peak_bytes``; the attribute only
+        reads it."""
+        device.zeros((50,)).free()
+        device.zeros((20,))
+        assert device.metrics.levels("device.peak_bytes") == {(): 400}
+        with pytest.raises(AttributeError):
+            device.peak_bytes = 0
+
 
 class TestClocks:
     def test_kernel_advances_stream_not_host_much(self, device):

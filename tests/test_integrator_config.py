@@ -1,6 +1,7 @@
 """Tests for integrator configuration behaviours: dt control, errors,
 phase structure, and factory/integrator combinations."""
 
+import collections
 import math
 
 import numpy as np
@@ -98,24 +99,71 @@ class TestConfigPlumbing:
 
 
 class TestPhaseAccounting:
+    """Each rank's phase seconds are ``phase.seconds{phase=…}`` gauges
+    in its metrics registry; ``timer_summary`` reads them merged."""
+
     def test_phase_times_sum_to_elapsed(self):
         sim = make_sim()
-        for r in sim.comm.ranks:
-            r.timers.totals.clear()
-            r.timers.counts.clear()
+        before = sim.timer_summary()
         t0 = sim.elapsed()
         sim.run(max_steps=3)
         total = sim.elapsed() - t0
-        parts = sum(sim.timer_summary().values())
+        parts = sum(s - before.get(phase, 0.0)
+                    for phase, s in sim.timer_summary().items())
         # single rank: every charged second lands in exactly one phase
         assert parts == pytest.approx(total, rel=1e-9)
 
     def test_counts_track_steps(self):
         sim = make_sim()
-        for r in sim.comm.ranks:
-            r.timers.totals.clear()
-            r.timers.counts.clear()
+        entered = collections.Counter()
+        phase = sim._phase
+
+        def counted(name, variant=0):
+            entered[name] += 1
+            return phase(name, variant)
+
+        sim._phase = counted
         sim.run(max_steps=4)
-        r = sim.comm.rank(0)
-        assert r.timers.counts["timestep"] == 4
-        assert r.timers.counts["hydro"] == 8  # two hydro phases per step
+        assert entered["timestep"] == 4
+        assert entered["hydro"] == 8  # two hydro phases per step
+
+    def test_accumulates_deltas(self):
+        sim = make_sim()
+        rank = sim.comm.rank(0)
+        for seconds in (2.0, 3.0):
+            with sim._phase("work"):
+                rank.cpu_charge(seconds)
+        assert rank.metrics.levels("phase.seconds")[("work",)] == 5.0
+        assert sim.timer_summary()["work"] == 5.0
+
+    def test_phases_are_independent(self):
+        sim = make_sim()
+        rank = sim.comm.rank(0)
+        with sim._phase("outer"):
+            rank.cpu_charge(3.0)
+        with sim._phase("inner"):
+            rank.cpu_charge(2.0)
+        with sim._phase("inner"):
+            pass  # an empty interval adds nothing
+        summary = sim.timer_summary()
+        assert (summary["outer"], summary["inner"]) == (3.0, 2.0)
+
+    def test_ranks_merge_by_max(self):
+        comm = make_communicator("IPA", 2, gpus=False)
+        sim = LagrangianEulerianIntegrator(
+            SodProblem((16, 16)), comm, HostDataFactory(),
+            SimulationConfig(max_levels=1, max_patch_size=8))
+        with sim._phase("hydro"):
+            comm.rank(0).cpu_charge(1.0)
+            comm.rank(1).cpu_charge(4.0)
+        with sim._phase("hydro"):
+            comm.rank(0).cpu_charge(5.0)
+        assert [r.metrics.levels("phase.seconds") for r in comm.ranks] == [
+            {("hydro",): 6.0}, {("hydro",): 4.0}]
+        # the critical path: the slowest rank's total, not a sum
+        assert sim.timer_summary() == {"hydro": 6.0}
+
+    def test_unknown_phase_is_absent(self):
+        sim = make_sim()
+        assert "nothing" not in sim.timer_summary()
+        assert sim.comm.rank(0).metrics.levels("nothing") == {}

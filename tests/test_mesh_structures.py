@@ -47,6 +47,12 @@ class TestVariables:
         reg.declare("a", "node")
         assert [v.name for v in reg] == ["b", "a"]
 
+    def test_membership_is_by_name(self):
+        reg = VariableRegistry()
+        reg.declare("density0", "cell")
+        assert "density0" in reg
+        assert "energy0" not in reg
+
 
 class TestPatchLevel:
     def test_patch_outside_domain_rejected(self):

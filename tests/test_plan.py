@@ -464,7 +464,7 @@ def _outcome(sched, state, comm):
         pd.from_host(host)
     devices = [rank.device for rank in comm.ranks]
     for device in devices:
-        device.peak_bytes = device.bytes_allocated
+        device.metrics.gauge("device.peak_bytes").set(device.bytes_allocated)
     with _recording() as (launches, messages):
         sched.fill(time=1.0)
     frames = [patch.data(spec.var.name).to_host()
@@ -607,7 +607,7 @@ def _sync_outcome(sched, state, comm, recorded: bool):
         pd.from_host(host)
     devices = [rank.device for rank in comm.ranks]
     for device in devices:
-        device.peak_bytes = device.bytes_allocated
+        device.metrics.gauge("device.peak_bytes").set(device.bytes_allocated)
     with _recording() as (launches, messages):
         if recorded:
             gb = GraphBuilder(comm)

@@ -46,6 +46,13 @@ def _config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def _phases(sim) -> dict:
+    """Step phases recorded and replayed (rank 0's ``sched`` counters)."""
+    metrics = sim.comm.rank(0).metrics
+    return {"captures": metrics.value("sched.captures"),
+            "replays": metrics.value("sched.replays")}
+
+
 def _fields(sim):
     return {
         (lnum, f): gather_level_field(sim.hierarchy.level(lnum), f)
@@ -165,8 +172,7 @@ def _launch_sequence(monkeypatch, batch: bool, overlap: bool):
         patches.setattr(PatchData, "set_time", stamped)
         sim.run(max_steps=3)
     if overlap:  # steps 2 and 3 replayed what step 1 (and 2) recorded
-        assert sim._step_scheduler.counters == {"captures": 5,
-                                                "replays": 7}
+        assert _phases(sim) == {"captures": 5, "replays": 7}
     return seq
 
 
@@ -269,7 +275,7 @@ def _observables(sim, dts) -> dict:
         "metrics": {kind: {k: v for k, v in snap[kind].items()
                            if not k.startswith(_NOT_MODELLED)}
                     for kind in ("counters", "gauges")},
-        "timers": [dict(r.timers.totals) for r in sim.comm.ranks],
+        "timers": [r.metrics.levels("phase.seconds") for r in sim.comm.ranks],
         "clocks": [r.clock.time for r in sim.comm.ranks],
         "peaks": [r.device.peak_bytes
                   for r in sim.comm.ranks],
@@ -298,7 +304,7 @@ def test_replay_is_bitwise_a_re_record(monkeypatch, order):
         return sim, _observables(sim, dts)
 
     sim, replayed = observed()
-    assert sim._step_scheduler.counters == {"captures": 15, "replays": 17}
+    assert _phases(sim) == {"captures": 15, "replays": 17}
     with monkeypatch.context() as patches:
         check = StepScheduler._check_generation
 
@@ -308,7 +314,7 @@ def test_replay_is_bitwise_a_re_record(monkeypatch, order):
 
         patches.setattr(StepScheduler, "_check_generation", forget)
         sim, recorded = observed()
-    assert sim._step_scheduler.counters == {"captures": 32, "replays": 0}
+    assert _phases(sim) == {"captures": 32, "replays": 0}
     assert set(recorded["fields"]) == set(replayed["fields"])
     for key, want in recorded["fields"].items():
         assert np.array_equal(want, replayed["fields"][key],
@@ -342,8 +348,8 @@ def test_replayed_phases_record_nothing(monkeypatch):
     assert 0 < variant < full
     assert per_step[2] == per_step[5] == 0
     assert all(0 < per_step[i] < per_step[i - 1] for i in (4, 7))
-    assert sim._step_scheduler.counters == {"captures": 15, "replays": 17}
-    assert sim._step_scheduler.executor.counters["graphs"] == 32
+    assert _phases(sim) == {"captures": 15, "replays": 17}
+    assert sim.comm.rank(0).metrics.value("sched.graphs") == 32
 
 
 def test_step_graphs_leave_nothing_for_the_cycle_collector():
@@ -372,7 +378,7 @@ def test_step_graphs_leave_nothing_for_the_cycle_collector():
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-    assert sim._step_scheduler.counters == {"captures": 15, "replays": 17}
+    assert _phases(sim) == {"captures": 15, "replays": 17}
     assert not found, found[:5]
 
     # three steps that only replay (no regrid among them): nothing cyclic
@@ -388,7 +394,7 @@ def test_step_graphs_leave_nothing_for_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert sim._step_scheduler.counters["replays"] == 3 + 12
+    assert _phases(sim)["replays"] == 3 + 12
 
 
 def test_a_replay_that_diverges_from_its_capture_raises(monkeypatch):
@@ -446,7 +452,7 @@ def test_kernel_raising_mid_replay_leaks_no_scratch_and_drops_the_capture(
         sim.step()
     assert len(calls) == 2
     assert device.bytes_allocated == before
-    assert sim._step_scheduler.counters == {"captures": 5, "replays": 4}
+    assert _phases(sim) == {"captures": 5, "replays": 4}
     assert set(captures) == {(1, 0), (2, 0), (2, 1), (3, 0)}
 
 
@@ -472,7 +478,7 @@ def test_exposed_wait_high_water_mark():
     rank = SimpleNamespace(index=0, metrics=MetricsRegistry())
     s = rank.metrics
     s.record_overlap(1.0, 0.0)
-    ex = GraphExecutor(None)
+    ex = GraphExecutor(SimpleNamespace(rank=lambda index: rank))
     ex._charge_exposed(rank, "d2h", 0.0, 0.4)
     assert s.value("overlap.exposed_seconds") == pytest.approx(0.4)
     ex._charge_exposed(rank, "d2h", 0.2, 0.4)  # inside the charged span

@@ -1,9 +1,8 @@
-"""Tests for the virtual clock and timer utilities."""
+"""Tests for the virtual clock."""
 
 import pytest
 
 from repro.util.clock import VirtualClock
-from repro.util.timer import TimerRegistry
 
 
 class TestVirtualClock:
@@ -29,24 +28,3 @@ class TestVirtualClock:
         assert c.time == 10.0
         c.advance_to(12.0)
         assert c.time == 12.0
-
-
-class TestTimerRegistry:
-    def test_accumulates_deltas(self):
-        t = TimerRegistry(VirtualClock())
-        t.add("work", 2.0)
-        t.add("work", 3.0)
-        assert t.total("work") == 5.0
-        assert t.counts["work"] == 2
-
-    def test_unknown_is_zero(self):
-        t = TimerRegistry(VirtualClock())
-        assert t.total("nothing") == 0.0
-
-    def test_categories_are_independent(self):
-        t = TimerRegistry(VirtualClock())
-        t.add("outer", 3.0)
-        t.add("inner", 2.0)
-        t.add("inner", 0.0)  # an empty interval still counts as one
-        assert (t.total("outer"), t.total("inner")) == (3.0, 2.0)
-        assert t.counts == {"outer": 1, "inner": 2}
