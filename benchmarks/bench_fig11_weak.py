@@ -20,6 +20,7 @@ import pytest
 
 from repro.api import RegridPolicy, RunConfig, run
 from repro.hydro.problems import TriplePointProblem
+from repro.obs.metrics import STEP_PHASES
 
 from _report import FULL, emit, table
 
@@ -91,7 +92,7 @@ def run_regrid_point(nodes: int, incremental: bool):
     )
     out = run(cfg)
     t = out.timers
-    total = sum(t.get(k, 0.0) for k in ("hydro", "timestep", "sync", "regrid"))
+    total = sum(t.get(k, 0.0) for k in STEP_PHASES)
     advanced = (out.cells / nodes) * out.steps
     counters = out.metrics["counters"]
     return {
@@ -127,7 +128,7 @@ def sweep():
         # normalisation: runtime / (steps x cells-per-GPU)).
         advanced = (res.cells / nodes) * res.steps
         t = res.timers
-        total = sum(t.get(k, 0.0) for k in ("hydro", "timestep", "sync", "regrid"))
+        total = sum(t.get(k, 0.0) for k in STEP_PHASES)
         rows.append({
             "nodes": nodes,
             "cells": res.cells,

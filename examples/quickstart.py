@@ -17,6 +17,7 @@ from repro import (
     field_summary,
     make_communicator,
 )
+from repro.obs.metrics import STEP_PHASES
 
 
 def main() -> None:
@@ -45,8 +46,13 @@ def main() -> None:
           f"{after['ie'] + after['ke']:.6f} (ie + ke)")
 
     print("\nRuntime breakdown (slowest rank):")
-    for name, seconds in sorted(sim.timer_summary().items()):
-        print(f"  {name:9s} {seconds:.4f}s")
+    timers = sim.timer_summary()
+    for name in STEP_PHASES:
+        print(f"  {name:9s} {timers.get(name, 0.0):.4f}s")
+        if name == "regrid":
+            # the regrid's own steps, nested inside (not added to) it
+            for sub in sorted(k for k in timers if k.startswith("regrid.")):
+                print(f"    {sub[len('regrid.'):]:9s} {timers[sub]:.4f}s")
 
     dev = comm.rank(0).device
     resident_bytes = dev.bytes_allocated

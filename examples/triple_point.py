@@ -21,6 +21,7 @@ from repro import (
     field_summary,
     make_communicator,
 )
+from repro.obs.metrics import STEP_PHASES
 
 NODES = 8
 STEPS = 24
@@ -68,9 +69,9 @@ def main() -> None:
     print(f"load imbalance (max/mean): {max(loads) / mean:.2f}")
 
     timers = sim.timer_summary()
-    total = sum(timers.get(k, 0) for k in ("hydro", "timestep", "sync", "regrid"))
+    total = sum(timers.get(k, 0) for k in STEP_PHASES)
     print(f"\nmodelled runtime on {NODES} Titan nodes: {total:.3f}s")
-    for name in ("hydro", "timestep", "sync", "regrid"):
+    for name in STEP_PHASES:
         t = timers.get(name, 0.0)
         print(f"  {name:9s} {t:8.4f}s  ({t / total:5.1%})")
     print("(paper SV-B: hydrodynamics dominates; sync and regrid are "

@@ -11,6 +11,7 @@ Run:  python examples/weak_scaling.py
 
 from repro.api import RegridPolicy, RunConfig, run
 from repro.hydro.problems import TriplePointProblem
+from repro.obs.metrics import STEP_PHASES
 
 NODES = [1, 2, 4, 8]
 BLOCK = (28, 48)   # coarse cells per node (nodes tile along x)
@@ -35,7 +36,7 @@ def main() -> None:
         per_gpu_cells = res.cells / nodes
         advanced = per_gpu_cells * res.steps
         t = res.timers
-        total = sum(t.get(k, 0.0) for k in ("hydro", "timestep", "sync", "regrid"))
+        total = sum(t.get(k, 0.0) for k in STEP_PHASES)
         print(f"{nodes:5d} {res.cells:8d} {total / advanced:12.3e} "
               f"{t.get('hydro', 0) / advanced:10.3e} "
               f"{t.get('sync', 0) / advanced:10.3e} "

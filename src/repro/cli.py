@@ -26,6 +26,7 @@ from .api import (
     RunConfig,
     run,
 )
+from .obs.metrics import STEP_PHASES
 
 __all__ = ["main", "build_parser"]
 
@@ -209,9 +210,8 @@ def main(argv=None) -> int:
               f"kernels, {c['graphs']} graphs checked")
     print(f"\nmodelled runtime: {res.runtime:.4f}s "
           f"(grind {res.grind_time:.3e} s/cell/step)")
-    total = sum(res.timers.get(k, 0.0)
-                for k in ("hydro", "timestep", "sync", "regrid")) or 1.0
-    for name in ("hydro", "timestep", "sync", "regrid"):
+    total = sum(res.timers.get(k, 0.0) for k in STEP_PHASES) or 1.0
+    for name in STEP_PHASES:
         t = res.timers.get(name, 0.0)
         print(f"  {name:9s} {t:9.4f}s ({t / total:6.1%})")
 

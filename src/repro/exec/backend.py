@@ -35,11 +35,12 @@ import numpy as np
 from ..check.context import active as _check_active
 from ..check.context import seam_scope
 from ..check.errors import DeclaredAccessError
+from ..gpu.ledger import ChargeLedger
 from ..obs.context import active_tracer
 from ..obs.lanes import HOST as HOST_LANE
 from ..pdat.space import HOST
 from .batch import union_pds
-from .plan import compile_copies, compile_stream
+from .plan import compile_copies, compile_stream, level_arenas
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank
@@ -59,6 +60,10 @@ __all__ = [
     "frame_of",
     "run_on",
     "read_patch_fields",
+    "zero_slabs",
+    "write_slabs",
+    "charge_per_patch",
+    "zero_level",
 ]
 
 
@@ -324,11 +329,6 @@ class Backend(abc.ABC):
         data never crosses the bus.
         """
 
-    def write_frame(self, pd, host: np.ndarray) -> None:
-        """Overwrite the full frame of ``pd`` from a host array."""
-        with seam_scope():
-            pd.from_host(host)
-
     def _note_stack(self, kernel: str, plan) -> None:
         """Record the regions a plan covered and its flat-index ops."""
         if plan.groups and self.rank is not None:
@@ -552,3 +552,74 @@ def read_patch_fields(patch: "Patch", names) -> dict[str, np.ndarray]:
             out[name] = host[off:off + n].reshape(tuple(box.shape()))
             off += n
     return out
+
+
+# -- level construction: whole slabs executed, per-patch work charged ----------
+
+
+def frame_sizes(level, names) -> list[list[int]]:
+    """Per patch of ``level``, in level order, the element count of each
+    named field's frame (what one per-patch ``pdat.fill`` of it covers)."""
+    first = level.patches[0]
+    sizes: dict = {}  # one product per frame layout (centring, ghosts)
+    columns = []
+    for name in names:
+        frames = level.frames(first.data(name).var)
+        if id(frames) not in sizes:
+            sizes[id(frames)] = frames.shape().prod(axis=1)
+        columns.append(sizes[id(frames)])
+    return np.stack(columns, axis=1).tolist()
+
+
+def zero_slabs(level, names) -> None:
+    """Zero the fields ``names`` on every patch of ``level``: one
+    uncharged host write per arena slab (one per owner and field).  The
+    caller charges the per-patch ``pdat.fill`` launches this stands for
+    (a :class:`~repro.gpu.ledger.ChargeLedger`)."""
+    with seam_scope():
+        for name in names:
+            for arena in level_arenas(level, name).values():
+                arena.fill(0.0)
+
+
+def write_slabs(space, fn, *args) -> None:
+    """Run ``fn(*args)`` — host code writing whole arena slabs of
+    ``space`` through their stacked views (:func:`stacked_of`) — as one
+    uncharged write into that memory space.  The caller charges the
+    per-patch H2D copies this stands for (a
+    :class:`~repro.gpu.ledger.ChargeLedger`)."""
+    with seam_scope():
+        space.host_write(fn, *args)
+
+
+def charge_per_patch(level, copied, zeroed, then=None) -> None:
+    """Charge what per-patch construction of ``level`` issued, patch by
+    patch in level order: one synchronous H2D per ``copied`` field's
+    frame, one ``pdat.fill`` per ``zeroed`` field's, then ``then(patch)``
+    (an uncharged slab program stands for the copies and fills; ``then``
+    runs the patch's own launches).  Only device-resident data is
+    charged: host storage operations charge nothing."""
+    ledger = ChargeLedger()
+    sizes = frame_sizes(level, (*copied, *zeroed))
+    k = len(copied)
+    first = (*copied, *zeroed)[0]
+    for patch, frames in zip(level.patches, sizes):
+        space = patch.data(first).space
+        if space.resident:
+            if k:
+                # float64 frames: 8 bytes an element
+                ledger.h2d(space, *(8 * n for n in frames[:k]))
+            ledger.launch(space, "pdat.fill", *frames[k:])
+            ledger.charge()
+        if then is not None:
+            then(patch)
+
+
+def zero_level(level, names) -> None:
+    """Zero the fields ``names`` on every patch of ``level``: one fill per
+    arena slab, charged as the per-patch loop launched it — one
+    ``pdat.fill`` per (patch, field), patch by patch in level order."""
+    if not names:
+        return
+    zero_slabs(level, names)
+    charge_per_patch(level, (), names)

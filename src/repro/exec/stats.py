@@ -13,7 +13,12 @@ auto-tuner decides on.  Neither creates an instrument.
 
 from __future__ import annotations
 
-from ..obs.metrics import FAMILIES, MetricsRegistry, phase_seconds
+from ..obs.metrics import (
+    FAMILIES,
+    STEP_PHASES,
+    MetricsRegistry,
+    phase_seconds,
+)
 
 __all__ = [
     "kernel_category",
@@ -217,8 +222,7 @@ def attribution_report(reg: MetricsRegistry) -> list[str]:
     timers = phase_seconds(reg)
     if timers:
         parts = "  ".join(f"{k} {timers.get(k, 0.0):.6f}s"
-                          for k in ("hydro", "timestep", "sync", "regrid"))
-        total = sum(timers.get(k, 0.0)
-                    for k in ("hydro", "timestep", "sync", "regrid"))
+                          for k in STEP_PHASES)
+        total = sum(timers.get(k, 0.0) for k in STEP_PHASES)
         lines.append(f"virtual time    : {parts}  (total {total:.6f}s)")
     return lines

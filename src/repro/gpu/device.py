@@ -186,20 +186,9 @@ class Device:
         stream = stream or self.default_stream
         config = LaunchConfig.for_elements(max(int(elements), 0), block_size)
 
-        self.host_clock.advance(self.spec.host_launch_overhead)
-        nbytes, nflops = spec.work(elements)
-        t_mem = nbytes / self.spec.dram_bandwidth
-        t_flop = nflops / self.spec.peak_flops
-        cost = self.spec.kernel_overhead + max(t_mem, t_flop)
-        stream.clock.advance_to(self.host_clock.time)
-        stream.clock.advance(cost)
-
-        launches, elems, secs = self.metrics.counters(
-            "kernel", (spec.name, "gpu"))
-        launches.value += 1
-        elems.value += max(int(elements), 0)
-        secs.value += cost
-        self._count_stream(stream, cost)
+        cost = self._charge_launches(
+            spec, stream, self.metrics.counters("kernel", (spec.name, "gpu")),
+            self.metrics.counters("stream", (stream.label,)), (elements,))
 
         tracer = active_tracer()
         if tracer is None:
@@ -209,10 +198,52 @@ class Device:
         wall0 = perf_counter()
         with self._kernel_scope():
             result = fn(*args)
-        tracer.emit(spec.name, "kernel", self.trace_rank, stream.label,
-                    t1 - cost, t1, wall0, perf_counter(),
-                    elements=max(int(elements), 0))
+        self._trace_launch(tracer, spec, stream, t1, cost, elements,
+                           wall0, perf_counter())
         return result
+
+    def _charge_launches(self, spec: KernelSpec, stream: Stream, kernel,
+                         lane, counts, tracer=None) -> float:
+        """Charge one launch of ``spec`` per element count in ``counts``,
+        in order, on ``stream``: the host and stream clocks, ``kernel``
+        (its ``kernel`` family counters), ``lane`` (the stream's) and,
+        given a ``tracer``, each launch's span.  Returns the last
+        launch's modelled seconds.
+
+        The one launch-charging routine: :meth:`launch` charges its
+        launch with it (and traces it around the body), a
+        :class:`~repro.gpu.ledger.ChargeLedger` replays many.
+        """
+        host, clock, hw = self.host_clock, stream.clock, self.spec
+        launches, elems, secs = kernel
+        ops, busy = lane
+        cost = 0.0
+        for elements in counts:
+            host.advance(hw.host_launch_overhead)
+            nbytes, nflops = spec.work(elements)
+            t_mem = nbytes / hw.dram_bandwidth
+            t_flop = nflops / hw.peak_flops
+            cost = hw.kernel_overhead + max(t_mem, t_flop)
+            clock.advance_to(host.time)
+            clock.advance(cost)
+            launches.value += 1
+            elems.value += max(int(elements), 0)
+            secs.value += cost
+            ops.value += 1
+            busy.value += cost
+            if tracer is not None:
+                self._trace_launch(tracer, spec, stream, clock.time, cost,
+                                   elements)
+        return cost
+
+    def _trace_launch(self, tracer, spec: KernelSpec, stream: Stream,
+                      t1: float, cost: float, elements: int,
+                      wall0: float = 0.0, wall1: float = 0.0) -> None:
+        """The span of a launch charged by :meth:`_charge_launches`,
+        ending at stream time ``t1``."""
+        tracer.emit(spec.name, "kernel", self.trace_rank, stream.label,
+                    t1 - cost, t1, wall0, wall1,
+                    elements=max(int(elements), 0))
 
     # -- transfers -----------------------------------------------------------
 
@@ -272,34 +303,56 @@ class Device:
 
     def _charge_transfer(self, nbytes: int, stream: Stream | None,
                          direction: str) -> None:
-        cost = self._transfer_cost(nbytes)
-        self._count_transfer(direction, nbytes, cost)
-        if stream is not None:
-            # Async copy on a named stream: candidate for hiding under
-            # compute, tracked for the overlap-won accounting.
-            self._count_stream(stream, cost)
-            self.metrics.record_overlap(cost, 0.0)
-        tracer = active_tracer()
         if stream is None:
             # Synchronous copy: host blocks until all prior work and the
             # transfer itself complete.
-            t0 = max(self.host_clock.time, self.default_stream.clock.time)
-            self.host_clock.advance_to(t0 + cost)
-            self.default_stream.clock.advance_to(self.host_clock.time)
+            self._charge_sync_copies(
+                direction, self.metrics.counters("transfer", (direction,)),
+                (nbytes,), active_tracer())
+            return
+        # Async copy on a named stream: candidate for hiding under
+        # compute, tracked for the overlap-won accounting.  Enqueued on
+        # the stream, the host only pays the call.
+        cost = self._transfer_cost(nbytes)
+        self._count_transfer(direction, nbytes, cost)
+        self._count_stream(stream, cost)
+        self.metrics.record_overlap(cost, 0.0)
+        self.host_clock.advance(self.spec.host_launch_overhead)
+        stream.clock.advance_to(self.host_clock.time)
+        stream.clock.advance(cost)
+        tracer = active_tracer()
+        if tracer is not None:
+            t1 = stream.clock.time
+            tracer.emit(f"memcpy_{direction}", "transfer",
+                        self.trace_rank, stream.label, t1 - cost, t1,
+                        nbytes=int(nbytes))
+
+    def _charge_sync_copies(self, direction: str, counters, sizes,
+                            tracer=None) -> None:
+        """Charge one synchronous PCIe copy per byte count in ``sizes``,
+        in order: the host and the default stream wait for all prior work
+        and the copy.  Counts each in ``counters`` (the direction's
+        ``transfer`` family counters) and, given a ``tracer``, emits its
+        span.
+
+        The one sync-copy charging routine: :meth:`_charge_transfer`
+        charges its copy with it, a
+        :class:`~repro.gpu.ledger.ChargeLedger` replays many.
+        """
+        host, clock = self.host_clock, self.default_stream.clock
+        count, moved, secs = counters
+        for nbytes in sizes:
+            cost = self._transfer_cost(nbytes)
+            count.value += 1
+            moved.value += int(nbytes)
+            secs.value += cost
+            t0 = max(host.time, clock.time)
+            host.advance_to(t0 + cost)
+            clock.advance_to(host.time)
             if tracer is not None:
                 tracer.emit(f"memcpy_{direction}", "transfer",
                             self.trace_rank, HOST, t0, t0 + cost,
                             nbytes=int(nbytes), sync=True)
-        else:
-            # Async copy: enqueued on the stream, host only pays the call.
-            self.host_clock.advance(self.spec.host_launch_overhead)
-            stream.clock.advance_to(self.host_clock.time)
-            stream.clock.advance(cost)
-            if tracer is not None:
-                t1 = stream.clock.time
-                tracer.emit(f"memcpy_{direction}", "transfer",
-                            self.trace_rank, stream.label, t1 - cost, t1,
-                            nbytes=int(nbytes))
 
     def guard_mirror(self, op: str) -> None:
         """Under ``--sanitize``, host mirroring of device-resident bytes is
@@ -308,7 +361,19 @@ class Device:
             raise ResidencyViolation(
                 f"host-side {op}() on device-resident storage outside the "
                 "repro.exec backend seam — route the transfer through a "
-                "Backend method (write_frame, read_patch_fields) instead")
+                "seam function (write_slabs, zero_slabs, read_patch_fields) "
+                "instead")
+
+    def host_write(self, fn, *args):
+        """Run host code ``fn(*args)`` that writes this device's memory
+        directly, charging nothing.  Level construction overwrites whole
+        arena slabs this way and charges the per-patch launches and
+        copies they stand for from a
+        :class:`~repro.gpu.ledger.ChargeLedger`.  Under ``--sanitize``
+        legal only inside the backend seam (:meth:`guard_mirror`)."""
+        self.guard_mirror("host_write")
+        with self._memcpy_scope():
+            return fn(*args)
 
     def require_access(self) -> None:
         """Raise unless device memory may legally be touched right now."""

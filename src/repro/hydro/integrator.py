@@ -212,9 +212,7 @@ class LagrangianEulerianIntegrator:
 
     def _init_level_data(self, level) -> None:
         """Analytic initial conditions + EOS on every patch of a level."""
-        for patch in level:
-            rank = self.comm.rank(patch.owner)
-            self.patch_integrator.initialise(patch, rank, self.problem)
+        self.patch_integrator.initialise_level(level, self.comm, self.problem)
 
     # -- halo fills -----------------------------------------------------------------
 
@@ -466,7 +464,9 @@ class LagrangianEulerianIntegrator:
         return sched
 
     def _reset_derived(self, level) -> None:
-        """After regrid: recompute EOS on transferred data, zero work arrays."""
+        """After regrid: recompute the EOS on the transferred data (the
+        regridder has already zeroed the work arrays of a rebuilt level
+        and the non-primary fields of a kept one)."""
         pi = self.patch_integrator
         for patch in level:  # samrcheck: ok(slab): rare post-regrid fixup over a single level
             rank = self.comm.rank(patch.owner)

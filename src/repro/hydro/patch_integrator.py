@@ -19,17 +19,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ..exec.backend import Backend, backend_for, stacked_of
+from ..exec.backend import (
+    Backend,
+    backend_for,
+    charge_per_patch,
+    stacked_of,
+    write_slabs,
+    zero_slabs,
+)
 from ..exec.batch import BatchMember, StepParams
 from ..util import nan_min
 from . import kernels as K
 from .fields import GHOSTS
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..comm.simcomm import Rank
-    from ..mesh.patch import Patch
+    from ..comm.simcomm import Rank, SimCommunicator
+    from ..mesh.patch_level import PatchLevel
 
 __all__ = ["CleverleafPatchIntegrator", "NonResidentGpuPatchIntegrator",
            "CHUNK_BYTES"]
@@ -43,6 +48,17 @@ __all__ = ["CleverleafPatchIntegrator", "NonResidentGpuPatchIntegrator",
 #: three; 32 KiB and below split 8^2-patch buckets and slowed them
 #: (EXPERIMENTS.md, "Chunked bucket sweeps").
 CHUNK_BYTES = 256 << 10
+
+#: the primary fields' values in the ghost cells of a new level, before
+#: its first halo fill (the interiors come from the problem)
+INITIAL_GHOSTS = {"density0": 1.0, "energy0": 1.0e-6,
+                  "xvel0": 0.0, "yvel0": 0.0}
+#: the work arrays a new level's initialisation zeroes, in the order their
+#: per-patch fills are charged
+WORK_FIELDS = ("density1", "energy1", "pressure", "viscosity", "soundspeed",
+               "xvel1", "yvel1", "vol_flux_x", "vol_flux_y", "mass_flux_x",
+               "mass_flux_y", "pre_vol", "post_vol", "ener_flux",
+               "node_flux", "node_mass_post", "node_mass_pre", "mom_flux")
 
 
 def _chunk_patches(operands, count: int) -> int:
@@ -151,40 +167,56 @@ class CleverleafPatchIntegrator:
 
     # -- initialisation --------------------------------------------------------
 
-    def initialise(self, patch: "Patch", rank: "Rank", problem) -> None:
-        """Set initial density/energy/velocity from a problem definition.
+    def initialise_level(self, level: "PatchLevel", comm: "SimCommunicator",
+                         problem) -> None:
+        """Set initial density/energy/velocity on every patch of a level
+        from a problem definition, then the EOS.
 
-        The problem evaluates fields on host coordinate arrays (initial
-        conditions are set on the CPU and copied up once, as in CLAMR and
-        the paper's setup); resident data receives one H2D per field.
+        Initial conditions are evaluated on the host (as in CLAMR and the
+        paper's set-up), once per shape bucket over its stacked cell
+        centres, and written with their ghost values straight into each
+        owner's primary arena slabs; the work arrays are zeroed one slab
+        each.  The modelled clock charges what the paper's set-up issues
+        per patch, in turn: one H2D per primary field and one
+        ``pdat.fill`` per work array (from a ChargeLedger), then the
+        patch's EOS launch.
         """
-        xc, yc = patch.cell_centers()
-        d, e = problem.initial_state(xc, yc)
-        nx, ny, g, dx, dy = self._geom(patch)
-        backend = self._backend(patch, rank)
+        owners: dict[int, list] = {}
+        for bucket in level.buckets:
+            owners.setdefault(bucket.owner, []).append(bucket)
+        for buckets in owners.values():
+            write_slabs(buckets[0].fields("density0")[0].space,
+                        self._write_initial, level, buckets, problem)
+        zero_slabs(level, WORK_FIELDS)
+        charge_per_patch(
+            level, INITIAL_GHOSTS, WORK_FIELDS,
+            lambda patch: self.ideal_gas(patch, comm.rank(patch.owner)))
 
-        def fill_field(name, interior, fill_value):
-            pd = patch.data(name)
-            frame_shape = tuple(pd.get_ghost_box().shape())
-            host = np.full(frame_shape, fill_value, dtype=np.float64)
-            sl = tuple(slice(g, g + s) for s in interior.shape)
-            host[sl] = interior
-            backend.write_frame(pd, host)
-
-        dens = np.broadcast_to(d, (nx, ny)).astype(np.float64)
-        ener = np.broadcast_to(e, (nx, ny)).astype(np.float64)
-        fill_field("density0", dens, 1.0)
-        fill_field("energy0", ener, 1.0e-6)
-        zeros_n = np.zeros((nx + 1, ny + 1))
-        fill_field("xvel0", zeros_n, 0.0)
-        fill_field("yvel0", zeros_n, 0.0)
-        for name in ("density1", "energy1", "pressure", "viscosity",
-                     "soundspeed", "xvel1", "yvel1",
-                     "vol_flux_x", "vol_flux_y", "mass_flux_x", "mass_flux_y",
-                     "pre_vol", "post_vol", "ener_flux",
-                     "node_flux", "node_mass_post", "node_mass_pre", "mom_flux"):
-            patch.data(name).fill(0.0)
-        self.ideal_gas(patch, rank, predict=False, ext=0)
+    @staticmethod
+    def _write_initial(level: "PatchLevel", buckets, problem) -> None:
+        """Write the primaries' frames of one owner's ``buckets`` in
+        place: ghost values, then the problem's interior values over the
+        bucket's stacked cell centres, one chunk of patches at a time
+        (:data:`CHUNK_BYTES`, so host temporaries stay chunk-sized)."""
+        g = GHOSTS
+        for bucket in buckets:
+            count = len(bucket.patches)
+            frames = {name: stacked_of(bucket.fields(name))
+                      for name in INITIAL_GHOSTS}
+            if count == 1:
+                frames = {name: f[None] for name, f in frames.items()}
+            boxes = level.box_array.take(
+                [p.global_id for p in bucket.patches])
+            chunk = _chunk_patches(
+                [bucket.fields(name) for name in INITIAL_GHOSTS], count)
+            for lo in range(0, count, chunk):
+                xc, yc = level.geometry.cell_centers(
+                    boxes.take(slice(lo, lo + chunk)), level.ratio_to_base)
+                d, e = problem.initial_state(xc, yc)
+                for name, interior in zip(INITIAL_GHOSTS, (d, e, 0.0, 0.0)):
+                    f = frames[name][lo:lo + chunk]
+                    f[...] = INITIAL_GHOSTS[name]
+                    f[:, g:f.shape[1] - g, g:f.shape[2] - g] = interior
 
     # -- kernels ---------------------------------------------------------------
 

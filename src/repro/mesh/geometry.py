@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .box import Box, IntVector
+from .box_array import BoxArray
 
 __all__ = ["CartesianGridGeometry"]
 
@@ -55,17 +56,28 @@ class CartesianGridGeometry:
             ratio_to_base = IntVector.uniform(ratio_to_base, self.dim)
         return tuple(d / r for d, r in zip(self.base_dx, ratio_to_base))
 
-    def cell_centers(self, box: Box, ratio_to_base: IntVector | int):
-        """Coordinate arrays (one per axis, broadcastable) of cell centers."""
+    def cell_centers(self, box: "Box | BoxArray",
+                     ratio_to_base: IntVector | int):
+        """Coordinate arrays (one per axis, broadcastable) of cell centers.
+
+        Over a :class:`~repro.mesh.box_array.BoxArray` of equal-shape
+        boxes (a shape bucket) the arrays are stacked, one box per row of
+        a leading axis, and each row holds bitwise what its box alone
+        gives: the same operations, elementwise.
+        """
         dx = self.level_dx(ratio_to_base)
         domain = self.level_domain(ratio_to_base)
+        lower = np.reshape(box.lower, (-1, self.dim))
+        extent = np.reshape(box.shape(), (-1, self.dim))[0]
+        lead = (len(lower),) if isinstance(box, BoxArray) else ()
         coords = []
         for axis in range(self.dim):
-            idx = np.arange(box.lower[axis], box.upper[axis] + 1, dtype=np.float64)
+            idx = (lower[:, axis, None]
+                   + np.arange(extent[axis])).astype(np.float64)
             c = self.x_lo[axis] + (idx - domain.lower[axis] + 0.5) * dx[axis]
             shape = [1] * self.dim
             shape[axis] = -1
-            coords.append(c.reshape(shape))
+            coords.append(c.reshape(lead + tuple(shape)))
         return tuple(coords)
 
     def touches_boundary(self, box: Box, ratio_to_base: IntVector | int) -> list[tuple[int, int]]:

@@ -62,9 +62,6 @@ class Patch:
     def dx(self) -> tuple[float, ...]:
         return self.level.dx
 
-    def cell_centers(self):
-        return self.level.geometry.cell_centers(self.box, self.level.ratio_to_base)
-
     def touches_boundary(self):
         return self.level.geometry.touches_boundary(self.box, self.level.ratio_to_base)
 

@@ -43,6 +43,7 @@ __all__ = [
     "FAMILIES",
     "registry_from_run",
     "phase_seconds",
+    "STEP_PHASES",
     "run_manifest",
     "MANIFEST_SCHEMA",
 ]
@@ -326,6 +327,13 @@ class ScopedRegistry:
 def registry_from_run(sim) -> MetricsRegistry:
     """Rank-merged registry of a (possibly still running) simulation."""
     return MetricsRegistry.merged(r.metrics for r in sim.comm.ranks)
+
+
+#: the phases a timestep is timed in: every charged second of a run lands
+#: in exactly one of them.  ``phase_seconds`` also holds the regrid
+#: sub-phases (``regrid.collect``/``cluster``/``rebuild``/``transfer``),
+#: which are nested inside ``regrid`` — sum these four, not every key.
+STEP_PHASES = ("hydro", "timestep", "sync", "regrid")
 
 
 def phase_seconds(reg: MetricsRegistry) -> dict[str, float]:

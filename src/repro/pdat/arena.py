@@ -104,6 +104,13 @@ class Arena:
         return self.flat()[lo:lo + n * math.prod(shape)].reshape(
             (n,) + shape)
 
+    def fill(self, value: float) -> None:
+        """Set every member to ``value``: one uncharged host write over
+        the whole slab (:meth:`~repro.pdat.space.HostSpace.host_write`).
+        Level construction charges the per-member ``pdat.fill`` launches
+        this stands for from a :class:`~repro.gpu.ledger.ChargeLedger`."""
+        self.space.host_write(lambda: self.slab.kernel_view().fill(value))
+
     # -- whole-slab host staging (restart fast path) ---------------------------
 
     def to_host_slab(self) -> np.ndarray:

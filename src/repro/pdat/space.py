@@ -16,9 +16,13 @@ A space provides ``resident`` (read by :mod:`repro.exec` dispatch only),
 ``empty(shape, dtype)`` → a buffer (``kernel_view``/``free``/shape/size/
 dtype/nbytes), ``launch(name, elements, fn, *args)``, ``to_host(buf)`` → a
 fresh host array the caller owns, ``from_host(array)`` → a new buffer,
-``memcpy_htod(buf, array)`` and ``guard_mirror(op)`` (the sanitizer's rule
-for whole-frame host mirroring).  Nothing in this package may branch on
-which space it was given: every difference is one of those seven answers.
+``memcpy_htod(buf, array)``, ``guard_mirror(op)`` (the sanitizer's rule
+for whole-frame host mirroring) and ``host_write(fn, *args)`` (host code
+writing the space's storage in place, uncharged: level construction's
+whole-slab fills and writes, whose per-patch charges a
+:class:`~repro.gpu.ledger.ChargeLedger` makes).  Nothing in this package
+may branch on which space it was given: every difference is one of those
+eight answers.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ class HostSpace:
 
     def guard_mirror(self, op: str) -> None:
         """Host bytes may be mirrored from anywhere."""
+
+    def host_write(self, fn, *args):
+        """Host bytes are written in place, uncharged."""
+        return fn(*args)
 
 
 #: the one host space (stateless; identity is what ``copy_from`` compares)

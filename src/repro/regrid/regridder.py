@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import ndimage
 
+from ..exec.backend import zero_level
 from ..mesh.box import Box
 from ..obs.context import active_tracer
 from ..xfer.refine_schedule import FillSpec, RefineSchedule
@@ -426,10 +427,8 @@ class Regridder:
         coarse = h.level(lnum - 1)
         primaries = {spec.var.name for spec in self.primary_specs}
         with self._timed("rebuild"):
-            for patch in level:
-                for name in patch.data_names():
-                    if name not in primaries:
-                        patch.data(name).fill(0.0)
+            zero_level(level, [var.name for var in self.variables
+                               if var.name not in primaries])
         with self._timed("transfer"):
             self._ghost_schedule(level, coarse).fill()
             if init_cb is not None:
@@ -445,9 +444,7 @@ class Regridder:
             for patch in level:
                 self.comm.rank(patch.owner).cpu_charge(PATCH_CONSTRUCTION_COST)
             # Zero-fill all data so untouched work arrays are defined.
-            for patch in level:
-                for name in patch.data_names():
-                    patch.data(name).fill(0.0)
+            zero_level(level, [var.name for var in self.variables])
         coarse = h.level(lnum - 1)
         with self._timed("transfer"):
             # Interior solution transfer: old level where it existed, the

@@ -16,12 +16,14 @@ from repro import (
     SodProblem,
     make_communicator,
 )
+from repro.obs.metrics import STEP_PHASES
 from repro.regrid.regridder import RegridConfig
 
 
 def make_sim(**cfg_kw):
     comm = make_communicator("IPA", 1, gpus=False)
-    cfg = SimulationConfig(max_levels=1, max_patch_size=32, **cfg_kw)
+    cfg = SimulationConfig(**{"max_levels": 1, "max_patch_size": 32,
+                              **cfg_kw})
     sim = LagrangianEulerianIntegrator(
         SodProblem((16, 16)), comm, HostDataFactory(), cfg)
     sim.initialise()
@@ -103,15 +105,24 @@ class TestPhaseAccounting:
     in its metrics registry; ``timer_summary`` reads them merged."""
 
     def test_phase_times_sum_to_elapsed(self):
-        sim = make_sim()
-        before = sim.timer_summary()
-        t0 = sim.elapsed()
-        sim.run(max_steps=3)
-        total = sim.elapsed() - t0
-        parts = sum(s - before.get(phase, 0.0)
-                    for phase, s in sim.timer_summary().items())
-        # single rank: every charged second lands in exactly one phase
-        assert parts == pytest.approx(total, rel=1e-9)
+        """Single rank: every charged second lands in exactly one of the
+        step phases; the regrid sub-phases are nested inside ``regrid``
+        (so summing every key would count them twice)."""
+        regridding = dict(max_levels=2,
+                          regrid=RegridConfig(regrid_interval=1))
+        for sim in (make_sim(), make_sim(**regridding)):
+            before = sim.timer_summary()
+            t0 = sim.elapsed()
+            sim.run(max_steps=3)
+            total = sim.elapsed() - t0
+            timers = sim.timer_summary()
+            parts = sum(timers.get(phase, 0.0) - before.get(phase, 0.0)
+                        for phase in STEP_PHASES)
+            assert parts == pytest.approx(total, rel=1e-9)
+            nested = sum(s for phase, s in timers.items()
+                         if phase.startswith("regrid."))
+            assert nested <= timers.get("regrid", 0.0)
+        assert nested > 0.0
 
     def test_counts_track_steps(self):
         sim = make_sim()
