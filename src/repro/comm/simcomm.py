@@ -92,16 +92,9 @@ class Rank:
     def cpu_run(self, name: str | KernelSpec, elements: int, fn, *args):
         """Run a CPU kernel over ``elements`` elements, charging the clock."""
         spec = name if isinstance(name, KernelSpec) else kernel_spec(name)
-        nbytes, nflops = spec.work(max(int(elements), 0))
-        cost = self.cpu.kernel_overhead + max(
-            nbytes / self.cpu.dram_bandwidth, nflops / self.cpu.peak_flops
-        )
-        self.clock.advance(cost)
-        launches, elems, secs = self.metrics.counters(
-            "kernel", (spec.name, "cpu"))
-        launches.value += 1
-        elems.value += max(int(elements), 0)
-        secs.value += cost
+        cost = self._charge_cpu(
+            spec, self.metrics.counters("kernel", (spec.name, "cpu")),
+            (elements,))
         tracer = active_tracer()
         if tracer is None:
             return fn(*args)
@@ -112,6 +105,35 @@ class Rank:
                     t1 - cost, t1, wall0, perf_counter(),
                     elements=max(int(elements), 0))
         return result
+
+    def _charge_cpu(self, spec: KernelSpec, kernel, counts,
+                    tracer=None) -> float:
+        """Charge one CPU pass of ``spec`` per element count in
+        ``counts``, in order: the clock, ``kernel`` (its ``kernel`` family
+        counters) and, given a ``tracer``, each pass's span.  Returns the
+        last pass's modelled seconds.
+
+        The one CPU-charging routine: :meth:`cpu_run` charges its pass
+        with it (and traces it around the body), a
+        :class:`~repro.gpu.ledger.ChargeLedger` replays many.
+        """
+        cpu, clock = self.cpu, self.clock
+        launches, elems, secs = kernel
+        cost = 0.0
+        for elements in counts:
+            n = max(int(elements), 0)
+            nbytes, nflops = spec.work(n)
+            cost = cpu.kernel_overhead + max(
+                nbytes / cpu.dram_bandwidth, nflops / cpu.peak_flops)
+            clock.advance(cost)
+            launches.value += 1
+            elems.value += n
+            secs.value += cost
+            if tracer is not None:
+                t1 = clock.time
+                tracer.emit(spec.name, "kernel", self.index, HOST,
+                            t1 - cost, t1, elements=n)
+        return cost
 
     def cpu_charge(self, seconds: float) -> None:
         """Charge raw host-side time (framework overheads, regridding)."""

@@ -27,6 +27,7 @@ the framework.
 from __future__ import annotations
 
 import abc
+from functools import partial
 from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Iterable
 
@@ -62,7 +63,7 @@ __all__ = [
     "read_patch_fields",
     "zero_slabs",
     "write_slabs",
-    "charge_per_patch",
+    "record_per_patch",
     "zero_level",
 ]
 
@@ -173,6 +174,38 @@ def _to_host(space, staging, stream=None) -> np.ndarray:
         staging.free()
 
 
+def _operands(members) -> tuple:
+    """``(reads, writes, ghost_reads, marks, elements)`` of one launch of
+    ``members``: the identity unions of their declarations and the sum
+    of their element counts."""
+    if len(members) == 1:
+        m = members[0]
+        return m.reads, m.writes, m.ghost_reads, m.marks, m.elements
+    return (union_pds(m.reads for m in members),
+            union_pds(m.writes for m in members),
+            union_pds(m.ghost_reads for m in members),
+            [mk for m in members for mk in m.marks],
+            sum(m.elements for m in members))
+
+
+def _fused(members, combine):
+    """The body running ``members``' bodies in order, their results
+    reduced by ``combine`` (None: no result)."""
+    def body():
+        results = [m.body() for m in members]
+        return combine(results) if combine is not None else None
+    return body
+
+
+def _bracket_bytes(reads, writes) -> tuple[list, list]:
+    """The copy-per-kernel ablation's PCIe legs around one launch: the
+    byte counts of every operand up (reads and writes, once each, in
+    declaration order) and of every written one back."""
+    writes = list(writes)
+    return ([pd.nbytes for pd in dict.fromkeys([*reads, *writes])],
+            [pd.nbytes for pd in writes])
+
+
 class Backend(abc.ABC):
     """One execution resource of a rank: allocation, launch, data motion."""
 
@@ -212,12 +245,21 @@ class Backend(abc.ABC):
         if chk is None:
             return self._launch(kernel, elements, fn, *args,
                                 reads=reads, writes=writes)
+        return self._checked(
+            chk, kernel, lambda: self._launch(kernel, elements, fn, *args,
+                                              reads=reads, writes=writes),
+            reads, writes, ghost_reads, ghost_only, marks)
+
+    @staticmethod
+    def _checked(chk, kernel: str, call, reads, writes, ghost_reads,
+                 ghost_only, marks):
+        """``call()`` inside the sanitizer's scope for one kernel declaring
+        ``reads``/``writes``/``ghost_reads``/``marks``."""
         scope = chk.begin_kernel(kernel, reads, writes,
                                  ghost_reads=ghost_reads,
                                  ghost_only=ghost_only, marks=marks)
         try:
-            result = self._launch(kernel, elements, fn, *args,
-                                  reads=reads, writes=writes)
+            result = call()
         except ValueError as e:
             chk.abort_kernel(scope)
             if "read-only" in str(e):
@@ -255,26 +297,14 @@ class Backend(abc.ABC):
         members = list(members)
         if not members:
             return None
-        if len(members) == 1:
-            m = members[0]
-            reads, writes, ghost_reads = m.reads, m.writes, m.ghost_reads
-            marks, total = m.marks, m.elements
-        else:
-            reads = union_pds(m.reads for m in members)
-            writes = union_pds(m.writes for m in members)
-            ghost_reads = union_pds(m.ghost_reads for m in members)
-            marks = [mk for m in members for mk in m.marks]
-            total = sum(m.elements for m in members)
+        reads, writes, ghost_reads, marks, total = _operands(members)
         count = sum(m.count for m in members)
         if count == 1 and combine is None:
             return self.run(kernel, total, members[0].body,
                             reads=reads, writes=writes,
                             ghost_reads=ghost_reads, ghost_only=ghost_only,
                             marks=marks)
-
-        def fused_body():
-            results = [m.body() for m in members]
-            return combine(results) if combine is not None else None
+        fused_body = _fused(members, combine)
 
         tracer = active_tracer()
         device = self.device
@@ -315,8 +345,38 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def _launch(self, kernel: str, elements: int, fn, *args,
                 reads: Iterable = (), writes: Iterable = ()):
-        """Backend-specific execution of one kernel (cost charging only;
-        the declared-access checking lives in :meth:`run`)."""
+        """Backend-specific execution of one kernel, charged (the
+        declared-access checking lives in :meth:`run`).  Charged through
+        the same routines :meth:`record`'s rows replay through."""
+
+    def record(self, ledger, kernel: str, elements: int,
+               reads: Iterable = (), writes: Iterable = ()) -> None:  # noqa: ARG002 — the copy-per-kernel backend charges its operands
+        """The charge half of :meth:`_launch`: record into ``ledger`` (a
+        :class:`~repro.gpu.ledger.ChargeLedger`) the rows one launch of
+        ``kernel`` over ``elements`` elements with these operands is
+        charged as, without running anything.  A launch is charged as
+        :meth:`_move` charges data motion, unless the backend brackets
+        its launches with copies."""
+        self._record_move(ledger, kernel, elements)
+
+    def execute(self, kernel: str, members, combine=None,
+                ghost_only: bool = False):
+        """The uncharged executor: run ``members``' bodies in order as one
+        launch of ``kernel`` in this backend's memory space (a
+        ``host_write``, inside the seam), charging and counting nothing.
+        Under ``--sanitize`` the launch declares the members' operands as
+        :meth:`run_batched` declares them.  The caller charges what the
+        work stands for from a :class:`~repro.gpu.ledger.ChargeLedger`."""
+        members = list(members)
+        if not members:
+            return None
+        call = partial(write_slabs, self.space, _fused(members, combine))
+        chk = _check_active()
+        if chk is None:
+            return call()
+        reads, writes, ghost_reads, marks, _ = _operands(members)
+        return self._checked(chk, kernel, call, reads, writes, ghost_reads,
+                             ghost_only, marks)
 
     # -- transfers ------------------------------------------------------------
 
@@ -339,6 +399,70 @@ class Backend(abc.ABC):
     def _move(self, kernel: str, elements: int, body):
         """Launch one data-motion kernel on the resource holding the data."""
         return self._cpu(kernel, elements, body)
+
+    # -- the rows data motion is charged as ------------------------------------
+    #
+    # What ``copy_batch``, ``pack_batch``, ``unpack_batch`` and a scratch
+    # allocation charge, as :class:`~repro.gpu.ledger.ChargeLedger` rows in
+    # their order, from a plan's sizes alone.
+
+    def _record_move(self, ledger, kernel: str, elements: int) -> None:
+        """The rows :meth:`_move` is charged as."""
+        if self.rank is not None:
+            ledger.cpu(self.rank, kernel, elements)
+
+    def _record_stack(self, ledger, kernel: str, count: int,
+                      ops: int) -> None:
+        """The rows :meth:`_note_stack` counts."""
+        if ops and self.rank is not None:
+            ledger.stack(self.rank, kernel, count, ops)
+
+    def record_copy(self, ledger, count: int, total: int, ops: int) -> None:
+        """The rows :meth:`copy_batch` of a plan of ``count`` regions,
+        ``total`` elements and ``ops`` flat-index ops is charged as."""
+        self._record_move(ledger, "pdat.copy", total)
+        self._record_stack(ledger, "pdat.copy", count, ops)
+
+    def record_pack(self, ledger, plan) -> None:
+        """The rows :meth:`pack_batch` of ``plan`` is charged as: in
+        device memory, the staging buffer's allocation around the pack,
+        then its synchronous D2H and free."""
+        nbytes = 8 * plan.total
+        device = self.space if self.space.resident else None
+        if device is not None:
+            ledger.alloc(device, nbytes)
+        self._record_move(ledger, "pdat.pack", plan.total)
+        self._record_stack(ledger, "pdat.pack", plan.count, len(plan.groups))
+        if device is not None:
+            ledger.d2h(device, nbytes)
+            ledger.free(device, nbytes)
+
+    def record_unpack(self, ledger, plan) -> None:
+        """The rows :meth:`unpack_batch` of ``plan`` is charged as: in
+        device memory, the staging buffer's allocation and synchronous
+        H2D, the unpack, its free."""
+        nbytes = 8 * plan.total
+        device = self.space if self.space.resident else None
+        if device is not None:
+            ledger.alloc(device, nbytes)
+            ledger.h2d(device, nbytes)
+        self._record_move(ledger, "pdat.unpack", plan.total)
+        if device is not None:
+            ledger.free(device, nbytes)
+        self._record_stack(ledger, "pdat.unpack", plan.count,
+                           len(plan.groups))
+
+    def record_alloc(self, ledger, elements: int) -> None:
+        """The rows allocating ``elements`` float64 elements of scratch
+        in this backend's memory space is charged as (host memory:
+        none)."""
+        if self.space.resident:
+            ledger.alloc(self.space, 8 * elements)
+
+    def record_free(self, ledger, elements: int) -> None:
+        """The rows freeing such scratch is charged as."""
+        if self.space.resident:
+            ledger.free(self.space, 8 * elements)
 
     # -- batch transfers --------------------------------------------------------
     #
@@ -447,6 +571,9 @@ class ResidentDeviceBackend(Backend):
     def _move(self, kernel, elements, body):
         return self.device.launch(kernel, elements, body)
 
+    def _record_move(self, ledger, kernel, elements):
+        ledger.launch(self.device, kernel, elements)
+
     #: the shared body, launched through this class's ``_move``; the entry
     #: itself is a wrap point the end-to-end benchmark resolves on every
     #: backend class that runs copies
@@ -484,13 +611,21 @@ class NonResidentDeviceBackend(HostBackend):
         self.device = rank.device
 
     def _launch(self, kernel, elements, fn, *args, reads=(), writes=()):
-        writes = list(writes)
-        for pd in dict.fromkeys([*reads, *writes]):
-            self.device._charge_transfer(pd.nbytes, None, "h2d")
+        up, down = _bracket_bytes(reads, writes)
+        for nbytes in up:
+            self.device._charge_transfer(nbytes, None, "h2d")
         result = self.device.launch(kernel, elements, fn, *args)
-        for pd in writes:
-            self.device._charge_transfer(pd.nbytes, None, "d2h")
+        for nbytes in down:
+            self.device._charge_transfer(nbytes, None, "d2h")
         return result
+
+    def record(self, ledger, kernel, elements, reads=(), writes=()):
+        up, down = _bracket_bytes(reads, writes)
+        if up:
+            ledger.h2d(self.device, *up)
+        ledger.launch(self.device, kernel, elements)
+        if down:
+            ledger.d2h(self.device, *down)
 
 
 #: uncharged host execution, used when no rank context exists (unit tests,
@@ -582,35 +717,38 @@ def zero_slabs(level, names) -> None:
                 arena.fill(0.0)
 
 
-def write_slabs(space, fn, *args) -> None:
-    """Run ``fn(*args)`` — host code writing whole arena slabs of
-    ``space`` through their stacked views (:func:`stacked_of`) — as one
-    uncharged write into that memory space.  The caller charges the
-    per-patch H2D copies this stands for (a
+def write_slabs(space, fn, *args):
+    """Run ``fn(*args)`` — host code writing ``space``'s storage in place:
+    whole arena slabs through their stacked views (:func:`stacked_of`),
+    or the flat-index bodies of a compiled transfer — as one uncharged
+    write into that memory space, and return its result.  The caller
+    charges the per-patch work this stands for (a
     :class:`~repro.gpu.ledger.ChargeLedger`)."""
     with seam_scope():
-        space.host_write(fn, *args)
+        return space.host_write(fn, *args)
 
 
-def charge_per_patch(level, copied, zeroed, then=None) -> None:
-    """Charge what per-patch construction of ``level`` issued, patch by
-    patch in level order: one synchronous H2D per ``copied`` field's
-    frame, one ``pdat.fill`` per ``zeroed`` field's, then ``then(patch)``
-    (an uncharged slab program stands for the copies and fills; ``then``
-    runs the patch's own launches).  Only device-resident data is
-    charged: host storage operations charge nothing."""
-    ledger = ChargeLedger()
-    sizes = frame_sizes(level, (*copied, *zeroed))
+def record_per_patch(ledger, level, copied, zeroed, then=None) -> None:
+    """Record into ``ledger`` what per-patch construction of ``level``
+    issued, patch by patch in level order: one synchronous H2D per
+    ``copied`` field's frame, one ``pdat.fill`` per ``zeroed`` field's,
+    then ``then(patch)`` (which records the patch's own launches; an
+    uncharged slab program stands for all of it).  Only device-resident
+    data records copies and fills: host storage operations charge
+    nothing."""
+    names = (*copied, *zeroed)
     k = len(copied)
-    first = (*copied, *zeroed)[0]
-    for patch, frames in zip(level.patches, sizes):
-        space = patch.data(first).space
-        if space.resident:
-            if k:
-                # float64 frames: 8 bytes an element
-                ledger.h2d(space, *(8 * n for n in frames[:k]))
-            ledger.launch(space, "pdat.fill", *frames[k:])
-            ledger.charge()
+    sizes = frame_sizes(level, names) if names else ()
+    for i, patch in enumerate(level.patches):
+        if names:
+            frames = sizes[i]
+            space = patch.data(names[0]).space
+            if space.resident:
+                if k:
+                    # float64 frames: 8 bytes an element
+                    ledger.h2d(space, *(8 * n for n in frames[:k]))
+                if frames[k:]:
+                    ledger.launch(space, "pdat.fill", *frames[k:])
         if then is not None:
             then(patch)
 
@@ -622,4 +760,6 @@ def zero_level(level, names) -> None:
     if not names:
         return
     zero_slabs(level, names)
-    charge_per_patch(level, (), names)
+    ledger = ChargeLedger()
+    record_per_patch(ledger, level, (), names)
+    ledger.charge()

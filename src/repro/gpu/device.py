@@ -26,7 +26,7 @@ from ..obs.lanes import HOST
 from ..obs.metrics import MetricsRegistry
 from ..util.clock import VirtualClock
 from .errors import DeviceOutOfMemory, MemorySpaceError
-from .kernel import KernelSpec, LaunchConfig, kernel_spec
+from .kernel import KernelSpec, kernel_spec
 from .memory import DeviceArray
 from .stream import Stream
 
@@ -174,7 +174,7 @@ class Device:
 
     # -- kernel launch ------------------------------------------------------
 
-    def launch(self, name, elements: int, fn, *args, stream: Stream | None = None, block_size: int = 256):
+    def launch(self, name, elements: int, fn, *args, stream: Stream | None = None):
         """Launch a kernel: execute ``fn(*args)``, charge modelled time.
 
         ``name`` is either a kernel name (looked up in the registry) or a
@@ -184,7 +184,6 @@ class Device:
         """
         spec = name if isinstance(name, KernelSpec) else kernel_spec(name)
         stream = stream or self.default_stream
-        config = LaunchConfig.for_elements(max(int(elements), 0), block_size)
 
         cost = self._charge_launches(
             spec, stream, self.metrics.counters("kernel", (spec.name, "gpu")),

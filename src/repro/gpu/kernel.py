@@ -1,4 +1,4 @@
-"""Kernel cost specifications and the launch configuration model.
+"""Kernel cost specifications.
 
 Kernels execute *functionally* as vectorised NumPy, but each launch is
 charged to the device clock through a roofline cost:
@@ -8,17 +8,13 @@ charged to the device clock through a roofline cost:
 ``KernelSpec`` records the per-element byte and flop intensity of each
 kernel; the same table drives both the GPU and the CPU cost models so that
 speedup comparisons reflect hardware differences, not bookkeeping ones.
-``LaunchConfig`` reproduces the CUDA grid/block arithmetic from the paper's
-host code (Fig. 5a) so tests can check the thread-mapping logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["KernelSpec", "LaunchConfig", "register_kernel", "kernel_spec", "KERNEL_REGISTRY"]
-
-DEFAULT_BLOCK_SIZE = 256
+__all__ = ["KernelSpec", "register_kernel", "kernel_spec", "KERNEL_REGISTRY"]
 
 
 @dataclass(frozen=True)
@@ -36,22 +32,6 @@ class KernelSpec:
     def work(self, elements: int) -> tuple[float, float]:
         """Total (bytes, flops) for a launch over ``elements`` elements."""
         return (self.bytes_per_elem * elements, self.flops_per_elem * elements)
-
-
-@dataclass(frozen=True)
-class LaunchConfig:
-    """CUDA launch geometry: 1-D grid of 1-D blocks (as in the paper)."""
-
-    blocks: int
-    block_size: int
-
-    @classmethod
-    def for_elements(cls, elements: int, block_size: int = DEFAULT_BLOCK_SIZE) -> "LaunchConfig":
-        """One thread per element: nblocks = ceil(elements / block_size)."""
-        if elements < 0:
-            raise ValueError("negative element count")
-        blocks = (elements + block_size - 1) // block_size
-        return cls(blocks=blocks, block_size=block_size)
 
 
 KERNEL_REGISTRY: dict[str, KernelSpec] = {}

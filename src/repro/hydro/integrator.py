@@ -466,11 +466,9 @@ class LagrangianEulerianIntegrator:
     def _reset_derived(self, level) -> None:
         """After regrid: recompute the EOS on the transferred data (the
         regridder has already zeroed the work arrays of a rebuilt level
-        and the non-primary fields of a kept one)."""
-        pi = self.patch_integrator
-        for patch in level:  # samrcheck: ok(slab): rare post-regrid fixup over a single level
-            rank = self.comm.rank(patch.owner)
-            pi.ideal_gas(patch, rank, ext=0)
+        and the non-primary fields of a kept one): one stacked sweep per
+        shape bucket, charged as one launch per patch."""
+        self.patch_integrator.reset_eos(level, self.comm)
 
     # -- run loops ----------------------------------------------------------------
 

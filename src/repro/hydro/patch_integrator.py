@@ -17,18 +17,21 @@ patch's data:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from ..exec.backend import (
     Backend,
     backend_for,
-    charge_per_patch,
+    record_per_patch,
     stacked_of,
     write_slabs,
     zero_slabs,
 )
-from ..exec.batch import BatchMember, StepParams
+from ..exec.batch import BatchMember, LaunchBatcher, StepParams
+from ..gpu.ledger import ChargeLedger
 from ..util import nan_min
+from ..xfer.message import UnchargedSink
 from . import kernels as K
 from .fields import GHOSTS
 
@@ -76,6 +79,19 @@ def _per_step(dt) -> StepParams:
     the launch reads when its body runs (what a replayed step graph
     binds)."""
     return dt if isinstance(dt, StepParams) else StepParams(dt=dt)
+
+
+class _Recorder:
+    """A launch collector that runs nothing: each collected launch's
+    charge rows go into ``ledger`` as its backend would charge it."""
+
+    def __init__(self, ledger: ChargeLedger):
+        self.ledger = ledger
+
+    def collect(self, backend, rank, kernel, member, level=None,  # noqa: ARG002 — LaunchBatcher.collect's signature
+                combine=None) -> None:
+        backend.record(self.ledger, kernel, member.elements, member.reads,
+                       member.writes)
 
 
 class CleverleafPatchIntegrator:
@@ -176,10 +192,10 @@ class CleverleafPatchIntegrator:
         paper's set-up), once per shape bucket over its stacked cell
         centres, and written with their ghost values straight into each
         owner's primary arena slabs; the work arrays are zeroed one slab
-        each.  The modelled clock charges what the paper's set-up issues
-        per patch, in turn: one H2D per primary field and one
-        ``pdat.fill`` per work array (from a ChargeLedger), then the
-        patch's EOS launch.
+        each; the EOS runs one stacked sweep per shape bucket.  The
+        modelled clock charges what the paper's set-up issues per patch,
+        in turn, from one ChargeLedger: one H2D per primary field, one
+        ``pdat.fill`` per work array, then the patch's EOS launch.
         """
         owners: dict[int, list] = {}
         for bucket in level.buckets:
@@ -188,9 +204,51 @@ class CleverleafPatchIntegrator:
             write_slabs(buckets[0].fields("density0")[0].space,
                         self._write_initial, level, buckets, problem)
         zero_slabs(level, WORK_FIELDS)
-        charge_per_patch(
-            level, INITIAL_GHOSTS, WORK_FIELDS,
-            lambda patch: self.ideal_gas(patch, comm.rank(patch.owner)))
+        self._eos_level(level, comm, INITIAL_GHOSTS, WORK_FIELDS)
+
+    def reset_eos(self, level: "PatchLevel", comm: "SimCommunicator") -> None:
+        """Recompute the EOS (``ideal_gas``, no extension) on every patch
+        of ``level``: one uncharged stacked sweep per shape bucket,
+        charged as one ``hydro.ideal_gas`` launch per patch."""
+        self._eos_level(level, comm, (), ())
+
+    def _eos_level(self, level, comm, copied, zeroed) -> None:
+        """The EOS over every patch of ``level``, executed one stacked
+        sweep per shape bucket (chunked like a step's sweeps: one
+        uncharged launch per owner, through an uncharged sink) and charged patch by patch in level
+        order from one ledger: the ``copied`` fields' H2D copies and the
+        ``zeroed`` fields' ``pdat.fill`` launches an uncharged slab
+        program already stood for, then the patch's ``ideal_gas`` launch
+        as its backend charges it."""
+        sweep = LaunchBatcher(True)
+        with self._collecting(sweep):
+            # a level allocated patch by patch has no buckets: its patches
+            # are units of one
+            self._visit(level.buckets or level.patches, comm, self.ideal_gas)
+        UnchargedSink(comm).flush_fusion(sweep)
+        ledger = ChargeLedger()
+        with self._collecting(_Recorder(ledger)):
+            record_per_patch(
+                ledger, level, copied, zeroed,
+                lambda patch: self.ideal_gas(patch, comm.rank(patch.owner)))
+        ledger.charge()
+
+    @staticmethod
+    def _visit(units, comm, kernel) -> None:
+        """Issue ``kernel(unit, rank)`` for every sweep unit in ``units``
+        (collected: the caller has set :attr:`sink`)."""
+        for unit in units:
+            kernel(unit, comm.rank(unit.owner))
+
+    @contextmanager
+    def _collecting(self, sink):
+        """Launches issued inside go to ``sink`` (a collector with
+        ``collect``), not to their backends."""
+        before, self.sink = self.sink, sink
+        try:
+            yield
+        finally:
+            self.sink = before
 
     @staticmethod
     def _write_initial(level: "PatchLevel", buckets, problem) -> None:

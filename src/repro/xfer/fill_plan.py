@@ -1,4 +1,4 @@
-"""Compiled ghost fills: the one executor of every fill schedule.
+"""Compiled ghost fills: what every fill schedule executes and charges.
 
 Between regrids a fill schedule's levels, boxes and arenas cannot change
 (``ScheduleCache`` hands back the same schedule object until a level is
@@ -24,6 +24,12 @@ fields are bitwise the same.  Each coarse block in a scratch slab is a
 :class:`~repro.exec.plan.ScratchBlock` token in declarations.  A
 schedule's :class:`FillPlan` binds the shared indices to its variables'
 arenas and dies with it.
+
+A level-wide plan is what a fill executes, whatever the schedule's
+grouping.  A per-patch plan is the paper's shape as a description:
+:meth:`FillPlan.record` reads its compiled sizes into
+:class:`~repro.gpu.ledger.ChargeLedger` rows (what executing it through
+an immediate sink charged), and a graph builder records it as tasks.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..comm.simcomm import Message
 from ..exec.backend import backend_for, slab_of
 from ..exec.batch import BatchMember, LaunchBatcher
 from ..exec.plan import (
@@ -48,6 +55,7 @@ from ..geom.interp_math import flat_refine_terms
 from ..geom.operators import RefineOperator
 from ..mesh.box_array import box_points
 from ..sched.task import TaskKind
+from .message import MESSAGE_HEADER_BYTES
 from .overlap import index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -380,30 +388,58 @@ class _RankInterp:
                         yield (seg.blocks[b],
                                src_patch.data(seg.bound.name), sub)
 
-    def gather(self, scratch: Scratch) -> CopyPlan:
-        """The ``fill.gather`` copy: same-rank coarse data into scratch."""
-        groups, count, total = [], 0, 0
+    def gather_sizes(self) -> tuple[int, int, int]:
+        """``(regions, elements, flat-index ops)`` of the ``fill.gather``
+        copy, from the compiled bounds."""
+        count = total = ops = 0
         for part in self.parts:
             if part.fi.gather is None:
                 continue
-            into, frm, bounds, items = part.fi.gather
+            _, _, bounds, items = part.fi.gather
+            n = len(part.segments)
+            count += int(items[part.b1] - items[part.b0]) * n
+            total += int(bounds[part.b1] - bounds[part.b0]) * n
+            ops += n
+        return count, total, ops
+
+    def gather(self, scratch: Scratch) -> CopyPlan:
+        """The ``fill.gather`` copy: same-rank coarse data into scratch."""
+        groups = []
+        for part in self.parts:
+            if part.fi.gather is None:
+                continue
+            into, frm, bounds, _ = part.fi.gather
             into, frm = part.cut(into, bounds, True), part.cut(frm, bounds)
             groups.extend((seg.store(scratch), seg.bound.coarse_arena,
                            into, frm) for seg in part.segments)
-            count += int(items[part.b1] - items[part.b0]) * len(part.segments)
-            total += len(into) * len(part.segments)
+        count, total, _ = self.gather_sizes()
         return CopyPlan(Lazy(self.gather_items), count, total, groups)
+
+    def _clamped(self, fused: bool) -> list:
+        """``(part, segments)`` of each clamp launch: one for the rank, or
+        one per variable of every part with blocks poking out."""
+        parts = [part for part in self.parts if part.fi.clamp is not None]
+        if fused:
+            return [[(part, part.segments) for part in parts]]
+        return [[(part, [seg])] for part in parts for seg in part.segments]
 
     def clamp_members(self, scratch: Scratch, fused: bool) -> list:
         """The clamp ``pdat.copy`` launches' members, the zero-gradient
         extension of every block poking out of the coarse domain, in
         scratch: one member for the rank, or one per variable."""
-        parts = [part for part in self.parts if part.fi.clamp is not None]
-        if fused:
-            return [_clamp_of(scratch, [(part, part.segments)
-                                        for part in parts])]
-        return [_clamp_of(scratch, [(part, [seg])])
-                for part in parts for seg in part.segments]
+        return [_clamp_of(scratch, parts) for parts in self._clamped(fused)]
+
+    def clamp_sizes(self, fused: bool) -> list[int]:
+        """The element count of each clamp launch, from the compiled
+        offsets."""
+        return [sum(_clamp_size(part) * len(segments)
+                    for part, segments in parts)
+                for parts in self._clamped(fused)]
+
+    def refine_elements(self) -> int:
+        """The element count of the ``geom.refine`` launch."""
+        return sum(int(part.fi.fine[1][part.b1] - part.fi.fine[1][part.b0])
+                   * len(part.segments) for part in self.parts)
 
     def refine_member(self, scratch: Scratch, ratio, marked: bool,
                       fused: bool) -> BatchMember:
@@ -411,7 +447,7 @@ class _RankInterp:
         over every region's points (halo stamps when ``marked``).  It
         stands for one launch per region and variable when ``fused``,
         else for the one launch of its one region."""
-        ops, elements, count, fine_pds = [], 0, 0, {}
+        ops, count, fine_pds = [], 0, {}
         for part in self.parts:
             index, bounds = part.fi.fine
             index = part.cut(index, bounds)
@@ -425,31 +461,39 @@ class _RankInterp:
                             tuple(part.cut(w, bounds) for w in weights),
                             index))
             regions = part.b1 - part.b0
-            elements += len(index) * len(part.segments)
             count += regions * (len(part.segments) if fused else 1)
         marks = [("stamp", ig.dst_patch.data(seg.bound.name),
                   [sp.data(seg.bound.name) for sp, _ in ig.sources])
                  for part, _, ig in self.each()
                  for seg in part.segments] if marked else ()
-        return RefineOperator.batch_member(ops, elements, count,
+        return RefineOperator.batch_member(ops, self.refine_elements(), count,
                                            reads=self.blocks(),
                                            writes=tuple(fine_pds),
                                            marks=marks)
+
+
+def _clamp_blocks(part: _Part) -> list:
+    """The part's blocks poking out of the coarse domain."""
+    return [b for b in part.fi.clamped if part.b0 <= b < part.b1]
+
+
+def _clamp_size(part: _Part) -> int:
+    """Elements of the part's clamped blocks (one variable's)."""
+    offsets = part.fi.offsets
+    return sum(int(offsets[b + 1] - offsets[b]) for b in _clamp_blocks(part))
 
 
 def _clamp_of(scratch: Scratch, parts) -> BatchMember:
     """One clamp member over the clamped blocks of ``(part, segments)``."""
     ops, clamped, elements, count = [], [], 0, 0
     for part, segments in parts:
-        fi = part.fi
-        into, frm, bounds = fi.clamp
-        blocks = [b for b in fi.clamped if part.b0 <= b < part.b1]
+        into, frm, bounds = part.fi.clamp
+        blocks = _clamp_blocks(part)
         into, frm = part.cut(into, bounds, True), part.cut(frm, bounds, True)
         ops.extend((seg.store(scratch), [seg.blocks[b] for b in blocks],
                     into, frm) for seg in segments)
         clamped.extend(seg.blocks[b] for b in blocks for seg in segments)
-        size = sum(int(fi.offsets[b + 1] - fi.offsets[b]) for b in blocks)
-        elements += size * len(segments)
+        elements += _clamp_size(part) * len(segments)
         count += len(blocks) * len(segments)
 
     def body():
@@ -522,6 +566,36 @@ class _Interp:
                 mine.free()
             raise
 
+    def record(self, ledger) -> None:
+        """The rows :meth:`replay` through an immediate sink is charged
+        as, in its order: scratch, gathers, clamps, refines, frees."""
+        for ri in self.ranks.values():
+            ri.backend.record_alloc(ledger, ri.size)
+        for src_rank, ri, pack, unpack in self.gathers:
+            _record_stream(ledger, src_rank, ri.rank, pack, unpack)
+        for index in self.gather_first:
+            ri = self.ranks[index]
+            ri.backend.record_copy(ledger, *ri.gather_sizes())
+        for index in self.clamp_first:
+            ri = self.ranks[index]
+            for elements in ri.clamp_sizes(self.fused):
+                ri.backend.record(ledger, "pdat.copy", elements)
+        for ri in self.ranks.values():
+            ri.backend.record(ledger, "geom.refine", ri.refine_elements())
+        for ri in self.ranks.values():
+            ri.backend.record_free(ledger, ri.size)
+
+
+def _record_stream(ledger, src_rank, dst_rank, pack: StreamPlan,
+                   unpack: StreamPlan) -> None:
+    """The rows one message stream through an immediate sink is charged
+    as: the source's pack leg, the message, the destination's unpack
+    leg."""
+    backend_for(pack[0][0], src_rank).record_pack(ledger, pack)
+    ledger.message(Message(src_rank.index, dst_rank.index,
+                           8 * pack.total + MESSAGE_HEADER_BYTES))
+    backend_for(unpack[0][0], dst_rank).record_unpack(ledger, unpack)
+
 
 class FillPlan:
     """One :class:`RefineSchedule`'s fill, compiled: its copies, message
@@ -553,6 +627,30 @@ class FillPlan:
                               f"fill.L{self.level}", ghost=ghost)
         for unit in self.interps:
             unit.replay(sink, self.level, self.ratio, ghost, checking)
+
+    def record(self, ledger) -> None:
+        """Record into ``ledger`` the rows :meth:`transfer` through an
+        immediate sink is charged as, in its order: launches (through the
+        backend that runs them), synchronous copies, scratch and staging
+        allocations and frees, messages and ``stack`` counts.  Read from
+        the compiled sizes — plan totals, bounds, unit sizes — so it
+        builds no member, body or scratch.  For the per-patch grouping,
+        where every launch stands for one invocation (a fused launch
+        would also count ``batch`` figures)."""
+        for rank, copy in self.copies:
+            backend_for(copy[0][0], rank).record_copy(
+                ledger, copy.count, copy.total, len(copy.groups))
+        for src_rank, dst_rank, pack, unpack in self.streams:
+            _record_stream(ledger, src_rank, dst_rank, pack, unpack)
+        for unit in self.interps:
+            unit.record(ledger)
+
+    def record_finish(self, ledger) -> None:
+        """Record the rows :meth:`finish`'s halo launches are charged as
+        (the timestamps charge nothing)."""
+        for backend, _, member in self.halos:
+            backend.record(ledger, "hydro.update_halo", member.elements,
+                           member.reads, member.writes)
 
     def finish(self, sink, params: "StepParams | None") -> None:
         """Physical boundary conditions, then the new timestamps: the
@@ -664,13 +762,12 @@ def _cut_copies(geom: "FillGeometry", flat: _FlatGeometry, group):
     return out
 
 
-def compile_fill(sched: "RefineSchedule") -> FillPlan:
-    """The schedule's fill as a :class:`FillPlan`, grouped as its
-    ``batch`` says.  Every level involved must be arena-pooled (what
-    level allocation gives); a hand-built, per-patch-allocated one raises
-    :class:`~repro.exec.plan.UnpooledLevelError` naming it."""
+def compile_fill(sched: "RefineSchedule", fused: bool) -> FillPlan:
+    """The schedule's fill as a :class:`FillPlan`, grouped level-wide
+    (``fused``) or per patch.  Every level involved must be arena-pooled
+    (what level allocation gives); a hand-built, per-patch-allocated one
+    raises :class:`~repro.exec.plan.UnpooledLevelError` naming it."""
     ranks = sched.comm.ranks
-    fused = sched.batch
     plan = FillPlan(sched.dst_level.level_number,
                     sched.dst_level.ratio_to_coarser, fused,
                     [spec.var.name for spec, _ in sched.items])

@@ -32,9 +32,10 @@ import numpy as np
 
 from ..check.context import active as _check_active
 from ..comm.simcomm import Message
-from ..exec.backend import backend_for
+from ..exec.backend import backend_for, write_slabs
 from ..exec.batch import BatchSlot
-from ..exec.plan import Scratch
+from ..exec.plan import Scratch, compile_copies
+from ..pdat.space import HOST
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank, SimCommunicator
@@ -47,6 +48,7 @@ __all__ = [
     "copy_batch_local",
     "halo_marks",
     "ImmediateSink",
+    "UnchargedSink",
 ]
 
 #: envelope overhead per point-to-point message (tag, box, datatype info)
@@ -92,6 +94,27 @@ def halo_marks(pairs) -> list:
     return [("stamp", dst, (src,)) for dst, src in pairs]
 
 
+def _note_copy(label: str, items, ghost: bool) -> None:
+    """Tell the sanitizer, if one is active, about a same-rank copy."""
+    chk = _check_active()
+    if chk is not None:
+        chk.note_emission(
+            label, [src for _, src, _ in items],
+            [dst for dst, _, _ in items], ghost_only=ghost,
+            marks=halo_marks((d, s) for d, s, _ in items) if ghost else ())
+
+
+def _note_stream(label: str, pack_items, unpack_items, ghost: bool) -> None:
+    """Tell the sanitizer, if one is active, about a message stream."""
+    chk = _check_active()
+    if chk is not None:
+        srcs = [pd for pd, _ in pack_items]
+        dsts = [pd for pd, _ in unpack_items]
+        chk.note_emission(
+            label, srcs, dsts, ghost_only=ghost,
+            marks=halo_marks(zip(dsts, srcs)) if ghost else ())
+
+
 class ImmediateSink:
     """Runs each verb of a transfer program as it is named.
 
@@ -113,27 +136,20 @@ class ImmediateSink:
         self._messages: list[Message] = []
 
     def copy(self, rank: "Rank", items, label: str, ghost: bool = False) -> None:
-        chk = _check_active()
-        if chk is not None:
-            chk.note_emission(
-                label, [src for _, src, _ in items],
-                [dst for dst, _, _ in items], ghost_only=ghost,
-                marks=halo_marks((d, s) for d, s, _ in items) if ghost else ())
+        _note_copy(label, items, ghost)
         copy_batch_local(items, rank)
 
     def stream_batch(self, src_rank: "Rank", dst_rank: "Rank", pack_items,
                      unpack_items, label: str, ghost: bool = False) -> None:
-        chk = _check_active()
-        if chk is not None:
-            srcs = [pd for pd, _ in pack_items]
-            dsts = [pd for pd, _ in unpack_items]
-            chk.note_emission(
-                label, srcs, dsts, ghost_only=ghost,
-                marks=halo_marks(zip(dsts, srcs)) if ghost else ())
+        _note_stream(label, pack_items, unpack_items, ghost)
         buf = pack_batch(pack_items, src_rank)
-        self._messages.append(Message(src_rank.index, dst_rank.index,
-                                      buf.nbytes + MESSAGE_HEADER_BYTES))
+        self.post(Message(src_rank.index, dst_rank.index,
+                          buf.nbytes + MESSAGE_HEADER_BYTES))
         unpack_batch(buf, unpack_items, dst_rank)
+
+    def post(self, *messages: Message) -> None:
+        """Messages :meth:`close` charges the network for."""
+        self._messages.extend(messages)
 
     def kernel_task(self, backend, rank: "Rank", kernel: str, members,  # noqa: ARG002 — verb signature shared with GraphBuilder
                     combine=None, ghost_only: bool = False) -> BatchSlot:
@@ -176,3 +192,52 @@ class ImmediateSink:
         """Charge the network for every stream posted since the last close."""
         messages, self._messages = self._messages, []
         self.comm.exchange(messages)
+
+
+def _copy(groups) -> None:
+    for dst, src, dst_index, src_index in groups:
+        dst.flat()[dst_index] = src.flat()[src_index]
+
+
+def _slab_to_slab(pack, unpack) -> None:
+    for (src, frm, where), (dst, into, to) in zip(pack, unpack, strict=True):
+        if where != to:
+            raise ValueError("a slab-to-slab stream needs its pack and "
+                             "unpack entries aligned")
+        dst.flat()[into] = src.flat()[frm]
+
+
+class UnchargedSink(ImmediateSink):
+    """Runs each verb of a transfer program as it is named, charging and
+    counting nothing: what a per-patch fill schedule executes the
+    level-wide twin of its plan through, while a
+    :class:`~repro.gpu.ledger.ChargeLedger` charges the per-patch shape.
+
+    A copy is one flat-index write per store pair, a message stream one
+    slab-to-slab write per entry (no staging buffer, no
+    :class:`~repro.comm.simcomm.Message`; the pack and unpack entries of
+    a compiled stream line up), each inside its memory spaces' uncharged
+    write (``write_slabs``); scratch is host memory; a launch runs
+    through its backend's uncharged executor.  Under ``--sanitize``
+    every verb reports itself as :class:`ImmediateSink`'s do.
+    """
+
+    def copy(self, rank: "Rank", items, label: str, ghost: bool = False) -> None:  # noqa: ARG002 — verb signature
+        _note_copy(label, items, ghost)
+        write_slabs(items[0][0].space, _copy, compile_copies(items).groups)
+
+    def stream_batch(self, src_rank: "Rank", dst_rank: "Rank", pack_items,  # noqa: ARG002 — verb signature
+                     unpack_items, label: str, ghost: bool = False) -> None:
+        _note_stream(label, pack_items, unpack_items, ghost)
+        write_slabs(pack_items[0][0].space, write_slabs,
+                    unpack_items[0][0].space, _slab_to_slab,
+                    pack_items.groups, unpack_items.groups)
+
+    def kernel_task(self, backend, rank: "Rank", kernel: str, members,  # noqa: ARG002 — verb signature
+                    combine=None, ghost_only: bool = False) -> BatchSlot:
+        return BatchSlot(backend.execute(kernel, members, combine=combine,
+                                         ghost_only=ghost_only))
+
+    def scratch(self, space, size: int) -> Scratch:  # noqa: ARG002 — verb signature
+        """A transfer's scratch, in host memory."""
+        return Scratch(HOST, size)

@@ -23,8 +23,11 @@ The first time a schedule runs it compiles its transactions into a
 flat-index :class:`~repro.xfer.fill_plan.FillPlan` and from then on
 replays it: no box algebra, no per-region temporaries and no regrouping
 in steady state, on uniform and ragged levels alike.  ``batch`` picks
-only the plan's launch grouping — level-wide launches and rank-pair
-messages, or the paper's per-patch launches and patch-pair messages.
+the grouping the modelled clock charges and the task graph records —
+level-wide launches and rank-pair messages, or the paper's per-patch
+launches and patch-pair messages.  Executed now, every schedule runs the
+level-wide plan; a per-patch one runs it uncharged and charges its
+per-patch plan from ledger rows recorded once.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ import numpy as np
 
 from ..check.context import active as _check_active
 from ..exec.batch import StepParams
+from ..gpu.ledger import ChargeLedger
 from ..mesh.box import Box, IntVector, meet
 from ..mesh.box_array import BoxArray, coalesce
 from ..mesh.variables import Variable
 from .fill_plan import compile_fill
-from .message import ImmediateSink
+from .message import ImmediateSink, UnchargedSink
 from .overlap import index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -222,9 +226,16 @@ class RefineSchedule:
         if src_level is None and not interior:
             src_level = dst_level
         self.src_level = src_level
-        #: the compiled fill, built on first use (so a schedule used once
-        #: pays for it once) and replayed from then on
+        #: the level-wide plan :meth:`fill` executes, compiled on first use
+        #: (so a schedule used once pays for it once) and replayed from
+        #: then on; a level-wide schedule also records it as tasks
         self._plan = None
+        #: a per-patch schedule's per-patch plan, compiled and kept only
+        #: while :meth:`emit_tasks` records it as tasks
+        self._tasks = None
+        #: a per-patch schedule's charges: the ``(transfer, finish)``
+        #: ledger rows of its per-patch plan, recorded once
+        self._charges = None
         cache = geometry_cache if geometry_cache is not None else {}
         self.items: list[tuple[FillSpec, FillGeometry]] = []
         by_geom: dict[int, tuple[FillGeometry, list[FillSpec]]] = {}
@@ -254,41 +265,88 @@ class RefineSchedule:
     # -- the transfer program ----------------------------------------------------
     #
     # The compiled plan states the fill over a sink's verbs: :meth:`fill`
-    # runs it against an :class:`~repro.xfer.message.ImmediateSink`,
-    # :meth:`emit_tasks` against a graph builder.
+    # runs it against an immediate sink, :meth:`emit_tasks` against a
+    # graph builder.  The plan :meth:`fill` executes is always the
+    # level-wide one; a per-patch schedule runs it uncharged and charges
+    # its per-patch plan's rows instead.
 
     def fill(self, time: float | None = None) -> None:
-        """Execute the schedule now: copies, interpolation, physical BCs."""
-        sink = ImmediateSink(self.comm)
-        self._transfer(sink)
-        sink.close()
-        self._plan.finish(sink, _params(time))
+        """Execute the schedule now: copies, interpolation, physical BCs.
+
+        A level-wide schedule executes its plan through an
+        :class:`~repro.xfer.message.ImmediateSink`, charged as it runs.
+        A per-patch schedule executes the same level-wide plan through an
+        :class:`~repro.xfer.message.UnchargedSink` and charges the
+        per-patch plan — its launches, copies, staging, messages and
+        scratch, in the order executing it issued them — from ledger rows
+        recorded once (:meth:`FillPlan.record
+        <repro.xfer.fill_plan.FillPlan.record>`); both groupings run the
+        same kernels over the same elements, so the fields are the same
+        bits."""
+        params = _params(time)
+        if self.batch:
+            sink = ImmediateSink(self.comm)
+            plan = self._level_wide()
+            self._transfer(sink, plan)
+            sink.close()
+            plan.finish(sink, params)
+            return
+        if self._charges is None:
+            self._charges = self._record_charges()
+        plan = self._level_wide()
+        sink = UnchargedSink(self.comm)
+        self._transfer(sink, plan)
+        plan.finish(sink, params)
+        transfer, finish = self._charges
+        posted = ImmediateSink(self.comm)
+        transfer.replay(posted.post)
+        posted.close()
+        finish.replay()
 
     def emit_tasks(self, gb,
                    time: "float | StepParams | None" = None) -> None:
         """Record the schedule into a graph builder (the scheduler path).
 
-        The same program as :meth:`fill`, in the same order, landing as
-        typed tasks: fused local copies, six-stage message streams for
-        cross-rank batches, interpolation gathers + refines, physical
-        BCs, and host-side frees and timestamp updates.  Dependencies
-        come from the builder's read/write tracking, so any topological
-        order reproduces :meth:`fill` bit for bit.  ``time`` may be a
-        :class:`~repro.exec.batch.StepParams`, whose ``time`` the
+        The same program as :meth:`fill` charges, in the same order,
+        landing as typed tasks: fused local copies, six-stage message
+        streams for cross-rank batches, interpolation gathers + refines,
+        physical BCs, and host-side frees and timestamp updates.
+        Dependencies come from the builder's read/write tracking, so any
+        topological order reproduces :meth:`fill` bit for bit.  ``time``
+        may be a :class:`~repro.exec.batch.StepParams`, whose ``time`` the
         timestamp tasks read when they run, so a replayed graph stamps
         each step's time.
         """
-        self._transfer(gb)
-        self._plan.finish(gb, _params(time))
+        if self.batch:
+            plan = self._level_wide()
+        else:
+            if self._tasks is None:
+                self._tasks = compile_fill(self, False)
+            plan = self._tasks
+        self._transfer(gb, plan)
+        plan.finish(gb, _params(time))
 
-    def _transfer(self, sink) -> None:
+    def _level_wide(self):
+        """The level-wide plan (raises on unpooled levels)."""
+        if self._plan is None:
+            self._plan = compile_fill(self, True)
+        return self._plan
+
+    def _record_charges(self) -> tuple:
+        """The per-patch plan's ``(transfer, finish)`` rows; the plan
+        itself is dropped unless it is recorded as tasks."""
+        plan = self._tasks or compile_fill(self, False)
+        transfer, finish = ChargeLedger(), ChargeLedger()
+        plan.record(transfer)
+        plan.record_finish(finish)
+        return transfer, finish
+
+    def _transfer(self, sink, plan) -> None:
         """Same-level copies, then coarse-level interpolation."""
         chk = _check_active()
         if chk is not None:
             sink.note(self._note_fill_start, chk)
-        if self._plan is None:
-            self._plan = compile_fill(self)  # once; raises on unpooled levels
-        self._plan.transfer(sink, not self.interior, chk is not None)
+        plan.transfer(sink, not self.interior, chk is not None)
 
     def _note_fill_start(self, chk) -> None:
         """Tell the sanitizer this fill begins (emission order; a sink

@@ -24,14 +24,32 @@ stencils to them bit for bit.
 the same bits, and the per-patch grouping the same launch sequence and
 device high-water; and compiled syncs of both groupings the same bits,
 launch sequence, messages and device high-water as their program here.
+Until a per-patch :class:`~repro.xfer.refine_schedule.RefineSchedule`
+executed the level-wide twin of its plan uncharged and charged the
+per-patch plan from ledger rows, it executed the per-patch plan itself
+through an immediate sink: :func:`per_patch_fills` swaps that back in
+for a run, and :class:`RecordingSink` walks a plan the way that sink ran
+it, writing down the ledger rows each verb was charged as.
+``tests/test_fill_ledger.py`` holds the two against each other.
+
 Written against the public schedule, sink, plan and operator APIs only.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
 from repro.check.context import active as _check_active
-from repro.exec.backend import array_of, backend_for, frame_of, run_on, slab_of
-from repro.exec.batch import BatchMember, LaunchBatcher
+from repro.comm.simcomm import Message
+from repro.exec.backend import (
+    ResidentDeviceBackend,
+    array_of,
+    backend_for,
+    frame_of,
+    run_on,
+    slab_of,
+)
+from repro.exec.batch import BatchMember, LaunchBatcher, StepParams
 from repro.exec.plan import StreamPlan, flat_index, level_arenas, store_of
 from repro.geom.operators import (
     CellMassWeightedCoarsen,
@@ -45,7 +63,8 @@ from repro.mesh.box_array import box_points
 from repro.mesh.variables import Variable
 from repro.sched.task import TaskKind
 from repro.xfer.coarsen_schedule import CoarsenSchedule
-from repro.xfer.message import ImmediateSink, halo_marks
+from repro.xfer.fill_plan import compile_fill
+from repro.xfer.message import MESSAGE_HEADER_BYTES, ImmediateSink, halo_marks
 from repro.xfer.overlap import index_box_for
 from repro.xfer.refine_schedule import RefineSchedule
 
@@ -475,3 +494,128 @@ class PerTransactionSync(CoarsenSchedule):
                 (arena[coarse], index[var == v], keep[var == v])
                 for v, arena in enumerate(arenas)]
         return unpacks
+
+
+# -- the per-patch plan, executed --------------------------------------------
+
+
+def per_patch_plan(sched: RefineSchedule):
+    """The schedule's per-patch plan, compiled once and kept on it."""
+    plan = getattr(sched, "_oracle_plan", None)
+    if plan is None:
+        plan = sched._oracle_plan = compile_fill(sched, False)
+    return plan
+
+
+def execute_per_patch(sched: RefineSchedule, time=None) -> None:
+    """One fill of ``sched`` as a per-patch schedule filled until it ran
+    its level-wide twin: the per-patch plan through an immediate sink,
+    charged as it executes."""
+    plan = per_patch_plan(sched)
+    sink = ImmediateSink(sched.comm)
+    sched._transfer(sink, plan)
+    sink.close()
+    plan.finish(sink, None if time is None else StepParams(time=time))
+
+
+@contextmanager
+def per_patch_fills(monkeypatch):
+    """Per-patch schedules filled inside the block execute their
+    per-patch plan (level-wide ones are unchanged)."""
+    fill = RefineSchedule.fill
+
+    def oracle_fill(self, time=None):
+        if self.batch:
+            return fill(self, time)
+        return execute_per_patch(self, time)
+
+    with monkeypatch.context() as m:
+        m.setattr(RefineSchedule, "fill", oracle_fill)
+        yield
+
+
+class _RecordedScratch:
+    """A stand-in scratch: its segments are stores nothing reads, its
+    free is a ledger row."""
+
+    def __init__(self, ledger, space, size: int):
+        self.ledger, self.space, self.size = ledger, space, size
+
+    def segment(self, lo, hi):
+        return (self, lo, hi)
+
+    def free(self) -> None:
+        if self.space.resident:
+            self.ledger.free(self.space, 8 * self.size)
+
+
+class RecordingSink:
+    """Walks a transfer program and writes into ``ledger`` the rows an
+    immediate sink was charged as for each verb, from the verb's
+    arguments: a copy or a launch on the resource its backend runs on, a
+    stream's staging (device memory: allocate, copy across the bus,
+    free) around its pack and unpack, the message between, the ``stack``
+    counts of every compiled copy, scratch allocations and frees.  Runs
+    no body."""
+
+    def __init__(self, ledger):
+        self.ledger = ledger
+
+    def _launch(self, backend, kernel: str, elements: int) -> None:
+        if isinstance(backend, ResidentDeviceBackend):
+            self.ledger.launch(backend.device, kernel, elements)
+        elif backend.rank is not None:
+            self.ledger.cpu(backend.rank, kernel, elements)
+
+    def _stack(self, backend, kernel: str, plan) -> None:
+        if plan.groups and backend.rank is not None:
+            self.ledger.stack(backend.rank, kernel, plan.count,
+                              len(plan.groups))
+
+    def copy(self, rank, items, label, ghost=False) -> None:  # noqa: ARG002
+        backend = backend_for(items[0][0], rank)
+        self._launch(backend, "pdat.copy", items.total)
+        self._stack(backend, "pdat.copy", items)
+
+    def stream_batch(self, src_rank, dst_rank, pack, unpack, label,  # noqa: ARG002
+                     ghost=False) -> None:
+        nbytes = 8 * pack.total
+        src = backend_for(pack[0][0], src_rank)
+        if src.space.resident:
+            self.ledger.alloc(src.space, nbytes)
+        self._launch(src, "pdat.pack", pack.total)
+        self._stack(src, "pdat.pack", pack)
+        if src.space.resident:
+            self.ledger.d2h(src.space, nbytes)
+            self.ledger.free(src.space, nbytes)
+        self.ledger.message(Message(src_rank.index, dst_rank.index,
+                                    nbytes + MESSAGE_HEADER_BYTES))
+        dst = backend_for(unpack[0][0], dst_rank)
+        if dst.space.resident:
+            self.ledger.alloc(dst.space, nbytes)
+            self.ledger.h2d(dst.space, nbytes)
+        self._launch(dst, "pdat.unpack", unpack.total)
+        if dst.space.resident:
+            self.ledger.free(dst.space, nbytes)
+        self._stack(dst, "pdat.unpack", unpack)
+
+    def kernel_task(self, backend, rank, kernel, members, combine=None,  # noqa: ARG002
+                    ghost_only=False) -> None:
+        assert sum(m.count for m in members) <= 1, "a per-patch launch"
+        self._launch(backend, kernel, sum(m.elements for m in members))
+
+    def flush_fusion(self, batcher):
+        return batcher.flush(self.kernel_task)
+
+    def add(self, kind, rank, label, fn, reads=(), writes=(),  # noqa: ARG002
+            ghost_only=False, marks=()) -> None:
+        if kind is TaskKind.FREE:
+            fn(None)
+
+    def scratch(self, space, size: int):
+        if space.resident:
+            self.ledger.alloc(space, 8 * size)
+        return _RecordedScratch(self.ledger, space, size)
+
+    def note(self, fn, *args) -> None:
+        pass

@@ -5,7 +5,8 @@ level was set up: the regridder zeroed every (patch, variable) with one
 ``pdat.fill`` launch, and initialisation visited each patch in turn —
 its cell centres, the problem's initial state, one host frame per
 primary field copied up with one synchronous H2D, one ``pdat.fill`` per
-work array, then the patch's EOS launch.
+work array, then the patch's EOS launch; after a regrid's transfer, the
+EOS ran once more on every patch of a level, one launch each.
 
 ``tests/test_ledger.py`` asserts the slab program (one fill and one
 initial-condition write per arena slab, the per-patch launches and
@@ -75,12 +76,18 @@ def initialise_patch(pi, patch, rank, problem) -> None:
 
 
 def per_patch(pi):
-    """Patch integrator ``pi``, initialising levels patch by patch."""
+    """Patch integrator ``pi``, initialising levels and recomputing a
+    regridded level's EOS patch by patch."""
     def initialise_level(level, comm, problem):
         for patch in level:
             initialise_patch(pi, patch, comm.rank(patch.owner), problem)
 
+    def reset_eos(level, comm):
+        for patch in level:
+            pi.ideal_gas(patch, comm.rank(patch.owner), ext=0)
+
     pi.initialise_level = initialise_level
+    pi.reset_eos = reset_eos
     return pi
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.gpu.device import K20X, Device, DeviceSpec
 from repro.gpu.errors import DeviceOutOfMemory, MemorySpaceError
-from repro.gpu.kernel import LaunchConfig, kernel_spec, register_kernel
+from repro.gpu.kernel import kernel_spec, register_kernel
 from repro.gpu.memory import DeviceArray
 from repro.gpu.stream import Event
 from repro.util.clock import VirtualClock
@@ -163,24 +163,6 @@ class TestStreamsEvents:
         device.memcpy_dtod(b, a)
         assert pcie_bytes(device) == before
         assert np.array_equal(device.to_host(b), np.zeros(1024))
-
-
-class TestLaunchConfig:
-    def test_exact_multiple(self):
-        cfg = LaunchConfig.for_elements(512, 256)
-        assert cfg.blocks == 2 and cfg.blocks * cfg.block_size == 512
-
-    def test_rounds_up(self):
-        cfg = LaunchConfig.for_elements(513, 256)
-        assert cfg.blocks == 3
-        assert cfg.blocks * cfg.block_size >= 513
-
-    def test_zero_elements(self):
-        assert LaunchConfig.for_elements(0).blocks == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LaunchConfig.for_elements(-1)
 
 
 class TestKernelRegistry:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from init_oracle import cell_centers, per_patch, per_patch_construction
 from init_oracle import zero_level as per_patch_zero
 
-from repro.comm.simcomm import make_communicator
+from repro.comm.simcomm import Message, make_communicator
 from repro.exec.backend import zero_level
 from repro.gpu.device import Device
 from repro.gpu.ledger import ChargeLedger
@@ -35,16 +35,21 @@ from repro.obs.context import activate_tracer, deactivate_tracer
 from repro.obs.trace import Tracer
 from repro.regrid.load_balance import chop_boxes
 from repro.regrid.regridder import RegridConfig
+from repro.xfer.message import ImmediateSink
 
 # -- the ledger against sequential charges ------------------------------------------
 
-#: an event: (device, kind, patch frame shape); "fill"/"copy" launch over
-#: the frame's elements, "h2d" copies its bytes
+#: an event: (rank, kind, patch frame shape); "fill"/"copy" launch on the
+#: rank's device and "cpu" runs a CPU pass over the frame's elements,
+#: "h2d"/"d2h" copy its bytes synchronously, "alloc" allocates them on
+#: the device and "free" frees the rank's latest allocation, "message"
+#: posts them to the next rank
+KINDS = ("fill", "copy", "cpu", "h2d", "d2h", "alloc", "free", "message")
 EVENTS = st.lists(
-    st.tuples(st.integers(0, 2), st.sampled_from(("fill", "copy", "h2d")),
+    st.tuples(st.integers(0, 2), st.sampled_from(KINDS),
               st.tuples(st.integers(1, 40), st.integers(1, 40))),
     max_size=40)
-#: each device's host and default-stream clocks before the events (a
+#: each rank's host and default-stream clocks before the events (a
 #: stream ahead of the host makes a sync copy wait for it)
 STARTS = st.lists(st.tuples(st.floats(0, 1e-3), st.floats(0, 2e-3)),
                   min_size=3, max_size=3)
@@ -52,20 +57,18 @@ STARTS = st.lists(st.tuples(st.floats(0, 1e-3), st.floats(0, 2e-3)),
 KERNEL = {"fill": "pdat.fill", "copy": "pdat.copy"}
 
 
-def _devices(starts):
-    devices = []
-    for i, (host, stream) in enumerate(starts):
-        device = Device()
-        device.trace_rank = i
-        device.host_clock.advance(host)
-        device.default_stream.clock.advance(stream)
-        devices.append(device)
-    return devices
+def _ranks(starts):
+    comm = make_communicator("IPA", len(starts))
+    for rank, (host, stream) in zip(comm.ranks, starts):
+        rank.clock.advance(host)
+        rank.device.default_stream.clock.advance(stream)
+    return comm
 
 
-def _state(devices):
-    return [(d.host_clock.time, d.default_stream.clock.time,
-             d.metrics.snapshot()) for d in devices]
+def _state(comm):
+    return [(r.clock.time, r.device.default_stream.clock.time,
+             r.device.bytes_allocated, r.metrics.snapshot())
+            for r in comm.ranks]
 
 
 def _traced(fn):
@@ -83,29 +86,61 @@ def _traced(fn):
 @given(EVENTS, STARTS, st.integers(0, 40), st.booleans())
 def test_replay_equals_sequential_charges(events, starts, cut, traced):
     """Replay does the float operations of the sequential calls in their
-    order: clocks, counters and spans compare ``==``.  A charge part way
+    order — launches, CPU passes, sync copies, allocations and frees,
+    messages exchanged when the sink closes: clocks, counters, the
+    device high-water mark and spans compare ``==``.  A charge part way
     through (``cut``) changes nothing."""
-    seq, led = _devices(starts), _devices(starts)
+    seq, led = _ranks(starts), _ranks(starts)
+    held = [[] for _ in seq.ranks]  # live until the states are compared
 
     def sequential():
+        sink = ImmediateSink(seq)
         for owner, kind, shape in events:
+            rank = seq.rank(owner)
+            device = rank.device
             n = (shape[0] + 4) * (shape[1] + 4)
-            if kind == "h2d":
-                seq[owner]._charge_transfer(8 * n, None, "h2d")
+            if kind in KERNEL:
+                device.launch(KERNEL[kind], n, lambda: None)
+            elif kind == "cpu":
+                rank.cpu_run("pdat.copy", n, lambda: None)
+            elif kind in ("h2d", "d2h"):
+                device._charge_transfer(8 * n, None, kind)
+            elif kind == "alloc":
+                held[owner].append(device.empty((n,)))
+            elif kind == "free":
+                if held[owner]:
+                    held[owner].pop().free()
             else:
-                seq[owner].launch(KERNEL[kind], n, lambda: None)
+                sink.post(Message(owner, (owner + 1) % 3, 8 * n))
+        sink.close()
 
     def replayed():
+        sink = ImmediateSink(led)
         ledger = ChargeLedger()
+        sizes = [[] for _ in led.ranks]
         for i, (owner, kind, shape) in enumerate(events):
             if i == cut:
-                ledger.charge()
+                ledger.replay(sink.post)
+                ledger = ChargeLedger()
+            rank = led.rank(owner)
+            device = rank.device
             n = (shape[0] + 4) * (shape[1] + 4)
-            if kind == "h2d":
-                ledger.h2d(led[owner], 8 * n)
+            if kind in KERNEL:
+                ledger.launch(device, KERNEL[kind], n)
+            elif kind == "cpu":
+                ledger.cpu(rank, "pdat.copy", n)
+            elif kind in ("h2d", "d2h"):
+                getattr(ledger, kind)(device, 8 * n)
+            elif kind == "alloc":
+                sizes[owner].append(8 * n)
+                ledger.alloc(device, 8 * n)
+            elif kind == "free":
+                if sizes[owner]:
+                    ledger.free(device, sizes[owner].pop())
             else:
-                ledger.launch(led[owner], KERNEL[kind], n)
-        ledger.charge()
+                ledger.message(Message(owner, (owner + 1) % 3, 8 * n))
+        ledger.replay(sink.post)
+        sink.close()
 
     if traced:
         assert _traced(sequential) == _traced(replayed)
@@ -113,6 +148,45 @@ def test_replay_equals_sequential_charges(events, starts, cut, traced):
         sequential()
         replayed()
     assert _state(seq) == _state(led)
+
+
+def test_replay_keeps_its_rows():
+    """A kept row set replayed twice charges what two sequential passes
+    charge (``charge`` is a replay that forgets)."""
+    seq, led = _ranks([(0.0, 0.0)] * 3), _ranks([(0.0, 0.0)] * 3)
+    ledger = ChargeLedger()
+    for rank in led.ranks:
+        ledger.launch(rank.device, "pdat.fill", 64, 100)
+        ledger.alloc(rank.device, 800)
+        ledger.h2d(rank.device, 800)
+        ledger.free(rank.device, 800)
+        ledger.cpu(rank, "pdat.copy", 10)
+    for _ in range(2):
+        ledger.replay()
+        for rank in seq.ranks:
+            for n in (64, 100):
+                rank.device.launch("pdat.fill", n, lambda: None)
+            rank.device.empty((100,)).free()
+            rank.device._charge_transfer(800, None, "h2d")
+            rank.cpu_run("pdat.copy", 10, lambda: None)
+    assert len(ledger.rows) == 15
+    assert _state(seq) == _state(led)
+
+
+def test_an_allocation_over_capacity_raises_and_releases_what_the_replay_held():
+    """An over-capacity row raises the device's own error, and what the
+    replay allocated before it is released, as executing calls release
+    their scratch."""
+    from repro.gpu.errors import DeviceOutOfMemory
+
+    device = Device()
+    ledger = ChargeLedger()
+    ledger.alloc(device, 1000)
+    ledger.alloc(device, device.spec.memory_bytes)
+    with pytest.raises(DeviceOutOfMemory):
+        ledger.replay()
+    assert device.bytes_allocated == 0
+    assert device.peak_bytes == 1000
 
 
 def test_charge_forgets_what_it_charged():

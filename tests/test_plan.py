@@ -55,6 +55,9 @@ from repro.hydro.problems import SodProblem
 from repro.mesh.box import Box, IntVector
 from repro.mesh.box_array import box_points
 from repro.mesh.variables import CudaDataFactory, Variable
+from repro.obs.context import activate_tracer, deactivate_tracer
+from repro.obs.lanes import HOST as HOST_LANE
+from repro.obs.trace import Tracer
 from repro.pdat import HOST, Arena, PatchData
 from repro.regrid.load_balance import chop_boxes
 from repro.sched.builder import GraphBuilder
@@ -307,13 +310,15 @@ def _ragged_sim(steps=0, batch=True):
 
 def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
         monkeypatch):
-    """Level-wide, one scratch slab for the one rank; per patch, one per
-    interpolated region, where the region's temporaries were.  A cached
-    sync, in either grouping, allocates one scratch slab per ship (what
-    each ``sync.free`` releases: one per rank pair level-wide, one per
+    """Level-wide, one scratch slab for the one rank; per patch, one
+    device allocation per interpolated region, where the region's
+    temporaries were (charged from the schedule's ledger rows, which
+    allocate through the same ``Device._alloc``).  A cached sync, in
+    either grouping, allocates one scratch slab per ship (what each
+    ``sync.free`` releases: one per rank pair level-wide, one per
     transaction else), no patch data, does no box algebra and compiles
     no item list."""
-    counts = {"Box.__init__": 0, "Box.slices_in": 0, "Device.empty": 0,
+    counts = {"Box.__init__": 0, "Box.slices_in": 0, "Device._alloc": 0,
               "allocate": 0, "compile": 0, "sync.free": 0}
 
     def counting(cls, attr, key, when=lambda *args, **kwargs: True):
@@ -326,7 +331,7 @@ def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
 
     counting(Box, "__init__", "Box.__init__")
     counting(Box, "slices_in", "Box.slices_in")
-    counting(Device, "empty", "Device.empty")
+    counting(Device, "_alloc", "Device._alloc")
     counting(CudaDataFactory, "allocate", "allocate")
     counting(backend_module, "compile_copies", "compile",
              lambda items: not isinstance(items, CopyPlan))
@@ -348,7 +353,7 @@ def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
         counts.update(dict.fromkeys(counts, 0))
         sched.fill(time=0.0)
         assert counts["Box.__init__"] == 0 and counts["Box.slices_in"] == 0
-        assert counts["Device.empty"] == (1 if batch else regions), batch
+        assert counts["Device._alloc"] == (1 if batch else regions), batch
 
         sync = sim._coarsen_schedule_for(level.level_number)
         sync.coarsen()  # first use compiles the sync
@@ -361,7 +366,7 @@ def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
         assert counts["sync.free"] == (len(pairs) if batch
                                        else len(sync.transactions))
         assert counts["Box.__init__"] == 0, batch
-        assert counts["Device.empty"] == counts["sync.free"], batch
+        assert counts["Device._alloc"] == counts["sync.free"], batch
         assert counts["allocate"] == 0 and counts["compile"] == 0, batch
 
 
@@ -420,17 +425,12 @@ ORACLE_FIELDS = ("density0", "energy0", "xvel0", "yvel0", "vol_flux_x",
 
 @contextmanager
 def _recording():
-    """``(launches, messages)`` posted while the block runs: ``(kernel,
-    rank, elements)`` per device launch, ``(src, dst, bytes)`` per
-    message, whichever sink posted it."""
+    """``(launches, messages)`` charged while the block runs: ``(kernel,
+    rank, elements)`` per device launch, read from the span its charge
+    emits (whether a launch executed it or a ledger row charged it), and
+    ``(src, dst, bytes)`` per message, whichever sink posted it."""
     launches, messages = [], []
-    launch, exchange = Device.launch, SimCommunicator.exchange
-    isend = SimCommunicator.isend
-
-    def recorded_launch(self, name, elements, fn, *args, **kwargs):
-        launches.append((getattr(name, "name", name), self.trace_rank,
-                         int(elements)))
-        return launch(self, name, elements, fn, *args, **kwargs)
+    exchange, isend = SimCommunicator.exchange, SimCommunicator.isend
 
     def recorded_exchange(self, posted):
         messages.extend((msg.src, msg.dst, msg.nbytes) for msg in posted)
@@ -440,13 +440,18 @@ def _recording():
         messages.append((msg.src, msg.dst, msg.nbytes))
         return isend(self, msg)
 
-    Device.launch, SimCommunicator.exchange = recorded_launch, recorded_exchange
+    tracer = Tracer()
+    SimCommunicator.exchange = recorded_exchange
     SimCommunicator.isend = recorded_isend
+    activate_tracer(tracer)
     try:
         yield launches, messages
     finally:
-        Device.launch, SimCommunicator.exchange = launch, exchange
-        SimCommunicator.isend = isend
+        deactivate_tracer()
+        SimCommunicator.exchange, SimCommunicator.isend = exchange, isend
+        launches.extend((s.name, s.rank, s.payload["elements"])
+                        for s in tracer.spans
+                        if s.category == "kernel" and s.lane != HOST_LANE)
 
 
 def _state(levels, names, seed):
@@ -541,8 +546,9 @@ def test_a_geometry_shared_by_both_groupings_keeps_each_its_own():
     indices included, through the schedule cache.  The grouping lives in
     each schedule's plan, so neither leaks into the other: filled
     alternately, the per-patch one keeps the per-region program's launch
-    sequence and the level-wide one its one copy per owner, both with the
-    per-region program's bits, and the shared indices compile once."""
+    sequence (charged from its ledger rows) and the level-wide one its one
+    copy per owner, both with the per-region program's bits, and the
+    shared indices compile once."""
     sim = _ragged_sim()
     level = sim.hierarchy.level(2)
     coarse = sim.hierarchy.level(1)
@@ -564,7 +570,12 @@ def test_a_geometry_shared_by_both_groupings_keeps_each_its_own():
         got = _outcome(level_wide, state, sim.comm)
         assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
         assert len(level_wide._plan.copies) == owners
-        assert len(per_patch._plan.copies) > owners
+        # the per-patch schedule executes the level-wide twin of its plan
+        # and charges its own per-patch copies from ledger rows
+        assert len(per_patch._plan.copies) == owners
+        transfer, _ = per_patch._charges
+        assert sum(kernel == "pdat.copy"
+                   for _, _, kernel, _ in transfer.rows) > owners
         now = [geom.flat for _, geom in per_patch.items]
         assert flats is None or all(a is b for a, b in zip(flats, now))
         flats = now

@@ -186,34 +186,42 @@ class TestCoarseFineFill:
     def test_temps_released_when_refine_raises(self):
         """An exception anywhere in a fill returns the device pool's
         in-use bytes to their pre-call value: no interpolation scratch
-        outlives the call.  The refine kernel raises on the second region
-        of a per-patch fill, after the first region's unit was freed."""
+        outlives the call.  The refine kernel raises while a fill of
+        either grouping executes: level-wide, with its device scratch
+        held; per patch, which executes its level-wide twin over host
+        scratch and charges its per-patch rows (scratch included) only
+        once the execution has returned, so a failed fill charges
+        nothing."""
         base = CELL_CONSERVATIVE_LINEAR
 
         def combine(*args):
             Failing.calls += 1
-            if Failing.calls == 2:
-                raise FloatingPointError("non-physical state")
-            return base.combine(*args)
+            raise FloatingPointError("non-physical state")
 
         class Failing(CellConservativeLinearRefine):
             calls = 0
             stencil = RefineStencil(base.offsets, base.weights, combine)
 
-        comm, hier, reg, factory = self._world_with_fine(gpus=True)
-        for level in hier:
-            level.patches[0].data("rho").fill(1.0)
-        sched = RefineSchedule(hier.level(1), hier.level(0),
-                               [FillSpec(reg["rho"], Failing())], comm)
-        assert sum(len(g.interps) for _, g in sched.items) >= 2
-        device = comm.rank(0).device
-        before = device.bytes_allocated
-        with pytest.raises(FloatingPointError) as caught:
-            sched.fill()
-        # while the traceback still pins the failed call's frames (so no
-        # garbage collector is doing the schedule's job for it)
-        assert caught.traceback and Failing.calls == 2
-        assert device.bytes_allocated == before
+        for batch in (True, False):
+            comm, hier, reg, factory = self._world_with_fine(gpus=True)
+            for level in hier:
+                level.patches[0].data("rho").fill(1.0)
+            sched = RefineSchedule(hier.level(1), hier.level(0),
+                                   [FillSpec(reg["rho"], Failing())], comm,
+                                   batch=batch)
+            assert sum(len(g.interps) for _, g in sched.items) >= 2
+            device = comm.rank(0).device
+            before = device.bytes_allocated
+            charged = device.metrics.snapshot()
+            Failing.calls = 0
+            with pytest.raises(FloatingPointError) as caught:
+                sched.fill()
+            # while the traceback still pins the failed call's frames (so
+            # no garbage collector is doing the schedule's job for it)
+            assert caught.traceback and Failing.calls == 1
+            assert device.bytes_allocated == before, batch
+            if not batch:
+                assert device.metrics.snapshot() == charged
 
     def test_missing_op_raises(self):
         comm, hier, reg, factory = self._world_with_fine()
