@@ -41,7 +41,7 @@ from ..obs.context import active_tracer
 from ..obs.lanes import HOST as HOST_LANE
 from ..pdat.space import HOST
 from .batch import union_pds
-from .plan import compile_copies, compile_stream, level_arenas
+from .plan import Lazy, compile_copies, compile_stream, level_arenas
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank
@@ -176,16 +176,24 @@ def _to_host(space, staging, stream=None) -> np.ndarray:
 
 def _operands(members) -> tuple:
     """``(reads, writes, ghost_reads, marks, elements)`` of one launch of
-    ``members``: the identity unions of their declarations and the sum
-    of their element counts."""
+    ``members``: the identity unions of their declarations (made when
+    something — the sanitizer, a backend charging its operands — walks
+    them) and the sum of their element counts."""
     if len(members) == 1:
         m = members[0]
         return m.reads, m.writes, m.ghost_reads, m.marks, m.elements
-    return (union_pds(m.reads for m in members),
-            union_pds(m.writes for m in members),
-            union_pds(m.ghost_reads for m in members),
-            [mk for m in members for mk in m.marks],
+    return (Lazy(_union, members, "reads"), Lazy(_union, members, "writes"),
+            Lazy(_union, members, "ghost_reads"), Lazy(_marks, members),
             sum(m.elements for m in members))
+
+
+def _union(members, declared: str):
+    return iter(union_pds(getattr(m, declared) for m in members))
+
+
+def _marks(members):
+    for m in members:
+        yield from m.marks
 
 
 def _fused(members, combine):
@@ -423,34 +431,34 @@ class Backend(abc.ABC):
         self._record_move(ledger, "pdat.copy", total)
         self._record_stack(ledger, "pdat.copy", count, ops)
 
-    def record_pack(self, ledger, plan) -> None:
-        """The rows :meth:`pack_batch` of ``plan`` is charged as: in
+    def record_pack(self, ledger, count: int, total: int, ops: int) -> None:
+        """The rows :meth:`pack_batch` of a plan of ``count`` regions,
+        ``total`` elements and ``ops`` flat-index ops is charged as: in
         device memory, the staging buffer's allocation around the pack,
         then its synchronous D2H and free."""
-        nbytes = 8 * plan.total
+        nbytes = 8 * total
         device = self.space if self.space.resident else None
         if device is not None:
             ledger.alloc(device, nbytes)
-        self._record_move(ledger, "pdat.pack", plan.total)
-        self._record_stack(ledger, "pdat.pack", plan.count, len(plan.groups))
+        self._record_move(ledger, "pdat.pack", total)
+        self._record_stack(ledger, "pdat.pack", count, ops)
         if device is not None:
             ledger.d2h(device, nbytes)
             ledger.free(device, nbytes)
 
-    def record_unpack(self, ledger, plan) -> None:
-        """The rows :meth:`unpack_batch` of ``plan`` is charged as: in
+    def record_unpack(self, ledger, count: int, total: int, ops: int) -> None:
+        """The rows :meth:`unpack_batch` of such a plan is charged as: in
         device memory, the staging buffer's allocation and synchronous
         H2D, the unpack, its free."""
-        nbytes = 8 * plan.total
+        nbytes = 8 * total
         device = self.space if self.space.resident else None
         if device is not None:
             ledger.alloc(device, nbytes)
             ledger.h2d(device, nbytes)
-        self._record_move(ledger, "pdat.unpack", plan.total)
+        self._record_move(ledger, "pdat.unpack", total)
         if device is not None:
             ledger.free(device, nbytes)
-        self._record_stack(ledger, "pdat.unpack", plan.count,
-                           len(plan.groups))
+        self._record_stack(ledger, "pdat.unpack", count, ops)
 
     def record_alloc(self, ledger, elements: int) -> None:
         """The rows allocating ``elements`` float64 elements of scratch

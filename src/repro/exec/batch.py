@@ -26,8 +26,16 @@ group's combined value after a single modelled D2H readback.
 
 from __future__ import annotations
 
+from .plan import Lazy
+
 __all__ = ["BatchMember", "BatchSlot", "LaunchBatcher", "StepParams",
            "union_pds"]
+
+
+def _declared(pds):
+    """Declared operands as given when deferred (a :class:`Lazy`, made
+    when something walks it), else as a tuple."""
+    return pds if isinstance(pds, Lazy) else tuple(pds)
 
 
 class BatchMember:
@@ -40,10 +48,10 @@ class BatchMember:
                  ghost_reads=(), marks=(), count: int = 1):
         self.elements = int(elements)
         self.body = body
-        self.reads = tuple(reads)
-        self.writes = tuple(writes)
+        self.reads = _declared(reads)
+        self.writes = _declared(writes)
         self.ghost_reads = tuple(ghost_reads)
-        self.marks = tuple(marks)
+        self.marks = _declared(marks)
         #: per-patch / per-region invocations this member stands for: 1 for
         #: inherently per-patch work (halo bodies, a sync block's coarsen);
         #: a bucket sweep or a compiled transfer plan hands in one member

@@ -22,13 +22,41 @@ use-after-free checks of a slab apply to every replay.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from ..mesh.box_array import box_points
 
-__all__ = ["CopyPlan", "StreamPlan", "Scratch", "ScratchBlock",
+__all__ = ["CopyPlan", "StreamPlan", "Scratch", "ScratchBlock", "Lazy",
+           "declared",
            "compile_copies", "compile_stream", "flat_index", "ravel_index",
-           "store_of", "level_arenas", "UnpooledLevelError"]
+           "store_of", "level_arenas", "member_frames", "UnpooledLevelError"]
+
+
+class Lazy:
+    """A re-iterable over ``make(*args)``: an item list or a declaration
+    (scratch tokens, patch data) generated only when something — the
+    sanitizer, the graph recorder, a backend charging its operands —
+    walks it.  The first item, what selects a transfer's backend, is
+    kept once asked for."""
+
+    __slots__ = ("make", "args", "_first")
+
+    def __init__(self, make, *args):
+        self.make = make
+        self.args = args
+        self._first = None
+
+    def __iter__(self):
+        return self.make(*self.args)
+
+    def __getitem__(self, i):
+        if i:
+            return next(islice(iter(self), i, None))
+        if self._first is None:
+            self._first = next(iter(self))
+        return self._first
 
 
 def ravel_index(offsets, lowers, shapes, which, coords) -> np.ndarray:
@@ -62,6 +90,17 @@ def flat_index(pds, which, coords) -> np.ndarray:
                        [pd.data.buf.shape for pd in pds], which, coords)
 
 
+def member_frames(level, var) -> tuple:
+    """``(offsets, lowers, shapes)``: per patch of an arena-pooled
+    ``level``, where its data of ``var`` starts in its owner's arena and
+    the frame it covers -- the blocks :func:`ravel_index` takes, so any
+    points of any patches of the level are one call."""
+    frames = level.frames(var)
+    offsets = np.fromiter((p.data(var.name).data.buf.offset
+                           for p in level.patches), np.intp, len(level))
+    return offsets, frames.lower, frames.shape()
+
+
 def store_of(pd):
     """The store ``pd`` is a member of: its arena, or, for patch data
     allocated on its own, its own buffer (the one member, at offset 0)."""
@@ -73,10 +112,14 @@ class UnpooledLevelError(ValueError):
 
 
 def level_arenas(level, name: str) -> dict:
-    """``{owner: arena}`` of one variable on a level.  Raises
+    """``{owner: arena}`` of one variable on a level (kept in the level's
+    ``arena_cache`` until a patch's data is set or freed).  Raises
     :class:`UnpooledLevelError` unless every patch's data is a member of
     its owner's one arena (what level allocation gives)."""
-    arenas: dict = {}
+    arenas = level.arena_cache.get(name)
+    if arenas is not None:
+        return arenas
+    arenas = {}
     for patch in level:
         arena = patch.data(name)._arena
         if arena is None or arenas.setdefault(patch.owner, arena) is not arena:
@@ -84,6 +127,7 @@ def level_arenas(level, name: str) -> dict:
                 f"level {level.level_number} holds {name!r} on patch "
                 f"{patch.global_id} outside its owner's arena: a compiled "
                 f"transfer needs levels allocated by PatchLevel.allocate_all")
+    level.arena_cache[name] = arenas
     return arenas
 
 
@@ -92,9 +136,9 @@ class _Plan:
     it was compiled from, so the sink verbs that declare reads, writes
     and halo marks from an item list take a plan unchanged."""
 
-    __slots__ = ("items", "count", "total", "groups")
+    __slots__ = ("items", "count", "total", "groups", "_columns")
 
-    def __init__(self, items, count: int, total: int, groups):
+    def __init__(self, items, count: int, total: int, groups, operands=None):
         #: the items, re-iterable (a schedule passes a lazy view: nothing
         #: but the sanitizer and the graph recorder ever walks them)
         self.items = items
@@ -103,12 +147,30 @@ class _Plan:
         self.total = total
         #: flat-index work, one entry per store (pair)
         self.groups = groups
+        #: the items without their regions to take :meth:`column` from
+        #: (None: the items), then the columns
+        self._columns = operands
 
     def __iter__(self):
         return iter(self.items)
 
     def __getitem__(self, i):
         return self.items[i]
+
+    def column(self, i: int) -> tuple:
+        """The distinct operands at item position ``i`` (a copy's
+        destinations 0 and sources 1; a stream's patch data 0), in first
+        use order: what the transfer declares it writes or reads.  Made
+        once, from the operands a schedule hands in (items whose regions
+        are None, no box built) or else from the items."""
+        if not isinstance(self._columns, tuple):
+            seen: list = []
+            for item in self.items if self._columns is None else self._columns:
+                seen = seen or [{} for _ in item[:-1]]
+                for k, operand in enumerate(item[:-1]):
+                    seen[k][operand] = None
+            self._columns = tuple(tuple(col) for col in seen)
+        return self._columns[i]
 
 
 class CopyPlan(_Plan):
@@ -125,6 +187,15 @@ class StreamPlan(_Plan):
     of the contiguous stream the store's elements occupy."""
 
     __slots__ = ()
+
+
+def declared(items, position: int):
+    """What a transfer of ``items`` declares at item ``position``: a
+    plan's distinct operands (:meth:`_Plan.column`), or every item's of a
+    plain list."""
+    if isinstance(items, _Plan):
+        return items.column(position)
+    return [item[position] for item in items]
 
 
 def compile_copies(items) -> CopyPlan:

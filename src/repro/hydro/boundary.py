@@ -77,6 +77,8 @@ class ReflectiveBoundary:
 
     def __init__(self, parity: dict[str, tuple[int, int]] | None = None):
         self.parity = dict(DEFAULT_PARITY if parity is None else parity)
+        #: :meth:`_walls` per (level domain, variables, walls touched)
+        self._cache: dict = {}
 
     def parity_for(self, name: str) -> tuple[int, int]:
         return self.parity.get(name, (1, 1))
@@ -107,26 +109,20 @@ class ReflectiveBoundary:
         if not touches:
             return None
         from ..exec.batch import BatchMember
+        from ..exec.plan import Lazy
 
-        # Everything but the arrays is fixed per (patch, variable): work
-        # it out here, once, so a schedule that keeps the member replays
-        # the body without any box algebra.
-        domain = patch.level.domain
-        fills = []
-        for var in variables:
-            pd = patch.data(var.name)
-            par = self.parity_for(var.name)
-            fills.append((pd, pd.get_ghost_box(), index_box_for(var, domain), [
-                (axis, side, var.ghosts,
-                 var.centring == "node" or (
-                     var.centring == "side" and var.axis == axis),
-                 par[axis])
-                for axis, side in touches]))
+        # What does not depend on the arrays is fixed per (level domain,
+        # variables, walls touched): worked out once and shared by every
+        # patch with those walls, so a kept member replays the body
+        # without any box algebra.
+        variables = tuple(variables)
+        walls = self._walls(patch.level.domain, variables, tuple(touches))
+        pds = tuple(patch.data(var.name) for var in variables)
 
         def body():
             n = 0
-            for pd, frame, domain_idx, faces in fills:
-                arr = array_of(pd)
+            for pd, (domain_idx, faces) in zip(pds, walls):
+                arr, frame = array_of(pd), pd.get_ghost_box()
                 for axis, side, ghosts, facelike, parity in faces:
                     n += reflect_fill(arr, frame, domain_idx, axis, side,
                                       ghosts, facelike, parity)
@@ -135,13 +131,37 @@ class ReflectiveBoundary:
         # Element count: total ghost-strip area over all fields/faces
         # (only affects the cost model).
         strip = 0
-        for var in variables:
-            frame_shape = patch.data(var.name).get_ghost_box().shape()
-            strip += sum(var.ghosts * frame_shape[1 - axis]
+        for var, pd in zip(variables, pds):
+            frame = pd.get_ghost_box()
+            strip += sum(var.ghosts * (frame.upper[1 - axis]
+                                       - frame.lower[1 - axis] + 1)
                          for axis, _ in touches)
-        pds = [patch.data(var.name) for var in variables]
         # Ghost-only: reflects interior values into ghost layers, so every
         # field's interior generation is untouched and its wall ghosts are
         # refreshed from itself.
         return BatchMember(strip, body, reads=pds, writes=pds,
-                           marks=[("stamp", pd, (pd,)) for pd in pds])
+                           marks=Lazy(_self_stamps, pds))
+
+    def _walls(self, domain: Box, variables: tuple, touches: tuple) -> tuple:
+        """Per variable ``(domain index box, faces)``, each face
+        ``(axis, side, ghosts, facelike, parity)``: what reflecting its
+        walls ``touches`` needs besides the arrays (made once per
+        combination)."""
+        key = (domain.lower, domain.upper, variables, touches)
+        walls = self._cache.get(key)
+        if walls is None:
+            walls = self._cache[key] = tuple(
+                (index_box_for(var, domain), tuple(
+                    (axis, side, var.ghosts,
+                     var.centring == "node" or (
+                         var.centring == "side" and var.axis == axis),
+                     self.parity_for(var.name)[axis])
+                    for axis, side in touches))
+                for var in variables)
+        return walls
+
+
+def _self_stamps(pds):
+    """Each field's wall ghosts now mirror its own interior."""
+    for pd in pds:
+        yield "stamp", pd, (pd,)

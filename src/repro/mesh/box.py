@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-__all__ = ["IntVector", "Box", "meet", "cut", "cells"]
+__all__ = ["IntVector", "Box", "meet", "cells"]
 
 
 class IntVector(tuple):
@@ -108,28 +108,6 @@ def meet(alo, ahi, blo, bhi):
     lo = tuple(map(max, alo, blo))
     hi = tuple(map(min, ahi, bhi))
     return None if any(map(operator.gt, lo, hi)) else (lo, hi)
-
-
-def cut(lo, hi, ilo, ihi) -> list:
-    """Disjoint rows covering a box minus a nonempty box inside it.
-
-    Standard sweep decomposition: peel off slabs axis by axis, the slab
-    below the inner box before the one above it.
-    """
-    pieces = []
-    lo, hi = list(lo), list(hi)
-    for axis, (il, iu) in enumerate(zip(ilo, ihi)):
-        if lo[axis] < il:
-            below = hi.copy()
-            below[axis] = il - 1
-            pieces.append((tuple(lo), tuple(below)))
-            lo[axis] = il
-        if hi[axis] > iu:
-            above = lo.copy()
-            above[axis] = iu + 1
-            pieces.append((tuple(above), tuple(hi)))
-            hi[axis] = iu
-    return pieces
 
 
 def cells(lo, hi) -> int:

@@ -1,5 +1,5 @@
 """Many boxes at once: :class:`BoxArray`, its spatial index, and the
-list-of-rows kernels :func:`claim` / :func:`coalesce`.
+list-of-rows kernel :func:`coalesce`.
 
 A :class:`~repro.mesh.box.Box` is one Python object per box, which is
 the right value type at an API edge and the wrong one for anything done
@@ -28,41 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .box import Box, cells, cut, meet
+from .box import Box, cells
 
-__all__ = ["BoxArray", "box_points", "claim", "coalesce"]
-
-
-# -- lists of corner rows ---------------------------------------------------------
-#
-# The order-dependent part of the calculus -- subtract a sequence of
-# boxes from a region, keeping what each one took -- runs on rows
-# (:mod:`repro.mesh.box`), so it builds no ``Box`` until a result is
-# handed out.
+__all__ = ["BoxArray", "box_points", "coalesce"]
 
 
-def claim(rows: list, takers, claimed: list | None = None) -> list:
-    """What is left of ``rows`` after each taker, in order, has removed
-    its overlap with every remaining row.
-
-    ``takers`` yields ``(key, lower, upper)``; every overlap removed is
-    appended to ``claimed`` as ``(key, lower, upper)`` -- taker by taker,
-    and for one taker in the order of the rows it met.
-    """
-    for key, tlo, thi in takers:
-        if not rows:
-            break
-        nxt = []
-        for lo, hi in rows:
-            overlap = meet(lo, hi, tlo, thi)
-            if overlap is None:
-                nxt.append((lo, hi))
-            else:
-                if claimed is not None:
-                    claimed.append((key, *overlap))
-                nxt.extend(cut(lo, hi, *overlap))
-        rows = nxt
-    return rows
+# -- a list of corner rows ----------------------------------------------------------
 
 
 def coalesce(rows: list) -> list:
@@ -221,32 +192,14 @@ class BoxArray:
                    & (theirs[:, 1] <= self.upper).all(axis=1)))
 
     def subtract(self, other: "Box | BoxArray") -> tuple[np.ndarray, "BoxArray"]:
-        """Row-wise set difference (:func:`~repro.mesh.box.cut`'s sweep
-        decomposition) for every row at once: ``(which, pieces)`` with
-        the pieces of row ``which[k]`` in sweep order and rows in order."""
+        """Row-wise set difference for every row at once (:func:`_cut`):
+        ``(which, pieces)`` with the pieces of row ``which[k]`` in sweep
+        order and rows in order."""
         inter = self.intersect(other)
         hit = ~inter.is_empty()
-        n, dim = len(self), self.dim
-        lo, hi = self.lower.copy(), self.upper.copy()
-        # slot 0: the row itself when nothing is taken from it; then per
-        # axis the slab below and the slab above the overlap
-        slabs = np.empty((n, 1 + 2 * dim, 2, dim), dtype=np.int64)
-        keep = np.zeros((n, 1 + 2 * dim), dtype=bool)
-        slabs[:, 0] = self.corners
-        keep[:, 0] = ~hit & ~self.is_empty()
-        for axis in range(dim):
-            ilo, ihi = inter.lower[:, axis], inter.upper[:, axis]
-            below, above = slabs[:, 1 + 2 * axis], slabs[:, 2 + 2 * axis]
-            below[:, 0], below[:, 1] = lo, hi
-            below[:, 1, axis] = ilo - 1
-            keep[:, 1 + 2 * axis] = hit & (lo[:, axis] < ilo)
-            lo[hit, axis] = ilo[hit]
-            above[:, 0], above[:, 1] = lo, hi
-            above[:, 0, axis] = ihi + 1
-            keep[:, 2 + 2 * axis] = hit & (hi[:, axis] > ihi)
-            hi[hit, axis] = ihi[hit]
-        which, slot = np.nonzero(keep)
-        return which, BoxArray._of(slabs[which, slot])
+        which, pieces = _cut(self.corners, inter.corners, hit)
+        keep = hit[which] | ~self.is_empty()[which]
+        return which[keep], BoxArray._of(pieces[keep])
 
     # -- the spatial index ---------------------------------------------------------
 
@@ -298,32 +251,88 @@ class BoxArray:
         order = np.lexsort((row, query))
         return query[order], row[order]
 
-    def neighbours(self, queries: "BoxArray") -> list[list[int]]:
-        """For every query box, the rows that intersect it, ascending."""
-        query, row = self.pairs(queries)
-        ends = np.cumsum(np.bincount(query, minlength=len(queries))).tolist()
-        row = row.tolist()
-        return [row[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    def claims(self, queries: "BoxArray") -> tuple[tuple, tuple]:
+        """For every query box, the rows that meet it take their overlap in
+        ascending order, each from what the earlier ones left -- the
+        order-dependent step of schedule construction, run for all queries
+        at once, one pass per candidate rank over each query's few
+        neighbours only.
 
-    def claims(self, queries: "BoxArray") -> list[tuple[list, list]]:
-        """For every query box, ``(taken, left)``: the rows that meet it
-        take their overlap in ascending order, each from what the earlier
-        ones left (:func:`claim`).  ``taken`` lists
-        ``(row index, lower, upper)`` per overlap, ``left`` the corner
-        rows nobody took.  The order-dependent step of schedule
-        construction, run over each query's few neighbours only."""
-        rows = self.rows()
-        out = []
-        for row, near, empty in zip(queries.rows(), self.neighbours(queries),
-                                    queries.is_empty().tolist()):
-            taken: list = []
-            left = [] if empty else claim(
-                [row], [(i, *rows[i]) for i in near], taken)
-            out.append((taken, left))
-        return out
+        Returns ``((query, row, taken), (query, left))``: per overlap taken
+        the query, the taking row and its corners, sorted by query, then
+        taker, then the order of the pieces it met (a sequential scan's
+        order); per piece nobody took its query and corners, in the order
+        the scan leaves them.  Pieces are ``(K, 2, dim)`` corner arrays."""
+        query, row = self.pairs(queries)
+        count = np.bincount(query, minlength=len(queries))
+        first = np.cumsum(count) - count
+        # what is left of each query still to meet a candidate: its
+        # pieces, grouped by query in order; a query's pieces are done
+        # together, once it has met all its candidates
+        live = np.flatnonzero(~queries.is_empty())
+        active = count[live] > 0
+        done = [(live[~active], queries.corners[live[~active]])]
+        left_q, left = live[active], queries.corners[live[active]]
+        got = []  # per candidate rank: (query, row, corners)
+        k = 0
+        while len(left_q):
+            taker = row[first[left_q] + k]
+            other = self.corners[taker]
+            overlap = np.stack([np.maximum(left[:, 0], other[:, 0]),
+                                np.minimum(left[:, 1], other[:, 1])], axis=1)
+            hit = (overlap[:, 0] <= overlap[:, 1]).all(axis=1)
+            if hit.any():
+                got.append((left_q[hit], taker[hit], overlap[hit]))
+                which, left = _cut(left, overlap, hit)
+                left_q = left_q[which]
+            k += 1
+            finished = count[left_q] <= k
+            if finished.any():
+                done.append((left_q[finished], left[finished]))
+                left_q, left = left_q[~finished], left[~finished]
+        if got:  # grouped by query, each query's overlaps kept in turn
+            tq, trow, taken = (np.concatenate(col) for col in zip(*got))
+            order = np.argsort(tq, kind="stable")
+            tq, trow, taken = tq[order], trow[order], taken[order]
+        else:
+            tq = trow = np.zeros(0, dtype=np.intp)
+            taken = np.zeros((0, 2, self.dim), dtype=np.int64)
+        left_q, left = (np.concatenate(col) for col in zip(*done))
+        order = np.argsort(left_q, kind="stable")
+        return (tq, trow, taken), (left_q[order], left[order])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BoxArray({self.corners.tolist()})"
+
+
+def _cut(corners: np.ndarray, overlap: np.ndarray,
+         hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``corners`` minus its row of ``overlap`` where ``hit``
+    (a nonempty overlap inside the row), else the row itself:
+    ``(which, pieces)``, the pieces of row ``which[k]`` in sweep order
+    -- slabs peeled off axis by axis, the one below the overlap before
+    the one above it -- and rows in order."""
+    n, dim = len(corners), corners.shape[2]
+    lo, hi = corners[:, 0].copy(), corners[:, 1].copy()
+    # slot 0: the row itself when nothing is taken from it; then per
+    # axis the slab below and the slab above the overlap
+    slabs = np.empty((n, 1 + 2 * dim, 2, dim), dtype=np.int64)
+    keep = np.zeros((n, 1 + 2 * dim), dtype=bool)
+    slabs[:, 0] = corners
+    keep[:, 0] = ~hit
+    for axis in range(dim):
+        ilo, ihi = overlap[:, 0, axis], overlap[:, 1, axis]
+        below, above = slabs[:, 1 + 2 * axis], slabs[:, 2 + 2 * axis]
+        below[:, 0], below[:, 1] = lo, hi
+        below[:, 1, axis] = ilo - 1
+        keep[:, 1 + 2 * axis] = hit & (lo[:, axis] < ilo)
+        lo[hit, axis] = ilo[hit]
+        above[:, 0], above[:, 1] = lo, hi
+        above[:, 0, axis] = ihi + 1
+        keep[:, 2 + 2 * axis] = hit & (hi[:, axis] > ihi)
+        hi[hit, axis] = ihi[hit]
+    which, slot = np.nonzero(keep)
+    return which, slabs[which, slot]
 
 
 def box_points(boxes) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -26,6 +26,7 @@ class Patch:
         self.owner = owner
         self.level = level
         self._data: dict[str, "PatchData"] = {}
+        self._touches: list | None = None
 
     # -- data management ---------------------------------------------------
 
@@ -46,6 +47,7 @@ class Patch:
 
     def set_data(self, name: str, pd: "PatchData") -> None:
         self._data[name] = pd
+        self.level.arena_cache.clear()
 
     def data_names(self) -> list[str]:
         return list(self._data)
@@ -55,6 +57,7 @@ class Patch:
         for pd in self._data.values():
             pd.free()
         self._data.clear()
+        self.level.arena_cache.clear()
 
     # -- geometry helpers ------------------------------------------------------
 
@@ -62,8 +65,13 @@ class Patch:
     def dx(self) -> tuple[float, ...]:
         return self.level.dx
 
-    def touches_boundary(self):
-        return self.level.geometry.touches_boundary(self.box, self.level.ratio_to_base)
+    def touches_boundary(self) -> list[tuple[int, int]]:
+        """The physical boundaries the patch touches, ``(axis, side)``
+        (worked out once: a patch's box and level never change)."""
+        if self._touches is None:
+            self._touches = self.level.geometry.touches_boundary(
+                self.box, self.level.ratio_to_base)
+        return self._touches
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Patch(id={self.global_id}, L{self.level.level_number}, {self.box}, owner={self.owner})"

@@ -5,6 +5,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+import numpy as np
+
 from .box import Box, IntVector
 from .box_array import BoxArray
 from .patch import Patch
@@ -56,6 +58,9 @@ class PatchLevel:
         #: the :class:`~repro.mesh.patch.PatchBucket` units level
         #: allocation formed (none on a level allocated patch by patch)
         self.buckets: list = []
+        #: ``{name: {owner: arena}}`` as ``exec.plan.level_arenas`` found
+        #: them; a patch whose data is set or freed clears it
+        self.arena_cache: dict = {}
 
     # -- queries ---------------------------------------------------------------
 
@@ -78,6 +83,11 @@ class PatchLevel:
         if key not in self._derived:
             self._derived[key] = of(self.box_array)
         return self._derived[key]
+
+    @cached_property
+    def owners(self) -> np.ndarray:
+        """Every patch's owning rank, in patch order."""
+        return np.array([p.owner for p in self.patches], dtype=np.intp)
 
     @cached_property
     def layout_token(self) -> tuple:

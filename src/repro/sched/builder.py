@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from ..check.context import active as _check_active
 from ..exec.batch import union_pds
-from ..exec.plan import Scratch
+from ..exec.plan import Scratch, declared
 from .task import Task, TaskGraph, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -176,8 +176,7 @@ class GraphBuilder:
         return self.add(
             TaskKind.COPY, rank.index, label,
             lambda _stream: copy_batch_local(items, rank),
-            reads=[src for _, src, _ in items],
-            writes=[dst for dst, _, _ in items],
+            reads=declared(items, 1), writes=declared(items, 0),
             ghost_only=ghost, marks=marks)
 
     def stream_batch(self, src_rank: "Rank", dst_rank: "Rank",
@@ -230,7 +229,7 @@ class GraphBuilder:
             dst_backend.unpack_batch_staged(landing, unpack_items)
 
         t_pack = self.add(TaskKind.PACK, src_rank.index, f"{label}.pack",
-                          do_pack, reads=[pd for pd, _ in pack_items])
+                          do_pack, reads=declared(pack_items, 0))
         t_d2h = self.add(TaskKind.D2H, src_rank.index, f"{label}.d2h",
                          do_d2h, after=(t_pack,))
         t_send = self.add(TaskKind.SEND, src_rank.index, f"{label}.send",
@@ -244,5 +243,5 @@ class GraphBuilder:
                  if ghost and _check_active() is not None else ())
         return self.add(TaskKind.UNPACK, dst_rank.index, f"{label}.unpack",
                         do_unpack, after=(t_h2d,),
-                        writes=[pd for pd, _ in unpack_items],
+                        writes=declared(unpack_items, 0),
                         ghost_only=ghost, marks=marks)

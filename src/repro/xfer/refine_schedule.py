@@ -18,6 +18,10 @@ data centring — not on which variable is being moved — so it is computed
 once per (level, centring signature) in :func:`build_fill_geometry` and
 shared by every variable and every fill group until a regrid invalidates
 it.  This mirrors SAMRAI, which caches schedules per variable context.
+It is kept as arrays — patch indices and corner rows, as AMReX keeps its
+FillBoundary metadata — from the levels' box arrays to the compiled
+plan; :class:`FillGeometry` lists its transactions as objects only when
+asked.
 
 The first time a schedule runs it compiles its transactions into a
 flat-index :class:`~repro.xfer.fill_plan.FillPlan` and from then on
@@ -26,24 +30,23 @@ in steady state, on uniform and ragged levels alike.  ``batch`` picks
 the grouping the modelled clock charges and the task graph records —
 level-wide launches and rank-pair messages, or the paper's per-patch
 launches and patch-pair messages.  Executed now, every schedule runs the
-level-wide plan; a per-patch one runs it uncharged and charges its
-per-patch plan from ledger rows recorded once.
+level-wide plan; a per-patch one runs it uncharged and charges the
+per-patch shape from ledger rows read once off the geometry's sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..check.context import active as _check_active
 from ..exec.batch import StepParams
-from ..gpu.ledger import ChargeLedger
-from ..mesh.box import Box, IntVector, meet
+from ..mesh.box import Box, IntVector
 from ..mesh.box_array import BoxArray, coalesce
 from ..mesh.variables import Variable
-from .fill_plan import compile_fill
+from .fill_plan import MixedRefineError, compile_fill, per_patch_rows
 from .message import ImmediateSink, UnchargedSink
 from .overlap import index_box_for
 
@@ -103,16 +106,54 @@ class _InterpGeom:
     sources: list[tuple["Patch", Box]]  # (coarse patch, region of temp)
 
 
-@dataclass
 class FillGeometry:
-    """Variable-independent transactions for one (level, signature)."""
+    """Variable-independent transactions for one (level, signature), as
+    arrays: patch indices into the levels and ``(n, 2, dim)`` corners.
 
-    copies: list[tuple["Patch", "Patch", Box]] = field(default_factory=list)
-    interps: list[_InterpGeom] = field(default_factory=list)
-    #: the transactions as flat indices into the levels' arenas, compiled
-    #: by the first schedule that runs them, whatever its grouping
-    #: (``fill_plan``)
-    flat: object = None
+    Same-level copies, in transaction order: ``copy_src`` (a patch of the
+    source level) fills ``copy_box`` of ``copy_dst`` (of the destination
+    level).  Interpolations: region ``interp_box`` of ``interp_dst`` from
+    the coarse-level block ``interp_frame``, whose sources
+    ``source_start[r]:source_start[r + 1]`` are ``source_patch`` (of the
+    coarse level) supplying ``source_box``.  :attr:`copies` and
+    :attr:`interps` list them as objects, made on each access."""
+
+    def __init__(self, sig, dst_level, src_level, coarse_level, copies,
+                 interps):
+        #: the centring signature the geometry is in
+        self.sig = sig
+        self.dst_level = dst_level
+        self.src_level = src_level
+        self.coarse_level = coarse_level
+        self.copy_src, self.copy_dst, self.copy_box = copies
+        (self.interp_dst, self.interp_box, self.interp_frame,
+         self.source_start, self.source_patch, self.source_box) = interps
+        #: the transactions as flat indices into the levels' arenas, compiled
+        #: by the first schedule that runs them, whatever its grouping
+        #: (``fill_plan``)
+        self.flat = None
+
+    @property
+    def copies(self) -> list[tuple["Patch", "Patch", Box]]:
+        """``(src patch, dst patch, region)`` per copy."""
+        src = self.src_level.patches if self.src_level is not None else ()
+        return [(src[s], self.dst_level.patches[d], Box(lo, hi))
+                for s, d, (lo, hi) in zip(self.copy_src.tolist(),
+                                          self.copy_dst.tolist(),
+                                          self.copy_box.tolist())]
+
+    @property
+    def interps(self) -> list[_InterpGeom]:
+        """An ``_InterpGeom`` per interpolated region."""
+        sources = [(self.coarse_level.patches[s], Box(lo, hi))
+                   for s, (lo, hi) in zip(self.source_patch.tolist(),
+                                          self.source_box.tolist())]
+        start = self.source_start.tolist()
+        return [_InterpGeom(self.dst_level.patches[d], Box(*region),
+                            Box(*frame), sources[start[r]:start[r + 1]])
+                for r, (d, region, frame) in enumerate(zip(
+                    self.interp_dst.tolist(), self.interp_box.tolist(),
+                    self.interp_frame.tolist()))]
 
 
 def build_fill_geometry(
@@ -128,73 +169,78 @@ def build_fill_geometry(
     from ``src_level`` (the old level, possibly None) instead of ghost
     regions from the level itself.
 
-    The regions to fill and, for each, the source patches that can reach
-    it come from the levels' box arrays for all destinations at once;
-    only the order-dependent part -- earlier sources take their overlap
-    first, later ones get what is left -- runs per region, over its few
-    candidates, on corner rows (``BoxArray.claims``).  Sources
-    are visited in level order, so the transactions are the ones a scan
-    of every source patch per destination produces, in the same order.
+    The regions to fill, the source patches that can reach each and the
+    order-dependent part -- earlier sources take their overlap first,
+    later ones get what is left -- come from the levels' box arrays for
+    all destinations at once (``BoxArray.claims``); only merging what
+    no source covers into interpolation regions runs per destination.
+    Sources are visited in level order, so the transactions are the
+    ones a scan of every source patch per destination produces, in the
+    same order.
     """
-    geom = FillGeometry()
     interiors = dst_level.index_boxes(sig)
     if interior:
-        owners, pieces = range(len(interiors)), interiors
+        owners, pieces = np.arange(len(interiors)), interiors
     else:
         owners, pieces = dst_level.frames(sig).subtract(interiors)
-        owners = owners.tolist()
     sources = (src_level.index_boxes(sig) if src_level is not None
                else BoxArray.from_boxes([], interiors.dim))
-    left_of: dict = {}  # destination -> rows no same-level source covers
-    for d, (taken, left) in zip(owners, sources.claims(pieces)):
-        dst = dst_level.patches[d]
-        geom.copies.extend((src_level.patches[s], dst, Box(lo, hi))
-                           for s, lo, hi in taken)
-        if left:
-            left_of.setdefault(d, []).extend(left)
+    (query, src, taken), (rest, left) = sources.claims(pieces)
+    copies = (src, owners[query], taken)
+    # what no same-level source covers, inside the domain, merged per
+    # destination into the regions to interpolate
     domain = index_box_for(sig, dst_level.domain)
-    regions = []
-    for d, left in left_of.items():
-        inside = filter(None, (meet(lo, hi, domain.lower, domain.upper)
-                               for lo, hi in left))
-        regions.extend((dst_level.patches[d], Box(lo, hi))
-                       for lo, hi in coalesce(inside))
-    if regions:
-        if coarse_level is None:
-            raise ValueError(
-                f"level {dst_level.level_number} needs coarse-level fill "
-                "but no coarser level exists"
-            )
-        geom.interps = _build_interp_geoms(sig, regions, dst_level,
-                                           coarse_level)
-    return geom
+    inside = BoxArray._of(left).intersect(domain)
+    keep = ~inside.is_empty()
+    dst = owners[rest[keep]]
+    rows = inside.take(keep).rows()
+    regions, region_dst = [], []
+    ends = np.flatnonzero(np.diff(dst, append=-1)) + 1
+    for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist()):
+        merged = coalesce(rows[lo:hi]) if hi - lo > 1 else rows[lo:hi]
+        regions.extend(merged)
+        region_dst.extend([int(dst[lo])] * len(merged))
+    dim = interiors.dim
+    if regions and coarse_level is None:
+        raise ValueError(
+            f"level {dst_level.level_number} needs coarse-level fill "
+            "but no coarser level exists"
+        )
+    interps = (_interp_geoms(sig, np.array(region_dst, dtype=np.intp),
+                             BoxArray(regions), dst_level, coarse_level)
+               if regions else _no_interps(dim))
+    return FillGeometry(sig, dst_level, src_level, coarse_level, copies,
+                        interps)
 
 
-def _build_interp_geoms(sig, regions, dst_level, coarse_level) -> list:
-    """The :class:`_InterpGeom` of every ``(dst patch, region)``: the
-    coarse frame each interpolation reads and which coarse patch supplies
-    which part of it."""
-    frames = needed_coarse_frame(
-        sig, BoxArray.from_boxes([region for _, region in regions]),
-        dst_level.ratio_to_coarser)
+def _no_interps(dim: int) -> tuple:
+    none = np.zeros(0, dtype=np.intp)
+    boxes = np.zeros((0, 2, dim), dtype=np.int64)
+    return none, boxes, boxes, np.zeros(1, dtype=np.intp), none, boxes
+
+
+def _interp_geoms(sig, dst, regions: BoxArray, dst_level,
+                  coarse_level) -> tuple:
+    """The interpolation arrays of every region: the coarse frame each
+    interpolation reads and which coarse patch supplies which part of
+    it."""
+    frames = needed_coarse_frame(sig, regions, dst_level.ratio_to_coarser)
     needed = frames.intersect(index_box_for(sig, coarse_level.domain))
     # Prefer coarse interiors, then coarse ghost frames (valid after the
     # coarse level's own fill, which runs first): one array, interiors
     # first, claimed in index order.
-    coarse = coarse_level.patches
     sources = BoxArray(np.concatenate([coarse_level.index_boxes(sig).corners,
                                        coarse_level.frames(sig).corners]))
-    out = []
-    for (dst, region), frame, (taken, left) in zip(
-            regions, frames.boxes(), sources.claims(needed)):
-        if left:
-            raise ValueError(
-                f"coarse level does not cover interpolation stencil near "
-                f"{region} (nesting violation?)"
-            )
-        out.append(_InterpGeom(dst, region, frame, [
-            (coarse[s % len(coarse)], Box(lo, hi)) for s, lo, hi in taken]))
-    return out
+    (query, src, taken), (short, _) = sources.claims(needed)
+    if len(short):
+        raise ValueError(
+            f"coarse level does not cover interpolation stencil near "
+            f"{regions.boxes()[short[0]]} (nesting violation?)"
+        )
+    start = np.zeros(len(regions) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(query, minlength=len(regions)), out=start[1:])
+    return (dst, regions.corners, frames.corners, start,
+            src % len(coarse_level), taken)
 
 
 class RefineSchedule:
@@ -234,7 +280,8 @@ class RefineSchedule:
         #: while :meth:`emit_tasks` records it as tasks
         self._tasks = None
         #: a per-patch schedule's charges: the ``(transfer, finish)``
-        #: ledger rows of its per-patch plan, recorded once
+        #: ledger rows of its per-patch plan, read off the geometry's
+        #: sizes once
         self._charges = None
         cache = geometry_cache if geometry_cache is not None else {}
         self.items: list[tuple[FillSpec, FillGeometry]] = []
@@ -251,7 +298,7 @@ class RefineSchedule:
                     dst_level, coarse_level, sig, src_level, interior
                 )
                 cache[key] = geom
-            if geom.interps and spec.refine_op is None:
+            if len(geom.interp_dst) and spec.refine_op is None:
                 raise ValueError(
                     f"variable {spec.var.name!r} on level "
                     f"{dst_level.level_number} needs coarse-level fill but "
@@ -261,6 +308,15 @@ class RefineSchedule:
             by_geom.setdefault(id(geom), (geom, []))[1].append(spec)
         #: the variables of each geometry, in first-use order
         self.sig_groups = list(by_geom.values())
+        if not batch:
+            for geom, group in self.sig_groups:
+                if (len(geom.interp_dst)
+                        and len({type(s.refine_op) for s in group}) > 1):
+                    raise MixedRefineError(
+                        f"variables {[s.var.name for s in group]} share a "
+                        f"centring but not a refine operator type: a "
+                        f"per-patch fill refines a region's variables in "
+                        f"one launch")
 
     # -- the transfer program ----------------------------------------------------
     #
@@ -279,21 +335,20 @@ class RefineSchedule:
         :class:`~repro.xfer.message.UnchargedSink` and charges the
         per-patch plan — its launches, copies, staging, messages and
         scratch, in the order executing it issued them — from ledger rows
-        recorded once (:meth:`FillPlan.record
-        <repro.xfer.fill_plan.FillPlan.record>`); both groupings run the
+        read once off the geometry's sizes (:func:`per_patch_rows
+        <repro.xfer.fill_plan.per_patch_rows>`); both groupings run the
         same kernels over the same elements, so the fields are the same
         bits."""
         params = _params(time)
+        plan = self._level_wide()
         if self.batch:
             sink = ImmediateSink(self.comm)
-            plan = self._level_wide()
             self._transfer(sink, plan)
             sink.close()
             plan.finish(sink, params)
             return
         if self._charges is None:
-            self._charges = self._record_charges()
-        plan = self._level_wide()
+            self._charges = per_patch_rows(self, plan)
         sink = UnchargedSink(self.comm)
         self._transfer(sink, plan)
         plan.finish(sink, params)
@@ -332,15 +387,6 @@ class RefineSchedule:
             self._plan = compile_fill(self, True)
         return self._plan
 
-    def _record_charges(self) -> tuple:
-        """The per-patch plan's ``(transfer, finish)`` rows; the plan
-        itself is dropped unless it is recorded as tasks."""
-        plan = self._tasks or compile_fill(self, False)
-        transfer, finish = ChargeLedger(), ChargeLedger()
-        plan.record(transfer)
-        plan.record_finish(finish)
-        return transfer, finish
-
     def _transfer(self, sink, plan) -> None:
         """Same-level copies, then coarse-level interpolation."""
         chk = _check_active()
@@ -365,5 +411,3 @@ class RefineSchedule:
                     chk.note_interior_write(pd)
                 else:
                     chk.reset_stamps(pd)
-
-    # -- statistics ---------------------------------------------------------------

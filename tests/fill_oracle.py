@@ -111,7 +111,9 @@ class PerRegionSchedule(RefineSchedule):
 
     def __init__(self, *args, factory, **kwargs):
         self.factory = factory
-        super().__init__(*args, **kwargs)
+        # the program groups its own work (and falls back to one refine
+        # per variable for a mixed centring group), whatever ``batch``
+        super().__init__(*args, **{**kwargs, "batch": True})
 
     def fill(self, time=None) -> None:
         sink = ImmediateSink(self.comm)

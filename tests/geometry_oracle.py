@@ -14,9 +14,60 @@ nesting invariant the tests assert on every hierarchy they build.
 import itertools
 from typing import Iterable, Iterator, List
 
-from repro.mesh.box import Box, IntVector, cut, meet
-from repro.mesh.box_array import claim, coalesce
+import numpy as np
+
+from repro.mesh.box import Box, IntVector, meet
+from repro.mesh.box_array import coalesce
 from repro.xfer.refine_schedule import needed_coarse_frame
+
+
+def cut(lo, hi, ilo, ihi) -> list:
+    """Disjoint rows (``(lower, upper)`` corner tuples) covering a box
+    minus a nonempty box inside it.
+
+    Standard sweep decomposition: peel off slabs axis by axis, the slab
+    below the inner box before the one above it.
+    """
+    pieces = []
+    lo, hi = list(lo), list(hi)
+    for axis, (il, iu) in enumerate(zip(ilo, ihi)):
+        if lo[axis] < il:
+            below = hi.copy()
+            below[axis] = il - 1
+            pieces.append((tuple(lo), tuple(below)))
+            lo[axis] = il
+        if hi[axis] > iu:
+            above = lo.copy()
+            above[axis] = iu + 1
+            pieces.append((tuple(above), tuple(hi)))
+            hi[axis] = iu
+    return pieces
+
+
+def claim(rows: list, takers, claimed: list | None = None) -> list:
+    """What is left of ``rows`` (``(lower, upper)`` corner tuples) after
+    each taker, in order, has removed its overlap with every remaining
+    row: the sequential subtraction ``BoxArray.claims`` runs for many
+    queries at once.
+
+    ``takers`` yields ``(key, lower, upper)``; every overlap removed is
+    appended to ``claimed`` as ``(key, lower, upper)`` -- taker by taker,
+    and for one taker in the order of the rows it met.
+    """
+    for key, tlo, thi in takers:
+        if not rows:
+            break
+        nxt = []
+        for lo, hi in rows:
+            overlap = meet(lo, hi, tlo, thi)
+            if overlap is None:
+                nxt.append((lo, hi))
+            else:
+                if claimed is not None:
+                    claimed.append((key, *overlap))
+                nxt.extend(cut(lo, hi, *overlap))
+        rows = nxt
+    return rows
 
 
 def cell_indices(box: Box) -> Iterator[tuple[int, ...]]:
@@ -160,8 +211,9 @@ def check_proper_nesting(hierarchy, nesting_buffer: int = 1) -> list[str]:
         # grown by the buffer, clipped to the domain, is covered.
         need = (fine.box_array.coarsen(fine.ratio_to_coarser)
                 .grow(nesting_buffer).intersect(coarse.domain))
-        for p, (_, left) in zip(fine, coarse.box_array.claims(need)):
-            if left:
+        _, (left, _) = coarse.box_array.claims(need)
+        for p, uncovered in zip(fine, np.bincount(left, minlength=len(fine))):
+            if uncovered:
                 problems.append(
                     f"level {n} patch {p.global_id} {p.box} not nested "
                     f"within level {n - 1} minus buffer"

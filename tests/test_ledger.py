@@ -258,16 +258,47 @@ def _compare(ref, got) -> None:
         assert np.array_equal(a, b, equal_nan=True)
 
 
+@pytest.fixture(scope="module")
+def runs():
+    """``run(case, space, oracle, traced)`` -> ``(simulation, spans)``
+    after two steps, each made once per module and shared by the tests
+    that read it (none of them changes a run).  The oracle, the
+    per-patch program, runs traced: what it charges does not depend on
+    the tracer, so one run is the reference of traced and untraced runs
+    alike."""
+    made: dict = {}
+
+    def run(case: str, space: str, oracle: bool, traced: bool):
+        key = (case, space, oracle, traced or oracle)
+        if key not in made:
+            tracer = Tracer() if key[3] else None
+            if tracer is not None:
+                activate_tracer(tracer)
+            try:
+                with pytest.MonkeyPatch.context() as mp:
+                    if oracle:
+                        with per_patch_construction(mp):
+                            sim = _run(_sim(case, space, oracle=True))
+                    else:
+                        sim = _run(_sim(case, space, oracle=False))
+            finally:
+                if tracer is not None:
+                    deactivate_tracer()
+            made[key] = (sim, None if tracer is None else [
+                (s.name, s.rank, s.lane, s.t0, s.t1) for s in tracer.spans])
+        return made[key]
+
+    return run
+
+
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("space", SPACES)
-def test_slab_construction_matches_the_per_patch_program(case, space,
-                                                         monkeypatch):
+def test_slab_construction_matches_the_per_patch_program(case, space, runs):
     """A 2-rank ragged hierarchy regridded every step: every clock,
     counter (the ``kernel``, ``stream`` and ``transfer`` families
     included), ``device.peak_bytes`` and field array match."""
-    with per_patch_construction(monkeypatch):
-        ref = _run(_sim(case, space, oracle=True))
-    got = _run(_sim(case, space, oracle=False))
+    ref, _ = runs(case, space, oracle=True, traced=False)
+    got, _ = runs(case, space, oracle=False, traced=False)
     assert got.hierarchy.num_levels == 3
     _compare(ref, got)
 
@@ -299,32 +330,20 @@ def test_a_built_level_matches_the_per_patch_program(case, space):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_slab_construction_emits_the_per_patch_spans(case, monkeypatch):
+def test_slab_construction_emits_the_per_patch_spans(case, runs):
     """Under an active tracer the span lists (name, rank, track, t0, t1)
     are identical."""
-    def spans(sim):
-        tracer = Tracer()
-        activate_tracer(tracer)
-        try:
-            _run(sim)
-        finally:
-            deactivate_tracer()
-        return [(s.name, s.rank, s.lane, s.t0, s.t1) for s in tracer.spans]
-
-    with per_patch_construction(monkeypatch):
-        ref_sim = _sim(case, "resident", oracle=True)
-        ref = spans(ref_sim)
-    got_sim = _sim(case, "resident", oracle=False)
-    got = spans(got_sim)
+    ref_sim, ref = runs(case, "resident", oracle=True, traced=True)
+    got_sim, got = runs(case, "resident", oracle=False, traced=True)
     assert any(name == "memcpy_h2d" for name, *_ in got)
     assert got == ref
     _compare(ref_sim, got_sim)
 
 
-def test_sod_case_keeps_levels():
+def test_sod_case_keeps_levels(runs):
     """The Sod case keeps levels, so the comparisons above cover the
     refresh path's zero-fill (the non-primary arenas only) too."""
-    sim = _run(_sim("sod", "resident", oracle=False))
+    sim, _ = runs("sod", "resident", oracle=False, traced=False)
     assert sim.comm.rank(0).metrics.value("regrid.levels_kept") > 0
 
 
