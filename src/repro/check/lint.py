@@ -17,9 +17,6 @@ dynamic checker can only observe at runtime:
   naming a kernel must declare its data accesses (``reads=``/``writes=``),
   because the scheduler derives dependency edges from exactly those
   declarations.
-* **api** — all code must import the public facade :mod:`repro.api`:
-  the old :mod:`repro.app` shim is removed, so any import of it is
-  flagged.
 * **slab** — kernel dispatch inside a per-patch ``for patch in level:``
   loop defeats whole-slab execution (``--batch`` runs one
   vectorized op per shape bucket of a level); new dispatch sites should
@@ -50,7 +47,7 @@ from .layers import SERVE_ALLOWED
 __all__ = ["RULES", "check"]
 
 #: the rules ``repro check --lint`` reports
-RULES = frozenset({"seam", "device", "decl", "api", "slab", "serve"})
+RULES = frozenset({"seam", "device", "decl", "slab", "serve"})
 
 #: directories (relative to the ``repro`` package root) allowed to touch
 #: patch-data storage internals
@@ -144,19 +141,8 @@ def check(node, pkg: str, targets, flag) -> None:
 
 
 def _check_import(node, pkg: str, targets, flag) -> None:
-    """The api rule, and the serve rule on the import's resolved targets
-    (aliases, relative forms and ``__init__`` re-exports included)."""
-    if isinstance(node, ast.Import):
-        for alias in node.names:
-            if alias.name == "repro.app" or alias.name.startswith("repro.app."):
-                flag(node.lineno, "api",
-                     "import of removed 'repro.app' — use the "
-                     "'repro.api' facade")
-    elif node.module is not None and (node.module == "repro.app"
-                                      or node.module.startswith("repro.app.")):
-        flag(node.lineno, "api",
-             "import from removed 'repro.app' — use the "
-             "'repro.api' facade")
+    """The serve rule on the import's resolved targets (aliases, relative
+    forms and ``__init__`` re-exports included)."""
     if pkg != "serve":
         return
     for target in targets:

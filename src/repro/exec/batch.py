@@ -22,6 +22,9 @@ transfer schedule) hands it members, it groups them — by
 and ``flush`` hands each group to a sink's launch verb.  A reduction
 launch (the CFL ``calc_dt``) hands back a handle whose ``.result`` is the
 group's combined value after a single modelled D2H readback.
+
+:class:`StepParams` is the one per-step value a collected or recorded
+launch reads when it runs: the step's ``dt``.  Fills read none.
 """
 
 from __future__ import annotations
@@ -82,16 +85,14 @@ class BatchSlot:
 
 
 class StepParams:
-    """The per-step values a launch reads when its body *runs*, not when
-    it is collected or recorded: the step's ``time`` (what a halo fill
-    stamps) and ``dt`` (what the kernels that advance the state read).
-    A task graph recorded once and replayed every step binds this one
-    object, never the values."""
+    """The per-step value a launch reads when its body *runs*, not when
+    it is collected or recorded: the step's ``dt``, which the kernels
+    that advance the state read.  A task graph recorded once and
+    replayed every step binds this one object, never the value."""
 
-    __slots__ = ("time", "dt")
+    __slots__ = ("dt",)
 
-    def __init__(self, time: float = 0.0, dt: float = 0.0):
-        self.time = time
+    def __init__(self, dt: float = 0.0):
         self.dt = dt
 
 

@@ -1,4 +1,4 @@
-"""Readers of the modelled-event counts: attribution tables and tuner signals.
+"""Readers of the modelled-event counts: the attribution tables.
 
 Every kernel launch, PCIe / on-device transfer, stream op, fused launch,
 stacked region copy, schedule-cache lookup and step phase's virtual
@@ -7,8 +7,7 @@ seconds is recorded once, where it happens, in the owning rank's
 module reads a (usually rank-merged) registry:
 :func:`attribution_report` renders the per-kernel / per-transfer tables
 ``--profile`` prints — the Parthenon-VIBE-style "where did the virtual
-time go" view — and :func:`tuning_signals` distils the scalars the
-auto-tuner decides on.  Neither creates an instrument.
+time go" view.  It creates no instrument.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from ..obs.metrics import (
 __all__ = [
     "kernel_category",
     "attribution_report",
-    "tuning_signals",
 ]
 
 
@@ -34,53 +32,6 @@ def _family(reg: MetricsRegistry, family: str) -> dict[tuple, list[float]]:
     columns = [reg.variants(name) for name in FAMILIES[family][1]]
     return {key: [col.get(key, 0.0) for col in columns]
             for key in columns[0]}
-
-
-def tuning_signals(reg: MetricsRegistry) -> dict[str, float]:
-    """The scalar signals the auto-tuner (``repro.tune``) reads.
-
-    Distils the counters into the quantities the tuner's decision rules
-    are written in:
-
-    * ``kernel_launches`` / ``patches_per_launch`` — how much per-launch
-      overhead there is to fuse away (many small launches → batch wins);
-    * ``slab_fused`` / ``slab_fallback_rate`` — whether whole-slab
-      execution actually engages for this problem shape or keeps falling
-      back to per-patch replay;
-    * ``exposed_wait_fraction`` — the share of async transfer time the
-      compute timeline still waited for (1.0 when nothing was overlapped,
-      so a high value with transfer work present argues for ``overlap``);
-    * ``transfer_seconds`` / ``kernel_seconds`` — the raw material the
-      overlap decision weighs;
-    * ``schedule_cache_hit_rate`` — how much host-side schedule rebuild
-      work incremental regrid could avoid.
-    """
-    batches = _family(reg, "batch").values()
-    batched = sum(b[0] for b in batches)
-    members = sum(b[1] for b in batches)
-    fused = sum(b[4] for b in batches)
-    # fallback rate over slab-*eligible* kernels only: a kernel that never
-    # fused (halo exchange, interpolation — inherently per-patch) is not
-    # evidence against slab execution, just work slab never claimed
-    fallback = sum(b[5] for b in batches if b[4])
-    hits = reg.total("schedule_cache.hits")
-    misses = reg.total("schedule_cache.misses")
-    async_s = reg.value("overlap.async_seconds")
-    return {
-        "kernel_launches": float(reg.total("kernel.launches")),
-        "batched_launches": float(batched),
-        "patches_per_launch": members / batched if batched else 1.0,
-        "slab_fused": float(fused),
-        "slab_fallback_rate": (fallback / (fused + fallback)
-                               if fused + fallback else 0.0),
-        "kernel_seconds": reg.total("kernel.seconds"),
-        "transfer_seconds": reg.total("transfer.seconds"),
-        "exposed_wait_fraction": (
-            reg.value("overlap.exposed_seconds") / async_s
-            if async_s else 1.0),
-        "schedule_cache_hit_rate": (hits / (hits + misses)
-                                    if hits + misses else 0.0),
-    }
 
 
 #: kernels whose category is not what their name prefix suggests

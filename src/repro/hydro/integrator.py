@@ -6,7 +6,8 @@ the adaptive hierarchy, advance the simulation) and
 Levels advance in lockstep with a single global timestep (the minimum over
 every patch, reduced with the run's one global MPI reduction), each kernel
 phase running across all levels before the next halo fill, so coarse-fine
-ghost interpolation always reads same-phase data.
+ghost interpolation always reads same-phase data and no fill takes a
+time.
 
 Timers split the step into the categories of the paper's §V-B analysis:
 ``hydro`` (kernels + boundary exchanges), ``timestep`` (CFL + reduction),
@@ -135,8 +136,8 @@ class LagrangianEulerianIntegrator:
         self.time = 0.0
         self.step_count = 0
         self.dt = None
-        #: the step's time and dt as the kernels and fills read them when
-        #: they run (a replayed task graph binds this, not the values)
+        #: the step's dt as the kernels read it when they run (a replayed
+        #: task graph binds this, not the value)
         self.params = StepParams()
         self._step_scheduler = None
         #: where the inline driver's kernel sweeps launch
@@ -267,7 +268,7 @@ class LagrangianEulerianIntegrator:
     # the same sweeps and transfer programs against a graph builder.
 
     def _fill(self, sched: RefineSchedule) -> None:
-        sched.fill(time=self.time)
+        sched.fill()
 
     def _coarsen(self, sched: CoarsenSchedule) -> None:
         sched.coarsen()
@@ -346,12 +347,11 @@ class LagrangianEulerianIntegrator:
         into a task graph (or replays the one it recorded earlier in this
         hierarchy generation) and executes it at the phase boundary.
         Everything that changes from step to step reaches the kernels
-        and fills through ``params`` or the phase ``variant``.  The
+        through ``params`` or the phase ``variant``.  The
         caller owns the step bookkeeping (time/step_count/regrid).
         """
         pi = self.patch_integrator
         params = self.params
-        params.time = self.time
 
         with ex._phase("hydro"):
             self._fill_group(ex, FIELD_GROUPS["step_start"])

@@ -3,6 +3,7 @@ patch bucket: the same-shape patches of one rank on a level, as a unit."""
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from .box import Box
@@ -24,7 +25,9 @@ class Patch:
         self.box = box
         self.global_id = global_id
         self.owner = owner
-        self.level = level
+        #: a weak proxy: the level owns its patches, and a dropped level
+        #: is then freed by reference counting, not the cycle collector
+        self.level = weakref.proxy(level)
         self._data: dict[str, "PatchData"] = {}
         self._touches: list | None = None
 

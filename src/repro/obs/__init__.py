@@ -21,7 +21,7 @@ runs (the samrcheck guarantee, enforced by ``tests/test_obs.py``).
 """
 
 from .context import activate_tracer, active_tracer, deactivate_tracer
-from .lanes import COMPUTE, D2D, D2H, H2D, HOST, NET, canonical_lane
+from .lanes import COMPUTE, D2D, D2H, H2D, HOST, NET
 from .metrics import (
     MANIFEST_SCHEMA,
     Counter,
@@ -52,7 +52,6 @@ __all__ = [
     "active_tracer",
     "activate_tracer",
     "deactivate_tracer",
-    "canonical_lane",
     "COMPUTE",
     "D2H",
     "H2D",

@@ -14,9 +14,10 @@ manifest carries (``kernel.seconds{kernel=…,on=gpu}``,
 ``transfer.bytes{direction=h2d}``, ``schedule_cache.misses{kind=fill}``,
 …).  Counters merge across ranks by summing, gauges by max (a phase's
 critical-path seconds), histograms pool; ``--profile``'s attribution
-tables, the tuner's signals and the schema-versioned end-of-run manifest
-that :func:`benchmarks _report.emit <run_manifest>` embeds into
-``BENCH_*.json`` all read the merged store.  Nothing is translated, and
+tables and the schema-versioned end-of-run manifest that
+:func:`benchmarks _report.emit <run_manifest>` embeds into
+``BENCH_*.json`` read the merged store (the tuner reads none of it: the
+lowest probed grind wins).  Nothing is translated, and
 :func:`registry_from_run` only merges.
 
 Hot paths record through :meth:`MetricsRegistry.counters`, which names
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lanes import canonical_lane
 
 __all__ = [
     "Counter",
@@ -129,10 +129,6 @@ FAMILIES = {
                     "regrid.levels_kept", "regrid.tag_readbacks")),
 }
 
-#: labels naming a timeline, folded onto one spelling by canonical_lane
-_LANE_LABELS = frozenset({"stream", "direction"})
-
-
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted(labels.items()))
 
@@ -198,8 +194,7 @@ class MetricsRegistry:
         counters = self._families.get((family, values))
         if counters is None:
             labels, names = FAMILIES[family]
-            labels = {k: canonical_lane(v) if k in _LANE_LABELS else v
-                      for k, v in zip(labels, values)}
+            labels = dict(zip(labels, values))
             counters = self._families[family, values] = tuple(
                 self.counter(n, **labels) for n in names)
         return counters

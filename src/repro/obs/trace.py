@@ -25,8 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .lanes import canonical_lane
-
 __all__ = [
     "Span",
     "Tracer",
@@ -85,8 +83,8 @@ class Tracer:
              t0: float, t1: float, wall0: float = 0.0, wall1: float = 0.0,
              **payload) -> None:
         """Record one span.  Never touches any virtual clock."""
-        self.spans.append(Span(name, category, rank, canonical_lane(lane),
-                               t0, t1, wall0, wall1, payload))
+        self.spans.append(Span(name, category, rank, lane, t0, t1, wall0,
+                               wall1, payload))
 
     def close(self) -> None:
         """Flush every sink once.  Idempotent."""

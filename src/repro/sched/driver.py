@@ -22,8 +22,8 @@ adding tasks (scratch allocations, sanitizer notes), keyed by the
 phase's position in the step and its variant (the advection's sweep
 order).  A replayed phase builds nothing: each operation is checked
 against the captured sequence and hands back the captured handles, then
-the phase renews its scratch, re-issues its notes and executes.  Task
-bodies read the step's ``time`` and ``dt`` from the integrator's
+the phase renews its scratch, re-issues its notes and executes.  Kernel
+bodies read the step's ``dt`` from the integrator's
 :class:`~repro.exec.batch.StepParams` when they run.  A regrid (a
 ``ScheduleCache`` purge, a level layout change) or a change of sanitizer
 drops every capture; graphs hold no reference cycles, so a dropped one
@@ -181,8 +181,7 @@ class StepScheduler:
         return capture.ops[i][2]
 
     def _fill(self, sched) -> None:
-        self._op("fill", sched, lambda: sched.emit_tasks(
-            self._gb, time=self.integrator.params))
+        self._op("fill", sched, lambda: sched.emit_tasks(self._gb))
 
     def _coarsen(self, sched) -> None:
         self._op("coarsen", sched, lambda: sched.emit_tasks(self._gb))

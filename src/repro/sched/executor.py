@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from ..check.context import active as _check_active
 from ..gpu.stream import Event
 from ..obs.context import active_tracer
-from ..obs.lanes import HOST, canonical_lane
+from ..obs.lanes import HOST
 from .task import COPY_LANES, Task, TaskGraph, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,7 +46,6 @@ _OVERLAP_PRIORITY = {
     TaskKind.KERNEL: 0,
     TaskKind.COPY: 0,
     TaskKind.PACK: 0,
-    TaskKind.HOST: 0,
     TaskKind.FREE: 0,
     TaskKind.D2H: 1,
     TaskKind.H2D: 1,
@@ -205,11 +204,10 @@ class GraphExecutor:
                                 on=dep.lane)
 
     def _wait_on_host(self, task: Task, rank: "Rank") -> None:
-        # HOST and FREE tasks are uncharged framework bookkeeping
-        # (timestamp updates, frees): they touch metadata, not device
-        # bytes, so the host never synchronises for them — their
-        # dependency edges order dispatch only.
-        if task.kind in (TaskKind.HOST, TaskKind.FREE):
+        # A FREE task is uncharged bookkeeping: it releases scratch,
+        # touching no device bytes, so the host never synchronises for
+        # it — its dependency edges order dispatch only.
+        if task.kind is TaskKind.FREE:
             return
         tracer = active_tracer()
         for dep in task.deps:
@@ -236,7 +234,7 @@ class GraphExecutor:
         exposed can never exceed the async seconds the rank actually put
         on copy streams.
         """
-        key = (rank.index, canonical_lane(lane))
+        key = (rank.index, lane)
         start = max(before, self._exposed_hwm.get(key, 0.0))
         if after <= start:
             return

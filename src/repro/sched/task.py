@@ -2,8 +2,8 @@
 
 A :class:`Task` is one schedulable unit of a timestep: a kernel launch, a
 stage of a batched halo transfer (pack, D2H, send, recv, H2D, unpack), a
-fused local copy, a global reduction, or uncharged host-side framework
-work.  Each task carries the rank that executes it, a *lane* (which
+fused local copy, a global reduction, or the uncharged release of a
+transfer's scratch.  Each task carries the rank that executes it, a *lane* (which
 timeline the modelled cost lands on), the Python closure that performs the
 real work, and its dependency edges.
 
@@ -36,10 +36,9 @@ class TaskKind(str, Enum):
     SEND = "send"        # non-blocking network send (NIC timeline)
     RECV = "recv"        # receiver-side wait for message arrival
     REDUCE = "reduce"    # global collective (all ranks)
-    HOST = "host"        # host-side framework work (bookkeeping)
-    FREE = "free"        # release of a transfer's scratch: host-side and
-                         # uncharged like HOST, and what an aborting
-                         # executor still runs so nothing recorded leaks
+    FREE = "free"        # release of a transfer's scratch: host-side,
+                         # uncharged, and what an aborting executor
+                         # still runs so nothing recorded leaks
 
 
 COMPUTE_LANE = lanes.COMPUTE
@@ -57,7 +56,6 @@ _LANES = {
     TaskKind.SEND: lanes.NET,
     TaskKind.RECV: lanes.HOST,
     TaskKind.REDUCE: lanes.HOST,
-    TaskKind.HOST: lanes.HOST,
     TaskKind.FREE: lanes.HOST,
 }
 

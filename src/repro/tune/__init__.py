@@ -8,11 +8,10 @@ Two halves:
   rules live.  Pure data; imported eagerly by the facade.
 * :mod:`repro.tune.tuner` — the runtime tuner behind
   ``ExecutionPolicy(mode="auto")``: it advances a few probe steps per
-  candidate policy, reads the ranks' metrics-registry signals
-  (:func:`~repro.exec.stats.tuning_signals`: patches per fused launch,
-  slab fallback rate, exposed halo wait) and the modelled grind, and
-  decides the fields the caller left at ``"auto"``.  Imported lazily by :func:`repro.api.resolve_config`
-  so configs that never tune pay nothing.
+  candidate policy, and the candidate with the lowest probed modelled
+  grind decides the fields the caller left at ``"auto"``.  Imported
+  lazily by :func:`repro.api.resolve_config` so configs that never tune
+  pay nothing.
 
 The resolved decisions travel with the config (``RunConfig.tuned``),
 land in the metrics manifest (``manifest["policies"]``), feed the full

@@ -6,15 +6,11 @@ launches there are to fuse, and whether overlap helps depends on how
 much transfer time is exposed.  Rather than asking the
 user to re-run the ablation benchmarks per problem, the tuner does it in
 miniature: for each candidate policy it builds a **throwaway twin** of
-the run, advances a few probe steps, and reads
+the run, advances a few probe steps, and reads the modelled grind
+(virtual seconds per cell-step — deterministic, so tuning decisions are
+reproducible run to run).
 
-* the modelled grind (virtual seconds per cell-step — deterministic, so
-  tuning decisions are reproducible run to run), and
-* the :func:`~repro.exec.stats.tuning_signals` distilled from the
-  ranks' merged metrics registries — patches per fused launch, slab
-  fallback rate, exposed wait fraction, schedule-cache hit rate.
-
-The candidate with the best probed grind wins.  Fields the user pinned
+The candidate with the lowest probed grind wins.  Fields the user pinned
 are never overridden — candidates that contradict a pinned field
 collapse into the pinned resolution.
 
@@ -31,8 +27,6 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from ..exec.stats import tuning_signals
-from ..obs.metrics import MetricsRegistry
 from .policy import (
     AUTO,
     TUNABLE_FIELDS,
@@ -73,8 +67,6 @@ class ProbeResult:
     cells: int
     #: modelled virtual seconds per cell-step over the probe window
     grind: float
-    #: the distilled counter signals (see ``exec.stats.tuning_signals``)
-    signals: dict[str, float]
     #: real host seconds the probe took (observation only, never decisive)
     wall_seconds: float = 0.0
 
@@ -86,7 +78,6 @@ class ProbeResult:
             "steps": self.steps,
             "cells": self.cells,
             "grind": self.grind,
-            "signals": dict(self.signals),
             "wall_seconds": self.wall_seconds,
         }
 
@@ -118,8 +109,8 @@ class TuneDecisions:
 
 
 def _probe(cfg, execution: ExecutionPolicy, regrid: RegridPolicy,
-           steps: int) -> tuple[float, int, dict, float]:
-    """Run one throwaway probe; return (grind, cells, signals, wall)."""
+           steps: int) -> tuple[float, int, float]:
+    """Run one throwaway probe; return (grind, cells, wall)."""
     from ..api import build_simulation
 
     probe_cfg = replace(
@@ -136,10 +127,8 @@ def _probe(cfg, execution: ExecutionPolicy, regrid: RegridPolicy,
         sim.step()
     elapsed = sim.elapsed() - t0
     cells = sim.total_cells()
-    signals = tuning_signals(
-        MetricsRegistry.merged(r.metrics for r in sim.comm.ranks))
     grind = elapsed / (cells * steps) if cells and steps else 0.0
-    return grind, cells, signals, _time.perf_counter() - wall0
+    return grind, cells, _time.perf_counter() - wall0
 
 
 def tune_policies(cfg, *, probe_steps: int | None = None, tracer=None):
@@ -180,10 +169,10 @@ def tune_policies(cfg, *, probe_steps: int | None = None, tracer=None):
             continue  # pinning collapsed this candidate into an earlier one
         seen.add(key)
         wall0 = _time.perf_counter()
-        grind, cells, signals, wall = _probe(cfg, ep, rp, probe_steps)
+        grind, cells, wall = _probe(cfg, ep, rp, probe_steps)
         probe = ProbeResult(label=label, execution=ep, regrid=rp,
                             steps=probe_steps, cells=cells, grind=grind,
-                            signals=signals, wall_seconds=wall)
+                            wall_seconds=wall)
         probes.append(probe)
         if tracer is not None:
             virtual = grind * cells * probe_steps
@@ -192,8 +181,6 @@ def tune_policies(cfg, *, probe_steps: int | None = None, tracer=None):
                 t_offset, t_offset + virtual,
                 wall0, _time.perf_counter(),
                 policy=ep.as_dict(), grind=grind,
-                slab_fallback_rate=signals.get("slab_fallback_rate"),
-                patches_per_launch=signals.get("patches_per_launch"),
             )
             t_offset += virtual
 

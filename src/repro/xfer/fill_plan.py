@@ -6,7 +6,10 @@ rebuilt), so :func:`compile_fill` turns a
 :class:`~repro.xfer.refine_schedule.RefineSchedule`'s transactions into
 flat indices into the arenas' slabs (:mod:`repro.exec.plan`) once, and
 :class:`FillPlan` replays them.  Indices do not care about shapes, so a
-ragged level compiles like a uniform one.
+ragged level compiles like a uniform one.  A plan is copies, message
+streams, interpolation and physical boundaries, nothing else: every
+level advances with the one global dt, so no fill reads or stamps a
+time.
 
 The index arrays depend on the transaction geometry and the arena
 *layout* only, so they live on the shared
@@ -68,7 +71,6 @@ from .message import MESSAGE_HEADER_BYTES
 from .overlap import index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.batch import StepParams
     from .refine_schedule import FillGeometry, RefineSchedule
 
 __all__ = ["FillPlan", "MixedRefineError", "compile_fill", "per_patch_rows"]
@@ -712,13 +714,12 @@ class _Interp:
 
 class FillPlan:
     """One :class:`RefineSchedule`'s fill, compiled: its copies, message
-    streams, interpolation units, halo launches and timestamp groups."""
+    streams, interpolation units and halo launches."""
 
-    def __init__(self, level: int, ratio, fused: bool, names):
+    def __init__(self, level: int, ratio, fused: bool):
         self.level = level
         self.ratio = ratio
         self.fused = fused
-        self.names = names
         #: (rank, CopyPlan) per group: the ``fill.copy`` launches
         self.copies: list = []
         #: (src rank, dst rank, pack StreamPlan, unpack StreamPlan) per
@@ -728,8 +729,6 @@ class FillPlan:
         self.interps: list[_Interp] = []
         #: (backend, rank, member) per boundary patch: its halo kernel
         self.halos: list = []
-        #: (owner, patches) whose data one timestamp task stamps
-        self.stamped: list = []
 
     def transfer(self, sink, ghost: bool, checking: bool) -> None:
         """Same-level copies, then coarse-level interpolation."""
@@ -741,22 +740,13 @@ class FillPlan:
         for unit in self.interps:
             unit.replay(sink, self.level, self.ratio, ghost, checking)
 
-    def finish(self, sink, params: "StepParams | None") -> None:
-        """Physical boundary conditions, then the new timestamps: the
-        ``time`` of ``params`` when the stamps run (none when None)."""
+    def finish(self, sink) -> None:
+        """Physical boundary conditions."""
         halos = LaunchBatcher(self.fused)
         for backend, rank, member in self.halos:
             halos.collect(backend, rank, "hydro.update_halo", member,
                           ghost_only=True)
         sink.flush_fusion(halos)
-        if params is None:
-            return
-        names = self.names
-        for owner, patches in self.stamped:
-            sink.add(TaskKind.HOST, owner, "fill.set_time",
-                     lambda _stream, patches=patches: _set_times(
-                         patches, names, params.time),
-                     reads=Lazy(_patch_data, patches, names))
 
 
 class _StreamPair:
@@ -834,17 +824,6 @@ def _stream_items(named, side: int, regions: bool = True):
             yield pd, Box(lo, hi) if regions else None
 
 
-def _patch_data(patches, names):
-    for patch in patches:
-        for name in names:
-            yield patch.data(name)
-
-
-def _set_times(patches, names, time: float) -> None:
-    for pd in _patch_data(patches, names):
-        pd.set_time(time)
-
-
 def compile_fill(sched: "RefineSchedule", fused: bool) -> FillPlan:
     """The schedule's fill as a :class:`FillPlan`, grouped level-wide
     (``fused``) or per patch: the geometries' cuts and units for that
@@ -854,8 +833,7 @@ def compile_fill(sched: "RefineSchedule", fused: bool) -> FillPlan:
     :class:`~repro.exec.plan.UnpooledLevelError` naming it."""
     ranks = sched.comm.ranks
     plan = FillPlan(sched.dst_level.level_number,
-                    sched.dst_level.ratio_to_coarser, fused,
-                    [spec.var.name for spec, _ in sched.items])
+                    sched.dst_level.ratio_to_coarser, fused)
     bound = {spec: _flat_geometry(sched, geom, spec)
              for spec, geom in sched.items}
 
@@ -947,19 +925,15 @@ def compile_fill(sched: "RefineSchedule", fused: bool) -> FillPlan:
             unit.gathers.append((ranks[s], unit.ranks[d], *stream.plans()))
     plan.interps = list(units.values())
 
-    # physical boundaries and timestamps, per group
-    variables = [spec.var for spec, _ in sched.items]
-    stamped: dict = {}
-    for dst in sched.dst_level:
-        stamped.setdefault(dst.owner if fused else dst,
-                           (dst.owner, []))[1].append(dst)
-        member = (sched.boundary.batch_member(dst, variables)
-                  if sched.boundary is not None else None)
-        if member is not None:
-            rank = ranks[dst.owner]
-            plan.halos.append((backend_for(member.writes[0], rank), rank,
-                               member))
-    plan.stamped = list(stamped.values())
+    # physical boundaries, one halo member per boundary patch
+    if sched.boundary is not None:
+        variables = [spec.var for spec, _ in sched.items]
+        for dst in sched.dst_level:
+            member = sched.boundary.batch_member(dst, variables)
+            if member is not None:
+                rank = ranks[dst.owner]
+                plan.halos.append((backend_for(member.writes[0], rank),
+                                   rank, member))
     return plan
 
 

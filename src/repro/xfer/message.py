@@ -121,7 +121,7 @@ class ImmediateSink:
     A schedule states its work once, over four verbs — ``copy`` (fused
     same-rank copies), ``stream_batch`` (one cross-rank message stream),
     ``kernel_task`` (one launch of >=1 batch members) and ``add`` (host
-    bookkeeping, or a kernel that launches itself) — plus the two things
+    bookkeeping: the release of a transfer's scratch) — plus the two things
     issuing it does on the spot: ``scratch`` (allocate a transfer's
     scratch) and ``note`` (a sanitizer note).  This sink executes
     them on the spot with the blocking primitives above; the other sink,

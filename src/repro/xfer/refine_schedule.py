@@ -13,6 +13,10 @@ the paper describes (§II, §IV-B):
 3. **physical boundary conditions** — applied last by the application's
    boundary object, overwriting all out-of-domain ghosts.
 
+Unlike SAMRAI's, a fill takes no time: every level advances in lockstep
+with one global dt, so there are no stored time levels to interpolate
+between, and a fill stamps nothing on the data it fills.
+
 The transaction *geometry* depends only on the level structure and the
 data centring — not on which variable is being moved — so it is computed
 once per (level, centring signature) in :func:`build_fill_geometry` and
@@ -42,7 +46,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..check.context import active as _check_active
-from ..exec.batch import StepParams
 from ..mesh.box import Box, IntVector
 from ..mesh.box_array import BoxArray, coalesce
 from ..mesh.variables import Variable
@@ -72,13 +75,6 @@ class FillSpec:
 
     var: Variable
     refine_op: "RefineOperator | None" = None
-
-
-def _params(time) -> StepParams | None:
-    """A fill's ``time`` as the parameters its timestamp tasks read."""
-    if time is None or isinstance(time, StepParams):
-        return time
-    return StepParams(time=time)
 
 
 def signature_of(var: Variable) -> Variable:
@@ -326,7 +322,7 @@ class RefineSchedule:
     # level-wide one; a per-patch schedule runs it uncharged and charges
     # its per-patch plan's rows instead.
 
-    def fill(self, time: float | None = None) -> None:
+    def fill(self) -> None:
         """Execute the schedule now: copies, interpolation, physical BCs.
 
         A level-wide schedule executes its plan through an
@@ -339,38 +335,33 @@ class RefineSchedule:
         <repro.xfer.fill_plan.per_patch_rows>`); both groupings run the
         same kernels over the same elements, so the fields are the same
         bits."""
-        params = _params(time)
         plan = self._level_wide()
         if self.batch:
             sink = ImmediateSink(self.comm)
             self._transfer(sink, plan)
             sink.close()
-            plan.finish(sink, params)
+            plan.finish(sink)
             return
         if self._charges is None:
             self._charges = per_patch_rows(self, plan)
         sink = UnchargedSink(self.comm)
         self._transfer(sink, plan)
-        plan.finish(sink, params)
+        plan.finish(sink)
         transfer, finish = self._charges
         posted = ImmediateSink(self.comm)
         transfer.replay(posted.post)
         posted.close()
         finish.replay()
 
-    def emit_tasks(self, gb,
-                   time: "float | StepParams | None" = None) -> None:
+    def emit_tasks(self, gb) -> None:
         """Record the schedule into a graph builder (the scheduler path).
 
         The same program as :meth:`fill` charges, in the same order,
         landing as typed tasks: fused local copies, six-stage message
-        streams for cross-rank batches, interpolation gathers + refines,
-        physical BCs, and host-side frees and timestamp updates.
+        streams for cross-rank batches, interpolation gathers + refines
+        with host-side frees of their scratch, and physical BCs.
         Dependencies come from the builder's read/write tracking, so any
-        topological order reproduces :meth:`fill` bit for bit.  ``time``
-        may be a :class:`~repro.exec.batch.StepParams`, whose ``time`` the
-        timestamp tasks read when they run, so a replayed graph stamps
-        each step's time.
+        topological order reproduces :meth:`fill` bit for bit.
         """
         if self.batch:
             plan = self._level_wide()
@@ -379,7 +370,7 @@ class RefineSchedule:
                 self._tasks = compile_fill(self, False)
             plan = self._tasks
         self._transfer(gb, plan)
-        plan.finish(gb, _params(time))
+        plan.finish(gb)
 
     def _level_wide(self):
         """The level-wide plan (raises on unpooled levels)."""

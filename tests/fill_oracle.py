@@ -49,7 +49,7 @@ from repro.exec.backend import (
     run_on,
     slab_of,
 )
-from repro.exec.batch import BatchMember, LaunchBatcher, StepParams
+from repro.exec.batch import BatchMember, LaunchBatcher
 from repro.exec.plan import StreamPlan, flat_index, level_arenas, store_of
 from repro.geom.operators import (
     CellMassWeightedCoarsen,
@@ -99,12 +99,6 @@ def clamp_extend(arr, frame: Box, valid: Box) -> None:
     arr[...] = arr[np.ix_(*idx)]
 
 
-def _set_times(patches, names, time: float) -> None:
-    for patch in patches:
-        for name in names:
-            patch.data(name).set_time(time)
-
-
 class PerRegionSchedule(RefineSchedule):
     """A :class:`RefineSchedule` that runs the per-region program, its
     temporaries allocated by ``factory``."""
@@ -115,15 +109,15 @@ class PerRegionSchedule(RefineSchedule):
         # per variable for a mixed centring group), whatever ``batch``
         super().__init__(*args, **{**kwargs, "batch": True})
 
-    def fill(self, time=None) -> None:
+    def fill(self) -> None:
         sink = ImmediateSink(self.comm)
         self._transfer(sink)
         sink.close()
-        self._finish(sink, time)
+        self._finish(sink)
 
-    def emit_tasks(self, gb, time=None) -> None:
+    def emit_tasks(self, gb) -> None:
         self._transfer(gb)
-        self._finish(gb, time)
+        self._finish(gb)
 
     def _transfer(self, sink) -> None:
         chk = _check_active()
@@ -141,7 +135,7 @@ class PerRegionSchedule(RefineSchedule):
             for ig in geom.interps:
                 self._interpolate(sink, specs, ig, ghost, chk is not None)
 
-    def _finish(self, sink, time) -> None:
+    def _finish(self, sink) -> None:
         ranks = self.comm.ranks
         variables = [spec.var for spec, _ in self.items]
         if self.boundary is not None:
@@ -149,13 +143,6 @@ class PerRegionSchedule(RefineSchedule):
                 if dst.touches_boundary():
                     self._apply_boundary(sink, dst, variables,
                                          ranks[dst.owner])
-        if time is not None:
-            names = [v.name for v in variables]
-            for dst in self.dst_level:
-                sink.add(TaskKind.HOST, dst.owner, "fill.set_time",
-                         lambda _stream, patches=[dst]: _set_times(
-                             patches, names, time),
-                         reads=[dst.data(n) for n in names])
 
     def _apply_boundary(self, sink, dst, variables, rank) -> None:
         pds = [dst.data(v.name) for v in variables]
@@ -509,7 +496,7 @@ def per_patch_plan(sched: RefineSchedule):
     return plan
 
 
-def execute_per_patch(sched: RefineSchedule, time=None) -> None:
+def execute_per_patch(sched: RefineSchedule) -> None:
     """One fill of ``sched`` as a per-patch schedule filled until it ran
     its level-wide twin: the per-patch plan through an immediate sink,
     charged as it executes."""
@@ -517,7 +504,7 @@ def execute_per_patch(sched: RefineSchedule, time=None) -> None:
     sink = ImmediateSink(sched.comm)
     sched._transfer(sink, plan)
     sink.close()
-    plan.finish(sink, None if time is None else StepParams(time=time))
+    plan.finish(sink)
 
 
 @contextmanager
@@ -526,10 +513,10 @@ def per_patch_fills(monkeypatch):
     per-patch plan (level-wide ones are unchanged)."""
     fill = RefineSchedule.fill
 
-    def oracle_fill(self, time=None):
+    def oracle_fill(self):
         if self.batch:
-            return fill(self, time)
-        return execute_per_patch(self, time)
+            return fill(self)
+        return execute_per_patch(self)
 
     with monkeypatch.context() as m:
         m.setattr(RefineSchedule, "fill", oracle_fill)

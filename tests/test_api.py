@@ -1,16 +1,14 @@
 """The ``repro.api`` facade: configuration validation, build selection,
 the backend factory and the run result contract.
 
-``repro.api.run`` is the one public entry point (everything outside the
-package imports it and nothing else — the ``api`` lint rule), so its
-contract is pinned here: validated configs, the right simulation objects
+``repro.api.run`` is the one public entry point, so its contract is
+pinned here: validated configs, the right simulation objects
 per build kind, and a structured :class:`RunResult`.
 """
 
 from __future__ import annotations
 
 import json
-import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -175,59 +173,9 @@ def test_result_without_tracing_has_no_trace(result):
 
 def test_app_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
-        import repro.app  # noqa: F401  # samrcheck: ok(api): asserting removal
+        import repro.app  # noqa: F401
 
 
 def test_unknown_kwarg_raises():
     with pytest.raises(TypeError, match="no_such_flag"):
         _config(no_such_flag=True)
-
-
-# -- the api lint rule --------------------------------------------------------
-
-
-def _lint_source(tmp_path, relpath: str, source: str):
-    from repro.check.static import run_checks
-
-    path = tmp_path / relpath
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(textwrap.dedent(source))
-    return run_checks([path], do_static=False)[0]
-
-
-def test_lint_flags_app_import_everywhere(tmp_path):
-    violations = _lint_source(tmp_path, "benchmarks/bench_x.py", """
-        from repro.app import RunConfig, run_simulation
-    """)
-    assert [v.rule for v in violations] == ["api"]
-    assert "repro.api" in violations[0].message
-
-    violations = _lint_source(tmp_path, "examples/demo.py", """
-        import repro.app
-    """)
-    assert [v.rule for v in violations] == ["api"]
-
-    # the shim module is gone, so even package internals are flagged
-    violations = _lint_source(tmp_path, "src/repro/compat.py", """
-        from repro.app import run_simulation
-    """)
-    assert [v.rule for v in violations] == ["api"]
-
-
-def test_lint_allows_api_imports_everywhere(tmp_path):
-    assert _lint_source(tmp_path, "benchmarks/bench_y.py", """
-        from repro.api import RunConfig, run
-        import repro.api
-    """) == []
-
-
-def test_repo_callers_import_only_the_facade():
-    """cli, benchmarks and examples are clean under the api rule."""
-    from repro.check.static import run_checks
-
-    root = Path(__file__).resolve().parent.parent
-    violations = [v for v in run_checks(
-        [root / "benchmarks", root / "examples", root / "src" / "repro" / "cli.py"],
-        do_static=False)[0]
-        if v.rule == "api"]
-    assert violations == []

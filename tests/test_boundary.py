@@ -72,7 +72,9 @@ class TestDefaultParity:
 
 
 class TestApplyOnPatch:
-    def _patch(self):
+    def _level(self):
+        """A one-patch level (a patch refers to its level weakly, so the
+        caller keeps the level)."""
         comm = SimCommunicator(1, IPA_CPU_NODE, FDR_INFINIBAND)
         geom = CartesianGridGeometry(Box([0, 0], [7, 7]), (0, 0), (1, 1))
         hier = PatchHierarchy(geom, 1)
@@ -82,10 +84,11 @@ class TestApplyOnPatch:
         level = hier.make_level(0, [Box([0, 0], [7, 7])], [0])
         level.allocate_all(reg, HostDataFactory(), comm)
         hier.set_level(level)
-        return comm, level.patches[0], reg
+        return comm, level, reg
 
     def test_scalar_even_reflection(self):
-        comm, patch, reg = self._patch()
+        comm, level, reg = self._level()
+        patch = level.patches[0]
         pd = patch.data("density0")
         pd.fill(-9.0)
         pd.data.view(patch.box)[...] = np.arange(64.0).reshape(8, 8)
@@ -96,7 +99,8 @@ class TestApplyOnPatch:
         assert np.array_equal(arr[0, 2:10], arr[3, 2:10])
 
     def test_velocity_odd_reflection(self):
-        comm, patch, reg = self._patch()
+        comm, level, reg = self._level()
+        patch = level.patches[0]
         pd = patch.data("xvel0")
         pd.fill(0.0)
         interior = pd.var.index_box(patch.box)

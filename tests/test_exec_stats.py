@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from repro import make_communicator
-from repro.exec.stats import (attribution_report, kernel_category,
-                              tuning_signals)
+from repro.exec.stats import attribution_report, kernel_category
 from repro.mesh.box import Box, IntVector
 from repro.obs.metrics import MetricsRegistry
 from counts import count_event
@@ -47,33 +46,6 @@ class TestExecStats:
         # merging copies: the ranks' own stores are left as they were
         assert a.value("kernel.launches", kernel="k", on="cpu") == 1
         assert not MetricsRegistry.merged([]).snapshot()["counters"]
-
-    def test_tuning_signals_of_an_empty_registry_are_neutral(self):
-        assert tuning_signals(MetricsRegistry()) == {
-            "kernel_launches": 0.0, "batched_launches": 0.0,
-            "patches_per_launch": 1.0, "slab_fused": 0.0,
-            "slab_fallback_rate": 0.0, "kernel_seconds": 0.0,
-            "transfer_seconds": 0.0,
-            # nothing overlapped: every async second would be exposed
-            "exposed_wait_fraction": 1.0, "schedule_cache_hit_rate": 0.0}
-
-    def test_tuning_signals_distil_the_counters(self):
-        s = MetricsRegistry()
-        _kernel(s, "hydro.pdv", 100, 0.5, "gpu")
-        # (launches, members, saved, host seconds, slab fused, fallback)
-        count_event(s, "batch", ("hydro.pdv",), 2, 12, 0.0, 0.0, 3, 1)
-        # never slab-fused: its fallback is not evidence against slab
-        count_event(s, "batch", ("pdat.pack",), 2, 4, 0.0, 0.0, 0, 5)
-        count_event(s, "schedule_cache", ("refine",), 3, 1)
-        s.record_overlap(2.0, 0.5)
-        sig = tuning_signals(s)
-        assert sig["batched_launches"] == 4.0
-        assert sig["patches_per_launch"] == 4.0
-        assert sig["slab_fused"] == 3.0
-        assert sig["slab_fallback_rate"] == 0.25
-        assert sig["exposed_wait_fraction"] == 0.25
-        assert sig["schedule_cache_hit_rate"] == 0.75
-        assert sig["kernel_launches"] == 1.0
 
     def test_kernel_categories(self):
         assert kernel_category("hydro.pdv") == "hydro"

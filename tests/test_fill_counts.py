@@ -11,11 +11,17 @@ that first use builds few ``Box`` objects, compiles no per-patch plan
 nothing twice.  What a recorded copy or stream declares it reads and
 writes comes from the geometry's patch-index arrays, and is what walking
 its items declares.
+
+On all four workloads no fill stamps a time, the overlap workload's step
+graphs hold only data motion, kernels, the reduction and frees (an exact
+task count), and a level a regrid drops is freed by reference counting.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -23,16 +29,23 @@ import repro.xfer.fill_plan as fill_plan
 import repro.xfer.refine_schedule as refine_schedule
 from repro.api import (
     ExecutionPolicy,
+    RegridPolicy,
     RunConfig,
     RunSession,
     SodProblem,
     TriplePointProblem,
     build_simulation,
+    run,
 )
 from repro.exec.plan import Scratch
 from repro.hydro.fields import FIELD_GROUPS, PRIMARY_FIELDS
 from repro.mesh.box import Box
+from repro.mesh.box_array import BoxArray
+from repro.mesh.patch import Patch
+from repro.mesh.patch_level import PatchLevel
+from repro.pdat.patch_data import PatchData
 from repro.pdat.space import HOST
+from repro.sched.task import TaskGraph, TaskKind
 from repro.xfer.refine_schedule import RefineSchedule
 
 #: ``benchmarks/e2e/workloads.sod_small_patches`` at seed 0
@@ -111,7 +124,7 @@ def test_a_second_schedule_over_a_geometry_recomputes_no_cut(monkeypatch):
     sim = session.sim
     level = sim.hierarchy.level(2)
     first = sim._fill_schedule_for(level, PRIMARY_FIELDS)
-    first.fill(time=0.0)
+    first.fill()
     cuts = Counter()
     for cls, name in ((fill_plan._FlatCopies, "cut"),
                       (fill_plan._FlatGeometry, "_units")):
@@ -125,7 +138,7 @@ def test_a_second_schedule_over_a_geometry_recomputes_no_cut(monkeypatch):
     assert second is not first and second.batch == first.batch
     shared = {id(g) for _, g in first.items} & {id(g) for _, g in second.items}
     assert shared == {id(g) for _, g in second.items}
-    second.fill(time=0.0)
+    second.fill()
     assert second._plan is not None
     assert not cuts
     session.close()
@@ -186,3 +199,95 @@ def test_declared_operands_are_the_items_distinct_operands():
                     assert plan.column(k) == tuple(dict.fromkeys(
                         item[k] for item in items))
     assert kinds["CopyPlan", 3] and kinds["StreamPlan", 2]
+
+
+# -- what the four end-to-end workloads record and leave behind -------------------
+
+#: the four ``benchmarks/e2e/workloads.py`` configurations at seed 0
+WORKLOADS = {
+    "sod_small_patches": CONFIG,
+    "sod_uniform": RunConfig(
+        problem=SodProblem((384, 384)), max_levels=1, max_patch_size=192,
+        nranks=1, execution=ExecutionPolicy(batch=True), max_steps=12),
+    "tp_regrid_every_step": RunConfig(
+        problem=TriplePointProblem((56, 24)), max_levels=3,
+        max_patch_size=16, nranks=1, execution=ExecutionPolicy(batch=True),
+        regrid=RegridPolicy(interval=1), max_steps=6),
+    "sod_multirank_overlap": RunConfig(
+        problem=SodProblem((64, 64)), max_levels=3, max_patch_size=16,
+        nranks=4, execution=ExecutionPolicy(batch=True, overlap=True),
+        max_steps=6),
+}
+
+
+@pytest.fixture
+def stamps(monkeypatch):
+    """Calls of ``PatchData.set_time`` (a restart database's time field
+    is all that still writes one)."""
+    calls = []
+    set_time = PatchData.set_time
+
+    def counting(self, time):
+        calls.append(time)
+        return set_time(self, time)
+
+    monkeypatch.setattr(PatchData, "set_time", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_no_fill_stamps_a_time(name, stamps):
+    """Every level advances with the one global dt, so no fill — of a
+    step, of a regrid, recorded or replayed — stamps a time on the data
+    it fills."""
+    res = run(replace(WORKLOADS[name], max_steps=2))
+    assert res.steps == 2
+    assert stamps == []
+
+
+def test_the_overlap_step_graphs_hold_only_data_motion_kernels_and_frees(
+        monkeypatch, stamps):
+    """The captured step graphs of ``sod_multirank_overlap`` hold kernels,
+    copies, the six stages of a message stream, the dt reduction and
+    scratch frees — nothing else — and 11,746 tasks execute in the
+    6-step pass (12,178 while every fill stamped its destinations' time
+    in one host task per rank)."""
+    kinds = Counter()
+    add = TaskGraph.add
+
+    def recording(self, kind, *args, **kwargs):
+        kinds[kind] += 1
+        return add(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(TaskGraph, "add", recording)
+    res = run(WORKLOADS["sod_multirank_overlap"])
+    assert set(kinds) == {
+        TaskKind.KERNEL, TaskKind.COPY, TaskKind.PACK, TaskKind.D2H,
+        TaskKind.H2D, TaskKind.UNPACK, TaskKind.SEND, TaskKind.RECV,
+        TaskKind.REDUCE, TaskKind.FREE}
+    assert res.metrics["counters"]["sched.tasks"] == 11_746
+    assert stamps == []
+
+
+def test_a_dropped_level_is_freed_without_the_cycle_collector():
+    """A patch refers to its level weakly, so a level a regrid drops —
+    its patches, boxes and box arrays — is freed by reference counting:
+    a ``tp_regrid_every_step`` step (one regrid) leaves no ``Patch``,
+    ``PatchLevel`` or ``BoxArray`` for the cycle collector (about 1,000
+    objects per step while the back-reference was strong)."""
+    session = RunSession(WORKLOADS["tp_regrid_every_step"])
+    session.advance(1)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        session.advance(1)
+        gc.collect()
+        found = [o for o in gc.garbage
+                 if isinstance(o, (Patch, PatchLevel, BoxArray))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    regrids = session.sim.comm.rank(0).metrics.value("regrid.regrids")
+    session.close()
+    assert regrids >= 2
+    assert not found, found[:5]

@@ -199,7 +199,7 @@ def _walked(sched) -> tuple:
     plan = compile_fill(sched, False)
     walked, walked_finish = ChargeLedger(), ChargeLedger()
     plan.transfer(RecordingSink(walked), not sched.interior, False)
-    plan.finish(RecordingSink(walked_finish), None)
+    plan.finish(RecordingSink(walked_finish))
     return walked.rows, walked_finish.rows
 
 
@@ -213,7 +213,7 @@ def test_a_schedules_rows_are_what_walking_its_per_patch_plan_records(space):
     sim.initialise()
     kinds = set()
     for sched in _per_patch_schedules(sim):
-        sched.fill(time=0.0)
+        sched.fill()
         transfer, finish = sched._charges
         assert (transfer.rows, finish.rows) == _walked(sched)
         kinds.update(kind for kind, *_ in transfer.rows)
@@ -257,7 +257,7 @@ def test_rows_from_sizes_are_the_walked_plan_on_drawn_meshes(
                                      src_level=src, interior=True)
                       for src in (old, None))
     for sched in scheds:
-        sched.fill(time=0.0)
+        sched.fill()
         transfer, finish = sched._charges
         assert (transfer.rows, finish.rows) == _walked(sched)
 
@@ -274,8 +274,8 @@ def test_kept_rows_replayed_twice_equal_two_per_patch_fills(space,
     scheds = [sim._fill_schedule_for(sim.hierarchy.level(2), PRIMARY_FIELDS)
               for sim in sims]
     for _ in range(2):
-        execute_per_patch(scheds[0], time=0.5)
-        scheds[1].fill(time=0.5)
+        execute_per_patch(scheds[0])
+        scheds[1].fill()
         rows = scheds[1]._charges
         assert scheds[1]._tasks is None
     assert scheds[1]._charges is rows

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ from repro.hydro.diagnostics import gather_level_field
 from repro.hydro.problems import SodProblem
 from repro.obs import (
     CATEGORIES,
+    COMPUTE,
+    D2D,
+    D2H,
+    H2D,
+    HOST,
+    NET,
     ChromeTraceSink,
     Counter,
     Gauge,
@@ -31,7 +38,6 @@ from repro.obs import (
     MetricsRegistry,
     Span,
     Tracer,
-    canonical_lane,
     chrome_trace_events,
     validate_chrome_trace,
     validate_file,
@@ -231,9 +237,12 @@ def test_validate_command_exits_with_its_error_count(tmp_path, capsys):
 
 
 def test_tracer_canonicalises_lanes_and_tracks():
+    """A span lands on the (rank, lane) track it was emitted on: the
+    emitters spell their lanes with the ``obs.lanes`` constants, so the
+    tracer folds nothing."""
     t = Tracer()
-    t.emit("a", "kernel", 0, "HtoD", 0.0, 1.0)
-    t.emit("b", "kernel", 1, "CPU", 0.0, 1.0)
+    t.emit("a", "kernel", 0, H2D, 0.0, 1.0)
+    t.emit("b", "kernel", 1, HOST, 0.0, 1.0)
     assert [(s.rank, s.lane) for s in t.spans] == [(0, "h2d"), (1, "host")]
 
 
@@ -261,13 +270,29 @@ def test_activate_tracer_installs_one_tracer_at_a_time():
     assert active_tracer() is None
 
 
-def test_canonical_lane_folds_aliases():
-    assert canonical_lane("HtoD") == "h2d"
-    assert canonical_lane("dtoh") == "d2h"
-    assert canonical_lane("NIC") == "net"
-    assert canonical_lane("cpu") == "host"
-    # unknown ad hoc stream labels pass through lower-cased
-    assert canonical_lane("Stream3") == "stream3"
+def test_traced_overlap_runs_record_only_lower_case_lanes(trace_file,
+                                                         parity_runs):
+    """Every lane a traced overlap run records — span tracks, the
+    timelines waits are on, the ``stream`` and ``direction`` labels of
+    its counters — is an ``obs.lanes`` constant, a device stream's
+    ``stream{id}`` or the ``phase`` / ``tune`` track: lower case, so no
+    recorder needs to fold spellings."""
+    known = {COMPUTE, D2H, H2D, D2D, NET, HOST, "phase", "tune"}
+    runs = [trace_file[0]] + [parity_runs[label][1] for label in
+                              ("host-overlap", "resident-overlap",
+                               "nonresident-overlap")]
+    for res in runs:
+        lanes = {s.lane for s in res.trace_spans}
+        lanes |= {s.payload["on"] for s in res.trace_spans
+                  if "on" in s.payload}
+        assert {COMPUTE, D2H, H2D, HOST} & lanes
+        for key in res.metrics["counters"]:
+            labels = dict(kv.split("=") for kv in key.partition("{")[2]
+                          .rstrip("}").split(",") if kv)
+            lanes |= {v for k, v in labels.items()
+                      if k in ("stream", "direction")}
+        assert all(lane in known or re.fullmatch(r"stream\d+", lane)
+                   for lane in lanes), sorted(lanes)
 
 
 # -- metrics registry: rank-merge semantics -----------------------------------
@@ -388,8 +413,8 @@ def test_read_helpers_create_no_instrument():
 def test_record_creates_a_family_together_under_canonical_lanes():
     r = MetricsRegistry()
     count_event(r, "schedule_cache", ("fill",), 1, 0)
-    count_event(r, "stream", ("D2H",), 1, 0.5)
-    count_event(r, "stream", ("d2h",), 1, 0.25)  # same counters as "D2H"
+    count_event(r, "stream", (D2H,), 1, 0.5)
+    count_event(r, "stream", (D2H,), 1, 0.25)  # the same counters
     assert r.snapshot()["counters"] == {
         "schedule_cache.hits{kind=fill}": 1.0,
         "schedule_cache.misses{kind=fill}": 0.0,

@@ -344,14 +344,14 @@ def test_replaying_a_cached_fill_does_no_box_algebra_and_one_alloc_per_rank(
         level = sim.hierarchy.level(sim.hierarchy.num_levels - 1)
         assert len({tuple(p.box.shape()) for p in level}) > 1, "level is ragged"
         sched = sim._fill_schedule_for(level, FIELD_GROUPS["step_start"])
-        sched.fill(time=0.0)  # first use compiles the plan
+        sched.fill()  # first use compiles the plan
         assert sched._plan and sched._plan.interps, "fine level interpolates"
         assert sim._fill_schedule_for(level, FIELD_GROUPS["step_start"]) is sched
         regions = sum(len(geom.interps) for geom, _ in sched.sig_groups)
         assert regions > 1
 
         counts.update(dict.fromkeys(counts, 0))
-        sched.fill(time=0.0)
+        sched.fill()
         assert counts["Box.__init__"] == 0 and counts["Box.slices_in"] == 0
         assert counts["Device._alloc"] == (1 if batch else regions), batch
 
@@ -375,7 +375,7 @@ def test_a_purged_schedules_plan_raises_instead_of_reading_a_released_slab():
     top = sim.hierarchy.num_levels - 1
     old_level = sim.hierarchy.level(top)
     sched = sim._fill_schedule_for(old_level, FIELD_GROUPS["step_start"])
-    sched.fill(time=0.0)
+    sched.fill()
     sim.run(max_steps=3)  # the step-3 regrid rebuilds the fine levels
     assert sim.hierarchy.level(top) is not old_level, "level was rebuilt"
     # no surviving cache entry names the released level ...
@@ -383,7 +383,7 @@ def test_a_purged_schedules_plan_raises_instead_of_reading_a_released_slab():
         assert old_level not in levels and cached is not sched
     # ... and the purged schedule's plan cannot be replayed onto it
     with pytest.raises(RuntimeError, match="use after free"):
-        sched.fill(time=0.0)
+        sched.fill()
 
 
 def test_a_batched_schedule_on_a_per_patch_allocated_level_raises_naming_it():
@@ -471,7 +471,7 @@ def _outcome(sched, state, comm):
     for device in devices:
         device.metrics.gauge("device.peak_bytes").set(device.bytes_allocated)
     with _recording() as (launches, messages):
-        sched.fill(time=1.0)
+        sched.fill()
     frames = [patch.data(spec.var.name).to_host()
               for patch in sched.dst_level for spec in sched.specs]
     return (frames, launches, messages,

@@ -112,9 +112,10 @@ _KERNEL_METHODS = ("ideal_gas", "viscosity", "calc_dt", "pdv", "accelerate",
 
 def _launch_sequence(monkeypatch, batch: bool, overlap: bool):
     """The ``(operation, level)`` sequence a run executes, in program
-    order: patch-integrator kernel launches, halo fills (their
-    timestamps) and syncs (their coarsen launches), whichever driver ran
-    them — recorded, replayed or inline — with consecutive repeats
+    order: patch-integrator kernel launches, halo fills (their physical
+    boundary launches, charged as they run or run uncharged by a
+    per-patch fill) and syncs (their coarsen launches), whichever driver
+    ran them — recorded, replayed or inline — with consecutive repeats
     collapsed: how many units a level's sweep visits (patches, or shape
     buckets under ``batch``) is not the contract.
 
@@ -124,7 +125,6 @@ def _launch_sequence(monkeypatch, batch: bool, overlap: bool):
     tie-break moves only the modelled clocks, which the order tests
     above cover."""
     from repro.exec.backend import Backend
-    from repro.pdat.patch_data import PatchData
 
     sim = build_simulation(_config(
         execution=ExecutionPolicy(batch=batch, overlap=overlap)))
@@ -150,26 +150,25 @@ def _launch_sequence(monkeypatch, batch: bool, overlap: bool):
         if seq[-1:] != [entry]:
             seq.append(entry)
 
-    run_batched, set_time = Backend.run_batched, PatchData.set_time
-
-    def launched(self, kernel, members, *args, **kwargs):
-        members = list(members)
-        op = kernel.split(".", 1)[-1]
-        if kernel.startswith("hydro.") and op in _KERNEL_METHODS:
-            note((op, level_of([pd for m in members
-                                for pd in (*m.reads, *m.writes)])))
-        elif kernel == "geom.coarsen":
-            note(("coarsen", level_of([pd for m in members
-                                       for pd in m.reads])))
-        return run_batched(self, kernel, members, *args, **kwargs)
-
-    def stamped(self, time):
-        note(("fill", level_of([self])))
-        return set_time(self, time)
+    def probe(launch):
+        def launched(self, kernel, members, *args, **kwargs):
+            members = list(members)
+            op = kernel.split(".", 1)[-1]
+            if kernel.startswith("hydro.") and op in _KERNEL_METHODS:
+                note((op, level_of([pd for m in members
+                                    for pd in (*m.reads, *m.writes)])))
+            elif kernel == "hydro.update_halo":
+                note(("fill", level_of([pd for m in members
+                                        for pd in m.writes])))
+            elif kernel == "geom.coarsen":
+                note(("coarsen", level_of([pd for m in members
+                                           for pd in m.reads])))
+            return launch(self, kernel, members, *args, **kwargs)
+        return launched
 
     with monkeypatch.context() as patches:
-        patches.setattr(Backend, "run_batched", launched)
-        patches.setattr(PatchData, "set_time", stamped)
+        for verb in ("run_batched", "execute"):
+            patches.setattr(Backend, verb, probe(getattr(Backend, verb)))
         sim.run(max_steps=3)
     if overlap:  # steps 2 and 3 replayed what step 1 (and 2) recorded
         assert _phases(sim) == {"captures": 5, "replays": 7}
@@ -583,10 +582,10 @@ def test_recorded_stream_is_payload_plus_header_and_charges_both_ranks(
 
 def test_topological_order_respects_deps_under_any_key():
     g = TaskGraph()
-    a = g.add(TaskKind.HOST, 0, "a", lambda s: None)
-    b = g.add(TaskKind.HOST, 0, "b", lambda s: None, deps=[a])
-    c = g.add(TaskKind.HOST, 0, "c", lambda s: None, deps=[a])
-    d = g.add(TaskKind.HOST, 0, "d", lambda s: None, deps=[b, c])
+    a = g.add(TaskKind.FREE, 0, "a", lambda s: None)
+    b = g.add(TaskKind.FREE, 0, "b", lambda s: None, deps=[a])
+    c = g.add(TaskKind.FREE, 0, "c", lambda s: None, deps=[a])
+    d = g.add(TaskKind.FREE, 0, "d", lambda s: None, deps=[b, c])
     for key in (None, lambda t: -t.tid, lambda t: (t.tid * 7919) % 13):
         order = g.topological_order(key)
         pos = {t.tid: i for i, t in enumerate(order)}
@@ -597,8 +596,8 @@ def test_topological_order_respects_deps_under_any_key():
 
 def test_cycle_is_detected():
     g = TaskGraph()
-    a = g.add(TaskKind.HOST, 0, "a", lambda s: None)
-    b = g.add(TaskKind.HOST, 0, "b", lambda s: None, deps=[a])
+    a = g.add(TaskKind.FREE, 0, "a", lambda s: None)
+    b = g.add(TaskKind.FREE, 0, "b", lambda s: None, deps=[a])
     a.deps.append(b)
     with pytest.raises(ValueError, match="cycle"):
         g.topological_order()
