@@ -185,8 +185,9 @@ class LagrangianEulerianIntegrator:
         """Build the initial hierarchy: base level, then iterative refinement.
 
         Only the coarsest level is user-specified; the error-estimation and
-        hierarchy-generation procedure creates the finer levels (§II), each
-        re-initialised from the analytic initial conditions.
+        hierarchy-generation procedure creates the finer levels (§II), and
+        the regridder's callback initialises each level it builds, once,
+        from the analytic initial conditions.
         """
         boxes = chop_boxes(
             [self.geometry.domain_box], self.config.max_patch_size
@@ -204,9 +205,6 @@ class LagrangianEulerianIntegrator:
             for _ in range(self.config.max_levels - 1):
                 before = self.hierarchy.num_levels
                 self._regrid(self._init_level_data)
-                for lvl in self.hierarchy:
-                    if lvl.level_number > 0:
-                        self._init_level_data(lvl)
                 self._prepare_for_tagging()
                 if self.hierarchy.num_levels == before:
                     break

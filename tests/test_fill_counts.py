@@ -291,3 +291,25 @@ def test_a_dropped_level_is_freed_without_the_cycle_collector():
     session.close()
     assert regrids >= 2
     assert not found, found[:5]
+
+
+def test_set_up_initialises_each_built_level_once(monkeypatch):
+    """Set-up initialises a level only through the regridder's callback,
+    once per level each refinement pass builds: ``sod_small_patches``
+    calls ``initialise_level`` four times (level 0, then levels 1 and
+    1, 2 over two passes), on 128 fine-level patches (256 while every
+    fine level was initialised again after each pass)."""
+    from repro.hydro.patch_integrator import CleverleafPatchIntegrator
+
+    levels = []
+    initialise = CleverleafPatchIntegrator.initialise_level
+
+    def counting(self, level, *args):
+        levels.append((level.level_number, len(level.patches)))
+        return initialise(self, level, *args)
+
+    monkeypatch.setattr(CleverleafPatchIntegrator, "initialise_level",
+                        counting)
+    build_simulation(CONFIG).initialise()
+    assert [lnum for lnum, _ in levels] == [0, 1, 1, 2]
+    assert sum(n for lnum, n in levels if lnum) == 128
