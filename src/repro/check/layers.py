@@ -3,7 +3,7 @@
 The tree has always had an implicit layering — patch data below
 execution, execution below scheduling, physics below the facade, the
 service above everything — but it was enforced piecemeal (a serve
-whitelist in the lint, import checks elsewhere).  This module declares the whole
+whitelist here, an api rule there).  This module declares the whole
 graph once:
 
 ====== =========== =========================================

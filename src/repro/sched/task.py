@@ -3,9 +3,9 @@
 A :class:`Task` is one schedulable unit of a timestep: a kernel launch, a
 stage of a batched halo transfer (pack, D2H, send, recv, H2D, unpack), a
 fused local copy, a global reduction, or the uncharged release of a
-transfer's scratch.  Each task carries the rank that executes it, a *lane* (which
-timeline the modelled cost lands on), the Python closure that performs the
-real work, and its dependency edges.
+transfer's scratch.  Each task carries the rank that executes it, a
+*lane* (which timeline the modelled cost lands on), the Python closure
+that performs the real work, and its dependency edges.
 
 The graph guarantees a **deterministic** topological order: ready tasks
 are dispatched in ascending emission order (or by an injected tie-break

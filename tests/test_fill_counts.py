@@ -250,8 +250,7 @@ def test_the_overlap_step_graphs_hold_only_data_motion_kernels_and_frees(
     """The captured step graphs of ``sod_multirank_overlap`` hold kernels,
     copies, the six stages of a message stream, the dt reduction and
     scratch frees — nothing else — and 11,746 tasks execute in the
-    6-step pass (12,178 while every fill stamped its destinations' time
-    in one host task per rank)."""
+    6-step pass."""
     kinds = Counter()
     add = TaskGraph.add
 
@@ -273,8 +272,7 @@ def test_a_dropped_level_is_freed_without_the_cycle_collector():
     """A patch refers to its level weakly, so a level a regrid drops —
     its patches, boxes and box arrays — is freed by reference counting:
     a ``tp_regrid_every_step`` step (one regrid) leaves no ``Patch``,
-    ``PatchLevel`` or ``BoxArray`` for the cycle collector (about 1,000
-    objects per step while the back-reference was strong)."""
+    ``PatchLevel`` or ``BoxArray`` for the cycle collector."""
     session = RunSession(WORKLOADS["tp_regrid_every_step"])
     session.advance(1)
     gc.collect()
@@ -296,9 +294,8 @@ def test_a_dropped_level_is_freed_without_the_cycle_collector():
 def test_set_up_initialises_each_built_level_once(monkeypatch):
     """Set-up initialises a level only through the regridder's callback,
     once per level each refinement pass builds: ``sod_small_patches``
-    calls ``initialise_level`` four times (level 0, then levels 1 and
-    1, 2 over two passes), on 128 fine-level patches (256 while every
-    fine level was initialised again after each pass)."""
+    calls ``initialise_level`` four times (level 0, then level 1, then
+    levels 1 and 2), on 128 fine-level patches."""
     from repro.hydro.patch_integrator import CleverleafPatchIntegrator
 
     levels = []
