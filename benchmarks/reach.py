@@ -246,6 +246,9 @@ CI_COMMANDS = (
        "--levels", "3", "--max-patch", "8", "--regrid-interval", "1",
        "--steps", "3", "--nodes", "2", *a.split(), "--sanitize")
       for a in ("--batch", "", "--non-resident --batch")),
+    ("repro", "--problem", "triple_point", "--resolution", "28", "12",
+     "--levels", "3", "--max-patch", "8", "--regrid-interval", "1",
+     "--steps", "4", "--nodes", "2", "--regrid-incremental", "--sanitize"),
     ("repro", "--problem", "sod", "--resolution", "32", "32", "--levels", "2",
      "--max-patch", "16", "--nodes", "2", "--steps", "5", "--overlap",
      "--batch", "--trace", "trace.json", "--profile"),

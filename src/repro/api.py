@@ -172,7 +172,6 @@ class RunConfig:
                                 balance=rp.balance),
             gamma=self.problem.gamma,
             overlap=ep.overlap,
-            sanitize=self.sanitize,
             batch_launches=ep.batch,
         )
         if self.dt_max is not None:

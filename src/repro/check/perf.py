@@ -79,7 +79,10 @@ class PerfFinding:
 def extract_perf(manifest: dict) -> dict:
     """Distil a metrics manifest into the gated (modelled) quantities.
 
-    * ``grind`` — virtual seconds per cell-step for the whole run;
+    * ``grind`` — virtual seconds per cell-step for the whole run, set-up
+      included (the manifest's ``virtual_runtime``), so a change to
+      set-up alone moves it; ``RunResult.grind_time`` starts after
+      set-up and does not move;
     * ``kernels`` — per-kernel modelled seconds per *element* processed
       (``kernel.seconds / kernel.elements``), keyed ``name@resource``;
     * ``phases`` — per-phase virtual seconds per cell-step.

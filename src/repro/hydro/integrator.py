@@ -73,10 +73,6 @@ class SimulationConfig:
     #: executing it inline, with halo transfers overlapping compute on
     #: per-rank copy streams; changes modelled time only, never bits
     overlap: bool = False
-    #: run with the samrcheck sanitizer active (repro.check): declared
-    #: accesses, happens-before replay, residency and stale-halo checks;
-    #: observation-only, bitwise identical to a normal run
-    sanitize: bool = False
     #: fuse same-kernel, same-level per-patch launches into one launch
     #: per (backend, level) — the AMReX MultiFab-style launch batching —
     #: run as one stacked NumPy op per patch shape over the (level, rank,
@@ -129,9 +125,8 @@ class LagrangianEulerianIntegrator:
         #: metrics registry, which --profile and the manifest read)
         self.schedule_cache = ScheduleCache(comm.ranks[0].metrics)
         self.regridder = Regridder(
-            self.hierarchy, comm, factory, self.variables,
-            self._specs_for(PRIMARY_FIELDS), self.boundary, self.config.regrid,
-            schedule_cache=self.schedule_cache,
+            self.hierarchy, comm, factory, self.variables, PRIMARY_FIELDS,
+            self.config.regrid,
         )
         self.time = 0.0
         self.step_count = 0
@@ -186,7 +181,7 @@ class LagrangianEulerianIntegrator:
 
         Only the coarsest level is user-specified; the error-estimation and
         hierarchy-generation procedure creates the finer levels (§II), and
-        the regridder's callback initialises each level it builds, once,
+        the regridder's hook initialises each level it builds, once,
         from the analytic initial conditions.
         """
         boxes = chop_boxes(
@@ -209,13 +204,40 @@ class LagrangianEulerianIntegrator:
                 if self.hierarchy.num_levels == before:
                     break
 
-    def _init_level_data(self, level) -> None:
-        """Analytic initial conditions + EOS on every patch of a level."""
+    def _init_level_data(self, level, old=None) -> None:
+        """The set-up hook: analytic initial conditions + EOS on every
+        patch of a level.  They write every field, so nothing is read from
+        the level ``level`` replaces (released here) or the coarser one."""
+        if old is not None and old is not level:
+            old.free_all()
         self.patch_integrator.initialise_level(level, self.comm, self.problem)
+
+    def _remake_level_data(self, level, old) -> None:
+        """The step hook: a new or kept level's data after a regrid.
+
+        A new level's primary interiors are transferred from ``old``
+        where it existed and interpolated from the coarser level
+        elsewhere, and ``old`` is released; a kept level (``old is
+        level``) already holds them.  Then the primary ghosts are filled
+        (coarse-fine interpolation and physical boundaries, so the next
+        finer level can interpolate) and the EOS recomputed on the
+        transferred data (the regridder has zeroed the work arrays).
+        Both fills are the paper's per-patch ones.
+        """
+        if old is not level:
+            coarse = self.hierarchy.level(level.level_number - 1)
+            RefineSchedule(
+                level, coarse, self._specs_for(PRIMARY_FIELDS), self.comm,
+                boundary=None, src_level=old, interior=True,
+            ).fill()
+            if old is not None:
+                old.free_all()
+        self._fill_schedule_for(level, PRIMARY_FIELDS, "regrid_ghost").fill()
+        self.patch_integrator.reset_eos(level, self.comm)
 
     # -- halo fills -----------------------------------------------------------------
 
-    def _regrid(self, init_level_callback) -> None:
+    def _regrid(self, fill_level) -> None:
         """Regrid the hierarchy, then drop the schedules it invalidated.
 
         The kernels' workspace is given back first: it is sized for the
@@ -223,7 +245,7 @@ class LagrangianEulerianIntegrator:
         regrid's own allocation peak.
         """
         self.patch_integrator.workspace.release()
-        self.regridder.regrid(init_level_callback=init_level_callback)
+        self.regridder.regrid(fill_level)
         self._invalidate_schedules()
 
     def _invalidate_schedules(self) -> None:
@@ -237,8 +259,12 @@ class LagrangianEulerianIntegrator:
         """
         self.schedule_cache.purge(self.hierarchy)
 
-    def _fill_schedule_for(self, level, names) -> RefineSchedule:
-        """The cached ghost-fill schedule for one (level, name group)."""
+    def _fill_schedule_for(self, level, names,
+                           kind: str = "fill") -> RefineSchedule:
+        """The cached ghost-fill schedule for one (level, name group).
+
+        ``kind="regrid_ghost"`` is a regrid's fill: cached apart from the
+        step's, and always in the per-patch grouping."""
         names = tuple(names)
         coarse = (
             self.hierarchy.level(level.level_number - 1)
@@ -246,15 +272,15 @@ class LagrangianEulerianIntegrator:
         )
         ghosts = tuple(self.variables[n].ghosts for n in names)
         key = (level_token(level), level_token(coarse), names, ghosts)
-        sched = self.schedule_cache.get("fill", key, (level, coarse))
+        sched = self.schedule_cache.get(kind, key, (level, coarse))
         if sched is None:
             sched = RefineSchedule(
                 level, coarse, self._specs_for(names), self.comm,
                 boundary=self.boundary,
                 geometry_cache=self.schedule_cache.geometry_cache,
-                batch=self.config.batch_launches,
+                batch=kind == "fill" and self.config.batch_launches,
             )
-            self.schedule_cache.put("fill", key, (level, coarse), sched)
+            self.schedule_cache.put(kind, key, (level, coarse), sched)
         return sched
 
     # -- executing the step program inline -----------------------------------------
@@ -327,7 +353,7 @@ class LagrangianEulerianIntegrator:
                 and self.step_count % self.config.regrid.regrid_interval == 0):
             with self._phase("regrid"):
                 self._prepare_for_tagging()
-                self._regrid(self._reset_derived)
+                self._regrid(self._remake_level_data)
         return dt
 
     def _scheduler(self):
@@ -460,13 +486,6 @@ class LagrangianEulerianIntegrator:
                                     batch=self.config.batch_launches)
             self.schedule_cache.put("coarsen", key, (fine, coarse), sched)
         return sched
-
-    def _reset_derived(self, level) -> None:
-        """After regrid: recompute the EOS on the transferred data (the
-        regridder has already zeroed the work arrays of a rebuilt level
-        and the non-primary fields of a kept one): one stacked sweep per
-        shape bucket, charged as one launch per patch."""
-        self.patch_integrator.reset_eos(level, self.comm)
 
     # -- run loops ----------------------------------------------------------------
 

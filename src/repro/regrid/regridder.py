@@ -1,11 +1,12 @@
-"""Hierarchy regeneration: flag → cluster → rebuild → solution transfer.
+"""Hierarchy regeneration: flag → cluster → rebuild → the application's hook.
 
 Implements the paper's three-step regridding procedure (§II): flagging
 (with the GPU tag-compression path from :mod:`repro.regrid.flagging`),
-clustering (Berger–Rigoutsos), and solution transfer from the old to the
-new hierarchy.  Proper nesting is maintained by augmenting each tag level
-with the buffered footprint of the next finer *new* level before
-clustering, so a covering cluster automatically nests its children.
+clustering (Berger–Rigoutsos), and rebuilding the levels, whose data
+the application's hook writes (see below).  Proper nesting is
+maintained by augmenting each tag level with the buffered footprint of
+the next finer *new* level before clustering, so a covering cluster
+automatically nests its children.
 
 Host-side framework costs (tag gathering, replicated clustering, patch
 construction) are charged to the rank clocks — these are the serial
@@ -22,9 +23,16 @@ keep them from growing with every regrid:
   (bitwise-identical by construction: Berger–Rigoutsos is a pure
   function of the tag set); when the reused boxes also match the
   installed level, the ``PatchLevel`` object itself is *kept* — no
-  reallocation, no interior transfer — and only the ghost fill and the
-  application callback re-run (exactly the operations whose outputs a
-  from-scratch rebuild would produce, so fields stay bit-identical).
+  reallocation — and the application's hook is told so (it then skips
+  the interior transfer, whose output the level already holds, so fields
+  stay bit-identical).
+
+The regridder owns geometry and storage only: tags, boxes, owners,
+allocation, the zero-fill of new storage, installing and dropping
+levels.  A level's data belongs to the application, which writes it
+through the hook :meth:`Regridder.regrid` calls once per new or kept
+level (SAMRAI's ``initializeLevelData``, AMReX's
+``MakeNewLevelFromScratch`` / ``RemakeLevel``).
 """
 
 from __future__ import annotations
@@ -39,8 +47,6 @@ from scipy import ndimage
 from ..exec.backend import zero_level
 from ..mesh.box import Box
 from ..obs.context import active_tracer
-from ..xfer.refine_schedule import FillSpec, RefineSchedule
-from ..xfer.schedule_cache import level_token
 from .berger_rigoutsos import cluster_tags
 from .flagging import TagThresholds, flag_patch_deferred, pack_tags
 from .load_balance import assign_owners, chop_boxes
@@ -50,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..mesh.hierarchy import PatchHierarchy
     from ..mesh.patch_level import PatchLevel
     from ..mesh.variables import VariableRegistry
-    from ..xfer.schedule_cache import ScheduleCache
 
 __all__ = ["RegridConfig", "RegridStats", "Regridder"]
 
@@ -99,7 +104,7 @@ class RegridStats:
     levels_reused: int = 0
     #: levels torn down and rebuilt (allocation + solution transfer)
     levels_rebuilt: int = 0
-    #: levels whose PatchLevel object was kept alive (ghost refill only)
+    #: levels whose PatchLevel object was kept alive (no reallocation)
     levels_kept: int = 0
     #: level numbers rebuilt or removed by this regrid (kept levels absent)
     changed_levels: set = field(default_factory=set)
@@ -119,19 +124,17 @@ class Regridder:
         comm: "SimCommunicator",
         factory,
         variables: "VariableRegistry",
-        primary_specs: list[FillSpec],
-        boundary,
+        primary_fields,
         config: RegridConfig | None = None,
-        schedule_cache: "ScheduleCache | None" = None,
     ):
         self.hierarchy = hierarchy
         self.comm = comm
         self.factory = factory
         self.variables = variables
-        self.primary_specs = primary_specs
-        self.boundary = boundary
+        #: what a kept level keeps; its other fields are zeroed like a
+        #: new level's
+        self.primary_fields = frozenset(primary_fields)
         self.config = config if config is not None else RegridConfig()
-        self.schedule_cache = schedule_cache
         self.last_stats = RegridStats()
         #: previous *buffered* tag bitmap per tag level, packed over the
         #: level domain (pack_tags) — the tag-diff baseline
@@ -328,12 +331,15 @@ class Regridder:
 
     # -- hierarchy reconstruction -------------------------------------------------
 
-    def regrid(self, init_level_callback=None) -> RegridStats:
-        """Regenerate every level finer than the base, transferring data.
+    def regrid(self, fill_level) -> RegridStats:
+        """Regenerate every level finer than the base.
 
-        ``init_level_callback(level)`` is invoked for each rebuilt level
-        after the primary fields are transferred (the application uses it
-        to zero work arrays and recompute the EOS).
+        Each new or kept level is built (or kept) and zero-filled in the
+        ``rebuild`` sub-phase and installed; then, in the ``transfer``
+        sub-phase, ``fill_level(level, old)`` writes its data.  ``old``
+        is the level it replaces (None if there was none, ``level``
+        itself if it was kept); the hook releases a replaced level once
+        it has read what it needs of it.
         """
         h = self.hierarchy
         self.last_stats = RegridStats()
@@ -349,14 +355,33 @@ class Regridder:
                 boxes, self.comm.size, method=self.config.balance,
                 imbalance_threshold=self.config.imbalance_threshold)
             if self._can_keep(lnum, boxes, owners):
-                self._refresh_level(lnum, init_level_callback)
+                level = old = h.level(lnum)
+                with self._timed("rebuild"):
+                    zero_level(level, [var.name for var in self.variables
+                                       if var.name not in self.primary_fields])
                 stats.levels_kept += 1
             else:
-                self._remake_level(lnum, boxes, owners, init_level_callback)
+                old = h.level(lnum) if lnum < h.num_levels else None
+                with self._timed("rebuild"):
+                    level = self._build_level(lnum, boxes, owners)
                 stats.levels_rebuilt += 1
                 stats.changed_levels.add(lnum)
+            with self._timed("transfer"):
+                h.set_level(level)
+                fill_level(level, old)
         self._count(stats)
         return stats
+
+    def _build_level(self, lnum: int, boxes: list[Box],
+                     owners: list[int]) -> "PatchLevel":
+        """A new level over (boxes, owners), allocated and zero-filled so
+        that untouched work arrays are defined."""
+        level = self.hierarchy.make_level(lnum, boxes, owners)
+        level.allocate_all(self.variables, self.factory, self.comm)
+        for patch in level:
+            self.comm.rank(patch.owner).cpu_charge(PATCH_CONSTRUCTION_COST)
+        zero_level(level, [var.name for var in self.variables])
+        return level
 
     def _count(self, stats: RegridStats) -> None:
         """Add one regrid's counts to the ``regrid`` family on rank 0's
@@ -380,7 +405,7 @@ class Regridder:
 
         Only then can the PatchLevel object be kept alive: its patches,
         data and interiors *are* what a rebuild + interior transfer would
-        produce, so only ghost fill and the application callback re-run.
+        produce.
         """
         h = self.hierarchy
         if not self.config.incremental or lnum >= h.num_levels:
@@ -388,76 +413,3 @@ class Regridder:
         level = h.level(lnum)
         return ([p.box for p in level] == boxes
                 and [p.owner for p in level] == owners)
-
-    def _ghost_schedule(self, level: "PatchLevel",
-                        coarse: "PatchLevel") -> RefineSchedule:
-        """The post-regrid ghost-fill schedule, cached when possible."""
-        cache = self.schedule_cache
-        if cache is None:
-            return RefineSchedule(
-                level, coarse, self.primary_specs, self.comm,
-                boundary=self.boundary,
-            )
-        names = tuple(spec.var.name for spec in self.primary_specs)
-        ghosts = tuple(spec.var.ghosts for spec in self.primary_specs)
-        key = (level_token(level), level_token(coarse), names, ghosts)
-        sched = cache.get("regrid_ghost", key, (level, coarse))
-        if sched is None:
-            sched = RefineSchedule(
-                level, coarse, self.primary_specs, self.comm,
-                boundary=self.boundary,
-                geometry_cache=cache.geometry_cache,
-            )
-            cache.put("regrid_ghost", key, (level, coarse), sched)
-        return sched
-
-    def _refresh_level(self, lnum: int, init_cb) -> None:
-        """Revalidate a *kept* level — the incremental fast path.
-
-        No allocation and no interior transfer: the level's primary
-        interiors already hold exactly what a rebuild would copy into
-        them.  The remaining operations are the ones whose outputs a
-        from-scratch rebuild produces afterwards — zeroed non-primary
-        fields, a full ghost fill against the (possibly rebuilt) coarser
-        level, and the application callback — so fields match bit for
-        bit.
-        """
-        h = self.hierarchy
-        level = h.level(lnum)
-        coarse = h.level(lnum - 1)
-        primaries = {spec.var.name for spec in self.primary_specs}
-        with self._timed("rebuild"):
-            zero_level(level, [var.name for var in self.variables
-                               if var.name not in primaries])
-        with self._timed("transfer"):
-            self._ghost_schedule(level, coarse).fill()
-            if init_cb is not None:
-                init_cb(level)
-
-    def _remake_level(self, lnum: int, boxes: list[Box], owners: list[int],
-                      init_cb) -> None:
-        h = self.hierarchy
-        old_level = h.level(lnum) if lnum < h.num_levels else None
-        with self._timed("rebuild"):
-            level = h.make_level(lnum, boxes, owners)
-            level.allocate_all(self.variables, self.factory, self.comm)
-            for patch in level:
-                self.comm.rank(patch.owner).cpu_charge(PATCH_CONSTRUCTION_COST)
-            # Zero-fill all data so untouched work arrays are defined.
-            zero_level(level, [var.name for var in self.variables])
-        coarse = h.level(lnum - 1)
-        with self._timed("transfer"):
-            # Interior solution transfer: old level where it existed, the
-            # new coarser level elsewhere.
-            RefineSchedule(
-                level, coarse, self.primary_specs, self.comm,
-                boundary=None, src_level=old_level, interior=True,
-            ).fill()
-            if old_level is not None:
-                old_level.free_all()
-            h.set_level(level)
-            # Ghost fill + physical BCs so the next finer level can
-            # interpolate.
-            self._ghost_schedule(level, coarse).fill()
-            if init_cb is not None:
-                init_cb(level)

@@ -7,7 +7,7 @@ step 5) every regrid throws the fill schedules away, so the step after
 it builds each schedule's geometry and plan again.  The geometry is
 arrays and the plan's cuts are made once per geometry and grouping, so
 that first use builds few ``Box`` objects, compiles no per-patch plan
-(the regridder's per-patch fills charge rows read off sizes) and cuts
+(a regrid's per-patch fills charge rows read off sizes) and cuts
 nothing twice.  What a recorded copy or stream declares it reads and
 writes comes from the geometry's patch-index arrays, and is what walking
 its items declares.
@@ -91,14 +91,15 @@ def counted(monkeypatch):
 
 
 def test_a_run_without_task_recording_compiles_no_per_patch_plan(counted):
-    """Set-up and the regrid fill per patch (six schedules, then four),
-    charged from sizes: not one per-patch plan is compiled."""
+    """Set-up fills nothing per patch; the step-5 regrid fills per patch
+    (four schedules), charged from sizes: not one per-patch plan is
+    compiled."""
     session = RunSession(CONFIG)
-    assert counted["per_patch_rows"] == 6
+    assert counted["per_patch_rows"] == 0
     while not session.done:
         session.advance(1)
     session.close()
-    assert counted["per_patch_rows"] == 10
+    assert counted["per_patch_rows"] == 4
     assert counted["compile_fill(fused=True)"] > 0
     assert counted["compile_fill(fused=False)"] == 0
     assert counted["emit_tasks"] == 0
@@ -292,7 +293,7 @@ def test_a_dropped_level_is_freed_without_the_cycle_collector():
 
 
 def test_set_up_initialises_each_built_level_once(monkeypatch):
-    """Set-up initialises a level only through the regridder's callback,
+    """Set-up initialises a level only through the regridder's hook,
     once per level each refinement pass builds: ``sod_small_patches``
     calls ``initialise_level`` four times (level 0, then level 1, then
     levels 1 and 2), on 128 fine-level patches."""
@@ -310,3 +311,26 @@ def test_set_up_initialises_each_built_level_once(monkeypatch):
     build_simulation(CONFIG).initialise()
     assert [lnum for lnum, _ in levels] == [0, 1, 1, 2]
     assert sum(n for lnum, n in levels if lnum) == 128
+
+
+def test_set_up_builds_only_the_tagging_fills(monkeypatch):
+    """Set-up writes each built level from the initial conditions, so it
+    transfers and ghost-fills nothing it would then overwrite: on
+    ``sod_small_patches`` its only fills are the error estimation's
+    (level 0, then levels 0-1, then levels 0-2): four schedules built,
+    six fills, and no per-patch rows read."""
+    counts: Counter = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(RefineSchedule, "__init__")
+    count(RefineSchedule, "fill")
+    count(refine_schedule, "per_patch_rows")
+    build_simulation(CONFIG).initialise()
+    assert counts == {"__init__": 4, "fill": 6}

@@ -1,7 +1,7 @@
 """Per-patch fills executed level-wide, charged from ledger rows.
 
 A per-patch :class:`~repro.xfer.refine_schedule.RefineSchedule` (the
-regridder's solution transfer and ghost fill in every run, the serial
+step regrid's solution transfer and ghost fill, the serial
 driver's step fills without ``batch``) executes the level-wide twin of
 its plan uncharged and charges the per-patch plan from
 :class:`~repro.gpu.ledger.ChargeLedger` rows read once off its
@@ -180,12 +180,13 @@ def test_per_patch_fills_emit_the_per_patch_spans(case, space, runs):
 
 def _per_patch_schedules(sim):
     """Per-patch schedules of every kind on every fine level: the
-    regridder's ghost fill, an interior fill, and the step's fills."""
+    regrid's ghost fill, an interior fill, and the step's fills."""
     out = []
     for level in list(sim.hierarchy)[1:]:
         coarse = sim.hierarchy.level(level.level_number - 1)
-        out.append(sim.regridder._ghost_schedule(level, coarse))
-        out.append(RefineSchedule(level, coarse, sim.regridder.primary_specs,
+        out.append(sim._fill_schedule_for(level, PRIMARY_FIELDS,
+                                          "regrid_ghost"))
+        out.append(RefineSchedule(level, coarse, sim._specs_for(PRIMARY_FIELDS),
                                   sim.comm, src_level=level, interior=True))
         for names in (PRIMARY_FIELDS, FIELD_GROUPS["step_start"]):
             out.append(sim._fill_schedule_for(level, names))
@@ -253,7 +254,7 @@ def test_rows_from_sizes_are_the_walked_plan_on_drawn_meshes(
         for made in (new, old):
             made.allocate_all(sim.variables, sim.factory, comm)
         scheds.extend(RefineSchedule(new, hier.level(lnum - 1),
-                                     sim.regridder.primary_specs, comm,
+                                     sim._specs_for(PRIMARY_FIELDS), comm,
                                      src_level=src, interior=True)
                       for src in (old, None))
     for sched in scheds:

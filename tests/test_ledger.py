@@ -202,7 +202,7 @@ def test_charge_forgets_what_it_charged():
 # -- the slab program against the per-patch oracle ------------------------------------
 
 #: problem, resolution, incremental regrid (kept levels run the
-#: regridder's refresh path)
+#: step hook's kept-level path)
 CASES = {
     "sod": (SodProblem, (24, 23), True),
     "triple_point": (TriplePointProblem, (27, 13), False),

@@ -72,6 +72,37 @@ def _inflate_kernel(manifest, factor):
 # -- extraction ---------------------------------------------------------------
 
 
+def test_the_gated_grind_is_the_whole_runs(monkeypatch):
+    """``extract_perf``'s grind divides the whole run's modelled time,
+    set-up included, while ``RunResult.grind_time`` starts after set-up:
+    a change to set-up alone (here, set-up ending at t=1.0 s or 1.5 s —
+    one binade, so every later clock sum rounds alike) moves the first
+    and leaves the second ``==``."""
+    from repro.hydro.integrator import LagrangianEulerianIntegrator
+
+    initialise = LagrangianEulerianIntegrator.initialise
+    results = []
+    for end in (1.0, 1.5):
+        def slow_set_up(sim, end=end):
+            initialise(sim)
+            for rank in sim.comm.ranks:
+                rank.sync_device()
+                rank.clock.advance_to(end)
+                rank.device.default_stream.clock.advance_to(end)
+
+        monkeypatch.setattr(LagrangianEulerianIntegrator, "initialise",
+                            slow_set_up)
+        results.append(run(RunConfig(
+            problem=SodProblem((24, 24)), nranks=1, use_gpu=True,
+            max_levels=2, max_patch_size=12,
+            regrid=RegridPolicy(interval=2), max_steps=3)))
+    fast, slow = results
+    assert fast.grind_time == slow.grind_time
+    assert fast.dt_history == slow.dt_history
+    assert (extract_perf(slow.metrics)["grind"]
+            > extract_perf(fast.metrics)["grind"])
+
+
 def test_extract_perf_shapes(manifest):
     perf = extract_perf(manifest)
     assert perf["grind"] > 0.0

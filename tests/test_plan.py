@@ -553,7 +553,7 @@ def test_a_geometry_shared_by_both_groupings_keeps_each_its_own():
     level = sim.hierarchy.level(2)
     coarse = sim.hierarchy.level(1)
     level_wide = sim._fill_schedule_for(level, PRIMARY_FIELDS)
-    per_patch = sim.regridder._ghost_schedule(level, coarse)
+    per_patch = sim._fill_schedule_for(level, PRIMARY_FIELDS, "regrid_ghost")
     assert level_wide.batch and not per_patch.batch
     assert all(a is b for (_, a), (_, b) in zip(level_wide.items,
                                                per_patch.items))

@@ -199,7 +199,7 @@ def test_cli_entry_points_are_valid_options():
         parser.parse_args([*reach.CLI_BASE, *mode])
     runs = [cmd[1:] for cmd in reach.CI_COMMANDS
             if cmd[0] == "repro" and cmd[1] != "check"]
-    assert len(runs) == 19
+    assert len(runs) == 20
     for args in runs:
         parser.parse_args(list(args))
 

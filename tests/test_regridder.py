@@ -67,7 +67,7 @@ class TestSolutionTransfer:
         sim = make_sim(problem=SodProblem((32, 32)))
         sim.run(max_steps=2)  # no regrid yet (interval 5)
         rho_before = gather_level_field(sim.hierarchy.level(1), "density0")
-        sim.regridder.regrid(init_level_callback=sim._reset_derived)
+        sim.regridder.regrid(sim._remake_level_data)
         sim._invalidate_schedules()
         rho_after = gather_level_field(sim.hierarchy.level(1), "density0")
         both = ~(np.isnan(rho_before) | np.isnan(rho_after))
@@ -93,13 +93,13 @@ class TestSolutionTransfer:
         for patch in sim.hierarchy.level(1):
             for name in ("density0", "energy0", "pressure"):
                 patch.data(name).fill(1.0)
-        sim.regridder.regrid()
+        sim.regridder.regrid(sim._remake_level_data)
         assert sim.hierarchy.num_levels == 1
 
     def test_regrid_charges_time(self):
         sim = make_sim()
         t0 = sim.comm.max_time()
-        sim.regridder.regrid()
+        sim.regridder.regrid(sim._remake_level_data)
         assert sim.comm.max_time() > t0
 
 
