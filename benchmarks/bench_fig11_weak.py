@@ -18,7 +18,7 @@ block.  Node counts to 64 by default, 1,024 with REPRO_FULL=1.
 
 import pytest
 
-from repro.api import RegridPolicy, RunConfig, run
+from repro.api import RegridPolicy, RunConfig, RunSession
 from repro.hydro.problems import TriplePointProblem
 from repro.obs.metrics import STEP_PHASES
 
@@ -54,6 +54,27 @@ def node_grid(nodes: int) -> tuple[int, int]:
     return (nodes, 1)
 
 
+def run_steps(cfg: RunConfig):
+    """Run ``cfg``: its result and each phase timer's growth after
+    ``initialise``, the step loop's share (``RunResult.timers`` hold the
+    whole run's, set-up's regrid included)."""
+    session = RunSession(cfg)
+    try:
+        setup = session.sim.timer_summary()
+        session.advance()
+        res = session.result()
+    finally:
+        session.close()
+    return res, {k: v - setup.get(k, 0.0) for k, v in res.timers.items()}
+
+
+def shares(timers: dict) -> dict:
+    """Each step phase's share of the whole run's phase time, set-up
+    included: the runtime fractions the paper quotes."""
+    total = sum(timers.get(k, 0.0) for k in STEP_PHASES)
+    return {k: timers.get(k, 0.0) / total for k in STEP_PHASES}
+
+
 def run_point(nodes: int):
     sx, sy = node_grid(nodes)
     res = (BLOCK[0] * sx, BLOCK[1] * sy)
@@ -67,7 +88,7 @@ def run_point(nodes: int):
         regrid=RegridPolicy(interval=3),
         max_steps=STEPS,
     )
-    return run(cfg)
+    return run_steps(cfg)
 
 
 def run_regrid_point(nodes: int, incremental: bool):
@@ -90,15 +111,13 @@ def run_regrid_point(nodes: int, incremental: bool):
         max_steps=REGRID_STEPS,
         dt_max=1e-9,
     )
-    out = run(cfg)
-    t = out.timers
-    total = sum(t.get(k, 0.0) for k in STEP_PHASES)
+    out, t = run_steps(cfg)
     advanced = (out.cells / nodes) * out.steps
     counters = out.metrics["counters"]
     return {
         "nodes": nodes,
         "regrid_grind": t.get("regrid", 0.0) / advanced,
-        "regrid_frac": t.get("regrid", 0.0) / total,
+        "regrid_frac": shares(out.timers)["regrid"],
         "reclustered": int(counters["regrid.levels_reclustered"]),
         "reused": int(counters["regrid.levels_reused"]),
     }
@@ -120,15 +139,15 @@ MANIFEST: dict = {}
 def sweep():
     rows = []
     for nodes in NODES:
-        res = run_point(nodes)
+        res, t = run_point(nodes)
         MANIFEST.clear()
         MANIFEST.update(res.metrics)
         # Grind normalised per *node-local* cells (the paper's absolute
         # values, ~1e-6 s/cell with ~2M cells/GPU, imply this
         # normalisation: runtime / (steps x cells-per-GPU)).
         advanced = (res.cells / nodes) * res.steps
-        t = res.timers
         total = sum(t.get(k, 0.0) for k in STEP_PHASES)
+        share = shares(res.timers)
         rows.append({
             "nodes": nodes,
             "cells": res.cells,
@@ -137,9 +156,9 @@ def sweep():
             "grind_sync": t.get("sync", 0.0) / advanced,
             "grind_regrid": t.get("regrid", 0.0) / advanced,
             "grind_dt": t.get("timestep", 0.0) / advanced,
-            "frac_hydro": t.get("hydro", 0.0) / total,
-            "frac_dt": t.get("timestep", 0.0) / total,
-            "frac_sync": t.get("sync", 0.0) / total,
+            "frac_hydro": share["hydro"],
+            "frac_dt": share["timestep"],
+            "frac_sync": share["sync"],
         })
     return rows
 

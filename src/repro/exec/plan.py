@@ -113,7 +113,7 @@ class UnpooledLevelError(ValueError):
 
 def level_arenas(level, name: str) -> dict:
     """``{owner: arena}`` of one variable on a level (kept in the level's
-    ``arena_cache`` until a patch's data is set or freed).  Raises
+    ``arena_cache`` until it is allocated or a patch's data freed).  Raises
     :class:`UnpooledLevelError` unless every patch's data is a member of
     its owner's one arena (what level allocation gives)."""
     arenas = level.arena_cache.get(name)

@@ -49,8 +49,9 @@ class Patch:
         return name in self._data
 
     def set_data(self, name: str, pd: "PatchData") -> None:
+        """Install ``pd`` (level allocation clears the level's
+        ``arena_cache`` once, after the last)."""
         self._data[name] = pd
-        self.level.arena_cache.clear()
 
     def data_names(self) -> list[str]:
         return list(self._data)

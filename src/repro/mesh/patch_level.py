@@ -59,7 +59,7 @@ class PatchLevel:
         #: allocation formed (none on a level allocated patch by patch)
         self.buckets: list = []
         #: ``{name: {owner: arena}}`` as ``exec.plan.level_arenas`` found
-        #: them; a patch whose data is set or freed clears it
+        #: them; allocating the level or freeing a patch's data clears it
         self.arena_cache: dict = {}
 
     # -- queries ---------------------------------------------------------------
@@ -113,8 +113,9 @@ class PatchLevel:
         """Allocate every declared variable on every patch: the factory
         pools each variable's storage for a rank's patches into one arena
         slab with per-patch offsets and hands back the shape buckets it
-        placed."""
+        placed (and the arena cache is cleared once)."""
         self.buckets = factory.allocate_level(self, variables, comm)
+        self.arena_cache.clear()
 
     def free_all(self) -> None:
         for patch in self.patches:

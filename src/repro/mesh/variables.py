@@ -13,7 +13,10 @@ unchanged SAMRAI framework.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..pdat.arena import Arena
 from ..pdat.patch_data import PatchData
@@ -100,8 +103,11 @@ def _allocate_level(level, variables, space_of) -> list[PatchBucket]:
     memory space ``space_of(owner)``.  Members are placed bucket by
     bucket — an owner's patches of one shape, in level order — so each
     patch size of a ragged level is one contiguous arena bucket with one
-    stacked view.  Returns the buckets, in the order the level first
-    meets them."""
+    stacked view.  An owner's frames, bucket shapes and slab size are
+    worked out once per centring signature (offset and ghosts) and
+    checked once against the frames; each arena is then cut in one
+    pass.  Returns the buckets, in the order the level first meets
+    them."""
     patches = level.patches
     placed: dict = {}  # (owner, patch shape) -> positions in the level
     for i, shape in enumerate(level.box_array.shape().tolist()):
@@ -110,17 +116,32 @@ def _allocate_level(level, variables, space_of) -> list[PatchBucket]:
                for (owner, _), same in placed.items()]
     for owner in sorted({owner for owner, _ in placed}):
         space = space_of(owner)
-        mine = [i for (o, _), same in placed.items() if o == owner
-                for i in same]
+        runs = [same for (o, _), same in placed.items() if o == owner]
+        mine = [i for same in runs for i in same]
+        sets = [patches[i].set_data for i in mine]
+        cells = [patches[i].box for i in mine]
+        layouts: dict = {}  # signature -> (runs, slab size, frame boxes)
         for var in variables:
-            frames = level.frames(var)  # shared by the centring signature
-            boxes = frames.boxes()
-            shapes = frames.shape()[mine]
-            arena = Arena(space, int(shapes.prod(axis=1).sum()))
-            for i, shape in zip(mine, shapes.tolist()):
-                patches[i].set_data(var.name, PatchData(
-                    var, patches[i].box, space, member=arena.place(shape),
-                    frame=boxes[i]))
+            layout = layouts.get((var.offset, var.ghosts))
+            if layout is None:
+                frames = level.frames(var)
+                cut = [(tuple(var.frame(patches[same[0]].box).shape()),
+                        len(same)) for same in runs]
+                shapes = frames.shape()[mine]  # the check ArrayData makes
+                if (np.repeat([s for s, _ in cut], [n for _, n in cut], 0)
+                        != shapes).any():
+                    raise ValueError(f"storage (shape, count) runs {cut} != "
+                                     f"frame shapes {shapes.tolist()}")
+                boxes = frames.boxes()
+                layout = layouts[var.offset, var.ghosts] = (
+                    cut, sum(math.prod(shape) * n for shape, n in cut),
+                    [boxes[i] for i in mine])
+            cut, size, frame_boxes = layout
+            members = Arena(space, size).place_all(cut)
+            for set_data, box, frame, member in zip(sets, cells, frame_boxes,
+                                                    members):
+                set_data(var.name, PatchData.member(var, box, space, member,
+                                                    frame))
     return buckets
 
 

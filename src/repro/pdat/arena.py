@@ -23,6 +23,7 @@ when the last live slice is freed; freed slices raise on access.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -48,23 +49,35 @@ class Arena:
 
     def place(self, shape) -> "ArenaSlice":
         """Carve the next member off the slab as an :class:`ArenaSlice`."""
-        n = math.prod(int(s) for s in shape)
-        if self._used + n > self.slab.size:
-            raise ValueError(
-                f"arena overflow: {self._used} + {n} > {self.slab.size}")
-        s = ArenaSlice(self, self._used, shape, index=len(self.offsets))
-        if self.buckets and self.buckets[-1][2] == s.shape:
-            first, count, _ = self.buckets[-1]
-            self.buckets[-1] = (first, count + 1, s.shape)
-        else:
-            self.buckets.append((s.index, 1, s.shape))
-        self.bucket_of.append(len(self.buckets) - 1)
-        self.offsets.append(self._used)
-        self.shapes.append(s.shape)
-        self._used += n
-        self._live += 1
+        return self.place_all(((tuple(int(s) for s in shape), 1),))[0]
+
+    def place_all(self, runs) -> list["ArenaSlice"]:
+        """Carve ``count`` members of each ``(shape, count)`` run off the
+        slab (``shape`` a tuple of ints), in order, in one pass: each run
+        is one bucket, or extends the last one if it has its shape."""
+        members = []
+        used = self._used
+        for shape, count in runs:
+            size = math.prod(shape)
+            if used + size * count > self.slab.size:
+                raise ValueError(f"arena overflow: {used} + {size * count}"
+                                 f" > {self.slab.size}")
+            first = len(self.offsets)
+            if self.buckets and self.buckets[-1][2] == shape:
+                start, n, _ = self.buckets[-1]
+                self.buckets[-1] = (start, n + count, shape)
+            else:
+                self.buckets.append((first, count, shape))
+            self.bucket_of += [len(self.buckets) - 1] * count
+            offsets = range(used, used + size * count, size)
+            self.offsets += offsets
+            self.shapes += [shape] * count
+            members += map(partial(ArenaSlice, self, shape=shape, size=size),
+                           offsets, range(first, first + count))
+            self._used = used = used + size * count
+            self._live += count
         self._layout = None
-        return s
+        return members
 
     def _release(self) -> None:
         self._live -= 1
@@ -136,15 +149,16 @@ class ArenaSlice:
     __slots__ = ("arena", "offset", "shape", "dtype", "nbytes", "size",
                  "index", "_freed")
 
-    def __init__(self, arena: Arena, offset: int, shape, index: int = 0):
+    def __init__(self, arena: Arena, offset: int, index: int, *,
+                 shape: tuple, size: int):
         self.arena = arena
-        self.offset = int(offset)
-        self.shape = tuple(int(s) for s in shape)
+        self.offset = offset
+        self.shape = shape
         self.dtype = arena.slab.dtype
-        self.size = math.prod(self.shape)
-        self.nbytes = self.size * self.dtype.itemsize
+        self.size = size
+        self.nbytes = size * self.dtype.itemsize
         #: position of this member on the stacked view's leading axis
-        self.index = int(index)
+        self.index = index
         self._freed = False
 
     def kernel_view(self) -> np.ndarray:

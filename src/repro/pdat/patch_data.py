@@ -155,6 +155,18 @@ class PatchData:
         self.data = ArrayData(var.frame(box) if frame is None else frame,
                               space, fill=fill, buf=member)
 
+    @classmethod
+    def member(cls, var: "Variable", box: Box, space, member,
+               frame: Box) -> "PatchData":
+        """``PatchData(var, box, space, member=member, frame=frame)`` for
+        level allocation, which checks many members' shapes against their
+        frames at once (``mesh.variables._allocate_level``)."""
+        self, data = cls.__new__(cls), ArrayData.__new__(ArrayData)
+        self.var, self.box, self.space, self.data = var, box, space, data
+        self._arena, self._arena_index = member.arena, member.index
+        data.frame, data.space, data.buf = frame, space, member
+        return self
+
     # -- interface from the paper's Fig. 2 ---------------------------------
 
     @property

@@ -44,11 +44,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import ndimage
 
-from ..exec.backend import zero_level
+from ..exec.backend import backend_for, zero_level
+from ..gpu.ledger import ChargeLedger
 from ..mesh.box import Box
 from ..obs.context import active_tracer
 from .berger_rigoutsos import cluster_tags
-from .flagging import TagThresholds, flag_patch_deferred, pack_tags
+from .flagging import TAG_FIELDS, TagThresholds, pack_tags, tag_unit
 from .load_balance import assign_owners, chop_boxes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -175,39 +176,51 @@ class Regridder:
     def _collect_tags(self, level: "PatchLevel") -> np.ndarray:
         """Flag every patch of a level; return global (N, 2) tag indices.
 
-        Resident builds fuse the whole level's compressed tag bitfields
-        into ONE D2H per rank — a packed per-patch "any tags?" header
-        plus the concatenated bit arrays of the tagged patches — instead
-        of a 4-byte flag + bit-array transfer per patch.
+        The tags are computed one stacked sweep per shape bucket
+        (:func:`~repro.regrid.flagging.tag_unit`, uncharged) and charged
+        patch by patch in level order, from one ledger, as
+        :func:`~repro.regrid.flagging.flag_patch` launches them.  Resident
+        builds fuse the whole level's compressed tag bitfields into ONE
+        D2H per rank — a packed per-patch "any tags?" header plus the
+        concatenated bit arrays of the tagged patches — instead of a
+        4-byte flag + bit-array transfer per patch.
         """
-        all_points = []
-        bytes_per_rank = [0] * self.comm.size
-        #: owner -> [backend, fused payload bytes, patches on that rank]
-        fused: dict[int, list] = {}
-        for patch in level:
-            rank = self.comm.rank(patch.owner)
-            tags, packed_nbytes, resident, backend = flag_patch_deferred(
-                patch, rank, self.config.thresholds)
-            n_interior = tags.size
-            bytes_per_rank[patch.owner] += -(-n_interior // 8)  # packed bits
-            if resident:
+        comm = self.comm
+        backends: dict = {}  # owner -> the backend its data lives in
+        tagged = np.zeros(len(level.patches), dtype=bool)
+        all_points = [np.empty((0, 2), dtype=np.int64)]
+        for unit in level.buckets or level.patches:
+            backend = backends.setdefault(unit.owner, backend_for(
+                unit.fields("density0")[0], comm.rank(unit.owner)))
+            tags = tag_unit(unit, backend, self.config.thresholds)
+            ids = [p.global_id for p in unit.patches]
+            tagged[ids] = tags.any(axis=(1, 2))
+            k, i, j = np.nonzero(tags)
+            all_points.append(np.stack((i, j), axis=1)
+                              + level.box_array.lower[ids][k])
+        ledger = ChargeLedger()
+        bytes_per_rank = [0] * comm.size
+        fused: dict = {}  # owner -> [backend, fused payload bytes, patches]
+        cells = level.box_array.shape().prod(axis=1).tolist()
+        for patch, n, hit in zip(level.patches, cells, tagged.tolist()):
+            backend = backends[patch.owner]
+            backend.record(ledger, "regrid.tag", n,
+                           reads=[patch.data(f) for f in TAG_FIELDS])
+            packed = -(-n // 8)  # what pack_tags yields
+            bytes_per_rank[patch.owner] += packed
+            if backend.resident:
+                backend.record(ledger, "regrid.tag_compress", n)
                 entry = fused.setdefault(patch.owner, [backend, 0, 0])
-                entry[1] += packed_nbytes
+                entry[1] += packed * hit
                 entry[2] += 1
-            if tags.any():
-                pts = np.argwhere(tags)
-                pts[:, 0] += patch.box.lower[0]
-                pts[:, 1] += patch.box.lower[1]
-                all_points.append(pts)
+        ledger.charge()
         for backend, payload, npatches in fused.values():
             # One fused readback per rank: 1 bit of "tagged?" per patch,
             # then the tagged patches' compressed bit arrays.
             backend.charge_transfer("d2h", -(-npatches // 8) + payload)
             self.last_stats.tag_readbacks += 1
         # SAMRAI gathers tag boxes globally before clustering.
-        self.comm.allgather(bytes_per_rank)
-        if not all_points:
-            return np.empty((0, 2), dtype=np.int64)
+        comm.allgather(bytes_per_rank)
         return np.concatenate(all_points)
 
     def _buffer_tags(self, points: np.ndarray, extra_boxes: list[Box],

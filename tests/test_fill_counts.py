@@ -15,6 +15,8 @@ its items declares.
 On all four workloads no fill stamps a time, the overlap workload's step
 graphs hold only data motion, kernels, the reduction and frees (an exact
 task count), and a level a regrid drops is freed by reference counting.
+Tagging a level launches nothing per patch: exact ``Device.launch``
+counts on the three AMR workloads, charges equal to per-patch tagging's.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from tag_oracle import per_patch_tagging
 
 import repro.xfer.fill_plan as fill_plan
 import repro.xfer.refine_schedule as refine_schedule
@@ -38,6 +41,7 @@ from repro.api import (
     run,
 )
 from repro.exec.plan import Scratch
+from repro.gpu.device import Device
 from repro.hydro.fields import FIELD_GROUPS, PRIMARY_FIELDS
 from repro.mesh.box import Box
 from repro.mesh.box_array import BoxArray
@@ -334,3 +338,53 @@ def test_set_up_builds_only_the_tagging_fills(monkeypatch):
     count(refine_schedule, "per_patch_rows")
     build_simulation(CONFIG).initialise()
     assert counts == {"__init__": 4, "fill": 6}
+
+
+#: ``Device.launch`` calls of set-up and of the step loop at seed 0:
+#: tagging patch by patch, and a level per shape bucket
+LAUNCHES = {
+    "sod_small_patches": ((347, 933), (27, 741)),
+    "tp_regrid_every_step": ((95, 1128), (27, 816)),
+    "sod_multirank_overlap": ((328, 5704), (248, 5656)),
+}
+
+
+def _counted_run(monkeypatch, cfg) -> tuple:
+    """``((set-up launches, step launches), RunResult)`` of one run."""
+    calls = [0]
+    launch = Device.launch
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return launch(self, *args, **kwargs)
+
+    monkeypatch.setattr(Device, "launch", counting)
+    session = RunSession(cfg)
+    setup = calls[0]
+    session.advance()
+    return (setup, calls[0] - setup), session.result()
+
+
+def _charged(res) -> tuple:
+    """Everything a run charges and computes, but its wall clock."""
+    counters = {k: v for k, v in res.metrics["counters"].items()
+                if not k.startswith("batch.host_seconds")}
+    return (counters, res.metrics["gauges"], res.final_fields,
+            res.dt_history, res.runtime,
+            [(r.clock.time, r.device.default_stream.clock.time)
+             for r in res.sim.comm.ranks])
+
+
+@pytest.mark.parametrize("name", LAUNCHES)
+def test_levels_are_tagged_per_bucket_and_charged_per_patch(name,
+                                                           monkeypatch):
+    """A level is tagged one stacked sweep per shape bucket, so set-up's
+    ``Device.launch`` calls fall 347 -> 27 on ``sod_small_patches`` (and
+    the step loop's 933 -> 741, its step-5 regrid tagging too), while
+    every counter (``regrid.*`` and ``device.*`` among them), gauge,
+    rank clock, field and dt stays the per-patch tagging program's."""
+    with per_patch_tagging(monkeypatch):
+        ref_counts, ref = _counted_run(monkeypatch, WORKLOADS[name])
+    counts, got = _counted_run(monkeypatch, WORKLOADS[name])
+    assert (ref_counts, counts) == LAUNCHES[name]
+    assert _charged(got) == _charged(ref)

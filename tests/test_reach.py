@@ -199,7 +199,7 @@ def test_cli_entry_points_are_valid_options():
         parser.parse_args([*reach.CLI_BASE, *mode])
     runs = [cmd[1:] for cmd in reach.CI_COMMANDS
             if cmd[0] == "repro" and cmd[1] != "check"]
-    assert len(runs) == 20
+    assert len(runs) == 21
     for args in runs:
         parser.parse_args(list(args))
 
@@ -252,5 +252,29 @@ def test_main_fails_on_an_unlisted_def_or_a_failed_entry_point(
         listing.write_text("a.py:planted  4  unused\n")
         assert reach.main() == 1
         assert "not one of" in capsys.readouterr().out
+    finally:
+        reach._CALLED.clear()
+
+
+def test_a_file_edited_during_the_run_misreports_no_def(
+        package, tmp_path, monkeypatch):
+    """The source is walked before the entry points run, so a line added
+    to a file meanwhile shifts no def off the line the profiler saw."""
+    listing = tmp_path / "unreached.txt"
+    listing.write_text("a.py:planted  4  error-path\n"
+                       "a.py:Thing.unused  2  debug\n")
+    called = _run_entry(package)
+
+    def run_entry_points():
+        reach._CALLED.update(called)
+        source = package / "a.py"
+        source.write_text('"""Edited mid-run."""\n' + source.read_text())
+        return []
+
+    monkeypatch.setattr(reach, "run_entry_points", run_entry_points)
+    monkeypatch.setattr(reach, "PACKAGE", package)
+    monkeypatch.setattr(reach, "LIST_PATH", listing)
+    try:
+        assert reach.main() == 0
     finally:
         reach._CALLED.clear()
